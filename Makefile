@@ -3,7 +3,7 @@
 # detector (the store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-baseline lint-sarif bench-lint build test race ci bench bench-ingest bench-gateway bench-sketch swarm-smoke failover-smoke fuzz
+.PHONY: all vet lint lint-stats lint-baseline lint-sarif bench-lint build test race ci bench bench-e2e bench-ingest bench-gateway bench-sketch swarm-smoke failover-smoke fuzz loc
 
 all: vet lint build test
 
@@ -62,6 +62,11 @@ fuzz:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
+# The ingest-to-estimate benchmark BENCHMARK.json declares: four workloads,
+# five interleaved rounds each, end-to-end medians (see bench/README.md).
+bench-e2e:
+	$(GO) run ./bench
+
 # Just the persistence-overhead trajectory (in-memory vs WAL ingest).
 bench-ingest:
 	$(GO) test -bench='BenchmarkIngest' -benchmem
@@ -91,3 +96,10 @@ failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm
 	$(GO) test -race -count=1 ./internal/replication/
 	$(GO) test -race -count=1 -run 'TestFailover|TestSwarmChaos|TestReadyz' ./internal/cluster/
+
+# Non-test Go lines per package and in total, leaving out bench/ and
+# testdata/ — the figure ROADMAP item 2 asks simplification PRs to shrink.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); by[d] += $$1; t += $$1 } \
+			END { for (d in by) printf "%7d %s\n", by[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

@@ -49,7 +49,6 @@ func main() {
 	ckptInterval := flag.Duration("checkpoint-interval", time.Minute, "checkpoint cadence for -data")
 	fsyncMode := flag.String("fsync", "off", "WAL fsync policy: off | always | every=N | interval=DUR")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/zones); empty disables")
-	snapshotPath := flag.String("snapshot", "", "legacy single-file snapshot persistence (superseded by -data)")
 	serverID := flag.String("server-id", "wiscape-coordinator", "node name in status replies and replication handshakes")
 	replAddr := flag.String("replication-addr", "", "WAL replication listener address (requires -data); empty disables replication")
 	replFrom := flag.String("replicate-from", "", "start as a replica tailing this primary replication address")
@@ -65,50 +64,10 @@ func main() {
 	if err != nil {
 		logger.Fatalf("-fsync: %v", err)
 	}
-	if *dataDir != "" && *snapshotPath != "" {
-		logger.Fatalf("-snapshot and -data are mutually exclusive; -data supersedes it")
-	}
 
 	cfg := core.DefaultConfig()
 	cfg.ZoneRadiusM = *zoneRadius
-	ctrl := core.NewController(cfg, geo.Madison().Center())
-	if *snapshotPath != "" {
-		if f, err := os.Open(*snapshotPath); err == nil {
-			snap, err := core.ReadSnapshot(f)
-			if cerr := f.Close(); cerr != nil {
-				logger.Printf("close snapshot: %v", cerr)
-			}
-			if err != nil {
-				logger.Fatalf("snapshot %s: %v", *snapshotPath, err)
-			}
-			ctrl = core.Restore(snap)
-			logger.Printf("restored %d zone records from %s (taken %s)",
-				len(snap.Entries), *snapshotPath, snap.TakenAt.Format(time.RFC3339))
-		}
-	}
-	persist := func() {
-		if *snapshotPath == "" {
-			return
-		}
-		tmp := *snapshotPath + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			logger.Printf("snapshot: %v", err)
-			return
-		}
-		err = core.WriteSnapshot(f, ctrl.Snapshot(time.Now()))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = os.Rename(tmp, *snapshotPath)
-		}
-		if err != nil {
-			logger.Printf("snapshot: %v", err)
-		}
-	}
-
-	srv, err := coordinator.Serve(ctrl, *addr, coordinator.Options{
+	srv, err := coordinator.Serve(core.NewController(cfg, geo.Madison().Center()), *addr, coordinator.Options{
 		TaskInterval:       *taskInterval,
 		IdleTimeout:        *idleTimeout,
 		Seed:               *seed,
@@ -128,8 +87,6 @@ func main() {
 	if err != nil {
 		logger.Fatalf("start: %v", err)
 	}
-	// With -data, recovery may have replaced the controller.
-	ctrl = srv.Controller()
 	logger.Printf("listening on %s (zone radius %.0f m)", srv.Addr(), *zoneRadius)
 	if *dataDir != "" {
 		logger.Printf("durable store at %s (checkpoint every %s, fsync %s)", *dataDir, *ckptInterval, fsync)
@@ -146,21 +103,18 @@ func main() {
 	signal.Notify(stop, os.Interrupt)
 	ticker := time.NewTicker(2 * time.Second)
 	defer ticker.Stop()
-	persistTicker := time.NewTicker(30 * time.Second)
-	defer persistTicker.Stop()
 	for {
 		select {
 		case <-ticker.C:
-			for _, a := range ctrl.Alerts() {
+			// Ask for the controller every tick: recovery replaces it at
+			// start, and a replica swaps it on every snapshot bootstrap.
+			for _, a := range srv.Controller().Alerts() {
 				logger.Printf("ALERT zone %s %s %s: %.1f -> %.1f (%.1f sigma) at %s",
 					a.Key.Zone, a.Key.Net, a.Key.Metric,
 					a.Previous.MeanValue, a.Current.MeanValue, a.SigmasMoved(), a.At.Format(time.RFC3339))
 			}
-		case <-persistTicker.C:
-			persist()
 		case <-stop:
 			logger.Printf("shutting down")
-			persist()
 			if err := srv.Close(); err != nil {
 				logger.Printf("close: %v", err)
 			}

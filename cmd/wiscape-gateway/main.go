@@ -39,7 +39,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -57,20 +56,9 @@ func parseShard(v string) (cluster.ShardConfig, error) {
 	eps := strings.Split(parts[1], "|")
 	cfg := cluster.ShardConfig{Name: parts[0], Addr: eps[0], Replicas: eps[1:]}
 	if len(parts) == 3 {
-		fields := strings.Split(parts[2], ",")
-		if len(fields) != 4 {
-			return cluster.ShardConfig{}, fmt.Errorf("box %q: want minlat,minlon,maxlat,maxlon", parts[2])
-		}
-		var vals [4]float64
-		for i, f := range fields {
-			x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return cluster.ShardConfig{}, fmt.Errorf("box %q: %v", parts[2], err)
-			}
-			vals[i] = x
-		}
-		cfg.Box = geo.BoundingBox{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}
-		return cfg, nil
+		var err error
+		cfg.Box, err = geo.ParseBoundingBox(parts[2])
+		return cfg, err
 	}
 	switch cfg.Name {
 	case "madison":

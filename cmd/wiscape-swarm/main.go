@@ -38,29 +38,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/cluster/swarm"
 	"repro/internal/geo"
 )
-
-func parseBox(v string) (geo.BoundingBox, error) {
-	fields := strings.Split(v, ",")
-	if len(fields) != 4 {
-		return geo.BoundingBox{}, fmt.Errorf("want minlat,minlon,maxlat,maxlon, got %q", v)
-	}
-	var vals [4]float64
-	for i, f := range fields {
-		x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return geo.BoundingBox{}, err
-		}
-		vals[i] = x
-	}
-	return geo.BoundingBox{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}, nil
-}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7411", "target address (coordinator or gateway)")
@@ -77,7 +59,7 @@ func main() {
 
 	var regions []geo.BoundingBox
 	flag.Func("region", "report-location box minlat,minlon,maxlat,maxlon (repeatable; default Madison)", func(v string) error {
-		box, err := parseBox(v)
+		box, err := geo.ParseBoundingBox(v)
 		if err != nil {
 			return err
 		}

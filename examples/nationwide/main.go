@@ -1,49 +1,97 @@
 // Nationwide demonstrates the paper's §6 scaling goal — "multiple cities,
-// state, or across the whole country" — with a federation of per-region
-// controllers: Madison and New Jersey campaigns run simultaneously, samples
-// route to the owning region by location, and the operator sees one merged
-// alert stream while each region keeps its own zone grid and epochs.
+// state, or across the whole country" — on the cluster tier: one
+// coordinator shard per region behind a routing gateway. The Madison and
+// New Jersey campaigns upload through the gateway, which routes every
+// sample to the shard whose box covers it; applications query the gateway
+// like a single coordinator, and the operator reads every shard's alerts
+// tagged by region while each region keeps its own zone grid and epochs.
 //
 //	go run ./examples/nationwide
 package main
 
 import (
 	"fmt"
+	"log"
+	"net"
 	"time"
 
+	"repro/internal/agent"
+	"repro/internal/cluster"
+	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
+
+// uploadBatch is how many samples one sample report carries.
+const uploadBatch = 500
 
 func main() {
 	const seed = 17
-	fed := core.NewMadisonNJFederation(core.DefaultConfig())
 	start := radio.Epoch.Add(14 * 24 * time.Hour)
 
+	// One in-process coordinator per region, each on its own zone grid,
+	// behind one gateway.
+	shards := []cluster.ShardConfig{
+		{Name: "madison", Box: geo.Madison()},
+		{Name: "new-jersey", Box: geo.BoundingBox{MinLat: 40.30, MaxLat: 40.55, MinLon: -74.75, MaxLon: -74.35}},
+	}
+	origins := []geo.Point{geo.Madison().Center(), geo.NJStaticSites()[0]}
+	servers := make(map[string]*coordinator.Server, len(shards))
+	for i := range shards {
+		srv, err := coordinator.Serve(core.NewController(core.DefaultConfig(), origins[i]), "127.0.0.1:0",
+			coordinator.Options{ServerID: shards[i].Name, Seed: seed})
+		if err != nil {
+			log.Fatal(err)
+		}
+		//lint:ignore errdrop no DataDir: Close has nothing durable to flush
+		defer srv.Close()
+		servers[shards[i].Name], shards[i].Addr = srv, srv.Addr()
+	}
+	reg, err := cluster.NewRegistry(shards)
+	if err != nil {
+		log.Fatal(err)
+	}
+	gw, err := cluster.ServeGateway(reg, "127.0.0.1:0", cluster.GatewayOptions{Seed: seed})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer gw.Close()
+
 	// Two regional campaigns collected independently (as the paper's WI and
-	// NJ deployments were), fed into one federation.
+	// NJ deployments were), uploaded through the one gateway.
 	fmt.Println("running the Madison and New Jersey campaigns...")
 	wi := trace.SpotCampaign(radio.RegionWI, seed, start, 12*time.Hour, time.Minute)
 	nj := trace.SpotCampaign(radio.RegionNJ, seed, start, 12*time.Hour, time.Minute)
-
-	routed, dropped := 0, 0
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		log.Fatal(err)
+	}
+	conn := wire.NewConn(nc)
+	defer conn.Close()
+	sent, routed := 0, 0
 	for _, ds := range []*trace.Dataset{wi.Run(), nj.Run()} {
 		fmt.Println(" ", ds.Summary())
-		for _, s := range ds.Samples {
-			if fed.Ingest(s) {
-				routed++
-			} else {
-				dropped++
+		sent += len(ds.Samples)
+		for smps := ds.Samples; len(smps) > 0; {
+			n := min(uploadBatch, len(smps))
+			ack, err := conn.Call(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+				ClientID: "nationwide", Samples: smps[:n],
+			}}, wire.TypeSampleAck)
+			if err != nil {
+				log.Fatalf("upload: %v", err)
 			}
+			routed += ack.SampleAck.Accepted
+			smps = smps[n:]
 		}
 	}
-	fmt.Printf("routed %d samples into %v regions (%d outside all regions)\n\n",
-		routed, fed.Regions(), dropped)
+	fmt.Printf("routed %d samples into %d shards (%d outside every shard)\n\n", routed, len(shards), sent-routed)
 
-	// Location-keyed queries hit the right region transparently.
-	queries := []struct {
+	// Location-keyed queries: the registry names the owning shard, whose
+	// grid turns the location into the zone ID the gateway is asked for.
+	for _, q := range []struct {
 		label string
 		loc   geo.Point
 		net   radio.NetworkID
@@ -51,27 +99,33 @@ func main() {
 		{"Madison campus", geo.MadisonStaticSites()[0], radio.NetB},
 		{"New Brunswick", geo.NJStaticSites()[0], radio.NetB},
 		{"Princeton", geo.NJStaticSites()[1], radio.NetC},
-	}
-	for _, q := range queries {
-		rec, ok := fed.EstimateAt(q.loc, q.net, trace.MetricUDPKbps)
-		region, _, _ := fed.RegionFor(q.loc)
+	} {
+		sh, ok := reg.ShardFor(q.loc)
 		if !ok {
-			fmt.Printf("%-16s (%s): no estimate yet\n", q.label, region)
+			log.Fatalf("no shard covers %s", q.label)
+		}
+		zone := servers[sh.Name()].Controller().ZoneOf(q.loc)
+		reply, err := agent.QueryEstimate(gw.Addr(), zone, q.net, trace.MetricUDPKbps)
+		if err != nil {
+			log.Fatalf("query: %v", err)
+		}
+		if !reply.Found {
+			fmt.Printf("%-16s (%s): no estimate yet\n", q.label, sh.Name())
 			continue
 		}
-		fmt.Printf("%-16s (%-10s): %s UDP %6.0f Kbps (±%.0f) from %d samples\n",
-			q.label, region, q.net, rec.MeanValue, rec.StdDev, rec.Samples)
+		fmt.Printf("%-16s (%-10s): %s UDP %6.0f Kbps (±%.0f) from %d samples\n", q.label, sh.Name(),
+			q.net, reply.Record.MeanValue, reply.Record.StdDev, reply.Record.Samples)
 	}
 
-	// One merged, region-tagged alert stream for the national operator.
-	alerts := fed.Alerts()
-	fmt.Printf("\n%d alert(s) across the federation\n", len(alerts))
-	for i, a := range alerts {
-		if i >= 5 {
-			fmt.Printf("  ... and %d more\n", len(alerts)-5)
-			break
+	// Region-tagged alerts for the national operator, shard by shard.
+	alerts := 0
+	for _, sh := range shards {
+		for _, a := range servers[sh.Name].Controller().Alerts() {
+			if alerts++; alerts <= 5 {
+				fmt.Printf("  [%s] zone %s %s %s: %.0f -> %.0f\n",
+					sh.Name, a.Key.Zone, a.Key.Net, a.Key.Metric, a.Previous.MeanValue, a.Current.MeanValue)
+			}
 		}
-		fmt.Printf("  [%s] zone %s %s %s: %.0f -> %.0f\n",
-			a.Region, a.Key.Zone, a.Key.Net, a.Key.Metric, a.Previous.MeanValue, a.Current.MeanValue)
 	}
+	fmt.Printf("\n%d alert(s) across the cluster\n", alerts)
 }

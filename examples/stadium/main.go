@@ -43,6 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	//lint:ignore errdrop no DataDir: Close has nothing durable to flush
 	defer srv.Close()
 	fmt.Printf("coordinator listening on %s\n", srv.Addr())
 

@@ -6,6 +6,7 @@
 package agent
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -51,13 +52,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Protocol round trips that failed (hello, zone report, or sample upload).").With(),
 		Wire: wire.NewMetrics(reg),
 	}
-}
-
-func (m *Metrics) wireMetrics() *wire.Metrics {
-	if m == nil {
-		return nil
-	}
-	return m.Wire
 }
 
 func (m *Metrics) reconnect() {
@@ -137,13 +131,8 @@ func (s Stats) EnergyJoules() float64 {
 // interval. The wall-clock cost is just the protocol round trips; time is
 // virtual.
 func (a *Agent) Run(addr string, start time.Time, duration, interval time.Duration) (Stats, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return Stats{}, fmt.Errorf("agent %s: dial: %w", a.ID, err)
-	}
-	conn := wire.NewConn(nc).Instrument(a.Telemetry.wireMetrics())
-	defer conn.Close()
-	return a.RunConn(conn, start, duration, interval)
+	st, _, err := a.runOnce(addr, start, start.Add(duration), interval)
+	return st, err
 }
 
 // RunResilient is Run with automatic reconnection: when the coordinator
@@ -200,7 +189,10 @@ func (a *Agent) runOnce(addr string, cursor, end time.Time, interval time.Durati
 	if err != nil {
 		return Stats{}, cursor, fmt.Errorf("agent %s: dial: %w", a.ID, err)
 	}
-	conn := wire.NewConn(nc).Instrument(a.Telemetry.wireMetrics())
+	conn := wire.NewConn(nc)
+	if a.Telemetry != nil {
+		conn.Instrument(a.Telemetry.Wire)
+	}
 	defer conn.Close()
 	st, err := a.RunConn(conn, cursor, end.Sub(cursor), interval)
 	progressed := time.Duration(st.Rounds+st.Skipped) * interval
@@ -215,17 +207,11 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		return st, fmt.Errorf("agent %s: non-positive interval", a.ID)
 	}
 
-	reply, err := conn.Request(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
+	if _, err := a.call(conn, "hello", wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
 		ClientID:    a.ID,
 		DeviceClass: a.DeviceClass,
-	}})
-	if err != nil {
-		a.Telemetry.reportFailure()
-		return st, fmt.Errorf("agent %s: hello: %w", a.ID, err)
-	}
-	if reply.Type != wire.TypeHelloAck {
-		a.Telemetry.reportFailure()
-		return st, fmt.Errorf("agent %s: unexpected hello reply %q", a.ID, reply.Type)
+	}}, wire.TypeHelloAck); err != nil {
+		return st, err
 	}
 
 	probers := make(map[radio.NetworkID]*simnet.Prober, len(a.Networks))
@@ -243,21 +229,16 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 			continue
 		}
 		st.Rounds++
-		reply, err := conn.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		reply, err := a.call(conn, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: a.ID,
 			Zone:     a.Grid.Zone(pose.Loc),
 			Loc:      pose.Loc,
 			SpeedKmh: pose.SpeedKmh,
 			At:       at,
 			Networks: a.Networks,
-		}})
+		}}, wire.TypeTaskList)
 		if err != nil {
-			a.Telemetry.reportFailure()
-			return st, fmt.Errorf("agent %s: zone report: %w", a.ID, err)
-		}
-		if reply.Type != wire.TypeTaskList {
-			a.Telemetry.reportFailure()
-			return st, fmt.Errorf("agent %s: unexpected zone reply %q", a.ID, reply.Type)
+			return st, err
 		}
 		if a.Telemetry != nil {
 			a.Telemetry.Rounds.Inc()
@@ -276,17 +257,12 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		if len(samples) == 0 {
 			continue
 		}
-		ack, err := conn.Request(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+		ack, err := a.call(conn, "sample report", wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: a.ID,
 			Samples:  samples,
-		}})
+		}}, wire.TypeSampleAck)
 		if err != nil {
-			a.Telemetry.reportFailure()
-			return st, fmt.Errorf("agent %s: sample report: %w", a.ID, err)
-		}
-		if ack.Type != wire.TypeSampleAck {
-			a.Telemetry.reportFailure()
-			return st, fmt.Errorf("agent %s: unexpected sample reply %q", a.ID, ack.Type)
+			return st, err
 		}
 		st.SamplesSent += ack.SampleAck.Accepted
 		if a.Telemetry != nil {
@@ -294,6 +270,22 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		}
 	}
 	return st, nil
+}
+
+// call makes one protocol round trip that must yield a want reply, counting
+// a failure and naming the step in the error: "<step>: ..." when the
+// transport failed, "unexpected <step> reply: ..." when the server answered
+// with anything else.
+func (a *Agent) call(conn *wire.Conn, step string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
+	reply, err := conn.Call(req, want)
+	if err == nil {
+		return reply, nil
+	}
+	a.Telemetry.reportFailure()
+	if errors.As(err, new(*wire.ReplyError)) {
+		return reply, fmt.Errorf("agent %s: unexpected %s reply: %w", a.ID, step, err)
+	}
+	return reply, fmt.Errorf("agent %s: %s: %w", a.ID, step, err)
 }
 
 // execute runs the assigned measurement tasks at the current pose,
@@ -354,23 +346,25 @@ func orDefault(v, d int) int {
 	return v
 }
 
-// QueryZoneList fetches every published record for a network/metric from a
-// coordinator — the dashboard/map bulk query.
-func QueryZoneList(addr string, net_ radio.NetworkID, metric trace.Metric) ([]core.Record, error) {
+// queryOnce makes one application-side query over a fresh connection.
+func queryOnce(addr string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("agent: zone list dial: %w", err)
+		return wire.Envelope{}, fmt.Errorf("dial: %w", err)
 	}
 	conn := wire.NewConn(nc)
 	defer conn.Close()
-	reply, err := conn.Request(wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
+	return conn.Call(req, want)
+}
+
+// QueryZoneList fetches every published record for a network/metric from a
+// coordinator — the dashboard/map bulk query.
+func QueryZoneList(addr string, net_ radio.NetworkID, metric trace.Metric) ([]core.Record, error) {
+	reply, err := queryOnce(addr, wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
 		Network: net_, Metric: metric,
-	}})
+	}}, wire.TypeZoneListReply)
 	if err != nil {
 		return nil, fmt.Errorf("agent: zone list: %w", err)
-	}
-	if reply.Type != wire.TypeZoneListReply {
-		return nil, fmt.Errorf("agent: unexpected zone list reply %q", reply.Type)
 	}
 	return reply.ZoneListReply.Records, nil
 }
@@ -378,20 +372,11 @@ func QueryZoneList(addr string, net_ radio.NetworkID, metric trace.Metric) ([]co
 // QueryEstimate asks a coordinator for a zone record over a fresh
 // connection — the application-side API (multi-sim phones, MAR gateways).
 func QueryEstimate(addr string, zone geo.ZoneID, net_ radio.NetworkID, metric trace.Metric) (*wire.EstimateReply, error) {
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("agent: query dial: %w", err)
-	}
-	conn := wire.NewConn(nc)
-	defer conn.Close()
-	reply, err := conn.Request(wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+	reply, err := queryOnce(addr, wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
 		Zone: zone, Network: net_, Metric: metric,
-	}})
+	}}, wire.TypeEstimateReply)
 	if err != nil {
 		return nil, fmt.Errorf("agent: query: %w", err)
-	}
-	if reply.Type != wire.TypeEstimateReply {
-		return nil, fmt.Errorf("agent: unexpected query reply %q", reply.Type)
 	}
 	return reply.EstimateReply, nil
 }

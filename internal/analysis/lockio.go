@@ -20,7 +20,7 @@ import (
 //
 //   - a net.Conn / net.Listener / net.Dialer I/O method (Read, Write,
 //     Close, Accept, Dial, DialContext),
-//   - a wire.Conn protocol call (Send, Recv, Request, Close),
+//   - a wire.Conn protocol call (Send, Recv, Request, Call, Close),
 //   - a dial or listen (net.Dial, net.DialTimeout, net.Listen), or
 //   - a channel send (including select send cases).
 //
@@ -51,7 +51,7 @@ var netIOMethods = map[string]bool{
 
 // wireIOMethods are wire.Conn's blocking protocol calls.
 var wireIOMethods = map[string]bool{
-	"Send": true, "Recv": true, "Request": true, "Close": true,
+	"Send": true, "Recv": true, "Request": true, "Call": true, "Close": true,
 }
 
 const wirePkgPath = "repro/internal/wire"

@@ -44,6 +44,12 @@ func (s *server) wireBad(c *wire.Conn) {
 	_ = c.Send(wire.Envelope{}) // want `s\.mu held across \(wire\.Conn\)\.Send`
 }
 
+func (s *server) wireCallBad(c *wire.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, _ = c.Call(wire.Envelope{}, wire.TypeSampleAck) // want `s\.mu held across \(wire\.Conn\)\.Call`
+}
+
 func (s *server) dialBad(addr string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -16,49 +15,32 @@ import (
 // transparently. A deposed primary that later answers the status poll is
 // ordered to demote and resync from the new primary's snapshot.
 
-// queryStatus asks one coordinator endpoint for its replication status over
-// a short-lived wire connection.
-func (g *Gateway) queryStatus(ep string) (*wire.StatusReply, error) {
+// callOnce makes one control round trip — a status poll or a role order —
+// to a coordinator endpoint over a short-lived wire connection, bounded by
+// the dial and request timeouts. The reply has type want and its payload
+// set; an endpoint's refusal comes back as a *wire.ReplyError carrying its
+// message.
+func (g *Gateway) callOnce(ep string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	nc, err := net.DialTimeout("tcp", ep, g.opts.DialTimeout)
 	if err != nil {
-		return nil, err
+		return wire.Envelope{}, err
 	}
-	c := wire.NewConn(nc).Instrument(g.met.wireMetrics())
-	defer func() {
-		//lint:ignore errdrop read-only probe connection teardown
-		_ = c.Close()
-	}()
+	c := wire.NewConn(nc).Instrument(g.met.serve.Codec)
+	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
-	reply, err := c.Request(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}})
-	if err != nil {
-		return nil, err
-	}
-	if reply.Type != wire.TypeStatusReply || reply.StatusReply == nil {
-		return nil, fmt.Errorf("unexpected reply %q", reply.Type)
-	}
-	return reply.StatusReply, nil
+	return c.Call(req, want)
 }
 
-// roleOrder sends one promote/demote envelope to an endpoint.
-func (g *Gateway) roleOrder(ep string, req wire.Envelope) (wire.Envelope, error) {
-	nc, err := net.DialTimeout("tcp", ep, g.opts.DialTimeout)
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	c := wire.NewConn(nc).Instrument(g.met.wireMetrics())
-	defer func() {
-		//lint:ignore errdrop control-channel teardown after the ack
-		_ = c.Close()
-	}()
-	_ = c.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
-	reply, err := c.Request(req)
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	if reply.Type == wire.TypeError && reply.Error != nil {
-		return wire.Envelope{}, errors.New(reply.Error.Message)
-	}
-	return reply, nil
+// queryStatus asks one coordinator endpoint for its replication status.
+func (g *Gateway) queryStatus(ep string) (*wire.StatusReply, error) {
+	reply, err := g.callOnce(ep, wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
+	return reply.StatusReply, err
+}
+
+// promote orders one endpoint to become primary at the given routing epoch.
+func (g *Gateway) promote(ep string, epoch uint64) (*wire.PromoteAck, error) {
+	reply, err := g.callOnce(ep, wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: epoch}}, wire.TypePromoteAck)
+	return reply.PromoteAck, err
 }
 
 // kickFailover starts an asynchronous promotion attempt for sh. At most
@@ -107,14 +89,9 @@ func (g *Gateway) failover(sh *Shard) {
 			continue
 		}
 		standbyUp = true
-		// Freshness: a replica's durable position is its applied LSN; a
-		// (possibly stale) primary's is its last LSN. Highest wins —
-		// promoting anything staler would discard acked samples.
-		pos := st.LastLSN
-		if st.AppliedLSN > pos {
-			pos = st.AppliedLSN
-		}
-		if best == nil || pos > bestPos(best.st) {
+		// Highest durable position wins — promoting anything staler would
+		// discard acked samples.
+		if best == nil || durablePos(st) > durablePos(best.st) {
 			best = &candidate{ep: ep, st: st}
 		}
 	}
@@ -125,11 +102,8 @@ func (g *Gateway) failover(sh *Shard) {
 	}
 
 	newEpoch := epoch + 1
-	ack, err := g.roleOrder(best.ep, wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: newEpoch}})
-	if err != nil || ack.Type != wire.TypePromoteAck || ack.PromoteAck == nil {
-		if err == nil {
-			err = fmt.Errorf("unexpected reply %q", ack.Type)
-		}
+	ack, err := g.promote(best.ep, newEpoch)
+	if err != nil {
 		g.opts.Logf("gateway: shard %s: promoting %s failed: %v", sh.Name(), best.ep, err)
 		return
 	}
@@ -142,18 +116,17 @@ func (g *Gateway) failover(sh *Shard) {
 	g.met.shard(sh.Name()).markPromotion(newEpoch)
 	g.met.shard(sh.Name()).setHealth(true)
 	g.opts.Logf("gateway: shard %s: promoted %s (%s) to primary at epoch %d, LSN %d",
-		sh.Name(), ack.PromoteAck.ServerID, best.ep, newEpoch, ack.PromoteAck.LastLSN)
+		sh.Name(), ack.ServerID, best.ep, newEpoch, ack.LastLSN)
 
 	// Any other standby that still believes it is primary diverges from the
 	// new timeline; order an immediate resync.
-	g.demoteStale(sh, ack.PromoteAck.ReplAddr)
+	g.demoteStale(sh, ack.ReplAddr)
 }
 
-func bestPos(st *wire.StatusReply) uint64 {
-	if st.AppliedLSN > st.LastLSN {
-		return st.AppliedLSN
-	}
-	return st.LastLSN
+// durablePos is an endpoint's freshness: a replica's durable position is
+// its applied LSN; a (possibly stale) primary's is its last LSN.
+func durablePos(st *wire.StatusReply) uint64 {
+	return max(st.AppliedLSN, st.LastLSN)
 }
 
 // demoteStale polls the shard's non-active endpoints and orders any that
@@ -173,15 +146,15 @@ func (g *Gateway) demoteStale(sh *Shard, primaryReplAddr string) {
 		if err != nil || st.Role != wire.RolePrimary || st.Epoch >= epoch {
 			continue
 		}
-		_, err = g.roleOrder(ep, wire.Envelope{Type: wire.TypeDemote, Demote: &wire.Demote{
+		_, err = g.callOnce(ep, wire.Envelope{Type: wire.TypeDemote, Demote: &wire.Demote{
 			Epoch:           epoch,
 			PrimaryReplAddr: primaryReplAddr,
-		}})
+		}}, wire.TypeDemoteAck)
 		if err != nil {
 			g.opts.Logf("gateway: shard %s: demoting stale primary %s failed: %v", sh.Name(), ep, err)
 			continue
 		}
-		g.met.shard(sh.Name()).markDemotion()
+		g.met.shard(sh.Name()).demotions.Inc()
 		g.opts.Logf("gateway: shard %s: demoted stale primary %s (resync from %s at epoch %d)",
 			sh.Name(), ep, primaryReplAddr, epoch)
 	}
@@ -236,18 +209,15 @@ func (g *Gateway) PromoteShard(name, endpoint string) error {
 		return fmt.Errorf("cluster: %s is not a configured endpoint of shard %q", endpoint, name)
 	}
 	newEpoch := sh.Epoch() + 1
-	ack, err := g.roleOrder(endpoint, wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: newEpoch}})
+	ack, err := g.promote(endpoint, newEpoch)
 	if err != nil {
 		return fmt.Errorf("cluster: promoting %s: %w", endpoint, err)
-	}
-	if ack.Type != wire.TypePromoteAck || ack.PromoteAck == nil {
-		return fmt.Errorf("cluster: promoting %s: unexpected reply %q", endpoint, ack.Type)
 	}
 	if !sh.setActive(endpoint, newEpoch) {
 		return fmt.Errorf("cluster: route change for %q lost an epoch race, retry", name)
 	}
 	g.met.shard(sh.Name()).markPromotion(newEpoch)
 	g.opts.Logf("gateway: shard %s: manually promoted %s to primary at epoch %d", name, endpoint, newEpoch)
-	g.demoteStale(sh, ack.PromoteAck.ReplAddr)
+	g.demoteStale(sh, ack.ReplAddr)
 	return nil
 }

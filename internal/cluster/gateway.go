@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -128,13 +127,12 @@ func (o *GatewayOptions) fill() {
 type Gateway struct {
 	reg  *Registry
 	opts GatewayOptions
-	ln   net.Listener
+	lis  *wire.Listener // agent-facing listener: accept loop and conn set
 	met  *gatewayMetrics
 	ops  *telemetry.OpsServer
 
 	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
+	closed bool // guards wg.Add for failover goroutines against Close
 
 	sessionSeq atomic.Uint64
 
@@ -149,18 +147,16 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 	if opts.ReadyQuorum <= 0 {
 		opts.ReadyQuorum = len(reg.Shards())/2 + 1
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: gateway listen %s: %w", addr, err)
-	}
 	g := &Gateway{
-		reg:   reg,
-		opts:  opts,
-		ln:    ln,
-		conns: make(map[net.Conn]struct{}),
-		stop:  make(chan struct{}),
+		reg:  reg,
+		opts: opts,
+		stop: make(chan struct{}),
 	}
 	g.met = newGatewayMetrics(opts.Telemetry, reg.Shards(), reg.HealthyCount)
+	var err error
+	if g.lis, err = wire.Listen(addr, g.serveConn); err != nil {
+		return nil, fmt.Errorf("cluster: gateway listen %s: %w", addr, err)
+	}
 	if opts.OpsAddr != "" {
 		ops, err := telemetry.NewOpsServer(opts.OpsAddr, telemetry.OpsOptions{
 			Registry: opts.Telemetry,
@@ -168,7 +164,7 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 			Logf:     opts.Logf,
 		})
 		if err != nil {
-			_ = ln.Close()
+			_ = g.Close()
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		g.ops = ops
@@ -176,8 +172,6 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		ops.HandleFunc("POST /api/v1/shards/{shard}/promote", g.servePromote)
 		opts.Logf("gateway: ops plane listening on %s", ops.Addr())
 	}
-	g.wg.Add(1)
-	go g.acceptLoop()
 	if opts.RecheckInterval > 0 {
 		g.wg.Add(1)
 		go g.recheckLoop()
@@ -186,7 +180,7 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 }
 
 // Addr returns the agent-facing listen address.
-func (g *Gateway) Addr() string { return g.ln.Addr().String() }
+func (g *Gateway) Addr() string { return g.lis.Addr() }
 
 // OpsAddr returns the ops HTTP plane's bound address, "" when disabled.
 func (g *Gateway) OpsAddr() string { return g.ops.Addr() }
@@ -200,10 +194,7 @@ func (g *Gateway) Registry() *Registry { return g.reg }
 // answered the last status poll and promotion is imminent; the detail names
 // those regions so probes can tell "ok" from "degraded but serving".
 func (g *Gateway) readyStatus() (bool, string) {
-	g.mu.Lock()
-	closed := g.closed
-	g.mu.Unlock()
-	if closed {
+	if !g.lis.Accepting() {
 		return false, "shutting down"
 	}
 	healthy := 0
@@ -320,43 +311,12 @@ func (g *Gateway) servePromote(w http.ResponseWriter, r *http.Request) {
 // plane. Idempotent.
 func (g *Gateway) Close() error {
 	g.stopOnce.Do(func() { close(g.stop) })
-	// Snapshot under the lock, sever after releasing it: Close on a
-	// net.Conn can block, and lockio forbids holding g.mu across it.
 	g.mu.Lock()
 	g.closed = true
-	conns := make([]net.Conn, 0, len(g.conns))
-	for nc := range g.conns {
-		conns = append(conns, nc)
-	}
 	g.mu.Unlock()
-	for _, nc := range conns {
-		_ = nc.Close()
-	}
-	err := g.ln.Close()
-	if errors.Is(err, net.ErrClosed) {
-		err = nil
-	}
+	err := g.lis.Close()
 	g.wg.Wait()
 	return errors.Join(err, g.ops.Close())
-}
-
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	for {
-		nc, err := g.ln.Accept()
-		if err != nil {
-			g.mu.Lock()
-			closed := g.closed
-			g.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			g.opts.Logf("gateway: accept: %v", err)
-			continue
-		}
-		g.wg.Add(1)
-		go g.handle(nc)
-	}
 }
 
 func (g *Gateway) recheckLoop() {
@@ -402,71 +362,17 @@ func (sess *session) closeUpstream() {
 	}
 }
 
-// handle runs one agent connection's request/response loop, mirroring the
-// coordinator's: every request gets exactly one reply; malformed requests
-// get an error reply and terminate the connection; an unavailable shard
-// gets an error reply but keeps the connection (the region may recover).
-func (g *Gateway) handle(nc net.Conn) {
-	defer g.wg.Done()
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		_ = nc.Close()
-		return
-	}
-	g.conns[nc] = struct{}{}
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, nc)
-		g.mu.Unlock()
-	}()
-	if g.met != nil {
-		g.met.conns.Inc()
-	}
-	c := wire.NewConn(nc).Instrument(g.met.wireMetrics())
-	defer c.Close()
+// serveConn runs one agent connection's request/response loop — the same
+// loop the coordinator runs: every request gets exactly one reply;
+// malformed requests get an error reply and terminate the connection; an
+// unavailable shard gets an error reply but keeps the connection (the
+// region may recover).
+func (g *Gateway) serveConn(nc net.Conn) {
 	sess := g.newSession()
 	defer sess.closeUpstream()
-	for {
-		if g.opts.IdleTimeout > 0 {
-			_ = nc.SetReadDeadline(time.Now().Add(g.opts.IdleTimeout))
-		}
-		req, err := c.Recv()
-		if err != nil {
-			switch {
-			case errors.Is(err, wire.ErrMessageTooLarge):
-				if g.met != nil {
-					g.met.protoErrors.Inc()
-				}
-				//lint:ignore errdrop best-effort reply on a connection already failing
-				_ = c.Send(errEnvelope("message too large"))
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				if g.met != nil {
-					g.met.idleTimeouts.Inc()
-				}
-			}
-			return
-		}
-		t0 := time.Now()
-		reply, fatal := g.dispatch(sess, req)
-		if g.met != nil {
-			g.met.routeSec.Observe(time.Since(t0).Seconds())
-			if reply.Type == wire.TypeError {
-				g.met.protoErrors.Inc()
-			}
-		}
-		if err := c.Send(reply); err != nil {
-			return
-		}
-		if fatal {
-			return
-		}
-	}
-}
-
-func errEnvelope(msg string) wire.Envelope {
-	return wire.Envelope{Type: wire.TypeError, Error: &wire.ErrorMsg{Message: msg}}
+	wire.ServeConn(nc, g.opts.IdleTimeout, g.met.serve, func(req wire.Envelope) (wire.Envelope, bool) {
+		return g.dispatch(sess, req)
+	})
 }
 
 // dispatch routes one request. fatal=true closes the agent connection
@@ -476,7 +382,7 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 	switch req.Type {
 	case wire.TypeHello:
 		if req.Hello == nil || req.Hello.ClientID == "" {
-			return errEnvelope("hello requires a client id"), true
+			return wire.ErrorReply("hello requires a client id"), true
 		}
 		// Remember the hello; it is replayed to each shard the session
 		// first touches, so shards see the same registration they would on
@@ -492,46 +398,45 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 	case wire.TypeZoneReport:
 		zr := req.ZoneReport
 		if zr == nil || zr.ClientID == "" {
-			return errEnvelope("zone report requires a client id"), true
+			return wire.ErrorReply("zone report requires a client id"), true
 		}
 		sh, ok := g.reg.ShardFor(zr.Loc)
 		if !ok {
-			if g.met != nil {
-				g.met.unroutable.Inc()
-			}
-			return errEnvelope(fmt.Sprintf("no shard covers location %s", zr.Loc)), false
+			g.met.unroutable.Inc()
+			return wire.ErrorReply(fmt.Sprintf("no shard covers location %s", zr.Loc)), false
 		}
-		g.met.shard(sh.Name()).markRouted()
-		up, err := g.forward(sess, sh, req)
-		if err != nil {
-			return errEnvelope(fmt.Sprintf("shard %s unavailable: %v", sh.Name(), err)), false
+		g.met.shard(sh.Name()).routed.Inc()
+		up, err := g.forward(sess, sh, req, wire.TypeTaskList)
+		switch {
+		case err == nil:
+			return up, false
+		case answered(err):
+			return wire.ErrorReply(fmt.Sprintf("shard %s: %v", sh.Name(), err)), false
+		default:
+			return wire.ErrorReply(fmt.Sprintf("shard %s unavailable: %v", sh.Name(), err)), false
 		}
-		if up.Type != wire.TypeTaskList {
-			return errEnvelope(fmt.Sprintf("shard %s: unexpected reply %q", sh.Name(), up.Type)), false
-		}
-		return up, false
 
 	case wire.TypeSampleReport:
 		sr := req.SampleReport
 		if sr == nil {
-			return errEnvelope("empty sample report"), true
+			return wire.ErrorReply("empty sample report"), true
 		}
 		return g.routeSamples(sess, sr), false
 
 	case wire.TypeEstimateRequest:
 		if req.EstimateRequest == nil {
-			return errEnvelope("empty estimate request"), true
+			return wire.ErrorReply("empty estimate request"), true
 		}
 		return g.fanoutEstimate(sess, req), false
 
 	case wire.TypeZoneListRequest:
 		if req.ZoneListRequest == nil {
-			return errEnvelope("empty zone list request"), true
+			return wire.ErrorReply("empty zone list request"), true
 		}
 		return g.fanoutZoneList(sess, req), false
 
 	default:
-		return errEnvelope(fmt.Sprintf("unexpected message type %q", req.Type)), true
+		return wire.ErrorReply(fmt.Sprintf("unexpected message type %q", req.Type)), true
 	}
 }
 
@@ -554,7 +459,7 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 		}
 		groups[sh] = append(groups[sh], smp)
 	}
-	if g.met != nil && unroutable > 0 {
+	if unroutable > 0 {
 		g.met.unroutable.Add(float64(unroutable))
 		g.met.droppedSmps.Add(float64(unroutable))
 	}
@@ -563,26 +468,21 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	var lastErr error
 	for _, sh := range order {
 		smps := groups[sh]
-		g.met.shard(sh.Name()).markRouted()
+		g.met.shard(sh.Name()).routed.Inc()
 		up, err := g.forward(sess, sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: sr.ClientID,
 			Samples:  smps,
-		}})
-		if err != nil || up.Type != wire.TypeSampleAck {
-			if err == nil {
-				err = fmt.Errorf("unexpected reply %q", up.Type)
-			}
+		}}, wire.TypeSampleAck)
+		if err != nil {
 			lastErr = fmt.Errorf("shard %s: %w", sh.Name(), err)
 			failed += len(smps)
-			if g.met != nil {
-				g.met.droppedSmps.Add(float64(len(smps)))
-			}
+			g.met.droppedSmps.Add(float64(len(smps)))
 			continue
 		}
 		accepted += up.SampleAck.Accepted
 	}
 	if accepted == 0 && failed > 0 {
-		return errEnvelope(fmt.Sprintf("all shards unavailable for report: %v", lastErr))
+		return wire.ErrorReply(fmt.Sprintf("all shards unavailable for report: %v", lastErr))
 	}
 	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}
 }
@@ -599,11 +499,8 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope {
 	var found []*wire.EstimateReply
 	for _, sh := range g.reg.Shards() {
-		up, err := g.forward(sess, sh, req)
-		if err != nil {
-			continue
-		}
-		if up.Type == wire.TypeEstimateReply && up.EstimateReply.Found {
+		up, err := g.forward(sess, sh, req, wire.TypeEstimateReply)
+		if err == nil && up.EstimateReply.Found {
 			found = append(found, up.EstimateReply)
 		}
 	}
@@ -619,9 +516,7 @@ func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope
 		// pre-sketch behavior rather than mixing incomparable summaries.
 		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: found[0]}
 	}
-	if g.met != nil {
-		g.met.estimateMerges.Inc()
-	}
+	g.met.estimateMerges.Inc()
 	return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: merged}
 }
 
@@ -665,33 +560,30 @@ func mergeEstimates(found []*wire.EstimateReply) *wire.EstimateReply {
 func (g *Gateway) fanoutZoneList(sess *session, req wire.Envelope) wire.Envelope {
 	var records []core.Record
 	for _, sh := range g.reg.Shards() {
-		up, err := g.forward(sess, sh, req)
-		if err != nil || up.Type != wire.TypeZoneListReply {
+		up, err := g.forward(sess, sh, req, wire.TypeZoneListReply)
+		if err != nil {
 			continue
 		}
 		records = append(records, up.ZoneListReply.Records...)
 	}
-	sort.Slice(records, func(i, j int) bool {
-		a, b := records[i].Key, records[j].Key
-		if a.Zone != b.Zone {
-			if a.Zone.X != b.Zone.X {
-				return a.Zone.X < b.Zone.X
-			}
-			return a.Zone.Y < b.Zone.Y
-		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
-		}
-		return a.Metric < b.Metric
-	})
+	// Stable: two shards may publish the same zone ID, and those records
+	// stay in shard registration order.
+	slices.SortStableFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
 	return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{Records: records}}
 }
+
+// answered reports whether err is the shard's own answer — an error reply,
+// or a reply the gateway cannot use — rather than a transport failure.
+func answered(err error) bool { return errors.As(err, new(*wire.ReplyError)) }
 
 // forward sends one request to sh over the session's cached upstream
 // connection (dialing and replaying the hello if needed), bounded by the
 // request timeout and retried on a fresh connection with jittered backoff.
-// Failures feed the shard's circuit breaker; an open breaker fails fast.
-func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope) (wire.Envelope, error) {
+// The reply has type want and a non-nil payload for it. Transport failures
+// feed the shard's circuit breaker; an open breaker fails fast. A shard
+// that answers with anything else (see answered) is alive: the breaker
+// counts a success and the answer comes back as the error.
+func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	req.Via = &wire.Via{Gateway: g.opts.Name, Shard: sh.Name()}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -701,11 +593,11 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope) (wire.Env
 			}
 			return wire.Envelope{}, errors.New("circuit open")
 		}
-		reply, err := g.tryForward(sess, sh, req)
-		if err == nil {
+		reply, err := g.tryForward(sess, sh, req, want)
+		if err == nil || answered(err) {
 			sh.recordSuccess()
-			g.met.shard(sh.Name()).markForwarded()
-			return reply, nil
+			g.met.shard(sh.Name()).forwarded.Inc()
+			return reply, err
 		}
 		lastErr = err
 		if opened := sh.recordFailure(time.Now(), g.opts.FailureThreshold, g.opts.BreakCooldown); opened {
@@ -715,7 +607,9 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope) (wire.Env
 			// breaker window so the agent's retry lands on the new primary.
 			g.kickFailover(sh)
 		}
-		g.met.shard(sh.Name()).markFailed(sh.Healthy())
+		sm := g.met.shard(sh.Name())
+		sm.failed.Inc()
+		sm.setHealth(sh.Healthy())
 		if attempt >= g.opts.RetryAttempts {
 			return wire.Envelope{}, lastErr
 		}
@@ -724,22 +618,22 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope) (wire.Env
 }
 
 // tryForward performs one upstream round trip against the shard's current
-// active endpoint, discarding the cached connection on any failure so the
-// next attempt redials (possibly a different endpoint after a promotion).
-func (g *Gateway) tryForward(sess *session, sh *Shard, req wire.Envelope) (wire.Envelope, error) {
+// active endpoint, discarding the cached connection on a transport failure
+// so the next attempt redials (possibly a different endpoint after a
+// promotion).
+func (g *Gateway) tryForward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	addr := sh.Addr()
 	up, err := g.upstream(sess, sh, addr)
 	if err != nil {
 		return wire.Envelope{}, err
 	}
 	_ = up.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
-	reply, err := up.Request(req)
-	if err != nil {
-		g.dropUpstream(sess, addr)
-		return wire.Envelope{}, err
+	reply, err := up.Call(req, want)
+	if err != nil && !answered(err) {
+		_ = up.Close()
+		delete(sess.upstream, addr)
 	}
-	_ = up.SetDeadline(time.Time{})
-	return reply, nil
+	return reply, err
 }
 
 // upstream returns the session's connection to addr (sh's active endpoint
@@ -754,31 +648,19 @@ func (g *Gateway) upstream(sess *session, sh *Shard, addr string) (*wire.Conn, e
 	if err != nil {
 		return nil, fmt.Errorf("dial: %w", err)
 	}
-	c := wire.NewConn(nc).Instrument(g.met.wireMetrics())
+	c := wire.NewConn(nc).Instrument(g.met.serve.Codec)
 	if sess.hello != nil {
 		_ = c.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
-		ack, err := c.Request(wire.Envelope{
+		_, err := c.Call(wire.Envelope{
 			Type:  wire.TypeHello,
 			Via:   &wire.Via{Gateway: g.opts.Name, Shard: sh.Name()},
 			Hello: sess.hello,
-		})
+		}, wire.TypeHelloAck)
 		if err != nil {
 			_ = c.Close()
 			return nil, fmt.Errorf("hello replay: %w", err)
 		}
-		if ack.Type != wire.TypeHelloAck {
-			_ = c.Close()
-			return nil, fmt.Errorf("hello replay: unexpected reply %q", ack.Type)
-		}
-		_ = c.SetDeadline(time.Time{})
 	}
 	sess.upstream[addr] = c
 	return c, nil
-}
-
-func (g *Gateway) dropUpstream(sess *session, addr string) {
-	if c, ok := sess.upstream[addr]; ok {
-		_ = c.Close()
-		delete(sess.upstream, addr)
-	}
 }

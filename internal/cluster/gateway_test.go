@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"strings"
@@ -373,6 +374,97 @@ func TestGatewayRejectsUnroutableAndMalformed(t *testing.T) {
 	}
 	if _, err := c.Recv(); err == nil {
 		t.Fatal("connection must close after a malformed request")
+	}
+}
+
+// TestGatewaySurvivesPayloadlessShardReplies puts a misbehaving shard behind
+// the gateway: it answers every request with the right reply type and no
+// payload ({"type":"sample_ack"} and so on). The gateway must turn that
+// into error or partial replies — never dereference the missing payload —
+// and keep serving the healthy shard on the same connection.
+func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
+	madison, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
+	replyType := map[wire.MsgType]wire.MsgType{
+		wire.TypeZoneReport:      wire.TypeTaskList,
+		wire.TypeSampleReport:    wire.TypeSampleAck,
+		wire.TypeEstimateRequest: wire.TypeEstimateReply,
+		wire.TypeZoneListRequest: wire.TypeZoneListReply,
+	}
+	hollow, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+			return wire.Envelope{Type: replyType[req.Type]}, false
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hollow.Close() })
+	reg, err := NewRegistry([]ShardConfig{
+		{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()},
+		{Name: "new-jersey", Addr: hollow.Addr(), Box: geo.NewBrunswickArea()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	madisonLoc, njLoc := geo.MadisonStaticSites()[0], geo.NJStaticSites()[0]
+	mk := func(loc geo.Point) trace.Sample {
+		return trace.Sample{Time: start, Loc: loc, Network: radio.NetB,
+			Metric: trace.MetricUDPKbps, Value: 900, ClientID: "probe"}
+	}
+	samples := func(smps ...trace.Sample) wire.Envelope {
+		return wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "probe", Samples: smps}}
+	}
+	zoneReport := func(loc geo.Point) wire.Envelope {
+		return wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{ClientID: "probe", Loc: loc, At: start}}
+	}
+	var refused *wire.ReplyError
+
+	// Everything the hollow shard owns: an error reply naming it.
+	for name, req := range map[string]wire.Envelope{
+		"sample report": samples(mk(njLoc)),
+		"zone report":   zoneReport(njLoc),
+	} {
+		_, err := c.Call(req, wire.TypeSampleAck)
+		if !errors.As(err, &refused) || !strings.Contains(err.Error(), "new-jersey") || !strings.Contains(err.Error(), "no payload") {
+			t.Fatalf("%s owned by the hollow shard: %v, want an error reply naming it", name, err)
+		}
+	}
+	// A mixed upload: the healthy shard's part lands, the rest is dropped.
+	ack, err := c.Call(samples(mk(madisonLoc), mk(njLoc), mk(madisonLoc)), wire.TypeSampleAck)
+	if err != nil || ack.SampleAck.Accepted != 2 {
+		t.Fatalf("mixed upload: %+v, %v; want 2 accepted", ack.SampleAck, err)
+	}
+	// Fan-out queries answer from the healthy shard alone.
+	if _, err := c.Call(wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+		Network: radio.NetB, Metric: trace.MetricUDPKbps,
+	}}, wire.TypeEstimateReply); err != nil {
+		t.Fatalf("estimate fan-out past the hollow shard: %v", err)
+	}
+	if _, err := c.Call(wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
+		Network: radio.NetB, Metric: trace.MetricUDPKbps,
+	}}, wire.TypeZoneListReply); err != nil {
+		t.Fatalf("zone-list fan-out past the hollow shard: %v", err)
+	}
+	// The gateway is still serving, and a shard that answers — however
+	// uselessly — is not a dead shard.
+	if _, err := c.Call(zoneReport(madisonLoc), wire.TypeTaskList); err != nil {
+		t.Fatalf("healthy shard after the hollow one misbehaved: %v", err)
+	}
+	if n := reg.HealthyCount(); n != 2 {
+		t.Fatalf("%d healthy shards, want 2: answers must not trip the breaker", n)
 	}
 }
 

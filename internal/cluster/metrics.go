@@ -17,18 +17,19 @@ type shardMetrics struct {
 	epoch      *telemetry.Gauge   // current routing epoch
 }
 
-// gatewayMetrics holds the gateway's resolved telemetry instruments; every
-// field is nil-safe so an uninstrumented gateway pays nothing.
+// gatewayMetrics holds the gateway's resolved telemetry instruments. The
+// bundle itself is never nil (newGatewayMetrics always builds one) and
+// every field is nil-safe, so the routing path updates them
+// unconditionally and an uninstrumented gateway pays nothing.
 type gatewayMetrics struct {
-	conns          *telemetry.Counter
 	unroutable     *telemetry.Counter // reports whose location no shard covers
 	droppedSmps    *telemetry.Counter // samples lost to unavailable shards
-	routeSec       *telemetry.Histogram
-	perShard       map[string]*shardMetrics
-	wire           *wire.Metrics
-	protoErrors    *telemetry.Counter
-	idleTimeouts   *telemetry.Counter
 	estimateMerges *telemetry.Counter // estimate fan-outs answered by sketch merge
+	perShard       map[string]*shardMetrics
+
+	// serve is what the shared request loop (wire.ServeConn) updates; its
+	// codec counters also instrument every upstream connection.
+	serve wire.ServeMetrics
 }
 
 // newGatewayMetrics registers the gateway families on reg (nil reg gives a
@@ -52,22 +53,24 @@ func newGatewayMetrics(reg *telemetry.Registry, shards []*Shard, healthyCount fu
 	epoch := reg.Gauge("wiscape_gateway_routing_epoch",
 		"Current routing epoch: bumped on every active-endpoint change.", "shard")
 	m := &gatewayMetrics{
-		conns: reg.Counter("wiscape_gateway_connections_total",
-			"Agent connections accepted by the gateway.").With(),
 		unroutable: reg.Counter("wiscape_gateway_unroutable_total",
 			"Reports dropped because no shard's box covers their location.").With(),
 		droppedSmps: reg.Counter("wiscape_gateway_samples_dropped_total",
 			"Samples lost because their shard was unavailable.").With(),
-		routeSec: reg.Histogram("wiscape_gateway_route_seconds",
-			"End-to-end latency of routing one request (shard round trip included).", nil).With(),
-		protoErrors: reg.Counter("wiscape_gateway_protocol_errors_total",
-			"Requests answered with a protocol error.").With(),
-		idleTimeouts: reg.Counter("wiscape_gateway_idle_disconnects_total",
-			"Agent connections dropped for exceeding the idle timeout.").With(),
 		estimateMerges: reg.Counter("wiscape_gateway_estimate_merges_total",
 			"Estimate fan-outs answered by merging multiple shards' sketches.").With(),
 		perShard: make(map[string]*shardMetrics, len(shards)),
-		wire:     wire.NewMetrics(reg),
+		serve: wire.ServeMetrics{
+			Connections: reg.Counter("wiscape_gateway_connections_total",
+				"Agent connections accepted by the gateway.").With(),
+			ProtocolErrors: reg.Counter("wiscape_gateway_protocol_errors_total",
+				"Requests answered with a protocol error.").With(),
+			IdleDisconnects: reg.Counter("wiscape_gateway_idle_disconnects_total",
+				"Agent connections dropped for exceeding the idle timeout.").With(),
+			Latency: reg.Histogram("wiscape_gateway_route_seconds",
+				"End-to-end latency of routing one request (shard round trip included).", nil).With(),
+			Codec: wire.NewMetrics(reg),
+		},
 	}
 	for _, s := range shards {
 		sm := &shardMetrics{
@@ -85,61 +88,18 @@ func newGatewayMetrics(reg *telemetry.Registry, shards []*Shard, healthyCount fu
 	return m
 }
 
-// wireMetrics returns the shared codec counters (nil-safe: an
-// uninstrumented gateway hands wire.Conn a nil *wire.Metrics, itself a
-// no-op).
-func (m *gatewayMetrics) wireMetrics() *wire.Metrics {
-	if m == nil {
-		return nil
-	}
-	return m.wire
-}
-
-// shard returns the instrument set for a shard (nil-safe; the returned
-// struct's fields are themselves nil-safe no-ops when uninstrumented).
+// shard returns the instrument set of a registered shard: never nil, and
+// its fields are nil-safe no-ops when uninstrumented.
 func (m *gatewayMetrics) shard(name string) *shardMetrics {
-	if m == nil {
-		return nil
-	}
 	return m.perShard[name]
 }
 
-func (sm *shardMetrics) markRouted() {
-	if sm != nil {
-		sm.routed.Inc()
-	}
-}
-
-func (sm *shardMetrics) markForwarded() {
-	if sm != nil {
-		sm.forwarded.Inc()
-	}
-}
-
-func (sm *shardMetrics) markFailed(stillHealthy bool) {
-	if sm != nil {
-		sm.failed.Inc()
-		sm.setHealth(stillHealthy)
-	}
-}
-
 func (sm *shardMetrics) markPromotion(epoch uint64) {
-	if sm != nil {
-		sm.promotions.Inc()
-		sm.epoch.Set(float64(epoch))
-	}
-}
-
-func (sm *shardMetrics) markDemotion() {
-	if sm != nil {
-		sm.demotions.Inc()
-	}
+	sm.promotions.Inc()
+	sm.epoch.Set(float64(epoch))
 }
 
 func (sm *shardMetrics) setHealth(healthy bool) {
-	if sm == nil {
-		return
-	}
 	if healthy {
 		sm.healthy.Set(1)
 	} else {

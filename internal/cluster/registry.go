@@ -1,7 +1,7 @@
 // Package cluster scales the WiScape coordinator horizontally — the §6
 // goal of growing beyond one metro area, realised as a networked tier
-// rather than the in-process core.Federation. A deployment runs one
-// coordinator per region ("shard"), each owning its own controller, grid
+// (the Registry is the tree's one bounding-box router). A deployment runs
+// one coordinator per region ("shard"), each owning its own controller, grid
 // origin and durable store, and puts a thin routing gateway in front: agents
 // keep speaking the unmodified internal/wire protocol to one address while
 // their reports land on the shard whose bounding box covers the reported

@@ -8,6 +8,7 @@
 package swarm
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -360,26 +361,29 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 	conn := wire.NewConn(nc)
 	defer conn.Close()
 
-	request := func(e wire.Envelope) (wire.Envelope, bool) {
+	// call is one timed round trip. alive=false means the transport failed
+	// and this agent is done; ok=false with alive=true is a counted failure
+	// (the server answered, but not with a want reply) and the agent
+	// carries on.
+	call := func(e wire.Envelope, want wire.MsgType) (reply wire.Envelope, ok, alive bool) {
 		tally.requests++
 		_ = conn.SetDeadline(time.Now().Add(opts.RequestTimeout))
 		t0 := time.Now()
-		reply, err := conn.Request(e)
-		if err != nil {
+		reply, err := conn.Call(e, want)
+		if err != nil && !errors.As(err, new(*wire.ReplyError)) {
 			tally.failures++
-			return wire.Envelope{}, false
+			return reply, false, false
 		}
 		tally.latencies = append(tally.latencies, time.Since(t0).Seconds())
-		if reply.Type == wire.TypeError {
+		if err != nil {
 			tally.failures++
-			return reply, false
 		}
-		return reply, true
+		return reply, err == nil, true
 	}
 
-	if _, ok := request(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
+	if _, ok, _ := call(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
 		ClientID: id, DeviceClass: "swarm",
-	}}); !ok {
+	}}, wire.TypeHelloAck); !ok {
 		return
 	}
 
@@ -392,15 +396,14 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 			Lat: r.Range(region.MinLat, region.MaxLat),
 			Lon: r.Range(region.MinLon, region.MaxLon),
 		}
-		reply, ok := request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		if _, _, alive := call(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: id,
 			Zone:     grid.Zone(loc),
 			Loc:      loc,
 			At:       at,
 			Networks: []radio.NetworkID{opts.Network},
-		}})
-		if !ok && reply.Type == "" {
-			return // transport failure: this agent is done
+		}}, wire.TypeTaskList); !alive {
+			return
 		}
 
 		samples := make([]trace.Sample, opts.SamplesPerRound)
@@ -415,16 +418,13 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 				Device:   "swarm",
 			}
 		}
-		ack, ok := request(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+		ack, ok, alive := call(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: id, Samples: samples,
-		}})
-		if !ok {
-			if ack.Type == "" {
-				return
-			}
-			continue
+		}}, wire.TypeSampleAck)
+		if !alive {
+			return
 		}
-		if ack.Type == wire.TypeSampleAck {
+		if ok {
 			tally.accepted += int64(ack.SampleAck.Accepted)
 			if ack.SampleAck.Accepted > 0 {
 				tally.ackTimes = append(tally.ackTimes, time.Since(t0).Seconds())

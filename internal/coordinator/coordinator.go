@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -159,23 +158,20 @@ type clientState struct {
 type Server struct {
 	ctrl  atomic.Pointer[core.Controller] // swapped wholesale on replica bootstrap
 	opts  Options
-	ln    net.Listener
+	lis   *wire.Listener       // protocol listener: accept loop, conn set, Suspend/Resume
 	store *store.Store         // nil without Options.DataDir
 	ops   *telemetry.OpsServer // nil without Options.OpsAddr
 	met   *coordMetrics
-	addr  string // first bound protocol address; stable across Suspend/Resume
 
 	// ingestMu serializes the journal+ingest pair against snapshot capture:
 	// a snapshot taken under it is exactly the state at the LSN read under
 	// it, which both checkpointing and replica bootstrap depend on.
 	ingestMu sync.Mutex
 
-	mu        sync.Mutex
-	clients   map[string]*clientState
-	conns     map[net.Conn]struct{}
-	r         *rng.Rand
-	closed    bool
-	suspended bool
+	mu      sync.Mutex
+	clients map[string]*clientState
+	r       *rng.Rand
+	closed  bool
 
 	// Replication role state, guarded by mu. Exactly one of src/rep is
 	// active at a time; both nil means replication is off.
@@ -225,51 +221,44 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 				rec.CorruptCheckpoints, rec.CorruptRecords, rec.TruncatedBytes)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if st != nil {
-			if cerr := st.Close(); cerr != nil {
-				opts.Logf("coordinator: closing store after listen failure: %v", cerr)
-			}
-		}
-		return nil, fmt.Errorf("coordinator: listen %s: %w", addr, err)
-	}
 	s := &Server{
 		opts:    opts,
-		ln:      ln,
-		addr:    ln.Addr().String(),
 		store:   st,
 		clients: make(map[string]*clientState),
-		conns:   make(map[net.Conn]struct{}),
 		r:       rng.NewNamed(opts.Seed, "coordinator-tasks"),
 		stop:    make(chan struct{}),
 	}
 	s.ctrl.Store(ctrl)
-	if err := s.startReplication(); err != nil {
-		_ = ln.Close()
-		if st != nil {
-			if cerr := st.Close(); cerr != nil {
-				opts.Logf("coordinator: closing store after replication failure: %v", cerr)
-			}
+	// fail unwinds a partly started server: Close tolerates every piece
+	// that never came up.
+	fail := func(err error) (*Server, error) {
+		if cerr := s.Close(); cerr != nil {
+			opts.Logf("coordinator: closing after failed start: %v", cerr)
 		}
 		return nil, err
 	}
+	if err := s.startReplication(); err != nil {
+		return fail(err)
+	}
 	s.met = newCoordMetrics(opts.Telemetry, s.ClientCount,
 		func() int64 { return s.Controller().DroppedAlerts() })
+	// Connections are served from the moment the listener binds, so it
+	// comes up only after the role state and instruments dispatch reads.
+	var err error
+	s.lis, err = wire.Listen(addr, func(nc net.Conn) {
+		wire.ServeConn(nc, s.opts.IdleTimeout, s.met.serve, s.dispatch)
+	})
+	if err != nil {
+		return fail(fmt.Errorf("coordinator: listen %s: %w", addr, err))
+	}
 	if opts.OpsAddr != "" {
 		ops, err := telemetry.NewOpsServer(opts.OpsAddr, telemetry.OpsOptions{
 			Registry: opts.Telemetry,
-			Ready:    s.ready,
+			Ready:    s.lis.Accepting,
 			Logf:     opts.Logf,
 		})
 		if err != nil {
-			_ = ln.Close()
-			if st != nil {
-				if cerr := st.Close(); cerr != nil {
-					opts.Logf("coordinator: closing store after ops failure: %v", cerr)
-				}
-			}
-			return nil, fmt.Errorf("coordinator: %w", err)
+			return fail(fmt.Errorf("coordinator: %w", err))
 		}
 		s.ops = ops
 		s.installOpsEndpoints(ops)
@@ -278,22 +267,11 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		}
 		opts.Logf("coordinator: ops plane listening on %s", ops.Addr())
 	}
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
 	if st != nil && opts.CheckpointInterval > 0 {
 		s.wg.Add(1)
 		go s.checkpointLoop()
 	}
 	return s, nil
-}
-
-// ready backs /readyz: the coordinator is ready from the moment Serve
-// returns (recovery done, listener up) until Close begins, except while
-// chaos-suspended (the listener is down, so routing to it would fail).
-func (s *Server) ready() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.closed && !s.suspended
 }
 
 func recoveredEntries(snap *core.Snapshot) int {
@@ -304,7 +282,7 @@ func recoveredEntries(snap *core.Snapshot) int {
 }
 
 // Addr returns the listening address (stable across Suspend/Resume).
-func (s *Server) Addr() string { return s.addr }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // OpsAddr returns the ops HTTP plane's bound address, "" when disabled.
 func (s *Server) OpsAddr() string { return s.ops.Addr() }
@@ -326,28 +304,15 @@ func (s *Server) Controller() *core.Controller { return s.ctrl.Load() }
 // observe store.ErrClosed.
 func (s *Server) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
-	// Snapshot under the lock, sever after releasing it: Close on a
-	// net.Conn can block, and lockio forbids holding s.mu across it.
 	s.mu.Lock()
 	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for nc := range s.conns {
-		conns = append(conns, nc)
-	}
 	s.mu.Unlock()
-	for _, nc := range conns {
-		_ = nc.Close()
-	}
-	s.mu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-		if errors.Is(err, net.ErrClosed) {
-			err = nil // a second Close is a no-op, not an error
-		}
+	// Sever first, wait last. Connections go down before replication does,
+	// so a handler that finds the source gone cannot deliver an ack the
+	// semi-sync bar never covered; replication goes down before the wait,
+	// so a handler parked at that bar is released instead of timing out.
+	if s.lis != nil {
+		s.lis.Suspend()
 	}
 	// Replication winds down before the store: a replica's apply loop and a
 	// primary's source both write/read the store and must finish first.
@@ -355,11 +320,15 @@ func (s *Server) Close() error {
 	rep, src := s.rep, s.src
 	s.rep, s.src = nil, nil
 	s.mu.Unlock()
+	var err error
 	if rep != nil {
 		err = errors.Join(err, rep.Close())
 	}
 	if src != nil {
 		err = errors.Join(err, src.Close())
+	}
+	if s.lis != nil {
+		err = errors.Join(err, s.lis.Close())
 	}
 	s.wg.Wait()
 	// Ops plane drains after the protocol handlers: an in-flight scrape
@@ -424,94 +393,17 @@ func (s *Server) ClientCount() int {
 	return len(s.clients)
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
-				// Closed by Suspend or Close; either way this loop is done
-				// (Resume starts a fresh one).
-				return
-			}
-			s.opts.Logf("coordinator: accept: %v", err)
-			continue
-		}
-		s.wg.Add(1)
-		go s.handle(nc)
-	}
-}
-
-// handle runs one connection's request/response loop. Every request gets
-// exactly one reply; protocol errors get an error reply and terminate the
-// connection.
-func (s *Server) handle(nc net.Conn) {
-	defer s.wg.Done()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		_ = nc.Close()
-		return
-	}
-	s.conns[nc] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, nc)
-		s.mu.Unlock()
-	}()
-	s.met.connsAccepted.Inc()
-	c := wire.NewConn(nc).Instrument(s.met.wire)
-	defer c.Close()
-	for {
-		if s.opts.IdleTimeout > 0 {
-			_ = nc.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
-		req, err := c.Recv()
-		if err != nil {
-			switch {
-			case errors.Is(err, wire.ErrMessageTooLarge):
-				s.met.protoErrors.Inc()
-				//lint:ignore errdrop best-effort reply on a connection already failing
-				_ = c.Send(errEnvelope("message too large"))
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				s.met.idleDisconnects.Inc()
-			}
-			return
-		}
-		s.met.request(req.Type).Inc()
-		if req.Via != nil {
-			s.met.forwarded.Inc()
-		}
-		t0 := time.Now()
-		reply, fatal := s.dispatch(req)
-		s.met.dispatchSec.Observe(time.Since(t0).Seconds())
-		if reply.Type == wire.TypeError {
-			s.met.protoErrors.Inc()
-		}
-		if err := c.Send(reply); err != nil {
-			return
-		}
-		if fatal {
-			return
-		}
-	}
-}
-
-func errEnvelope(msg string) wire.Envelope {
-	return wire.Envelope{Type: wire.TypeError, Error: &wire.ErrorMsg{Message: msg}}
-}
-
-// dispatch maps one request to its reply; fatal=true closes the connection
-// after replying.
+// dispatch maps one request to its reply — every request gets exactly one;
+// fatal=true (protocol errors) closes the connection after replying.
 func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
+	s.met.request(req.Type).Inc()
+	if req.Via != nil {
+		s.met.forwarded.Inc()
+	}
 	switch req.Type {
 	case wire.TypeHello:
 		if req.Hello == nil || req.Hello.ClientID == "" {
-			return errEnvelope("hello requires a client id"), true
+			return wire.ErrorReply("hello requires a client id"), true
 		}
 		s.mu.Lock()
 		s.clients[req.Hello.ClientID] = &clientState{id: req.Hello.ClientID, device: req.Hello.DeviceClass}
@@ -525,7 +417,7 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 	case wire.TypeZoneReport:
 		zr := req.ZoneReport
 		if zr == nil || zr.ClientID == "" {
-			return errEnvelope("zone report requires a client id"), true
+			return wire.ErrorReply("zone report requires a client id"), true
 		}
 		s.met.zoneReports.Inc()
 		tasks := s.assignTasks(zr)
@@ -535,14 +427,14 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 	case wire.TypeSampleReport:
 		sr := req.SampleReport
 		if sr == nil {
-			return errEnvelope("empty sample report"), true
+			return wire.ErrorReply("empty sample report"), true
 		}
 		if s.Role() == wire.RoleReplica {
 			// Replicas serve reads; writes belong to the primary. The
 			// gateway's route table normally prevents this — answer
 			// non-fatally so a transiently misrouted agent can retry after
 			// the routing epoch catches up.
-			return errEnvelope("replica is read-only"), false
+			return wire.ErrorReply("replica is read-only"), false
 		}
 		accepted := 0
 		var lastLSN uint64
@@ -558,9 +450,9 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 				if err != nil {
 					s.ingestMu.Unlock()
 					if errors.Is(err, store.ErrClosed) {
-						return errEnvelope("coordinator shutting down"), true
+						return wire.ErrorReply("coordinator shutting down"), true
 					}
-					return errEnvelope(fmt.Sprintf("journal write failed: %v", err)), true
+					return wire.ErrorReply(fmt.Sprintf("journal write failed: %v", err)), true
 				}
 				lastLSN = lsn
 			}
@@ -575,14 +467,14 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 			// configured durability bar (a replica ack) was not met in time;
 			// withholding the ack tells the agent its upload is not yet safe
 			// against this primary's death.
-			return errEnvelope("replication ack timeout: samples journaled but not yet replicated"), false
+			return wire.ErrorReply("replication ack timeout: samples journaled but not yet replicated"), false
 		}
 		return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}, false
 
 	case wire.TypeZoneListRequest:
 		zl := req.ZoneListRequest
 		if zl == nil {
-			return errEnvelope("empty zone list request"), true
+			return wire.ErrorReply("empty zone list request"), true
 		}
 		return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{
 			Records: s.Controller().Records(zl.Network, zl.Metric),
@@ -591,7 +483,7 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 	case wire.TypeEstimateRequest:
 		er := req.EstimateRequest
 		if er == nil {
-			return errEnvelope("empty estimate request"), true
+			return wire.ErrorReply("empty estimate request"), true
 		}
 		key := core.Key{Zone: er.Zone, Net: er.Network, Metric: er.Metric}
 		rec, ok := s.Controller().Estimate(key)
@@ -608,26 +500,26 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 
 	case wire.TypePromote:
 		if req.Promote == nil {
-			return errEnvelope("empty promote request"), true
+			return wire.ErrorReply("empty promote request"), true
 		}
 		ack, err := s.promote(req.Promote.Epoch)
 		if err != nil {
-			return errEnvelope(fmt.Sprintf("promote failed: %v", err)), true
+			return wire.ErrorReply(fmt.Sprintf("promote failed: %v", err)), true
 		}
 		return wire.Envelope{Type: wire.TypePromoteAck, PromoteAck: ack}, false
 
 	case wire.TypeDemote:
 		if req.Demote == nil || req.Demote.PrimaryReplAddr == "" {
-			return errEnvelope("demote requires the new primary's replication address"), true
+			return wire.ErrorReply("demote requires the new primary's replication address"), true
 		}
 		ack, err := s.demote(req.Demote.Epoch, req.Demote.PrimaryReplAddr)
 		if err != nil {
-			return errEnvelope(fmt.Sprintf("demote failed: %v", err)), true
+			return wire.ErrorReply(fmt.Sprintf("demote failed: %v", err)), true
 		}
 		return wire.Envelope{Type: wire.TypeDemoteAck, DemoteAck: ack}, false
 
 	default:
-		return errEnvelope(fmt.Sprintf("unexpected message type %q", req.Type)), true
+		return wire.ErrorReply(fmt.Sprintf("unexpected message type %q", req.Type)), true
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
@@ -168,5 +169,37 @@ func TestAbsurdCoordinatesContained(t *testing.T) {
 	// The samples land in far-away zones but Madison zones stay clean.
 	if _, ok := s.Controller().EstimateAt(geo.Madison().Center(), radio.NetB, trace.MetricUDPKbps); ok {
 		t.Fatal("GPS-glitch samples must not contaminate local zones")
+	}
+}
+
+// A start that fails late unwinds everything that came up before it: here
+// the protocol port is taken, and the store and the replication listener —
+// both started first — must be released again.
+func TestServeUnwindsWhenListenFails(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	free, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replAddr := free.Addr().String()
+	_ = free.Close()
+
+	opts := Options{Seed: seed, DataDir: t.TempDir(), ReplicationAddr: replAddr}
+	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
+	if s, err := Serve(ctrl, busy.Addr().String(), opts); err == nil {
+		_ = s.Close()
+		t.Fatal("Serve on a taken port must fail")
+	}
+	// Same data dir, same replication port: both must be free again.
+	s, err := Serve(ctrl, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatalf("restart after a failed start: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,18 +12,15 @@ type coordMetrics struct {
 	samplesIngested *telemetry.Counter
 	zoneReports     *telemetry.Counter
 	tasksAssigned   *telemetry.Counter
-	dispatchSec     *telemetry.Histogram
-	protoErrors     *telemetry.Counter
-	connsAccepted   *telemetry.Counter
-	idleDisconnects *telemetry.Counter
 	forwarded       *telemetry.Counter
+
+	// serve is what the shared request loop (wire.ServeConn) updates.
+	serve wire.ServeMetrics
 
 	// requests is pre-resolved per known message type (label lookups take
 	// a lock; the dispatch path must not), with a catch-all for unknowns.
 	requests      map[wire.MsgType]*telemetry.Counter
 	requestsOther *telemetry.Counter
-
-	wire *wire.Metrics
 }
 
 // newCoordMetrics registers the coordinator families on reg. The
@@ -52,19 +49,21 @@ func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, droppedAle
 			"Zone reports received from clients.").With(),
 		tasksAssigned: reg.Counter("wiscape_coordinator_tasks_assigned_total",
 			"Measurement tasks handed out by the probabilistic scheduler.").With(),
-		dispatchSec: reg.Histogram("wiscape_coordinator_dispatch_seconds",
-			"Request dispatch latency (decode excluded, encode excluded).", nil).With(),
-		protoErrors: reg.Counter("wiscape_coordinator_protocol_errors_total",
-			"Requests answered with a protocol error.").With(),
-		connsAccepted: reg.Counter("wiscape_coordinator_connections_total",
-			"Client connections accepted.").With(),
-		idleDisconnects: reg.Counter("wiscape_coordinator_idle_disconnects_total",
-			"Connections dropped for exceeding the idle timeout.").With(),
 		forwarded: reg.Counter("wiscape_coordinator_forwarded_requests_total",
 			"Requests relayed by a cluster gateway (wire Via metadata set).").With(),
+		serve: wire.ServeMetrics{
+			Connections: reg.Counter("wiscape_coordinator_connections_total",
+				"Client connections accepted.").With(),
+			ProtocolErrors: reg.Counter("wiscape_coordinator_protocol_errors_total",
+				"Requests answered with a protocol error.").With(),
+			IdleDisconnects: reg.Counter("wiscape_coordinator_idle_disconnects_total",
+				"Connections dropped for exceeding the idle timeout.").With(),
+			Latency: reg.Histogram("wiscape_coordinator_dispatch_seconds",
+				"Request dispatch latency (decode excluded, encode excluded).", nil).With(),
+			Codec: wire.NewMetrics(reg),
+		},
 		requests:      byType,
 		requestsOther: reqs.With("other"),
-		wire:          wire.NewMetrics(reg),
 	}
 }
 

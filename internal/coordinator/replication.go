@@ -3,7 +3,6 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 
 	"repro/internal/core"
@@ -85,20 +84,25 @@ func (s *Server) Epoch() uint64 {
 // ReplicationAddr returns the replication listener's bound address, ""
 // when replication is off.
 func (s *Server) ReplicationAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.src == nil {
-		return ""
+	if src := s.source(); src != nil {
+		return src.Addr()
 	}
-	return s.src.Addr()
+	return ""
 }
 
-// notifyReplicas wakes attached replica streams after an append.
-func (s *Server) notifyReplicas() {
+// source returns the replication source, nil when replication is off or
+// the server has closed.
+func (s *Server) source() *replication.Source {
 	s.mu.Lock()
-	src := s.src
-	s.mu.Unlock()
-	if src != nil {
+	defer s.mu.Unlock()
+	return s.src
+}
+
+// notifyReplicas wakes attached replica streams after an append. Chained
+// consumers (a replica's own replicas, live after promotion) ride the same
+// wake path as primary ingest.
+func (s *Server) notifyReplicas() {
+	if src := s.source(); src != nil {
 		src.Notify()
 	}
 }
@@ -111,9 +115,7 @@ func (s *Server) waitReplicated(lsn uint64) bool {
 	if !s.opts.SyncReplication || lsn == 0 {
 		return true
 	}
-	s.mu.Lock()
-	src := s.src
-	s.mu.Unlock()
+	src := s.source()
 	if src == nil || src.ConnectedReplicas() == 0 {
 		return true
 	}
@@ -145,18 +147,8 @@ func (a *replicaApplier) Apply(lsn uint64, smp trace.Sample) error {
 		return err
 	}
 	s.Controller().Ingest(smp)
-	// Chained consumers (a replica's own replicas, live after promotion)
-	// ride the same wake path as primary ingest.
-	if src := a.srcLocked(); src != nil {
-		src.Notify()
-	}
+	s.notifyReplicas()
 	return nil
-}
-
-func (a *replicaApplier) srcLocked() *replication.Source {
-	a.s.mu.Lock()
-	defer a.s.mu.Unlock()
-	return a.s.src
 }
 
 // statusReply reports this node's replication position for the gateway's
@@ -171,11 +163,7 @@ func (s *Server) statusReply() *wire.StatusReply {
 	}
 	if src != nil {
 		reply.ReplAddr = src.Addr()
-		for _, ri := range src.Replicas() {
-			reply.Replicas = append(reply.Replicas, wire.ReplicaState{
-				ID: ri.ID, AckedLSN: ri.AckedLSN, Connected: ri.Connected,
-			})
-		}
+		reply.Replicas = src.Replicas()
 	}
 	if rep != nil {
 		st := rep.Status()
@@ -274,29 +262,10 @@ func (s *Server) demote(epoch uint64, primaryReplAddr string) (*wire.DemoteAck, 
 // Suspend simulates shard death for the chaos harness without losing the
 // process: the protocol listener closes, every client connection severs,
 // and the replication source stops serving. The ops plane stays up so the
-// harness can Resume. Idempotent.
+// harness can Resume. Idempotent, and a no-op once closed.
 func (s *Server) Suspend() {
-	s.mu.Lock()
-	if s.suspended || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.suspended = true
-	ln := s.ln
-	s.ln = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for nc := range s.conns {
-		conns = append(conns, nc)
-	}
-	src := s.src
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, nc := range conns {
-		_ = nc.Close()
-	}
-	if src != nil {
+	s.lis.Suspend()
+	if src := s.source(); src != nil {
 		src.Suspend()
 	}
 	s.opts.Logf("coordinator: %s: suspended (chaos)", s.opts.ServerID)
@@ -305,40 +274,10 @@ func (s *Server) Suspend() {
 // Resume undoes Suspend: the protocol listener and replication source come
 // back on their original addresses.
 func (s *Server) Resume() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("coordinator: closed")
+	if err := s.lis.Resume(); err != nil {
+		return fmt.Errorf("coordinator: %w", err)
 	}
-	if !s.suspended {
-		s.mu.Unlock()
-		return nil
-	}
-	addr := s.addr
-	s.mu.Unlock()
-	// Listen outside the lock (lockio: binds can block), then re-check the
-	// state we released it in — a concurrent Close or double Resume loses.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("coordinator: re-listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed || !s.suspended {
-		closed := s.closed
-		s.mu.Unlock()
-		_ = ln.Close()
-		if closed {
-			return errors.New("coordinator: closed")
-		}
-		return nil
-	}
-	s.suspended = false
-	s.ln = ln
-	src := s.src
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	if src != nil {
+	if src := s.source(); src != nil {
 		if err := src.Resume(); err != nil {
 			return err
 		}

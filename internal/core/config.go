@@ -8,6 +8,7 @@
 package core
 
 import (
+	"cmp"
 	"time"
 
 	"repro/internal/geo"
@@ -141,6 +142,17 @@ type Key struct {
 	Zone   geo.ZoneID
 	Net    radio.NetworkID
 	Metric trace.Metric
+}
+
+// Compare orders keys by (zone X, zone Y, network, metric) — the
+// deterministic order every listing of keys or records uses.
+func (k Key) Compare(o Key) int {
+	return cmp.Or(
+		cmp.Compare(k.Zone.X, o.Zone.X),
+		cmp.Compare(k.Zone.Y, o.Zone.Y),
+		cmp.Compare(k.Net, o.Net),
+		cmp.Compare(k.Metric, o.Metric),
+	)
 }
 
 // Record is a published zone estimate: what the coordinator serves to

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -483,13 +484,7 @@ func (c *Controller) Records(net radio.NetworkID, m trace.Metric) []Record {
 		}
 		out = append(out, st.published)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Key.Zone, out[j].Key.Zone
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		return a.Y < b.Y
-	})
+	slices.SortFunc(out, func(a, b Record) int { return a.Key.Compare(b.Key) })
 	return out
 }
 
@@ -526,19 +521,7 @@ func (c *Controller) Keys() []Key {
 	for k := range c.zones {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Zone != b.Zone {
-			if a.Zone.X != b.Zone.X {
-				return a.Zone.X < b.Zone.X
-			}
-			return a.Zone.Y < b.Zone.Y
-		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
-		}
-		return a.Metric < b.Metric
-	})
+	slices.SortFunc(out, Key.Compare)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 	"time"
@@ -219,6 +220,25 @@ func TestKeysDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("key order unstable")
+		}
+	}
+}
+
+func TestKeyCompareOrder(t *testing.T) {
+	// Ascending by (zone X, zone Y, network, metric), most significant first.
+	z := func(x, y int32) geo.ZoneID { return geo.ZoneID{X: x, Y: y} }
+	keys := []Key{
+		{Zone: z(-1, 5), Net: radio.NetC, Metric: trace.MetricUDPKbps},
+		{Zone: z(0, -2), Net: radio.NetC, Metric: trace.MetricUDPKbps},
+		{Zone: z(0, 3), Net: radio.NetA, Metric: trace.MetricUDPKbps},
+		{Zone: z(0, 3), Net: radio.NetB, Metric: trace.MetricRTTMs},
+		{Zone: z(0, 3), Net: radio.NetB, Metric: trace.MetricUDPKbps},
+	}
+	for i, a := range keys {
+		for j, b := range keys {
+			if got, want := a.Compare(b), cmp.Compare(i, j); got != want {
+				t.Errorf("%v.Compare(%v) = %d, want %d", a, b, got, want)
+			}
 		}
 	}
 }

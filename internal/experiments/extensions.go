@@ -120,6 +120,7 @@ func Ext02ClientOverhead(o Options) Report {
 		r.AddRow("setup", "", fmt.Sprintf("coordinator failed: %v", err))
 		return r
 	}
+	//lint:ignore errdrop no DataDir: Close has nothing durable to flush
 	defer srv.Close()
 
 	// Thirty clients share one zone for a simulated day, reporting every

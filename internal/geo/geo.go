@@ -11,6 +11,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // EarthRadiusM is the mean Earth radius in meters used for all spherical
@@ -113,6 +115,24 @@ func (pr *Projection) FromXY(x, y float64) Point {
 // BoundingBox is an axis-aligned lat/lon rectangle.
 type BoundingBox struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
+}
+
+// ParseBoundingBox parses the "minlat,minlon,maxlat,maxlon" form the
+// command-line flags take; spaces around a field are ignored.
+func ParseBoundingBox(v string) (BoundingBox, error) {
+	fields := strings.Split(v, ",")
+	if len(fields) != 4 {
+		return BoundingBox{}, fmt.Errorf("box %q: want minlat,minlon,maxlat,maxlon", v)
+	}
+	var vals [4]float64
+	for i, f := range fields {
+		x, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
+		if err != nil {
+			return BoundingBox{}, fmt.Errorf("box %q: %v", v, err)
+		}
+		vals[i] = x
+	}
+	return BoundingBox{MinLat: vals[0], MinLon: vals[1], MaxLat: vals[2], MaxLon: vals[3]}, nil
 }
 
 // Contains reports whether p lies inside (or on the edge of) the box.

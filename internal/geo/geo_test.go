@@ -336,6 +336,29 @@ func TestBoundingBoxContains(t *testing.T) {
 	}
 }
 
+func TestParseBoundingBox(t *testing.T) {
+	want := BoundingBox{MinLat: 43.015, MinLon: -89.485, MaxLat: 43.1275, MaxLon: -89.331}
+	for _, tc := range []struct {
+		name, in string
+		ok       bool
+	}{
+		{"good box", "43.015,-89.485,43.1275,-89.331", true},
+		{"surrounding spaces", " 43.015, -89.485 ,43.1275,\t-89.331 ", true},
+		{"three fields", "43.015,-89.485,43.1275", false},
+		{"five fields", "43.015,-89.485,43.1275,-89.331,0", false},
+		{"non-number", "43.015,west,43.1275,-89.331", false},
+		{"empty", "", false},
+	} {
+		got, err := ParseBoundingBox(tc.in)
+		if tc.ok && (err != nil || got != want) {
+			t.Errorf("%s: got %+v, %v; want %+v", tc.name, got, err, want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: %q parsed as %+v, want an error", tc.name, tc.in, got)
+		}
+	}
+}
+
 func BenchmarkDistance(b *testing.B) {
 	p := Point{Lat: 43.0731, Lon: -89.3861}
 	q := Point{Lat: 41.8781, Lon: -87.6298}

@@ -67,13 +67,8 @@ const (
 	maxRecordsPerBatch    = 256
 )
 
-var (
-	// ErrClosed is returned by operations on a closed Source or Replica.
-	ErrClosed = errors.New("replication: closed")
-
-	// errBadFrame covers any framing-level protocol violation.
-	errBadFrame = errors.New("replication: malformed frame")
-)
+// errBadFrame covers any framing-level protocol violation.
+var errBadFrame = errors.New("replication: malformed frame")
 
 // writeFrame emits one length-prefixed frame. The writer is expected to be
 // buffered by the caller; writeFrame does not flush.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/store"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // SourceOptions configures the primary side of a replicated shard.
@@ -50,18 +51,11 @@ func (o *SourceOptions) fill() {
 	}
 }
 
-// ReplicaInfo is one replica's replication state as the primary sees it.
-type ReplicaInfo struct {
-	ID        string `json:"id"`
-	AckedLSN  uint64 `json:"acked_lsn"`
-	Connected bool   `json:"connected"`
-}
-
 // replicaConn is one attached replica stream.
 type replicaConn struct {
 	id   string
-	nc   net.Conn
 	wake chan struct{} // collapsed append notifications
+	gone chan struct{} // closed when the ack reader ends: the conn is dead
 }
 
 // commitWaiter parks one WaitCommitted call until some replica acks lsn.
@@ -77,45 +71,38 @@ type Source struct {
 	st   *store.Store
 	opts SourceOptions
 	met  sourceMetrics
-	addr string // first bound address; stable across Suspend/Resume
+	lis  *wire.Listener // accept loop, conn set, Suspend/Resume
 
-	mu        sync.Mutex
-	ln        net.Listener
-	conns     map[*replicaConn]struct{}
-	acked     map[string]uint64 // per replica id, survives reconnects
-	waiters   []commitWaiter
-	suspended bool
-	closed    bool
+	mu      sync.Mutex
+	streams map[*replicaConn]struct{} // handshaken replicas; Notify wakes them
+	acked   map[string]uint64         // per replica id, survives reconnects
+	waiters []commitWaiter
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // NewSource starts a replication listener on addr serving st's log.
 func NewSource(st *store.Store, addr string, opts SourceOptions) (*Source, error) {
 	opts.fill()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("replication: source listen %s: %w", addr, err)
-	}
 	s := &Source{
-		st:    st,
-		opts:  opts,
-		ln:    ln,
-		addr:  ln.Addr().String(),
-		conns: make(map[*replicaConn]struct{}),
-		acked: make(map[string]uint64),
-		stop:  make(chan struct{}),
+		st:      st,
+		opts:    opts,
+		streams: make(map[*replicaConn]struct{}),
+		acked:   make(map[string]uint64),
+		stop:    make(chan struct{}),
 	}
 	s.met = newSourceMetrics(opts.Telemetry, s.ConnectedReplicas)
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
+	var err error
+	if s.lis, err = wire.Listen(addr, s.serve); err != nil {
+		return nil, fmt.Errorf("replication: source listen %s: %w", addr, err)
+	}
 	return s, nil
 }
 
-// Addr returns the replication listener's bound address.
-func (s *Source) Addr() string { return s.addr }
+// Addr returns the replication listener's bound address (stable across
+// Suspend/Resume).
+func (s *Source) Addr() string { return s.lis.Addr() }
 
 // Notify wakes every attached stream: call it after appending to the store
 // so replication latency is bounded by the network, not the poll interval.
@@ -123,8 +110,8 @@ func (s *Source) Addr() string { return s.addr }
 // stream can never stall the appender.
 func (s *Source) Notify() {
 	s.mu.Lock()
-	wakes := make([]chan struct{}, 0, len(s.conns))
-	for rc := range s.conns {
+	wakes := make([]chan struct{}, 0, len(s.streams))
+	for rc := range s.streams {
 		wakes = append(wakes, rc.wake)
 	}
 	s.mu.Unlock()
@@ -140,21 +127,21 @@ func (s *Source) Notify() {
 func (s *Source) ConnectedReplicas() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.conns)
+	return len(s.streams)
 }
 
 // Replicas returns per-replica replication state: every replica ever
 // acked (offsets survive reconnects) plus its current connection state.
-func (s *Source) Replicas() []ReplicaInfo {
+func (s *Source) Replicas() []wire.ReplicaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	connected := make(map[string]bool, len(s.conns))
-	for rc := range s.conns {
+	connected := make(map[string]bool, len(s.streams))
+	for rc := range s.streams {
 		connected[rc.id] = true
 	}
-	out := make([]ReplicaInfo, 0, len(s.acked))
+	out := make([]wire.ReplicaState, 0, len(s.acked))
 	for id, lsn := range s.acked {
-		out = append(out, ReplicaInfo{ID: id, AckedLSN: lsn, Connected: connected[id]})
+		out = append(out, wire.ReplicaState{ID: id, AckedLSN: lsn, Connected: connected[id]})
 	}
 	return out
 }
@@ -168,10 +155,6 @@ func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
 	if s.maxAckedLocked() >= lsn {
 		s.mu.Unlock()
 		return true
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return false
 	}
 	w := commitWaiter{lsn: lsn, ch: make(chan struct{})}
 	s.waiters = append(s.waiters, w)
@@ -223,121 +206,29 @@ func (s *Source) recordAck(id string, lsn uint64) {
 // Suspend severs every replica stream and stops accepting new ones,
 // simulating primary death for the chaos harness without tearing down the
 // process. Resume undoes it.
-func (s *Source) Suspend() {
-	s.mu.Lock()
-	if s.suspended || s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.suspended = true
-	ln := s.ln
-	s.ln = nil
-	conns := s.takeConnsLocked()
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, nc := range conns {
-		_ = nc.Close()
-	}
-}
+func (s *Source) Suspend() { s.lis.Suspend() }
 
 // Resume re-opens the replication listener on the original address after a
 // Suspend.
-func (s *Source) Resume() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if !s.suspended {
-		s.mu.Unlock()
-		return nil
-	}
-	addr := s.addr
-	s.mu.Unlock()
-	// Listen outside the lock (lockio: binds can block), then re-check the
-	// state we released it in — a concurrent Close or double Resume loses.
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("replication: source re-listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	if s.closed || !s.suspended {
-		closed := s.closed
-		s.mu.Unlock()
-		_ = ln.Close()
-		if closed {
-			return ErrClosed
-		}
-		return nil
-	}
-	s.suspended = false
-	s.ln = ln
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go s.acceptLoop(ln)
-	return nil
-}
+func (s *Source) Resume() error { return s.lis.Resume() }
 
-// takeConnsLocked empties the conn set and returns the raw conns so the
-// caller can close them after releasing s.mu (net.Conn.Close can block).
-func (s *Source) takeConnsLocked() []net.Conn {
-	conns := make([]net.Conn, 0, len(s.conns))
-	for rc := range s.conns {
-		conns = append(conns, rc.nc)
-	}
-	clear(s.conns)
-	return conns
-}
-
-// Close stops the source and severs every stream. Idempotent.
+// Close stops the source, severs every stream and waits for them to end;
+// parked WaitCommitted calls give up (stop releases them, unsatisfied).
+// Idempotent.
 func (s *Source) Close() error {
 	s.stopOnce.Do(func() { close(s.stop) })
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	s.ln = nil
-	conns := s.takeConnsLocked()
-	for _, w := range s.waiters {
-		close(w.ch)
-	}
-	s.waiters = nil
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, nc := range conns {
-		_ = nc.Close()
-	}
-	s.wg.Wait()
-	return nil
-}
-
-func (s *Source) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			// Closed by Suspend or Close; either way this loop is done
-			// (Resume starts a fresh one).
-			return
-		}
-		s.wg.Add(1)
-		go s.serve(nc)
-	}
+	return s.lis.Close()
 }
 
 // serve runs one replica stream: handshake, optional snapshot bootstrap,
-// then the record/heartbeat loop, with acks drained concurrently.
+// then the record/heartbeat loop, with acks drained concurrently. The
+// listener severs nc on Suspend/Close and closes it when serve returns.
 func (s *Source) serve(nc net.Conn) {
-	defer s.wg.Done()
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 256<<10)
 
 	typ, payload, err := readFrame(br, maxFrameBytes)
 	if err != nil || typ != frameHello {
-		_ = nc.Close()
 		return
 	}
 	h, err := decodeHello(payload)
@@ -346,36 +237,25 @@ func (s *Source) serve(nc net.Conn) {
 		_ = writeFrame(bw, frameReject, []byte(err.Error()))
 		//lint:ignore errdrop best-effort refusal on a handshake already failing
 		_ = bw.Flush()
-		_ = nc.Close()
 		return
 	}
 
-	rc := &replicaConn{id: h.id, nc: nc, wake: make(chan struct{}, 1)}
+	rc := &replicaConn{id: h.id, wake: make(chan struct{}, 1), gone: make(chan struct{})}
 	s.mu.Lock()
-	if s.closed || s.suspended {
-		s.mu.Unlock()
-		_ = nc.Close()
-		return
-	}
-	s.conns[rc] = struct{}{}
+	s.streams[rc] = struct{}{}
 	if _, seen := s.acked[h.id]; !seen {
 		s.acked[h.id] = 0
 	}
 	s.mu.Unlock()
 	s.met.attaches.Inc()
 	s.opts.Logf("replication: replica %s attached (from LSN %d)", h.id, h.from)
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, rc)
-		s.mu.Unlock()
-		_ = nc.Close()
-	}()
 
 	// Ack reader: one goroutine per stream, bounded by the conn itself —
-	// severing the conn (Suspend/Close/stream error) ends it.
-	s.wg.Add(1)
+	// severing the conn (Suspend/Close/stream error) ends it, and serve
+	// does not return before it has.
+	//lint:ignore goleak bounded by nc: serve closes it and then waits on rc.gone
 	go func() {
-		defer s.wg.Done()
+		defer close(rc.gone)
 		for {
 			typ, payload, err := readFrame(br, maxFrameBytes)
 			if err != nil || typ != frameAck {
@@ -389,6 +269,13 @@ func (s *Source) serve(nc net.Conn) {
 			}
 			s.recordAck(h.id, lsn)
 		}
+	}()
+	defer func() {
+		s.mu.Lock()
+		delete(s.streams, rc)
+		s.mu.Unlock()
+		_ = nc.Close()
+		<-rc.gone
 	}()
 
 	if err := s.stream(rc, bw, h.from); err != nil {
@@ -456,6 +343,8 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
+		case <-rc.gone:
+			return errors.New("replica connection lost")
 		case <-s.stop:
 			return nil
 		}

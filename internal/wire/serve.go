@@ -1,0 +1,63 @@
+package wire
+
+import (
+	"errors"
+	"net"
+	"os"
+	"time"
+
+	"repro/internal/telemetry"
+)
+
+// ServeMetrics are the instruments of one request/response endpoint. Every
+// field is nil-safe, so the zero value serves uninstrumented.
+type ServeMetrics struct {
+	Connections     *telemetry.Counter   // connections served
+	ProtocolErrors  *telemetry.Counter   // requests answered with an error reply
+	IdleDisconnects *telemetry.Counter   // connections dropped by the idle timeout
+	Latency         *telemetry.Histogram // dispatch time, codec excluded
+	Codec           *Metrics
+}
+
+// ErrorReply builds the error envelope a server answers a bad request with.
+func ErrorReply(msg string) Envelope {
+	return Envelope{Type: TypeError, Error: &ErrorMsg{Message: msg}}
+}
+
+// ServeConn runs one connection's request/response loop and closes nc when
+// it ends. Every request gets exactly one reply from dispatch; fatal=true
+// closes the connection after the reply is sent. A peer silent for longer
+// than idle (zero disables) is dropped, an oversized message is answered
+// with "message too large" before the connection closes, and anything else
+// unreadable closes it silently.
+func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(Envelope) (reply Envelope, fatal bool)) {
+	m.Connections.Inc()
+	c := NewConn(nc).Instrument(m.Codec)
+	defer c.Close()
+	for {
+		if idle > 0 {
+			_ = nc.SetReadDeadline(time.Now().Add(idle))
+		}
+		req, err := c.Recv()
+		if err != nil {
+			switch {
+			case errors.Is(err, ErrMessageTooLarge):
+				m.ProtocolErrors.Inc()
+				//lint:ignore errdrop best-effort reply on a connection already failing
+				_ = c.Send(ErrorReply("message too large"))
+			case errors.Is(err, os.ErrDeadlineExceeded):
+				m.IdleDisconnects.Inc()
+			}
+			return
+		}
+		t0 := time.Now()
+		reply, fatal := dispatch(req)
+		m.Latency.Observe(time.Since(t0).Seconds())
+		if reply.Type == TypeError {
+			m.ProtocolErrors.Inc()
+		}
+		if err := c.Send(reply); err != nil || fatal {
+			return
+		}
+	}
+}

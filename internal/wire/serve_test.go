@@ -1,0 +1,160 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"testing"
+	"time"
+
+	"repro/internal/telemetry"
+)
+
+// serveMetrics registers one of each ServeConn instrument on a fresh
+// registry.
+func serveMetrics() ServeMetrics {
+	reg := telemetry.NewRegistry()
+	return ServeMetrics{
+		Connections:     reg.Counter("conns", "").With(),
+		ProtocolErrors:  reg.Counter("proto_errors", "").With(),
+		IdleDisconnects: reg.Counter("idle", "").With(),
+		Latency:         reg.Histogram("latency", "", nil).With(),
+		Codec:           NewMetrics(reg),
+	}
+}
+
+// startServeConn runs ServeConn on one end of a pipe and returns the other
+// end plus a channel closed when ServeConn returns.
+func startServeConn(idle time.Duration, m ServeMetrics, dispatch func(Envelope) (Envelope, bool)) (net.Conn, <-chan struct{}) {
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ServeConn(server, idle, m, dispatch)
+	}()
+	return client, done
+}
+
+func echoHello(req Envelope) (Envelope, bool) {
+	return Envelope{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: req.Hello.ClientID}}, false
+}
+
+func TestServeConnOversizedLineGetsErrorReply(t *testing.T) {
+	m := serveMetrics()
+	client, done := startServeConn(0, m, echoHello)
+	defer client.Close()
+	go func() {
+		// One line just past the cap. The pipe is unbuffered, so the write
+		// ends when the server stops reading: error ignored.
+		_, _ = client.Write(append(bytes.Repeat([]byte("x"), MaxMessageBytes+1), '\n'))
+	}()
+	reply, err := NewConn(client).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Type != TypeError || reply.Error == nil || reply.Error.Message != "message too large" {
+		t.Fatalf("reply to an oversized line: %+v", reply)
+	}
+	<-done
+	if got := m.ProtocolErrors.Value(); got != 1 {
+		t.Fatalf("protocol errors %v, want 1", got)
+	}
+	if got := m.Connections.Value(); got != 1 {
+		t.Fatalf("connections %v, want 1", got)
+	}
+	if got := m.Latency.Count(); got != 0 {
+		t.Fatalf("latency observed %d times for a request that was never dispatched", got)
+	}
+}
+
+func TestServeConnIdleExpiry(t *testing.T) {
+	m := serveMetrics()
+	client, done := startServeConn(30*time.Millisecond, m, echoHello)
+	defer client.Close()
+	c := NewConn(client)
+	// A live client is served, and each request re-arms the deadline.
+	for i := 0; i < 2; i++ {
+		if _, err := c.Call(Envelope{Type: TypeHello, Hello: &Hello{ClientID: "c"}}, TypeHelloAck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("silent connection not dropped")
+	}
+	if got := m.IdleDisconnects.Value(); got != 1 {
+		t.Fatalf("idle disconnects %v, want 1", got)
+	}
+	if got := m.ProtocolErrors.Value(); got != 0 {
+		t.Fatalf("protocol errors %v, want 0", got)
+	}
+	if got := m.Latency.Count(); got != 2 {
+		t.Fatalf("latency observed %d times, want 2", got)
+	}
+}
+
+func TestServeConnFatalClosesAfterReply(t *testing.T) {
+	m := serveMetrics()
+	client, done := startServeConn(0, m, func(Envelope) (Envelope, bool) {
+		return ErrorReply("bad request"), true
+	})
+	defer client.Close()
+	c := NewConn(client)
+	reply, err := c.Request(Envelope{Type: TypeHello, Hello: &Hello{ClientID: "c"}})
+	if err != nil {
+		t.Fatalf("the fatal reply must still be delivered: %v", err)
+	}
+	if reply.Type != TypeError || reply.Error.Message != "bad request" {
+		t.Fatalf("reply %+v", reply)
+	}
+	<-done
+	if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after a fatal reply: %v, want EOF", err)
+	}
+	if got := m.ProtocolErrors.Value(); got != 1 {
+		t.Fatalf("protocol errors %v, want 1", got)
+	}
+}
+
+func TestCall(t *testing.T) {
+	var re *ReplyError
+	for _, tc := range []struct {
+		name    string
+		reply   Envelope
+		wantErr string // "" means success
+	}{
+		{"wanted reply", Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: 3}}, ""},
+		{"error reply", ErrorReply("replica is read-only"), "replica is read-only"},
+		{"other type", Envelope{Type: TypeTaskList, TaskList: &TaskList{}}, `unexpected reply "task_list"`},
+		{"wanted type, no payload", Envelope{Type: TypeSampleAck}, "sample_ack reply has no payload"},
+		{"error type, no payload", Envelope{Type: TypeError}, `unexpected reply "error"`},
+	} {
+		client, server := pipePair()
+		go func() {
+			if _, err := server.Recv(); err == nil {
+				_ = server.Send(tc.reply)
+			}
+		}()
+		got, err := client.Call(Envelope{Type: TypeSampleReport, SampleReport: &SampleReport{}}, TypeSampleAck)
+		switch {
+		case tc.wantErr == "":
+			if err != nil || got.SampleAck == nil || got.SampleAck.Accepted != 3 {
+				t.Errorf("%s: got %+v, %v", tc.name, got, err)
+			}
+		case !errors.As(err, &re) || err.Error() != tc.wantErr:
+			t.Errorf("%s: err %v, want ReplyError %q", tc.name, err, tc.wantErr)
+		}
+		client.Close()
+		server.Close()
+	}
+
+	// A transport failure is not a ReplyError.
+	client, server := pipePair()
+	server.Close()
+	if _, err := client.Call(Envelope{Type: TypeStatusRequest, StatusRequest: &StatusRequest{}}, TypeStatusReply); err == nil || errors.As(err, &re) {
+		t.Fatalf("call on a dead connection: %v, want a transport error", err)
+	}
+	client.Close()
+}

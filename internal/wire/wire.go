@@ -7,6 +7,11 @@
 // format favours debuggability (every message is a greppable line) and has
 // an explicit per-message size cap so a misbehaving peer cannot exhaust
 // server memory.
+//
+// The package also holds the one serving skeleton every endpoint runs on:
+// Listener (accept loop, tracked connections, Suspend/Resume/Close),
+// ServeConn (the per-connection request/response loop) and Conn.Call (a
+// round trip that yields the wanted reply or an error).
 package wire
 
 import (
@@ -346,4 +351,55 @@ func (c *Conn) Request(e Envelope) (Envelope, error) {
 		return Envelope{}, err
 	}
 	return c.Recv()
+}
+
+// ReplyError is Call's failure when the round trip worked but the peer did
+// not answer with the wanted payload: an error envelope (Message is its
+// text), another reply type, or the wanted type with nothing in it. Tell it
+// from a transport failure with errors.As: the peer is alive and in step.
+type ReplyError struct{ Message string }
+
+func (e *ReplyError) Error() string { return e.Message }
+
+// Call is Request for a caller that knows the reply type it wants: the
+// envelope it returns has that Type and a non-nil payload for it, safe to
+// dereference unchecked. Any other answer comes back as a *ReplyError.
+func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
+	reply, err := c.Request(req)
+	switch {
+	case err != nil:
+		return Envelope{}, err
+	case reply.Type == want && reply.replyPayloadSet():
+		return reply, nil
+	case reply.Type == TypeError && reply.Error != nil:
+		return Envelope{}, &ReplyError{Message: reply.Error.Message}
+	case reply.Type == want:
+		return Envelope{}, &ReplyError{Message: fmt.Sprintf("%s reply has no payload", want)}
+	default:
+		return Envelope{}, &ReplyError{Message: fmt.Sprintf("unexpected reply %q", reply.Type)}
+	}
+}
+
+// replyPayloadSet reports whether the payload field e.Type selects is set,
+// for the reply types a Call can want.
+func (e *Envelope) replyPayloadSet() bool {
+	switch e.Type {
+	case TypeHelloAck:
+		return e.HelloAck != nil
+	case TypeTaskList:
+		return e.TaskList != nil
+	case TypeSampleAck:
+		return e.SampleAck != nil
+	case TypeEstimateReply:
+		return e.EstimateReply != nil
+	case TypeZoneListReply:
+		return e.ZoneListReply != nil
+	case TypeStatusReply:
+		return e.StatusReply != nil
+	case TypePromoteAck:
+		return e.PromoteAck != nil
+	case TypeDemoteAck:
+		return e.DemoteAck != nil
+	}
+	return false
 }

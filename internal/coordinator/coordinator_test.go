@@ -171,12 +171,20 @@ func TestEndToEndCampaign(t *testing.T) {
 		t.Fatal("no samples collected end to end")
 	}
 	// The scheduler should NOT have tasked every round: minimalism is the
-	// whole point (288 rounds per agent, budget 100 per epoch zone-wide).
-	for i, st := range statsOut {
-		if st.TasksExecuted >= st.Rounds {
-			t.Fatalf("agent %d was tasked every single round (%d/%d); scheduler not probabilistic",
-				i, st.TasksExecuted, st.Rounds)
-		}
+	// whole point (720 rounds per agent, budget 100 per epoch zone-wide).
+	// Judged over the three agents together, because nothing keeps them in
+	// step in virtual time: one that gets three task intervals ahead of the
+	// others is, to assignTasks, the zone's only active client and is
+	// rightly tasked every round, while the two behind it still see
+	// p ~ 0.55.
+	tasks, rounds := 0, 0
+	for _, st := range statsOut {
+		tasks += st.TasksExecuted
+		rounds += st.Rounds
+	}
+	if tasks >= rounds {
+		t.Fatalf("agents were tasked every single round (%d/%d: %+v); scheduler not probabilistic",
+			tasks, rounds, statsOut)
 	}
 
 	// Estimates approximate ground truth where we have data.

@@ -8,6 +8,9 @@ type sourceMetrics struct {
 	attaches       *telemetry.Counter
 	recordsShipped *telemetry.Counter
 	snapshotsSent  *telemetry.Counter
+
+	// WaitCommitted's call-to-release time, one series per way out.
+	commitAcked, commitTimeout, commitStopped *telemetry.Histogram
 }
 
 // newSourceMetrics registers the source families on reg. The connected
@@ -17,7 +20,13 @@ func newSourceMetrics(reg *telemetry.Registry, connected func() int) sourceMetri
 	reg.GaugeFunc("wiscape_replication_connected_replicas",
 		"Replica streams currently attached to this primary.",
 		func() float64 { return float64(connected()) })
+	commitWait := reg.Histogram("wiscape_replication_commit_wait_seconds",
+		"Time a semi-synchronous ack waited in WaitCommitted, call to release, by how it was released.",
+		nil, "result")
 	return sourceMetrics{
+		commitAcked:   commitWait.With("acked"),
+		commitTimeout: commitWait.With("timeout"),
+		commitStopped: commitWait.With("stopped"),
 		attaches: reg.Counter("wiscape_replication_attaches_total",
 			"Replica handshakes accepted by this primary.").With(),
 		recordsShipped: reg.Counter("wiscape_replication_records_shipped_total",

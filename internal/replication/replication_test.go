@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -283,4 +286,138 @@ func TestReplicasReportsAckedOffsets(t *testing.T) {
 		}
 		return false
 	})
+}
+
+func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
+	// The source tails the log with one positioned cursor per stream. Two
+	// places a position could go wrong: a stream that starts in the middle
+	// of a segment, and one that ends in one segment and resumes, on a new
+	// conn, after the log has rotated past it. Either way every LSN must
+	// reach the applier exactly once, in order.
+	st := openStore(t, store.Options{SegmentMaxBytes: 1024}) // a handful of records a segment
+	appendTo := func(n uint64) {
+		t.Helper()
+		for i := st.LastLSN(); i < n; i++ {
+			if _, err := st.Append(testSample(int(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// segments returns the first LSN of every segment, oldest first.
+	segments := func() []uint64 {
+		t.Helper()
+		names, err := filepath.Glob(filepath.Join(st.Dir(), "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		firsts := make([]uint64, len(names))
+		for i, name := range names { // Glob sorts, and the names are zero-padded
+			if _, err := fmt.Sscanf(filepath.Base(name), "wal-%d.seg", &firsts[i]); err != nil {
+				t.Fatalf("segment name %s: %v", name, err)
+			}
+		}
+		return firsts
+	}
+	appendTo(30)
+	firsts := segments()
+	if len(firsts) < 4 || firsts[3]-firsts[2] < 3 {
+		t.Fatalf("segments start at %v: want at least four, of three records or more", firsts)
+	}
+	from := firsts[2] + 1 // second record of the third segment
+	src := startSource(t, st, SourceOptions{})
+
+	ap := &memApplier{}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: from})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "tail from mid-segment", func() bool { return r.Status().AppliedLSN == 30 })
+
+	// The stream dies wherever LSN 32 falls, and the log moves on by
+	// several segments before the replica gets back in.
+	appendTo(32)
+	src.Notify()
+	waitFor(t, 5*time.Second, "LSN 32 applied", func() bool { return r.Status().AppliedLSN == 32 })
+	src.Suspend()
+	waitFor(t, 5*time.Second, "stream severed", func() bool { return src.ConnectedReplicas() == 0 })
+	sealed := len(segments())
+	appendTo(60)
+	if rotated := len(segments()) - sealed; rotated < 3 {
+		t.Fatalf("log rotated %d times while the replica was away, want several", rotated)
+	}
+	if err := src.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "catch-up across the rotations", func() bool {
+		return r.Status().AppliedLSN == st.LastLSN()
+	})
+
+	// And it is still a live tail afterwards.
+	appendTo(70)
+	src.Notify()
+	waitFor(t, 5*time.Second, "live tail after reconnect", func() bool {
+		return r.Status().AppliedLSN == st.LastLSN()
+	})
+
+	_, boots, applied := ap.snapshot()
+	if boots != 0 {
+		t.Fatalf("%d snapshot bootstraps; every position here is still in the log", boots)
+	}
+	if want := 70 - from + 1; uint64(len(applied)) != want {
+		t.Fatalf("applied %d records, want %d: %v", len(applied), want, applied)
+	}
+	for i, lsn := range applied {
+		if lsn != from+uint64(i) {
+			t.Fatalf("applied[%d] = LSN %d, want %d (skipped or repeated): %v", i, lsn, from+uint64(i), applied)
+		}
+	}
+}
+
+func TestCommitWaitHistogramLabelsTheWayOut(t *testing.T) {
+	// wiscape_replication_commit_wait_seconds is the server-side twin of
+	// the bench's replication.wait_ms_per_report: one observation per
+	// WaitCommitted call, filed under how the call was released.
+	reg := telemetry.NewRegistry()
+	st := openStore(t, store.Options{})
+	src := startSource(t, st, SourceOptions{Telemetry: reg})
+	waits := func(result string) uint64 {
+		return reg.Histogram("wiscape_replication_commit_wait_seconds", "", nil, "result").With(result).Count()
+	}
+	if _, err := st.Append(testSample(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	if src.WaitCommitted(1, 20*time.Millisecond) {
+		t.Fatal("WaitCommitted succeeded with no replica attached")
+	}
+	if got := waits("timeout"); got != 1 {
+		t.Fatalf("timeout observations %d, want 1", got)
+	}
+
+	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1"})
+	defer r.Close()
+	if !src.WaitCommitted(1, 5*time.Second) { // parks until the ack arrives
+		t.Fatal("WaitCommitted(1) not released by the replica's ack")
+	}
+	if !src.WaitCommitted(1, time.Second) { // already acked: released at once
+		t.Fatal("WaitCommitted(1) failed after the ack")
+	}
+	if got := waits("acked"); got != 2 {
+		t.Fatalf("acked observations %d, want 2", got)
+	}
+
+	parked := make(chan bool)
+	go func() { parked <- src.WaitCommitted(99, 10*time.Second) }()
+	waitFor(t, 5*time.Second, "waiter parked", func() bool {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		return len(src.waiters) == 1
+	})
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if <-parked {
+		t.Fatal("a shutdown must not read as a commit")
+	}
+	if acked, timeout, stopped := waits("acked"), waits("timeout"), waits("stopped"); acked != 2 || timeout != 1 || stopped != 1 {
+		t.Fatalf("observations acked %d timeout %d stopped %d, want 2 1 1", acked, timeout, stopped)
+	}
 }

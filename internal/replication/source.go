@@ -18,14 +18,6 @@ import (
 
 // SourceOptions configures the primary side of a replicated shard.
 type SourceOptions struct {
-	// PollInterval bounds how stale a stream can go when no Notify arrives
-	// (the source also polls the store on this cadence). Default 25ms.
-	PollInterval time.Duration
-
-	// HeartbeatInterval is how often an idle stream still tells replicas
-	// the primary's last LSN, keeping lag observable. Default 500ms.
-	HeartbeatInterval time.Duration
-
 	// Snapshot, when set, produces a consistent live snapshot and the LSN
 	// it covers — the coordinator's locked capture. When nil, bootstraps
 	// fall back to the store's newest durable checkpoint (or an empty
@@ -39,13 +31,18 @@ type SourceOptions struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// pollInterval bounds how stale a stream can go when a Notify is missed:
+	// a caught-up stream looks at the log again this often, which costs its
+	// cursor one empty read.
+	pollInterval = 25 * time.Millisecond
+
+	// heartbeatInterval is how often an idle stream still tells its replica
+	// the primary's last LSN, keeping lag observable.
+	heartbeatInterval = 500 * time.Millisecond
+)
+
 func (o *SourceOptions) fill() {
-	if o.PollInterval <= 0 {
-		o.PollInterval = 25 * time.Millisecond
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 500 * time.Millisecond
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -151,6 +148,10 @@ func (s *Source) Replicas() []wire.ReplicaState {
 // semi-synchronous ack primitive: a primary that waits here before acking
 // an agent guarantees the sample survives its own death.
 func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
+	t0 := time.Now()
+	released := s.met.commitAcked // the series this wait lands in; timeout and stop re-point it
+	defer func() { released.Observe(time.Since(t0).Seconds()) }()
+
 	s.mu.Lock()
 	if s.maxAckedLocked() >= lsn {
 		s.mu.Unlock()
@@ -166,8 +167,10 @@ func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
 	case <-w.ch:
 		return true
 	case <-t.C:
+		released = s.met.commitTimeout
 		return false
 	case <-s.stop:
+		released = s.met.commitStopped
 		return false
 	}
 }
@@ -286,27 +289,30 @@ func (s *Source) serve(nc net.Conn) {
 // stream ships the log to one replica until the conn dies or the source
 // stops. from==0 (or a compacted-away offset) bootstraps via snapshot.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
-	next := from
-	if next == 0 {
-		n, err := s.sendSnapshot(bw)
-		if err != nil {
+	if from == 0 {
+		var err error
+		if from, err = s.sendSnapshot(bw); err != nil {
 			return err
 		}
-		next = n
 	}
-	hb := time.NewTicker(s.opts.HeartbeatInterval)
+	// One cursor per stream: a batch costs the records it ships, and a
+	// caught-up look at the log one empty read.
+	cur := s.st.OpenCursor(from)
+	defer func() { cur.Close() }()
+	hb := time.NewTicker(heartbeatInterval)
 	defer hb.Stop()
-	poll := time.NewTicker(s.opts.PollInterval)
+	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
 	for {
-		batch, err := s.st.ReadBatch(next, maxRecordsPerBatch)
+		batch, err := cur.Next(maxRecordsPerBatch)
 		if errors.Is(err, store.ErrCompacted) {
 			// The replica's position predates retained history; restart it
 			// from a fresh snapshot (the resync path).
-			next, err = s.sendSnapshot(bw)
-			if err != nil {
+			if from, err = s.sendSnapshot(bw); err != nil {
 				return err
 			}
+			cur.Close()
+			cur = s.st.OpenCursor(from)
 			continue
 		}
 		if err != nil {
@@ -328,7 +334,6 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 				return err
 			}
 			s.met.recordsShipped.Add(float64(len(batch)))
-			next = batch[len(batch)-1].LSN + 1
 			continue
 		}
 		// Caught up: wait for an append (or the poll fallback), keeping

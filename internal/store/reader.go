@@ -1,9 +1,11 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 
 	"repro/internal/core"
@@ -17,117 +19,258 @@ type Entry struct {
 	Sample trace.Sample
 }
 
-// ErrCompacted is returned by ReadBatch when the requested LSN predates the
+// ErrCompacted is returned by log readers when the requested LSN predates the
 // oldest retained WAL record — compaction has deleted the segments that held
 // it. A reader that needs that history must re-bootstrap from a checkpoint
 // (LatestCheckpoint) instead of the log.
 var ErrCompacted = errors.New("store: requested records compacted away")
 
 // ReadBatch returns up to max journaled records with LSN >= from, in LSN
-// order. It is the replication source's log reader: safe to call while
-// appends, rotations and compactions are in flight.
+// order: a one-shot cursor. A caller that keeps reading — the replication
+// source — holds a Cursor instead, so each call costs the records it
+// returns rather than a rescan of the segment holding from.
 //
 //   - An empty batch with a nil error means the reader is caught up (from is
 //     past the newest record); poll again after more appends.
 //   - ErrCompacted means from predates the oldest retained record; the
 //     caller must restart from LatestCheckpoint.
-//
-// Consistency under concurrency: a record is written as a single line whose
-// CRC is validated here, so a read racing an in-flight append sees either
-// the whole record or stops cleanly at the torn tail — never a phantom
-// record. A segment deleted by compaction mid-scan is detected (the file
-// open fails) and reported as ErrCompacted only when the batch is still
-// empty; otherwise the partial batch is returned and the next call resolves
-// the position afresh.
 func (st *Store) ReadBatch(from uint64, max int) ([]Entry, error) {
+	c := st.OpenCursor(from)
+	defer c.Close()
+	return c.Next(max)
+}
+
+// Cursor is a positioned log reader: it keeps the segment it is reading
+// open, with the byte offset of the first unread line, so Next touches only
+// what was journaled since the previous call. It is safe to use while
+// appends, rotations, compactions and ResetTo are in flight, but a Cursor
+// itself belongs to one goroutine.
+//
+// Consistency under concurrency: a record is one line whose CRC is validated
+// before it is returned, and only whole lines are consumed, so a read racing
+// an in-flight append sees the whole record or waits at the torn tail —
+// never a phantom record. Whenever segments are deleted (compaction,
+// ResetTo) the cursor drops its handle and positions afresh by LSN, which is
+// where a range that went away surfaces as ErrCompacted; a deleted segment's
+// inode is therefore pinned only until the cursor's next call.
+type Cursor struct {
+	st   *Store
+	next uint64 // lowest LSN not yet returned
+	gen  uint64 // st.segGen the position was taken under
+
+	f        *os.File // segment being read; nil when not positioned
+	first    uint64   // its first LSN
+	off      int64    // file offset of buf[r], the first unread byte
+	buf      []byte   // buf[r:w] holds unread file bytes, whole lines or not
+	r, w     int
+	skipping bool // inside a line over maxWALLineBytes, discarding through its newline
+}
+
+// cursorBufBytes is the read buffer a cursor keeps; it grows (to at most
+// maxWALLineBytes) only for a line that does not fit.
+const cursorBufBytes = 64 << 10
+
+// OpenCursor returns a cursor whose first Next yields the records with
+// LSN >= from (0 means 1). It does no I/O; Close releases the segment handle
+// a later Next acquires.
+func (st *Store) OpenCursor(from uint64) *Cursor {
 	if from == 0 {
 		from = 1
 	}
+	return &Cursor{st: st, next: from}
+}
+
+// Close releases the cursor's segment handle. Idempotent.
+func (c *Cursor) Close() {
+	if c.f != nil {
+		//lint:ignore errdrop read-only segment handle, no durability at stake
+		_ = c.f.Close()
+		c.f = nil
+	}
+}
+
+// Next returns up to max (default 1024) records past the last one returned,
+// in LSN order. An empty batch with a nil error means caught up; call again
+// after more appends. ErrCompacted means the next LSN predates the oldest
+// retained record: restart from LatestCheckpoint with a new cursor.
+//
+// Invalid complete lines are skipped (recovery's rule). An unterminated tail
+// in the active segment is an append in flight and is never stepped over; in
+// a sealed segment it is a torn write nothing will complete. A failure met
+// after some records were read is held back: the partial batch is returned
+// and the next call meets the failure again.
+func (c *Cursor) Next(max int) ([]Entry, error) {
 	if max <= 0 {
 		max = 1024
 	}
-	segs, err := listSegments(st.dir)
-	if err != nil {
+	var out []Entry
+	fail := func(err error) ([]Entry, error) {
+		if len(out) > 0 {
+			return out, nil
+		}
 		return nil, err
 	}
-	if len(segs) == 0 {
-		return nil, nil
-	}
-	// Find the first segment that can contain from: the last segment whose
-	// first LSN is <= from. Everything before it is skipped wholesale.
-	start := 0
-	for i, sg := range segs {
-		if sg.first <= from {
-			start = i
+	for {
+		// Whether this segment is sealed is settled before reading it to
+		// EOF: a sealed segment never grows, so EOF then means exhausted,
+		// while anything appended to a segment judged active is still there
+		// for the next call, rotation or not.
+		c.st.mu.Lock()
+		active, gen := c.st.segFirst, c.st.segGen
+		c.st.mu.Unlock()
+		if gen != c.gen {
+			c.Close()
+			c.gen = gen
 		}
-	}
-	if segs[start].first > from {
-		// Even the oldest retained segment starts past from: compacted.
-		return nil, ErrCompacted
-	}
-	var out []Entry
-	for _, sg := range segs[start:] {
-		done, err := scanBatch(sg.path, from, max, &out)
-		if err != nil {
-			if os.IsNotExist(err) && len(out) == 0 {
-				// Compaction deleted the segment between listing and
-				// opening; the records we wanted are gone with it.
-				return nil, ErrCompacted
+		if c.f != nil {
+			if err := c.scan(max, &out); err != nil {
+				return fail(err)
 			}
-			if os.IsNotExist(err) {
+			if len(out) >= max || c.first == active {
 				return out, nil
 			}
-			return out, err
 		}
-		if done {
-			break
+		if moved, err := c.seek(); err != nil || !moved {
+			return fail(err)
 		}
 	}
-	return out, nil
 }
 
-// scanBatch appends records with LSN >= from out of one segment into out,
-// stopping at max entries. done=true means the batch is full. Invalid
-// complete lines are skipped (recovery's rule); an incomplete tail line ends
-// the scan — it is an append in flight, not an error.
-func scanBatch(path string, from uint64, max int, out *[]Entry) (done bool, err error) {
-	f, err := os.Open(path)
+// seek opens the segment to read next: the last one that can hold c.next,
+// or, with a segment exhausted, the first one past it when c.next alone would
+// pick no later one (a forward gap in LSNs). It reports false when there is
+// nowhere to move to.
+func (c *Cursor) seek() (moved bool, err error) {
+	segs, err := listSegments(c.st.dir)
+	if err != nil || len(segs) == 0 {
+		return false, err
+	}
+	if segs[0].first > c.next {
+		// Even the oldest retained segment starts past c.next: compacted.
+		return false, ErrCompacted
+	}
+	pick := -1
+	for i, sg := range segs {
+		if c.f != nil && sg.first <= c.first {
+			continue // the exhausted segment, or one before it
+		}
+		if pick < 0 || sg.first <= c.next {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		return false, nil
+	}
+	f, err := os.Open(segs[pick].path)
+	if os.IsNotExist(err) {
+		// Compaction deleted the segment between listing and opening; the
+		// records wanted are gone with it.
+		return false, ErrCompacted
+	}
 	if err != nil {
 		return false, err
 	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	for {
-		line, consumed, complete := readLineCapped(br, maxWALLineBytes)
-		if !complete {
-			_ = consumed
-			break
+	c.Close()
+	c.f, c.first = f, segs[pick].first
+	c.off, c.r, c.w, c.skipping = 0, 0, 0, false
+	return true, nil
+}
+
+// scan appends records with LSN >= c.next to out until it holds max or the
+// segment has no further complete line.
+func (c *Cursor) scan(max int, out *[]Entry) error {
+	for len(*out) < max {
+		i := bytes.IndexByte(c.buf[c.r:c.w], '\n')
+		if i < 0 {
+			if c.skipping || c.w-c.r >= maxWALLineBytes {
+				c.skipping = true
+				c.off += int64(c.w - c.r)
+				c.r, c.w = 0, 0
+			}
+			if more, err := c.fill(); err != nil || !more {
+				return err
+			}
+			continue
+		}
+		line := c.buf[c.r : c.r+i+1]
+		c.r += i + 1
+		c.off += int64(i + 1)
+		if c.skipping {
+			c.skipping = false
+			continue
+		}
+		// Positioning on a mid-segment LSN walks every earlier line, so
+		// those are told by their leading {"lsn":N alone; what is returned
+		// always takes the validating path.
+		if lsn, ok := peekLSN(line); ok && lsn < c.next {
+			continue
 		}
 		smp, lsn, ok := parseRecordLine(line)
-		if !ok || lsn < from {
+		if !ok || lsn < c.next {
 			continue
 		}
 		*out = append(*out, Entry{LSN: lsn, Sample: smp})
-		if len(*out) >= max {
-			done = true
-			break
-		}
+		c.next = lsn + 1
 	}
-	// Read-only handle; nothing durable rides on this close.
-	//lint:ignore errdrop read-only segment scan, no durability at stake
-	_ = f.Close()
-	return done, nil
+	return nil
+}
+
+// fill reads more of the segment in behind buf[r:w], reporting false at EOF.
+func (c *Cursor) fill() (bool, error) {
+	if c.r > 0 {
+		c.w = copy(c.buf, c.buf[c.r:c.w])
+		c.r = 0
+	}
+	if c.w == len(c.buf) {
+		grown := make([]byte, max(2*len(c.buf), cursorBufBytes))
+		copy(grown, c.buf)
+		c.buf = grown
+	}
+	n, err := c.f.ReadAt(c.buf[c.w:], c.off+int64(c.w))
+	c.w += n
+	if n > 0 || err == io.EOF {
+		return n > 0, nil
+	}
+	return false, err
+}
+
+const lsnKey = `{"lsn":`
+
+// peekLSN reads N off a line shaped `crc32hex {"lsn":N,` — how the encoder
+// starts every record — without validating anything else about it.
+func peekLSN(line []byte) (uint64, bool) {
+	const head = 9 + len(lsnKey) // CRC, space, key
+	if len(line) < head || line[8] != ' ' || string(line[9:head]) != lsnKey {
+		return 0, false
+	}
+	var n uint64
+	i := head
+	for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
+		n = n*10 + uint64(line[i]-'0')
+	}
+	// At most 19 digits: no uint64 overflow to reason about.
+	if i == head || i-head > 19 || i == len(line) || line[i] != ',' {
+		return 0, false
+	}
+	return n, true
 }
 
 // LatestCheckpoint returns the newest checkpoint that validates, with the
 // LSN it covers. A nil snapshot with a nil error means no valid checkpoint
 // exists yet (a fresh store).
 func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
+relist:
 	cks, err := listCheckpoints(st.dir)
 	if err != nil {
 		return nil, 0, err
 	}
 	for _, ck := range cks {
 		snap, lsn, err := readCheckpoint(ck.path)
+		if errors.Is(err, fs.ErrNotExist) {
+			// Retention deleted it after the listing, so a newer one has
+			// been written since: look again rather than report none.
+			goto relist
+		}
 		if err != nil {
 			continue // recovery's rule: fall back past corrupt checkpoints
 		}
@@ -186,6 +329,7 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 	if err := st.f.Close(); err != nil {
 		return fmt.Errorf("store: reset: sealing active segment: %w", err)
 	}
+	st.segGen++
 	segs, err := listSegments(st.dir)
 	if err != nil {
 		return err

@@ -1,13 +1,18 @@
 package store
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/rng"
 )
 
 // readAll walks ReadBatch from `from` until caught up and returns the
@@ -122,68 +127,93 @@ func TestReadBatchCompactedHistory(t *testing.T) {
 
 func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 	// The replication reader's worst case: a reader replaying from the
-	// start while the writer keeps appending and checkpointing (which
-	// compacts segments under the reader). The reader must only ever see
-	// in-order records or ErrCompacted — never a gap it silently skips.
-	st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 256, CheckpointKeep: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	const total = 300
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < total; i++ {
-			if _, err := st.Append(testSample(i)); err != nil {
-				t.Errorf("append %d: %v", i, err)
-				return
+	// start while the writer keeps appending, rotating and — in the first
+	// two cases — checkpointing, which compacts segments under the reader.
+	// The reader must see every LSN exactly once and in order; the only
+	// legal way past a record is ErrCompacted and a restart from the
+	// checkpoint. Each reader runs stateless (ReadBatch) and as the
+	// long-lived cursor a replica stream holds.
+	for _, tc := range []struct {
+		name            string
+		cursor          bool
+		checkpointEvery int // 0: never, so ErrCompacted cannot be an excuse
+	}{
+		{"ReadBatch", false, 50},
+		{"Cursor", true, 50},
+		{"CursorTailsLiveAppender", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 256, CheckpointKeep: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i%50 == 49 {
-				if err := st.Checkpoint(core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
-					t.Errorf("checkpoint: %v", err)
-					return
+			defer st.Close()
+
+			const total = 300
+			var wg sync.WaitGroup
+			defer wg.Wait() // before st.Close, whichever way the reader leaves
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < total; i++ {
+					if _, err := st.Append(testSample(i)); err != nil {
+						t.Errorf("append %d: %v", i, err)
+						return
+					}
+					if tc.checkpointEvery > 0 && i%tc.checkpointEvery == tc.checkpointEvery-1 {
+						if err := st.Checkpoint(core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
+							t.Errorf("checkpoint: %v", err)
+							return
+						}
+					}
+				}
+			}()
+
+			from := uint64(1)
+			cur := st.OpenCursor(from)
+			defer func() { cur.Close() }()
+			read := func() ([]Entry, error) {
+				if tc.cursor {
+					return cur.Next(16)
+				}
+				return st.ReadBatch(from, 16)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for from <= total && time.Now().Before(deadline) {
+				es, err := read()
+				if errors.Is(err, ErrCompacted) {
+					if tc.checkpointEvery == 0 {
+						t.Fatalf("ErrCompacted at %d with no compaction running", from)
+					}
+					// Re-bootstrap exactly as a replica would: the checkpoint's
+					// covered LSN becomes the new floor.
+					_, lsn, cerr := st.LatestCheckpoint()
+					if cerr != nil {
+						t.Fatalf("LatestCheckpoint during race: %v", cerr)
+					}
+					if lsn+1 < from {
+						t.Fatalf("checkpoint regressed below reader position: ckpt %d, reader %d", lsn, from)
+					}
+					from = lsn + 1
+					cur.Close()
+					cur = st.OpenCursor(from)
+					continue
+				}
+				if err != nil {
+					t.Fatalf("read at %d: %v", from, err)
+				}
+				for _, e := range es {
+					if e.LSN != from {
+						t.Fatalf("reader saw LSN %d, want %d (skipped or repeated)", e.LSN, from)
+					}
+					from++
 				}
 			}
-		}
-	}()
-
-	from := uint64(1)
-	deadline := time.Now().Add(10 * time.Second)
-	for from <= total && time.Now().Before(deadline) {
-		es, err := st.ReadBatch(from, 16)
-		if errors.Is(err, ErrCompacted) {
-			// Re-bootstrap exactly as a replica would: the checkpoint's
-			// covered LSN becomes the new floor.
-			_, lsn, cerr := st.LatestCheckpoint()
-			if cerr != nil {
-				t.Fatalf("LatestCheckpoint during race: %v", cerr)
+			wg.Wait()
+			if from != total+1 {
+				t.Fatalf("reader stalled at %d of %d", from-1, total)
 			}
-			if lsn+1 < from {
-				t.Fatalf("checkpoint regressed below reader position: ckpt %d, reader %d", lsn, from)
-			}
-			from = lsn + 1
-			continue
-		}
-		if err != nil {
-			t.Fatalf("ReadBatch(%d): %v", from, err)
-		}
-		for _, e := range es {
-			if e.LSN != from {
-				t.Fatalf("reader saw LSN %d, want %d (silent gap)", e.LSN, from)
-			}
-			from++
-		}
-	}
-	wg.Wait()
-	if from <= total {
-		// Writer done; one final catch-up drain must finish the log.
-		got := readAll(t, st, from, 64)
-		if len(got) == 0 || got[len(got)-1].LSN != total {
-			t.Fatalf("reader stalled at %d of %d", from-1, total)
-		}
+		})
 	}
 }
 
@@ -235,4 +265,308 @@ func TestAppendAtAndResetTo(t *testing.T) {
 	if next, err := st2.Append(testSample(7)); err != nil || next != 106 {
 		t.Fatalf("append after recovery: lsn %d err %v, want 106", next, err)
 	}
+}
+
+// oracleReadBatch is the stateless log reader ReadBatch used to be: every
+// call lists the segments, opens the one holding from and CRC-checks and
+// decodes it from its first byte. It is kept as the reference the cursor is
+// compared against.
+func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
+	if from == 0 {
+		from = 1
+	}
+	segs, err := listSegments(dir)
+	if err != nil || len(segs) == 0 {
+		return nil, err
+	}
+	// The last segment whose first LSN is <= from can contain it;
+	// everything before is skipped wholesale.
+	start := 0
+	for i, sg := range segs {
+		if sg.first <= from {
+			start = i
+		}
+	}
+	if segs[start].first > from {
+		return nil, ErrCompacted
+	}
+	var out []Entry
+	for _, sg := range segs[start:] {
+		f, err := os.Open(sg.path)
+		if err != nil {
+			return out, err
+		}
+		br := bufio.NewReaderSize(f, 64<<10)
+		for len(out) < max {
+			line, _, complete := readLineCapped(br, maxWALLineBytes)
+			if !complete {
+				break // a torn tail, or an append in flight
+			}
+			if smp, lsn, ok := parseRecordLine(line); ok && lsn >= from {
+				out = append(out, Entry{LSN: lsn, Sample: smp})
+			}
+		}
+		f.Close()
+		if len(out) >= max {
+			break
+		}
+	}
+	return out, nil
+}
+
+// TestCursorMatchesStatelessScan drives one long-lived cursor and the
+// stateless oracle through seeded schedules of everything that can happen
+// to a log — appends, AppendAt with forward gaps, rotation at a tiny
+// segment size, checkpoints that compact, ResetTo in both directions, and
+// by hand a torn tail and a corrupt line — and requires the same batches
+// and the same ErrCompacted verdicts at every read.
+func TestCursorMatchesStatelessScan(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		if err := runCursorSchedule(t.TempDir(), seed); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// scribble writes raw bytes at the tail of the active segment the way a
+// failed append or a bad disk would. It goes through the store's own handle:
+// the store does not open segments O_APPEND, so bytes added behind its back
+// would be overwritten by its next record.
+func scribble(st *Store, data []byte) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, err := st.f.Write(data)
+	return err
+}
+
+func runCursorSchedule(dir string, seed uint64) error {
+	r := rng.NewNamed(seed, "cursor-schedule")
+	st, err := Open(dir, Options{
+		SegmentMaxBytes: int64(200 + r.Intn(1200)), // 1 to ~6 records a segment
+		CheckpointKeep:  1 + r.Intn(2),
+	})
+	if err != nil {
+		return err
+	}
+	defer st.Close()
+	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
+
+	nextLine := func() []byte {
+		payload, _ := json.Marshal(walRecord{LSN: st.LastLSN() + 1, Sample: testSample(0)})
+		return appendRecordLine(nil, payload)
+	}
+
+	pos := uint64(1) // the LSN both readers want next
+	cur := st.OpenCursor(pos)
+	defer func() { cur.Close() }()
+	reads := 0
+	compare := func(max int) error {
+		reads++
+		got, gerr := cur.Next(max)
+		want, werr := oracleReadBatch(dir, pos, max)
+		if (gerr != nil || werr != nil) && !(errors.Is(gerr, ErrCompacted) && errors.Is(werr, ErrCompacted)) {
+			return fmt.Errorf("read %d at LSN %d: cursor err %v, oracle err %v", reads, pos, gerr, werr)
+		}
+		if len(got) != len(want) {
+			return fmt.Errorf("read %d at LSN %d: cursor %d records %v, oracle %d %v", reads, pos, len(got), lsns(got), len(want), lsns(want))
+		}
+		for i := range got {
+			if got[i].LSN != want[i].LSN || !sampleEqual(got[i].Sample, want[i].Sample) {
+				return fmt.Errorf("read %d at LSN %d: cursor %v, oracle %v", reads, pos, lsns(got), lsns(want))
+			}
+		}
+		if gerr != nil {
+			// Both compacted: restart from the checkpoint, as a stream does.
+			_, lsn, err := st.LatestCheckpoint()
+			if err != nil {
+				return err
+			}
+			pos = lsn + 1
+			cur.Close()
+			cur = st.OpenCursor(pos)
+		} else if len(got) > 0 {
+			pos = got[len(got)-1].LSN + 1
+		}
+		return nil
+	}
+
+	n := 0
+	for step := 0; step < 64; step++ {
+		var err error
+		switch op := r.Intn(32); {
+		case op < 10:
+			for k := 1 + r.Intn(6); k > 0 && err == nil; k-- {
+				_, err = st.Append(testSample(n))
+				n++
+			}
+		case op < 13:
+			err = st.AppendAt(st.LastLSN()+1+uint64(r.Intn(5)), testSample(n))
+			n++
+		case op < 15:
+			err = st.Checkpoint(snap)
+		case op == 15:
+			// Behind the cursor, at it, or ahead of everything written.
+			err = st.ResetTo(uint64(r.Intn(int(st.LastLSN())+10)), snap)
+		case op == 16:
+			// A torn tail: the start of the next record and no newline. The
+			// next append lands behind it and the pair reads as one bad line.
+			line := nextLine()
+			err = scribble(st, line[:1+r.Intn(len(line)-1)])
+		case op == 17:
+			// A complete line that fails its CRC, well-shaped or not.
+			line := nextLine()
+			if r.Bool(0.5) {
+				line[9+r.Intn(len(line)-10)] ^= 0x20
+			} else {
+				line = []byte("not a record\n")
+			}
+			err = scribble(st, line)
+		default:
+			max := 1 + r.Intn(8)
+			if r.Bool(0.3) {
+				max = 1000
+			}
+			err = compare(max)
+		}
+		if err != nil {
+			return fmt.Errorf("step %d: %w", step, err)
+		}
+	}
+	// Drain whatever the schedule left unread. A read that moves pos neither
+	// forward nor, through ErrCompacted, up to the checkpoint is caught up.
+	for {
+		before := pos
+		if err := compare(1000); err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+		if pos == before {
+			return nil
+		}
+	}
+}
+
+func lsns(es []Entry) []uint64 {
+	out := make([]uint64, len(es))
+	for i, e := range es {
+		out[i] = e.LSN
+	}
+	return out
+}
+
+// tailStore journals n records into one segment (so the cursor under test
+// sits n records deep in the file it reads) and returns the store.
+func tailStore(tb testing.TB, n int) *Store {
+	tb.Helper()
+	st, err := Open(tb.TempDir(), Options{SegmentMaxBytes: 1 << 30})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	appendN(tb, st, 0, n)
+	return st
+}
+
+func TestCursorNextCostIndependentOfLogSize(t *testing.T) {
+	// The point of the cursor: Next pays for the records it returns, not for
+	// the log behind them. Allocations are the measure that repeats exactly.
+	const runs = 5 // AllocsPerRun calls once more, to warm up
+	measure := func(n int) (caughtUp, batch float64) {
+		st := tailStore(t, n+100*(runs+1))
+		c := st.OpenCursor(uint64(n + 1))
+		defer c.Close()
+		batch = testing.AllocsPerRun(runs, func() {
+			if es, err := c.Next(100); err != nil || len(es) != 100 {
+				t.Fatalf("Next(100) %d records deep: %d records, err %v", n, len(es), err)
+			}
+		})
+		caughtUp = testing.AllocsPerRun(runs, func() {
+			if es, err := c.Next(100); err != nil || len(es) != 0 {
+				t.Fatalf("caught-up Next: %d records, err %v", len(es), err)
+			}
+		})
+		return caughtUp, batch
+	}
+	idleSmall, batchSmall := measure(1000)
+	idleLarge, batchLarge := measure(20000)
+	if idleSmall != 0 || idleLarge != 0 {
+		t.Errorf("caught-up Next allocates: %v at 1000 records, %v at 20000; want 0", idleSmall, idleLarge)
+	}
+	if batchSmall != batchLarge {
+		t.Errorf("Next(100) allocations grow with the log: %v at 1000 records, %v at 20000", batchSmall, batchLarge)
+	}
+}
+
+func TestCursorSkipsOversizedLine(t *testing.T) {
+	// A line past the recovery cap is corrupt whatever it holds. The cursor
+	// must get past it once it is terminated — and not before — without
+	// ever buffering more than the cap.
+	st := tailStore(t, 3)
+	c := st.OpenCursor(1)
+	defer c.Close()
+	if es, err := c.Next(10); err != nil || len(es) != 3 {
+		t.Fatalf("before the damage: %d records, err %v", len(es), err)
+	}
+	huge := make([]byte, maxWALLineBytes+4096)
+	for i := range huge {
+		huge[i] = 'x'
+	}
+	write := func(data []byte) {
+		t.Helper()
+		if err := scribble(st, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(huge)
+	if es, err := c.Next(10); err != nil || len(es) != 0 {
+		t.Fatalf("unterminated oversized tail: %d records, err %v; want to wait", len(es), err)
+	}
+	if len(c.buf) > maxWALLineBytes {
+		t.Fatalf("cursor buffered %d bytes of one line, cap %d", len(c.buf), maxWALLineBytes)
+	}
+	write([]byte("\n"))
+	appendN(t, st, 3, 2)
+	es, err := c.Next(10)
+	if err != nil || len(es) != 2 || es[0].LSN != 4 || es[1].LSN != 5 {
+		t.Fatalf("past the oversized line: %v, err %v; want LSNs 4 5", lsns(es), err)
+	}
+}
+
+// BenchmarkCursorTail is what a replica stream pays per look at the log,
+// 20 000 records into the active segment: nothing new, and one 100-sample
+// report's worth.
+func BenchmarkCursorTail(b *testing.B) {
+	const depth = 20000
+	b.Run("caught-up", func(b *testing.B) {
+		st := tailStore(b, depth)
+		c := st.OpenCursor(depth + 1)
+		defer c.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if es, err := c.Next(256); err != nil || len(es) != 0 {
+				b.Fatalf("%d records, err %v", len(es), err)
+			}
+		}
+	})
+	b.Run("next-100", func(b *testing.B) {
+		st := tailStore(b, depth+100)
+		c := st.OpenCursor(depth)
+		defer c.Close()
+		if es, err := c.Next(1); err != nil || len(es) != 1 {
+			b.Fatalf("positioning on the last 100: %d records, err %v", len(es), err)
+		}
+		// Every iteration re-reads the same 100 records: winding the
+		// position back by hand keeps the log, and the temp dir, from
+		// growing with b.N. Dropping the buffered bytes is sound — off is
+		// the file offset of the first unread byte either way.
+		off, next := c.off, c.next
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.off, c.next, c.r, c.w = off, next, 0, 0
+			if es, err := c.Next(100); err != nil || len(es) != 100 {
+				b.Fatalf("%d records, err %v", len(es), err)
+			}
+		}
+	})
 }

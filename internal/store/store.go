@@ -143,6 +143,7 @@ type Store struct {
 	mu       sync.Mutex
 	f        *os.File // active WAL segment
 	segFirst uint64   // first LSN of the active segment
+	segGen   uint64   // bumped when segments are deleted; open cursors then re-position
 	segSize  int64
 	nextLSN  uint64
 	unsynced int // records appended since the last fsync
@@ -391,7 +392,9 @@ func (st *Store) compactLocked() {
 		if segs[i+1].first <= covered+1 {
 			if err := os.Remove(segs[i].path); err != nil {
 				st.opts.Logf("store: compacting segment %s: %v", segs[i].path, err)
+				continue
 			}
+			st.segGen++
 		}
 	}
 }

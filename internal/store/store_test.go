@@ -25,7 +25,7 @@ func testSample(i int) trace.Sample {
 	}
 }
 
-func appendN(t *testing.T, st *Store, from, n int) {
+func appendN(t testing.TB, st *Store, from, n int) {
 	t.Helper()
 	for i := from; i < from+n; i++ {
 		if _, err := st.Append(testSample(i)); err != nil {

@@ -3,7 +3,7 @@
 # detector (the store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-baseline lint-sarif bench-lint build test race ci bench bench-e2e bench-ingest bench-gateway bench-sketch swarm-smoke failover-smoke fuzz loc
+.PHONY: all vet lint lint-stats lint-baseline lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc
 
 all: vet lint build test
 
@@ -67,15 +67,6 @@ bench:
 # BENCH_e2e.json is its ledger: a perf PR appends its parent and change rows.
 bench-e2e:
 	$(GO) run ./bench
-
-# Just the persistence-overhead trajectory (in-memory vs WAL ingest).
-bench-ingest:
-	$(GO) test -bench='BenchmarkIngest' -benchmem
-
-# Gateway routing overhead: the same swarm against a bare coordinator and
-# behind a single-shard gateway (compare the samples/s metric).
-bench-gateway:
-	$(GO) test -bench='BenchmarkSwarm' -benchmem -run='^$$' ./internal/cluster/
 
 # Sketch substrate: ingest/merge/quantile throughput plus the per-zone
 # resident-bytes curve (BenchmarkZoneStateFootprint reports bytes/zone —

@@ -487,43 +487,84 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}
 }
 
-// fanoutEstimate queries every shard and merges the found replies. Zone
-// IDs are shard-grid-relative, so two shards can both publish the queried
-// ID; when more than one does, their serialized window sketches are merged
-// (digest + moments — order-independent within the sketch's rank-error
-// tolerance) and the reply is synthesized from the merged distribution
-// instead of averaging point estimates. A reply without a usable sketch
-// falls back to the old rule: first found (registration order) wins.
-// Unavailable shards are skipped: a degraded region degrades its own
-// answers only.
-func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope {
-	var found []*wire.EstimateReply
+// fanout forwards req to every shard in registration order and hands each
+// reply of type want to use. Unavailable shards are skipped — a degraded
+// region degrades its own answers only — but the query fails closed when no
+// shard answered at all (every forward failed in transport or on an open
+// breaker): a dead cluster must not read as "no data here". A shard that
+// answered anything, a refusal included, is alive.
+func (g *Gateway) fanout(sess *session, req wire.Envelope, want wire.MsgType, use func(wire.Envelope)) error {
+	alive := false
+	var lastErr error
 	for _, sh := range g.reg.Shards() {
-		up, err := g.forward(sess, sh, req, wire.TypeEstimateReply)
-		if err == nil && up.EstimateReply.Found {
-			found = append(found, up.EstimateReply)
+		up, err := g.forward(sess, sh, req, want)
+		switch {
+		case err == nil:
+			alive = true
+			use(up)
+		case answered(err):
+			alive = true
+		default:
+			lastErr = fmt.Errorf("shard %s: %w", sh.Name(), err)
 		}
 	}
-	if len(found) == 0 {
-		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: &wire.EstimateReply{Found: false}}
+	if !alive {
+		return fmt.Errorf("all shards unavailable for %s: %w", req.Type, lastErr)
 	}
-	if len(found) == 1 {
-		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: found[0]}
+	return nil
+}
+
+// fanoutEstimate queries every shard and merges the found replies. Zone
+// IDs are shard-grid-relative, so two shards can both publish the queried
+// ID and no one shard owns it; when more than one does, their serialized
+// window sketches are merged (digest + moments — order-independent within
+// the sketch's rank-error tolerance) and the reply is synthesized from the
+// merged distribution instead of averaging point estimates. The sketches
+// travel only as far as that merge: the gateway asks its shards for them
+// exactly when it could have to merge (more than one shard) or the client
+// asked, and the client's reply carries one only if the client asked. A
+// found reply without a usable sketch falls back to the old rule — first
+// found (registration order) wins — which is a different statistic, so it
+// is counted and logged.
+func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope {
+	er := *req.EstimateRequest
+	asked := er.WithSketch
+	er.WithSketch = asked || len(g.reg.Shards()) > 1
+	req.EstimateRequest = &er
+	var found []*wire.EstimateReply
+	err := g.fanout(sess, req, wire.TypeEstimateReply, func(up wire.Envelope) {
+		if up.EstimateReply.Found {
+			found = append(found, up.EstimateReply)
+		}
+	})
+	if err != nil {
+		return wire.ErrorReply(err.Error())
 	}
-	merged := mergeEstimates(found)
-	if merged == nil {
-		// At least one reply lacked a decodable sketch; preserve the
-		// pre-sketch behavior rather than mixing incomparable summaries.
-		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: found[0]}
+	reply := &wire.EstimateReply{}
+	if len(found) > 0 {
+		reply = found[0]
 	}
-	g.met.estimateMerges.Inc()
-	return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: merged}
+	if len(found) > 1 {
+		if merged := mergeEstimates(found, asked); merged != nil {
+			g.met.estimateMerges.Inc()
+			reply = merged
+		} else {
+			g.met.mergeFallbacks.Inc()
+			g.opts.Logf("gateway: estimate %s/%s/%s: %d shards found it but not every reply carries a decodable sketch; serving the first (is a shard older than with_sketch?)",
+				er.Zone, er.Network, er.Metric, len(found))
+		}
+	}
+	if !asked {
+		reply.Sketch = nil
+	}
+	return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: reply}
 }
 
 // mergeEstimates folds multi-shard estimate replies into one via their
-// window sketches. Returns nil unless every reply carries a valid sketch.
-func mergeEstimates(found []*wire.EstimateReply) *wire.EstimateReply {
-	sketches := make([]*sketch.EpochSketch, 0, len(found))
+// window sketches, re-serializing the merged sketch only for a caller that
+// wants it. Returns nil unless every reply carries a valid sketch.
+func mergeEstimates(found []*wire.EstimateReply, withSketch bool) *wire.EstimateReply {
+	var acc *sketch.EpochSketch
 	for _, r := range found {
 		if len(r.Sketch) == 0 {
 			return nil
@@ -532,11 +573,11 @@ func mergeEstimates(found []*wire.EstimateReply) *wire.EstimateReply {
 		if err != nil {
 			return nil
 		}
-		sketches = append(sketches, es)
-	}
-	acc := sketches[0]
-	for _, es := range sketches[1:] {
-		acc.Merge(es)
+		if acc == nil {
+			acc = es
+		} else {
+			acc.Merge(es)
+		}
 	}
 	rec := core.Record{
 		Key:       found[0].Record.Key,
@@ -552,19 +593,22 @@ func mergeEstimates(found []*wire.EstimateReply) *wire.EstimateReply {
 			rec.UpdatedAt = r.Record.UpdatedAt
 		}
 	}
-	return &wire.EstimateReply{Found: true, Record: rec, Sketch: acc.MarshalBinary()}
+	merged := &wire.EstimateReply{Found: true, Record: rec}
+	if withSketch {
+		merged.Sketch = acc.MarshalBinary()
+	}
+	return merged
 }
 
 // fanoutZoneList merges every reachable shard's records into one reply,
 // ordered deterministically by (zone, network, metric).
 func (g *Gateway) fanoutZoneList(sess *session, req wire.Envelope) wire.Envelope {
 	var records []core.Record
-	for _, sh := range g.reg.Shards() {
-		up, err := g.forward(sess, sh, req, wire.TypeZoneListReply)
-		if err != nil {
-			continue
-		}
+	err := g.fanout(sess, req, wire.TypeZoneListReply, func(up wire.Envelope) {
 		records = append(records, up.ZoneListReply.Records...)
+	})
+	if err != nil {
+		return wire.ErrorReply(err.Error())
 	}
 	// Stable: two shards may publish the same zone ID, and those records
 	// stay in shard registration order.

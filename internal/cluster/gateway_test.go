@@ -339,6 +339,85 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	}
 }
 
+// TestGatewayQueriesFailClosedWhenNoShardAnswers: a fan-out query skips a
+// dead shard and answers from the live one, but with every shard down it
+// must say so — "not found" and an empty zone list are claims about the
+// data, and a dead cluster can make none. The error arrives on the same
+// connection, which stays open, whether the forwards fail in transport or
+// on an open breaker.
+func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
+	tc := startCluster(t, GatewayOptions{
+		FailureThreshold: 2, // first pass fails in transport, later ones on the open breaker
+		BreakCooldown:    time.Hour,
+		RecheckInterval:  -1,
+		RetryAttempts:    -1,
+		RequestTimeout:   2 * time.Second,
+	})
+	loc := geo.Madison().Center()
+	for i := 0; i < 3; i++ { // one epoch rolls, so the zone list has a record
+		tc.madCtrl.Ingest(trace.Sample{Time: start.Add(time.Duration(i) * time.Hour), Loc: loc, Network: radio.NetB,
+			Metric: trace.MetricUDPKbps, Value: 900, ClientID: "fail-closed"})
+	}
+	if n := len(tc.madCtrl.Records(radio.NetB, trace.MetricUDPKbps)); n == 0 {
+		t.Fatal("madison published no record; the zone-list half of this test needs one")
+	}
+
+	nc, err := net.Dial("tcp", tc.gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(20 * time.Second))
+	estimate := wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+		Zone: tc.madCtrl.ZoneOf(loc), Network: radio.NetB, Metric: trace.MetricUDPKbps,
+	}}
+	zoneList := wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
+		Network: radio.NetB, Metric: trace.MetricUDPKbps,
+	}}
+	answers := func(when string) {
+		t.Helper()
+		est, err := c.Call(estimate, wire.TypeEstimateReply)
+		if err != nil || !est.EstimateReply.Found {
+			t.Fatalf("estimate %s: %+v, %v; want madison's record", when, est.EstimateReply, err)
+		}
+		zl, err := c.Call(zoneList, wire.TypeZoneListReply)
+		if err != nil || len(zl.ZoneListReply.Records) == 0 {
+			t.Fatalf("zone list %s: %+v, %v; want madison's records", when, zl.ZoneListReply, err)
+		}
+	}
+	answers("with both shards up")
+
+	if err := tc.nj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	answers("with new-jersey down")
+	answers("with new-jersey's breaker open")
+
+	if err := tc.madison.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var refused *wire.ReplyError
+	for pass := 0; pass < 3; pass++ {
+		for _, q := range []struct {
+			req  wire.Envelope
+			want wire.MsgType
+		}{{estimate, wire.TypeEstimateReply}, {zoneList, wire.TypeZoneListReply}} {
+			_, err := c.Call(q.req, q.want)
+			if !errors.As(err, &refused) || !strings.Contains(err.Error(), "all shards unavailable") {
+				t.Fatalf("pass %d, %s with every shard down: %v; want an \"all shards unavailable\" error reply", pass, q.req.Type, err)
+			}
+		}
+	}
+	if n := tc.registry.HealthyCount(); n != 0 {
+		t.Fatalf("%d healthy shards after both died, want 0 (the last pass should have hit open breakers)", n)
+	}
+	// Still the same, open connection: the gateway answers a hello itself.
+	if _, err := c.Call(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: "fail-closed"}}, wire.TypeHelloAck); err != nil {
+		t.Fatalf("connection after the all-shards-down errors: %v", err)
+	}
+}
+
 // TestGatewayRejectsUnroutableAndMalformed covers the protocol edges: a
 // location outside every shard gets a non-fatal error; a malformed request
 // terminates the connection like the coordinator would.

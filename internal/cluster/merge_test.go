@@ -2,24 +2,68 @@ package cluster
 
 import (
 	"math"
+	"net"
+	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/agent"
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/sketch"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
+
+// askEstimate sends one estimate request over a fresh connection, with or
+// without with_sketch (agent.QueryEstimate, like every agent, never sets it).
+func askEstimate(t *testing.T, addr string, key core.Key, withSketch bool) *wire.EstimateReply {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	reply, err := c.Call(wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+		Zone: key.Zone, Network: key.Net, Metric: key.Metric, WithSketch: withSketch,
+	}}, wire.TypeEstimateReply)
+	if err != nil {
+		t.Fatalf("estimate %v (with_sketch=%v) via %s: %v", key, withSketch, addr, err)
+	}
+	return reply.EstimateReply
+}
+
+// startGateway fronts the given shards with a gateway that has no recheck
+// loop and reports into tel.
+func startGateway(t *testing.T, tel *telemetry.Registry, logf func(string, ...any), cfgs ...ShardConfig) *Gateway {
+	t.Helper()
+	reg, err := NewRegistry(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: -1, Telemetry: tel, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	return gw
+}
 
 // TestGatewayEstimateMergesShardSketches is the fan-out merge acceptance
 // test: the same seeded sample stream is split alternately across two
 // shards that both publish the queried (shard-grid-relative) zone ID, and
 // the gateway's merged answer must match a single-coordinator run on the
 // full stream — exactly for the moments (parallel Welford merge), within
-// rank-error tolerance for the quantiles.
+// rank-error tolerance for the quantiles. The merged sketch itself reaches
+// only a client that asks for it, so the test asks; the same key asked
+// without with_sketch must get the same record and no sketch.
 func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{})
 
@@ -58,10 +102,8 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 		at = at.Add(30 * time.Second)
 	}
 
-	est, err := agent.QueryEstimate(tc.gw.Addr(), zone, radio.NetB, trace.MetricUDPKbps)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	est := askEstimate(t, tc.gw.Addr(), key, true)
 	if !est.Found {
 		t.Fatal("merged estimate not found")
 	}
@@ -116,5 +158,199 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 
 	if got := tc.counter("wiscape_gateway_estimate_merges_total"); got != 1 {
 		t.Fatalf("estimate merge counter %v, want 1", got)
+	}
+
+	// Unasked, the merge still happens; only its output stops travelling.
+	plain := askEstimate(t, tc.gw.Addr(), key, false)
+	if len(plain.Sketch) != 0 {
+		t.Fatalf("reply to a request without with_sketch carries a %d-byte sketch", len(plain.Sketch))
+	}
+	if plain.Found != est.Found || !reflect.DeepEqual(plain.Record, est.Record) {
+		t.Fatalf("record differs by with_sketch:\n without %+v\n with    %+v", plain.Record, est.Record)
+	}
+	if got := tc.counter("wiscape_gateway_estimate_merges_total"); got != 2 {
+		t.Fatalf("estimate merge counter %v after two merged estimates, want 2", got)
+	}
+	if got := tc.counter("wiscape_gateway_estimate_merge_fallbacks_total"); got != 0 {
+		t.Fatalf("merge fallback counter %v, want 0", got)
+	}
+}
+
+// TestGatewaySketchOnlyOnRequest asks one key with and without with_sketch
+// through a one-shard gateway, where nothing is ever merged, and through a
+// two-shard gateway where only one shard knows the key (the single-found
+// path): the records are identical and a reply carries a sketch only when
+// its request asked.
+func TestGatewaySketchOnlyOnRequest(t *testing.T) {
+	shard, ctrl := startShard(t, geo.Madison(), "127.0.0.1:0")
+	empty, _ := startShard(t, geo.NewBrunswickArea(), "127.0.0.1:0")
+	loc := geo.Madison().Center()
+	r := rng.New(5)
+	for i := 0; i < 300; i++ {
+		ctrl.Ingest(trace.Sample{
+			Time: start.Add(time.Duration(i) * 30 * time.Second), Loc: loc, Network: radio.NetB,
+			Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(), ClientID: "sketch-test",
+		})
+	}
+	key := core.Key{Zone: ctrl.ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	want, ok := ctrl.Estimate(key)
+	if !ok {
+		t.Fatal("shard has no estimate for the ingested key")
+	}
+	madison := ShardConfig{Name: "madison", Addr: shard.Addr(), Box: geo.Madison()}
+	nj := ShardConfig{Name: "new-jersey", Addr: empty.Addr(), Box: geo.NewBrunswickArea()}
+	for name, cfgs := range map[string][]ShardConfig{
+		"one shard":             {madison},
+		"two shards, one found": {nj, madison},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tel := telemetry.NewRegistry()
+			gw := startGateway(t, tel, nil, cfgs...)
+			plain := askEstimate(t, gw.Addr(), key, false)
+			asked := askEstimate(t, gw.Addr(), key, true)
+			if !plain.Found || !asked.Found {
+				t.Fatalf("found: %v without with_sketch, %v with", plain.Found, asked.Found)
+			}
+			for which, got := range map[string]core.Record{"without": plain.Record, "with": asked.Record} {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("record %s with_sketch:\n got  %+v\n want %+v", which, got, want)
+				}
+			}
+			if len(plain.Sketch) != 0 {
+				t.Errorf("unasked reply carries a %d-byte sketch", len(plain.Sketch))
+			}
+			es, err := sketch.UnmarshalEpochSketch(asked.Sketch)
+			if err != nil {
+				t.Fatalf("asked-for sketch: %v", err)
+			}
+			if es.Count() != 300 {
+				t.Errorf("asked-for sketch holds %d samples, want the window's 300", es.Count())
+			}
+			if got := tel.Counter("wiscape_gateway_estimate_merges_total", "").With().Value(); got != 0 {
+				t.Errorf("estimate merge counter %v with one shard holding the key, want 0", got)
+			}
+		})
+	}
+}
+
+// estimateShard is a scripted shard: it answers every estimate request with
+// answer's reply and records whether the request asked for the sketch.
+type estimateShard struct {
+	mu    sync.Mutex
+	asked []bool
+}
+
+func startEstimateShard(t *testing.T, answer func(*wire.EstimateRequest) *wire.EstimateReply) (*estimateShard, string) {
+	t.Helper()
+	es := &estimateShard{}
+	lis, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+			if req.EstimateRequest == nil {
+				return wire.ErrorReply("estimates only"), true
+			}
+			es.mu.Lock()
+			es.asked = append(es.asked, req.EstimateRequest.WithSketch)
+			es.mu.Unlock()
+			return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: answer(req.EstimateRequest)}, false
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lis.Close() })
+	return es, lis.Addr()
+}
+
+func (es *estimateShard) drain() []bool {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	out := es.asked
+	es.asked = nil
+	return out
+}
+
+// TestGatewayAsksShardsForSketchOnlyToMerge pins who sets with_sketch: the
+// gateway asks its shards exactly when it could have to merge (more than one
+// registered) or its client asked.
+func TestGatewayAsksShardsForSketchOnlyToMerge(t *testing.T) {
+	found := func(*wire.EstimateRequest) *wire.EstimateReply {
+		return &wire.EstimateReply{Found: true, Record: core.Record{MeanValue: 1, Samples: 1}}
+	}
+	a, aAddr := startEstimateShard(t, found)
+	b, bAddr := startEstimateShard(t, found)
+	cfgA := ShardConfig{Name: "a", Addr: aAddr, Box: geo.Madison()}
+	cfgB := ShardConfig{Name: "b", Addr: bAddr, Box: geo.NewBrunswickArea()}
+	key := core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}
+
+	single := startGateway(t, nil, nil, cfgA)
+	askEstimate(t, single.Addr(), key, false)
+	askEstimate(t, single.Addr(), key, true)
+	if got := a.drain(); !reflect.DeepEqual(got, []bool{false, true}) {
+		t.Errorf("lone shard saw with_sketch %v, want [false true]: nothing to merge, so only the client's wish counts", got)
+	}
+
+	pair := startGateway(t, nil, nil, cfgA, cfgB)
+	askEstimate(t, pair.Addr(), key, false)
+	askEstimate(t, pair.Addr(), key, true)
+	for name, es := range map[string]*estimateShard{"a": a, "b": b} {
+		if got := es.drain(); !reflect.DeepEqual(got, []bool{true, true}) {
+			t.Errorf("shard %s of two saw with_sketch %v, want [true true]: the gateway may have to merge", name, got)
+		}
+	}
+}
+
+// TestGatewayCountsMergeFallback: two shards find the key but one reply has
+// no decodable sketch (a shard from before with_sketch behind a gateway that
+// did not ask, or a sketch version this gateway cannot read). The gateway
+// serves the first found reply — a different statistic than the merge — and
+// must say so: one count and one log line per estimate, and no merge count.
+func TestGatewayCountsMergeFallback(t *testing.T) {
+	good := sketch.NewEpochSketch(sketch.DefaultCompression)
+	for i := 0; i < 10; i++ {
+		good.Add(float64(i))
+	}
+	_, firstAddr := startEstimateShard(t, func(*wire.EstimateRequest) *wire.EstimateReply {
+		return &wire.EstimateReply{Found: true, Record: core.Record{MeanValue: 111, Samples: 10}, Sketch: good.MarshalBinary()}
+	})
+	for name, bad := range map[string][]byte{"missing": nil, "undecodable": []byte("not a sketch")} {
+		t.Run(name, func(t *testing.T) {
+			_, secondAddr := startEstimateShard(t, func(*wire.EstimateRequest) *wire.EstimateReply {
+				return &wire.EstimateReply{Found: true, Record: core.Record{MeanValue: 222, Samples: 10}, Sketch: bad}
+			})
+			tel := telemetry.NewRegistry()
+			var mu sync.Mutex
+			var logged []string
+			gw := startGateway(t, tel, func(format string, _ ...any) {
+				mu.Lock()
+				logged = append(logged, format)
+				mu.Unlock()
+			},
+				ShardConfig{Name: "first", Addr: firstAddr, Box: geo.Madison()},
+				ShardConfig{Name: "second", Addr: secondAddr, Box: geo.NewBrunswickArea()})
+			est := askEstimate(t, gw.Addr(), core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}, false)
+			if !est.Found || est.Record.MeanValue != 111 {
+				t.Fatalf("fallback reply %+v, want the first found shard's record (mean 111)", est)
+			}
+			if len(est.Sketch) != 0 {
+				t.Errorf("unasked fallback reply carries a %d-byte sketch", len(est.Sketch))
+			}
+			if got := tel.Counter("wiscape_gateway_estimate_merge_fallbacks_total", "").With().Value(); got != 1 {
+				t.Errorf("merge fallback counter %v, want 1", got)
+			}
+			if got := tel.Counter("wiscape_gateway_estimate_merges_total", "").With().Value(); got != 0 {
+				t.Errorf("merge counter %v on a fallback, want 0", got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			n := 0
+			for _, line := range logged {
+				if strings.Contains(line, "decodable sketch") {
+					n++
+				}
+			}
+			if n != 1 {
+				t.Errorf("%d fallback log lines in %q, want 1", n, logged)
+			}
+		})
 	}
 }

@@ -25,6 +25,7 @@ type gatewayMetrics struct {
 	unroutable     *telemetry.Counter // reports whose location no shard covers
 	droppedSmps    *telemetry.Counter // samples lost to unavailable shards
 	estimateMerges *telemetry.Counter // estimate fan-outs answered by sketch merge
+	mergeFallbacks *telemetry.Counter // ... by first-found-wins for want of a sketch
 	perShard       map[string]*shardMetrics
 
 	// serve is what the shared request loop (wire.ServeConn) updates; its
@@ -59,6 +60,8 @@ func newGatewayMetrics(reg *telemetry.Registry, shards []*Shard, healthyCount fu
 			"Samples lost because their shard was unavailable.").With(),
 		estimateMerges: reg.Counter("wiscape_gateway_estimate_merges_total",
 			"Estimate fan-outs answered by merging multiple shards' sketches.").With(),
+		mergeFallbacks: reg.Counter("wiscape_gateway_estimate_merge_fallbacks_total",
+			"Estimate fan-outs several shards found but answered with the first reply, a sketch being missing or undecodable.").With(),
 		perShard: make(map[string]*shardMetrics, len(shards)),
 		serve: wire.ServeMetrics{
 			Connections: reg.Counter("wiscape_gateway_connections_total",

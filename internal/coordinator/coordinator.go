@@ -488,9 +488,9 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 		key := core.Key{Zone: er.Zone, Net: er.Network, Metric: er.Metric}
 		rec, ok := s.Controller().Estimate(key)
 		reply := &wire.EstimateReply{Found: ok, Record: rec}
-		if ok {
-			// Attach the window sketch so gateways can merge per-shard
-			// distributions instead of averaging point estimates.
+		if ok && er.WithSketch {
+			// The asker merges or inspects the distribution (a gateway in
+			// front of several shards); nobody else pays for the sketch.
 			reply.Sketch, _ = s.Controller().SketchFor(key)
 		}
 		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: reply}, false

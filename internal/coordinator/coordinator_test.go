@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/sketch"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -115,6 +117,59 @@ func TestSampleIngestion(t *testing.T) {
 	}
 	if !er.EstimateReply.Found || er.EstimateReply.Record.MeanValue != 900 {
 		t.Fatalf("estimate %+v", er.EstimateReply)
+	}
+}
+
+// TestEstimateSketchOnlyOnRequest: a bare coordinator attaches the window
+// sketch to an estimate reply only when the request set with_sketch; the
+// record is the same either way.
+func TestEstimateSketchOnlyOnRequest(t *testing.T) {
+	s := newServer(t, Options{Seed: seed})
+	ctrl := s.Controller()
+	loc := geo.Madison().Center()
+	r := rng.New(seed)
+	for i := 0; i < 200; i++ {
+		ctrl.Ingest(trace.Sample{
+			Time: start.Add(time.Duration(i) * time.Minute), Loc: loc,
+			Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(),
+		})
+	}
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	ask := func(zone geo.ZoneID, withSketch bool) *wire.EstimateReply {
+		t.Helper()
+		reply, err := c.Call(wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+			Zone: zone, Network: radio.NetB, Metric: trace.MetricUDPKbps, WithSketch: withSketch,
+		}}, wire.TypeEstimateReply)
+		if err != nil {
+			t.Fatalf("estimate (with_sketch=%v): %v", withSketch, err)
+		}
+		return reply.EstimateReply
+	}
+	zone := ctrl.ZoneOf(loc)
+	plain, asked := ask(zone, false), ask(zone, true)
+	if !plain.Found || !asked.Found || !reflect.DeepEqual(plain.Record, asked.Record) {
+		t.Fatalf("replies differ beyond the sketch:\n without %+v\n with    %+v", plain, asked)
+	}
+	if len(plain.Sketch) != 0 {
+		t.Fatalf("unasked reply carries a %d-byte sketch", len(plain.Sketch))
+	}
+	es, err := sketch.UnmarshalEpochSketch(asked.Sketch)
+	if err != nil {
+		t.Fatalf("asked-for sketch: %v", err)
+	}
+	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	for _, q := range []float64{0.1, 0.5, 0.9} {
+		if want, _ := ctrl.WindowQuantile(key, q); es.Quantile(q) != want {
+			t.Errorf("shipped sketch q%.1f = %v, the controller's window says %v", q, es.Quantile(q), want)
+		}
+	}
+	if miss := ask(geo.ZoneID{X: 99, Y: 99}, true); miss.Found || len(miss.Sketch) != 0 {
+		t.Fatalf("unknown zone asked with a sketch: %+v, want a bare not-found", miss)
 	}
 }
 

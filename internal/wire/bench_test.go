@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -69,18 +68,9 @@ func benchReport(n int) Envelope {
 	}}
 }
 
-// frameSize returns the framed length of one envelope.
-func frameSize(b *testing.B, e Envelope) int64 {
-	var buf bytes.Buffer
-	if err := NewConn(byteConn{w: &buf}).Send(e); err != nil {
-		b.Fatal(err)
-	}
-	return int64(buf.Len())
-}
-
 func benchmarkEncode(b *testing.B, nSamples int, m *Metrics) {
 	e := benchReport(nSamples)
-	b.SetBytes(frameSize(b, e))
+	b.SetBytes(int64(len(encodeFrames(b, e))))
 	c := NewConn(byteConn{w: io.Discard}).Instrument(m)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -107,12 +97,9 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func benchmarkDecode(b *testing.B, nSamples int, m *Metrics) {
-	var buf bytes.Buffer
-	if err := NewConn(byteConn{w: &buf}).Send(benchReport(nSamples)); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	c := NewConn(byteConn{r: &repeatReader{data: buf.Bytes()}}).Instrument(m)
+	frame := encodeFrames(b, benchReport(nSamples))
+	b.SetBytes(int64(len(frame)))
+	c := NewConn(byteConn{r: &repeatReader{data: frame}}).Instrument(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

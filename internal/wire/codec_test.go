@@ -1,0 +1,204 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/radio"
+	"repro/internal/rng"
+	"repro/internal/trace"
+)
+
+// encodeFrames returns the envelopes framed back to back, as one peer's
+// Sends would put them on the stream.
+func encodeFrames(t testing.TB, envs ...Envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := NewConn(byteConn{w: &buf})
+	for _, e := range envs {
+		if err := c.Send(e); err != nil {
+			t.Fatalf("send %s: %v", e.Type, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// errorFrameOf returns an error envelope whose frame, '\n' included, is
+// exactly size bytes.
+func errorFrameOf(t testing.TB, size int) Envelope {
+	t.Helper()
+	overhead := len(encodeFrames(t, ErrorReply("")))
+	e := ErrorReply(strings.Repeat("x", size-overhead))
+	if got := len(encodeFrames(t, e)); got != size {
+		t.Fatalf("built a %d-byte frame, want %d", got, size)
+	}
+	return e
+}
+
+// zoneListOf returns a zone-list reply of n distinct records.
+func zoneListOf(n int) Envelope {
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{
+			Key:       core.Key{Zone: geo.ZoneID{X: int32(i), Y: int32(-i)}, Net: radio.NetB, Metric: trace.MetricUDPKbps},
+			MeanValue: 900 + float64(i), StdDev: 12.5, Samples: int64(100 + i),
+			P50: 899, P90: 950, P99: 990,
+			UpdatedAt: time.Date(2010, 9, 6, 9, 0, i%60, 0, time.UTC),
+		}
+	}
+	return Envelope{Type: TypeZoneListReply, ZoneListReply: &ZoneListReply{Records: recs}}
+}
+
+// TestRecvDoesNotAliasReadBuffer: Recv decodes a short line in place, from
+// bytes the next read overwrites, so nothing in a decoded envelope may point
+// into them. Frames of every payload shape (strings, samples, a []byte
+// sketch) and of both kinds — shorter than the reader buffer and longer —
+// are laid back to back over several buffer refills, all are received, and
+// only then is each compared with what was sent.
+func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
+	r := rng.New(21)
+	var sent []Envelope
+	for i := 0; i < 30; i++ {
+		sketch := make([]byte, 1700)
+		for j := range sketch {
+			sketch[j] = byte(r.Intn(256))
+		}
+		report := benchReport(32)
+		for j := range report.SampleReport.Samples {
+			s := &report.SampleReport.Samples[j]
+			s.ClientID = fmt.Sprintf("client-%d-%d", i, j)
+			s.Value = r.Float64()
+		}
+		sent = append(sent,
+			Envelope{Type: TypeHello, Via: &Via{Gateway: fmt.Sprintf("gw-%d", i), Shard: "madison"},
+				Hello: &Hello{ClientID: fmt.Sprintf("hello-%d", i), DeviceClass: "laptop-usb-modem"}},
+			report,
+			Envelope{Type: TypeEstimateReply, EstimateReply: &EstimateReply{Found: true, Sketch: sketch,
+				Record: core.Record{Key: core.Key{Net: radio.NetB, Metric: trace.MetricRTTMs}, MeanValue: float64(i)}}},
+			ErrorReply(strings.Repeat(string(rune('a'+i%26)), 1+r.Intn(300))),
+		)
+		if i%10 == 9 {
+			sent = append(sent, zoneListOf(600)) // > 64 KiB: the copied path, between borrowed ones
+		}
+	}
+	stream := encodeFrames(t, sent...)
+	if len(stream) < 4*connBufBytes {
+		t.Fatalf("stream is %d bytes; it must span several %d-byte buffer refills", len(stream), connBufBytes)
+	}
+	c := NewConn(byteConn{r: bytes.NewReader(stream)})
+	got := make([]Envelope, len(sent))
+	for i := range got {
+		var err error
+		if got[i], err = c.Recv(); err != nil {
+			t.Fatalf("recv %d (%s): %v", i, sent[i].Type, err)
+		}
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+	for i := range sent {
+		if !reflect.DeepEqual(got[i], sent[i]) {
+			t.Fatalf("envelope %d (%s) changed after later Recvs ran:\n got  %+v\n sent %+v", i, sent[i].Type, got[i], sent[i])
+		}
+	}
+}
+
+// TestRecvAtReadBufferBoundary walks a frame's size across the reader
+// buffer's, where Recv switches from decoding in place to copying the line
+// out, alone and behind a short frame that shifts it across a refill.
+func TestRecvAtReadBufferBoundary(t *testing.T) {
+	short := Envelope{Type: TypeHello, Hello: &Hello{ClientID: "c1"}}
+	for _, size := range []int{connBufBytes - 1, connBufBytes, connBufBytes + 1} {
+		big := errorFrameOf(t, size)
+		for name, envs := range map[string][]Envelope{
+			"alone":          {big, short},
+			"behind a frame": {short, big, short, big},
+		} {
+			t.Run(fmt.Sprintf("%d bytes %s", size, name), func(t *testing.T) {
+				c := NewConn(byteConn{r: bytes.NewReader(encodeFrames(t, envs...))})
+				for i, want := range envs {
+					got, err := c.Recv()
+					if err != nil {
+						t.Fatalf("frame %d: %v", i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("frame %d: type %s with %d payload bytes, want %s", i, got.Type, len(got.Error.Message), want.Type)
+					}
+				}
+			})
+		}
+	}
+
+	list := zoneListOf(600)
+	frame := encodeFrames(t, list)
+	if len(frame) <= connBufBytes {
+		t.Fatalf("zone list frame is %d bytes, want more than the %d-byte buffer", len(frame), connBufBytes)
+	}
+	got, err := NewConn(byteConn{r: bytes.NewReader(frame)}).Recv()
+	if err != nil || !reflect.DeepEqual(got, list) {
+		t.Fatalf("%d-byte zone list did not round-trip: err %v", len(frame), err)
+	}
+}
+
+// bytesPerOp is the heap allocated by one call of f, averaged over runs
+// calls after one to warm up.
+func bytesPerOp(runs int, f func()) int {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// TestCodecCopiesNoFrame guards what the codec is allowed to cost beyond
+// encoding/json itself: Send may not allocate the frame (it encodes into a
+// pooled buffer; what is left is time.Time.MarshalJSON's scratch), and Recv
+// may not copy the line before decoding it (a frame shorter than the reader
+// buffer is decoded in place). Bytes allocated repeat; times do not.
+func TestCodecCopiesNoFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under the race detector")
+	}
+	e := benchReport(32)
+	frame := encodeFrames(t, e)
+	const runs = 200
+
+	send := NewConn(byteConn{w: io.Discard})
+	perSend := bytesPerOp(runs, func() {
+		if err := send.Send(e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perSend >= len(frame)/2 {
+		t.Errorf("Send of a %d-byte frame allocates %d B/op, want under half the frame: it should encode into a pooled buffer", len(frame), perSend)
+	}
+
+	recv := NewConn(byteConn{r: &repeatReader{data: frame}})
+	perRecv := bytesPerOp(runs, func() {
+		if _, err := recv.Recv(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	line := frame[:len(frame)-1]
+	perUnmarshal := bytesPerOp(runs, func() {
+		var e Envelope
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecv-perUnmarshal >= len(frame)/2 {
+		t.Errorf("Recv of a %d-byte frame allocates %d B/op, json.Unmarshal of its line alone %d: Recv should not copy the line", len(frame), perRecv, perUnmarshal)
+	}
+}

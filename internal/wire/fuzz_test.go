@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +16,16 @@ import (
 // framing + decoding path Recv uses in production (readLineLimited, the
 // size cap, JSON decoding, the missing-type check) without a socket.
 func fuzzConn(data []byte) *Conn {
-	return &Conn{br: bufio.NewReaderSize(bytes.NewReader(data), 64<<10)}
+	return &Conn{br: bufio.NewReaderSize(bytes.NewReader(data), connBufBytes)}
 }
 
 // FuzzDecode throws arbitrary byte streams at the JSON-line decoder. The
 // invariants: Recv never panics, a nil-error result always carries a
 // non-empty message type, truncated/garbage/oversized input surfaces as an
-// error, and the reader always terminates (the stream is finite).
+// error, the reader always terminates (the stream is finite), and — once the
+// whole stream has been read — every envelope still equals a decode of its
+// own line's copy: Recv decodes short lines in place, and nothing it returns
+// may alias bytes a later read overwrites.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: every message type round-tripped through the real
 	// encoder, plus hand-picked malformed frames.
@@ -55,10 +60,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("\xff\xfe{\"type\":\"hello\"}\n"))
 	f.Add([]byte(`{"type":"hello"}` + "\n" + `{"type":"error","error":{"message":"x"}}` + "\n"))
 	f.Add([]byte(`{"type":"` + strings.Repeat("a", 1<<16) + `"}` + "\n"))
+	// Both line paths in one stream: a frame longer than the reader buffer
+	// (copied out chunk by chunk) between two it holds whole (decoded in
+	// place), and one that nearly fills the buffer before a short one, which
+	// so straddles the refill.
+	short := encodeFrames(f, Envelope{Type: TypeEstimateReply, EstimateReply: &EstimateReply{Found: true, Sketch: []byte("sketch bytes")}})
+	long := encodeFrames(f, zoneListOf(600))
+	f.Add(slices.Concat(short, long, short))
+	f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, connBufBytes-10)), short))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzConn(data)
-		for i := 0; ; i++ {
+		var got []Envelope
+		for {
 			e, err := c.Recv()
 			if err != nil {
 				// Any error is acceptable; a panic is not. The size cap
@@ -67,13 +81,20 @@ func FuzzDecode(f *testing.F) {
 				if errors.Is(err, ErrMessageTooLarge) && len(data) <= MaxMessageBytes {
 					t.Fatalf("size-cap error on %d-byte input under the %d cap", len(data), MaxMessageBytes)
 				}
-				return
+				break
 			}
 			if e.Type == "" {
 				t.Fatal("Recv returned nil error with an empty message type")
 			}
-			if i > len(data) {
+			if got = append(got, e); len(got) > len(data) {
 				t.Fatal("decoder yielded more messages than input bytes")
+			}
+		}
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		for i, e := range got {
+			var want Envelope
+			if err := json.Unmarshal(bytes.Clone(lines[i]), &want); err != nil || !reflect.DeepEqual(e, want) {
+				t.Fatalf("envelope %d differs from a decode of its own line after the stream was read (err %v):\n got  %+v\n want %+v", i, err, e, want)
 			}
 		}
 	})

@@ -16,10 +16,12 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -107,18 +109,22 @@ type SampleAck struct {
 	Accepted int `json:"accepted"`
 }
 
-// EstimateRequest asks for a zone's published record.
+// EstimateRequest asks for a zone's published record. WithSketch also asks
+// for the window sketch behind it: a mergeable summary travels only to a
+// peer that will merge or inspect it, so the gateway sets it toward its
+// shards when it may have to merge and agents leave it unset.
 type EstimateRequest struct {
-	Zone    geo.ZoneID      `json:"zone"`
-	Network radio.NetworkID `json:"network"`
-	Metric  trace.Metric    `json:"metric"`
+	Zone       geo.ZoneID      `json:"zone"`
+	Network    radio.NetworkID `json:"network"`
+	Metric     trace.Metric    `json:"metric"`
+	WithSketch bool            `json:"with_sketch,omitempty"`
 }
 
-// EstimateReply returns the record, if any. Sketch optionally carries the
-// zone's serialized trailing-window sketch (internal/sketch binary form,
-// base64 in JSON): the cluster gateway merges these digests across shards
-// instead of averaging point estimates, so fan-out queries preserve the
-// full distribution.
+// EstimateReply returns the record, if any. Sketch is set only when the
+// request had WithSketch: the zone's serialized trailing-window sketch
+// (internal/sketch binary form, base64 in JSON). The cluster gateway merges
+// these digests across shards instead of averaging point estimates, so
+// fan-out queries preserve the full distribution.
 type EstimateReply struct {
 	Found  bool        `json:"found"`
 	Record core.Record `json:"record"`
@@ -260,12 +266,17 @@ type Conn struct {
 	m  *Metrics
 }
 
+// connBufBytes sizes a Conn's reader and writer. A line shorter than this is
+// decoded in place (see readLineLimited), and an encode buffer that grew past
+// it is not pooled.
+const connBufBytes = 64 << 10
+
 // NewConn wraps a transport connection.
 func NewConn(nc net.Conn) *Conn {
 	return &Conn{
 		nc: nc,
-		br: bufio.NewReaderSize(nc, 64<<10),
-		bw: bufio.NewWriterSize(nc, 64<<10),
+		br: bufio.NewReaderSize(nc, connBufBytes),
+		bw: bufio.NewWriterSize(nc, connBufBytes),
 	}
 }
 
@@ -276,26 +287,36 @@ func (c *Conn) Instrument(m *Metrics) *Conn {
 	return c
 }
 
-// Send writes one envelope.
+// sendBufs holds the buffers Send encodes into. They are pooled, not kept
+// per Conn, so an idle connection pins no encode buffer.
+var sendBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// Send writes one envelope. The frame is encoded whole before any of it
+// reaches the transport, so an oversized one is refused with nothing sent.
 func (c *Conn) Send(e Envelope) error {
-	data, err := json.Marshal(e)
-	if err != nil {
+	buf := sendBufs.Get().(*bytes.Buffer)
+	defer func() {
+		// One huge report must not keep its buffer alive in the pool.
+		if buf.Cap() <= connBufBytes {
+			buf.Reset()
+			sendBufs.Put(buf)
+		}
+	}()
+	// Encode writes exactly json.Marshal's bytes plus the frame's '\n'.
+	if err := json.NewEncoder(buf).Encode(&e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
-	if len(data) > MaxMessageBytes {
+	if buf.Len()-1 > MaxMessageBytes {
 		c.m.oversized()
 		return ErrMessageTooLarge
 	}
-	if _, err := c.bw.Write(data); err != nil {
+	if _, err := c.bw.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("wire: writing %s: %w", e.Type, err)
-	}
-	if err := c.bw.WriteByte('\n'); err != nil {
-		return fmt.Errorf("wire: writing frame end: %w", err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	c.m.encoded(len(data) + 1)
+	c.m.encoded(buf.Len())
 	return nil
 }
 
@@ -309,6 +330,10 @@ func (c *Conn) Recv() (Envelope, error) {
 		}
 		return e, err
 	}
+	// line may alias the read buffer. The envelope must not: encoding/json
+	// copies every string and []byte it decodes, and no envelope type has a
+	// custom unmarshaler or a json.RawMessage field — one added later must
+	// copy what it keeps.
 	if err := json.Unmarshal(line, &e); err != nil {
 		return e, fmt.Errorf("wire: decoding message: %w", err)
 	}
@@ -319,12 +344,18 @@ func (c *Conn) Recv() (Envelope, error) {
 	return e, nil
 }
 
-// readLineLimited reads one \n-terminated line of at most limit bytes.
+// readLineLimited reads one \n-terminated line of at most limit bytes. A
+// line that fits br's buffer comes back as a view into it, valid until the
+// next read from br; only a longer one is copied out, chunk by chunk.
 func readLineLimited(br *bufio.Reader, limit int) ([]byte, error) {
 	var buf []byte
 	for {
 		chunk, err := br.ReadSlice('\n')
-		buf = append(buf, chunk...)
+		if buf == nil && err == nil {
+			buf = chunk
+		} else {
+			buf = append(buf, chunk...)
+		}
 		if len(buf) > limit {
 			return nil, ErrMessageTooLarge
 		}

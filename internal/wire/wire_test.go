@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -145,12 +147,25 @@ func TestOversizedMessageRejected(t *testing.T) {
 	}
 }
 
+// TestSendOversizedRejected: the frame is sized before any of it is written,
+// so a refused Send leaves the stream clean for the next one.
 func TestSendOversizedRejected(t *testing.T) {
-	client, _ := pipePair()
-	defer client.Close()
-	err := client.Send(Envelope{Type: TypeError, Error: &ErrorMsg{Message: strings.Repeat("y", MaxMessageBytes)}})
+	var out bytes.Buffer
+	c := NewConn(byteConn{w: &out})
+	err := c.Send(ErrorReply(strings.Repeat("y", MaxMessageBytes)))
 	if !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("want ErrMessageTooLarge, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused Send wrote %d bytes to the transport", out.Len())
+	}
+	want := Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: 7}}
+	if err := c.Send(want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewConn(byteConn{r: &out}).Recv()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame after a refused Send: %+v, %v", got, err)
 	}
 }
 

@@ -1,0 +1,278 @@
+package coordinator
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/radio"
+	"repro/internal/rng"
+	"repro/internal/wire"
+)
+
+// fullScan is the scheduler's client bookkeeping as it was before the
+// per-zone member lists: one record per client id, kept for ever, and a walk
+// over all of them on every zone report. It is the oracle the active set is
+// held to.
+type fullScan struct {
+	horizon time.Duration
+	clients map[string]*scanClient
+
+	// What the oracle never needed but the comparison does: the newest
+	// report time so far, and its value when each id last said anything.
+	newest time.Time
+	heard  map[string]time.Time
+}
+
+type scanClient struct {
+	zone    geo.ZoneID
+	seen    time.Time
+	hasZone bool
+}
+
+func newFullScan(horizon time.Duration) *fullScan {
+	return &fullScan{horizon: horizon, clients: map[string]*scanClient{}, heard: map[string]time.Time{}}
+}
+
+func (o *fullScan) hello(id string) {
+	o.clients[id] = &scanClient{}
+	o.heard[id] = o.newest
+}
+
+func (o *fullScan) report(zr *wire.ZoneReport) (active int) {
+	st, ok := o.clients[zr.ClientID]
+	if !ok {
+		st = &scanClient{}
+		o.clients[zr.ClientID] = st
+	}
+	st.zone, st.seen, st.hasZone = zr.Zone, zr.At, true
+	for _, other := range o.clients {
+		if other.hasZone && other.zone == zr.Zone && zr.At.Sub(other.seen) < o.horizon {
+			active++
+		}
+	}
+	if zr.At.After(o.newest) {
+		o.newest = zr.At
+	}
+	o.heard[zr.ClientID] = o.newest
+	return active
+}
+
+// heardWithinHorizon counts the ids last heard from less than a horizon
+// before the newest report.
+func (o *fullScan) heardWithinHorizon() int {
+	n := 0
+	for _, at := range o.heard {
+		if o.newest.Sub(at) < o.horizon {
+			n++
+		}
+	}
+	return n
+}
+
+// checkActiveSet verifies the three views of the registry agree: every
+// record is in the expiry order exactly once, and the zone lists hold
+// exactly the records that say they are in that zone — a record replaced or
+// dropped while still listed would be an orphan counted for ever.
+func checkActiveSet(t *testing.T, s *Server) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.byHeard.Len() != len(s.clients) {
+		t.Fatalf("expiry order holds %d records, registry %d", s.byHeard.Len(), len(s.clients))
+	}
+	var prev time.Time
+	for e := s.byHeard.Front(); e != nil; e = e.Next() {
+		st := e.Value.(*clientState)
+		if s.clients[st.id] != st || st.elem != e {
+			t.Fatalf("expiry order holds a record of %q the registry does not", st.id)
+		}
+		if st.heard.Before(prev) {
+			t.Fatalf("expiry order not oldest-first at %q", st.id)
+		}
+		prev = st.heard
+	}
+	listed := 0
+	for zone, members := range s.zones {
+		if len(members) == 0 {
+			t.Fatalf("zone %v keeps an empty member list", zone)
+		}
+		for _, m := range members {
+			if s.clients[m.id] != m || !m.hasZone || m.lastZone != zone {
+				t.Fatalf("zone %v lists %q, whose record says hasZone=%v zone=%v (registered: %v)",
+					zone, m.id, m.hasZone, m.lastZone, s.clients[m.id] == m)
+			}
+			listed++
+		}
+	}
+	inZone := 0
+	for _, st := range s.clients {
+		if st.hasZone {
+			inZone++
+		}
+	}
+	if listed != inZone {
+		t.Fatalf("zone lists hold %d records, %d records say they are in a zone", listed, inZone)
+	}
+}
+
+// scheduleServer returns a server for one schedule. Two built from the
+// same seed draw the same task lists from the same active counts; the
+// default budget is small, so the task probability is below 1 and moves
+// with the count.
+func scheduleServer(t *testing.T, seed uint64) *Server {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.DefaultSamplesPerEpoch = 4
+	s, err := Serve(core.NewController(cfg, geo.Madison().Center()), "127.0.0.1:0", Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s
+}
+
+// scheduleOp is one step of a seeded schedule: a hello (of a new id or one
+// that already has a record) or a zone report.
+type scheduleOp struct {
+	hello bool
+	zr    wire.ZoneReport
+}
+
+// schedule draws a client population's life: a few zones, clients that move
+// between them, some that report constantly and some that fall silent for
+// longer than the horizon, hellos before, between and instead of reports,
+// repeated timestamps, and now and then a gap that outlasts everyone. at()
+// turns the schedule's clock into a report's At.
+func schedule(r *rng.Rand, horizon time.Duration, at func(clock time.Time) time.Time) []scheduleOp {
+	nClients, nZones := 6+r.Intn(30), 1+r.Intn(5)
+	zoneOf := make([]geo.ZoneID, nClients)
+	for i := range zoneOf {
+		zoneOf[i] = geo.ZoneID{X: int32(r.Intn(nZones))}
+	}
+	clock := start
+	ops := make([]scheduleOp, 150+r.Intn(150))
+	for i := range ops {
+		switch p := r.Float64(); {
+		case p < 0.15: // same instant as the last op
+		case p < 0.97:
+			clock = clock.Add(time.Duration(r.Range(0, float64(horizon)/8)))
+		default:
+			clock = clock.Add(horizon + time.Duration(r.Range(0, float64(horizon))))
+		}
+		// Squaring skews the draw: low ids report all the time, high ids
+		// rarely enough to age out between reports.
+		u := r.Float64()
+		c := int(u * u * float64(nClients))
+		id := fmt.Sprintf("c%02d", c)
+		if r.Bool(0.1) {
+			ops[i] = scheduleOp{hello: true, zr: wire.ZoneReport{ClientID: id}}
+			continue
+		}
+		if r.Bool(0.2) {
+			zoneOf[c] = geo.ZoneID{X: int32(r.Intn(nZones))}
+		}
+		zr := wire.ZoneReport{ClientID: id, Zone: zoneOf[c], At: at(clock)}
+		if r.Bool(0.3) {
+			zr.Networks = []radio.NetworkID{radio.AllNetworks[r.Intn(len(radio.AllNetworks))]}
+		}
+		ops[i] = scheduleOp{zr: zr}
+	}
+	return ops
+}
+
+func sayHello(s *Server, id string) {
+	s.dispatch(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: id, DeviceClass: "laptop"}})
+}
+
+// TestAssignTasksMatchesFullScan drives the per-zone active set and the
+// whole-map scan it replaced through the same seeded schedules. With report
+// times that never run backwards the two must agree on every report's
+// active count, hence — same seed, same draws — on every task list; and
+// when the schedule ends the server must hold exactly the clients heard
+// from within the last horizon, where the scan held every id it ever saw.
+func TestAssignTasksMatchesFullScan(t *testing.T) {
+	const schedules = 200
+	seeds := rng.New(seed)
+	for n := 0; n < schedules; n++ {
+		sd := seeds.Uint64()
+		// The second server only draws task lists, from the oracle's counts.
+		real, drawer := scheduleServer(t, sd), scheduleServer(t, sd)
+		horizon := real.activeHorizon()
+		oracle := newFullScan(horizon)
+		reports, expired := 0, false
+		for i, op := range schedule(rng.New(sd), horizon, func(clock time.Time) time.Time { return clock }) {
+			if op.hello {
+				sayHello(real, op.zr.ClientID)
+				oracle.hello(op.zr.ClientID)
+				continue
+			}
+			got, want := real.noteReport(&op.zr), oracle.report(&op.zr)
+			if got != want {
+				t.Fatalf("schedule %d (seed %d) op %d: %s in zone %v at %v: active %d, full scan %d",
+					n, sd, i, op.zr.ClientID, op.zr.Zone, op.zr.At.Sub(start), got, want)
+			}
+			gotTasks, wantTasks := real.drawTasks(&op.zr, got), drawer.drawTasks(&op.zr, want)
+			if !reflect.DeepEqual(gotTasks, wantTasks) {
+				t.Fatalf("schedule %d (seed %d) op %d: tasks %v, full scan %v", n, sd, i, gotTasks, wantTasks)
+			}
+			reports++
+			expired = expired || real.ClientCount() < len(oracle.clients)
+			if i%40 == 0 {
+				checkActiveSet(t, real)
+			}
+		}
+		checkActiveSet(t, real)
+		if got, want := real.ClientCount(), oracle.heardWithinHorizon(); got != want {
+			t.Fatalf("schedule %d (seed %d): %d records kept after %d reports, %d clients were heard from within the last horizon (the scan kept %d)",
+				n, sd, got, reports, want, len(oracle.clients))
+		}
+		if !expired {
+			t.Fatalf("schedule %d (seed %d): no record ever expired; the schedule exercises nothing", n, sd)
+		}
+	}
+}
+
+// TestActiveCountNeverExceedsFullScanUnderSkew: client clocks disagree by
+// more than the horizon in both directions, so report times run backwards
+// and forwards. A record the server has dropped may be one a late-stamped
+// report would still have counted, so the count may fall short of the
+// scan's — the scheduler then asks for more samples, not fewer — but it is
+// the same rule over a subset of the same records and must never exceed it.
+func TestActiveCountNeverExceedsFullScanUnderSkew(t *testing.T) {
+	seeds := rng.New(seed + 1)
+	short := 0
+	for n := 0; n < 20; n++ {
+		sd := seeds.Uint64()
+		real := scheduleServer(t, sd)
+		horizon := real.activeHorizon()
+		oracle := newFullScan(horizon)
+		skew := rng.New(sd + 1)
+		for i, op := range schedule(rng.New(sd), horizon, func(clock time.Time) time.Time {
+			return clock.Add(time.Duration(skew.Range(-2, 2) * float64(horizon)))
+		}) {
+			if op.hello {
+				sayHello(real, op.zr.ClientID)
+				oracle.hello(op.zr.ClientID)
+				continue
+			}
+			got, want := real.noteReport(&op.zr), oracle.report(&op.zr)
+			if got > want || got < 1 {
+				t.Fatalf("schedule %d (seed %d) op %d: active %d, full scan %d", n, sd, i, got, want)
+			}
+			if got < want {
+				short++
+			}
+		}
+		checkActiveSet(t, real)
+		if got, most := real.ClientCount(), len(oracle.clients); got > most {
+			t.Fatalf("schedule %d: %d records kept, only %d ids ever seen", n, got, most)
+		}
+	}
+	if short == 0 {
+		t.Fatal("the skewed schedules never separated the two counts; they exercise nothing")
+	}
+}

@@ -6,6 +6,7 @@
 package coordinator
 
 import (
+	"container/list"
 	"errors"
 	"fmt"
 	"log"
@@ -145,13 +146,20 @@ func (o *Options) fill() {
 	}
 }
 
-// clientState is the registry entry for one connected client.
+// clientState is the registry entry for one client the server has heard
+// from within the activity horizon.
 type clientState struct {
 	id       string
 	device   string
-	lastZone geo.ZoneID
-	lastSeen time.Time
+	lastZone geo.ZoneID // with hasZone: the zone whose member list holds it
+	lastSeen time.Time  // At of its last zone report
 	hasZone  bool
+
+	// heard is Server.newest as of the client's last hello or zone report:
+	// a record ages on the server's clock, not the client's, so Server.byHeard
+	// stays ordered however skewed a reported At is. elem is its place there.
+	heard time.Time
+	elem  *list.Element
 }
 
 // Server is a running coordinator.
@@ -170,6 +178,14 @@ type Server struct {
 
 	mu      sync.Mutex
 	clients map[string]*clientState
+	// zones lists, per zone, the clients whose last report came from it, so
+	// a zone report counts its own zone's members and no one else's.
+	// byHeard holds every record, least recently heard from first, and
+	// newest is the latest report time seen: records the horizon behind it
+	// are forgotten from the front (expireLocked), wherever they were last.
+	zones   map[geo.ZoneID][]*clientState
+	byHeard *list.List
+	newest  time.Time
 	r       *rng.Rand
 	closed  bool
 
@@ -225,6 +241,8 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		opts:    opts,
 		store:   st,
 		clients: make(map[string]*clientState),
+		zones:   make(map[geo.ZoneID][]*clientState),
+		byHeard: list.New(),
 		r:       rng.NewNamed(opts.Seed, "coordinator-tasks"),
 		stop:    make(chan struct{}),
 	}
@@ -240,8 +258,7 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	if err := s.startReplication(); err != nil {
 		return fail(err)
 	}
-	s.met = newCoordMetrics(opts.Telemetry, s.ClientCount,
-		func() int64 { return s.Controller().DroppedAlerts() })
+	s.met = newCoordMetrics(opts.Telemetry, s.ClientCount, s.Controller)
 	// Connections are served from the moment the listener binds, so it
 	// comes up only after the role state and instruments dispatch reads.
 	var err error
@@ -386,7 +403,8 @@ func (s *Server) captureSnapshot() (core.Snapshot, uint64) {
 	return s.Controller().Snapshot(time.Now()), lsn
 }
 
-// ClientCount returns the number of registered clients.
+// ClientCount returns the number of clients heard from (hello or zone
+// report) within three task intervals of the newest zone report.
 func (s *Server) ClientCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,7 +424,10 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 			return wire.ErrorReply("hello requires a client id"), true
 		}
 		s.mu.Lock()
-		s.clients[req.Hello.ClientID] = &clientState{id: req.Hello.ClientID, device: req.Hello.DeviceClass}
+		// A hello starts the client over: it is in no zone until it reports.
+		st := s.heardFromLocked(req.Hello.ClientID)
+		s.leaveZoneLocked(st)
+		st.device = req.Hello.DeviceClass
 		s.mu.Unlock()
 		s.opts.Logf("coordinator: client %s (%s) registered", req.Hello.ClientID, req.Hello.DeviceClass)
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
@@ -523,30 +544,95 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 	}
 }
 
+// heardFromLocked returns id's record, creating it if the server has none,
+// and moves it to the young end of the expiry order.
+func (s *Server) heardFromLocked(id string) *clientState {
+	st := s.clients[id]
+	if st == nil {
+		st = &clientState{id: id}
+		st.elem = s.byHeard.PushBack(st)
+		s.clients[id] = st
+	} else {
+		s.byHeard.MoveToBack(st.elem)
+	}
+	st.heard = s.newest
+	return st
+}
+
+// leaveZoneLocked takes st out of its zone's member list, if it is in one.
+func (s *Server) leaveZoneLocked(st *clientState) {
+	if !st.hasZone {
+		return
+	}
+	st.hasZone = false
+	members := s.zones[st.lastZone]
+	last := len(members) - 1
+	members[slices.Index(members, st)] = members[last]
+	members[last] = nil
+	if last == 0 {
+		delete(s.zones, st.lastZone)
+		return
+	}
+	s.zones[st.lastZone] = members[:last]
+}
+
+// expireLocked forgets every record last heard from a whole activity
+// horizon before the newest report: no report from now on can count it.
+func (s *Server) expireLocked() {
+	horizon := s.activeHorizon()
+	for e := s.byHeard.Front(); e != nil; e = s.byHeard.Front() {
+		st := e.Value.(*clientState)
+		if s.newest.Sub(st.heard) < horizon {
+			return
+		}
+		s.leaveZoneLocked(st)
+		s.byHeard.Remove(e)
+		delete(s.clients, st.id)
+	}
+}
+
+// activeHorizon is how long after its last zone report a client still counts
+// as active in that zone.
+func (s *Server) activeHorizon() time.Duration { return 3 * s.opts.TaskInterval }
+
 // assignTasks implements the probabilistic scheduler of §3.4: once per
 // epoch per zone, each active client is tasked with a probability chosen so
 // the expected sample count meets the zone's NKLD-derived requirement.
 func (s *Server) assignTasks(zr *wire.ZoneReport) []wire.Task {
+	return s.drawTasks(zr, s.noteReport(zr))
+}
+
+// noteReport records where and when the client reported and returns the
+// number of clients active in that zone (seen there within the horizon of
+// this report), the reporter included. It costs the zone's population plus
+// the records it expires, not the server's.
+func (s *Server) noteReport(zr *wire.ZoneReport) (active int) {
 	s.mu.Lock()
-	st, ok := s.clients[zr.ClientID]
-	if !ok {
-		// Tolerate zone reports from clients whose hello we lost
-		// (reconnects); register them implicitly.
-		st = &clientState{id: zr.ClientID}
-		s.clients[zr.ClientID] = st
+	defer s.mu.Unlock()
+	if zr.At.After(s.newest) {
+		s.newest = zr.At
 	}
-	st.lastZone = zr.Zone
+	// Zone reports from clients whose hello we lost (reconnects) or whose
+	// record has expired register them implicitly.
+	st := s.heardFromLocked(zr.ClientID)
+	if !st.hasZone || st.lastZone != zr.Zone {
+		s.leaveZoneLocked(st)
+		st.lastZone, st.hasZone = zr.Zone, true
+		s.zones[zr.Zone] = append(s.zones[zr.Zone], st)
+	}
 	st.lastSeen = zr.At
-	st.hasZone = true
-	// Count active clients in this zone (seen within 3 task intervals).
-	active := 0
-	for _, other := range s.clients {
-		if other.hasZone && other.lastZone == zr.Zone &&
-			zr.At.Sub(other.lastSeen) < 3*s.opts.TaskInterval {
+	s.expireLocked()
+	horizon := s.activeHorizon()
+	for _, m := range s.zones[zr.Zone] {
+		if zr.At.Sub(m.lastSeen) < horizon {
 			active++
 		}
 	}
-	s.mu.Unlock()
+	return active
+}
+
+// drawTasks draws the report's task list given its zone's active count.
+func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
 	if active < 1 {
 		active = 1
 	}

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -25,14 +26,18 @@ type coordMetrics struct {
 
 // newCoordMetrics registers the coordinator families on reg. The
 // active-clients gauge is computed at scrape time from the live registry
-// via clientCount, so there is no update site to forget.
-func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, droppedAlerts func() int64) *coordMetrics {
+// via clientCount, and the two controller counters are read from ctrl the
+// same way, so there is no update site to forget.
+func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func() *core.Controller) *coordMetrics {
 	reg.GaugeFunc("wiscape_coordinator_active_clients",
-		"Clients currently registered with the coordinator.",
+		"Clients heard from (hello or zone report) within three task intervals of the newest zone report. Versions that never forgot a client reported every client ever registered here.",
 		func() float64 { return float64(clientCount()) })
 	reg.GaugeFunc("wiscape_coordinator_alerts_dropped_total",
 		"Alerts overwritten unread because the controller's alert ring was full.",
-		func() float64 { return float64(droppedAlerts()) })
+		func() float64 { return float64(ctrl().DroppedAlerts()) })
+	reg.GaugeFunc("wiscape_coordinator_budget_refreshes_total",
+		"NKLD resampling sweeps run to refresh a zone's per-epoch sample budget (expected: one per doubling of a key's window).",
+		func() float64 { return float64(ctrl().BudgetRefreshes()) })
 	reqs := reg.Counter("wiscape_coordinator_requests_total",
 		"Protocol requests dispatched, by message type.", "type")
 	byType := make(map[wire.MsgType]*telemetry.Counter)

@@ -109,6 +109,7 @@ func TestOpsPlaneEndToEnd(t *testing.T) {
 		"# TYPE wiscape_coordinator_tasks_assigned_total counter",
 		"# TYPE wiscape_coordinator_active_clients gauge",
 		"wiscape_coordinator_active_clients 1",
+		"# TYPE wiscape_coordinator_budget_refreshes_total gauge",
 		"wiscape_coordinator_zone_reports_total 1",
 		"# TYPE wiscape_store_wal_appends_total counter",
 		"wiscape_store_wal_appends_total 50",

@@ -66,6 +66,8 @@ type Controller struct {
 	alertHead     int
 	alertLen      int
 	alertsDropped int64
+
+	budgetRefreshes int64 // NKLD resampling sweeps run by RequiredSamplesFor
 }
 
 // failKey tracks ping failures per zone and network.
@@ -172,6 +174,13 @@ func (c *Controller) Ingest(s trace.Sample) {
 	// memory stays fixed.
 	if st.window.Weight() >= float64(c.cfg.HistoryLimit) {
 		st.window.Decay(0.5)
+		// The counts remembered at the last epoch and budget analyses
+		// shrink with the window: a saturated window's count stays between
+		// half the limit and the limit, so a count remembered above half
+		// the limit could otherwise never be outgrown again and the zone
+		// would keep its first epoch and budget for ever.
+		st.epochCount /= 2
+		st.requiredCount /= 2
 	}
 	st.window.Observe(s.Time, s.Value)
 	st.totalCount++
@@ -316,10 +325,14 @@ func (c *Controller) pushAlertLocked(a Alert) {
 // width adapts to the observed span, so the sweep bounds (configured in
 // minutes) are converted to slot counts.
 func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool) {
-	series, period := w.TrendSeries()
 	// Require enough coverage for at least two windows at the sweep floor
-	// times ten, or the estimate is noise.
-	if len(series) < 60 || period <= 0 {
+	// times ten, or the estimate is noise. Every Ingest of a key without a
+	// valid epoch asks, so the length is checked before a series is built.
+	if w.TrendLen() < 60 {
+		return 0, false
+	}
+	series, period := w.TrendSeries()
+	if period <= 0 {
 		return 0, false
 	}
 	minWindow := int(time.Duration(c.cfg.EpochSweepMin) * time.Minute / period)
@@ -375,7 +388,11 @@ const nkldReconstructed = 512
 // RequiredSamplesFor returns the zone's NKLD-derived per-epoch sample
 // requirement (§3.3), falling back to the configured default until enough
 // of the window has accumulated. The computation is cached and refreshed
-// as the window grows, so the scheduler can call this on every task round.
+// each time the window doubles, so the scheduler can call this on every
+// task round. The caller that finds the cache stale claims the refresh
+// before it lets go of mu: callers arriving while it resamples read the
+// budget already cached (the default, during a key's first refresh)
+// instead of each repeating the sweep.
 func (c *Controller) RequiredSamplesFor(key Key) int {
 	c.mu.Lock()
 	cfg := c.cfg // copied under mu; the resampling below runs outside it
@@ -385,12 +402,16 @@ func (c *Controller) RequiredSamplesFor(key Key) int {
 		return cfg.DefaultSamplesPerEpoch
 	}
 	count := st.window.Count()
-	needRefresh := st.required == 0 || count > st.requiredCount*2
-	if !needRefresh {
+	if st.required != 0 && count <= st.requiredCount*2 {
 		n := st.required
 		c.mu.Unlock()
 		return n
 	}
+	if st.required == 0 {
+		st.required = cfg.DefaultSamplesPerEpoch
+	}
+	st.requiredCount = count
+	c.budgetRefreshes++
 	// Reconstruct quantile-spaced values from the digest under the lock
 	// (cheap), then run the 100-iteration resampling analysis outside it.
 	m := int(count)
@@ -407,9 +428,17 @@ func (c *Controller) RequiredSamplesFor(key Key) int {
 
 	c.mu.Lock()
 	st.required = n
-	st.requiredCount = count
 	c.mu.Unlock()
 	return n
+}
+
+// BudgetRefreshes returns how many times RequiredSamplesFor has run the
+// NKLD resampling sweep — once per doubling of a key's window is the
+// expected rate.
+func (c *Controller) BudgetRefreshes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.budgetRefreshes
 }
 
 // EpochOf returns the zone's current epoch length.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -557,6 +558,93 @@ func TestRequiredSamplesForCachesAndRefreshes(t *testing.T) {
 	// Cached: immediate re-query is identical and cheap.
 	if n2 := c.RequiredSamplesFor(key); n2 != n1 {
 		t.Fatalf("cache miss: %d vs %d", n1, n2)
+	}
+}
+
+// TestRequiredSamplesForOneClaimant: of the callers that find a key's
+// budget stale at the same moment, one runs the resampling sweep and the
+// rest read what is cached — on a key's very first refresh (nothing derived
+// yet, so the default) as on a later one (the previous budget).
+func TestRequiredSamplesForOneClaimant(t *testing.T) {
+	cfg := DefaultConfig()
+	c := NewController(cfg, origin)
+	key := Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	r := rng.New(22)
+	at := start
+	ingest := func(n int) {
+		for i := 0; i < n; i++ {
+			c.Ingest(mkSample(at, origin, 900*(1+0.05*r.NormFloat64())))
+			at = at.Add(30 * time.Second)
+		}
+	}
+	for round, grow := range []int{600, 700} { // 600, then past its double
+		ingest(grow)
+		before := c.BudgetRefreshes()
+		const callers = 16
+		budgets := make([]int, callers)
+		release := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-release
+				budgets[i] = c.RequiredSamplesFor(key)
+			}(i)
+		}
+		close(release)
+		wg.Wait()
+		if got := c.BudgetRefreshes() - before; got != 1 {
+			t.Fatalf("round %d: %d callers ran the sweep %d times, want 1", round, callers, got)
+		}
+		for i, n := range budgets {
+			if n <= 0 {
+				t.Fatalf("round %d: caller %d got budget %d", round, i, n)
+			}
+		}
+		// Settled: the claimant's result is cached for everyone.
+		if n := c.RequiredSamplesFor(key); n <= 0 || c.BudgetRefreshes()-before != 1 {
+			t.Fatalf("round %d: budget %d not served from the cache after the refresh", round, n)
+		}
+	}
+}
+
+// TestRefreshRulesSurviveSaturation: once a window reaches HistoryLimit its
+// count lives between half the limit and the limit for ever, and the
+// "count has doubled / grown by half since the last analysis" rules must
+// keep firing there. A zone that is constant for two limits' worth of
+// samples (budget 10, epoch at the floor) and then turns noisy for two more
+// must end with the noisy zone's budget and epoch, not its first ones.
+func TestRefreshRulesSurviveSaturation(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HistoryLimit = 400
+	c := NewController(cfg, origin)
+	key := Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	r := rng.New(23)
+	at := start
+	feed := func(n int, value func() float64) {
+		for i := 0; i < n; i++ {
+			c.Ingest(mkSample(at, origin, value()))
+			at = at.Add(30 * time.Second)
+			if i%10 == 9 { // the scheduler asks as it goes
+				c.RequiredSamplesFor(key)
+			}
+		}
+	}
+	feed(2*cfg.HistoryLimit, func() float64 { return 900 })
+	quietBudget, quietEpoch, quietRefreshes := c.RequiredSamplesFor(key), c.EpochOf(key), c.BudgetRefreshes()
+	if quietBudget != 10 || quietEpoch != cfg.MinEpoch {
+		t.Fatalf("constant zone: budget %d epoch %v, want 10 and the %v floor", quietBudget, quietEpoch, cfg.MinEpoch)
+	}
+	feed(2*cfg.HistoryLimit, func() float64 { return r.Normal(900, 150) })
+	if got := c.RequiredSamplesFor(key); got < 100 {
+		t.Errorf("budget %d after the zone turned noisy: still the constant zone's", got)
+	}
+	if got := c.EpochOf(key); got <= quietEpoch {
+		t.Errorf("epoch %v after the zone turned noisy: not re-derived from %v", got, quietEpoch)
+	}
+	if got := c.BudgetRefreshes() - quietRefreshes; got < 2 {
+		t.Errorf("%d budget refreshes over two saturated window turnovers, want one per turnover", got)
 	}
 }
 

@@ -23,13 +23,14 @@ func RequiredSamples(history []float64, cfg Config, seed uint64) (int, bool) {
 		bins = stats.DefaultNKLDBins
 	}
 	r := rng.NewNamed(seed, "required-samples")
+	ref := stats.NewNKLDReference(history, bins)
 	// Sweep n in steps of 10 like Fig. 7's x axis.
 	maxN := len(history) / 2
 	if maxN > 200 {
 		maxN = 200
 	}
 	for n := 10; n <= maxN; n += 10 {
-		mean := meanNKLDSubsample(history, n, bins, iterations, r)
+		mean := meanNKLDSubsample(ref, n, iterations, r)
 		if mean <= cfg.NKLDThreshold {
 			return n, true
 		}
@@ -42,32 +43,31 @@ func RequiredSamples(history []float64, cfg Config, seed uint64) (int, bool) {
 func NKLDCurve(history []float64, ns []int, bins, iterations int, seed uint64) []stats.CDFPoint {
 	r := rng.NewNamed(seed, "nkld-curve")
 	out := make([]stats.CDFPoint, 0, len(ns))
+	ref := stats.NewNKLDReference(history, bins)
 	for _, n := range ns {
 		if n <= 0 || n > len(history) {
 			continue
 		}
 		out = append(out, stats.CDFPoint{
 			X: float64(n),
-			P: meanNKLDSubsample(history, n, bins, iterations, r),
+			P: meanNKLDSubsample(ref, n, iterations, r),
 		})
 	}
 	return out
 }
 
-// meanNKLDSubsample draws `iterations` random n-subsets of history and
-// returns the mean NKLD between each subset and the full distribution.
-func meanNKLDSubsample(history []float64, n, bins, iterations int, r *rng.Rand) float64 {
-	if n > len(history) {
-		n = len(history)
+// meanNKLDSubsample draws `iterations` random n-subsets of the reference's
+// history and returns the mean NKLD between each subset and the full
+// distribution. The history is binned once, in ref; an iteration costs its
+// n draws and one pass over the bins, and allocates nothing.
+func meanNKLDSubsample(ref *stats.NKLDReference, n, iterations int, r *rng.Rand) float64 {
+	if n > ref.Len() {
+		n = ref.Len()
 	}
-	sub := make([]float64, n)
 	sum := 0.0
 	count := 0
 	for it := 0; it < iterations; it++ {
-		for i := 0; i < n; i++ {
-			sub[i] = history[r.Intn(len(history))]
-		}
-		d := stats.NKLDFromSamples(sub, history, bins)
+		d := ref.SubsampleNKLD(n, r.Intn)
 		if d != d || d > 1e6 { // NaN/Inf guard
 			continue
 		}

@@ -115,6 +115,15 @@ func (e *EpochSketch) Samples(m int) []float64 { return e.dig.Samples(m) }
 // Digest exposes the underlying digest (read-only use expected).
 func (e *EpochSketch) Digest() *Digest { return e.dig }
 
+// TrendLen returns the length of the series TrendSeries would build,
+// without building it.
+func (e *EpochSketch) TrendLen() int {
+	if e.trend == nil {
+		return 0
+	}
+	return e.trend.Len()
+}
+
 // TrendSeries returns the regularized temporal mean series and its period,
 // or (nil, 0) when no trend ring is attached or it is empty.
 func (e *EpochSketch) TrendSeries() ([]float64, time.Duration) {

@@ -109,8 +109,8 @@ func TestEpochSketchSerializeRoundTrip(t *testing.T) {
 	}
 	s1, p1 := es.TrendSeries()
 	s2, p2 := got.TrendSeries()
-	if p1 != p2 || len(s1) != len(s2) {
-		t.Fatalf("trend changed: %d@%v vs %d@%v", len(s1), p1, len(s2), p2)
+	if p1 != p2 || len(s1) != len(s2) || got.TrendLen() != len(s1) || es.TrendLen() != len(s1) {
+		t.Fatalf("trend changed: %d@%v vs %d@%v (TrendLen %d vs %d)", len(s1), p1, len(s2), p2, es.TrendLen(), got.TrendLen())
 	}
 	for i := range s1 {
 		if math.Abs(s1[i]-s2[i]) > 1e-6 {
@@ -130,7 +130,7 @@ func TestEpochSketchSerializeNoTrend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if got.HasTrend() {
+	if got.HasTrend() || got.TrendLen() != 0 {
 		t.Fatal("trendless sketch grew a trend")
 	}
 	if got.Count() != 2 || got.Mean() != 1.5 {

@@ -182,8 +182,8 @@ func TestTrendTelescopesAndSeries(t *testing.T) {
 		t.Fatalf("period %v, want 4m after telescoping", tr.Period())
 	}
 	s := tr.Series()
-	if len(s) != 8 {
-		t.Fatalf("series length %d, want 8", len(s))
+	if len(s) != 8 || tr.Len() != 8 {
+		t.Fatalf("series length %d (Len %d), want 8", len(s), tr.Len())
 	}
 	for i := 1; i < len(s); i++ {
 		if s[i] < s[i-1] {
@@ -194,12 +194,15 @@ func TestTrendTelescopesAndSeries(t *testing.T) {
 
 func TestTrendGapCarryForward(t *testing.T) {
 	tr := NewTrend(16, time.Minute)
+	if tr.Len() != 0 {
+		t.Fatalf("empty trend Len %d", tr.Len())
+	}
 	t0 := time.Unix(1_600_000_000, 0)
 	tr.Observe(t0, 5)
 	tr.Observe(t0.Add(10*time.Minute), 9)
 	s := tr.Series()
-	if len(s) != 11 {
-		t.Fatalf("series length %d, want 11", len(s))
+	if len(s) != 11 || tr.Len() != 11 {
+		t.Fatalf("series length %d (Len %d), want 11", len(s), tr.Len())
 	}
 	for i := 1; i < 10; i++ {
 		if s[i] != 5 {

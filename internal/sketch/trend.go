@@ -102,6 +102,10 @@ func (t *Trend) coalesce() {
 	t.last /= 2
 }
 
+// Len returns the length Series would have: slot 0 through the last filled
+// slot.
+func (t *Trend) Len() int { return t.last + 1 }
+
 // Series returns the regularized mean series from slot 0 through the last
 // filled slot, carrying the previous mean forward across empty bins (the
 // same gap treatment stats.RegularSeries applied to raw histories). Empty

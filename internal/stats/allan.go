@@ -21,19 +21,20 @@ func AllanDeviation(series []float64, m int) float64 {
 	if nWindows < 2 {
 		return 0
 	}
-	// Window averages T_i.
-	avg := make([]float64, nWindows)
+	// Only adjacent window averages T_{i-1}, T_i are ever differenced, so
+	// the previous one is all that is kept.
+	ss, prev := 0.0, 0.0
 	for w := 0; w < nWindows; w++ {
 		sum := 0.0
-		for i := w * m; i < (w+1)*m; i++ {
-			sum += series[i]
+		for _, x := range series[w*m : (w+1)*m] {
+			sum += x
 		}
-		avg[w] = sum / float64(m)
-	}
-	ss := 0.0
-	for i := 1; i < nWindows; i++ {
-		d := avg[i] - avg[i-1]
-		ss += d * d
+		avg := sum / float64(m)
+		if w > 0 {
+			d := avg - prev
+			ss += d * d
+		}
+		prev = avg
 	}
 	return math.Sqrt(ss / (2 * float64(nWindows-1)))
 }
@@ -42,7 +43,11 @@ func AllanDeviation(series []float64, m int) float64 {
 // mean, giving the dimensionless 0–1 values plotted in paper Fig. 6. It
 // returns 0 when the mean is 0.
 func NormalizedAllanDeviation(series []float64, m int) float64 {
-	mean := Mean(series)
+	return normalizedAllan(series, m, Mean(series))
+}
+
+// normalizedAllan is NormalizedAllanDeviation given the series mean.
+func normalizedAllan(series []float64, m int, mean float64) float64 {
 	if mean == 0 {
 		return 0
 	}
@@ -60,11 +65,12 @@ type AllanPoint struct {
 // windows of data exist.
 func AllanSweep(series []float64, windows []int) []AllanPoint {
 	var out []AllanPoint
+	mean := Mean(series)
 	for _, m := range windows {
 		if m < 1 || len(series)/m < 2 {
 			continue
 		}
-		out = append(out, AllanPoint{WindowSamples: m, Deviation: NormalizedAllanDeviation(series, m)})
+		out = append(out, AllanPoint{WindowSamples: m, Deviation: normalizedAllan(series, m, mean)})
 	}
 	return out
 }

@@ -23,7 +23,10 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 }
 
 // Add folds x into the histogram.
-func (h *Histogram) Add(x float64) {
+func (h *Histogram) Add(x float64) { h.Counts[h.binOf(x)]++ }
+
+// binOf returns the bin x falls in, clamped into the first/last bin.
+func (h *Histogram) binOf(x float64) int {
 	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
 	if i < 0 {
 		i = 0
@@ -31,7 +34,7 @@ func (h *Histogram) Add(x float64) {
 	if i >= len(h.Counts) {
 		i = len(h.Counts) - 1
 	}
-	h.Counts[i]++
+	return i
 }
 
 // AddAll folds every value of xs into the histogram.
@@ -103,10 +106,11 @@ func KLD(p, q []float64) float64 {
 // distributions are similar". Degenerate inputs (zero entropy: all mass in
 // one bin) yield 0 when the distributions are identical and +Inf otherwise.
 func NKLD(p, q []float64) float64 {
-	hp := Entropy(p)
-	hq := Entropy(q)
-	dpq := KLD(p, q)
-	dqp := KLD(q, p)
+	return nkld(Entropy(p), Entropy(q), KLD(p, q), KLD(q, p))
+}
+
+// nkld combines the two entropies and the two divergences of a (p, q) pair.
+func nkld(hp, hq, dpq, dqp float64) float64 {
 	if hp == 0 || hq == 0 {
 		if dpq == 0 && dqp == 0 {
 			return 0
@@ -123,6 +127,10 @@ const NKLDSimilarityThreshold = 0.1
 // DefaultNKLDBins is the histogram resolution used when comparing sample
 // distributions.
 const DefaultNKLDBins = 20
+
+// nkldSmoothing is the Jeffreys-style additive smoothing per bin that keeps
+// the divergence finite for disjoint supports.
+const nkldSmoothing = 0.5
 
 // NKLDFromSamples bins two sample sets over their common range and returns
 // their NKLD. A small Laplace smoothing keeps the divergence finite for
@@ -145,6 +153,71 @@ func NKLDFromSamples(a, b []float64, bins int) float64 {
 	ha.AddAll(a)
 	hb := NewHistogram(lo, hi, bins)
 	hb.AddAll(b)
-	const eps = 0.5 // Jeffreys-style smoothing
-	return NKLD(ha.Prob(eps), hb.Prob(eps))
+	return NKLD(ha.Prob(nkldSmoothing), hb.Prob(nkldSmoothing))
+}
+
+// NKLDReference is a sample set prepared for many comparisons against
+// subsamples drawn from itself — the resampling of paper §3.3. A subsample
+// cannot reach outside the set it is drawn from, so the common range is the
+// set's own: each value's bin, the set's smoothed distribution and its
+// entropy are fixed once, and a comparison only counts bins. SubsampleNKLD
+// returns bit for bit what NKLDFromSamples(subsample, set, bins) would.
+// Not safe for concurrent use (the counting scratch is shared).
+type NKLDReference struct {
+	bin []int     // bin index of each value of the set
+	q   []float64 // the set's smoothed distribution; nil when all values are equal
+	hq  float64   // Entropy(q)
+	p   []float64 // scratch: the subsample's bin counts, then its distribution
+}
+
+// NewNKLDReference prepares set for subsample comparisons at the given
+// histogram resolution; bins < 1 selects DefaultNKLDBins, as in
+// NKLDFromSamples.
+func NewNKLDReference(set []float64, bins int) *NKLDReference {
+	if bins < 1 {
+		bins = DefaultNKLDBins
+	}
+	r := &NKLDReference{bin: make([]int, len(set))}
+	lo, hi := Min(set), Max(set)
+	if hi <= lo {
+		return r
+	}
+	h := NewHistogram(lo, hi, bins)
+	for i, x := range set {
+		r.bin[i] = h.binOf(x)
+		h.Counts[r.bin[i]]++
+	}
+	r.q = h.Prob(nkldSmoothing)
+	r.hq = Entropy(r.q)
+	r.p = h.Counts // the histogram is finished with them
+	return r
+}
+
+// Len returns the size of the prepared set.
+func (r *NKLDReference) Len() int { return len(r.bin) }
+
+// SubsampleNKLD draws n values of the (non-empty) set with replacement —
+// element intn(Len()) each time, n calls in order — and returns their NKLD
+// against the whole set. It allocates nothing.
+func (r *NKLDReference) SubsampleNKLD(n int, intn func(int) int) float64 {
+	if n < 1 {
+		return math.Inf(1)
+	}
+	if r.q == nil {
+		// Identical point distributions; the draws keep intn's stream
+		// where a caller sharing it across calls expects it.
+		for i := 0; i < n; i++ {
+			intn(len(r.bin))
+		}
+		return 0
+	}
+	clear(r.p)
+	for i := 0; i < n; i++ {
+		r.p[r.bin[intn(len(r.bin))]]++
+	}
+	total := float64(n) + nkldSmoothing*float64(len(r.p))
+	for i, c := range r.p {
+		r.p[i] = (c + nkldSmoothing) / total
+	}
+	return nkld(Entropy(r.p), r.hq, KLD(r.p, r.q), KLD(r.q, r.p))
 }

@@ -50,13 +50,15 @@ race:
 ci: vet lint build race
 
 # Short-burst coverage-guided fuzz of the wire decoder, the sketch
-# serializer, and the replication frame codec (checked-in corpora under
-# */testdata/fuzz seed the first two; the frame fuzzer seeds all six
-# frame types programmatically).
+# serializer, the replication frame codec and the WAL record encoder
+# (checked-in corpora under */testdata/fuzz seed the first two; the frame
+# fuzzer seeds all six frame types programmatically, the encoder fuzzer
+# the values encoding/json's rules turn on).
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/replication
+	$(GO) test -fuzz=FuzzRecordEncodeMatchesJSON -fuzztime=30s ./internal/store
 
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 bench:

@@ -440,43 +440,56 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 	}
 }
 
-// routeSamples splits one sample report by owning shard and forwards each
-// group. Samples whose shard is down (or that no shard covers) are dropped
-// and counted; the agent still gets an ack for what landed, so one dead
-// region never poisons a whole upload.
+// routeSamples forwards one sample report to the shards that own its
+// samples. A report is one client's drive, so nearly always one shard owns
+// all of it and it is forwarded whole; one that straddles a boundary, or
+// holds a sample no shard covers, is split by owning shard and each group
+// forwarded. Samples whose shard is down (or that no shard covers) are
+// dropped and counted; the agent still gets an ack for what landed, so one
+// dead region never poisons a whole upload.
 func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelope {
-	groups := make(map[*Shard][]trace.Sample)
-	var order []*Shard // deterministic forwarding order
-	unroutable := 0
-	for _, smp := range sr.Samples {
-		sh, ok := g.reg.ShardFor(smp.Loc)
-		if !ok {
-			unroutable++
-			continue
-		}
-		if _, seen := groups[sh]; !seen {
-			order = append(order, sh)
-		}
-		groups[sh] = append(groups[sh], smp)
+	type group struct {
+		sh   *Shard
+		smps []trace.Sample
 	}
-	if unroutable > 0 {
-		g.met.unroutable.Add(float64(unroutable))
-		g.met.droppedSmps.Add(float64(unroutable))
+	var groups []group // in forwarding order: first appearance in the report
+	if sh, ok := g.soleShard(sr.Samples); ok {
+		groups = []group{{sh, sr.Samples}}
+	} else {
+		index := make(map[*Shard]int)
+		unroutable := 0
+		for _, smp := range sr.Samples {
+			sh, ok := g.reg.ShardFor(smp.Loc)
+			if !ok {
+				unroutable++
+				continue
+			}
+			i, seen := index[sh]
+			if !seen {
+				i = len(groups)
+				index[sh] = i
+				groups = append(groups, group{sh: sh})
+			}
+			groups[i].smps = append(groups[i].smps, smp)
+		}
+		if unroutable > 0 {
+			g.met.unroutable.Add(float64(unroutable))
+			g.met.droppedSmps.Add(float64(unroutable))
+		}
 	}
 	accepted := 0
 	failed := 0
 	var lastErr error
-	for _, sh := range order {
-		smps := groups[sh]
-		g.met.shard(sh.Name()).routed.Inc()
-		up, err := g.forward(sess, sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+	for _, gr := range groups {
+		g.met.shard(gr.sh.Name()).routed.Inc()
+		up, err := g.forward(sess, gr.sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: sr.ClientID,
-			Samples:  smps,
+			Samples:  gr.smps,
 		}}, wire.TypeSampleAck)
 		if err != nil {
-			lastErr = fmt.Errorf("shard %s: %w", sh.Name(), err)
-			failed += len(smps)
-			g.met.droppedSmps.Add(float64(len(smps)))
+			lastErr = fmt.Errorf("shard %s: %w", gr.sh.Name(), err)
+			failed += len(gr.smps)
+			g.met.droppedSmps.Add(float64(len(gr.smps)))
 			continue
 		}
 		accepted += up.SampleAck.Accepted
@@ -485,6 +498,20 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 		return wire.ErrorReply(fmt.Sprintf("all shards unavailable for report: %v", lastErr))
 	}
 	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}
+}
+
+// soleShard reports the one shard that owns every sample of smps, if there
+// is one.
+func (g *Gateway) soleShard(smps []trace.Sample) (*Shard, bool) {
+	var sole *Shard
+	for i := range smps {
+		sh, ok := g.reg.ShardFor(smps[i].Loc)
+		if !ok || (sole != nil && sh != sole) {
+			return nil, false
+		}
+		sole = sh
+	}
+	return sole, sole != nil
 }
 
 // fanout forwards req to every shard in registration order and hands each

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"strings"
@@ -544,6 +547,160 @@ func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
 	}
 	if n := reg.HealthyCount(); n != 2 {
 		t.Fatalf("%d healthy shards, want 2: answers must not trip the breaker", n)
+	}
+}
+
+// recordingShard is a shard that keeps the raw bytes of every sample report
+// it is sent and acks each sample in it.
+type recordingShard struct {
+	lis     net.Listener
+	reports chan []byte
+}
+
+func startRecordingShard(t *testing.T) *recordingShard {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &recordingShard{lis: lis, reports: make(chan []byte, 16)} // more than any case below forwards
+	t.Cleanup(func() { _ = lis.Close() })
+	go func() {
+		for {
+			nc, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				sc := bufio.NewScanner(nc)
+				sc.Buffer(nil, wire.MaxMessageBytes)
+				for sc.Scan() {
+					var req struct {
+						SampleReport struct {
+							Samples []json.RawMessage `json:"samples"`
+						} `json:"sample_report"`
+					}
+					if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+						return
+					}
+					rs.reports <- append([]byte(nil), sc.Bytes()...)
+					fmt.Fprintf(nc, `{"type":"sample_ack","sample_ack":{"accepted":%d}}`+"\n", len(req.SampleReport.Samples))
+				}
+			}()
+		}
+	}()
+	return rs
+}
+
+// received returns the reports the shard has been sent since the last call.
+func (rs *recordingShard) received() [][]byte {
+	var out [][]byte
+	for {
+		select {
+		case b := <-rs.reports:
+			out = append(out, b)
+		default:
+			return out
+		}
+	}
+}
+
+// captureConn is a net.Conn that keeps what is written to it.
+type captureConn struct {
+	net.Conn
+	buf bytes.Buffer
+}
+
+func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+
+// TestGatewayRoutesSampleReports pins what reaches the shards, byte for
+// byte: a report one shard owns all of goes to it whole, one that straddles
+// a boundary or holds an unroutable sample is split by owner in report
+// order, and either way a shard is sent exactly the envelope a gateway that
+// always split would send it.
+func TestGatewayRoutesSampleReports(t *testing.T) {
+	shards := map[string]*recordingShard{"madison": startRecordingShard(t), "new-jersey": startRecordingShard(t)}
+	reg, err := NewRegistry([]ShardConfig{
+		{Name: "madison", Addr: shards["madison"].lis.Addr().String(), Box: geo.Madison()},
+		{Name: "new-jersey", Addr: shards["new-jersey"].lis.Addr().String(), Box: geo.NewBrunswickArea()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.NewRegistry()
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Name: "gw", Seed: seed, RecheckInterval: -1, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+
+	mad, nj, nowhere := geo.MadisonStaticSites(), geo.NJStaticSites(), geo.Point{}
+	n := 0
+	mk := func(loc geo.Point) trace.Sample {
+		n++
+		return trace.Sample{Time: start.Add(time.Duration(n) * time.Second), Loc: loc, Network: radio.NetB,
+			Metric: trace.MetricUDPKbps, Value: 900 + float64(n), ClientID: "probe", Device: "phone"}
+	}
+	// want is the line a shard must be sent for its share of a report.
+	want := func(shard string, smps ...trace.Sample) []byte {
+		var cc captureConn
+		if err := wire.NewConn(&cc).Send(wire.Envelope{Type: wire.TypeSampleReport, Via: &wire.Via{Gateway: "gw", Shard: shard},
+			SampleReport: &wire.SampleReport{ClientID: "probe", Samples: smps}}); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.TrimSuffix(cc.buf.Bytes(), []byte("\n"))
+	}
+	a, b, x, y, u := mk(mad[0]), mk(mad[1]), mk(nj[0]), mk(geo.NewBrunswickArea().Center()), mk(nowhere)
+	for _, tc := range []struct {
+		name       string
+		report     []trace.Sample
+		accepted   int
+		madison    [][]byte
+		newJersey  [][]byte
+		unroutable float64
+	}{
+		{"one shard owns it all", []trace.Sample{a, b, a}, 3, [][]byte{want("madison", a, b, a)}, nil, 0},
+		{"the other shard owns it all", []trace.Sample{x}, 1, nil, [][]byte{want("new-jersey", x)}, 0},
+		{"straddles the boundary", []trace.Sample{x, a, y, b}, 4, [][]byte{want("madison", a, b)}, [][]byte{want("new-jersey", x, y)}, 0},
+		{"one unroutable sample", []trace.Sample{a, u, b}, 2, [][]byte{want("madison", a, b)}, nil, 1},
+		{"nothing routable", []trace.Sample{u, u}, 0, nil, nil, 2},
+		{"empty", nil, 0, nil, nil, 0},
+	} {
+		counter := func(name string) float64 { return tel.Counter(name, "").With().Value() }
+		unroutable, dropped := counter("wiscape_gateway_unroutable_total"), counter("wiscape_gateway_samples_dropped_total")
+		ack, err := c.Call(wire.Envelope{Type: wire.TypeSampleReport,
+			SampleReport: &wire.SampleReport{ClientID: "probe", Samples: tc.report}}, wire.TypeSampleAck)
+		if err != nil || ack.SampleAck.Accepted != tc.accepted {
+			t.Fatalf("%s: ack %+v, err %v; want %d accepted", tc.name, ack.SampleAck, err, tc.accepted)
+		}
+		for shard, wantReports := range map[string][][]byte{"madison": tc.madison, "new-jersey": tc.newJersey} {
+			got := shards[shard].received()
+			if len(got) != len(wantReports) {
+				t.Fatalf("%s: %s was sent %d reports, want %d", tc.name, shard, len(got), len(wantReports))
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], wantReports[i]) {
+					t.Errorf("%s: %s was sent\n%s\nwant\n%s", tc.name, shard, got[i], wantReports[i])
+				}
+			}
+		}
+		if du, dd := counter("wiscape_gateway_unroutable_total")-unroutable, counter("wiscape_gateway_samples_dropped_total")-dropped; du != tc.unroutable || dd != tc.unroutable {
+			t.Errorf("%s: unroutable +%v, dropped +%v; want +%v each", tc.name, du, dd, tc.unroutable)
+		}
+	}
+	routed := func(shard string) float64 {
+		return tel.Counter("wiscape_gateway_routed_total", "", "shard").With(shard).Value()
+	}
+	if m, j := routed("madison"), routed("new-jersey"); m != 3 || j != 2 {
+		t.Errorf("routed_total madison %v, new-jersey %v; want 3 and 2", m, j)
 	}
 }
 

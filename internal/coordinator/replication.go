@@ -123,9 +123,9 @@ func (s *Server) waitReplicated(lsn uint64) bool {
 }
 
 // replicaApplier feeds the primary's stream into this server: every record
-// is journaled to the local WAL at the primary's LSN and ingested into the
-// live controller, so the replica is promotable at any instant with full
-// durability and query state.
+// is journaled to the local WAL at the primary's LSN, as the line the primary
+// wrote, and ingested into the live controller, so the replica is promotable
+// at any instant with full durability and query state.
 type replicaApplier struct{ s *Server }
 
 func (a *replicaApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
@@ -139,11 +139,13 @@ func (a *replicaApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (a *replicaApplier) Apply(lsn uint64, smp trace.Sample) error {
+func (a *replicaApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
 	s := a.s
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if err := s.store.AppendAt(lsn, smp); err != nil {
+	// The primary's bytes, not a re-encoding of smp: the two logs then hold
+	// the same line at the same LSN, down any chain of promoted replicas.
+	if err := s.store.AppendAt(lsn, line); err != nil {
 		return err
 	}
 	s.Controller().Ingest(smp)

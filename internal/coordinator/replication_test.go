@@ -1,0 +1,185 @@
+package coordinator
+
+import (
+	"bytes"
+	"net"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/radio"
+	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if cond() {
+			return
+		}
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+// journal reads every record line in a data directory's segments, keyed by
+// LSN, and counts the segments.
+func journal(t *testing.T, dir string) (lines map[uint64][]byte, segments int) {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = make(map[uint64][]byte)
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			_, lsn, ok := store.ParseRecordLine(line)
+			if !ok {
+				t.Fatalf("%s holds a line that does not validate: %q", name, line)
+			}
+			lines[lsn] = line
+		}
+	}
+	return lines, len(names)
+}
+
+// TestReplicaJournalIsPrimaryBytes is the durability contract's "identical at
+// equal LSN" as something cmp can check: a replica journals the line its
+// primary wrote, so wherever two logs of one shard both hold an LSN they
+// hold the same bytes — through segment rotation, across a severed and
+// redialed stream, after a snapshot bootstrap, and down a chain (a replica
+// of a replica). The controllers fed from those lines agree to the byte too.
+func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
+	node := func(id, from string, forceResync bool) (*Server, string) {
+		opts := persistOpts(t.TempDir())
+		opts.ServerID, opts.ReplicationAddr = id, "127.0.0.1:0"
+		opts.ReplicateFrom, opts.ForceResync = from, forceResync
+		opts.SyncReplication, opts.SyncTimeout = true, 5*time.Second
+		opts.SegmentMaxBytes = 2 << 10 // about eight records a segment
+		return newServer(t, opts), opts.DataDir
+	}
+	attached := func(s *Server, n int) {
+		t.Helper()
+		waitFor(t, 5*time.Second, "replicas attached to "+s.opts.ServerID, func() bool {
+			return s.source().ConnectedReplicas() == n
+		})
+	}
+	primary, pdir := node("primary", "", false)
+	tail, tdir := node("tail", primary.ReplicationAddr(), false)
+	attached(primary, 1)
+
+	sent := 0
+	report := func(reports int) {
+		t.Helper()
+		nc, err := net.Dial("tcp", primary.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := wire.NewConn(nc)
+		defer c.Close()
+		for ; reports > 0; reports-- {
+			smps := make([]trace.Sample, 12)
+			for i := range smps {
+				sent++
+				smps[i] = trace.Sample{
+					Time:     start.Add(time.Duration(sent) * 1500 * time.Millisecond).In(time.FixedZone("", -5*3600)),
+					Loc:      geo.MadisonStaticSites()[sent%2],
+					Network:  radio.NetB,
+					Metric:   trace.MetricUDPKbps,
+					Value:    []float64{900 + float64(sent), 1e-7, 1e21, 0}[sent%4],
+					SpeedKmh: float64(sent) / 3,
+					Failed:   sent%7 == 0,
+				}
+				if sent%3 == 0 {
+					smps[i].Device = `phone "<&>"`
+				}
+			}
+			reportSamples(t, c, "bus <17> & co", smps)
+		}
+	}
+
+	report(8) // through a dozen rotations, every ack a replica's
+
+	// The stream is severed and redialed; the records that arrive meanwhile
+	// reach the replica as one catch-up batch across segment boundaries.
+	primary.Suspend()
+	if err := primary.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	report(4)
+	attached(primary, 1)
+
+	// A second replica bootstraps from a snapshot, so its log starts where
+	// the snapshot ends; a third tails the first replica, not the primary.
+	boot, bdir := node("boot", primary.ReplicationAddr(), true)
+	chain, cdir := node("chain", tail.ReplicationAddr(), false)
+	attached(primary, 2)
+	attached(tail, 1)
+	report(4)
+
+	last := primary.store.LastLSN()
+	if last != uint64(sent) {
+		t.Fatalf("primary journaled %d records of %d acked", last, sent)
+	}
+	for _, s := range []*Server{tail, boot, chain} {
+		waitFor(t, 5*time.Second, s.opts.ServerID+" caught up", func() bool { return s.store.LastLSN() == last })
+	}
+
+	want, segments := journal(t, pdir)
+	if len(want) != sent || segments < 8 {
+		t.Fatalf("primary's log: %d records in %d segments, want %d records and several rotations", len(want), segments, sent)
+	}
+	for _, r := range []struct {
+		s    *Server
+		dir  string
+		from uint64 // the first LSN its log must hold
+	}{{tail, tdir, 1}, {chain, cdir, 1}, {boot, bdir, uint64(sent) - 4*12 + 1}} {
+		got, _ := journal(t, r.dir)
+		if r.s == boot {
+			if len(got) < 4*12 || len(got) >= sent {
+				t.Fatalf("boot journaled %d records; a snapshot bootstrap leaves it the tail only", len(got))
+			}
+		} else if len(got) != sent {
+			t.Fatalf("%s journaled %d records of %d", r.s.opts.ServerID, len(got), sent)
+		}
+		for lsn, line := range got {
+			if !bytes.Equal(line, want[lsn]) {
+				t.Fatalf("%s and the primary differ at LSN %d:\n%q\n%q", r.s.opts.ServerID, lsn, line, want[lsn])
+			}
+		}
+		for lsn := r.from; lsn <= last; lsn++ {
+			if got[lsn] == nil {
+				t.Fatalf("%s's log has no LSN %d", r.s.opts.ServerID, lsn)
+			}
+		}
+		keys := primary.Controller().Keys()
+		if len(keys) == 0 {
+			t.Fatal("primary holds no zone state")
+		}
+		for _, key := range keys {
+			ps, _ := primary.Controller().SketchFor(key)
+			rs, ok := r.s.Controller().SketchFor(key)
+			if !ok || !bytes.Equal(ps, rs) {
+				t.Fatalf("%s: window sketch of %v differs from the primary's at LSN %d (%d vs %d bytes)",
+					r.s.opts.ServerID, key, last, len(rs), len(ps))
+			}
+		}
+	}
+	boot.mu.Lock()
+	resyncs := boot.rep.Status().Resyncs
+	boot.mu.Unlock()
+	if resyncs != 1 {
+		t.Fatalf("boot bootstrapped %d times, want once", resyncs)
+	}
+}

@@ -3,7 +3,6 @@ package replication
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,22 +12,27 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
 // Applier receives the replicated state on the consumer side. The
 // coordinator's implementation journals each record to the replica's own
-// WAL (at the primary's LSNs) and ingests it into the live controller, so
-// a promoted replica is immediately both durable and queryable.
+// WAL (the primary's line, at the primary's LSN) and ingests it into the
+// live controller, so a promoted replica is immediately both durable and
+// queryable.
 type Applier interface {
 	// Bootstrap replaces all local state with the snapshot, which covers
 	// records up to and including lsn.
 	Bootstrap(lsn uint64, snap core.Snapshot) error
 
-	// Apply applies one record. Records arrive in LSN order, each exactly
-	// once per session (reconnect replays are filtered before Apply).
-	Apply(lsn uint64, smp trace.Sample) error
+	// Apply applies one record: smp is what line, the WAL line the primary
+	// journaled it as, decodes to (store.ParseRecordLine has passed it).
+	// line is only valid during the call. Records arrive in LSN order, each
+	// exactly once per session (reconnect replays are filtered before
+	// Apply).
+	Apply(lsn uint64, smp trace.Sample, line []byte) error
 }
 
 // ReplicaOptions configures the consumer side of a replicated shard.
@@ -247,6 +251,8 @@ func (r *Replica) session(forceSnapshot bool) error {
 	defer r.connected.Store(false)
 
 	for {
+		// payload may be a view of br's buffer: every case is done with it
+		// before the next read.
 		typ, payload, err := readFrame(br, maxSnapshotFrameBytes)
 		if err != nil {
 			if r.isClosed() {
@@ -279,28 +285,31 @@ func (r *Replica) session(forceSnapshot bool) error {
 			}
 
 		case frameRecords:
-			recs, err := decodeRecords(payload)
-			if err != nil {
-				return err
-			}
+			// Every line takes the store's validating parser before it is
+			// journaled or ingested. One that fails ends the session with
+			// the lines ahead of it applied; the redial asks for it again.
 			applied := r.applied.Load()
-			for _, rec := range recs {
-				if rec.lsn <= applied {
-					continue // replayed across a reconnect seam
+			err := eachLine(payload, func(line []byte) error {
+				smp, lsn, ok := store.ParseRecordLine(line)
+				if !ok {
+					return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadFrame, applied)
 				}
-				var smp trace.Sample
-				if err := json.Unmarshal(rec.body, &smp); err != nil {
-					return fmt.Errorf("decoding record %d: %w", rec.lsn, err)
+				if lsn <= applied {
+					return nil // replayed across a reconnect seam
 				}
-				if err := r.ap.Apply(rec.lsn, smp); err != nil {
-					return fmt.Errorf("applying record %d: %w", rec.lsn, err)
+				if err := r.ap.Apply(lsn, smp, line); err != nil {
+					return fmt.Errorf("applying record %d: %w", lsn, err)
 				}
-				applied = rec.lsn
+				applied = lsn
 				r.met.recordsApplied.Inc()
-			}
+				return nil
+			})
 			r.applied.Store(applied)
 			if applied > r.primaryLSN.Load() {
 				r.primaryLSN.Store(applied)
+			}
+			if err != nil {
+				return err
 			}
 			if err := r.sendAck(bw, applied); err != nil {
 				return err

@@ -22,17 +22,29 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 1): every frame is u32le payload length, one type
+// Protocol (version 2): every frame is u32le payload length, one type
 // byte, payload. The replica opens with a hello (magic, version, replica
 // id, first wanted LSN — 0 forces a snapshot); the source answers with an
 // optional snapshot frame and then record batches and heartbeats; the
-// replica sends acks carrying its applied LSN. Either side closes on any
-// malformed frame: this is a trusted intra-cluster link, and the CRC-backed
-// WAL plus the snapshot's own checksum already guard the payloads.
+// replica sends acks carrying its applied LSN. A records frame's payload is
+// WAL lines verbatim — "crc32hex {"lsn":N,"sample":{…}}\n", one after
+// another, exactly the bytes the primary journaled — which is what version 2
+// changed: version 1 re-marshaled each sample into an (LSN, length, JSON)
+// triple. The versions do not interoperate, so a primary and its replica
+// upgrade as a pair; a hello of the other version is refused by name.
+//
+// Who checks what: the source ships a line once its frame and CRC check out
+// (store.Cursor.NextLines) and never decodes it; the replica puts every line
+// through store.ParseRecordLine — frame, CRC, JSON, LSN — before anything is
+// journaled or ingested, and journals the line it received, not a
+// re-encoding, so the pair's logs are byte-identical at equal LSN. Either
+// side closes on any malformed frame or line, and the replica's redial
+// resumes after the last record it applied.
 package replication
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -45,22 +57,24 @@ const (
 	Magic uint32 = 0x57524550
 
 	// Version is the protocol version this package speaks. A source
-	// rejects hellos from futures it does not understand.
-	Version uint16 = 1
+	// rejects hellos of any other: 1 framed records as (LSN, length, sample
+	// JSON) triples, 2 ships WAL lines as they are.
+	Version uint16 = 2
 )
 
 // Frame types.
 const (
 	frameHello     byte = 1 // replica -> source: magic, version, from LSN, id
 	frameSnapshot  byte = 2 // source -> replica: covered LSN, snapshot JSON
-	frameRecords   byte = 3 // source -> replica: batch of (LSN, sample JSON)
+	frameRecords   byte = 3 // source -> replica: batch of WAL lines, verbatim
 	frameHeartbeat byte = 4 // source -> replica: primary's last LSN
 	frameAck       byte = 5 // replica -> source: applied LSN
 	frameReject    byte = 6 // source -> replica: refusal message, then close
 )
 
 // Frame size caps. Snapshots carry whole-controller state (sketch bytes
-// for every zone) and get the generous cap; everything else is small.
+// for every zone) and get the generous cap; everything else is small, and
+// readFrame holds it to maxFrameBytes whatever its caller would take.
 const (
 	maxFrameBytes         = 8 << 20
 	maxSnapshotFrameBytes = 256 << 20
@@ -83,22 +97,42 @@ func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, enforcing a per-type size cap chosen by the
-// caller via maxLen.
+// readFrame reads one frame of at most maxLen payload bytes — and, whatever
+// maxLen says, of at most maxFrameBytes unless its header types it a
+// snapshot: the generous cap is that one frame's alone. A frame that fits
+// r's buffer comes back as a view into it, valid until the next read from r;
+// only a longer one is copied out.
 func readFrame(r *bufio.Reader, maxLen uint32) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := r.Peek(5)
+	if err != nil {
+		if len(hdr) > 0 && err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n, typ := binary.LittleEndian.Uint32(hdr[:4]), hdr[4]
+	if typ != frameSnapshot && maxLen > maxFrameBytes {
+		maxLen = maxFrameBytes
+	}
 	if n > maxLen {
-		return 0, nil, fmt.Errorf("%w: %d byte payload exceeds %d cap", errBadFrame, n, maxLen)
+		return 0, nil, fmt.Errorf("%w: %d byte payload of type %d exceeds %d cap", errBadFrame, n, typ, maxLen)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	var frame []byte
+	if whole := 5 + int(n); whole <= r.Size() {
+		if frame, err = r.Peek(whole); err == nil {
+			_, err = r.Discard(whole)
+		}
+	} else {
+		frame = make([]byte, whole)
+		_, err = io.ReadFull(r, frame)
+	}
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a payload
+		}
 		return 0, nil, err
 	}
-	return hdr[4], payload, nil
+	return typ, frame[5:], nil
 }
 
 // hello is the replica's opening frame.
@@ -150,56 +184,26 @@ func decodeSnapshot(p []byte) (lsn uint64, body []byte, err error) {
 	return binary.LittleEndian.Uint64(p[0:8]), p[8:], nil
 }
 
-// record is one (LSN, encoded sample) pair inside a records frame.
-type record struct {
-	lsn  uint64
-	body []byte // JSON-encoded trace.Sample
-}
-
-// encodeRecords frames a batch: u32 count, then per record u64 LSN, u32
-// body length, body.
-func encodeRecords(recs []record) []byte {
-	n := 4
-	for _, r := range recs {
-		n += 12 + len(r.body)
+// eachLine splits a records frame's body into its WAL lines, newline
+// included, and hands them to fn in order, stopping at fn's first error. The
+// body is refused whole, before fn sees any of it, unless it is at most
+// maxRecordsPerBatch lines and ends where its last line does. What a line
+// holds is store.ParseRecordLine's to judge, its length included.
+func eachLine(body []byte, fn func(line []byte) error) error {
+	if len(body) > 0 && body[len(body)-1] != '\n' {
+		return fmt.Errorf("%w: bytes after the last record line", errBadFrame)
 	}
-	buf := make([]byte, 0, n)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, r := range recs {
-		buf = binary.LittleEndian.AppendUint64(buf, r.lsn)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.body)))
-		buf = append(buf, r.body...)
+	if n := bytes.Count(body, []byte{'\n'}); n > maxRecordsPerBatch {
+		return fmt.Errorf("%w: %d records in one batch", errBadFrame, n)
 	}
-	return buf
-}
-
-func decodeRecords(p []byte) ([]record, error) {
-	if len(p) < 4 {
-		return nil, errBadFrame
-	}
-	count := binary.LittleEndian.Uint32(p[0:4])
-	if count > maxRecordsPerBatch {
-		return nil, fmt.Errorf("%w: %d records in one batch", errBadFrame, count)
-	}
-	p = p[4:]
-	recs := make([]record, 0, count)
-	for i := uint32(0); i < count; i++ {
-		if len(p) < 12 {
-			return nil, errBadFrame
+	for len(body) > 0 {
+		end := bytes.IndexByte(body, '\n') + 1
+		if err := fn(body[:end]); err != nil {
+			return err
 		}
-		lsn := binary.LittleEndian.Uint64(p[0:8])
-		n := binary.LittleEndian.Uint32(p[8:12])
-		p = p[12:]
-		if uint32(len(p)) < n {
-			return nil, errBadFrame
-		}
-		recs = append(recs, record{lsn: lsn, body: p[:n]})
-		p = p[n:]
+		body = body[end:]
 	}
-	if len(p) != 0 {
-		return nil, errBadFrame
-	}
-	return recs, nil
+	return nil
 }
 
 func encodeU64(v uint64) []byte {

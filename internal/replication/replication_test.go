@@ -29,8 +29,11 @@ func testSample(i int) trace.Sample {
 }
 
 // memApplier records everything the replica applies, standing in for the
-// coordinator's WAL+controller pair.
+// coordinator's WAL+controller pair — and, given a store, journaling to it
+// the way the coordinator's applier does.
 type memApplier struct {
+	st *store.Store // optional
+
 	mu      sync.Mutex
 	bootLSN uint64
 	boots   int
@@ -43,12 +46,20 @@ func (m *memApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	m.bootLSN = lsn
 	m.boots++
 	m.applied = nil
+	if m.st != nil {
+		return m.st.ResetTo(lsn, snap)
+	}
 	return nil
 }
 
-func (m *memApplier) Apply(lsn uint64, smp trace.Sample) error {
+func (m *memApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.st != nil {
+		if err := m.st.AppendAt(lsn, line); err != nil {
+			return err
+		}
+	}
 	m.applied = append(m.applied, lsn)
 	return nil
 }

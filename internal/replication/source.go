@@ -3,11 +3,11 @@ package replication
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -53,6 +53,12 @@ type replicaConn struct {
 	id   string
 	wake chan struct{} // collapsed append notifications
 	gone chan struct{} // closed when the ack reader ends: the conn is dead
+
+	// shipped is the highest LSN this stream has given its replica cause to
+	// hold: one short of the hello's position, a snapshot's LSN, the last
+	// line sent. The writer advances it before the bytes leave; the ack
+	// reader refuses an ack above it.
+	shipped atomic.Uint64
 }
 
 // commitWaiter parks one WaitCommitted call until some replica acks lsn.
@@ -266,6 +272,14 @@ func (s *Source) serve(nc net.Conn) {
 				return
 			}
 			lsn, err := decodeU64(payload)
+			if err == nil && lsn > rc.shipped.Load() {
+				// Nothing this stream sent can have put the replica there: it
+				// holds another history's records (an ex-primary's, say), and
+				// its ack must not release a waiter on this log's.
+				s.opts.Logf("replication: replica %s acked LSN %d, past the %d this stream has shipped: dropping it",
+					h.id, lsn, rc.shipped.Load())
+				err = errBadFrame
+			}
 			if err != nil {
 				_ = nc.Close()
 				return
@@ -287,15 +301,20 @@ func (s *Source) serve(nc net.Conn) {
 }
 
 // stream ships the log to one replica until the conn dies or the source
-// stops. from==0 (or a compacted-away offset) bootstraps via snapshot.
+// stops. A position the log cannot be tailed from bootstraps via snapshot:
+// from==0 (asked for), one compacted away, or one past the log's end — a
+// replica that claims records this log never held (an ex-primary restarted
+// without a forced resync) would otherwise sit parked there, acking them.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
-	if from == 0 {
+	if from == 0 || from > s.st.LastLSN()+1 {
 		var err error
-		if from, err = s.sendSnapshot(bw); err != nil {
+		if from, err = s.sendSnapshot(rc, bw); err != nil {
 			return err
 		}
+	} else {
+		rc.shipped.Store(from - 1)
 	}
-	// One cursor per stream: a batch costs the records it ships, and a
+	// One cursor per stream: a batch costs the lines it ships, and a
 	// caught-up look at the log one empty read.
 	cur := s.st.OpenCursor(from)
 	defer func() { cur.Close() }()
@@ -304,11 +323,14 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
 	for {
-		batch, err := cur.Next(maxRecordsPerBatch)
+		// The lines go out as the cursor found them in the log — a view of
+		// its buffer, written before its next call: journaled bytes are the
+		// replicated bytes, and the one decode is the replica's.
+		lines, n, err := cur.NextLines(maxRecordsPerBatch)
 		if errors.Is(err, store.ErrCompacted) {
 			// The replica's position predates retained history; restart it
 			// from a fresh snapshot (the resync path).
-			if from, err = s.sendSnapshot(bw); err != nil {
+			if from, err = s.sendSnapshot(rc, bw); err != nil {
 				return err
 			}
 			cur.Close()
@@ -318,22 +340,15 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 		if err != nil {
 			return err
 		}
-		if len(batch) > 0 {
-			recs := make([]record, len(batch))
-			for i, e := range batch {
-				body, err := json.Marshal(e.Sample)
-				if err != nil {
-					return fmt.Errorf("encoding record %d: %w", e.LSN, err)
-				}
-				recs[i] = record{lsn: e.LSN, body: body}
-			}
-			if err := writeFrame(bw, frameRecords, encodeRecords(recs)); err != nil {
+		if n > 0 {
+			rc.shipped.Store(cur.Position() - 1)
+			if err := writeFrame(bw, frameRecords, lines); err != nil {
 				return err
 			}
 			if err := bw.Flush(); err != nil {
 				return err
 			}
-			s.met.recordsShipped.Add(float64(len(batch)))
+			s.met.recordsShipped.Add(float64(n))
 			continue
 		}
 		// Caught up: wait for an append (or the poll fallback), keeping
@@ -356,11 +371,12 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	}
 }
 
-// sendSnapshot ships a bootstrap snapshot and returns the next LSN to
-// stream. Preference order: the configured live-capture hook, then the
-// store's newest durable checkpoint, then an empty snapshot at LSN 0 (a
+// sendSnapshot ships a bootstrap snapshot — from then on what the replica
+// holds, so rc.shipped is set to it before it leaves — and returns the next
+// LSN to stream. Preference order: the configured live-capture hook, then
+// the store's newest durable checkpoint, then an empty snapshot at LSN 0 (a
 // primary that has never checkpointed simply replays its whole WAL).
-func (s *Source) sendSnapshot(bw *bufio.Writer) (next uint64, err error) {
+func (s *Source) sendSnapshot(rc *replicaConn, bw *bufio.Writer) (next uint64, err error) {
 	var snap core.Snapshot
 	var lsn uint64
 	switch {
@@ -379,6 +395,7 @@ func (s *Source) sendSnapshot(bw *bufio.Writer) (next uint64, err error) {
 	if err := core.WriteSnapshot(&body, snap); err != nil {
 		return 0, err
 	}
+	rc.shipped.Store(lsn)
 	if err := writeFrame(bw, frameSnapshot, encodeSnapshot(lsn, body.Bytes())); err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -104,12 +105,48 @@ func (c *Cursor) Next(max int) ([]Entry, error) {
 		max = 1024
 	}
 	var out []Entry
-	fail := func(err error) ([]Entry, error) {
-		if len(out) > 0 {
-			return out, nil
-		}
-		return nil, err
+	err := c.walk(func() (bool, error) {
+		err := c.scan(max, &out)
+		return len(out) >= max, err
+	})
+	if len(out) > 0 {
+		return out, nil
 	}
+	return nil, err
+}
+
+// NextLines is Next for a reader that ships records instead of reading
+// them: up to max whole lines past the last record returned, in LSN order
+// and exactly as journaled, n of them end to end in run. Each has had its
+// frame and CRC checked and its LSN read off the `{"lsn":N,` every record
+// opens with; the JSON behind that is not looked at — ParseRecordLine does
+// that, wherever the line ends up being decoded. What Next skips,
+// NextLines skips, and it waits and fails where Next does. (The one
+// difference is a line no version of this package wrote: a good CRC over a
+// record that does not open with its LSN is skipped here and decoded by
+// Next; one over JSON that does not decode is returned here and skipped by
+// Next, for the decoding end to refuse.)
+//
+// run is a view of the cursor's buffer, valid until the cursor's next call.
+// It therefore ends where the buffered bytes do, or at a line to be skipped,
+// if that comes before max: only an empty run means caught up.
+func (c *Cursor) NextLines(max int) (run []byte, n int, err error) {
+	err = c.walk(func() (bool, error) {
+		var err error
+		run, n, err = c.scanLines(max)
+		return n > 0, err
+	})
+	return run, n, err
+}
+
+// Position returns the lowest LSN the cursor has not yet returned: one past
+// the last record read, or where it was opened.
+func (c *Cursor) Position() uint64 { return c.next }
+
+// walk runs scan over the segment the cursor is in and then each later one,
+// until scan is done, the active segment has no more to give, or there is
+// nowhere to move to.
+func (c *Cursor) walk(scan func() (done bool, err error)) error {
 	for {
 		// Whether this segment is sealed is settled before reading it to
 		// EOF: a sealed segment never grows, so EOF then means exhausted,
@@ -123,15 +160,12 @@ func (c *Cursor) Next(max int) ([]Entry, error) {
 			c.gen = gen
 		}
 		if c.f != nil {
-			if err := c.scan(max, &out); err != nil {
-				return fail(err)
-			}
-			if len(out) >= max || c.first == active {
-				return out, nil
+			if done, err := scan(); err != nil || done || c.first == active {
+				return err
 			}
 		}
 		if moved, err := c.seek(); err != nil || !moved {
-			return fail(err)
+			return err
 		}
 	}
 }
@@ -180,24 +214,9 @@ func (c *Cursor) seek() (moved bool, err error) {
 // segment has no further complete line.
 func (c *Cursor) scan(max int, out *[]Entry) error {
 	for len(*out) < max {
-		i := bytes.IndexByte(c.buf[c.r:c.w], '\n')
-		if i < 0 {
-			if c.skipping || c.w-c.r >= maxWALLineBytes {
-				c.skipping = true
-				c.off += int64(c.w - c.r)
-				c.r, c.w = 0, 0
-			}
-			if more, err := c.fill(); err != nil || !more {
-				return err
-			}
-			continue
-		}
-		line := c.buf[c.r : c.r+i+1]
-		c.r += i + 1
-		c.off += int64(i + 1)
-		if c.skipping {
-			c.skipping = false
-			continue
+		line, ok, err := c.line(true)
+		if err != nil || !ok {
+			return err
 		}
 		// Positioning on a mid-segment LSN walks every earlier line, so
 		// those are told by their leading {"lsn":N alone; what is returned
@@ -205,7 +224,7 @@ func (c *Cursor) scan(max int, out *[]Entry) error {
 		if lsn, ok := peekLSN(line); ok && lsn < c.next {
 			continue
 		}
-		smp, lsn, ok := parseRecordLine(line)
+		smp, lsn, ok := ParseRecordLine(line)
 		if !ok || lsn < c.next {
 			continue
 		}
@@ -213,6 +232,73 @@ func (c *Cursor) scan(max int, out *[]Entry) error {
 		c.next = lsn + 1
 	}
 	return nil
+}
+
+// scanLines consumes up to max consecutive lines with a good frame, CRC and
+// an LSN >= c.next, and returns them where they lie in buf. Lines to be
+// skipped are stepped over ahead of the run; the first one after it has
+// begun ends it, and so does running out of buffered bytes, because fill
+// moves what is in buf.
+func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
+	var start, end int
+	for n < max {
+		line, ok, err := c.line(n == 0)
+		if err != nil {
+			return nil, 0, err // only fill fails, and a run in hand rules fill out
+		}
+		if !ok {
+			break
+		}
+		lsn, ok := peekLSN(line)
+		if ok && lsn >= c.next {
+			_, ok = linePayload(line)
+		}
+		if !ok || lsn < c.next {
+			if n > 0 {
+				break
+			}
+			continue
+		}
+		if n == 0 {
+			start = c.r - len(line)
+		}
+		n++
+		end = c.r
+		c.next = lsn + 1
+	}
+	return c.buf[start:end], n, nil
+}
+
+// line consumes and returns the next whole line within maxWALLineBytes. With
+// none buffered it reads more of the segment in, if refill allows. ok is
+// false when no further whole line is to be had: the segment has none (it
+// may end in a partial one), or buf has none and refill is false.
+func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
+	for {
+		i := bytes.IndexByte(c.buf[c.r:c.w], '\n')
+		if i < 0 {
+			if !refill {
+				return nil, false, nil
+			}
+			if c.skipping || c.w-c.r >= maxWALLineBytes {
+				c.skipping = true
+				c.off += int64(c.w - c.r)
+				c.r, c.w = 0, 0
+			}
+			if more, err := c.fill(); err != nil || !more {
+				return nil, false, err
+			}
+			continue
+		}
+		line = c.buf[c.r : c.r+i+1]
+		c.r += i + 1
+		c.off += int64(i + 1)
+		if c.skipping {
+			c.skipping = false
+			continue
+		}
+		return line, true, nil
+	}
 }
 
 // fill reads more of the segment in behind buf[r:w], reporting false at EOF.
@@ -233,8 +319,6 @@ func (c *Cursor) fill() (bool, error) {
 	}
 	return false, err
 }
-
-const lsnKey = `{"lsn":`
 
 // peekLSN reads N off a line shaped `crc32hex {"lsn":N,` — how the encoder
 // starts every record — without validating anything else about it.
@@ -279,12 +363,24 @@ relist:
 	return nil, 0, nil
 }
 
-// AppendAt journals one sample under an explicit sequence number — the
-// replica-side write path, which must preserve the primary's LSNs so a
-// promoted replica's log lines up with what the old primary acked. lsn must
-// be >= the store's next LSN (monotonic; forward gaps are allowed and
-// survive recovery, which keys off per-record LSNs).
-func (st *Store) AppendAt(lsn uint64, smp trace.Sample) error {
+// AppendAt journals line — the whole WAL line of record lsn, as another store
+// wrote it and ParseRecordLine passed it — as this log's next record: the
+// replica-side write path. Journaling the primary's bytes rather than a
+// re-encoding of what they decode to keeps a replica's log byte-identical to
+// its primary's at equal LSN, and its LSNs lined up with what the primary
+// acked when it is promoted. lsn must be >= the store's next LSN (monotonic;
+// forward gaps are allowed and survive recovery, which keys off per-record
+// LSNs).
+//
+// The line is checked again for what can be checked without decoding it a
+// second time — frame, cap, CRC, well-formed JSON, and that it opens with
+// lsn — so a view that went stale between the caller's parse and this call
+// is refused, not journaled. A refused line leaves the log untouched.
+func (st *Store) AppendAt(lsn uint64, line []byte) error {
+	payload, ok := linePayload(line) // the line is checked outside the lock: it is the caller's alone
+	if got, peeked := peekLSN(line); !ok || !peeked || got != lsn || !json.Valid(payload) {
+		return fmt.Errorf("store: AppendAt %d: not a valid WAL line for that LSN", lsn)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -293,8 +389,7 @@ func (st *Store) AppendAt(lsn uint64, smp trace.Sample) error {
 	if lsn < st.nextLSN {
 		return fmt.Errorf("store: AppendAt %d behind next LSN %d", lsn, st.nextLSN)
 	}
-	st.nextLSN = lsn
-	if _, err := st.appendLocked(smp); err != nil {
+	if err := st.writeLineLocked(lsn, line); err != nil {
 		st.met.appendErrors.Inc()
 		return err
 	}

@@ -2,10 +2,12 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // readAll walks ReadBatch from `from` until caught up and returns the
@@ -233,11 +236,11 @@ func TestAppendAtAndResetTo(t *testing.T) {
 		t.Fatalf("LastLSN after reset: %d, want 100", got)
 	}
 	for i := 0; i < 5; i++ {
-		if err := st.AppendAt(uint64(101+i), testSample(i)); err != nil {
+		if err := st.AppendAt(uint64(101+i), recordLine(t, uint64(101+i), testSample(i))); err != nil {
 			t.Fatalf("AppendAt %d: %v", 101+i, err)
 		}
 	}
-	if err := st.AppendAt(50, testSample(9)); err == nil {
+	if err := st.AppendAt(50, recordLine(t, 50, testSample(9))); err == nil {
 		t.Fatal("AppendAt must reject a regressing LSN")
 	}
 	// Old history is gone: the reader reports it compacted.
@@ -264,6 +267,67 @@ func TestAppendAtAndResetTo(t *testing.T) {
 	}
 	if next, err := st2.Append(testSample(7)); err != nil || next != 106 {
 		t.Fatalf("append after recovery: lsn %d err %v, want 106", next, err)
+	}
+}
+
+func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
+	// AppendAt journals another store's bytes as they stand, so anything it
+	// lets through is in this log for good: a line has to check out on its
+	// own — frame, CRC, JSON, the LSN it is filed under — and a refusal must
+	// leave the segment as it was.
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	appendN(t, st, 0, 3)
+	good := recordLine(t, 4, testSample(3))
+	reframe := func(payload string) []byte { // a good frame and CRC around any payload
+		line, _ := oracleLine(0, trace.Sample{})
+		return append(fmt.Appendf(line[:0], "%08x ", crc32.ChecksumIEEE([]byte(payload))), payload+"\n"...)
+	}
+	flipped := bytes.Replace(good, []byte("udp_kbps"), []byte("udp_kbpz"), 1)
+	badCRC := append([]byte(nil), good...)
+	badCRC[0] ^= 1
+	payload := string(good[9 : len(good)-1])
+	for _, tc := range []struct {
+		name string
+		lsn  uint64
+		line []byte
+	}{
+		{"a flipped payload byte", 4, flipped},
+		{"a flipped CRC digit", 4, badCRC},
+		{"a good CRC over truncated JSON", 4, reframe(payload[:len(payload)-1])},
+		{"a good CRC over no JSON at all", 4, reframe("not a record")},
+		{"the wrong LSN for the line", 5, good},
+		{"an LSN key that is not the first", 4, reframe(`{"sample":{},"lsn":4}`)},
+		{"no newline", 4, good[:len(good)-1]},
+		{"two lines", 4, append(append([]byte(nil), good...), recordLine(t, 5, testSample(4))...)},
+		{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", maxWALLineBytes) + `"}}`)},
+		{"nothing", 4, nil},
+		{"a regressing LSN", 2, recordLine(t, 2, testSample(1))},
+	} {
+		before, err := os.ReadFile(st.segName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendAt(tc.lsn, tc.line); err == nil {
+			t.Errorf("%s: AppendAt(%d) journaled it", tc.name, tc.lsn)
+		}
+		after, err := os.ReadFile(st.segName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || st.LastLSN() != 3 {
+			t.Fatalf("%s: the refusal changed the log: %d -> %d bytes, last LSN %d", tc.name, len(before), len(after), st.LastLSN())
+		}
+	}
+	if err := st.AppendAt(4, good); err != nil {
+		t.Fatalf("a good line after the refusals: %v", err)
+	}
+	got := readAll(t, st, 1, 10)
+	if len(got) != 4 || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) {
+		t.Fatalf("log after the refusals: %v", lsns(got))
 	}
 }
 
@@ -302,7 +366,7 @@ func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
 			if !complete {
 				break // a torn tail, or an append in flight
 			}
-			if smp, lsn, ok := parseRecordLine(line); ok && lsn >= from {
+			if smp, lsn, ok := ParseRecordLine(line); ok && lsn >= from {
 				out = append(out, Entry{LSN: lsn, Sample: smp})
 			}
 		}
@@ -314,12 +378,17 @@ func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
 	return out, nil
 }
 
-// TestCursorMatchesStatelessScan drives one long-lived cursor and the
-// stateless oracle through seeded schedules of everything that can happen
-// to a log — appends, AppendAt with forward gaps, rotation at a tiny
-// segment size, checkpoints that compact, ResetTo in both directions, and
-// by hand a torn tail and a corrupt line — and requires the same batches
-// and the same ErrCompacted verdicts at every read.
+// TestCursorMatchesStatelessScan drives two long-lived cursors — one read
+// with Next, one with NextLines — and the stateless oracle through seeded
+// schedules of everything that can happen to a log — appends, AppendAt with
+// forward gaps, rotation at a tiny segment size, checkpoints that compact,
+// ResetTo in both directions, and by hand a torn tail and a corrupt line —
+// and requires the same batches (the raw lines decoded) and the same
+// ErrCompacted verdicts at every read.
+//
+// Mutants of the raw read this must catch, each tried by hand: no CRC check
+// in scanLines; a run carried across a fill (line(true) throughout); line
+// dropping a partial tail at EOF instead of waiting for the rest of it.
 func TestCursorMatchesStatelessScan(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		if err := runCursorSchedule(t.TempDir(), seed); err != nil {
@@ -352,40 +421,51 @@ func runCursorSchedule(dir string, seed uint64) error {
 	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
 
 	nextLine := func() []byte {
-		payload, _ := json.Marshal(walRecord{LSN: st.LastLSN() + 1, Sample: testSample(0)})
-		return appendRecordLine(nil, payload)
+		line, _ := appendRecordLine(nil, st.LastLSN()+1, testSample(0))
+		return line
 	}
 
-	pos := uint64(1) // the LSN both readers want next
-	cur := st.OpenCursor(pos)
-	defer func() { cur.Close() }()
+	pos := uint64(1) // the LSN all three readers want next
+	cur, raw := st.OpenCursor(pos), st.OpenCursor(pos)
+	defer func() { cur.Close(); raw.Close() }()
 	reads := 0
 	compare := func(max int) error {
 		reads++
-		got, gerr := cur.Next(max)
 		want, werr := oracleReadBatch(dir, pos, max)
-		if (gerr != nil || werr != nil) && !(errors.Is(gerr, ErrCompacted) && errors.Is(werr, ErrCompacted)) {
-			return fmt.Errorf("read %d at LSN %d: cursor err %v, oracle err %v", reads, pos, gerr, werr)
-		}
-		if len(got) != len(want) {
-			return fmt.Errorf("read %d at LSN %d: cursor %d records %v, oracle %d %v", reads, pos, len(got), lsns(got), len(want), lsns(want))
-		}
-		for i := range got {
-			if got[i].LSN != want[i].LSN || !sampleEqual(got[i].Sample, want[i].Sample) {
-				return fmt.Errorf("read %d at LSN %d: cursor %v, oracle %v", reads, pos, lsns(got), lsns(want))
+		got, gerr := cur.Next(max)
+		lines, lerr := readLines(raw, max)
+		for _, r := range []struct {
+			name string
+			got  []Entry
+			err  error
+		}{{"Next", got, gerr}, {"NextLines", lines, lerr}} {
+			if (r.err != nil || werr != nil) && !(errors.Is(r.err, ErrCompacted) && errors.Is(werr, ErrCompacted)) {
+				return fmt.Errorf("read %d at LSN %d: %s err %v, oracle err %v", reads, pos, r.name, r.err, werr)
+			}
+			if len(r.got) != len(want) {
+				return fmt.Errorf("read %d at LSN %d: %s %d records %v, oracle %d %v", reads, pos, r.name, len(r.got), lsns(r.got), len(want), lsns(want))
+			}
+			for i := range r.got {
+				if r.got[i].LSN != want[i].LSN || !sampleEqual(r.got[i].Sample, want[i].Sample) {
+					return fmt.Errorf("read %d at LSN %d: %s %v, oracle %v", reads, pos, r.name, lsns(r.got), lsns(want))
+				}
 			}
 		}
 		if gerr != nil {
-			// Both compacted: restart from the checkpoint, as a stream does.
+			// All compacted: restart from the checkpoint, as a stream does.
 			_, lsn, err := st.LatestCheckpoint()
 			if err != nil {
 				return err
 			}
 			pos = lsn + 1
 			cur.Close()
-			cur = st.OpenCursor(pos)
+			raw.Close()
+			cur, raw = st.OpenCursor(pos), st.OpenCursor(pos)
 		} else if len(got) > 0 {
 			pos = got[len(got)-1].LSN + 1
+		}
+		if cur.Position() != pos || raw.Position() != pos {
+			return fmt.Errorf("read %d: positions Next %d, NextLines %d, want %d", reads, cur.Position(), raw.Position(), pos)
 		}
 		return nil
 	}
@@ -400,7 +480,11 @@ func runCursorSchedule(dir string, seed uint64) error {
 				n++
 			}
 		case op < 13:
-			err = st.AppendAt(st.LastLSN()+1+uint64(r.Intn(5)), testSample(n))
+			lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
+			var line []byte
+			if line, err = appendRecordLine(nil, lsn, testSample(n)); err == nil {
+				err = st.AppendAt(lsn, line)
+			}
 			n++
 		case op < 15:
 			err = st.Checkpoint(snap)
@@ -443,6 +527,45 @@ func runCursorSchedule(dir string, seed uint64) error {
 			return nil
 		}
 	}
+}
+
+// readLines reads what Next(max) would through NextLines: runs until max
+// lines or an empty one, every line put through the validating parser while
+// its run is still valid, a failure after some lines held back as Next holds
+// it.
+func readLines(c *Cursor, max int) ([]Entry, error) {
+	var out []Entry
+	for len(out) < max {
+		run, n, err := c.NextLines(max - len(out))
+		if err != nil && len(out) == 0 {
+			return nil, err
+		}
+		if err != nil || n == 0 {
+			break
+		}
+		lines := bytes.SplitAfter(run, []byte("\n"))
+		if len(lines) != n+1 || len(lines[n]) != 0 {
+			return nil, fmt.Errorf("NextLines: run of %d bytes said to hold %d lines splits into %d", len(run), n, len(lines)-1)
+		}
+		for _, line := range lines[:n] {
+			smp, lsn, ok := ParseRecordLine(line)
+			if !ok {
+				return nil, fmt.Errorf("NextLines returned a line that does not validate: %q", line)
+			}
+			out = append(out, Entry{LSN: lsn, Sample: smp})
+		}
+	}
+	return out, nil
+}
+
+// recordLine is the WAL line of (lsn, smp), as the encoder writes it.
+func recordLine(tb testing.TB, lsn uint64, smp trace.Sample) []byte {
+	tb.Helper()
+	line, err := appendRecordLine(nil, lsn, smp)
+	if err != nil {
+		tb.Fatalf("encoding record %d: %v", lsn, err)
+	}
+	return line
 }
 
 func lsns(es []Entry) []uint64 {
@@ -493,6 +616,59 @@ func TestCursorNextCostIndependentOfLogSize(t *testing.T) {
 	}
 	if batchSmall != batchLarge {
 		t.Errorf("Next(100) allocations grow with the log: %v at 1000 records, %v at 20000", batchSmall, batchLarge)
+	}
+}
+
+func TestNextLinesReturnsTheSegmentsOwnBytes(t *testing.T) {
+	// A log several times the cursor's buffer, read to its end in runs: every
+	// run ends at a line boundary inside the buffer, and end to end they are
+	// the segment file, byte for byte. Then the cost of a run: a fixed number
+	// of allocations, whatever the number of lines in it.
+	const n = 2000
+	st := tailStore(t, n)
+	want, err := os.ReadFile(st.segName(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 3*cursorBufBytes {
+		t.Fatalf("log of %d bytes does not outgrow the cursor's %d-byte buffer", len(want), cursorBufBytes)
+	}
+	c := st.OpenCursor(1)
+	defer c.Close()
+	var got []byte
+	lines := 0
+	for {
+		run, k, err := c.NextLines(256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			break
+		}
+		if k > 256 || bytes.Count(run, []byte("\n")) != k || run[len(run)-1] != '\n' {
+			t.Fatalf("run of %d bytes said to hold %d lines", len(run), k)
+		}
+		got = append(got, run...)
+		lines += k
+	}
+	if lines != n || !bytes.Equal(got, want) || c.Position() != n+1 {
+		t.Fatalf("read %d lines, %d bytes, position %d; the segment holds %d lines, %d bytes", lines, len(got), c.Position(), n, len(want))
+	}
+
+	if raceEnabled {
+		return // the race detector allocates on its own
+	}
+	measure := func(k int) float64 {
+		c := st.OpenCursor(1)
+		defer c.Close()
+		return testing.AllocsPerRun(5, func() {
+			if _, got, err := c.NextLines(k); err != nil || got == 0 || got > k {
+				t.Fatalf("NextLines(%d): %d lines, err %v", k, got, err)
+			}
+		})
+	}
+	if few, many := measure(16), measure(256); many > 2 || few != many {
+		t.Errorf("NextLines allocates %v times for 16 lines and %v for 256; want the same, and at most 2", few, many)
 	}
 }
 
@@ -548,25 +724,35 @@ func BenchmarkCursorTail(b *testing.B) {
 			}
 		}
 	})
-	b.Run("next-100", func(b *testing.B) {
-		st := tailStore(b, depth+100)
-		c := st.OpenCursor(depth)
-		defer c.Close()
-		if es, err := c.Next(1); err != nil || len(es) != 1 {
-			b.Fatalf("positioning on the last 100: %d records, err %v", len(es), err)
-		}
-		// Every iteration re-reads the same 100 records: winding the
-		// position back by hand keeps the log, and the temp dir, from
-		// growing with b.N. Dropping the buffered bytes is sound — off is
-		// the file offset of the first unread byte either way.
-		off, next := c.off, c.next
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.off, c.next, c.r, c.w = off, next, 0, 0
-			if es, err := c.Next(100); err != nil || len(es) != 100 {
-				b.Fatalf("%d records, err %v", len(es), err)
+	// The same 100 records decoded (Next) and as journaled (NextLines, what
+	// the replication source ships).
+	for _, read := range []struct {
+		name string
+		do   func(c *Cursor) (int, error)
+	}{
+		{"next-100", func(c *Cursor) (int, error) { es, err := c.Next(100); return len(es), err }},
+		{"lines-100", func(c *Cursor) (int, error) { _, n, err := c.NextLines(100); return n, err }},
+	} {
+		b.Run(read.name, func(b *testing.B) {
+			st := tailStore(b, depth+100)
+			c := st.OpenCursor(depth)
+			defer c.Close()
+			if es, err := c.Next(1); err != nil || len(es) != 1 {
+				b.Fatalf("positioning on the last 100: %d records, err %v", len(es), err)
 			}
-		}
-	})
+			// Every iteration re-reads the same 100 records: winding the
+			// position back by hand keeps the log, and the temp dir, from
+			// growing with b.N. Dropping the buffered bytes is sound — off is
+			// the file offset of the first unread byte either way.
+			off, next := c.off, c.next
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.off, c.next, c.r, c.w = off, next, 0, 0
+				if n, err := read.do(c); err != nil || n != 100 {
+					b.Fatalf("%d records, err %v", n, err)
+				}
+			}
+		})
+	}
 }

@@ -226,7 +226,7 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Op
 		line, consumed, complete := readLineCapped(br, maxWALLineBytes)
 		offset += consumed
 		if complete {
-			if smp, lsn, ok := parseRecordLine(line); ok {
+			if smp, lsn, ok := ParseRecordLine(line); ok {
 				rec.CorruptRecords += pendingBad
 				pendingBad = 0
 				goodEnd = offset
@@ -294,19 +294,34 @@ func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, c
 	}
 }
 
-// parseRecordLine validates one "crc32hex payload\n" WAL line.
-func parseRecordLine(line []byte) (trace.Sample, uint64, bool) {
+// linePayload checks the frame of one WAL line — "crc32hex payload\n", no
+// longer than maxWALLineBytes, the CRC the payload's own — and returns the
+// payload.
+func linePayload(line []byte) ([]byte, bool) {
 	// 8 hex digits + ' ' + at least "{}" + '\n'.
-	if len(line) < 12 || line[8] != ' ' || line[len(line)-1] != '\n' {
-		return trace.Sample{}, 0, false
+	if len(line) < 12 || len(line) > maxWALLineBytes || line[8] != ' ' || line[len(line)-1] != '\n' {
+		return nil, false
 	}
 	var crcBytes [4]byte
 	if _, err := hex.Decode(crcBytes[:], line[:8]); err != nil {
-		return trace.Sample{}, 0, false
+		return nil, false
 	}
 	want := uint32(crcBytes[0])<<24 | uint32(crcBytes[1])<<16 | uint32(crcBytes[2])<<8 | uint32(crcBytes[3])
 	payload := line[9 : len(line)-1]
 	if crc32.ChecksumIEEE(payload) != want {
+		return nil, false
+	}
+	return payload, true
+}
+
+// ParseRecordLine validates one WAL line in full — frame, CRC and the JSON
+// record behind them — and returns the sample and the LSN it journals. It is
+// the format's one validating decoder: recovery, Cursor.Next and a replica
+// taking lines off the replication stream all decide through it what a
+// record is. The sample shares no memory with line.
+func ParseRecordLine(line []byte) (trace.Sample, uint64, bool) {
+	payload, ok := linePayload(line)
+	if !ok {
 		return trace.Sample{}, 0, false
 	}
 	var wr walRecord

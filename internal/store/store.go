@@ -22,10 +22,8 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -276,43 +274,39 @@ func (st *Store) Append(smp trace.Sample) (uint64, error) {
 
 func (st *Store) appendLocked(smp trace.Sample) (uint64, error) {
 	lsn := st.nextLSN
-	payload, err := json.Marshal(walRecord{LSN: lsn, Sample: smp})
-	if err != nil {
+	var err error
+	if st.buf, err = appendRecordLine(st.buf[:0], lsn, smp); err != nil {
 		return 0, fmt.Errorf("store: encoding sample: %w", err)
 	}
-	if st.segSize >= st.opts.SegmentMaxBytes {
-		if err := st.rotateLocked(lsn); err != nil {
-			return 0, err
-		}
-	}
-	st.buf = appendRecordLine(st.buf[:0], payload)
-	if _, err := st.f.Write(st.buf); err != nil {
-		return 0, fmt.Errorf("store: appending record %d: %w", lsn, err)
-	}
-	st.segSize += int64(len(st.buf))
-	st.nextLSN = lsn + 1
-	st.unsynced++
-	st.met.walAppends.Inc()
-	st.met.walBytes.Add(float64(len(st.buf)))
-	if n := st.opts.Fsync.EveryRecords; n > 0 && st.unsynced >= n {
-		if err := st.syncLocked(); err != nil {
-			return 0, fmt.Errorf("store: fsync: %w", err)
-		}
-		st.unsynced = 0
+	if err := st.writeLineLocked(lsn, st.buf); err != nil {
+		return 0, err
 	}
 	return lsn, nil
 }
 
-// appendRecordLine frames one WAL line: "crc32hex payload\n".
-func appendRecordLine(buf, payload []byte) []byte {
-	crc := crc32.ChecksumIEEE(payload)
-	const hexdig = "0123456789abcdef"
-	for shift := 28; shift >= 0; shift -= 4 {
-		buf = append(buf, hexdig[(crc>>uint(shift))&0xf])
+// writeLineLocked journals line, the whole WAL line of record lsn, as the
+// log's next record: rotation, the write, the books and the fsync policy.
+func (st *Store) writeLineLocked(lsn uint64, line []byte) error {
+	if st.segSize >= st.opts.SegmentMaxBytes {
+		if err := st.rotateLocked(lsn); err != nil {
+			return err
+		}
 	}
-	buf = append(buf, ' ')
-	buf = append(buf, payload...)
-	return append(buf, '\n')
+	if _, err := st.f.Write(line); err != nil {
+		return fmt.Errorf("store: appending record %d: %w", lsn, err)
+	}
+	st.segSize += int64(len(line))
+	st.nextLSN = lsn + 1
+	st.unsynced++
+	st.met.walAppends.Inc()
+	st.met.walBytes.Add(float64(len(line)))
+	if n := st.opts.Fsync.EveryRecords; n > 0 && st.unsynced >= n {
+		if err := st.syncLocked(); err != nil {
+			return fmt.Errorf("store: fsync: %w", err)
+		}
+		st.unsynced = 0
+	}
+	return nil
 }
 
 // Sync forces the WAL to stable storage regardless of policy.

@@ -7,8 +7,9 @@
 //
 //	wiscape-lint [-only a,b] [-list] [-json|-sarif] [-baseline FILE] [-write-baseline FILE] [-stats] [-stats-json FILE [-stats-label NAME]] [packages]
 //
-// Packages are import paths or the pattern ./... (the default), which
-// walks every package in the enclosing module. The run is two-pass:
+// Packages are import paths, ./dir (the package in that directory of the
+// enclosing module), ./dir/... (every package at or below it) or ./... (the
+// default: the whole module). The run is two-pass:
 // every requested package is loaded and type-checked first, a facts
 // table (may-block, returns-IO-error, shutdown-signal, WaitGroup
 // accounting, lock-acquisition order, tainted lengths) is computed over
@@ -141,6 +142,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		p, err := ld.Load(pkgPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "wiscape-lint: loading %s: %v\n", pkgPath, err)
+			exit = 2
+			continue
+		}
+		if p.Info == nil {
+			// The loader found it outside the module (a GOROOT package): it
+			// was checked as a dependency, without the types the analyzers read.
+			fmt.Fprintf(stderr, "wiscape-lint: %s is not a package of module %s\n", pkgPath, modPath)
 			exit = 2
 			continue
 		}
@@ -383,8 +391,11 @@ func relErr(err error, modDir string) string {
 }
 
 // expand resolves the given patterns to a sorted list of module package
-// import paths. "./..." (or "all") walks the module tree; anything else
-// is taken as a literal import path.
+// import paths. "./dir" is the package in that directory of the module and
+// "./dir/..." every package at or below it, both relative to the module root
+// whatever the working directory ("./..." or "all": the whole module); such
+// a pattern that names no package, or no directory, is an error. Anything
+// else is taken as a literal import path, for the loader to resolve.
 func expand(patterns []string, modDir, modPath string) ([]string, error) {
 	seen := make(map[string]bool)
 	var out []string
@@ -394,12 +405,36 @@ func expand(patterns []string, modDir, modPath string) ([]string, error) {
 			out = append(out, p)
 		}
 	}
+	// addDir adds the package in a directory given relative to the module.
+	addDir := func(rel string) {
+		if rel == "." {
+			add(modPath)
+		} else {
+			add(modPath + "/" + filepath.ToSlash(rel))
+		}
+	}
 	for _, pat := range patterns {
-		if pat != "./..." && pat != "all" {
+		if pat == "all" {
+			pat = "./..."
+		}
+		if pat != "." && !strings.HasPrefix(pat, "./") {
 			add(strings.TrimSuffix(pat, "/"))
 			continue
 		}
-		err := filepath.WalkDir(modDir, func(path string, d os.DirEntry, err error) error {
+		rel, tree := strings.CutSuffix(pat, "/...")
+		rel = filepath.Clean(filepath.FromSlash(rel))
+		if rel != "." && !filepath.IsLocal(rel) {
+			return nil, fmt.Errorf("pattern %q leaves the module", pat)
+		}
+		root := filepath.Join(modDir, rel)
+		if !tree {
+			if !hasGoFiles(root) {
+				return nil, fmt.Errorf("pattern %q names no package in module %s", pat, modPath)
+			}
+			addDir(rel)
+			continue
+		}
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
@@ -407,7 +442,7 @@ func expand(patterns []string, modDir, modPath string) ([]string, error) {
 				return nil
 			}
 			name := d.Name()
-			if path != modDir && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 				name == "testdata" || name == "vendor") {
 				return filepath.SkipDir
 			}
@@ -418,15 +453,11 @@ func expand(patterns []string, modDir, modPath string) ([]string, error) {
 			if err != nil {
 				return err
 			}
-			if rel == "." {
-				add(modPath)
-			} else {
-				add(modPath + "/" + filepath.ToSlash(rel))
-			}
+			addDir(rel)
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pattern %q: %w", pat, err)
 		}
 	}
 	sort.Strings(out)

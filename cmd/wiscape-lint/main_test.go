@@ -214,3 +214,49 @@ func TestRunStatsJSONMergesByLabel(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDirectoryPatterns: "./dir" is the module's package in that
+// directory — here one whose path GOROOT also has (internal/trace), which the
+// loader used to pick instead, unchecked, for an analyzer to dereference —
+// and reports what its import path reports; "./dir/..." adds what is below
+// it; a pattern naming no package is refused with one line, whatever else
+// was asked for.
+func TestRunDirectoryPatterns(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod":                  "module example\n\ngo 1.22\n",
+		"internal/trace/t.go":     "package trace\n\nimport \"os\"\n\nfunc F(f *os.File) { f.Close() }\n",
+		"internal/trace/sub/s.go": "package sub\n\nimport \"os\"\n\nfunc G(f *os.File) { f.Sync() }\n",
+	})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	lint := func(args ...string) (int, string, string) {
+		var stdout, stderr bytes.Buffer
+		code := run(args, &stdout, &stderr)
+		return code, stdout.String(), stderr.String()
+	}
+	wantCode, want, _ := lint("example/internal/trace")
+	if wantCode != 1 || !strings.Contains(want, "internal/trace/t.go:5") || strings.Contains(want, "sub/s.go") {
+		t.Fatalf("by import path: exit %d, findings:\n%s", wantCode, want)
+	}
+	for _, pat := range []string{"./internal/trace", "./internal/trace/"} {
+		if code, got, stderr := lint(pat); code != wantCode || got != want {
+			t.Errorf("%s: exit %d, want %d; stderr %q; findings:\n%s\nwant:\n%s", pat, code, wantCode, stderr, got, want)
+		}
+	}
+	if code, got, _ := lint("./internal/trace/..."); code != 1 || !strings.Contains(got, "t.go:5") || !strings.Contains(got, "sub/s.go:5") {
+		t.Errorf("./internal/trace/...: exit %d, findings:\n%s", code, got)
+	}
+	for _, pats := range [][]string{{"./no/such/dir"}, {"./internal/trace", "./no/such/dir"}, {"./no/such/..."}, {"./../elsewhere"}, {"os"}} {
+		code, got, stderr := lint(pats...)
+		if code != 2 || got != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, pats[len(pats)-1]) {
+			t.Errorf("%v: exit %d, want 2 and one line naming the pattern; stdout %q, stderr %q", pats, code, got, stderr)
+		}
+	}
+}

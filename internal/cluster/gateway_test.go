@@ -763,3 +763,126 @@ func TestGatewayShardsEndpoint(t *testing.T) {
 		t.Fatalf("shard table: %+v", body)
 	}
 }
+
+// TestAgentReportsTakeTheCanonicalPath verifies the traffic instead of
+// guessing it: every sample report this tree's own senders write — a real
+// agent's, and the gateway's forwards of them, whole and split, Via set — is
+// decoded by the canonical-form parser at the gateway and at the shard
+// (wiscape_wire_decode_fallbacks_total stays 0 while decodes are counted),
+// and a report spelled another way is still ingested, one fallback counted.
+func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
+	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
+	ctrls := map[string]*core.Controller{}
+	var shards []ShardConfig
+	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
+		regs[name], ctrls[name] = telemetry.NewRegistry(), core.NewController(core.DefaultConfig(), box.Center())
+		s, err := coordinator.Serve(ctrls[name], "127.0.0.1:0", coordinator.Options{
+			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
+			TaskInterval: time.Minute, Seed: seed, Telemetry: regs[name],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: box})
+	}
+	registry, err := NewRegistry(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, Telemetry: regs["gateway"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	fallbacks := func(who string) float64 {
+		return regs[who].Counter("wiscape_wire_decode_fallbacks_total", "").With().Value()
+	}
+	decodes := func(who string) float64 {
+		return regs[who].Counter("wiscape_wire_messages_total", "", "dir").With("decode").Value()
+	}
+	ingested := func() (n int64) {
+		for _, ctrl := range ctrls {
+			for _, key := range ctrl.Keys() {
+				n += ctrl.SampleCount(key)
+			}
+		}
+		return n
+	}
+
+	// A real agent's session, crossing from one shard to the other.
+	a := &agent.Agent{
+		ID: "cross-country", DeviceClass: "laptop",
+		Track:    crossTrack{a: geo.MadisonStaticSites()[0], b: geo.NJStaticSites()[0], mid: start.Add(30 * time.Minute)},
+		Env:      radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center()),
+		Networks: []radio.NetworkID{radio.NetB}, Seed: seed,
+		Grid: geo.GridForZoneRadius(geo.Madison().Center(), 250),
+	}
+	st, err := a.Run(gw.Addr(), start, time.Hour, time.Minute)
+	if err != nil || st.SamplesSent == 0 || ingested() != int64(st.SamplesSent) {
+		t.Fatalf("agent session: %+v, err %v, %d samples ingested", st, err, ingested())
+	}
+
+	// One report the gateway has to split between the shards.
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	var straddling []trace.Sample
+	for i, loc := range []geo.Point{geo.NJStaticSites()[0], geo.MadisonStaticSites()[0], geo.NJStaticSites()[0], geo.MadisonStaticSites()[1]} {
+		straddling = append(straddling, trace.Sample{Time: start.Add(2*time.Hour + time.Duration(i)*time.Second), Loc: loc,
+			Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + float64(i), ClientID: "probe", Device: "phone"})
+	}
+	report := wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "probe", Samples: straddling}}
+	before := ingested()
+	if ack, err := c.Call(report, wire.TypeSampleAck); err != nil || ack.SampleAck.Accepted != len(straddling) {
+		t.Fatalf("straddling report: ack %+v, err %v", ack.SampleAck, err)
+	}
+	perReport := ingested() - before
+
+	for who := range regs {
+		if decodes(who) == 0 || fallbacks(who) != 0 {
+			t.Errorf("%s decoded %v messages and left %v sample reports to encoding/json, want some and none", who, decodes(who), fallbacks(who))
+		}
+	}
+
+	// The same report, spelled with a space after every colon and comma.
+	var frame captureConn
+	if err := wire.NewConn(&frame).Send(report); err != nil {
+		t.Fatal(err)
+	}
+	spaced := strings.NewReplacer(`":`, `": `, `,"`, `, "`).Replace(frame.buf.String())
+	before = ingested()
+	if _, err := nc.Write([]byte(spaced)); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := c.Recv(); err != nil || ack.SampleAck == nil || ack.SampleAck.Accepted != len(straddling) {
+		t.Fatalf("hand-spaced report: reply %+v, err %v", ack, err)
+	}
+	if got := ingested() - before; got != perReport {
+		t.Errorf("the hand-spaced report ingested %d samples, the canonical one %d", got, perReport)
+	}
+	if gwF, shardF := fallbacks("gateway"), fallbacks("madison")+fallbacks("new-jersey"); gwF != 1 || shardF != 0 {
+		t.Errorf("after one hand-spaced report: %v fallbacks at the gateway and %v at the shards, want 1 and 0 (the gateway re-encodes what it forwards)", gwF, shardF)
+	}
+	// And straight to a coordinator, as a foreign agent without a gateway would.
+	direct, err := net.Dial("tcp", shards[0].Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := wire.NewConn(direct)
+	defer dc.Close()
+	_ = dc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := direct.Write([]byte(spaced)); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := dc.Recv(); err != nil || ack.SampleAck == nil || ack.SampleAck.Accepted != len(straddling) {
+		t.Fatalf("hand-spaced report to %s: reply %+v, err %v", shards[0].Name, ack, err)
+	}
+	if f := fallbacks(shards[0].Name); f != 1 {
+		t.Errorf("%s counted %v fallbacks after one hand-spaced report, want 1", shards[0].Name, f)
+	}
+}

@@ -68,6 +68,13 @@ type Controller struct {
 	alertsDropped int64
 
 	budgetRefreshes int64 // NKLD resampling sweeps run by RequiredSamplesFor
+
+	// The series and window sizes epochFromWindow sweeps. A key asks again
+	// each time its window has grown by half, and on every Ingest while it
+	// has a trend but no valid epoch, so the space is kept; like everything
+	// above it is touched only under mu.
+	trendScratch  []float64
+	windowScratch []int
 }
 
 // failKey tracks ping failures per zone and network.
@@ -331,7 +338,8 @@ func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool
 	if w.TrendLen() < 60 {
 		return 0, false
 	}
-	series, period := w.TrendSeries()
+	series, period := w.AppendTrendSeries(c.trendScratch[:0])
+	c.trendScratch = series
 	if period <= 0 {
 		return 0, false
 	}
@@ -345,8 +353,8 @@ func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool
 	if limit := len(series) / 10; limit < maxWindow {
 		maxWindow = limit
 	}
-	windows := stats.LogSpacedWindows(minWindow, maxWindow, 25)
-	best, _ := stats.MinAllanWindow(series, windows)
+	c.windowScratch = stats.AppendLogSpacedWindows(c.windowScratch[:0], minWindow, maxWindow, 25)
+	best, _ := stats.MinAllanWindow(series, c.windowScratch)
 	if best <= 0 {
 		return 0, false
 	}

@@ -178,6 +178,54 @@ func TestEpochFromHistoryMatchesAllan(t *testing.T) {
 	}
 }
 
+// TestEpochSweepAllocatesNothing: a key with a trend long enough to sweep and
+// no valid epoch asks for one on every Ingest, under Controller.mu, and a key
+// with one asks again each time its window grows by half. Either way the
+// series and the window list are built in the controller's scratch.
+func TestEpochSweepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	fill := func(cfg Config) (*Controller, *zoneState, time.Time) {
+		c := NewController(cfg, origin)
+		r := rng.New(24)
+		at := start
+		for i := 0; i < 80; i++ {
+			c.Ingest(mkSample(at, origin, 900+20*r.NormFloat64()))
+			at = at.Add(time.Minute)
+		}
+		st := c.zones[Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}]
+		if st == nil || st.window.TrendLen() < 60 {
+			t.Fatalf("the key's trend is too short to be swept: %+v", st)
+		}
+		return c, st, at
+	}
+
+	// No sweep point fits a floor of 600 one-minute slots in an 80-slot
+	// trend, so the epoch never becomes valid.
+	cfg := DefaultConfig()
+	cfg.EpochSweepMin = 600
+	c, st, at := fill(cfg)
+	smp := mkSample(at, origin, 900)
+	if allocs := testing.AllocsPerRun(200, func() { c.Ingest(smp) }); allocs != 0 || st.epochValid {
+		t.Errorf("Ingest of a key with a %d-slot trend and no valid epoch (valid: %v) allocates %v times, want 0",
+			st.window.TrendLen(), st.epochValid, allocs)
+	}
+
+	c, st, _ = fill(DefaultConfig())
+	want, ok := c.epochFromWindow(st.window)
+	if !ok {
+		t.Fatal("the default sweep found no epoch")
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if ep, ok := c.epochFromWindow(st.window); !ok || ep != want {
+			t.Fatalf("epoch re-derived as %v (ok %v), was %v", ep, ok, want)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-deriving an epoch allocates %v times, want 0", allocs)
+	}
+}
+
 func TestHistoryBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HistoryLimit = 100

@@ -127,14 +127,16 @@ func (e *EpochSketch) TrendLen() int {
 // TrendSeries returns the regularized temporal mean series and its period,
 // or (nil, 0) when no trend ring is attached or it is empty.
 func (e *EpochSketch) TrendSeries() ([]float64, time.Duration) {
-	if e.trend == nil {
-		return nil, 0
+	return e.AppendTrendSeries(nil)
+}
+
+// AppendTrendSeries is TrendSeries appending to dst; with no trend to append
+// it returns dst as it came and a zero period.
+func (e *EpochSketch) AppendTrendSeries(dst []float64) ([]float64, time.Duration) {
+	if e.trend == nil || e.trend.Len() == 0 {
+		return dst, 0
 	}
-	s := e.trend.Series()
-	if s == nil {
-		return nil, 0
-	}
-	return s, e.trend.Period()
+	return e.trend.AppendSeries(dst), e.trend.Period()
 }
 
 // FootprintBytes returns the sketch's fixed memory footprint: digest plus

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -211,6 +212,13 @@ func TestTrendGapCarryForward(t *testing.T) {
 	}
 	if s[10] != 9 {
 		t.Fatalf("last slot %v, want 9", s[10])
+	}
+	// AppendSeries is Series behind whatever dst already holds.
+	if got := tr.AppendSeries([]float64{-1, -2}); len(got) != 13 || got[0] != -1 || got[1] != -2 || !slices.Equal(got[2:], s) {
+		t.Fatalf("AppendSeries onto two values: %v, want them and then %v", got, s)
+	}
+	if got := NewTrend(16, time.Minute).AppendSeries(s[:1]); len(got) != 1 {
+		t.Fatalf("an empty trend appended %v", got[1:])
 	}
 }
 

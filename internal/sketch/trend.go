@@ -110,19 +110,22 @@ func (t *Trend) Len() int { return t.last + 1 }
 // filled slot, carrying the previous mean forward across empty bins (the
 // same gap treatment stats.RegularSeries applied to raw histories). Empty
 // trend → nil.
-func (t *Trend) Series() []float64 {
+func (t *Trend) Series() []float64 { return t.AppendSeries(nil) }
+
+// AppendSeries appends Series to dst, for a caller that asks often and keeps
+// the space between calls.
+func (t *Trend) AppendSeries(dst []float64) []float64 {
 	if t.last < 0 {
-		return nil
+		return dst
 	}
-	out := make([]float64, t.last+1)
 	prev := float64(t.slots[0].mean)
 	for i := 0; i <= t.last; i++ {
 		if t.slots[i].n > 0 {
 			prev = float64(t.slots[i].mean)
 		}
-		out[i] = prev
+		dst = append(dst, prev)
 	}
-	return out
+	return dst
 }
 
 // Merge folds another trend's mass into t, re-observing each filled slot

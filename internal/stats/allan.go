@@ -65,57 +65,62 @@ type AllanPoint struct {
 // windows of data exist.
 func AllanSweep(series []float64, windows []int) []AllanPoint {
 	var out []AllanPoint
+	allanSweep(series, windows, func(p AllanPoint) { out = append(out, p) })
+	return out
+}
+
+// allanSweep hands AllanSweep's points to yield, in order.
+func allanSweep(series []float64, windows []int, yield func(AllanPoint)) {
 	mean := Mean(series)
 	for _, m := range windows {
 		if m < 1 || len(series)/m < 2 {
 			continue
 		}
-		out = append(out, AllanPoint{WindowSamples: m, Deviation: normalizedAllan(series, m, mean)})
+		yield(AllanPoint{WindowSamples: m, Deviation: normalizedAllan(series, m, mean)})
 	}
-	return out
 }
 
 // MinAllanWindow returns the window size (in raw samples) minimizing the
-// normalized Allan deviation over the sweep, and that minimum value. This is
-// WiScape's epoch chooser. It returns (0, 0) when the sweep is empty.
+// normalized Allan deviation over the sweep (the first such, on a tie), and
+// that minimum value. This is WiScape's epoch chooser. It returns (0, 0) when
+// the sweep is empty, and allocates nothing.
 func MinAllanWindow(series []float64, windows []int) (bestWindow int, bestDev float64) {
-	pts := AllanSweep(series, windows)
-	if len(pts) == 0 {
-		return 0, 0
-	}
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.Deviation < best.Deviation {
-			best = p
+	allanSweep(series, windows, func(p AllanPoint) {
+		if bestWindow == 0 || p.Deviation < bestDev {
+			bestWindow, bestDev = p.WindowSamples, p.Deviation
 		}
-	}
-	return best.WindowSamples, best.Deviation
+	})
+	return bestWindow, bestDev
 }
 
 // LogSpacedWindows returns window sizes spaced roughly logarithmically
 // between lo and hi (inclusive), useful for Allan sweeps spanning 1–1000
 // minutes as in Fig. 6. Duplicate sizes are removed.
 func LogSpacedWindows(lo, hi, count int) []int {
+	return AppendLogSpacedWindows(nil, lo, hi, count)
+}
+
+// AppendLogSpacedWindows appends LogSpacedWindows(lo, hi, count) to dst.
+func AppendLogSpacedWindows(dst []int, lo, hi, count int) []int {
 	if lo < 1 {
 		lo = 1
 	}
 	if hi < lo || count < 1 {
-		return nil
+		return dst
 	}
 	if count == 1 {
-		return []int{lo}
+		return append(dst, lo)
 	}
-	out := make([]int, 0, count)
 	ratio := math.Pow(float64(hi)/float64(lo), 1/float64(count-1))
 	prev := 0
 	v := float64(lo)
 	for i := 0; i < count; i++ {
 		w := int(math.Round(v))
 		if w > prev {
-			out = append(out, w)
+			dst = append(dst, w)
 			prev = w
 		}
 		v *= ratio
 	}
-	return out
+	return dst
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // oracleLine is the WAL line as it was built before the encoder existed:
@@ -87,72 +88,13 @@ func shape(t reflect.Type) string {
 	return s + "}"
 }
 
-var awkwardFloats = []float64{
-	0, math.Copysign(0, -1), 1, -1, 1.5, 43.07125, -89.408, math.Pi,
-	1e-7, -1e-7, 1e-6, 9.999999999999999e-7, 1.234e-5, 1e-9, 1e-10, 1.5e-300,
-	1e20, 9.999999999999999e20, 1e21, -1e21, 1e22, 1.2345678901234568e20, 1e100,
-	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-	2.2250738585072014e-308, 1e-310, 5e-324, 123456789, 0.1, 0.30000000000000004,
-}
-
-var awkwardStrings = []string{
-	"", "bus-17", "tcp_kbps", `say "hi"`, `back\slash`, `\`, `"`, "<b>&amp;</b>", "a<b>c&d",
-	"tab\tnl\ncr\r", "\b\f", "\x00\x01\x1f", "\x7f", "line\u2028sep\u2029", "\u2028", "\u2027\u202a",
-	"\xff\xfe", "ok\xc3", "\xe2\x80", "\xe2\x80\xa8", "h\u00e9llo w\u00f6rld", "\u65e5\u672c\u8a9e", "\U0001f68c",
-	"\xed\xa0\x80", "\xf4\x90\x80\x80", "\xc0\xaf", "\ufffd", "a\xffb\u2029c<\x1e",
-}
-
-var awkwardZones = []*time.Location{
-	time.UTC, time.UTC, time.FixedZone("", 0), time.FixedZone("IST", 5*3600+1800),
-	time.FixedZone("", -(3*3600 + 1800)), time.FixedZone("", 14*3600), time.FixedZone("", -12*3600),
-	time.FixedZone("", 23*3600+1800), time.FixedZone("", 5*3600+1800+15),
-}
-
-// awkwardSample draws one record over the values the format's rules turn on.
-func awkwardSample(r *rng.Rand) trace.Sample {
-	float := func() float64 {
-		switch r.Intn(8) {
-		case 0:
-			return math.Float64frombits(r.Uint64()) // any bit pattern, NaN and ±Inf among them
-		case 1:
-			return r.Normal(0, 1e3)
-		case 2:
-			return math.Pow(10, r.Range(-330, 310))
-		}
-		return awkwardFloats[r.Intn(len(awkwardFloats))]
-	}
-	str := func() string {
-		if r.Bool(0.2) {
-			b := make([]byte, r.Intn(12))
-			for i := range b {
-				b[i] = byte(r.Uint64())
-			}
-			return string(b)
-		}
-		return awkwardStrings[r.Intn(len(awkwardStrings))]
-	}
-	at := start.Add(time.Duration(r.Int63() % int64(400*24*time.Hour)))
-	switch r.Intn(4) {
-	case 0:
-		at = at.Truncate(time.Second)
-	case 1:
-		at = at.Truncate(time.Millisecond)
-	}
-	smp := trace.Sample{
-		Time:     at.In(awkwardZones[r.Intn(len(awkwardZones))]),
-		Loc:      geo.Point{Lat: float(), Lon: float()},
-		Network:  radio.NetworkID(str()),
-		Metric:   trace.Metric(str()),
-		Value:    float(),
-		ClientID: str(),
-		SpeedKmh: float(),
-		Failed:   r.Bool(0.3),
-	}
-	if r.Bool(0.5) {
-		smp.Device = str()
-	}
-	return smp
-}
+// The awkward values live in tracetest, where the wire frame's and the
+// sample codec's tests draw on them too.
+var (
+	awkwardFloats  = tracetest.Floats
+	awkwardStrings = tracetest.Strings
+	awkwardSample  = tracetest.Sample
+)
 
 func TestRecordEncoderMatchesJSON(t *testing.T) {
 	// The encoder names every field by hand. One added to the record would be
@@ -276,5 +218,169 @@ func BenchmarkAppend(b *testing.B) {
 		if _, err := st.Append(smp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// frameLine frames a payload the way a WAL line frames it.
+func frameLine(payload []byte) []byte {
+	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
+	return append(append(line, payload...), '\n')
+}
+
+// checkParser holds ParseRecordLine to its oracle on one line: what
+// json.Unmarshal makes of the payload behind a good frame, or the same
+// refusal — whichever decoder ParseRecordLine chose — and a sample that still
+// reads so once the line's bytes are gone. It reports whether the canonical
+// parser took the line.
+func checkParser(t *testing.T, line []byte) (took bool) {
+	t.Helper()
+	shown := string(line)
+	var want walRecord
+	payload, framed := linePayload(line)
+	wantOK := framed && json.Unmarshal(bytes.Clone(payload), &want) == nil
+	_, _, took = parseCanonicalRecord(payload)
+	got, lsn, ok := ParseRecordLine(line)
+	for i := range line {
+		line[i] = 'x'
+	}
+	if ok != wantOK || (ok && (lsn != want.LSN || !reflect.DeepEqual(got, want.Sample))) {
+		t.Fatalf("line %q (canonical parser took it: %v):\nparsed %d %+v, ok %v\noracle %d %+v, ok %v", shown, took, lsn, got, ok, want.LSN, want.Sample, wantOK)
+	}
+	return took
+}
+
+// TestRecordParserMatchesJSON is the decoder's half of the format's contract:
+// parseCanonicalRecord accepts a subset of what json.Unmarshal accepts, every
+// line this package writes with plain-ASCII strings is in it, and on it the
+// two agree; and it is strict — an edit that leaves the canonical form is
+// declined even where taking it would decode to the right value.
+// Mutants of the parser that must fail here (each did, by hand):
+// no number-grammar check before ParseFloat ("0x10", ".5", "Infinity",
+// "+1"); a string with a backslash taken raw; bytes after the closing brace
+// ignored; a string aliased to the line instead of copied; "failed":false or
+// "device":"" accepted; a leading-zero LSN accepted.
+func TestRecordParserMatchesJSON(t *testing.T) {
+	r := rng.NewNamed(24, "record-parser")
+	lines, canonical := 20000, 0
+	if raceEnabled {
+		lines = 2000
+	}
+	for i := 0; i < lines; i++ {
+		draw, plain := tracetest.Sample, r.Bool(0.6)
+		if plain {
+			draw = tracetest.PlainSample
+		}
+		line, err := appendRecordLine(nil, r.Uint64()>>uint(r.Intn(64)), draw(r))
+		if err != nil {
+			continue // NaN or ±Inf: there is no line
+		}
+		if plain {
+			canonical++
+		}
+		if took := checkParser(t, line); plain && !took {
+			t.Fatalf("line %q is canonical and was left to encoding/json", line)
+		}
+	}
+	if canonical < lines/3 {
+		t.Fatalf("only %d of %d lines were canonical", canonical, lines)
+	}
+
+	smp := testSample(1)
+	smp.Device, smp.Failed, smp.SpeedKmh = "phone", true, 12.5
+	full, err := appendRecordLine(nil, 7, smp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := appendRecordLine(nil, 7, testSample(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range [][]byte{full, bare} {
+		base, _ := linePayload(line)
+		if !checkParser(t, bytes.Clone(line)) {
+			t.Fatalf("the base line is not canonical: %q", line)
+		}
+		for i := range base {
+			if checkParser(t, frameLine(base[:i])) { // truncated under a good CRC
+				t.Fatalf("the parser took a payload truncated at byte %d: %q", i, base[:i])
+			}
+		}
+		stillCanonical := map[string]bool{
+			`{"lsn":0,`: true, `{"lsn":18446744073709551615,`: true, `+05:30","loc"`: true, `.5Z","loc"`: true,
+			`+24:00","loc"`:  true, // Time.UnmarshalJSON reads an offset the encoder would not write
+			`"net":"Net<B>"`: true,
+		}
+		for _, m := range [][2]string{
+			{`{"lsn":7,`, `{"lsn":007,`}, {`{"lsn":7,`, `{"lsn":07,`}, {`{"lsn":7,`, `{"lsn":0,`}, {`{"lsn":7,`, `{"lsn":-7,`},
+			{`{"lsn":7,`, `{"lsn":7.0,`}, {`{"lsn":7,`, `{"lsn":7e0,`}, {`{"lsn":7,`, `{"lsn":18446744073709551615,`},
+			{`{"lsn":7,`, `{"lsn":18446744073709551616,`}, {`{"lsn":7,`, `{"lsn":"7",`}, {`{"lsn":7,`, `{"lsn":null,`},
+			{`{"lsn":7,`, `{"LSN":7,`}, {`{"lsn":7,`, `{"lsn":7,"lsn":8,`}, {`{"lsn":7,`, `{"lsn": 7,`}, {`{"lsn":7,`, `{ "lsn":7,`},
+			{`{"lsn":7,"sample":`, `{"sample":`}, {`"sample":{`, `"sample":null,"x":{`}, {`"sample":{`, `"extra":1,"sample":{`},
+			{`"t":"`, `"T":"`}, {`"t":"`, `"t": "`}, {`"t":"2010`, `"t":"10`}, {`"t":"2010-09-06T09:01:00Z"`, `"t":null`},
+			{`Z","loc"`, `+05:30","loc"`}, {`Z","loc"`, `.5Z","loc"`}, {`Z","loc"`, `z","loc"`}, {`Z","loc"`, `+24:00","loc"`},
+			{`"lat":43`, `"lat":043`}, {`"lat":43`, `"lat":+43`}, {`"lat":43`, `"lat":.43`}, {`"lat":43`, `"lat":0x43`},
+			{`"lat":43.07125`, `"lat":-`}, {`"lat":`, `"lat":1e999,"x":`}, {`"lat":`, `"lat":Infinity,"x":`}, {`"lat":`, `"lat":NaN,"x":`},
+			{`"lat":`, `"lat":1.,"x":`}, {`"lat":`, `"lat":1e,"x":`}, {`"lat":`, `"lat":1_0,"x":`}, {`"lat":`, `"lat":-0,"x":`},
+			{`"lat":`, `"lat":1E+2,"x":`}, {`"lat":`, `"lat":"43","x":`}, {`"lat":`, `"lat":null,"x":`},
+			{`"lat":`, `"lon":`}, {`"loc":{`, `"loc":{"lon":1,`}, {`,"net":`, `,"metric":"m","net":`},
+			{`"net":"NetB"`, `"net":"Net\\B"`}, {`"net":"NetB"`, `"net":"Nét"`},
+			{`"net":"NetB"`, `"net":"Net\tB"`}, {`"net":"NetB"`, "\"net\":\"Net\tB\""}, {`"net":"NetB"`, "\"net\":\"Net\x7fB\""},
+			{`"net":"NetB"`, "\"net\":\"Net\xffB\""}, {`"net":"NetB"`, `"net":"Net<B>"`}, {`"net":"NetB"`, `"net":null`}, {`"net":"NetB"`, `"net":7`},
+			{`"client":"store-test"`, `"client":"store-test","client":"twice"`}, {`"client":"store-test"`, `"client":"store-test","other":1`},
+			{`,"speed_kmh"`, `,"device":"","speed_kmh"`}, {`,"speed_kmh"`, `,"failed":true,"speed_kmh"`},
+			{`"device":"phone"`, `"device":""`}, {`"device":"phone"`, `"device":null`},
+			{`,"failed":true`, `,"failed":false`}, {`,"failed":true`, `,"failed":null`}, {`,"failed":true`, `,"failed":1`}, {`,"failed":true`, `,"failed":true,"failed":false`},
+			{`}}`, `}} `}, {`}}`, `}}x`}, {`}}`, `}}}`}, {`}}`, `},"lsn":9}`}, {`}}`, `}`}, {`}}`, `} }`}, {`{"lsn"`, ` {"lsn"`},
+		} {
+			if !bytes.Contains(base, []byte(m[0])) {
+				continue // the edit is for the other base line
+			}
+			if took := checkParser(t, frameLine(bytes.Replace(base, []byte(m[0]), []byte(m[1]), 1))); took != stillCanonical[m[1]] {
+				t.Fatalf("edit %q -> %q: the parser took the line: %v, want %v", m[0], m[1], took, stillCanonical[m[1]])
+			}
+		}
+	}
+}
+
+func TestParseRecordLineAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	smp := testSample(1)
+	smp.Device, smp.Failed = "phone", true
+	line, err := appendRecordLine(nil, 7, smp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The four strings a sample holds; nothing for the parse itself.
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, ok := ParseRecordLine(line); !ok {
+			t.Fatal("the line did not parse")
+		}
+	}); allocs > 4 {
+		t.Errorf("ParseRecordLine allocates %v times a canonical line, want at most 4", allocs)
+	}
+}
+
+// BenchmarkParseRecordLine is what recovery, Cursor.Next and a replica's
+// apply pay per record: a line the canonical parser takes, and one (a quote
+// in the client id) it leaves to encoding/json.
+func BenchmarkParseRecordLine(b *testing.B) {
+	for _, c := range []struct{ name, client string }{{"canonical", "store-test"}, {"fallback", `store "test"`}} {
+		smp := testSample(1)
+		smp.ClientID = c.client
+		line, err := appendRecordLine(nil, 7, smp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(line)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := ParseRecordLine(line); !ok {
+					b.Fatal("the line did not parse")
+				}
+			}
+		})
 	}
 }

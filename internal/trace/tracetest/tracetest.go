@@ -1,0 +1,112 @@
+// Package tracetest generates the samples the JSON forms of a sample are
+// tested on: every value an encoding/json rule turns on, drawn from a seeded
+// generator, so that the WAL line's tests (internal/store), the wire frame's
+// (internal/wire) and the sample codec's own (internal/trace) judge one
+// corpus.
+package tracetest
+
+import (
+	"math"
+	"time"
+
+	"repro/internal/geo"
+	"repro/internal/radio"
+	"repro/internal/rng"
+	"repro/internal/trace"
+)
+
+// Floats are the values float formatting and parsing turn on: both zeros,
+// the 1e-6 and 1e21 notation switches, the largest and the denormal.
+var Floats = []float64{
+	0, math.Copysign(0, -1), 1, -1, 1.5, 43.07125, -89.408, math.Pi,
+	1e-7, -1e-7, 1e-6, 9.999999999999999e-7, 1.234e-5, 1e-9, 1e-10, 1.5e-300,
+	1e20, 9.999999999999999e20, 1e21, -1e21, 1e22, 1.2345678901234568e20, 1e100,
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	2.2250738585072014e-308, 1e-310, 5e-324, 123456789, 0.1, 0.30000000000000004,
+}
+
+// Strings are the ones JSON quoting turns on: quotes and backslashes, what
+// encoding/json escapes for HTML, control characters, U+2028/9, multi-byte
+// and invalid UTF-8 — and a few that need no escape at all.
+var Strings = []string{
+	"", "bus-17", "tcp_kbps", `say "hi"`, `back\slash`, `\`, `"`, "<b>&amp;</b>", "a<b>c&d",
+	"tab\tnl\ncr\r", "\b\f", "\x00\x01\x1f", "\x7f", "line\u2028sep\u2029", "\u2028", "\u2027\u202a",
+	"\xff\xfe", "ok\xc3", "\xe2\x80", "\xe2\x80\xa8", "h\u00e9llo w\u00f6rld", "\u65e5\u672c\u8a9e", "\U0001f68c",
+	"\xed\xa0\x80", "\xf4\x90\x80\x80", "\xc0\xaf", "\ufffd", "a\xffb\u2029c<\x1e",
+}
+
+// PlainStrings need no escape: printable ASCII without `"`, `\`, `<`, `>` or
+// `&`. A sample holding only these is spelled in canonical form.
+var PlainStrings = []string{
+	"", "NetB", "bus-17", "tcp_kbps", "laptop-usb-modem", "a b", "~", " ", "x/y:z", "client 0042",
+	"!#$%'()*+,-./:;=?@[]^_`{|}~", "0", "null", "true", "{}", "e", "1e5",
+}
+
+// Zones are UTC three ways, whole- and half-hour offsets of both signs, the
+// widest RFC 3339 can say, and one with seconds, which it cannot.
+var Zones = []*time.Location{
+	time.UTC, time.UTC, time.FixedZone("", 0), time.FixedZone("IST", 5*3600+1800),
+	time.FixedZone("", -(3*3600 + 1800)), time.FixedZone("", 14*3600), time.FixedZone("", -12*3600),
+	time.FixedZone("", 23*3600+1800), time.FixedZone("", 5*3600+1800+15),
+}
+
+var base = time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
+
+// Sample draws one record over the values the format's rules turn on, among
+// them some no JSON form can carry (NaN, ±Inf).
+func Sample(r *rng.Rand) trace.Sample {
+	return sample(r, Strings, func() byte { return byte(r.Uint64()) })
+}
+
+// PlainSample is Sample with only strings that need no escape.
+func PlainSample(r *rng.Rand) trace.Sample {
+	const plain = " !#$%'()*+,-./0123456789:;=?@ABCXYZ[]^_`abcxyz{|}~"
+	return sample(r, PlainStrings, func() byte { return plain[r.Intn(len(plain))] })
+}
+
+// sample draws a record whose strings are one of strs or, one time in five,
+// up to eleven bytes from randByte.
+func sample(r *rng.Rand, strs []string, randByte func() byte) trace.Sample {
+	float := func() float64 {
+		switch r.Intn(8) {
+		case 0:
+			return math.Float64frombits(r.Uint64()) // any bit pattern, NaN and ±Inf among them
+		case 1:
+			return r.Normal(0, 1e3)
+		case 2:
+			return math.Pow(10, r.Range(-330, 310))
+		}
+		return Floats[r.Intn(len(Floats))]
+	}
+	str := func() string {
+		if r.Bool(0.2) {
+			b := make([]byte, r.Intn(12))
+			for i := range b {
+				b[i] = randByte()
+			}
+			return string(b)
+		}
+		return strs[r.Intn(len(strs))]
+	}
+	at := base.Add(time.Duration(r.Int63() % int64(400*24*time.Hour)))
+	switch r.Intn(4) {
+	case 0:
+		at = at.Truncate(time.Second)
+	case 1:
+		at = at.Truncate(time.Millisecond)
+	}
+	smp := trace.Sample{
+		Time:     at.In(Zones[r.Intn(len(Zones))]),
+		Loc:      geo.Point{Lat: float(), Lon: float()},
+		Network:  radio.NetworkID(str()),
+		Metric:   trace.Metric(str()),
+		Value:    float(),
+		ClientID: str(),
+		SpeedKmh: float(),
+		Failed:   r.Bool(0.3),
+	}
+	if r.Bool(0.5) {
+		smp.Device = str()
+	}
+	return smp
+}

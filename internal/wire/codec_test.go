@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -78,10 +79,20 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 			s.ClientID = fmt.Sprintf("client-%d-%d", i, j)
 			s.Value = r.Float64()
 		}
+		// The canonical parser's shared strings: every sample of this one
+		// holds the report's client id and the first sample's network,
+		// metric and device, copied out of the read buffer once.
+		shared := benchReport(8)
+		shared.Via = &Via{Gateway: fmt.Sprintf("gw-%d", i), Shard: "madison"}
+		shared.SampleReport.ClientID = fmt.Sprintf("bus-%d", i)
+		for j := range shared.SampleReport.Samples {
+			shared.SampleReport.Samples[j].ClientID = shared.SampleReport.ClientID
+		}
 		sent = append(sent,
 			Envelope{Type: TypeHello, Via: &Via{Gateway: fmt.Sprintf("gw-%d", i), Shard: "madison"},
 				Hello: &Hello{ClientID: fmt.Sprintf("hello-%d", i), DeviceClass: "laptop-usb-modem"}},
 			report,
+			shared,
 			Envelope{Type: TypeEstimateReply, EstimateReply: &EstimateReply{Found: true, Sketch: sketch,
 				Record: core.Record{Key: core.Key{Net: radio.NetB, Metric: trace.MetricRTTMs}, MeanValue: float64(i)}}},
 			ErrorReply(strings.Repeat(string(rune('a'+i%26)), 1+r.Intn(300))),
@@ -162,35 +173,59 @@ func bytesPerOp(runs int, f func()) int {
 	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestCodecCopiesNoFrame guards what the codec is allowed to cost beyond
-// encoding/json itself: Send may not allocate the frame (it encodes into a
-// pooled buffer; what is left is time.Time.MarshalJSON's scratch), and Recv
-// may not copy the line before decoding it (a frame shorter than the reader
-// buffer is decoded in place). Bytes allocated repeat; times do not.
+// TestCodecCopiesNoFrame guards what the codec may allocate. A sample report
+// in canonical form costs what it keeps: Send encodes it into a pooled buffer
+// and allocates nothing, Recv parses it in place into one slice sized for its
+// samples plus the few strings they share. A frame
+// encoding/json still decodes — here a zone list — costs no more than
+// encoding/json itself does: no frame is allocated to send it and no line
+// copied to decode it. Bytes and counts repeat; times do not.
 func TestCodecCopiesNoFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
-	e := benchReport(32)
-	frame := encodeFrames(t, e)
 	const runs = 200
-
-	send := NewConn(byteConn{w: io.Discard})
-	perSend := bytesPerOp(runs, func() {
-		if err := send.Send(e); err != nil {
-			t.Fatal(err)
+	discard := NewConn(byteConn{w: io.Discard})
+	send := func(e Envelope) func() {
+		return func() {
+			if err := discard.Send(e); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if perSend >= len(frame)/2 {
-		t.Errorf("Send of a %d-byte frame allocates %d B/op, want under half the frame: it should encode into a pooled buffer", len(frame), perSend)
+	}
+	recvOf := func(frame []byte) func() {
+		c := NewConn(byteConn{r: &repeatReader{data: frame}})
+		return func() {
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	recv := NewConn(byteConn{r: &repeatReader{data: frame}})
-	perRecv := bytesPerOp(runs, func() {
-		if _, err := recv.Recv(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	report := benchReport(32)
+	frame := encodeFrames(t, report)
+	if n := testing.AllocsPerRun(runs, send(report)); n != 0 {
+		t.Errorf("Send of a canonical 32-sample report allocates %v times, want 0", n)
+	}
+	if b := bytesPerOp(runs, send(report)); b > 64 {
+		t.Errorf("Send of a canonical 32-sample report allocates %d B/op, want none", b)
+	}
+	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 6 {
+		t.Errorf("Recv of a canonical 32-sample frame allocates %v times, want at most 6: the report, one slice, the client id and the samples' network, metric and device", n)
+	}
+	slice := 32 * int(unsafe.Sizeof(trace.Sample{}))
+	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
+		t.Errorf("Recv of a canonical 32-sample frame allocates %d B/op, want the %d its samples take and under 1 KiB more", b, slice)
+	}
+
+	list := zoneListOf(100)
+	frame = encodeFrames(t, list)
+	if len(frame) >= connBufBytes {
+		t.Fatalf("the zone list frame is %d bytes; it must fit the %d-byte read buffer", len(frame), connBufBytes)
+	}
+	if b := bytesPerOp(runs, send(list)); b >= len(frame)/2 {
+		t.Errorf("Send of a %d-byte frame allocates %d B/op, want under half the frame: it should encode into a pooled buffer", len(frame), b)
+	}
 	line := frame[:len(frame)-1]
 	perUnmarshal := bytesPerOp(runs, func() {
 		var e Envelope
@@ -198,7 +233,7 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perRecv-perUnmarshal >= len(frame)/2 {
-		t.Errorf("Recv of a %d-byte frame allocates %d B/op, json.Unmarshal of its line alone %d: Recv should not copy the line", len(frame), perRecv, perUnmarshal)
+	if b := bytesPerOp(runs, recvOf(frame)); b-perUnmarshal >= len(frame)/2 {
+		t.Errorf("Recv of a %d-byte frame allocates %d B/op, json.Unmarshal of its line alone %d: Recv should not copy the line", len(frame), b, perUnmarshal)
 	}
 }

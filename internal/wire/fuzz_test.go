@@ -68,6 +68,11 @@ func FuzzDecode(f *testing.F) {
 	long := encodeFrames(f, zoneListOf(600))
 	f.Add(slices.Concat(short, long, short))
 	f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, connBufBytes-10)), short))
+	// Canonical sample reports, which Recv parses itself: their samples share
+	// strings copied out of a buffer the frames behind them overwrite.
+	relayed := benchReport(2)
+	relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
+	f.Add(slices.Concat(encodeFrames(f, benchReport(3)), short, encodeFrames(f, relayed), long, encodeFrames(f, benchReport(1))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzConn(data)

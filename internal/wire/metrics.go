@@ -11,6 +11,10 @@ type Metrics struct {
 	MessagesDecoded  *telemetry.Counter
 	BytesDecoded     *telemetry.Counter
 	OversizedRejects *telemetry.Counter
+	// DecodeFallbacks counts sample reports decoded by encoding/json because
+	// they were not in the canonical spelling Recv parses directly: a peer
+	// that writes JSON another way pays the slower decode, it does not fail.
+	DecodeFallbacks *telemetry.Counter
 }
 
 // NewMetrics registers the wire codec families on reg (nil reg returns a
@@ -28,6 +32,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		BytesDecoded:    bytes.With("decode"),
 		OversizedRejects: reg.Counter("wiscape_wire_oversized_rejects_total",
 			"Messages dropped for exceeding MaxMessageBytes (either direction).").With(),
+		DecodeFallbacks: reg.Counter("wiscape_wire_decode_fallbacks_total",
+			"Sample reports decoded by encoding/json instead of the canonical-form parser.").With(),
 	}
 }
 
@@ -52,4 +58,11 @@ func (m *Metrics) oversized() {
 		return
 	}
 	m.OversizedRejects.Inc()
+}
+
+func (m *Metrics) decodeFallback() {
+	if m == nil {
+		return
+	}
+	m.DecodeFallbacks.Inc()
 }

@@ -1,0 +1,333 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/rng"
+	"repro/internal/store"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
+)
+
+// The sample report is the one frame this package spells and parses by hand
+// (appendSampleReport, parseSampleReport). Both are held to encoding/json
+// here: Send's bytes are json.Marshal's, and Recv returns — envelope, error
+// and error text — what decoding the line with json.Unmarshal returns, which
+// is all Recv did before the parser existed.
+//
+// Mutants of the parser that must fail TestRecvMatchesJSON or
+// FuzzSampleDecodeMatchesJSON (each did, by hand; the sample-level ones are
+// listed with trace's TestSamplesParserMatchesJSON): bytes after the closing
+// `]}}` ignored; a client id, gateway or shard aliased to the line instead of
+// copied; `"shard":""` accepted; `"samples":[]` accepted as a nil slice.
+
+// oracleRecv is Recv past the framing as it was when encoding/json decoded
+// every line.
+func oracleRecv(line []byte) (Envelope, error) {
+	var e Envelope
+	if err := json.Unmarshal(line, &e); err != nil {
+		return e, fmt.Errorf("wire: decoding message: %w", err)
+	}
+	if e.Type == "" {
+		return e, errors.New("wire: message missing type")
+	}
+	return e, nil
+}
+
+// checkRecv holds Recv of one line to the oracle and reports whether the
+// canonical parser took the line. It parses the line directly too and
+// overwrites it before looking at the result: an accepted envelope may hold
+// no pointer into the line. And it holds the fallback counter to its
+// meaning: one for a sample report encoding/json decoded, none otherwise.
+func checkRecv(t testing.TB, line []byte) (took bool) {
+	t.Helper()
+	want, werr := oracleRecv(bytes.Clone(line))
+	m := NewMetrics(telemetry.NewRegistry())
+	c := fuzzConn(append(bytes.Clone(line), '\n')).Instrument(m)
+	got, gerr := c.Recv()
+	if !reflect.DeepEqual(got, want) || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("line %q:\nRecv   %+v, %v\noracle %+v, %v", line, got, gerr, want, werr)
+	}
+	scratch := bytes.Clone(line)
+	parsed, took := parseSampleReport(scratch)
+	for i := range scratch {
+		scratch[i] = 'x'
+	}
+	if took && !reflect.DeepEqual(parsed, want) {
+		t.Fatalf("line %q: the parsed envelope changed with the line's bytes:\n got  %+v\n want %+v", line, parsed, want)
+	}
+	fellBack := !took && werr == nil && want.Type == TypeSampleReport
+	if n := m.DecodeFallbacks.Value(); (n != 0) != fellBack || n > 1 {
+		t.Fatalf("line %q: %v fallbacks counted; the parser took it: %v, the oracle: %+v, %v", line, n, took, want, werr)
+	}
+	return took
+}
+
+// drawReport draws a sample report: 1–300 samples (mostly a handful), sent
+// direct, through a gateway, or through a gateway that names the shard; with
+// plain set every string in it needs no escape, so its frame is canonical.
+func drawReport(r *rng.Rand, plain bool) Envelope {
+	n := 1 + r.Intn(8)
+	if r.Bool(0.1) {
+		n = 1 + r.Intn(300)
+	}
+	draw, strs := tracetest.Sample, tracetest.Strings
+	if plain {
+		draw, strs = tracetest.PlainSample, tracetest.PlainStrings
+	}
+	str := func() string { return strs[r.Intn(len(strs))] }
+	report := &SampleReport{ClientID: str()}
+	for len(report.Samples) < n {
+		s := draw(r)
+		if _, err := trace.AppendSampleJSON(nil, s); err != nil {
+			continue // NaN or ±Inf: no JSON form; TestSendBytesMatchJSON has the refusals
+		}
+		if r.Bool(0.7) {
+			s.ClientID = report.ClientID
+		}
+		if k := len(report.Samples); k > 0 && r.Bool(0.7) {
+			prev := report.Samples[k-1]
+			s.Network, s.Metric, s.Device = prev.Network, prev.Metric, prev.Device
+		}
+		report.Samples = append(report.Samples, s)
+	}
+	e := Envelope{Type: TypeSampleReport, SampleReport: report}
+	switch r.Intn(3) {
+	case 1:
+		e.Via = &Via{Gateway: str()}
+	case 2:
+		e.Via = &Via{Gateway: str(), Shard: str()}
+	}
+	return e
+}
+
+// corpusSize is how many reports the seeded differentials draw.
+func corpusSize() int {
+	if raceEnabled {
+		return 400
+	}
+	return 5000
+}
+
+func TestRecvMatchesJSON(t *testing.T) {
+	r := rng.NewNamed(24, "sample-report")
+	canonical := 0
+	for i := 0; i < corpusSize(); i++ {
+		plain := r.Bool(0.6)
+		frame := encodeFrames(t, drawReport(r, plain))
+		if took := checkRecv(t, frame[:len(frame)-1]); plain && !took {
+			t.Fatalf("a canonical frame was left to encoding/json: %q", frame)
+		}
+		if plain {
+			canonical++
+		}
+	}
+	if canonical < corpusSize()/3 {
+		t.Fatalf("only %d of %d frames were canonical", canonical, corpusSize())
+	}
+
+	// The mutation table: a canonical two-sample frame, direct and relayed,
+	// edited one way at a time. Whatever Recv then returns is the oracle's
+	// (checkRecv), and the parser is strict: it takes an edited frame only
+	// if the edit left it in canonical form, even where taking it would
+	// decode to the right value ("failed":false, "device":"").
+	stillCanonical := map[string]bool{
+		`"gateway":""`: true, `"client_id":"bench client"`: true, `"net":"Net<B>"`: true,
+		`"lat":1E+2`: true, `"lat":-0`: true, `"lat":4.9e-324`: true, `"lat":1e-999`: true,
+		`"t":"2010-09-06T09:00:00+24:00"`: true, // Time.UnmarshalJSON reads an offset the encoder would not write
+	}
+	at := time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
+	two := benchReport(2)
+	two.SampleReport.Samples[0].Failed = true
+	two.SampleReport.Samples[1].Device = ""
+	two.SampleReport.Samples[1].Time = at.In(time.FixedZone("", 5*3600+1800)).Add(123456789)
+	relayed := two
+	relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
+	for _, e := range []Envelope{two, relayed} {
+		frame := encodeFrames(t, e)
+		base := frame[:len(frame)-1]
+		if !checkRecv(t, base) {
+			t.Fatalf("the base frame is not canonical: %q", base)
+		}
+		for i := range base {
+			if checkRecv(t, base[:i]) {
+				t.Fatalf("the parser took a frame truncated at byte %d: %q", i, base[:i])
+			}
+		}
+		for _, m := range [][2]string{
+			{`{"type":`, `{ "type":`}, {`{"type":`, `{"type": `}, {`{"type":`, `{"Type":`}, {`"type":"sample_report",`, `"type":"sample_report", `},
+			{`"type":"sample_report",`, ``}, {`"type":"sample_report",`, `"type":"hello",`}, {`"type":"sample_report",`, `"type":"",`},
+			{`"type":"sample_report",`, `"type":"sample_report","type":"sample_report",`}, {`"type":"sample_report",`, `"type":"sample_report","hello":{"client_id":"c"},`},
+			{`"type":"sample_report",`, `"type":"sample_\u0072eport",`}, {`"type":"sample_report",`, `"type":null,`},
+			{`"via":{`, `"via":null,"x":{`}, {`"via":{"gateway":"gw-1","shard":"madison"}`, `"via":{"shard":"madison","gateway":"gw-1"}`},
+			{`,"shard":"madison"`, `,"shard":""`}, {`,"shard":"madison"`, ``}, {`,"shard":"madison"`, `,"shard":"madison","shard":"twice"`},
+			{`,"shard":"madison"`, `,"shard":"m\u0061dison"`}, {`"gateway":"gw-1"`, `"gateway":"gw-é"`}, {`"gateway":"gw-1"`, `"gateway":""`},
+			{`"gateway":"gw-1",`, ``}, {`"via":{"gateway":"gw-1","shard":"madison"},`, `"via":{},`},
+			{`"sample_report":{`, `"sample_report":null,"x":{`}, {`"sample_report":{`, `"sample_report":{"samples":null,`},
+			{`"client_id":"bench-client"`, `"client_id":"bench-\u0063lient"`}, {`"client_id":"bench-client"`, `"client_id":"bench\\client"`},
+			{`"client_id":"bench-client"`, `"client_id":"bench client"`}, {`"client_id":"bench-client"`, `"client_id":null`}, {`"client_id":"bench-client",`, ``},
+			{`"client_id":"bench-client"`, `"client_ID":"bench-client"`}, {`"client_id":"bench-client"`, "\"client_id\":\"bench\tclient\""},
+			{`"samples":[`, `"samples":null,"x":[`}, {`"samples":[`, `"samples":[],"x":[`}, {`"samples":[`, `"samples": [`}, {`"samples":[`, `"samples":[ `},
+			{`},{"t":`, `}, {"t":`}, {`},{"t":`, `},null,{"t":`}, {`},{"t":`, `},{},{"t":`}, {`},{"t":`, `},,{"t":`},
+			{`{"t":"`, `{"T":"`}, {`{"t":"`, `{"t": "`}, {`"t":"2010-09-06T09:00:00Z"`, `"t":null`}, {`"t":"2010-09-06T09:00:00Z"`, `"t":"2010-09-06 09:00:00Z"`},
+			{`"t":"2010-09-06T09:00:00Z"`, `"t":"2010-09-06T09:00:00"`}, {`"t":"2010-09-06T09:00:00Z"`, `"t":"2010-09-06T09:00:00+24:00"`}, {`+05:30"`, `+05:3"`},
+			{`{"t":"2010-09-06T09:00:00Z","loc":{"lat":43.07,"lon":-89.4}`, `{"loc":{"lat":43.07,"lon":-89.4},"t":"2010-09-06T09:00:00Z"`},
+			{`"lat":43.07`, `"lat":043.07`}, {`"lat":43.07`, `"lat":01`}, {`"lat":43.07`, `"lat":1.`}, {`"lat":43.07`, `"lat":.5`}, {`"lat":43.07`, `"lat":+1`},
+			{`"lat":43.07`, `"lat":-`}, {`"lat":43.07`, `"lat":0x10`}, {`"lat":43.07`, `"lat":1e999`}, {`"lat":43.07`, `"lat":-1e999`}, {`"lat":43.07`, `"lat":Infinity`},
+			{`"lat":43.07`, `"lat":NaN`}, {`"lat":43.07`, `"lat":1_0`}, {`"lat":43.07`, `"lat":1e`}, {`"lat":43.07`, `"lat":1E+2`}, {`"lat":43.07`, `"lat":-0`},
+			{`"lat":43.07`, `"lat":4.9e-324`}, {`"lat":43.07`, `"lat":1e-999`}, {`"lat":43.07`, `"lat":"43.07"`}, {`"lat":43.07`, `"lat":null`}, {`"lat":43.07`, `"lat":43.07 `},
+			{`"lat":43.07,"lon":-89.4`, `"lon":-89.4,"lat":43.07`}, {`"lon":-89.4}`, `"lon":-89.4,"alt":1}`}, {`"lon":-89.4}`, `"lon":-89.4,"lon":1}`},
+			{`"net":"NetB"`, `"net":"\u004eetB"`}, {`"net":"NetB"`, `"net":"Nét"`}, {`"net":"NetB"`, "\"net\":\"Net\xffB\""}, {`"net":"NetB"`, "\"net\":\"Net\x7fB\""},
+			{`"net":"NetB"`, `"net":"Net<B>"`}, {`"net":"NetB"`, `"net":"Net\\B"`}, {`"net":"NetB"`, `"net":"Net\"B"`}, {`"net":"NetB"`, `"net":null`}, {`"net":"NetB"`, `"net":7`},
+			{`,"metric":"udp_kbps"`, ``}, {`,"metric":"udp_kbps"`, `,"metric":"udp_kbps","metric":"twice"`}, {`,"metric":"udp_kbps"`, `,"metric":"udp_kbps","extra":{"a":[1,2]}`},
+			{`"value":900.5`, `"value":900.5,"value":1`}, {`"value":900.5,"client":"bench-client"`, `"client":"bench-client","value":900.5`},
+			{`"device":"laptop-usb-modem"`, `"device":""`}, {`"device":"laptop-usb-modem"`, `"device":null`}, {`,"speed_kmh":0}`, `,"device":"","speed_kmh":0}`},
+			{`,"speed_kmh":0`, ``}, {`,"failed":true`, `,"failed":false`}, {`,"failed":true`, `,"failed":null`}, {`,"failed":true`, `,"failed":"true"`},
+			{`,"failed":true`, `,"failed":true,"failed":false`}, {`,"failed":true}`, `,"failed":true,}`}, {`,"speed_kmh":0}`, `,"failed":false,"speed_kmh":0}`},
+			{`]}}`, `]}}x`}, {`]}}`, `]}} `}, {`]}}`, `]}}}`}, {`]}}`, `]}}{}`}, {`]}}`, `]},"error":{"message":"m"}}`}, {`]}}`, `],"extra":1}}`}, {`]}}`, `]}`}, {`]}}`, `] }}`}, {`]}}`, `,]}}`},
+		} {
+			if !bytes.Contains(base, []byte(m[0])) {
+				continue // an edit to the relayed frame's via
+			}
+			once, all := bytes.Replace(base, []byte(m[0]), []byte(m[1]), 1), bytes.ReplaceAll(base, []byte(m[0]), []byte(m[1]))
+			// Dropping the shard leaves the gateway-only form.
+			canonical := stillCanonical[m[1]] || (m[0] == `,"shard":"madison"` && m[1] == "")
+			if took := checkRecv(t, once); took != canonical {
+				t.Fatalf("edit %q -> %q: the parser took the frame: %v, want %v", m[0], m[1], took, canonical)
+			}
+			checkRecv(t, all)
+		}
+	}
+}
+
+// TestRecvCapacityIsPaidFor: the sample slice is sized from the line before
+// any of it is parsed, so a line that is all sample openings must not buy
+// more slice than its own length pays for (without the cap: 21 times).
+func TestRecvCapacityIsPaidFor(t *testing.T) {
+	line := `{"type":"sample_report","sample_report":{"client_id":"c","samples":[` + strings.Repeat(`{"t":"`, 9000)
+	c := NewConn(byteConn{r: &repeatReader{data: []byte(line + "\n")}})
+	spent := bytesPerOp(20, func() {
+		if _, err := c.Recv(); err == nil {
+			t.Fatal("a run of sample openings decoded")
+		}
+	})
+	if spent > 2*len(line) {
+		t.Errorf("Recv of a hostile %d-byte line allocates %d bytes", len(line), spent)
+	}
+}
+
+// TestSendBytesMatchJSON: the frame Send puts on the transport is
+// json.Marshal's bytes and a newline, whether Send spelled it itself (a
+// sample report and nothing else) or left it to encoding/json, and what
+// encoding/json refuses Send refuses in the same words with nothing written.
+func TestSendBytesMatchJSON(t *testing.T) {
+	check := func(e Envelope) {
+		t.Helper()
+		want, werr := json.Marshal(&e)
+		var out bytes.Buffer
+		gerr := NewConn(byteConn{w: &out}).Send(e)
+		if werr != nil {
+			if text := fmt.Sprintf("wire: encoding %s: %v", e.Type, werr); gerr == nil || gerr.Error() != text || out.Len() != 0 {
+				t.Fatalf("%+v: Send err %v with %d bytes written, want %q and none", e, gerr, out.Len(), text)
+			}
+			return
+		}
+		if gerr != nil || !bytes.Equal(out.Bytes(), append(want, '\n')) {
+			t.Fatalf("%+v:\nSend   %q, %v\noracle %q", e, out.Bytes(), gerr, want)
+		}
+	}
+	r := rng.NewNamed(24, "sample-report")
+	for i := 0; i < corpusSize(); i++ {
+		check(drawReport(r, r.Bool(0.6)))
+	}
+
+	good := benchReport(3)
+	for name, edit := range map[string]func(e *Envelope){
+		"as drawn":         func(e *Envelope) {},
+		"nil samples":      func(e *Envelope) { e.SampleReport = &SampleReport{ClientID: "c"} },
+		"no samples":       func(e *Envelope) { e.SampleReport = &SampleReport{ClientID: "c", Samples: []trace.Sample{}} },
+		"no payload":       func(e *Envelope) { e.SampleReport = nil },
+		"another type":     func(e *Envelope) { e.Type = TypeHello },
+		"no type":          func(e *Envelope) { e.Type = "" },
+		"a second payload": func(e *Envelope) { e.Error = &ErrorMsg{Message: "and this"} },
+		"an earlier one":   func(e *Envelope) { e.Hello = &Hello{ClientID: "c"} },
+		"via, empty":       func(e *Envelope) { e.Via = &Via{} },
+		"via, escaped":     func(e *Envelope) { e.Via = &Via{Gateway: "g<w>", Shard: "m\"adison\u2028"} },
+		"client id escaped": func(e *Envelope) {
+			e.SampleReport = &SampleReport{ClientID: "bus\t17 \xff", Samples: good.SampleReport.Samples}
+		},
+		"NaN":        func(e *Envelope) { e.SampleReport.Samples[1].Value = math.NaN() },
+		"-Inf, last": func(e *Envelope) { e.SampleReport.Samples[2].Loc.Lon = math.Inf(-1) },
+		"year 10000": func(e *Envelope) {
+			e.SampleReport.Samples[0].Time = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+		},
+		"offset 24h": func(e *Envelope) {
+			e.SampleReport.Samples[2].Time = e.SampleReport.Samples[2].Time.In(time.FixedZone("", 24*3600))
+		},
+	} {
+		e := benchReport(3)
+		edit(&e)
+		t.Run(name, func(t *testing.T) { check(e) })
+	}
+}
+
+// walRecord is the shape of a WAL line's payload (store keeps its own
+// unexported).
+type walRecord struct {
+	LSN    uint64       `json:"lsn"`
+	Sample trace.Sample `json:"sample"`
+}
+
+// walLine frames a payload the way a WAL line frames it.
+func walLine(payload []byte) []byte {
+	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
+	return append(append(line, payload...), '\n')
+}
+
+// FuzzSampleDecodeMatchesJSON feeds raw bytes to both places a sample is
+// parsed by hand — as a wire line to Recv, as a WAL payload (under a good
+// CRC) to store.ParseRecordLine — and holds each to json.Unmarshal of the
+// same bytes: the same value or the same refusal, never a third thing.
+func FuzzSampleDecodeMatchesJSON(f *testing.F) {
+	r := rng.NewNamed(24, "fuzz-seeds")
+	for i := 0; i < 12; i++ {
+		e := drawReport(r, i%3 != 0)
+		// Short seeds: the engine minimizes what it finds a byte at a time.
+		e.SampleReport.Samples = e.SampleReport.Samples[:min(3, len(e.SampleReport.Samples))]
+		frame := encodeFrames(f, e)
+		f.Add(frame[:len(frame)-1])
+		payload, err := json.Marshal(walRecord{uint64(i) << uint(5*i), e.SampleReport.Samples[0]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte(`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"`))
+	f.Add([]byte(`{"lsn":007,"sample":{"t":"2010-09-06T09:00:00Z","loc":{"lat":1,"lon":2},"net":"n","metric":"m","value":3,"client":"c","speed_kmh":0}}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		checkRecv(t, line)
+
+		var want walRecord
+		framed := walLine(line)
+		wantOK := len(framed) <= 1<<20 && json.Unmarshal(bytes.Clone(line), &want) == nil
+		got, lsn, ok := store.ParseRecordLine(framed)
+		for i := range framed {
+			framed[i] = 'x'
+		}
+		if ok != wantOK || (ok && (lsn != want.LSN || !reflect.DeepEqual(got, want.Sample))) {
+			t.Fatalf("WAL payload %q:\nparsed %d %+v, ok %v\noracle %d %+v, ok %v", line, lsn, got, ok, want.LSN, want.Sample, wantOK)
+		}
+	})
+}

@@ -302,8 +302,9 @@ func (c *Conn) Send(e Envelope) error {
 			sendBufs.Put(buf)
 		}
 	}()
-	// Encode writes exactly json.Marshal's bytes plus the frame's '\n'.
-	if err := json.NewEncoder(buf).Encode(&e); err != nil {
+	if frame, ok := appendSampleReport(buf.AvailableBuffer(), &e); ok {
+		buf.Write(frame) // in place when the buffer had the room
+	} else if err := encodeJSON(buf, e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
 	if buf.Len()-1 > MaxMessageBytes {
@@ -320,28 +321,125 @@ func (c *Conn) Send(e Envelope) error {
 	return nil
 }
 
+// encodeJSON writes exactly json.Marshal's bytes plus the frame's '\n'. The
+// envelope escapes into the encoder here, in a copy, so that a frame Send
+// spells itself does not pay for one on the heap.
+func encodeJSON(buf *bytes.Buffer, e Envelope) error {
+	return json.NewEncoder(buf).Encode(&e)
+}
+
 // Recv reads the next envelope, enforcing the size cap.
 func (c *Conn) Recv() (Envelope, error) {
-	var e Envelope
 	line, err := readLineLimited(c.br, MaxMessageBytes)
 	if err != nil {
 		if errors.Is(err, ErrMessageTooLarge) {
 			c.m.oversized()
 		}
-		return e, err
+		return Envelope{}, err
 	}
-	// line may alias the read buffer. The envelope must not: encoding/json
-	// copies every string and []byte it decodes, and no envelope type has a
-	// custom unmarshaler or a json.RawMessage field — one added later must
-	// copy what it keeps.
+	// line may alias the read buffer. The envelope must not: the canonical
+	// parser copies every string it keeps (or shares one it already copied),
+	// encoding/json copies every string and []byte it decodes, and no
+	// envelope type has a custom unmarshaler or a json.RawMessage field — one
+	// added later must copy what it keeps.
+	if report, ok := parseSampleReport(line); ok {
+		c.m.decoded(len(line) + 1)
+		return report, nil
+	}
+	var e Envelope // escapes into the decoder: declared past the path that does not need it
 	if err := json.Unmarshal(line, &e); err != nil {
 		return e, fmt.Errorf("wire: decoding message: %w", err)
 	}
 	if e.Type == "" {
 		return e, errors.New("wire: message missing type")
 	}
+	if e.Type == TypeSampleReport {
+		c.m.decodeFallback()
+	}
 	c.m.decoded(len(line) + 1)
 	return e, nil
+}
+
+// A sample report is the one frame the codec spells by hand, because it is
+// nearly every byte an ingest path moves. Both directions go through
+// trace's sample codec and are held to encoding/json, which still does
+// everything else: appendSampleReport writes exactly what the encoder would
+// and leaves what it would refuse to it, and parseSampleReport reads only a
+// frame in that canonical spelling — to what json.Unmarshal would have made
+// of it — and declines any other, which json.Unmarshal then decodes as it
+// always has (TestSendBytesMatchJSON, TestRecvMatchesJSON,
+// FuzzSampleDecodeMatchesJSON).
+
+const (
+	reportOpen    = `{"type":"sample_report",`
+	reportVia     = `"via":{"gateway":`
+	reportShard   = `,"shard":`
+	reportPayload = `"sample_report":{"client_id":`
+	reportSamples = `,"samples":`
+)
+
+// appendSampleReport appends e's frame, '\n' included, to b if e is a sample
+// report and nothing else (Via aside), with a non-nil sample slice.
+func appendSampleReport(b []byte, e *Envelope) ([]byte, bool) {
+	r := e.SampleReport
+	if r == nil || r.Samples == nil || *e != (Envelope{Type: TypeSampleReport, Via: e.Via, SampleReport: r}) {
+		return b, false
+	}
+	b = append(b, reportOpen...)
+	if e.Via != nil {
+		b = append(b, reportVia...)
+		b = trace.AppendStringJSON(b, e.Via.Gateway)
+		if e.Via.Shard != "" {
+			b = append(b, reportShard...)
+			b = trace.AppendStringJSON(b, e.Via.Shard)
+		}
+		b = append(b, "},"...)
+	}
+	b = append(b, reportPayload...)
+	b = trace.AppendStringJSON(b, r.ClientID)
+	b = append(b, reportSamples...)
+	b = append(b, '[')
+	for i := range r.Samples {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
+			return b, false // encoding/json refuses it too, and says why
+		}
+	}
+	return append(b, "]}}\n"...), true
+}
+
+// parseSampleReport decodes line if it is a sample report in canonical form
+// with at least one sample.
+func parseSampleReport(line []byte) (Envelope, bool) {
+	c := trace.Canon{B: line}
+	if !c.TryLit(reportOpen) {
+		return Envelope{}, false
+	}
+	var via *Via
+	if c.TryLit(reportVia) {
+		via = &Via{Gateway: c.String("")}
+		if c.TryLit(reportShard) {
+			if via.Shard = c.String(""); via.Shard == "" {
+				return Envelope{}, false // omitempty never writes it
+			}
+		}
+		c.Lit("},")
+	}
+	c.Lit(reportPayload)
+	if c.Declined {
+		return Envelope{}, false
+	}
+	report := &SampleReport{ClientID: c.String("")}
+	c.Lit(reportSamples)
+	report.Samples = trace.ParseSamplesJSON(&c, report.ClientID)
+	c.Lit("}}")
+	if c.Declined || len(c.B) != 0 {
+		return Envelope{}, false
+	}
+	return Envelope{Type: TypeSampleReport, Via: via, SampleReport: report}, true
 }
 
 // readLineLimited reads one \n-terminated line of at most limit bytes. A

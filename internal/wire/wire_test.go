@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -158,6 +159,25 @@ func TestSendOversizedRejected(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("refused Send wrote %d bytes to the transport", out.Len())
+	}
+	// The same on the path Send spells itself: a sample report over the cap,
+	// and two encoding/json would refuse part-way through.
+	huge := benchReport(MaxMessageBytes / 150)
+	if err := c.Send(huge); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("%d-sample report: want ErrMessageTooLarge, got %v", len(huge.SampleReport.Samples), err)
+	}
+	for name, edit := range map[string]func(*trace.Sample){
+		"NaN":        func(s *trace.Sample) { s.Value = math.NaN() },
+		"year 10000": func(s *trace.Sample) { s.Time = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) },
+	} {
+		bad := benchReport(40)
+		edit(&bad.SampleReport.Samples[39])
+		if err := c.Send(bad); err == nil || errors.Is(err, ErrMessageTooLarge) {
+			t.Fatalf("%s in the last sample: Send returned %v, want an encoding error", name, err)
+		}
+	}
+	if out.Len() != 0 {
+		t.Fatalf("refused Sends wrote %d bytes to the transport", out.Len())
 	}
 	want := Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: 7}}
 	if err := c.Send(want); err != nil {

@@ -3,7 +3,7 @@
 # detector (the store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-baseline lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc
+.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc
 
 all: vet lint build test
 
@@ -13,30 +13,24 @@ vet:
 # The repo's own invariant gate: nodeterm, lockio, nilsafemetric,
 # wirebound, goleak, errdrop, lockorder, taintalloc, lockguard and
 # atomicmix over every module package (see DESIGN.md "Static analysis").
-# The checked-in baseline suppresses the accepted debt list; anything new
-# fails the build.
+# Any finding not silenced by an audited //lint:ignore fails the build.
 lint:
-	$(GO) run ./cmd/wiscape-lint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/wiscape-lint ./...
 
 # Same gate with the per-analyzer timing table on stderr.
 lint-stats:
-	$(GO) run ./cmd/wiscape-lint -stats -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/wiscape-lint -stats ./...
 
-# Regenerate the accepted-findings ledger from the current tree. Run this
-# deliberately — after fixing a baselined finding (to shrink the ledger)
-# or, rarely, to accept a new one with a PR that explains why.
-lint-baseline:
-	$(GO) run ./cmd/wiscape-lint -write-baseline lint-baseline.json ./...
-
-# SARIF 2.1.0 log of the un-baselined view, for code-scanning upload.
+# SARIF 2.1.0 log of the findings, for code-scanning upload.
 lint-sarif:
 	$(GO) run ./cmd/wiscape-lint -sarif ./... > wiscape-lint.sarif || true
 
 # Refresh the checked-in timing ledger: re-records the current suite's
-# load/facts/analyze split under the "ten-analyzers" label, leaving the
-# historical eight-analyzer snapshot in place for comparison.
+# load/facts/analyze split under the "one-lock-walk" label (one lock walk,
+# sequential pass 2), leaving the earlier snapshots in place for
+# comparison.
 bench-lint:
-	$(GO) run ./cmd/wiscape-lint -baseline lint-baseline.json -stats -stats-json BENCH_lint.json -stats-label ten-analyzers ./...
+	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label one-lock-walk ./...
 
 build:
 	$(GO) build ./...

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	wiscape-lint [-only a,b] [-list] [-json|-sarif] [-baseline FILE] [-write-baseline FILE] [-stats] [-stats-json FILE [-stats-label NAME]] [packages]
+//	wiscape-lint [-only a,b] [-list] [-sarif] [-stats] [-stats-json FILE [-stats-label NAME]] [packages]
 //
 // Packages are import paths, ./dir (the package in that directory of the
 // enclosing module), ./dir/... (every package at or below it) or ./... (the
@@ -15,26 +15,22 @@
 // accounting, lock-acquisition order, tainted lengths) is computed over
 // the whole load to a fixed point, and only then do the analyzers run —
 // so the facts-aware analyzers see through calls into other functions
-// and other packages. Loading is sequential; analysis fans out over a
-// bounded worker pool (one job per package) with findings merged in
-// request order, so output stays byte-identical run to run. -stats
-// prints the load/facts/analyze wall times and cumulative per-analyzer
-// cost to stderr; -stats-json records the same split as a labeled
-// snapshot in a JSON file (replacing any snapshot with the same
-// -stats-label, appending otherwise), which is how BENCH_lint.json
-// tracks the suite's cost across growth.
+// and other packages. Both passes run sequentially and findings are
+// sorted, so output stays byte-identical run to run. -stats prints the
+// load/facts/analyze wall times and per-analyzer cost to stderr;
+// -stats-json records the same split as a labeled snapshot in a JSON
+// file (replacing any snapshot with the same -stats-label, appending
+// otherwise), which is how BENCH_lint.json tracks the suite's cost
+// across growth.
 //
-// Findings are suppressed by a "//lint:ignore <analyzer> <reason>"
+// Findings print one per line, or as a SARIF 2.1.0 log with -sarif. The
+// only way to silence one is a "//lint:ignore <analyzer> <reason>"
 // comment on the offending line or the line above; the reason is
-// mandatory. -baseline FILE additionally suppresses findings recorded in
-// the baseline ledger (matched by analyzer, file and message with an
-// occurrence count — not by line), so CI fails only on new findings.
-// -write-baseline FILE regenerates that ledger from the current run.
+// mandatory.
 //
-// Exit status: 0 clean, 1 findings (after baseline filtering), 2 usage
-// errors, load failures, parse errors, or patterns matching no packages.
-// Parse errors always force exit 2 and are never baselined: a package
-// with a hole in it cannot be trusted to lint clean.
+// Exit status: 0 clean, 1 findings, 2 usage errors, load failures, parse
+// errors, or patterns matching no packages. Parse errors always force
+// exit 2: a package with a hole in it cannot be trusted to lint clean.
 package main
 
 import (
@@ -45,11 +41,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -66,18 +59,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file; report only new ones")
-	writeBaseline := fs.String("write-baseline", "", "write a baseline accepting the current findings to this file, then exit")
 	stats := fs.Bool("stats", false, "print load/facts/analyze wall time and per-analyzer cost to stderr")
 	statsJSON := fs.String("stats-json", "", "record the timing split as a labeled snapshot in this JSON file")
 	statsLabel := fs.String("stats-label", "current", "snapshot label for -stats-json (same label replaces, new label appends)")
 	if err := fs.Parse(argv); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "wiscape-lint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -105,7 +91,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	modDir, modPath, err := findModule()
+	modDir, modPath, err := load.FindModule()
 	if err != nil {
 		fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
 		return 2
@@ -163,97 +149,58 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// Pass 2: compute interprocedural facts over the whole load (the
 	// requested packages plus every module-local package they pulled in),
 	// then run the analyzers with the facts table attached.
-	var infos []*analysis.PackageInfo
-	for _, p := range ld.Packages() {
-		infos = append(infos, &analysis.PackageInfo{Files: p.Files, Pkg: p.Pkg, Info: p.Info})
-	}
 	factsStart := time.Now()
-	facts := analysis.ComputeFacts(infos)
+	facts := analysis.ComputeFacts(ld.Packages())
 	factsDur := time.Since(factsStart)
 
-	// Analysis fans out across packages: the Facts table is read-only
-	// after ComputeFacts and token.FileSet positions are internally
-	// locked, so passes only share immutable state. Findings and errors
-	// land in per-target slots and are merged in request order, keeping
-	// output deterministic regardless of scheduling.
 	analyzeStart := time.Now()
-	perTarget := make([][]lintout.Finding, len(targets))
-	perTargetErrs := make([][]string, len(targets))
-	analyzerNS := make([]int64, len(analyzers))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range jobs {
-				p := targets[ti]
-				for ai, a := range analyzers {
-					a := a
-					pass := &analysis.Pass{
-						Analyzer:  a,
-						Fset:      ld.Fset,
-						Files:     p.Files,
-						Pkg:       p.Pkg,
-						TypesInfo: p.Info,
-						Facts:     facts,
-						Report: func(d analysis.Diagnostic) {
-							if analysis.Suppressed(ld.Fset, p.Files, a.Name, d.Pos) {
-								return
-							}
-							pos := ld.Fset.Position(d.Pos)
-							file, err := filepath.Rel(modDir, pos.Filename)
-							if err != nil {
-								file = pos.Filename
-							}
-							perTarget[ti] = append(perTarget[ti], lintout.Finding{
-								Analyzer: a.Name,
-								File:     filepath.ToSlash(file),
-								Line:     pos.Line,
-								Col:      pos.Column,
-								Message:  d.Message,
-							})
-						},
-					}
-					start := time.Now()
-					err := a.Run(pass)
-					atomic.AddInt64(&analyzerNS[ai], int64(time.Since(start)))
-					if err != nil {
-						perTargetErrs[ti] = append(perTargetErrs[ti],
-							fmt.Sprintf("wiscape-lint: %s on %s: %v", a.Name, p.Path, err))
-					}
-				}
-			}
-		}()
-	}
-	for ti := range targets {
-		jobs <- ti
-	}
-	close(jobs)
-	wg.Wait()
-	analyzeDur := time.Since(analyzeStart)
-
 	var findings []lintout.Finding
-	for ti := range targets {
-		findings = append(findings, perTarget[ti]...)
-		for _, msg := range perTargetErrs[ti] {
-			fmt.Fprintln(stderr, msg)
-			exit = 2
+	analyzerDur := make([]time.Duration, len(analyzers))
+	for _, p := range targets {
+		for ai, a := range analyzers {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      ld.Fset,
+				Files:     p.Files,
+				Pkg:       p.Pkg,
+				TypesInfo: p.Info,
+				Facts:     facts,
+				Report: func(d analysis.Diagnostic) {
+					if analysis.Suppressed(ld.Fset, p.Files, a.Name, d.Pos) {
+						return
+					}
+					pos := ld.Fset.Position(d.Pos)
+					file, err := filepath.Rel(modDir, pos.Filename)
+					if err != nil {
+						file = pos.Filename
+					}
+					findings = append(findings, lintout.Finding{
+						Analyzer: a.Name,
+						File:     filepath.ToSlash(file),
+						Line:     pos.Line,
+						Col:      pos.Column,
+						Message:  d.Message,
+					})
+				},
+			}
+			start := time.Now()
+			err := a.Run(pass)
+			analyzerDur[ai] += time.Since(start)
+			if err != nil {
+				fmt.Fprintf(stderr, "wiscape-lint: %s on %s: %v\n", a.Name, p.Path, err)
+				exit = 2
+			}
 		}
 	}
+	analyzeDur := time.Since(analyzeStart)
 	lintout.Sort(findings)
 
 	if *stats {
-		fmt.Fprintf(stderr, "wiscape-lint: load %s, facts %s, analyze %s (%d packages, %d workers)\n",
+		fmt.Fprintf(stderr, "wiscape-lint: load %s, facts %s, analyze %s (%d packages)\n",
 			loadDur.Round(time.Millisecond), factsDur.Round(time.Millisecond),
-			analyzeDur.Round(time.Millisecond), len(targets), workers)
+			analyzeDur.Round(time.Millisecond), len(targets))
 		for ai, a := range analyzers {
-			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name,
-				time.Duration(atomic.LoadInt64(&analyzerNS[ai])).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "  %-14s %s\n", a.Name, analyzerDur[ai].Round(time.Millisecond))
 		}
 	}
 	if *statsJSON != "" {
@@ -261,14 +208,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			Label:         *statsLabel,
 			Analyzers:     len(analyzers),
 			Packages:      len(targets),
-			Workers:       workers,
 			LoadMS:        loadDur.Milliseconds(),
 			FactsMS:       factsDur.Milliseconds(),
 			AnalyzeMS:     analyzeDur.Milliseconds(),
 			PerAnalyzerMS: make(map[string]int64, len(analyzers)),
 		}
 		for ai, a := range analyzers {
-			snap.PerAnalyzerMS[a.Name] = time.Duration(atomic.LoadInt64(&analyzerNS[ai])).Milliseconds()
+			snap.PerAnalyzerMS[a.Name] = analyzerDur[ai].Milliseconds()
 		}
 		if err := writeStatsJSON(*statsJSON, snap); err != nil {
 			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
@@ -276,45 +222,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *writeBaseline != "" {
-		b := lintout.NewBaseline(findings)
-		f, err := os.Create(*writeBaseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
-			return 2
-		}
-		werr := b.Write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "wiscape-lint: writing baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "wiscape-lint: wrote baseline %s accepting %d finding(s)\n", *writeBaseline, len(findings))
-		return exit
-	}
-
-	if *baselinePath != "" {
-		b, err := lintout.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
-			return 2
-		}
-		var suppressed []lintout.Finding
-		findings, suppressed = b.Filter(findings)
-		if len(suppressed) > 0 {
-			fmt.Fprintf(stderr, "wiscape-lint: %d finding(s) suppressed by baseline %s\n", len(suppressed), *baselinePath)
-		}
-	}
-
-	switch {
-	case *jsonOut:
-		if err := lintout.WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
-			return 2
-		}
-	case *sarifOut:
+	if *sarifOut {
 		rules := make([]lintout.Rule, 0, len(analyzers))
 		for _, a := range analyzers {
 			rules = append(rules, lintout.Rule{ID: a.Name, Doc: a.Doc})
@@ -323,7 +231,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
 			return 2
 		}
-	default:
+	} else {
 		lintout.WriteText(stdout, findings)
 	}
 
@@ -338,7 +246,6 @@ type statsSnapshot struct {
 	Label         string           `json:"label"`
 	Analyzers     int              `json:"analyzers"`
 	Packages      int              `json:"packages"`
-	Workers       int              `json:"workers"`
 	LoadMS        int64            `json:"load_ms"`
 	FactsMS       int64            `json:"facts_ms"`
 	AnalyzeMS     int64            `json:"analyze_ms"`
@@ -477,28 +384,4 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
-}
-
-// findModule walks up from the working directory to the enclosing go.mod.
-func findModule() (dir, modPath string, err error) {
-	dir, err = os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above the working directory")
-		}
-		dir = parent
-	}
 }

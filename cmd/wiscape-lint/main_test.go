@@ -120,16 +120,6 @@ func TestRunParseErrorsExitTwo(t *testing.T) {
 	}
 }
 
-func TestRunRejectsJSONPlusSARIF(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-json", "-sarif"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "mutually exclusive") {
-		t.Fatalf("stderr: %s", stderr.String())
-	}
-}
-
 // TestRunUnknownAnalyzerExitsTwo: a typo in -only must fail loudly with
 // the valid names, not silently run nothing.
 func TestRunUnknownAnalyzerExitsTwo(t *testing.T) {
@@ -258,5 +248,114 @@ func TestRunDirectoryPatterns(t *testing.T) {
 		if code != 2 || got != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, pats[len(pats)-1]) {
 			t.Errorf("%v: exit %d, want 2 and one line naming the pattern; stdout %q, stderr %q", pats, code, got, stderr)
 		}
+	}
+}
+
+// TestRunEndToEnd drives both passes over a two-package module carrying
+// one finding of each whole-load kind plus both suppression outcomes, and
+// runs it twice: the same findings, byte for byte, in text and in SARIF.
+func TestRunEndToEnd(t *testing.T) {
+	dir := writeTree(t, map[string]string{
+		"go.mod": "module example\n\ngo 1.22\n",
+		"b/b.go": `package b
+
+import (
+	"encoding/binary"
+	"sync"
+)
+
+type Table struct {
+	Mu sync.Mutex
+	n  int
+}
+
+func (t *Table) Bump() {
+	t.Mu.Lock()
+	t.n++
+	t.Mu.Unlock()
+}
+
+func Frame(hdr []byte) []byte {
+	n := binary.BigEndian.Uint32(hdr)
+	return make([]byte, n)
+}
+`,
+		"a/a.go": `package a
+
+import (
+	"net"
+	"os"
+	"sync"
+
+	"example/b"
+)
+
+type Server struct {
+	mu sync.Mutex
+	rw sync.RWMutex
+}
+
+func (s *Server) Publish(t *b.Table) {
+	s.mu.Lock()
+	t.Bump()
+	s.mu.Unlock()
+}
+
+func (s *Server) Sweep(t *b.Table) {
+	t.Mu.Lock()
+	s.mu.Lock()
+	s.mu.Unlock()
+	t.Mu.Unlock()
+}
+
+func (s *Server) CloseBoth(nc net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rw.Lock()
+	defer s.rw.Unlock()
+	_ = nc.Close()
+}
+
+func Drop(f, g *os.File) {
+	//lint:ignore errdrop fixture: the audited escape hatch
+	f.Close()
+	//lint:ignore errdrop
+	g.Close()
+}
+`,
+	})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	lint := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 1 {
+			t.Fatalf("%v: exit %d, want 1; stderr: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	text, sarif := lint("./..."), lint("-sarif", "./...")
+	for _, want := range []string{
+		"a/a.go:18:2: lock ordering cycle (potential deadlock): (a.Server).mu acquired before (b.Table).Mu in (Server).Publish via call to (Table).Bump; (b.Table).Mu acquired before (a.Server).mu in (Server).Sweep",
+		"a/a.go:34:6: s.rw held across (net.Conn).Close: release the lock before blocking network I/O (lockio)",
+		"a/a.go:41:2: error from (os.File).Close silently dropped",
+		"b/b.go:21:9: make([]byte, …) sized by network-read value (binary.Uint32) with no dominating bound check",
+	} {
+		if strings.Count(text, want) != 1 {
+			t.Errorf("want exactly one finding %q, got:\n%s", want, text)
+		}
+	}
+	if n := strings.Count(text, "\n"); n != 4 {
+		t.Errorf("want 4 findings, got %d:\n%s", n, text)
+	}
+	if text2, sarif2 := lint("./..."), lint("-sarif", "./..."); text2 != text || sarif2 != sarif {
+		t.Errorf("second run differs:\n%s\nvs\n%s", text2, text)
 	}
 }

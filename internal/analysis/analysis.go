@@ -67,9 +67,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts holds the interprocedural facts computed over every loaded
-	// package before analyzers run (see facts.go). Nil is legal and
-	// degrades the facts-aware analyzers to intraprocedural behavior.
+	// Facts holds the interprocedural facts and whole-load findings
+	// computed over every loaded package before analyzers run (see
+	// facts.go). Nil is legal: the facts-aware analyzers degrade to
+	// intraprocedural behavior and the whole-load ones report nothing.
 	Facts  *Facts
 	Report func(Diagnostic)
 }
@@ -85,16 +86,20 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// ownsPos reports whether pos falls inside one of this pass's files.
-// Analyzers that surface whole-load facts (lockorder, taintalloc) use it
-// to report each finding from exactly one package.
-func (p *Pass) ownsPos(pos token.Pos) bool {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return true
+// reportFindings is the Run of every whole-load analyzer (lockio,
+// lockorder, taintalloc, lockguard, atomicmix): ComputeFacts has already
+// produced its verdicts, and each pass reports the ones anchored in its
+// own files, so a multi-package run emits each exactly once.
+func reportFindings(pass *Pass) error {
+	for _, d := range pass.Facts.Findings(pass.Analyzer.Name) {
+		for _, f := range pass.Files {
+			if f.FileStart <= d.Pos && d.Pos < f.FileEnd {
+				pass.Report(d)
+				break
+			}
 		}
 	}
-	return false
+	return nil
 }
 
 // All returns the full suite in stable order.

@@ -39,7 +39,7 @@ var wantRE = regexp.MustCompile("`([^`]*)`|\"((?:[^\"\\\\]|\\\\.)*)\"")
 // diagnostics and the fixtures' want comments as test failures.
 func Run(t *testing.T, a *analysis.Analyzer, fixturePkgs ...string) {
 	t.Helper()
-	modDir, modPath, err := findModule()
+	modDir, modPath, err := load.FindModule()
 	if err != nil {
 		t.Fatalf("analysistest: %v", err)
 	}
@@ -72,7 +72,7 @@ func Run(t *testing.T, a *analysis.Analyzer, fixturePkgs ...string) {
 		}
 		loaded[pkgPath] = p
 	}
-	facts := analysis.ComputeFacts(packageInfos(ld))
+	facts := analysis.ComputeFacts(ld.Packages())
 
 	// Pass 2: run the analyzer per fixture with the shared facts.
 	for _, pkgPath := range fixturePkgs {
@@ -100,17 +100,6 @@ func Run(t *testing.T, a *analysis.Analyzer, fixturePkgs ...string) {
 		}
 		check(t, a.Name, ld.Fset, p, diags)
 	}
-}
-
-// packageInfos adapts every fully-checked package the loader has seen
-// into the facts engine's input shape.
-func packageInfos(ld *load.Loader) []*analysis.PackageInfo {
-	pkgs := ld.Packages()
-	infos := make([]*analysis.PackageInfo, 0, len(pkgs))
-	for _, p := range pkgs {
-		infos = append(infos, &analysis.PackageInfo{Files: p.Files, Pkg: p.Pkg, Info: p.Info})
-	}
-	return infos
 }
 
 // want is one expected-diagnostic pattern at a file line.
@@ -200,29 +189,4 @@ func overrides(src string) map[string]string {
 		return nil
 	})
 	return m
-}
-
-// findModule walks up from the working directory to the enclosing go.mod
-// and returns its directory and module path.
-func findModule() (dir, modPath string, err error) {
-	dir, err = os.Getwd()
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", "", fmt.Errorf("no go.mod found above working directory")
-		}
-		dir = parent
-	}
 }

@@ -19,15 +19,5 @@ var Atomicmix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "flag struct fields accessed via sync/atomic in one place and by plain " +
 		"load/store in another",
-	Run: runAtomicmix,
-}
-
-func runAtomicmix(pass *Pass) error {
-	for _, m := range pass.Facts.Mixes() {
-		// Whole-load findings, reported once from the owning package.
-		if pass.ownsPos(m.Pos) {
-			pass.Reportf(m.Pos, "%s", m.Message)
-		}
-	}
-	return nil
+	Run: reportFindings,
 }

@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
+
+	"repro/internal/analysis/load"
 )
 
 // This file is the interprocedural half of the suite: a two-pass facts
@@ -15,13 +17,16 @@ import (
 // static call graph, so pass 2 — the analyzers — can ask "does anything
 // this call reaches block?" instead of going blind one function deep.
 //
-// Two whole-load dataflow domains run on top of the boolean facts:
-// lock-acquisition order (lockfacts.go — which locks a function may
-// take, directly or transitively, assembled into a global ordering graph
-// whose cycles the lockorder analyzer reports) and tainted lengths
+// Whole-load domains run on top of the boolean facts: one lock walk
+// (lockfacts.go — the held locks threaded through every body, read by
+// lockio at each call and send, assembled into a global ordering graph
+// whose cycles lockorder reports, and joined with every field access for
+// lockguard and atomicmix in fieldfacts.go) and tainted lengths
 // (taintfacts.go — integers read off the wire tracked to a fixed point
 // through assignments, returns and arguments; unbounded arrivals at
-// sizing sinks become taintalloc findings).
+// sizing sinks become taintalloc findings). Those five analyzers'
+// verdicts are computed here, once per load, and only reported by their
+// passes (reportFindings).
 //
 // The call graph is deliberately the cheap one: direct calls to named
 // functions and methods resolved through types.Info. Calls through
@@ -67,7 +72,7 @@ type FuncFacts struct {
 	// callees are the static call edges used by the fixed point.
 	callees []types.Object
 
-	// lockEdges/heldCalls are the lock-order domain's scan-time evidence
+	// lockEdges/heldCalls are the lock walk's scan-time evidence
 	// (lockfacts.go); fieldAccesses are the field-access domain's
 	// per-function records (fieldfacts.go); taint is the tainted-length
 	// domain's per-function summary (taintfacts.go). All are consumed by
@@ -80,57 +85,27 @@ type FuncFacts struct {
 
 // Facts indexes FuncFacts by function object. The zero/nil Facts is
 // usable and knows nothing (every lookup returns nil). After
-// ComputeFacts returns, a Facts value is read-only and safe to share
-// across concurrently running analyzer passes.
+// ComputeFacts returns, a Facts value is read-only.
 type Facts struct {
 	funcs map[types.Object]*FuncFacts
 	// order holds the functions in declaration order (packages as
 	// loaded, files name-sorted, decls top to bottom); the fixed points
 	// iterate it so via chains are deterministic run to run.
 	order []types.Object
-
-	// LockCycles are the whole-load lock-ordering cycles (lockfacts.go),
-	// reported by the lockorder analyzer.
-	LockCycles []LockCycle
-	// TaintFindings are the tainted-length sink reaches (taintfacts.go),
-	// reported by the taintalloc analyzer.
-	TaintFindings []TaintFinding
-	// GuardFindings/MixFindings are the whole-load field-access verdicts
-	// (fieldfacts.go), reported by the lockguard and atomicmix analyzers.
-	GuardFindings []GuardFinding
-	MixFindings   []MixFinding
+	// literalCalls are the lock walk's records from function literal
+	// bodies, which have no facts of their own; only lockio reads them.
+	literalCalls []heldCall
+	// findings holds the whole-load analyzers' verdicts by analyzer name.
+	findings map[string][]Diagnostic
 }
 
-// Cycles returns the whole-load lock-ordering cycles. Nil-safe.
-func (f *Facts) Cycles() []LockCycle {
+// Findings returns the named analyzer's whole-load verdicts, before
+// suppression, across every loaded package. Nil-safe.
+func (f *Facts) Findings(analyzer string) []Diagnostic {
 	if f == nil {
 		return nil
 	}
-	return f.LockCycles
-}
-
-// Taint returns the whole-load tainted-length findings. Nil-safe.
-func (f *Facts) Taint() []TaintFinding {
-	if f == nil {
-		return nil
-	}
-	return f.TaintFindings
-}
-
-// Guards returns the whole-load lockguard findings. Nil-safe.
-func (f *Facts) Guards() []GuardFinding {
-	if f == nil {
-		return nil
-	}
-	return f.GuardFindings
-}
-
-// Mixes returns the whole-load atomicmix findings. Nil-safe.
-func (f *Facts) Mixes() []MixFinding {
-	if f == nil {
-		return nil
-	}
-	return f.MixFindings
+	return f.findings[analyzer]
 }
 
 // Of returns the facts for fn, or nil when unknown. Nil-safe.
@@ -141,28 +116,13 @@ func (f *Facts) Of(fn types.Object) *FuncFacts {
 	return f.funcs[fn]
 }
 
-// Len returns the number of functions with recorded facts.
-func (f *Facts) Len() int {
-	if f == nil {
-		return 0
-	}
-	return len(f.funcs)
-}
-
-// PackageInfo is the slice of a loaded package the facts builder needs;
-// drivers adapt their loader's packages into it.
-type PackageInfo struct {
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// ComputeFacts runs fact extraction over every function declared in pkgs
-// and propagates the facts over the static call graph to a fixed point.
-// Packages without type information are skipped (their functions simply
-// have no facts, and the analyzers degrade to their intraprocedural
-// selves).
-func ComputeFacts(pkgs []*PackageInfo) *Facts {
+// ComputeFacts runs fact extraction over every function body in pkgs
+// (a loader's Packages: the whole load), propagates the facts over the
+// static call graph to a fixed point, and computes the whole-load
+// analyzers' findings. Packages without type information are skipped
+// (their functions simply have no facts, and the analyzers degrade to
+// their intraprocedural selves).
+func ComputeFacts(pkgs []*load.Package) *Facts {
 	facts := &Facts{funcs: make(map[types.Object]*FuncFacts)}
 	guardDecls := make(map[string]string)
 	for _, p := range pkgs {
@@ -171,18 +131,20 @@ func ComputeFacts(pkgs []*PackageInfo) *Facts {
 		}
 		for _, f := range p.Files {
 			scanGuardDecls(p.Info, f, guardDecls)
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+			funcScopes(f, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
+				if fd == nil {
+					lit := &FuncFacts{}
+					scanLockFacts(p.Info, nil, body, lit)
+					facts.literalCalls = append(facts.literalCalls, lit.heldCalls...)
+					return
 				}
 				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
-					continue
+					return
 				}
 				ff := &FuncFacts{}
-				scanBodyFacts(p.Info, fd.Body, ff)
-				scanLockFacts(p.Info, fd, ff)
+				scanBodyFacts(p.Info, body, ff)
+				scanLockFacts(p.Info, fd, body, ff)
 				ff.taint = scanTaintSummary(p.Info, fd)
 				if !funcReturnsError(fn) {
 					// Only error-returning functions can carry the
@@ -193,7 +155,7 @@ func ComputeFacts(pkgs []*PackageInfo) *Facts {
 				}
 				facts.funcs[fn] = ff
 				facts.order = append(facts.order, fn)
-			}
+			})
 		}
 	}
 	// Fixed point: every fact is a monotone boolean (plus a one-way
@@ -236,14 +198,17 @@ func ComputeFacts(pkgs []*PackageInfo) *Facts {
 			}
 		}
 	}
-	// The two whole-load dataflow domains run after the boolean facts:
-	// lock acquisitions close over the call graph and the ordering graph
-	// is mined for cycles, then length taint propagates through locals,
-	// returns and arguments until quiescent.
+	// The whole-load domains run after the boolean facts: lockio reads
+	// MayBlock, lock acquisitions close over the call graph and the
+	// ordering graph is mined for cycles, then length taint propagates
+	// through locals, returns and arguments until quiescent.
 	propagateLockAcquires(facts)
-	facts.LockCycles = computeLockCycles(facts)
-	facts.TaintFindings = computeTaintFindings(facts)
-	facts.GuardFindings, facts.MixFindings = computeFieldFindings(facts, guardDecls)
+	facts.findings = map[string][]Diagnostic{
+		Lockio.Name:     computeLockioFindings(facts),
+		Lockorder.Name:  computeLockCycles(facts),
+		Taintalloc.Name: computeTaintFindings(facts),
+	}
+	facts.findings[Lockguard.Name], facts.findings[Atomicmix.Name] = computeFieldFindings(facts, guardDecls)
 	return facts
 }
 

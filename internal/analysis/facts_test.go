@@ -2,7 +2,6 @@ package analysis_test
 
 import (
 	"go/types"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,7 +15,10 @@ import (
 // drivers do.
 func loadFixtureFacts(t *testing.T, pkgPaths ...string) (*load.Loader, *analysis.Facts, map[string]*load.Package) {
 	t.Helper()
-	modDir, modPath := findModuleDir(t)
+	modDir, modPath, err := load.FindModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	src, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
@@ -39,35 +41,7 @@ func loadFixtureFacts(t *testing.T, pkgPaths ...string) (*load.Loader, *analysis
 		}
 		pkgs[p] = lp
 	}
-	var infos []*analysis.PackageInfo
-	for _, lp := range ld.Packages() {
-		infos = append(infos, &analysis.PackageInfo{Files: lp.Files, Pkg: lp.Pkg, Info: lp.Info})
-	}
-	return ld, analysis.ComputeFacts(infos), pkgs
-}
-
-func findModuleDir(t *testing.T) (dir, modPath string) {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
-					return dir, strings.TrimSpace(rest)
-				}
-			}
-			t.Fatalf("no module line in %s/go.mod", dir)
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("no go.mod above working directory")
-		}
-		dir = parent
-	}
+	return ld, analysis.ComputeFacts(ld.Packages()), pkgs
 }
 
 // method fetches a named type's method object by name.
@@ -222,7 +196,7 @@ func TestLockFactsAcquiresAndCycles(t *testing.T) {
 	// Three cycles in the fixture graph: gateway/registry, store/pair,
 	// and the suppressed alpha/beta pair (suppression is the analyzer's
 	// job; the facts still see the cycle).
-	cycles := facts.Cycles()
+	cycles := facts.Findings("lockorder")
 	if len(cycles) != 3 {
 		for _, c := range cycles {
 			t.Logf("cycle: %s", c.Message)
@@ -254,25 +228,25 @@ func TestLockFactsAcquiresAndCycles(t *testing.T) {
 func TestTaintFactsFindings(t *testing.T) {
 	_, facts, _ := loadFixtureFacts(t, "taintalloc", "taintalloc/codec")
 
-	taint := facts.Taint()
+	taint := facts.Findings("taintalloc")
 	// One finding per positive in the fixture, including the suppressed
 	// one (suppression is applied at report time, not fact time).
 	const wantFindings = 7
 	if len(taint) != wantFindings {
 		for _, tf := range taint {
-			t.Logf("taint: %s (%s)", tf.What, tf.Via)
+			t.Logf("taint: %s", tf.Message)
 		}
 		t.Fatalf("want %d taint findings, got %d", wantFindings, len(taint))
 	}
 	var sawRet, sawArg bool
 	for _, tf := range taint {
 		if !tf.Pos.IsValid() {
-			t.Errorf("taint finding without a position: %s (%s)", tf.What, tf.Via)
+			t.Errorf("taint finding without a position: %s", tf.Message)
 		}
-		if tf.Via == "codec.FrameLen → binary.Uint64" {
+		if strings.Contains(tf.Message, "value (codec.FrameLen → binary.Uint64) with") {
 			sawRet = true
 		}
-		if strings.Contains(tf.Via, "argument from taintalloc.caller") {
+		if strings.Contains(tf.Message, "argument from taintalloc.caller") {
 			sawArg = true
 		}
 	}

@@ -73,21 +73,6 @@ const (
 	accessAtomic
 )
 
-// GuardFinding is one lockguard diagnostic: an access that does not hold
-// the field's inferred (or declared) guard. The message carries function
-// names, never positions, so the lintout baseline survives line drift.
-type GuardFinding struct {
-	Pos     token.Pos
-	Message string
-}
-
-// MixFinding is one atomicmix diagnostic: a plain access to a field that
-// is elsewhere accessed atomically.
-type MixFinding struct {
-	Pos     token.Pos
-	Message string
-}
-
 // recordAccess appends one field access with the current lock and escape
 // context.
 func (w *lockFactsWalker) recordAccess(e ast.Expr, key string, held []heldLock, kind int) {
@@ -399,9 +384,11 @@ type fieldSite struct {
 const guardRatio = 3
 
 // computeFieldFindings assembles the whole-load field-access domain and
-// runs both rules over it, returning the lockguard and atomicmix
-// findings in deterministic order.
-func computeFieldFindings(facts *Facts, guardDecls map[string]string) (guards []GuardFinding, mixes []MixFinding) {
+// runs both rules over it, returning the lockguard findings (accesses
+// that do not hold the field's inferred or declared guard) and the
+// atomicmix findings (plain accesses to a field accessed atomically
+// elsewhere) in deterministic order.
+func computeFieldFindings(facts *Facts, guardDecls map[string]string) (guards, mixes []Diagnostic) {
 	callerHeld := computeCallerHeld(facts)
 	groups := make(map[string][]fieldSite)
 	var keys []string
@@ -430,7 +417,7 @@ func computeFieldFindings(facts *Facts, guardDecls map[string]string) (guards []
 }
 
 // lockguardFindings applies the guard rule to one field's sites.
-func lockguardFindings(key string, sites []fieldSite, declared string) []GuardFinding {
+func lockguardFindings(key string, sites []fieldSite, declared string) []Diagnostic {
 	// Escapes: atomic accesses belong to atomicmix; constructor and
 	// teardown accesses are single-threaded by contract.
 	var eligible []fieldSite
@@ -439,13 +426,13 @@ func lockguardFindings(key string, sites []fieldSite, declared string) []GuardFi
 			eligible = append(eligible, s)
 		}
 	}
-	var out []GuardFinding
+	var out []Diagnostic
 	if declared != "" {
 		for _, s := range eligible {
 			if s.eff[declared] {
 				continue
 			}
-			out = append(out, GuardFinding{Pos: s.fa.pos, Message: fmt.Sprintf(
+			out = append(out, Diagnostic{Pos: s.fa.pos, Message: fmt.Sprintf(
 				"field %s is annotated //wiscape:guardedby %s but this %s in %s does not hold %s: acquire it, or //lint:ignore lockguard <reason>",
 				key, shortLockName(declared), accessWord(s.fa), shortFuncName(s.fn), declared)})
 		}
@@ -476,7 +463,7 @@ func lockguardFindings(key string, sites []fieldSite, declared string) []GuardFi
 		if s.eff[best] {
 			continue
 		}
-		out = append(out, GuardFinding{Pos: s.fa.pos, Message: fmt.Sprintf(
+		out = append(out, Diagnostic{Pos: s.fa.pos, Message: fmt.Sprintf(
 			"field %s is guarded by %s on a supermajority of accesses but this %s in %s does not hold it: acquire %s, annotate the field //wiscape:guardedby %s, or //lint:ignore lockguard <reason>",
 			key, best, accessWord(s.fa), shortFuncName(s.fn), best, shortLockName(best))})
 	}
@@ -484,7 +471,7 @@ func lockguardFindings(key string, sites []fieldSite, declared string) []GuardFi
 }
 
 // atomicmixFindings applies the mixed-access rule to one field's sites.
-func atomicmixFindings(key string, sites []fieldSite) []MixFinding {
+func atomicmixFindings(key string, sites []fieldSite) []Diagnostic {
 	var atomics, plains []fieldSite
 	for _, s := range sites {
 		switch {
@@ -498,9 +485,9 @@ func atomicmixFindings(key string, sites []fieldSite) []MixFinding {
 		return nil
 	}
 	where := shortFuncName(atomics[0].fn)
-	var out []MixFinding
+	var out []Diagnostic
 	for _, s := range plains {
-		out = append(out, MixFinding{Pos: s.fa.pos, Message: fmt.Sprintf(
+		out = append(out, Diagnostic{Pos: s.fa.pos, Message: fmt.Sprintf(
 			"field %s is accessed via sync/atomic in %s but by a plain %s in %s: mixed atomic and plain access is a data race the race detector rarely schedules — make every access atomic, or guard all of them with one lock",
 			key, where, accessWord(s.fa), shortFuncName(s.fn))})
 	}

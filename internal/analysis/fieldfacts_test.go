@@ -7,14 +7,14 @@ import (
 	"repro/internal/analysis"
 )
 
-// The domain-level tests exercise Guards()/Mixes() below the analyzer
-// layer: unlike the analysistest fixtures, nothing here is filtered by
-// //lint:ignore, so the suppressed sites must still be present as raw
-// findings.
+// The domain-level tests exercise the lockguard and atomicmix findings
+// below the analyzer layer: unlike the analysistest fixtures, nothing
+// here is filtered by //lint:ignore, so the suppressed sites must still
+// be present as raw findings.
 
 func TestFieldFactsGuardDomain(t *testing.T) {
 	_, facts, _ := loadFixtureFacts(t, "lockguard", "lockguard/box")
-	guards := facts.Guards()
+	guards := facts.Findings("lockguard")
 	wantFuncs := []string{
 		"(counter).racyBump",    // seeded race: bare write against three mu-guarded sites
 		"(table).peek",          // caller-inherited guard on bump, peek is the minority
@@ -26,7 +26,7 @@ func TestFieldFactsGuardDomain(t *testing.T) {
 		for _, g := range guards {
 			t.Logf("finding: %s", g.Message)
 		}
-		t.Fatalf("Guards() = %d findings, want %d", len(guards), len(wantFuncs))
+		t.Fatalf("lockguard findings = %d findings, want %d", len(guards), len(wantFuncs))
 	}
 	for _, fn := range wantFuncs {
 		found := false
@@ -40,14 +40,14 @@ func TestFieldFactsGuardDomain(t *testing.T) {
 			t.Errorf("no guard finding mentions %s", fn)
 		}
 	}
-	if n := len(facts.Mixes()); n != 0 {
-		t.Errorf("Mixes() over the lockguard fixture = %d findings, want 0", n)
+	if n := len(facts.Findings("atomicmix")); n != 0 {
+		t.Errorf("atomicmix findings over the lockguard fixture = %d findings, want 0", n)
 	}
 }
 
 func TestFieldFactsMixDomain(t *testing.T) {
 	_, facts, _ := loadFixtureFacts(t, "atomicmix", "atomicmix/ctr")
-	mixes := facts.Mixes()
+	mixes := facts.Findings("atomicmix")
 	wantFuncs := []string{
 		"(stats).report",        // plain read against hit's atomic increments
 		"atomicmix.racyReset",   // cross-package plain write
@@ -57,7 +57,7 @@ func TestFieldFactsMixDomain(t *testing.T) {
 		for _, m := range mixes {
 			t.Logf("finding: %s", m.Message)
 		}
-		t.Fatalf("Mixes() = %d findings, want %d", len(mixes), len(wantFuncs))
+		t.Fatalf("atomicmix findings = %d findings, want %d", len(mixes), len(wantFuncs))
 	}
 	for _, fn := range wantFuncs {
 		found := false
@@ -81,14 +81,14 @@ func TestFieldFactsMixDomain(t *testing.T) {
 			}
 		}
 	}
-	if n := len(facts.Guards()); n != 0 {
-		t.Errorf("Guards() over the atomicmix fixture = %d findings, want 0", n)
+	if n := len(facts.Findings("lockguard")); n != 0 {
+		t.Errorf("lockguard findings over the atomicmix fixture = %d findings, want 0", n)
 	}
 }
 
 func TestFieldFactsNilSafe(t *testing.T) {
 	var facts *analysis.Facts
-	if facts.Guards() != nil || facts.Mixes() != nil {
+	if facts.Findings("lockguard") != nil || facts.Findings("atomicmix") != nil {
 		t.Fatal("nil Facts must know nothing")
 	}
 }

@@ -1,20 +1,12 @@
-// Package lintout is wiscape-lint's machine-readable output layer:
-// findings as a stable struct, JSON and SARIF 2.1.0 emitters, and the
-// accept/diff baseline that lets CI fail only on *new* findings while an
-// existing debt list is burned down deliberately.
-//
-// Baselines match findings by (analyzer, file, message) with an
-// occurrence count — deliberately not by line, so unrelated edits that
-// shift a legacy finding up or down the file do not break the gate,
-// while a *new* instance of the same message in the same file (count
-// exceeded) still fails.
+// Package lintout is wiscape-lint's output layer: findings as a stable
+// struct, printed one per line for people or as a SARIF 2.1.0 log for
+// code scanning.
 package lintout
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 )
@@ -22,15 +14,15 @@ import (
 // Finding is one diagnostic from one analyzer, positioned
 // module-relative with slash-separated paths (stable across machines).
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // Sort orders findings by file, line, column, analyzer — the order the
-// text emitter prints and the JSON/SARIF emitters preserve.
+// text emitter prints and the SARIF emitter preserves.
 func Sort(fs []Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -55,17 +47,6 @@ func WriteText(w io.Writer, fs []Finding) {
 	for _, f := range fs {
 		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 	}
-}
-
-// WriteJSON emits the findings as a JSON array (empty array, not null,
-// for zero findings — consumers get a stable shape).
-func WriteJSON(w io.Writer, fs []Finding) error {
-	if fs == nil {
-		fs = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(fs)
 }
 
 // Rule describes one analyzer for the SARIF tool.driver.rules table.
@@ -176,90 +157,4 @@ func WriteSARIF(w io.Writer, rules []Rule, fs []Finding) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
-}
-
-// Baseline is the accepted-findings ledger checked into the repo root.
-type Baseline struct {
-	Version  int             `json:"version"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// BaselineEntry accepts Count occurrences of one (analyzer, file,
-// message) triple.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
-// baselineKey is the match key: lines deliberately excluded.
-type baselineKey struct {
-	analyzer, file, message string
-}
-
-// NewBaseline builds a baseline accepting exactly the given findings.
-func NewBaseline(fs []Finding) *Baseline {
-	counts := make(map[baselineKey]int)
-	for _, f := range fs {
-		counts[baselineKey{f.Analyzer, f.File, f.Message}]++
-	}
-	b := &Baseline{Version: 1}
-	for k, n := range counts {
-		b.Findings = append(b.Findings, BaselineEntry{Analyzer: k.analyzer, File: k.file, Message: k.message, Count: n})
-	}
-	sort.Slice(b.Findings, func(i, j int) bool {
-		x, y := b.Findings[i], b.Findings[j]
-		if x.File != y.File {
-			return x.File < y.File
-		}
-		if x.Analyzer != y.Analyzer {
-			return x.Analyzer < y.Analyzer
-		}
-		return x.Message < y.Message
-	})
-	return b
-}
-
-// ReadBaseline loads a baseline file.
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("lintout: reading baseline: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("lintout: parsing baseline %s: %w", path, err)
-	}
-	if b.Version != 1 {
-		return nil, fmt.Errorf("lintout: baseline %s has unsupported version %d", path, b.Version)
-	}
-	return &b, nil
-}
-
-// Write writes the baseline to w.
-func (b *Baseline) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// Filter splits findings into (new, suppressed): each baseline entry
-// absorbs up to Count matching findings; everything beyond the budget —
-// and everything the baseline has never seen — is new.
-func (b *Baseline) Filter(fs []Finding) (newFindings, suppressed []Finding) {
-	budget := make(map[baselineKey]int, len(b.Findings))
-	for _, e := range b.Findings {
-		budget[baselineKey{e.Analyzer, e.File, e.Message}] += e.Count
-	}
-	for _, f := range fs {
-		k := baselineKey{f.Analyzer, f.File, f.Message}
-		if budget[k] > 0 {
-			budget[k]--
-			suppressed = append(suppressed, f)
-			continue
-		}
-		newFindings = append(newFindings, f)
-	}
-	return newFindings, suppressed
 }

@@ -3,8 +3,6 @@ package lintout
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -13,30 +11,6 @@ func sampleFindings() []Finding {
 		{Analyzer: "goleak", File: "internal/telemetry/ops.go", Line: 97, Col: 2, Message: "goroutine has no shutdown path"},
 		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 10, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
 		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 40, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleFindings()); err != nil {
-		t.Fatal(err)
-	}
-	var got []Finding
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v", err)
-	}
-	if len(got) != 3 || got[0] != sampleFindings()[0] {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-}
-
-func TestJSONEmptyIsArray(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.TrimSpace(buf.Bytes()); string(got) != "[]" {
-		t.Fatalf("zero findings must emit [], got %q", got)
 	}
 }
 
@@ -88,160 +62,5 @@ func TestSARIFShape(t *testing.T) {
 	}
 	if reg := loc["region"].(map[string]any); reg["startLine"].(float64) != 97 {
 		t.Errorf("startLine = %v", reg["startLine"])
-	}
-}
-
-func TestBaselineRoundTripAndFilter(t *testing.T) {
-	fs := sampleFindings()
-	b := NewBaseline(fs)
-
-	// Round-trip through disk.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "lint-baseline.json")
-	var buf bytes.Buffer
-	if err := b.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Identical findings are fully suppressed...
-	newFs, supp := rb.Filter(fs)
-	if len(newFs) != 0 || len(supp) != 3 {
-		t.Fatalf("identical run: new=%d suppressed=%d, want 0/3", len(newFs), len(supp))
-	}
-
-	// ...a line shift still matches (lines are not part of the key)...
-	shifted := append([]Finding(nil), fs...)
-	shifted[0].Line = 120
-	newFs, _ = rb.Filter(shifted)
-	if len(newFs) != 0 {
-		t.Fatalf("line-shifted findings must stay suppressed, got %d new", len(newFs))
-	}
-
-	// ...a brand-new finding is reported...
-	withNew := append(shifted, Finding{Analyzer: "lockio", File: "internal/x.go", Line: 5, Col: 1, Message: "mu held across net.Dial"})
-	newFs, supp = rb.Filter(withNew)
-	if len(newFs) != 1 || newFs[0].Analyzer != "lockio" {
-		t.Fatalf("new finding not surfaced: new=%+v", newFs)
-	}
-	if len(supp) != 3 {
-		t.Fatalf("suppressed = %d, want 3", len(supp))
-	}
-
-	// ...and a fourth occurrence of a baselined duplicate exceeds the
-	// count budget and is new.
-	extra := append(shifted, Finding{Analyzer: "errdrop", File: "internal/store/store.go", Line: 77, Col: 3, Message: "error from (os.File).Sync explicitly discarded"})
-	newFs, _ = rb.Filter(extra)
-	if len(newFs) != 1 || newFs[0].Line != 77 {
-		t.Fatalf("count budget not enforced: new=%+v", newFs)
-	}
-}
-
-func TestReadBaselineRejectsBadVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "b.json")
-	if err := os.WriteFile(path, []byte(`{"version":9,"findings":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBaseline(path); err == nil {
-		t.Fatal("want error for unsupported version")
-	}
-}
-
-func TestBaselineDuplicateEntriesSumCounts(t *testing.T) {
-	// A hand-edited baseline can carry the same (analyzer, file, message)
-	// key on several entries; Filter must sum their budgets rather than
-	// letting the last one win.
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{
-		{Analyzer: "errdrop", File: "internal/store/store.go", Message: "error from (os.File).Sync explicitly discarded", Count: 1},
-		{Analyzer: "errdrop", File: "internal/store/store.go", Message: "error from (os.File).Sync explicitly discarded", Count: 1},
-	}}
-	three := []Finding{
-		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 10, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
-		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 40, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
-		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 70, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
-	}
-	newFs, supp := b.Filter(three)
-	if len(supp) != 2 {
-		t.Fatalf("split entries must absorb 1+1 occurrences, suppressed %d", len(supp))
-	}
-	if len(newFs) != 1 || newFs[0].Line != 70 {
-		t.Fatalf("third occurrence must be new: %+v", newFs)
-	}
-}
-
-func TestBaselineCountDriftDownward(t *testing.T) {
-	// Fixing some — but not all — occurrences of a baselined finding must
-	// not surface the survivors: the budget is an upper bound.
-	b := NewBaseline(sampleFindings()) // errdrop count = 2 in store.go
-	one := sampleFindings()[:2]        // goleak + only one errdrop remain
-	newFs, supp := b.Filter(one)
-	if len(newFs) != 0 {
-		t.Fatalf("shrunken occurrence count must stay clean, got new=%+v", newFs)
-	}
-	if len(supp) != 2 {
-		t.Fatalf("suppressed = %d, want 2", len(supp))
-	}
-}
-
-func TestBaselineDeletedFileEntriesAreInert(t *testing.T) {
-	// Entries for files that no longer exist (or no longer produce the
-	// finding) must neither surface anything nor absorb findings from
-	// other files with the same analyzer and message.
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{
-		{Analyzer: "errdrop", File: "internal/gone/deleted.go", Message: "error from (os.File).Sync explicitly discarded", Count: 5},
-	}}
-	fs := []Finding{
-		{Analyzer: "errdrop", File: "internal/store/store.go", Line: 10, Col: 3, Message: "error from (os.File).Sync explicitly discarded"},
-	}
-	newFs, supp := b.Filter(fs)
-	if len(newFs) != 1 || len(supp) != 0 {
-		t.Fatalf("stale-file budget leaked across files: new=%d suppressed=%d", len(newFs), len(supp))
-	}
-}
-
-func TestBaselineWriteRoundTripStable(t *testing.T) {
-	// The -write-baseline path must be a fixed point: write, read back,
-	// regenerate from the same findings, and the bytes are identical —
-	// otherwise regenerating the ledger produces spurious diffs.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "b.json")
-
-	b1 := NewBaseline(sampleFindings())
-	var buf1 bytes.Buffer
-	if err := b1.Write(&buf1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rb, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := rb.Write(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Errorf("read-then-write drifted:\n%s\nvs\n%s", buf1.Bytes(), buf2.Bytes())
-	}
-
-	// Regenerating from an equivalent findings list (different order) is
-	// also byte-identical — NewBaseline sorts, map iteration must not leak.
-	shuffled := []Finding{sampleFindings()[2], sampleFindings()[0], sampleFindings()[1]}
-	var buf3 bytes.Buffer
-	if err := NewBaseline(shuffled).Write(&buf3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf1.Bytes(), buf3.Bytes()) {
-		t.Errorf("regeneration is order-sensitive:\n%s\nvs\n%s", buf1.Bytes(), buf3.Bytes())
 	}
 }

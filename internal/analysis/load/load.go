@@ -219,6 +219,32 @@ func (l *Loader) Packages() []*Package {
 	return out
 }
 
+// FindModule walks up from the working directory to the enclosing go.mod
+// and returns its directory and module path: what ModuleDir and
+// ModulePath are set to by both the wiscape-lint driver and analysistest.
+func FindModule() (dir, modPath string, err error) {
+	dir, err = os.Getwd()
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
+		if err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+					return dir, strings.TrimSpace(rest), nil
+				}
+			}
+			return "", "", fmt.Errorf("no module line in %s/go.mod", dir)
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", "", fmt.Errorf("no go.mod found above the working directory")
+		}
+		dir = parent
+	}
+}
+
 // importPkg backs the types.Importer needed while checking: dependencies
 // of the package under load.
 func (l *Loader) importPkg(path string) (*types.Package, error) {

@@ -19,8 +19,9 @@ import (
 // shardA.mu then shardB.mu contributes no edge (self-edges are dropped),
 // so iterating a slice of shards can never manufacture a cycle, at the
 // cost of missing genuine multi-instance deadlocks. Local mutex
-// variables, invisible to any other function, carry no identity and are
-// ignored entirely.
+// variables, invisible to any other function, carry no identity: the walk
+// holds them by spelling alone, for lockio, and every identity-keyed
+// record ignores them.
 //
 // RLock is treated exactly like Lock: a writer blocked on an RWMutex
 // stalls later readers, so reader/writer distinctions do not break an
@@ -36,18 +37,6 @@ type LockAcquire struct {
 	Via string
 }
 
-// LockCycle is one lock-ordering cycle found over the whole load.
-type LockCycle struct {
-	// Pos anchors the diagnostic: the acquisition site of the cycle's
-	// first edge.
-	Pos token.Pos
-	// Message names every edge of the cycle with the function (and call
-	// chain) that establishes it. It contains no positions, so the
-	// lintout baseline — which matches on message text — survives
-	// unrelated line drift.
-	Message string
-}
-
 // lockEdge is one ordered pair observed directly in a body: from was
 // held when to was acquired at pos.
 type lockEdge struct {
@@ -60,11 +49,18 @@ type lockEdge struct {
 // The same records double as the call-context edges of the field-access
 // domain (fieldfacts.go), which is why calls with an empty held set are
 // recorded too: a single unlocked call site is what breaks a "callers
-// always hold mu" guarantee.
+// always hold mu" guarantee. lockio reads them as well, through lock; a
+// channel send under a lock is recorded for it with a nil callee and no
+// held identities, so the other domains pass over it.
 type heldCall struct {
 	held   []string // identity keys held at the call site, deduplicated
 	callee types.Object
 	pos    token.Pos
+	// lock spells the innermost lock held at the site (local mutexes
+	// included) — what lockio names. It is empty when nothing is held and
+	// for deferred and go'd calls and their arguments, which lockio does
+	// not check.
+	lock string
 	// orderExempt excludes this edge from the lock-ordering graph:
 	// deferred and go'd calls run outside the statement's lock context
 	// (PR 9 deliberately contributes no ordering edges for them), but the
@@ -74,25 +70,23 @@ type heldCall struct {
 }
 
 // scanLockFacts extracts lock-order and field-access evidence from one
-// declared function body into ff: the locks it acquires, the direct
-// ordering edges, the calls it makes (with the held set at each site),
-// and every struct-field read/write with its flow-sensitive held set.
-func scanLockFacts(info *types.Info, fd *ast.FuncDecl, ff *FuncFacts) {
-	if info == nil || fd.Body == nil {
-		return
+// function body into ff: the locks it acquires, the direct ordering
+// edges, the calls and sends it makes (with the held set at each site),
+// and every struct-field read/write with its flow-sensitive held set. fd
+// is nil for a function literal, which is its own scope, entered with
+// nothing held.
+func scanLockFacts(info *types.Info, fd *ast.FuncDecl, body *ast.BlockStmt, ff *FuncFacts) {
+	w := &lockFactsWalker{info: info, ff: ff}
+	if fd != nil {
+		w.fresh = freshLocals(info, body)
+		w.teardown = teardownFuncName(fd.Name.Name)
 	}
-	w := &lockFactsWalker{
-		info:     info,
-		ff:       ff,
-		fresh:    freshLocals(info, fd.Body),
-		teardown: teardownFuncName(fd.Name.Name),
-	}
-	w.walkBlock(fd.Body, nil)
+	w.walkBlock(body, nil)
 }
 
 // heldLock is one entry of the walker's ordered held-lock list.
 type heldLock struct {
-	id   string // identity key, e.g. "(cluster.Shard).mu"
+	id   string // identity key, e.g. "(cluster.Shard).mu"; "" for a local mutex
 	text string // source spelling, e.g. "sh.mu" — what the Unlock matches
 }
 
@@ -108,6 +102,9 @@ type lockFactsWalker struct {
 	// been seen, marking everything after it as post-Wait teardown.
 	teardown  bool
 	afterWait bool
+	// detached is set while a defer or go statement's call is scanned:
+	// none of the calls found there is lockio's to check.
+	detached bool
 }
 
 func cloneHeld(held []heldLock) []heldLock {
@@ -115,8 +112,8 @@ func cloneHeld(held []heldLock) []heldLock {
 }
 
 // walkBlock threads the ordered held-lock list through sequential
-// statements, forking copies into branches — the same over-approximated
-// reachability as lockio's lock sets, but order-preserving.
+// statements, forking copies into branches: over-approximated
+// reachability, order-preserving.
 func (w *lockFactsWalker) walkBlock(b *ast.BlockStmt, held []heldLock) []heldLock {
 	for _, s := range b.List {
 		held = w.walkStmt(s, held)
@@ -130,6 +127,11 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		return w.walkBlock(s, held)
 	case *ast.ExprStmt:
 		if id, text, op, ok := w.lockMethodCall(s.X); ok {
+			if id == "" {
+				// To the identity-keyed domains a local mutex's lock call
+				// is an ordinary expression statement.
+				w.scanExpr(s.X, held)
+			}
 			switch op {
 			case "Lock", "RLock":
 				return w.acquire(held, id, text, s.Pos())
@@ -151,7 +153,7 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		// ordering edge, but the field domain records the call (with the
 		// held set at the defer statement approximating the exit-time
 		// set) and the argument/receiver reads evaluated here and now.
-		if _, _, _, ok := w.lockMethodCall(s.Call); !ok {
+		if id, _, _, ok := w.lockMethodCall(s.Call); !ok || id == "" {
 			w.scanDetachedCall(s.Call, held, held)
 		}
 	case *ast.GoStmt:
@@ -227,6 +229,9 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.writeTarget(e, held)
 		}
 	case *ast.SendStmt:
+		if len(held) > 0 {
+			w.ff.heldCalls = append(w.ff.heldCalls, heldCall{pos: s.Pos(), lock: held[len(held)-1].text})
+		}
 		w.scanExpr(s.Chan, held)
 		w.scanExpr(s.Value, held)
 	case *ast.ReturnStmt:
@@ -251,18 +256,21 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 	return held
 }
 
-// acquire records the new lock: an Acquires entry, one ordering edge per
-// currently-held lock, and an appended held entry.
+// acquire records the new lock: for an identity-keyed lock, an Acquires
+// entry and one ordering edge per currently-held identity-keyed lock; for
+// every lock, an appended held entry.
 func (w *lockFactsWalker) acquire(held []heldLock, id, text string, pos token.Pos) []heldLock {
-	if w.ff.Acquires == nil {
-		w.ff.Acquires = make(map[string]LockAcquire)
-	}
-	if _, ok := w.ff.Acquires[id]; !ok {
-		w.ff.Acquires[id] = LockAcquire{Pos: pos}
-	}
-	for _, h := range held {
-		if h.id != id {
-			w.ff.lockEdges = append(w.ff.lockEdges, lockEdge{from: h.id, to: id, pos: pos})
+	if id != "" {
+		if w.ff.Acquires == nil {
+			w.ff.Acquires = make(map[string]LockAcquire)
+		}
+		if _, ok := w.ff.Acquires[id]; !ok {
+			w.ff.Acquires[id] = LockAcquire{Pos: pos}
+		}
+		for _, h := range held {
+			if h.id != "" && h.id != id {
+				w.ff.lockEdges = append(w.ff.lockEdges, lockEdge{from: h.id, to: id, pos: pos})
+			}
 		}
 	}
 	return append(cloneHeld(held), heldLock{id: id, text: text})
@@ -368,6 +376,8 @@ func (w *lockFactsWalker) scanAtomicCall(call *ast.CallExpr, fn *types.Func, hel
 // them), and a deferred/spawned sync/atomic call still records its
 // atomic field access rather than a plain receiver read.
 func (w *lockFactsWalker) scanDetachedCall(call *ast.CallExpr, edgeHeld, readHeld []heldLock) {
+	w.detached = true
+	defer func() { w.detached = false }()
 	if fn := calleeFunc(w.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 		w.scanAtomicCall(call, fn, readHeld)
 		return
@@ -380,17 +390,21 @@ func (w *lockFactsWalker) scanDetachedCall(call *ast.CallExpr, edgeHeld, readHel
 }
 
 // recordCallEdge appends the resolvable callee of call to heldCalls with
-// the (deduplicated) held set.
+// the (deduplicated) held set and, outside defer/go, the innermost lock.
 func (w *lockFactsWalker) recordCallEdge(call *ast.CallExpr, held []heldLock, orderExempt bool) {
 	fn := calleeFunc(w.info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == "sync" || fn.Pkg().Path() == "sync/atomic" {
 		return
 	}
-	w.ff.heldCalls = append(w.ff.heldCalls, heldCall{held: dedupHeldIDs(held), callee: fn, pos: call.Pos(), orderExempt: orderExempt})
+	hc := heldCall{held: dedupHeldIDs(held), callee: fn, pos: call.Pos(), orderExempt: orderExempt}
+	if len(held) > 0 && !w.detached {
+		hc.lock = held[len(held)-1].text
+	}
+	w.ff.heldCalls = append(w.ff.heldCalls, hc)
 }
 
 // dedupHeldIDs flattens the ordered held list to its distinct identity
-// keys, preserving acquisition order.
+// keys, preserving acquisition order; local mutexes have none.
 func dedupHeldIDs(held []heldLock) []string {
 	if len(held) == 0 {
 		return nil
@@ -398,7 +412,7 @@ func dedupHeldIDs(held []heldLock) []string {
 	ids := make([]string, 0, len(held))
 	seen := make(map[string]bool, len(held))
 	for _, h := range held {
-		if !seen[h.id] {
+		if h.id != "" && !seen[h.id] {
 			seen[h.id] = true
 			ids = append(ids, h.id)
 		}
@@ -446,7 +460,7 @@ func (w *lockFactsWalker) isWaitCall(e ast.Expr) bool {
 
 // lockMethodCall recognizes e as a call to a sync package lock method
 // (Lock/RLock/Unlock/RUnlock) and resolves the lock operand to its
-// identity key and source spelling.
+// identity key ("" for a local mutex) and source spelling.
 func (w *lockFactsWalker) lockMethodCall(e ast.Expr) (id, text, op string, ok bool) {
 	call, okCall := ast.Unparen(e).(*ast.CallExpr)
 	if !okCall {
@@ -468,7 +482,7 @@ func (w *lockFactsWalker) lockMethodCall(e ast.Expr) (id, text, op string, ok bo
 	}
 	id = w.lockIdentity(sel)
 	text = exprString(sel.X)
-	if id == "" || text == "" {
+	if text == "" {
 		return "", "", "", false
 	}
 	return id, text, op, true
@@ -587,10 +601,12 @@ type lockGraphEdge struct {
 
 // computeLockCycles assembles the global lock-ordering graph — direct
 // in-body edges plus (held locks × callee's transitive acquisitions) at
-// every call made under a lock — and reports its cycles. Each cycle is
-// reported once, at the acquisition site of the first edge of the
-// shortest cycle through its lexicographically smallest lock.
-func computeLockCycles(facts *Facts) []LockCycle {
+// every call made under a lock — and reports its cycles, the lockorder
+// findings. Each cycle is reported once, at the acquisition site of the
+// first edge of the shortest cycle through its lexicographically
+// smallest lock; its message names every edge with the function (and
+// call chain) that establishes it.
+func computeLockCycles(facts *Facts) []Diagnostic {
 	var edges []lockGraphEdge
 	seen := make(map[[2]string]bool)
 	add := func(from, to string, pos token.Pos, desc string) {
@@ -650,7 +666,7 @@ func computeLockCycles(facts *Facts) []LockCycle {
 	}
 	sort.Strings(nodes)
 
-	var cycles []LockCycle
+	var cycles []Diagnostic
 	for _, s := range nodes {
 		path := shortestLockCycle(s, adj, edges)
 		if path == nil {
@@ -676,7 +692,7 @@ func computeLockCycles(facts *Facts) []LockCycle {
 			msg += e.from + " acquired before " + e.to + " " + e.desc
 		}
 		msg += " — pick one global acquisition order or release before crossing"
-		cycles = append(cycles, LockCycle{Pos: edges[path[0]].pos, Message: msg})
+		cycles = append(cycles, Diagnostic{Pos: edges[path[0]].pos, Message: msg})
 	}
 	return cycles
 }

@@ -26,17 +26,5 @@ var Lockguard = &Analyzer{
 	Name: "lockguard",
 	Doc: "infer which lock guards each struct field by dominant association and flag " +
 		"the minority accesses that do not hold it",
-	Run: runLockguard,
-}
-
-func runLockguard(pass *Pass) error {
-	for _, g := range pass.Facts.Guards() {
-		// Guard inference is a whole-load property; each pass reports only
-		// the findings anchored in its own files, so a multi-package run
-		// emits each exactly once.
-		if pass.ownsPos(g.Pos) {
-			pass.Reportf(g.Pos, "%s", g.Message)
-		}
-	}
-	return nil
+	Run: reportFindings,
 }

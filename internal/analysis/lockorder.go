@@ -22,17 +22,5 @@ var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "detect lock-acquisition ordering cycles (potential deadlocks) across the " +
 		"whole load's call graph",
-	Run: runLockorder,
-}
-
-func runLockorder(pass *Pass) error {
-	for _, c := range pass.Facts.Cycles() {
-		// Cycles are a whole-load property; each pass reports only the
-		// ones anchored in its own files, so a multi-package run emits
-		// each cycle exactly once.
-		if pass.ownsPos(c.Pos) {
-			pass.Reportf(c.Pos, "%s", c.Message)
-		}
-	}
-	return nil
+	Run: reportFindings,
 }

@@ -21,15 +21,5 @@ var Taintalloc = &Analyzer{
 	Name: "taintalloc",
 	Doc: "flag network-read integers reaching allocation or read-size sinks " +
 		"(make, io.ReadFull/CopyN, bufio sizing, Grow) without a bound check",
-	Run: runTaintalloc,
-}
-
-func runTaintalloc(pass *Pass) error {
-	for _, tf := range pass.Facts.Taint() {
-		if pass.ownsPos(tf.Pos) {
-			pass.Reportf(tf.Pos, "%s sized by network-read value (%s) with no dominating bound check: compare against a limit first",
-				tf.What, tf.Via)
-		}
-	}
-	return nil
+	Run: reportFindings,
 }

@@ -31,16 +31,6 @@ import (
 //     channels, or function values — only through locals, integer
 //     returns and call arguments.
 
-// TaintFinding is one tainted length reaching a sizing sink.
-type TaintFinding struct {
-	Pos token.Pos
-	// What names the sink, e.g. "make([]byte, …)" or "io.CopyN".
-	What string
-	// Via is the derivation chain back to the network read, e.g.
-	// "codec.FrameLen → binary.Uint64".
-	Via string
-}
-
 // taintOriginKind classifies where a value's taint would come from.
 type taintOriginKind uint8
 
@@ -67,7 +57,7 @@ type taintAssign struct {
 // taintSink is a sizing sink with the origins feeding its length.
 type taintSink struct {
 	pos     token.Pos
-	what    string
+	what    string // e.g. "make([]byte, …)" or "io.CopyN"
 	origins []taintOrigin
 }
 
@@ -378,9 +368,11 @@ type taintState struct {
 }
 
 // computeTaintFindings runs the global fixed point over every scanned
-// summary and evaluates the sinks. Iteration follows facts.order, so via
-// chains and finding order are deterministic run to run.
-func computeTaintFindings(facts *Facts) []TaintFinding {
+// summary and evaluates the sinks: each tainted one is a taintalloc
+// finding naming the derivation chain back to the network read (e.g.
+// "codec.FrameLen → binary.Uint64"). Iteration follows facts.order, so
+// via chains and finding order are deterministic run to run.
+func computeTaintFindings(facts *Facts) []Diagnostic {
 	states := make(map[types.Object]*taintState)
 	for _, fn := range facts.order {
 		if facts.funcs[fn].taint != nil {
@@ -470,7 +462,7 @@ func computeTaintFindings(facts *Facts) []TaintFinding {
 		}
 	}
 
-	var findings []TaintFinding
+	var findings []Diagnostic
 	for _, fn := range facts.order {
 		sum := facts.funcs[fn].taint
 		if sum == nil {
@@ -478,7 +470,8 @@ func computeTaintFindings(facts *Facts) []TaintFinding {
 		}
 		for _, sk := range sum.sinks {
 			if via, ok := resolve(fn, sk.origins); ok {
-				findings = append(findings, TaintFinding{Pos: sk.pos, What: sk.what, Via: via})
+				findings = append(findings, Diagnostic{Pos: sk.pos, Message: sk.what + " sized by network-read value (" + via +
+					") with no dominating bound check: compare against a limit first"})
 			}
 		}
 	}

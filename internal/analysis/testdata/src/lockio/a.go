@@ -65,6 +65,16 @@ func (s *server) selectSendBad() {
 	}
 }
 
+// twoLocksBad: with two locks held the diagnostic names the innermost,
+// the same one every run.
+func (s *server) twoLocksBad(nc net.Conn) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rw.Lock()
+	defer s.rw.Unlock()
+	_ = nc.Close() // want `s\.rw held across \(net\.Conn\)\.Close`
+}
+
 // Negative cases.
 
 // closeAllGood snapshots under the lock and does I/O after releasing it —

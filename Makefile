@@ -44,19 +44,22 @@ race:
 ci: vet lint build race
 
 # Short-burst coverage-guided fuzz of the wire decoder, the sketch
-# serializer, the replication frame codec, the WAL record encoder and the
+# serializer, the replication frame codec, the WAL record encoder, the
 # canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
 # and store.ParseRecordLine of a payload against json.Unmarshal of the same
-# bytes). Checked-in corpora under */testdata/fuzz seed the wire, sketch and
-# sample-decoder fuzzers; the frame fuzzer seeds all six frame types
-# programmatically, the encoder fuzzer the values encoding/json's rules
-# turn on.
+# bytes) and the canonical-form reply decoder (FuzzReplyDecodeMatchesJSON:
+# Recv of a zone-list or estimate-reply line and core.ParseRecordJSON of a
+# record against json.Unmarshal). Checked-in corpora under */testdata/fuzz
+# seed the wire, sketch, sample- and reply-decoder fuzzers; the frame fuzzer
+# seeds all six frame types programmatically, the encoder fuzzer the values
+# encoding/json's rules turn on.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/replication
 	$(GO) test -fuzz=FuzzRecordEncodeMatchesJSON -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzSampleDecodeMatchesJSON -fuzztime=30s ./internal/wire
+	$(GO) test -fuzz=FuzzReplyDecodeMatchesJSON -fuzztime=30s ./internal/wire
 
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 # The codec's are BenchmarkEncode/BenchmarkDecode (internal/wire: a sample

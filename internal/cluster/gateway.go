@@ -630,17 +630,46 @@ func mergeEstimates(found []*wire.EstimateReply, withSketch bool) *wire.Estimate
 // fanoutZoneList merges every reachable shard's records into one reply,
 // ordered deterministically by (zone, network, metric).
 func (g *Gateway) fanoutZoneList(sess *session, req wire.Envelope) wire.Envelope {
-	var records []core.Record
+	var lists [][]core.Record
 	err := g.fanout(sess, req, wire.TypeZoneListReply, func(up wire.Envelope) {
-		records = append(records, up.ZoneListReply.Records...)
+		lists = append(lists, up.ZoneListReply.Records)
 	})
 	if err != nil {
 		return wire.ErrorReply(err.Error())
 	}
-	// Stable: two shards may publish the same zone ID, and those records
-	// stay in shard registration order.
-	slices.SortStableFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
-	return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{Records: records}}
+	return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{Records: mergeRecords(lists)}}
+}
+
+// mergeRecords merges lists, each in key order as Controller.Records returns
+// it, into one list in key order, allocated once; nil when there is no
+// record. Equal keys — two shards may publish the same zone ID — keep the
+// order of their lists, shard registration order: what a stable sort of the
+// lists laid end to end gives. A list that holds every record is the answer
+// as it stands.
+func mergeRecords(lists [][]core.Record) []core.Record {
+	lists = slices.DeleteFunc(lists, func(l []core.Record) bool { return len(l) == 0 })
+	switch len(lists) {
+	case 0:
+		return nil
+	case 1:
+		return lists[0]
+	}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]core.Record, 0, n)
+	for len(out) < n {
+		next := -1
+		for i, l := range lists {
+			if len(l) > 0 && (next < 0 || l[0].Key.Compare(lists[next][0].Key) < 0) {
+				next = i
+			}
+		}
+		out = append(out, lists[next][0])
+		lists[next] = lists[next][1:]
+	}
+	return out
 }
 
 // answered reports whether err is the shard's own answer — an error reply,

@@ -795,8 +795,11 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = gw.Close() })
-	fallbacks := func(who string) float64 {
-		return regs[who].Counter("wiscape_wire_decode_fallbacks_total", "").With().Value()
+	fallbacks := func(who string) (n float64) {
+		for _, typ := range []string{"sample_report", "zone_list_reply", "estimate_reply"} {
+			n += regs[who].Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(typ).Value()
+		}
+		return n
 	}
 	decodes := func(who string) float64 {
 		return regs[who].Counter("wiscape_wire_messages_total", "", "dir").With("decode").Value()
@@ -843,9 +846,25 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	}
 	perReport := ingested() - before
 
+	// The read path: the shards' zone lists reach the gateway in canonical
+	// form too (their estimate replies carry sketches, which encoding/json
+	// decodes and the counter does not count).
+	for _, req := range []wire.Envelope{
+		{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}},
+		{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}},
+	} {
+		want := wire.TypeZoneListReply
+		if req.EstimateRequest != nil {
+			want = wire.TypeEstimateReply
+		}
+		if _, err := c.Call(req, want); err != nil {
+			t.Fatalf("%s: %v", req.Type, err)
+		}
+	}
+
 	for who := range regs {
 		if decodes(who) == 0 || fallbacks(who) != 0 {
-			t.Errorf("%s decoded %v messages and left %v sample reports to encoding/json, want some and none", who, decodes(who), fallbacks(who))
+			t.Errorf("%s decoded %v messages and left %v hand-spelled frames to encoding/json, want some and none", who, decodes(who), fallbacks(who))
 		}
 	}
 

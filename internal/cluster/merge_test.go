@@ -4,12 +4,14 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -352,5 +354,93 @@ func TestGatewayCountsMergeFallback(t *testing.T) {
 				t.Errorf("%d fallback log lines in %q, want 1", n, logged)
 			}
 		})
+	}
+}
+
+// startZoneListShard is a scripted shard that answers every zone-list
+// request with records.
+func startZoneListShard(t *testing.T, records []core.Record) string {
+	t.Helper()
+	lis, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+			if req.ZoneListRequest == nil {
+				return wire.ErrorReply("zone lists only"), true
+			}
+			return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{Records: records}}, false
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = lis.Close() })
+	return lis.Addr()
+}
+
+// TestGatewayZoneListKeepsRegistrationOrder: two shards publish some of the
+// same zone ids (their grids are their own). The gateway's list is in key
+// order, and the records of one key stay in shard registration order, which
+// ever way round the shards are registered; one shard's list passes through
+// as it came.
+func TestGatewayZoneListKeepsRegistrationOrder(t *testing.T) {
+	rec := func(x int32, mean float64) core.Record {
+		return core.Record{Key: core.Key{Zone: geo.ZoneID{X: x, Y: -x}, Net: radio.NetB, Metric: trace.MetricUDPKbps},
+			MeanValue: mean, Samples: 10, UpdatedAt: start}
+	}
+	a := ShardConfig{Name: "a", Box: geo.Madison(), Addr: startZoneListShard(t, []core.Record{rec(-2, 1), rec(0, 1), rec(3, 1)})}
+	b := ShardConfig{Name: "b", Box: geo.NewBrunswickArea(), Addr: startZoneListShard(t, []core.Record{rec(-2, 2), rec(1, 2), rec(3, 2), rec(4, 2)})}
+	for name, tc := range map[string]struct {
+		shards []ShardConfig
+		want   []core.Record
+	}{
+		"a, b":   {[]ShardConfig{a, b}, []core.Record{rec(-2, 1), rec(-2, 2), rec(0, 1), rec(1, 2), rec(3, 1), rec(3, 2), rec(4, 2)}},
+		"b, a":   {[]ShardConfig{b, a}, []core.Record{rec(-2, 2), rec(-2, 1), rec(0, 1), rec(1, 2), rec(3, 2), rec(3, 1), rec(4, 2)}},
+		"b only": {[]ShardConfig{b}, []core.Record{rec(-2, 2), rec(1, 2), rec(3, 2), rec(4, 2)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			gw := startGateway(t, nil, nil, tc.shards...)
+			got, err := agent.QueryZoneList(gw.Addr(), radio.NetB, trace.MetricUDPKbps)
+			if err != nil || !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("zone list through %s: err %v\n got  %+v\n want %+v", name, err, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMergeRecordsMatchesStableSort holds the gateway's merge to what it
+// replaced, a stable sort of the shards' lists laid end to end, on seeded
+// lists of few distinct keys (so ties are common), and checks that a merged
+// result is allocated once, at its size, and a lone list is not copied.
+func TestMergeRecordsMatchesStableSort(t *testing.T) {
+	r := rng.NewNamed(26, "merge-records")
+	for i := 0; i < 500; i++ {
+		lists := make([][]core.Record, 1+r.Intn(4))
+		var all []core.Record
+		for j := range lists {
+			for n := r.Intn(12); len(lists[j]) < n; {
+				lists[j] = append(lists[j], core.Record{
+					Key:       core.Key{Zone: geo.ZoneID{X: int32(r.Intn(5) - 2)}, Net: radio.NetB, Metric: []trace.Metric{"a", "b"}[r.Intn(2)]},
+					MeanValue: float64(100*j + len(lists[j])),
+				})
+			}
+			slices.SortStableFunc(lists[j], func(a, b core.Record) int { return a.Key.Compare(b.Key) })
+			all = append(all, lists[j]...)
+		}
+		slices.SortStableFunc(all, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
+		got := mergeRecords(slices.Clone(lists))
+		if !reflect.DeepEqual(got, all) {
+			t.Fatalf("case %d: merge of %d lists\n got  %+v\n want %+v", i, len(lists), got, all)
+		}
+		var full [][]core.Record
+		for _, l := range lists {
+			if len(l) > 0 {
+				full = append(full, l)
+			}
+		}
+		switch {
+		case len(full) == 1 && &got[0] != &full[0][0]:
+			t.Fatalf("case %d: the one list with records was copied", i)
+		case len(full) > 1 && cap(got) != len(got):
+			t.Fatalf("case %d: %d records in a slice of capacity %d", i, len(got), cap(got))
+		}
 	}
 }

@@ -58,6 +58,12 @@ type Controller struct {
 	zones    map[Key]*zoneState
 	failures map[failKey]map[int64]int // ping failures per zone per day (Fig. 9)
 
+	// views holds, per network and metric, the states of the keys that
+	// have a record, in key order: what Records serves, without a scan of
+	// every key or a sort. A key joins its list once, when its first record
+	// is published, and never leaves it (Restore rebuilds the lists).
+	views map[view][]*zoneState
+
 	// alerts is a fixed-capacity ring: alertHead indexes the oldest
 	// pending alert, alertLen counts pending ones. When full, the oldest
 	// is overwritten and alertsDropped incremented — an unread backlog
@@ -81,6 +87,12 @@ type Controller struct {
 type failKey struct {
 	Zone geo.ZoneID
 	Net  radio.NetworkID
+}
+
+// view names one published list: a network and a metric, every zone.
+type view struct {
+	Net    radio.NetworkID
+	Metric trace.Metric
 }
 
 // NewController returns a controller for a region centered at origin.
@@ -110,6 +122,7 @@ func NewController(cfg Config, origin geo.Point) *Controller {
 		grid:     geo.GridForZoneRadius(origin, cfg.ZoneRadiusM),
 		zones:    make(map[Key]*zoneState),
 		failures: make(map[failKey]map[int64]int),
+		views:    make(map[view][]*zoneState),
 		alerts:   make([]Alert, cfg.AlertBuffer),
 	}
 }
@@ -272,6 +285,7 @@ func (c *Controller) finalizeEpochLocked(key Key, st *zoneState, at time.Time) {
 	if !st.hasRecord {
 		st.published = candidate
 		st.hasRecord = true
+		c.publishLocked(st)
 		return
 	}
 	prev := st.published
@@ -308,6 +322,18 @@ func (c *Controller) finalizeEpochLocked(key Key, st *zoneState, at time.Time) {
 	st.published.P99 = 0.7*prev.P99 + 0.3*candidate.P99
 	st.published.Samples += candidate.Samples
 	st.published.UpdatedAt = at
+}
+
+// publishLocked puts a key whose first record was just published into its
+// published list, at its place in key order. The record's key is the key
+// its state is kept under, and it never changes: a later record of the key
+// replaces the values, not the key.
+func (c *Controller) publishLocked(st *zoneState) {
+	key := st.published.Key
+	v := view{Net: key.Net, Metric: key.Metric}
+	list := c.views[v]
+	i, _ := slices.BinarySearchFunc(list, key, func(s *zoneState, k Key) int { return s.published.Key.Compare(k) })
+	c.views[v] = slices.Insert(list, i, st)
 }
 
 // pushAlertLocked appends to the alert ring, overwriting (and counting)
@@ -510,18 +536,20 @@ func (c *Controller) WindowQuantile(key Key, q float64) (float64, bool) {
 
 // Records returns every published record for a network and metric, in
 // deterministic zone order — the bulk query behind operator dashboards and
-// map renderers.
+// map renderers. It copies the published list into a slice of its exact
+// size (nil when there is no record): no other key is looked at and nothing
+// is sorted under mu.
 func (c *Controller) Records(net radio.NetworkID, m trace.Metric) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []Record
-	for k, st := range c.zones {
-		if k.Net != net || k.Metric != m || !st.hasRecord {
-			continue
-		}
-		out = append(out, st.published)
+	list := c.views[view{Net: net, Metric: m}]
+	if len(list) == 0 {
+		return nil
 	}
-	slices.SortFunc(out, func(a, b Record) int { return a.Key.Compare(b.Key) })
+	out := make([]Record, len(list))
+	for i, st := range list {
+		out[i] = st.published
+	}
 	return out
 }
 

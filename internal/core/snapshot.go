@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -113,6 +114,7 @@ func Restore(s Snapshot) *Controller {
 		}
 		if e.Record != nil {
 			st.published = *e.Record
+			st.published.Key = e.Key // a record is served under the key it is kept at
 			st.hasRecord = true
 		}
 		if len(e.Sketch) > 0 {
@@ -121,6 +123,17 @@ func Restore(s Snapshot) *Controller {
 			}
 		}
 		c.zones[e.Key] = st
+	}
+	// The published lists are built from what the entries left in zones (a
+	// repeated key keeps its last entry, as zones does), one sort each.
+	for _, st := range c.zones {
+		if st.hasRecord {
+			v := view{Net: st.published.Key.Net, Metric: st.published.Key.Metric}
+			c.views[v] = append(c.views[v], st)
+		}
+	}
+	for _, list := range c.views {
+		slices.SortFunc(list, func(a, b *zoneState) int { return a.published.Key.Compare(b.published.Key) })
 	}
 	return c
 }

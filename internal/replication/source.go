@@ -242,7 +242,6 @@ func (s *Source) serve(nc net.Conn) {
 	}
 	h, err := decodeHello(payload)
 	if err != nil {
-		//lint:ignore errdrop best-effort refusal on a handshake already failing
 		_ = writeFrame(bw, frameReject, []byte(err.Error()))
 		//lint:ignore errdrop best-effort refusal on a handshake already failing
 		_ = bw.Flush()

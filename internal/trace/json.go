@@ -50,20 +50,20 @@ func AppendSampleJSON(buf []byte, s Sample) ([]byte, error) {
 	}
 	start := len(buf)
 	buf = append(buf, `{"t":"`...)
-	buf, err := appendJSONTime(buf, s.Time)
+	buf, err := AppendJSONTime(buf, s.Time)
 	if err != nil {
 		return buf[:start], err
 	}
 	buf = append(buf, `","loc":{"lat":`...)
-	buf = appendJSONFloat(buf, s.Loc.Lat)
+	buf = AppendJSONFloat(buf, s.Loc.Lat)
 	buf = append(buf, `,"lon":`...)
-	buf = appendJSONFloat(buf, s.Loc.Lon)
+	buf = AppendJSONFloat(buf, s.Loc.Lon)
 	buf = append(buf, `},"net":`...)
 	buf = AppendStringJSON(buf, string(s.Network))
 	buf = append(buf, `,"metric":`...)
 	buf = AppendStringJSON(buf, string(s.Metric))
 	buf = append(buf, `,"value":`...)
-	buf = appendJSONFloat(buf, s.Value)
+	buf = AppendJSONFloat(buf, s.Value)
 	buf = append(buf, `,"client":`...)
 	buf = AppendStringJSON(buf, s.ClientID)
 	if s.Device != "" {
@@ -71,17 +71,17 @@ func AppendSampleJSON(buf []byte, s Sample) ([]byte, error) {
 		buf = AppendStringJSON(buf, s.Device)
 	}
 	buf = append(buf, `,"speed_kmh":`...)
-	buf = appendJSONFloat(buf, s.SpeedKmh)
+	buf = AppendJSONFloat(buf, s.SpeedKmh)
 	if s.Failed {
 		buf = append(buf, `,"failed":true`...)
 	}
 	return append(buf, '}'), nil
 }
 
-// appendJSONTime is Time.MarshalJSON less its quotes: RFC 3339 with
+// AppendJSONTime is Time.MarshalJSON less its quotes: RFC 3339 with
 // nanoseconds, refusing the two things a Go time can hold and RFC 3339
 // cannot say.
-func appendJSONTime(b []byte, t time.Time) ([]byte, error) {
+func AppendJSONTime(b []byte, t time.Time) ([]byte, error) {
 	n0 := len(b)
 	b = t.AppendFormat(b, time.RFC3339Nano)
 	ts := b[n0:]
@@ -98,11 +98,11 @@ func appendJSONTime(b []byte, t time.Time) ([]byte, error) {
 	return b, nil
 }
 
-// appendJSONFloat formats a finite float64 by encoding/json's rule: the
+// AppendJSONFloat formats a finite float64 by encoding/json's rule: the
 // shortest digits that round-trip, in ES6 number-to-string form — exponent
 // notation below 1e-6 and from 1e21 up, with a one-digit negative exponent
 // written e-7, not e-07.
-func appendJSONFloat(b []byte, f float64) []byte {
+func AppendJSONFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -231,8 +231,8 @@ func (c *Canon) String(like string) string {
 	return like
 }
 
-// number consumes a JSON number and returns what encoding/json makes of it.
-func (c *Canon) number() float64 {
+// Number consumes a JSON number and returns what encoding/json makes of it.
+func (c *Canon) Number() float64 {
 	if c.Declined {
 		return 0
 	}
@@ -247,6 +247,49 @@ func (c *Canon) number() float64 {
 	}
 	c.B = c.B[n:]
 	return f
+}
+
+// Int consumes a JSON integer, [-] (0 | 1-9 digits), and returns what
+// encoding/json stores of it in a signed field bits wide: strconv.ParseInt's
+// reading at that width, the call it makes. A number that goes on with a
+// fraction or an exponent is left for the next step to decline, and one out
+// of range is declined here; encoding/json refuses both for an integer field.
+func (c *Canon) Int(bits int) int64 {
+	if c.Declined {
+		return 0
+	}
+	n := 0
+	if n < len(c.B) && c.B[n] == '-' {
+		n++
+	}
+	switch {
+	case n < len(c.B) && c.B[n] == '0':
+		n++
+	case n < len(c.B) && '1' <= c.B[n] && c.B[n] <= '9':
+		for n < len(c.B) && '0' <= c.B[n] && c.B[n] <= '9' {
+			n++
+		}
+	default:
+		c.Declined = true
+		return 0
+	}
+	v, err := strconv.ParseInt(string(c.B[:n]), 10, bits)
+	if err != nil {
+		c.Declined = true
+		return 0
+	}
+	c.B = c.B[n:]
+	return v
+}
+
+// Time consumes a quoted time and returns what encoding/json makes of it:
+// (*time.Time).UnmarshalJSON of the quoted bytes, the call it makes.
+func (c *Canon) Time() time.Time {
+	var t time.Time
+	if q := c.quoted(); !c.Declined && t.UnmarshalJSON(q) != nil {
+		c.Declined = true
+	}
+	return t
 }
 
 // jsonNumberLen returns the length of the JSON number b opens with:
@@ -300,17 +343,17 @@ func ParseSampleJSON(c *Canon, s, prev *Sample) {
 		prev = &Sample{}
 	}
 	c.Lit(`{"t":`)
-	at := c.quoted()
+	s.Time = c.Time()
 	c.Lit(`,"loc":{"lat":`)
-	s.Loc.Lat = c.number()
+	s.Loc.Lat = c.Number()
 	c.Lit(`,"lon":`)
-	s.Loc.Lon = c.number()
+	s.Loc.Lon = c.Number()
 	c.Lit(`},"net":`)
 	s.Network = radio.NetworkID(c.String(string(prev.Network)))
 	c.Lit(`,"metric":`)
 	s.Metric = Metric(c.String(string(prev.Metric)))
 	c.Lit(`,"value":`)
-	s.Value = c.number()
+	s.Value = c.Number()
 	c.Lit(`,"client":`)
 	s.ClientID = c.String(prev.ClientID)
 	if c.TryLit(`,"device":`) {
@@ -319,12 +362,9 @@ func ParseSampleJSON(c *Canon, s, prev *Sample) {
 		}
 	}
 	c.Lit(`,"speed_kmh":`)
-	s.SpeedKmh = c.number()
+	s.SpeedKmh = c.Number()
 	s.Failed = c.TryLit(`,"failed":true`)
 	c.Lit(`}`)
-	if c.Declined || s.Time.UnmarshalJSON(at) != nil {
-		c.Declined = true
-	}
 }
 
 // sampleOpen is how every canonical sample starts and nothing inside one

@@ -1,14 +1,15 @@
-// Package tracetest generates the samples the JSON forms of a sample are
-// tested on: every value an encoding/json rule turns on, drawn from a seeded
-// generator, so that the WAL line's tests (internal/store), the wire frame's
-// (internal/wire) and the sample codec's own (internal/trace) judge one
-// corpus.
+// Package tracetest generates the samples and zone records the JSON forms of
+// a sample and a record are tested on: every value an encoding/json rule
+// turns on, drawn from a seeded generator, so that the WAL line's tests
+// (internal/store), the wire frame's (internal/wire) and the codecs' own
+// (internal/trace, internal/core) judge one corpus.
 package tracetest
 
 import (
 	"math"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -55,58 +56,125 @@ var base = time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
 // Sample draws one record over the values the format's rules turn on, among
 // them some no JSON form can carry (NaN, ±Inf).
 func Sample(r *rng.Rand) trace.Sample {
-	return sample(r, Strings, func() byte { return byte(r.Uint64()) })
+	return anyDraw(r).sample()
 }
 
 // PlainSample is Sample with only strings that need no escape.
 func PlainSample(r *rng.Rand) trace.Sample {
-	const plain = " !#$%'()*+,-./0123456789:;=?@ABCXYZ[]^_`abcxyz{|}~"
-	return sample(r, PlainStrings, func() byte { return plain[r.Intn(len(plain))] })
+	return plainDraw(r).sample()
 }
 
-// sample draws a record whose strings are one of strs or, one time in five,
-// up to eleven bytes from randByte.
-func sample(r *rng.Rand, strs []string, randByte func() byte) trace.Sample {
-	float := func() float64 {
-		switch r.Intn(8) {
-		case 0:
-			return math.Float64frombits(r.Uint64()) // any bit pattern, NaN and ±Inf among them
-		case 1:
-			return r.Normal(0, 1e3)
-		case 2:
-			return math.Pow(10, r.Range(-330, 310))
-		}
-		return Floats[r.Intn(len(Floats))]
+// Record draws one zone record over the values its format's rules turn on:
+// a sample's floats, strings and times, zone coordinates at the int32
+// extremes and of both signs, sample counts from 0 to MaxInt64, and the zero
+// time. Some have no JSON form (NaN, ±Inf).
+func Record(r *rng.Rand) core.Record {
+	return anyDraw(r).record()
+}
+
+// PlainRecord is Record with only strings that need no escape.
+func PlainRecord(r *rng.Rand) core.Record {
+	return plainDraw(r).record()
+}
+
+// draw draws values whose strings are one of strs or, one time in five, up
+// to eleven bytes from randByte.
+type draw struct {
+	r        *rng.Rand
+	strs     []string
+	randByte func() byte
+}
+
+func anyDraw(r *rng.Rand) draw {
+	return draw{r, Strings, func() byte { return byte(r.Uint64()) }}
+}
+
+func plainDraw(r *rng.Rand) draw {
+	const plain = " !#$%'()*+,-./0123456789:;=?@ABCXYZ[]^_`abcxyz{|}~"
+	return draw{r, PlainStrings, func() byte { return plain[r.Intn(len(plain))] }}
+}
+
+func (d draw) float() float64 {
+	switch d.r.Intn(8) {
+	case 0:
+		return math.Float64frombits(d.r.Uint64()) // any bit pattern, NaN and ±Inf among them
+	case 1:
+		return d.r.Normal(0, 1e3)
+	case 2:
+		return math.Pow(10, d.r.Range(-330, 310))
 	}
-	str := func() string {
-		if r.Bool(0.2) {
-			b := make([]byte, r.Intn(12))
-			for i := range b {
-				b[i] = randByte()
-			}
-			return string(b)
+	return Floats[d.r.Intn(len(Floats))]
+}
+
+func (d draw) str() string {
+	if d.r.Bool(0.2) {
+		b := make([]byte, d.r.Intn(12))
+		for i := range b {
+			b[i] = d.randByte()
 		}
-		return strs[r.Intn(len(strs))]
+		return string(b)
 	}
-	at := base.Add(time.Duration(r.Int63() % int64(400*24*time.Hour)))
-	switch r.Intn(4) {
+	return d.strs[d.r.Intn(len(d.strs))]
+}
+
+func (d draw) time() time.Time {
+	at := base.Add(time.Duration(d.r.Int63() % int64(400*24*time.Hour)))
+	switch d.r.Intn(4) {
 	case 0:
 		at = at.Truncate(time.Second)
 	case 1:
 		at = at.Truncate(time.Millisecond)
 	}
-	smp := trace.Sample{
-		Time:     at.In(Zones[r.Intn(len(Zones))]),
-		Loc:      geo.Point{Lat: float(), Lon: float()},
-		Network:  radio.NetworkID(str()),
-		Metric:   trace.Metric(str()),
-		Value:    float(),
-		ClientID: str(),
-		SpeedKmh: float(),
-		Failed:   r.Bool(0.3),
+	return at.In(Zones[d.r.Intn(len(Zones))])
+}
+
+// int draws an integer bits wide: one at or next to an extreme, a small one
+// of either sign, or any.
+func (d draw) int(bits uint) int64 {
+	hi := int64(1)<<(bits-1) - 1
+	switch d.r.Intn(4) {
+	case 0:
+		return [...]int64{0, 1, -1, hi, hi - 1, -hi, -hi - 1}[d.r.Intn(7)]
+	case 1:
+		return int64(d.r.Intn(2001)) - 1000
 	}
-	if r.Bool(0.5) {
-		smp.Device = str()
+	return int64(d.r.Uint64()) >> (64 - bits)
+}
+
+func (d draw) sample() trace.Sample {
+	smp := trace.Sample{
+		Time:     d.time(),
+		Loc:      geo.Point{Lat: d.float(), Lon: d.float()},
+		Network:  radio.NetworkID(d.str()),
+		Metric:   trace.Metric(d.str()),
+		Value:    d.float(),
+		ClientID: d.str(),
+		SpeedKmh: d.float(),
+		Failed:   d.r.Bool(0.3),
+	}
+	if d.r.Bool(0.5) {
+		smp.Device = d.str()
 	}
 	return smp
+}
+
+func (d draw) record() core.Record {
+	rec := core.Record{
+		Key: core.Key{
+			Zone:   geo.ZoneID{X: int32(d.int(32)), Y: int32(d.int(32))},
+			Net:    radio.NetworkID(d.str()),
+			Metric: trace.Metric(d.str()),
+		},
+		MeanValue: d.float(),
+		StdDev:    d.float(),
+		Samples:   d.int(64),
+		P50:       d.float(),
+		P90:       d.float(),
+		P99:       d.float(),
+		UpdatedAt: d.time(),
+	}
+	if d.r.Bool(0.1) {
+		rec.UpdatedAt = time.Time{} // a record served before its first epoch closed
+	}
+	return rec
 }

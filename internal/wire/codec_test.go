@@ -98,7 +98,7 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 			ErrorReply(strings.Repeat(string(rune('a'+i%26)), 1+r.Intn(300))),
 		)
 		if i%10 == 9 {
-			sent = append(sent, zoneListOf(600)) // > 64 KiB: the copied path, between borrowed ones
+			sent = append(sent, zoneListOf(600)) // > 64 KiB: gathered in a pooled buffer the next long line reuses
 		}
 	}
 	stream := encodeFrames(t, sent...)
@@ -124,8 +124,9 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 }
 
 // TestRecvAtReadBufferBoundary walks a frame's size across the reader
-// buffer's, where Recv switches from decoding in place to copying the line
-// out, alone and behind a short frame that shifts it across a refill.
+// buffer's, where Recv switches from decoding in place to gathering the line
+// in a pooled buffer, alone and behind a short frame that shifts it across a
+// refill.
 func TestRecvAtReadBufferBoundary(t *testing.T) {
 	short := Envelope{Type: TypeHello, Hello: &Hello{ClientID: "c1"}}
 	for _, size := range []int{connBufBytes - 1, connBufBytes, connBufBytes + 1} {
@@ -173,17 +174,28 @@ func bytesPerOp(runs int, f func()) int {
 	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
+// allocSize is what the heap hands out for an n-byte object: n rounded up to
+// its size class, or for a large object to whole pages.
+func allocSize(n int) int {
+	return cap(append([]byte(nil), make([]byte, n)...))
+}
+
 // TestCodecCopiesNoFrame guards what the codec may allocate. A sample report
-// in canonical form costs what it keeps: Send encodes it into a pooled buffer
-// and allocates nothing, Recv parses it in place into one slice sized for its
-// samples plus the few strings they share. A frame
-// encoding/json still decodes — here a zone list — costs no more than
-// encoding/json itself does: no frame is allocated to send it and no line
-// copied to decode it. Bytes and counts repeat; times do not.
+// or a zone list in canonical form costs what it keeps: Send encodes it into
+// a pooled buffer and allocates nothing, Recv parses it into one slice sized
+// for its samples or records plus the few strings they share — in place, or
+// for a zone list longer than the reader, in a pooled buffer, so no line is
+// copied. A frame encoding/json still decodes — here a zone list whose
+// network needs an escape — costs no more than encoding/json itself does: no
+// frame is allocated to send it and no line copied to decode it. Bytes and
+// counts repeat; times do not.
 func TestCodecCopiesNoFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
+	// One P: sync.Pool keeps a buffer per P, and a goroutine moved to another
+	// between two calls misses it — a scheduling fact, not a codec cost.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 200
 	discard := NewConn(byteConn{w: io.Discard})
 	send := func(e Envelope) func() {
@@ -218,7 +230,26 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 		t.Errorf("Recv of a canonical 32-sample frame allocates %d B/op, want the %d its samples take and under 1 KiB more", b, slice)
 	}
 
-	list := zoneListOf(100)
+	list := zoneListOf(600)
+	frame = encodeFrames(t, list)
+	if len(frame) <= connBufBytes {
+		t.Fatalf("the zone list frame is %d bytes; it must not fit the %d-byte read buffer", len(frame), connBufBytes)
+	}
+	if n := testing.AllocsPerRun(runs, send(list)); n != 0 {
+		t.Errorf("Send of a canonical %d-byte zone list allocates %v times, want 0", len(frame), n)
+	}
+	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 4 {
+		t.Errorf("Recv of a canonical zone list allocates %v times, want at most 4: the reply, one slice, the records' network and metric", n)
+	}
+	slice = allocSize(600 * int(unsafe.Sizeof(core.Record{})))
+	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
+		t.Errorf("Recv of a canonical %d-byte zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
+	}
+
+	list = zoneListOf(100)
+	for i := range list.ZoneListReply.Records {
+		list.ZoneListReply.Records[i].Key.Net = "Net<B>"
+	}
 	frame = encodeFrames(t, list)
 	if len(frame) >= connBufBytes {
 		t.Fatalf("the zone list frame is %d bytes; it must fit the %d-byte read buffer", len(frame), connBufBytes)

@@ -61,9 +61,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"hello"}` + "\n" + `{"type":"error","error":{"message":"x"}}` + "\n"))
 	f.Add([]byte(`{"type":"` + strings.Repeat("a", 1<<16) + `"}` + "\n"))
 	// Both line paths in one stream: a frame longer than the reader buffer
-	// (copied out chunk by chunk) between two it holds whole (decoded in
-	// place), and one that nearly fills the buffer before a short one, which
-	// so straddles the refill.
+	// (gathered chunk by chunk in a pooled buffer) between two it holds whole
+	// (decoded in place), and one that nearly fills the buffer before a short
+	// one, which so straddles the refill.
 	short := encodeFrames(f, Envelope{Type: TypeEstimateReply, EstimateReply: &EstimateReply{Found: true, Sketch: []byte("sketch bytes")}})
 	long := encodeFrames(f, zoneListOf(600))
 	f.Add(slices.Concat(short, long, short))

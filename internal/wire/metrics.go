@@ -11,10 +11,11 @@ type Metrics struct {
 	MessagesDecoded  *telemetry.Counter
 	BytesDecoded     *telemetry.Counter
 	OversizedRejects *telemetry.Counter
-	// DecodeFallbacks counts sample reports decoded by encoding/json because
-	// they were not in the canonical spelling Recv parses directly: a peer
-	// that writes JSON another way pays the slower decode, it does not fail.
-	DecodeFallbacks *telemetry.Counter
+	// DecodeFallbacks counts, by frame type, the frames of a kind Send
+	// spells by hand (handSpelled) that Recv left to encoding/json because
+	// they were not in the canonical spelling it parses directly: a peer that
+	// writes JSON another way pays the slower decode, it does not fail.
+	DecodeFallbacks map[MsgType]*telemetry.Counter
 }
 
 // NewMetrics registers the wire codec families on reg (nil reg returns a
@@ -25,16 +26,21 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		"Protocol envelopes moved through the codec, by direction.", "dir")
 	bytes := reg.Counter("wiscape_wire_bytes_total",
 		"Framed protocol bytes moved through the codec, by direction.", "dir")
-	return &Metrics{
+	m := &Metrics{
 		MessagesEncoded: msgs.With("encode"),
 		BytesEncoded:    bytes.With("encode"),
 		MessagesDecoded: msgs.With("decode"),
 		BytesDecoded:    bytes.With("decode"),
 		OversizedRejects: reg.Counter("wiscape_wire_oversized_rejects_total",
 			"Messages dropped for exceeding MaxMessageBytes (either direction).").With(),
-		DecodeFallbacks: reg.Counter("wiscape_wire_decode_fallbacks_total",
-			"Sample reports decoded by encoding/json instead of the canonical-form parser.").With(),
 	}
+	fallbacks := reg.Counter("wiscape_wire_decode_fallbacks_total",
+		"Hand-spelled frame kinds decoded by encoding/json instead of the canonical-form parser, by type.", "type")
+	m.DecodeFallbacks = make(map[MsgType]*telemetry.Counter)
+	for _, t := range handSpelledTypes {
+		m.DecodeFallbacks[t] = fallbacks.With(string(t))
+	}
+	return m
 }
 
 func (m *Metrics) encoded(frameBytes int) {
@@ -60,9 +66,9 @@ func (m *Metrics) oversized() {
 	m.OversizedRejects.Inc()
 }
 
-func (m *Metrics) decodeFallback() {
+func (m *Metrics) decodeFallback(t MsgType) {
 	if m == nil {
 		return
 	}
-	m.DecodeFallbacks.Inc()
+	m.DecodeFallbacks[t].Inc()
 }

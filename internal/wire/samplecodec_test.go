@@ -19,8 +19,8 @@ import (
 	"repro/internal/trace/tracetest"
 )
 
-// The sample report is the one frame this package spells and parses by hand
-// (appendSampleReport, parseSampleReport). Both are held to encoding/json
+// The sample report is the frame this package spells and parses by hand
+// most (appendHandSpelled, parseHandSpelled). Both are held to encoding/json
 // here: Send's bytes are json.Marshal's, and Recv returns — envelope, error
 // and error text — what decoding the line with json.Unmarshal returns, which
 // is all Recv did before the parser existed.
@@ -48,7 +48,8 @@ func oracleRecv(line []byte) (Envelope, error) {
 // canonical parser took the line. It parses the line directly too and
 // overwrites it before looking at the result: an accepted envelope may hold
 // no pointer into the line. And it holds the fallback counter to its
-// meaning: one for a sample report encoding/json decoded, none otherwise.
+// meaning: one, under the frame's type, for a hand-spelled kind of frame
+// encoding/json decoded, none otherwise.
 func checkRecv(t testing.TB, line []byte) (took bool) {
 	t.Helper()
 	want, werr := oracleRecv(bytes.Clone(line))
@@ -59,16 +60,23 @@ func checkRecv(t testing.TB, line []byte) (took bool) {
 		t.Fatalf("line %q:\nRecv   %+v, %v\noracle %+v, %v", line, got, gerr, want, werr)
 	}
 	scratch := bytes.Clone(line)
-	parsed, took := parseSampleReport(scratch)
+	parsed, took := parseHandSpelled(scratch)
 	for i := range scratch {
 		scratch[i] = 'x'
 	}
 	if took && !reflect.DeepEqual(parsed, want) {
 		t.Fatalf("line %q: the parsed envelope changed with the line's bytes:\n got  %+v\n want %+v", line, parsed, want)
 	}
-	fellBack := !took && werr == nil && want.Type == TypeSampleReport
-	if n := m.DecodeFallbacks.Value(); (n != 0) != fellBack || n > 1 {
-		t.Fatalf("line %q: %v fallbacks counted; the parser took it: %v, the oracle: %+v, %v", line, n, took, want, werr)
+	fellBack := !took && werr == nil && handSpelled(&want)
+	total := 0.0
+	for typ, counter := range m.DecodeFallbacks {
+		n := counter.Value()
+		if total += n; n != 0 && (!fellBack || typ != want.Type) {
+			t.Fatalf("line %q: %v fallbacks counted as %s; the parser took it: %v, the oracle: %+v, %v", line, n, typ, took, want, werr)
+		}
+	}
+	if total != 0 != fellBack || total > 1 {
+		t.Fatalf("line %q: %v fallbacks counted; the parser took it: %v, the oracle: %+v, %v", line, total, took, want, werr)
 	}
 	return took
 }

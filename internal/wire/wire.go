@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -267,8 +268,8 @@ type Conn struct {
 }
 
 // connBufBytes sizes a Conn's reader and writer. A line shorter than this is
-// decoded in place (see readLineLimited), and an encode buffer that grew past
-// it is not pooled.
+// decoded in place (see readLineLimited); a longer one is gathered in a
+// pooled frame buffer.
 const connBufBytes = 64 << 10
 
 // NewConn wraps a transport connection.
@@ -287,22 +288,30 @@ func (c *Conn) Instrument(m *Metrics) *Conn {
 	return c
 }
 
-// sendBufs holds the buffers Send encodes into. They are pooled, not kept
-// per Conn, so an idle connection pins no encode buffer.
-var sendBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameBufs holds the buffers Send encodes into and Recv gathers a line
+// longer than its reader into. They are pooled, not kept per Conn, so an
+// idle connection pins no frame buffer, and the pool lets go of what it
+// holds within two garbage collections.
+var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledFrameBytes bounds the buffers frameBufs keeps: a zone list of a
+// few thousand records goes back to the pool, one huge report does not.
+const maxPooledFrameBytes = 1 << 20
+
+func putFrameBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledFrameBytes {
+		buf.Reset()
+		frameBufs.Put(buf)
+	}
+}
 
 // Send writes one envelope. The frame is encoded whole before any of it
 // reaches the transport, so an oversized one is refused with nothing sent.
 func (c *Conn) Send(e Envelope) error {
-	buf := sendBufs.Get().(*bytes.Buffer)
-	defer func() {
-		// One huge report must not keep its buffer alive in the pool.
-		if buf.Cap() <= connBufBytes {
-			buf.Reset()
-			sendBufs.Put(buf)
-		}
-	}()
-	if frame, ok := appendSampleReport(buf.AvailableBuffer(), &e); ok {
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer putFrameBuf(buf)
+	buf.Grow(frameSizeHint(&e))
+	if frame, ok := appendHandSpelled(buf.AvailableBuffer(), &e); ok {
 		buf.Write(frame) // in place when the buffer had the room
 	} else if err := encodeJSON(buf, e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
@@ -330,21 +339,32 @@ func encodeJSON(buf *bytes.Buffer, e Envelope) error {
 
 // Recv reads the next envelope, enforcing the size cap.
 func (c *Conn) Recv() (Envelope, error) {
-	line, err := readLineLimited(c.br, MaxMessageBytes)
+	line, spill, err := readLineLimited(c.br, MaxMessageBytes)
 	if err != nil {
 		if errors.Is(err, ErrMessageTooLarge) {
 			c.m.oversized()
 		}
 		return Envelope{}, err
 	}
-	// line may alias the read buffer. The envelope must not: the canonical
-	// parser copies every string it keeps (or shares one it already copied),
-	// encoding/json copies every string and []byte it decodes, and no
-	// envelope type has a custom unmarshaler or a json.RawMessage field — one
-	// added later must copy what it keeps.
-	if report, ok := parseSampleReport(line); ok {
-		c.m.decoded(len(line) + 1)
-		return report, nil
+	frameBytes := len(line) + 1
+	e, err := c.decode(line)
+	if spill != nil {
+		putFrameBuf(spill) // line is spill's; the envelope holds none of it
+	}
+	if err == nil {
+		c.m.decoded(frameBytes)
+	}
+	return e, err
+}
+
+// decode decodes one line. The line may alias the read buffer or a pooled
+// one. The envelope must not: the canonical parser copies every string it
+// keeps (or shares one it already copied), encoding/json copies every string
+// and []byte it decodes, and no envelope type has a custom unmarshaler or a
+// json.RawMessage field; one added later must copy what it keeps.
+func (c *Conn) decode(line []byte) (Envelope, error) {
+	if e, ok := parseHandSpelled(line); ok {
+		return e, nil
 	}
 	var e Envelope // escapes into the decoder: declared past the path that does not need it
 	if err := json.Unmarshal(line, &e); err != nil {
@@ -353,117 +373,201 @@ func (c *Conn) Recv() (Envelope, error) {
 	if e.Type == "" {
 		return e, errors.New("wire: message missing type")
 	}
-	if e.Type == TypeSampleReport {
-		c.m.decodeFallback()
+	if handSpelled(&e) {
+		c.m.decodeFallback(e.Type)
 	}
-	c.m.decoded(len(line) + 1)
 	return e, nil
 }
 
-// A sample report is the one frame the codec spells by hand, because it is
-// nearly every byte an ingest path moves. Both directions go through
-// trace's sample codec and are held to encoding/json, which still does
-// everything else: appendSampleReport writes exactly what the encoder would
-// and leaves what it would refuse to it, and parseSampleReport reads only a
-// frame in that canonical spelling — to what json.Unmarshal would have made
-// of it — and declines any other, which json.Unmarshal then decodes as it
-// always has (TestSendBytesMatchJSON, TestRecvMatchesJSON,
-// FuzzSampleDecodeMatchesJSON).
+// Three frames the codec spells by hand, because they are nearly every byte
+// the system moves: a sample report (the ingest path), and a zone-list reply
+// and an estimate reply without a sketch (the read path). Both directions go
+// through trace's sample codec and core's record codec and are held to
+// encoding/json, which still does everything else: appendHandSpelled writes
+// exactly what the encoder would and leaves what it would refuse to it, and
+// parseHandSpelled reads only a frame in that canonical spelling, to what
+// json.Unmarshal would have made of it, and declines any other, which
+// json.Unmarshal then decodes as it always has (TestSendBytesMatchJSON,
+// TestRecvMatchesJSON, TestReplyRecvMatchesJSON, FuzzSampleDecodeMatchesJSON,
+// FuzzReplyDecodeMatchesJSON).
+//
+//	frame   = `{"type":"` T `",` [ via `,` ] `"` T `":` payload `}`
+//	via     = `"via":{"gateway":` string [ `,"shard":` nonempty-string ] `}`
+//	payload = `{"client_id":` string `,"samples":[` sample { `,` sample } `]}`   T = sample_report
+//	        | `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
+//	        | `{"found":` ( `true` | `false` ) `,"record":` record `}`         T = estimate_reply
 
-const (
-	reportOpen    = `{"type":"sample_report",`
-	reportVia     = `"via":{"gateway":`
-	reportShard   = `,"shard":`
-	reportPayload = `"sample_report":{"client_id":`
-	reportSamples = `,"samples":`
-)
+// handSpelledTypes are the frame types handSpelled can hold for.
+var handSpelledTypes = [...]MsgType{TypeSampleReport, TypeZoneListReply, TypeEstimateReply}
 
-// appendSampleReport appends e's frame, '\n' included, to b if e is a sample
-// report and nothing else (Via aside), with a non-nil sample slice.
-func appendSampleReport(b []byte, e *Envelope) ([]byte, bool) {
-	r := e.SampleReport
-	if r == nil || r.Samples == nil || *e != (Envelope{Type: TypeSampleReport, Via: e.Via, SampleReport: r}) {
+// handSpelled reports whether e is a frame Send spells itself: a sample
+// report with a sample slice, a zone-list reply, or an estimate reply without
+// a sketch, each with nothing else set but Via. Recv counts a decoded one
+// that reached encoding/json as a fallback.
+func handSpelled(e *Envelope) bool {
+	only := Envelope{Type: e.Type, Via: e.Via}
+	switch e.Type {
+	case TypeSampleReport:
+		only.SampleReport = e.SampleReport
+		return *e == only && e.SampleReport != nil && e.SampleReport.Samples != nil
+	case TypeZoneListReply:
+		only.ZoneListReply = e.ZoneListReply
+		return *e == only && e.ZoneListReply != nil
+	case TypeEstimateReply:
+		only.EstimateReply = e.EstimateReply
+		return *e == only && e.EstimateReply != nil && len(e.EstimateReply.Sketch) == 0
+	}
+	return false
+}
+
+// frameSizeHint is about what e's frame takes: 256 bytes for each sample or
+// record it carries, and as much again for the rest. Send reserves it before
+// encoding, so a long frame does not regrow its buffer on the way.
+func frameSizeHint(e *Envelope) int {
+	items := 1
+	switch {
+	case e.SampleReport != nil:
+		items += len(e.SampleReport.Samples)
+	case e.ZoneListReply != nil:
+		items += len(e.ZoneListReply.Records)
+	}
+	return 256 * items
+}
+
+// appendHandSpelled appends e's frame, '\n' included, to b if e is one Send
+// spells by hand (handSpelled) and holds no value encoding/json refuses.
+func appendHandSpelled(b []byte, e *Envelope) ([]byte, bool) {
+	if !handSpelled(e) {
 		return b, false
 	}
-	b = append(b, reportOpen...)
+	b = append(b, `{"type":"`...)
+	b = append(b, e.Type...)
+	b = append(b, `",`...)
 	if e.Via != nil {
-		b = append(b, reportVia...)
+		b = append(b, `"via":{"gateway":`...)
 		b = trace.AppendStringJSON(b, e.Via.Gateway)
 		if e.Via.Shard != "" {
-			b = append(b, reportShard...)
+			b = append(b, `,"shard":`...)
 			b = trace.AppendStringJSON(b, e.Via.Shard)
 		}
 		b = append(b, "},"...)
 	}
-	b = append(b, reportPayload...)
-	b = trace.AppendStringJSON(b, r.ClientID)
-	b = append(b, reportSamples...)
-	b = append(b, '[')
-	for i := range r.Samples {
-		if i > 0 {
-			b = append(b, ',')
+	b = append(b, '"')
+	b = append(b, e.Type...)
+	b = append(b, `":`...)
+	var err error
+	switch e.Type {
+	case TypeSampleReport:
+		r := e.SampleReport
+		b = append(b, `{"client_id":`...)
+		b = trace.AppendStringJSON(b, r.ClientID)
+		b = append(b, `,"samples":[`...)
+		for i := range r.Samples {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
+				return b, false // encoding/json refuses it too, and says why
+			}
 		}
-		var err error
-		if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
-			return b, false // encoding/json refuses it too, and says why
+		b = append(b, ']')
+	case TypeZoneListReply:
+		b = append(b, `{"records":`...)
+		if b, err = core.AppendRecordsJSON(b, e.ZoneListReply.Records); err != nil {
+			return b, false
+		}
+	case TypeEstimateReply:
+		b = append(b, `{"found":`...)
+		b = strconv.AppendBool(b, e.EstimateReply.Found)
+		b = append(b, `,"record":`...)
+		if b, err = core.AppendRecordJSON(b, e.EstimateReply.Record); err != nil {
+			return b, false
 		}
 	}
-	return append(b, "]}}\n"...), true
+	return append(b, "}}\n"...), true
 }
 
-// parseSampleReport decodes line if it is a sample report in canonical form
-// with at least one sample.
-func parseSampleReport(line []byte) (Envelope, bool) {
+// parseHandSpelled decodes line if it is a hand-spelled frame in canonical
+// form (a sample report with at least one sample).
+func parseHandSpelled(line []byte) (Envelope, bool) {
 	c := trace.Canon{B: line}
-	if !c.TryLit(reportOpen) {
-		return Envelope{}, false
+	c.Lit(`{"type":"`)
+	var e Envelope
+	for _, t := range handSpelledTypes {
+		if c.TryLit(string(t)) {
+			e.Type = t
+			break
+		}
 	}
-	var via *Via
-	if c.TryLit(reportVia) {
-		via = &Via{Gateway: c.String("")}
-		if c.TryLit(reportShard) {
-			if via.Shard = c.String(""); via.Shard == "" {
+	c.Lit(`",`)
+	if c.TryLit(`"via":{"gateway":`) {
+		e.Via = &Via{Gateway: c.String("")}
+		if c.TryLit(`,"shard":`) {
+			if e.Via.Shard = c.String(""); e.Via.Shard == "" {
 				return Envelope{}, false // omitempty never writes it
 			}
 		}
 		c.Lit("},")
 	}
-	c.Lit(reportPayload)
-	if c.Declined {
+	c.Lit(`"`)
+	c.Lit(string(e.Type))
+	c.Lit(`":`)
+	if c.Declined || e.Type == "" {
 		return Envelope{}, false
 	}
-	report := &SampleReport{ClientID: c.String("")}
-	c.Lit(reportSamples)
-	report.Samples = trace.ParseSamplesJSON(&c, report.ClientID)
+	switch e.Type {
+	case TypeSampleReport:
+		c.Lit(`{"client_id":`)
+		r := &SampleReport{ClientID: c.String("")}
+		c.Lit(`,"samples":`)
+		r.Samples = trace.ParseSamplesJSON(&c, r.ClientID)
+		e.SampleReport = r
+	case TypeZoneListReply:
+		c.Lit(`{"records":`)
+		e.ZoneListReply = &ZoneListReply{Records: core.ParseRecordsJSON(&c)}
+	case TypeEstimateReply:
+		r := &EstimateReply{}
+		c.Lit(`{"found":`)
+		if r.Found = c.TryLit("true"); !r.Found {
+			c.Lit("false")
+		}
+		c.Lit(`,"record":`)
+		core.ParseRecordJSON(&c, &r.Record, &core.Record{})
+		e.EstimateReply = r
+	}
 	c.Lit("}}")
 	if c.Declined || len(c.B) != 0 {
 		return Envelope{}, false
 	}
-	return Envelope{Type: TypeSampleReport, Via: via, SampleReport: report}, true
+	return e, true
 }
 
 // readLineLimited reads one \n-terminated line of at most limit bytes. A
 // line that fits br's buffer comes back as a view into it, valid until the
-// next read from br; only a longer one is copied out, chunk by chunk.
-func readLineLimited(br *bufio.Reader, limit int) ([]byte, error) {
-	var buf []byte
+// next read from br, and no buffer. A longer one is gathered chunk by chunk
+// into a buffer from frameBufs, which comes back with it for the caller to
+// put back once it is done with the line.
+func readLineLimited(br *bufio.Reader, limit int) ([]byte, *bytes.Buffer, error) {
+	var spill *bytes.Buffer
 	for {
 		chunk, err := br.ReadSlice('\n')
-		if buf == nil && err == nil {
-			buf = chunk
-		} else {
-			buf = append(buf, chunk...)
+		if spill == nil && err == nil && len(chunk) <= limit {
+			return chunk[:len(chunk)-1], nil, nil
 		}
-		if len(buf) > limit {
-			return nil, ErrMessageTooLarge
+		if spill == nil {
+			spill = frameBufs.Get().(*bytes.Buffer)
 		}
-		if err == nil {
-			return buf[:len(buf)-1], nil
-		}
-		if err == bufio.ErrBufferFull {
+		spill.Write(chunk)
+		switch {
+		case spill.Len() > limit:
+			err = ErrMessageTooLarge
+		case err == nil:
+			return spill.Bytes()[:spill.Len()-1], spill, nil
+		case err == bufio.ErrBufferFull:
 			continue
 		}
-		return nil, err
+		putFrameBuf(spill)
+		return nil, nil, err
 	}
 }
 

@@ -50,7 +50,7 @@ func main() {
 		met = agent.NewMetrics(reg)
 		ops, err := telemetry.NewOpsServer(*opsAddr, telemetry.OpsOptions{
 			Registry: reg,
-			Logf:     func(format string, args ...any) { logger.Printf(format, args...) },
+			Logf:     logger.Printf,
 		})
 		if err != nil {
 			logger.Fatalf("ops plane: %v", err)

@@ -82,7 +82,7 @@ func main() {
 		SyncReplication:    *syncRepl,
 		SyncTimeout:        *syncTimeout,
 		EnableAdmin:        *admin,
-		Logf:               coordinator.LogTo(logger),
+		Logf:               logger.Printf,
 	})
 	if err != nil {
 		logger.Fatalf("start: %v", err)

@@ -114,7 +114,7 @@ func main() {
 		ReadyQuorum:      *quorum,
 		Seed:             *seed,
 		OpsAddr:          *opsAddr,
-		Logf:             func(format string, args ...any) { logger.Printf(format, args...) },
+		Logf:             logger.Printf,
 	})
 	if err != nil {
 		logger.Fatal(err)

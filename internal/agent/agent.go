@@ -22,8 +22,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Metrics counts client-side protocol activity. All fields are nil-safe,
-// so the zero value (and a nil *Metrics) is free; see internal/telemetry.
+// Metrics counts client-side protocol activity. An agent without one
+// counts into NewMetrics(nil), whose instruments are no-ops; see
+// internal/telemetry.
 type Metrics struct {
 	Reconnects     *telemetry.Counter
 	Rounds         *telemetry.Counter
@@ -54,16 +55,16 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) reconnect() {
-	if m != nil {
-		m.Reconnects.Inc()
-	}
-}
+// noMetrics is the no-op bundle an uninstrumented agent counts into.
+var noMetrics = NewMetrics(nil)
 
-func (m *Metrics) reportFailure() {
-	if m != nil {
-		m.ReportFailures.Inc()
+// orNoop resolves an agent's bundle: m, or noMetrics when m is nil, so
+// the code that counts never checks for nil.
+func (m *Metrics) orNoop() *Metrics {
+	if m == nil {
+		return noMetrics
 	}
+	return m
 }
 
 // Agent is one WiScape client device.
@@ -80,7 +81,7 @@ type Agent struct {
 	Grid *geo.Grid
 
 	// Telemetry, when non-nil, receives client-side metrics (build one
-	// with NewMetrics). Nil runs uninstrumented at zero cost.
+	// with NewMetrics). Nil runs uninstrumented.
 	Telemetry *Metrics
 
 	// RetryBackoff shapes RunResilient's inter-redial delays (jittered
@@ -150,9 +151,10 @@ func (a *Agent) RunResilient(addr string, start time.Time, duration, interval ti
 	retries := 0
 	first := true
 	backoffRand := rng.NewNamed(a.Seed, "agent-backoff:"+a.ID)
+	m := a.Telemetry.orNoop()
 	for cursor.Before(end) {
 		if !first {
-			a.Telemetry.reconnect()
+			m.Reconnects.Inc()
 		}
 		first = false
 		st, next, err := a.runOnce(addr, cursor, end, interval)
@@ -189,10 +191,7 @@ func (a *Agent) runOnce(addr string, cursor, end time.Time, interval time.Durati
 	if err != nil {
 		return Stats{}, cursor, fmt.Errorf("agent %s: dial: %w", a.ID, err)
 	}
-	conn := wire.NewConn(nc)
-	if a.Telemetry != nil {
-		conn.Instrument(a.Telemetry.Wire)
-	}
+	conn := wire.NewConn(nc).Instrument(a.Telemetry.orNoop().Wire)
 	defer conn.Close()
 	st, err := a.RunConn(conn, cursor, end.Sub(cursor), interval)
 	progressed := time.Duration(st.Rounds+st.Skipped) * interval
@@ -206,8 +205,9 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 	if interval <= 0 {
 		return st, fmt.Errorf("agent %s: non-positive interval", a.ID)
 	}
+	m := a.Telemetry.orNoop()
 
-	if _, err := a.call(conn, "hello", wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
+	if _, err := a.call(conn, m, "hello", wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
 		ClientID:    a.ID,
 		DeviceClass: a.DeviceClass,
 	}}, wire.TypeHelloAck); err != nil {
@@ -229,7 +229,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 			continue
 		}
 		st.Rounds++
-		reply, err := a.call(conn, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		reply, err := a.call(conn, m, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: a.ID,
 			Zone:     a.Grid.Zone(pose.Loc),
 			Loc:      pose.Loc,
@@ -240,9 +240,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		if err != nil {
 			return st, err
 		}
-		if a.Telemetry != nil {
-			a.Telemetry.Rounds.Inc()
-		}
+		m.Rounds.Inc()
 		tasks := reply.TaskList.Tasks
 		if len(tasks) == 0 {
 			continue
@@ -251,13 +249,11 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		st.TasksExecuted += len(tasks)
 		st.MeasurementBytes += bytes
 		st.MeasurementAirtime += airtime
-		if a.Telemetry != nil {
-			a.Telemetry.TasksExecuted.Add(float64(len(tasks)))
-		}
+		m.TasksExecuted.Add(float64(len(tasks)))
 		if len(samples) == 0 {
 			continue
 		}
-		ack, err := a.call(conn, "sample report", wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+		ack, err := a.call(conn, m, "sample report", wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: a.ID,
 			Samples:  samples,
 		}}, wire.TypeSampleAck)
@@ -265,23 +261,21 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 			return st, err
 		}
 		st.SamplesSent += ack.SampleAck.Accepted
-		if a.Telemetry != nil {
-			a.Telemetry.SamplesSent.Add(float64(ack.SampleAck.Accepted))
-		}
+		m.SamplesSent.Add(float64(ack.SampleAck.Accepted))
 	}
 	return st, nil
 }
 
 // call makes one protocol round trip that must yield a want reply, counting
-// a failure and naming the step in the error: "<step>: ..." when the
+// a failure in m and naming the step in the error: "<step>: ..." when the
 // transport failed, "unexpected <step> reply: ..." when the server answered
 // with anything else.
-func (a *Agent) call(conn *wire.Conn, step string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
+func (a *Agent) call(conn *wire.Conn, m *Metrics, step string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	reply, err := conn.Call(req, want)
 	if err == nil {
 		return reply, nil
 	}
-	a.Telemetry.reportFailure()
+	m.ReportFailures.Inc()
 	if errors.As(err, new(*wire.ReplyError)) {
 		return reply, fmt.Errorf("agent %s: unexpected %s reply: %w", a.ID, step, err)
 	}

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -104,6 +106,56 @@ func TestRunConnExecutesEveryTaskKind(t *testing.T) {
 	for _, task := range tasks {
 		if metrics[task.Metric] != 2 {
 			t.Fatalf("metric %s executed %d times, want 2", task.Metric, metrics[task.Metric])
+		}
+	}
+}
+
+// TestRunConnCountsOnlyWhenInstrumented: an agent without Telemetry and
+// one with a bundle run the same session the same way, and only the
+// instrumented one's counters move.
+func TestRunConnCountsOnlyWhenInstrumented(t *testing.T) {
+	tasks := []wire.Task{
+		{Network: radio.NetB, Metric: trace.MetricRTTMs},
+		{Network: radio.NetB, Metric: trace.MetricTCPKbps},
+	}
+	run := func(m *Metrics) (Stats, []trace.Sample) {
+		a := testAgent()
+		a.Telemetry = m
+		client, server := net.Pipe()
+		cc, sc := wire.NewConn(client), wire.NewConn(server)
+		defer sc.Close()
+		var got []trace.Sample
+		served := make(chan struct{})
+		go func() {
+			scriptedServer(t, sc, tasks, &got)
+			close(served)
+		}()
+		st, err := a.RunConn(cc, start, 15*time.Minute, 5*time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = cc.Close()
+		<-served
+		return st, got
+	}
+	plainSt, plainGot := run(nil)
+	m := NewMetrics(telemetry.NewRegistry())
+	st, got := run(m)
+	if st != plainSt || !reflect.DeepEqual(got, plainGot) {
+		t.Fatalf("instrumented run %+v (%d samples) differs from uninstrumented %+v (%d samples)", st, len(got), plainSt, len(plainGot))
+	}
+	for _, c := range []struct {
+		name       string
+		inst, noop *telemetry.Counter
+		want       float64
+	}{
+		{"rounds", m.Rounds, noMetrics.Rounds, 3},
+		{"tasks executed", m.TasksExecuted, noMetrics.TasksExecuted, 6},
+		{"samples sent", m.SamplesSent, noMetrics.SamplesSent, 6},
+		{"report failures", m.ReportFailures, noMetrics.ReportFailures, 0},
+	} {
+		if c.inst.Value() != c.want || c.noop.Value() != 0 {
+			t.Errorf("%s: instrumented %v, want %v; no-op bundle %v, want 0", c.name, c.inst.Value(), c.want, c.noop.Value())
 		}
 	}
 }

@@ -19,13 +19,9 @@
 //     durability paths, with file/net kinds derived transitively;
 //   - lockorder: lock acquisition order must be globally consistent —
 //     any cycle in the whole-load ordering graph is a potential deadlock;
-//   - taintalloc: allocation sizes must not flow unchecked from network
-//     reads to make/ReadFull/CopyN/bufio sizing;
 //   - lockguard: a struct field guarded by a lock on a supermajority of
 //     its accesses (inferred, or declared by //wiscape:guardedby) must
-//     hold that lock on every access outside constructors and teardown;
-//   - atomicmix: a field accessed via sync/atomic anywhere must not also
-//     be accessed by plain load/store — mixed access is a data race.
+//     hold that lock on every access outside constructors and teardown.
 //
 // The Analyzer/Pass contract deliberately mirrors golang.org/x/tools'
 // go/analysis (Name, Doc, Run(*Pass), Pass.Reportf) so each analyzer can
@@ -69,8 +65,8 @@ type Pass struct {
 	TypesInfo *types.Info
 	// Facts holds the interprocedural facts and whole-load findings
 	// computed over every loaded package before analyzers run (see
-	// facts.go). Nil is legal: the facts-aware analyzers degrade to
-	// intraprocedural behavior and the whole-load ones report nothing.
+	// facts.go). Nil is legal: errdrop degrades to intraprocedural
+	// behavior, and goleak and the whole-load analyzers report nothing.
 	Facts  *Facts
 	Report func(Diagnostic)
 }
@@ -87,7 +83,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // reportFindings is the Run of every whole-load analyzer (lockio,
-// lockorder, taintalloc, lockguard, atomicmix): ComputeFacts has already
+// lockorder, lockguard): ComputeFacts has already
 // produced its verdicts, and each pass reports the ones anchored in its
 // own files, so a multi-package run emits each exactly once.
 func reportFindings(pass *Pass) error {
@@ -104,7 +100,7 @@ func reportFindings(pass *Pass) error {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Lockio, Nilsafemetric, Wirebound, Goleak, Errdrop, Lockorder, Taintalloc, Lockguard, Atomicmix}
+	return []*Analyzer{Nodeterm, Lockio, Nilsafemetric, Wirebound, Goleak, Errdrop, Lockorder, Lockguard}
 }
 
 // ByName returns the analyzer with the given name, or nil.

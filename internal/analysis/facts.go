@@ -2,31 +2,32 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
 	"repro/internal/analysis/load"
 )
 
-// This file is the interprocedural half of the suite: a two-pass facts
-// engine mirroring golang.org/x/tools' go/analysis Facts. Pass 1 walks
-// every loaded package once and records per-function facts (may-block,
-// has-shutdown-signal, does-WaitGroup-accounting,
-// returns-error-that-must-be-checked) keyed by the function's
-// types.Object; a fixed-point pass then propagates those facts over the
-// static call graph, so pass 2 — the analyzers — can ask "does anything
-// this call reaches block?" instead of going blind one function deep.
+// This file is the interprocedural half of the suite: a facts engine
+// mirroring golang.org/x/tools' go/analysis Facts. Every function body in
+// the load is walked once (lockfacts.go's lock walk), and that one walk
+// records everything the engine knows about the body: the held locks at
+// each call and send, the field accesses, and the local evidence for the
+// boolean facts (may-block, has-shutdown-signal, does-WaitGroup-accounting,
+// returns-error-that-must-be-checked) and the call edges, keyed by the
+// function's types.Object. One ascending fixed point then closes the
+// boolean facts and the lock acquisitions over the static call graph, so
+// the analyzers can ask "does anything this call reaches block?" instead of
+// going blind one function deep.
 //
-// Whole-load domains run on top of the boolean facts: one lock walk
-// (lockfacts.go — the held locks threaded through every body, read by
-// lockio at each call and send, assembled into a global ordering graph
-// whose cycles lockorder reports, and joined with every field access for
-// lockguard and atomicmix in fieldfacts.go) and tainted lengths
-// (taintfacts.go — integers read off the wire tracked to a fixed point
-// through assignments, returns and arguments; unbounded arrivals at
-// sizing sinks become taintalloc findings). Those five analyzers'
-// verdicts are computed here, once per load, and only reported by their
-// passes (reportFindings).
+// Two whole-load verdicts are derived from the closed facts: the lock
+// ordering graph, whose cycles lockorder reports, and the field-access
+// domain (fieldfacts.go), whose guard violations lockguard reports. The
+// latter needs what every caller holds, a descending meet over incoming
+// call edges with its own loop (computeCallerHeld). Together with lockio,
+// those analyzers' verdicts are computed here, once per load, and only
+// reported by their passes (reportFindings).
 //
 // The call graph is deliberately the cheap one: direct calls to named
 // functions and methods resolved through types.Info. Calls through
@@ -74,13 +75,11 @@ type FuncFacts struct {
 
 	// lockEdges/heldCalls are the lock walk's scan-time evidence
 	// (lockfacts.go); fieldAccesses are the field-access domain's
-	// per-function records (fieldfacts.go); taint is the tainted-length
-	// domain's per-function summary (taintfacts.go). All are consumed by
+	// per-function records (fieldfacts.go). Both are consumed by
 	// ComputeFacts.
 	lockEdges     []lockEdge
 	heldCalls     []heldCall
 	fieldAccesses []fieldAccess
-	taint         *taintSummary
 }
 
 // Facts indexes FuncFacts by function object. The zero/nil Facts is
@@ -92,8 +91,10 @@ type Facts struct {
 	// loaded, files name-sorted, decls top to bottom); the fixed points
 	// iterate it so via chains are deterministic run to run.
 	order []types.Object
-	// literalCalls are the lock walk's records from function literal
-	// bodies, which have no facts of their own; only lockio reads them.
+	// literals are the lock walk's records of function literal bodies,
+	// which take no part in the fixed point: goleak reads a spawned
+	// literal's evidence here, and lockio its calls through literalCalls.
+	literals     map[*ast.BlockStmt]*FuncFacts
 	literalCalls []heldCall
 	// findings holds the whole-load analyzers' verdicts by analyzer name.
 	findings map[string][]Diagnostic
@@ -116,6 +117,15 @@ func (f *Facts) Of(fn types.Object) *FuncFacts {
 	return f.funcs[fn]
 }
 
+// literal returns the walk's record of a function literal's body, or nil.
+// Nil-safe.
+func (f *Facts) literal(body *ast.BlockStmt) *FuncFacts {
+	if f == nil {
+		return nil
+	}
+	return f.literals[body]
+}
+
 // ComputeFacts runs fact extraction over every function body in pkgs
 // (a loader's Packages: the whole load), propagates the facts over the
 // static call graph to a fixed point, and computes the whole-load
@@ -123,7 +133,7 @@ func (f *Facts) Of(fn types.Object) *FuncFacts {
 // (their functions simply have no facts, and the analyzers degrade to
 // their intraprocedural selves).
 func ComputeFacts(pkgs []*load.Package) *Facts {
-	facts := &Facts{funcs: make(map[types.Object]*FuncFacts)}
+	facts := &Facts{funcs: make(map[types.Object]*FuncFacts), literals: make(map[*ast.BlockStmt]*FuncFacts)}
 	guardDecls := make(map[string]string)
 	for _, p := range pkgs {
 		if p == nil || p.Info == nil {
@@ -132,20 +142,17 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 		for _, f := range p.Files {
 			scanGuardDecls(p.Info, f, guardDecls)
 			funcScopes(f, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
+				ff := &FuncFacts{}
+				scanLockFacts(p.Info, fd, body, ff)
 				if fd == nil {
-					lit := &FuncFacts{}
-					scanLockFacts(p.Info, nil, body, lit)
-					facts.literalCalls = append(facts.literalCalls, lit.heldCalls...)
+					facts.literals[body] = ff
+					facts.literalCalls = append(facts.literalCalls, ff.heldCalls...)
 					return
 				}
 				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 				if !ok {
 					return
 				}
-				ff := &FuncFacts{}
-				scanBodyFacts(p.Info, body, ff)
-				scanLockFacts(p.Info, fd, body, ff)
-				ff.taint = scanTaintSummary(p.Info, fd)
 				if !funcReturnsError(fn) {
 					// Only error-returning functions can carry the
 					// must-check obligation to their callers.
@@ -158,167 +165,98 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 			})
 		}
 	}
-	// Fixed point: every fact is a monotone boolean (plus a one-way
-	// net→file kind upgrade), so iterating until quiescent terminates.
-	// Iteration follows declaration order so the Via evidence chains are
-	// stable run to run.
+	// One ascending fixed point: every fact only grows (booleans turn
+	// true, a net kind upgrades to file, acquisitions are added), so
+	// iterating until quiescent terminates. Iteration follows declaration
+	// order so the Via evidence chains are stable run to run.
 	for changed := true; changed; {
 		changed = false
 		for _, obj := range facts.order {
 			ff := facts.funcs[obj]
+			returnsError := funcReturnsError(obj)
 			for _, callee := range ff.callees {
-				cf := facts.funcs[callee]
-				if cf == nil {
-					continue
-				}
-				if cf.MayBlock && !ff.MayBlock {
-					ff.MayBlock = true
-					ff.BlockVia = shortFuncName(callee) + " → " + cf.BlockVia
+				if cf := facts.funcs[callee]; cf != nil && callee != obj && ff.absorb(callee, cf, returnsError) {
 					changed = true
-				}
-				if cf.ShutdownSignal && !ff.ShutdownSignal {
-					ff.ShutdownSignal = true
-					changed = true
-				}
-				if cf.WGDone && !ff.WGDone {
-					ff.WGDone = true
-					changed = true
-				}
-				if cf.ReturnsIOError && funcReturnsError(obj) {
-					if !ff.ReturnsIOError {
-						ff.ReturnsIOError = true
-						ff.IOErrorKind = cf.IOErrorKind
-						ff.IOErrorVia = shortFuncName(callee) + " → " + cf.IOErrorVia
-						changed = true
-					} else if ff.IOErrorKind == "net" && cf.IOErrorKind == "file" {
-						ff.IOErrorKind = "file"
-						changed = true
-					}
 				}
 			}
 		}
 	}
-	// The whole-load domains run after the boolean facts: lockio reads
-	// MayBlock, lock acquisitions close over the call graph and the
-	// ordering graph is mined for cycles, then length taint propagates
-	// through locals, returns and arguments until quiescent.
-	propagateLockAcquires(facts)
 	facts.findings = map[string][]Diagnostic{
-		Lockio.Name:     computeLockioFindings(facts),
-		Lockorder.Name:  computeLockCycles(facts),
-		Taintalloc.Name: computeTaintFindings(facts),
+		Lockio.Name:    computeLockioFindings(facts),
+		Lockorder.Name: computeLockCycles(facts),
+		Lockguard.Name: computeFieldFindings(facts, guardDecls),
 	}
-	facts.findings[Lockguard.Name], facts.findings[Atomicmix.Name] = computeFieldFindings(facts, guardDecls)
 	return facts
 }
 
-// scanBodyFacts extracts local (intraprocedural) fact evidence and call
-// edges from one function body. Nested function literals are skipped:
-// their bodies run later, on their own stack, under their own locks.
-// goleak reuses it directly on spawned literal bodies.
-func scanBodyFacts(info *types.Info, body *ast.BlockStmt, ff *FuncFacts) {
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.GoStmt:
-			// The spawned call runs asynchronously: it contributes neither
-			// blocking behavior nor shutdown evidence to this function.
-			// Its arguments are still evaluated here.
-			for _, arg := range n.Call.Args {
-				ast.Inspect(arg, walk)
-			}
-			return false
-		case *ast.SendStmt:
-			if !ff.MayBlock {
-				ff.MayBlock = true
-				ff.BlockVia = "channel send"
-			}
-		case *ast.SelectStmt:
-			scanSelectFacts(info, n, ff, walk)
-			return false
-		case *ast.UnaryExpr:
-			if isShutdownRecv(info, n) {
-				ff.ShutdownSignal = true
-			}
-		case *ast.RangeStmt:
-			if info != nil {
-				if t := info.Types[n.X].Type; t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						// Ranging a channel ends when the channel is
-						// closed — a designed exit.
-						ff.ShutdownSignal = true
-					}
-				}
-			}
-		case *ast.CallExpr:
-			scanCallFacts(info, n, ff)
+// absorb joins what the callee may do into ff's facts, naming the callee
+// in each newly gained Via chain, and reports whether anything grew.
+func (ff *FuncFacts) absorb(callee types.Object, cf *FuncFacts, returnsError bool) bool {
+	via := func(rest string) string {
+		if rest == "" {
+			return shortFuncName(callee)
 		}
-		return true
+		return shortFuncName(callee) + " → " + rest
 	}
-	ast.Inspect(body, walk)
-}
-
-// scanSelectFacts handles the one non-uniform construct: sends that sit
-// in a select with a default case are non-blocking, and any receive comm
-// case counts as shutdown evidence when its channel looks like a
-// done/ctx signal.
-func scanSelectFacts(info *types.Info, sel *ast.SelectStmt, ff *FuncFacts, walk func(ast.Node) bool) {
-	hasDefault := false
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			hasDefault = true
-		}
+	changed := false
+	if cf.MayBlock && !ff.MayBlock {
+		ff.blocks(via(cf.BlockVia))
+		changed = true
 	}
-	for _, c := range sel.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
+	if cf.ShutdownSignal && !ff.ShutdownSignal {
+		ff.ShutdownSignal = true
+		changed = true
+	}
+	if cf.WGDone && !ff.WGDone {
+		ff.WGDone = true
+		changed = true
+	}
+	if cf.ReturnsIOError && returnsError && ff.ioError(cf.IOErrorKind, via(cf.IOErrorVia)) {
+		changed = true
+	}
+	for k, acq := range cf.Acquires {
+		if _, ok := ff.Acquires[k]; ok {
 			continue
 		}
-		switch comm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			if !hasDefault && !ff.MayBlock {
-				ff.MayBlock = true
-				ff.BlockVia = "channel send"
-			}
-		case *ast.ExprStmt:
-			if ue, ok := comm.X.(*ast.UnaryExpr); ok && isShutdownRecv(info, ue) {
-				ff.ShutdownSignal = true
-			}
-		case *ast.AssignStmt:
-			for _, rhs := range comm.Rhs {
-				if ue, ok := rhs.(*ast.UnaryExpr); ok && isShutdownRecv(info, ue) {
-					ff.ShutdownSignal = true
-				}
-			}
+		if ff.Acquires == nil {
+			ff.Acquires = make(map[string]LockAcquire)
 		}
-		for _, st := range cc.Body {
-			ast.Inspect(st, walk)
-		}
+		ff.Acquires[k] = LockAcquire{Pos: acq.Pos, Via: via(acq.Via)}
+		changed = true
+	}
+	return changed
+}
+
+// blocks records may-block evidence; the first evidence found is kept.
+func (ff *FuncFacts) blocks(via string) {
+	if !ff.MayBlock {
+		ff.MayBlock, ff.BlockVia = true, via
 	}
 }
 
-// scanCallFacts classifies one call: intrinsic blocking I/O, intrinsic
-// must-check I/O error, WaitGroup accounting, or a call-graph edge to a
-// module function whose facts the fixed point will consult.
-func scanCallFacts(info *types.Info, call *ast.CallExpr, ff *FuncFacts) {
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return
+// ioError records must-check I/O error evidence of the given kind: the
+// first evidence names the chain, and a later file kind upgrades net.
+func (ff *FuncFacts) ioError(kind, via string) bool {
+	switch {
+	case !ff.ReturnsIOError:
+		ff.ReturnsIOError, ff.IOErrorKind, ff.IOErrorVia = true, kind, via
+	case ff.IOErrorKind == "net" && kind == "file":
+		ff.IOErrorKind = "file"
+	default:
+		return false
 	}
-	if desc, ok := intrinsicMayBlock(fn); ok && !ff.MayBlock {
-		ff.MayBlock = true
-		ff.BlockVia = desc
+	return true
+}
+
+// noteCall records one statically resolved call made by the function:
+// intrinsic blocking I/O, intrinsic must-check I/O error, WaitGroup
+// accounting, and the call-graph edge the fixed point follows.
+func (ff *FuncFacts) noteCall(fn *types.Func) {
+	if desc, ok := intrinsicMayBlock(fn); ok {
+		ff.blocks(desc)
 	}
 	if kind, desc, ok := intrinsicIOError(fn); ok {
-		if !ff.ReturnsIOError || (ff.IOErrorKind == "net" && kind == "file") {
-			ff.ReturnsIOError = true
-			ff.IOErrorKind = kind
-			if ff.IOErrorVia == "" {
-				ff.IOErrorVia = desc
-			}
-		}
+		ff.ioError(kind, desc)
 	}
 	if isWaitGroupMethod(fn, "Done") {
 		ff.WGDone = true
@@ -350,8 +288,8 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // isShutdownRecv reports whether ue is `<-x` with x a plausible shutdown
 // signal: a call to a context's Done method, or a channel expression
 // whose name suggests lifecycle ("done", "stop", "quit", "closing", …).
-func isShutdownRecv(info *types.Info, ue *ast.UnaryExpr) bool {
-	if ue.Op.String() != "<-" {
+func isShutdownRecv(ue *ast.UnaryExpr) bool {
+	if ue.Op != token.ARROW {
 		return false
 	}
 	x := ast.Unparen(ue.X)

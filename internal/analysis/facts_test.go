@@ -225,35 +225,23 @@ func TestLockFactsAcquiresAndCycles(t *testing.T) {
 	}
 }
 
-func TestTaintFactsFindings(t *testing.T) {
-	_, facts, _ := loadFixtureFacts(t, "taintalloc", "taintalloc/codec")
-
-	taint := facts.Findings("taintalloc")
-	// One finding per positive in the fixture, including the suppressed
-	// one (suppression is applied at report time, not fact time).
-	const wantFindings = 7
-	if len(taint) != wantFindings {
-		for _, tf := range taint {
-			t.Logf("taint: %s", tf.Message)
+// TestFactsWalkDistinctions pins where the walk's may-block evidence is
+// not simply "every call and send in the body": a send in a select with a
+// default case does not block, a go'd call is not a callee, and a
+// deferred call is one.
+func TestFactsWalkDistinctions(t *testing.T) {
+	_, facts, pkgs := loadFixtureFacts(t, "lockio", "lockio/remote", "goleak", "errdrop")
+	for _, c := range []struct {
+		fn    types.Object
+		block bool
+	}{
+		{method(t, pkgs["lockio"], "server", "sendBad"), true},
+		{method(t, pkgs["lockio"], "server", "selectSendBad"), false},
+		{method(t, pkgs["goleak"], "svc", "spawnNamedLeak"), false},
+		{pkgFunc(t, pkgs["errdrop"], "deferredConnClose"), true},
+	} {
+		if ff := facts.Of(c.fn); ff == nil || ff.MayBlock != c.block {
+			t.Errorf("%s: want MayBlock %v, got %+v", c.fn.Name(), c.block, ff)
 		}
-		t.Fatalf("want %d taint findings, got %d", wantFindings, len(taint))
-	}
-	var sawRet, sawArg bool
-	for _, tf := range taint {
-		if !tf.Pos.IsValid() {
-			t.Errorf("taint finding without a position: %s", tf.Message)
-		}
-		if strings.Contains(tf.Message, "value (codec.FrameLen → binary.Uint64) with") {
-			sawRet = true
-		}
-		if strings.Contains(tf.Message, "argument from taintalloc.caller") {
-			sawArg = true
-		}
-	}
-	if !sawRet {
-		t.Error("no finding derives through codec.FrameLen's return value")
-	}
-	if !sawArg {
-		t.Error("no finding derives through allocFor's parameter")
 	}
 }

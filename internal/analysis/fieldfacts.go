@@ -20,28 +20,20 @@ import (
 // caller's held set — the "caller must hold mu" convention becomes
 // checkable instead of a comment.
 //
-// Two analyzers consume the assembled domain:
+// lockguard consumes the assembled domain. It infers a field's guard by
+// dominant association: when a lock of the field's own receiver type is
+// held on a supermajority of the field's accesses (at least three guarded
+// sites for every unguarded one), that lock is taken to guard the field,
+// and the minority accesses that do not hold it are flagged. An explicit
+// //wiscape:guardedby <lockField> annotation on the field declaration
+// pins the guard and skips the statistics.
 //
-//   - lockguard infers a field's guard by dominant association: when a
-//     lock of the field's own receiver type is held on a supermajority
-//     of the field's accesses (at least three guarded sites for every
-//     unguarded one), that lock is taken to guard the field, and the
-//     minority accesses that do not hold it are flagged. An explicit
-//     //wiscape:guardedby <lockField> annotation on the field
-//     declaration pins the guard and skips the statistics.
-//   - atomicmix flags fields accessed through sync/atomic (function
-//     form or atomic.Int64-style typed values, including by-pointer
-//     handoffs) in one place and by plain load/store in another — both
-//     interleavings "work" under the race detector's schedules, which
-//     is exactly why this bug class survives testing.
-//
-// Principled escapes, shared by both rules: accesses through a local
-// born from a composite literal or new() in the same body (constructor
-// initialization before the value can escape), sync/atomic accesses
-// (lockguard only — they are atomicmix's subject), accesses in
-// Close/Stop/Shutdown bodies and after a (*sync.WaitGroup).Wait call
-// (teardown, when the writers are gone), and the audited
-// //lint:ignore suppression every analyzer honors.
+// Principled escapes: accesses through a local born from a composite
+// literal or new() in the same body (constructor initialization before
+// the value can escape), typed-atomic accesses (atomic.Int64 and friends
+// make every access atomic), accesses in Close/Stop/Shutdown bodies and
+// after a (*sync.WaitGroup).Wait call (teardown, when the writers are
+// gone), and the audited //lint:ignore suppression every analyzer honors.
 //
 // The biases inherited from the call graph are deliberate: calls
 // through interfaces, function values and closures contribute neither
@@ -61,7 +53,7 @@ type fieldAccess struct {
 	key      string // "(core.Controller).zones"
 	pos      token.Pos
 	write    bool
-	atomic   bool     // via sync/atomic (function or typed-value form)
+	atomic   bool     // a typed atomic's method call or by-pointer handoff
 	held     []string // lock identity keys held locally at the access
 	ctor     bool     // through a constructor-fresh local
 	teardown bool     // in a Close/Stop/Shutdown body or after wg.Wait()
@@ -384,11 +376,9 @@ type fieldSite struct {
 const guardRatio = 3
 
 // computeFieldFindings assembles the whole-load field-access domain and
-// runs both rules over it, returning the lockguard findings (accesses
-// that do not hold the field's inferred or declared guard) and the
-// atomicmix findings (plain accesses to a field accessed atomically
-// elsewhere) in deterministic order.
-func computeFieldFindings(facts *Facts, guardDecls map[string]string) (guards, mixes []Diagnostic) {
+// returns the lockguard findings (accesses that do not hold the field's
+// inferred or declared guard) in deterministic order.
+func computeFieldFindings(facts *Facts, guardDecls map[string]string) []Diagnostic {
 	callerHeld := computeCallerHeld(facts)
 	groups := make(map[string][]fieldSite)
 	var keys []string
@@ -408,17 +398,16 @@ func computeFieldFindings(facts *Facts, guardDecls map[string]string) (guards, m
 		}
 	}
 	sort.Strings(keys)
+	var guards []Diagnostic
 	for _, key := range keys {
-		sites := groups[key]
-		guards = append(guards, lockguardFindings(key, sites, guardDecls[key])...)
-		mixes = append(mixes, atomicmixFindings(key, sites)...)
+		guards = append(guards, lockguardFindings(key, groups[key], guardDecls[key])...)
 	}
-	return guards, mixes
+	return guards
 }
 
 // lockguardFindings applies the guard rule to one field's sites.
 func lockguardFindings(key string, sites []fieldSite, declared string) []Diagnostic {
-	// Escapes: atomic accesses belong to atomicmix; constructor and
+	// Escapes: typed-atomic accesses need no lock; constructor and
 	// teardown accesses are single-threaded by contract.
 	var eligible []fieldSite
 	for _, s := range sites {
@@ -466,30 +455,6 @@ func lockguardFindings(key string, sites []fieldSite, declared string) []Diagnos
 		out = append(out, Diagnostic{Pos: s.fa.pos, Message: fmt.Sprintf(
 			"field %s is guarded by %s on a supermajority of accesses but this %s in %s does not hold it: acquire %s, annotate the field //wiscape:guardedby %s, or //lint:ignore lockguard <reason>",
 			key, best, accessWord(s.fa), shortFuncName(s.fn), best, shortLockName(best))})
-	}
-	return out
-}
-
-// atomicmixFindings applies the mixed-access rule to one field's sites.
-func atomicmixFindings(key string, sites []fieldSite) []Diagnostic {
-	var atomics, plains []fieldSite
-	for _, s := range sites {
-		switch {
-		case s.fa.atomic:
-			atomics = append(atomics, s)
-		case !s.fa.ctor && !s.fa.teardown:
-			plains = append(plains, s)
-		}
-	}
-	if len(atomics) == 0 || len(plains) == 0 {
-		return nil
-	}
-	where := shortFuncName(atomics[0].fn)
-	var out []Diagnostic
-	for _, s := range plains {
-		out = append(out, Diagnostic{Pos: s.fa.pos, Message: fmt.Sprintf(
-			"field %s is accessed via sync/atomic in %s but by a plain %s in %s: mixed atomic and plain access is a data race the race detector rarely schedules — make every access atomic, or guard all of them with one lock",
-			key, where, accessWord(s.fa), shortFuncName(s.fn))})
 	}
 	return out
 }

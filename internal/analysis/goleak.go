@@ -110,41 +110,41 @@ func (p *Pass) checkGoStmt(g *ast.GoStmt, spawnSite *ast.BlockStmt) {
 	if spawnSite != nil && blockCallsWGAdd(p.TypesInfo, spawnSite, g) {
 		return
 	}
-	ev, resolved := p.spawnEvidence(g.Call)
-	if !resolved {
-		return
-	}
-	if ev.WGDone || ev.ShutdownSignal {
+	if ok, resolved := p.spawnEvidence(g.Call); ok || !resolved {
 		return
 	}
 	p.Reportf(g.Pos(), "goroutine has no shutdown path: no done/ctx-channel select, "+
 		"no sync.WaitGroup accounting; bound its lifetime or //lint:ignore goleak <reason>")
 }
 
-// spawnEvidence gathers lifecycle evidence for the spawned call: a
-// function literal is scanned directly (one level of its own callees'
-// facts included); a named function or method is answered from facts.
-// resolved=false means the target is opaque (function value, interface
-// method without facts) and the analyzer must stay silent.
-func (p *Pass) spawnEvidence(call *ast.CallExpr) (ev FuncFacts, resolved bool) {
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		scanBodyFacts(p.TypesInfo, lit.Body, &ev)
-		for _, callee := range ev.callees {
+// spawnEvidence reports whether the spawned call carries lifecycle
+// evidence: a function literal is answered from the facts engine's walk
+// of its body, with one level of its own callees' facts; a named function
+// or method from its facts. resolved=false means the target is opaque
+// (function value, interface method, or no facts at all) and the
+// analyzer must stay silent.
+func (p *Pass) spawnEvidence(call *ast.CallExpr) (ok, resolved bool) {
+	if lit, isLit := ast.Unparen(call.Fun).(*ast.FuncLit); isLit {
+		lf := p.Facts.literal(lit.Body)
+		if lf == nil {
+			return false, false
+		}
+		ok = lf.WGDone || lf.ShutdownSignal
+		for _, callee := range lf.callees {
 			if cf := p.Facts.Of(callee); cf != nil {
-				ev.WGDone = ev.WGDone || cf.WGDone
-				ev.ShutdownSignal = ev.ShutdownSignal || cf.ShutdownSignal
+				ok = ok || cf.WGDone || cf.ShutdownSignal
 			}
 		}
-		return ev, true
+		return ok, true
 	}
 	fn := calleeFunc(p.TypesInfo, call)
 	if fn == nil {
-		return ev, false
+		return false, false
 	}
 	if cf := p.Facts.Of(fn); cf != nil {
-		return *cf, true
+		return cf.WGDone || cf.ShutdownSignal, true
 	}
-	return ev, false
+	return false, false
 }
 
 // blockCallsWGAdd reports whether the spawning function calls

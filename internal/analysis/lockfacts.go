@@ -69,12 +69,17 @@ type heldCall struct {
 	orderExempt bool
 }
 
-// scanLockFacts extracts lock-order and field-access evidence from one
-// function body into ff: the locks it acquires, the direct ordering
-// edges, the calls and sends it makes (with the held set at each site),
-// and every struct-field read/write with its flow-sensitive held set. fd
-// is nil for a function literal, which is its own scope, entered with
-// nothing held.
+// scanLockFacts is the one walk of a function body. It extracts into ff
+// the locks the body acquires, the direct ordering edges, the calls and
+// sends it makes (with the held set at each site), every struct-field
+// read/write with its flow-sensitive held set, and the local evidence for
+// the boolean facts with the call edges the fixed point follows (see
+// noteCall). fd is nil for a function literal, which is its own scope,
+// entered with nothing held; nested literals are not entered.
+//
+// The boolean evidence keeps three distinctions: a send in a select with
+// a default case does not block, a go'd call is not a callee (its
+// arguments are still evaluated here), and a deferred call is one.
 func scanLockFacts(info *types.Info, fd *ast.FuncDecl, body *ast.BlockStmt, ff *FuncFacts) {
 	w := &lockFactsWalker{info: info, ff: ff}
 	if fd != nil {
@@ -95,7 +100,7 @@ type lockFactsWalker struct {
 	ff   *FuncFacts
 	// fresh holds the local variables born from a composite literal or
 	// new() in this body: accesses through them are constructor-time and
-	// escape the lockguard/atomicmix rules (fieldfacts.go).
+	// escape the lockguard rule (fieldfacts.go).
 	fresh map[*types.Var]bool
 	// teardown marks the whole body as teardown (Close/Stop/Shutdown
 	// methods); afterWait flips once a (*sync.WaitGroup).Wait call has
@@ -154,6 +159,9 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		// held set at the defer statement approximating the exit-time
 		// set) and the argument/receiver reads evaluated here and now.
 		if id, _, _, ok := w.lockMethodCall(s.Call); !ok || id == "" {
+			if fn := calleeFunc(w.info, s.Call); fn != nil {
+				w.ff.noteCall(fn)
+			}
 			w.scanDetachedCall(s.Call, held, held)
 		}
 	case *ast.GoStmt:
@@ -184,6 +192,13 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		}
 	case *ast.RangeStmt:
 		w.scanExpr(s.X, held)
+		if t := w.info.Types[s.X].Type; t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				// Ranging a channel ends when the channel is closed — a
+				// designed exit.
+				w.ff.ShutdownSignal = true
+			}
+		}
 		w.walkBlock(s.Body, cloneHeld(held))
 	case *ast.SwitchStmt:
 		if s.Init != nil {
@@ -204,6 +219,7 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		if s.Init != nil {
 			held = w.walkStmt(s.Init, held)
 		}
+		w.walkStmt(s.Assign, held)
 		for _, c := range s.Body.List {
 			branch := cloneHeld(held)
 			for _, st := range c.(*ast.CaseClause).Body {
@@ -211,10 +227,16 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			}
 		}
 	case *ast.SelectStmt:
+		hasDefault := false
+		for _, c := range s.Body.List {
+			hasDefault = hasDefault || c.(*ast.CommClause).Comm == nil
+		}
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
 			branch := cloneHeld(held)
-			if cc.Comm != nil {
+			if send, ok := cc.Comm.(*ast.SendStmt); ok {
+				w.walkSend(send, branch, !hasDefault)
+			} else if cc.Comm != nil {
 				branch = w.walkStmt(cc.Comm, branch)
 			}
 			for _, st := range cc.Body {
@@ -229,11 +251,7 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.writeTarget(e, held)
 		}
 	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.ff.heldCalls = append(w.ff.heldCalls, heldCall{pos: s.Pos(), lock: held[len(held)-1].text})
-		}
-		w.scanExpr(s.Chan, held)
-		w.scanExpr(s.Value, held)
+		w.walkSend(s, held, true)
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.scanExpr(e, held)
@@ -254,6 +272,20 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 		return w.walkStmt(s.Stmt, held)
 	}
 	return held
+}
+
+// walkSend records a channel send: may-block evidence unless it is the
+// case of a select with a default, and, for lockio, the innermost held
+// lock whether or not it can block.
+func (w *lockFactsWalker) walkSend(s *ast.SendStmt, held []heldLock, blocks bool) {
+	if blocks {
+		w.ff.blocks("channel send")
+	}
+	if len(held) > 0 {
+		w.ff.heldCalls = append(w.ff.heldCalls, heldCall{pos: s.Pos(), lock: held[len(held)-1].text})
+	}
+	w.scanExpr(s.Chan, held)
+	w.scanExpr(s.Value, held)
 }
 
 // acquire records the new lock: for an identity-keyed lock, an Acquires
@@ -290,9 +322,9 @@ func release(held []heldLock, text string) []heldLock {
 
 // scanExpr records every resolvable call inside e (with the held set at
 // the site — empty sets included, for the field domain's caller
-// intersection) and every struct-field read, distinguishing sync/atomic
-// accesses from plain ones. Function literals are their own scope and
-// not descended into.
+// intersection), every shutdown-signal receive, and every struct-field
+// read, distinguishing typed-atomic accesses from plain ones. Function
+// literals are their own scope and not descended into.
 func (w *lockFactsWalker) scanExpr(e ast.Expr, held []heldLock) {
 	if e == nil {
 		return
@@ -304,6 +336,9 @@ func (w *lockFactsWalker) scanExpr(e ast.Expr, held []heldLock) {
 		case *ast.CallExpr:
 			return w.scanCall(n, held)
 		case *ast.UnaryExpr:
+			if isShutdownRecv(n) {
+				w.ff.ShutdownSignal = true
+			}
 			if n.Op == token.AND {
 				// &x.f of a sync/atomic-typed field is the by-pointer
 				// handoff the atomic API works through, not a plain read.
@@ -328,7 +363,11 @@ func (w *lockFactsWalker) scanExpr(e ast.Expr, held []heldLock) {
 // returns false when it has walked the interesting children itself.
 func (w *lockFactsWalker) scanCall(call *ast.CallExpr, held []heldLock) bool {
 	fn := calleeFunc(w.info, call)
-	if fn == nil || fn.Pkg() == nil {
+	if fn == nil {
+		return true
+	}
+	w.ff.noteCall(fn)
+	if fn.Pkg() == nil {
 		return true
 	}
 	switch fn.Pkg().Path() {
@@ -344,9 +383,10 @@ func (w *lockFactsWalker) scanCall(call *ast.CallExpr, held []heldLock) bool {
 	return true
 }
 
-// scanAtomicCall records the field accesses of one sync/atomic call. Two
-// shapes: atomic.AddInt64(&s.n, 1) marks the &field argument atomic;
-// s.n.Load() (typed atomics) marks the receiver field.
+// scanAtomicCall records a typed atomic's method call, s.n.Load(), as an
+// atomic access of the receiver field, which lockguard leaves alone: the
+// type makes every access atomic. Any other sync/atomic call is just its
+// arguments.
 func (w *lockFactsWalker) scanAtomicCall(call *ast.CallExpr, fn *types.Func, held []heldLock) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if sig, okSig := fn.Type().(*types.Signature); okSig && sig.Recv() != nil {
@@ -357,13 +397,6 @@ func (w *lockFactsWalker) scanAtomicCall(call *ast.CallExpr, fn *types.Func, hel
 		}
 	}
 	for _, a := range call.Args {
-		if ue, ok := ast.Unparen(a).(*ast.UnaryExpr); ok && ue.Op == token.AND {
-			if key, _, okF := w.fieldSel(ue.X); okF {
-				w.recordAccess(ue.X, key, held, accessAtomic)
-				w.scanExpr(selBase(ue.X), held)
-				continue
-			}
-		}
 		w.scanExpr(a, held)
 	}
 }
@@ -547,40 +580,6 @@ func fieldPathKey(recv types.Type, index []int) string {
 
 func pkgLevelVar(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// propagateLockAcquires closes Acquires over the static call graph:
-// whatever a callee may acquire, its caller may acquire too, with the
-// call chain recorded for diagnostics. Monotone (keys are only added),
-// so iterating to quiescence terminates.
-func propagateLockAcquires(facts *Facts) {
-	for changed := true; changed; {
-		changed = false
-		for _, obj := range facts.order {
-			ff := facts.funcs[obj]
-			for _, callee := range ff.callees {
-				cf := facts.funcs[callee]
-				if cf == nil || callee == obj || len(cf.Acquires) == 0 {
-					continue
-				}
-				for _, k := range sortedLockKeys(cf.Acquires) {
-					if _, ok := ff.Acquires[k]; ok {
-						continue
-					}
-					acq := cf.Acquires[k]
-					via := shortFuncName(callee)
-					if acq.Via != "" {
-						via += " → " + acq.Via
-					}
-					if ff.Acquires == nil {
-						ff.Acquires = make(map[string]LockAcquire)
-					}
-					ff.Acquires[k] = LockAcquire{Pos: acq.Pos, Via: via}
-					changed = true
-				}
-			}
-		}
-	}
 }
 
 func sortedLockKeys(m map[string]LockAcquire) []string {

@@ -19,8 +19,8 @@ package analysis
 // on its declaration pins the guard and flags every unguarded access
 // regardless of the statistics. Escapes, in both modes: accesses through
 // a constructor-fresh local (the value cannot have escaped yet),
-// sync/atomic accesses (atomicmix's subject), Close/Stop/Shutdown bodies
-// and code after a (*sync.WaitGroup).Wait call (teardown), and
+// typed-atomic accesses (atomic.Int64 and friends), Close/Stop/Shutdown
+// bodies and code after a (*sync.WaitGroup).Wait call (teardown), and
 // //lint:ignore lockguard <reason>.
 var Lockguard = &Analyzer{
 	Name: "lockguard",

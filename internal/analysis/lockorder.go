@@ -5,9 +5,16 @@ package analysis
 // classic recipe for a deadlock that no test catches until two requests
 // interleave just wrong in production. lockio keeps critical sections
 // free of blocking I/O; lockorder keeps the set of critical sections
-// globally consistent — the property the coordinator↔gateway↔replication
-// interplay (registry route rewrites during failover, promote/demote
-// under the coordinator's locks) has to preserve as it grows.
+// globally consistent.
+//
+// The invariant it guards is the coordinator's lock hierarchy:
+// (coordinator.Server).ingestMu before (coordinator.Server).mu, and both
+// before the leaf locks they reach through calls — the store's, the
+// controller's, the replication source's, the device normalizer's and the
+// telemetry registry's — which never call back up. Neither the tests nor
+// the race detector see an inversion of it: taking ingestMu under mu in
+// (Server).statusReply passes `go test -race ./internal/coordinator` and
+// is reported here.
 //
 // The graph is whole-load: an edge A→B means some function held A while
 // acquiring B, either directly in its body or through any chain of

@@ -39,13 +39,10 @@ type GatewayOptions struct {
 	RequestTimeout time.Duration
 
 	// RetryAttempts is how many times one upstream request is retried on a
-	// fresh connection (with jittered exponential backoff) before the
-	// shard is declared unavailable for that request. Default 1.
+	// fresh connection (with jittered exponential backoff, see
+	// retryBackoff) before the shard is declared unavailable for that
+	// request. Default 1.
 	RetryAttempts int
-
-	// RetryBackoff shapes the inter-retry delays. The zero value uses a
-	// gateway-appropriate fast schedule (25ms base, 500ms cap).
-	RetryBackoff rng.Backoff
 
 	// FailureThreshold consecutive upstream failures trip a shard's
 	// circuit breaker open. Default 3.
@@ -82,6 +79,10 @@ type GatewayOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// retryBackoff shapes the delays between one request's upstream retries:
+// a fast schedule, since an agent is waiting on the reply.
+var retryBackoff = rng.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Millisecond}
+
 func (o *GatewayOptions) fill() {
 	if o.Name == "" {
 		o.Name = "wiscape-gateway"
@@ -99,9 +100,6 @@ func (o *GatewayOptions) fill() {
 		o.RetryAttempts = 0
 	} else if o.RetryAttempts == 0 {
 		o.RetryAttempts = 1
-	}
-	if o.RetryBackoff == (rng.Backoff{}) {
-		o.RetryBackoff = rng.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Millisecond}
 	}
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 3
@@ -713,7 +711,7 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire
 		if attempt >= g.opts.RetryAttempts {
 			return wire.Envelope{}, lastErr
 		}
-		time.Sleep(g.opts.RetryBackoff.Delay(attempt, sess.r))
+		time.Sleep(retryBackoff.Delay(attempt, sess.r))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"slices"
 	"sync"
@@ -60,9 +59,8 @@ type Options struct {
 	// the timer (checkpoints then only happen via CheckpointNow).
 	CheckpointInterval time.Duration
 
-	// CheckpointKeep, Fsync and SegmentMaxBytes tune the store; zero
-	// values take the store's defaults.
-	CheckpointKeep  int
+	// Fsync and SegmentMaxBytes tune the store; zero values take the
+	// store's defaults.
 	Fsync           store.FsyncPolicy
 	SegmentMaxBytes int64
 
@@ -214,7 +212,6 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		st, err = store.Open(opts.DataDir, store.Options{
 			SegmentMaxBytes: opts.SegmentMaxBytes,
 			Fsync:           opts.Fsync,
-			CheckpointKeep:  opts.CheckpointKeep,
 			Telemetry:       opts.Telemetry,
 			Logf:            opts.Logf,
 		})
@@ -673,10 +670,4 @@ func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
 		}
 	}
 	return tasks
-}
-
-// LogTo returns an Options.Logf writing to the standard logger, for the
-// cmd binaries.
-func LogTo(l *log.Logger) func(string, ...any) {
-	return func(format string, args ...any) { l.Printf(format, args...) }
 }

@@ -58,6 +58,9 @@ func (c *Controller) snapshot(at time.Time, withSketches bool) Snapshot {
 		TakenAt: at,
 		Config:  c.cfg,
 		Origin:  c.grid.Origin(),
+		// Sized once; still nil for a controller with no zones, whose
+		// checkpoint has always said "entries": null.
+		Entries: slices.Grow([]SnapshotEntry(nil), len(c.zones)),
 	}
 	// Keys() locks too; inline the iteration under the held lock.
 	for k, st := range c.zones {
@@ -71,28 +74,9 @@ func (c *Controller) snapshot(at time.Time, withSketches bool) Snapshot {
 		}
 		s.Entries = append(s.Entries, e)
 	}
-	sortEntries(s.Entries)
+	// Keys are unique, so the order is total and the sort need not be stable.
+	slices.SortFunc(s.Entries, func(a, b SnapshotEntry) int { return a.Key.Compare(b.Key) })
 	return s
-}
-
-func sortEntries(es []SnapshotEntry) {
-	lessKey := func(a, b Key) bool {
-		if a.Zone != b.Zone {
-			if a.Zone.X != b.Zone.X {
-				return a.Zone.X < b.Zone.X
-			}
-			return a.Zone.Y < b.Zone.Y
-		}
-		if a.Net != b.Net {
-			return a.Net < b.Net
-		}
-		return a.Metric < b.Metric
-	}
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && lessKey(es[j].Key, es[j-1].Key); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
 }
 
 // Restore rebuilds a controller from a snapshot: published records and

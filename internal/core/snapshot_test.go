@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
-
-	"repro/internal/geo"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/trace"
@@ -96,6 +98,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// wideController holds one sample under each of n keys: zones on both
+// sides of the grid origin, each with three networks and two metrics.
+func wideController(n int) *Controller {
+	c := NewController(DefaultConfig(), origin)
+	nets := []radio.NetworkID{radio.NetA, radio.NetB, radio.NetC}
+	metrics := []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs}
+	per := len(nets) * len(metrics)
+	side := int32(math.Ceil(math.Sqrt(float64(n/per + 1))))
+	for i := 0; i < n; i++ {
+		z := int32(i / per)
+		s := mkSample(start, c.grid.Center(geo.ZoneID{X: z%side - side/2, Y: z/side - side/2}), 900)
+		s.Network, s.Metric = nets[i%len(nets)], metrics[i/len(nets)%len(metrics)]
+		c.Ingest(s)
+	}
+	return c
+}
+
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	c := populatedController(t)
 	a := c.Snapshot(start)
@@ -104,6 +123,33 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 		if a.Entries[i].Key != b.Entries[i].Key {
 			t.Fatal("snapshot order unstable")
 		}
+	}
+
+	// At scale, across negative zones and several networks and metrics,
+	// the entries come out in Key.Compare order.
+	snap := wideController(5000).Snapshot(start)
+	if len(snap.Entries) != 5000 || snap.Entries[0].Key.Zone.X >= 0 || snap.Entries[0].Key.Zone.Y >= 0 {
+		t.Fatalf("%d entries, first %v: want 5000 from a zone left of and below the origin", len(snap.Entries), snap.Entries[0].Key)
+	}
+	if !slices.IsSortedFunc(snap.Entries, func(a, b SnapshotEntry) int { return a.Key.Compare(b.Key) }) {
+		t.Fatal("snapshot entries are not in Key.Compare order")
+	}
+}
+
+var sinkSnapshot Snapshot
+
+// BenchmarkControllerSnapshot times the checkpoint form of a snapshot, taken
+// under the controller's lock, at two key counts.
+func BenchmarkControllerSnapshot(b *testing.B) {
+	for _, n := range []int{1_000, 20_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			c := wideController(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkSnapshot = c.Snapshot(start)
+			}
+		})
 	}
 }
 

@@ -205,6 +205,12 @@ func TestFrameCapGoesByType(t *testing.T) {
 	// takes snapshots at all: any other header claiming more than
 	// maxFrameBytes is refused off its five bytes, before anything is
 	// allocated or waited for.
+	//
+	// This test is the guard on the one length the tree reads off the wire
+	// and sizes an allocation by (make([]byte, whole) in readFrame). Mutant:
+	// delete readFrame's `if n > maxLen { return … errBadFrame … }` and every
+	// refused row below fails with io.ErrUnexpectedEOF after the allocation,
+	// and the end-to-end replica keeps the session open.
 	header := func(typ byte, n uint32) *bufio.Reader {
 		hdr := binary.LittleEndian.AppendUint32(nil, n)
 		return bufio.NewReader(bytes.NewReader(append(hdr, typ)))

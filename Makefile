@@ -90,14 +90,15 @@ swarm-smoke:
 	$(GO) test -race -count=1 ./internal/cluster/...
 
 # Failover smoke: the replication subsystem's unit suite, the log reader it
-# tails the WAL with (cursor vs the stateless oracle, and racing a live
-# appender — repeated, since a race shows only some of the time), plus the
-# kill/promote/rejoin integration proofs (acked-sample preservation, swarm
-# chaos hook, degraded readiness), all under the race detector.
+# tails the WAL with and that recovery drains (cursor and recovery vs the
+# scans they replaced, torn and corrupt segments, checkpoint choice, racing a
+# live appender — repeated, since a race shows only some of the time), plus
+# the kill/promote/rejoin integration proofs (acked-sample preservation,
+# swarm chaos hook, degraded readiness), all under the race detector.
 failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm
 	$(GO) test -race -count=1 ./internal/replication/
-	$(GO) test -race -count=5 -run 'Cursor|ReadBatch' ./internal/store
+	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint' ./internal/store
 	$(GO) test -race -count=1 -run 'TestFailover|TestSwarmChaos|TestReadyz' ./internal/cluster/
 
 # Non-test Go lines per package and in total, leaving out bench/ and

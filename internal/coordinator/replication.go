@@ -25,8 +25,7 @@ func (s *Server) startReplication() error {
 	if s.store == nil {
 		return errNeedsStore
 	}
-	src, err := replication.NewSource(s.store, s.opts.ReplicationAddr, replication.SourceOptions{
-		Snapshot:  s.captureSnapshot,
+	src, err := replication.NewSource(s.store, s.opts.ReplicationAddr, s.captureSnapshot, replication.SourceOptions{
 		Telemetry: s.opts.Telemetry,
 		Logf:      s.opts.Logf,
 	})

@@ -57,12 +57,14 @@ func frameBytes(t testing.TB, typ byte, payload []byte) []byte {
 // frame that parses re-encodes to exactly the bytes consumed; and every typed
 // payload that decodes re-encodes to the identical payload — for a records
 // frame, whose payload is WAL lines, that the body either is refused or
-// splits into lines that put end to end are the body again. The seed corpus
-// covers all six frame types.
+// splits into lines that put end to end are the body again; for a snapshot
+// frame, whose payload is a checkpoint, that store.ParseCheckpoint refuses it
+// without panicking or reads a checkpoint that store.AppendCheckpoint spells
+// the same way again. The seed corpus covers all six frame types.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(frameBytes(f, frameHello, encodeHello(hello{from: 42, id: "replica-a"})))
 	f.Add(frameBytes(f, frameHello, encodeHello(hello{from: 0, id: ""})))
-	f.Add(frameBytes(f, frameSnapshot, encodeSnapshot(7, []byte(`{"zones":{}}`))))
+	f.Add(frameBytes(f, frameSnapshot, snapshotFrame(f, 7)))
 	// Records bodies: nothing, one line, a full batch, one line too many, a
 	// line past the store's cap, bytes after the last newline, a flipped CRC
 	// digit, and a good CRC over something that is not a record.
@@ -122,12 +124,26 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("hello round trip drifted:\n got %x\nwant %x", got, payload)
 			}
 		case frameSnapshot:
-			lsn, body, err := decodeSnapshot(payload)
+			snap, lsn, err := store.ParseCheckpoint(payload)
 			if err != nil {
 				return
 			}
-			if got := encodeSnapshot(lsn, body); !bytes.Equal(got, payload) {
-				t.Fatalf("snapshot round trip drifted:\n got %x\nwant %x", got, payload)
+			// A checkpoint spelled some other way parses, so its bytes need
+			// not come back; what AppendCheckpoint writes must, and parse to
+			// the same LSN.
+			ckpt, err := store.AppendCheckpoint(nil, lsn, snap)
+			if err != nil {
+				t.Fatalf("re-encoding a parsed checkpoint: %v", err)
+			}
+			snap2, lsn2, err := store.ParseCheckpoint(ckpt)
+			if err != nil || lsn2 != lsn {
+				t.Fatalf("a checkpoint AppendCheckpoint wrote parses to LSN %d (err %v), want %d", lsn2, err, lsn)
+			}
+			if again, err := store.AppendCheckpoint(nil, lsn2, snap2); err != nil || !bytes.Equal(again, ckpt) {
+				t.Fatalf("checkpoint round trip drifted (err %v):\n got %q\nwant %q", err, again, ckpt)
+			}
+			if bytes.Equal(payload, snapshotFrame(t, 7)) && !bytes.Equal(ckpt, payload) {
+				t.Fatalf("the seed checkpoint did not round-trip:\n got %q\nwant %q", ckpt, payload)
 			}
 		case frameRecords:
 			var back []byte

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/store"
 )
 
@@ -96,13 +95,14 @@ func (p *peer) wantClosed() {
 	}
 }
 
-func snapshotFrame(t *testing.T, lsn uint64) []byte {
+// snapshotFrame is the payload of a snapshot frame covering lsn: a checkpoint.
+func snapshotFrame(t testing.TB, lsn uint64) []byte {
 	t.Helper()
-	var body bytes.Buffer
-	if err := core.WriteSnapshot(&body, core.Snapshot{TakenAt: start}); err != nil {
+	ckpt, err := store.AppendCheckpoint(nil, lsn, core.Snapshot{TakenAt: start})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeSnapshot(lsn, body.Bytes())
+	return ckpt
 }
 
 // appendThrough appends testSample(lsn-1) records until st holds LSN n.
@@ -163,8 +163,7 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 			}
 			defer lis.Close()
 			ap := &memApplier{st: openStore(t, store.Options{})}
-			r := StartReplica(lis.Addr().String(), ap, ReplicaOptions{ID: "r1",
-				Backoff: rng.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond}})
+			r := StartReplica(lis.Addr().String(), ap, ReplicaOptions{ID: "r1"})
 			defer r.Close()
 
 			p, h := acceptPeer(t, lis)
@@ -195,6 +194,45 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 			}
 			if got, want := journalOf(t, ap.st.Dir()), bytes.Join([][]byte{good(11), good(12), good(13), good(14)}, nil); !bytes.Equal(got, want) {
 				t.Fatalf("the replica's journal is not the lines it was sent:\n%s\nwant\n%s", got, want)
+			}
+		})
+	}
+}
+
+func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
+	// A snapshot frame is a checkpoint, CRC and all, and the replica resets
+	// its store to it only once it checks out in full: a damaged one ends the
+	// session with nothing bootstrapped and nothing acked.
+	good := snapshotFrame(t, 10)
+	nl := bytes.IndexByte(good, '\n')
+	flipped := append([]byte(nil), good...)
+	flipped[nl+1+(len(good)-nl-1)/2] ^= 1
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"a flipped body byte", flipped},
+		{"another format's header", bytes.Replace(good, []byte(" v1 "), []byte(" v2 "), 1)},
+		{"a header CRC that is not hex", append([]byte("wiscape-checkpoint v1 10 zzzzzzzz"), good[nl:]...)},
+		{"version 2's spelling: a u64 LSN and the JSON", append(binary.LittleEndian.AppendUint64(nil, 10), good[nl+1:]...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			ap := &memApplier{st: openStore(t, store.Options{})}
+			appendThrough(t, ap.st, 3) // local state a bootstrap would wipe
+			r := StartReplica(lis.Addr().String(), ap, ReplicaOptions{ID: "r1"})
+			defer r.Close()
+
+			p, _ := acceptPeer(t, lis)
+			p.send(frameSnapshot, tc.payload)
+			p.wantClosed()
+			if _, boots, _ := ap.snapshot(); boots != 0 || ap.st.LastLSN() != 3 || r.Status().Resyncs != 0 {
+				t.Fatalf("%d bootstraps, %d resyncs, local log at LSN %d; want the snapshot refused and the log untouched at 3",
+					boots, r.Status().Resyncs, ap.st.LastLSN())
 			}
 		})
 	}
@@ -254,7 +292,7 @@ func TestFrameCapGoesByType(t *testing.T) {
 }
 
 func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
-	// Version 2 changed what a records frame holds, so a version 1 peer is
+	// Version 3 changed what a snapshot frame holds, so a version 2 peer is
 	// turned away by name at the handshake rather than fed frames it would
 	// misread.
 	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
@@ -263,11 +301,11 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPeer(t, nc)
-	v1 := encodeHello(hello{from: 1, id: "old-replica"})
-	binary.LittleEndian.PutUint16(v1[4:6], 1)
-	p.send(frameHello, v1)
+	v2 := encodeHello(hello{from: 0, id: "old-replica"})
+	binary.LittleEndian.PutUint16(v2[4:6], 2)
+	p.send(frameHello, v2)
 	typ, payload := p.recv()
-	if want := "replication: peer speaks version 1, want 2"; typ != frameReject || string(payload) != want {
+	if want := "replication: peer speaks version 2, want 3"; typ != frameReject || string(payload) != want {
 		t.Fatalf("got frame type %d %q, want a reject saying %q", typ, payload, want)
 	}
 	p.wantClosed()

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -35,6 +34,12 @@ type Applier interface {
 	Apply(lsn uint64, smp trace.Sample, line []byte) error
 }
 
+// dialTimeout bounds one connection attempt to the primary, and
+// redialBackoff shapes the jittered delays between attempts.
+const dialTimeout = 2 * time.Second
+
+var redialBackoff = rng.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
+
 // ReplicaOptions configures the consumer side of a replicated shard.
 type ReplicaOptions struct {
 	// ID names this replica to the primary (acked offsets are tracked per
@@ -51,12 +56,6 @@ type ReplicaOptions struct {
 	// from the new primary and must be discarded wholesale.
 	ForceSnapshot bool
 
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-
-	// Backoff shapes redial delays; the zero value uses 50ms base, 2s cap.
-	Backoff rng.Backoff
-
 	// Seed drives the deterministic redial jitter.
 	Seed uint64
 
@@ -71,12 +70,6 @@ type ReplicaOptions struct {
 func (o *ReplicaOptions) fill() {
 	if o.ID == "" {
 		o.ID = "replica"
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.Backoff == (rng.Backoff{}) {
-		o.Backoff = rng.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Second}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -199,7 +192,7 @@ func (r *Replica) run() {
 		r.reconnects.Add(1)
 		r.met.reconnects.Inc()
 		r.opts.Logf("replication: %s: stream to %s lost (%v), redialing", r.opts.ID, r.primary, err)
-		t := time.NewTimer(r.opts.Backoff.Delay(attempt, jitter))
+		t := time.NewTimer(redialBackoff.Delay(attempt, jitter))
 		select {
 		case <-t.C:
 		case <-r.stop:
@@ -213,7 +206,7 @@ func (r *Replica) run() {
 // session runs one connected stream until it fails or Close severs it.
 // A nil return means the replica is shutting down.
 func (r *Replica) session(forceSnapshot bool) error {
-	nc, err := net.DialTimeout("tcp", r.primary, r.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", r.primary, dialTimeout)
 	if err != nil {
 		return err
 	}
@@ -262,13 +255,10 @@ func (r *Replica) session(forceSnapshot bool) error {
 		}
 		switch typ {
 		case frameSnapshot:
-			lsn, body, err := decodeSnapshot(payload)
+			// Nothing is reset before the checkpoint checks out in full.
+			snap, lsn, err := store.ParseCheckpoint(payload)
 			if err != nil {
-				return err
-			}
-			snap, err := core.ReadSnapshot(bytes.NewReader(body))
-			if err != nil {
-				return fmt.Errorf("decoding snapshot: %w", err)
+				return fmt.Errorf("%w: snapshot: %v", errBadFrame, err)
 			}
 			if err := r.ap.Bootstrap(lsn, snap); err != nil {
 				return fmt.Errorf("applying snapshot: %w", err)

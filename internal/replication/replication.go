@@ -22,24 +22,28 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 2): every frame is u32le payload length, one type
+// Protocol (version 3): every frame is u32le payload length, one type
 // byte, payload. The replica opens with a hello (magic, version, replica
 // id, first wanted LSN — 0 forces a snapshot); the source answers with an
 // optional snapshot frame and then record batches and heartbeats; the
-// replica sends acks carrying its applied LSN. A records frame's payload is
-// WAL lines verbatim — "crc32hex {"lsn":N,"sample":{…}}\n", one after
-// another, exactly the bytes the primary journaled — which is what version 2
-// changed: version 1 re-marshaled each sample into an (LSN, length, JSON)
-// triple. The versions do not interoperate, so a primary and its replica
-// upgrade as a pair; a hello of the other version is refused by name.
+// replica sends acks carrying its applied LSN. The payloads are the store's
+// own durable formats: a records frame holds WAL lines verbatim —
+// "crc32hex {"lsn":N,"sample":{…}}\n", one after another, exactly the bytes
+// the primary journaled (version 2's change; version 1 re-marshaled each
+// sample into an (LSN, length, JSON) triple) — and a snapshot frame holds a
+// checkpoint, header and CRC included, exactly as store.AppendCheckpoint
+// writes one to disk (version 3's; version 2 sent the LSN as a u64 and the
+// JSON unchecked). The versions do not interoperate, so a primary and its
+// replica upgrade as a pair; a hello of another version is refused by name.
 //
 // Who checks what: the source ships a line once its frame and CRC check out
 // (store.Cursor.NextLines) and never decodes it; the replica puts every line
-// through store.ParseRecordLine — frame, CRC, JSON, LSN — before anything is
-// journaled or ingested, and journals the line it received, not a
-// re-encoding, so the pair's logs are byte-identical at equal LSN. Either
-// side closes on any malformed frame or line, and the replica's redial
-// resumes after the last record it applied.
+// through store.ParseRecordLine — frame, CRC, JSON, LSN — and a snapshot
+// through store.ParseCheckpoint — header, CRC, JSON — before anything is
+// journaled, ingested or bootstrapped, and journals the line it received,
+// not a re-encoding, so the pair's logs are byte-identical at equal LSN.
+// Either side closes on any malformed frame, line or snapshot, and the
+// replica's redial resumes after the last record it applied.
 package replication
 
 import (
@@ -58,14 +62,15 @@ const (
 
 	// Version is the protocol version this package speaks. A source
 	// rejects hellos of any other: 1 framed records as (LSN, length, sample
-	// JSON) triples, 2 ships WAL lines as they are.
-	Version uint16 = 2
+	// JSON) triples, 2 ships WAL lines as they are but a snapshot as a u64
+	// LSN and unchecked JSON, 3 ships a snapshot as a checkpoint.
+	Version uint16 = 3
 )
 
 // Frame types.
 const (
 	frameHello     byte = 1 // replica -> source: magic, version, from LSN, id
-	frameSnapshot  byte = 2 // source -> replica: covered LSN, snapshot JSON
+	frameSnapshot  byte = 2 // source -> replica: a checkpoint (store.AppendCheckpoint)
 	frameRecords   byte = 3 // source -> replica: batch of WAL lines, verbatim
 	frameHeartbeat byte = 4 // source -> replica: primary's last LSN
 	frameAck       byte = 5 // replica -> source: applied LSN
@@ -167,21 +172,6 @@ func decodeHello(p []byte) (hello, error) {
 	}
 	h.id = string(p[16:])
 	return h, nil
-}
-
-// encodeSnapshot frames a bootstrap snapshot: the LSN it covers, then the
-// core.WriteSnapshot JSON body.
-func encodeSnapshot(lsn uint64, body []byte) []byte {
-	buf := make([]byte, 0, 8+len(body))
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	return append(buf, body...)
-}
-
-func decodeSnapshot(p []byte) (lsn uint64, body []byte, err error) {
-	if len(p) < 8 {
-		return 0, nil, errBadFrame
-	}
-	return binary.LittleEndian.Uint64(p[0:8]), p[8:], nil
 }
 
 // eachLine splits a records frame's body into its WAL lines, newline

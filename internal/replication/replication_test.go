@@ -93,9 +93,21 @@ func openStore(t *testing.T, opts store.Options) *store.Store {
 	return st
 }
 
+// startSource serves st's log. Its bootstraps ship the store's newest
+// checkpoint, or an empty snapshot at LSN 0 before the first one.
 func startSource(t *testing.T, st *store.Store, opts SourceOptions) *Source {
 	t.Helper()
-	src, err := NewSource(st, "127.0.0.1:0", opts)
+	latest := func() (core.Snapshot, uint64) {
+		snap, lsn, err := st.LatestCheckpoint()
+		if err != nil {
+			t.Errorf("LatestCheckpoint: %v", err)
+		}
+		if snap == nil {
+			return core.Snapshot{}, 0
+		}
+		return *snap, lsn
+	}
+	src, err := NewSource(st, "127.0.0.1:0", latest, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -18,12 +17,6 @@ import (
 
 // SourceOptions configures the primary side of a replicated shard.
 type SourceOptions struct {
-	// Snapshot, when set, produces a consistent live snapshot and the LSN
-	// it covers — the coordinator's locked capture. When nil, bootstraps
-	// fall back to the store's newest durable checkpoint (or an empty
-	// snapshot at LSN 0 for a store that has never checkpointed).
-	Snapshot func() (core.Snapshot, uint64)
-
 	// Telemetry receives replication metrics; nil disables instrumentation.
 	Telemetry *telemetry.Registry
 
@@ -71,10 +64,11 @@ type commitWaiter struct {
 // appends, rotations and compactions proceed concurrently — so attaching a
 // replica never stalls the ingest path.
 type Source struct {
-	st   *store.Store
-	opts SourceOptions
-	met  sourceMetrics
-	lis  *wire.Listener // accept loop, conn set, Suspend/Resume
+	st       *store.Store
+	snapshot func() (core.Snapshot, uint64) // a consistent live capture and the LSN it covers
+	opts     SourceOptions
+	met      sourceMetrics
+	lis      *wire.Listener // accept loop, conn set, Suspend/Resume
 
 	mu      sync.Mutex
 	streams map[*replicaConn]struct{} // handshaken replicas; Notify wakes them
@@ -85,15 +79,18 @@ type Source struct {
 	stopOnce sync.Once
 }
 
-// NewSource starts a replication listener on addr serving st's log.
-func NewSource(st *store.Store, addr string, opts SourceOptions) (*Source, error) {
+// NewSource starts a replication listener on addr serving st's log. snapshot
+// captures the state a bootstrap ships and the LSN it covers, consistently —
+// the coordinator's capture under its ingest lock.
+func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uint64), opts SourceOptions) (*Source, error) {
 	opts.fill()
 	s := &Source{
-		st:      st,
-		opts:    opts,
-		streams: make(map[*replicaConn]struct{}),
-		acked:   make(map[string]uint64),
-		stop:    make(chan struct{}),
+		st:       st,
+		snapshot: snapshot,
+		opts:     opts,
+		streams:  make(map[*replicaConn]struct{}),
+		acked:    make(map[string]uint64),
+		stop:     make(chan struct{}),
 	}
 	s.met = newSourceMetrics(opts.Telemetry, s.ConnectedReplicas)
 	var err error
@@ -370,32 +367,17 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	}
 }
 
-// sendSnapshot ships a bootstrap snapshot — from then on what the replica
-// holds, so rc.shipped is set to it before it leaves — and returns the next
-// LSN to stream. Preference order: the configured live-capture hook, then
-// the store's newest durable checkpoint, then an empty snapshot at LSN 0 (a
-// primary that has never checkpointed simply replays its whole WAL).
+// sendSnapshot ships a bootstrap snapshot, as the checkpoint of a live
+// capture — from then on what the replica holds, so rc.shipped is set to it
+// before it leaves — and returns the next LSN to stream.
 func (s *Source) sendSnapshot(rc *replicaConn, bw *bufio.Writer) (next uint64, err error) {
-	var snap core.Snapshot
-	var lsn uint64
-	switch {
-	case s.opts.Snapshot != nil:
-		snap, lsn = s.opts.Snapshot()
-	default:
-		ck, at, err := s.st.LatestCheckpoint()
-		if err != nil {
-			return 0, err
-		}
-		if ck != nil {
-			snap, lsn = *ck, at
-		}
-	}
-	var body bytes.Buffer
-	if err := core.WriteSnapshot(&body, snap); err != nil {
+	snap, lsn := s.snapshot()
+	ckpt, err := store.AppendCheckpoint(nil, lsn, snap)
+	if err != nil {
 		return 0, err
 	}
 	rc.shipped.Store(lsn)
-	if err := writeFrame(bw, frameSnapshot, encodeSnapshot(lsn, body.Bytes())); err != nil {
+	if err := writeFrame(bw, frameSnapshot, ckpt); err != nil {
 		return 0, err
 	}
 	if err := bw.Flush(); err != nil {

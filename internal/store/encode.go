@@ -41,10 +41,14 @@ func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) 
 	}
 	buf = append(buf, "}\n"...)
 
-	crc := crc32.ChecksumIEEE(buf[start+9 : len(buf)-1])
+	putCRC(buf[start:start+8], crc32.ChecksumIEEE(buf[start+9:len(buf)-1]))
+	return buf, nil
+}
+
+// putCRC spells crc as the eight lowercase hex digits dst has room for.
+func putCRC(dst []byte, crc uint32) {
 	for i := 7; i >= 0; i-- {
-		buf[start+i] = hexdig[crc&0xf]
+		dst[i] = hexdig[crc&0xf]
 		crc >>= 4
 	}
-	return buf, nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 
 	"repro/internal/core"
@@ -62,9 +61,15 @@ type Cursor struct {
 	f        *os.File // segment being read; nil when not positioned
 	first    uint64   // its first LSN
 	off      int64    // file offset of buf[r], the first unread byte
+	end      int64    // file offset just past the last record Next returned from f
 	buf      []byte   // buf[r:w] holds unread file bytes, whole lines or not
 	r, w     int
 	skipping bool // inside a line over maxWALLineBytes, discarding through its newline
+
+	// Invalid lines Next has stepped over: bad counts those a record or the
+	// end of a sealed segment has since followed; run, those since f's last
+	// record, which a record or leaving f adds to bad.
+	bad, run int
 }
 
 // cursorBufBytes is the read buffer a cursor keeps; it grows (to at most
@@ -95,11 +100,12 @@ func (c *Cursor) Close() {
 // after more appends. ErrCompacted means the next LSN predates the oldest
 // retained record: restart from LatestCheckpoint with a new cursor.
 //
-// Invalid complete lines are skipped (recovery's rule). An unterminated tail
-// in the active segment is an append in flight and is never stepped over; in
-// a sealed segment it is a torn write nothing will complete. A failure met
-// after some records were read is held back: the partial batch is returned
-// and the next call meets the failure again.
+// Complete lines that fail validation are skipped (recovery's rule). An
+// unterminated tail in the active segment is an append in flight and is never
+// stepped over; in a sealed segment it is a torn write nothing will complete,
+// counted invalid when the cursor moves on. A failure met after some records
+// were read is held back: the partial batch is returned and the next call
+// meets the failure again.
 func (c *Cursor) Next(max int) ([]Entry, error) {
 	if max <= 0 {
 		max = 1024
@@ -151,16 +157,17 @@ func (c *Cursor) walk(scan func() (done bool, err error)) error {
 		// Whether this segment is sealed is settled before reading it to
 		// EOF: a sealed segment never grows, so EOF then means exhausted,
 		// while anything appended to a segment judged active is still there
-		// for the next call, rotation or not.
+		// for the next call, rotation or not. While Open recovers there is
+		// no active segment, and every one is sealed.
 		c.st.mu.Lock()
-		active, gen := c.st.segFirst, c.st.segGen
+		active, gen, open := c.st.segFirst, c.st.segGen, c.st.f != nil
 		c.st.mu.Unlock()
 		if gen != c.gen {
 			c.Close()
 			c.gen = gen
 		}
 		if c.f != nil {
-			if done, err := scan(); err != nil || done || c.first == active {
+			if done, err := scan(); err != nil || done || (open && c.first == active) {
 				return err
 			}
 		}
@@ -204,9 +211,13 @@ func (c *Cursor) seek() (moved bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	if c.f != nil && (c.skipping || c.r < c.w) {
+		c.run++ // the partial line ending the sealed segment left behind
+	}
+	c.bad += c.run
 	c.Close()
 	c.f, c.first = f, segs[pick].first
-	c.off, c.r, c.w, c.skipping = 0, 0, 0, false
+	c.off, c.end, c.r, c.w, c.run, c.skipping = 0, 0, 0, 0, 0, false
 	return true, nil
 }
 
@@ -225,11 +236,17 @@ func (c *Cursor) scan(max int, out *[]Entry) error {
 			continue
 		}
 		smp, lsn, ok := ParseRecordLine(line)
+		if !ok {
+			c.run++
+		}
 		if !ok || lsn < c.next {
 			continue
 		}
+		if *out == nil {
+			*out = make([]Entry, 0, max) // sized once, at the first record: a caught-up call allocates nothing
+		}
 		*out = append(*out, Entry{LSN: lsn, Sample: smp})
-		c.next = lsn + 1
+		c.next, c.end, c.bad, c.run = lsn+1, c.off, c.bad+c.run, 0
 	}
 	return nil
 }
@@ -295,6 +312,7 @@ func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
 		c.off += int64(i + 1)
 		if c.skipping {
 			c.skipping = false
+			c.run++
 			continue
 		}
 		return line, true, nil
@@ -343,24 +361,8 @@ func peekLSN(line []byte) (uint64, bool) {
 // LSN it covers. A nil snapshot with a nil error means no valid checkpoint
 // exists yet (a fresh store).
 func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
-relist:
-	cks, err := listCheckpoints(st.dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, ck := range cks {
-		snap, lsn, err := readCheckpoint(ck.path)
-		if errors.Is(err, fs.ErrNotExist) {
-			// Retention deleted it after the listing, so a newer one has
-			// been written since: look again rather than report none.
-			goto relist
-		}
-		if err != nil {
-			continue // recovery's rule: fall back past corrupt checkpoints
-		}
-		return &snap, lsn, nil
-	}
-	return nil, 0, nil
+	snap, lsn, _, err := st.latestCheckpoint()
+	return snap, lsn, err
 }
 
 // AppendAt journals line — the whole WAL line of record lsn, as another store

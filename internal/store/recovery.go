@@ -1,16 +1,16 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,48 +94,28 @@ func listNumbered(dir, prefix, suffix string, asc bool) ([]fileRef, error) {
 	return out, nil
 }
 
-// writeCheckpoint atomically persists a snapshot covering records up to
-// lsn: the body is written to a temp file, fsynced, and renamed into
-// place. The header line carries a CRC32 of the JSON body so recovery can
-// reject torn or bit-rotted checkpoints.
-func writeCheckpoint(dir string, lsn uint64, snap core.Snapshot) error {
-	var body bytes.Buffer
-	if err := core.WriteSnapshot(&body, snap); err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
+// AppendCheckpoint appends the checkpoint of snap, covering records through
+// lsn, to buf: the header line "wiscape-checkpoint v1 <lsn> <crc32hex>\n",
+// then the core.WriteSnapshot JSON the CRC covers. It is the one spelling of
+// a snapshot at an LSN — a checkpoint file and a replication snapshot frame
+// hold these bytes. On an error buf comes back unextended.
+func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error) {
+	start := len(buf)
+	buf = fmt.Appendf(buf, "%s %s %d 00000000\n", ckptMagic, ckptVer, lsn) // the CRC, once the body exists
+	head := len(buf)
+	body := bytes.NewBuffer(buf)
+	if err := core.WriteSnapshot(body, snap); err != nil {
+		return buf[:start], err
 	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%016d%s", ckptPrefix, lsn, ckptSuffix))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	header := fmt.Sprintf("%s %s %d %08x\n", ckptMagic, ckptVer, lsn, crc32.ChecksumIEEE(body.Bytes()))
-	_, err = io.WriteString(f, header)
-	if err == nil {
-		_, err = f.Write(body.Bytes())
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	// Close errors matter here — a failed close can mean the fsync'd bytes
-	// never reached the disk — and must not be masked by a write error.
-	err = errors.Join(err, f.Close())
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
-	return nil
+	buf = body.Bytes()
+	putCRC(buf[head-9:head-1], crc32.ChecksumIEEE(buf[head:]))
+	return buf, nil
 }
 
-// readCheckpoint validates and parses one checkpoint file.
-func readCheckpoint(path string) (core.Snapshot, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return core.Snapshot{}, 0, err
-	}
+// ParseCheckpoint validates one checkpoint — header, CRC, snapshot JSON — and
+// returns the snapshot and the LSN it covers: recovery, LatestCheckpoint and
+// a replica taking a bootstrap off the wire all decide through it.
+func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return core.Snapshot{}, 0, fmt.Errorf("missing header")
@@ -163,136 +143,133 @@ func readCheckpoint(path string) (core.Snapshot, uint64, error) {
 	return snap, lsn, nil
 }
 
-// recoverDir scans a data directory: it picks the newest checkpoint that
-// validates (skipping corrupt ones), then replays every WAL segment,
-// collecting records newer than the checkpoint. Corrupt records followed
-// by valid ones are skipped; a corrupt or partial run extending to the end
-// of the newest segment is a torn tail and is truncated away. Returns the
-// recovery outcome and the next LSN to assign.
-func recoverDir(dir string, opts Options) (Recovery, uint64, error) {
-	var rec Recovery
-	nextLSN := uint64(1)
-
-	cks, err := listCheckpoints(dir)
+// writeCheckpoint atomically persists the checkpoint of snap covering lsn:
+// written to a temp file, fsynced, and renamed into place.
+func writeCheckpoint(dir string, lsn uint64, snap core.Snapshot) error {
+	data, err := AppendCheckpoint(nil, lsn, snap)
 	if err != nil {
-		return rec, 0, err
+		return fmt.Errorf("store: checkpoint: %w", err)
 	}
-	for _, ck := range cks {
-		snap, lsn, err := readCheckpoint(ck.path)
+	final := filepath.Join(dir, fmt.Sprintf("%s%016d%s", ckptPrefix, lsn, ckptSuffix))
+	tmp := final + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("store: checkpoint: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	// Close errors matter here — a failed close can mean the fsync'd bytes
+	// never reached the disk — and must not be masked by a write error.
+	err = errors.Join(err, f.Close())
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("store: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// readCheckpoint reads and parses one checkpoint file.
+func readCheckpoint(path string) (core.Snapshot, uint64, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return core.Snapshot{}, 0, err
+	}
+	return ParseCheckpoint(data)
+}
+
+// latestCheckpoint is the one chooser of "the newest valid checkpoint", for
+// Open and LatestCheckpoint alike: it returns that checkpoint (nil when none
+// validates) and how many newer ones did not. A checkpoint that vanishes
+// between listing and reading was deleted by retention, so a newer one has
+// been written since and the listing is taken again — but only if it changed:
+// a name that points nowhere (a dangling link) is corrupt like any other.
+func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
+	cks, err := listCheckpoints(st.dir)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	corrupt := 0
+	for i := 0; i < len(cks); i++ {
+		snap, lsn, err := readCheckpoint(cks[i].path)
+		if err == nil {
+			return &snap, lsn, corrupt, nil
+		}
+		if errors.Is(err, fs.ErrNotExist) {
+			now, lerr := listCheckpoints(st.dir)
+			if lerr != nil {
+				return nil, 0, 0, lerr
+			}
+			if !slices.Equal(now, cks) {
+				cks, corrupt, i = now, 0, -1
+				continue
+			}
+		}
+		corrupt++
+		st.opts.Logf("store: skipping corrupt checkpoint %s: %v", cks[i].path, err)
+	}
+	return nil, 0, corrupt, nil
+}
+
+// recover reads the data directory back into st.recovery and st.nextLSN: the
+// checkpoint latestCheckpoint picks, then every retained WAL record, through
+// a cursor opened at the oldest segment's first LSN and drained. No segment is
+// active yet, so the cursor reads each one as sealed, and the rules are its
+// own (see Cursor): an invalid line it steps over is a corrupt record, and so
+// is a partial line ending a sealed segment — except for the invalid or
+// partial run that ends the newest segment, a torn append, which is truncated
+// away instead. Records above the checkpoint become the tail, and the next LSN
+// is one past the last record read or the checkpoint, whichever is later.
+func (st *Store) recover() error {
+	rec := &st.recovery
+	var err error
+	rec.Snapshot, rec.CheckpointLSN, rec.CorruptCheckpoints, err = st.latestCheckpoint()
+	if err != nil {
+		return err
+	}
+	st.nextLSN = rec.CheckpointLSN + 1
+	segs, err := listSegments(st.dir)
+	if err != nil || len(segs) == 0 {
+		return err
+	}
+	c := st.OpenCursor(segs[0].first)
+	defer c.Close()
+	for {
+		es, err := c.Next(0)
 		if err != nil {
-			rec.CorruptCheckpoints++
-			opts.Logf("store: skipping corrupt checkpoint %s: %v", ck.path, err)
-			continue
+			return fmt.Errorf("store: recovering: %w", err)
 		}
-		rec.Snapshot = &snap
-		rec.CheckpointLSN = lsn
-		if lsn+1 > nextLSN {
-			nextLSN = lsn + 1
+		if len(es) == 0 {
+			break
 		}
-		break
+		for _, e := range es {
+			if e.LSN > rec.CheckpointLSN {
+				rec.Tail = append(rec.Tail, e.Sample)
+			}
+		}
+		st.nextLSN = max(st.nextLSN, es[len(es)-1].LSN+1)
 	}
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		return rec, 0, err
-	}
-	for i, sg := range segs {
-		last := i == len(segs)-1
-		if err := scanSegment(sg.path, last, &rec, &nextLSN, opts); err != nil {
-			return rec, 0, err
+	// The cursor stands in the newest segment, at its end.
+	rec.CorruptRecords = c.bad
+	if size := c.off + int64(c.w-c.r); c.end < size {
+		rec.TruncatedBytes = size - c.end
+		st.opts.Logf("store: truncating torn WAL tail of %s: %d bytes", c.f.Name(), rec.TruncatedBytes)
+		if err := os.Truncate(c.f.Name(), c.end); err != nil {
+			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
 	}
-	return rec, nextLSN, nil
+	return nil
 }
 
-// maxWALLineBytes caps one WAL line during recovery. A legitimate record
-// is a few hundred bytes; anything past this is corruption, and reading
-// it through an unbounded ReadBytes would let one damaged (or hostile)
-// segment balloon memory before the CRC even gets a look.
+// maxWALLineBytes caps one WAL line. A legitimate record is a few hundred
+// bytes; anything past this is corruption, and a reader that buffered it
+// whole would let one damaged (or hostile) segment balloon memory before the
+// CRC even gets a look.
 const maxWALLineBytes = 1 << 20
-
-// scanSegment replays one WAL segment into rec. For the last (active at
-// crash time) segment, invalid data extending to EOF is truncated so the
-// next crash-free run starts from a clean journal.
-func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Options) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("store: opening segment: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	var offset, goodEnd int64 // goodEnd: file offset just past the last valid record
-	pendingBad := 0           // invalid lines seen since the last valid record
-	for {
-		line, consumed, complete := readLineCapped(br, maxWALLineBytes)
-		offset += consumed
-		if complete {
-			if smp, lsn, ok := ParseRecordLine(line); ok {
-				rec.CorruptRecords += pendingBad
-				pendingBad = 0
-				goodEnd = offset
-				if lsn+1 > *nextLSN {
-					*nextLSN = lsn + 1
-				}
-				if lsn > rec.CheckpointLSN {
-					rec.Tail = append(rec.Tail, smp)
-				}
-			} else {
-				// Includes over-cap lines (line == nil): corrupt either way.
-				pendingBad++
-			}
-			continue
-		}
-		if consumed > 0 {
-			pendingBad++ // partial line at EOF: torn write
-		}
-		break
-	}
-	size := offset
-	cerr := f.Close()
-	if cerr != nil {
-		cerr = fmt.Errorf("store: closing segment: %w", cerr)
-	}
-	if last && goodEnd < size {
-		// Torn tail: drop everything past the last valid record.
-		rec.TruncatedBytes += size - goodEnd
-		opts.Logf("store: truncating torn WAL tail of %s: %d bytes", path, size-goodEnd)
-		if err := os.Truncate(path, goodEnd); err != nil {
-			return errors.Join(fmt.Errorf("store: truncating torn tail: %w", err), cerr)
-		}
-	} else {
-		rec.CorruptRecords += pendingBad
-	}
-	return cerr
-}
-
-// readLineCapped reads one '\n'-terminated line of at most limit bytes,
-// without ever buffering more than limit (+ one bufio chunk). It returns
-// the line including its delimiter (nil when the line exceeded the cap
-// but was still consumed through its delimiter), the number of bytes
-// consumed from br, and whether a delimiter was found. complete=false
-// means EOF or a read error ended the line early.
-func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, complete bool) {
-	overflow := false
-	for {
-		chunk, err := br.ReadSlice('\n')
-		consumed += int64(len(chunk))
-		if !overflow {
-			line = append(line, chunk...)
-			if len(line) > limit {
-				overflow = true
-				line = nil
-			}
-		}
-		switch {
-		case err == nil:
-			return line, consumed, true
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		default:
-			return line, consumed, false
-		}
-	}
-}
 
 // linePayload checks the frame of one WAL line — "crc32hex payload\n", no
 // longer than maxWALLineBytes, the CRC the payload's own — and returns the

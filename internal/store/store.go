@@ -161,31 +161,24 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", dir, err)
 	}
-	rec, nextLSN, err := recoverDir(dir, opts)
-	if err != nil {
+	st := &Store{dir: dir, opts: opts, stop: make(chan struct{})}
+	if err := st.recover(); err != nil {
 		return nil, err
-	}
-	st := &Store{
-		dir:      dir,
-		opts:     opts,
-		recovery: rec,
-		nextLSN:  nextLSN,
-		stop:     make(chan struct{}),
 	}
 	// The age gauge needs a reference point before the first checkpoint:
 	// the recovered checkpoint's timestamp if there is one, else "now".
-	if rec.Snapshot != nil && !rec.Snapshot.TakenAt.IsZero() {
-		st.lastCkpt.Store(rec.Snapshot.TakenAt.UnixNano())
+	if snap := st.recovery.Snapshot; snap != nil && !snap.TakenAt.IsZero() {
+		st.lastCkpt.Store(snap.TakenAt.UnixNano())
 	} else {
 		st.lastCkpt.Store(time.Now().UnixNano())
 	}
 	st.met = newMetrics(opts.Telemetry, &st.lastCkpt)
-	recordRecovery(opts.Telemetry, rec)
+	recordRecovery(opts.Telemetry, st.recovery)
 	// Nothing else can hold a *Store yet, but taking mu here keeps the
 	// "*Locked helpers run under mu" convention true at every call site —
 	// which is what lets lockguard check it.
 	st.mu.Lock()
-	err = st.openSegmentLocked(st.nextLSN)
+	err := st.openSegmentLocked(st.nextLSN)
 	st.mu.Unlock()
 	if err != nil {
 		return nil, err

@@ -905,3 +905,102 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		t.Errorf("%s counted %v fallbacks after one hand-spaced report, want 1", shards[0].Name, f)
 	}
 }
+
+// TestAgentRoundTripNeverFallsBack: on every tier that decodes a frame — a
+// real agent, the gateway, both shards, and a client querying through the
+// gateway — each frame of a client's round trip (zone report, task list,
+// sample report, sample ack) and of a query (estimate and zone-list requests
+// and their replies) is one the canonical-form parser takes:
+// wiscape_wire_decode_fallbacks_total reads 0 under all eight hand-spelled
+// types everywhere, while every tier decodes frames.
+func TestAgentRoundTripNeverFallsBack(t *testing.T) {
+	tiers := map[string]*telemetry.Registry{}
+	var shards []ShardConfig
+	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
+		tiers[name] = telemetry.NewRegistry()
+		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", coordinator.Options{
+			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps, trace.MetricTCPKbps},
+			TaskInterval: time.Minute, Seed: seed, Telemetry: tiers[name],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: box})
+	}
+	registry, err := NewRegistry(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiers["gateway"] = telemetry.NewRegistry()
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, Telemetry: tiers["gateway"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+
+	// The agent's rounds, crossing from one shard to the other.
+	tiers["agent"] = telemetry.NewRegistry()
+	a := &agent.Agent{
+		ID: "cross-country", DeviceClass: "laptop",
+		Track:    crossTrack{a: geo.MadisonStaticSites()[0], b: geo.NJStaticSites()[0], mid: start.Add(time.Hour)},
+		Env:      radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center()),
+		Networks: []radio.NetworkID{radio.NetB}, Seed: seed,
+		Grid:      geo.GridForZoneRadius(geo.Madison().Center(), 250),
+		Telemetry: agent.NewMetrics(tiers["agent"]),
+	}
+	st, err := a.Run(gw.Addr(), start, 2*time.Hour, time.Minute)
+	if err != nil || st.Rounds != 120 || st.SamplesSent == 0 {
+		t.Fatalf("agent session: %+v, err %v", st, err)
+	}
+
+	// Queries through the same gateway: each metric's zone list, then an
+	// estimate of every zone listed, with and without its sketch, and of one
+	// zone no shard has.
+	tiers["client"] = telemetry.NewRegistry()
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc).Instrument(wire.NewMetrics(tiers["client"]))
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	found := 0
+	for _, metric := range []trace.Metric{trace.MetricUDPKbps, trace.MetricTCPKbps} {
+		list, err := c.Call(wire.Envelope{Type: wire.TypeZoneListRequest,
+			ZoneListRequest: &wire.ZoneListRequest{Network: radio.NetB, Metric: metric}}, wire.TypeZoneListReply)
+		if err != nil {
+			t.Fatalf("zone list of %s: %v", metric, err)
+		}
+		zones := []geo.ZoneID{{X: 1 << 20, Y: 1 << 20}}
+		for _, rec := range list.ZoneListReply.Records {
+			zones = append(zones, rec.Key.Zone)
+		}
+		for i, zone := range zones {
+			est, err := c.Call(wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+				Zone: zone, Network: radio.NetB, Metric: metric, WithSketch: i%2 == 1}}, wire.TypeEstimateReply)
+			if err != nil || est.EstimateReply.Found != (i > 0) {
+				t.Fatalf("estimate of %v %s: %+v, %v", zone, metric, est.EstimateReply, err)
+			}
+			if i > 0 {
+				found++
+			}
+		}
+	}
+	if found < 2 {
+		t.Fatalf("%d zones listed; the shards published too little to query", found)
+	}
+
+	types := []wire.MsgType{wire.TypeSampleReport, wire.TypeZoneListReply, wire.TypeEstimateReply, wire.TypeZoneReport,
+		wire.TypeTaskList, wire.TypeSampleAck, wire.TypeEstimateRequest, wire.TypeZoneListRequest}
+	for tier, reg := range tiers {
+		if n := reg.Counter("wiscape_wire_messages_total", "", "dir").With("decode").Value(); n == 0 {
+			t.Errorf("%s decoded no frames", tier)
+		}
+		for _, typ := range types {
+			if n := reg.Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(string(typ)).Value(); n != 0 {
+				t.Errorf("%s left %v %s frames to encoding/json, want none", tier, n, typ)
+			}
+		}
+	}
+}

@@ -236,6 +236,30 @@ func TestAssignTasksMatchesFullScan(t *testing.T) {
 	}
 }
 
+// TestDrawnTaskListsAreExact: a drawn task list is allocated at its length,
+// and one with no task is nil, which its frame spells "tasks":null as the
+// list appended task by task did, so a round's wire bytes do not move.
+func TestDrawnTaskListsAreExact(t *testing.T) {
+	s := scheduleServer(t, seed)
+	drawn, empty := 0, 0
+	for _, op := range schedule(rng.New(seed), s.activeHorizon(), func(clock time.Time) time.Time { return clock }) {
+		if op.hello {
+			continue
+		}
+		switch tasks := s.drawTasks(&op.zr, s.noteReport(&op.zr)); {
+		case tasks == nil:
+			empty++
+		case len(tasks) == 0 || cap(tasks) != len(tasks):
+			t.Fatalf("%s: a task list of length %d and capacity %d", op.zr.ClientID, len(tasks), cap(tasks))
+		default:
+			drawn++
+		}
+	}
+	if drawn == 0 || empty == 0 {
+		t.Fatalf("%d lists drawn with tasks and %d without; the schedule must draw both", drawn, empty)
+	}
+}
+
 // TestActiveCountNeverExceedsFullScanUnderSkew: client clocks disagree by
 // more than the horizon in both directions, so report times run backwards
 // and forwards. A record the server has dropped may be one a late-stamped

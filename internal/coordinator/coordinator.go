@@ -628,13 +628,17 @@ func (s *Server) noteReport(zr *wire.ZoneReport) (active int) {
 	return active
 }
 
-// drawTasks draws the report's task list given its zone's active count.
+// drawTasks draws the report's task list given its zone's active count. The
+// list is drawn on the stack (up to eight tasks; the default options offer
+// six) and allocated once, at its length; one with no task stays nil, which
+// the frame spells `"tasks":null`.
 func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
 	if active < 1 {
 		active = 1
 	}
 
-	var tasks []wire.Task
+	var drawn [8]wire.Task
+	tasks := drawn[:0]
 	clientNets := zr.Networks
 	if len(clientNets) == 0 {
 		clientNets = s.opts.Networks
@@ -669,5 +673,8 @@ func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
 			tasks = append(tasks, t)
 		}
 	}
-	return tasks
+	if len(tasks) == 0 {
+		return nil
+	}
+	return append(make([]wire.Task, 0, len(tasks)), tasks...)
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
 )
@@ -50,11 +51,8 @@ func AppendRecordJSON(buf []byte, r Record) ([]byte, error) {
 		}
 	}
 	start := len(buf)
-	buf = append(buf, `{"Key":{"Zone":{"x":`...)
-	buf = strconv.AppendInt(buf, int64(r.Key.Zone.X), 10)
-	buf = append(buf, `,"y":`...)
-	buf = strconv.AppendInt(buf, int64(r.Key.Zone.Y), 10)
-	buf = append(buf, `},"Net":`...)
+	buf = AppendZoneJSON(append(buf, `{"Key":{"Zone":`...), r.Key.Zone)
+	buf = append(buf, `,"Net":`...)
 	buf = trace.AppendStringJSON(buf, string(r.Key.Net))
 	buf = append(buf, `,"Metric":`...)
 	buf = trace.AppendStringJSON(buf, string(r.Key.Metric))
@@ -76,6 +74,26 @@ func AppendRecordJSON(buf []byte, r Record) ([]byte, error) {
 		return buf[:start], err
 	}
 	return append(buf, `"}`...), nil
+}
+
+// AppendZoneJSON appends a zone's JSON object, `{"x":` int `,"y":` int `}`,
+// as a record's key and the wire's zone reports and estimate requests hold
+// it.
+func AppendZoneJSON(buf []byte, z geo.ZoneID) []byte {
+	buf = strconv.AppendInt(append(buf, `{"x":`...), int64(z.X), 10)
+	buf = strconv.AppendInt(append(buf, `,"y":`...), int64(z.Y), 10)
+	return append(buf, '}')
+}
+
+// ParseZoneJSON reads the object AppendZoneJSON writes off the head of c,
+// each coordinate read at 32 bits.
+func ParseZoneJSON(c *trace.Canon) (z geo.ZoneID) {
+	c.Lit(`{"x":`)
+	z.X = int32(c.Int(32))
+	c.Lit(`,"y":`)
+	z.Y = int32(c.Int(32))
+	c.Lit(`}`)
+	return z
 }
 
 // AppendRecordsJSON appends the JSON array for rs to buf — `null` for a nil
@@ -102,11 +120,9 @@ func AppendRecordsJSON(buf []byte, rs []Record) ([]byte, error) {
 // *r, which must be zero. A Net or Metric equal to prev's shares prev's
 // string. If c.Declined is set afterwards, *r holds nothing of use.
 func ParseRecordJSON(c *trace.Canon, r, prev *Record) {
-	c.Lit(`{"Key":{"Zone":{"x":`)
-	r.Key.Zone.X = int32(c.Int(32))
-	c.Lit(`,"y":`)
-	r.Key.Zone.Y = int32(c.Int(32))
-	c.Lit(`},"Net":`)
+	c.Lit(`{"Key":{"Zone":`)
+	r.Key.Zone = ParseZoneJSON(c)
+	c.Lit(`,"Net":`)
 	r.Key.Net = radio.NetworkID(c.String(string(prev.Key.Net)))
 	c.Lit(`,"Metric":`)
 	r.Key.Metric = trace.Metric(c.String(string(prev.Key.Metric)))

@@ -14,7 +14,9 @@ type Metrics struct {
 	// DecodeFallbacks counts, by frame type, the frames of a kind Send
 	// spells by hand (handSpelled) that Recv left to encoding/json because
 	// they were not in the canonical spelling it parses directly: a peer that
-	// writes JSON another way pays the slower decode, it does not fail.
+	// writes JSON another way pays the slower decode, it does not fail. Its
+	// eight types: sample_report, zone_list_reply, estimate_reply,
+	// zone_report, task_list, sample_ack, estimate_request, zone_list_request.
 	DecodeFallbacks map[MsgType]*telemetry.Counter
 }
 
@@ -37,8 +39,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	fallbacks := reg.Counter("wiscape_wire_decode_fallbacks_total",
 		"Hand-spelled frame kinds decoded by encoding/json instead of the canonical-form parser, by type.", "type")
 	m.DecodeFallbacks = make(map[MsgType]*telemetry.Counter)
-	for _, t := range handSpelledTypes {
-		m.DecodeFallbacks[t] = fallbacks.With(string(t))
+	for _, h := range handCodecs {
+		m.DecodeFallbacks[h.typ] = fallbacks.With(string(h.typ))
 	}
 	return m
 }

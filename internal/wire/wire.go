@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"sync"
@@ -316,7 +317,7 @@ func (c *Conn) Send(e Envelope) error {
 	} else if err := encodeJSON(buf, e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
-	if buf.Len()-1 > MaxMessageBytes {
+	if buf.Len()-1 > MaxMessageBytes { // the line, as Recv measures it: without its '\n'
 		c.m.oversized()
 		return ErrMessageTooLarge
 	}
@@ -379,45 +380,396 @@ func (c *Conn) decode(line []byte) (Envelope, error) {
 	return e, nil
 }
 
-// Three frames the codec spells by hand, because they are nearly every byte
-// the system moves: a sample report (the ingest path), and a zone-list reply
-// and an estimate reply without a sketch (the read path). Both directions go
-// through trace's sample codec and core's record codec and are held to
-// encoding/json, which still does everything else: appendHandSpelled writes
-// exactly what the encoder would and leaves what it would refuse to it, and
-// parseHandSpelled reads only a frame in that canonical spelling, to what
-// json.Unmarshal would have made of it, and declines any other, which
-// json.Unmarshal then decodes as it always has (TestSendBytesMatchJSON,
-// TestRecvMatchesJSON, TestReplyRecvMatchesJSON, FuzzSampleDecodeMatchesJSON,
-// FuzzReplyDecodeMatchesJSON).
+// Eight frames the codec spells by hand, because they are nearly every frame
+// and byte the system moves: a client's round trip (a zone report and its
+// task list, a sample report and its ack), a query (an estimate or zone-list
+// request) and its reply — a zone list, or an estimate without a sketch.
+// Samples and records go through trace's sample codec and core's record
+// codec; the rest is spelled here with the same Canon readers and writers.
+// All of it is held to encoding/json, which still does everything else:
+// appendHandSpelled writes exactly what the encoder would and leaves what it
+// would refuse to it, and parseHandSpelled reads only a frame in that
+// canonical spelling, to what json.Unmarshal would have made of it, and
+// declines any other, which json.Unmarshal then decodes as it always has
+// (the *MatchesJSON tests and fuzzers).
 //
 //	frame   = `{"type":"` T `",` [ via `,` ] `"` T `":` payload `}`
 //	via     = `"via":{"gateway":` string [ `,"shard":` nonempty-string ] `}`
 //	payload = `{"client_id":` string `,"samples":[` sample { `,` sample } `]}`   T = sample_report
 //	        | `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
 //	        | `{"found":` ( `true` | `false` ) `,"record":` record `}`         T = estimate_reply
+//	        | `{"client_id":` string `,"zone":` zone `,"loc":{"lat":` number `,"lon":` number
+//	          `},"speed_kmh":` number `,"at":` time `,"networks":` list(string) `}` T = zone_report
+//	        | `{"tasks":` list(task) `}`                                         T = task_list
+//	        | `{"accepted":` int `}`                                             T = sample_ack
+//	        | `{"zone":` zone `,"network":` string `,"metric":` string
+//	          [ `,"with_sketch":true` ] `}`                                     T = estimate_request
+//	        | `{"network":` string `,"metric":` string `}`                       T = zone_list_request
+//	task    = `{"network":` string `,"metric":` string [ `,"udp_packets":` nonzero-int ]
+//	          [ `,"udp_size_bytes":` nonzero-int ] [ `,"tcp_bytes":` nonzero-int ] `}`
+//	zone    = `{"x":` int `,"y":` int `}`
+//	list(x) = `null` | `[]` | `[` x { `,` x } `]`
 
-// handSpelledTypes are the frame types handSpelled can hold for.
-var handSpelledTypes = [...]MsgType{TypeSampleReport, TypeZoneListReply, TypeEstimateReply}
+// A handCodec spells one frame type's payload, less its closing brace, which
+// appendHandSpelled and parseHandSpelled write and read with the rest of the
+// frame. Its functions take envelopes and cursors by value: they are called
+// through the table, and a pointer given to an indirect call escapes, which
+// would cost Send or Recv an allocation a frame.
+type handCodec struct {
+	typ MsgType
+	// holds: e's payload is set, in the shape the codec spells, and nothing
+	// else is, Via aside.
+	holds func(e Envelope) bool
+	// append's error is for a value encoding/json refuses too.
+	append func(b []byte, e Envelope) ([]byte, error)
+	// parse returns an envelope holding only the payload.
+	parse func(c trace.Canon) (Envelope, trace.Canon)
+}
 
-// handSpelled reports whether e is a frame Send spells itself: a sample
-// report with a sample slice, a zone-list reply, or an estimate reply without
-// a sketch, each with nothing else set but Via. Recv counts a decoded one
-// that reached encoding/json as a fallback.
-func handSpelled(e *Envelope) bool {
-	only := Envelope{Type: e.Type, Via: e.Via}
-	switch e.Type {
-	case TypeSampleReport:
-		only.SampleReport = e.SampleReport
-		return *e == only && e.SampleReport != nil && e.SampleReport.Samples != nil
-	case TypeZoneListReply:
-		only.ZoneListReply = e.ZoneListReply
-		return *e == only && e.ZoneListReply != nil
-	case TypeEstimateReply:
-		only.EstimateReply = e.EstimateReply
-		return *e == only && e.EstimateReply != nil && len(e.EstimateReply.Sketch) == 0
+// only reports whether e holds p's one payload, which is set, and nothing
+// else but its type and via.
+func only(e, p Envelope) bool {
+	if p == (Envelope{}) {
+		return false
 	}
-	return false
+	p.Type, p.Via = e.Type, e.Via
+	return e == p
+}
+
+// handCodecs is the one list of the frames Send spells and Recv parses, an
+// entry a type. parseHandSpelled takes the first type a frame opens with, so
+// none may be a prefix of another.
+var handCodecs = [...]handCodec{{
+	TypeSampleReport,
+	func(e Envelope) bool {
+		return only(e, Envelope{SampleReport: e.SampleReport}) && e.SampleReport.Samples != nil
+	},
+	func(b []byte, e Envelope) ([]byte, error) {
+		r := e.SampleReport
+		b = trace.AppendStringJSON(append(b, `{"client_id":`...), r.ClientID)
+		b = append(b, `,"samples":[`...)
+		for i := range r.Samples {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			var err error
+			if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
+				return b, err
+			}
+		}
+		return append(b, ']'), nil
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		c.Lit(`{"client_id":`)
+		r := &SampleReport{ClientID: c.String("")}
+		c.Lit(`,"samples":`)
+		r.Samples = trace.ParseSamplesJSON(&c, r.ClientID)
+		return Envelope{SampleReport: r}, c
+	},
+}, {
+	TypeZoneListReply,
+	func(e Envelope) bool { return only(e, Envelope{ZoneListReply: e.ZoneListReply}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		return core.AppendRecordsJSON(append(b, `{"records":`...), e.ZoneListReply.Records)
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		c.Lit(`{"records":`)
+		r := &ZoneListReply{Records: core.ParseRecordsJSON(&c)}
+		return Envelope{ZoneListReply: r}, c
+	},
+}, {
+	TypeEstimateReply,
+	func(e Envelope) bool {
+		return only(e, Envelope{EstimateReply: e.EstimateReply}) && len(e.EstimateReply.Sketch) == 0
+	},
+	func(b []byte, e Envelope) ([]byte, error) {
+		b = strconv.AppendBool(append(b, `{"found":`...), e.EstimateReply.Found)
+		return core.AppendRecordJSON(append(b, `,"record":`...), e.EstimateReply.Record)
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		r := &EstimateReply{}
+		c.Lit(`{"found":`)
+		if r.Found = c.TryLit("true"); !r.Found {
+			c.Lit("false")
+		}
+		c.Lit(`,"record":`)
+		core.ParseRecordJSON(&c, &r.Record, &core.Record{})
+		return Envelope{EstimateReply: r}, c
+	},
+}, {
+	TypeZoneReport,
+	func(e Envelope) bool { return only(e, Envelope{ZoneReport: e.ZoneReport}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		r := e.ZoneReport
+		for _, f := range [...]float64{r.Loc.Lat, r.Loc.Lon, r.SpeedKmh} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return b, errors.New("unsupported value")
+			}
+		}
+		b = trace.AppendStringJSON(append(b, `{"client_id":`...), r.ClientID)
+		b = core.AppendZoneJSON(append(b, `,"zone":`...), r.Zone)
+		b = trace.AppendJSONFloat(append(b, `,"loc":{"lat":`...), r.Loc.Lat)
+		b = trace.AppendJSONFloat(append(b, `,"lon":`...), r.Loc.Lon)
+		b = trace.AppendJSONFloat(append(b, `},"speed_kmh":`...), r.SpeedKmh)
+		b, err := trace.AppendJSONTime(append(b, `,"at":"`...), r.At)
+		return appendList(append(b, `","networks":`...), r.Networks, appendNetwork), err
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		c.Lit(`{"client_id":`)
+		r := &ZoneReport{ClientID: c.String("")}
+		c.Lit(`,"zone":`)
+		r.Zone = core.ParseZoneJSON(&c)
+		c.Lit(`,"loc":{"lat":`)
+		r.Loc.Lat = c.Number()
+		c.Lit(`,"lon":`)
+		r.Loc.Lon = c.Number()
+		c.Lit(`},"speed_kmh":`)
+		r.SpeedKmh = c.Number()
+		c.Lit(`,"at":`)
+		r.At = c.Time()
+		c.Lit(`,"networks":`)
+		r.Networks = parseList(&c, parseNetwork)
+		return Envelope{ZoneReport: r}, c
+	},
+}, {
+	TypeTaskList,
+	func(e Envelope) bool { return only(e, Envelope{TaskList: e.TaskList}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		return appendList(append(b, `{"tasks":`...), e.TaskList.Tasks, appendTask), nil
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		c.Lit(`{"tasks":`)
+		l := &TaskList{Tasks: parseList(&c, parseTask)}
+		return Envelope{TaskList: l}, c
+	},
+}, {
+	TypeSampleAck,
+	func(e Envelope) bool { return only(e, Envelope{SampleAck: e.SampleAck}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		return strconv.AppendInt(append(b, `{"accepted":`...), int64(e.SampleAck.Accepted), 10), nil
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		c.Lit(`{"accepted":`)
+		a := &SampleAck{Accepted: int(c.Int(strconv.IntSize))}
+		return Envelope{SampleAck: a}, c
+	},
+}, {
+	TypeEstimateRequest,
+	func(e Envelope) bool { return only(e, Envelope{EstimateRequest: e.EstimateRequest}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		r := e.EstimateRequest
+		b = appendNetMetric(core.AppendZoneJSON(append(b, `{"zone":`...), r.Zone), ',', r.Network, r.Metric)
+		if r.WithSketch {
+			b = append(b, `,"with_sketch":true`...)
+		}
+		return b, nil
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		r := &EstimateRequest{}
+		c.Lit(`{"zone":`)
+		r.Zone = core.ParseZoneJSON(&c)
+		r.Network, r.Metric = parseNetMetric(&c, ",")
+		r.WithSketch = c.TryLit(`,"with_sketch":true`)
+		return Envelope{EstimateRequest: r}, c
+	},
+}, {
+	TypeZoneListRequest,
+	func(e Envelope) bool { return only(e, Envelope{ZoneListRequest: e.ZoneListRequest}) },
+	func(b []byte, e Envelope) ([]byte, error) {
+		return appendNetMetric(b, '{', e.ZoneListRequest.Network, e.ZoneListRequest.Metric), nil
+	},
+	func(c trace.Canon) (Envelope, trace.Canon) {
+		r := &ZoneListRequest{}
+		r.Network, r.Metric = parseNetMetric(&c, "{")
+		return Envelope{ZoneListRequest: r}, c
+	},
+}}
+
+// speller returns the codec that spells e, or nil if Send leaves e to
+// encoding/json.
+func speller(e *Envelope) *handCodec {
+	for i := range handCodecs {
+		if h := &handCodecs[i]; h.typ == e.Type && h.holds(*e) {
+			return h
+		}
+	}
+	return nil
+}
+
+// handSpelled reports whether e is a frame Send spells itself. Recv counts a
+// decoded one that reached encoding/json as a fallback.
+func handSpelled(e *Envelope) bool { return speller(e) != nil }
+
+// appendHandSpelled appends e's frame, '\n' included, to b if e is one Send
+// spells by hand (handSpelled) and holds no value encoding/json refuses.
+func appendHandSpelled(b []byte, e *Envelope) ([]byte, bool) {
+	h := speller(e)
+	if h == nil {
+		return b, false
+	}
+	b = append(append(append(b, `{"type":"`...), e.Type...), `",`...)
+	if e.Via != nil {
+		b = trace.AppendStringJSON(append(b, `"via":{"gateway":`...), e.Via.Gateway)
+		if e.Via.Shard != "" {
+			b = trace.AppendStringJSON(append(b, `,"shard":`...), e.Via.Shard)
+		}
+		b = append(b, "},"...)
+	}
+	b, err := h.append(append(append(append(b, '"'), e.Type...), `":`...), *e)
+	if err != nil {
+		return b, false // encoding/json refuses it too, and says why
+	}
+	return append(b, "}}\n"...), true
+}
+
+// parseHandSpelled decodes line if it is a hand-spelled frame in canonical
+// form.
+func parseHandSpelled(line []byte) (Envelope, bool) {
+	c := trace.Canon{B: line}
+	c.Lit(`{"type":"`)
+	var h *handCodec
+	for i := range handCodecs {
+		if c.TryLit(string(handCodecs[i].typ)) {
+			h = &handCodecs[i]
+			break
+		}
+	}
+	c.Lit(`",`)
+	var via *Via
+	if c.TryLit(`"via":{"gateway":`) {
+		via = &Via{Gateway: c.String("")}
+		if c.TryLit(`,"shard":`) {
+			if via.Shard = c.String(""); via.Shard == "" {
+				return Envelope{}, false // omitempty never writes it
+			}
+		}
+		c.Lit("},")
+	}
+	if c.Lit(`"`); c.Declined || h == nil {
+		return Envelope{}, false
+	}
+	c.Lit(string(h.typ))
+	c.Lit(`":`)
+	e, c := h.parse(c) // past a mismatch it reads nothing, only allocates the payload
+	if c.Lit("}}"); c.Declined || len(c.B) != 0 {
+		return Envelope{}, false
+	}
+	e.Type, e.Via = h.typ, via
+	return e, true
+}
+
+// appendNetMetric appends the `"network":…,"metric":…` pair a request and a
+// task hold, after the byte before it.
+func appendNetMetric(b []byte, before byte, n radio.NetworkID, m trace.Metric) []byte {
+	b = trace.AppendStringJSON(append(append(b, before), `"network":`...), string(n))
+	return trace.AppendStringJSON(append(b, `,"metric":`...), string(m))
+}
+
+func parseNetMetric(c *trace.Canon, before string) (radio.NetworkID, trace.Metric) {
+	c.Lit(before)
+	c.Lit(`"network":`)
+	n := radio.NetworkID(parseName(c))
+	c.Lit(`,"metric":`)
+	return n, trace.Metric(parseName(c))
+}
+
+func appendTask(b []byte, t Task) []byte {
+	b = appendNetMetric(b, '{', t.Network, t.Metric)
+	for _, f := range [...]struct {
+		key string
+		v   int
+	}{{`,"udp_packets":`, t.UDPPackets}, {`,"udp_size_bytes":`, t.UDPSizeBytes}, {`,"tcp_bytes":`, t.TCPBytes}} {
+		if f.v != 0 { // omitempty
+			b = strconv.AppendInt(append(b, f.key...), int64(f.v), 10)
+		}
+	}
+	return append(b, '}')
+}
+
+func parseTask(c trace.Canon) (Task, trace.Canon) {
+	var t Task
+	t.Network, t.Metric = parseNetMetric(&c, "{")
+	for _, f := range [...]struct {
+		key string
+		v   *int
+	}{{`,"udp_packets":`, &t.UDPPackets}, {`,"udp_size_bytes":`, &t.UDPSizeBytes}, {`,"tcp_bytes":`, &t.TCPBytes}} {
+		if c.TryLit(f.key) {
+			if *f.v = int(c.Int(strconv.IntSize)); *f.v == 0 {
+				c.Declined = true // omitempty never writes it
+			}
+		}
+	}
+	c.Lit(`}`)
+	return t, c
+}
+
+// appendList appends items as a JSON array, or null for a nil slice.
+func appendList[T any](b []byte, items []T, item func([]byte, T) []byte) []byte {
+	if items == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = item(b, it)
+	}
+	return append(b, ']')
+}
+
+// parseList reads what appendList writes: nil for `null`, and otherwise a
+// slice allocated once, at its length, once its items are read (up to eight
+// of them into an array on the stack).
+func parseList[T any](c *trace.Canon, item func(trace.Canon) (T, trace.Canon)) []T {
+	if c.TryLit("null") {
+		return nil
+	}
+	var small [8]T
+	items := small[:0]
+	if c.Lit("["); !c.TryLit("]") {
+		for more := true; more; more = c.TryLit(",") {
+			var it T
+			it, *c = item(*c)
+			items = append(items, it)
+		}
+		c.Lit("]")
+	}
+	if c.Declined {
+		return nil
+	}
+	return append(make([]T, 0, len(items)), items...)
+}
+
+func appendNetwork(b []byte, n radio.NetworkID) []byte { return trace.AppendStringJSON(b, string(n)) }
+
+func parseNetwork(c trace.Canon) (radio.NetworkID, trace.Canon) {
+	n := radio.NetworkID(parseName(&c))
+	return n, c
+}
+
+// knownNames are the network and metric names this tree defines.
+var knownNames = map[string]string{}
+
+func init() {
+	for _, n := range radio.AllNetworks {
+		knownNames[string(n)] = string(n)
+	}
+	for _, m := range trace.AllMetrics {
+		knownNames[string(m)] = string(m)
+	}
+}
+
+// parseName reads a network or metric name off c. One this tree defines
+// comes back as its constant's string, not a copy.
+func parseName(c *trace.Canon) string {
+	like := ""
+	if len(c.B) > 0 {
+		if n := bytes.IndexByte(c.B[1:], '"'); n >= 0 {
+			like = knownNames[string(c.B[1:n+1])]
+		}
+	}
+	return c.String(like)
 }
 
 // frameSizeHint is about what e's frame takes: 256 bytes for each sample or
@@ -434,132 +786,29 @@ func frameSizeHint(e *Envelope) int {
 	return 256 * items
 }
 
-// appendHandSpelled appends e's frame, '\n' included, to b if e is one Send
-// spells by hand (handSpelled) and holds no value encoding/json refuses.
-func appendHandSpelled(b []byte, e *Envelope) ([]byte, bool) {
-	if !handSpelled(e) {
-		return b, false
-	}
-	b = append(b, `{"type":"`...)
-	b = append(b, e.Type...)
-	b = append(b, `",`...)
-	if e.Via != nil {
-		b = append(b, `"via":{"gateway":`...)
-		b = trace.AppendStringJSON(b, e.Via.Gateway)
-		if e.Via.Shard != "" {
-			b = append(b, `,"shard":`...)
-			b = trace.AppendStringJSON(b, e.Via.Shard)
-		}
-		b = append(b, "},"...)
-	}
-	b = append(b, '"')
-	b = append(b, e.Type...)
-	b = append(b, `":`...)
-	var err error
-	switch e.Type {
-	case TypeSampleReport:
-		r := e.SampleReport
-		b = append(b, `{"client_id":`...)
-		b = trace.AppendStringJSON(b, r.ClientID)
-		b = append(b, `,"samples":[`...)
-		for i := range r.Samples {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
-				return b, false // encoding/json refuses it too, and says why
-			}
-		}
-		b = append(b, ']')
-	case TypeZoneListReply:
-		b = append(b, `{"records":`...)
-		if b, err = core.AppendRecordsJSON(b, e.ZoneListReply.Records); err != nil {
-			return b, false
-		}
-	case TypeEstimateReply:
-		b = append(b, `{"found":`...)
-		b = strconv.AppendBool(b, e.EstimateReply.Found)
-		b = append(b, `,"record":`...)
-		if b, err = core.AppendRecordJSON(b, e.EstimateReply.Record); err != nil {
-			return b, false
-		}
-	}
-	return append(b, "}}\n"...), true
-}
-
-// parseHandSpelled decodes line if it is a hand-spelled frame in canonical
-// form (a sample report with at least one sample).
-func parseHandSpelled(line []byte) (Envelope, bool) {
-	c := trace.Canon{B: line}
-	c.Lit(`{"type":"`)
-	var e Envelope
-	for _, t := range handSpelledTypes {
-		if c.TryLit(string(t)) {
-			e.Type = t
-			break
-		}
-	}
-	c.Lit(`",`)
-	if c.TryLit(`"via":{"gateway":`) {
-		e.Via = &Via{Gateway: c.String("")}
-		if c.TryLit(`,"shard":`) {
-			if e.Via.Shard = c.String(""); e.Via.Shard == "" {
-				return Envelope{}, false // omitempty never writes it
-			}
-		}
-		c.Lit("},")
-	}
-	c.Lit(`"`)
-	c.Lit(string(e.Type))
-	c.Lit(`":`)
-	if c.Declined || e.Type == "" {
-		return Envelope{}, false
-	}
-	switch e.Type {
-	case TypeSampleReport:
-		c.Lit(`{"client_id":`)
-		r := &SampleReport{ClientID: c.String("")}
-		c.Lit(`,"samples":`)
-		r.Samples = trace.ParseSamplesJSON(&c, r.ClientID)
-		e.SampleReport = r
-	case TypeZoneListReply:
-		c.Lit(`{"records":`)
-		e.ZoneListReply = &ZoneListReply{Records: core.ParseRecordsJSON(&c)}
-	case TypeEstimateReply:
-		r := &EstimateReply{}
-		c.Lit(`{"found":`)
-		if r.Found = c.TryLit("true"); !r.Found {
-			c.Lit("false")
-		}
-		c.Lit(`,"record":`)
-		core.ParseRecordJSON(&c, &r.Record, &core.Record{})
-		e.EstimateReply = r
-	}
-	c.Lit("}}")
-	if c.Declined || len(c.B) != 0 {
-		return Envelope{}, false
-	}
-	return e, true
-}
-
-// readLineLimited reads one \n-terminated line of at most limit bytes. A
-// line that fits br's buffer comes back as a view into it, valid until the
-// next read from br, and no buffer. A longer one is gathered chunk by chunk
-// into a buffer from frameBufs, which comes back with it for the caller to
-// put back once it is done with the line.
+// readLineLimited reads one \n-terminated line of at most limit bytes, the
+// '\n' not counted (Send measures a frame the same way). A line that fits
+// br's buffer comes back as a view into it, valid until the next read from
+// br, and no buffer. A longer one is gathered chunk by chunk into a buffer
+// from frameBufs, which comes back with it for the caller to put back once
+// it is done with the line.
 func readLineLimited(br *bufio.Reader, limit int) ([]byte, *bytes.Buffer, error) {
 	var spill *bytes.Buffer
 	for {
 		chunk, err := br.ReadSlice('\n')
-		if spill == nil && err == nil && len(chunk) <= limit {
+		if spill == nil && err == nil && len(chunk)-1 <= limit {
 			return chunk[:len(chunk)-1], nil, nil
 		}
 		if spill == nil {
 			spill = frameBufs.Get().(*bytes.Buffer)
 		}
 		spill.Write(chunk)
+		line := spill.Len()
+		if err == nil {
+			line-- // the '\n'
+		}
 		switch {
-		case spill.Len() > limit:
+		case line > limit:
 			err = ErrMessageTooLarge
 		case err == nil:
 			return spill.Bytes()[:spill.Len()-1], spill, nil

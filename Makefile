@@ -96,14 +96,17 @@ swarm-smoke:
 # Failover smoke: the replication subsystem's unit suite, the log reader it
 # tails the WAL with and that recovery drains (cursor and recovery vs the
 # scans they replaced, torn and corrupt segments, checkpoint choice, racing a
-# live appender — repeated, since a race shows only some of the time), plus
-# the kill/promote/rejoin integration proofs (acked-sample preservation,
-# swarm chaos hook, degraded readiness), all under the race detector.
+# live appender — repeated, since a race shows only some of the time), the
+# gateway's per-shard control passes (kill/promote/rejoin with acked-sample
+# preservation, swarm chaos hook, degraded readiness, a manual promote racing
+# a breaker-driven one, poll counts, revival and demotion) and the
+# coordinator's interleaved role orders, all under the race detector.
 failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm
 	$(GO) test -race -count=1 ./internal/replication/
 	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint' ./internal/store
-	$(GO) test -race -count=1 -run 'TestFailover|TestSwarmChaos|TestReadyz' ./internal/cluster/
+	$(GO) test -race -count=3 -run 'TestFailover|TestSwarmChaos|TestReadyz|TestManualPromote|TestReconcile' ./internal/cluster/
+	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole' ./internal/coordinator/
 
 # Non-test Go lines per package and in total, leaving out bench/ and
 # testdata/ — the figure ROADMAP item 2 asks simplification PRs to shrink.

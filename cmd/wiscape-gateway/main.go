@@ -80,7 +80,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "drop agent connections idle this long (0 disables)")
 	breakCooldown := flag.Duration("break-cooldown", 5*time.Second, "circuit-breaker open duration after repeated shard failures")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that trip a shard's breaker")
-	recheck := flag.Duration("recheck-interval", 2*time.Second, "background redial cadence for unhealthy shards (negative disables)")
+	recheck := flag.Duration("recheck-interval", 2*time.Second, "cadence of each shard's reconcile pass: status polls that revive, promote and demote (negative disables the ticks)")
 	quorum := flag.Int("ready-quorum", 0, "healthy shards required for /readyz (0 = majority)")
 	seed := flag.Uint64("seed", 1, "retry-jitter seed")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/shards); empty disables")

@@ -1,19 +1,23 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// This file is the gateway's failover machinery: when a shard's circuit
-// breaker opens, the gateway interrogates the shard's configured endpoints,
-// promotes the freshest caught-up replica to primary at a bumped routing
-// epoch, and rewrites the live route table so agent traffic redirects
-// transparently. A deposed primary that later answers the status poll is
-// ordered to demote and resync from the new primary's snapshot.
+// This file is the gateway's failover machinery. Every shard has one control
+// goroutine, and it alone changes the shard's route: it polls the shard's
+// endpoints, revives the breaker, promotes the freshest standby when the
+// active endpoint is down, demotes any other endpoint that claims the primary
+// role, and rewrites the route table. Three things start one of its passes:
+// the recheck tick, a kick from forward when the breaker opens, and an order
+// from PromoteShard. Passes run one at a time, so a shard never has two
+// promotions in flight and at most one primary at its routing epoch.
 
 // callOnce makes one control round trip — a status poll or a role order —
 // to a coordinator endpoint over a short-lived wire connection, bounded by
@@ -43,110 +47,162 @@ func (g *Gateway) promote(ep string, epoch uint64) (*wire.PromoteAck, error) {
 	return reply.PromoteAck, err
 }
 
-// kickFailover starts an asynchronous promotion attempt for sh. At most
-// one attempt per shard runs at a time; shards without standbys never
-// fail over.
-func (g *Gateway) kickFailover(sh *Shard) {
-	if !sh.beginFailover() {
-		return
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		sh.endFailover()
-		return
-	}
-	g.wg.Add(1)
-	g.mu.Unlock()
-	go func() {
-		defer g.wg.Done()
-		defer sh.endFailover()
-		g.failover(sh)
-	}()
+// control is one shard's failover owner and the two ways into it.
+type control struct {
+	sh     *Shard
+	kick   chan struct{} // 1-buffered: a pending kick covers later ones
+	orders chan order    // unbuffered: an accepted order is always answered
 }
 
-// failover runs one promotion attempt: poll every endpoint, pick the
-// freshest responder that is not the (dead) active route, order it to
-// become primary, and rewrite the route table.
-func (g *Gateway) failover(sh *Shard) {
-	active := sh.Addr()
-	epoch := sh.Epoch()
+// order asks a control goroutine for one pass that promotes target; an empty
+// target leaves the choice to the pass, as a tick does.
+type order struct {
+	target string
+	done   chan error // 1-buffered
+}
 
-	type candidate struct {
-		ep string
-		st *wire.StatusReply
+// control runs the passes of c's shard until the gateway stops: one per
+// recheck tick (the first a whole interval after start), per kick and per
+// order.
+func (g *Gateway) control(c *control) {
+	defer g.wg.Done()
+	var tick <-chan time.Time
+	if g.opts.RecheckInterval > 0 {
+		t := time.NewTicker(g.opts.RecheckInterval)
+		defer t.Stop()
+		tick = t.C
 	}
-	var best *candidate
-	standbyUp := false
-	for _, ep := range sh.Endpoints() {
-		if ep == active {
-			// The breaker just declared it dead; re-probing it here only
-			// delays recovery. The recheck loop owns its resurrection.
+	for {
+		var err error
+		select {
+		case <-tick:
+			err = g.reconcile(c.sh, false, "")
+		case <-c.kick:
+			err = g.reconcile(c.sh, true, "")
+		case o := <-c.orders:
+			err = g.reconcile(c.sh, false, o.target)
+			o.done <- err
+		case <-g.stop:
+			return
+		}
+		if err != nil {
+			g.opts.Logf("gateway: shard %s: %v", c.sh.Name(), err)
+		}
+		g.met.shard(c.sh.Name()).setHealth(c.sh.Healthy())
+	}
+}
+
+// kick asks sh's control goroutine for a failover pass without waiting: the
+// request path's only way into failover.
+func (g *Gateway) kick(sh *Shard) {
+	select {
+	case g.ctls[sh].kick <- struct{}{}:
+	default: // a pass is already pending
+	}
+}
+
+// order hands sh's control goroutine a pass promoting target ("" for a plain
+// reconcile pass) and waits for its result.
+func (g *Gateway) order(sh *Shard, target string) error {
+	o := order{target: target, done: make(chan error, 1)}
+	select {
+	case g.ctls[sh].orders <- o:
+		return <-o.done
+	case <-g.stop:
+		return errors.New("cluster: gateway closed")
+	}
+}
+
+// reconcile is one control pass over sh. It polls each endpoint once — a
+// kicked pass skips the active endpoint, which the breaker just declared
+// dead — and derives everything from those answers:
+//   - the breaker closes if the active endpoint answered, even with a refusal;
+//   - standbyUp records whether a non-active endpoint answered;
+//   - target, or else the freshest standby when the active endpoint is down
+//     and the breaker open, is promoted at the next routing epoch;
+//   - every other endpoint claiming the primary role at or below the routing
+//     epoch is demoted (demoteStale).
+//
+// A kicked pass does nothing for a shard without standbys or whose breaker
+// has closed since, and a healthy shard without standbys is not polled.
+func (g *Gateway) reconcile(sh *Shard, kicked bool, target string) error {
+	eps := sh.Endpoints()
+	active := sh.Addr()
+	switch {
+	case kicked && (len(eps) < 2 || sh.Healthy()):
+		return nil // nothing to fail over to, or the breaker closed since the kick
+	case target == "" && len(eps) < 2 && sh.Healthy():
+		return nil // agent traffic is a lone healthy endpoint's health check
+	}
+	replies := make(map[string]*wire.StatusReply, len(eps))
+	up, standbyUp := false, false
+	for _, ep := range eps {
+		if kicked && ep == active {
 			continue
 		}
 		st, err := g.queryStatus(ep)
-		if err != nil {
+		if err != nil && !answered(err) {
 			continue
 		}
-		standbyUp = true
-		// Highest durable position wins — promoting anything staler would
-		// discard acked samples.
-		if best == nil || durablePos(st) > durablePos(best.st) {
-			best = &candidate{ep: ep, st: st}
+		replies[ep] = st // nil on a refusal: alive, but nothing to go on
+		if ep != active {
+			standbyUp = true
+			continue
 		}
+		up = true
+		sh.recordSuccess()
 	}
 	sh.setStandbyUp(standbyUp)
-	if best == nil {
-		g.opts.Logf("gateway: shard %s: breaker open and no standby reachable", sh.Name())
-		return
-	}
 
-	newEpoch := epoch + 1
-	ack, err := g.promote(best.ep, newEpoch)
-	if err != nil {
-		g.opts.Logf("gateway: shard %s: promoting %s failed: %v", sh.Name(), best.ep, err)
-		return
+	epoch := sh.Epoch()
+	if target == "" && !up && !sh.Healthy() {
+		// Highest durable position wins: promoting anything staler would
+		// discard acked samples.
+		var best *wire.StatusReply
+		for _, ep := range eps {
+			if st := replies[ep]; ep != active && st != nil && (best == nil || durablePos(st) > durablePos(best)) {
+				target, best = ep, st
+			}
+		}
+		if target == "" && len(eps) > 1 {
+			return errors.New("breaker open and no standby reachable")
+		}
 	}
-	if !sh.setActive(best.ep, newEpoch) {
-		// A concurrent route change (manual promote) won the epoch race;
-		// the loser's coordinator will be demoted by the next reconcile.
-		g.opts.Logf("gateway: shard %s: route change to %s at epoch %d lost a race", sh.Name(), best.ep, newEpoch)
-		return
+	replAddr := ""
+	if st := replies[active]; st != nil {
+		replAddr = st.ReplAddr
 	}
-	g.met.shard(sh.Name()).markPromotion(newEpoch)
-	g.met.shard(sh.Name()).setHealth(true)
-	g.opts.Logf("gateway: shard %s: promoted %s (%s) to primary at epoch %d, LSN %d",
-		sh.Name(), ack.ServerID, best.ep, newEpoch, ack.LastLSN)
-
-	// Any other standby that still believes it is primary diverges from the
-	// new timeline; order an immediate resync.
-	g.demoteStale(sh, ack.ReplAddr)
+	if target != "" {
+		ack, err := g.promote(target, epoch+1)
+		if err != nil {
+			return fmt.Errorf("cluster: promoting %s: %w", target, err)
+		}
+		epoch++
+		active, replAddr = target, ack.ReplAddr
+		sh.setActive(active, epoch)
+		g.met.shard(sh.Name()).markPromotion(epoch)
+		g.opts.Logf("gateway: shard %s: promoted %s (%s) to primary at epoch %d, LSN %d",
+			sh.Name(), ack.ServerID, active, epoch, ack.LastLSN)
+	}
+	g.demoteStale(sh, replies, active, epoch, replAddr)
+	return nil
 }
 
-// durablePos is an endpoint's freshness: a replica's durable position is
-// its applied LSN; a (possibly stale) primary's is its last LSN.
-func durablePos(st *wire.StatusReply) uint64 {
-	return max(st.AppliedLSN, st.LastLSN)
-}
-
-// demoteStale polls the shard's non-active endpoints and orders any that
-// claim the primary role at a stale epoch to demote and resync from
-// primaryReplAddr (the current primary's replication listener).
-func (g *Gateway) demoteStale(sh *Shard, primaryReplAddr string) {
+// demoteStale orders every non-active endpoint whose poll answer claims the
+// primary role at an epoch at or below the routing epoch to demote and
+// resync from primaryReplAddr, the active primary's replication listener. A
+// primary at the routing epoch itself is as stale as an older one: only the
+// active endpoint is the shard's primary.
+func (g *Gateway) demoteStale(sh *Shard, replies map[string]*wire.StatusReply, active string, epoch uint64, primaryReplAddr string) {
 	if primaryReplAddr == "" {
 		return
 	}
-	active := sh.Addr()
-	epoch := sh.Epoch()
 	for _, ep := range sh.Endpoints() {
-		if ep == active {
+		st := replies[ep]
+		if ep == active || st == nil || st.Role != wire.RolePrimary || st.Epoch > epoch {
 			continue
 		}
-		st, err := g.queryStatus(ep)
-		if err != nil || st.Role != wire.RolePrimary || st.Epoch >= epoch {
-			continue
-		}
-		_, err = g.callOnce(ep, wire.Envelope{Type: wire.TypeDemote, Demote: &wire.Demote{
+		_, err := g.callOnce(ep, wire.Envelope{Type: wire.TypeDemote, Demote: &wire.Demote{
 			Epoch:           epoch,
 			PrimaryReplAddr: primaryReplAddr,
 		}}, wire.TypeDemoteAck)
@@ -160,64 +216,25 @@ func (g *Gateway) demoteStale(sh *Shard, primaryReplAddr string) {
 	}
 }
 
-// reconcileShard is the recheck-cadence control pass for one replicated
-// shard: keep the standby-reachability signal fresh, trigger promotion when
-// the active route is down, and sweep rejoined stale primaries back into
-// the replica role.
-func (g *Gateway) reconcileShard(sh *Shard) {
-	if len(sh.Endpoints()) < 2 {
-		return
-	}
-	if !sh.Healthy() {
-		g.kickFailover(sh)
-		return
-	}
-	// Healthy path: learn the primary's replication address and sweep for
-	// rejoined stale primaries (a restarted pre-failover primary answers
-	// with its old role and epoch 0).
-	st, err := g.queryStatus(sh.Addr())
-	if err != nil {
-		return // breaker-driven paths handle an unhealthy active endpoint
-	}
-	sh.setStandbyUp(true)
-	g.demoteStale(sh, st.ReplAddr)
+// durablePos is an endpoint's freshness: a replica's durable position is
+// its applied LSN; a (possibly stale) primary's is its last LSN.
+func durablePos(st *wire.StatusReply) uint64 {
+	return max(st.AppliedLSN, st.LastLSN)
 }
 
 // PromoteShard manually rewrites a shard's route to the given endpoint
 // (which must be configured for the shard), ordering the promotion at a
-// bumped epoch. This is the POST /api/v1/shards handler's workhorse and an
-// operator's planned-failover tool.
+// bumped epoch. The shard's control goroutine runs it as one pass, so it
+// never races a breaker-driven promotion. This is the POST /api/v1/shards
+// handler's workhorse and an operator's planned-failover tool.
 func (g *Gateway) PromoteShard(name, endpoint string) error {
-	var sh *Shard
-	for _, s := range g.reg.Shards() {
-		if s.Name() == name {
-			sh = s
-			break
-		}
-	}
-	if sh == nil {
+	i := slices.IndexFunc(g.reg.Shards(), func(s *Shard) bool { return s.Name() == name })
+	if i < 0 {
 		return fmt.Errorf("cluster: unknown shard %q", name)
 	}
-	found := false
-	for _, ep := range sh.Endpoints() {
-		if ep == endpoint {
-			found = true
-			break
-		}
-	}
-	if !found {
+	sh := g.reg.Shards()[i]
+	if !slices.Contains(sh.Endpoints(), endpoint) {
 		return fmt.Errorf("cluster: %s is not a configured endpoint of shard %q", endpoint, name)
 	}
-	newEpoch := sh.Epoch() + 1
-	ack, err := g.promote(endpoint, newEpoch)
-	if err != nil {
-		return fmt.Errorf("cluster: promoting %s: %w", endpoint, err)
-	}
-	if !sh.setActive(endpoint, newEpoch) {
-		return fmt.Errorf("cluster: route change for %q lost an epoch race, retry", name)
-	}
-	g.met.shard(sh.Name()).markPromotion(newEpoch)
-	g.opts.Logf("gateway: shard %s: manually promoted %s to primary at epoch %d", name, endpoint, newEpoch)
-	g.demoteStale(sh, ack.ReplAddr)
-	return nil
+	return g.order(sh, endpoint)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -354,6 +355,7 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 	if res.MaxIngestGap <= 0 {
 		t.Fatalf("ingest gap %v, want > 0", res.MaxIngestGap)
 	}
+	t.Logf("max ingest gap %v", res.MaxIngestGap)
 	waitUntil(t, 5*time.Second, "replica promotion", func() bool {
 		return replica.Role() == wire.RolePrimary
 	})
@@ -362,22 +364,25 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 	}
 }
 
-// TestReadyzDegradesWhenReplicaServed checks the readiness semantics: a
-// shard whose primary is down but whose standby answered the last poll
-// keeps /readyz at 200 with a "degraded" detail; with no standby either,
-// the gateway goes unready.
+// TestReadyzDegradesWhenReplicaServed checks the readiness semantics
+// against real status polls: a shard whose primary is down but whose standby
+// answered the last reconcile pass keeps /readyz at 200 with a "degraded"
+// detail; once a pass finds no standby answering, a dead primary makes the
+// gateway unready.
 func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
+	primary, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
+	standby, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
 	registry, err := NewRegistry([]ShardConfig{{
 		Name:     "madison",
-		Addr:     "127.0.0.1:1",
-		Replicas: []string{"127.0.0.1:2"},
+		Addr:     primary.Addr(),
+		Replicas: []string{standby.Addr()},
 		Box:      geo.Madison(),
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
-		RecheckInterval: -1, // no background probes: the test drives state
+		RecheckInterval: -1, // no ticks: the test drives the passes
 		OpsAddr:         "127.0.0.1:0",
 	})
 	if err != nil {
@@ -385,7 +390,18 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = gw.Close() })
 	sh := registry.Shards()[0]
-
+	pass := func() {
+		t.Helper()
+		if err := gw.order(sh, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trip := func() {
+		t.Helper()
+		if opened := sh.recordFailure(time.Now(), 1, time.Hour); !opened {
+			t.Fatal("breaker did not open")
+		}
+	}
 	readyz := func() (int, string) {
 		resp, err := http.Get("http://" + gw.OpsAddr() + "/readyz")
 		if err != nil {
@@ -400,18 +416,330 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 		t.Fatalf("healthy readyz = %d %q", code, body)
 	}
 
-	// Primary dead, no standby known: unready.
-	if opened := sh.recordFailure(time.Now(), 1, time.Hour); !opened {
-		t.Fatal("breaker did not open")
-	}
-	if code, _ := readyz(); code != http.StatusServiceUnavailable {
-		t.Fatalf("primary-less readyz = %d, want 503", code)
-	}
-
-	// A standby answered the last poll: degraded but ready.
-	sh.setStandbyUp(true)
+	// The standby answered the last pass, then the primary's breaker opens:
+	// degraded but ready.
+	pass()
+	trip()
 	code, body := readyz()
 	if code != http.StatusOK || !strings.Contains(body, "degraded") || !strings.Contains(body, "madison") {
 		t.Fatalf("replica-served readyz = %d %q, want 200 with degraded detail", code, body)
+	}
+	// The primary answers the next pass, which closes its breaker.
+	pass()
+	if code, body := readyz(); !sh.Healthy() || code != http.StatusOK || strings.TrimSpace(body) != "ok" {
+		t.Fatalf("readyz after the primary answered = %d %q (healthy %v)", code, body, sh.Healthy())
+	}
+
+	// The standby dies and a pass finds it silent while the primary still
+	// answers; then the primary dies too. No standby answered: unready.
+	if err := standby.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pass()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	trip()
+	if code, body := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz with primary and standby dead = %d %q, want 503", code, body)
+	}
+}
+
+// TestReconcileRevivesRestartedShard: for a shard without standbys the
+// reconcile pass is the way back — a status poll that gets an answer closes
+// its breaker. A coordinator restarted on its port is revived; the breaker of
+// a port nothing listens on stays open.
+func TestReconcileRevivesRestartedShard(t *testing.T) {
+	up, _ := startShard(t, boxA(), "127.0.0.1:0")
+	addr := up.Addr()
+	registry, err := NewRegistry([]ShardConfig{
+		{Name: "up", Addr: addr, Box: boxA()},
+		{Name: "down", Addr: "127.0.0.1:1", Box: boxB()}, // nothing listens on port 1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+		DialTimeout:     500 * time.Millisecond,
+		RecheckInterval: -1, // no ticks: the test drives the passes
+		Seed:            seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	passes := func() {
+		t.Helper()
+		for _, s := range registry.Shards() {
+			if err := gw.order(s, ""); err != nil {
+				t.Fatalf("pass over %s: %v", s.Name(), err)
+			}
+		}
+	}
+
+	if err := up.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range registry.Shards() {
+		s.recordFailure(time.Now(), 1, time.Hour) // trip both breakers
+	}
+	passes()
+	if n := registry.HealthyCount(); n != 0 {
+		t.Fatalf("%d healthy shards after a pass with both down, want 0", n)
+	}
+
+	restartShard(t, boxA(), addr)
+	passes()
+	if !registry.Shards()[0].Healthy() {
+		t.Fatal("the restarted shard must be revived by the pass")
+	}
+	if registry.Shards()[1].Healthy() {
+		t.Fatal("the unreachable shard must stay broken")
+	}
+	if n := registry.HealthyCount(); n != 1 {
+		t.Fatalf("healthy count %d, want 1", n)
+	}
+}
+
+// sendSamples reports smps straight to a coordinator and waits for the ack.
+func sendSamples(t *testing.T, addr string, smps []trace.Sample) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	ack, err := c.Call(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "probe", Samples: smps}}, wire.TypeSampleAck)
+	if err != nil || ack.SampleAck.Accepted != len(smps) {
+		t.Fatalf("sample report to %s: %+v, %v", addr, ack.SampleAck, err)
+	}
+}
+
+// hourOfSamples is n samples spread over the hour from at, at one Madison
+// site.
+func hourOfSamples(at time.Time, n int) []trace.Sample {
+	smps := make([]trace.Sample, n)
+	for i := range smps {
+		smps[i] = trace.Sample{Time: at.Add(time.Duration(i) * time.Hour / time.Duration(n)), Loc: geo.MadisonStaticSites()[0],
+			Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + float64(i), ClientID: "probe"}
+	}
+	return smps
+}
+
+// TestReconcileDemotesSecondPrimaryAtRoutingEpoch: a standby that was
+// ordered to promote at the routing epoch itself — what the losing side of a
+// promote race is left holding — is a second writable primary. One reconcile
+// pass must demote it, and it must come back as a replica of the active
+// primary holding the primary's state.
+func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
+	a := startReplicatedShard(t, geo.Madison(), "mad-a", "", false)
+	b := startReplicatedShard(t, geo.Madison(), "mad-b", a.ReplicationAddr(), false)
+	registry, err := NewRegistry([]ShardConfig{{
+		Name:     "madison",
+		Addr:     a.Addr(),
+		Replicas: []string{b.Addr()},
+		Box:      geo.Madison(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+		RecheckInterval: -1, // no ticks: the test drives the pass
+		Seed:            seed,
+		Logf:            t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	sh := registry.Shards()[0]
+
+	sendSamples(t, a.Addr(), hourOfSamples(start, 40))
+	nc, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	_, err = c.Call(wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: sh.Epoch()}}, wire.TypePromoteAck)
+	_ = c.Close()
+	if err != nil || b.Role() != wire.RolePrimary {
+		t.Fatalf("promoting b at epoch %d: %v (role %q)", sh.Epoch(), err, b.Role())
+	}
+	// b no longer tails a: these samples reach a alone.
+	sendSamples(t, a.Addr(), hourOfSamples(start.Add(time.Hour), 40))
+
+	if err := gw.order(sh, ""); err != nil {
+		t.Fatal(err)
+	}
+	if b.Role() != wire.RoleReplica || sh.Addr() != a.Addr() {
+		t.Fatalf("after one pass b is %q and the route points at %s, want b a replica and the route at a (%s)", b.Role(), sh.Addr(), a.Addr())
+	}
+	waitUntil(t, 10*time.Second, "b resynced from a", func() bool {
+		return totalSamples(b.Controller()) == totalSamples(a.Controller())
+	})
+	at := start.Add(2 * time.Hour)
+	assertStateEquivalent(t, a.Controller().Snapshot(at), b.Controller().Snapshot(at))
+}
+
+// TestManualPromoteDuringFailover races the two ways a route changes: the
+// primary dies, agent traffic opens its breaker (which kicks a failover pass
+// promoting a standby), and an operator's promote of the other standby
+// arrives at the same moment. Both go through the shard's one control
+// goroutine, so once the dead primary is back there is exactly one primary
+// at the routing epoch — the routed endpoint — and the other two are
+// replicas.
+func TestManualPromoteDuringFailover(t *testing.T) {
+	a := startReplicatedShard(t, geo.Madison(), "mad-a", "", false)
+	b := startReplicatedShard(t, geo.Madison(), "mad-b", a.ReplicationAddr(), false)
+	c := startReplicatedShard(t, geo.Madison(), "mad-c", a.ReplicationAddr(), false)
+	registry, err := NewRegistry([]ShardConfig{{
+		Name:     "madison",
+		Addr:     a.Addr(),
+		Replicas: []string{b.Addr(), c.Addr()},
+		Box:      geo.Madison(),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+		DialTimeout:      500 * time.Millisecond,
+		RequestTimeout:   2 * time.Second,
+		FailureThreshold: 1,
+		BreakCooldown:    200 * time.Millisecond,
+		RecheckInterval:  50 * time.Millisecond,
+		OpsAddr:          "127.0.0.1:0",
+		Seed:             seed,
+		Logf:             t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	sh := registry.Shards()[0]
+	sendSamples(t, gw.Addr(), hourOfSamples(start, 20))
+
+	a.Suspend()
+	tripped := make(chan error, 1)
+	go func() {
+		// Fails on the dead primary, opens the breaker and kicks the pass;
+		// its retry may already land on a promoted standby.
+		nc, err := net.Dial("tcp", gw.Addr())
+		if err != nil {
+			tripped <- err
+			return
+		}
+		conn := wire.NewConn(nc)
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		_, err = conn.Request(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+			ClientID: "probe", Samples: hourOfSamples(start.Add(time.Hour), 5)}})
+		tripped <- err
+	}()
+	resp, err := http.Post("http://"+gw.OpsAddr()+"/api/v1/shards/madison/promote?endpoint="+c.Addr(), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("manual promote of c = %d %q", resp.StatusCode, body)
+	}
+	if err := <-tripped; err != nil {
+		t.Fatalf("the report that trips the breaker: %v", err)
+	}
+	if err := a.Resume(); err != nil {
+		t.Fatal(err)
+	}
+
+	nodes := []*coordinator.Server{a, b, c}
+	waitUntil(t, 10*time.Second, "one primary at the routing epoch and two replicas", func() bool {
+		primaries, replicas := 0, 0
+		for _, n := range nodes {
+			switch {
+			case n.Role() == wire.RolePrimary && n.Epoch() == sh.Epoch() && n.Addr() == sh.Addr():
+				primaries++
+			case n.Role() == wire.RoleReplica:
+				replicas++
+			}
+		}
+		return primaries == 1 && replicas == 2
+	})
+	for _, n := range nodes {
+		t.Logf("%s: %s at epoch %d (routing epoch %d, route %s)", n.Addr(), n.Role(), n.Epoch(), sh.Epoch(), sh.Addr())
+	}
+}
+
+// TestReconcilePollsEachEndpointOncePerTick pins the control traffic of a
+// healthy cluster: each tick polls every endpoint of a shard with standbys
+// exactly once, a shard without standbys not at all, and the first tick
+// comes a whole interval after start.
+func TestReconcilePollsEachEndpointOncePerTick(t *testing.T) {
+	const interval = 200 * time.Millisecond
+	regs := map[string]*telemetry.Registry{}
+	// serve starts a coordinator; a replicated one journals and has a
+	// replication listener, and tails replicateFrom when that is set.
+	serve := func(box geo.BoundingBox, replicated bool, replicateFrom string) *coordinator.Server {
+		opts := coordinator.Options{
+			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
+			TaskInterval: time.Minute, Seed: seed, Telemetry: telemetry.NewRegistry(),
+		}
+		if replicated {
+			opts.DataDir, opts.ReplicationAddr, opts.ReplicateFrom = t.TempDir(), "127.0.0.1:0", replicateFrom
+		}
+		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		regs[s.Addr()] = opts.Telemetry
+		return s
+	}
+	primary := serve(geo.Madison(), true, "")
+	mad := []string{primary.Addr(), serve(geo.Madison(), true, primary.ReplicationAddr()).Addr(),
+		serve(geo.Madison(), true, primary.ReplicationAddr()).Addr()}
+	nj := serve(geo.NewBrunswickArea(), false, "").Addr()
+	registry, err := NewRegistry([]ShardConfig{
+		{Name: "madison", Addr: mad[0], Replicas: mad[1:], Box: geo.Madison()},
+		{Name: "new-jersey", Addr: nj, Box: geo.NewBrunswickArea()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	polls := func(ep string) float64 {
+		return regs[ep].Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeStatusRequest)).Value()
+	}
+
+	begin := time.Now()
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{RecheckInterval: interval, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(interval / 4)
+	if time.Since(begin) < interval {
+		for ep := range regs {
+			if n := polls(ep); n != 0 {
+				t.Fatalf("%s polled %v times before the first tick", ep, n)
+			}
+		}
+	}
+	waitUntil(t, 10*time.Second, "five ticks", func() bool { return polls(mad[0]) >= 5 })
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ticks := float64(time.Since(begin) / interval) // at most this many
+	n := polls(mad[0])
+	for _, ep := range mad {
+		if got := polls(ep); got != n {
+			t.Errorf("madison endpoint %s polled %v times, %s %v: want one poll per endpoint per tick", ep, got, mad[0], n)
+		}
+	}
+	if got := polls(nj); got != 0 {
+		t.Errorf("new-jersey, a healthy shard without standbys, polled %v times, want 0", got)
+	}
+	if n > ticks {
+		t.Errorf("madison endpoints polled %v times in at most %v ticks, want one poll per tick", n, ticks)
 	}
 }

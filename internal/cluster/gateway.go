@@ -38,12 +38,6 @@ type GatewayOptions struct {
 	// Default 5s — a down shard costs a bounded error, never a hung agent.
 	RequestTimeout time.Duration
 
-	// RetryAttempts is how many times one upstream request is retried on a
-	// fresh connection (with jittered exponential backoff, see
-	// retryBackoff) before the shard is declared unavailable for that
-	// request. Default 1.
-	RetryAttempts int
-
 	// FailureThreshold consecutive upstream failures trip a shard's
 	// circuit breaker open. Default 3.
 	FailureThreshold int
@@ -52,8 +46,11 @@ type GatewayOptions struct {
 	// admitting a trial request. Default 5s.
 	BreakCooldown time.Duration
 
-	// RecheckInterval is the cadence of the background probe that redials
-	// unhealthy shards (live re-check). Zero means 2s; negative disables.
+	// RecheckInterval is the cadence of each shard's reconcile pass (see
+	// failover.go): status polls that revive an unhealthy shard, promote a
+	// standby and demote stale primaries. Zero means 2s; negative disables
+	// the ticks, leaving the passes that breaker kicks and manual promotes
+	// start.
 	RecheckInterval time.Duration
 
 	// IdleTimeout drops agent connections with no traffic for this long,
@@ -79,8 +76,12 @@ type GatewayOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// retryBackoff shapes the delays between one request's upstream retries:
-// a fast schedule, since an agent is waiting on the reply.
+// retryAttempts is how many times one upstream request is retried on a
+// fresh connection, after a retryBackoff delay, before the shard is declared
+// unavailable for that request. retryBackoff is a fast schedule, since an
+// agent is waiting on the reply.
+const retryAttempts = 1
+
 var retryBackoff = rng.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Millisecond}
 
 func (o *GatewayOptions) fill() {
@@ -95,11 +96,6 @@ func (o *GatewayOptions) fill() {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
-	}
-	if o.RetryAttempts < 0 {
-		o.RetryAttempts = 0
-	} else if o.RetryAttempts == 0 {
-		o.RetryAttempts = 1
 	}
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 3
@@ -128,9 +124,7 @@ type Gateway struct {
 	lis  *wire.Listener // agent-facing listener: accept loop and conn set
 	met  *gatewayMetrics
 	ops  *telemetry.OpsServer
-
-	mu     sync.Mutex
-	closed bool // guards wg.Add for failover goroutines against Close
+	ctls map[*Shard]*control // one failover owner per shard; fixed at start
 
 	sessionSeq atomic.Uint64
 
@@ -149,6 +143,10 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		reg:  reg,
 		opts: opts,
 		stop: make(chan struct{}),
+		ctls: make(map[*Shard]*control, len(reg.Shards())),
+	}
+	for _, s := range reg.Shards() {
+		g.ctls[s] = &control{sh: s, kick: make(chan struct{}, 1), orders: make(chan order)}
 	}
 	g.met = newGatewayMetrics(opts.Telemetry, reg.Shards(), reg.HealthyCount)
 	var err error
@@ -170,9 +168,9 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		ops.HandleFunc("POST /api/v1/shards/{shard}/promote", g.servePromote)
 		opts.Logf("gateway: ops plane listening on %s", ops.Addr())
 	}
-	if opts.RecheckInterval > 0 {
+	for _, s := range reg.Shards() {
 		g.wg.Add(1)
-		go g.recheckLoop()
+		go g.control(g.ctls[s])
 	}
 	return g, nil
 }
@@ -278,7 +276,7 @@ func (g *Gateway) serveShards(w http.ResponseWriter, r *http.Request) {
 
 // servePromote backs POST /api/v1/shards/{shard}/promote?endpoint=ADDR: the
 // operator's planned-failover lever, mutating the live route table through
-// the same epoch-guarded path breaker-driven promotion uses.
+// the shard's control goroutine, the one path every promotion takes.
 func (g *Gateway) servePromote(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("shard")
 	endpoint := r.URL.Query().Get("endpoint")
@@ -309,30 +307,9 @@ func (g *Gateway) servePromote(w http.ResponseWriter, r *http.Request) {
 // plane. Idempotent.
 func (g *Gateway) Close() error {
 	g.stopOnce.Do(func() { close(g.stop) })
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
 	err := g.lis.Close()
 	g.wg.Wait()
 	return errors.Join(err, g.ops.Close())
-}
-
-func (g *Gateway) recheckLoop() {
-	defer g.wg.Done()
-	t := time.NewTicker(g.opts.RecheckInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			g.reg.recheck(g.opts.DialTimeout)
-			for _, s := range g.reg.Shards() {
-				g.reconcileShard(s)
-				g.met.shard(s.Name()).setHealth(s.Healthy())
-			}
-		case <-g.stop:
-			return
-		}
-	}
 }
 
 // session is the routing state of one inbound agent connection: the
@@ -700,15 +677,16 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire
 		lastErr = err
 		if opened := sh.recordFailure(time.Now(), g.opts.FailureThreshold, g.opts.BreakCooldown); opened {
 			// Breaker edge: the active endpoint just went from suspect to
-			// dead. Start a promotion attempt in the background; this
-			// request still fails, but the route is rewritten within the
-			// breaker window so the agent's retry lands on the new primary.
-			g.kickFailover(sh)
+			// dead. Kick the shard's control goroutine into a failover
+			// pass; this request still fails, but the route is rewritten
+			// within the breaker window so the agent's retry lands on the
+			// new primary.
+			g.kick(sh)
 		}
 		sm := g.met.shard(sh.Name())
 		sm.failed.Inc()
 		sm.setHealth(sh.Healthy())
-		if attempt >= g.opts.RetryAttempts {
+		if attempt >= retryAttempts {
 			return wire.Envelope{}, lastErr
 		}
 		time.Sleep(retryBackoff.Delay(attempt, sess.r))

@@ -46,6 +46,26 @@ func startShard(t *testing.T, box geo.BoundingBox, addr string) (*coordinator.Se
 	return s, ctrl
 }
 
+// restartShard starts a shard coordinator on the address of one that was
+// closed, retrying while the port lingers.
+func restartShard(t *testing.T, box geo.BoundingBox, addr string) *coordinator.Server {
+	t.Helper()
+	var err error
+	for i := 0; i < 100; i++ {
+		var s *coordinator.Server
+		if s, err = coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), addr, coordinator.Options{
+			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
+			TaskInterval: time.Minute, Seed: seed,
+		}); err == nil {
+			t.Cleanup(func() { _ = s.Close() })
+			return s
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	t.Fatalf("restart shard on %s: %v", addr, err)
+	return nil
+}
+
 // crossTrack parks the client at a until mid, then teleports it to b —
 // the simplest campaign spanning two regions.
 type crossTrack struct {
@@ -214,13 +234,12 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 // the blast radius: that region's reports fail fast with explicit errors,
 // the other region keeps working on the same connection, /readyz and the
 // per-shard metrics reflect the loss, and a restarted shard is revived by
-// the background recheck.
+// the reconcile pass's status poll.
 func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{
 		FailureThreshold: 1,
-		BreakCooldown:    time.Hour, // only the recheck loop may revive it
+		BreakCooldown:    time.Hour, // only the reconcile pass may revive it
 		RecheckInterval:  50 * time.Millisecond,
-		RetryAttempts:    1,
 		RequestTimeout:   2 * time.Second,
 	})
 	madisonLoc := geo.MadisonStaticSites()[0]
@@ -308,29 +327,14 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 		t.Fatalf("/readyz with a dead shard = %d, want 503 (quorum is majority of 2 = 2)", got)
 	}
 
-	// Restart the region on the same address: the background recheck must
-	// revive it without any agent traffic.
-	var revived *coordinator.Server
-	ctrl := core.NewController(core.DefaultConfig(), geo.NewBrunswickArea().Center())
-	for i := 0; i < 100; i++ { // the port may linger briefly
-		revived, err = coordinator.Serve(ctrl, njAddr, coordinator.Options{
-			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed,
-		})
-		if err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("restart shard: %v", err)
-	}
-	defer revived.Close()
+	// Restart the region on the same address: the reconcile tick's status
+	// poll must revive it without any agent traffic.
+	restartShard(t, geo.NewBrunswickArea(), njAddr)
 
 	deadline := time.Now().Add(10 * time.Second)
 	for tc.registry.HealthyCount() != 2 {
 		if time.Now().After(deadline) {
-			t.Fatal("recheck never revived the restarted shard")
+			t.Fatal("the reconcile pass never revived the restarted shard")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -350,10 +354,9 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 // on an open breaker.
 func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{
-		FailureThreshold: 2, // first pass fails in transport, later ones on the open breaker
+		FailureThreshold: 2, // a forward and its retry open the breaker: the first pass fails in transport, later ones on it
 		BreakCooldown:    time.Hour,
 		RecheckInterval:  -1,
-		RetryAttempts:    -1,
 		RequestTimeout:   2 * time.Second,
 	})
 	loc := geo.Madison().Center()

@@ -15,7 +15,7 @@ package cluster
 
 import (
 	"fmt"
-	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -50,7 +50,8 @@ const (
 
 // Shard is one registered coordinator group plus its live health and
 // routing state. The route table entry — which endpoint is active, at which
-// routing epoch — lives here; the gateway mutates it on promotion. All
+// routing epoch — lives here; the gateway's control goroutine for the shard
+// mutates it on promotion (failover.go). All
 // methods are safe for concurrent use.
 type Shard struct {
 	cfg ShardConfig
@@ -60,11 +61,10 @@ type Shard struct {
 	fails    int       // consecutive failures while closed
 	reopenAt time.Time // when an open breaker admits a trial request
 
-	endpoints   []string // cfg.Addr then cfg.Replicas; never mutated
-	active      int      // index of the endpoint agent traffic routes to
-	epoch       uint64   // bumped on every active-endpoint change
-	failingOver bool     // a promotion attempt is in flight (singleflight)
-	standbyUp   bool     // a non-active endpoint answered the last status poll
+	endpoints []string // cfg.Addr then cfg.Replicas; never mutated
+	active    int      // index of the endpoint agent traffic routes to
+	epoch     uint64   // bumped on every active-endpoint change
+	standbyUp bool     // a non-active endpoint answered the last status poll
 }
 
 // StandbyUp reports whether a standby endpoint answered the gateway's last
@@ -111,46 +111,17 @@ func (s *Shard) Epoch() uint64 {
 // Box returns the shard's owned region.
 func (s *Shard) Box() geo.BoundingBox { return s.cfg.Box }
 
-// setActive rewrites the route to addr at the given epoch, resetting the
-// breaker so traffic flows to the new primary immediately. Stale epochs
-// (≤ current, unless the route already points at addr) are rejected.
-func (s *Shard) setActive(addr string, epoch uint64) bool {
+// setActive rewrites the route to addr, a configured endpoint, at the given
+// epoch, resetting the breaker so traffic flows to the new primary
+// immediately. Only the shard's control goroutine calls it, one epoch above
+// the last, which is what keeps routing epochs monotone.
+func (s *Shard) setActive(addr string, epoch uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx := -1
-	for i, e := range s.endpoints {
-		if e == addr {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || (epoch <= s.epoch && !(idx == s.active && epoch == s.epoch)) {
-		return false
-	}
-	s.active = idx
+	s.active = slices.Index(s.endpoints, addr)
 	s.epoch = epoch
 	s.state = breakerClosed
 	s.fails = 0
-	return true
-}
-
-// beginFailover claims the shard's singleflight promotion slot; the caller
-// must endFailover when done. Reports false when another promotion is
-// already in flight or the shard has no standby to promote.
-func (s *Shard) beginFailover() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failingOver || len(s.endpoints) < 2 {
-		return false
-	}
-	s.failingOver = true
-	return true
-}
-
-func (s *Shard) endFailover() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failingOver = false
 }
 
 // Healthy reports whether the breaker is closed (normal traffic flow).
@@ -287,23 +258,4 @@ func (r *Registry) HealthyCount() int {
 		}
 	}
 	return n
-}
-
-// recheck dials every unhealthy shard once (bounded by dialTimeout) and
-// closes the breaker of any that answer — the "live re-check" that lets a
-// restarted coordinator rejoin without waiting for agent traffic to trip
-// the half-open path. Healthy shards are left alone: regular traffic is
-// their health check.
-func (r *Registry) recheck(dialTimeout time.Duration) {
-	for _, s := range r.shards {
-		if s.Healthy() {
-			continue
-		}
-		nc, err := net.DialTimeout("tcp", s.Addr(), dialTimeout)
-		if err != nil {
-			continue
-		}
-		_ = nc.Close()
-		s.recordSuccess()
-	}
 }

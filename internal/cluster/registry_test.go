@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -108,47 +107,5 @@ func TestSuccessResetsConsecutiveFailures(t *testing.T) {
 	s.recordFailure(now, 3, time.Second)
 	if !s.Healthy() {
 		t.Fatal("interleaved successes must keep the breaker closed")
-	}
-}
-
-func TestRecheckRevivesReachableShard(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			nc, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			_ = nc.Close()
-		}
-	}()
-
-	reg, err := NewRegistry([]ShardConfig{
-		{Name: "up", Addr: ln.Addr().String(), Box: boxA()},
-		{Name: "down", Addr: "127.0.0.1:1", Box: boxB()}, // nothing listens on port 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := time.Now()
-	for _, s := range reg.Shards() {
-		s.recordFailure(now, 1, time.Hour) // trip both breakers
-	}
-	if reg.HealthyCount() != 0 {
-		t.Fatal("setup: both breakers should be open")
-	}
-	reg.recheck(500 * time.Millisecond)
-	if !reg.Shards()[0].Healthy() {
-		t.Fatal("reachable shard must be revived by recheck")
-	}
-	if reg.Shards()[1].Healthy() {
-		t.Fatal("unreachable shard must stay broken")
-	}
-	if reg.HealthyCount() != 1 {
-		t.Fatalf("healthy count %d, want 1", reg.HealthyCount())
 	}
 }

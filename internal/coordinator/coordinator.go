@@ -187,12 +187,14 @@ type Server struct {
 	r       *rng.Rand
 	closed  bool
 
-	// Replication role state, guarded by mu. Exactly one of src/rep is
-	// active at a time; both nil means replication is off.
-	role  string
-	epoch uint64
-	src   *replication.Source
-	rep   *replication.Replica
+	// Replication role state, guarded by mu. A replica has a tail (rep) and
+	// every replicated node a source; both nil means replication is off.
+	// roleOrders counts the role orders changeRole accepted.
+	role       string
+	epoch      uint64
+	src        *replication.Source
+	rep        *replication.Replica
+	roleOrders uint64
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -268,8 +270,13 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	if opts.OpsAddr != "" {
 		ops, err := telemetry.NewOpsServer(opts.OpsAddr, telemetry.OpsOptions{
 			Registry: opts.Telemetry,
-			Ready:    s.lis.Accepting,
-			Logf:     opts.Logf,
+			Status: func() (bool, string) {
+				if s.lis.Accepting() {
+					return true, "ok"
+				}
+				return false, "not ready"
+			},
+			Logf: opts.Logf,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("coordinator: %w", err))
@@ -520,21 +527,28 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 		if req.Promote == nil {
 			return wire.ErrorReply("empty promote request"), true
 		}
-		ack, err := s.promote(req.Promote.Epoch)
+		replAddr, err := s.changeRole(req.Promote.Epoch, "")
 		if err != nil {
 			return wire.ErrorReply(fmt.Sprintf("promote failed: %v", err)), true
 		}
-		return wire.Envelope{Type: wire.TypePromoteAck, PromoteAck: ack}, false
+		return wire.Envelope{Type: wire.TypePromoteAck, PromoteAck: &wire.PromoteAck{
+			ServerID: s.opts.ServerID,
+			Epoch:    req.Promote.Epoch,
+			LastLSN:  s.store.LastLSN(),
+			ReplAddr: replAddr,
+		}}, false
 
 	case wire.TypeDemote:
 		if req.Demote == nil || req.Demote.PrimaryReplAddr == "" {
 			return wire.ErrorReply("demote requires the new primary's replication address"), true
 		}
-		ack, err := s.demote(req.Demote.Epoch, req.Demote.PrimaryReplAddr)
-		if err != nil {
+		if _, err := s.changeRole(req.Demote.Epoch, req.Demote.PrimaryReplAddr); err != nil {
 			return wire.ErrorReply(fmt.Sprintf("demote failed: %v", err)), true
 		}
-		return wire.Envelope{Type: wire.TypeDemoteAck, DemoteAck: ack}, false
+		return wire.Envelope{Type: wire.TypeDemoteAck, DemoteAck: &wire.DemoteAck{
+			ServerID: s.opts.ServerID,
+			Epoch:    req.Demote.Epoch,
+		}}, false
 
 	default:
 		return wire.ErrorReply(fmt.Sprintf("unexpected message type %q", req.Type)), true

@@ -44,6 +44,7 @@ func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func(
 	for _, t := range []wire.MsgType{
 		wire.TypeHello, wire.TypeZoneReport, wire.TypeSampleReport,
 		wire.TypeEstimateRequest, wire.TypeZoneListRequest,
+		wire.TypeStatusRequest, wire.TypePromote, wire.TypeDemote,
 	} {
 		byType[t] = reqs.With(string(t))
 	}

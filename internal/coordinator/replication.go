@@ -175,89 +175,65 @@ func (s *Server) statusReply() *wire.StatusReply {
 	return reply
 }
 
-// promote turns a replica into the shard's primary at the given routing
-// epoch: stop tailing the old primary and start accepting writes. The
-// replication listener was up all along, so peers can resync immediately.
-// Idempotent: promoting a primary only advances its epoch.
-func (s *Server) promote(epoch uint64) (*wire.PromoteAck, error) {
+// changeRole is the one path for the gateway's role orders. An empty
+// primaryReplAddr promotes: the node stops tailing and accepts writes as the
+// shard's primary at epoch (promoting a primary only advances its epoch).
+// Otherwise it demotes: the node becomes a replica of primaryReplAddr and
+// discards divergent local state through a forced snapshot bootstrap — the
+// rejoin path for a deposed primary. It returns the node's replication
+// address, which peers resync from once it is primary.
+//
+// The preconditions and the switch are one critical section. The old tail
+// closes outside the lock (Close blocks on its stream goroutine), and a
+// demote starts its new tail only if it is still the latest order when it
+// re-locks, so however orders interleave a primary ends with no tail and a
+// replica with one.
+func (s *Server) changeRole(epoch uint64, primaryReplAddr string) (string, error) {
+	role, verb := wire.RolePrimary, "promote"
+	if primaryReplAddr != "" {
+		role, verb = wire.RoleReplica, "demote"
+	}
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errors.New("coordinator: closed")
+	var err error
+	switch {
+	case s.closed:
+		err = errors.New("coordinator: closed")
+	case s.src == nil:
+		err = errors.New("coordinator: replication not enabled")
+	case epoch < s.epoch:
+		err = fmt.Errorf("coordinator: stale %s epoch %d (current %d)", verb, epoch, s.epoch)
 	}
-	if s.src == nil {
+	if err != nil {
 		s.mu.Unlock()
-		return nil, errors.New("coordinator: replication not enabled")
+		return "", err
 	}
-	if epoch < s.epoch {
-		cur := s.epoch
-		s.mu.Unlock()
-		return nil, fmt.Errorf("coordinator: stale promote epoch %d (current %d)", epoch, cur)
-	}
-	rep := s.rep
-	s.rep = nil
-	wasReplica := s.role == wire.RoleReplica
-	s.role = wire.RolePrimary
-	s.epoch = epoch
-	src := s.src
+	old, was := s.rep, s.role
+	s.rep, s.role, s.epoch = nil, role, epoch
+	s.roleOrders++
+	order, src := s.roleOrders, s.src
 	s.mu.Unlock()
-	// Stop tailing outside the lock (Close blocks on the stream goroutine).
-	if rep != nil {
-		if err := rep.Close(); err != nil {
-			s.opts.Logf("coordinator: %s: closing replica tail on promote: %v", s.opts.ServerID, err)
+	if old != nil {
+		if err := old.Close(); err != nil {
+			s.opts.Logf("coordinator: %s: closing replica tail on %s: %v", s.opts.ServerID, verb, err)
 		}
 	}
-	if wasReplica {
+	switch {
+	case role == wire.RoleReplica:
+		s.mu.Lock()
+		if !s.closed && s.roleOrders == order {
+			// Forced resync: this node's unreplicated suffix (writes acked
+			// after the new primary's view) is deliberately discarded; with
+			// SyncReplication those writes were never acked to agents.
+			s.rep = s.startReplicaLocked(primaryReplAddr, true)
+		}
+		s.mu.Unlock()
+		s.opts.Logf("coordinator: %s: demoted to replica of %s at epoch %d",
+			s.opts.ServerID, primaryReplAddr, epoch)
+	case was == wire.RoleReplica:
 		s.opts.Logf("coordinator: %s: promoted to primary at epoch %d (LSN %d)",
 			s.opts.ServerID, epoch, s.store.LastLSN())
 	}
-	return &wire.PromoteAck{
-		ServerID: s.opts.ServerID,
-		Epoch:    epoch,
-		LastLSN:  s.store.LastLSN(),
-		ReplAddr: src.Addr(),
-	}, nil
-}
-
-// demote turns this node into a replica of primaryReplAddr, discarding
-// divergent local state via a forced snapshot bootstrap — the rejoin path
-// for a deposed primary coming back from the dead.
-func (s *Server) demote(epoch uint64, primaryReplAddr string) (*wire.DemoteAck, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errors.New("coordinator: closed")
-	}
-	if s.store == nil {
-		s.mu.Unlock()
-		return nil, errNeedsStore
-	}
-	if epoch < s.epoch {
-		cur := s.epoch
-		s.mu.Unlock()
-		return nil, fmt.Errorf("coordinator: stale demote epoch %d (current %d)", epoch, cur)
-	}
-	oldRep := s.rep
-	s.rep = nil
-	s.role = wire.RoleReplica
-	s.epoch = epoch
-	s.mu.Unlock()
-	if oldRep != nil {
-		if err := oldRep.Close(); err != nil {
-			s.opts.Logf("coordinator: %s: closing stale replica tail on demote: %v", s.opts.ServerID, err)
-		}
-	}
-	s.mu.Lock()
-	if !s.closed {
-		// Forced resync: this node's unreplicated suffix (writes acked
-		// after the new primary's view) is deliberately discarded; with
-		// SyncReplication those writes were never acked to agents.
-		s.rep = s.startReplicaLocked(primaryReplAddr, true)
-	}
-	s.mu.Unlock()
-	s.opts.Logf("coordinator: %s: demoted to replica of %s at epoch %d",
-		s.opts.ServerID, primaryReplAddr, epoch)
-	return &wire.DemoteAck{ServerID: s.opts.ServerID, Epoch: epoch}, nil
+	return src.Addr(), nil
 }
 
 // Suspend simulates shard death for the chaos harness without losing the

@@ -5,11 +5,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -181,5 +183,46 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 	boot.mu.Unlock()
 	if resyncs != 1 {
 		t.Fatalf("boot bootstrapped %d times, want once", resyncs)
+	}
+}
+
+// TestRoleOrdersKeepTailWithRole interleaves seeded promote and demote
+// orders through dispatch, a few at a time and some of them stale, and checks
+// what the one role-change path promises once a batch has landed: a primary
+// has no replica tail running, and a replica has one.
+func TestRoleOrdersKeepTailWithRole(t *testing.T) {
+	popts := persistOpts(t.TempDir())
+	popts.ServerID, popts.ReplicationAddr = "primary", "127.0.0.1:0"
+	primary := newServer(t, popts)
+	nopts := persistOpts(t.TempDir())
+	nopts.ServerID, nopts.ReplicationAddr, nopts.ReplicateFrom = "node", "127.0.0.1:0", primary.ReplicationAddr()
+	node := newServer(t, nopts)
+
+	r := rng.NewNamed(seed, "role-orders")
+	for round := 0; round < 40; round++ {
+		orders := make([]wire.Envelope, 2+r.Intn(3))
+		for i := range orders {
+			epoch := uint64(round + r.Intn(2))
+			if r.Bool(0.5) {
+				orders[i] = wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: epoch}}
+			} else {
+				orders[i] = wire.Envelope{Type: wire.TypeDemote, Demote: &wire.Demote{Epoch: epoch, PrimaryReplAddr: primary.ReplicationAddr()}}
+			}
+		}
+		var wg sync.WaitGroup
+		for _, o := range orders {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				node.dispatch(o)
+			}()
+		}
+		wg.Wait()
+		node.mu.Lock()
+		role, tail := node.role, node.rep != nil
+		node.mu.Unlock()
+		if (role != wire.RolePrimary && role != wire.RoleReplica) || tail != (role == wire.RoleReplica) {
+			t.Fatalf("round %d: after %d orders the node is %q with a tail running: %v", round, len(orders), role, tail)
+		}
 	}
 }

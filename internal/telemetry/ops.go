@@ -17,15 +17,13 @@ type OpsOptions struct {
 	// empty (but valid) expositions.
 	Registry *Registry
 
-	// Ready backs /readyz: nil means "ready as soon as the server is up".
-	// /healthz is pure liveness and always returns 200 while serving.
-	Ready func() bool
-
-	// Status, when set, supersedes Ready with a richer /readyz: ok selects
-	// the status code (200/503) and detail becomes the body, so a probe can
-	// distinguish "ok" from "degraded: region served by replica" without a
-	// separate endpoint. Degraded-but-serving states return 200 — readiness
-	// gates routing, and a degraded tier still serves.
+	// Status backs /readyz: ok selects the status code (200/503) and detail
+	// becomes the body ("ok" when empty), so a probe can distinguish "ok"
+	// from "degraded: region served by replica" without a separate
+	// endpoint. Degraded-but-serving states return 200 — readiness gates
+	// routing, and a degraded tier still serves. Nil means "ready as soon as
+	// the server is up". /healthz is pure liveness and always returns 200
+	// while serving.
 	Status func() (ok bool, detail string)
 
 	// Logf receives server diagnostics; nil silences them.
@@ -87,23 +85,18 @@ func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		ok, detail := true, ""
 		if opts.Status != nil {
-			ok, detail := opts.Status()
-			if detail == "" {
-				detail = "ok"
-			}
-			if !ok {
-				http.Error(w, detail, http.StatusServiceUnavailable)
-				return
-			}
-			fmt.Fprintln(w, detail)
+			ok, detail = opts.Status()
+		}
+		if detail == "" {
+			detail = "ok"
+		}
+		if !ok {
+			http.Error(w, detail, http.StatusServiceUnavailable)
 			return
 		}
-		if opts.Ready != nil && !opts.Ready() {
-			http.Error(w, "not ready", http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ok")
+		fmt.Fprintln(w, detail)
 	})
 	// net/http/pprof self-registers only on http.DefaultServeMux; wire its
 	// handlers onto our private mux explicitly.

@@ -29,7 +29,12 @@ func TestOpsServerEndpoints(t *testing.T) {
 
 	s, err := NewOpsServer("127.0.0.1:0", OpsOptions{
 		Registry: r,
-		Ready:    ready.Load,
+		Status: func() (bool, string) {
+			if ready.Load() {
+				return true, ""
+			}
+			return false, "not ready"
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,12 +44,12 @@ func TestOpsServerEndpoints(t *testing.T) {
 	if code, body := get(t, s.URL()+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	if code, _ := get(t, s.URL()+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Errorf("/readyz before ready = %d, want 503", code)
+	if code, body := get(t, s.URL()+"/readyz"); code != http.StatusServiceUnavailable || body != "not ready\n" {
+		t.Errorf("/readyz before ready = %d %q, want 503 \"not ready\\n\"", code, body)
 	}
 	ready.Store(true)
-	if code, _ := get(t, s.URL()+"/readyz"); code != 200 {
-		t.Errorf("/readyz after ready = %d, want 200", code)
+	if code, body := get(t, s.URL()+"/readyz"); code != 200 || body != "ok\n" {
+		t.Errorf("/readyz after ready = %d %q, want 200 \"ok\\n\"", code, body)
 	}
 	if code, body := get(t, s.URL()+"/metrics"); code != 200 || !strings.Contains(body, "demo_total 9") {
 		t.Errorf("/metrics = %d %q", code, body)

@@ -28,11 +28,12 @@ lint-sarif:
 	$(GO) run ./cmd/wiscape-lint -sarif ./... > wiscape-lint.sarif
 
 # Refresh the checked-in timing ledger: re-records the current suite's
-# load/facts/analyze split under the "eight-analyzers-one-walk" label (eight
-# analyzers, one walk per body, one ascending fixed point), leaving the
-# earlier snapshots in place for comparison.
+# load/facts/analyze split under the "never-nil-bundles" label (eight
+# analyzers, one walk per body, one ascending fixed point, nilsafemetric
+# down to its Registry-construction rule), leaving the earlier snapshots in
+# place for comparison.
 bench-lint:
-	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label eight-analyzers-one-walk ./...
+	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label never-nil-bundles ./...
 
 build:
 	$(GO) build ./...

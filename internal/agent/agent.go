@@ -22,36 +22,36 @@ import (
 	"repro/internal/wire"
 )
 
-// Metrics counts client-side protocol activity. An agent without one
-// counts into NewMetrics(nil), whose instruments are no-ops; see
-// internal/telemetry.
+// Metrics counts client-side protocol activity. Build one with NewMetrics;
+// an agent without one counts into NewMetrics(nil), whose instruments are
+// no-ops (see internal/telemetry).
 type Metrics struct {
-	Reconnects     *telemetry.Counter
-	Rounds         *telemetry.Counter
-	TasksExecuted  *telemetry.Counter
-	SamplesSent    *telemetry.Counter
-	ReportFailures *telemetry.Counter
+	reconnects     *telemetry.Counter
+	rounds         *telemetry.Counter
+	tasksExecuted  *telemetry.Counter
+	samplesSent    *telemetry.Counter
+	reportFailures *telemetry.Counter
 
-	// Wire carries codec counters shared by every connection the agent
+	// codec holds the wire counters shared by every connection the agent
 	// opens.
-	Wire *wire.Metrics
+	codec *wire.Metrics
 }
 
 // NewMetrics registers the agent families on reg (nil reg gives a valid
 // no-op Metrics) and resolves their series once.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
-		Reconnects: reg.Counter("wiscape_agent_reconnects_total",
+		reconnects: reg.Counter("wiscape_agent_reconnects_total",
 			"Redials after a dropped coordinator connection.").With(),
-		Rounds: reg.Counter("wiscape_agent_rounds_total",
+		rounds: reg.Counter("wiscape_agent_rounds_total",
 			"Zone-report rounds completed.").With(),
-		TasksExecuted: reg.Counter("wiscape_agent_tasks_executed_total",
+		tasksExecuted: reg.Counter("wiscape_agent_tasks_executed_total",
 			"Measurement tasks executed.").With(),
-		SamplesSent: reg.Counter("wiscape_agent_samples_sent_total",
+		samplesSent: reg.Counter("wiscape_agent_samples_sent_total",
 			"Samples acknowledged by the coordinator.").With(),
-		ReportFailures: reg.Counter("wiscape_agent_report_failures_total",
+		reportFailures: reg.Counter("wiscape_agent_report_failures_total",
 			"Protocol round trips that failed (hello, zone report, or sample upload).").With(),
-		Wire: wire.NewMetrics(reg),
+		codec: wire.NewMetrics(reg),
 	}
 }
 
@@ -154,7 +154,7 @@ func (a *Agent) RunResilient(addr string, start time.Time, duration, interval ti
 	m := a.Telemetry.orNoop()
 	for cursor.Before(end) {
 		if !first {
-			m.Reconnects.Inc()
+			m.reconnects.Inc()
 		}
 		first = false
 		st, next, err := a.runOnce(addr, cursor, end, interval)
@@ -191,7 +191,7 @@ func (a *Agent) runOnce(addr string, cursor, end time.Time, interval time.Durati
 	if err != nil {
 		return Stats{}, cursor, fmt.Errorf("agent %s: dial: %w", a.ID, err)
 	}
-	conn := wire.NewConn(nc).Instrument(a.Telemetry.orNoop().Wire)
+	conn := wire.NewConn(nc).Instrument(a.Telemetry.orNoop().codec)
 	defer conn.Close()
 	st, err := a.RunConn(conn, cursor, end.Sub(cursor), interval)
 	progressed := time.Duration(st.Rounds+st.Skipped) * interval
@@ -240,7 +240,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		if err != nil {
 			return st, err
 		}
-		m.Rounds.Inc()
+		m.rounds.Inc()
 		tasks := reply.TaskList.Tasks
 		if len(tasks) == 0 {
 			continue
@@ -249,7 +249,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		st.TasksExecuted += len(tasks)
 		st.MeasurementBytes += bytes
 		st.MeasurementAirtime += airtime
-		m.TasksExecuted.Add(float64(len(tasks)))
+		m.tasksExecuted.Add(float64(len(tasks)))
 		if len(samples) == 0 {
 			continue
 		}
@@ -261,7 +261,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 			return st, err
 		}
 		st.SamplesSent += ack.SampleAck.Accepted
-		m.SamplesSent.Add(float64(ack.SampleAck.Accepted))
+		m.samplesSent.Add(float64(ack.SampleAck.Accepted))
 	}
 	return st, nil
 }
@@ -275,7 +275,7 @@ func (a *Agent) call(conn *wire.Conn, m *Metrics, step string, req wire.Envelope
 	if err == nil {
 		return reply, nil
 	}
-	m.ReportFailures.Inc()
+	m.reportFailures.Inc()
 	if errors.As(err, new(*wire.ReplyError)) {
 		return reply, fmt.Errorf("agent %s: unexpected %s reply: %w", a.ID, step, err)
 	}

@@ -149,10 +149,10 @@ func TestRunConnCountsOnlyWhenInstrumented(t *testing.T) {
 		inst, noop *telemetry.Counter
 		want       float64
 	}{
-		{"rounds", m.Rounds, noMetrics.Rounds, 3},
-		{"tasks executed", m.TasksExecuted, noMetrics.TasksExecuted, 6},
-		{"samples sent", m.SamplesSent, noMetrics.SamplesSent, 6},
-		{"report failures", m.ReportFailures, noMetrics.ReportFailures, 0},
+		{"rounds", m.rounds, noMetrics.rounds, 3},
+		{"tasks executed", m.tasksExecuted, noMetrics.tasksExecuted, 6},
+		{"samples sent", m.samplesSent, noMetrics.samplesSent, 6},
+		{"report failures", m.reportFailures, noMetrics.reportFailures, 0},
 	} {
 		if c.inst.Value() != c.want || c.noop.Value() != 0 {
 			t.Errorf("%s: instrumented %v, want %v; no-op bundle %v, want 0", c.name, c.inst.Value(), c.want, c.noop.Value())

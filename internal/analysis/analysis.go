@@ -7,9 +7,9 @@
 //     only if every sample path is seeded through internal/rng);
 //   - lockio: the coordinator/gateway hot paths must never hold a mutex
 //     across network I/O or a channel send;
-//   - nilsafemetric: telemetry instrumentation is nil-safe opt-in, so
-//     optional metrics bundles must be accessed through guards or nil-safe
-//     accessors, and instruments must come from a Registry;
+//   - nilsafemetric: telemetry instruments must come from a Registry,
+//     never from a composite literal or new(), so every one is wired to
+//     exposition;
 //   - wirebound: every wire envelope crosses the network through
 //     wire.Conn's MaxMessageBytes cap, and line-oriented reads of external
 //     input must be bounded;

@@ -2,42 +2,25 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"strings"
 )
 
-// Nilsafemetric enforces the telemetry contract: instrumentation is
-// nil-safe opt-in. An uninstrumented process passes nil bundles around and
-// must pay nothing — so every instrument comes from a Registry (whose
-// resolution methods return working no-ops even on a nil Registry), and
-// any metrics bundle the surrounding code treats as optional must only be
-// touched through nil guards or the bundle's own nil-safe methods.
+// Nilsafemetric enforces the telemetry contract's construction rule:
+// instruments (telemetry.Counter, Gauge, Histogram, and their Vec types)
+// must not be constructed with composite literals or new() outside package
+// telemetry itself. A hand-built instrument is disconnected from every
+// exposition surface; Registry resolution (reg.Counter(...).With(...)) is
+// the only construction path, and a nil Registry resolves working no-ops,
+// so an uninstrumented process needs no other way in.
 //
-// Two rules:
-//
-//  1. Instruments (telemetry.Counter, Gauge, Histogram, and their Vec
-//     types) must not be constructed with composite literals or new()
-//     outside package telemetry itself. A hand-built instrument is
-//     disconnected from every exposition surface; Registry resolution
-//     (reg.Counter(...).With(...)) is the only construction path.
-//
-//  2. If a package nil-compares a *T where T is a metrics bundle (a struct
-//     of telemetry instruments and sub-bundles), it has declared *T
-//     optional: every field access through a *T expression must then be
-//     dominated by an `x != nil` guard on that same expression, or happen
-//     inside T's own methods (where the `if m == nil` receiver guard is
-//     the sanctioned pattern). Method calls on *T are always allowed —
-//     bundle methods are written nil-safe. This catches the mixed regime
-//     where half a file guards `g.met` and the other half dereferences it
-//     bare: the unguarded half panics exactly on the uninstrumented
-//     configurations no test exercises.
-//
-// The guard analysis understands `if x != nil { ... }` (including `&&`
-// conjunctions) and the early-return form `if x == nil { return }`.
+// Metrics bundles themselves are never nil: each package builds its bundle
+// through its own NewMetrics-style constructor (from a nil Registry when
+// uninstrumented), so no rule polices nil guards around them.
 var Nilsafemetric = &Analyzer{
 	Name: "nilsafemetric",
-	Doc: "telemetry instruments must be Registry-resolved, and optional metrics " +
-		"bundles accessed only under nil guards or via their own nil-safe methods",
+	Doc: "telemetry instruments must be Registry-resolved, never built by composite " +
+		"literal or new() outside package telemetry",
 	Run: runNilsafemetric,
 }
 
@@ -50,415 +33,36 @@ var instrumentTypes = map[string]bool{
 }
 
 func runNilsafemetric(pass *Pass) error {
-	n := &nilsafe{pass: pass, bundles: make(map[*types.TypeName]int)}
-	if pass.Pkg.Path() != telemetryPkgPath {
-		n.checkConstruction()
+	if pass.Pkg.Path() == telemetryPkgPath {
+		return nil
 	}
-	n.checkOptionalAccess()
-	return nil
-}
-
-type nilsafe struct {
-	pass *Pass
-	// bundles memoizes isBundle per type: 0 unknown, 1 yes, -1 no/visiting.
-	bundles map[*types.TypeName]int
-}
-
-// ---- rule 1: construction outside the Registry ----
-
-func (n *nilsafe) checkConstruction() {
-	for _, f := range n.pass.Files {
+	for _, f := range pass.Files {
 		ast.Inspect(f, func(node ast.Node) bool {
 			switch node := node.(type) {
 			case *ast.CompositeLit:
-				if name, ok := n.instrumentType(n.pass.typeOf(node)); ok {
-					n.pass.Reportf(node.Pos(),
-						"telemetry.%s constructed outside a Registry: resolve it via reg.%s(...).With(...) so it is wired to exposition",
-						name, strippedVec(name))
-				}
+				reportConstruction(pass, node, pass.typeOf(node))
 			case *ast.CallExpr:
 				if id, ok := node.Fun.(*ast.Ident); ok && id.Name == "new" && len(node.Args) == 1 {
-					if _, isBuiltin := n.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-						if name, ok := n.instrumentType(n.pass.typeOf(node.Args[0])); ok {
-							n.pass.Reportf(node.Pos(),
-								"telemetry.%s constructed outside a Registry: resolve it via reg.%s(...).With(...) so it is wired to exposition",
-								name, strippedVec(name))
-						}
+					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+						reportConstruction(pass, node, pass.typeOf(node.Args[0]))
 					}
 				}
 			}
 			return true
 		})
-	}
-}
-
-// instrumentType reports whether t (possibly behind one pointer) is one of
-// the telemetry instrument value types.
-func (n *nilsafe) instrumentType(t types.Type) (string, bool) {
-	pkg, name, ok := namedIn(t)
-	if ok && pkg == telemetryPkgPath && instrumentTypes[name] {
-		return name, true
-	}
-	return "", false
-}
-
-// strippedVec maps an instrument type to the Registry method resolving it.
-func strippedVec(name string) string {
-	if cut, ok := cutSuffix(name, "Vec"); ok {
-		return cut
-	}
-	return name
-}
-
-func cutSuffix(s, suffix string) (string, bool) {
-	if len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix {
-		return s[:len(s)-len(suffix)], true
-	}
-	return s, false
-}
-
-// ---- rule 2: optional bundle access discipline ----
-
-// isBundle reports whether named is a metrics bundle: a struct whose every
-// field is instrument-like — a telemetry-package type, another bundle, a
-// map of those, or a plain function (scrape-time gauge callbacks). The
-// all-fields requirement keeps ordinary structs that merely carry a
-// metrics field (servers, sessions) out of scope.
-func (n *nilsafe) isBundle(named *types.Named) bool {
-	tn := named.Obj()
-	if tn == nil {
-		return false
-	}
-	if v, ok := n.bundles[tn]; ok {
-		return v == 1
-	}
-	n.bundles[tn] = -1 // visiting: cycles and non-structs are not bundles
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok || st.NumFields() == 0 {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if !n.instrumentLike(st.Field(i).Type()) {
-			return false
-		}
-	}
-	n.bundles[tn] = 1
-	return true
-}
-
-func (n *nilsafe) instrumentLike(t types.Type) bool {
-	switch u := deref(t).(type) {
-	case *types.Named:
-		if pkg, _, ok := namedIn(u); ok && pkg == telemetryPkgPath {
-			return true
-		}
-		return n.isBundle(u)
-	case *types.Map:
-		return n.instrumentLike(u.Elem())
-	case *types.Signature:
-		return true
-	}
-	if _, ok := deref(t).Underlying().(*types.Signature); ok {
-		return true
-	}
-	return false
-}
-
-// bundlePointee returns the bundle type behind a pointer type, if any.
-// Only pointer expressions can be nil, so only they carry optionality.
-func (n *nilsafe) bundlePointee(t types.Type) (*types.TypeName, bool) {
-	if t == nil {
-		return nil, false
-	}
-	pt, ok := t.Underlying().(*types.Pointer)
-	if !ok {
-		return nil, false
-	}
-	named, ok := pt.Elem().(*types.Named)
-	if !ok || !n.isBundle(named) {
-		return nil, false
-	}
-	return named.Obj(), true
-}
-
-func (n *nilsafe) checkOptionalAccess() {
-	optional := n.collectOptional()
-	if len(optional) == 0 {
-		return
-	}
-	for _, f := range n.pass.Files {
-		funcScopes(f, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
-			recv := n.receiverType(decl)
-			n.walkGuarded(body.List, map[string]bool{}, recv, optional)
-		})
-	}
-}
-
-// collectOptional finds the bundle types this package has declared
-// optional: *T compared against nil anywhere outside T's own methods
-// (inside them, the nil-receiver guard is the convention, not evidence).
-func (n *nilsafe) collectOptional() map[*types.TypeName]bool {
-	optional := make(map[*types.TypeName]bool)
-	for _, f := range n.pass.Files {
-		funcScopes(f, func(decl *ast.FuncDecl, body *ast.BlockStmt) {
-			recv := n.receiverType(decl)
-			ast.Inspect(body, func(node ast.Node) bool {
-				be, ok := node.(*ast.BinaryExpr)
-				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-					return true
-				}
-				other, ok := nilComparand(be)
-				if !ok {
-					return true
-				}
-				if tn, ok := n.bundlePointee(n.pass.typeOf(other)); ok && tn != recv {
-					optional[tn] = true
-				}
-				return true
-			})
-		})
-	}
-	return optional
-}
-
-// receiverType returns the named type a method declaration belongs to.
-func (n *nilsafe) receiverType(decl *ast.FuncDecl) *types.TypeName {
-	if decl == nil || decl.Recv == nil || len(decl.Recv.List) != 1 {
-		return nil
-	}
-	t := n.pass.typeOf(decl.Recv.List[0].Type)
-	if named, ok := deref(t).(*types.Named); ok {
-		return named.Obj()
 	}
 	return nil
 }
 
-// nilComparand returns the non-nil side of a comparison against nil.
-func nilComparand(be *ast.BinaryExpr) (ast.Expr, bool) {
-	if isNilIdent(be.Y) {
-		return be.X, true
-	}
-	if isNilIdent(be.X) {
-		return be.Y, true
-	}
-	return nil, false
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// walkGuarded walks statements in order, tracking which optional-bundle
-// expressions are dominated by a nil guard, and reports bare field
-// accesses through unguarded ones.
-func (n *nilsafe) walkGuarded(stmts []ast.Stmt, guarded map[string]bool, recv *types.TypeName, optional map[*types.TypeName]bool) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *ast.IfStmt:
-			if s.Init != nil {
-				n.walkGuarded([]ast.Stmt{s.Init}, guarded, recv, optional)
-			}
-			n.checkExpr(s.Cond, guarded, recv, optional)
-			pos, neg := guardsIn(s.Cond)
-			n.walkGuarded(s.Body.List, withGuards(guarded, pos), recv, optional)
-			if s.Else != nil {
-				n.walkGuarded([]ast.Stmt{s.Else}, withGuards(guarded, neg), recv, optional)
-			}
-			// `if x == nil { return }` guards everything after the if.
-			if terminates(s.Body) && s.Else == nil {
-				for _, g := range neg {
-					guarded[g] = true
-				}
-			}
-		case *ast.BlockStmt:
-			n.walkGuarded(s.List, cloneGuards(guarded), recv, optional)
-		case *ast.ForStmt:
-			n.checkExpr(s.Cond, guarded, recv, optional)
-			n.walkGuarded(s.Body.List, cloneGuards(guarded), recv, optional)
-		case *ast.RangeStmt:
-			n.checkExpr(s.X, guarded, recv, optional)
-			n.walkGuarded(s.Body.List, cloneGuards(guarded), recv, optional)
-		case *ast.SwitchStmt:
-			n.checkExpr(s.Tag, guarded, recv, optional)
-			for _, c := range s.Body.List {
-				n.walkGuarded(c.(*ast.CaseClause).Body, cloneGuards(guarded), recv, optional)
-			}
-		case *ast.TypeSwitchStmt:
-			for _, c := range s.Body.List {
-				n.walkGuarded(c.(*ast.CaseClause).Body, cloneGuards(guarded), recv, optional)
-			}
-		case *ast.SelectStmt:
-			for _, c := range s.Body.List {
-				cc := c.(*ast.CommClause)
-				if cc.Comm != nil {
-					n.walkGuarded([]ast.Stmt{cc.Comm}, guarded, recv, optional)
-				}
-				n.walkGuarded(cc.Body, cloneGuards(guarded), recv, optional)
-			}
-		case *ast.LabeledStmt:
-			n.walkGuarded([]ast.Stmt{s.Stmt}, guarded, recv, optional)
-		case *ast.AssignStmt:
-			n.checkStmtExprs(s, guarded, recv, optional)
-			if len(s.Lhs) == len(s.Rhs) {
-				for i, rhs := range s.Rhs {
-					key := exprString(s.Lhs[i])
-					if key == "" {
-						continue
-					}
-					// `m := &bundle{...}` proves m non-nil by construction;
-					// any other reassignment revokes an earlier guard.
-					if isConstruction(rhs) {
-						guarded[key] = true
-					} else {
-						delete(guarded, key)
-					}
-				}
-			}
-		default:
-			n.checkStmtExprs(s, guarded, recv, optional)
-		}
-	}
-}
-
-// checkStmtExprs scans a simple statement's expressions (function literals
-// get their own scope via funcScopes, with an empty guard set — a closure
-// may outlive the guard it was created under).
-func (n *nilsafe) checkStmtExprs(s ast.Stmt, guarded map[string]bool, recv *types.TypeName, optional map[*types.TypeName]bool) {
-	ast.Inspect(s, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
-			return false
-		}
-		if e, ok := node.(ast.Expr); ok {
-			n.checkOne(e, guarded, recv, optional)
-		}
-		return true
-	})
-}
-
-func (n *nilsafe) checkExpr(e ast.Expr, guarded map[string]bool, recv *types.TypeName, optional map[*types.TypeName]bool) {
-	if e == nil {
+// reportConstruction reports node when t (possibly behind one pointer) is
+// one of the telemetry instrument value types.
+func reportConstruction(pass *Pass, node ast.Node, t types.Type) {
+	pkg, name, ok := namedIn(t)
+	if !ok || pkg != telemetryPkgPath || !instrumentTypes[name] {
 		return
 	}
-	ast.Inspect(e, func(node ast.Node) bool {
-		if _, ok := node.(*ast.FuncLit); ok {
-			return false
-		}
-		if ex, ok := node.(ast.Expr); ok {
-			n.checkOne(ex, guarded, recv, optional)
-		}
-		return true
-	})
-}
-
-// checkOne reports e when it is a bare field access through an unguarded
-// optional bundle pointer.
-func (n *nilsafe) checkOne(e ast.Expr, guarded map[string]bool, recv *types.TypeName, optional map[*types.TypeName]bool) {
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	selection, ok := n.pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return // method calls on the bundle are nil-safe by convention
-	}
-	tn, ok := n.bundlePointee(n.pass.typeOf(sel.X))
-	if !ok || !optional[tn] || tn == recv {
-		return
-	}
-	key := exprString(sel.X)
-	if key == "" || guarded[key] {
-		return
-	}
-	n.pass.Reportf(sel.Pos(),
-		"field %s read on optional metrics bundle %s without a nil guard: wrap in `if %s != nil` or go through a nil-safe method",
-		sel.Sel.Name, key, key)
-}
-
-// guardsIn splits cond into positive guards (exprs proven non-nil inside
-// the then-branch) and negative guards (exprs proven non-nil when the
-// then-branch exits): `x != nil && y != nil` yields pos={x,y};
-// `x == nil || y == nil` yields neg={x,y}.
-func guardsIn(cond ast.Expr) (pos, neg []string) {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		return guardsIn(c.X)
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LAND:
-			p1, _ := guardsIn(c.X)
-			p2, _ := guardsIn(c.Y)
-			return append(p1, p2...), nil
-		case token.LOR:
-			_, n1 := guardsIn(c.X)
-			_, n2 := guardsIn(c.Y)
-			return nil, append(n1, n2...)
-		case token.NEQ:
-			if other, ok := nilComparand(c); ok {
-				if s := exprString(other); s != "" {
-					return []string{s}, nil
-				}
-			}
-		case token.EQL:
-			if other, ok := nilComparand(c); ok {
-				if s := exprString(other); s != "" {
-					return nil, []string{s}
-				}
-			}
-		}
-	}
-	return nil, nil
-}
-
-func withGuards(guarded map[string]bool, add []string) map[string]bool {
-	c := cloneGuards(guarded)
-	for _, g := range add {
-		c[g] = true
-	}
-	return c
-}
-
-func cloneGuards(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// isConstruction reports whether e is a value that cannot be nil: a
-// composite literal, its address, or a new() allocation.
-func isConstruction(e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			_, ok := e.X.(*ast.CompositeLit)
-			return ok
-		}
-	case *ast.CallExpr:
-		id, ok := e.Fun.(*ast.Ident)
-		return ok && id.Name == "new"
-	}
-	return false
-}
-
-// terminates reports whether a block always transfers control out
-// (return, branch, panic, or os.Exit-style call as its last statement).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
+	method, _ := strings.CutSuffix(name, "Vec")
+	pass.Reportf(node.Pos(),
+		"telemetry.%s constructed outside a Registry: resolve it via reg.%s(...).With(...) so it is wired to exposition",
+		name, method)
 }

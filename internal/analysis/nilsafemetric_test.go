@@ -8,5 +8,5 @@ import (
 )
 
 func TestNilsafemetric(t *testing.T) {
-	analysistest.Run(t, analysis.Nilsafemetric, "nilsafemetric", "nilsafemetric/alwayson")
+	analysistest.Run(t, analysis.Nilsafemetric, "nilsafemetric")
 }

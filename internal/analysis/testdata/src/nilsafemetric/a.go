@@ -1,83 +1,32 @@
-// Package nilsafemetric is a fixture for the nilsafemetric analyzer: an
-// optional metrics bundle (nil-compared by the surrounding code) accessed
-// both correctly (guards, nil-safe methods) and incorrectly (bare field
-// reads).
+// Package nilsafemetric is a fixture for the nilsafemetric analyzer:
+// telemetry instruments built by hand, in every form and of every type the
+// rule names, beside one resolved through a Registry.
 package nilsafemetric
 
 import "repro/internal/telemetry"
 
-type metrics struct {
-	hits *telemetry.Counter
-	errs *telemetry.Counter
-}
-
-type server struct {
-	met *metrics
-}
-
-// guardedThenBare mixes the regimes: the first access is guarded (and is
-// the optionality evidence), the second dereferences bare.
-func (s *server) guardedThenBare() {
-	if s.met != nil {
-		s.met.hits.Inc()
-	}
-	s.met.errs.Inc() // want `field errs read on optional metrics bundle s\.met without a nil guard`
-}
-
-// earlyReturn is the other sanctioned guard shape.
-func (s *server) earlyReturn() {
-	if s.met == nil {
-		return
-	}
-	s.met.hits.Inc()
-	s.met.errs.Inc()
-}
-
-// conjunction guards inside a compound condition count too.
-func (s *server) conjunction(n int) {
-	if s.met != nil && n > 0 {
-		s.met.hits.Add(float64(n))
-	}
-}
-
-// bump shows the sanctioned in-method pattern: bundle methods are the
-// nil-safe surface, so field access inside them is fine.
-func (m *metrics) bump() {
-	if m == nil {
-		return
-	}
-	m.hits.Inc()
-}
-
-// viaMethod calls the bundle's own nil-safe method bare — always allowed.
-func (s *server) viaMethod() {
-	s.met.bump()
-}
-
-// constructedLocal is provably non-nil: a bundle fresh from a composite
-// literal needs no guard.
-func constructedLocal() {
-	m := &metrics{}
-	m.hits.Inc()
-}
-
-// reassigned shows a construction guard being revoked: after m is
-// overwritten with a value of unknown nilness, bare access is flagged
-// again.
-func reassigned(other *metrics) {
-	m := &metrics{}
-	m.hits.Inc()
-	m = other
-	m.hits.Inc() // want `field hits read on optional metrics bundle m without a nil guard`
-}
-
-// Construction rule: instruments come from a Registry, never literals.
 func handRolled() *telemetry.Counter {
 	return &telemetry.Counter{} // want `telemetry\.Counter constructed outside a Registry`
 }
 
 func handRolledNew() *telemetry.Gauge {
 	return new(telemetry.Gauge) // want `telemetry\.Gauge constructed outside a Registry`
+}
+
+func handRolledValue() telemetry.Histogram {
+	return telemetry.Histogram{} // want `telemetry\.Histogram constructed outside a Registry: resolve it via reg\.Histogram\(`
+}
+
+func handRolledCounterVec() *telemetry.CounterVec {
+	return &telemetry.CounterVec{} // want `telemetry\.CounterVec constructed outside a Registry: resolve it via reg\.Counter\(`
+}
+
+func handRolledGaugeVec() *telemetry.GaugeVec {
+	return new(telemetry.GaugeVec) // want `telemetry\.GaugeVec constructed outside a Registry: resolve it via reg\.Gauge\(`
+}
+
+func handRolledHistogramVec() telemetry.HistogramVec {
+	return telemetry.HistogramVec{} // want `telemetry\.HistogramVec constructed outside a Registry: resolve it via reg\.Histogram\(`
 }
 
 func resolved(reg *telemetry.Registry) *telemetry.Counter {

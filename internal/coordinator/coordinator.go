@@ -167,7 +167,7 @@ type Server struct {
 	lis   *wire.Listener       // protocol listener: accept loop, conn set, Suspend/Resume
 	store *store.Store         // nil without Options.DataDir
 	ops   *telemetry.OpsServer // nil without Options.OpsAddr
-	met   *coordMetrics
+	met   coordMetrics
 
 	// ingestMu serializes the journal+ingest pair against snapshot capture:
 	// a snapshot taken under it is exactly the state at the LSN read under

@@ -6,9 +6,9 @@ import (
 	"repro/internal/wire"
 )
 
-// coordMetrics holds the coordinator's resolved telemetry instruments.
-// Every field is nil-safe, so the request path updates them
-// unconditionally; a coordinator without a registry pays nothing.
+// coordMetrics holds the coordinator's resolved telemetry instruments. A
+// coordinator without a registry resolves them from a nil one, whose
+// instruments are no-ops, so the request path updates them unconditionally.
 type coordMetrics struct {
 	samplesIngested *telemetry.Counter
 	zoneReports     *telemetry.Counter
@@ -28,7 +28,7 @@ type coordMetrics struct {
 // active-clients gauge is computed at scrape time from the live registry
 // via clientCount, and the two controller counters are read from ctrl the
 // same way, so there is no update site to forget.
-func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func() *core.Controller) *coordMetrics {
+func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func() *core.Controller) coordMetrics {
 	reg.GaugeFunc("wiscape_coordinator_active_clients",
 		"Clients heard from (hello or zone report) within three task intervals of the newest zone report. Versions that never forgot a client reported every client ever registered here.",
 		func() float64 { return float64(clientCount()) })
@@ -48,7 +48,7 @@ func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func(
 	} {
 		byType[t] = reqs.With(string(t))
 	}
-	return &coordMetrics{
+	return coordMetrics{
 		samplesIngested: reg.Counter("wiscape_coordinator_samples_ingested_total",
 			"Measurement samples accepted into the controller.").With(),
 		zoneReports: reg.Counter("wiscape_coordinator_zone_reports_total",
@@ -73,14 +73,23 @@ func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func(
 	}
 }
 
-// request returns the per-type request counter (nil-safe on a nil
-// receiver, for uninstrumented servers).
+// request returns the per-type request counter.
 func (m *coordMetrics) request(t wire.MsgType) *telemetry.Counter {
-	if m == nil {
-		return nil
-	}
 	if c, ok := m.requests[t]; ok {
 		return c
 	}
 	return m.requestsOther
+}
+
+// registerReplicaGauges registers the replication position gauges of a
+// replicated node. position is read at scrape time, so the gauges follow
+// the node through every role change: a replica reports its tail, a
+// primary its own log.
+func registerReplicaGauges(reg *telemetry.Registry, position func() (applied, lag uint64)) {
+	reg.GaugeFunc("wiscape_replication_lag_records",
+		"Catch-up distance in records: primary's last LSN minus applied LSN (0 on a primary).",
+		func() float64 { _, lag := position(); return float64(lag) })
+	reg.GaugeFunc("wiscape_replication_applied_lsn",
+		"Last LSN applied by this node: its replica tail's, or its own log's on a primary.",
+		func() float64 { applied, _ := position(); return float64(applied) })
 }

@@ -42,9 +42,24 @@ func (s *Server) startReplication() error {
 	}
 	role := s.role
 	s.mu.Unlock()
+	registerReplicaGauges(s.opts.Telemetry, s.replicaPosition)
 	s.opts.Logf("coordinator: %s: replication listener on %s, role %s",
 		s.opts.ServerID, src.Addr(), role)
 	return nil
+}
+
+// replicaPosition is the node's replication position as its gauges report
+// it: the current tail's applied LSN and lag, or, with no tail, the local
+// log's last LSN and no lag.
+func (s *Server) replicaPosition() (applied, lag uint64) {
+	s.mu.Lock()
+	rep := s.rep
+	s.mu.Unlock()
+	if rep == nil {
+		return s.store.LastLSN(), 0
+	}
+	st := rep.Status()
+	return st.AppliedLSN, st.Lag
 }
 
 // startReplicaLocked builds the tail client for one primary. Caller holds

@@ -5,6 +5,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -224,5 +227,69 @@ func TestRoleOrdersKeepTailWithRole(t *testing.T) {
 		if (role != wire.RolePrimary && role != wire.RoleReplica) || tail != (role == wire.RoleReplica) {
 			t.Fatalf("round %d: after %d orders the node is %q with a tail running: %v", round, len(orders), role, tail)
 		}
+	}
+}
+
+// TestReplicaGaugesFollowPromotion: the replication position gauges belong
+// to the node, not to one replica tail, so a node promoted through a role
+// order reports its own log from then on — not the last position of the
+// tail the promotion closed.
+func TestReplicaGaugesFollowPromotion(t *testing.T) {
+	popts := persistOpts(t.TempDir())
+	popts.ServerID, popts.ReplicationAddr = "primary", "127.0.0.1:0"
+	primary := newServer(t, popts)
+	reg := telemetry.NewRegistry()
+	nopts := persistOpts(t.TempDir())
+	nopts.ServerID, nopts.ReplicationAddr, nopts.ReplicateFrom = "node", "127.0.0.1:0", primary.ReplicationAddr()
+	nopts.Telemetry = reg
+	node := newServer(t, nopts)
+
+	report := func(s *Server, value float64) {
+		t.Helper()
+		reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+			ClientID: "c", Samples: minuteSamples(geo.Madison().Center(), start, 3, value)}})
+		if reply.Type != wire.TypeSampleAck {
+			t.Fatalf("%s refused the report: %+v", s.opts.ServerID, reply)
+		}
+	}
+	gauges := func() (applied, lag float64) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			name, val, ok := strings.Cut(line, " ")
+			if name != "wiscape_replication_applied_lsn" && name != "wiscape_replication_lag_records" || !ok {
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			if found++; name == "wiscape_replication_applied_lsn" {
+				applied = v
+			} else {
+				lag = v
+			}
+		}
+		if found != 2 {
+			t.Fatalf("scrape holds %d of the two replication gauges:\n%s", found, buf.String())
+		}
+		return applied, lag
+	}
+
+	report(primary, 900)
+	waitFor(t, 5*time.Second, "the replica to apply the primary's log", func() bool {
+		applied, lag := gauges()
+		return applied == float64(primary.store.LastLSN()) && lag == 0
+	})
+	if reply, _ := node.dispatch(wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: 1}}); reply.Type == wire.TypeError {
+		t.Fatalf("promote refused: %+v", reply.Error)
+	}
+	report(node, 950)
+	if applied, lag := gauges(); applied != float64(node.store.LastLSN()) || lag != 0 {
+		t.Fatalf("promoted node reports applied LSN %v and lag %v; its log ends at %d", applied, lag, node.store.LastLSN())
 	}
 }

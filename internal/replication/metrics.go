@@ -43,16 +43,10 @@ type replicaMetrics struct {
 	reconnects     *telemetry.Counter
 }
 
-// newReplicaMetrics registers the replica families on reg. The lag gauge —
-// the cluster tier's catch-up signal — is computed at scrape time from the
-// replica's own Status.
-func newReplicaMetrics(reg *telemetry.Registry, status func() Status) replicaMetrics {
-	reg.GaugeFunc("wiscape_replication_lag_records",
-		"Catch-up distance in records: primary's last LSN minus applied LSN.",
-		func() float64 { return float64(status().Lag) })
-	reg.GaugeFunc("wiscape_replication_applied_lsn",
-		"Last LSN applied by this replica.",
-		func() float64 { return float64(status().AppliedLSN) })
+// newReplicaMetrics registers the replica families on reg. The position
+// gauges (lag, applied LSN) are the node's to register: a Replica lasts
+// only as long as its node's replica role, and the gauges must outlive it.
+func newReplicaMetrics(reg *telemetry.Registry) replicaMetrics {
 	return replicaMetrics{
 		recordsApplied: reg.Counter("wiscape_replication_records_applied_total",
 			"WAL records applied from the primary's stream.").With(),

@@ -124,7 +124,7 @@ func StartReplica(primaryAddr string, ap Applier, opts ReplicaOptions) *Replica 
 	if opts.From > 0 && !opts.ForceSnapshot {
 		r.applied.Store(opts.From - 1)
 	}
-	r.met = newReplicaMetrics(opts.Telemetry, r.Status)
+	r.met = newReplicaMetrics(opts.Telemetry)
 	r.wg.Add(1)
 	go r.run()
 	return r

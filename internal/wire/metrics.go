@@ -2,22 +2,22 @@ package wire
 
 import "repro/internal/telemetry"
 
-// Metrics counts codec activity for one side of the protocol. All fields
-// are nil-safe telemetry instruments, so the zero value (and a nil
-// *Metrics) cost nothing — uninstrumented connections stay free.
+// Metrics counts codec activity for one side of the protocol. Build one with
+// NewMetrics. A Conn holds a copy, which shares the instruments; a Conn
+// without one holds the zero Metrics, whose nil instruments count nothing.
 type Metrics struct {
-	MessagesEncoded  *telemetry.Counter
-	BytesEncoded     *telemetry.Counter
-	MessagesDecoded  *telemetry.Counter
-	BytesDecoded     *telemetry.Counter
-	OversizedRejects *telemetry.Counter
-	// DecodeFallbacks counts, by frame type, the frames of a kind Send
+	messagesEncoded  *telemetry.Counter
+	bytesEncoded     *telemetry.Counter
+	messagesDecoded  *telemetry.Counter
+	bytesDecoded     *telemetry.Counter
+	oversizedRejects *telemetry.Counter
+	// decodeFallbacks counts, by frame type, the frames of a kind Send
 	// spells by hand (handSpelled) that Recv left to encoding/json because
 	// they were not in the canonical spelling it parses directly: a peer that
 	// writes JSON another way pays the slower decode, it does not fail. Its
 	// eight types: sample_report, zone_list_reply, estimate_reply,
 	// zone_report, task_list, sample_ack, estimate_request, zone_list_request.
-	DecodeFallbacks map[MsgType]*telemetry.Counter
+	decodeFallbacks map[MsgType]*telemetry.Counter
 }
 
 // NewMetrics registers the wire codec families on reg (nil reg returns a
@@ -29,48 +29,18 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	bytes := reg.Counter("wiscape_wire_bytes_total",
 		"Framed protocol bytes moved through the codec, by direction.", "dir")
 	m := &Metrics{
-		MessagesEncoded: msgs.With("encode"),
-		BytesEncoded:    bytes.With("encode"),
-		MessagesDecoded: msgs.With("decode"),
-		BytesDecoded:    bytes.With("decode"),
-		OversizedRejects: reg.Counter("wiscape_wire_oversized_rejects_total",
+		messagesEncoded: msgs.With("encode"),
+		bytesEncoded:    bytes.With("encode"),
+		messagesDecoded: msgs.With("decode"),
+		bytesDecoded:    bytes.With("decode"),
+		oversizedRejects: reg.Counter("wiscape_wire_oversized_rejects_total",
 			"Messages dropped for exceeding MaxMessageBytes (either direction).").With(),
 	}
 	fallbacks := reg.Counter("wiscape_wire_decode_fallbacks_total",
 		"Hand-spelled frame kinds decoded by encoding/json instead of the canonical-form parser, by type.", "type")
-	m.DecodeFallbacks = make(map[MsgType]*telemetry.Counter)
+	m.decodeFallbacks = make(map[MsgType]*telemetry.Counter)
 	for _, h := range handCodecs {
-		m.DecodeFallbacks[h.typ] = fallbacks.With(string(h.typ))
+		m.decodeFallbacks[h.typ] = fallbacks.With(string(h.typ))
 	}
 	return m
-}
-
-func (m *Metrics) encoded(frameBytes int) {
-	if m == nil {
-		return
-	}
-	m.MessagesEncoded.Inc()
-	m.BytesEncoded.Add(float64(frameBytes))
-}
-
-func (m *Metrics) decoded(frameBytes int) {
-	if m == nil {
-		return
-	}
-	m.MessagesDecoded.Inc()
-	m.BytesDecoded.Add(float64(frameBytes))
-}
-
-func (m *Metrics) oversized() {
-	if m == nil {
-		return
-	}
-	m.OversizedRejects.Inc()
-}
-
-func (m *Metrics) decodeFallback(t MsgType) {
-	if m == nil {
-		return
-	}
-	m.DecodeFallbacks[t].Inc()
 }

@@ -69,7 +69,7 @@ func checkRecv(t testing.TB, line []byte) (took bool) {
 	}
 	fellBack := !took && werr == nil && handSpelled(&want)
 	total := 0.0
-	for typ, counter := range m.DecodeFallbacks {
+	for typ, counter := range m.decodeFallbacks {
 		n := counter.Value()
 		if total += n; n != 0 && (!fellBack || typ != want.Type) {
 			t.Fatalf("line %q: %v fallbacks counted as %s; the parser took it: %v, the oracle: %+v, %v", line, n, typ, took, want, werr)

@@ -9,8 +9,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ServeMetrics are the instruments of one request/response endpoint. Every
-// field is nil-safe, so the zero value serves uninstrumented.
+// ServeMetrics are the instruments of one request/response endpoint. The
+// zero value serves uninstrumented: the telemetry instruments are nil-safe,
+// and a nil Codec leaves the connection on the zero bundle NewConn gives it.
 type ServeMetrics struct {
 	Connections     *telemetry.Counter   // connections served
 	ProtocolErrors  *telemetry.Counter   // requests answered with an error reply

@@ -265,7 +265,7 @@ type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
-	m  *Metrics
+	m  Metrics // the zero bundle, which counts nothing, until Instrument
 }
 
 // connBufBytes sizes a Conn's reader and writer. A line shorter than this is
@@ -285,7 +285,9 @@ func NewConn(nc net.Conn) *Conn {
 // Instrument attaches codec metrics (shared across any number of Conns)
 // and returns c. A nil m leaves the connection uninstrumented.
 func (c *Conn) Instrument(m *Metrics) *Conn {
-	c.m = m
+	if m != nil {
+		c.m = *m
+	}
 	return c
 }
 
@@ -318,7 +320,7 @@ func (c *Conn) Send(e Envelope) error {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
 	if buf.Len()-1 > MaxMessageBytes { // the line, as Recv measures it: without its '\n'
-		c.m.oversized()
+		c.m.oversizedRejects.Inc()
 		return ErrMessageTooLarge
 	}
 	if _, err := c.bw.Write(buf.Bytes()); err != nil {
@@ -327,7 +329,8 @@ func (c *Conn) Send(e Envelope) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	c.m.encoded(buf.Len())
+	c.m.messagesEncoded.Inc()
+	c.m.bytesEncoded.Add(float64(buf.Len()))
 	return nil
 }
 
@@ -343,7 +346,7 @@ func (c *Conn) Recv() (Envelope, error) {
 	line, spill, err := readLineLimited(c.br, MaxMessageBytes)
 	if err != nil {
 		if errors.Is(err, ErrMessageTooLarge) {
-			c.m.oversized()
+			c.m.oversizedRejects.Inc()
 		}
 		return Envelope{}, err
 	}
@@ -353,7 +356,8 @@ func (c *Conn) Recv() (Envelope, error) {
 		putFrameBuf(spill) // line is spill's; the envelope holds none of it
 	}
 	if err == nil {
-		c.m.decoded(frameBytes)
+		c.m.messagesDecoded.Inc()
+		c.m.bytesDecoded.Add(float64(frameBytes))
 	}
 	return e, err
 }
@@ -375,7 +379,7 @@ func (c *Conn) decode(line []byte) (Envelope, error) {
 		return e, errors.New("wire: message missing type")
 	}
 	if handSpelled(&e) {
-		c.m.decodeFallback(e.Type)
+		c.m.decodeFallbacks[e.Type].Inc()
 	}
 	return e, nil
 }

@@ -48,7 +48,9 @@ ci: vet lint build race
 
 # Short-burst coverage-guided fuzz of the wire decoder, the sketch
 # serializer, the replication frame codec, the WAL record encoder, the
-# canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
+# binary WAL record decoder (FuzzBinaryRecordDecode: arbitrary bytes after
+# the binary lead byte never panic, and an accepted line re-encodes byte for
+# byte), the canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
 # and store.ParseRecordLine of a payload against json.Unmarshal of the same
 # bytes) and the canonical-form decoder of the other seven hand-spelled
 # frames (FuzzReplyDecodeMatchesJSON, named for the reply frames it first
@@ -59,19 +61,21 @@ ci: vet lint build race
 # every frame type they cover
 # programmatically; the replication fuzzer seeds all six of its frame types
 # programmatically, the encoder fuzzer the values encoding/json's rules turn
-# on.
+# on, the binary decoder fuzzer lines the store wrote.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/replication
 	$(GO) test -fuzz=FuzzRecordEncodeMatchesJSON -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzBinaryRecordDecode -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzSampleDecodeMatchesJSON -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzReplyDecodeMatchesJSON -fuzztime=30s ./internal/wire
 
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 # The codec's are BenchmarkEncode/BenchmarkDecode (internal/wire: a sample
 # report out and in) and BenchmarkAppend/BenchmarkParseRecordLine
-# (internal/store: a WAL line out and in, canonical and fallback).
+# (internal/store: a WAL line out and in, binary, canonical JSON and
+# fallback JSON).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 

@@ -292,25 +292,28 @@ func TestFrameCapGoesByType(t *testing.T) {
 }
 
 func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
-	// Version 3 changed what a snapshot frame holds, so a version 2 peer is
-	// turned away by name at the handshake rather than fed frames it would
+	// Version 4 ships binary WAL lines, which a version 3 peer cannot parse,
+	// and version 3 changed what a snapshot frame holds, so older peers are
+	// turned away by name at the handshake rather than fed frames they would
 	// misread.
 	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
-	nc, err := net.Dial("tcp", src.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPeer(t, nc)
-	v2 := encodeHello(hello{from: 0, id: "old-replica"})
-	binary.LittleEndian.PutUint16(v2[4:6], 2)
-	p.send(frameHello, v2)
-	typ, payload := p.recv()
-	if want := "replication: peer speaks version 2, want 3"; typ != frameReject || string(payload) != want {
-		t.Fatalf("got frame type %d %q, want a reject saying %q", typ, payload, want)
-	}
-	p.wantClosed()
-	if n := src.ConnectedReplicas(); n != 0 {
-		t.Fatalf("%d replicas attached after the refusal", n)
+	for _, v := range []uint16{2, 3} {
+		nc, err := net.Dial("tcp", src.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newPeer(t, nc)
+		old := encodeHello(hello{from: 0, id: "old-replica"})
+		binary.LittleEndian.PutUint16(old[4:6], v)
+		p.send(frameHello, old)
+		typ, payload := p.recv()
+		if want := fmt.Sprintf("replication: peer speaks version %d, want 4", v); typ != frameReject || string(payload) != want {
+			t.Fatalf("got frame type %d %q, want a reject saying %q", typ, payload, want)
+		}
+		p.wantClosed()
+		if n := src.ConnectedReplicas(); n != 0 {
+			t.Fatalf("%d replicas attached after the refusal", n)
+		}
 	}
 }
 
@@ -378,7 +381,7 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 	p := newPeer(t, nc)
 	p.send(frameHello, encodeHello(hello{from: 3, id: "liar"}))
 	typ, payload := p.recv()
-	if typ != frameRecords || !bytes.Equal(payload, journalOf(t, st.Dir())[len(walLines(1, 2)):]) {
+	if lines := bytes.SplitAfterN(journalOf(t, st.Dir()), []byte("\n"), 3); typ != frameRecords || !bytes.Equal(payload, lines[2]) {
 		t.Fatalf("got frame type %d, %d bytes; want LSNs 3..5 as journaled", typ, len(payload))
 	}
 	p.send(frameAck, encodeU64(5)) // honest

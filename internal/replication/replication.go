@@ -22,23 +22,26 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 3): every frame is u32le payload length, one type
+// Protocol (version 4): every frame is u32le payload length, one type
 // byte, payload. The replica opens with a hello (magic, version, replica
 // id, first wanted LSN — 0 forces a snapshot); the source answers with an
 // optional snapshot frame and then record batches and heartbeats; the
 // replica sends acks carrying its applied LSN. The payloads are the store's
-// own durable formats: a records frame holds WAL lines verbatim —
-// "crc32hex {"lsn":N,"sample":{…}}\n", one after another, exactly the bytes
-// the primary journaled (version 2's change; version 1 re-marshaled each
-// sample into an (LSN, length, JSON) triple) — and a snapshot frame holds a
-// checkpoint, header and CRC included, exactly as store.AppendCheckpoint
-// writes one to disk (version 3's; version 2 sent the LSN as a u64 and the
-// JSON unchecked). The versions do not interoperate, so a primary and its
-// replica upgrade as a pair; a hello of another version is refused by name.
+// own durable formats: a records frame holds WAL lines verbatim, one after
+// another, exactly the bytes the primary journaled — each a binary line
+// (0xB1, the stuffed record, '\n') or a JSON one
+// ("crc32hex {"lsn":N,"sample":{…}}\n"), as the store wrote it (version 4's
+// change: version 3 peers read JSON lines only; version 2 first shipped lines
+// verbatim, where version 1 re-marshaled each sample into an (LSN, length,
+// JSON) triple) — and a snapshot frame holds a checkpoint, header and CRC
+// included, exactly as store.AppendCheckpoint writes one to disk (version
+// 3's; version 2 sent the LSN as a u64 and the JSON unchecked). The versions
+// do not interoperate, so a primary and its replica upgrade as a pair; a
+// hello of another version is refused by name.
 //
 // Who checks what: the source ships a line once its frame and CRC check out
 // (store.Cursor.NextLines) and never decodes it; the replica puts every line
-// through store.ParseRecordLine — frame, CRC, JSON, LSN — and a snapshot
+// through store.ParseRecordLine — frame, CRC, record, LSN — and a snapshot
 // through store.ParseCheckpoint — header, CRC, JSON — before anything is
 // journaled, ingested or bootstrapped, and journals the line it received,
 // not a re-encoding, so the pair's logs are byte-identical at equal LSN.
@@ -63,8 +66,9 @@ const (
 	// Version is the protocol version this package speaks. A source
 	// rejects hellos of any other: 1 framed records as (LSN, length, sample
 	// JSON) triples, 2 ships WAL lines as they are but a snapshot as a u64
-	// LSN and unchecked JSON, 3 ships a snapshot as a checkpoint.
-	Version uint16 = 3
+	// LSN and unchecked JSON, 3 ships a snapshot as a checkpoint, 4 ships
+	// binary WAL lines beside JSON ones.
+	Version uint16 = 4
 )
 
 // Frame types.

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -185,6 +186,48 @@ func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
 	}
 }
 
+func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
+	// A primary upgraded in place holds JSON lines its old store wrote and
+	// binary ones behind them — some JSON still, for samples only that form
+	// carries. The replica journals each line as shipped, whatever its form,
+	// so the two logs end byte-identical.
+	primary := openStore(t, store.Options{SegmentMaxBytes: 1500})
+	for lsn := uint64(1); lsn <= 60; lsn++ {
+		smp := testSample(int(lsn))
+		switch {
+		case lsn <= 20 || lsn%7 == 0: // the old store's lines, and a replica-of-old-primary's
+			if err := primary.AppendAt(lsn, walLine(lsn, smp)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		case lsn%5 == 0: // an offset the binary form does not carry
+			smp.Time = smp.Time.In(time.FixedZone("", -5*3600))
+		}
+		if got, err := primary.Append(smp); err != nil || got != lsn {
+			t.Fatalf("Append: LSN %d, err %v; want %d", got, err, lsn)
+		}
+	}
+	src := startSource(t, primary, SourceOptions{})
+	ap := &memApplier{st: openStore(t, store.Options{SegmentMaxBytes: 1500})}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "60 applied records", func() bool { return r.Status().AppliedLSN == 60 })
+
+	want := journalOf(t, primary.Dir())
+	if got := journalOf(t, ap.st.Dir()); !bytes.Equal(got, want) {
+		t.Fatalf("the replica's log (%d bytes) differs from its primary's (%d bytes)", len(got), len(want))
+	}
+	binaryLines := 0
+	for _, line := range bytes.SplitAfter(want, []byte("\n")) {
+		if len(line) > 0 && line[0] == 0xB1 {
+			binaryLines++
+		}
+	}
+	if binaryLines == 0 || binaryLines == 60 {
+		t.Fatalf("%d of the 60 lines are binary; want both forms", binaryLines)
+	}
+}
+
 func TestWarmRestartResumesFromOffset(t *testing.T) {
 	st := openStore(t, store.Options{})
 	for i := 0; i < 30; i++ {
@@ -317,7 +360,7 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 	// of a segment, and one that ends in one segment and resumes, on a new
 	// conn, after the log has rotated past it. Either way every LSN must
 	// reach the applier exactly once, in order.
-	st := openStore(t, store.Options{SegmentMaxBytes: 1024}) // a handful of records a segment
+	st := openStore(t, store.Options{SegmentMaxBytes: 400}) // a handful of records a segment
 	appendTo := func(n uint64) {
 		t.Helper()
 		for i := st.LastLSN(); i < n; i++ {

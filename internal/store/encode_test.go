@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -18,7 +19,9 @@ import (
 )
 
 // oracleLine is the WAL line as it was built before the encoder existed:
-// json.Marshal of the record, framed. It is what appendRecordLine is held to.
+// json.Marshal of the record, framed. It is what appendRecordJSON is held to
+// byte for byte, and what every line appendRecordLine writes must read back
+// as.
 func oracleLine(lsn uint64, smp trace.Sample) ([]byte, error) {
 	payload, err := json.Marshal(walRecord{LSN: lsn, Sample: smp})
 	if err != nil {
@@ -28,14 +31,19 @@ func oracleLine(lsn uint64, smp trace.Sample) ([]byte, error) {
 	return append(append(line, payload...), '\n'), nil
 }
 
-// checkEncoder holds appendRecordLine to the oracle on one record: the same
-// bytes or the same refusal, and a line the validating parser reads back as
-// the sample.
+// checkEncoder holds both encoders to the oracle on one record.
+// appendRecordJSON writes the oracle's bytes or makes the same refusal, and a
+// line the validating parser reads back as the sample. appendRecordLine, what
+// the store writes, refuses the same records, writes the binary form exactly
+// when trace.AppendSampleBinary promises to carry the sample, and its line
+// reads back through ParseRecordLine as the oracle's does; a binary line is
+// what the record it decodes to re-encodes to.
 func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	t.Helper()
 	want, werr := oracleLine(lsn, smp)
+	checkLineEncoder(t, lsn, smp, want, werr)
 	prefix := []byte("in front ")
-	got, gerr := appendRecordLine(append([]byte(nil), prefix...), lsn, smp)
+	got, gerr := appendRecordJSON(append([]byte(nil), prefix...), lsn, smp)
 	if (werr != nil) != (gerr != nil) {
 		t.Fatalf("record %d %+v: encoder err %v, json.Marshal err %v", lsn, smp, gerr, werr)
 	}
@@ -73,6 +81,52 @@ func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	}
 }
 
+// checkLineEncoder is checkEncoder's half for appendRecordLine: want and werr
+// are the oracle's line for (lsn, smp) and its refusal.
+func checkLineEncoder(t *testing.T, lsn uint64, smp trace.Sample, want []byte, werr error) {
+	t.Helper()
+	prefix := []byte("in front ")
+	got, gerr := appendRecordLine(append([]byte(nil), prefix...), lsn, smp)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("record %d %+v: line encoder err %v, json.Marshal err %v", lsn, smp, gerr, werr)
+	}
+	if werr != nil {
+		if !bytes.Equal(got, prefix) {
+			t.Fatalf("record %d %+v: a refused record left %q in the buffer", lsn, smp, got)
+		}
+		return
+	}
+	if !bytes.HasPrefix(got, prefix) {
+		t.Fatalf("record %d %+v: the line encoder overwrote the buffer: %q", lsn, smp, got)
+	}
+	line := got[len(prefix):]
+	_, off := smp.Time.Zone()
+	wantBinary := off == 0 && utf8.ValidString(string(smp.Network)) && utf8.ValidString(string(smp.Metric)) &&
+		utf8.ValidString(smp.ClientID) && utf8.ValidString(smp.Device)
+	if isBinary := line[0] == binaryLead; isBinary != wantBinary {
+		t.Fatalf("record %d %+v: written binary %v, want %v: %q", lsn, smp, isBinary, wantBinary, line)
+	}
+	back, backLSN, ok := ParseRecordLine(line)
+	wantSmp, wantLSN, wok := ParseRecordLine(want)
+	if !ok || !wok || backLSN != wantLSN || !reflect.DeepEqual(back, wantSmp) {
+		t.Fatalf("record %d %+v:\n   line %q reads %d %+v, ok %v\n oracle %q reads %d %+v, ok %v",
+			lsn, smp, line, backLSN, back, ok, want, wantLSN, wantSmp, wok)
+	}
+	// peekLSN reads at most 19 digits off a JSON line, which is every LSN a
+	// log will reach.
+	if wantBinary || lsn < 1e19 {
+		if peeked, ok := peekLSN(line); !ok || peeked != lsn {
+			t.Fatalf("record %d: peekLSN(%q) = %d, ok %v", lsn, line, peeked, ok)
+		}
+		if !lineHolds(lsn, line) {
+			t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
+		}
+	}
+	if again, err := appendRecordLine(nil, backLSN, back); wantBinary && (err != nil || !bytes.Equal(again, line)) {
+		t.Fatalf("record %d: the binary line does not re-encode to itself (err %v):\n got %q\nwant %q", lsn, err, again, line)
+	}
+}
+
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // shape spells out a type the way the encoder has to know it: every field's
@@ -103,7 +157,7 @@ func TestRecordEncoderMatchesJSON(t *testing.T) {
 	const want = "{lsn:uint64 sample:{t:struct loc:{lat:float64 lon:float64 } net:string metric:string value:float64 " +
 		"client:string device,omitempty:string speed_kmh:float64 failed,omitempty:bool } }"
 	if got := shape(reflect.TypeOf(walRecord{})); got != want {
-		t.Fatalf("the WAL record's shape changed; teach appendRecordLine and this test the new one:\n got %s\nwant %s", got, want)
+		t.Fatalf("the WAL record's shape changed; teach both encoders and this test the new one:\n got %s\nwant %s", got, want)
 	}
 
 	// What json.Marshal refuses, by hand: the generator rarely gets there.
@@ -270,7 +324,7 @@ func TestRecordParserMatchesJSON(t *testing.T) {
 		if plain {
 			draw = tracetest.PlainSample
 		}
-		line, err := appendRecordLine(nil, r.Uint64()>>uint(r.Intn(64)), draw(r))
+		line, err := appendRecordJSON(nil, r.Uint64()>>uint(r.Intn(64)), draw(r))
 		if err != nil {
 			continue // NaN or ±Inf: there is no line
 		}
@@ -287,11 +341,11 @@ func TestRecordParserMatchesJSON(t *testing.T) {
 
 	smp := testSample(1)
 	smp.Device, smp.Failed, smp.SpeedKmh = "phone", true, 12.5
-	full, err := appendRecordLine(nil, 7, smp)
+	full, err := appendRecordJSON(nil, 7, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := appendRecordLine(nil, 7, testSample(1))
+	bare, err := appendRecordJSON(nil, 7, testSample(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,28 +402,46 @@ func TestParseRecordLineAllocations(t *testing.T) {
 	}
 	smp := testSample(1)
 	smp.Device, smp.Failed = "phone", true
-	line, err := appendRecordLine(nil, 7, smp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The four strings a sample holds; nothing for the parse itself.
-	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := ParseRecordLine(line); !ok {
-			t.Fatal("the line did not parse")
+	for _, c := range []struct {
+		name   string
+		encode func([]byte, uint64, trace.Sample) ([]byte, error)
+		max    float64
+	}{
+		// The four strings a sample holds; nothing for the parse itself.
+		{"canonical JSON", appendRecordJSON, 4},
+		// The client and device: the network and metric are constants.
+		{"binary", appendRecordLine, 2},
+	} {
+		line, err := c.encode(nil, 7, smp)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}); allocs > 4 {
-		t.Errorf("ParseRecordLine allocates %v times a canonical line, want at most 4", allocs)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if _, _, ok := ParseRecordLine(line); !ok {
+				t.Fatal("the line did not parse")
+			}
+		}); allocs > c.max {
+			t.Errorf("ParseRecordLine allocates %v times a %s line, want at most %v", allocs, c.name, c.max)
+		}
 	}
 }
 
 // BenchmarkParseRecordLine is what recovery, Cursor.Next and a replica's
-// apply pay per record: a line the canonical parser takes, and one (a quote
-// in the client id) it leaves to encoding/json.
+// apply pay per record: the binary line the store writes, a JSON line the
+// canonical parser takes, and one (a quote in the client id) it leaves to
+// encoding/json.
 func BenchmarkParseRecordLine(b *testing.B) {
-	for _, c := range []struct{ name, client string }{{"canonical", "store-test"}, {"fallback", `store "test"`}} {
+	for _, c := range []struct {
+		name, client string
+		encode       func([]byte, uint64, trace.Sample) ([]byte, error)
+	}{
+		{"binary", "store-test", appendRecordLine},
+		{"canonical", "store-test", appendRecordJSON},
+		{"fallback", `store "test"`, appendRecordJSON},
+	} {
 		smp := testSample(1)
 		smp.ClientID = c.client
-		line, err := appendRecordLine(nil, 7, smp)
+		line, err := c.encode(nil, 7, smp)
 		if err != nil {
 			b.Fatal(err)
 		}

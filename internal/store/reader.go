@@ -124,14 +124,15 @@ func (c *Cursor) Next(max int) ([]Entry, error) {
 // NextLines is Next for a reader that ships records instead of reading
 // them: up to max whole lines past the last record returned, in LSN order
 // and exactly as journaled, n of them end to end in run. Each has had its
-// frame and CRC checked and its LSN read off the `{"lsn":N,` every record
-// opens with; the JSON behind that is not looked at — ParseRecordLine does
+// frame and CRC checked and its LSN read off the head of its record — the
+// varint behind a binary line's lead byte, the `{"lsn":N,` a JSON one opens
+// with; the sample behind that is not looked at — ParseRecordLine does
 // that, wherever the line ends up being decoded. What Next skips,
 // NextLines skips, and it waits and fails where Next does. (The one
 // difference is a line no version of this package wrote: a good CRC over a
-// record that does not open with its LSN is skipped here and decoded by
-// Next; one over JSON that does not decode is returned here and skipped by
-// Next, for the decoding end to refuse.)
+// JSON record that does not open with its LSN is skipped here and decoded
+// by Next; one over a sample that does not decode is returned here and
+// skipped by Next, for the decoding end to refuse.)
 //
 // run is a view of the cursor's buffer, valid until the cursor's next call.
 // It therefore ends where the buffered bytes do, or at a line to be skipped,
@@ -230,7 +231,7 @@ func (c *Cursor) scan(max int, out *[]Entry) error {
 			return err
 		}
 		// Positioning on a mid-segment LSN walks every earlier line, so
-		// those are told by their leading {"lsn":N alone; what is returned
+		// those are told by their LSN alone (see peekLSN); what is returned
 		// always takes the validating path.
 		if lsn, ok := peekLSN(line); ok && lsn < c.next {
 			continue
@@ -267,7 +268,7 @@ func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
 			break
 		}
 		lsn, ok := peekLSN(line)
-		if ok && lsn >= c.next {
+		if ok && lsn >= c.next && line[0] != binaryLead { // a binary line's peek checked its CRC
 			_, ok = linePayload(line)
 		}
 		if !ok || lsn < c.next {
@@ -338,9 +339,18 @@ func (c *Cursor) fill() (bool, error) {
 	return false, err
 }
 
-// peekLSN reads N off a line shaped `crc32hex {"lsn":N,` — how the encoder
-// starts every record — without validating anything else about it.
+// peekLSN reads the LSN off a line without decoding its sample. A JSON line
+// is read as `crc32hex {"lsn":N,` — how the JSON encoder starts every record —
+// with nothing else about it validated. A binary line's LSN is read once its
+// frame and CRC check out: a damaged varint is another varint, where a
+// damaged JSON digit is no digit, and a damaged LSN read as an earlier one
+// would have the cursor pass over a corrupt line uncounted.
 func peekLSN(line []byte) (uint64, bool) {
+	if len(line) > 0 && line[0] == binaryLead {
+		var scratch [binaryScratch]byte
+		lsn, _, ok := binaryRecord(scratch[:0], line)
+		return lsn, ok
+	}
 	const head = 9 + len(lsnKey) // CRC, space, key
 	if len(line) < head || line[8] != ' ' || string(line[9:head]) != lsnKey {
 		return 0, false
@@ -375,12 +385,12 @@ func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
 // LSNs).
 //
 // The line is checked again for what can be checked without decoding it a
-// second time — frame, cap, CRC, well-formed JSON, and that it opens with
-// lsn — so a view that went stale between the caller's parse and this call
-// is refused, not journaled. A refused line leaves the log untouched.
+// second time — frame, cap, CRC, that it opens with lsn, and well-formed JSON
+// or a well-formed binary sample — so a view that went stale between the
+// caller's parse and this call is refused, not journaled. A refused line
+// leaves the log untouched.
 func (st *Store) AppendAt(lsn uint64, line []byte) error {
-	payload, ok := linePayload(line) // the line is checked outside the lock: it is the caller's alone
-	if got, peeked := peekLSN(line); !ok || !peeked || got != lsn || !json.Valid(payload) {
+	if !lineHolds(lsn, line) { // the line is checked outside the lock: it is the caller's alone
 		return fmt.Errorf("store: AppendAt %d: not a valid WAL line for that LSN", lsn)
 	}
 	st.mu.Lock()
@@ -396,6 +406,19 @@ func (st *Store) AppendAt(lsn uint64, line []byte) error {
 		return err
 	}
 	return nil
+}
+
+// lineHolds reports whether line is a well-formed WAL line of record lsn,
+// allocating nothing for a binary line.
+func lineHolds(lsn uint64, line []byte) bool {
+	if len(line) > 0 && line[0] == binaryLead {
+		var scratch [binaryScratch]byte
+		got, smp, ok := binaryRecord(scratch[:0], line)
+		return ok && got == lsn && trace.ValidSampleBinary(smp)
+	}
+	payload, ok := linePayload(line)
+	got, peeked := peekLSN(line)
+	return ok && peeked && got == lsn && json.Valid(payload)
 }
 
 // CheckpointAt atomically persists snap as a checkpoint covering records up
@@ -445,5 +468,6 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 	if err := st.openSegmentLocked(st.nextLSN); err != nil {
 		return err
 	}
+	st.wedged = nil // the partial line it stood for went with its segment
 	return st.checkpointLocked(lsn, snap)
 }

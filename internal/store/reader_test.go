@@ -273,61 +273,86 @@ func TestAppendAtAndResetTo(t *testing.T) {
 func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 	// AppendAt journals another store's bytes as they stand, so anything it
 	// lets through is in this log for good: a line has to check out on its
-	// own — frame, CRC, JSON, the LSN it is filed under — and a refusal must
-	// leave the segment as it was.
-	st, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	appendN(t, st, 0, 3)
-	good := recordLine(t, 4, testSample(3))
-	reframe := func(payload string) []byte { // a good frame and CRC around any payload
-		line, _ := oracleLine(0, trace.Sample{})
-		return append(fmt.Appendf(line[:0], "%08x ", crc32.ChecksumIEEE([]byte(payload))), payload+"\n"...)
-	}
-	flipped := bytes.Replace(good, []byte("udp_kbps"), []byte("udp_kbpz"), 1)
-	badCRC := append([]byte(nil), good...)
-	badCRC[0] ^= 1
-	payload := string(good[9 : len(good)-1])
-	for _, tc := range []struct {
-		name string
-		lsn  uint64
-		line []byte
-	}{
-		{"a flipped payload byte", 4, flipped},
-		{"a flipped CRC digit", 4, badCRC},
-		{"a good CRC over truncated JSON", 4, reframe(payload[:len(payload)-1])},
-		{"a good CRC over no JSON at all", 4, reframe("not a record")},
-		{"the wrong LSN for the line", 5, good},
-		{"an LSN key that is not the first", 4, reframe(`{"sample":{},"lsn":4}`)},
-		{"no newline", 4, good[:len(good)-1]},
-		{"two lines", 4, append(append([]byte(nil), good...), recordLine(t, 5, testSample(4))...)},
-		{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", maxWALLineBytes) + `"}}`)},
-		{"nothing", 4, nil},
-		{"a regressing LSN", 2, recordLine(t, 2, testSample(1))},
-	} {
-		before, err := os.ReadFile(st.segName(1))
+	// own — frame, CRC, a record that decodes, the LSN it is filed under —
+	// and a refusal must leave the segment as it was. Both forms of line go
+	// through it.
+	for _, form := range []struct {
+		name   string
+		encode func([]byte, uint64, trace.Sample) ([]byte, error)
+	}{{"JSON", appendRecordJSON}, {"binary", appendRecordLine}} {
+		st, err := Open(t.TempDir(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.AppendAt(tc.lsn, tc.line); err == nil {
-			t.Errorf("%s: AppendAt(%d) journaled it", tc.name, tc.lsn)
+		defer st.Close()
+		appendN(t, st, 0, 3)
+		line := func(lsn uint64, smp trace.Sample) []byte {
+			l, err := form.encode(nil, lsn, smp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return l
 		}
-		after, err := os.ReadFile(st.segName(1))
-		if err != nil {
-			t.Fatal(err)
+		good := line(4, testSample(3))
+		flipped := bytes.Replace(good, []byte("udp_kbps"), []byte("udp_kbpz"), 1)
+		badCRC := append([]byte(nil), good...)
+		if form.name == "JSON" {
+			badCRC[0] ^= 1 // a hex digit
+		} else {
+			badCRC[len(badCRC)-2] ^= 1 // the CRC's last byte, or the second half of its escape
 		}
-		if !bytes.Equal(before, after) || st.LastLSN() != 3 {
-			t.Fatalf("%s: the refusal changed the log: %d -> %d bytes, last LSN %d", tc.name, len(before), len(after), st.LastLSN())
+		cases := []struct {
+			name string
+			lsn  uint64
+			line []byte
+		}{
+			{"a flipped payload byte", 4, flipped},
+			{"a flipped CRC byte", 4, badCRC},
+			{"the wrong LSN for the line", 5, good},
+			{"no newline", 4, good[:len(good)-1]},
+			{"two lines", 4, append(append([]byte(nil), good...), line(5, testSample(4))...)},
+			{"nothing", 4, nil},
+			{"a regressing LSN", 2, line(2, testSample(1))},
 		}
-	}
-	if err := st.AppendAt(4, good); err != nil {
-		t.Fatalf("a good line after the refusals: %v", err)
-	}
-	got := readAll(t, st, 1, 10)
-	if len(got) != 4 || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) {
-		t.Fatalf("log after the refusals: %v", lsns(got))
+		if form.name == "JSON" {
+			reframe := func(payload string) []byte { // a good frame and CRC around any payload
+				return append(fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE([]byte(payload))), payload+"\n"...)
+			}
+			payload := string(good[9 : len(good)-1])
+			cases = append(cases, []struct {
+				name string
+				lsn  uint64
+				line []byte
+			}{
+				{"a good CRC over truncated JSON", 4, reframe(payload[:len(payload)-1])},
+				{"a good CRC over no JSON at all", 4, reframe("not a record")},
+				{"an LSN key that is not the first", 4, reframe(`{"sample":{},"lsn":4}`)},
+				{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", maxWALLineBytes) + `"}}`)},
+			}...)
+		} // the binary form's malformed lines: TestBinaryRecordRefusesMalformed
+		for _, tc := range cases {
+			before, err := os.ReadFile(st.segName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendAt(tc.lsn, tc.line); err == nil {
+				t.Errorf("%s line, %s: AppendAt(%d) journaled it", form.name, tc.name, tc.lsn)
+			}
+			after, err := os.ReadFile(st.segName(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) || st.LastLSN() != 3 {
+				t.Fatalf("%s line, %s: the refusal changed the log: %d -> %d bytes, last LSN %d", form.name, tc.name, len(before), len(after), st.LastLSN())
+			}
+		}
+		if err := st.AppendAt(4, good); err != nil {
+			t.Fatalf("a good %s line after the refusals: %v", form.name, err)
+		}
+		got := readAll(t, st, 1, 10)
+		if len(got) != 4 || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) {
+			t.Fatalf("%s: log after the refusals: %v", form.name, lsns(got))
+		}
 	}
 }
 
@@ -624,7 +649,7 @@ func TestNextLinesReturnsTheSegmentsOwnBytes(t *testing.T) {
 	// run ends at a line boundary inside the buffer, and end to end they are
 	// the segment file, byte for byte. Then the cost of a run: a fixed number
 	// of allocations, whatever the number of lines in it.
-	const n = 2000
+	const n = 5000
 	st := tailStore(t, n)
 	want, err := os.ReadFile(st.segName(1))
 	if err != nil {

@@ -43,7 +43,7 @@ type Recovery struct {
 	Tail []trace.Sample
 
 	// Damage tolerated: checkpoints skipped for CRC/JSON corruption,
-	// mid-segment records skipped for CRC/JSON corruption, and bytes
+	// mid-segment records skipped for CRC/decode corruption, and bytes
 	// truncated from a torn WAL tail.
 	CorruptCheckpoints int
 	CorruptRecords     int
@@ -271,9 +271,9 @@ func (st *Store) recover() error {
 // CRC even gets a look.
 const maxWALLineBytes = 1 << 20
 
-// linePayload checks the frame of one WAL line — "crc32hex payload\n", no
-// longer than maxWALLineBytes, the CRC the payload's own — and returns the
-// payload.
+// linePayload checks the frame of one JSON-form WAL line — "crc32hex
+// payload\n", no longer than maxWALLineBytes, the CRC the payload's own — and
+// returns the payload.
 func linePayload(line []byte) ([]byte, bool) {
 	// 8 hex digits + ' ' + at least "{}" + '\n'.
 	if len(line) < 12 || len(line) > maxWALLineBytes || line[8] != ' ' || line[len(line)-1] != '\n' {
@@ -291,12 +291,21 @@ func linePayload(line []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// ParseRecordLine validates one WAL line in full — frame, CRC and the JSON
-// record behind them — and returns the sample and the LSN it journals. It is
-// the format's one validating decoder: recovery, Cursor.Next and a replica
-// taking lines off the replication stream all decide through it what a
-// record is. The sample shares no memory with line.
+// ParseRecordLine validates one WAL line in full, in either form — frame,
+// CRC and the record behind them — and returns the sample and the LSN it
+// journals. It is the format's one validating decoder: recovery, Cursor.Next
+// and a replica taking lines off the replication stream all decide through it
+// what a record is. The sample shares no memory with line.
 func ParseRecordLine(line []byte) (trace.Sample, uint64, bool) {
+	if len(line) > 0 && line[0] == binaryLead {
+		var scratch [binaryScratch]byte
+		lsn, body, ok := binaryRecord(scratch[:0], line)
+		if !ok {
+			return trace.Sample{}, 0, false
+		}
+		smp, ok := trace.ParseSampleBinary(body)
+		return smp, lsn, ok
+	}
 	payload, ok := linePayload(line)
 	if !ok {
 		return trace.Sample{}, 0, false

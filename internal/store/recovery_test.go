@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 // recoverDir is the recovery Open ran before it walked the log with a
@@ -151,6 +152,10 @@ func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, c
 // the same snapshot, checkpoint LSN, tail and damage counters, the same next
 // LSN, and every file the same size afterwards.
 //
+// The mixed-format schedules journal JSON lines among the binary ones, as a
+// data directory upgraded in place holds them: AppendAt of lines the JSON
+// encoder wrote, and appends of samples only the JSON form carries.
+//
 // Mutants of the cursor-driven recovery this must catch, each tried by hand:
 // opening the cursor at the checkpoint's LSN + 1 instead of the oldest
 // segment's first; counting the run that ends the newest segment as corrupt;
@@ -158,14 +163,36 @@ func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, c
 // record.
 func TestRecoveryMatchesScan(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
-		if err := runRecoverySchedule(t.TempDir(), seed); err != nil {
+		if err := runRecoverySchedule(t.TempDir(), seed, false); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	for seed := uint64(1); seed <= 100; seed++ {
+		if err := runRecoverySchedule(t.TempDir(), seed, true); err != nil {
+			t.Fatalf("mixed-format seed %d: %v", seed, err)
 		}
 	}
 }
 
-func runRecoverySchedule(base string, seed uint64) error {
+func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 	r := rng.NewNamed(seed, "recovery-schedule")
+	// sample is testSample(n), or, in a mixed-format schedule and at random,
+	// the same one at an offset only the JSON form can carry.
+	sample := func(n int) trace.Sample {
+		smp := testSample(n)
+		if mixed && r.Bool(0.3) {
+			smp.Time = smp.Time.In(time.FixedZone("", 3600))
+		}
+		return smp
+	}
+	// encode is appendRecordLine, or, in a mixed-format schedule and at
+	// random, the JSON encoder.
+	encode := func(lsn uint64, smp trace.Sample) ([]byte, error) {
+		if mixed && r.Bool(0.5) {
+			return appendRecordJSON(nil, lsn, smp)
+		}
+		return appendRecordLine(nil, lsn, smp)
+	}
 	dir := filepath.Join(base, "data")
 	n := 0 // samples journaled so far, to tell them apart
 	for session := 1 + r.Intn(3); session > 0; session-- {
@@ -183,13 +210,13 @@ func runRecoverySchedule(base string, seed uint64) error {
 			switch op := r.Intn(20); {
 			case op < 11:
 				for k := 1 + r.Intn(6); k > 0 && err == nil; k-- {
-					_, err = st.Append(testSample(n))
+					_, err = st.Append(sample(n))
 					n++
 				}
 			case op < 15:
 				lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
 				var line []byte
-				if line, err = appendRecordLine(nil, lsn, testSample(n)); err == nil {
+				if line, err = encode(lsn, sample(n)); err == nil {
 					err = st.AppendAt(lsn, line)
 				}
 				n++
@@ -248,9 +275,10 @@ func damageDir(dir string, r *rng.Rand) error {
 		}
 		if r.Bool(0.3) {
 			// A flipped byte. XOR 0xff turns a digit into a non-digit, so a
-			// line whose LSN is hit fails as malformed rather than reading
-			// as a record behind its predecessor, which recovery's cursor
-			// passes over uncounted.
+			// JSON line whose LSN is hit fails as malformed rather than
+			// reading as a record behind its predecessor, which recovery's
+			// cursor passes over uncounted; a binary line's LSN is read only
+			// under a good CRC (see peekLSN).
 			errs = append(errs, edit(pick(), func(b []byte) []byte {
 				if len(b) > 0 {
 					b[r.Intn(len(b))] ^= 0xff

@@ -12,18 +12,25 @@
 //	checkpoint-<lsn>.ckpt    controller snapshots; <lsn> is the last WAL
 //	                         record the snapshot covers
 //
-// Every WAL record is one line: an 8-hex-digit CRC32 (IEEE) of the JSON
-// payload, a space, and the payload {"lsn":N,"sample":{...}}. Line framing
-// means one corrupt record never hides its successors, and a torn tail (a
-// crash mid-write) is detected and truncated on recovery instead of
-// refusing to start. Segments rotate by size; compaction deletes segments
-// wholly covered by the oldest *retained* checkpoint, so falling back to
-// an older checkpoint when the newest is corrupt never loses records.
+// Every WAL record is one line, in one of two forms its first byte tells
+// apart (see encode.go): binary — 0xB1, then the uvarint LSN, the sample's
+// binary form and a CRC32 (IEEE) of both, SLIP-stuffed so no raw newline is
+// inside — which is what Append writes; or JSON — an 8-hex-digit CRC32 of
+// the payload, a space, and the payload {"lsn":N,"sample":{...}} — which
+// every segment written before the binary form holds, and which Append
+// still writes for a sample only JSON carries as it decodes. A segment may
+// hold both. Line framing means one corrupt record never hides its
+// successors, and a torn tail (a crash mid-write) is detected and truncated
+// on recovery instead of refusing to start. Segments rotate by size;
+// compaction deletes segments wholly covered by the oldest *retained*
+// checkpoint, so falling back to an older checkpoint when the newest is
+// corrupt never loses records.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -123,7 +130,7 @@ func (o *Options) fill() {
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("store: closed")
 
-// walRecord is the JSON payload of one WAL line.
+// walRecord is the payload of one JSON-form WAL line.
 type walRecord struct {
 	LSN    uint64       `json:"lsn"`
 	Sample trace.Sample `json:"sample"`
@@ -146,6 +153,7 @@ type Store struct {
 	nextLSN  uint64
 	unsynced int // records appended since the last fsync
 	closed   bool
+	wedged   error  // set when a failed write could not be undone; appends refuse until reopen
 	buf      []byte // line assembly scratch, reused across Appends
 
 	stop chan struct{}
@@ -279,13 +287,27 @@ func (st *Store) appendLocked(smp trace.Sample) (uint64, error) {
 
 // writeLineLocked journals line, the whole WAL line of record lsn, as the
 // log's next record: rotation, the write, the books and the fsync policy.
+//
+// A write that fails part way (ENOSPC, EFBIG) has still put the start of line
+// in the segment, and the next line written behind it would merge with it
+// into one that fails its CRC — read on recovery as a torn tail, taking an
+// acked record with it. So the segment is cut back to where the last whole
+// line ends; if that fails too, every later append is refused until the store
+// is reopened and recovery truncates the partial line.
 func (st *Store) writeLineLocked(lsn uint64, line []byte) error {
+	if st.wedged != nil {
+		return fmt.Errorf("store: appending record %d: %w", lsn, st.wedged)
+	}
 	if st.segSize >= st.opts.SegmentMaxBytes {
 		if err := st.rotateLocked(lsn); err != nil {
 			return err
 		}
 	}
 	if _, err := st.f.Write(line); err != nil {
+		if uerr := st.undoWriteLocked(); uerr != nil {
+			st.wedged = fmt.Errorf("a partial record could not be cut from the WAL (%w); reopen the store", uerr)
+			return fmt.Errorf("store: appending record %d: %w; %w", lsn, err, st.wedged)
+		}
 		return fmt.Errorf("store: appending record %d: %w", lsn, err)
 	}
 	st.segSize += int64(len(line))
@@ -300,6 +322,16 @@ func (st *Store) writeLineLocked(lsn uint64, line []byte) error {
 		st.unsynced = 0
 	}
 	return nil
+}
+
+// undoWriteLocked cuts the active segment back to its last whole line and
+// puts the write offset there.
+func (st *Store) undoWriteLocked() error {
+	if err := st.f.Truncate(st.segSize); err != nil {
+		return err
+	}
+	_, err := st.f.Seek(st.segSize, io.SeekStart)
+	return err
 }
 
 // Sync forces the WAL to stable storage regardless of policy.

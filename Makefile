@@ -47,7 +47,10 @@ race:
 ci: vet lint build race
 
 # Short-burst coverage-guided fuzz of the wire decoder, the sketch
-# serializer, the replication frame codec, the WAL record encoder, the
+# serializer, the replication line stream (FuzzFrameRoundTrip: arbitrary
+# bytes as a source's stream never panic a replica session, it applies only
+# lines store.ParseRecordLine accepts, and an accepted snapshot line
+# re-encodes byte for byte), the WAL record encoder, the
 # binary WAL record decoder (FuzzBinaryRecordDecode: arbitrary bytes after
 # the binary lead byte never panic, and an accepted line re-encodes byte for
 # byte), the canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
@@ -59,7 +62,7 @@ ci: vet lint build race
 # a record against json.Unmarshal). Checked-in corpora under */testdata/fuzz
 # seed the wire, sketch, sample- and reply-decoder fuzzers, which also seed
 # every frame type they cover
-# programmatically; the replication fuzzer seeds all six of its frame types
+# programmatically; the replication fuzzer seeds every line kind
 # programmatically, the encoder fuzzer the values encoding/json's rules turn
 # on, the binary decoder fuzzer lines the store wrote.
 fuzz:

@@ -8,8 +8,9 @@ import (
 // process does not control (peer connections, on-disk journals that may be
 // corrupt or hostile) must be read through a size-capped path. wire.Conn
 // owns the protocol's cap — Send refuses frames over MaxMessageBytes and
-// Recv reads through readLineLimited — so the rest of the codebase must
-// not re-implement the codec around it.
+// Recv reads through ReadLine, the bounded delimiter reader the replication
+// stream reads through too — so the rest of the codebase must not
+// re-implement the codec around it.
 //
 // Two rules, both exempting package wire itself (the one place the raw
 // codec legitimately lives):
@@ -24,8 +25,7 @@ import (
 //  2. No (*bufio.Reader).ReadBytes / ReadString on any input: both
 //     accumulate until the delimiter with no bound, so a corrupt WAL line
 //     or a hostile peer that never sends '\n' grows the buffer without
-//     limit. Use bufio.Scanner (bounded token size) or a capped
-//     ReadSlice loop like wire's readLineLimited.
+//     limit. Use bufio.Scanner (bounded token size) or wire.ReadLine.
 var Wirebound = &Analyzer{
 	Name: "wirebound",
 	Doc: "wire.Envelope moves only through wire.Conn's size-capped codec, and " +

@@ -17,10 +17,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // peer is one end of a replication conn played by the test: a source
-// scripted frame by frame for a real Replica, or a replica for a real Source.
+// scripted line by line for a real Replica, or a replica for a real Source.
 type peer struct {
 	t  *testing.T
 	nc net.Conn
@@ -46,43 +47,60 @@ func acceptPeer(t *testing.T, lis net.Listener) (*peer, hello) {
 		t.Fatal(err)
 	}
 	p := newPeer(t, nc)
-	typ, payload := p.recv()
-	h, err := decodeHello(payload)
-	if typ != frameHello || err != nil {
-		t.Fatalf("session opened with frame type %d (%v), want a hello", typ, err)
+	line := p.recv()
+	h, err := parseHello(line)
+	if err != nil {
+		t.Fatalf("session opened with %q (%v), want a hello", line, err)
 	}
 	return p, h
 }
 
-func (p *peer) sendBytes(b []byte) {
+// send writes lines, already '\n'-terminated, end to end.
+func (p *peer) send(lines ...[]byte) {
 	p.t.Helper()
-	if _, err := p.bw.Write(b); err != nil {
-		p.t.Fatal(err)
+	for _, line := range lines {
+		if _, err := p.bw.Write(line); err != nil {
+			p.t.Fatal(err)
+		}
 	}
 	if err := p.bw.Flush(); err != nil {
 		p.t.Fatal(err)
 	}
 }
 
-func (p *peer) send(typ byte, payload []byte) {
+// recv reads the next line, '\n' included, whatever its kind.
+func (p *peer) recv() []byte {
 	p.t.Helper()
-	p.sendBytes(frameBytes(p.t, typ, payload))
+	line, _, err := wire.ReadLine(p.br, maxSnapshotLineBytes)
+	if err != nil {
+		p.t.Fatalf("reading a line: %v", err)
+	}
+	return append([]byte(nil), line...)
 }
 
-func (p *peer) recv() (byte, []byte) {
+// recvFlush reads one flush from a source: the lines ahead of its position
+// line, end to end, and the LSN that line holds.
+func (p *peer) recvFlush() (lines []byte, last uint64) {
 	p.t.Helper()
-	typ, payload, err := readFrame(p.br, maxSnapshotFrameBytes)
-	if err != nil {
-		p.t.Fatalf("reading a frame: %v", err)
+	for {
+		line := p.recv()
+		if line[0] != positionWord[0] {
+			lines = append(lines, line...)
+			continue
+		}
+		last, err := parseNumberLine(line, positionWord)
+		if err != nil {
+			p.t.Fatal(err)
+		}
+		return lines, last
 	}
-	return typ, append([]byte(nil), payload...)
 }
 
 func (p *peer) wantAck(lsn uint64) {
 	p.t.Helper()
-	typ, payload := p.recv()
-	if got, err := decodeU64(payload); typ != frameAck || err != nil || got != lsn {
-		p.t.Fatalf("got frame type %d carrying %d (%v), want an ack of %d", typ, got, err, lsn)
+	line := p.recv()
+	if got, err := parseNumberLine(line, ackWord); err != nil || got != lsn {
+		p.t.Fatalf("got %q (%v), want an ack of %d", line, err, lsn)
 	}
 }
 
@@ -90,20 +108,33 @@ func (p *peer) wantAck(lsn uint64) {
 // anything more.
 func (p *peer) wantClosed() {
 	p.t.Helper()
-	if typ, _, err := readFrame(p.br, maxSnapshotFrameBytes); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
-		p.t.Fatalf("the other side kept the session open (frame type %d, err %v), want it closed", typ, err)
+	if line, _, err := wire.ReadLine(p.br, maxSnapshotLineBytes); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		p.t.Fatalf("the other side kept the session open (%q, err %v), want it closed", line, err)
 	}
 }
 
-// snapshotFrame is the payload of a snapshot frame covering lsn: a checkpoint.
-func snapshotFrame(t testing.TB, lsn uint64) []byte {
+// snapshotLine is the snapshot line of an empty snapshot covering lsn.
+func snapshotLine(t testing.TB, lsn uint64) []byte {
 	t.Helper()
-	ckpt, err := store.AppendCheckpoint(nil, lsn, core.Snapshot{TakenAt: start})
+	line, err := store.AppendCheckpointLine(nil, lsn, core.Snapshot{TakenAt: start})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ckpt
+	return line
 }
+
+// checkpointLine spells any payload as a checkpoint line, stuffing it the
+// way the format's definition says (RFC 1055 SLIP: 0xDB as DB DD, '\n' as
+// DB DC), independently of the store's encoder.
+func checkpointLine(payload []byte) []byte {
+	payload = bytes.ReplaceAll(payload, []byte{0xDB}, []byte{0xDB, 0xDD})
+	payload = bytes.ReplaceAll(payload, []byte{'\n'}, []byte{0xDB, 0xDC})
+	return append(append([]byte{store.CheckpointLead}, payload...), '\n')
+}
+
+// positionLine and ackLine are the text lines ending a flush and acking one.
+func positionLine(lsn uint64) []byte { return fmt.Appendf(nil, "lsn %d\n", lsn) }
+func ackLine(lsn uint64) []byte      { return fmt.Appendf(nil, "ok %d\n", lsn) }
 
 // appendThrough appends testSample(lsn-1) records until st holds LSN n.
 func appendThrough(t *testing.T, st *store.Store, n uint64) {
@@ -116,7 +147,7 @@ func appendThrough(t *testing.T, st *store.Store, n uint64) {
 }
 
 // journalOf reads a data directory's segments end to end.
-func journalOf(t *testing.T, dir string) []byte {
+func journalOf(t testing.TB, dir string) []byte {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	if err != nil {
@@ -135,9 +166,10 @@ func journalOf(t *testing.T, dir string) []byte {
 
 func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 	// The replica journals the bytes it is sent, so a line that does not
-	// validate — or a body that is not whole lines, or too many of them —
-	// must end the session there: nothing of it journaled or ingested, nothing
-	// after it looked at, and the redial asking for it again.
+	// validate — or is longer than any line the store keeps, or is cut off by
+	// the source hanging up — must end the session there: nothing of it
+	// journaled or ingested, nothing after it looked at, and the redial
+	// asking for it again.
 	good := func(lsn uint64) []byte { return walLine(lsn, testSample(int(lsn))) }
 	flipped := good(13)
 	flipped[5] ^= 1
@@ -147,14 +179,14 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		body    []byte
-		applied int // lines of body applied before the session ends
+		applied int  // lines of body applied before the session ends
+		hangup  bool // the source hangs up after body, mid-line
 	}{
-		{"a flipped CRC digit", bytes.Join([][]byte{good(11), good(12), flipped, good(14)}, nil), 2},
+		{"a flipped CRC digit", bytes.Join([][]byte{good(11), good(12), flipped, good(14)}, nil), 2, false},
 		{"a good CRC over a record that is not one", bytes.Join([][]byte{good(11), good(12),
-			fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(junk), junk), good(14)}, nil), 2},
-		{"a line past the store's cap", append(good(11), walLine(12, long)...), 1},
-		{"bytes after the last newline", append(append(good(11), good(12)...), "0badc0de {"...), 0},
-		{"a line too many", walLines(11, maxRecordsPerBatch+1), 0},
+			fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(junk), junk), good(14)}, nil), 2, false},
+		{"a line past the store's cap", append(good(11), walLine(12, long)...), 1, false},
+		{"bytes after the last newline", append(append(good(11), good(12)...), "0badc0de {"...), 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -170,24 +202,34 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 			if h.from != 0 {
 				t.Fatalf("a fresh replica asked for LSN %d, want a snapshot", h.from)
 			}
-			p.send(frameSnapshot, snapshotFrame(t, 10))
+			p.send(snapshotLine(t, 10), positionLine(10))
 			p.wantAck(10)
-			p.send(frameRecords, tc.body)
-			p.wantClosed()
+			if tc.hangup {
+				p.send(tc.body)
+				_ = p.nc.Close()
+			} else {
+				// The replica may hang up before it has read all of a line it
+				// refuses, so the write's own error says nothing; and it must
+				// not get as far as the position line to ack it.
+				_, _ = p.nc.Write(append(tc.body, positionLine(14)...))
+				p.wantClosed()
+			}
+
+			// The redial comes once the session is over, and resumes after the
+			// last record applied.
+			p, h = acceptPeer(t, lis)
 			if _, _, applied := ap.snapshot(); len(applied) != tc.applied || ap.st.LastLSN() != 10+uint64(tc.applied) {
 				t.Fatalf("applied %v and journaled through LSN %d, want the %d lines ahead of the bad one", applied, ap.st.LastLSN(), tc.applied)
 			}
-
-			// The redial resumes after the last record applied, and converges.
-			p, h = acceptPeer(t, lis)
 			if want := 11 + uint64(tc.applied); h.from != want {
 				t.Fatalf("redial asked for LSN %d, want %d", h.from, want)
 			}
+			// And converges.
 			var rest []byte
 			for lsn := h.from; lsn <= 14; lsn++ {
 				rest = append(rest, good(lsn)...)
 			}
-			p.send(frameRecords, rest)
+			p.send(rest, positionLine(14))
 			p.wantAck(14)
 			if _, boots, applied := ap.snapshot(); boots != 1 || fmt.Sprint(applied) != "[11 12 13 14]" {
 				t.Fatalf("%d bootstraps, applied %v; want one and 11..14, each once", boots, applied)
@@ -200,21 +242,34 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 }
 
 func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
-	// A snapshot frame is a checkpoint, CRC and all, and the replica resets
-	// its store to it only once it checks out in full: a damaged one ends the
-	// session with nothing bootstrapped and nothing acked.
-	good := snapshotFrame(t, 10)
+	// A snapshot line is a checkpoint, CRC and all, and the replica resets
+	// its store to it only once it checks out in full — and is spelled the
+	// one way AppendCheckpointLine spells what it holds: a damaged or
+	// otherwise spelled one ends the session with nothing bootstrapped and
+	// nothing acked.
+	good, err := store.AppendCheckpoint(nil, 10, core.Snapshot{TakenAt: start})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(checkpointLine(good), snapshotLine(t, 10)) {
+		t.Fatalf("the store's checkpoint line is not the format's:\n%q\nwant\n%q", snapshotLine(t, 10), checkpointLine(good))
+	}
 	nl := bytes.IndexByte(good, '\n')
 	flipped := append([]byte(nil), good...)
 	flipped[nl+1+(len(good)-nl-1)/2] ^= 1
+	respelled := append(fmt.Appendf(nil, "wiscape-checkpoint v1 10  %s", good[nl-8:nl]), good[nl:]...)
+	badEscape := snapshotLine(t, 10)
+	badEscape = append(append(badEscape[:len(badEscape)-1:len(badEscape)-1], 0xDB, 'x'), '\n')
 	for _, tc := range []struct {
-		name    string
-		payload []byte
+		name string
+		line []byte
 	}{
-		{"a flipped body byte", flipped},
-		{"another format's header", bytes.Replace(good, []byte(" v1 "), []byte(" v2 "), 1)},
-		{"a header CRC that is not hex", append([]byte("wiscape-checkpoint v1 10 zzzzzzzz"), good[nl:]...)},
-		{"version 2's spelling: a u64 LSN and the JSON", append(binary.LittleEndian.AppendUint64(nil, 10), good[nl+1:]...)},
+		{"a flipped body byte", checkpointLine(flipped)},
+		{"another format's header", checkpointLine(bytes.Replace(good, []byte(" v1 "), []byte(" v2 "), 1))},
+		{"a header CRC that is not hex", checkpointLine(append([]byte("wiscape-checkpoint v1 10 zzzzzzzz"), good[nl:]...))},
+		{"version 2's spelling: a u64 LSN and the JSON", checkpointLine(append(binary.LittleEndian.AppendUint64(nil, 10), good[nl+1:]...))},
+		{"a header spelled with two spaces", checkpointLine(respelled)},
+		{"an escape that stands for nothing", badEscape},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -228,7 +283,7 @@ func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
 			defer r.Close()
 
 			p, _ := acceptPeer(t, lis)
-			p.send(frameSnapshot, tc.payload)
+			p.send(tc.line, positionLine(10))
 			p.wantClosed()
 			if _, boots, _ := ap.snapshot(); boots != 0 || ap.st.LastLSN() != 3 || r.Status().Resyncs != 0 {
 				t.Fatalf("%d bootstraps, %d resyncs, local log at LSN %d; want the snapshot refused and the log untouched at 3",
@@ -238,47 +293,85 @@ func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
 	}
 }
 
-func TestFrameCapGoesByType(t *testing.T) {
-	// The generous cap is the snapshot's alone, and only for a reader that
-	// takes snapshots at all: any other header claiming more than
-	// maxFrameBytes is refused off its five bytes, before anything is
-	// allocated or waited for.
+func TestLineCapGoesByLeadByte(t *testing.T) {
+	// A line's first byte picks its kind and its cap before any more of it
+	// is read: a source takes hellos and acks, short text lines, and refuses
+	// anything else off that byte; a replica takes text lines, WAL lines up
+	// to the store's cap, and snapshot lines up to the generous cap that is
+	// theirs alone.
 	//
-	// This test is the guard on the one length the tree reads off the wire
-	// and sizes an allocation by (make([]byte, whole) in readFrame). Mutant:
-	// delete readFrame's `if n > maxLen { return … errBadFrame … }` and every
-	// refused row below fails with io.ErrUnexpectedEOF after the allocation,
-	// and the end-to-end replica keeps the session open.
-	header := func(typ byte, n uint32) *bufio.Reader {
-		hdr := binary.LittleEndian.AppendUint32(nil, n)
-		return bufio.NewReader(bytes.NewReader(append(hdr, typ)))
+	// This test is the guard on the one delimiter reader the stream reads
+	// through (wire.ReadLine). Mutant: delete its `n > limit` refusal and
+	// every over-cap row below reads the line, and the end-to-end peers keep
+	// the session open.
+	const bufSize = 4096
+	// stream is lead, then n-1 more bytes of the line, then its '\n' — or,
+	// n < 0, -n bytes with no '\n' at all; counted is what the reader has
+	// taken off it.
+	var counted int64
+	stream := func(lead byte, n int) *bufio.Reader {
+		counted = 0
+		end := "\n"
+		if n < 0 {
+			n, end = -n, ""
+		}
+		line := io.MultiReader(bytes.NewReader([]byte{lead}), io.LimitReader(fillReader{}, int64(n-1)), strings.NewReader(end))
+		return bufio.NewReaderSize(countReader{line, &counted}, bufSize)
 	}
 	for _, tc := range []struct {
-		typ     byte
-		n       uint32
-		maxLen  uint32
-		refused bool
+		side  string
+		capOf func(byte) int
+		lead  byte
+		cap   int // 0: the kind is refused off its first byte
 	}{
-		{frameHeartbeat, maxFrameBytes + 1, maxSnapshotFrameBytes, true},
-		{frameRecords, maxFrameBytes + 1, maxSnapshotFrameBytes, true},
-		{frameReject, maxSnapshotFrameBytes, maxSnapshotFrameBytes, true},
-		{frameAck, maxFrameBytes + 1, maxFrameBytes, true},
-		{frameRecords, maxFrameBytes, maxSnapshotFrameBytes, false},
-		{frameSnapshot, maxFrameBytes + 1, maxSnapshotFrameBytes, false},
-		{frameSnapshot, maxSnapshotFrameBytes + 1, maxSnapshotFrameBytes, true},
-		{frameSnapshot, maxFrameBytes + 1, maxFrameBytes, true}, // a source takes no snapshots
+		{"source", sourceCap, 'h', maxTextLineBytes},
+		{"source", sourceCap, 'o', maxTextLineBytes},
+		{"source", sourceCap, 'l', 0},
+		{"source", sourceCap, 0xB1, 0},
+		{"source", sourceCap, '7', 0},
+		{"source", sourceCap, store.CheckpointLead, 0},
+		{"replica", replicaCap, 'l', maxTextLineBytes},
+		{"replica", replicaCap, 'r', maxTextLineBytes},
+		{"replica", replicaCap, 0xB1, store.MaxLineBytes - 1},
+		{"replica", replicaCap, '7', store.MaxLineBytes - 1},
+		{"replica", replicaCap, store.CheckpointLead, maxSnapshotLineBytes},
 	} {
-		_, _, err := readFrame(header(tc.typ, tc.n), tc.maxLen)
-		if tc.refused && !errors.Is(err, errBadFrame) {
-			t.Errorf("type %d, %d bytes, caller's cap %d: err %v, want the header refused", tc.typ, tc.n, tc.maxLen, err)
+		name := fmt.Sprintf("%s, lead %#x", tc.side, tc.lead)
+		if got := tc.capOf(tc.lead); got != tc.cap {
+			t.Errorf("%s: cap %d, want %d", name, got, tc.cap)
+			continue
 		}
-		if !tc.refused && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("type %d, %d bytes, caller's cap %d: err %v, want the header taken and the payload missed", tc.typ, tc.n, tc.maxLen, err)
+		if tc.cap == 0 {
+			if _, err := readLine(stream(tc.lead, 2), tc.capOf); !errors.Is(err, errBadLine) {
+				t.Errorf("%s: err %v, want the line refused off its first byte", name, err)
+			}
+			continue
+		}
+		// A line at the cap is read; one byte more is not, nor is one that
+		// runs on with no end in sight, and either is refused within a
+		// buffer of the cap. A
+		// snapshot line at its cap would take 256 MiB here, so that kind
+		// reads a line past every other kind's cap instead.
+		at := tc.cap
+		if tc.cap == maxSnapshotLineBytes {
+			at = 2 * store.MaxLineBytes
+		}
+		if line, err := readLine(stream(tc.lead, at), tc.capOf); err != nil || len(line) != at+1 {
+			t.Errorf("%s: a %d-byte line read as %d bytes, err %v", name, at, len(line), err)
+		}
+		if tc.cap == maxSnapshotLineBytes {
+			continue
+		}
+		for _, n := range []int{tc.cap + 1, -(tc.cap + 4*bufSize)} {
+			_, err := readLine(stream(tc.lead, n), tc.capOf)
+			if !errors.Is(err, wire.ErrMessageTooLarge) || counted > int64(tc.cap+2*bufSize) {
+				t.Errorf("%s: stream(%d): err %v after %d bytes read, want the line refused within %d", name, n, err, counted, tc.cap+2*bufSize)
+			}
 		}
 	}
 
-	// End to end: a heartbeat header claiming more than that makes a replica
-	// hang up at once, not sit waiting for 8 MiB it has made room for.
+	// End to end, either side hangs up on a line that runs past its cap,
+	// without waiting for the rest of it.
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -287,40 +380,96 @@ func TestFrameCapGoesByType(t *testing.T) {
 	r := StartReplica(lis.Addr().String(), &memApplier{}, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	p, _ := acceptPeer(t, lis)
-	p.sendBytes(append(binary.LittleEndian.AppendUint32(nil, maxFrameBytes+1), frameHeartbeat))
+	p.send([]byte("lsn " + strings.Repeat("9", maxTextLineBytes)))
+	p.wantClosed()
+
+	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
+	nc, err := net.Dial("tcp", src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = newPeer(t, nc)
+	p.send([]byte("hello 5 0 " + strings.Repeat("r", maxTextLineBytes)))
 	p.wantClosed()
 }
 
+// fillReader is an endless run of 'x'; the tests take a limited length.
+type fillReader struct{}
+
+func (fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// countReader counts the bytes read through it.
+type countReader struct {
+	r io.Reader
+	n *int64
+}
+
+func (c countReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	*c.n += int64(n)
+	return n, err
+}
+
+func TestHelloRoundTrips(t *testing.T) {
+	// A hello is one line whatever the replica's id holds, and reads back as
+	// it was written; anything else that opens like one is malformed.
+	for _, id := range []string{"", "r1", "east replica", "two\nlines", `a "quoted" \ id`} {
+		line := appendHello(nil, hello{from: 42, id: id})
+		if h, err := parseHello(line); bytes.IndexByte(line, '\n') != len(line)-1 || err != nil || h != (hello{42, id}) {
+			t.Errorf("id %q: hello %q reads back as %+v, err %v", id, line, h, err)
+		}
+	}
+	for _, line := range []string{"hello\n", "hello 5\n", "hello 5 x \"r\"\n", "hello 5 1 r\n", "hello 5 1 \"r\" more\n", "ok 5\n"} {
+		if _, err := parseHello([]byte(line)); !errors.Is(err, errBadLine) {
+			t.Errorf("%q: err %v, want a malformed hello", line, err)
+		}
+	}
+}
+
 func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
-	// Version 4 ships binary WAL lines, which a version 3 peer cannot parse,
-	// and version 3 changed what a snapshot frame holds, so older peers are
-	// turned away by name at the handshake rather than fed frames they would
-	// misread.
+	// Each version changed what a line or frame holds, so a peer of another
+	// version is turned away at the handshake rather than fed lines it would
+	// misread: by name from version 5 on, and version 4's binary hello, which
+	// opens with a length no line kind starts with, by hanging up.
 	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
-	for _, v := range []uint16{2, 3} {
+	dial := func() *peer {
 		nc, err := net.Dial("tcp", src.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := newPeer(t, nc)
-		old := encodeHello(hello{from: 0, id: "old-replica"})
-		binary.LittleEndian.PutUint16(old[4:6], v)
-		p.send(frameHello, old)
-		typ, payload := p.recv()
-		if want := fmt.Sprintf("replication: peer speaks version %d, want 4", v); typ != frameReject || string(payload) != want {
-			t.Fatalf("got frame type %d %q, want a reject saying %q", typ, payload, want)
+		return newPeer(t, nc)
+	}
+	for _, v := range []uint16{4, 6} {
+		p := dial()
+		p.send(fmt.Appendf(nil, "hello %d 0 \"old-replica\"\n", v))
+		if got, want := string(p.recv()), fmt.Sprintf("reject replication: peer speaks version %d, want 5\n", v); got != want {
+			t.Fatalf("got %q, want %q", got, want)
 		}
 		p.wantClosed()
-		if n := src.ConnectedReplicas(); n != 0 {
-			t.Fatalf("%d replicas attached after the refusal", n)
-		}
+	}
+	v4 := binary.LittleEndian.AppendUint32(nil, uint32(16+len("old-replica")))
+	v4 = append(v4, 1) // a hello frame
+	v4 = binary.LittleEndian.AppendUint32(v4, 0x57524550)
+	v4 = binary.LittleEndian.AppendUint16(v4, 4)
+	v4 = binary.LittleEndian.AppendUint64(v4, 0)
+	v4 = binary.LittleEndian.AppendUint16(v4, uint16(len("old-replica")))
+	p := dial()
+	p.send(append(v4, "old-replica"...))
+	p.wantClosed()
+	if n := src.ConnectedReplicas(); n != 0 {
+		t.Fatalf("%d replicas attached after the refusals", n)
 	}
 }
 
 func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
 	// An ex-primary restarted as a replica without a forced resync says hello
 	// from its own LastLSN()+1, which can lie beyond the new primary's log.
-	// Parked there it would ack its stale position on the first heartbeat,
+	// Parked there it would ack its stale position on the first position line,
 	// release semi-sync waiters for records it never got, and then drop those
 	// records as replays. It is bootstrapped instead, like any position the
 	// log cannot be tailed from.
@@ -379,16 +528,18 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := newPeer(t, nc)
-	p.send(frameHello, encodeHello(hello{from: 3, id: "liar"}))
-	typ, payload := p.recv()
-	if lines := bytes.SplitAfterN(journalOf(t, st.Dir()), []byte("\n"), 3); typ != frameRecords || !bytes.Equal(payload, lines[2]) {
-		t.Fatalf("got frame type %d, %d bytes; want LSNs 3..5 as journaled", typ, len(payload))
+	p.send(appendHello(nil, hello{from: 3, id: "liar"}))
+	if lines, last := p.recvFlush(); len(lines) != 0 || last != 5 {
+		t.Fatalf("the hello's answer holds %d bytes and LSN %d; want where the log ends, 5, alone", len(lines), last)
 	}
-	p.send(frameAck, encodeU64(5)) // honest
+	if lines, last := p.recvFlush(); !bytes.Equal(lines, bytes.SplitAfterN(journalOf(t, st.Dir()), []byte("\n"), 3)[2]) || last != 5 {
+		t.Fatalf("got %d bytes and LSN %d; want LSNs 3..5 as journaled, then 5", len(lines), last)
+	}
+	p.send(ackLine(5)) // honest
 	if !src.WaitCommitted(5, 5*time.Second) {
 		t.Fatal("an ack of what was shipped did not commit it")
 	}
-	p.send(frameAck, encodeU64(20))
+	p.send(ackLine(20))
 	p.wantClosed()
 	appendThrough(t, st, 6)
 	if src.WaitCommitted(6, 50*time.Millisecond) {

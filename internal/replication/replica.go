@@ -2,7 +2,7 @@ package replication
 
 import (
 	"bufio"
-	"errors"
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -234,7 +234,7 @@ func (r *Replica) session(forceSnapshot bool) error {
 	if !forceSnapshot {
 		from = r.applied.Load() + 1
 	}
-	if err := writeFrame(bw, frameHello, encodeHello(hello{from: from, id: r.opts.ID})); err != nil {
+	if _, err := bw.Write(appendHello(bw.AvailableBuffer(), hello{from: from, id: r.opts.ID})); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -243,92 +243,77 @@ func (r *Replica) session(forceSnapshot bool) error {
 	r.connected.Store(true)
 	defer r.connected.Store(false)
 
+	err = r.consume(br, bw)
+	if r.isClosed() {
+		return nil
+	}
+	return err
+}
+
+// consume applies the source's lines from br, acking on bw, until a line
+// fails or the stream ends.
+func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
 	for {
-		// payload may be a view of br's buffer: every case is done with it
+		// line may be a view of br's buffer: every case is done with it
 		// before the next read.
-		typ, payload, err := readFrame(br, maxSnapshotFrameBytes)
+		line, err := readLine(br, replicaCap)
 		if err != nil {
-			if r.isClosed() {
-				return nil
-			}
 			return err
 		}
-		switch typ {
-		case frameSnapshot:
+		switch line[0] {
+		case store.CheckpointLead:
 			// Nothing is reset before the checkpoint checks out in full.
-			snap, lsn, err := store.ParseCheckpoint(payload)
+			snap, lsn, err := store.ParseCheckpointLine(line)
 			if err != nil {
-				return fmt.Errorf("%w: snapshot: %v", errBadFrame, err)
+				return fmt.Errorf("%w: snapshot: %v", errBadLine, err)
 			}
 			if err := r.ap.Bootstrap(lsn, snap); err != nil {
 				return fmt.Errorf("applying snapshot: %w", err)
 			}
-			r.applied.Store(lsn)
-			if lsn > r.primaryLSN.Load() {
-				r.primaryLSN.Store(lsn)
-			}
+			r.setApplied(lsn)
 			r.resyncs.Add(1)
 			r.met.resyncs.Inc()
 			r.opts.Logf("replication: %s: bootstrapped from snapshot at LSN %d (%d zones)", r.opts.ID, lsn, len(snap.Entries))
-			if err := r.sendAck(bw, lsn); err != nil {
-				return err
-			}
 
-		case frameRecords:
-			// Every line takes the store's validating parser before it is
-			// journaled or ingested. One that fails ends the session with
-			// the lines ahead of it applied; the redial asks for it again.
-			applied := r.applied.Load()
-			err := eachLine(payload, func(line []byte) error {
-				smp, lsn, ok := store.ParseRecordLine(line)
-				if !ok {
-					return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadFrame, applied)
-				}
-				if lsn <= applied {
-					return nil // replayed across a reconnect seam
-				}
-				if err := r.ap.Apply(lsn, smp, line); err != nil {
-					return fmt.Errorf("applying record %d: %w", lsn, err)
-				}
-				applied = lsn
-				r.met.recordsApplied.Inc()
-				return nil
-			})
-			r.applied.Store(applied)
-			if applied > r.primaryLSN.Load() {
-				r.primaryLSN.Store(applied)
-			}
-			if err != nil {
-				return err
-			}
-			if err := r.sendAck(bw, applied); err != nil {
-				return err
-			}
-
-		case frameHeartbeat:
-			lsn, err := decodeU64(payload)
+		case positionWord[0]:
+			lsn, err := parseNumberLine(line, positionWord)
 			if err != nil {
 				return err
 			}
 			r.primaryLSN.Store(lsn)
-			if err := r.sendAck(bw, r.applied.Load()); err != nil {
+			if err := sendNumberLine(bw, ackWord, r.applied.Load()); err != nil {
 				return err
 			}
 
-		case frameReject:
-			return fmt.Errorf("rejected by source: %s", payload)
+		case rejectWord[0]:
+			return fmt.Errorf("rejected by source: %s", bytes.TrimSuffix(line, []byte{'\n'}))
 
 		default:
-			return errors.New("replication: unexpected frame type")
+			// Every line takes the store's validating parser before it is
+			// journaled or ingested. One that fails ends the session with
+			// the lines ahead of it applied; the redial asks for it again.
+			smp, lsn, ok := store.ParseRecordLine(line)
+			if !ok {
+				return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadLine, r.applied.Load())
+			}
+			if lsn <= r.applied.Load() {
+				continue // replayed across a reconnect seam
+			}
+			if err := r.ap.Apply(lsn, smp, line); err != nil {
+				return fmt.Errorf("applying record %d: %w", lsn, err)
+			}
+			r.setApplied(lsn)
+			r.met.recordsApplied.Inc()
 		}
 	}
 }
 
-func (r *Replica) sendAck(bw *bufio.Writer, lsn uint64) error {
-	if err := writeFrame(bw, frameAck, encodeU64(lsn)); err != nil {
-		return err
+// setApplied records lsn as applied, and as the least the primary holds.
+func (r *Replica) setApplied(lsn uint64) {
+	r.applied.Store(lsn)
+	if lsn > r.primaryLSN.Load() {
+		r.primaryLSN.Store(lsn)
 	}
-	return bw.Flush()
 }
 
 func (r *Replica) isClosed() bool {

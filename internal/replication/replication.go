@@ -1,9 +1,9 @@
 // Package replication turns a coordinator shard into a replicated pair:
 // a primary streams its write-ahead log (internal/store segments, CRC32
-// records) to one or more replicas over a versioned length-prefixed binary
-// protocol, and replicas bootstrap from the primary's latest atomic
-// checkpoint — sketch bytes included, so per-zone distributions survive the
-// hop — then tail the log with acknowledged offsets and a tracked lag.
+// records) to one or more replicas as the log's own lines, and replicas
+// bootstrap from the primary's latest atomic checkpoint — sketch bytes
+// included, so per-zone distributions survive the hop — then tail the log
+// with acknowledged offsets and a tracked lag.
 //
 // The package deliberately splits along the wire:
 //
@@ -22,191 +22,144 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 4): every frame is u32le payload length, one type
-// byte, payload. The replica opens with a hello (magic, version, replica
-// id, first wanted LSN — 0 forces a snapshot); the source answers with an
-// optional snapshot frame and then record batches and heartbeats; the
-// replica sends acks carrying its applied LSN. The payloads are the store's
-// own durable formats: a records frame holds WAL lines verbatim, one after
-// another, exactly the bytes the primary journaled — each a binary line
-// (0xB1, the stuffed record, '\n') or a JSON one
-// ("crc32hex {"lsn":N,"sample":{…}}\n"), as the store wrote it (version 4's
-// change: version 3 peers read JSON lines only; version 2 first shipped lines
-// verbatim, where version 1 re-marshaled each sample into an (LSN, length,
-// JSON) triple) — and a snapshot frame holds a checkpoint, header and CRC
-// included, exactly as store.AppendCheckpoint writes one to disk (version
-// 3's; version 2 sent the LSN as a u64 and the JSON unchecked). The versions
-// do not interoperate, so a primary and its replica upgrade as a pair; a
-// hello of another version is refused by name.
+// Protocol (version 5): newline-terminated lines both ways, read by
+// wire.ReadLine, each line's kind — and so its cap — picked by its first
+// byte before any of it is buffered. The replica opens with "hello 5 <from>
+// <quoted id>" (from is the first LSN wanted; 0 forces a snapshot). The
+// source answers with WAL lines verbatim, exactly the bytes the primary
+// journaled — binary (0xB1, the stuffed record) or JSON ("crc32hex {…}") —
+// and a snapshot as one checkpoint line (store.AppendCheckpointLine), and
+// ends every flush with "lsn <N>", the log's last LSN, which the replica
+// measures its lag by and acks with "ok <applied LSN>". A refused hello is
+// answered "reject <why>". The versions do not interoperate (see Version),
+// so a primary and its replica upgrade as a pair.
 //
 // Who checks what: the source ships a line once its frame and CRC check out
 // (store.Cursor.NextLines) and never decodes it; the replica puts every line
 // through store.ParseRecordLine — frame, CRC, record, LSN — and a snapshot
-// through store.ParseCheckpoint — header, CRC, JSON — before anything is
-// journaled, ingested or bootstrapped, and journals the line it received,
-// not a re-encoding, so the pair's logs are byte-identical at equal LSN.
-// Either side closes on any malformed frame, line or snapshot, and the
-// replica's redial resumes after the last record it applied.
+// through store.ParseCheckpointLine — stuffing, header, CRC, JSON — before
+// anything is journaled, ingested or bootstrapped, and journals the line it
+// received, not a re-encoding, so the pair's logs are byte-identical at equal
+// LSN. Either side closes on any line it cannot take, and the replica's
+// redial resumes after the last record it applied.
 package replication
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"strconv"
+
+	"repro/internal/store"
+	"repro/internal/wire"
 )
 
-// Protocol constants.
+// Version is the protocol version this package speaks. A source refuses a
+// hello of any other by name: 1 framed records as (LSN, length, sample JSON)
+// triples, 2 shipped WAL lines as they are but a snapshot as a u64 LSN and
+// unchecked JSON, 3 a snapshot as a checkpoint, 4 binary WAL lines beside
+// JSON ones, all in length-prefixed "WREP" frames — so a version 4 hello
+// opens with no line kind and is hung up on — and 5 sends lines.
+const Version uint16 = 5
+
+// The text lines' words. Each opens with a byte that is none of a WAL
+// line's leads (0xB1, a lowercase hex digit) nor store.CheckpointLead.
 const (
-	// Magic opens every hello frame: "WREP".
-	Magic uint32 = 0x57524550
-
-	// Version is the protocol version this package speaks. A source
-	// rejects hellos of any other: 1 framed records as (LSN, length, sample
-	// JSON) triples, 2 ships WAL lines as they are but a snapshot as a u64
-	// LSN and unchecked JSON, 3 ships a snapshot as a checkpoint, 4 ships
-	// binary WAL lines beside JSON ones.
-	Version uint16 = 4
+	helloWord    = "hello "  // replica -> source, first: version, from LSN, id
+	ackWord      = "ok "     // replica -> source: applied LSN
+	positionWord = "lsn "    // source -> replica, ending every flush: the log's last LSN
+	rejectWord   = "reject " // source -> replica: refusal message, then close
 )
 
-// Frame types.
+// Line caps, '\n' not counted. A snapshot line carries whole-controller
+// state (sketch bytes for every zone) and gets the generous cap, on the one
+// side that takes snapshots; a WAL line is held to the store's own cap, and
+// a text line to a short one.
 const (
-	frameHello     byte = 1 // replica -> source: magic, version, from LSN, id
-	frameSnapshot  byte = 2 // source -> replica: a checkpoint (store.AppendCheckpoint)
-	frameRecords   byte = 3 // source -> replica: batch of WAL lines, verbatim
-	frameHeartbeat byte = 4 // source -> replica: primary's last LSN
-	frameAck       byte = 5 // replica -> source: applied LSN
-	frameReject    byte = 6 // source -> replica: refusal message, then close
+	maxTextLineBytes     = 1 << 10
+	maxSnapshotLineBytes = 256 << 20
 )
 
-// Frame size caps. Snapshots carry whole-controller state (sketch bytes
-// for every zone) and get the generous cap; everything else is small, and
-// readFrame holds it to maxFrameBytes whatever its caller would take.
-const (
-	maxFrameBytes         = 8 << 20
-	maxSnapshotFrameBytes = 256 << 20
-	maxRecordsPerBatch    = 256
-)
+// errBadLine covers any line-level protocol violation.
+var errBadLine = errors.New("replication: malformed line")
 
-// errBadFrame covers any framing-level protocol violation.
-var errBadFrame = errors.New("replication: malformed frame")
+// sourceCap and replicaCap give the longest line of the kind lead opens that
+// each side takes, 0 for a kind it does not: a source reads a hello and acks,
+// a replica everything else. A replica's line that is no text or snapshot
+// line is a WAL line, for store.ParseRecordLine to judge.
+func sourceCap(lead byte) int {
+	if lead == helloWord[0] || lead == ackWord[0] {
+		return maxTextLineBytes
+	}
+	return 0
+}
 
-// writeFrame emits one length-prefixed frame. The writer is expected to be
-// buffered by the caller; writeFrame does not flush.
-func writeFrame(w *bufio.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+func replicaCap(lead byte) int {
+	switch lead {
+	case store.CheckpointLead:
+		return maxSnapshotLineBytes
+	case positionWord[0], rejectWord[0]:
+		return maxTextLineBytes
+	}
+	return store.MaxLineBytes - 1
+}
+
+// readLine reads the next line, '\n' included, held to the cap its first
+// byte picks before any more of it is read. A line that fits br's buffer is
+// a view into it, valid until the next read from br.
+func readLine(br *bufio.Reader, capOf func(lead byte) int) ([]byte, error) {
+	lead, err := br.Peek(1)
+	if err != nil {
+		return nil, err
+	}
+	limit := capOf(lead[0])
+	if limit == 0 {
+		return nil, fmt.Errorf("%w: no line of this side opens with %#x", errBadLine, lead[0])
+	}
+	line, _, err := wire.ReadLine(br, limit)
+	return line, err
+}
+
+// sendNumberLine sends word and n as one text line, allocating nothing.
+func sendNumberLine(bw *bufio.Writer, word string, n uint64) error {
+	b := strconv.AppendUint(append(bw.AvailableBuffer(), word...), n, 10)
+	if _, err := bw.Write(append(b, '\n')); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	return bw.Flush()
 }
 
-// readFrame reads one frame of at most maxLen payload bytes — and, whatever
-// maxLen says, of at most maxFrameBytes unless its header types it a
-// snapshot: the generous cap is that one frame's alone. A frame that fits
-// r's buffer comes back as a view into it, valid until the next read from r;
-// only a longer one is copied out.
-func readFrame(r *bufio.Reader, maxLen uint32) (byte, []byte, error) {
-	hdr, err := r.Peek(5)
-	if err != nil {
-		if len(hdr) > 0 && err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
+// parseNumberLine reads the number off a line sendNumberLine sent with word.
+func parseNumberLine(line []byte, word string) (uint64, error) {
+	digits, ok := bytes.CutPrefix(bytes.TrimSuffix(line, []byte{'\n'}), []byte(word))
+	n, err := strconv.ParseUint(string(digits), 10, 64)
+	if !ok || err != nil {
+		return 0, fmt.Errorf("%w: %q", errBadLine, line)
 	}
-	n, typ := binary.LittleEndian.Uint32(hdr[:4]), hdr[4]
-	if typ != frameSnapshot && maxLen > maxFrameBytes {
-		maxLen = maxFrameBytes
-	}
-	if n > maxLen {
-		return 0, nil, fmt.Errorf("%w: %d byte payload of type %d exceeds %d cap", errBadFrame, n, typ, maxLen)
-	}
-	var frame []byte
-	if whole := 5 + int(n); whole <= r.Size() {
-		if frame, err = r.Peek(whole); err == nil {
-			_, err = r.Discard(whole)
-		}
-	} else {
-		frame = make([]byte, whole)
-		_, err = io.ReadFull(r, frame)
-	}
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the header promised a payload
-		}
-		return 0, nil, err
-	}
-	return typ, frame[5:], nil
+	return n, nil
 }
 
-// hello is the replica's opening frame.
+// hello is the replica's opening line.
 type hello struct {
 	from uint64 // first LSN wanted; 0 forces a snapshot bootstrap
 	id   string
 }
 
-func encodeHello(h hello) []byte {
-	buf := make([]byte, 0, 16+len(h.id))
-	buf = binary.LittleEndian.AppendUint32(buf, Magic)
-	buf = binary.LittleEndian.AppendUint16(buf, Version)
-	buf = binary.LittleEndian.AppendUint64(buf, h.from)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(h.id)))
-	return append(buf, h.id...)
+func appendHello(b []byte, h hello) []byte {
+	return fmt.Appendf(b, "%s%d %d %q\n", helloWord, Version, h.from, h.id)
 }
 
-func decodeHello(p []byte) (hello, error) {
-	if len(p) < 16 {
-		return hello{}, errBadFrame
-	}
-	if binary.LittleEndian.Uint32(p[0:4]) != Magic {
-		return hello{}, fmt.Errorf("%w: bad magic", errBadFrame)
-	}
-	if v := binary.LittleEndian.Uint16(p[4:6]); v != Version {
+// parseHello reads a hello, its version first, so one of another version is
+// refused by name whatever follows it.
+func parseHello(line []byte) (h hello, err error) {
+	var v uint16
+	n, err := fmt.Sscanf(string(line), helloWord+"%d %d %q\n", &v, &h.from, &h.id)
+	if n > 0 && v != Version {
 		return hello{}, fmt.Errorf("replication: peer speaks version %d, want %d", v, Version)
 	}
-	h := hello{from: binary.LittleEndian.Uint64(p[6:14])}
-	n := int(binary.LittleEndian.Uint16(p[14:16]))
-	if len(p) != 16+n {
-		return hello{}, errBadFrame
+	if err != nil {
+		return hello{}, fmt.Errorf("%w: hello: %v", errBadLine, err)
 	}
-	h.id = string(p[16:])
 	return h, nil
-}
-
-// eachLine splits a records frame's body into its WAL lines, newline
-// included, and hands them to fn in order, stopping at fn's first error. The
-// body is refused whole, before fn sees any of it, unless it is at most
-// maxRecordsPerBatch lines and ends where its last line does. What a line
-// holds is store.ParseRecordLine's to judge, its length included.
-func eachLine(body []byte, fn func(line []byte) error) error {
-	if len(body) > 0 && body[len(body)-1] != '\n' {
-		return fmt.Errorf("%w: bytes after the last record line", errBadFrame)
-	}
-	if n := bytes.Count(body, []byte{'\n'}); n > maxRecordsPerBatch {
-		return fmt.Errorf("%w: %d records in one batch", errBadFrame, n)
-	}
-	for len(body) > 0 {
-		end := bytes.IndexByte(body, '\n') + 1
-		if err := fn(body[:end]); err != nil {
-			return err
-		}
-		body = body[end:]
-	}
-	return nil
-}
-
-func encodeU64(v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(make([]byte, 0, 8), v)
-}
-
-func decodeU64(p []byte) (uint64, error) {
-	if len(p) != 8 {
-		return 0, errBadFrame
-	}
-	return binary.LittleEndian.Uint64(p), nil
 }

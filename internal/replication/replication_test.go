@@ -340,18 +340,74 @@ func TestReplicasReportsAckedOffsets(t *testing.T) {
 		}
 	}
 	src := startSource(t, st, SourceOptions{})
-	ap := &memApplier{}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r-east"})
-	defer r.Close()
+	for _, id := range []string{"r-west", "r-east"} {
+		r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: id})
+		defer r.Close()
+	}
 
-	waitFor(t, 5*time.Second, "acked offset visible", func() bool {
+	waitFor(t, 5*time.Second, "acked offsets visible", func() bool {
+		n := 0
 		for _, ri := range src.Replicas() {
-			if ri.ID == "r-east" && ri.AckedLSN == 10 && ri.Connected {
-				return true
+			if ri.AckedLSN == 10 && ri.Connected {
+				n++
 			}
 		}
-		return false
+		return n == 2
 	})
+	// In ID order, every time: a status poll does not reshuffle them.
+	for i := 0; i < 20; i++ {
+		if got := src.Replicas(); len(got) != 2 || got[0].ID != "r-east" || got[1].ID != "r-west" {
+			t.Fatalf("call %d: replicas %+v, want r-east then r-west", i, got)
+		}
+	}
+}
+
+// heldApplier applies nothing past LSN hold until release is closed, and
+// closes held when it first waits.
+type heldApplier struct {
+	memApplier
+	hold          uint64
+	held, release chan struct{}
+}
+
+func (h *heldApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
+	if lsn > h.hold {
+		if lsn == h.hold+1 {
+			close(h.held)
+		}
+		<-h.release
+	}
+	return h.memApplier.Apply(lsn, smp, line)
+}
+
+func TestCatchingUpReplicaReportsItsLag(t *testing.T) {
+	// Every flush ends with the log's last LSN, catching up or not, so a
+	// replica held mid-catch-up knows how far behind it is: at least by what
+	// the source has not yet shipped, and in fact by all it has not applied.
+	reg := telemetry.NewRegistry()
+	st := openStore(t, store.Options{})
+	for i := 0; i < 3000; i++ {
+		if _, err := st.Append(testSample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := startSource(t, st, SourceOptions{Telemetry: reg})
+	ap := &heldApplier{hold: 600, held: make(chan struct{}), release: make(chan struct{})}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	defer r.Close()
+	defer close(ap.release) // before Close, which waits for the held Apply
+
+	select {
+	case <-ap.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replica never got past LSN 600")
+	}
+	shipped := reg.Counter("wiscape_replication_records_shipped_total", "").With().Value()
+	got := r.Status()
+	if got.AppliedLSN != 600 || got.PrimaryLSN != 3000 || got.Lag != 2400 || float64(got.Lag) < 3000-shipped {
+		t.Fatalf("held after LSN 600 with %v of 3000 records shipped: status %+v, want applied 600, primary 3000, lag 2400",
+			shipped, got)
+	}
 }
 
 func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {

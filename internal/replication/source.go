@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,9 +32,9 @@ const (
 	// cursor one empty read.
 	pollInterval = 25 * time.Millisecond
 
-	// heartbeatInterval is how often an idle stream still tells its replica
-	// the primary's last LSN, keeping lag observable.
-	heartbeatInterval = 500 * time.Millisecond
+	// maxLinesPerRun bounds the WAL lines one flush ships, so a catching-up
+	// replica hears the log's end, and acks, at least this often.
+	maxLinesPerRun = 256
 )
 
 func (o *SourceOptions) fill() {
@@ -130,8 +132,9 @@ func (s *Source) ConnectedReplicas() int {
 	return len(s.streams)
 }
 
-// Replicas returns per-replica replication state: every replica ever
-// acked (offsets survive reconnects) plus its current connection state.
+// Replicas returns per-replica replication state, in ID order: every
+// replica ever acked (offsets survive reconnects) plus its current
+// connection state.
 func (s *Source) Replicas() []wire.ReplicaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -143,6 +146,7 @@ func (s *Source) Replicas() []wire.ReplicaState {
 	for id, lsn := range s.acked {
 		out = append(out, wire.ReplicaState{ID: id, AckedLSN: lsn, Connected: connected[id]})
 	}
+	slices.SortFunc(out, func(a, b wire.ReplicaState) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -227,19 +231,19 @@ func (s *Source) Close() error {
 }
 
 // serve runs one replica stream: handshake, optional snapshot bootstrap,
-// then the record/heartbeat loop, with acks drained concurrently. The
-// listener severs nc on Suspend/Close and closes it when serve returns.
+// then the record loop, with acks drained concurrently. The listener severs
+// nc on Suspend/Close and closes it when serve returns.
 func (s *Source) serve(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 256<<10)
 
-	typ, payload, err := readFrame(br, maxFrameBytes)
-	if err != nil || typ != frameHello {
+	line, err := readLine(br, sourceCap)
+	if err != nil {
 		return
 	}
-	h, err := decodeHello(payload)
+	h, err := parseHello(line)
 	if err != nil {
-		_ = writeFrame(bw, frameReject, []byte(err.Error()))
+		_, _ = fmt.Fprintf(bw, "%s%s\n", rejectWord, err)
 		//lint:ignore errdrop best-effort refusal on a handshake already failing
 		_ = bw.Flush()
 		return
@@ -260,24 +264,25 @@ func (s *Source) serve(nc net.Conn) {
 	// does not return before it has.
 	//lint:ignore goleak bounded by nc: serve closes it and then waits on rc.gone
 	go func() {
-		defer close(rc.gone)
+		defer func() {
+			_ = nc.Close() // wakes the writer loop out of any blocking write
+			close(rc.gone)
+		}()
 		for {
-			typ, payload, err := readFrame(br, maxFrameBytes)
-			if err != nil || typ != frameAck {
-				_ = nc.Close() // wakes the writer loop out of any blocking write
+			line, err := readLine(br, sourceCap)
+			if err != nil {
 				return
 			}
-			lsn, err := decodeU64(payload)
-			if err == nil && lsn > rc.shipped.Load() {
+			lsn, err := parseNumberLine(line, ackWord)
+			if err != nil {
+				return
+			}
+			if lsn > rc.shipped.Load() {
 				// Nothing this stream sent can have put the replica there: it
 				// holds another history's records (an ex-primary's, say), and
 				// its ack must not release a waiter on this log's.
 				s.opts.Logf("replication: replica %s acked LSN %d, past the %d this stream has shipped: dropping it",
 					h.id, lsn, rc.shipped.Load())
-				err = errBadFrame
-			}
-			if err != nil {
-				_ = nc.Close()
 				return
 			}
 			s.recordAck(h.id, lsn)
@@ -301,86 +306,77 @@ func (s *Source) serve(nc net.Conn) {
 // from==0 (asked for), one compacted away, or one past the log's end — a
 // replica that claims records this log never held (an ex-primary restarted
 // without a forced resync) would otherwise sit parked there, acking them.
+// The first flush answers the hello, with or without a snapshot, so the
+// replica learns where the log ends even with nothing to catch up on.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	if from == 0 || from > s.st.LastLSN()+1 {
 		var err error
-		if from, err = s.sendSnapshot(rc, bw); err != nil {
+		if from, err = s.writeSnapshot(rc, bw); err != nil {
 			return err
 		}
 	} else {
 		rc.shipped.Store(from - 1)
 	}
-	// One cursor per stream: a batch costs the lines it ships, and a
+	if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
+		return err
+	}
+	// One cursor per stream: a run costs the lines it ships, and a
 	// caught-up look at the log one empty read.
 	cur := s.st.OpenCursor(from)
 	defer func() { cur.Close() }()
-	hb := time.NewTicker(heartbeatInterval)
-	defer hb.Stop()
 	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
 	for {
 		// The lines go out as the cursor found them in the log — a view of
 		// its buffer, written before its next call: journaled bytes are the
 		// replicated bytes, and the one decode is the replica's.
-		lines, n, err := cur.NextLines(maxRecordsPerBatch)
-		if errors.Is(err, store.ErrCompacted) {
+		lines, n, err := cur.NextLines(maxLinesPerRun)
+		switch {
+		case errors.Is(err, store.ErrCompacted):
 			// The replica's position predates retained history; restart it
 			// from a fresh snapshot (the resync path).
-			if from, err = s.sendSnapshot(rc, bw); err != nil {
+			if from, err = s.writeSnapshot(rc, bw); err != nil {
 				return err
 			}
 			cur.Close()
 			cur = s.st.OpenCursor(from)
-			continue
-		}
-		if err != nil {
+		case err != nil:
 			return err
-		}
-		if n > 0 {
+		case n > 0:
 			rc.shipped.Store(cur.Position() - 1)
-			if err := writeFrame(bw, frameRecords, lines); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
+			if _, err := bw.Write(lines); err != nil {
 				return err
 			}
 			s.met.recordsShipped.Add(float64(n))
+		default:
+			// Caught up: wait for an append, or the poll fallback.
+			select {
+			case <-rc.wake:
+			case <-poll.C:
+			case <-rc.gone:
+				return errors.New("replica connection lost")
+			case <-s.stop:
+				return nil
+			}
 			continue
 		}
-		// Caught up: wait for an append (or the poll fallback), keeping
-		// the replica's view of the primary LSN fresh via heartbeats.
-		select {
-		case <-rc.wake:
-		case <-poll.C:
-		case <-hb.C:
-			if err := writeFrame(bw, frameHeartbeat, encodeU64(s.st.LastLSN())); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-		case <-rc.gone:
-			return errors.New("replica connection lost")
-		case <-s.stop:
-			return nil
+		if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
+			return err
 		}
 	}
 }
 
-// sendSnapshot ships a bootstrap snapshot, as the checkpoint of a live
+// writeSnapshot writes a bootstrap snapshot, as the checkpoint line of a live
 // capture — from then on what the replica holds, so rc.shipped is set to it
 // before it leaves — and returns the next LSN to stream.
-func (s *Source) sendSnapshot(rc *replicaConn, bw *bufio.Writer) (next uint64, err error) {
+func (s *Source) writeSnapshot(rc *replicaConn, bw *bufio.Writer) (next uint64, err error) {
 	snap, lsn := s.snapshot()
-	ckpt, err := store.AppendCheckpoint(nil, lsn, snap)
+	line, err := store.AppendCheckpointLine(nil, lsn, snap)
 	if err != nil {
 		return 0, err
 	}
 	rc.shipped.Store(lsn)
-	if err := writeFrame(bw, frameSnapshot, ckpt); err != nil {
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := bw.Write(line); err != nil {
 		return 0, err
 	}
 	s.met.snapshotsSent.Inc()

@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
@@ -111,7 +113,7 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		{"+Inf", frameBinary(setFloat(math.Inf(1)))},
 		{"-Inf", frameBinary(setFloat(math.Inf(-1)))},
 		{"invalid UTF-8", frameBinary(withClient("\xff"))},
-		{"a line past the cap", frameBinary(sampleBody(t, 4, trace.Sample{ClientID: strings.Repeat("x", maxWALLineBytes)}))},
+		{"a line past the cap", frameBinary(sampleBody(t, 4, trace.Sample{ClientID: strings.Repeat("x", MaxLineBytes)}))},
 	} {
 		if _, _, ok := ParseRecordLine(tc.line); ok {
 			t.Errorf("%s: ParseRecordLine took %q", tc.name, tc.line)
@@ -386,5 +388,58 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 	}
 	if got := st.LastLSN(); got != uint64(len(want)) {
 		t.Fatalf("reopened at LSN %d, want %d", got, len(want))
+	}
+}
+
+// TestCheckpointLineRoundTrips: a checkpoint line is the checkpoint, stuffed
+// the way a binary line's body is, between CheckpointLead and one newline,
+// and ParseCheckpointLine takes back exactly what AppendCheckpointLine wrote
+// and nothing spelled otherwise.
+func TestCheckpointLineRoundTrips(t *testing.T) {
+	snap := core.Snapshot{TakenAt: time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC), Entries: []core.SnapshotEntry{
+		{Key: core.Key{Net: "netۛ"}, TotalCount: 3}, // U+06DB is DB 9B in UTF-8: an escape byte to stuff
+	}}
+	ckpt, err := AppendCheckpoint(nil, 42, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := AppendCheckpointLine([]byte("kept"), 42, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, ok := bytes.CutPrefix(line, []byte("kept"))
+	body, unstuffed := unstuff(nil, line[1:len(line)-1])
+	if !ok || line[0] != CheckpointLead || bytes.IndexByte(line, '\n') != len(line)-1 ||
+		!bytes.Contains(line, []byte{slipEsc, slipEscEsc}) || !unstuffed || !bytes.Equal(body, ckpt) {
+		t.Fatalf("checkpoint line %q does not hold the checkpoint %q", line, ckpt)
+	}
+	got, lsn, err := ParseCheckpointLine(line)
+	if err != nil || lsn != 42 || !reflect.DeepEqual(got.Entries, snap.Entries) || !got.TakenAt.Equal(snap.TakenAt) {
+		t.Fatalf("read back LSN %d, %+v (err %v); want 42, %+v", lsn, got, err, snap)
+	}
+
+	respell := func(old, new string) []byte {
+		c := bytes.Replace(ckpt, []byte(old), []byte(new), 1)
+		nl := bytes.IndexByte(c, '\n')
+		putCRC(c[nl-8:nl], crc32.ChecksumIEEE(c[nl+1:]))
+		return append(stuff(append([]byte{CheckpointLead}, c...), 1), '\n')
+	}
+	flipped := append([]byte(nil), line...)
+	flipped[len(flipped)/2] ^= 1
+	for name, bad := range map[string][]byte{
+		"another lead byte":           append([]byte{binaryLead}, line[1:]...),
+		"no newline":                  line[:len(line)-1],
+		"a raw newline":               append(bytes.Replace(line[:len(line)-1], []byte{slipEsc, slipEscNL}, []byte{'\n'}, 1), '\n'),
+		"an escape for nothing":       append(append(line[:len(line)-1:len(line)-1], slipEsc, 'x'), '\n'),
+		"a flipped byte":              flipped,
+		"a zero-padded LSN":           respell(" 42 ", " 042 "),
+		"the JSON indented otherwise": respell("\n  ", "\n   "),
+	} {
+		if _, _, err := ParseCheckpointLine(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, _, err := ParseCheckpointLine(respell(" 42 ", " 42 ")); err != nil {
+		t.Fatalf("the respelling harness spoils what it does not change: %v", err)
 	}
 }

@@ -101,11 +101,11 @@ func stuff(buf []byte, from int) []byte {
 }
 
 // binaryRecord checks a binary line — lead byte, stuffing, no longer than
-// maxWALLineBytes, the CRC its body's own — and reads the LSN off it,
+// MaxLineBytes, the CRC its body's own — and reads the LSN off it,
 // returning the sample's bytes behind the LSN unstuffed into dst (grown, if
 // it must be, to no more than the line's length).
 func binaryRecord(dst, line []byte) (lsn uint64, smp []byte, ok bool) {
-	if len(line) < 2 || len(line) > maxWALLineBytes || line[0] != binaryLead || line[len(line)-1] != '\n' {
+	if len(line) < 2 || len(line) > MaxLineBytes || line[0] != binaryLead || line[len(line)-1] != '\n' {
 		return 0, nil, false
 	}
 	src := line[1 : len(line)-1]

@@ -64,7 +64,7 @@ type Cursor struct {
 	end      int64    // file offset just past the last record Next returned from f
 	buf      []byte   // buf[r:w] holds unread file bytes, whole lines or not
 	r, w     int
-	skipping bool // inside a line over maxWALLineBytes, discarding through its newline
+	skipping bool // inside a line over MaxLineBytes, discarding through its newline
 
 	// Invalid lines Next has stepped over: bad counts those a record or the
 	// end of a sealed segment has since followed; run, those since f's last
@@ -73,7 +73,7 @@ type Cursor struct {
 }
 
 // cursorBufBytes is the read buffer a cursor keeps; it grows (to at most
-// maxWALLineBytes) only for a line that does not fit.
+// MaxLineBytes) only for a line that does not fit.
 const cursorBufBytes = 64 << 10
 
 // OpenCursor returns a cursor whose first Next yields the records with
@@ -287,7 +287,7 @@ func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
 	return c.buf[start:end], n, nil
 }
 
-// line consumes and returns the next whole line within maxWALLineBytes. With
+// line consumes and returns the next whole line within MaxLineBytes. With
 // none buffered it reads more of the segment in, if refill allows. ok is
 // false when no further whole line is to be had: the segment has none (it
 // may end in a partial one), or buf has none and refill is false.
@@ -298,7 +298,7 @@ func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
 			if !refill {
 				return nil, false, nil
 			}
-			if c.skipping || c.w-c.r >= maxWALLineBytes {
+			if c.skipping || c.w-c.r >= MaxLineBytes {
 				c.skipping = true
 				c.off += int64(c.w - c.r)
 				c.r, c.w = 0, 0

@@ -327,7 +327,7 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 				{"a good CRC over truncated JSON", 4, reframe(payload[:len(payload)-1])},
 				{"a good CRC over no JSON at all", 4, reframe("not a record")},
 				{"an LSN key that is not the first", 4, reframe(`{"sample":{},"lsn":4}`)},
-				{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", maxWALLineBytes) + `"}}`)},
+				{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", MaxLineBytes) + `"}}`)},
 			}...)
 		} // the binary form's malformed lines: TestBinaryRecordRefusesMalformed
 		for _, tc := range cases {
@@ -387,7 +387,7 @@ func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
 		}
 		br := bufio.NewReaderSize(f, 64<<10)
 		for len(out) < max {
-			line, _, complete := readLineCapped(br, maxWALLineBytes)
+			line, _, complete := readLineCapped(br, MaxLineBytes)
 			if !complete {
 				break // a torn tail, or an append in flight
 			}
@@ -707,7 +707,7 @@ func TestCursorSkipsOversizedLine(t *testing.T) {
 	if es, err := c.Next(10); err != nil || len(es) != 3 {
 		t.Fatalf("before the damage: %d records, err %v", len(es), err)
 	}
-	huge := make([]byte, maxWALLineBytes+4096)
+	huge := make([]byte, MaxLineBytes+4096)
 	for i := range huge {
 		huge[i] = 'x'
 	}
@@ -721,8 +721,8 @@ func TestCursorSkipsOversizedLine(t *testing.T) {
 	if es, err := c.Next(10); err != nil || len(es) != 0 {
 		t.Fatalf("unterminated oversized tail: %d records, err %v; want to wait", len(es), err)
 	}
-	if len(c.buf) > maxWALLineBytes {
-		t.Fatalf("cursor buffered %d bytes of one line, cap %d", len(c.buf), maxWALLineBytes)
+	if len(c.buf) > MaxLineBytes {
+		t.Fatalf("cursor buffered %d bytes of one line, cap %d", len(c.buf), MaxLineBytes)
 	}
 	write([]byte("\n"))
 	appendN(t, st, 3, 2)

@@ -97,8 +97,8 @@ func listNumbered(dir, prefix, suffix string, asc bool) ([]fileRef, error) {
 // AppendCheckpoint appends the checkpoint of snap, covering records through
 // lsn, to buf: the header line "wiscape-checkpoint v1 <lsn> <crc32hex>\n",
 // then the core.WriteSnapshot JSON the CRC covers. It is the one spelling of
-// a snapshot at an LSN — a checkpoint file and a replication snapshot frame
-// hold these bytes. On an error buf comes back unextended.
+// a snapshot at an LSN — a checkpoint file holds these bytes, and a
+// checkpoint line holds them stuffed. On an error buf comes back unextended.
 func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error) {
 	start := len(buf)
 	buf = fmt.Appendf(buf, "%s %s %d 00000000\n", ckptMagic, ckptVer, lsn) // the CRC, once the body exists
@@ -139,6 +139,42 @@ func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
 	snap, err := core.ReadSnapshot(bytes.NewReader(body))
 	if err != nil {
 		return core.Snapshot{}, 0, err
+	}
+	return snap, lsn, nil
+}
+
+// CheckpointLead opens a checkpoint line. Like binaryLead it is a byte no
+// UTF-8 text opens with, and neither binaryLead nor a hex digit, so a stream
+// may carry checkpoint lines among WAL lines.
+const CheckpointLead = 0xC1
+
+// AppendCheckpointLine appends the checkpoint of snap at lsn as one line —
+// CheckpointLead, AppendCheckpoint's bytes stuffed as a binary line's body
+// is, '\n' — a snapshot's spelling on the replication stream. On an error buf
+// comes back unextended.
+func AppendCheckpointLine(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error) {
+	start := len(buf)
+	buf, err := AppendCheckpoint(append(buf, CheckpointLead), lsn, snap)
+	if err != nil {
+		return buf[:start], err
+	}
+	return append(stuff(buf, start+1), '\n'), nil
+}
+
+// ParseCheckpointLine is ParseCheckpoint for a checkpoint line, and takes
+// only the line AppendCheckpointLine writes for what it reads: like the
+// binary record decoder, it is canonical.
+func ParseCheckpointLine(line []byte) (core.Snapshot, uint64, error) {
+	if len(line) < 2 {
+		return core.Snapshot{}, 0, errors.New("not a checkpoint line")
+	}
+	ckpt, _ := unstuff(nil, line[1:len(line)-1]) // a bad escape is another spelling, refused below
+	snap, lsn, err := ParseCheckpoint(ckpt)
+	if err != nil {
+		return core.Snapshot{}, 0, err
+	}
+	if again, err := AppendCheckpointLine(nil, lsn, snap); err != nil || !bytes.Equal(again, line) {
+		return core.Snapshot{}, 0, errors.New("a checkpoint line not as AppendCheckpointLine spells it")
 	}
 	return snap, lsn, nil
 }
@@ -265,18 +301,18 @@ func (st *Store) recover() error {
 	return nil
 }
 
-// maxWALLineBytes caps one WAL line. A legitimate record is a few hundred
-// bytes; anything past this is corruption, and a reader that buffered it
-// whole would let one damaged (or hostile) segment balloon memory before the
-// CRC even gets a look.
-const maxWALLineBytes = 1 << 20
+// MaxLineBytes caps one WAL line, its '\n' included. A legitimate record is
+// a few hundred bytes; anything past this is corruption, and a reader that
+// buffered it whole would let one damaged (or hostile) segment — or peer —
+// balloon memory before the CRC even gets a look.
+const MaxLineBytes = 1 << 20
 
 // linePayload checks the frame of one JSON-form WAL line — "crc32hex
-// payload\n", no longer than maxWALLineBytes, the CRC the payload's own — and
+// payload\n", no longer than MaxLineBytes, the CRC the payload's own — and
 // returns the payload.
 func linePayload(line []byte) ([]byte, bool) {
 	// 8 hex digits + ' ' + at least "{}" + '\n'.
-	if len(line) < 12 || len(line) > maxWALLineBytes || line[8] != ' ' || line[len(line)-1] != '\n' {
+	if len(line) < 12 || len(line) > MaxLineBytes || line[8] != ' ' || line[len(line)-1] != '\n' {
 		return nil, false
 	}
 	var crcBytes [4]byte

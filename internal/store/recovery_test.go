@@ -73,7 +73,7 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Op
 	var offset, goodEnd int64 // goodEnd: file offset just past the last valid record
 	pendingBad := 0           // invalid lines seen since the last valid record
 	for {
-		line, consumed, complete := readLineCapped(br, maxWALLineBytes)
+		line, consumed, complete := readLineCapped(br, MaxLineBytes)
 		offset += consumed
 		if complete {
 			if smp, lsn, ok := ParseRecordLine(line); ok {
@@ -293,7 +293,7 @@ func damageDir(dir string, r *rng.Rand) error {
 				if len(lines) > 0 {
 					at = lines[r.Intn(len(lines))].start
 				}
-				huge := bytes.Repeat([]byte("x"), maxWALLineBytes+r.Intn(4096))
+				huge := bytes.Repeat([]byte("x"), MaxLineBytes+r.Intn(4096))
 				return slices.Concat(b[:at], huge, []byte("\n"), b[at:])
 			}))
 		}

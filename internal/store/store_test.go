@@ -363,7 +363,7 @@ func TestOversizedWALLineSkippedMidSegment(t *testing.T) {
 	if len(lines) != 10 {
 		t.Fatalf("segment has %d lines", len(lines))
 	}
-	huge := make([]byte, maxWALLineBytes+4096)
+	huge := make([]byte, MaxLineBytes+4096)
 	for i := range huge {
 		huge[i] = 'x'
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // fuzzConn builds a receive-only Conn over raw bytes, exercising the exact
-// framing + decoding path Recv uses in production (readLineLimited, the
+// framing + decoding path Recv uses in production (ReadLine, the
 // size cap, JSON decoding, the missing-type check) without a socket.
 func fuzzConn(data []byte) *Conn {
 	return &Conn{br: bufio.NewReaderSize(bytes.NewReader(data), connBufBytes)}

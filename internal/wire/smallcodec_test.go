@@ -387,17 +387,17 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 		for _, n := range []int{limit - 1, limit, limit + 1} {
 			line := strings.Repeat("x", n)
 			br := bufio.NewReaderSize(strings.NewReader(line+"\nnext\n"), bufSize)
-			got, spill, err := readLineLimited(br, limit)
+			got, spill, err := ReadLine(br, limit)
 			if n > limit {
 				if !errors.Is(err, ErrMessageTooLarge) {
 					t.Errorf("%d-byte buffer, %d-byte line: err %v, want ErrMessageTooLarge", bufSize, n, err)
 				}
 				continue
 			}
-			if err != nil || string(got) != line || (spill != nil) != (bufSize < n) {
+			if err != nil || string(got) != line+"\n" || (spill != nil) != (bufSize < n) {
 				t.Fatalf("%d-byte buffer, %d-byte line: %d bytes, spilled %v, err %v", bufSize, n, len(got), spill != nil, err)
 			}
-			if next, _, err := readLineLimited(br, limit); err != nil || string(next) != "next" {
+			if next, _, err := ReadLine(br, limit); err != nil || string(next) != "next\n" {
 				t.Fatalf("%d-byte buffer, after a %d-byte line: %q, %v", bufSize, n, next, err)
 			}
 		}

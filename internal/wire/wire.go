@@ -269,7 +269,7 @@ type Conn struct {
 }
 
 // connBufBytes sizes a Conn's reader and writer. A line shorter than this is
-// decoded in place (see readLineLimited); a longer one is gathered in a
+// decoded in place (see ReadLine); a longer one is gathered in a
 // pooled frame buffer.
 const connBufBytes = 64 << 10
 
@@ -343,15 +343,15 @@ func encodeJSON(buf *bytes.Buffer, e Envelope) error {
 
 // Recv reads the next envelope, enforcing the size cap.
 func (c *Conn) Recv() (Envelope, error) {
-	line, spill, err := readLineLimited(c.br, MaxMessageBytes)
+	line, spill, err := ReadLine(c.br, MaxMessageBytes)
 	if err != nil {
 		if errors.Is(err, ErrMessageTooLarge) {
 			c.m.oversizedRejects.Inc()
 		}
 		return Envelope{}, err
 	}
-	frameBytes := len(line) + 1
-	e, err := c.decode(line)
+	frameBytes := len(line)
+	e, err := c.decode(line[:len(line)-1])
 	if spill != nil {
 		putFrameBuf(spill) // line is spill's; the envelope holds none of it
 	}
@@ -790,38 +790,58 @@ func frameSizeHint(e *Envelope) int {
 	return 256 * items
 }
 
-// readLineLimited reads one \n-terminated line of at most limit bytes, the
-// '\n' not counted (Send measures a frame the same way). A line that fits
-// br's buffer comes back as a view into it, valid until the next read from
-// br, and no buffer. A longer one is gathered chunk by chunk into a buffer
-// from frameBufs, which comes back with it for the caller to put back once
-// it is done with the line.
-func readLineLimited(br *bufio.Reader, limit int) ([]byte, *bytes.Buffer, error) {
-	var spill *bytes.Buffer
+// ReadLine reads one \n-terminated line of at most limit bytes, '\n' not
+// counted (Send measures a frame the same way), and returns it '\n' and all;
+// a line is refused once more than limit of its bytes have arrived, without
+// waiting for the rest. It is the one bounded delimiter reader, for
+// envelopes and for the replication stream's lines. A line that fits br's
+// buffer comes back as a view into it, valid until the next read from br, and
+// no buffer; a longer one is gathered into a pooled buffer, which comes back
+// with it for Recv to put back (other callers let it go).
+func ReadLine(br *bufio.Reader, limit int) (line []byte, spill *bytes.Buffer, err error) {
+	held, scanned := 0, 0 // the line's bytes in spill; those br holds with no '\n'
 	for {
-		chunk, err := br.ReadSlice('\n')
-		if spill == nil && err == nil && len(chunk)-1 <= limit {
-			return chunk[:len(chunk)-1], nil, nil
+		// What br holds, or, once all that is scanned, one byte more.
+		n := br.Buffered()
+		if n == scanned && n < br.Size() {
+			n++
 		}
-		if spill == nil {
-			spill = frameBufs.Get().(*bytes.Buffer)
+		var buf []byte
+		buf, err = br.Peek(n)
+		if i := bytes.IndexByte(buf[scanned:], '\n'); i >= 0 {
+			end := scanned + i + 1
+			if held+end-1 > limit {
+				err = ErrMessageTooLarge
+				break
+			}
+			_, _ = br.Discard(end) // buffered, so it cannot fail; buf holds until br's next fill
+			if spill == nil {
+				return buf[:end], nil, nil
+			}
+			spill.Write(buf[:end])
+			return spill.Bytes(), spill, nil
 		}
-		spill.Write(chunk)
-		line := spill.Len()
-		if err == nil {
-			line-- // the '\n'
-		}
-		switch {
-		case line > limit:
+		scanned = len(buf)
+		if held+scanned > limit {
 			err = ErrMessageTooLarge
-		case err == nil:
-			return spill.Bytes()[:spill.Len()-1], spill, nil
-		case err == bufio.ErrBufferFull:
-			continue
+			break
 		}
-		putFrameBuf(spill)
-		return nil, nil, err
+		if err != nil {
+			break
+		}
+		if scanned == br.Size() {
+			if spill == nil {
+				spill = frameBufs.Get().(*bytes.Buffer)
+			}
+			spill.Write(buf)
+			_, _ = br.Discard(scanned) // buffered, so it cannot fail
+			held, scanned = held+scanned, 0
+		}
 	}
+	if spill != nil {
+		putFrameBuf(spill)
+	}
+	return nil, nil, err
 }
 
 // Close closes the underlying transport.

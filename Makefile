@@ -107,7 +107,9 @@ swarm-smoke:
 # live appender — repeated, since a race shows only some of the time), the
 # gateway's per-shard control passes (kill/promote/rejoin with acked-sample
 # preservation, swarm chaos hook, degraded readiness, a manual promote racing
-# a breaker-driven one, poll counts, revival and demotion) and the
+# a breaker-driven one, poll counts, demotion, and revival: a restarted shard
+# without standbys fails agent reports fast until a pass's status poll closes
+# its breaker, all matched by the TestReconcile prefix) and the
 # coordinator's interleaved role orders, all under the race detector.
 failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm

@@ -1,7 +1,10 @@
 // Command wiscape-agent runs a simulated WiScape client against a running
 // coordinator: it follows a mobility track over simulated time, reports its
 // zone, executes assigned measurement tasks over the synthetic radio
-// environment, and uploads samples.
+// environment, and uploads samples. A dropped or refused connection is
+// redialed with jittered exponential backoff and the campaign resumes where
+// it stopped; the agent gives up after maxRetries attempts in a row that
+// make no progress.
 //
 // Usage:
 //
@@ -30,6 +33,11 @@ import (
 	"repro/internal/radio"
 	"repro/internal/telemetry"
 )
+
+// maxRetries is the agent's redial budget: consecutive attempts that make no
+// progress before it exits. With the default backoff the waits add up to
+// about 8-16 s, time for a coordinator to restart.
+const maxRetries = 5
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7411", "coordinator address")
@@ -88,7 +96,7 @@ func main() {
 	start := radio.Epoch.Add(14 * 24 * time.Hour)
 	dur := time.Duration(*days * 24 * float64(time.Hour))
 	logger.Printf("running %s over %v of simulated time against %s", *trackKind, dur, *addr)
-	st, err := a.Run(*addr, start, dur, *interval)
+	st, err := a.RunResilient(*addr, start, dur, *interval, maxRetries)
 	if err != nil {
 		logger.Fatalf("run: %v", err)
 	}

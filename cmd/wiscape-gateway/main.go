@@ -78,10 +78,9 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "per-shard round-trip bound")
 	dialTimeout := flag.Duration("dial-timeout", 2*time.Second, "per-shard dial bound")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "drop agent connections idle this long (0 disables)")
-	breakCooldown := flag.Duration("break-cooldown", 5*time.Second, "circuit-breaker open duration after repeated shard failures")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that trip a shard's breaker")
-	recheck := flag.Duration("recheck-interval", 2*time.Second, "cadence of each shard's reconcile pass: status polls that revive, promote and demote (negative disables the ticks)")
-	quorum := flag.Int("ready-quorum", 0, "healthy shards required for /readyz (0 = majority)")
+	recheck := flag.Duration("recheck-interval", 2*time.Second, "cadence of each shard's reconcile pass: status polls that revive, promote and demote; an open breaker admits nothing until one is answered (<= 0 means 2s)")
+	quorum := flag.Int("ready-quorum", 0, "healthy shards required for /readyz (0 = majority; at most the shard count)")
 	seed := flag.Uint64("seed", 1, "retry-jitter seed")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/shards); empty disables")
 
@@ -108,7 +107,6 @@ func main() {
 		DialTimeout:      *dialTimeout,
 		RequestTimeout:   *requestTimeout,
 		IdleTimeout:      *idleTimeout,
-		BreakCooldown:    *breakCooldown,
 		FailureThreshold: *failThreshold,
 		RecheckInterval:  *recheck,
 		ReadyQuorum:      *quorum,

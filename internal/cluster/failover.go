@@ -66,16 +66,12 @@ type order struct {
 // order.
 func (g *Gateway) control(c *control) {
 	defer g.wg.Done()
-	var tick <-chan time.Time
-	if g.opts.RecheckInterval > 0 {
-		t := time.NewTicker(g.opts.RecheckInterval)
-		defer t.Stop()
-		tick = t.C
-	}
+	tick := time.NewTicker(g.opts.RecheckInterval)
+	defer tick.Stop()
 	for {
 		var err error
 		select {
-		case <-tick:
+		case <-tick.C:
 			err = g.reconcile(c.sh, false, "")
 		case <-c.kick:
 			err = g.reconcile(c.sh, true, "")

@@ -154,7 +154,6 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
-		BreakCooldown:    200 * time.Millisecond,
 		RecheckInterval:  50 * time.Millisecond,
 		Telemetry:        reg,
 		OpsAddr:          "127.0.0.1:0",
@@ -315,7 +314,6 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
-		BreakCooldown:    100 * time.Millisecond,
 		RecheckInterval:  50 * time.Millisecond,
 		Seed:             seed,
 		Logf:             t.Logf,
@@ -382,7 +380,7 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
-		RecheckInterval: -1, // no ticks: the test drives the passes
+		RecheckInterval: time.Hour, // first tick an hour away: the test drives the passes
 		OpsAddr:         "127.0.0.1:0",
 	})
 	if err != nil {
@@ -398,7 +396,7 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 	}
 	trip := func() {
 		t.Helper()
-		if opened := sh.recordFailure(time.Now(), 1, time.Hour); !opened {
+		if opened := sh.recordFailure(1); !opened {
 			t.Fatal("breaker did not open")
 		}
 	}
@@ -446,9 +444,10 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 }
 
 // TestReconcileRevivesRestartedShard: for a shard without standbys the
-// reconcile pass is the way back — a status poll that gets an answer closes
-// its breaker. A coordinator restarted on its port is revived; the breaker of
-// a port nothing listens on stays open.
+// reconcile pass is the only way back — a status poll that gets an answer
+// closes its breaker. Until that pass, agent traffic for a coordinator
+// restarted on its port fails fast and never reaches it; after the pass it
+// lands. The breaker of a port nothing listens on stays open.
 func TestReconcileRevivesRestartedShard(t *testing.T) {
 	up, _ := startShard(t, boxA(), "127.0.0.1:0")
 	addr := up.Addr()
@@ -461,7 +460,7 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 	}
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
 		DialTimeout:     500 * time.Millisecond,
-		RecheckInterval: -1, // no ticks: the test drives the passes
+		RecheckInterval: time.Hour, // first tick an hour away: the test drives the passes
 		Seed:            seed,
 	})
 	if err != nil {
@@ -481,17 +480,49 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range registry.Shards() {
-		s.recordFailure(time.Now(), 1, time.Hour) // trip both breakers
+		s.recordFailure(1) // trip both breakers
 	}
 	passes()
 	if n := registry.HealthyCount(); n != 0 {
 		t.Fatalf("%d healthy shards after a pass with both down, want 0", n)
 	}
 
-	restartShard(t, boxA(), addr)
+	restarted := restartShard(t, boxA(), addr)
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.Call(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: "revival-probe"}}, wire.TypeHelloAck); err != nil {
+		t.Fatal(err)
+	}
+	loc := boxA().Center()
+	report := wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		ClientID: "revival-probe", Zone: geo.GridForZoneRadius(loc, 250).Zone(loc), Loc: loc, At: start,
+	}}
+	zoneReports := func() float64 {
+		return restarted.Telemetry().Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeZoneReport)).Value()
+	}
+	for i := 0; i < 3; i++ {
+		_, err := c.Call(report, wire.TypeTaskList)
+		if err == nil || !strings.Contains(err.Error(), "circuit open") {
+			t.Fatalf("report %d before the pass: %v, want a circuit open error", i, err)
+		}
+	}
+	if n := zoneReports(); n != 0 {
+		t.Fatalf("the restarted shard received %v zone reports through an open breaker, want 0", n)
+	}
 	passes()
 	if !registry.Shards()[0].Healthy() {
 		t.Fatal("the restarted shard must be revived by the pass")
+	}
+	if _, err := c.Call(report, wire.TypeTaskList); err != nil {
+		t.Fatalf("report after the pass: %v", err)
+	}
+	if n := zoneReports(); n != 1 {
+		t.Fatalf("the revived shard received %v zone reports, want 1", n)
 	}
 	if registry.Shards()[1].Healthy() {
 		t.Fatal("the unreachable shard must stay broken")
@@ -546,7 +577,7 @@ func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
-		RecheckInterval: -1, // no ticks: the test drives the pass
+		RecheckInterval: time.Hour, // first tick an hour away: the test drives the pass
 		Seed:            seed,
 		Logf:            t.Logf,
 	})
@@ -608,7 +639,6 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
-		BreakCooldown:    200 * time.Millisecond,
 		RecheckInterval:  50 * time.Millisecond,
 		OpsAddr:          "127.0.0.1:0",
 		Seed:             seed,

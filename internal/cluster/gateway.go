@@ -42,15 +42,11 @@ type GatewayOptions struct {
 	// circuit breaker open. Default 3.
 	FailureThreshold int
 
-	// BreakCooldown is how long a tripped breaker rejects traffic before
-	// admitting a trial request. Default 5s.
-	BreakCooldown time.Duration
-
 	// RecheckInterval is the cadence of each shard's reconcile pass (see
 	// failover.go): status polls that revive an unhealthy shard, promote a
-	// standby and demote stale primaries. Zero means 2s; negative disables
-	// the ticks, leaving the passes that breaker kicks and manual promotes
-	// start.
+	// standby and demote stale primaries. A poll the active endpoint answers
+	// is the only way an open breaker closes, so the tick always runs. Zero
+	// or negative means 2s.
 	RecheckInterval time.Duration
 
 	// IdleTimeout drops agent connections with no traffic for this long,
@@ -58,7 +54,8 @@ type GatewayOptions struct {
 	IdleTimeout time.Duration
 
 	// ReadyQuorum is the healthy-shard count required for /readyz to
-	// report ready. Zero means majority (len(shards)/2 + 1).
+	// report ready. Zero means majority (len(shards)/2 + 1); more than the
+	// shard count is refused.
 	ReadyQuorum int
 
 	// Seed drives the deterministic retry jitter.
@@ -100,10 +97,7 @@ func (o *GatewayOptions) fill() {
 	if o.FailureThreshold <= 0 {
 		o.FailureThreshold = 3
 	}
-	if o.BreakCooldown <= 0 {
-		o.BreakCooldown = 5 * time.Second
-	}
-	if o.RecheckInterval == 0 {
+	if o.RecheckInterval <= 0 {
 		o.RecheckInterval = 2 * time.Second
 	}
 	if o.Telemetry == nil && o.OpsAddr != "" {
@@ -138,6 +132,10 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 	opts.fill()
 	if opts.ReadyQuorum <= 0 {
 		opts.ReadyQuorum = len(reg.Shards())/2 + 1
+	}
+	if opts.ReadyQuorum > len(reg.Shards()) {
+		return nil, fmt.Errorf("cluster: ready quorum %d exceeds the %d registered shards; /readyz could never pass",
+			opts.ReadyQuorum, len(reg.Shards()))
 	}
 	g := &Gateway{
 		reg:  reg,
@@ -241,6 +239,10 @@ func (g *Gateway) serveShards(w http.ResponseWriter, r *http.Request) {
 	rows := make([]row, 0, len(g.reg.Shards()))
 	for _, s := range g.reg.Shards() {
 		active := s.Addr()
+		breaker := "closed"
+		if !s.Healthy() {
+			breaker = "open"
+		}
 		eps := make([]endpointRow, 0, len(s.Endpoints()))
 		for _, ep := range s.Endpoints() {
 			er := endpointRow{Addr: ep, Active: ep == active}
@@ -259,8 +261,8 @@ func (g *Gateway) serveShards(w http.ResponseWriter, r *http.Request) {
 			Name:      s.Name(),
 			Addr:      active,
 			Box:       s.Box(),
-			Healthy:   s.Healthy(),
-			Breaker:   s.BreakerState(),
+			Healthy:   breaker == "closed",
+			Breaker:   breaker,
 			Epoch:     s.Epoch(),
 			StandbyUp: s.StandbyUp(),
 			Endpoints: eps,
@@ -655,14 +657,15 @@ func answered(err error) bool { return errors.As(err, new(*wire.ReplyError)) }
 // connection (dialing and replaying the hello if needed), bounded by the
 // request timeout and retried on a fresh connection with jittered backoff.
 // The reply has type want and a non-nil payload for it. Transport failures
-// feed the shard's circuit breaker; an open breaker fails fast. A shard
-// that answers with anything else (see answered) is alive: the breaker
-// counts a success and the answer comes back as the error.
+// feed the shard's circuit breaker; an open breaker fails fast until the
+// shard's control pass hears from it. A shard that answers with anything
+// else (see answered) is alive: the breaker counts a success and the answer
+// comes back as the error.
 func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	req.Via = &wire.Via{Gateway: g.opts.Name, Shard: sh.Name()}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if !sh.allow(time.Now()) {
+		if !sh.Healthy() {
 			if lastErr != nil {
 				return wire.Envelope{}, fmt.Errorf("circuit open: %w", lastErr)
 			}
@@ -675,7 +678,7 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire
 			return reply, err
 		}
 		lastErr = err
-		if opened := sh.recordFailure(time.Now(), g.opts.FailureThreshold, g.opts.BreakCooldown); opened {
+		if opened := sh.recordFailure(g.opts.FailureThreshold); opened {
 			// Breaker edge: the active endpoint just went from suspect to
 			// dead. Kick the shard's control goroutine into a failover
 			// pass; this request still fails, but the route is rewritten

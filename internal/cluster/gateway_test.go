@@ -47,7 +47,8 @@ func startShard(t *testing.T, box geo.BoundingBox, addr string) (*coordinator.Se
 }
 
 // restartShard starts a shard coordinator on the address of one that was
-// closed, retrying while the port lingers.
+// closed, retrying while the port lingers. Its Telemetry counts the requests
+// that reach it.
 func restartShard(t *testing.T, box geo.BoundingBox, addr string) *coordinator.Server {
 	t.Helper()
 	var err error
@@ -55,7 +56,7 @@ func restartShard(t *testing.T, box geo.BoundingBox, addr string) *coordinator.S
 		var s *coordinator.Server
 		if s, err = coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), addr, coordinator.Options{
 			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed,
+			TaskInterval: time.Minute, Seed: seed, Telemetry: telemetry.NewRegistry(),
 		}); err == nil {
 			t.Cleanup(func() { _ = s.Close() })
 			return s
@@ -238,7 +239,6 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{
 		FailureThreshold: 1,
-		BreakCooldown:    time.Hour, // only the reconcile pass may revive it
 		RecheckInterval:  50 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 	})
@@ -355,8 +355,7 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{
 		FailureThreshold: 2, // a forward and its retry open the breaker: the first pass fails in transport, later ones on it
-		BreakCooldown:    time.Hour,
-		RecheckInterval:  -1,
+		RecheckInterval:  time.Hour,
 		RequestTimeout:   2 * time.Second,
 	})
 	loc := geo.Madison().Center()
@@ -491,7 +490,7 @@ func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: -1})
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +631,7 @@ func TestGatewayRoutesSampleReports(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.NewRegistry()
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Name: "gw", Seed: seed, RecheckInterval: -1, Telemetry: tel})
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Name: "gw", Seed: seed, RecheckInterval: time.Hour, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -764,6 +763,34 @@ func TestGatewayShardsEndpoint(t *testing.T) {
 	}
 	if body.Quorum != 2 || len(body.Shards) != 2 || !body.Shards[0].Healthy || !body.Shards[1].Healthy {
 		t.Fatalf("shard table: %+v", body)
+	}
+}
+
+// TestGatewayRefusesUnreachableQuorum: a ready quorum above the shard count
+// would hold /readyz at 503 for good, so ServeGateway refuses it and names
+// both numbers; a quorum of every shard is accepted.
+func TestGatewayRefusesUnreachableQuorum(t *testing.T) {
+	reg, err := NewRegistry([]ShardConfig{
+		{Name: "a", Addr: "127.0.0.1:1", Box: boxA()},
+		{Name: "b", Addr: "127.0.0.1:1", Box: boxB()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{ReadyQuorum: 3})
+	if err == nil {
+		_ = gw.Close()
+		t.Fatal("a ready quorum of 3 on 2 shards was accepted")
+	}
+	if !strings.Contains(err.Error(), "quorum 3") || !strings.Contains(err.Error(), "2 registered shards") {
+		t.Fatalf("refusal %q must name the quorum (3) and the shard count (2)", err)
+	}
+	gw, err = ServeGateway(reg, "127.0.0.1:0", GatewayOptions{ReadyQuorum: 2})
+	if err != nil {
+		t.Fatalf("a ready quorum of every shard: %v", err)
+	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

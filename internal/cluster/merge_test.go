@@ -50,7 +50,7 @@ func startGateway(t *testing.T, tel *telemetry.Registry, logf func(string, ...an
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: -1, Telemetry: tel, Logf: logf})
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour, Telemetry: tel, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ type shardMetrics struct {
 	routed     *telemetry.Counter // requests routed to this shard by location
 	forwarded  *telemetry.Counter // upstream requests completed
 	failed     *telemetry.Counter // upstream requests that errored
-	healthy    *telemetry.Gauge   // 1 = breaker closed, 0 = open/half-open
+	healthy    *telemetry.Gauge   // 1 = breaker closed, 0 = open
 	promotions *telemetry.Counter // replica promotions executed for this shard
 	demotions  *telemetry.Counter // stale primaries demoted for this shard
 	epoch      *telemetry.Gauge   // current routing epoch

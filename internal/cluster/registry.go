@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/geo"
 )
@@ -39,15 +38,6 @@ type ShardConfig struct {
 	Box geo.BoundingBox
 }
 
-// breakerState is the classic three-state circuit breaker.
-type breakerState int
-
-const (
-	breakerClosed   breakerState = iota // healthy: requests flow
-	breakerOpen                         // broken: requests rejected until cooldown passes
-	breakerHalfOpen                     // probing: one request (or probe) may test the shard
-)
-
 // Shard is one registered coordinator group plus its live health and
 // routing state. The route table entry — which endpoint is active, at which
 // routing epoch — lives here; the gateway's control goroutine for the shard
@@ -56,10 +46,9 @@ const (
 type Shard struct {
 	cfg ShardConfig
 
-	mu       sync.Mutex
-	state    breakerState
-	fails    int       // consecutive failures while closed
-	reopenAt time.Time // when an open breaker admits a trial request
+	mu    sync.Mutex
+	fails int  // consecutive failures since the active endpoint last answered
+	open  bool // the breaker: no request is admitted until the endpoint answers
 
 	endpoints []string // cfg.Addr then cfg.Replicas; never mutated
 	active    int      // index of the endpoint agent traffic routes to
@@ -120,80 +109,40 @@ func (s *Shard) setActive(addr string, epoch uint64) {
 	defer s.mu.Unlock()
 	s.active = slices.Index(s.endpoints, addr)
 	s.epoch = epoch
-	s.state = breakerClosed
+	s.open = false
 	s.fails = 0
 }
 
-// Healthy reports whether the breaker is closed (normal traffic flow).
+// Healthy reports whether the breaker is closed. An open breaker admits no
+// request: only an answer from the active endpoint closes it again.
 func (s *Shard) Healthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.state == breakerClosed
+	return !s.open
 }
 
-// BreakerState names the breaker's current state for the route-table API:
-// "closed", "open" or "half-open".
-func (s *Shard) BreakerState() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.state {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
-// allow reports whether a request may be sent to the shard now. An open
-// breaker past its cooldown moves to half-open and admits exactly one
-// trial request; its outcome (recordSuccess / recordFailure) decides
-// whether the breaker closes again or re-opens for another cooldown.
-func (s *Shard) allow(now time.Time) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch s.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if now.Before(s.reopenAt) {
-			return false
-		}
-		s.state = breakerHalfOpen
-		return true
-	default: // half-open: a trial is already in flight
-		return false
-	}
-}
-
-// recordSuccess closes the breaker and resets the failure count.
+// recordSuccess notes an answer from the active endpoint — a forwarded
+// request's reply or a control pass's status poll: it closes the breaker and
+// resets the failure count.
 func (s *Shard) recordSuccess() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.state = breakerClosed
+	s.open = false
 	s.fails = 0
 }
 
 // recordFailure counts one failed request; threshold consecutive failures
-// (or any failure while half-open) trip the breaker open for cooldown.
-// Reports whether this call transitioned the breaker to open — the edge
-// the gateway's failover machinery triggers on.
-func (s *Shard) recordFailure(now time.Time, threshold int, cooldown time.Duration) (opened bool) {
+// open the breaker. Reports whether this call opened it — the edge the
+// gateway's failover machinery triggers on.
+func (s *Shard) recordFailure(threshold int) (opened bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == breakerHalfOpen {
-		s.state = breakerOpen
-		s.reopenAt = now.Add(cooldown)
-		return true
-	}
 	s.fails++
-	if s.fails >= threshold && s.state != breakerOpen {
-		s.state = breakerOpen
-		s.reopenAt = now.Add(cooldown)
-		return true
+	if s.open || s.fails < threshold {
+		return false
 	}
-	return false
+	s.open = true
+	return true
 }
 
 // Registry is the gateway's static shard set. It is immutable after

@@ -3,7 +3,6 @@ package cluster
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 )
@@ -51,60 +50,54 @@ func TestShardForMatchesInOrder(t *testing.T) {
 
 func TestBreakerLifecycle(t *testing.T) {
 	s := &Shard{cfg: ShardConfig{Name: "a", Addr: "x:1", Box: boxA()}}
-	now := time.Unix(1000, 0)
 	const threshold = 3
-	cooldown := 5 * time.Second
 
-	if !s.Healthy() || !s.allow(now) {
+	if !s.Healthy() {
 		t.Fatal("fresh shard must be healthy")
 	}
 	// Failures below the threshold keep the breaker closed.
-	s.recordFailure(now, threshold, cooldown)
-	s.recordFailure(now, threshold, cooldown)
-	if !s.Healthy() {
-		t.Fatal("breaker tripped below threshold")
+	for i := 1; i < threshold; i++ {
+		if s.recordFailure(threshold) || !s.Healthy() {
+			t.Fatalf("breaker tripped after %d failures, below the threshold %d", i, threshold)
+		}
 	}
-	// The threshold-th consecutive failure trips it.
-	s.recordFailure(now, threshold, cooldown)
-	if s.Healthy() || s.allow(now.Add(time.Second)) {
-		t.Fatal("breaker must be open after threshold failures")
+	// The threshold-th consecutive failure opens it: one edge.
+	if !s.recordFailure(threshold) || s.Healthy() {
+		t.Fatal("breaker must open on the threshold-th failure, reporting the edge")
 	}
-	// Cooldown expiry admits exactly one trial request.
-	trial := now.Add(cooldown + time.Second)
-	if !s.allow(trial) {
-		t.Fatal("breaker must go half-open after cooldown")
+	// However many failures follow, an open breaker reports no second edge
+	// and stays open: no time passing admits anything.
+	for i := 0; i < 2*threshold; i++ {
+		if s.recordFailure(threshold) {
+			t.Fatalf("failure %d past the threshold reported a second open edge", i+1)
+		}
 	}
-	if s.allow(trial) {
-		t.Fatal("half-open breaker must admit only one trial")
+	if s.Healthy() {
+		t.Fatal("breaker closed without an answer from the shard")
 	}
-	// A failed trial re-opens for another cooldown.
-	s.recordFailure(trial, threshold, cooldown)
-	if s.allow(trial.Add(time.Second)) {
-		t.Fatal("failed trial must re-open the breaker")
-	}
-	// A successful trial closes it and resets the failure count.
-	trial2 := trial.Add(cooldown + time.Second)
-	if !s.allow(trial2) {
-		t.Fatal("second trial not admitted")
-	}
+	// An answer closes it and resets the count: the next trip takes a
+	// whole threshold again.
 	s.recordSuccess()
 	if !s.Healthy() {
 		t.Fatal("success must close the breaker")
 	}
-	s.recordFailure(trial2, threshold, cooldown)
-	if !s.Healthy() {
-		t.Fatal("failure count must reset after success")
+	for i := 1; i < threshold; i++ {
+		if s.recordFailure(threshold) || !s.Healthy() {
+			t.Fatal("failure count must reset after success")
+		}
+	}
+	if !s.recordFailure(threshold) {
+		t.Fatal("a closed breaker must open again at the threshold")
 	}
 }
 
 func TestSuccessResetsConsecutiveFailures(t *testing.T) {
 	s := &Shard{cfg: ShardConfig{Name: "a", Addr: "x:1"}}
-	now := time.Unix(0, 0)
-	s.recordFailure(now, 3, time.Second)
-	s.recordFailure(now, 3, time.Second)
+	s.recordFailure(3)
+	s.recordFailure(3)
 	s.recordSuccess()
-	s.recordFailure(now, 3, time.Second)
-	s.recordFailure(now, 3, time.Second)
+	s.recordFailure(3)
+	s.recordFailure(3)
 	if !s.Healthy() {
 		t.Fatal("interleaved successes must keep the breaker closed")
 	}

@@ -53,7 +53,10 @@ ci: vet lint build race
 # re-encodes byte for byte), the WAL record encoder, the
 # binary WAL record decoder (FuzzBinaryRecordDecode: arbitrary bytes after
 # the binary lead byte never panic, and an accepted line re-encodes byte for
-# byte), the canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
+# byte), the binary sample report decoder (FuzzBinarySampleReportDecode:
+# arbitrary bytes after the 0xB2 lead byte never panic, and an accepted line
+# re-encodes byte for byte and decodes to what json.Unmarshal makes of
+# json.Marshal of it), the canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
 # and store.ParseRecordLine of a payload against json.Unmarshal of the same
 # bytes) and the canonical-form decoder of the other seven hand-spelled
 # frames (FuzzReplyDecodeMatchesJSON, named for the reply frames it first
@@ -64,19 +67,21 @@ ci: vet lint build race
 # every frame type they cover
 # programmatically; the replication fuzzer seeds every line kind
 # programmatically, the encoder fuzzer the values encoding/json's rules turn
-# on, the binary decoder fuzzer lines the store wrote.
+# on, the binary decoder fuzzer lines the store wrote, the binary report
+# fuzzer lines Send wrote from the tracetest corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch
 	$(GO) test -fuzz=FuzzFrameRoundTrip -fuzztime=30s ./internal/replication
 	$(GO) test -fuzz=FuzzRecordEncodeMatchesJSON -fuzztime=30s ./internal/store
 	$(GO) test -fuzz=FuzzBinaryRecordDecode -fuzztime=30s ./internal/store
+	$(GO) test -fuzz=FuzzBinarySampleReportDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSampleDecodeMatchesJSON -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzReplyDecodeMatchesJSON -fuzztime=30s ./internal/wire
 
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 # The codec's are BenchmarkEncode/BenchmarkDecode (internal/wire: a sample
-# report out and in) and BenchmarkAppend/BenchmarkParseRecordLine
+# report out and in, binary and JSON) and BenchmarkAppend/BenchmarkParseRecordLine
 # (internal/store: a WAL line out and in, binary, canonical JSON and
 # fallback JSON).
 bench:

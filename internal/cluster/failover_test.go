@@ -599,7 +599,28 @@ func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
 	if err != nil || b.Role() != wire.RolePrimary {
 		t.Fatalf("promoting b at epoch %d: %v (role %q)", sh.Epoch(), err, b.Role())
 	}
-	// b no longer tails a: these samples reach a alone.
+	// b no longer tails a, but a learns that only when it sees b's stream
+	// close; until then a's semi-sync ack rightly waits on b, up to the sync
+	// timeout. Once a sees no replica, these samples reach a alone.
+	waitUntil(t, 10*time.Second, "a to see b's stream close", func() bool {
+		nc, err := net.Dial("tcp", a.Addr())
+		if err != nil {
+			return false
+		}
+		c := wire.NewConn(nc)
+		defer c.Close()
+		_ = c.SetDeadline(time.Now().Add(time.Second))
+		st, err := c.Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
+		if err != nil {
+			return false
+		}
+		for _, r := range st.StatusReply.Replicas {
+			if r.Connected {
+				return false
+			}
+		}
+		return true
+	})
 	sendSamples(t, a.Addr(), hourOfSamples(start.Add(time.Hour), 40))
 
 	if err := gw.order(sh, ""); err != nil {

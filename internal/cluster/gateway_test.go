@@ -5,9 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -552,8 +552,8 @@ func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
 	}
 }
 
-// recordingShard is a shard that keeps the raw bytes of every sample report
-// it is sent and acks each sample in it.
+// recordingShard is a shard that keeps the raw line of every sample report
+// it is sent, decodes it through wire.Conn, and acks each sample in it.
 type recordingShard struct {
 	lis     net.Listener
 	reports chan []byte
@@ -575,19 +575,22 @@ func startRecordingShard(t *testing.T) *recordingShard {
 			}
 			go func() {
 				defer nc.Close()
-				sc := bufio.NewScanner(nc)
-				sc.Buffer(nil, wire.MaxMessageBytes)
-				for sc.Scan() {
-					var req struct {
-						SampleReport struct {
-							Samples []json.RawMessage `json:"samples"`
-						} `json:"sample_report"`
-					}
-					if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
+				br, reply := bufio.NewReader(nc), wire.NewConn(nc)
+				for {
+					line, _, err := wire.ReadLine(br, wire.MaxMessageBytes)
+					if err != nil {
 						return
 					}
-					rs.reports <- append([]byte(nil), sc.Bytes()...)
-					fmt.Fprintf(nc, `{"type":"sample_ack","sample_ack":{"accepted":%d}}`+"\n", len(req.SampleReport.Samples))
+					var cc captureConn
+					cc.buf.Write(line)
+					req, err := wire.NewConn(&cc).Recv()
+					if err != nil || req.SampleReport == nil {
+						return
+					}
+					rs.reports <- bytes.TrimSuffix(bytes.Clone(line), []byte("\n"))
+					if reply.Send(wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: len(req.SampleReport.Samples)}}) != nil {
+						return
+					}
 				}
 			}()
 		}
@@ -608,19 +611,21 @@ func (rs *recordingShard) received() [][]byte {
 	}
 }
 
-// captureConn is a net.Conn that keeps what is written to it.
+// captureConn is a net.Conn that keeps what is written to it, and reads it
+// back.
 type captureConn struct {
 	net.Conn
 	buf bytes.Buffer
 }
 
 func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
+func (c *captureConn) Read(p []byte) (int, error)  { return c.buf.Read(p) }
 
 // TestGatewayRoutesSampleReports pins what reaches the shards, byte for
 // byte: a report one shard owns all of goes to it whole, one that straddles
 // a boundary or holds an unroutable sample is split by owner in report
 // order, and either way a shard is sent exactly the envelope a gateway that
-// always split would send it.
+// always split would send it — a binary line, via and all.
 func TestGatewayRoutesSampleReports(t *testing.T) {
 	shards := map[string]*recordingShard{"madison": startRecordingShard(t), "new-jersey": startRecordingShard(t)}
 	reg, err := NewRegistry([]ShardConfig{
@@ -657,6 +662,9 @@ func TestGatewayRoutesSampleReports(t *testing.T) {
 		if err := wire.NewConn(&cc).Send(wire.Envelope{Type: wire.TypeSampleReport, Via: &wire.Via{Gateway: "gw", Shard: shard},
 			SampleReport: &wire.SampleReport{ClientID: "probe", Samples: smps}}); err != nil {
 			t.Fatal(err)
+		}
+		if line := cc.buf.Bytes(); line[0] != 0xB2 {
+			t.Fatalf("a relayed report went as %q, want a binary line", line)
 		}
 		return bytes.TrimSuffix(cc.buf.Bytes(), []byte("\n"))
 	}
@@ -796,10 +804,12 @@ func TestGatewayRefusesUnreachableQuorum(t *testing.T) {
 
 // TestAgentReportsTakeTheCanonicalPath verifies the traffic instead of
 // guessing it: every sample report this tree's own senders write — a real
-// agent's, and the gateway's forwards of them, whole and split, Via set — is
-// decoded by the canonical-form parser at the gateway and at the shard
+// agent's, and the gateway's forwards of them, whole and split, Via set; a
+// binary line, or canonical JSON for one the binary form does not carry — is
+// decoded without encoding/json at the gateway and at the shard
 // (wiscape_wire_decode_fallbacks_total stays 0 while decodes are counted),
-// and a report spelled another way is still ingested, one fallback counted.
+// and a JSON report spelled another way is still ingested, one fallback
+// counted.
 func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
 	ctrls := map[string]*core.Controller{}
@@ -898,10 +908,18 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		}
 	}
 
-	// The same report, spelled with a space after every colon and comma.
+	// The same report as JSON, spelled with a space after every colon and
+	// comma. Its first time, the same instant an hour east of UTC, keeps Send
+	// off the binary form, which has no other spelling.
+	asJSON := *report.SampleReport
+	asJSON.Samples = slices.Clone(straddling)
+	asJSON.Samples[0].Time = asJSON.Samples[0].Time.In(time.FixedZone("", 3600))
 	var frame captureConn
-	if err := wire.NewConn(&frame).Send(report); err != nil {
+	if err := wire.NewConn(&frame).Send(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &asJSON}); err != nil {
 		t.Fatal(err)
+	}
+	if frame.buf.Bytes()[0] != '{' {
+		t.Fatalf("the report went as %q, want JSON", frame.buf.Bytes())
 	}
 	spaced := strings.NewReplacer(`":`, `": `, `,"`, `, "`).Replace(frame.buf.String())
 	before = ingested()

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
+	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -326,5 +328,62 @@ func damageNewest(t *testing.T, dir, prefix, suffix string, damage func([]byte) 
 	}
 	if err := os.WriteFile(path, damage(data), 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandTypedJSONReportJournaled: a sample report typed by hand as a JSON
+// line — the spelling agents sent before the binary form, and the one a
+// drill types over /dev/tcp — is acked and journaled, and leaves WAL
+// segments byte-identical to those the same report leaves sent through
+// wire.Conn, which writes it as a binary line.
+func TestHandTypedJSONReportJournaled(t *testing.T) {
+	const typed = `{"type":"sample_report","sample_report":{"client_id":"p1","samples":[` +
+		`{"t":"2010-09-16T00:10:00Z","loc":{"lat":43.2,"lon":-89.6},"net":"NetB","metric":"udp_kbps","value":1234.5,"client":"p1"}]}}`
+	smp := trace.Sample{Time: time.Date(2010, 9, 16, 0, 10, 0, 0, time.UTC), Loc: geo.Point{Lat: 43.2, Lon: -89.6},
+		Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 1234.5, ClientID: "p1"}
+	segments := map[string][]byte{}
+	for _, how := range []string{"typed", "sent"} {
+		dir := t.TempDir()
+		s, err := Serve(core.NewController(core.DefaultConfig(), geo.Madison().Center()), "127.0.0.1:0", persistOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if how == "typed" {
+			nc, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := nc.Write([]byte(typed + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			sc := bufio.NewScanner(nc)
+			if !sc.Scan() || sc.Text() != `{"type":"sample_ack","sample_ack":{"accepted":1}}` {
+				t.Fatalf("the typed report was answered %q, %v", sc.Text(), sc.Err())
+			}
+			_ = nc.Close()
+		} else {
+			reportSamples(t, dial(t, s), "p1", []trace.Sample{smp})
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lines, _ := journal(t, dir)
+		if got, _, ok := store.ParseRecordLine(lines[1]); len(lines) != 1 || !ok || got != smp {
+			t.Fatalf("%s: the journal holds %d lines, LSN 1 %+v; want the one sample %+v", how, len(lines), got, smp)
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segments[how] = append(segments[how], data...)
+		}
+	}
+	if !bytes.Equal(segments["typed"], segments["sent"]) {
+		t.Fatalf("the typed report left the WAL\n%q\nthe sent one\n%q", segments["typed"], segments["sent"])
 	}
 }

@@ -40,7 +40,9 @@ const (
 	NetC NetworkID = "NetC" // CDMA2000 1xEV-DO Rev. A, downlink <= 3.1 Mbps
 )
 
-// AllNetworks lists the three networks in canonical order.
+// AllNetworks lists the three networks in canonical order. A binary sample
+// report names a network by its index here (trace.AppendReportBinary), so a
+// new one is appended, never inserted.
 var AllNetworks = []NetworkID{NetA, NetB, NetC}
 
 // Epoch is the simulation time origin (start of the paper's data

@@ -23,7 +23,7 @@ import (
 func frameBinary(body []byte) []byte {
 	buf := append([]byte{binaryLead}, body...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(stuff(buf, 1), '\n')
+	return append(trace.Stuff(buf, 1), '\n')
 }
 
 // sampleBody is the body of the binary line of (lsn, smp), which the binary
@@ -98,8 +98,8 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		{"a truncated float", frameBinary(sampleBody(t, 4, smp)[:floatAt+5])},
 		{"nothing but the lead byte", []byte{binaryLead, '\n'}},
 		{"nothing but an LSN", frameBinary([]byte{4})},
-		{"a dangling escape", append(good[:len(good)-1:len(good)-1], slipEsc, '\n')},
-		{"an unknown escape", bytes.Replace(good, []byte("NetB"), []byte{'N', slipEsc, 0x00, 'B'}, 1)},
+		{"a dangling escape", append(good[:len(good)-1:len(good)-1], trace.SlipEsc, '\n')},
+		{"an unknown escape", bytes.Replace(good, []byte("NetB"), []byte{'N', trace.SlipEsc, 0x00, 'B'}, 1)},
 		{"a raw newline inside", bytes.Replace(good, []byte("NetB"), []byte("Ne\nB"), 1)},
 		{"a bad CRC", body(func(b []byte) []byte { line := frameBinary(b); line[len(line)-2] ^= 1; return line })},
 		{"a flipped sample byte", bytes.Replace(good, []byte("udp_kbps"), []byte("udp_kbpz"), 1)},
@@ -190,7 +190,7 @@ func FuzzBinaryRecordDecode(f *testing.F) {
 	line, _ := appendRecordLine(nil, 10, smp) // a newline and an escape byte to stuff
 	f.Add(line[1:len(line)-1], false)
 	f.Add([]byte{}, false)
-	f.Add([]byte{slipEsc}, false)
+	f.Add([]byte{trace.SlipEsc}, false)
 	f.Add([]byte{0x84, 0x00}, true)
 	f.Add(bytes.Repeat([]byte{0xff}, 12), true)
 	f.Fuzz(func(t *testing.T, b []byte, framed bool) {
@@ -408,9 +408,9 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	line, ok := bytes.CutPrefix(line, []byte("kept"))
-	body, unstuffed := unstuff(nil, line[1:len(line)-1])
+	body, unstuffed := trace.Unstuff(nil, line[1:len(line)-1])
 	if !ok || line[0] != CheckpointLead || bytes.IndexByte(line, '\n') != len(line)-1 ||
-		!bytes.Contains(line, []byte{slipEsc, slipEscEsc}) || !unstuffed || !bytes.Equal(body, ckpt) {
+		!bytes.Contains(line, []byte{trace.SlipEsc, trace.SlipEscEsc}) || !unstuffed || !bytes.Equal(body, ckpt) {
 		t.Fatalf("checkpoint line %q does not hold the checkpoint %q", line, ckpt)
 	}
 	got, lsn, err := ParseCheckpointLine(line)
@@ -422,15 +422,15 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 		c := bytes.Replace(ckpt, []byte(old), []byte(new), 1)
 		nl := bytes.IndexByte(c, '\n')
 		putCRC(c[nl-8:nl], crc32.ChecksumIEEE(c[nl+1:]))
-		return append(stuff(append([]byte{CheckpointLead}, c...), 1), '\n')
+		return append(trace.Stuff(append([]byte{CheckpointLead}, c...), 1), '\n')
 	}
 	flipped := append([]byte(nil), line...)
 	flipped[len(flipped)/2] ^= 1
 	for name, bad := range map[string][]byte{
 		"another lead byte":           append([]byte{binaryLead}, line[1:]...),
 		"no newline":                  line[:len(line)-1],
-		"a raw newline":               append(bytes.Replace(line[:len(line)-1], []byte{slipEsc, slipEscNL}, []byte{'\n'}, 1), '\n'),
-		"an escape for nothing":       append(append(line[:len(line)-1:len(line)-1], slipEsc, 'x'), '\n'),
+		"a raw newline":               append(bytes.Replace(line[:len(line)-1], []byte{trace.SlipEsc, trace.SlipEscNL}, []byte{'\n'}, 1), '\n'),
+		"an escape for nothing":       append(append(line[:len(line)-1:len(line)-1], trace.SlipEsc, 'x'), '\n'),
 		"a flipped byte":              flipped,
 		"a zero-padded LSN":           respell(" 42 ", " 042 "),
 		"the JSON indented otherwise": respell("\n  ", "\n   "),

@@ -28,13 +28,13 @@ import (
 //	0xB1 · stuffed( uvarint LSN · trace.AppendSampleBinary's sample ·
 //	                CRC32-IEEE, little-endian, of the LSN and sample ) · '\n'
 //
-// Stuffing is RFC 1055 SLIP escaping of the newline — 0x0A is written DB DC,
-// 0xDB is written DB DD — so the body never holds a raw '\n' and both forms
-// are framed by their newline alone. JSON stays the specification: the binary
-// form is written only for a sample it carries to exactly what the JSON line
-// decodes to, and the JSON form for the rest (see trace.AppendSampleBinary);
-// the same tests hold every line appendRecordLine writes to read back as the
-// oracle's line does. The binary decoder is canonical: an accepted line
+// Stuffing is trace.Stuff's RFC 1055 SLIP escaping of the newline — 0x0A is
+// written DB DC, 0xDB is written DB DD — so the body never holds a raw '\n'
+// and both forms are framed by their newline alone. JSON stays the
+// specification: the binary form is written only for a sample it carries to
+// exactly what the JSON line decodes to, and the JSON form for the rest (see
+// trace.AppendSampleBinary); the same tests hold every line appendRecordLine
+// writes to read back as the oracle's line does. The binary decoder is canonical: an accepted line
 // re-encodes to itself (FuzzBinaryRecordDecode).
 
 const (
@@ -43,9 +43,6 @@ const (
 	sampleKey = `,"sample":`
 
 	binaryLead = 0xB1 // opens a binary line; a JSON line opens with a hex digit
-	slipEsc    = 0xDB
-	slipEscNL  = 0xDC // slipEsc slipEscNL stands for '\n'
-	slipEscEsc = 0xDD // slipEsc slipEscEsc stands for slipEsc
 	crcBytes   = 4    // the CRC closing a binary line's body
 
 	// binaryScratch holds the unstuffed body of any binary line short of
@@ -67,37 +64,7 @@ func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) 
 		return appendRecordJSON(buf[:start], lsn, smp)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
-	return append(stuff(buf, body), '\n'), nil
-}
-
-// stuff SLIP-escapes buf[from:] in place, growing buf by one byte for every
-// '\n' and slipEsc in it.
-func stuff(buf []byte, from int) []byte {
-	grow := 0
-	for _, c := range buf[from:] {
-		if c == '\n' || c == slipEsc {
-			grow++
-		}
-	}
-	if grow == 0 {
-		return buf
-	}
-	n := len(buf)
-	buf = append(buf, make([]byte, grow)...)
-	for i, j := n-1, len(buf)-1; i >= from; i-- {
-		switch c := buf[i]; c {
-		case '\n':
-			buf[j-1], buf[j] = slipEsc, slipEscNL
-			j -= 2
-		case slipEsc:
-			buf[j-1], buf[j] = slipEsc, slipEscEsc
-			j -= 2
-		default:
-			buf[j] = c
-			j--
-		}
-	}
-	return buf
+	return append(trace.Stuff(buf, body), '\n'), nil
 }
 
 // binaryRecord checks a binary line — lead byte, stuffing, no longer than
@@ -115,9 +82,9 @@ func binaryRecord(dst, line []byte) (lsn uint64, smp []byte, ok bool) {
 	if cap(dst) < len(src) {
 		dst = make([]byte, 0, len(src))
 	}
-	dst, ok = unstuff(dst[:0], src)
+	dst, ok = trace.Unstuff(dst[:0], src)
 	end := len(dst) - crcBytes
-	if !ok || end < 0 || unstuffedCRC(src, end) != binary.LittleEndian.Uint32(dst[end:]) {
+	if !ok || end < 0 || trace.UnstuffedCRC(src, end) != binary.LittleEndian.Uint32(dst[end:]) {
 		return 0, nil, false
 	}
 	lsn, n := trace.Uvarint(dst[:end])
@@ -125,44 +92,6 @@ func binaryRecord(dst, line []byte) (lsn uint64, smp []byte, ok bool) {
 		return 0, nil, false
 	}
 	return lsn, dst[n:end], true
-}
-
-// unstuff appends src, its escapes undone, to dst; false on an escape byte
-// followed by neither slipEscNL nor slipEscEsc, or by nothing.
-func unstuff(dst, src []byte) ([]byte, bool) {
-	for {
-		i := bytes.IndexByte(src, slipEsc)
-		if i < 0 {
-			return append(dst, src...), true
-		}
-		if i+1 == len(src) || (src[i+1] != slipEscNL && src[i+1] != slipEscEsc) {
-			return dst, false
-		}
-		dst = append(dst, src[:i]...)
-		dst = append(dst, slipUnescaped[src[i+1]-slipEscNL])
-		src = src[i+2:]
-	}
-}
-
-// slipUnescaped is what slipEscNL and slipEscEsc stand for, in that order.
-var slipUnescaped = [2]byte{'\n', slipEsc}
-
-// unstuffedCRC is the CRC of the first n bytes the well-formed stuffing src
-// undoes to, computed off src itself: crc32 keeps what it is handed on the
-// heap, and the bytes binaryRecord unstuffs live on its caller's stack.
-func unstuffedCRC(src []byte, n int) uint32 {
-	var crc uint32
-	for n > 0 {
-		i := bytes.IndexByte(src, slipEsc)
-		if i < 0 || i >= n {
-			return crc32.Update(crc, crc32.IEEETable, src[:n])
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, src[:i])
-		crc = crc32.Update(crc, crc32.IEEETable, slipUnescaped[src[i+1]-slipEscNL:][:1])
-		n -= i + 1
-		src = src[i+2:]
-	}
-	return crc
 }
 
 // appendRecordJSON appends the JSON form of one record's line —

@@ -158,7 +158,7 @@ func AppendCheckpointLine(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, e
 	if err != nil {
 		return buf[:start], err
 	}
-	return append(stuff(buf, start+1), '\n'), nil
+	return append(trace.Stuff(buf, start+1), '\n'), nil
 }
 
 // ParseCheckpointLine is ParseCheckpoint for a checkpoint line, and takes
@@ -168,7 +168,7 @@ func ParseCheckpointLine(line []byte) (core.Snapshot, uint64, error) {
 	if len(line) < 2 {
 		return core.Snapshot{}, 0, errors.New("not a checkpoint line")
 	}
-	ckpt, _ := unstuff(nil, line[1:len(line)-1]) // a bad escape is another spelling, refused below
+	ckpt, _ := trace.Unstuff(nil, line[1:len(line)-1]) // a bad escape is another spelling, refused below
 	snap, lsn, err := ParseCheckpoint(ckpt)
 	if err != nil {
 		return core.Snapshot{}, 0, err

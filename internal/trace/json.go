@@ -2,22 +2,21 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/geo"
 	"repro/internal/radio"
 )
 
 // A sample has one JSON codec, and both halves are held to encoding/json.
 //
 // AppendSampleJSON writes byte for byte what json.Marshal(Sample) returns and
-// refuses what it refuses. A sample report's frame (wire.Conn.Send) is built
-// with it, and so is a WAL line the binary form below cannot carry.
+// refuses what it refuses. A sample report's JSON frame (wire.Conn.Send, for
+// a report the binary form declines) is built with it, and so is a WAL line
+// the binary form (binary.go) cannot carry.
 //
 // ParseSampleJSON is its strict inverse. It reads only the canonical form —
 // the one spelling the encoder emits when every string is printable ASCII
@@ -373,14 +372,14 @@ func ParseSampleJSON(c *Canon, s, prev *Sample) {
 // can: a canonical string holds no quote.
 const sampleOpen = `{"t":"`
 
-// minSampleJSON is shorter than any canonical sample: one with an empty time.
-const minSampleJSON = len(`{"t":"","loc":{"lat":0,"lon":0},"net":"","metric":"","value":0,"client":"","speed_kmh":0}`)
+// MinSampleJSON is shorter than any canonical sample: one with an empty time.
+const MinSampleJSON = len(`{"t":"","loc":{"lat":0,"lon":0},"net":"","metric":"","value":0,"client":"","speed_kmh":0}`)
 
 // ParseSamplesJSON reads a non-empty array of canonical samples off the head
 // of c, into a slice allocated once. Its capacity is the number of sample
 // openings in what is left of the input, which is exact for canonical input,
 // and at most the number of samples that many bytes could spell, so no input
-// buys more than 128 B of slice for every minSampleJSON bytes it is long. The
+// buys more than 128 B of slice for every MinSampleJSON bytes it is long. The
 // first sample may share clientID, each later one the strings of the one
 // before it.
 func ParseSamplesJSON(c *Canon, clientID string) []Sample {
@@ -388,7 +387,7 @@ func ParseSamplesJSON(c *Canon, clientID string) []Sample {
 	if c.Declined {
 		return nil
 	}
-	n := min(bytes.Count(c.B, []byte(sampleOpen)), len(c.B)/minSampleJSON)
+	n := min(bytes.Count(c.B, []byte(sampleOpen)), len(c.B)/MinSampleJSON)
 	if n == 0 {
 		c.Declined = true
 		return nil
@@ -408,201 +407,4 @@ func ParseSamplesJSON(c *Canon, clientID string) []Sample {
 	}
 	c.Lit(`]`)
 	return samples
-}
-
-// A sample also has one binary form, the body of a binary WAL record (see
-// internal/store), and JSON is its specification:
-//
-//	varint Unix seconds · uvarint nanoseconds · lat, lon, value, speed_kmh as
-//	little-endian float64 bits · flags (bit 0: failed) · net, metric, client,
-//	device, each a uvarint length and the bytes
-//
-// AppendSampleBinary writes it only for a sample it carries to exactly what
-// json.Unmarshal makes of the sample's JSON, and declines the rest for the
-// caller to write as JSON: a time whose zone offset is not 0 (JSON keeps the
-// offset, and decodes a zone), a string that is not valid UTF-8 (JSON turns
-// each bad byte into U+FFFD), and what JSON refuses (NaN, ±Inf, a year
-// outside 0–9999), which AppendSampleJSON then refuses.
-//
-// ParseSampleBinary is its canonical, fail-closed inverse: it refuses an
-// overlong varint, nanoseconds of 1e9 or more, an unknown flag bit, every
-// value the encoder declines, a length past the input and bytes after the
-// device, so what it accepts re-encodes to the same bytes. A field added to
-// Sample has to be added here too.
-
-const (
-	flagFailed = 1 << 0
-
-	// The Unix seconds of the first and last instants of years 0 and 9999,
-	// the years RFC 3339 can spell.
-	minBinarySec = -62167219200
-	maxBinarySec = 253402300799
-)
-
-// AppendSampleBinary appends the binary form of s to buf, allocating nothing
-// when buf has the room. It reports false, with buf unextended, for a sample
-// the form does not carry.
-func AppendSampleBinary(buf []byte, s Sample) ([]byte, bool) {
-	sec := s.Time.Unix()
-	if _, off := s.Time.Zone(); off != 0 || sec < minBinarySec || sec > maxBinarySec {
-		return buf, false
-	}
-	floats := [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh}
-	for _, f := range floats {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return buf, false
-		}
-	}
-	strs := [...]string{string(s.Network), string(s.Metric), s.ClientID, s.Device}
-	for _, str := range strs {
-		if !utf8.ValidString(str) {
-			return buf, false
-		}
-	}
-	buf = binary.AppendVarint(buf, sec)
-	buf = binary.AppendUvarint(buf, uint64(s.Time.Nanosecond()))
-	for _, f := range floats {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	var flags byte
-	if s.Failed {
-		flags |= flagFailed
-	}
-	buf = append(buf, flags)
-	for _, str := range strs {
-		buf = binary.AppendUvarint(buf, uint64(len(str)))
-		buf = append(buf, str...)
-	}
-	return buf, true
-}
-
-// ParseSampleBinary decodes b, the whole binary form of one sample. The
-// sample shares no memory with b, and a network or metric name this package
-// knows comes back as its constant, so only the client and device strings
-// are allocated.
-func ParseSampleBinary(b []byte) (Sample, bool) {
-	var s Sample
-	ok := decodeSampleBinary(b, &s)
-	return s, ok
-}
-
-// ValidSampleBinary reports whether ParseSampleBinary accepts b, allocating
-// nothing.
-func ValidSampleBinary(b []byte) bool { return decodeSampleBinary(b, nil) }
-
-// decodeSampleBinary checks b and, when s is not nil, decodes it into *s.
-func decodeSampleBinary(b []byte, s *Sample) bool {
-	r := binReader{b: b}
-	sec := r.varint()
-	nsec := r.uvarint()
-	var floats [4]float64
-	for i := range floats {
-		floats[i] = r.float()
-	}
-	flags := r.u8()
-	var strs [4][]byte
-	for i := range strs {
-		strs[i] = r.str()
-	}
-	if r.bad || len(r.b) != 0 || sec < minBinarySec || sec > maxBinarySec || nsec >= 1e9 || flags&^flagFailed != 0 {
-		return false
-	}
-	if s != nil {
-		*s = Sample{
-			Time:     time.Unix(sec, int64(nsec)).UTC(),
-			Loc:      geo.Point{Lat: floats[0], Lon: floats[1]},
-			Network:  known(strs[0], radio.AllNetworks),
-			Metric:   known(strs[1], AllMetrics),
-			Value:    floats[2],
-			ClientID: string(strs[2]),
-			Device:   string(strs[3]),
-			SpeedKmh: floats[3],
-			Failed:   flags&flagFailed != 0,
-		}
-	}
-	return true
-}
-
-// known returns b as a T: the listed name's own string when b spells one of
-// names, else a copy.
-func known[T ~string](b []byte, names []T) T {
-	for _, n := range names {
-		if string(n) == string(b) {
-			return n
-		}
-	}
-	return T(b)
-}
-
-// Uvarint is binary.Uvarint refusing, with n <= 0, an overlong encoding too:
-// one binary.AppendUvarint never writes, closing on a zero byte.
-func Uvarint(b []byte) (v uint64, n int) {
-	v, n = binary.Uvarint(b)
-	if n > 1 && b[n-1] == 0 {
-		return 0, -n
-	}
-	return v, n
-}
-
-// binReader reads the binary form off the head of b. A malformed field sets
-// bad and turns every later read into a no-op, so a caller reads the fields
-// in a straight line and looks at bad once.
-type binReader struct {
-	b   []byte
-	bad bool
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := Uvarint(r.b)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *binReader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1) // binary.Varint's zig-zag
-}
-
-func (r *binReader) u8() byte {
-	if r.bad || len(r.b) == 0 {
-		r.bad = true
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-// float reads a finite float64; NaN and ±Inf have no JSON form.
-func (r *binReader) float() float64 {
-	if r.bad || len(r.b) < 8 {
-		r.bad = true
-		return 0
-	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		r.bad = true
-		return 0
-	}
-	r.b = r.b[8:]
-	return f
-}
-
-// str reads a length-prefixed string of valid UTF-8 as a view of b.
-func (r *binReader) str() []byte {
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)) || !utf8.Valid(r.b[:n]) {
-		r.bad = true
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
-	return v
 }

@@ -29,7 +29,9 @@ const (
 	MetricUplinkKbps Metric = "uplink_kbps"
 )
 
-// AllMetrics lists the metrics in canonical order.
+// AllMetrics lists the metrics in canonical order. A binary sample report
+// names a metric by its index here (AppendReportBinary), so a new one is
+// appended, never inserted.
 var AllMetrics = []Metric{MetricTCPKbps, MetricUDPKbps, MetricJitterMs, MetricLossRate, MetricRTTMs, MetricUplinkKbps}
 
 // Sample is one client-sourced measurement observation: the value of one

@@ -68,8 +68,16 @@ func benchReport(n int) Envelope {
 	}}
 }
 
-func benchmarkEncode(b *testing.B, nSamples int, m *Metrics) {
-	e := benchReport(nSamples)
+// jsonReport is benchReport(n) with its last sample's time an hour east of
+// UTC: a report the binary form does not carry, which Send writes as JSON.
+func jsonReport(n int) Envelope {
+	e := benchReport(n)
+	last := &e.SampleReport.Samples[n-1]
+	last.Time = last.Time.In(time.FixedZone("", 3600))
+	return e
+}
+
+func benchmarkEncode(b *testing.B, e Envelope, m *Metrics) {
 	b.SetBytes(int64(len(encodeFrames(b, e))))
 	c := NewConn(byteConn{w: io.Discard}).Instrument(m)
 	b.ReportAllocs()
@@ -82,22 +90,26 @@ func benchmarkEncode(b *testing.B, nSamples int, m *Metrics) {
 }
 
 // BenchmarkEncode measures envelope marshal + framing throughput — the
-// per-message codec cost next to which BenchmarkIngest* sits.
+// per-message codec cost next to which BenchmarkIngest* sits. A report goes
+// as its binary line; samples=50/json is the same report with one time off
+// UTC, which goes as JSON.
 func BenchmarkEncode(b *testing.B) {
-	for _, n := range []int{1, 32, 1024} {
+	for _, n := range []int{1, 32, 50, 1024} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
-			benchmarkEncode(b, n, nil)
+			benchmarkEncode(b, benchReport(n), nil)
 		})
 	}
+	b.Run("samples=50/json", func(b *testing.B) {
+		benchmarkEncode(b, jsonReport(50), nil)
+	})
 	// The instrumented variant prices the telemetry hook on the codec
 	// path: two nil-safe atomic adds per message.
 	b.Run("samples=32/instrumented", func(b *testing.B) {
-		benchmarkEncode(b, 32, NewMetrics(telemetry.NewRegistry()))
+		benchmarkEncode(b, benchReport(32), NewMetrics(telemetry.NewRegistry()))
 	})
 }
 
-func benchmarkDecode(b *testing.B, nSamples int, m *Metrics) {
-	frame := encodeFrames(b, benchReport(nSamples))
+func benchmarkDecode(b *testing.B, frame []byte, m *Metrics) {
 	b.SetBytes(int64(len(frame)))
 	c := NewConn(byteConn{r: &repeatReader{data: frame}}).Instrument(m)
 	b.ReportAllocs()
@@ -109,14 +121,19 @@ func benchmarkDecode(b *testing.B, nSamples int, m *Metrics) {
 	}
 }
 
-// BenchmarkDecode measures frame read + envelope unmarshal throughput.
+// BenchmarkDecode measures frame read + envelope unmarshal throughput: a
+// report's binary line, and for samples=50/json the canonical JSON frame of
+// the same report, as an agent that predates the binary form sends it.
 func BenchmarkDecode(b *testing.B) {
-	for _, n := range []int{1, 32, 1024} {
+	for _, n := range []int{1, 32, 50, 1024} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
-			benchmarkDecode(b, n, nil)
+			benchmarkDecode(b, encodeFrames(b, benchReport(n)), nil)
 		})
 	}
+	b.Run("samples=50/json", func(b *testing.B) {
+		benchmarkDecode(b, jsonFrame(b, benchReport(50)), nil)
+	})
 	b.Run("samples=32/instrumented", func(b *testing.B) {
-		benchmarkDecode(b, 32, NewMetrics(telemetry.NewRegistry()))
+		benchmarkDecode(b, encodeFrames(b, benchReport(32)), NewMetrics(telemetry.NewRegistry()))
 	})
 }

@@ -33,6 +33,19 @@ func encodeFrames(t testing.TB, envs ...Envelope) []byte {
 	return buf.Bytes()
 }
 
+// jsonFrame is e's JSON frame, json.Marshal's bytes and a '\n': the frame Send
+// writes for every envelope but a sample report the binary form carries
+// (TestSendBytesMatchJSON), and the spelling of a report that agents before
+// the binary form send and hand-typed drills still do.
+func jsonFrame(t testing.TB, e Envelope) []byte {
+	t.Helper()
+	frame, err := json.Marshal(&e)
+	if err != nil {
+		t.Fatalf("marshal %s: %v", e.Type, err)
+	}
+	return append(frame, '\n')
+}
+
 // errorFrameOf returns an error envelope whose frame, '\n' included, is
 // exactly size bytes.
 func errorFrameOf(t testing.TB, size int) Envelope {
@@ -180,11 +193,12 @@ func allocSize(n int) int {
 	return cap(append([]byte(nil), make([]byte, n)...))
 }
 
-// TestCodecCopiesNoFrame guards what the codec may allocate. A sample report
-// or a zone list in canonical form costs what it keeps: Send encodes it into
-// a pooled buffer and allocates nothing, Recv parses it into one slice sized
-// for its samples or records plus the few strings they share — in place, or
-// for a zone list longer than the reader, in a pooled buffer, so no line is
+// TestCodecCopiesNoFrame guards what the codec may allocate. A sample report,
+// binary or in canonical JSON, or a zone list in canonical form costs what it
+// keeps: Send encodes it into a pooled buffer and allocates nothing, Recv
+// parses it into one slice sized for its samples or records plus the few
+// strings they share — in place, or for a zone list longer than the reader or
+// a binary line with escapes to undo, in a pooled buffer, so no line is
 // copied. A frame encoding/json still decodes — here a zone list whose
 // network needs an escape — costs no more than encoding/json itself does: no
 // frame is allocated to send it and no line copied to decode it. Bytes and
@@ -215,23 +229,34 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 	}
 
 	report := benchReport(32)
-	frame := encodeFrames(t, report)
 	if n := testing.AllocsPerRun(runs, send(report)); n != 0 {
 		t.Errorf("Send of a canonical 32-sample report allocates %v times, want 0", n)
 	}
 	if b := bytesPerOp(runs, send(report)); b > 64 {
 		t.Errorf("Send of a canonical 32-sample report allocates %d B/op, want none", b)
 	}
-	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 6 {
-		t.Errorf("Recv of a canonical 32-sample frame allocates %v times, want at most 6: the report, one slice, the client id and the samples' network, metric and device", n)
+	// Its binary line, and its JSON frame, as an agent that predates the
+	// binary form sends it.
+	for _, frame := range [][]byte{encodeFrames(t, report), jsonFrame(t, report)} {
+		if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 6 {
+			t.Errorf("Recv of a 32-sample frame opening %q allocates %v times, want at most 6: the report, one slice, the client id and the samples' network, metric and device", frame[:1], n)
+		}
+		slice := 32 * int(unsafe.Sizeof(trace.Sample{}))
+		if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
+			t.Errorf("Recv of a 32-sample frame opening %q allocates %d B/op, want the %d its samples take and under 1 KiB more", frame[:1], b, slice)
+		}
 	}
-	slice := 32 * int(unsafe.Sizeof(trace.Sample{}))
-	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
-		t.Errorf("Recv of a canonical 32-sample frame allocates %d B/op, want the %d its samples take and under 1 KiB more", b, slice)
+	// A report with escapes to undo is unstuffed into a pooled buffer.
+	stuffed := benchReport(32)
+	stuffed.SampleReport.Samples[3].Device = "\n\xdb\x80"
+	if frame := encodeFrames(t, stuffed); !bytes.Contains(frame, []byte{trace.SlipEsc, trace.SlipEscNL}) {
+		t.Fatalf("the report's line %q holds no escaped newline", frame)
+	} else if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 7 {
+		t.Errorf("Recv of a binary line with escapes allocates %v times, want at most 7: another device string, and no buffer", n)
 	}
 
 	list := zoneListOf(600)
-	frame = encodeFrames(t, list)
+	frame := encodeFrames(t, list)
 	if len(frame) <= connBufBytes {
 		t.Fatalf("the zone list frame is %d bytes; it must not fit the %d-byte read buffer", len(frame), connBufBytes)
 	}
@@ -241,7 +266,7 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 4 {
 		t.Errorf("Recv of a canonical zone list allocates %v times, want at most 4: the reply, one slice, the records' network and metric", n)
 	}
-	slice = allocSize(600 * int(unsafe.Sizeof(core.Record{})))
+	slice := allocSize(600 * int(unsafe.Sizeof(core.Record{})))
 	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
 		t.Errorf("Recv of a canonical %d-byte zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
 	}

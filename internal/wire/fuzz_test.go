@@ -24,8 +24,9 @@ func fuzzConn(data []byte) *Conn {
 // non-empty message type, truncated/garbage/oversized input surfaces as an
 // error, the reader always terminates (the stream is finite), and — once the
 // whole stream has been read — every envelope still equals a decode of its
-// own line's copy: Recv decodes short lines in place, and nothing it returns
-// may alias bytes a later read overwrites.
+// own line's copy (json.Unmarshal's, or a binary sample report's own): Recv
+// decodes short lines in place, and nothing it returns may alias bytes a
+// later read overwrites.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: every message type round-tripped through the real
 	// encoder, plus hand-picked malformed frames.
@@ -68,11 +69,13 @@ func FuzzDecode(f *testing.F) {
 	long := encodeFrames(f, zoneListOf(600))
 	f.Add(slices.Concat(short, long, short))
 	f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, connBufBytes-10)), short))
-	// Canonical sample reports, which Recv parses itself: their samples share
-	// strings copied out of a buffer the frames behind them overwrite.
+	// Sample reports, which Recv parses itself, binary and canonical JSON:
+	// their samples share strings copied out of a buffer the frames behind
+	// them overwrite.
 	relayed := benchReport(2)
 	relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
 	f.Add(slices.Concat(encodeFrames(f, benchReport(3)), short, encodeFrames(f, relayed), long, encodeFrames(f, benchReport(1))))
+	f.Add(slices.Concat(jsonFrame(f, benchReport(3)), short, jsonFrame(f, relayed), long, jsonFrame(f, benchReport(1))))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzConn(data)
@@ -98,7 +101,13 @@ func FuzzDecode(f *testing.F) {
 		lines := bytes.SplitAfter(data, []byte("\n"))
 		for i, e := range got {
 			var want Envelope
-			if err := json.Unmarshal(bytes.Clone(lines[i]), &want); err != nil || !reflect.DeepEqual(e, want) {
+			var err error
+			if line := bytes.Clone(lines[i]); line[0] == binaryReportLead {
+				want, err = fuzzConn(line).Recv() // json.Unmarshal cannot read it; FuzzBinarySampleReportDecode holds it to JSON
+			} else {
+				err = json.Unmarshal(line, &want)
+			}
+			if err != nil || !reflect.DeepEqual(e, want) {
 				t.Fatalf("envelope %d differs from a decode of its own line after the stream was read (err %v):\n got  %+v\n want %+v", i, err, e, want)
 			}
 		}

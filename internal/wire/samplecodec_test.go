@@ -8,9 +8,11 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/rng"
 	"repro/internal/store"
@@ -20,10 +22,14 @@ import (
 )
 
 // The sample report is the frame this package spells and parses by hand
-// most (appendHandSpelled, parseHandSpelled). Both are held to encoding/json
-// here: Send's bytes are json.Marshal's, and Recv returns — envelope, error
-// and error text — what decoding the line with json.Unmarshal returns, which
-// is all Recv did before the parser existed.
+// most, in two spellings: a binary line (appendBinaryReport,
+// parseBinaryReport) for every report that form carries, and canonical JSON
+// (appendHandSpelled, parseHandSpelled) for the rest and for peers that send
+// JSON. Both are held to encoding/json here: Send's JSON bytes are
+// json.Marshal's, Recv of its binary line is what json.Unmarshal makes of
+// them, and Recv of a JSON line returns — envelope, error and error text —
+// what decoding the line with json.Unmarshal returns, which is all Recv did
+// before the parsers existed.
 //
 // Mutants of the parser that must fail TestRecvMatchesJSON or
 // FuzzSampleDecodeMatchesJSON (each did, by hand; the sample-level ones are
@@ -132,7 +138,7 @@ func TestRecvMatchesJSON(t *testing.T) {
 	canonical := 0
 	for i := 0; i < corpusSize(); i++ {
 		plain := r.Bool(0.6)
-		frame := encodeFrames(t, drawReport(r, plain))
+		frame := jsonFrame(t, drawReport(r, plain))
 		if took := checkRecv(t, frame[:len(frame)-1]); plain && !took {
 			t.Fatalf("a canonical frame was left to encoding/json: %q", frame)
 		}
@@ -162,7 +168,7 @@ func TestRecvMatchesJSON(t *testing.T) {
 	relayed := two
 	relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 	for _, e := range []Envelope{two, relayed} {
-		frame := encodeFrames(t, e)
+		frame := jsonFrame(t, e)
 		base := frame[:len(frame)-1]
 		if !checkRecv(t, base) {
 			t.Fatalf("the base frame is not canonical: %q", base)
@@ -234,11 +240,15 @@ func TestRecvCapacityIsPaidFor(t *testing.T) {
 	}
 }
 
-// TestSendBytesMatchJSON: the frame Send puts on the transport is
-// json.Marshal's bytes and a newline, whether Send spelled it itself (a
-// sample report and nothing else) or left it to encoding/json, and what
-// encoding/json refuses Send refuses in the same words with nothing written.
+// TestSendBytesMatchJSON: Send writes a sample report the binary form
+// carries as one binary line, which Recv reads back to exactly what
+// json.Unmarshal makes of json.Marshal's bytes, and which re-encodes to
+// itself; every other frame — a report with a time off UTC or a string of
+// invalid UTF-8 among them — is json.Marshal's bytes and a newline, whether
+// Send spelled it itself or left it to encoding/json; and what encoding/json
+// refuses Send refuses in the same words with nothing written.
 func TestSendBytesMatchJSON(t *testing.T) {
+	binaries := 0
 	check := func(e Envelope) {
 		t.Helper()
 		want, werr := json.Marshal(&e)
@@ -250,13 +260,48 @@ func TestSendBytesMatchJSON(t *testing.T) {
 			}
 			return
 		}
-		if gerr != nil || !bytes.Equal(out.Bytes(), append(want, '\n')) {
-			t.Fatalf("%+v:\nSend   %q, %v\noracle %q", e, out.Bytes(), gerr, want)
+		if gerr != nil {
+			t.Fatalf("%+v: Send err %v", e, gerr)
+		}
+		sent := out.Bytes()
+		if !carriedBinary(e) {
+			if !bytes.Equal(sent, append(want, '\n')) {
+				t.Fatalf("%+v:\nSend   %q\noracle %q", e, sent, want)
+			}
+			return
+		}
+		binaries++
+		if sent[0] != binaryReportLead || bytes.IndexByte(sent, '\n') != len(sent)-1 {
+			t.Fatalf("%+v: Send wrote %q, want one binary line", e, sent)
+		}
+		var oracle Envelope
+		if err := json.Unmarshal(want, &oracle); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewConn(byteConn{r: bytes.NewReader(sent)}).Recv()
+		if err != nil || !reflect.DeepEqual(got, oracle) {
+			t.Fatalf("binary line %q:\nRecv   %+v, %v\noracle %+v", sent, got, err, oracle)
+		}
+		if again := encodeFrames(t, got); !bytes.Equal(again, sent) {
+			t.Fatalf("binary line %q re-encodes to %q", sent, again)
 		}
 	}
+	// Each drawn report twice: as drawn, its times mostly off UTC, and with
+	// every time moved to UTC, so that most go binary.
 	r := rng.NewNamed(24, "sample-report")
 	for i := 0; i < corpusSize(); i++ {
-		check(drawReport(r, r.Bool(0.6)))
+		e := drawReport(r, r.Bool(0.6))
+		check(e)
+		utc := *e.SampleReport
+		utc.Samples = slices.Clone(utc.Samples)
+		for j := range utc.Samples {
+			utc.Samples[j].Time = utc.Samples[j].Time.UTC()
+		}
+		e.SampleReport = &utc
+		check(e)
+	}
+	if binaries < corpusSize()/2 {
+		t.Fatalf("only %d of %d drawn reports went binary", binaries, 2*corpusSize())
 	}
 
 	good := benchReport(3)
@@ -271,8 +316,24 @@ func TestSendBytesMatchJSON(t *testing.T) {
 		"an earlier one":   func(e *Envelope) { e.Hello = &Hello{ClientID: "c"} },
 		"via, empty":       func(e *Envelope) { e.Via = &Via{} },
 		"via, escaped":     func(e *Envelope) { e.Via = &Via{Gateway: "g<w>", Shard: "m\"adison\u2028"} },
+		"via, invalid":     func(e *Envelope) { e.Via = &Via{Gateway: "gw", Shard: "m\xff"} },
 		"client id escaped": func(e *Envelope) {
+			e.SampleReport = &SampleReport{ClientID: "bus\t17 <&>", Samples: good.SampleReport.Samples}
+		},
+		"client id invalid": func(e *Envelope) {
 			e.SampleReport = &SampleReport{ClientID: "bus\t17 \xff", Samples: good.SampleReport.Samples}
+		},
+		"device invalid":  func(e *Envelope) { e.SampleReport.Samples[2].Device = "\xed\xa0\x80" },
+		"network unknown": func(e *Envelope) { e.SampleReport.Samples[1].Network = "NetZ" },
+		"metric unknown":  func(e *Envelope) { e.SampleReport.Samples[0].Metric = "tcp_kbps\n" },
+		"zero time":       func(e *Envelope) { e.SampleReport.Samples[0].Time = time.Time{} },
+		"year 0":          func(e *Envelope) { e.SampleReport.Samples[1].Time = time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC) },
+		"UTC by offset": func(e *Envelope) {
+			e.SampleReport.Samples[1].Time = e.SampleReport.Samples[1].Time.In(time.FixedZone("", 0))
+		},
+		"-0 and repeats": func(e *Envelope) {
+			s := e.SampleReport.Samples
+			s[1].Loc.Lat, s[2].Loc.Lat, s[2].SpeedKmh, s[2].Time = math.Copysign(0, -1), 0, math.Copysign(0, -1), s[1].Time
 		},
 		"NaN":        func(e *Envelope) { e.SampleReport.Samples[1].Value = math.NaN() },
 		"-Inf, last": func(e *Envelope) { e.SampleReport.Samples[2].Loc.Lon = math.Inf(-1) },
@@ -282,11 +343,40 @@ func TestSendBytesMatchJSON(t *testing.T) {
 		"offset 24h": func(e *Envelope) {
 			e.SampleReport.Samples[2].Time = e.SampleReport.Samples[2].Time.In(time.FixedZone("", 24*3600))
 		},
+		"offset 5:30": func(e *Envelope) {
+			e.SampleReport.Samples[2].Time = e.SampleReport.Samples[2].Time.In(time.FixedZone("IST", 5*3600+1800))
+		},
 	} {
 		e := benchReport(3)
 		edit(&e)
 		t.Run(name, func(t *testing.T) { check(e) })
 	}
+}
+
+// carriedBinary is the binary form's rule, spelled out apart from the code
+// that applies it: a hand-spelled sample report with samples, whose strings
+// are all valid UTF-8 and whose times are all at offset 0 (a report JSON
+// refuses never reaches the question).
+func carriedBinary(e Envelope) bool {
+	if e.Type != TypeSampleReport || !handSpelled(&e) || len(e.SampleReport.Samples) == 0 {
+		return false
+	}
+	strs := []string{e.SampleReport.ClientID}
+	if e.Via != nil {
+		strs = append(strs, e.Via.Gateway, e.Via.Shard)
+	}
+	for _, s := range e.SampleReport.Samples {
+		if _, off := s.Time.Zone(); off != 0 {
+			return false
+		}
+		strs = append(strs, string(s.Network), string(s.Metric), s.ClientID, s.Device)
+	}
+	for _, str := range strs {
+		if !utf8.ValidString(str) {
+			return false
+		}
+	}
+	return true
 }
 
 // walRecord is the shape of a WAL line's payload (store keeps its own
@@ -312,7 +402,7 @@ func FuzzSampleDecodeMatchesJSON(f *testing.F) {
 		e := drawReport(r, i%3 != 0)
 		// Short seeds: the engine minimizes what it finds a byte at a time.
 		e.SampleReport.Samples = e.SampleReport.Samples[:min(3, len(e.SampleReport.Samples))]
-		frame := encodeFrames(f, e)
+		frame := jsonFrame(f, e)
 		f.Add(frame[:len(frame)-1])
 		payload, err := json.Marshal(walRecord{uint64(i) << uint(5*i), e.SampleReport.Samples[0]})
 		if err != nil {

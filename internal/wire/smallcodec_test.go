@@ -335,11 +335,11 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 }
 
 // TestHandSpelledFramesAllocate: Send spells every hand-spelled frame, direct
-// and relayed, into a pooled buffer without one allocation, and Recv of a
-// small frame in canonical form allocates no more than its payload: the
-// struct, plus for a zone report its client id and network list and for a
-// task list its tasks. Known networks and metrics share the constants'
-// strings.
+// and relayed — a sample report as its binary line — into a pooled buffer
+// without one allocation, and Recv of a small frame in canonical form
+// allocates no more than its payload: the struct, plus for a zone report its
+// client id and network list and for a task list its tasks. Known networks
+// and metrics share the constants' strings.
 func TestHandSpelledFramesAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -366,21 +366,48 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range smallFrames() {
-		c := NewConn(byteConn{r: &repeatReader{data: encodeFrames(t, e)}})
-		if n := testing.AllocsPerRun(runs, func() {
+	recvAllocs := func(frame []byte) float64 {
+		c := NewConn(byteConn{r: &repeatReader{data: frame}})
+		return testing.AllocsPerRun(runs, func() {
 			if _, err := c.Recv(); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 3 {
+		})
+	}
+	for _, e := range smallFrames() {
+		if n := recvAllocs(encodeFrames(t, e)); n > 3 {
 			t.Errorf("Recv of a canonical %s allocates %v times, want at most 3", e.Type, n)
+		}
+	}
+	// A sample report's binary line costs 4 allocations, where its canonical
+	// JSON frame costs 6: the report, its samples, its client id and the
+	// samples' device string, which JSON adds their network and metric to (a
+	// binary line names a known one by index, and decodes to the constant).
+	// Relayed, both add the via and its two strings.
+	report := benchReport(5)
+	relayed := report
+	relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
+	for _, tc := range []struct {
+		e              Envelope
+		binary, asJSON float64
+	}{{report, 4, 6}, {relayed, 7, 9}} {
+		frame := encodeFrames(t, tc.e)
+		if frame[0] != binaryReportLead {
+			t.Fatalf("the report went as %q, want a binary line", frame)
+		}
+		if n := recvAllocs(frame); n > tc.binary {
+			t.Errorf("Recv of a binary report (via %v) allocates %v times, want at most %v", tc.e.Via != nil, n, tc.binary)
+		}
+		if n := recvAllocs(jsonFrame(t, tc.e)); n > tc.asJSON {
+			t.Errorf("Recv of a canonical JSON report (via %v) allocates %v times, want at most %v", tc.e.Via != nil, n, tc.asJSON)
 		}
 	}
 }
 
 // TestLineCapAgreesBothWays: Send and Recv hold a line to MaxMessageBytes the
 // same way, its '\n' not counted, whether Recv reads the line in place or
-// gathers it past its reader buffer.
+// gathers it past its reader buffer, and a sample report to maxReportSamples
+// the same way.
 func TestLineCapAgreesBothWays(t *testing.T) {
 	const limit = 100
 	for _, bufSize := range []int{16, 4096} { // gathered in a spill buffer; read in place
@@ -421,5 +448,30 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 	}
 	if _, err := NewConn(byteConn{r: bytes.NewReader(append(frame, '\n'))}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("a %d-byte line: Recv err %v, want ErrMessageTooLarge", len(frame), err)
+	}
+
+	// And at the sample ceiling: a binary report of maxReportSamples samples,
+	// a line well under the cap, is sent and received; one sample more is
+	// refused by both, Send writing nothing.
+	report := benchReport(maxReportSamples)
+	line := encodeFrames(t, report)
+	if line[0] != binaryReportLead || len(line) > MaxMessageBytes/2 {
+		t.Fatalf("a %d-sample report went as a %d-byte line opening %#x", maxReportSamples, len(line), line[0])
+	}
+	got, err = NewConn(byteConn{r: bytes.NewReader(line)}).Recv()
+	if err != nil || len(got.SampleReport.Samples) != maxReportSamples {
+		t.Fatalf("a %d-sample binary report: Recv err %v", maxReportSamples, err)
+	}
+	report.SampleReport.Samples = append(report.SampleReport.Samples, report.SampleReport.Samples[0])
+	out.Reset()
+	if err := NewConn(byteConn{w: &out}).Send(report); !errors.Is(err, ErrMessageTooLarge) || out.Len() != 0 {
+		t.Fatalf("a %d-sample report: Send err %v with %d bytes written, want ErrMessageTooLarge and none", maxReportSamples+1, err, out.Len())
+	}
+	over, ok := appendBinaryReport(nil, &report) // the line Send refused to write
+	if !ok {
+		t.Fatal("the binary form does not carry the report")
+	}
+	if _, err := NewConn(byteConn{r: bytes.NewReader(over)}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("a %d-sample binary report: Recv err %v, want ErrMessageTooLarge", maxReportSamples+1, err)
 	}
 }

@@ -3,10 +3,14 @@
 // coarse-grained zone, receive measurement task lists, and upload measured
 // samples; applications query zone estimates.
 //
-// Messages are newline-delimited JSON envelopes over any net.Conn. The
-// format favours debuggability (every message is a greppable line) and has
-// an explicit per-message size cap so a misbehaving peer cannot exhaust
-// server memory.
+// Messages are newline-delimited envelopes over any net.Conn, one line
+// each, with an explicit per-line size cap so a misbehaving peer cannot
+// exhaust server memory. Every envelope is a JSON line, which favours
+// debuggability (every message is a greppable line, typed by hand in a
+// drill), except the one that carries nearly every byte a client pays for:
+// a sample report goes as one binary line whenever that form carries it
+// exactly, and JSON stays its specification and a spelling Recv still reads.
+// A line's first byte says which it is.
 //
 // The package also holds the one serving skeleton every endpoint runs on:
 // Listener (accept loop, tracked connections, Suspend/Resume/Close),
@@ -25,6 +29,7 @@ import (
 	"strconv"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -252,8 +257,11 @@ type Envelope struct {
 	DemoteAck     *DemoteAck     `json:"demote_ack,omitempty"`
 }
 
-// MaxMessageBytes caps a single wire message. Sample reports dominate; at
-// ~300 bytes per encoded sample this allows reports of ~30k samples.
+// MaxMessageBytes caps a single wire line, its '\n' not counted. Sample
+// reports dominate. Whatever its form, a report holds at most
+// maxReportSamples samples (94,254): as many as a JSON line this long could
+// spell at the shortest, though the benchmark's samples take about 200 bytes
+// each as JSON and 11 as binary.
 const MaxMessageBytes = 8 << 20
 
 // ErrMessageTooLarge is returned when a peer sends an oversized message.
@@ -311,11 +319,17 @@ func putFrameBuf(buf *bytes.Buffer) {
 // Send writes one envelope. The frame is encoded whole before any of it
 // reaches the transport, so an oversized one is refused with nothing sent.
 func (c *Conn) Send(e Envelope) error {
+	if e.SampleReport != nil && len(e.SampleReport.Samples) > maxReportSamples {
+		c.m.oversizedRejects.Inc()
+		return ErrMessageTooLarge
+	}
 	buf := frameBufs.Get().(*bytes.Buffer)
 	defer putFrameBuf(buf)
 	buf.Grow(frameSizeHint(&e))
-	if frame, ok := appendHandSpelled(buf.AvailableBuffer(), &e); ok {
+	if frame, ok := appendBinaryReport(buf.AvailableBuffer(), &e); ok {
 		buf.Write(frame) // in place when the buffer had the room
+	} else if frame, ok := appendHandSpelled(buf.AvailableBuffer(), &e); ok {
+		buf.Write(frame)
 	} else if err := encodeJSON(buf, e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
@@ -355,19 +369,26 @@ func (c *Conn) Recv() (Envelope, error) {
 	if spill != nil {
 		putFrameBuf(spill) // line is spill's; the envelope holds none of it
 	}
-	if err == nil {
+	switch {
+	case err == nil:
 		c.m.messagesDecoded.Inc()
 		c.m.bytesDecoded.Add(float64(frameBytes))
+	case errors.Is(err, ErrMessageTooLarge):
+		c.m.oversizedRejects.Inc()
 	}
 	return e, err
 }
 
-// decode decodes one line. The line may alias the read buffer or a pooled
-// one. The envelope must not: the canonical parser copies every string it
-// keeps (or shares one it already copied), encoding/json copies every string
-// and []byte it decodes, and no envelope type has a custom unmarshaler or a
+// decode decodes one line, binary or JSON as its first byte says. The line
+// may alias the read buffer or a pooled one. The envelope must not: the
+// binary and the canonical parsers copy every string they keep (or share one
+// they already copied), encoding/json copies every string and []byte it
+// decodes, and no envelope type has a custom unmarshaler or a
 // json.RawMessage field; one added later must copy what it keeps.
 func (c *Conn) decode(line []byte) (Envelope, error) {
+	if len(line) > 0 && line[0] == binaryReportLead {
+		return parseBinaryReport(line[1:])
+	}
 	if e, ok := parseHandSpelled(line); ok {
 		return e, nil
 	}
@@ -380,6 +401,94 @@ func (c *Conn) decode(line []byte) (Envelope, error) {
 	}
 	if handSpelled(&e) {
 		c.m.decodeFallbacks[e.Type].Inc()
+	}
+	return e, nil
+}
+
+// A sample report has a second spelling, one binary line, which Send writes
+// whenever the form carries the report exactly: trace.AppendReportBinary's
+// rule, and a via whose strings are valid UTF-8.
+//
+//	line = 0xB2 · stuffed( via · trace.AppendReportBinary's report ) · '\n'
+//	via  = 0 | 1 · gateway · shard
+//
+// The strings are trace.AppendStringBinary's, the stuffing trace.Stuff's. A
+// JSON line opens with '{' and no UTF-8 text opens with 0xB2, so Recv tells
+// the two apart by the first byte, with no negotiation, and reads JSON from
+// any peer as before. JSON stays the specification: Recv of the binary line
+// is what json.Unmarshal makes of the JSON frame (TestSendBytesMatchJSON,
+// FuzzBinarySampleReportDecode), and the decoder is canonical and fails
+// closed: it accepts only a line the encoder writes, and a line it refuses is
+// a decode error, since encoding/json cannot read it either.
+const binaryReportLead = 0xB2
+
+// maxReportSamples caps the samples of a report either way: as many as the
+// longest canonical JSON line can hold, so no binary line, however short,
+// buys a larger sample slice than a JSON one.
+const maxReportSamples = MaxMessageBytes / trace.MinSampleJSON
+
+var errBinaryReport = errors.New("wire: decoding message: malformed binary sample report")
+
+// appendBinaryReport appends e's binary line to b if e is a sample report Send
+// spells by hand (handSpelled) and the binary form carries it.
+func appendBinaryReport(b []byte, e *Envelope) ([]byte, bool) {
+	if e.Type != TypeSampleReport || !handSpelled(e) {
+		return b, false
+	}
+	start := len(b)
+	b = append(b, binaryReportLead, 0)
+	if v := e.Via; v != nil {
+		if !utf8.ValidString(v.Gateway) || !utf8.ValidString(v.Shard) {
+			return b[:start], false
+		}
+		b[start+1] = 1
+		b = trace.AppendStringBinary(trace.AppendStringBinary(b, v.Gateway), v.Shard)
+	}
+	b, ok := trace.AppendReportBinary(b, e.SampleReport.ClientID, e.SampleReport.Samples)
+	if !ok {
+		return b[:start], false
+	}
+	return append(trace.Stuff(b, start+1), '\n'), true
+}
+
+// parseBinaryReport decodes the stuffed body of a binary report line. A body
+// with an escape in it is unstuffed into a pooled buffer; the envelope holds
+// none of it.
+func parseBinaryReport(stuffed []byte) (Envelope, error) {
+	body := stuffed
+	if bytes.IndexByte(stuffed, trace.SlipEsc) >= 0 {
+		buf := frameBufs.Get().(*bytes.Buffer)
+		defer putFrameBuf(buf)
+		buf.Grow(len(stuffed))
+		var ok bool
+		if body, ok = trace.Unstuff(buf.AvailableBuffer(), stuffed); !ok {
+			return Envelope{}, errBinaryReport
+		}
+	}
+	if len(body) == 0 || body[0] > 1 {
+		return Envelope{}, errBinaryReport
+	}
+	hasVia := body[0] == 1
+	body = body[1:]
+	var gateway, shard []byte
+	if hasVia {
+		var gok, sok bool
+		gateway, body, gok = trace.ReadStringBinary(body)
+		shard, body, sok = trace.ReadStringBinary(body)
+		if !gok || !sok {
+			return Envelope{}, errBinaryReport
+		}
+	}
+	clientID, samples, err := trace.ParseReportBinary(body, maxReportSamples)
+	switch {
+	case errors.Is(err, trace.ErrTooManySamples):
+		return Envelope{}, ErrMessageTooLarge
+	case err != nil:
+		return Envelope{}, errBinaryReport
+	}
+	e := Envelope{Type: TypeSampleReport, SampleReport: &SampleReport{ClientID: clientID, Samples: samples}}
+	if hasVia {
+		e.Via = &Via{Gateway: string(gateway), Shard: string(shard)}
 	}
 	return e, nil
 }

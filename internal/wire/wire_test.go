@@ -160,11 +160,19 @@ func TestSendOversizedRejected(t *testing.T) {
 	if out.Len() != 0 {
 		t.Fatalf("refused Send wrote %d bytes to the transport", out.Len())
 	}
-	// The same on the path Send spells itself: a sample report over the cap,
-	// and two encoding/json would refuse part-way through.
-	huge := benchReport(MaxMessageBytes / 150)
+	// The same on the paths Send spells itself: a report of more samples
+	// than any line may carry, one in JSON (a time off UTC keeps it out of
+	// the binary form) whose line is over the cap, and two encoding/json
+	// would refuse part-way through.
+	huge := benchReport(maxReportSamples + 1)
 	if err := c.Send(huge); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("%d-sample report: want ErrMessageTooLarge, got %v", len(huge.SampleReport.Samples), err)
+	}
+	long := benchReport(MaxMessageBytes / 150)
+	last := &long.SampleReport.Samples[len(long.SampleReport.Samples)-1]
+	last.Time = last.Time.In(time.FixedZone("", 3600))
+	if err := c.Send(long); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("%d-sample JSON report: want ErrMessageTooLarge, got %v", len(long.SampleReport.Samples), err)
 	}
 	for name, edit := range map[string]func(*trace.Sample){
 		"NaN":        func(s *trace.Sample) { s.Value = math.NaN() },

@@ -46,29 +46,17 @@ race:
 
 ci: vet lint build race
 
-# Short-burst coverage-guided fuzz of the wire decoder, the sketch
-# serializer, the replication line stream (FuzzFrameRoundTrip: arbitrary
-# bytes as a source's stream never panic a replica session, it applies only
-# lines store.ParseRecordLine accepts, and an accepted snapshot line
-# re-encodes byte for byte), the WAL record encoder, the
-# binary WAL record decoder (FuzzBinaryRecordDecode: arbitrary bytes after
-# the binary lead byte never panic, and an accepted line re-encodes byte for
-# byte), the binary sample report decoder (FuzzBinarySampleReportDecode:
-# arbitrary bytes after the 0xB2 lead byte never panic, and an accepted line
-# re-encodes byte for byte and decodes to what json.Unmarshal makes of
-# json.Marshal of it), the canonical-form sample decoder (FuzzSampleDecodeMatchesJSON: Recv of a line
-# and store.ParseRecordLine of a payload against json.Unmarshal of the same
-# bytes) and the canonical-form decoder of the other seven hand-spelled
-# frames (FuzzReplyDecodeMatchesJSON, named for the reply frames it first
-# covered: Recv of a zone-list or estimate reply, zone report, task list,
-# sample ack, estimate or zone-list request line and core.ParseRecordJSON of
-# a record against json.Unmarshal). Checked-in corpora under */testdata/fuzz
-# seed the wire, sketch, sample- and reply-decoder fuzzers, which also seed
-# every frame type they cover
-# programmatically; the replication fuzzer seeds every line kind
-# programmatically, the encoder fuzzer the values encoding/json's rules turn
-# on, the binary decoder fuzzer lines the store wrote, the binary report
-# fuzzer lines Send wrote from the tracetest corpus.
+# Short-burst coverage-guided fuzzing, 30 s a fuzzer:
+#   FuzzDecode: any wire byte stream; no panic, each envelope a decode of its own line.
+#   FuzzSketchRoundTrip: the sketch serializer; exact round trip, raw bytes never panic.
+#   FuzzFrameRoundTrip: the replication line stream; a replica applies only lines the store accepts.
+#   FuzzRecordEncodeMatchesJSON: the WAL record encoder; JSON lines are json.Marshal's bytes.
+#   FuzzBinaryRecordDecode: the binary WAL record decoder; no panic, accepted lines re-encode.
+#   FuzzBinarySampleReportDecode: the binary sample report decoder; accepted lines re-encode.
+#   FuzzSampleDecodeMatchesJSON: a JSON sample on the wire and in the WAL, held to json.Unmarshal.
+#   FuzzReplyDecodeMatchesJSON: the seven hand-spelled JSON frames, held to json.Unmarshal.
+# Corpora under */testdata/fuzz seed the first two and the last two; the rest
+# seed themselves in code.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch
@@ -82,8 +70,7 @@ fuzz:
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 # The codec's are BenchmarkEncode/BenchmarkDecode (internal/wire: a sample
 # report out and in, binary and JSON) and BenchmarkAppend/BenchmarkParseRecordLine
-# (internal/store: a WAL line out and in, binary, canonical JSON and
-# fallback JSON).
+# (internal/store: a WAL line out and in, binary and JSON).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 

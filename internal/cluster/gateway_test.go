@@ -803,13 +803,13 @@ func TestGatewayRefusesUnreachableQuorum(t *testing.T) {
 }
 
 // TestAgentReportsTakeTheCanonicalPath verifies the traffic instead of
-// guessing it: every sample report this tree's own senders write — a real
-// agent's, and the gateway's forwards of them, whole and split, Via set; a
-// binary line, or canonical JSON for one the binary form does not carry — is
-// decoded without encoding/json at the gateway and at the shard
-// (wiscape_wire_decode_fallbacks_total stays 0 while decodes are counted),
-// and a JSON report spelled another way is still ingested, one fallback
-// counted.
+// guessing it: a real agent's session and a report the gateway splits, and
+// the replies to the queries beside them, leave no hand-spelled frame to
+// encoding/json at the gateway or at a shard
+// (wiscape_wire_decode_fallbacks_total stays 0 while decodes are counted).
+// A sample report is not hand-spelled as JSON — encoding/json reads every
+// JSON one, and no fallback series counts it — and one spelled by hand,
+// through the gateway or straight to a shard, is still ingested.
 func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
 	ctrls := map[string]*core.Controller{}
@@ -836,7 +836,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = gw.Close() })
 	fallbacks := func(who string) (n float64) {
-		for _, typ := range []string{"sample_report", "zone_list_reply", "estimate_reply"} {
+		for _, typ := range []string{"zone_list_reply", "estimate_reply"} {
 			n += regs[who].Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(typ).Value()
 		}
 		return n
@@ -932,9 +932,6 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	if got := ingested() - before; got != perReport {
 		t.Errorf("the hand-spaced report ingested %d samples, the canonical one %d", got, perReport)
 	}
-	if gwF, shardF := fallbacks("gateway"), fallbacks("madison")+fallbacks("new-jersey"); gwF != 1 || shardF != 0 {
-		t.Errorf("after one hand-spaced report: %v fallbacks at the gateway and %v at the shards, want 1 and 0 (the gateway re-encodes what it forwards)", gwF, shardF)
-	}
 	// And straight to a coordinator, as a foreign agent without a gateway would.
 	direct, err := net.Dial("tcp", shards[0].Addr)
 	if err != nil {
@@ -949,8 +946,10 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	if ack, err := dc.Recv(); err != nil || ack.SampleAck == nil || ack.SampleAck.Accepted != len(straddling) {
 		t.Fatalf("hand-spaced report to %s: reply %+v, err %v", shards[0].Name, ack, err)
 	}
-	if f := fallbacks(shards[0].Name); f != 1 {
-		t.Errorf("%s counted %v fallbacks after one hand-spaced report, want 1", shards[0].Name, f)
+	for who := range regs {
+		if f := fallbacks(who); f != 0 {
+			t.Errorf("%s counted %v fallbacks after the hand-spaced reports, want none", who, f)
+		}
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// A Record has one JSON codec, built like a sample's (trace/json.go) and held
-// to encoding/json the same way: a zone list is a few hundred records, nearly
-// every byte the read plane moves.
+// A Record has one JSON codec, built on trace's JSON writers and Canon reader
+// (trace/json.go) and held to encoding/json: a zone list is a few hundred
+// records, nearly every byte the read plane moves.
 //
 // AppendRecordJSON writes byte for byte what json.Marshal(Record) returns and
 // refuses what it refuses (NaN, ±Inf, a time RFC 3339 cannot say). A
@@ -30,10 +30,10 @@ import (
 //	int    = [ `-` ] ( `0` | digit1-9 { digit } )
 //	time   = a string, as (*time.Time).UnmarshalJSON reads it
 //
-// with string and number as in trace's sample grammar: no whitespace, this
-// key order and case, no other key. It declines everything else. What it
-// accepts it decodes to exactly what json.Unmarshal yields from the same
-// bytes. An integer is grammar-checked and then read by strconv.ParseInt at
+// with string and number as Canon reads them (trace/json.go): no
+// whitespace, this key order and case, no other key. It declines everything
+// else. What it accepts it decodes to exactly what json.Unmarshal yields from
+// the same bytes. An integer is grammar-checked and then read by strconv.ParseInt at
 // its field's width (32 bits for a zone coordinate, 64 for Samples), a number
 // by strconv.ParseFloat, a time by (*time.Time).UnmarshalJSON: the calls
 // encoding/json makes. A value any of them refuses is declined. A declined

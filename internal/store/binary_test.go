@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -421,7 +422,7 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 	respell := func(old, new string) []byte {
 		c := bytes.Replace(ckpt, []byte(old), []byte(new), 1)
 		nl := bytes.IndexByte(c, '\n')
-		putCRC(c[nl-8:nl], crc32.ChecksumIEEE(c[nl+1:]))
+		copy(c[nl-8:], fmt.Sprintf("%08x", crc32.ChecksumIEEE(c[nl+1:])))
 		return append(trace.Stuff(append([]byte{CheckpointLead}, c...), 1), '\n')
 	}
 	flipped := append([]byte(nil), line...)

@@ -3,8 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"hash/crc32"
-	"strconv"
 
 	"repro/internal/trace"
 )
@@ -13,15 +14,10 @@ import (
 // so a segment may hold both and needs no header.
 //
 // The JSON form, "crc32hex payload\n", opens with a hex digit. Its payload is
-// byte for byte what json.Marshal(walRecord{LSN: lsn, Sample: smp}) returns:
-// the sample object is trace.AppendSampleJSON's, the one JSON encoder a
-// sample has. ParseRecordLine reads a payload in that encoder's canonical form
-// with trace.ParseSampleJSON and hands every other spelling — a string that
-// needed an escape, a line some other writer produced — to json.Unmarshal,
-// with which the parser never disagrees on what it accepts.
-// TestRecordEncoderMatchesJSON and FuzzRecordEncodeMatchesJSON hold
-// appendRecordJSON to the oracle, TestRecordParserMatchesJSON and
-// FuzzSampleDecodeMatchesJSON the parser.
+// json.Marshal(walRecord{LSN: lsn, Sample: smp}), and ParseRecordLine reads
+// it back with json.Unmarshal: every segment written before the binary form
+// holds it, and appendRecordLine still writes it for a sample the binary form
+// does not carry.
 //
 // The binary form is what appendRecordLine writes:
 //
@@ -33,14 +29,13 @@ import (
 // and both forms are framed by their newline alone. JSON stays the
 // specification: the binary form is written only for a sample it carries to
 // exactly what the JSON line decodes to, and the JSON form for the rest (see
-// trace.AppendSampleBinary); the same tests hold every line appendRecordLine
-// writes to read back as the oracle's line does. The binary decoder is canonical: an accepted line
-// re-encodes to itself (FuzzBinaryRecordDecode).
+// trace.AppendSampleBinary); TestRecordEncoderMatchesJSON and
+// FuzzRecordEncodeMatchesJSON hold every line appendRecordLine writes to read
+// back as the oracle's line does. The binary decoder is canonical: an
+// accepted line re-encodes to itself (FuzzBinaryRecordDecode).
 
 const (
-	hexdig    = "0123456789abcdef"
-	lsnKey    = `{"lsn":`
-	sampleKey = `,"sample":`
+	lsnKey = `{"lsn":` // how json.Marshal opens every JSON record (peekLSN)
 
 	binaryLead = 0xB1 // opens a binary line; a JSON line opens with a hex digit
 	crcBytes   = 4    // the CRC closing a binary line's body
@@ -51,9 +46,9 @@ const (
 )
 
 // appendRecordLine appends the WAL line for one record to buf — binary where
-// that form carries the sample, JSON otherwise — allocating nothing when buf
-// has the room. It refuses what json.Marshal refuses, and on an error buf
-// comes back unextended.
+// that form carries the sample, JSON otherwise — allocating nothing for a
+// binary line when buf has the room. It refuses what json.Marshal refuses,
+// and on an error buf comes back unextended.
 func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, binaryLead)
@@ -95,28 +90,12 @@ func binaryRecord(dst, line []byte) (lsn uint64, smp []byte, ok bool) {
 }
 
 // appendRecordJSON appends the JSON form of one record's line —
-// "crc32hex payload\n" — to buf, allocating nothing when buf has the room. On
-// an error buf comes back unextended.
+// "crc32hex payload\n" — to buf. On an error, json.Marshal's, buf comes back
+// unextended.
 func appendRecordJSON(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, "00000000 "...) // the CRC, once the payload it covers exists
-	buf = append(buf, lsnKey...)
-	buf = strconv.AppendUint(buf, lsn, 10)
-	buf = append(buf, sampleKey...)
-	buf, err := trace.AppendSampleJSON(buf, smp)
+	payload, err := json.Marshal(walRecord{LSN: lsn, Sample: smp})
 	if err != nil {
-		return buf[:start], err
+		return buf, err
 	}
-	buf = append(buf, "}\n"...)
-
-	putCRC(buf[start:start+8], crc32.ChecksumIEEE(buf[start+9:len(buf)-1]))
-	return buf, nil
-}
-
-// putCRC spells crc as the eight lowercase hex digits dst has room for.
-func putCRC(dst []byte, crc uint32) {
-	for i := 7; i >= 0; i-- {
-		dst[i] = hexdig[crc&0xf]
-		crc >>= 4
-	}
+	return fmt.Appendf(buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload), nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -281,117 +283,42 @@ func frameLine(payload []byte) []byte {
 	return append(append(line, payload...), '\n')
 }
 
-// checkParser holds ParseRecordLine to its oracle on one line: what
-// json.Unmarshal makes of the payload behind a good frame, or the same
-// refusal — whichever decoder ParseRecordLine chose — and a sample that still
-// reads so once the line's bytes are gone. It reports whether the canonical
-// parser took the line.
-func checkParser(t *testing.T, line []byte) (took bool) {
-	t.Helper()
-	shown := string(line)
-	var want walRecord
-	payload, framed := linePayload(line)
-	wantOK := framed && json.Unmarshal(bytes.Clone(payload), &want) == nil
-	_, _, took = parseCanonicalRecord(payload)
-	got, lsn, ok := ParseRecordLine(line)
-	for i := range line {
-		line[i] = 'x'
+// TestJSONSegmentRecovers: a segment of JSON lines, as a writer before the
+// binary form or some other writer of the format spelled them — an escape,
+// keys in another order, whitespace, an omitted field — recovers in order, at
+// its LSNs, to what json.Unmarshal makes of each payload.
+func TestJSONSegmentRecovers(t *testing.T) {
+	dir := t.TempDir()
+	payloads := []string{
+		`{"lsn":1,"sample":{"t":"2010-09-06T09:00:00Z","loc":{"lat":43.07,"lon":-89.4},"net":"NetB","metric":"udp_kbps","value":900,"client":"store-test","speed_kmh":0}}`,
+		`{"lsn":2,"sample":{"t":"2010-09-06T09:01:00Z","loc":{"lat":43.07,"lon":-89.4},"net":"Net\u0042","metric":"udp_kbps","value":901,"client":"store \"test\"","speed_kmh":0}}`,
+		`{"sample":{"client":"store-test","value":902,"metric":"udp_kbps","net":"NetB","loc":{"lon":-89.4,"lat":43.07},"t":"2010-09-06T09:02:00+05:30"},"lsn":3}`,
+		` { "lsn" : 4 , "sample" : { "t" : "2010-09-06T09:03:00.5Z" , "value" : 9.03e2 , "failed" : true } } `,
 	}
-	if ok != wantOK || (ok && (lsn != want.LSN || !reflect.DeepEqual(got, want.Sample))) {
-		t.Fatalf("line %q (canonical parser took it: %v):\nparsed %d %+v, ok %v\noracle %d %+v, ok %v", shown, took, lsn, got, ok, want.LSN, want.Sample, wantOK)
-	}
-	return took
-}
-
-// TestRecordParserMatchesJSON is the decoder's half of the format's contract:
-// parseCanonicalRecord accepts a subset of what json.Unmarshal accepts, every
-// line this package writes with plain-ASCII strings is in it, and on it the
-// two agree; and it is strict — an edit that leaves the canonical form is
-// declined even where taking it would decode to the right value.
-// Mutants of the parser that must fail here (each did, by hand):
-// no number-grammar check before ParseFloat ("0x10", ".5", "Infinity",
-// "+1"); a string with a backslash taken raw; bytes after the closing brace
-// ignored; a string aliased to the line instead of copied; "failed":false or
-// "device":"" accepted; a leading-zero LSN accepted.
-func TestRecordParserMatchesJSON(t *testing.T) {
-	r := rng.NewNamed(24, "record-parser")
-	lines, canonical := 20000, 0
-	if raceEnabled {
-		lines = 2000
-	}
-	for i := 0; i < lines; i++ {
-		draw, plain := tracetest.Sample, r.Bool(0.6)
-		if plain {
-			draw = tracetest.PlainSample
+	var seg []byte
+	want := make([]walRecord, len(payloads))
+	for i, p := range payloads {
+		if err := json.Unmarshal([]byte(p), &want[i]); err != nil {
+			t.Fatalf("payload %d: %v", i, err)
 		}
-		line, err := appendRecordJSON(nil, r.Uint64()>>uint(r.Intn(64)), draw(r))
-		if err != nil {
-			continue // NaN or ±Inf: there is no line
-		}
-		if plain {
-			canonical++
-		}
-		if took := checkParser(t, line); plain && !took {
-			t.Fatalf("line %q is canonical and was left to encoding/json", line)
-		}
+		seg = append(seg, frameLine([]byte(p))...)
 	}
-	if canonical < lines/3 {
-		t.Fatalf("only %d of %d lines were canonical", canonical, lines)
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	smp := testSample(1)
-	smp.Device, smp.Failed, smp.SpeedKmh = "phone", true, 12.5
-	full, err := appendRecordJSON(nil, 7, smp)
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := appendRecordJSON(nil, 7, testSample(1))
-	if err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	rec := st.Recovery()
+	if rec.CorruptRecords != 0 || rec.TruncatedBytes != 0 || len(rec.Tail) != len(want) || st.LastLSN() != 4 {
+		t.Fatalf("recovered %d samples to LSN %d, %d corrupt, %d bytes truncated; want 4 to 4, none", len(rec.Tail), st.LastLSN(), rec.CorruptRecords, rec.TruncatedBytes)
 	}
-	for _, line := range [][]byte{full, bare} {
-		base, _ := linePayload(line)
-		if !checkParser(t, bytes.Clone(line)) {
-			t.Fatalf("the base line is not canonical: %q", line)
-		}
-		for i := range base {
-			if checkParser(t, frameLine(base[:i])) { // truncated under a good CRC
-				t.Fatalf("the parser took a payload truncated at byte %d: %q", i, base[:i])
-			}
-		}
-		stillCanonical := map[string]bool{
-			`{"lsn":0,`: true, `{"lsn":18446744073709551615,`: true, `+05:30","loc"`: true, `.5Z","loc"`: true,
-			`+24:00","loc"`:  true, // Time.UnmarshalJSON reads an offset the encoder would not write
-			`"net":"Net<B>"`: true,
-		}
-		for _, m := range [][2]string{
-			{`{"lsn":7,`, `{"lsn":007,`}, {`{"lsn":7,`, `{"lsn":07,`}, {`{"lsn":7,`, `{"lsn":0,`}, {`{"lsn":7,`, `{"lsn":-7,`},
-			{`{"lsn":7,`, `{"lsn":7.0,`}, {`{"lsn":7,`, `{"lsn":7e0,`}, {`{"lsn":7,`, `{"lsn":18446744073709551615,`},
-			{`{"lsn":7,`, `{"lsn":18446744073709551616,`}, {`{"lsn":7,`, `{"lsn":"7",`}, {`{"lsn":7,`, `{"lsn":null,`},
-			{`{"lsn":7,`, `{"LSN":7,`}, {`{"lsn":7,`, `{"lsn":7,"lsn":8,`}, {`{"lsn":7,`, `{"lsn": 7,`}, {`{"lsn":7,`, `{ "lsn":7,`},
-			{`{"lsn":7,"sample":`, `{"sample":`}, {`"sample":{`, `"sample":null,"x":{`}, {`"sample":{`, `"extra":1,"sample":{`},
-			{`"t":"`, `"T":"`}, {`"t":"`, `"t": "`}, {`"t":"2010`, `"t":"10`}, {`"t":"2010-09-06T09:01:00Z"`, `"t":null`},
-			{`Z","loc"`, `+05:30","loc"`}, {`Z","loc"`, `.5Z","loc"`}, {`Z","loc"`, `z","loc"`}, {`Z","loc"`, `+24:00","loc"`},
-			{`"lat":43`, `"lat":043`}, {`"lat":43`, `"lat":+43`}, {`"lat":43`, `"lat":.43`}, {`"lat":43`, `"lat":0x43`},
-			{`"lat":43.07125`, `"lat":-`}, {`"lat":`, `"lat":1e999,"x":`}, {`"lat":`, `"lat":Infinity,"x":`}, {`"lat":`, `"lat":NaN,"x":`},
-			{`"lat":`, `"lat":1.,"x":`}, {`"lat":`, `"lat":1e,"x":`}, {`"lat":`, `"lat":1_0,"x":`}, {`"lat":`, `"lat":-0,"x":`},
-			{`"lat":`, `"lat":1E+2,"x":`}, {`"lat":`, `"lat":"43","x":`}, {`"lat":`, `"lat":null,"x":`},
-			{`"lat":`, `"lon":`}, {`"loc":{`, `"loc":{"lon":1,`}, {`,"net":`, `,"metric":"m","net":`},
-			{`"net":"NetB"`, `"net":"Net\\B"`}, {`"net":"NetB"`, `"net":"Nét"`},
-			{`"net":"NetB"`, `"net":"Net\tB"`}, {`"net":"NetB"`, "\"net\":\"Net\tB\""}, {`"net":"NetB"`, "\"net\":\"Net\x7fB\""},
-			{`"net":"NetB"`, "\"net\":\"Net\xffB\""}, {`"net":"NetB"`, `"net":"Net<B>"`}, {`"net":"NetB"`, `"net":null`}, {`"net":"NetB"`, `"net":7`},
-			{`"client":"store-test"`, `"client":"store-test","client":"twice"`}, {`"client":"store-test"`, `"client":"store-test","other":1`},
-			{`,"speed_kmh"`, `,"device":"","speed_kmh"`}, {`,"speed_kmh"`, `,"failed":true,"speed_kmh"`},
-			{`"device":"phone"`, `"device":""`}, {`"device":"phone"`, `"device":null`},
-			{`,"failed":true`, `,"failed":false`}, {`,"failed":true`, `,"failed":null`}, {`,"failed":true`, `,"failed":1`}, {`,"failed":true`, `,"failed":true,"failed":false`},
-			{`}}`, `}} `}, {`}}`, `}}x`}, {`}}`, `}}}`}, {`}}`, `},"lsn":9}`}, {`}}`, `}`}, {`}}`, `} }`}, {`{"lsn"`, ` {"lsn"`},
-		} {
-			if !bytes.Contains(base, []byte(m[0])) {
-				continue // the edit is for the other base line
-			}
-			if took := checkParser(t, frameLine(bytes.Replace(base, []byte(m[0]), []byte(m[1]), 1))); took != stillCanonical[m[1]] {
-				t.Fatalf("edit %q -> %q: the parser took the line: %v, want %v", m[0], m[1], took, stillCanonical[m[1]])
-			}
+	got := readAll(t, st, 1, 10)
+	for i, w := range want {
+		if !reflect.DeepEqual(rec.Tail[i], w.Sample) || got[i].LSN != w.LSN || !reflect.DeepEqual(got[i].Sample, w.Sample) {
+			t.Fatalf("record %d: recovered %+v, read %d %+v; want %d %+v", i, rec.Tail[i], got[i].LSN, got[i].Sample, w.LSN, w.Sample)
 		}
 	}
 }
@@ -402,46 +329,32 @@ func TestParseRecordLineAllocations(t *testing.T) {
 	}
 	smp := testSample(1)
 	smp.Device, smp.Failed = "phone", true
-	for _, c := range []struct {
-		name   string
-		encode func([]byte, uint64, trace.Sample) ([]byte, error)
-		max    float64
-	}{
-		// The four strings a sample holds; nothing for the parse itself.
-		{"canonical JSON", appendRecordJSON, 4},
-		// The client and device: the network and metric are constants.
-		{"binary", appendRecordLine, 2},
-	} {
-		line, err := c.encode(nil, 7, smp)
-		if err != nil {
-			t.Fatal(err)
+	line, err := appendRecordLine(nil, 7, smp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The client and device: the network and metric are constants.
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, ok := ParseRecordLine(line); !ok {
+			t.Fatal("the line did not parse")
 		}
-		if allocs := testing.AllocsPerRun(200, func() {
-			if _, _, ok := ParseRecordLine(line); !ok {
-				t.Fatal("the line did not parse")
-			}
-		}); allocs > c.max {
-			t.Errorf("ParseRecordLine allocates %v times a %s line, want at most %v", allocs, c.name, c.max)
-		}
+	}); allocs > 2 {
+		t.Errorf("ParseRecordLine allocates %v times a binary line, want at most 2", allocs)
 	}
 }
 
 // BenchmarkParseRecordLine is what recovery, Cursor.Next and a replica's
-// apply pay per record: the binary line the store writes, a JSON line the
-// canonical parser takes, and one (a quote in the client id) it leaves to
-// encoding/json.
+// apply pay per record: the binary line the store writes, and the JSON line
+// of the same record, which encoding/json decodes.
 func BenchmarkParseRecordLine(b *testing.B) {
 	for _, c := range []struct {
-		name, client string
-		encode       func([]byte, uint64, trace.Sample) ([]byte, error)
+		name   string
+		encode func([]byte, uint64, trace.Sample) ([]byte, error)
 	}{
-		{"binary", "store-test", appendRecordLine},
-		{"canonical", "store-test", appendRecordJSON},
-		{"fallback", `store "test"`, appendRecordJSON},
+		{"binary", appendRecordLine},
+		{"json", appendRecordJSON},
 	} {
-		smp := testSample(1)
-		smp.ClientID = c.client
-		line, err := c.encode(nil, 7, smp)
+		line, err := c.encode(nil, 7, testSample(1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error
 		return buf[:start], err
 	}
 	buf = body.Bytes()
-	putCRC(buf[head-9:head-1], crc32.ChecksumIEEE(buf[head:]))
+	copy(buf[head-9:], fmt.Sprintf("%08x", crc32.ChecksumIEEE(buf[head:])))
 	return buf, nil
 }
 
@@ -342,40 +342,9 @@ func ParseRecordLine(line []byte) (trace.Sample, uint64, bool) {
 		smp, ok := trace.ParseSampleBinary(body)
 		return smp, lsn, ok
 	}
-	payload, ok := linePayload(line)
-	if !ok {
-		return trace.Sample{}, 0, false
-	}
-	if smp, lsn, ok := parseCanonicalRecord(payload); ok {
-		return smp, lsn, true
-	}
 	var wr walRecord
-	if err := json.Unmarshal(payload, &wr); err != nil {
+	if payload, ok := linePayload(line); !ok || json.Unmarshal(payload, &wr) != nil {
 		return trace.Sample{}, 0, false
 	}
 	return wr.Sample, wr.LSN, true
-}
-
-// parseCanonicalRecord reads a payload spelled the way appendRecordLine
-// spells it — `{"lsn":N,"sample":` canonical sample `}`, N without a leading
-// zero — to what json.Unmarshal would make of it, or declines it.
-func parseCanonicalRecord(payload []byte) (smp trace.Sample, lsn uint64, ok bool) {
-	c := trace.Canon{B: payload}
-	c.Lit(lsnKey)
-	n := 0
-	for n < len(c.B) && '0' <= c.B[n] && c.B[n] <= '9' {
-		n++
-	}
-	if c.Declined || n == 0 || (n > 1 && c.B[0] == '0') {
-		return smp, 0, false
-	}
-	lsn, err := strconv.ParseUint(string(c.B[:n]), 10, 64) // encoding/json's call: over 64 bits is refused
-	if err != nil {
-		return smp, 0, false
-	}
-	c.B = c.B[n:]
-	c.Lit(sampleKey)
-	trace.ParseSampleJSON(&c, &smp, nil)
-	c.Lit("}")
-	return smp, lsn, !c.Declined && len(c.B) == 0
 }

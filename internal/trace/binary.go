@@ -26,7 +26,7 @@ import (
 // caller to write as JSON: a time whose zone offset is not 0 (JSON keeps the
 // offset, and decodes a zone), a string that is not valid UTF-8 (JSON turns
 // each bad byte into U+FFFD), and what JSON refuses (NaN, ±Inf, a year
-// outside 0–9999), which AppendSampleJSON then refuses.
+// outside 0–9999), which json.Marshal then refuses.
 //
 // ParseSampleBinary is its canonical, fail-closed inverse: it refuses an
 // overlong varint, nanoseconds of 1e9 or more, an unknown flag bit, every
@@ -375,7 +375,7 @@ func appendName[T ~string](buf []byte, name T, names []T) []byte {
 // its samples once, after it has checked their count against maxSamples and
 // against the bytes left to spell them. A string equal to the same field of
 // the sample before, or to the client id, shares its string, and a network
-// or metric this tree defines is its constant, as ParseSamplesJSON has them.
+// or metric this tree defines is its constant.
 func ParseReportBinary(b []byte, maxSamples int) (clientID string, samples []Sample, err error) {
 	r := binReader{b: b}
 	client := r.str()

@@ -1,83 +1,23 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"strconv"
 	"time"
 	"unicode/utf8"
-
-	"repro/internal/radio"
 )
 
-// A sample has one JSON codec, and both halves are held to encoding/json.
+// JSON writers, and Canon, a reader of the one form they write, for wire's
+// small frames and core's records. A writer appends exactly json.Marshal's
+// bytes; Canon reads only that form — no whitespace, and
 //
-// AppendSampleJSON writes byte for byte what json.Marshal(Sample) returns and
-// refuses what it refuses. A sample report's JSON frame (wire.Conn.Send, for
-// a report the binary form declines) is built with it, and so is a WAL line
-// the binary form (binary.go) cannot carry.
-//
-// ParseSampleJSON is its strict inverse. It reads only the canonical form —
-// the one spelling the encoder emits when every string is printable ASCII
-// with no quote or backslash:
-//
-//	sample = `{"t":` string `,"loc":{"lat":` number `,"lon":` number `},"net":` string
-//	         `,"metric":` string `,"value":` number `,"client":` string
-//	         [ `,"device":` nonempty-string ] `,"speed_kmh":` number [ `,"failed":true` ] `}`
 //	string = `"` { any byte 0x20–0x7E but `"` and `\` } `"`
 //	number = JSON's: [ `-` ] ( `0` | digit1-9 { digit } ) [ `.` digit+ ] [ (`e`|`E`) [ `+`|`-` ] digit+ ]
 //
-// — no whitespace, this key order and case, no other key — and declines
-// everything else. What it accepts it decodes to exactly what json.Unmarshal
-// yields from the same bytes: a number goes to strconv.ParseFloat and the
-// time, still quoted, to (*time.Time).UnmarshalJSON, the calls encoding/json
-// makes, and a value either refuses is declined. A declined input is the
-// caller's to hand to encoding/json, which stays the decoder for every other
-// spelling (escapes, non-ASCII, reordered keys, whitespace, null) and the
-// oracle the differential and fuzz tests compare against. A field added to
-// Sample has to be added to both halves; store's TestRecordEncoderMatchesJSON
-// pins the shape and fails until it is.
+// — to what json.Unmarshal makes of it, declining the rest for encoding/json.
 
 const hexdig = "0123456789abcdef"
-
-// AppendSampleJSON appends the JSON object for s to buf, allocating nothing
-// when buf has the room. On an error buf comes back unextended.
-func AppendSampleJSON(buf []byte, s Sample) ([]byte, error) {
-	for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return buf, errors.New("unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
-		}
-	}
-	start := len(buf)
-	buf = append(buf, `{"t":"`...)
-	buf, err := AppendJSONTime(buf, s.Time)
-	if err != nil {
-		return buf[:start], err
-	}
-	buf = append(buf, `","loc":{"lat":`...)
-	buf = AppendJSONFloat(buf, s.Loc.Lat)
-	buf = append(buf, `,"lon":`...)
-	buf = AppendJSONFloat(buf, s.Loc.Lon)
-	buf = append(buf, `},"net":`...)
-	buf = AppendStringJSON(buf, string(s.Network))
-	buf = append(buf, `,"metric":`...)
-	buf = AppendStringJSON(buf, string(s.Metric))
-	buf = append(buf, `,"value":`...)
-	buf = AppendJSONFloat(buf, s.Value)
-	buf = append(buf, `,"client":`...)
-	buf = AppendStringJSON(buf, s.ClientID)
-	if s.Device != "" {
-		buf = append(buf, `,"device":`...)
-		buf = AppendStringJSON(buf, s.Device)
-	}
-	buf = append(buf, `,"speed_kmh":`...)
-	buf = AppendJSONFloat(buf, s.SpeedKmh)
-	if s.Failed {
-		buf = append(buf, `,"failed":true`...)
-	}
-	return append(buf, '}'), nil
-}
 
 // AppendJSONTime is Time.MarshalJSON less its quotes: RFC 3339 with
 // nanoseconds, refusing the two things a Go time can hold and RFC 3339
@@ -219,8 +159,8 @@ func (c *Canon) quoted() []byte {
 
 // String consumes a canonical string and returns its value: a copy, or like
 // itself when the two are equal — a decoded value never aliases B, but a
-// report's samples mostly repeat one network, metric, client and device, and
-// need not each hold their own copy.
+// list's items mostly repeat one network and metric, and need not each hold
+// their own copy.
 func (c *Canon) String(like string) string {
 	q := c.quoted()
 	if c.Declined {
@@ -333,78 +273,4 @@ func jsonNumberLen(b []byte) int {
 		i = k
 	}
 	return i
-}
-
-// ParseSampleJSON reads one canonical sample object off the head of c into
-// *s, which must be zero. A string field equal to prev's shares prev's string
-// (prev may be nil: nothing to share). If c.Declined is set afterwards, *s
-// holds nothing of use.
-func ParseSampleJSON(c *Canon, s, prev *Sample) {
-	if prev == nil {
-		prev = &Sample{}
-	}
-	c.Lit(`{"t":`)
-	s.Time = c.Time()
-	c.Lit(`,"loc":{"lat":`)
-	s.Loc.Lat = c.Number()
-	c.Lit(`,"lon":`)
-	s.Loc.Lon = c.Number()
-	c.Lit(`},"net":`)
-	s.Network = radio.NetworkID(c.String(string(prev.Network)))
-	c.Lit(`,"metric":`)
-	s.Metric = Metric(c.String(string(prev.Metric)))
-	c.Lit(`,"value":`)
-	s.Value = c.Number()
-	c.Lit(`,"client":`)
-	s.ClientID = c.String(prev.ClientID)
-	if c.TryLit(`,"device":`) {
-		if s.Device = c.String(prev.Device); s.Device == "" {
-			c.Declined = true // omitempty never writes it
-		}
-	}
-	c.Lit(`,"speed_kmh":`)
-	s.SpeedKmh = c.Number()
-	s.Failed = c.TryLit(`,"failed":true`)
-	c.Lit(`}`)
-}
-
-// sampleOpen is how every canonical sample starts and nothing inside one
-// can: a canonical string holds no quote.
-const sampleOpen = `{"t":"`
-
-// MinSampleJSON is shorter than any canonical sample: one with an empty time.
-const MinSampleJSON = len(`{"t":"","loc":{"lat":0,"lon":0},"net":"","metric":"","value":0,"client":"","speed_kmh":0}`)
-
-// ParseSamplesJSON reads a non-empty array of canonical samples off the head
-// of c, into a slice allocated once. Its capacity is the number of sample
-// openings in what is left of the input, which is exact for canonical input,
-// and at most the number of samples that many bytes could spell, so no input
-// buys more than 128 B of slice for every MinSampleJSON bytes it is long. The
-// first sample may share clientID, each later one the strings of the one
-// before it.
-func ParseSamplesJSON(c *Canon, clientID string) []Sample {
-	c.Lit(`[`)
-	if c.Declined {
-		return nil
-	}
-	n := min(bytes.Count(c.B, []byte(sampleOpen)), len(c.B)/MinSampleJSON)
-	if n == 0 {
-		c.Declined = true
-		return nil
-	}
-	samples := make([]Sample, 0, n)
-	prev := &Sample{ClientID: clientID}
-	for {
-		samples = append(samples, Sample{})
-		s := &samples[len(samples)-1]
-		ParseSampleJSON(c, s, prev)
-		if c.Declined {
-			return nil
-		}
-		if prev = s; !c.TryLit(`,`) {
-			break
-		}
-	}
-	c.Lit(`]`)
-	return samples
 }

@@ -122,8 +122,9 @@ func benchmarkDecode(b *testing.B, frame []byte, m *Metrics) {
 }
 
 // BenchmarkDecode measures frame read + envelope unmarshal throughput: a
-// report's binary line, and for samples=50/json the canonical JSON frame of
-// the same report, as an agent that predates the binary form sends it.
+// report's binary line, and for samples=50/json the JSON frame of the same
+// report, as an agent that predates the binary form sends it, which
+// encoding/json decodes.
 func BenchmarkDecode(b *testing.B) {
 	for _, n := range []int{1, 32, 50, 1024} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {

@@ -92,7 +92,7 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 			s.ClientID = fmt.Sprintf("client-%d-%d", i, j)
 			s.Value = r.Float64()
 		}
-		// The canonical parser's shared strings: every sample of this one
+		// The binary decoder's shared strings: every sample of this one
 		// holds the report's client id and the first sample's network,
 		// metric and device, copied out of the read buffer once.
 		shared := benchReport(8)
@@ -193,16 +193,16 @@ func allocSize(n int) int {
 	return cap(append([]byte(nil), make([]byte, n)...))
 }
 
-// TestCodecCopiesNoFrame guards what the codec may allocate. A sample report,
-// binary or in canonical JSON, or a zone list in canonical form costs what it
+// TestCodecCopiesNoFrame guards what the codec may allocate. A sample
+// report's binary line, or a zone list in canonical form, costs what it
 // keeps: Send encodes it into a pooled buffer and allocates nothing, Recv
 // parses it into one slice sized for its samples or records plus the few
 // strings they share — in place, or for a zone list longer than the reader or
 // a binary line with escapes to undo, in a pooled buffer, so no line is
-// copied. A frame encoding/json still decodes — here a zone list whose
-// network needs an escape — costs no more than encoding/json itself does: no
-// frame is allocated to send it and no line copied to decode it. Bytes and
-// counts repeat; times do not.
+// copied. A frame encoding/json decodes — here a zone list whose network
+// needs an escape — costs no more than encoding/json itself does: no frame is
+// allocated to send it and no line copied to decode it. Bytes and counts
+// repeat; times do not.
 func TestCodecCopiesNoFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -230,21 +230,18 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 
 	report := benchReport(32)
 	if n := testing.AllocsPerRun(runs, send(report)); n != 0 {
-		t.Errorf("Send of a canonical 32-sample report allocates %v times, want 0", n)
+		t.Errorf("Send of a 32-sample report allocates %v times, want 0", n)
 	}
 	if b := bytesPerOp(runs, send(report)); b > 64 {
-		t.Errorf("Send of a canonical 32-sample report allocates %d B/op, want none", b)
+		t.Errorf("Send of a 32-sample report allocates %d B/op, want none", b)
 	}
-	// Its binary line, and its JSON frame, as an agent that predates the
-	// binary form sends it.
-	for _, frame := range [][]byte{encodeFrames(t, report), jsonFrame(t, report)} {
-		if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 6 {
-			t.Errorf("Recv of a 32-sample frame opening %q allocates %v times, want at most 6: the report, one slice, the client id and the samples' network, metric and device", frame[:1], n)
-		}
-		slice := 32 * int(unsafe.Sizeof(trace.Sample{}))
-		if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
-			t.Errorf("Recv of a 32-sample frame opening %q allocates %d B/op, want the %d its samples take and under 1 KiB more", frame[:1], b, slice)
-		}
+	frame := encodeFrames(t, report)
+	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 4 {
+		t.Errorf("Recv of a 32-sample binary line allocates %v times, want at most 4: the report, one slice, the client id and the samples' device", n)
+	}
+	slice := 32 * int(unsafe.Sizeof(trace.Sample{}))
+	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
+		t.Errorf("Recv of a 32-sample binary line allocates %d B/op, want the %d its samples take and under 1 KiB more", b, slice)
 	}
 	// A report with escapes to undo is unstuffed into a pooled buffer.
 	stuffed := benchReport(32)
@@ -256,7 +253,7 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 	}
 
 	list := zoneListOf(600)
-	frame := encodeFrames(t, list)
+	frame = encodeFrames(t, list)
 	if len(frame) <= connBufBytes {
 		t.Fatalf("the zone list frame is %d bytes; it must not fit the %d-byte read buffer", len(frame), connBufBytes)
 	}
@@ -266,7 +263,7 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 4 {
 		t.Errorf("Recv of a canonical zone list allocates %v times, want at most 4: the reply, one slice, the records' network and metric", n)
 	}
-	slice := allocSize(600 * int(unsafe.Sizeof(core.Record{})))
+	slice = allocSize(600 * int(unsafe.Sizeof(core.Record{})))
 	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
 		t.Errorf("Recv of a canonical %d-byte zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
 	}

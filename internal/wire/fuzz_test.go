@@ -69,9 +69,9 @@ func FuzzDecode(f *testing.F) {
 	long := encodeFrames(f, zoneListOf(600))
 	f.Add(slices.Concat(short, long, short))
 	f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, connBufBytes-10)), short))
-	// Sample reports, which Recv parses itself, binary and canonical JSON:
-	// their samples share strings copied out of a buffer the frames behind
-	// them overwrite.
+	// Sample reports, binary and JSON: their samples' strings are copied out
+	// of a buffer the frames behind them overwrite (a binary line's shared
+	// between samples).
 	relayed := benchReport(2)
 	relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
 	f.Add(slices.Concat(encodeFrames(f, benchReport(3)), short, encodeFrames(f, relayed), long, encodeFrames(f, benchReport(1))))

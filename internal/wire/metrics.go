@@ -15,8 +15,8 @@ type Metrics struct {
 	// spells by hand (handSpelled) that Recv left to encoding/json because
 	// they were not in the canonical spelling it parses directly: a peer that
 	// writes JSON another way pays the slower decode, it does not fail. Its
-	// eight types: sample_report, zone_list_reply, estimate_reply,
-	// zone_report, task_list, sample_ack, estimate_request, zone_list_request.
+	// seven types: zone_list_reply, estimate_reply, zone_report, task_list,
+	// sample_ack, estimate_request, zone_list_request.
 	decodeFallbacks map[MsgType]*telemetry.Counter
 }
 

@@ -75,7 +75,7 @@ func drawSmall(r *rng.Rand, plain bool) Envelope {
 	switch r.Intn(5) {
 	case 0:
 		s := sample(r)
-		for _, err := trace.AppendSampleJSON(nil, s); err != nil; _, err = trace.AppendSampleJSON(nil, s) {
+		for _, err := json.Marshal(s); err != nil; _, err = json.Marshal(s) {
 			s = sample(r) // NaN, ±Inf or a time with no JSON form: TestSmallSendBytesMatchJSON has the refusals
 		}
 		zr := &ZoneReport{ClientID: s.ClientID, Zone: zone, Loc: s.Loc, SpeedKmh: s.SpeedKmh, At: s.Time}
@@ -335,7 +335,7 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 }
 
 // TestHandSpelledFramesAllocate: Send spells every hand-spelled frame, direct
-// and relayed — a sample report as its binary line — into a pooled buffer
+// and relayed — and a sample report's binary line — into a pooled buffer
 // without one allocation, and Recv of a small frame in canonical form
 // allocates no more than its payload: the struct, plus for a zone report its
 // client id and network list and for a task list its tasks. Known networks
@@ -354,7 +354,7 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 		for _, e := range []Envelope{e, relayed} {
-			if !handSpelled(&e) {
+			if e.Type != TypeSampleReport && !handSpelled(&e) {
 				t.Fatalf("%s is not hand-spelled", e.Type)
 			}
 			if n := testing.AllocsPerRun(runs, func() {
@@ -379,18 +379,17 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 			t.Errorf("Recv of a canonical %s allocates %v times, want at most 3", e.Type, n)
 		}
 	}
-	// A sample report's binary line costs 4 allocations, where its canonical
-	// JSON frame costs 6: the report, its samples, its client id and the
-	// samples' device string, which JSON adds their network and metric to (a
-	// binary line names a known one by index, and decodes to the constant).
-	// Relayed, both add the via and its two strings.
+	// A sample report's binary line costs 4 allocations: the report, its
+	// samples, its client id and the samples' device string (a known network
+	// or metric is named by index, and decodes to the constant). Relayed, it
+	// adds the via and its two strings.
 	report := benchReport(5)
 	relayed := report
 	relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 	for _, tc := range []struct {
-		e              Envelope
-		binary, asJSON float64
-	}{{report, 4, 6}, {relayed, 7, 9}} {
+		e      Envelope
+		binary float64
+	}{{report, 4}, {relayed, 7}} {
 		frame := encodeFrames(t, tc.e)
 		if frame[0] != binaryReportLead {
 			t.Fatalf("the report went as %q, want a binary line", frame)
@@ -398,16 +397,13 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 		if n := recvAllocs(frame); n > tc.binary {
 			t.Errorf("Recv of a binary report (via %v) allocates %v times, want at most %v", tc.e.Via != nil, n, tc.binary)
 		}
-		if n := recvAllocs(jsonFrame(t, tc.e)); n > tc.asJSON {
-			t.Errorf("Recv of a canonical JSON report (via %v) allocates %v times, want at most %v", tc.e.Via != nil, n, tc.asJSON)
-		}
 	}
 }
 
 // TestLineCapAgreesBothWays: Send and Recv hold a line to MaxMessageBytes the
 // same way, its '\n' not counted, whether Recv reads the line in place or
 // gathers it past its reader buffer, and a sample report to maxReportSamples
-// the same way.
+// the same way, in either form.
 func TestLineCapAgreesBothWays(t *testing.T) {
 	const limit = 100
 	for _, bufSize := range []int{16, 4096} { // gathered in a spill buffer; read in place
@@ -473,5 +469,26 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 	}
 	if _, err := NewConn(byteConn{r: bytes.NewReader(over)}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("a %d-sample binary report: Recv err %v, want ErrMessageTooLarge", maxReportSamples+1, err)
+	}
+
+	// And a JSON report, typed by hand: no JSON report this long fits a line
+	// as Send spells it. Each sample nests an object and holds a string with
+	// a comma, brackets and an escaped quote in it, none of which is a sample
+	// of its own.
+	sample := `{"loc":{"lat":1,"lon":2},"net":"N,[\"{"}`
+	jsonReportOf := func(n int) []byte {
+		head := `{"type":"sample_report","sample_report":{"client_id":"c","samples":[`
+		return []byte(head + strings.Repeat(sample+",", n-1) + sample + "]}}\n")
+	}
+	line = jsonReportOf(maxReportSamples)
+	if len(line) > MaxMessageBytes {
+		t.Fatalf("a %d-sample JSON report takes %d bytes, over the line cap", maxReportSamples, len(line))
+	}
+	got, err = NewConn(byteConn{r: bytes.NewReader(line)}).Recv()
+	if err != nil || len(got.SampleReport.Samples) != maxReportSamples || got.SampleReport.Samples[0].Network != `N,["{` {
+		t.Fatalf("a %d-sample JSON report: Recv err %v", maxReportSamples, err)
+	}
+	if _, err := NewConn(byteConn{r: bytes.NewReader(jsonReportOf(maxReportSamples + 1))}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
+		t.Fatalf("a %d-sample JSON report: Recv err %v, want ErrMessageTooLarge", maxReportSamples+1, err)
 	}
 }

@@ -107,8 +107,39 @@ type TaskList struct {
 
 // SampleReport uploads measured samples with their precise GPS fixes.
 type SampleReport struct {
-	ClientID string         `json:"client_id"`
-	Samples  []trace.Sample `json:"samples"`
+	ClientID string  `json:"client_id"`
+	Samples  Samples `json:"samples"`
+}
+
+// Samples are a report's samples. JSON decodes them as it would a
+// []trace.Sample, once it has counted them: more than maxReportSamples is
+// refused with ErrMessageTooLarge before a sample is allocated.
+type Samples []trace.Sample
+
+// UnmarshalJSON counts the commas between the array's elements, decoding
+// none of them: b is valid JSON, which encoding/json checks before it calls.
+func (s *Samples) UnmarshalJSON(b []byte) error {
+	commas, depth, inString := 0, 0, false
+	for i := 0; i < len(b); i++ {
+		switch c := b[i]; {
+		case inString && c == '\\':
+			i++
+		case inString:
+			inString = c != '"'
+		case c == '"':
+			inString = true
+		case c == '[' || c == '{':
+			depth++
+		case c == ']' || c == '}':
+			depth--
+		case c == ',' && depth == 1:
+			commas++
+		}
+	}
+	if commas >= maxReportSamples {
+		return ErrMessageTooLarge
+	}
+	return json.Unmarshal(b, (*[]trace.Sample)(s))
 }
 
 // SampleAck confirms ingestion.
@@ -258,10 +289,10 @@ type Envelope struct {
 }
 
 // MaxMessageBytes caps a single wire line, its '\n' not counted. Sample
-// reports dominate. Whatever its form, a report holds at most
-// maxReportSamples samples (94,254): as many as a JSON line this long could
-// spell at the shortest, though the benchmark's samples take about 200 bytes
-// each as JSON and 11 as binary.
+// reports dominate, and the cap alone does not bound what one costs to
+// decode: `{}` is a 2-byte JSON sample. So whatever its form, a report holds
+// at most maxReportSamples samples too (the benchmark's take about 200 bytes
+// each as JSON and 11 as binary).
 const MaxMessageBytes = 8 << 20
 
 // ErrMessageTooLarge is returned when a peer sends an oversized message.
@@ -383,8 +414,8 @@ func (c *Conn) Recv() (Envelope, error) {
 // may alias the read buffer or a pooled one. The envelope must not: the
 // binary and the canonical parsers copy every string they keep (or share one
 // they already copied), encoding/json copies every string and []byte it
-// decodes, and no envelope type has a custom unmarshaler or a
-// json.RawMessage field; one added later must copy what it keeps.
+// decodes (Samples, the one custom unmarshaler, hands it its bytes), and no
+// envelope type has a json.RawMessage field; one added later must copy.
 func (c *Conn) decode(line []byte) (Envelope, error) {
 	if len(line) > 0 && line[0] == binaryReportLead {
 		return parseBinaryReport(line[1:])
@@ -422,17 +453,16 @@ func (c *Conn) decode(line []byte) (Envelope, error) {
 // a decode error, since encoding/json cannot read it either.
 const binaryReportLead = 0xB2
 
-// maxReportSamples caps the samples of a report either way: as many as the
-// longest canonical JSON line can hold, so no binary line, however short,
-// buys a larger sample slice than a JSON one.
-const maxReportSamples = MaxMessageBytes / trace.MinSampleJSON
+// maxReportSamples caps a report's samples either way: one for each 89 bytes
+// of the longest line, the JSON of a sample with every field empty.
+const maxReportSamples = MaxMessageBytes / 89 // 94,254
 
 var errBinaryReport = errors.New("wire: decoding message: malformed binary sample report")
 
-// appendBinaryReport appends e's binary line to b if e is a sample report Send
-// spells by hand (handSpelled) and the binary form carries it.
+// appendBinaryReport appends e's binary line to b if e is a sample report and
+// nothing else, via aside, and the binary form carries it.
 func appendBinaryReport(b []byte, e *Envelope) ([]byte, bool) {
-	if e.Type != TypeSampleReport || !handSpelled(e) {
+	if e.Type != TypeSampleReport || !only(*e, Envelope{SampleReport: e.SampleReport}) {
 		return b, false
 	}
 	start := len(b)
@@ -493,12 +523,12 @@ func parseBinaryReport(stuffed []byte) (Envelope, error) {
 	return e, nil
 }
 
-// Eight frames the codec spells by hand, because they are nearly every frame
-// and byte the system moves: a client's round trip (a zone report and its
-// task list, a sample report and its ack), a query (an estimate or zone-list
-// request) and its reply — a zone list, or an estimate without a sketch.
-// Samples and records go through trace's sample codec and core's record
-// codec; the rest is spelled here with the same Canon readers and writers.
+// Seven frames the codec spells by hand as JSON, because they are nearly
+// every frame the system moves but a sample report (binary, above): a
+// client's round trip (a zone report and its task list, a sample's ack), a
+// query (an estimate or zone-list request) and its reply — a zone list, or an
+// estimate without a sketch. Records go through core's record codec; the
+// rest is spelled here with trace's Canon readers and JSON writers.
 // All of it is held to encoding/json, which still does everything else:
 // appendHandSpelled writes exactly what the encoder would and leaves what it
 // would refuse to it, and parseHandSpelled reads only a frame in that
@@ -508,8 +538,7 @@ func parseBinaryReport(stuffed []byte) (Envelope, error) {
 //
 //	frame   = `{"type":"` T `",` [ via `,` ] `"` T `":` payload `}`
 //	via     = `"via":{"gateway":` string [ `,"shard":` nonempty-string ] `}`
-//	payload = `{"client_id":` string `,"samples":[` sample { `,` sample } `]}`   T = sample_report
-//	        | `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
+//	payload = `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
 //	        | `{"found":` ( `true` | `false` ) `,"record":` record `}`         T = estimate_reply
 //	        | `{"client_id":` string `,"zone":` zone `,"loc":{"lat":` number `,"lon":` number
 //	          `},"speed_kmh":` number `,"at":` time `,"networks":` list(string) `}` T = zone_report
@@ -553,33 +582,6 @@ func only(e, p Envelope) bool {
 // entry a type. parseHandSpelled takes the first type a frame opens with, so
 // none may be a prefix of another.
 var handCodecs = [...]handCodec{{
-	TypeSampleReport,
-	func(e Envelope) bool {
-		return only(e, Envelope{SampleReport: e.SampleReport}) && e.SampleReport.Samples != nil
-	},
-	func(b []byte, e Envelope) ([]byte, error) {
-		r := e.SampleReport
-		b = trace.AppendStringJSON(append(b, `{"client_id":`...), r.ClientID)
-		b = append(b, `,"samples":[`...)
-		for i := range r.Samples {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			var err error
-			if b, err = trace.AppendSampleJSON(b, r.Samples[i]); err != nil {
-				return b, err
-			}
-		}
-		return append(b, ']'), nil
-	},
-	func(c trace.Canon) (Envelope, trace.Canon) {
-		c.Lit(`{"client_id":`)
-		r := &SampleReport{ClientID: c.String("")}
-		c.Lit(`,"samples":`)
-		r.Samples = trace.ParseSamplesJSON(&c, r.ClientID)
-		return Envelope{SampleReport: r}, c
-	},
-}, {
 	TypeZoneListReply,
 	func(e Envelope) bool { return only(e, Envelope{ZoneListReply: e.ZoneListReply}) },
 	func(b []byte, e Envelope) ([]byte, error) {

@@ -49,9 +49,9 @@ ci: vet lint build race
 # Short-burst coverage-guided fuzzing, 30 s a fuzzer:
 #   FuzzDecode: any wire byte stream; no panic, each envelope a decode of its own line.
 #   FuzzSketchRoundTrip: the sketch serializer; exact round trip, raw bytes never panic.
-#   FuzzFrameRoundTrip: the replication line stream; a replica applies only lines the store accepts.
+#   FuzzFrameRoundTrip: the replication line stream; a replica applies only whole lines the store accepts, report lines too.
 #   FuzzRecordEncodeMatchesJSON: the WAL record encoder; JSON lines are json.Marshal's bytes.
-#   FuzzBinaryRecordDecode: the binary WAL record decoder; no panic, accepted lines re-encode.
+#   FuzzBinaryRecordDecode: the binary WAL line decoders, report and sample; no panic, accepted lines re-encode.
 #   FuzzBinarySampleReportDecode: the binary sample report decoder; accepted lines re-encode.
 #   FuzzSampleDecodeMatchesJSON: a JSON sample on the wire and in the WAL, held to json.Unmarshal.
 #   FuzzReplyDecodeMatchesJSON: the seven hand-spelled JSON frames, held to json.Unmarshal.

@@ -47,7 +47,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "drop client connections idle this long (0 disables)")
 	dataDir := flag.String("data", "", "durable sample store directory (WAL + checkpoints; recovers on start)")
 	ckptInterval := flag.Duration("checkpoint-interval", time.Minute, "checkpoint cadence for -data")
-	fsyncMode := flag.String("fsync", "off", "WAL fsync policy: off | always | every=N | interval=DUR")
+	fsyncMode := flag.String("fsync", "off", "WAL fsync policy: off | always | every=N | interval=DUR; always and every=N count WAL lines, and a sample report is one line, so always is one fsync per acked report")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/zones); empty disables")
 	serverID := flag.String("server-id", "wiscape-coordinator", "node name in status replies and replication handshakes")
 	replAddr := flag.String("replication-addr", "", "WAL replication listener address (requires -data); empty disables replication")

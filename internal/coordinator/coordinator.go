@@ -461,29 +461,29 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 			// the routing epoch catches up.
 			return wire.ErrorReply("replica is read-only"), false
 		}
-		accepted := 0
+		for i := range sr.Samples {
+			if sr.Samples[i].ClientID == "" {
+				sr.Samples[i].ClientID = sr.ClientID
+			}
+		}
+		accepted := len(sr.Samples)
 		var lastLSN uint64
 		s.ingestMu.Lock()
-		for _, smp := range sr.Samples {
-			if smp.ClientID == "" {
-				smp.ClientID = sr.ClientID
-			}
-			// Journal before the controller sees the sample: anything the
-			// estimator state reflects is recoverable from disk.
-			if s.store != nil {
-				lsn, err := s.store.Append(smp)
-				if err != nil {
-					s.ingestMu.Unlock()
-					if errors.Is(err, store.ErrClosed) {
-						return wire.ErrorReply("coordinator shutting down"), true
-					}
-					return wire.ErrorReply(fmt.Sprintf("journal write failed: %v", err)), true
+		// Journal before the controller sees the samples: anything the
+		// estimator state reflects is recoverable from disk. The report is
+		// one record, journaled whole or not at all, so a report that fails
+		// here leaves nothing behind for its resend to count twice.
+		if s.store != nil && accepted > 0 {
+			var err error
+			if lastLSN, err = s.store.AppendReport(sr.ClientID, sr.Samples); err != nil {
+				s.ingestMu.Unlock()
+				if errors.Is(err, store.ErrClosed) {
+					return wire.ErrorReply("coordinator shutting down"), true
 				}
-				lastLSN = lsn
+				return wire.ErrorReply(fmt.Sprintf("journal write failed: %v", err)), true
 			}
-			s.Controller().Ingest(smp)
-			accepted++
 		}
+		s.Controller().Ingest(sr.Samples...)
 		s.ingestMu.Unlock()
 		s.met.samplesIngested.Add(float64(accepted))
 		s.notifyReplicas()

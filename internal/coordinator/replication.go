@@ -153,16 +153,17 @@ func (a *replicaApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (a *replicaApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
+func (a *replicaApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
 	s := a.s
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	// The primary's bytes, not a re-encoding of smp: the two logs then hold
-	// the same line at the same LSN, down any chain of promoted replicas.
-	if err := s.store.AppendAt(lsn, line); err != nil {
+	// The primary's bytes, not a re-encoding of samples: the two logs then
+	// hold the same line at the same LSNs, down any chain of promoted
+	// replicas.
+	if err := s.store.AppendAt(first, line); err != nil {
 		return err
 	}
-	s.Controller().Ingest(smp)
+	s.Controller().Ingest(samples...)
 	s.notifyReplicas()
 	return nil
 }

@@ -32,7 +32,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // journal reads every record line in a data directory's segments, keyed by
-// LSN, and counts the segments.
+// the LSN of its first sample, and counts the segments.
 func journal(t *testing.T, dir string) (lines map[uint64][]byte, segments int) {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
@@ -49,7 +49,7 @@ func journal(t *testing.T, dir string) (lines map[uint64][]byte, segments int) {
 			if len(line) == 0 {
 				continue
 			}
-			_, lsn, ok := store.ParseRecordLine(line)
+			lsn, _, ok := store.ParseRecordLine(nil, line)
 			if !ok {
 				t.Fatalf("%s holds a line that does not validate: %q", name, line)
 			}

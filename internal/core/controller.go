@@ -158,9 +158,19 @@ func (c *Controller) Grid() *geo.Grid { return c.grid }
 // ZoneOf maps a location to its zone.
 func (c *Controller) ZoneOf(p geo.Point) geo.ZoneID { return c.grid.Zone(p) }
 
-// Ingest folds one client sample into the zone state, handling epoch
-// rollover, record publication and ping-failure tracking.
-func (c *Controller) Ingest(s trace.Sample) {
+// Ingest folds client samples into the zone state, in order, handling epoch
+// rollover, record publication and ping-failure tracking. It takes the
+// controller's lock once per call, so a report's samples go in together.
+func (c *Controller) Ingest(samples ...trace.Sample) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range samples {
+		c.ingestLocked(s)
+	}
+}
+
+// ingestLocked folds one sample into the zone state.
+func (c *Controller) ingestLocked(s trace.Sample) {
 	// Reject unusable values outright: one NaN would poison a zone's
 	// accumulator forever.
 	if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
@@ -170,9 +180,6 @@ func (c *Controller) Ingest(s trace.Sample) {
 		s.Value = c.normalizer.Normalize(s.Value, device.Class(s.Device), string(s.Metric))
 	}
 	zone := c.grid.Zone(s.Loc)
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
 
 	if s.Metric == trace.MetricRTTMs {
 		c.trackFailureLocked(failKey{Zone: zone, Net: s.Network}, s)
@@ -253,9 +260,7 @@ func (c *Controller) trackFailureLocked(fk failKey, s trace.Sample) {
 func (c *Controller) IngestDataset(d *trace.Dataset) {
 	sorted := &trace.Dataset{Name: d.Name, Samples: append([]trace.Sample(nil), d.Samples...)}
 	sorted.SortByTime()
-	for _, s := range sorted.Samples {
-		c.Ingest(s)
-	}
+	c.Ingest(sorted.Samples...)
 }
 
 // recordFrom builds a publishable record from the closing epoch sketch.

@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 // walLine builds the WAL line of (lsn, smp) from the format's definition —
@@ -48,7 +50,8 @@ func walLines(from uint64, n int) []byte {
 // snapshot line store.ParseCheckpointLine accepts re-encodes to the same
 // bytes. The seed corpus covers every line kind, in order and out of it.
 func FuzzFrameRoundTrip(f *testing.F) {
-	// Lines the store writes, binary and JSON, LSNs 1..6.
+	// Lines the store writes — one-sample report lines and JSON, LSNs 1..6,
+	// then a report line shaped like the benchmark's, LSNs 7..56.
 	st, err := store.Open(f.TempDir(), store.Options{})
 	if err != nil {
 		f.Fatal(err)
@@ -62,11 +65,15 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	if _, err := st.AppendReport(tracetest.BenchReport(rng.NewNamed(1, "fuzz-report"), 50)); err != nil {
+		f.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
 	journal := bytes.SplitAfter(journalOf(f, st.Dir()), []byte("\n"))
-	stored := bytes.Join(journal, nil)
+	stored := bytes.Join(journal[:6], nil)
+	report := journal[6]
 
 	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	one := walLine(7, testSample(7))
@@ -93,7 +100,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		join(one, walLine(9, long)),
 		join(walLines(1, 2), []byte("0badc0de {")),
 		join(stored[:len(stored)-5], positionLine(6)), // a binary line cut short
-		[]byte("reject replication: peer speaks version 4, want 5\n"),
+		join(stored, report, positionLine(56)),
+		join(stored, report, report, positionLine(56)),      // a replayed report line
+		join(snapshotLine(f, 30), report, positionLine(56)), // a snapshot inside a report line
+		join(stored, report[:len(report)/2], []byte("\n")),  // a report line cut short
+		[]byte("reject replication: peer speaks version 5, want 6\n"),
 		[]byte("lsn 12\nlsn x\nlsn 18446744073709551616\n"),
 		[]byte("lsn " + strings.Repeat("9", maxTextLineBytes) + "\n"),
 		join(appendHello(nil, hello{from: 3, id: "r"}), ackLine(3)), // lines only a source takes
@@ -126,7 +137,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 // fuzzApplier holds each record a fuzzed session applies to what the line
-// it came in says.
+// it came in says: the whole line, past everything applied before.
 type fuzzApplier struct {
 	t    *testing.T
 	data []byte // the stream
@@ -138,15 +149,15 @@ func (a *fuzzApplier) Bootstrap(lsn uint64, _ core.Snapshot) error {
 	return nil
 }
 
-func (a *fuzzApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
+func (a *fuzzApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
 	a.t.Helper()
-	again, at, ok := store.ParseRecordLine(line)
-	if !ok || at != lsn || !reflect.DeepEqual(again, smp) || lsn <= a.last {
-		a.t.Fatalf("applied LSN %d after %d from %q, which parses to LSN %d (ok %v)", lsn, a.last, line, at, ok)
+	at, again, ok := store.ParseRecordLine(nil, line)
+	if !ok || at != first || !reflect.DeepEqual(again, samples) || first <= a.last {
+		a.t.Fatalf("applied LSN %d after %d from %q, which parses to LSN %d (ok %v)", first, a.last, line, at, ok)
 	}
 	if !bytes.Contains(a.data, line) || line[len(line)-1] != '\n' {
 		a.t.Fatalf("applied %q, not a whole line of the stream", line)
 	}
-	a.last = lsn
+	a.last = first + uint64(len(samples)) - 1
 	return nil
 }

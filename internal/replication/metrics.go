@@ -30,7 +30,7 @@ func newSourceMetrics(reg *telemetry.Registry, connected func() int) sourceMetri
 		attaches: reg.Counter("wiscape_replication_attaches_total",
 			"Replica handshakes accepted by this primary.").With(),
 		recordsShipped: reg.Counter("wiscape_replication_records_shipped_total",
-			"WAL records streamed to replicas (counted per replica stream).").With(),
+			"WAL lines streamed to replicas, counted per replica stream: one per journaled report, however many samples it holds.").With(),
 		snapshotsSent: reg.Counter("wiscape_replication_snapshots_sent_total",
 			"Snapshot bootstraps shipped to replicas (first attach or resync).").With(),
 	}
@@ -49,7 +49,7 @@ type replicaMetrics struct {
 func newReplicaMetrics(reg *telemetry.Registry) replicaMetrics {
 	return replicaMetrics{
 		recordsApplied: reg.Counter("wiscape_replication_records_applied_total",
-			"WAL records applied from the primary's stream.").With(),
+			"WAL lines applied from the primary's stream: one per journaled report, however many samples it holds.").With(),
 		resyncs: reg.Counter("wiscape_replication_resyncs_total",
 			"Snapshot bootstraps applied (first attach or forced resync).").With(),
 		reconnects: reg.Counter("wiscape_replication_reconnects_total",

@@ -18,20 +18,20 @@ import (
 
 // Applier receives the replicated state on the consumer side. The
 // coordinator's implementation journals each record to the replica's own
-// WAL (the primary's line, at the primary's LSN) and ingests it into the
-// live controller, so a promoted replica is immediately both durable and
-// queryable.
+// WAL (the primary's line, at the primary's LSNs) and ingests its samples
+// into the live controller, so a promoted replica is immediately both
+// durable and queryable.
 type Applier interface {
 	// Bootstrap replaces all local state with the snapshot, which covers
 	// records up to and including lsn.
 	Bootstrap(lsn uint64, snap core.Snapshot) error
 
-	// Apply applies one record: smp is what line, the WAL line the primary
-	// journaled it as, decodes to (store.ParseRecordLine has passed it).
-	// line is only valid during the call. Records arrive in LSN order, each
-	// exactly once per session (reconnect replays are filtered before
-	// Apply).
-	Apply(lsn uint64, smp trace.Sample, line []byte) error
+	// Apply applies one record, a whole WAL line as the primary journaled
+	// it: samples are what line decodes to (store.ParseRecordLine has passed
+	// it), at LSNs first, first+1, …. Neither is valid past the call.
+	// Records arrive in LSN order, each exactly once per session (reconnect
+	// replays are filtered before Apply).
+	Apply(first uint64, samples []trace.Sample, line []byte) error
 }
 
 // dialTimeout bounds one connection attempt to the primary, and
@@ -253,6 +253,7 @@ func (r *Replica) session(forceSnapshot bool) error {
 // consume applies the source's lines from br, acking on bw, until a line
 // fails or the stream ends.
 func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
+	var samples []trace.Sample // each record line's, decoded into one slice
 	for {
 		// line may be a view of br's buffer: every case is done with it
 		// before the next read.
@@ -292,17 +293,27 @@ func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
 			// Every line takes the store's validating parser before it is
 			// journaled or ingested. One that fails ends the session with
 			// the lines ahead of it applied; the redial asks for it again.
-			smp, lsn, ok := store.ParseRecordLine(line)
+			var first uint64
+			var ok bool
+			first, samples, ok = store.ParseRecordLine(samples[:0], line)
 			if !ok {
 				return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadLine, r.applied.Load())
 			}
-			if lsn <= r.applied.Load() {
+			last := first + uint64(len(samples)) - 1
+			switch applied := r.applied.Load(); {
+			case last <= applied:
 				continue // replayed across a reconnect seam
+			case first <= applied:
+				// The line holds what this replica already applied and more:
+				// its log ends inside the line, so it is not this primary's
+				// log. The redial asks from there, and the source answers
+				// with a snapshot (see Source.stream).
+				return fmt.Errorf("%w: the record line of LSNs %d-%d straddles applied LSN %d", errBadLine, first, last, applied)
 			}
-			if err := r.ap.Apply(lsn, smp, line); err != nil {
-				return fmt.Errorf("applying record %d: %w", lsn, err)
+			if err := r.ap.Apply(first, samples, line); err != nil {
+				return fmt.Errorf("applying records %d-%d: %w", first, last, err)
 			}
-			r.setApplied(lsn)
+			r.setApplied(last)
 			r.met.recordsApplied.Inc()
 		}
 	}

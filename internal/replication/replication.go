@@ -22,15 +22,18 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 5): newline-terminated lines both ways, read by
+// Protocol (version 6): newline-terminated lines both ways, read by
 // wire.ReadLine, each line's kind — and so its cap — picked by its first
-// byte before any of it is buffered. The replica opens with "hello 5 <from>
+// byte before any of it is buffered. The replica opens with "hello 6 <from>
 // <quoted id>" (from is the first LSN wanted; 0 forces a snapshot). The
 // source answers with WAL lines verbatim, exactly the bytes the primary
-// journaled — binary (0xB1, the stuffed record) or JSON ("crc32hex {…}") —
-// and a snapshot as one checkpoint line (store.AppendCheckpointLine), and
-// ends every flush with "lsn <N>", the log's last LSN, which the replica
-// measures its lag by and acks with "ok <applied LSN>". A refused hello is
+// journaled — a report (0xB3, one line holding one LSN per sample), a sample
+// (0xB1) or JSON ("crc32hex {…}") — and a snapshot as one checkpoint line
+// (store.AppendCheckpointLine), and ends every flush with "lsn <N>", the
+// log's last LSN, which the replica measures its lag by and acks with
+// "ok <applied LSN>". LSNs count samples throughout, so a replica applies a
+// report line whole and acks its last LSN; a from inside a report line is
+// answered with a snapshot. A refused hello is
 // answered "reject <why>". The versions do not interoperate (see Version),
 // so a primary and its replica upgrade as a pair.
 //
@@ -60,11 +63,13 @@ import (
 // triples, 2 shipped WAL lines as they are but a snapshot as a u64 LSN and
 // unchecked JSON, 3 a snapshot as a checkpoint, 4 binary WAL lines beside
 // JSON ones, all in length-prefixed "WREP" frames — so a version 4 hello
-// opens with no line kind and is hung up on — and 5 sends lines.
-const Version uint16 = 5
+// opens with no line kind and is hung up on — 5 sends lines, and 6 report
+// lines (0xB3), which a version 5 replica would refuse as malformed and
+// redial on for ever.
+const Version uint16 = 6
 
 // The text lines' words. Each opens with a byte that is none of a WAL
-// line's leads (0xB1, a lowercase hex digit) nor store.CheckpointLead.
+// line's leads (0xB3, 0xB1, a lowercase hex digit) nor store.CheckpointLead.
 const (
 	helloWord    = "hello "  // replica -> source, first: version, from LSN, id
 	ackWord      = "ok "     // replica -> source: applied LSN
@@ -74,8 +79,8 @@ const (
 
 // Line caps, '\n' not counted. A snapshot line carries whole-controller
 // state (sketch bytes for every zone) and gets the generous cap, on the one
-// side that takes snapshots; a WAL line is held to the store's own cap, and
-// a text line to a short one.
+// side that takes snapshots; a WAL line is held to the store's own cap for
+// its kind (store.LineCap), and a text line to a short one.
 const (
 	maxTextLineBytes     = 1 << 10
 	maxSnapshotLineBytes = 256 << 20
@@ -102,7 +107,7 @@ func replicaCap(lead byte) int {
 	case positionWord[0], rejectWord[0]:
 		return maxTextLineBytes
 	}
-	return store.MaxLineBytes - 1
+	return store.LineCap(lead) - 1
 }
 
 // readLine reads the next line, '\n' included, held to the cap its first

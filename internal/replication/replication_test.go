@@ -2,7 +2,9 @@ package replication
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/trace/tracetest"
 )
 
 var start = time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC)
@@ -53,15 +56,17 @@ func (m *memApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (m *memApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
+func (m *memApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.st != nil {
-		if err := m.st.AppendAt(lsn, line); err != nil {
+		if err := m.st.AppendAt(first, line); err != nil {
 			return err
 		}
 	}
-	m.applied = append(m.applied, lsn)
+	for i := range samples {
+		m.applied = append(m.applied, first+uint64(i))
+	}
 	return nil
 }
 
@@ -187,45 +192,68 @@ func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
 }
 
 func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
-	// A primary upgraded in place holds JSON lines its old store wrote and
-	// binary ones behind them — some JSON still, for samples only that form
-	// carries. The replica journals each line as shipped, whatever its form,
-	// so the two logs end byte-identical.
+	// A primary upgraded in place holds JSON lines its oldest store wrote,
+	// sample lines (0xB1) a later one wrote, and report lines behind them —
+	// one line holding many samples, or JSON still, one line a sample, for a
+	// report only that form carries. The replica journals each line as
+	// shipped, whatever its form, so the two logs end byte-identical.
 	primary := openStore(t, store.Options{SegmentMaxBytes: 1500})
-	for lsn := uint64(1); lsn <= 60; lsn++ {
+	for lsn := uint64(1); lsn <= 30; lsn++ {
 		smp := testSample(int(lsn))
-		switch {
-		case lsn <= 20 || lsn%7 == 0: // the old store's lines, and a replica-of-old-primary's
-			if err := primary.AppendAt(lsn, walLine(lsn, smp)); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		case lsn%5 == 0: // an offset the binary form does not carry
-			smp.Time = smp.Time.In(time.FixedZone("", -5*3600))
+		line := walLine(lsn, smp)
+		if lsn > 20 && lsn%7 != 0 { // the sample lines of the store before report lines
+			line = sampleLine(lsn, smp)
 		}
-		if got, err := primary.Append(smp); err != nil || got != lsn {
-			t.Fatalf("Append: LSN %d, err %v; want %d", got, err, lsn)
+		if err := primary.AppendAt(lsn, line); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for lsn := uint64(31); lsn <= 90; {
+		report := make([]trace.Sample, 1+int(lsn)%5)
+		for i := range report {
+			report[i] = testSample(int(lsn) + i)
+		}
+		if lsn%3 == 0 { // an offset the binary form does not carry
+			report[0].Time = report[0].Time.In(time.FixedZone("", -5*3600))
+		}
+		last, err := primary.AppendReport("bus-17", report)
+		if want := lsn + uint64(len(report)) - 1; err != nil || last != want {
+			t.Fatalf("AppendReport: last LSN %d, err %v; want %d", last, err, want)
+		}
+		lsn = last + 1
+	}
+	last := primary.LastLSN()
 	src := startSource(t, primary, SourceOptions{})
 	ap := &memApplier{st: openStore(t, store.Options{SegmentMaxBytes: 1500})}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
-	waitFor(t, 5*time.Second, "60 applied records", func() bool { return r.Status().AppliedLSN == 60 })
+	waitFor(t, 5*time.Second, "every record applied", func() bool { return r.Status().AppliedLSN == last })
 
 	want := journalOf(t, primary.Dir())
 	if got := journalOf(t, ap.st.Dir()); !bytes.Equal(got, want) {
 		t.Fatalf("the replica's log (%d bytes) differs from its primary's (%d bytes)", len(got), len(want))
 	}
-	binaryLines := 0
+	forms := map[byte]int{} // lines by lead byte, every JSON line under '0'
 	for _, line := range bytes.SplitAfter(want, []byte("\n")) {
-		if len(line) > 0 && line[0] == 0xB1 {
-			binaryLines++
+		if len(line) > 0 {
+			lead := line[0]
+			if lead != 0xB1 && lead != 0xB3 {
+				lead = '0'
+			}
+			forms[lead]++
 		}
 	}
-	if binaryLines == 0 || binaryLines == 60 {
-		t.Fatalf("%d of the 60 lines are binary; want both forms", binaryLines)
+	if len(forms) != 3 {
+		t.Fatalf("the log's lines by form: %v; want JSON, sample and report lines", forms)
 	}
+}
+
+// sampleLine is the sample line (lead 0xB1) of (lsn, smp), as the stores
+// before report lines wrote it.
+func sampleLine(lsn uint64, smp trace.Sample) []byte {
+	body := tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp)
+	line := binary.LittleEndian.AppendUint32(append([]byte{0xB1}, body...), crc32.ChecksumIEEE(body))
+	return append(trace.Stuff(line, 1), '\n')
 }
 
 func TestWarmRestartResumesFromOffset(t *testing.T) {
@@ -370,14 +398,14 @@ type heldApplier struct {
 	held, release chan struct{}
 }
 
-func (h *heldApplier) Apply(lsn uint64, smp trace.Sample, line []byte) error {
-	if lsn > h.hold {
-		if lsn == h.hold+1 {
+func (h *heldApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
+	if first > h.hold {
+		if first == h.hold+1 {
 			close(h.held)
 		}
 		<-h.release
 	}
-	return h.memApplier.Apply(lsn, smp, line)
+	return h.memApplier.Apply(first, samples, line)
 }
 
 func TestCatchingUpReplicaReportsItsLag(t *testing.T) {

@@ -303,9 +303,10 @@ func (s *Source) serve(nc net.Conn) {
 
 // stream ships the log to one replica until the conn dies or the source
 // stops. A position the log cannot be tailed from bootstraps via snapshot:
-// from==0 (asked for), one compacted away, or one past the log's end — a
-// replica that claims records this log never held (an ex-primary restarted
-// without a forced resync) would otherwise sit parked there, acking them.
+// from==0 (asked for), one compacted away, one inside a report line, or one
+// past the log's end — a replica that claims records this log never held (an
+// ex-primary restarted without a forced resync) would otherwise sit parked
+// there, acking them, or be sent part of a line it cannot journal.
 // The first flush answers the hello, with or without a snapshot, so the
 // replica learns where the log ends even with nothing to catch up on.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
@@ -332,9 +333,10 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 		// replicated bytes, and the one decode is the replica's.
 		lines, n, err := cur.NextLines(maxLinesPerRun)
 		switch {
-		case errors.Is(err, store.ErrCompacted):
-			// The replica's position predates retained history; restart it
-			// from a fresh snapshot (the resync path).
+		case errors.Is(err, store.ErrCompacted), errors.Is(err, store.ErrInsideLine):
+			// The replica's position predates retained history, or falls
+			// inside a report line, where no replica of this log stands;
+			// restart it from a fresh snapshot (the resync path).
 			if from, err = s.writeSnapshot(rc, bw); err != nil {
 				return err
 			}

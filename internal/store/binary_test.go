@@ -19,23 +19,42 @@ import (
 )
 
 // frameBinary frames body — an LSN and a sample's binary form, or anything
-// else — the way a binary WAL line frames it: lead byte, stuffing, CRC,
-// newline.
-func frameBinary(body []byte) []byte {
-	buf := append([]byte{binaryLead}, body...)
+// else — the way a sample line frames it: lead byte, stuffing, CRC, newline.
+func frameBinary(body []byte) []byte { return frameLead(sampleLead, body) }
+
+// frameReport frames body the way a report line frames it.
+func frameReport(body []byte) []byte { return frameLead(reportLead, body) }
+
+func frameLead(lead byte, body []byte) []byte {
+	buf := append([]byte{lead}, body...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
 	return append(trace.Stuff(buf, 1), '\n')
 }
 
-// sampleBody is the body of the binary line of (lsn, smp), which the binary
+// carried reports whether the binary forms carry smp.
+func carried(smp trace.Sample) bool {
+	_, ok := trace.AppendReportBinary(nil, "", []trace.Sample{smp})
+	return ok
+}
+
+// sampleBody is the body of the sample line of (lsn, smp), which the binary
 // form must carry.
 func sampleBody(tb testing.TB, lsn uint64, smp trace.Sample) []byte {
 	tb.Helper()
-	body, ok := trace.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp)
-	if !ok {
+	if !carried(smp) {
 		tb.Fatalf("the binary form does not carry %+v", smp)
 	}
-	return body
+	return tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp)
+}
+
+// appendSampleLine is the line the store wrote for a sample before report
+// lines: a sample line where the binary form carries the sample, JSON
+// otherwise. Old segments are made of its lines.
+func appendSampleLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
+	if !carried(smp) {
+		return appendRecordJSON(buf, lsn, smp)
+	}
+	return append(buf, frameBinary(tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp))...), nil
 }
 
 // TestBinaryRecordRefusesMalformed holds the binary decoder to failing
@@ -46,7 +65,7 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 	smp := testSample(3)
 	smp.Device = "phone"
 	good := frameBinary(sampleBody(t, 4, smp))
-	if got, lsn, ok := ParseRecordLine(good); !ok || lsn != 4 || !sampleEqual(got, smp) {
+	if got, lsn, ok := parseOne(good); !ok || lsn != 4 || !sampleEqual(got, smp) {
 		t.Fatalf("the base line reads %d %+v, ok %v", lsn, got, ok)
 	}
 	// head is the body up to the first string (net); what follows it is
@@ -97,7 +116,7 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		{"a truncated LSN", frameBinary([]byte{0x84})},
 		{"a truncated string length", frameBinary(append(append([]byte(nil), head...), 0x84))},
 		{"a truncated float", frameBinary(sampleBody(t, 4, smp)[:floatAt+5])},
-		{"nothing but the lead byte", []byte{binaryLead, '\n'}},
+		{"nothing but the lead byte", []byte{sampleLead, '\n'}},
 		{"nothing but an LSN", frameBinary([]byte{4})},
 		{"a dangling escape", append(good[:len(good)-1:len(good)-1], trace.SlipEsc, '\n')},
 		{"an unknown escape", bytes.Replace(good, []byte("NetB"), []byte{'N', trace.SlipEsc, 0x00, 'B'}, 1)},
@@ -116,17 +135,17 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		{"invalid UTF-8", frameBinary(withClient("\xff"))},
 		{"a line past the cap", frameBinary(sampleBody(t, 4, trace.Sample{ClientID: strings.Repeat("x", MaxLineBytes)}))},
 	} {
-		if _, _, ok := ParseRecordLine(tc.line); ok {
+		if _, _, ok := ParseRecordLine(nil, tc.line); ok {
 			t.Errorf("%s: ParseRecordLine took %q", tc.name, tc.line)
 		}
-		if lineHolds(4, tc.line) {
+		if _, ok := lineHolds(4, tc.line); ok {
 			t.Errorf("%s: AppendAt would journal %q", tc.name, tc.line)
 		}
 		if raceEnabled {
 			continue // the race detector allocates on its own
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
-			ParseRecordLine(tc.line)
+			ParseRecordLine(nil, tc.line)
 			lineHolds(4, tc.line)
 		}); allocs != 0 {
 			t.Errorf("%s: refusing the line allocates %v times", tc.name, allocs)
@@ -140,67 +159,107 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		"clients": frameBinary(withClient("x")),
 		"flags":   frameBinary(body(func(b []byte) []byte { b[flagAt] |= 1; return b })),
 	} {
-		if _, _, ok := ParseRecordLine(line); !ok || !lineHolds(4, line) {
+		_, holds := lineHolds(4, line)
+		if _, _, ok := ParseRecordLine(nil, line); !ok || !holds {
 			t.Errorf("the %s helper builds a line that is refused: %q", name, line)
 		}
 	}
 }
 
 // checkBinaryDecode holds one binary line to the decoder's contract: it does
-// not panic, AppendAt's check takes exactly what ParseRecordLine takes, and
-// an accepted line is what the record it decodes to re-encodes to, byte for
-// byte.
+// not panic, AppendAt's check takes exactly what ParseRecordLine takes,
+// peekLSNs reads the LSNs it holds, and an accepted line is what the record
+// it decodes to re-encodes to, byte for byte.
 func checkBinaryDecode(t *testing.T, line []byte) {
 	t.Helper()
-	smp, lsn, ok := ParseRecordLine(line)
-	if holds := lineHolds(lsn, line); holds != ok {
+	first, smps, ok := ParseRecordLine(nil, line)
+	last, holds := lineHolds(first, line)
+	if holds != ok {
 		t.Fatalf("line %q: ParseRecordLine ok %v, AppendAt's check %v", line, ok, holds)
 	}
 	if !ok {
 		return
 	}
-	if peeked, pok := peekLSN(line); !pok || peeked != lsn {
-		t.Fatalf("line %q: read as LSN %d, peeked as %d (ok %v)", line, lsn, peeked, pok)
+	var scratch []byte
+	pfirst, plast, pok := peekLSNs(&scratch, line)
+	if wantLast := first + uint64(len(smps)) - 1; !pok || pfirst != first || plast != wantLast || last != wantLast {
+		t.Fatalf("line %q: read as LSNs %d-%d, peeked as %d-%d (ok %v), AppendAt's check ends at %d", line, first, wantLast, pfirst, plast, pok, last)
 	}
-	again, err := appendRecordLine(nil, lsn, smp)
+	var again []byte
+	var err error
+	if line[0] == sampleLead {
+		again, err = appendSampleLine(nil, first, smps[0])
+	} else {
+		_, _, rest, _ := binaryLine(&scratch, line)
+		clientID, _, perr := trace.ParseReportBinary(nil, rest, len(rest))
+		if perr != nil {
+			t.Fatalf("line %q: decoded, but its report does not: %v", line, perr)
+		}
+		again, err = appendReportLine(nil, first, clientID, smps)
+	}
 	if err != nil || !bytes.Equal(again, line) {
-		t.Fatalf("line %q decodes to %d %+v, which re-encodes to %q (err %v)", line, lsn, smp, again, err)
+		t.Fatalf("line %q decodes to %d %+v, which re-encodes to %q (err %v)", line, first, smps, again, err)
 	}
 }
 
 // FuzzBinaryRecordDecode feeds arbitrary bytes to the binary decoder, two
 // ways: as they stand between a binary line's lead byte and its newline, and
 // — so that the fuzzer gets past the CRC — as a body the harness stuffs and
-// closes with a good CRC. Either way checkBinaryDecode holds.
+// closes with a good CRC. report picks the lead byte, a report line's or a
+// sample line's. Either way checkBinaryDecode holds.
 func FuzzBinaryRecordDecode(f *testing.F) {
 	r := rng.NewNamed(25, "binary-decode-seeds")
-	for i := 0; i < 8; i++ {
-		smp := tracetest.PlainSample(r)
-		line, err := appendRecordLine(nil, r.Uint64()>>uint(r.Intn(64)), smp)
-		if err != nil || line[0] != binaryLead {
-			continue
-		}
-		f.Add(line[1:len(line)-1], false)
-		if _, body, ok := binaryRecord(nil, line); ok {
-			lsn, _ := peekLSN(line)
-			f.Add(append(binary.AppendUvarint(nil, lsn), body...), true)
+	add := func(line []byte) {
+		report := line[0] == reportLead
+		f.Add(line[1:len(line)-1], false, report)
+		if first, _, rest, ok := binaryLine(new([]byte), line); ok {
+			f.Add(append(binary.AppendUvarint(nil, first), rest...), true, report)
 		}
 	}
+	for i := 0; i < 8; i++ {
+		smp := tracetest.PlainSample(r)
+		lsn := r.Uint64() >> uint(r.Intn(64))
+		if line, err := appendSampleLine(nil, lsn, smp); err == nil && line[0] == sampleLead {
+			add(line)
+		}
+		if line, err := appendRecordLine(nil, lsn, smp); err == nil && line[0] == reportLead {
+			add(line) // a report of one
+		}
+	}
+	bench, err := appendReportLine(nil, 1001, "bench-client-0042", benchSamples(50))
+	if err != nil || bench[0] != reportLead {
+		f.Fatalf("a bench-shaped report: %q, err %v", bench, err)
+	}
+	add(bench)
 	smp := testSample(1)
 	smp.Device, smp.Failed = "ph\none\xdb", true
-	line, _ := appendRecordLine(nil, 10, smp) // a newline and an escape byte to stuff
-	f.Add(line[1:len(line)-1], false)
-	f.Add([]byte{}, false)
-	f.Add([]byte{trace.SlipEsc}, false)
-	f.Add([]byte{0x84, 0x00}, true)
-	f.Add(bytes.Repeat([]byte{0xff}, 12), true)
-	f.Fuzz(func(t *testing.T, b []byte, framed bool) {
+	line, _ := appendSampleLine(nil, 10, smp) // a newline and an escape byte to stuff
+	add(line)
+	line, _ = appendRecordLine(nil, 10, smp)
+	add(line)
+	for _, report := range []bool{false, true} {
+		f.Add([]byte{}, false, report)
+		f.Add([]byte{trace.SlipEsc}, false, report)
+		f.Add([]byte{0x84, 0x00}, true, report)
+		f.Add(bytes.Repeat([]byte{0xff}, 12), true, report)
+	}
+	f.Fuzz(func(t *testing.T, b []byte, framed, report bool) {
+		lead := byte(sampleLead)
+		if report {
+			lead = reportLead
+		}
 		if framed {
-			checkBinaryDecode(t, frameBinary(b))
+			checkBinaryDecode(t, frameLead(lead, b))
 			return
 		}
-		checkBinaryDecode(t, append(append([]byte{binaryLead}, b...), '\n'))
+		checkBinaryDecode(t, append(append([]byte{lead}, b...), '\n'))
 	})
+}
+
+// benchSamples is a report of n samples shaped like the benchmark's.
+func benchSamples(n int) []trace.Sample {
+	_, samples := tracetest.BenchReport(rng.NewNamed(uint64(n), "bench-report"), n)
+	return samples
 }
 
 // TestDamagedBinaryLSNCountsCorrupt: a varint damaged in place is another
@@ -224,7 +283,7 @@ func TestDamagedBinaryLSNCountsCorrupt(t *testing.T) {
 	}
 	lines := splitLines(data)
 	hit := lines[149] // LSN 150, two varint bytes: 0x96 0x01
-	if data[hit.start] != binaryLead || data[hit.start+1] != 0x96 {
+	if data[hit.start] != reportLead || data[hit.start+1] != 0x96 {
 		t.Fatalf("line 150 opens %x", data[hit.start:hit.start+3])
 	}
 	data[hit.start+1] ^= 0x80 // one byte now: LSN 22, far behind
@@ -241,13 +300,97 @@ func TestDamagedBinaryLSNCountsCorrupt(t *testing.T) {
 	}
 }
 
+// linesOf reads every line of buf with ParseRecordLine, as the entries they
+// hold.
+func linesOf(t *testing.T, buf []byte) []Entry {
+	t.Helper()
+	var out []Entry
+	for _, line := range bytes.SplitAfter(buf, []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		first, smps, ok := ParseRecordLine(nil, line)
+		if !ok {
+			t.Fatalf("line %q does not parse", line)
+		}
+		for i, smp := range smps {
+			out = append(out, Entry{LSN: first + uint64(i), Sample: smp})
+		}
+	}
+	return out
+}
+
+// TestReportLineMatchesSampleLines is the report line's oracle: the samples a
+// report's line holds read back, LSN for LSN and field for field, as the
+// lines the store wrote for the same samples one at a time before report
+// lines — sample lines, and JSON for what that form does not carry — read
+// back, over reports drawn from the corpus every codec is tested on. A report
+// the binary form declines is one JSON line a sample, written together.
+func TestReportLineMatchesSampleLines(t *testing.T) {
+	r := rng.NewNamed(37, "report-oracle")
+	forms := map[byte]int{}
+	for i := 0; i < 3000; i++ {
+		samples := make([]trace.Sample, 1+r.Intn(12))
+		clientID := tracetest.PlainSample(r).ClientID
+		for j := range samples {
+			switch k := r.Intn(10); {
+			case k < 4 && j > 0: // the sample before, another value: the flags' case
+				samples[j] = samples[j-1]
+				samples[j].Value = r.Range(0, 1000)
+			case k < 8:
+				samples[j] = tracetest.PlainSample(r)
+				samples[j].Time = samples[j].Time.UTC()
+			default:
+				samples[j] = tracetest.Sample(r)
+			}
+			if r.Bool(0.5) {
+				samples[j].ClientID = clientID
+			}
+		}
+		first := r.Uint64() >> uint(1+r.Intn(63))
+		var old []byte
+		var oldErr error
+		for j, smp := range samples {
+			if old, oldErr = appendSampleLine(old, first+uint64(j), smp); oldErr != nil {
+				break
+			}
+		}
+		line, err := appendReportLine([]byte("kept"), first, clientID, samples)
+		if (err != nil) != (oldErr != nil) {
+			t.Fatalf("report %d: report line err %v, sample lines err %v", i, err, oldErr)
+		}
+		if err != nil {
+			if string(line) != "kept" {
+				t.Fatalf("report %d: a refused report left %q", i, line)
+			}
+			continue
+		}
+		line = line[len("kept"):]
+		forms[line[0]]++
+		if line[0] == reportLead && bytes.Count(line, []byte("\n")) != 1 {
+			t.Fatalf("report %d: a report line of %d lines", i, bytes.Count(line, []byte("\n")))
+		}
+		got, want := linesOf(t, line), linesOf(t, old)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("report %d of %d samples at LSN %d:\nreport line %+v\nsample lines %+v", i, len(samples), first, got, want)
+		}
+		if line[0] == reportLead {
+			checkBinaryDecode(t, line)
+		}
+	}
+	if forms[reportLead] < 500 || forms[reportLead] == 3000 {
+		t.Fatalf("lines by lead byte: %v; want report lines and the JSON fallback both", forms)
+	}
+}
+
 // TestUpgradeAcrossFormats: a data directory written when every line was
-// JSON, reopened by a store that writes binary lines and appended to — some
-// samples still in JSON, the ones only it carries, and some JSON lines taken
-// through AppendAt, as a replica of an older primary does — reads the same
-// through every reader: recovery, Cursor.Next, and NextLines with
-// ParseRecordLine, each giving every LSN the sample the oracle's JSON line
-// of it decodes to.
+// JSON, reopened by a store that wrote sample lines, then by one that writes
+// report lines, and appended to at each step — some samples still in JSON,
+// the ones only it carries, and some JSON lines taken through AppendAt, as a
+// replica of an older primary does — reads the same through every reader:
+// recovery, Cursor.Next, and NextLines with ParseRecordLine, each giving
+// every LSN the sample the oracle's JSON line of it decodes to, with cursors
+// opened at every LSN, inside report lines too.
 func TestUpgradeAcrossFormats(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentMaxBytes: 2000}
@@ -259,7 +402,7 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, ok := ParseRecordLine(line)
+		got, _, ok := parseOne(line)
 		if !ok {
 			t.Fatalf("the oracle's line %q does not parse", line)
 		}
@@ -272,79 +415,107 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 			if r.Bool(0.5) {
 				smp = tracetest.PlainSample(r)
 			}
-			if r.Bool(0.7) {
+			if r.Bool(0.8) {
 				smp.Time = smp.Time.UTC()
 			}
-			if _, err := appendRecordLine(nil, 1, smp); err == nil {
+			if _, err := appendRecordJSON(nil, 1, smp); err == nil {
 				return smp
 			}
 		}
 	}
+	// session opens the store, appends n samples with write, and closes it.
+	session := func(n int, write func(st *Store, lsn uint64, smp trace.Sample) error) {
+		t.Helper()
+		st, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			smp := draw()
+			lsn := st.LastLSN() + 1
+			if err := write(st, lsn, smp); err != nil {
+				t.Fatal(err)
+			}
+			expect(lsn, smp)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAt := func(encode func([]byte, uint64, trace.Sample) ([]byte, error)) func(*Store, uint64, trace.Sample) error {
+		return func(st *Store, lsn uint64, smp trace.Sample) error {
+			line, err := encode(nil, lsn, smp)
+			if err != nil {
+				return err
+			}
+			return st.AppendAt(lsn, line)
+		}
+	}
 
-	// The old store's log: JSON lines only, over several segments.
+	// The oldest store's log: JSON lines only, over several segments. Then
+	// the sample lines' store, JSON among them.
+	session(40, appendAt(appendRecordJSON))
+	session(40, appendAt(appendSampleLine))
+
+	// Reopened and appended to in reports: report lines where the form
+	// carries the report, JSON lines where it does not, and JSON and sample
+	// lines taken as they are.
 	st, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for lsn := uint64(1); lsn <= 40; lsn++ {
-		smp := draw()
-		line, err := appendRecordJSON(nil, lsn, smp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AppendAt(lsn, line); err != nil {
-			t.Fatal(err)
-		}
-		expect(lsn, smp)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopened and appended to: binary lines where the form carries the
-	// sample, JSON ones among them.
-	st, err = Open(dir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 80; i++ {
-		smp := draw()
+	for i := 0; i < 48; i++ {
 		lsn := st.LastLSN() + 1
-		if i%5 == 4 {
-			line, err := appendRecordJSON(nil, lsn, smp)
-			if err != nil {
+		if i%6 == 2 || i%6 == 5 { // a replica of an older primary takes its lines as they are
+			smp := draw()
+			encode := appendRecordJSON
+			if i%6 == 2 {
+				encode = appendSampleLine
+			}
+			if err := appendAt(encode)(st, lsn, smp); err != nil {
 				t.Fatal(err)
 			}
-			if err := st.AppendAt(lsn, line); err != nil {
-				t.Fatal(err)
-			}
-		} else if got, err := st.Append(smp); err != nil || got != lsn {
-			t.Fatalf("Append: LSN %d, err %v; want %d", got, err, lsn)
+			expect(lsn, smp)
+			continue
 		}
-		expect(lsn, smp)
+		report := make([]trace.Sample, 1+r.Intn(8))
+		for j := range report {
+			// Mostly samples the binary form carries, so that most reports
+			// are report lines; one it does not makes its report JSON.
+			for report[j] = draw(); r.Bool(0.9) && !carried(report[j]); {
+				report[j] = draw()
+			}
+			expect(lsn+uint64(j), report[j])
+		}
+		if last, err := st.AppendReport("upgrade-client", report); err != nil || last != lsn+uint64(len(report))-1 {
+			t.Fatalf("AppendReport: last LSN %d, err %v; want %d", last, err, lsn+uint64(len(report))-1)
+		}
 	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lineCount, mixedSegs := map[bool]int{}, 0 // lines by binary or not; segments holding both
+	forms, mixedSegs := map[byte]int{}, 0 // lines by lead byte, JSON under '0'; segments holding all three
 	for _, sg := range segs {
 		data, err := os.ReadFile(sg.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		here := map[bool]int{}
+		here := map[byte]int{}
 		for _, l := range splitLines(data) {
-			here[data[l.start] == binaryLead]++
-			lineCount[data[l.start] == binaryLead]++
+			lead := data[l.start]
+			if lead != sampleLead && lead != reportLead {
+				lead = '0'
+			}
+			here[lead]++
+			forms[lead]++
 		}
-		if len(here) == 2 {
+		if len(here) == 3 {
 			mixedSegs++
 		}
 	}
-	if lineCount[false] < 56 || lineCount[true] < 20 || mixedSegs == 0 {
-		t.Fatalf("the log holds %d JSON and %d binary lines, %d segments of both; want both forms, in one segment too",
-			lineCount[false], lineCount[true], mixedSegs)
+	if forms['0'] < 45 || forms[sampleLead] < 20 || forms[reportLead] < 15 || mixedSegs == 0 {
+		t.Fatalf("the log's lines by form: %v, %d segments of all three; want all three forms, in one segment too", forms, mixedSegs)
 	}
 
 	check := func(reader string, lsn uint64, got trace.Sample) {
@@ -353,20 +524,26 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 			t.Fatalf("%s: LSN %d reads %+v, want %+v", reader, lsn, got, w)
 		}
 	}
+	total := uint64(len(want))
+	for from := uint64(1); from <= total; from++ {
+		c := st.OpenCursor(from)
+		es, err := c.Next(1000)
+		c.Close()
+		if err != nil || uint64(len(es)) != total-from+1 {
+			t.Fatalf("Cursor.Next from %d: %d records, err %v; want %d", from, len(es), err, total-from+1)
+		}
+		for i, e := range es {
+			if e.LSN != from+uint64(i) {
+				t.Fatalf("Cursor.Next from %d: LSNs %v", from, lsns(es))
+			}
+			check("Cursor.Next", e.LSN, e.Sample)
+		}
+	}
 	c := st.OpenCursor(1)
-	es, err := c.Next(1000)
-	c.Close()
-	if err != nil || len(es) != len(want) {
-		t.Fatalf("Cursor.Next: %d records, err %v; want %d", len(es), err, len(want))
-	}
-	for _, e := range es {
-		check("Cursor.Next", e.LSN, e.Sample)
-	}
-	c = st.OpenCursor(1)
 	lines, err := readLines(c, 1000)
 	c.Close()
-	if err != nil || len(lines) != len(want) {
-		t.Fatalf("NextLines: %d records, err %v; want %d", len(lines), err, len(want))
+	if err != nil || uint64(len(lines)) != total {
+		t.Fatalf("NextLines: %d records, err %v; want %d", len(lines), err, total)
 	}
 	for _, e := range lines {
 		check("NextLines", e.LSN, e.Sample)
@@ -381,14 +558,14 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 	}
 	defer st.Close()
 	rec := st.Recovery()
-	if len(rec.Tail) != len(want) || rec.CorruptRecords != 0 || rec.TruncatedBytes != 0 {
-		t.Fatalf("recovered %d records, %d corrupt, %d bytes truncated; want %d, 0, 0", len(rec.Tail), rec.CorruptRecords, rec.TruncatedBytes, len(want))
+	if uint64(len(rec.Tail)) != total || rec.CorruptRecords != 0 || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovered %d records, %d corrupt, %d bytes truncated; want %d, 0, 0", len(rec.Tail), rec.CorruptRecords, rec.TruncatedBytes, total)
 	}
 	for i, smp := range rec.Tail {
 		check("recovery", uint64(i+1), smp)
 	}
-	if got := st.LastLSN(); got != uint64(len(want)) {
-		t.Fatalf("reopened at LSN %d, want %d", got, len(want))
+	if got := st.LastLSN(); got != total {
+		t.Fatalf("reopened at LSN %d, want %d", got, total)
 	}
 }
 
@@ -428,7 +605,7 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 	flipped := append([]byte(nil), line...)
 	flipped[len(flipped)/2] ^= 1
 	for name, bad := range map[string][]byte{
-		"another lead byte":           append([]byte{binaryLead}, line[1:]...),
+		"another lead byte":           append([]byte{reportLead}, line[1:]...),
 		"no newline":                  line[:len(line)-1],
 		"a raw newline":               append(bytes.Replace(line[:len(line)-1], []byte{trace.SlipEsc, trace.SlipEscNL}, []byte{'\n'}, 1), '\n'),
 		"an escape for nothing":       append(append(line[:len(line)-1:len(line)-1], trace.SlipEsc, 'x'), '\n'),

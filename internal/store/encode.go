@@ -4,89 +4,114 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"repro/internal/trace"
 )
 
-// A WAL line is one record in one of two forms, told apart by its first byte,
-// so a segment may hold both and needs no header.
+// A WAL line is one record in one of three forms, told apart by its first
+// byte, so a segment may hold all three and needs no header. A record holds
+// the samples of one report, each with an LSN of its own: a report line holds
+// LSNs first … first+n−1, the other two forms one sample and one LSN.
 //
-// The JSON form, "crc32hex payload\n", opens with a hex digit. Its payload is
+// The report line is what appendReportLine writes:
+//
+//	0xB3 · stuffed( uvarint first LSN · trace.AppendReportBinary's report ·
+//	                CRC32-IEEE, little-endian, of both ) · '\n'
+//
+// The JSON line, "crc32hex payload\n", opens with a hex digit. Its payload is
 // json.Marshal(walRecord{LSN: lsn, Sample: smp}), and ParseRecordLine reads
-// it back with json.Unmarshal: every segment written before the binary form
-// holds it, and appendRecordLine still writes it for a sample the binary form
-// does not carry.
+// it back with json.Unmarshal. Every segment written before the binary forms
+// holds it, and appendReportLine still writes it, one line a sample, for a
+// report the binary form declines (a time off UTC, a string that is not
+// UTF-8): the lines of one report are written together, and cut back
+// together if the write fails.
 //
-// The binary form is what appendRecordLine writes:
-//
-//	0xB1 · stuffed( uvarint LSN · trace.AppendSampleBinary's sample ·
-//	                CRC32-IEEE, little-endian, of the LSN and sample ) · '\n'
+// The sample line, 0xB1 · stuffed( uvarint LSN · a sample's binary form (see
+// trace.ParseSampleBinary) · CRC32-IEEE ) · '\n', is no longer written; the
+// segments written before report lines hold it, and it is read as it always
+// was.
 //
 // Stuffing is trace.Stuff's RFC 1055 SLIP escaping of the newline — 0x0A is
-// written DB DC, 0xDB is written DB DD — so the body never holds a raw '\n'
-// and both forms are framed by their newline alone. JSON stays the
-// specification: the binary form is written only for a sample it carries to
-// exactly what the JSON line decodes to, and the JSON form for the rest (see
-// trace.AppendSampleBinary); TestRecordEncoderMatchesJSON and
-// FuzzRecordEncodeMatchesJSON hold every line appendRecordLine writes to read
-// back as the oracle's line does. The binary decoder is canonical: an
-// accepted line re-encodes to itself (FuzzBinaryRecordDecode).
+// written DB DC, 0xDB is written DB DD — so a body never holds a raw '\n' and
+// every form is framed by its newline alone. JSON stays the specification: a
+// report line is written only for a report whose every sample the binary form
+// carries to exactly what its JSON line decodes to
+// (TestReportLineMatchesSampleLines holds the two to each other). The binary
+// decoders are canonical: an accepted line re-encodes to itself
+// (FuzzBinaryRecordDecode).
 
 const (
-	lsnKey = `{"lsn":` // how json.Marshal opens every JSON record (peekLSN)
+	lsnKey = `{"lsn":` // how json.Marshal opens every JSON record (peekLSNs)
 
-	binaryLead = 0xB1 // opens a binary line; a JSON line opens with a hex digit
+	sampleLead = 0xB1 // opens a sample line; a JSON line opens with a hex digit
+	reportLead = 0xB3 // opens a report line
 	crcBytes   = 4    // the CRC closing a binary line's body
-
-	// binaryScratch holds the unstuffed body of any binary line short of
-	// long strings, on the stack of the one reading it.
-	binaryScratch = 256
 )
 
-// appendRecordLine appends the WAL line for one record to buf — binary where
-// that form carries the sample, JSON otherwise — allocating nothing for a
-// binary line when buf has the room. It refuses what json.Marshal refuses,
-// and on an error buf comes back unextended.
-func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
-	start := len(buf)
-	buf = append(buf, binaryLead)
-	body := len(buf)
-	buf = binary.AppendUvarint(buf, lsn)
-	buf, ok := trace.AppendSampleBinary(buf, smp)
-	if !ok {
-		return appendRecordJSON(buf[:start], lsn, smp)
+// MaxLineBytes caps a JSON or sample line, its '\n' included. Such a line is
+// a few hundred bytes; anything past this is corruption, and a reader that
+// buffered it whole would let one damaged (or hostile) segment — or peer —
+// balloon memory before the CRC even gets a look.
+const MaxLineBytes = 1 << 20
+
+// MaxReportLineBytes caps a report line, its '\n' included. A report is
+// journaled as one line however many samples it holds, so this cap is set by
+// the largest report a coordinator takes off the wire: a line of up to 8 MiB
+// and 94,254 samples. Its binary form can outgrow the JSON it arrived as — a
+// string byte that is not UTF-8 decodes to U+FFFD's three, a field JSON leaves
+// out takes its bytes, and stuffing doubles an escaped byte — but to no more
+// than three bytes a JSON byte and 26 a sample, about 28 MB in all. Filling a
+// long report client id into samples that left theirs out can still take a
+// report past the cap; such a line is refused, not split, and its report not
+// acked.
+const MaxReportLineBytes = 32 << 20
+
+// LineCap returns the cap on a WAL line that opens with lead.
+func LineCap(lead byte) int {
+	if lead == reportLead {
+		return MaxReportLineBytes
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
-	return append(trace.Stuff(buf, body), '\n'), nil
+	return MaxLineBytes
 }
 
-// binaryRecord checks a binary line — lead byte, stuffing, no longer than
-// MaxLineBytes, the CRC its body's own — and reads the LSN off it,
-// returning the sample's bytes behind the LSN unstuffed into dst (grown, if
-// it must be, to no more than the line's length).
-func binaryRecord(dst, line []byte) (lsn uint64, smp []byte, ok bool) {
-	if len(line) < 2 || len(line) > MaxLineBytes || line[0] != binaryLead || line[len(line)-1] != '\n' {
-		return 0, nil, false
+// errLineTooLong refuses a line its readers would refuse for its length.
+var errLineTooLong = errors.New("line longer than a WAL line may be")
+
+// appendReportLine appends the WAL lines of a report whose samples take LSNs
+// first, first+1, … to buf: one report line where the binary form carries the
+// report, and one JSON line a sample otherwise. It allocates nothing for a
+// report line when buf has the room. It refuses what json.Marshal refuses and
+// a line past its cap, and on an error buf comes back unextended.
+func appendReportLine(buf []byte, first uint64, clientID string, samples []trace.Sample) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, reportLead)
+	body := len(buf)
+	buf = binary.AppendUvarint(buf, first)
+	buf, ok := trace.AppendReportBinary(buf, clientID, samples)
+	if ok {
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
+		buf = append(trace.Stuff(buf, body), '\n')
+		if len(buf)-start > MaxReportLineBytes {
+			return buf[:start], errLineTooLong
+		}
+		return buf, nil
 	}
-	src := line[1 : len(line)-1]
-	if bytes.IndexByte(src, '\n') >= 0 {
-		return 0, nil, false
+	buf = buf[:start]
+	for i := range samples {
+		line := len(buf)
+		var err error
+		if buf, err = appendRecordJSON(buf, first+uint64(i), samples[i]); err != nil {
+			return buf[:start], err
+		}
+		if len(buf)-line > MaxLineBytes {
+			return buf[:start], errLineTooLong
+		}
 	}
-	if cap(dst) < len(src) {
-		dst = make([]byte, 0, len(src))
-	}
-	dst, ok = trace.Unstuff(dst[:0], src)
-	end := len(dst) - crcBytes
-	if !ok || end < 0 || trace.UnstuffedCRC(src, end) != binary.LittleEndian.Uint32(dst[end:]) {
-		return 0, nil, false
-	}
-	lsn, n := trace.Uvarint(dst[:end])
-	if n <= 0 {
-		return 0, nil, false
-	}
-	return lsn, dst[n:end], true
+	return buf, nil
 }
 
 // appendRecordJSON appends the JSON form of one record's line —
@@ -98,4 +123,60 @@ func appendRecordJSON(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) 
 		return buf, err
 	}
 	return fmt.Appendf(buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload), nil
+}
+
+// binaryLine checks a binary line — a lead byte of its own, stuffing, no
+// longer than its cap, the CRC its body's own — unstuffing the body into
+// *scratch (grown, if it must be, and kept there), and reads its LSNs off the
+// head: first, and last — first again for a sample line, first+n−1 for a
+// report of n samples. rest is the sample's or the report's bytes behind the
+// LSN. The report itself is not checked beyond its count: parseRecord and
+// lineHolds do that.
+func binaryLine(scratch *[]byte, line []byte) (first, last uint64, rest []byte, ok bool) {
+	if len(line) < 2 || (line[0] != sampleLead && line[0] != reportLead) ||
+		len(line) > LineCap(line[0]) || line[len(line)-1] != '\n' {
+		return 0, 0, nil, false
+	}
+	src := line[1 : len(line)-1]
+	if bytes.IndexByte(src, '\n') >= 0 {
+		return 0, 0, nil, false
+	}
+	if cap(*scratch) < len(src) {
+		*scratch = make([]byte, 0, len(src))
+	}
+	body, ok := trace.Unstuff((*scratch)[:0], src)
+	end := len(body) - crcBytes
+	if !ok || end < 0 || trace.UnstuffedCRC(src, end) != binary.LittleEndian.Uint32(body[end:]) {
+		return 0, 0, nil, false
+	}
+	first, n := trace.Uvarint(body[:end])
+	if n <= 0 {
+		return 0, 0, nil, false
+	}
+	rest = body[n:end]
+	if line[0] == sampleLead {
+		return first, first, rest, true
+	}
+	count, ok := trace.ReportCount(rest)
+	last = first + uint64(count) - 1
+	if !ok || last < first {
+		return 0, 0, nil, false
+	}
+	return first, last, rest, true
+}
+
+// scratchBufs holds the unstuffing scratch of the readers that keep none of
+// their own (ParseRecordLine, AppendAt's check), so they too read a binary
+// line without allocating. A buffer grown past scratchKeep is dropped rather
+// than pooled.
+var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const scratchKeep = 64 << 10
+
+func getScratch() *[]byte { return scratchBufs.Get().(*[]byte) }
+
+func putScratch(b *[]byte) {
+	if cap(*b) <= scratchKeep {
+		scratchBufs.Put(b)
+	}
 }

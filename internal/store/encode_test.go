@@ -33,13 +33,28 @@ func oracleLine(lsn uint64, smp trace.Sample) ([]byte, error) {
 	return append(append(line, payload...), '\n'), nil
 }
 
+// appendRecordLine is the line the store writes for one sample: Append's, a
+// report of one.
+func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
+	return appendReportLine(buf, lsn, smp.ClientID, []trace.Sample{smp})
+}
+
+// parseOne is ParseRecordLine of a line that holds one sample.
+func parseOne(line []byte) (trace.Sample, uint64, bool) {
+	lsn, smps, ok := ParseRecordLine(nil, line)
+	if !ok || len(smps) != 1 {
+		return trace.Sample{}, 0, false
+	}
+	return smps[0], lsn, true
+}
+
 // checkEncoder holds both encoders to the oracle on one record.
 // appendRecordJSON writes the oracle's bytes or makes the same refusal, and a
 // line the validating parser reads back as the sample. appendRecordLine, what
-// the store writes, refuses the same records, writes the binary form exactly
-// when trace.AppendSampleBinary promises to carry the sample, and its line
-// reads back through ParseRecordLine as the oracle's does; a binary line is
-// what the record it decodes to re-encodes to.
+// the store writes, refuses the same records, writes a report line exactly
+// when the binary form carries the sample, and its line reads back through
+// ParseRecordLine as the oracle's does; a report line is what the record it
+// decodes to re-encodes to.
 func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	t.Helper()
 	want, werr := oracleLine(lsn, smp)
@@ -58,13 +73,13 @@ func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
 		t.Fatalf("record %d %+v:\nencoder %q\n oracle %q", lsn, smp, got[len(prefix):], want)
 	}
-	back, backLSN, ok := ParseRecordLine(got[len(prefix):])
+	back, backLSN, ok := parseOne(got[len(prefix):])
 	if !ok || backLSN != lsn {
 		t.Fatalf("record %d: ParseRecordLine(%q) = LSN %d, ok %v", lsn, want, backLSN, ok)
 	}
-	// peekLSN reads at most 19 digits, which is every LSN a log will reach.
-	if peeked, ok := peekLSN(want); lsn < 1e19 && (!ok || peeked != lsn) {
-		t.Fatalf("record %d: peekLSN(%q) = %d, ok %v", lsn, want, peeked, ok)
+	// peekJSON reads at most 19 digits, which is every LSN a log will reach.
+	if peeked, ok := peekJSON(want); lsn < 1e19 && (!ok || peeked != lsn) {
+		t.Fatalf("record %d: peekJSON(%q) = %d, ok %v", lsn, want, peeked, ok)
 	}
 	// What JSON cannot carry comes back changed, by the decoder's rule: each
 	// byte of invalid UTF-8 as U+FFFD, a time as its RFC 3339 reading (the
@@ -105,27 +120,28 @@ func checkLineEncoder(t *testing.T, lsn uint64, smp trace.Sample, want []byte, w
 	_, off := smp.Time.Zone()
 	wantBinary := off == 0 && utf8.ValidString(string(smp.Network)) && utf8.ValidString(string(smp.Metric)) &&
 		utf8.ValidString(smp.ClientID) && utf8.ValidString(smp.Device)
-	if isBinary := line[0] == binaryLead; isBinary != wantBinary {
+	if isBinary := line[0] == reportLead; isBinary != wantBinary {
 		t.Fatalf("record %d %+v: written binary %v, want %v: %q", lsn, smp, isBinary, wantBinary, line)
 	}
-	back, backLSN, ok := ParseRecordLine(line)
-	wantSmp, wantLSN, wok := ParseRecordLine(want)
+	back, backLSN, ok := parseOne(line)
+	wantSmp, wantLSN, wok := parseOne(want)
 	if !ok || !wok || backLSN != wantLSN || !reflect.DeepEqual(back, wantSmp) {
 		t.Fatalf("record %d %+v:\n   line %q reads %d %+v, ok %v\n oracle %q reads %d %+v, ok %v",
 			lsn, smp, line, backLSN, back, ok, want, wantLSN, wantSmp, wok)
 	}
-	// peekLSN reads at most 19 digits off a JSON line, which is every LSN a
+	// peekJSON reads at most 19 digits off a JSON line, which is every LSN a
 	// log will reach.
 	if wantBinary || lsn < 1e19 {
-		if peeked, ok := peekLSN(line); !ok || peeked != lsn {
-			t.Fatalf("record %d: peekLSN(%q) = %d, ok %v", lsn, line, peeked, ok)
+		var scratch []byte
+		if first, last, ok := peekLSNs(&scratch, line); !ok || first != lsn || last != lsn {
+			t.Fatalf("record %d: peekLSNs(%q) = %d-%d, ok %v", lsn, line, first, last, ok)
 		}
-		if !lineHolds(lsn, line) {
+		if last, ok := lineHolds(lsn, line); !ok || last != lsn {
 			t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
 		}
 	}
 	if again, err := appendRecordLine(nil, backLSN, back); wantBinary && (err != nil || !bytes.Equal(again, line)) {
-		t.Fatalf("record %d: the binary line does not re-encode to itself (err %v):\n got %q\nwant %q", lsn, err, again, line)
+		t.Fatalf("record %d: the report line does not re-encode to itself (err %v):\n got %q\nwant %q", lsn, err, again, line)
 	}
 }
 
@@ -324,48 +340,85 @@ func TestJSONSegmentRecovers(t *testing.T) {
 }
 
 func TestParseRecordLineAllocations(t *testing.T) {
+	// A reader that keeps its slice decodes a report line into it: no slice a
+	// line, and of the strings only what differs from the sample before — a
+	// bench-shaped report spells its client and device once. Validating it,
+	// as AppendAt does, allocates nothing.
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	smp := testSample(1)
 	smp.Device, smp.Failed = "phone", true
-	line, err := appendRecordLine(nil, 7, smp)
+	line, err := appendSampleLine(nil, 7, smp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The client and device: the network and metric are constants.
+	dst := make([]trace.Sample, 0, 100)
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := ParseRecordLine(line); !ok {
+		if _, _, ok := ParseRecordLine(dst[:0], line); !ok {
 			t.Fatal("the line did not parse")
 		}
 	}); allocs > 2 {
-		t.Errorf("ParseRecordLine allocates %v times a binary line, want at most 2", allocs)
+		t.Errorf("ParseRecordLine allocates %v times a sample line, want at most 2", allocs)
+	}
+	report, err := appendReportLine(nil, 7, "bench-client-0042", benchSamples(100))
+	if err != nil || report[0] != reportLead {
+		t.Fatalf("a bench-shaped report: %q, err %v", report, err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, smps, ok := ParseRecordLine(dst[:0], report); !ok || len(smps) != 100 || &smps[0] != &dst[:1][0] {
+			t.Fatal("the report line did not parse into dst")
+		}
+	}); allocs > 2 {
+		t.Errorf("ParseRecordLine into a kept slice allocates %v times a 100-sample report line, want at most 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := lineHolds(7, report); !ok {
+			t.Fatal("AppendAt would refuse the report line")
+		}
+	}); allocs != 0 {
+		t.Errorf("checking a 100-sample report line allocates %v times, want 0", allocs)
 	}
 }
 
 // BenchmarkParseRecordLine is what recovery, Cursor.Next and a replica's
-// apply pay per record: the binary line the store writes, and the JSON line
-// of the same record, which encoding/json decodes.
+// apply pay per line: a bench-shaped report line of 50 samples decoded into
+// a kept slice, the line the store writes for one sample, the sample line
+// stores wrote before report lines, and the JSON line of the same sample,
+// which encoding/json decodes.
 func BenchmarkParseRecordLine(b *testing.B) {
+	report, err := appendReportLine(nil, 7, "bench-client-0042", benchSamples(50))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
-		name   string
-		encode func([]byte, uint64, trace.Sample) ([]byte, error)
+		name string
+		line []byte
 	}{
-		{"binary", appendRecordLine},
-		{"json", appendRecordJSON},
+		{"report50", report},
+		{"report1", mustLine(b, appendRecordLine)},
+		{"sample", mustLine(b, appendSampleLine)},
+		{"json", mustLine(b, appendRecordJSON)},
 	} {
-		line, err := c.encode(nil, 7, testSample(1))
-		if err != nil {
-			b.Fatal(err)
-		}
 		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(line)))
+			var dst []trace.Sample
+			b.SetBytes(int64(len(c.line)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, ok := ParseRecordLine(line); !ok {
+				var ok bool
+				if _, dst, ok = ParseRecordLine(dst[:0], c.line); !ok {
 					b.Fatal("the line did not parse")
 				}
 			}
 		})
 	}
+}
+
+func mustLine(b *testing.B, encode func([]byte, uint64, trace.Sample) ([]byte, error)) []byte {
+	line, err := encode(nil, 7, testSample(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return line
 }

@@ -32,7 +32,7 @@ func newMetrics(reg *telemetry.Registry, lastCkptUnixNano *atomic.Int64) metrics
 		})
 	return metrics{
 		walAppends: reg.Counter("wiscape_store_wal_appends_total",
-			"Sample records appended to the write-ahead log.").With(),
+			"Lines appended to the write-ahead log: one per journaled report, however many samples it holds (one per sample for a report written as JSON lines).").With(),
 		walBytes: reg.Counter("wiscape_store_wal_append_bytes_total",
 			"Framed bytes appended to the write-ahead log.").With(),
 		walFsyncs: reg.Counter("wiscape_store_wal_fsyncs_total",
@@ -60,9 +60,9 @@ func recordRecovery(reg *telemetry.Registry, rec Recovery) {
 	set("wiscape_store_recovery_corrupt_checkpoints",
 		"Checkpoints skipped as corrupt during the last recovery.", float64(rec.CorruptCheckpoints))
 	set("wiscape_store_recovery_corrupt_records",
-		"WAL records skipped as corrupt during the last recovery.", float64(rec.CorruptRecords))
+		"WAL lines skipped as corrupt during the last recovery; a corrupt report line loses all of its samples.", float64(rec.CorruptRecords))
 	set("wiscape_store_recovery_truncated_bytes",
 		"Torn-tail bytes truncated from the WAL during the last recovery.", float64(rec.TruncatedBytes))
 	set("wiscape_store_recovery_tail_samples",
-		"WAL tail samples replayed into the controller during the last recovery.", float64(len(rec.Tail)))
+		"WAL tail samples (not lines) replayed into the controller during the last recovery.", float64(len(rec.Tail)))
 }

@@ -12,8 +12,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Entry is one WAL record surfaced to log readers: the sequence number the
-// primary assigned and the journaled sample.
+// Entry is one journaled sample surfaced to log readers, with the sequence
+// number the primary assigned it. A report line holds one LSN a sample, so
+// every LSN is one Entry, whatever line it was journaled in.
 type Entry struct {
 	LSN    uint64
 	Sample trace.Sample
@@ -24,6 +25,14 @@ type Entry struct {
 // it. A reader that needs that history must re-bootstrap from a checkpoint
 // (LatestCheckpoint) instead of the log.
 var ErrCompacted = errors.New("store: requested records compacted away")
+
+// ErrInsideLine is returned by NextLines when its position is an LSN inside a
+// report line, past the line's first: the line cannot be shipped whole from
+// there. A reader that applies whole lines only ever stands between them, so
+// one that asks for such a position holds another log's history, and must
+// re-bootstrap from a checkpoint as after ErrCompacted. Next has no such
+// case: it hands the line's samples from the position on.
+var ErrInsideLine = errors.New("store: position inside a report line")
 
 // ReadBatch returns up to max journaled records with LSN >= from, in LSN
 // order: a one-shot cursor. A caller that keeps reading — the replication
@@ -47,12 +56,15 @@ func (st *Store) ReadBatch(from uint64, max int) ([]Entry, error) {
 // itself belongs to one goroutine.
 //
 // Consistency under concurrency: a record is one line whose CRC is validated
-// before it is returned, and only whole lines are consumed, so a read racing
-// an in-flight append sees the whole record or waits at the torn tail —
-// never a phantom record. Whenever segments are deleted (compaction,
-// ResetTo) the cursor drops its handle and positions afresh by LSN, which is
-// where a range that went away surfaces as ErrCompacted; a deleted segment's
-// inode is therefore pinned only until the cursor's next call.
+// before any of it is returned, and only whole lines are consumed, so a read
+// racing an in-flight append sees the whole record or waits at the torn
+// tail — never a phantom record. Next may stop part way through a report
+// line; the cursor then stands at the line's start, and its next call reads
+// the line again and hands on from the first sample not yet returned.
+// Whenever segments are deleted (compaction, ResetTo) the cursor drops its
+// handle and positions afresh by LSN, which is where a range that went away
+// surfaces as ErrCompacted; a deleted segment's inode is therefore pinned
+// only until the cursor's next call.
 type Cursor struct {
 	st   *Store
 	next uint64 // lowest LSN not yet returned
@@ -64,7 +76,10 @@ type Cursor struct {
 	end      int64    // file offset just past the last record Next returned from f
 	buf      []byte   // buf[r:w] holds unread file bytes, whole lines or not
 	r, w     int
-	skipping bool // inside a line over MaxLineBytes, discarding through its newline
+	skipping bool // inside a line over its cap, discarding through its newline
+
+	body []byte         // a binary line's body, unstuffed; kept across lines
+	smps []trace.Sample // a line's samples, decoded; kept across lines
 
 	// Invalid lines Next has stepped over: bad counts those a record or the
 	// end of a sealed segment has since followed; run, those since f's last
@@ -72,8 +87,8 @@ type Cursor struct {
 	bad, run int
 }
 
-// cursorBufBytes is the read buffer a cursor keeps; it grows (to at most
-// MaxLineBytes) only for a line that does not fit.
+// cursorBufBytes is the read buffer a cursor keeps; it grows (to at most the
+// cap of the line's kind, see LineCap) only for a line that does not fit.
 const cursorBufBytes = 64 << 10
 
 // OpenCursor returns a cursor whose first Next yields the records with
@@ -111,9 +126,11 @@ func (c *Cursor) Next(max int) ([]Entry, error) {
 		max = 1024
 	}
 	var out []Entry
-	err := c.walk(func() (bool, error) {
-		err := c.scan(max, &out)
-		return len(out) >= max, err
+	_, err := c.each(max, func(lsn uint64, smp *trace.Sample) {
+		if out == nil {
+			out = make([]Entry, 0, max) // sized once, at the first record: a caught-up call allocates nothing
+		}
+		out = append(out, Entry{LSN: lsn, Sample: *smp})
 	})
 	if len(out) > 0 {
 		return out, nil
@@ -121,18 +138,31 @@ func (c *Cursor) Next(max int) ([]Entry, error) {
 	return nil, err
 }
 
+// each is Next handing its records to emit instead, and reporting how many it
+// handed: *smp is the cursor's, valid until emit returns.
+func (c *Cursor) each(max int, emit func(lsn uint64, smp *trace.Sample)) (n int, err error) {
+	err = c.walk(func() (bool, error) {
+		k, err := c.scan(max-n, emit)
+		n += k
+		return n >= max, err
+	})
+	return n, err
+}
+
 // NextLines is Next for a reader that ships records instead of reading
 // them: up to max whole lines past the last record returned, in LSN order
 // and exactly as journaled, n of them end to end in run. Each has had its
-// frame and CRC checked and its LSN read off the head of its record — the
-// varint behind a binary line's lead byte, the `{"lsn":N,` a JSON one opens
-// with; the sample behind that is not looked at — ParseRecordLine does
-// that, wherever the line ends up being decoded. What Next skips,
-// NextLines skips, and it waits and fails where Next does. (The one
-// difference is a line no version of this package wrote: a good CRC over a
-// JSON record that does not open with its LSN is skipped here and decoded
-// by Next; one over a sample that does not decode is returned here and
-// skipped by Next, for the decoding end to refuse.)
+// frame and CRC checked and its LSNs read off the head of its record — the
+// varint behind a binary line's lead byte, and a report line's sample count
+// behind its client id; the `{"lsn":N,` a JSON one opens with — and the
+// samples behind that are not looked at: ParseRecordLine does that, wherever
+// the line ends up being decoded. What Next skips, NextLines skips, and it
+// waits and fails where Next does, and with ErrInsideLine where Next would
+// hand on part of a report line. (The one other difference is a line no
+// version of this package wrote: a good CRC over a JSON record that does not
+// open with its LSN is skipped here and decoded by Next; one over samples
+// that do not decode is returned here and skipped by Next, for the decoding
+// end to refuse.)
 //
 // run is a view of the cursor's buffer, valid until the cursor's next call.
 // It therefore ends where the buffered bytes do, or at a line to be skipped,
@@ -222,41 +252,60 @@ func (c *Cursor) seek() (moved bool, err error) {
 	return true, nil
 }
 
-// scan appends records with LSN >= c.next to out until it holds max or the
-// segment has no further complete line.
-func (c *Cursor) scan(max int, out *[]Entry) error {
-	for len(*out) < max {
+// scan hands emit, in LSN order, up to max of the samples with LSN >= c.next
+// from the lines of the segment, and reports how many it handed. It stops
+// early when the segment has no further complete line, and part way through a
+// report line when max is reached, stepping back to the line's start.
+func (c *Cursor) scan(max int, emit func(lsn uint64, smp *trace.Sample)) (int, error) {
+	n := 0
+	for n < max {
 		line, ok, err := c.line(true)
 		if err != nil || !ok {
-			return err
+			return n, err
 		}
-		// Positioning on a mid-segment LSN walks every earlier line, so
-		// those are told by their LSN alone (see peekLSN); what is returned
+		// Positioning on a mid-segment LSN walks every earlier line, so those
+		// are told by their LSNs alone (see peekLSNs); what is returned
 		// always takes the validating path.
-		if lsn, ok := peekLSN(line); ok && lsn < c.next {
+		if _, last, ok := peekLSNs(&c.body, line); ok && last < c.next {
 			continue
 		}
-		smp, lsn, ok := ParseRecordLine(line)
+		first, smps, ok := parseRecord(&c.body, c.smps[:0], line)
+		c.smps = smps
 		if !ok {
 			c.run++
-		}
-		if !ok || lsn < c.next {
 			continue
 		}
-		if *out == nil {
-			*out = make([]Entry, 0, max) // sized once, at the first record: a caught-up call allocates nothing
+		last := first + uint64(len(smps)) - 1
+		if last < c.next {
+			continue
 		}
-		*out = append(*out, Entry{LSN: lsn, Sample: smp})
-		c.next, c.end, c.bad, c.run = lsn+1, c.off, c.bad+c.run, 0
+		skip := 0
+		if first < c.next {
+			skip = int(c.next - first)
+		}
+		take := min(len(smps)-skip, max-n)
+		for i := skip; i < skip+take; i++ {
+			emit(first+uint64(i), &smps[i])
+		}
+		n += take
+		c.bad, c.run = c.bad+c.run, 0
+		if skip+take < len(smps) {
+			c.next = first + uint64(skip+take)
+			c.r -= len(line)
+			c.off -= int64(len(line))
+			return n, nil
+		}
+		c.next, c.end = last+1, c.off
 	}
-	return nil
+	return n, nil
 }
 
 // scanLines consumes up to max consecutive lines with a good frame, CRC and
-// an LSN >= c.next, and returns them where they lie in buf. Lines to be
+// LSNs >= c.next, and returns them where they lie in buf. Lines to be
 // skipped are stepped over ahead of the run; the first one after it has
 // begun ends it, and so does running out of buffered bytes, because fill
-// moves what is in buf.
+// moves what is in buf. A line c.next falls inside of ends the run unread,
+// and is ErrInsideLine if the run holds nothing.
 func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
 	var start, end int
 	for n < max {
@@ -267,11 +316,19 @@ func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
 		if !ok {
 			break
 		}
-		lsn, ok := peekLSN(line)
-		if ok && lsn >= c.next && line[0] != binaryLead { // a binary line's peek checked its CRC
+		first, last, ok := peekLSNs(&c.body, line)
+		if ok && last >= c.next && line[0] != sampleLead && line[0] != reportLead { // a binary line's peek checked its CRC
 			_, ok = linePayload(line)
 		}
-		if !ok || lsn < c.next {
+		if ok && first < c.next && c.next <= last {
+			c.r -= len(line)
+			c.off -= int64(len(line))
+			if n == 0 {
+				return nil, 0, ErrInsideLine
+			}
+			break
+		}
+		if !ok || last < c.next {
 			if n > 0 {
 				break
 			}
@@ -282,12 +339,12 @@ func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
 		}
 		n++
 		end = c.r
-		c.next = lsn + 1
+		c.next = last + 1
 	}
 	return c.buf[start:end], n, nil
 }
 
-// line consumes and returns the next whole line within MaxLineBytes. With
+// line consumes and returns the next whole line within its cap. With
 // none buffered it reads more of the segment in, if refill allows. ok is
 // false when no further whole line is to be had: the segment has none (it
 // may end in a partial one), or buf has none and refill is false.
@@ -298,7 +355,7 @@ func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
 			if !refill {
 				return nil, false, nil
 			}
-			if c.skipping || c.w-c.r >= MaxLineBytes {
+			if c.skipping || (c.w > c.r && c.w-c.r >= LineCap(c.buf[c.r])) {
 				c.skipping = true
 				c.off += int64(c.w - c.r)
 				c.r, c.w = 0, 0
@@ -339,18 +396,24 @@ func (c *Cursor) fill() (bool, error) {
 	return false, err
 }
 
-// peekLSN reads the LSN off a line without decoding its sample. A JSON line
-// is read as `crc32hex {"lsn":N,` — how the JSON encoder starts every record —
-// with nothing else about it validated. A binary line's LSN is read once its
-// frame and CRC check out: a damaged varint is another varint, where a
-// damaged JSON digit is no digit, and a damaged LSN read as an earlier one
-// would have the cursor pass over a corrupt line uncounted.
-func peekLSN(line []byte) (uint64, bool) {
-	if len(line) > 0 && line[0] == binaryLead {
-		var scratch [binaryScratch]byte
-		lsn, _, ok := binaryRecord(scratch[:0], line)
-		return lsn, ok
+// peekLSNs reads a line's LSNs off it — first, and last, first+n−1 for a
+// report of n samples — without decoding its samples. A binary line's LSNs
+// are read once its frame and CRC check out: a damaged varint is another
+// varint, where a damaged JSON digit is no digit, and a damaged LSN read as
+// an earlier one would have the cursor pass over a corrupt line uncounted. A
+// JSON line's is read by peekJSON, with nothing else about it validated.
+func peekLSNs(scratch *[]byte, line []byte) (first, last uint64, ok bool) {
+	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
+		first, last, _, ok = binaryLine(scratch, line)
+		return first, last, ok
 	}
+	first, ok = peekJSON(line)
+	return first, first, ok
+}
+
+// peekJSON reads the LSN off a JSON line as `crc32hex {"lsn":N,` — how the
+// JSON encoder starts every record.
+func peekJSON(line []byte) (uint64, bool) {
 	const head = 9 + len(lsnKey) // CRC, space, key
 	if len(line) < head || line[8] != ' ' || string(line[9:head]) != lsnKey {
 		return 0, false
@@ -375,9 +438,10 @@ func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
 	return snap, lsn, err
 }
 
-// AppendAt journals line — the whole WAL line of record lsn, as another store
-// wrote it and ParseRecordLine passed it — as this log's next record: the
-// replica-side write path. Journaling the primary's bytes rather than a
+// AppendAt journals line — the whole WAL line whose first LSN is lsn, as
+// another store wrote it and ParseRecordLine passed it — as this log's next
+// record: the replica-side write path. A report line takes the LSNs of all
+// its samples. Journaling the primary's bytes rather than a
 // re-encoding of what they decode to keeps a replica's log byte-identical to
 // its primary's at equal LSN, and its LSNs lined up with what the primary
 // acked when it is promoted. lsn must be >= the store's next LSN (monotonic;
@@ -386,11 +450,12 @@ func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
 //
 // The line is checked again for what can be checked without decoding it a
 // second time — frame, cap, CRC, that it opens with lsn, and well-formed JSON
-// or a well-formed binary sample — so a view that went stale between the
-// caller's parse and this call is refused, not journaled. A refused line
-// leaves the log untouched.
+// or a well-formed binary sample or report — so a view that went stale
+// between the caller's parse and this call is refused, not journaled. A
+// refused line leaves the log untouched.
 func (st *Store) AppendAt(lsn uint64, line []byte) error {
-	if !lineHolds(lsn, line) { // the line is checked outside the lock: it is the caller's alone
+	last, ok := lineHolds(lsn, line) // the line is checked outside the lock: it is the caller's alone
+	if !ok {
 		return fmt.Errorf("store: AppendAt %d: not a valid WAL line for that LSN", lsn)
 	}
 	st.mu.Lock()
@@ -401,24 +466,32 @@ func (st *Store) AppendAt(lsn uint64, line []byte) error {
 	if lsn < st.nextLSN {
 		return fmt.Errorf("store: AppendAt %d behind next LSN %d", lsn, st.nextLSN)
 	}
-	if err := st.writeLineLocked(lsn, line); err != nil {
+	if err := st.writeLocked(lsn, last, 1, line); err != nil {
 		st.met.appendErrors.Inc()
 		return err
 	}
 	return nil
 }
 
-// lineHolds reports whether line is a well-formed WAL line of record lsn,
-// allocating nothing for a binary line.
-func lineHolds(lsn uint64, line []byte) bool {
-	if len(line) > 0 && line[0] == binaryLead {
-		var scratch [binaryScratch]byte
-		got, smp, ok := binaryRecord(scratch[:0], line)
-		return ok && got == lsn && trace.ValidSampleBinary(smp)
+// lineHolds reports whether line is a well-formed WAL line whose first LSN
+// is lsn, and returns its last, allocating nothing for a binary line.
+func lineHolds(lsn uint64, line []byte) (last uint64, ok bool) {
+	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
+		scratch := getScratch()
+		defer putScratch(scratch)
+		first, last, rest, ok := binaryLine(scratch, line)
+		if !ok || first != lsn {
+			return 0, false
+		}
+		if line[0] == sampleLead {
+			return last, trace.ValidSampleBinary(rest)
+		}
+		_, ok = trace.ValidReportBinary(rest)
+		return last, ok
 	}
 	payload, ok := linePayload(line)
-	got, peeked := peekLSN(line)
-	return ok && peeked && got == lsn && json.Valid(payload)
+	got, peeked := peekJSON(line)
+	return lsn, ok && peeked && got == lsn && json.Valid(payload)
 }
 
 // CheckpointAt atomically persists snap as a checkpoint covering records up

@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -274,12 +275,18 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 	// AppendAt journals another store's bytes as they stand, so anything it
 	// lets through is in this log for good: a line has to check out on its
 	// own — frame, CRC, a record that decodes, the LSN it is filed under —
-	// and a refusal must leave the segment as it was. Both forms of line go
-	// through it.
+	// and a refusal must leave the segment as it was. Every form of line
+	// goes through it: a report line of many samples, Append's report of
+	// one, the sample line of older stores, JSON.
 	for _, form := range []struct {
 		name   string
 		encode func([]byte, uint64, trace.Sample) ([]byte, error)
-	}{{"JSON", appendRecordJSON}, {"binary", appendRecordLine}} {
+	}{
+		{"JSON", appendRecordJSON}, {"sample", appendSampleLine}, {"report of one", appendRecordLine},
+		{"report", func(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
+			return appendReportLine(buf, lsn, "c", []trace.Sample{smp, smp, smp})
+		}},
+	} {
 		st, err := Open(t.TempDir(), Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -295,6 +302,10 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 		}
 		good := line(4, testSample(3))
 		flipped := bytes.Replace(good, []byte("udp_kbps"), []byte("udp_kbpz"), 1)
+		if bytes.Equal(flipped, good) { // a report line spells the metric as an index
+			flipped = bytes.Clone(good)
+			flipped[len(flipped)/2] ^= 1
+		}
 		badCRC := append([]byte(nil), good...)
 		if form.name == "JSON" {
 			badCRC[0] ^= 1 // a hex digit
@@ -313,6 +324,13 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 			{"two lines", 4, append(append([]byte(nil), good...), line(5, testSample(4))...)},
 			{"nothing", 4, nil},
 			{"a regressing LSN", 2, line(2, testSample(1))},
+		}
+		if form.name == "report" {
+			cases = append(cases, struct {
+				name string
+				lsn  uint64
+				line []byte
+			}{"a report line filed under its second LSN", 5, good})
 		}
 		if form.name == "JSON" {
 			reframe := func(payload string) []byte { // a good frame and CRC around any payload
@@ -349,9 +367,13 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 		if err := st.AppendAt(4, good); err != nil {
 			t.Fatalf("a good %s line after the refusals: %v", form.name, err)
 		}
+		held := 1
+		if form.name == "report" {
+			held = 3
+		}
 		got := readAll(t, st, 1, 10)
-		if len(got) != 4 || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) {
-			t.Fatalf("%s: log after the refusals: %v", form.name, lsns(got))
+		if len(got) != 3+held || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) || st.LastLSN() != uint64(3+held) {
+			t.Fatalf("%s: log after the refusals: %v, last LSN %d", form.name, lsns(got), st.LastLSN())
 		}
 	}
 }
@@ -359,8 +381,10 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 // oracleReadBatch is the stateless log reader ReadBatch used to be: every
 // call lists the segments, opens the one holding from and CRC-checks and
 // decodes it from its first byte. It is kept as the reference the cursor is
-// compared against.
-func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
+// compared against. It returns up to max samples with LSN >= from, or, with
+// wholeLines, the samples of up to max whole lines — and ErrInsideLine if
+// the first line past from holds LSNs before it too.
+func oracleReadBatch(dir string, from uint64, max int, wholeLines bool) ([]Entry, error) {
 	if from == 0 {
 		from = 1
 	}
@@ -380,23 +404,43 @@ func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
 		return nil, ErrCompacted
 	}
 	var out []Entry
+	taken := 0 // samples, or lines with wholeLines
 	for _, sg := range segs[start:] {
 		f, err := os.Open(sg.path)
 		if err != nil {
 			return out, err
 		}
 		br := bufio.NewReaderSize(f, 64<<10)
-		for len(out) < max {
-			line, _, complete := readLineCapped(br, MaxLineBytes)
+		for taken < max {
+			line, _, complete := readLineCapped(br)
 			if !complete {
 				break // a torn tail, or an append in flight
 			}
-			if smp, lsn, ok := ParseRecordLine(line); ok && lsn >= from {
-				out = append(out, Entry{LSN: lsn, Sample: smp})
+			first, smps, ok := ParseRecordLine(nil, line)
+			if !ok || first+uint64(len(smps))-1 < from {
+				continue
+			}
+			if wholeLines {
+				if first < from {
+					f.Close()
+					if taken == 0 {
+						return nil, ErrInsideLine
+					}
+					return out, nil
+				}
+				taken++
+			}
+			for i, smp := range smps {
+				if lsn := first + uint64(i); lsn >= from && (wholeLines || taken < max) {
+					out = append(out, Entry{LSN: lsn, Sample: smp})
+					if !wholeLines {
+						taken++
+					}
+				}
 			}
 		}
 		f.Close()
-		if len(out) >= max {
+		if taken >= max {
 			break
 		}
 	}
@@ -405,15 +449,22 @@ func oracleReadBatch(dir string, from uint64, max int) ([]Entry, error) {
 
 // TestCursorMatchesStatelessScan drives two long-lived cursors — one read
 // with Next, one with NextLines — and the stateless oracle through seeded
-// schedules of everything that can happen to a log — appends, AppendAt with
-// forward gaps, rotation at a tiny segment size, checkpoints that compact,
-// ResetTo in both directions, and by hand a torn tail and a corrupt line —
-// and requires the same batches (the raw lines decoded) and the same
-// ErrCompacted verdicts at every read.
+// schedules of everything that can happen to a log — appends of reports of
+// one sample or several, AppendAt of report lines with forward gaps,
+// rotation at a tiny segment size, checkpoints that compact, ResetTo in both
+// directions, cursors reopened at any LSN, inside report lines too, and by
+// hand a torn tail and a corrupt line — and requires the same batches (the
+// raw lines decoded) and the same ErrCompacted and ErrInsideLine verdicts at
+// every read. Next reads at most max samples, so it often stops part way
+// through a report line and picks up there; NextLines reads whole lines.
 //
 // Mutants of the raw read this must catch, each tried by hand: no CRC check
 // in scanLines; a run carried across a fill (line(true) throughout); line
 // dropping a partial tail at EOF instead of waiting for the rest of it.
+// Mutants of the report line's reading: scan not stepping back to the line's
+// start when it stops part way through (the rest of the line is lost), or
+// stepping back without moving next (the line's first samples repeat);
+// scanLines shipping a line its position falls inside.
 func TestCursorMatchesStatelessScan(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		if err := runCursorSchedule(t.TempDir(), seed); err != nil {
@@ -445,72 +496,100 @@ func runCursorSchedule(dir string, seed uint64) error {
 	defer st.Close()
 	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
 
+	n := 0 // samples journaled so far, to tell them apart
+	report := func() []trace.Sample {
+		samples := make([]trace.Sample, 1+r.Intn(6))
+		for i := range samples {
+			samples[i] = testSample(n)
+			n++
+		}
+		return samples
+	}
 	nextLine := func() []byte {
-		line, _ := appendRecordLine(nil, st.LastLSN()+1, testSample(0))
+		line, _ := appendReportLine(nil, st.LastLSN()+1, "c", report())
 		return line
 	}
 
-	pos := uint64(1) // the LSN all three readers want next
-	cur, raw := st.OpenCursor(pos), st.OpenCursor(pos)
-	defer func() { cur.Close(); raw.Close() }()
+	// The two readers and the LSN each wants next.
+	type reader struct {
+		name  string
+		lines bool // NextLines, whole lines; else Next, samples
+		cur   *Cursor
+		pos   uint64
+	}
+	readers := []*reader{{name: "Next"}, {name: "NextLines", lines: true}}
+	for _, rd := range readers {
+		rd.pos = 1
+		rd.cur = st.OpenCursor(1)
+	}
+	defer func() {
+		for _, rd := range readers {
+			rd.cur.Close()
+		}
+	}()
+	reopen := func(rd *reader, pos uint64) {
+		rd.cur.Close()
+		rd.cur, rd.pos = st.OpenCursor(pos), pos
+	}
 	reads := 0
-	compare := func(max int) error {
+	compare := func(rd *reader, max int) (moved bool, err error) {
 		reads++
-		want, werr := oracleReadBatch(dir, pos, max)
-		got, gerr := cur.Next(max)
-		lines, lerr := readLines(raw, max)
-		for _, r := range []struct {
-			name string
-			got  []Entry
-			err  error
-		}{{"Next", got, gerr}, {"NextLines", lines, lerr}} {
-			if (r.err != nil || werr != nil) && !(errors.Is(r.err, ErrCompacted) && errors.Is(werr, ErrCompacted)) {
-				return fmt.Errorf("read %d at LSN %d: %s err %v, oracle err %v", reads, pos, r.name, r.err, werr)
-			}
-			if len(r.got) != len(want) {
-				return fmt.Errorf("read %d at LSN %d: %s %d records %v, oracle %d %v", reads, pos, r.name, len(r.got), lsns(r.got), len(want), lsns(want))
-			}
-			for i := range r.got {
-				if r.got[i].LSN != want[i].LSN || !sampleEqual(r.got[i].Sample, want[i].Sample) {
-					return fmt.Errorf("read %d at LSN %d: %s %v, oracle %v", reads, pos, r.name, lsns(r.got), lsns(want))
-				}
+		want, werr := oracleReadBatch(dir, rd.pos, max, rd.lines)
+		var got []Entry
+		var gerr error
+		if rd.lines {
+			got, gerr = readLines(rd.cur, max)
+		} else {
+			got, gerr = rd.cur.Next(max)
+		}
+		if (gerr != nil || werr != nil) && !(errors.Is(gerr, ErrCompacted) && errors.Is(werr, ErrCompacted)) &&
+			!(errors.Is(gerr, ErrInsideLine) && errors.Is(werr, ErrInsideLine)) {
+			return false, fmt.Errorf("read %d at LSN %d: %s err %v, oracle err %v", reads, rd.pos, rd.name, gerr, werr)
+		}
+		if len(got) != len(want) {
+			return false, fmt.Errorf("read %d at LSN %d: %s %d records %v, oracle %d %v", reads, rd.pos, rd.name, len(got), lsns(got), len(want), lsns(want))
+		}
+		for i := range got {
+			if got[i].LSN != want[i].LSN || !sampleEqual(got[i].Sample, want[i].Sample) {
+				return false, fmt.Errorf("read %d at LSN %d: %s %v, oracle %v", reads, rd.pos, rd.name, lsns(got), lsns(want))
 			}
 		}
+		before := rd.pos
 		if gerr != nil {
-			// All compacted: restart from the checkpoint, as a stream does.
+			// All compacted, or standing inside a line a stream cannot ship
+			// from: restart from the checkpoint, as a stream does.
 			_, lsn, err := st.LatestCheckpoint()
 			if err != nil {
-				return err
+				return false, err
 			}
-			pos = lsn + 1
-			cur.Close()
-			raw.Close()
-			cur, raw = st.OpenCursor(pos), st.OpenCursor(pos)
+			reopen(rd, lsn+1)
 		} else if len(got) > 0 {
-			pos = got[len(got)-1].LSN + 1
+			rd.pos = got[len(got)-1].LSN + 1
 		}
-		if cur.Position() != pos || raw.Position() != pos {
-			return fmt.Errorf("read %d: positions Next %d, NextLines %d, want %d", reads, cur.Position(), raw.Position(), pos)
+		if rd.cur.Position() != rd.pos {
+			return false, fmt.Errorf("read %d: %s position %d, want %d", reads, rd.name, rd.cur.Position(), rd.pos)
 		}
-		return nil
+		return rd.pos != before, nil
 	}
 
-	n := 0
 	for step := 0; step < 64; step++ {
 		var err error
-		switch op := r.Intn(32); {
+		switch op := r.Intn(36); {
 		case op < 10:
-			for k := 1 + r.Intn(6); k > 0 && err == nil; k-- {
-				_, err = st.Append(testSample(n))
-				n++
+			for k := 1 + r.Intn(3); k > 0 && err == nil; k-- {
+				if r.Bool(0.3) {
+					_, err = st.Append(testSample(n))
+					n++
+				} else {
+					_, err = st.AppendReport("c", report())
+				}
 			}
 		case op < 13:
 			lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
 			var line []byte
-			if line, err = appendRecordLine(nil, lsn, testSample(n)); err == nil {
+			if line, err = appendReportLine(nil, lsn, "c", report()); err == nil {
 				err = st.AppendAt(lsn, line)
 			}
-			n++
 		case op < 15:
 			err = st.Checkpoint(snap)
 		case op == 15:
@@ -525,60 +604,71 @@ func runCursorSchedule(dir string, seed uint64) error {
 			// A complete line that fails its CRC, well-shaped or not.
 			line := nextLine()
 			if r.Bool(0.5) {
-				line[9+r.Intn(len(line)-10)] ^= 0x20
+				line[2+r.Intn(len(line)-3)] ^= 0x20
 			} else {
 				line = []byte("not a record\n")
 			}
 			err = scribble(st, line)
+		case op < 21:
+			// A reader reopened anywhere in the log, inside a line or not.
+			rd := readers[r.Intn(len(readers))]
+			reopen(rd, 1+uint64(r.Intn(int(st.LastLSN())+2)))
 		default:
 			max := 1 + r.Intn(8)
 			if r.Bool(0.3) {
 				max = 1000
 			}
-			err = compare(max)
+			_, err = compare(readers[r.Intn(len(readers))], max)
 		}
 		if err != nil {
 			return fmt.Errorf("step %d: %w", step, err)
 		}
 	}
-	// Drain whatever the schedule left unread. A read that moves pos neither
-	// forward nor, through ErrCompacted, up to the checkpoint is caught up.
-	for {
-		before := pos
-		if err := compare(1000); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		if pos == before {
-			return nil
+	// Drain whatever the schedule left unread. A read that moves a reader
+	// neither forward nor, through an error, up to the checkpoint is caught
+	// up.
+	for _, rd := range readers {
+		for {
+			moved, err := compare(rd, 1000)
+			if err != nil {
+				return fmt.Errorf("drain: %w", err)
+			}
+			if !moved {
+				break
+			}
 		}
 	}
+	return nil
 }
 
-// readLines reads what Next(max) would through NextLines: runs until max
-// lines or an empty one, every line put through the validating parser while
-// its run is still valid, a failure after some lines held back as Next holds
-// it.
+// readLines reads up to max lines through NextLines, as entries: runs until
+// max lines or an empty one, every line put through the validating parser
+// while its run is still valid, a failure after some lines held back as Next
+// holds it.
 func readLines(c *Cursor, max int) ([]Entry, error) {
 	var out []Entry
-	for len(out) < max {
-		run, n, err := c.NextLines(max - len(out))
-		if err != nil && len(out) == 0 {
+	for lines := 0; lines < max; {
+		run, n, err := c.NextLines(max - lines)
+		if err != nil && lines == 0 {
 			return nil, err
 		}
 		if err != nil || n == 0 {
 			break
 		}
-		lines := bytes.SplitAfter(run, []byte("\n"))
-		if len(lines) != n+1 || len(lines[n]) != 0 {
-			return nil, fmt.Errorf("NextLines: run of %d bytes said to hold %d lines splits into %d", len(run), n, len(lines)-1)
+		split := bytes.SplitAfter(run, []byte("\n"))
+		if len(split) != n+1 || len(split[n]) != 0 {
+			return nil, fmt.Errorf("NextLines: run of %d bytes said to hold %d lines splits into %d", len(run), n, len(split)-1)
 		}
-		for _, line := range lines[:n] {
-			smp, lsn, ok := ParseRecordLine(line)
+		for _, line := range split[:n] {
+			first, smps, ok := ParseRecordLine(nil, line)
 			if !ok {
 				return nil, fmt.Errorf("NextLines returned a line that does not validate: %q", line)
 			}
-			out = append(out, Entry{LSN: lsn, Sample: smp})
+			for i, smp := range smps {
+				out = append(out, Entry{LSN: first + uint64(i), Sample: smp})
+			}
 		}
+		lines += n
 	}
 	return out, nil
 }
@@ -779,5 +869,84 @@ func BenchmarkCursorTail(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// reportLineOf returns a well-formed report line of exactly size bytes: one
+// sample whose device string pads it out.
+func reportLineOf(t *testing.T, first uint64, size int) []byte {
+	t.Helper()
+	smp := testSample(0)
+	for pad, try := size, 0; try < 64; try++ {
+		smp.Device = strings.Repeat("x", pad)
+		smp.Value = 900 + float64(try) // another CRC, should stuffing overshoot
+		body, _ := trace.AppendReportBinary(binary.AppendUvarint(nil, first), smp.ClientID, []trace.Sample{smp})
+		line := frameReport(body) // as appendReportLine frames it, without its cap
+		if len(line) == size {
+			return line
+		}
+		pad += size - len(line)
+	}
+	t.Fatalf("no report line of %d bytes", size)
+	return nil
+}
+
+func TestReportLineCap(t *testing.T) {
+	// A report is one line however large, so a report line has a cap of its
+	// own, MaxReportLineBytes: a line at the cap is written, read by a cursor
+	// and recovered; one byte more is refused by the writer, and on disk is a
+	// corrupt line the cursor steps over without ever buffering more than
+	// the cap — it is refused as it arrives.
+	if raceEnabled {
+		t.Skip("three copies of a 32 MiB line, under the race detector's shadow memory")
+	}
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { st.Close() }()
+	appendN(t, st, 0, 1)
+	atCap := reportLineOf(t, 2, MaxReportLineBytes)
+	_, smps, ok := ParseRecordLine(nil, atCap)
+	if !ok {
+		t.Fatal("a report line at the cap does not parse")
+	}
+	if _, err := st.AppendReport(smps[0].ClientID, smps); err != nil {
+		t.Fatalf("a report line at the cap: %v", err)
+	}
+	over := reportLineOf(t, 3, MaxReportLineBytes+1)
+	_, big, _ := ParseRecordLine(nil, append(bytes.Clone(over[:len(over)-1]), '\n'))
+	if len(big) != 0 {
+		t.Fatal("a report line over the cap parses")
+	}
+	overSmp := smps[0]
+	overSmp.Device += "x"
+	if _, err := st.AppendReport(overSmp.ClientID, []trace.Sample{overSmp}); !errors.Is(err, errLineTooLong) || st.LastLSN() != 2 {
+		t.Fatalf("a report line over the cap: err %v, last LSN %d; want errLineTooLong and nothing journaled", err, st.LastLSN())
+	}
+	if err := scribble(st, over); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, st, 3, 1) // LSN 3, behind the line over the cap
+
+	c := st.OpenCursor(1)
+	es, err := c.Next(10)
+	buffered := len(c.buf)
+	c.Close()
+	if err != nil || len(es) != 3 || es[1].LSN != 2 || es[1].Sample.Device != smps[0].Device || es[2].LSN != 3 {
+		t.Fatalf("read %v, err %v; want LSNs 1, 2 (the line at the cap) and 3", lsns(es), err)
+	}
+	if buffered > MaxReportLineBytes {
+		t.Fatalf("the cursor buffered %d bytes, cap %d", buffered, MaxReportLineBytes)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := st.Recovery(); len(rec.Tail) != 3 || rec.CorruptRecords != 1 || rec.Tail[1].Device != smps[0].Device {
+		t.Fatalf("recovered %d samples, %d corrupt lines; want 3, and the one over the cap", len(rec.Tail), rec.CorruptRecords)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -37,14 +38,15 @@ type Recovery struct {
 	Snapshot      *core.Snapshot
 	CheckpointLSN uint64
 
-	// Tail holds the WAL records newer than the checkpoint, in append
+	// Tail holds the journaled samples newer than the checkpoint, in LSN
 	// order; replaying them into the restored controller reconstructs the
 	// in-progress epoch state.
 	Tail []trace.Sample
 
 	// Damage tolerated: checkpoints skipped for CRC/JSON corruption,
-	// mid-segment records skipped for CRC/decode corruption, and bytes
-	// truncated from a torn WAL tail.
+	// mid-segment WAL lines skipped for CRC/decode corruption — a report
+	// line is one, however many samples it lost — and bytes truncated from
+	// a torn WAL tail.
 	CorruptCheckpoints int
 	CorruptRecords     int
 	TruncatedBytes     int64
@@ -143,8 +145,8 @@ func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
 	return snap, lsn, nil
 }
 
-// CheckpointLead opens a checkpoint line. Like binaryLead it is a byte no
-// UTF-8 text opens with, and neither binaryLead nor a hex digit, so a stream
+// CheckpointLead opens a checkpoint line. Like reportLead it is a byte no
+// UTF-8 text opens with, and none of the WAL lines' leads, so a stream
 // may carry checkpoint lines among WAL lines.
 const CheckpointLead = 0xC1
 
@@ -274,20 +276,21 @@ func (st *Store) recover() error {
 	}
 	c := st.OpenCursor(segs[0].first)
 	defer c.Close()
+	var last uint64
 	for {
-		es, err := c.Next(0)
+		n, err := c.each(math.MaxInt, func(lsn uint64, smp *trace.Sample) {
+			if lsn > rec.CheckpointLSN {
+				rec.Tail = append(rec.Tail, *smp)
+			}
+			last = lsn
+		})
 		if err != nil {
 			return fmt.Errorf("store: recovering: %w", err)
 		}
-		if len(es) == 0 {
+		if n == 0 {
 			break
 		}
-		for _, e := range es {
-			if e.LSN > rec.CheckpointLSN {
-				rec.Tail = append(rec.Tail, e.Sample)
-			}
-		}
-		st.nextLSN = max(st.nextLSN, es[len(es)-1].LSN+1)
+		st.nextLSN = max(st.nextLSN, last+1)
 	}
 	// The cursor stands in the newest segment, at its end.
 	rec.CorruptRecords = c.bad
@@ -300,12 +303,6 @@ func (st *Store) recover() error {
 	}
 	return nil
 }
-
-// MaxLineBytes caps one WAL line, its '\n' included. A legitimate record is
-// a few hundred bytes; anything past this is corruption, and a reader that
-// buffered it whole would let one damaged (or hostile) segment — or peer —
-// balloon memory before the CRC even gets a look.
-const MaxLineBytes = 1 << 20
 
 // linePayload checks the frame of one JSON-form WAL line — "crc32hex
 // payload\n", no longer than MaxLineBytes, the CRC the payload's own — and
@@ -327,24 +324,43 @@ func linePayload(line []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// ParseRecordLine validates one WAL line in full, in either form — frame,
-// CRC and the record behind them — and returns the sample and the LSN it
-// journals. It is the format's one validating decoder: recovery, Cursor.Next
-// and a replica taking lines off the replication stream all decide through it
-// what a record is. The sample shares no memory with line.
-func ParseRecordLine(line []byte) (trace.Sample, uint64, bool) {
-	if len(line) > 0 && line[0] == binaryLead {
-		var scratch [binaryScratch]byte
-		lsn, body, ok := binaryRecord(scratch[:0], line)
+// ParseRecordLine validates one WAL line in full, in any form — frame, CRC
+// and the record behind them — and appends the samples it journals to dst,
+// returning them with the LSN of the first; the line holds LSNs first …
+// first+len−1 of what was appended. It is the format's one validating
+// decoder: recovery, Cursor.Next and a replica taking lines off the
+// replication stream all decide through it what a record is. A caller that
+// keeps dst decodes line after line into one slice; the samples share no
+// memory with line. On a refusal dst comes back as it was.
+func ParseRecordLine(dst []trace.Sample, line []byte) (first uint64, samples []trace.Sample, ok bool) {
+	scratch := getScratch()
+	defer putScratch(scratch)
+	return parseRecord(scratch, dst, line)
+}
+
+// parseRecord is ParseRecordLine unstuffing into the caller's scratch.
+func parseRecord(scratch *[]byte, dst []trace.Sample, line []byte) (uint64, []trace.Sample, bool) {
+	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
+		first, _, rest, ok := binaryLine(scratch, line)
 		if !ok {
-			return trace.Sample{}, 0, false
+			return 0, dst, false
 		}
-		smp, ok := trace.ParseSampleBinary(body)
-		return smp, lsn, ok
+		if line[0] == sampleLead {
+			smp, ok := trace.ParseSampleBinary(rest)
+			if !ok {
+				return 0, dst, false
+			}
+			return first, append(dst, smp), true
+		}
+		_, samples, err := trace.ParseReportBinary(dst, rest, len(rest))
+		if err != nil {
+			return 0, dst, false
+		}
+		return first, samples, true
 	}
 	var wr walRecord
 	if payload, ok := linePayload(line); !ok || json.Unmarshal(payload, &wr) != nil {
-		return trace.Sample{}, 0, false
+		return 0, dst, false
 	}
-	return wr.Sample, wr.LSN, true
+	return wr.LSN, append(dst, wr.Sample), true
 }

@@ -73,18 +73,21 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Op
 	var offset, goodEnd int64 // goodEnd: file offset just past the last valid record
 	pendingBad := 0           // invalid lines seen since the last valid record
 	for {
-		line, consumed, complete := readLineCapped(br, MaxLineBytes)
+		line, consumed, complete := readLineCapped(br)
 		offset += consumed
 		if complete {
-			if smp, lsn, ok := ParseRecordLine(line); ok {
+			if first, smps, ok := ParseRecordLine(nil, line); ok {
 				rec.CorruptRecords += pendingBad
 				pendingBad = 0
 				goodEnd = offset
-				if lsn+1 > *nextLSN {
-					*nextLSN = lsn + 1
-				}
-				if lsn > rec.CheckpointLSN {
-					rec.Tail = append(rec.Tail, smp)
+				for i, smp := range smps {
+					lsn := first + uint64(i)
+					if lsn+1 > *nextLSN {
+						*nextLSN = lsn + 1
+					}
+					if lsn > rec.CheckpointLSN {
+						rec.Tail = append(rec.Tail, smp)
+					}
 				}
 			} else {
 				// Includes over-cap lines (line == nil): corrupt either way.
@@ -115,16 +118,20 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Op
 	return cerr
 }
 
-// readLineCapped reads one '\n'-terminated line of at most limit bytes,
-// without ever buffering more than limit (+ one bufio chunk). It returns
-// the line including its delimiter (nil when the line exceeded the cap
-// but was still consumed through its delimiter), the number of bytes
-// consumed from br, and whether a delimiter was found. complete=false
-// means EOF or a read error ended the line early.
-func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, complete bool) {
+// readLineCapped reads one '\n'-terminated line of at most the cap its
+// first byte picks (LineCap), without ever buffering more than that cap (+
+// one bufio chunk). It returns the line including its delimiter (nil when
+// the line exceeded the cap but was still consumed through its delimiter),
+// the number of bytes consumed from br, and whether a delimiter was found.
+// complete=false means EOF or a read error ended the line early.
+func readLineCapped(br *bufio.Reader) (line []byte, consumed int64, complete bool) {
 	overflow := false
+	limit := 0
 	for {
 		chunk, err := br.ReadSlice('\n')
+		if consumed == 0 && len(chunk) > 0 {
+			limit = LineCap(chunk[0])
+		}
 		consumed += int64(len(chunk))
 		if !overflow {
 			line = append(line, chunk...)
@@ -152,8 +159,11 @@ func readLineCapped(br *bufio.Reader, limit int) (line []byte, consumed int64, c
 // the same snapshot, checkpoint LSN, tail and damage counters, the same next
 // LSN, and every file the same size afterwards.
 //
-// The mixed-format schedules journal JSON lines among the binary ones, as a
-// data directory upgraded in place holds them: AppendAt of lines the JSON
+// Appends are reports of one sample or several, so report lines are torn,
+// flipped and spliced around like any other, and a checkpoint taken by
+// ResetTo can fall inside one. The mixed-format schedules journal JSON lines
+// and sample lines among the report lines, as a data directory upgraded in
+// place holds them: AppendAt of lines the JSON encoder and the sample-line
 // encoder wrote, and appends of samples only the JSON form carries.
 //
 // Mutants of the cursor-driven recovery this must catch, each tried by hand:
@@ -186,10 +196,13 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 		return smp
 	}
 	// encode is appendRecordLine, or, in a mixed-format schedule and at
-	// random, the JSON encoder.
+	// random, the JSON or the sample-line encoder.
 	encode := func(lsn uint64, smp trace.Sample) ([]byte, error) {
-		if mixed && r.Bool(0.5) {
+		switch {
+		case mixed && r.Bool(0.3):
 			return appendRecordJSON(nil, lsn, smp)
+		case mixed && r.Bool(0.5):
+			return appendSampleLine(nil, lsn, smp)
 		}
 		return appendRecordLine(nil, lsn, smp)
 	}
@@ -208,11 +221,18 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 			// wrong one shows in its bytes.
 			snap := core.Snapshot{TakenAt: start.Add(time.Duration(n) * time.Second), Origin: geo.Madison().Center()}
 			switch op := r.Intn(20); {
-			case op < 11:
+			case op < 7:
 				for k := 1 + r.Intn(6); k > 0 && err == nil; k-- {
 					_, err = st.Append(sample(n))
 					n++
 				}
+			case op < 11:
+				report := make([]trace.Sample, 2+r.Intn(8))
+				for i := range report {
+					report[i] = sample(n)
+					n++
+				}
+				_, err = st.AppendReport("c", report)
 			case op < 15:
 				lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
 				var line []byte
@@ -265,7 +285,7 @@ func damageDir(dir string, r *rng.Rand) error {
 				if r.Bool(0.5) {
 					return append(b, "not a record\n"...)
 				}
-				line, _ := appendRecordLine(nil, 1<<40, testSample(0))
+				line, _ := appendReportLine(nil, 1<<40, "c", []trace.Sample{testSample(0), testSample(1)})
 				line[9+r.Intn(len(line)-10)] ^= 0xff
 				return append(b, line...)
 			}))

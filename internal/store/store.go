@@ -12,16 +12,19 @@
 //	checkpoint-<lsn>.ckpt    controller snapshots; <lsn> is the last WAL
 //	                         record the snapshot covers
 //
-// Every WAL record is one line, in one of two forms its first byte tells
-// apart (see encode.go): binary — 0xB1, then the uvarint LSN, the sample's
-// binary form and a CRC32 (IEEE) of both, SLIP-stuffed so no raw newline is
-// inside — which is what Append writes; or JSON — an 8-hex-digit CRC32 of
-// the payload, a space, and the payload {"lsn":N,"sample":{...}} — which
-// every segment written before the binary form holds, and which Append
-// still writes for a sample only JSON carries as it decodes. A segment may
-// hold both. Line framing means one corrupt record never hides its
-// successors, and a torn tail (a crash mid-write) is detected and truncated
-// on recovery instead of refusing to start. Segments rotate by size;
+// Every WAL record is one line, in one of three forms its first byte tells
+// apart (see encode.go). A report line — 0xB3, then the uvarint LSN of the
+// report's first sample, the report's binary form and a CRC32 (IEEE) of
+// both, SLIP-stuffed so no raw newline is inside — is what AppendReport
+// writes, and it holds one LSN a sample. A JSON line — an 8-hex-digit CRC32
+// of the payload, a space, and the payload {"lsn":N,"sample":{...}} — is what
+// every segment written before the binary forms holds, and what AppendReport
+// still writes, one a sample, for a report only JSON carries as it decodes. A
+// sample line — 0xB1, the LSN, one sample's binary form and the CRC — is
+// what segments written between the two hold. A segment may hold all three.
+// Line framing means one corrupt record never hides its successors, and a
+// torn tail (a crash mid-write) is detected and truncated on recovery
+// instead of refusing to start. Segments rotate by size;
 // compaction deletes segments wholly covered by the oldest *retained*
 // checkpoint, so falling back to an older checkpoint when the newest is
 // corrupt never loses records.
@@ -47,9 +50,15 @@ import (
 // FsyncPolicy controls when the WAL is flushed to stable storage. The zero
 // value never fsyncs (the OS page cache decides): fastest, but a machine
 // crash can lose recent records. EveryRecords trades latency for a bounded
-// loss window in records; Interval bounds the loss window in time.
+// loss window in WAL lines; Interval bounds the loss window in time.
+//
+// EveryRecords counts lines, not samples: a report is one line, so
+// EveryRecords 1 ("always") is one fsync per journaled report — per acked
+// sample report on a coordinator — however many samples it holds. (A report
+// only JSON carries is one line a sample, written and counted together, so it
+// too is one fsync under "always".)
 type FsyncPolicy struct {
-	EveryRecords int           // fsync after every N appended records (0 = disabled)
+	EveryRecords int           // fsync after every N appended WAL lines (0 = disabled)
 	Interval     time.Duration // background fsync at least every T (0 = disabled)
 }
 
@@ -151,10 +160,10 @@ type Store struct {
 	segGen   uint64   // bumped when segments are deleted; open cursors then re-position
 	segSize  int64
 	nextLSN  uint64
-	unsynced int // records appended since the last fsync
+	unsynced int // WAL lines appended since the last fsync
 	closed   bool
 	wedged   error  // set when a failed write could not be undone; appends refuse until reopen
-	buf      []byte // line assembly scratch, reused across Appends
+	buf      []byte // line assembly scratch, reused across appends
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -205,7 +214,7 @@ func (st *Store) Recovery() Recovery { return st.recovery }
 func (st *Store) Dir() string { return st.dir }
 
 // LastLSN returns the sequence number of the most recently appended
-// record (0 if none yet).
+// sample (0 if none yet).
 func (st *Store) LastLSN() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -257,65 +266,90 @@ func (st *Store) rotateLocked(next uint64) error {
 	return st.openSegmentLocked(next)
 }
 
-// Append journals one sample and returns its sequence number. The write
-// reaches the OS before Append returns; it reaches the disk per the
-// configured FsyncPolicy.
+// Append journals one sample, as a report of one, and returns its sequence
+// number.
 func (st *Store) Append(smp trace.Sample) (uint64, error) {
+	return st.AppendReport(smp.ClientID, []trace.Sample{smp})
+}
+
+// AppendReport journals the samples of one report, in order, as the log's
+// next LSNs — one a sample — and returns the last of them. The report is one
+// WAL line, written with one write, one CRC and one tick of the fsync policy;
+// a report the binary form does not carry is one JSON line a sample, written
+// together. Either way the report is journaled whole or, if the write fails,
+// not at all. The write reaches the OS before AppendReport returns; it
+// reaches the disk per the configured FsyncPolicy. clientID is the report's,
+// against which the first sample's client is spelled.
+func (st *Store) AppendReport(clientID string, samples []trace.Sample) (uint64, error) {
+	if len(samples) == 0 {
+		return 0, errors.New("store: appending an empty report")
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return 0, ErrClosed
 	}
-	lsn, err := st.appendLocked(smp)
+	last, err := st.appendReportLocked(clientID, samples)
 	if err != nil {
 		st.met.appendErrors.Inc()
 	}
-	return lsn, err
+	return last, err
 }
 
-func (st *Store) appendLocked(smp trace.Sample) (uint64, error) {
-	lsn := st.nextLSN
+func (st *Store) appendReportLocked(clientID string, samples []trace.Sample) (uint64, error) {
+	first := st.nextLSN
 	var err error
-	if st.buf, err = appendRecordLine(st.buf[:0], lsn, smp); err != nil {
-		return 0, fmt.Errorf("store: encoding sample: %w", err)
+	if st.buf, err = appendReportLine(st.buf[:0], first, clientID, samples); err != nil {
+		return 0, fmt.Errorf("store: encoding report: %w", err)
 	}
-	if err := st.writeLineLocked(lsn, st.buf); err != nil {
+	lines := 1
+	if st.buf[0] != reportLead {
+		lines = len(samples)
+	}
+	last := first + uint64(len(samples)) - 1
+	err = st.writeLocked(first, last, lines, st.buf)
+	if cap(st.buf) > scratchKeep {
+		st.buf = nil // one outsized report does not pin its buffer
+	}
+	if err != nil {
 		return 0, err
 	}
-	return lsn, nil
+	return last, nil
 }
 
-// writeLineLocked journals line, the whole WAL line of record lsn, as the
-// log's next record: rotation, the write, the books and the fsync policy.
+// writeLocked journals data — whole WAL lines, n of them, holding LSNs first
+// through last — as the log's next records: rotation, one write, the books
+// and the fsync policy.
 //
-// A write that fails part way (ENOSPC, EFBIG) has still put the start of line
+// A write that fails part way (ENOSPC, EFBIG) has still put the start of data
 // in the segment, and the next line written behind it would merge with it
 // into one that fails its CRC — read on recovery as a torn tail, taking an
 // acked record with it. So the segment is cut back to where the last whole
-// line ends; if that fails too, every later append is refused until the store
-// is reopened and recovery truncates the partial line.
-func (st *Store) writeLineLocked(lsn uint64, line []byte) error {
+// line ends, taking all of data with it; if that fails too, every later
+// append is refused until the store is reopened and recovery truncates the
+// partial line.
+func (st *Store) writeLocked(first, last uint64, n int, data []byte) error {
 	if st.wedged != nil {
-		return fmt.Errorf("store: appending record %d: %w", lsn, st.wedged)
+		return fmt.Errorf("store: appending record %d: %w", first, st.wedged)
 	}
 	if st.segSize >= st.opts.SegmentMaxBytes {
-		if err := st.rotateLocked(lsn); err != nil {
+		if err := st.rotateLocked(first); err != nil {
 			return err
 		}
 	}
-	if _, err := st.f.Write(line); err != nil {
+	if _, err := st.f.Write(data); err != nil {
 		if uerr := st.undoWriteLocked(); uerr != nil {
 			st.wedged = fmt.Errorf("a partial record could not be cut from the WAL (%w); reopen the store", uerr)
-			return fmt.Errorf("store: appending record %d: %w; %w", lsn, err, st.wedged)
+			return fmt.Errorf("store: appending record %d: %w; %w", first, err, st.wedged)
 		}
-		return fmt.Errorf("store: appending record %d: %w", lsn, err)
+		return fmt.Errorf("store: appending record %d: %w", first, err)
 	}
-	st.segSize += int64(len(line))
-	st.nextLSN = lsn + 1
-	st.unsynced++
-	st.met.walAppends.Inc()
-	st.met.walBytes.Add(float64(len(line)))
-	if n := st.opts.Fsync.EveryRecords; n > 0 && st.unsynced >= n {
+	st.segSize += int64(len(data))
+	st.nextLSN = last + 1
+	st.unsynced += n
+	st.met.walAppends.Add(float64(n))
+	st.met.walBytes.Add(float64(len(data)))
+	if every := st.opts.Fsync.EveryRecords; every > 0 && st.unsynced >= every {
 		if err := st.syncLocked(); err != nil {
 			return fmt.Errorf("store: fsync: %w", err)
 		}

@@ -6,33 +6,31 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
 )
 
-// A sample on its own also has one binary form, the body of a binary WAL
-// record (see internal/store), and JSON is its specification (a report's
-// samples have another, below):
+// A sample on its own also has one binary form, the body of a sample line
+// (lead 0xB1) in the WAL (see internal/store), and JSON is its specification
+// (a report's samples have another, below):
 //
 //	varint Unix seconds · uvarint nanoseconds · lat, lon, value, speed_kmh as
 //	little-endian float64 bits · flags (bit 0: failed) · net, metric, client,
 //	device, each a uvarint length and the bytes
 //
-// AppendSampleBinary writes it only for a sample it carries to exactly what
-// json.Unmarshal makes of the sample's JSON, and declines the rest for the
-// caller to write as JSON: a time whose zone offset is not 0 (JSON keeps the
-// offset, and decodes a zone), a string that is not valid UTF-8 (JSON turns
-// each bad byte into U+FFFD), and what JSON refuses (NaN, ±Inf, a year
-// outside 0–9999), which json.Marshal then refuses.
-//
-// ParseSampleBinary is its canonical, fail-closed inverse: it refuses an
-// overlong varint, nanoseconds of 1e9 or more, an unknown flag bit, every
-// value the encoder declines, a length past the input and bytes after the
-// device, so what it accepts re-encodes to the same bytes. A field added to
-// Sample has to be added here too, and to the report's form.
+// Nothing in the tree writes it any more — the WAL journals a report, one
+// sample or many, in the report's form — but segments written before that
+// hold it, and ParseSampleBinary reads them back. It is the canonical,
+// fail-closed inverse of the form's encoder as it was: it refuses an overlong
+// varint, nanoseconds of 1e9 or more, an unknown flag bit, a time outside
+// years 0–9999, NaN and ±Inf, a string that is not valid UTF-8, a length past
+// the input and bytes after the device, so what it accepts is what that
+// encoder wrote for the sample it decodes to.
 
 const (
 	flagFailed = 1 << 0
@@ -43,32 +41,12 @@ const (
 	maxBinarySec = 253402300799
 )
 
-// AppendSampleBinary appends the binary form of s to buf, allocating nothing
-// when buf has the room. It reports false, with buf unextended, for a sample
-// the form does not carry.
-func AppendSampleBinary(buf []byte, s Sample) ([]byte, bool) {
-	if !carriesBinary(&s) {
-		return buf, false
-	}
-	buf = binary.AppendVarint(buf, s.Time.Unix())
-	buf = binary.AppendUvarint(buf, uint64(s.Time.Nanosecond()))
-	for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
-		buf = appendFloatBinary(buf, f)
-	}
-	var flags byte
-	if s.Failed {
-		flags |= flagFailed
-	}
-	buf = append(buf, flags)
-	for _, str := range [...]string{string(s.Network), string(s.Metric), s.ClientID, s.Device} {
-		buf = AppendStringBinary(buf, str)
-	}
-	return buf, true
-}
-
-// carriesBinary reports whether the binary forms carry s to exactly what
-// json.Unmarshal makes of its JSON: a time in UTC and in years 0–9999,
-// finite floats and strings of valid UTF-8.
+// carriesBinary reports whether the report's binary form carries s to exactly
+// what json.Unmarshal makes of its JSON: a time whose zone offset is 0 (JSON
+// keeps the offset, and decodes a zone) and in years 0–9999, finite floats
+// (JSON refuses NaN and ±Inf) and strings of valid UTF-8 (JSON turns each
+// bad byte into U+FFFD). A field added to Sample has to be added here and to
+// the report's form.
 func carriesBinary(s *Sample) bool {
 	sec := s.Time.Unix()
 	if _, off := s.Time.Zone(); off != 0 || sec < minBinarySec || sec > maxBinarySec {
@@ -184,10 +162,20 @@ func Uvarint(b []byte) (v uint64, n int) {
 
 // binReader reads the binary form off the head of b. A malformed field sets
 // bad and turns every later read into a no-op, so a caller reads the fields
-// in a straight line and looks at bad once.
+// in a straight line and looks at bad once. A view reader hands out the
+// strings it decodes as views of b, for a caller that only checks them.
 type binReader struct {
-	b   []byte
-	bad bool
+	b    []byte
+	bad  bool
+	view bool
+}
+
+// text returns b as a string: a copy, or for a view reader, a view.
+func (r *binReader) text(b []byte) string {
+	if r.view {
+		return unsafe.String(unsafe.SliceData(b), len(b))
+	}
+	return string(b)
 }
 
 func (r *binReader) uvarint() uint64 {
@@ -247,7 +235,8 @@ func (r *binReader) str() []byte {
 
 // A sample report — a client id and the samples it uploads — has a binary
 // form too, the body of the wire's binary sample_report line (see
-// internal/wire), and JSON is its specification as it is the sample's:
+// internal/wire) and of a WAL report line (see internal/store), and JSON is
+// its specification:
 //
 //	client id · uvarint sample count · per sample:
 //	  flags · [ time ] · [ loc ] · net · metric · value · [ client ] · [ device ] · [ speed_kmh ]
@@ -263,10 +252,10 @@ func (r *binReader) str() []byte {
 // not define, so the order of those lists is part of the form.
 //
 // AppendReportBinary writes it for a report whose client id is valid UTF-8
-// and whose every sample AppendSampleBinary carries — the same rule, so the
-// report decodes to exactly what json.Unmarshal makes of its JSON — and
-// declines the rest, and a report with no samples, for the caller to send as
-// JSON. ParseReportBinary is its canonical, fail-closed inverse: besides what
+// and whose every sample carriesBinary passes — so the report decodes to
+// exactly what json.Unmarshal makes of its JSON — and declines the rest, and
+// a report with no samples, for the caller to write as JSON.
+// ParseReportBinary is its canonical, fail-closed inverse: besides what
 // ParseSampleBinary refuses, it refuses a field spelled out that equals the
 // sample before's, a name spelled out that has an index, an index past its
 // list and a count of zero, so what it accepts re-encodes to the same bytes.
@@ -370,28 +359,24 @@ func appendName[T ~string](buf []byte, name T, names []T) []byte {
 	return AppendStringBinary(append(buf, 0), string(name))
 }
 
-// ParseReportBinary decodes b, the whole binary form of a report. It refuses
-// one of more than maxSamples samples with ErrTooManySamples, and allocates
-// its samples once, after it has checked their count against maxSamples and
-// against the bytes left to spell them. A string equal to the same field of
-// the sample before, or to the client id, shares its string, and a network
-// or metric this tree defines is its constant.
-func ParseReportBinary(b []byte, maxSamples int) (clientID string, samples []Sample, err error) {
+// ParseReportBinary decodes b, the whole binary form of a report, appending
+// its samples to dst. It refuses one of more than maxSamples samples with
+// ErrTooManySamples, and grows dst once, after it has checked the count
+// against maxSamples and against the bytes left to spell them, so a caller
+// that keeps dst decodes report after report into one slice. A string equal
+// to the same field of the sample before, or to the client id, shares its
+// string, and a network or metric this tree defines is its constant; no
+// sample shares memory with b.
+func ParseReportBinary(dst []Sample, b []byte, maxSamples int) (clientID string, samples []Sample, err error) {
 	r := binReader{b: b}
-	client := r.str()
-	n := r.uvarint()
-	switch {
-	case r.bad:
-		return "", nil, errBinaryReport
-	case n > uint64(maxSamples):
-		return "", nil, ErrTooManySamples
-	case n == 0 || n > uint64(len(r.b)/minReportSample):
-		return "", nil, errBinaryReport
+	client, n, err := r.reportHead(maxSamples)
+	if err != nil {
+		return "", nil, err
 	}
 	clientID = string(client)
-	samples = make([]Sample, n)
+	samples = slices.Grow(dst, n)[:len(dst)+n]
 	prev := &Sample{ClientID: clientID}
-	for i := range samples {
+	for i := len(dst); i < len(samples); i++ {
 		r.reportSample(&samples[i], prev)
 		prev = &samples[i]
 	}
@@ -401,7 +386,52 @@ func ParseReportBinary(b []byte, maxSamples int) (clientID string, samples []Sam
 	return clientID, samples, nil
 }
 
-// reportSample reads one of a report's samples into *s, which must be zero.
+// ValidReportBinary reports whether ParseReportBinary, allowed any number of
+// samples, accepts b, and how many samples b holds. It allocates nothing: the
+// samples are read two at a time, each against the one before, with their
+// strings views of b.
+func ValidReportBinary(b []byte) (n int, ok bool) {
+	r := binReader{b: b, view: true}
+	client, n, err := r.reportHead(math.MaxInt)
+	if err != nil {
+		return 0, false
+	}
+	var pair [2]Sample
+	pair[1].ClientID = r.text(client)
+	for i := 0; i < n && !r.bad; i++ {
+		r.reportSample(&pair[i%2], &pair[(i+1)%2])
+	}
+	return n, !r.bad && len(r.b) == 0
+}
+
+// ReportCount reads the sample count off the head of b, a report's binary
+// form, checking it as ParseReportBinary does — not zero, and no more than the
+// bytes behind it can spell — and nothing after it.
+func ReportCount(b []byte) (n int, ok bool) {
+	r := binReader{b: b}
+	_, n, err := r.reportHead(math.MaxInt)
+	return n, err == nil
+}
+
+// reportHead reads a report's client id and sample count off the head of
+// r.b, refusing a count over maxSamples with ErrTooManySamples and one of zero
+// or past what the bytes left can spell as malformed.
+func (r *binReader) reportHead(maxSamples int) (client []byte, n int, err error) {
+	client = r.str()
+	count := r.uvarint()
+	switch {
+	case r.bad:
+		return nil, 0, errBinaryReport
+	case count > uint64(maxSamples):
+		return nil, 0, ErrTooManySamples
+	case count == 0 || count > uint64(len(r.b)/minReportSample):
+		return nil, 0, errBinaryReport
+	}
+	return client, int(count), nil
+}
+
+// reportSample reads one of a report's samples into *s, overwriting every
+// field.
 func (r *binReader) reportSample(s, prev *Sample) {
 	flags := r.u8()
 	if flags&^reportFlags != 0 {
@@ -450,7 +480,7 @@ func (r *binReader) changed(same bool, prev string) string {
 		r.bad = true
 		return ""
 	}
-	return string(b)
+	return r.text(b)
 }
 
 // readName reads what appendName writes. A name spelled out that equals
@@ -476,7 +506,7 @@ func readName[T ~string](r *binReader, names []T, prev T) T {
 	case string(b) == string(prev):
 		return prev
 	}
-	return T(b)
+	return T(r.text(b))
 }
 
 // Every binary line in the tree — a WAL record and a checkpoint

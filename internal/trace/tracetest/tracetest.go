@@ -6,6 +6,7 @@
 package tracetest
 
 import (
+	"encoding/binary"
 	"math"
 	"time"
 
@@ -62,6 +63,50 @@ func Sample(r *rng.Rand) trace.Sample {
 // PlainSample is Sample with only strings that need no escape.
 func PlainSample(r *rng.Rand) trace.Sample {
 	return plainDraw(r).sample()
+}
+
+// BenchReport is a report shaped like the benchmark's (see bench/gen.go): n
+// samples of one client at one place and instant, the six monitored keys in
+// rotation, each with a value drawn from its metric's range.
+func BenchReport(r *rng.Rand, n int) (clientID string, samples []trace.Sample) {
+	clientID = "bench-client-0042"
+	samples = make([]trace.Sample, n)
+	nets := radio.AllNetworks
+	metrics := []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs}
+	for i := range samples {
+		k := i % (len(nets) * len(metrics))
+		lo, hi := 800.0, 2400.0
+		if metrics[k/len(nets)] == trace.MetricRTTMs {
+			lo, hi = 40, 160
+		}
+		samples[i] = trace.Sample{
+			Time: base, Loc: geo.Point{Lat: 43.07125, Lon: -89.408}, Network: nets[k%len(nets)], Metric: metrics[k/len(nets)],
+			Value: r.Range(lo, hi), ClientID: clientID, Device: "bench", SpeedKmh: 30,
+		}
+	}
+	return clientID, samples
+}
+
+// AppendSampleBinary appends s in the binary form of one sample that WAL
+// sample lines (lead 0xB1) hold — see trace.ParseSampleBinary — as the
+// stores that wrote those lines encoded it: the fixture for old segments,
+// now that nothing in the tree writes the form. s must be one the form
+// carries (a UTC time, finite floats, UTF-8 strings).
+func AppendSampleBinary(buf []byte, s trace.Sample) []byte {
+	buf = binary.AppendVarint(buf, s.Time.Unix())
+	buf = binary.AppendUvarint(buf, uint64(s.Time.Nanosecond()))
+	for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+	}
+	var flags byte
+	if s.Failed {
+		flags = 1
+	}
+	buf = append(buf, flags)
+	for _, str := range [...]string{string(s.Network), string(s.Metric), s.ClientID, s.Device} {
+		buf = trace.AppendStringBinary(buf, str)
+	}
+	return buf
 }
 
 // Record draws one zone record over the values its format's rules turn on:

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // fuzzConn builds a receive-only Conn over raw bytes, exercising the exact
@@ -22,7 +24,9 @@ func fuzzConn(data []byte) *Conn {
 // FuzzDecode throws arbitrary byte streams at the JSON-line decoder. The
 // invariants: Recv never panics, a nil-error result always carries a
 // non-empty message type, truncated/garbage/oversized input surfaces as an
-// error, the reader always terminates (the stream is finite), and — once the
+// error — ErrMessageTooLarge only for a line over MaxMessageBytes or a sample
+// report of more than maxReportSamples samples, and always for the latter —
+// the reader always terminates (the stream is finite), and — once the
 // whole stream has been read — every envelope still equals a decode of its
 // own line's copy (json.Unmarshal's, or a binary sample report's own): Recv
 // decodes short lines in place, and nothing it returns may alias bytes a
@@ -79,14 +83,21 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzConn(data)
+		lines := bytes.SplitAfter(data, []byte("\n"))
 		var got []Envelope
 		for {
 			e, err := c.Recv()
 			if err != nil {
-				// Any error is acceptable; a panic is not. The size cap
-				// must be reported as the sentinel so peers can answer
-				// with a protocol error.
-				if errors.Is(err, ErrMessageTooLarge) && len(data) <= MaxMessageBytes {
+				// Any error is acceptable; a panic is not. The size cap and
+				// the report ceiling must be reported as the sentinel so
+				// peers can answer with a protocol error, and nothing else
+				// may be.
+				line := lines[len(got)] // the line Recv failed on
+				over := bytes.HasSuffix(line, []byte("\n")) && reportOverCeiling(line[:len(line)-1])
+				switch {
+				case over && !errors.Is(err, ErrMessageTooLarge):
+					t.Fatalf("a report of more than %d samples refused with %v, want ErrMessageTooLarge", maxReportSamples, err)
+				case !over && errors.Is(err, ErrMessageTooLarge) && len(data) <= MaxMessageBytes:
 					t.Fatalf("size-cap error on %d-byte input under the %d cap", len(data), MaxMessageBytes)
 				}
 				break
@@ -98,7 +109,6 @@ func FuzzDecode(f *testing.F) {
 				t.Fatal("decoder yielded more messages than input bytes")
 			}
 		}
-		lines := bytes.SplitAfter(data, []byte("\n"))
 		for i, e := range got {
 			var want Envelope
 			var err error
@@ -112,6 +122,41 @@ func FuzzDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// reportOverCeiling reports whether line, a wire line without its '\n', is a
+// sample report that holds more than maxReportSamples samples by its own
+// count — the binary form's, read as parseBinaryReport reads it up to there,
+// or the JSON array's elements — which Recv refuses as too large however few
+// bytes it takes.
+func reportOverCeiling(line []byte) bool {
+	if len(line) > 0 && line[0] == binaryReportLead {
+		body, ok := trace.Unstuff(nil, line[1:])
+		if !ok || len(body) == 0 || body[0] > 1 {
+			return false
+		}
+		hasVia := body[0] == 1
+		body = body[1:]
+		for _, field := range []bool{hasVia, hasVia, true} { // gateway, shard, client id
+			if field {
+				if _, body, ok = trace.ReadStringBinary(body); !ok {
+					return false
+				}
+			}
+		}
+		n, k := trace.Uvarint(body)
+		return k > 0 && n > maxReportSamples
+	}
+	var probe struct {
+		SampleReport *struct {
+			Samples []json.RawMessage `json:"samples"`
+		} `json:"sample_report"`
+	}
+	if !json.Valid(line) {
+		return false
+	}
+	_ = json.Unmarshal(line, &probe) // a field of another type is beside the point: the count is read
+	return probe.SampleReport != nil && len(probe.SampleReport.Samples) > maxReportSamples
 }
 
 // TestRecvOversizedLine pins the size-cap sentinel on a single line larger

@@ -441,11 +441,11 @@ func FuzzSampleDecodeMatchesJSON(f *testing.F) {
 		var want walRecord
 		framed := walLine(line)
 		wantOK := len(framed) <= 1<<20 && json.Unmarshal(bytes.Clone(line), &want) == nil
-		got, lsn, ok := store.ParseRecordLine(framed)
+		lsn, got, ok := store.ParseRecordLine(nil, framed)
 		for i := range framed {
 			framed[i] = 'x'
 		}
-		if ok != wantOK || (ok && (lsn != want.LSN || !reflect.DeepEqual(got, want.Sample))) {
+		if ok != wantOK || (ok && (lsn != want.LSN || len(got) != 1 || !reflect.DeepEqual(got[0], want.Sample))) {
 			t.Fatalf("WAL payload %q:\nparsed %d %+v, ok %v\noracle %d %+v, ok %v", line, lsn, got, ok, want.LSN, want.Sample, wantOK)
 		}
 	})

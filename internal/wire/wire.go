@@ -509,7 +509,7 @@ func parseBinaryReport(stuffed []byte) (Envelope, error) {
 			return Envelope{}, errBinaryReport
 		}
 	}
-	clientID, samples, err := trace.ParseReportBinary(body, maxReportSamples)
+	clientID, samples, err := trace.ParseReportBinary(nil, body, maxReportSamples)
 	switch {
 	case errors.Is(err, trace.ErrTooManySamples):
 		return Envelope{}, ErrMessageTooLarge

@@ -46,7 +46,6 @@ func main() {
 	days := flag.Float64("days", 1, "simulated duration in days")
 	interval := flag.Duration("interval", 5*time.Minute, "zone-report cadence (simulated)")
 	seed := flag.Uint64("seed", 1, "environment/measurement seed")
-	zoneRadius := flag.Float64("zone-radius", 250, "zone radius (must match coordinator)")
 	opsAddr := flag.String("ops-addr", "", "agent ops HTTP plane address (/metrics, /healthz, pprof); empty disables")
 	flag.Parse()
 
@@ -89,7 +88,6 @@ func main() {
 		Env:         env,
 		Networks:    radio.AllNetworks,
 		Seed:        *seed,
-		Grid:        geo.GridForZoneRadius(geo.Madison().Center(), *zoneRadius),
 		Telemetry:   met,
 	}
 

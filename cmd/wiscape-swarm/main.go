@@ -50,7 +50,6 @@ func main() {
 	rounds := flag.Int("rounds", 10, "protocol rounds per agent")
 	samples := flag.Int("samples", 5, "samples uploaded per round")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	zoneRadius := flag.Float64("zone-radius", 250, "zone radius (match the target)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	roundDelay := flag.Duration("round-delay", 0, "real-time pause between rounds (spread the run across a chaos window)")
 	killShard := flag.String("kill-shard", "", "ops-plane URL of a coordinator (started with -admin) to suspend mid-run")
@@ -76,7 +75,6 @@ func main() {
 		SamplesPerRound: *samples,
 		Regions:         regions,
 		Seed:            *seed,
-		ZoneRadiusM:     *zoneRadius,
 		RequestTimeout:  *timeout,
 		RoundDelay:      *roundDelay,
 		KillTarget:      *killShard,

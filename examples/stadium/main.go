@@ -61,7 +61,6 @@ func main() {
 			Env:         env,
 			Networks:    []radio.NetworkID{radio.NetB},
 			Seed:        seed + uint64(i),
-			Grid:        ctrl.Grid(),
 		}
 		st, err := a.Run(srv.Addr(), windowStart, 6*time.Hour, time.Minute)
 		if err != nil {

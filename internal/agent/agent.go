@@ -76,10 +76,6 @@ type Agent struct {
 	Networks    []radio.NetworkID
 	Seed        uint64
 
-	// Grid must match the coordinator's zone grid (derived from the same
-	// origin and radius).
-	Grid *geo.Grid
-
 	// Telemetry, when non-nil, receives client-side metrics (build one
 	// with NewMetrics). Nil runs uninstrumented.
 	Telemetry *Metrics
@@ -231,7 +227,6 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		st.Rounds++
 		reply, err := a.call(conn, m, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: a.ID,
-			Zone:     a.Grid.Zone(pose.Loc),
 			Loc:      pose.Loc,
 			SpeedKmh: pose.SpeedKmh,
 			At:       at,

@@ -30,7 +30,6 @@ func testAgent() *Agent {
 		Env:         env,
 		Networks:    []radio.NetworkID{radio.NetB},
 		Seed:        seed,
-		Grid:        geo.GridForZoneRadius(geo.Madison().Center(), 250),
 	}
 }
 

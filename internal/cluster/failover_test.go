@@ -175,7 +175,6 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 			Env:         env,
 			Networks:    []radio.NetworkID{radio.NetB},
 			Seed:        seed,
-			Grid:        geo.GridForZoneRadius(geo.Madison().Center(), 250),
 		}
 	}
 
@@ -500,7 +499,7 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 	}
 	loc := boxA().Center()
 	report := wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
-		ClientID: "revival-probe", Zone: geo.GridForZoneRadius(loc, 250).Zone(loc), Loc: loc, At: start,
+		ClientID: "revival-probe", Loc: loc, At: start,
 	}}
 	zoneReports := func() float64 {
 		return restarted.Telemetry().Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeZoneReport)).Value()

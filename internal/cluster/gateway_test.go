@@ -175,7 +175,6 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 		Env:      env,
 		Networks: []radio.NetworkID{radio.NetB},
 		Seed:     seed,
-		Grid:     geo.GridForZoneRadius(geo.Madison().Center(), 250),
 	}
 
 	st, err := a.Run(tc.gw.Addr(), start, 2*time.Hour, time.Minute)
@@ -255,7 +254,6 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	zoneReport := func(loc geo.Point, at time.Time) wire.Envelope {
 		reply, err := c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: "degrade-probe",
-			Zone:     geo.GridForZoneRadius(loc, 250).Zone(loc),
 			Loc:      loc,
 			At:       at,
 		}})
@@ -859,7 +857,6 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		Track:    crossTrack{a: geo.MadisonStaticSites()[0], b: geo.NJStaticSites()[0], mid: start.Add(30 * time.Minute)},
 		Env:      radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center()),
 		Networks: []radio.NetworkID{radio.NetB}, Seed: seed,
-		Grid: geo.GridForZoneRadius(geo.Madison().Center(), 250),
 	}
 	st, err := a.Run(gw.Addr(), start, time.Hour, time.Minute)
 	if err != nil || st.SamplesSent == 0 || ingested() != int64(st.SamplesSent) {
@@ -993,7 +990,6 @@ func TestAgentRoundTripNeverFallsBack(t *testing.T) {
 		Track:    crossTrack{a: geo.MadisonStaticSites()[0], b: geo.NJStaticSites()[0], mid: start.Add(time.Hour)},
 		Env:      radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center()),
 		Networks: []radio.NetworkID{radio.NetB}, Seed: seed,
-		Grid:      geo.GridForZoneRadius(geo.Madison().Center(), 250),
 		Telemetry: agent.NewMetrics(tiers["agent"]),
 	}
 	st, err := a.Run(gw.Addr(), start, 2*time.Hour, time.Minute)

@@ -43,10 +43,6 @@ type Options struct {
 	// swarm exercises every shard. Default: the Madison box.
 	Regions []geo.BoundingBox
 
-	// ZoneRadiusM sizes the zone grid agents derive report zones from;
-	// it should match the coordinator's. Default 250.
-	ZoneRadiusM float64
-
 	// Network and Metric tag the synthetic samples. Defaults: NetB,
 	// udp_kbps.
 	Network radio.NetworkID
@@ -96,9 +92,6 @@ func (o *Options) fill() {
 	}
 	if len(o.Regions) == 0 {
 		o.Regions = []geo.BoundingBox{geo.Madison()}
-	}
-	if o.ZoneRadiusM <= 0 {
-		o.ZoneRadiusM = 250
 	}
 	if o.Network == "" {
 		o.Network = radio.NetB
@@ -205,11 +198,6 @@ func Run(addr string, opts Options) (Result, error) {
 	if addr == "" {
 		return Result{}, fmt.Errorf("swarm: target address required")
 	}
-	grids := make([]*geo.Grid, len(opts.Regions))
-	for i, box := range opts.Regions {
-		grids[i] = geo.GridForZoneRadius(box.Center(), opts.ZoneRadiusM)
-	}
-
 	tallies := make([]agentTally, opts.Agents)
 	var wg sync.WaitGroup
 	t0 := time.Now()
@@ -252,9 +240,7 @@ func Run(addr string, opts Options) (Result, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			region := opts.Regions[i%len(opts.Regions)]
-			grid := grids[i%len(opts.Regions)]
-			runAgent(addr, opts, i, t0, region, grid, &tallies[i])
+			runAgent(addr, opts, i, t0, opts.Regions[i%len(opts.Regions)], &tallies[i])
 		}(i)
 	}
 	wg.Wait()
@@ -349,7 +335,7 @@ func secs(s float64) time.Duration { return time.Duration(s * float64(time.Secon
 // agent (resilience is the real agent's job; the swarm measures the
 // server); an error *reply* counts as a failure but the agent carries on,
 // which is what keeps a half-degraded cluster measurable.
-func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.BoundingBox, grid *geo.Grid, tally *agentTally) {
+func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.BoundingBox, tally *agentTally) {
 	r := rng.NewNamed(opts.Seed, fmt.Sprintf("swarm-agent-%d", idx))
 	id := fmt.Sprintf("swarm-%04d", idx)
 
@@ -398,7 +384,6 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 		}
 		if _, _, alive := call(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: id,
-			Zone:     grid.Zone(loc),
 			Loc:      loc,
 			At:       at,
 			Networks: []radio.NetworkID{opts.Network},

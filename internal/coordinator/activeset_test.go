@@ -10,6 +10,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -145,9 +146,10 @@ type scheduleOp struct {
 // schedule draws a client population's life: a few zones, clients that move
 // between them, some that report constantly and some that fall silent for
 // longer than the horizon, hellos before, between and instead of reports,
-// repeated timestamps, and now and then a gap that outlasts everyone. at()
-// turns the schedule's clock into a report's At.
-func schedule(r *rng.Rand, horizon time.Duration, at func(clock time.Time) time.Time) []scheduleOp {
+// repeated timestamps, and now and then a gap that outlasts everyone. A
+// report's Loc is the center of its Zone on grid, the server's. at() turns
+// the schedule's clock into a report's At.
+func schedule(r *rng.Rand, horizon time.Duration, grid *geo.Grid, at func(clock time.Time) time.Time) []scheduleOp {
 	nClients, nZones := 6+r.Intn(30), 1+r.Intn(5)
 	zoneOf := make([]geo.ZoneID, nClients)
 	for i := range zoneOf {
@@ -175,7 +177,7 @@ func schedule(r *rng.Rand, horizon time.Duration, at func(clock time.Time) time.
 		if r.Bool(0.2) {
 			zoneOf[c] = geo.ZoneID{X: int32(r.Intn(nZones))}
 		}
-		zr := wire.ZoneReport{ClientID: id, Zone: zoneOf[c], At: at(clock)}
+		zr := wire.ZoneReport{ClientID: id, Zone: zoneOf[c], Loc: grid.Center(zoneOf[c]), At: at(clock)}
 		if r.Bool(0.3) {
 			zr.Networks = []radio.NetworkID{radio.AllNetworks[r.Intn(len(radio.AllNetworks))]}
 		}
@@ -204,18 +206,19 @@ func TestAssignTasksMatchesFullScan(t *testing.T) {
 		horizon := real.activeHorizon()
 		oracle := newFullScan(horizon)
 		reports, expired := 0, false
-		for i, op := range schedule(rng.New(sd), horizon, func(clock time.Time) time.Time { return clock }) {
+		for i, op := range schedule(rng.New(sd), horizon, real.Controller().Grid(), func(clock time.Time) time.Time { return clock }) {
 			if op.hello {
 				sayHello(real, op.zr.ClientID)
 				oracle.hello(op.zr.ClientID)
 				continue
 			}
-			got, want := real.noteReport(&op.zr), oracle.report(&op.zr)
+			zone := real.Controller().ZoneOf(op.zr.Loc)
+			got, want := real.noteReport(&op.zr, zone), oracle.report(&op.zr)
 			if got != want {
 				t.Fatalf("schedule %d (seed %d) op %d: %s in zone %v at %v: active %d, full scan %d",
 					n, sd, i, op.zr.ClientID, op.zr.Zone, op.zr.At.Sub(start), got, want)
 			}
-			gotTasks, wantTasks := real.drawTasks(&op.zr, got), drawer.drawTasks(&op.zr, want)
+			gotTasks, wantTasks := real.drawTasks(&op.zr, zone, got), drawer.drawTasks(&op.zr, op.zr.Zone, want)
 			if !reflect.DeepEqual(gotTasks, wantTasks) {
 				t.Fatalf("schedule %d (seed %d) op %d: tasks %v, full scan %v", n, sd, i, gotTasks, wantTasks)
 			}
@@ -242,11 +245,11 @@ func TestAssignTasksMatchesFullScan(t *testing.T) {
 func TestDrawnTaskListsAreExact(t *testing.T) {
 	s := scheduleServer(t, seed)
 	drawn, empty := 0, 0
-	for _, op := range schedule(rng.New(seed), s.activeHorizon(), func(clock time.Time) time.Time { return clock }) {
+	for _, op := range schedule(rng.New(seed), s.activeHorizon(), s.Controller().Grid(), func(clock time.Time) time.Time { return clock }) {
 		if op.hello {
 			continue
 		}
-		switch tasks := s.drawTasks(&op.zr, s.noteReport(&op.zr)); {
+		switch tasks := s.assignTasks(&op.zr); {
 		case tasks == nil:
 			empty++
 		case len(tasks) == 0 || cap(tasks) != len(tasks):
@@ -275,7 +278,7 @@ func TestActiveCountNeverExceedsFullScanUnderSkew(t *testing.T) {
 		horizon := real.activeHorizon()
 		oracle := newFullScan(horizon)
 		skew := rng.New(sd + 1)
-		for i, op := range schedule(rng.New(sd), horizon, func(clock time.Time) time.Time {
+		for i, op := range schedule(rng.New(sd), horizon, real.Controller().Grid(), func(clock time.Time) time.Time {
 			return clock.Add(time.Duration(skew.Range(-2, 2) * float64(horizon)))
 		}) {
 			if op.hello {
@@ -283,7 +286,7 @@ func TestActiveCountNeverExceedsFullScanUnderSkew(t *testing.T) {
 				oracle.hello(op.zr.ClientID)
 				continue
 			}
-			got, want := real.noteReport(&op.zr), oracle.report(&op.zr)
+			got, want := real.noteReport(&op.zr, real.Controller().ZoneOf(op.zr.Loc)), oracle.report(&op.zr)
 			if got > want || got < 1 {
 				t.Fatalf("schedule %d (seed %d) op %d: active %d, full scan %d", n, sd, i, got, want)
 			}
@@ -298,5 +301,75 @@ func TestActiveCountNeverExceedsFullScanUnderSkew(t *testing.T) {
 	}
 	if short == 0 {
 		t.Fatal("the skewed schedules never separated the two counts; they exercise nothing")
+	}
+}
+
+// TestZoneReportFiledByItsFix: the scheduler files a zone report under the
+// zone of its GPS fix, the one the controller files the client's samples
+// under, whatever zone id the client sent. Two clients at one fix share an
+// active set however they name their zone, and a client that names another
+// zone is tasked exactly as one that names its own: against the budget of
+// its fix's keys.
+func TestZoneReportFiledByItsFix(t *testing.T) {
+	truthful, lying := scheduleServer(t, seed), scheduleServer(t, seed)
+	loc := geo.MadisonStaticSites()[0]
+	zone := truthful.Controller().ZoneOf(loc)
+	elsewhere := geo.ZoneID{X: zone.X + 7, Y: zone.Y - 3}
+
+	// A history at the fix moves its key's budget off the default every
+	// key without one gets, so a task drawn against another zone's key
+	// would be drawn at another probability.
+	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	for _, s := range []*Server{truthful, lying} {
+		values := rng.New(seed)
+		for i := 0; i < 400; i++ {
+			s.Controller().Ingest(trace.Sample{
+				Time: start.Add(time.Duration(i) * time.Second), Loc: loc, Network: key.Net,
+				Metric: key.Metric, Value: values.Range(200, 2000), ClientID: "history",
+			})
+		}
+	}
+	if got := truthful.Controller().RequiredSamplesFor(key); got == truthful.Controller().Config().DefaultSamplesPerEpoch {
+		t.Fatalf("the history left the fix's budget at the default %d; the test exercises nothing", got)
+	}
+	lying.Controller().RequiredSamplesFor(key) // the same budget sweep, so the two stay in step
+
+	report := func(s *Server, id string, z geo.ZoneID, at time.Time) []wire.Task {
+		reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+			ClientID: id, Zone: z, Loc: loc, At: at, Networks: []radio.NetworkID{radio.NetB},
+		}})
+		if reply.TaskList == nil {
+			t.Fatalf("zone report from %s answered %+v", id, reply)
+		}
+		return reply.TaskList.Tasks
+	}
+
+	// One client each, one naming its fix's zone and one another; same
+	// seed, same draws, so the task lists must match round for round.
+	tasked := 0
+	for i := 0; i < 60; i++ {
+		at := start.Add(time.Duration(i) * 5 * time.Minute)
+		got, want := report(lying, "c", elsewhere, at), report(truthful, "c", zone, at)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: a client naming zone %v at a fix in %v was tasked %v, one naming its own zone %v",
+				i, elsewhere, zone, got, want)
+		}
+		tasked += len(got)
+	}
+	if tasked == 0 || tasked == 60*len(truthful.opts.Metrics) {
+		t.Fatalf("%d tasks in 60 rounds: the draw must be able to go either way", tasked)
+	}
+
+	// A second client at the same fix, naming the other zone, joins the
+	// first's active set.
+	report(lying, "d", zone, start.Add(5*time.Hour))
+	checkActiveSet(t, lying)
+	lying.mu.Lock()
+	defer lying.mu.Unlock()
+	if n := len(lying.zones[zone]); n != 2 {
+		t.Fatalf("zone %v lists %d clients, want both reporting from its fix", zone, n)
+	}
+	if _, ok := lying.zones[elsewhere]; ok {
+		t.Fatalf("zone %v, named by a client but holding none of its fixes, has a member list", elsewhere)
 	}
 }

@@ -148,7 +148,6 @@ func (o *Options) fill() {
 // from within the activity horizon.
 type clientState struct {
 	id       string
-	device   string
 	lastZone geo.ZoneID // with hasZone: the zone whose member list holds it
 	lastSeen time.Time  // At of its last zone report
 	hasZone  bool
@@ -431,7 +430,6 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 		// A hello starts the client over: it is in no zone until it reports.
 		st := s.heardFromLocked(req.Hello.ClientID)
 		s.leaveZoneLocked(st)
-		st.device = req.Hello.DeviceClass
 		s.mu.Unlock()
 		s.opts.Logf("coordinator: client %s (%s) registered", req.Hello.ClientID, req.Hello.DeviceClass)
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
@@ -608,16 +606,19 @@ func (s *Server) activeHorizon() time.Duration { return 3 * s.opts.TaskInterval 
 
 // assignTasks implements the probabilistic scheduler of §3.4: once per
 // epoch per zone, each active client is tasked with a probability chosen so
-// the expected sample count meets the zone's NKLD-derived requirement.
+// the expected sample count meets the zone's NKLD-derived requirement. The
+// zone is the one the controller files the report's samples under, found
+// from its GPS fix; the client's own zone id is not read.
 func (s *Server) assignTasks(zr *wire.ZoneReport) []wire.Task {
-	return s.drawTasks(zr, s.noteReport(zr))
+	zone := s.Controller().ZoneOf(zr.Loc)
+	return s.drawTasks(zr, zone, s.noteReport(zr, zone))
 }
 
-// noteReport records where and when the client reported and returns the
-// number of clients active in that zone (seen there within the horizon of
-// this report), the reporter included. It costs the zone's population plus
-// the records it expires, not the server's.
-func (s *Server) noteReport(zr *wire.ZoneReport) (active int) {
+// noteReport records that the client reported from zone at zr.At and
+// returns the number of clients active in that zone (seen there within the
+// horizon of this report), the reporter included. It costs the zone's
+// population plus the records it expires, not the server's.
+func (s *Server) noteReport(zr *wire.ZoneReport, zone geo.ZoneID) (active int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if zr.At.After(s.newest) {
@@ -626,15 +627,15 @@ func (s *Server) noteReport(zr *wire.ZoneReport) (active int) {
 	// Zone reports from clients whose hello we lost (reconnects) or whose
 	// record has expired register them implicitly.
 	st := s.heardFromLocked(zr.ClientID)
-	if !st.hasZone || st.lastZone != zr.Zone {
+	if !st.hasZone || st.lastZone != zone {
 		s.leaveZoneLocked(st)
-		st.lastZone, st.hasZone = zr.Zone, true
-		s.zones[zr.Zone] = append(s.zones[zr.Zone], st)
+		st.lastZone, st.hasZone = zone, true
+		s.zones[zone] = append(s.zones[zone], st)
 	}
 	st.lastSeen = zr.At
 	s.expireLocked()
 	horizon := s.activeHorizon()
-	for _, m := range s.zones[zr.Zone] {
+	for _, m := range s.zones[zone] {
 		if zr.At.Sub(m.lastSeen) < horizon {
 			active++
 		}
@@ -642,11 +643,11 @@ func (s *Server) noteReport(zr *wire.ZoneReport) (active int) {
 	return active
 }
 
-// drawTasks draws the report's task list given its zone's active count. The
-// list is drawn on the stack (up to eight tasks; the default options offer
-// six) and allocated once, at its length; one with no task stays nil, which
-// the frame spells `"tasks":null`.
-func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
+// drawTasks draws the report's task list given its zone and the zone's
+// active count. The list is drawn on the stack (up to eight tasks; the
+// default options offer six) and allocated once, at its length; one with no
+// task stays nil, which the frame spells `"tasks":null`.
+func (s *Server) drawTasks(zr *wire.ZoneReport, zone geo.ZoneID, active int) []wire.Task {
 	if active < 1 {
 		active = 1
 	}
@@ -662,7 +663,7 @@ func (s *Server) drawTasks(zr *wire.ZoneReport, active int) []wire.Task {
 			continue
 		}
 		for _, metric := range s.opts.Metrics {
-			key := core.Key{Zone: zr.Zone, Net: net, Metric: metric}
+			key := core.Key{Zone: zone, Net: net, Metric: metric}
 			epoch := s.Controller().EpochOf(key)
 			rounds := core.RoundsPerEpoch(epoch, s.opts.TaskInterval)
 			// The per-zone requirement starts at the configured default and

@@ -204,7 +204,6 @@ func TestEndToEndCampaign(t *testing.T) {
 				Env:         env,
 				Networks:    []radio.NetworkID{radio.NetB},
 				Seed:        seed,
-				Grid:        grid,
 			}
 			statsOut[i], errs[i] = a.Run(s.Addr(), start, 6*time.Hour, 30*time.Second)
 		}(i)
@@ -271,7 +270,7 @@ func TestAgentInactivePlatform(t *testing.T) {
 	a := &agent.Agent{
 		ID: "bus", Track: bus, Env: env,
 		Networks: []radio.NetworkID{radio.NetB},
-		Seed:     seed, Grid: s.Controller().Grid(),
+		Seed:     seed,
 	}
 	// Run entirely inside the garage window (midnight to 5am).
 	st, err := a.Run(s.Addr(), start.Add(-9*time.Hour), 5*time.Hour, 10*time.Minute)
@@ -389,7 +388,6 @@ func TestAgentResilientSurvivesCoordinatorRestart(t *testing.T) {
 		Env:         env,
 		Networks:    []radio.NetworkID{radio.NetB},
 		Seed:        seed,
-		Grid:        ctrl.Grid(),
 		// Fast backoff so redials during the restart window finish well
 		// inside the test budget.
 		RetryBackoff: rng.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},

@@ -63,19 +63,19 @@ func (s *Server) replicaPosition() (applied, lag uint64) {
 }
 
 // startReplicaLocked builds the tail client for one primary. Caller holds
-// s.mu and stores the result in s.rep.
+// s.mu and stores the result in s.rep. A forced resync asks from LSN 0,
+// which the primary answers with a snapshot.
 func (s *Server) startReplicaLocked(primaryAddr string, forceResync bool) *replication.Replica {
 	var from uint64
 	if !forceResync {
 		from = s.store.LastLSN() + 1
 	}
 	return replication.StartReplica(primaryAddr, &replicaApplier{s: s}, replication.ReplicaOptions{
-		ID:            s.opts.ServerID,
-		From:          from,
-		ForceSnapshot: forceResync,
-		Seed:          s.opts.Seed,
-		Telemetry:     s.opts.Telemetry,
-		Logf:          s.opts.Logf,
+		ID:        s.opts.ServerID,
+		From:      from,
+		Seed:      s.opts.Seed,
+		Telemetry: s.opts.Telemetry,
+		Logf:      s.opts.Logf,
 	})
 }
 

@@ -140,7 +140,6 @@ func Ext02ClientOverhead(o Options) Report {
 			Env:         env,
 			Networks:    []radio.NetworkID{radio.NetB},
 			Seed:        o.Seed + uint64(i),
-			Grid:        ctrl.Grid(),
 		}
 		st, err := a.Run(srv.Addr(), campaignStart, day, 5*time.Minute)
 		if err != nil {

@@ -47,14 +47,11 @@ type ReplicaOptions struct {
 	ID string
 
 	// From is the first LSN to request: a warm restart passes its local
-	// store's LastLSN()+1 to resume tailing. Zero (or ForceSnapshot)
-	// requests a snapshot bootstrap.
+	// store's LastLSN()+1 to resume tailing. Zero requests a snapshot
+	// bootstrap: a fresh node, or the demotion/rejoin path, where local
+	// state may have diverged from the new primary and must be discarded
+	// wholesale.
 	From uint64
-
-	// ForceSnapshot requests a fresh snapshot bootstrap regardless of
-	// From — the demotion/rejoin path, where local state may have diverged
-	// from the new primary and must be discarded wholesale.
-	ForceSnapshot bool
 
 	// Seed drives the deterministic redial jitter.
 	Seed uint64
@@ -121,7 +118,7 @@ func StartReplica(primaryAddr string, ap Applier, opts ReplicaOptions) *Replica 
 		opts:    opts,
 		stop:    make(chan struct{}),
 	}
-	if opts.From > 0 && !opts.ForceSnapshot {
+	if opts.From > 0 {
 		r.applied.Store(opts.From - 1)
 	}
 	r.met = newReplicaMetrics(opts.Telemetry)
@@ -167,7 +164,7 @@ func (r *Replica) Close() error {
 func (r *Replica) run() {
 	defer r.wg.Done()
 	jitter := rng.NewNamed(r.opts.Seed, "replication-"+r.opts.ID)
-	forceSnapshot := r.opts.ForceSnapshot || r.opts.From == 0
+	forceSnapshot := r.opts.From == 0
 	attempt := 0
 	for {
 		select {

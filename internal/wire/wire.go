@@ -81,7 +81,11 @@ type HelloAck struct {
 // ZoneReport is the client's periodic coarse position report (real cellular
 // systems already know the serving cell; WiScape piggybacks on that).
 type ZoneReport struct {
-	ClientID string            `json:"client_id"`
+	ClientID string `json:"client_id"`
+	// Zone is read by no server: a coordinator files the report by Loc, on
+	// its own grid, and ignores it. Agents leave it at zero. The codecs
+	// still spell it, so no frame changes; the field is deleted with
+	// ROADMAP item 1(b), after item 2's benchmark re-base.
 	Zone     geo.ZoneID        `json:"zone"`
 	Loc      geo.Point         `json:"loc"`
 	SpeedKmh float64           `json:"speed_kmh"`

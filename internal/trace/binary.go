@@ -48,8 +48,7 @@ const (
 // bad byte into U+FFFD). A field added to Sample has to be added here and to
 // the report's form.
 func carriesBinary(s *Sample) bool {
-	sec := s.Time.Unix()
-	if _, off := s.Time.Zone(); off != 0 || sec < minBinarySec || sec > maxBinarySec {
+	if !carriesTime(s.Time) {
 		return false
 	}
 	for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
@@ -71,17 +70,30 @@ func AppendStringBinary(buf []byte, s string) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
-// ReadStringBinary reads a string AppendStringBinary wrote off the head of b,
-// as a view of b, and returns what follows it. It reports false for a length
-// past b and for bytes that are not valid UTF-8, which no binary form carries.
-func ReadStringBinary(b []byte) (s, rest []byte, ok bool) {
-	r := binReader{b: b}
-	s = r.str()
-	return s, r.b, !r.bad
+// AppendFloatBinary appends f the way every binary form spells a float64: its
+// bits, little-endian.
+func AppendFloatBinary(buf []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-func appendFloatBinary(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+// AppendTimeBinary appends t the way every binary form spells an instant: its
+// Unix seconds as a varint, then its nanoseconds as a uvarint. It reports
+// false, with buf unextended, for a time the form does not carry to what
+// json.Unmarshal makes of its JSON: one at a zone offset other than 0 (JSON
+// keeps the offset, and decodes a zone) or outside years 0–9999 (JSON has no
+// spelling for it).
+func AppendTimeBinary(buf []byte, t time.Time) ([]byte, bool) {
+	if !carriesTime(t) {
+		return buf, false
+	}
+	return binary.AppendUvarint(binary.AppendVarint(buf, t.Unix()), uint64(t.Nanosecond())), true
+}
+
+// carriesTime is AppendTimeBinary's rule.
+func carriesTime(t time.Time) bool {
+	sec := t.Unix()
+	_, off := t.Zone()
+	return off == 0 && sec >= minBinarySec && sec <= maxBinarySec
 }
 
 // ParseSampleBinary decodes b, the whole binary form of one sample. The
@@ -100,24 +112,23 @@ func ValidSampleBinary(b []byte) bool { return decodeSampleBinary(b, nil) }
 
 // decodeSampleBinary checks b and, when s is not nil, decodes it into *s.
 func decodeSampleBinary(b []byte, s *Sample) bool {
-	r := binReader{b: b}
-	sec := r.varint()
-	nsec := r.uvarint()
+	r := BinReader{B: b}
+	t := r.Time()
 	var floats [4]float64
 	for i := range floats {
-		floats[i] = r.float()
+		floats[i] = r.Float()
 	}
 	flags := r.u8()
 	var strs [4][]byte
 	for i := range strs {
-		strs[i] = r.str()
+		strs[i] = r.Str()
 	}
-	if r.bad || len(r.b) != 0 || sec < minBinarySec || sec > maxBinarySec || nsec >= 1e9 || flags&^flagFailed != 0 {
+	if r.Bad || len(r.B) != 0 || flags&^flagFailed != 0 {
 		return false
 	}
 	if s != nil {
 		*s = Sample{
-			Time:     time.Unix(sec, int64(nsec)).UTC(),
+			Time:     t,
 			Loc:      geo.Point{Lat: floats[0], Lon: floats[1]},
 			Network:  known(strs[0], radio.AllNetworks),
 			Metric:   known(strs[1], AllMetrics),
@@ -160,77 +171,93 @@ func Uvarint(b []byte) (v uint64, n int) {
 	return v, n
 }
 
-// binReader reads the binary form off the head of b. A malformed field sets
-// bad and turns every later read into a no-op, so a caller reads the fields
-// in a straight line and looks at bad once. A view reader hands out the
-// strings it decodes as views of b, for a caller that only checks them.
-type binReader struct {
-	b    []byte
-	bad  bool
+// BinReader reads the binary forms off the head of B, each field the way the
+// matching Append*Binary writes it. A malformed field — an overlong varint, a
+// length past B, bytes that are not valid UTF-8, NaN or ±Inf, a time outside
+// years 0–9999 — sets Bad and turns every later read into a no-op, so a
+// caller reads the fields in a straight line and looks at Bad once. A view
+// reader hands out the strings it decodes as views of B, for a caller that
+// only checks them.
+type BinReader struct {
+	B    []byte
+	Bad  bool
 	view bool
 }
 
 // text returns b as a string: a copy, or for a view reader, a view.
-func (r *binReader) text(b []byte) string {
+func (r *BinReader) text(b []byte) string {
 	if r.view {
 		return unsafe.String(unsafe.SliceData(b), len(b))
 	}
 	return string(b)
 }
 
-func (r *binReader) uvarint() uint64 {
-	if r.bad {
+// Uvarint reads a uvarint, refusing an overlong one (see Uvarint).
+func (r *BinReader) Uvarint() uint64 {
+	if r.Bad {
 		return 0
 	}
-	v, n := Uvarint(r.b)
+	v, n := Uvarint(r.B)
 	if n <= 0 {
-		r.bad = true
+		r.Bad = true
 		return 0
 	}
-	r.b = r.b[n:]
+	r.B = r.B[n:]
 	return v
 }
 
-func (r *binReader) varint() int64 {
-	u := r.uvarint()
+// Varint reads a zig-zag varint, refusing an overlong one.
+func (r *BinReader) Varint() int64 {
+	u := r.Uvarint()
 	return int64(u>>1) ^ -int64(u&1) // binary.Varint's zig-zag
 }
 
-func (r *binReader) u8() byte {
-	if r.bad || len(r.b) == 0 {
-		r.bad = true
+func (r *BinReader) u8() byte {
+	if r.Bad || len(r.B) == 0 {
+		r.Bad = true
 		return 0
 	}
-	c := r.b[0]
-	r.b = r.b[1:]
+	c := r.B[0]
+	r.B = r.B[1:]
 	return c
 }
 
-// float reads a finite float64; NaN and ±Inf have no JSON form.
-func (r *binReader) float() float64 {
-	if r.bad || len(r.b) < 8 {
-		r.bad = true
+// Float reads a finite float64; NaN and ±Inf have no JSON form.
+func (r *BinReader) Float() float64 {
+	if r.Bad || len(r.B) < 8 {
+		r.Bad = true
 		return 0
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	f := math.Float64frombits(binary.LittleEndian.Uint64(r.B))
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		r.bad = true
+		r.Bad = true
 		return 0
 	}
-	r.b = r.b[8:]
+	r.B = r.B[8:]
 	return f
 }
 
-// str reads a length-prefixed string of valid UTF-8 as a view of b.
-func (r *binReader) str() []byte {
-	n := r.uvarint()
-	if r.bad || n > uint64(len(r.b)) || !utf8.Valid(r.b[:n]) {
-		r.bad = true
+// Str reads a string AppendStringBinary wrote, of valid UTF-8, as a view of B.
+func (r *BinReader) Str() []byte {
+	n := r.Uvarint()
+	if r.Bad || n > uint64(len(r.B)) || !utf8.Valid(r.B[:n]) {
+		r.Bad = true
 		return nil
 	}
-	v := r.b[:n]
-	r.b = r.b[n:]
+	v := r.B[:n]
+	r.B = r.B[n:]
 	return v
+}
+
+// Time reads an instant AppendTimeBinary wrote, in UTC, refusing nanoseconds
+// of 1e9 or more.
+func (r *BinReader) Time() time.Time {
+	sec, nsec := r.Varint(), r.Uvarint()
+	if r.Bad || sec < minBinarySec || sec > maxBinarySec || nsec >= 1e9 {
+		r.Bad = true
+		return time.Time{}
+	}
+	return time.Unix(sec, int64(nsec)).UTC()
 }
 
 // A sample report — a client id and the samples it uploads — has a binary
@@ -329,11 +356,11 @@ func appendReportSample(buf []byte, s, prev *Sample) []byte {
 		buf = binary.AppendUvarint(buf, uint64(nsec))
 	}
 	if flags&sameLoc == 0 {
-		buf = appendFloatBinary(appendFloatBinary(buf, s.Loc.Lat), s.Loc.Lon)
+		buf = AppendFloatBinary(AppendFloatBinary(buf, s.Loc.Lat), s.Loc.Lon)
 	}
-	buf = appendName(buf, s.Network, radio.AllNetworks)
-	buf = appendName(buf, s.Metric, AllMetrics)
-	buf = appendFloatBinary(buf, s.Value)
+	buf = AppendName(buf, s.Network, radio.AllNetworks)
+	buf = AppendName(buf, s.Metric, AllMetrics)
+	buf = AppendFloatBinary(buf, s.Value)
 	if flags&sameClient == 0 {
 		buf = AppendStringBinary(buf, s.ClientID)
 	}
@@ -341,16 +368,16 @@ func appendReportSample(buf []byte, s, prev *Sample) []byte {
 		buf = AppendStringBinary(buf, s.Device)
 	}
 	if flags&sameSpeed == 0 {
-		buf = appendFloatBinary(buf, s.SpeedKmh)
+		buf = AppendFloatBinary(buf, s.SpeedKmh)
 	}
 	return buf
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// appendName appends 1 + name's index in names, or 0 and name if it is none
+// AppendName appends 1 + name's index in names, or 0 and name if it is none
 // of them.
-func appendName[T ~string](buf []byte, name T, names []T) []byte {
+func AppendName[T ~string](buf []byte, name T, names []T) []byte {
 	for i, n := range names {
 		if n == name {
 			return binary.AppendUvarint(buf, uint64(i+1))
@@ -368,7 +395,7 @@ func appendName[T ~string](buf []byte, name T, names []T) []byte {
 // string, and a network or metric this tree defines is its constant; no
 // sample shares memory with b.
 func ParseReportBinary(dst []Sample, b []byte, maxSamples int) (clientID string, samples []Sample, err error) {
-	r := binReader{b: b}
+	r := BinReader{B: b}
 	client, n, err := r.reportHead(maxSamples)
 	if err != nil {
 		return "", nil, err
@@ -380,7 +407,7 @@ func ParseReportBinary(dst []Sample, b []byte, maxSamples int) (clientID string,
 		r.reportSample(&samples[i], prev)
 		prev = &samples[i]
 	}
-	if r.bad || len(r.b) != 0 {
+	if r.Bad || len(r.B) != 0 {
 		return "", nil, errBinaryReport
 	}
 	return clientID, samples, nil
@@ -391,40 +418,40 @@ func ParseReportBinary(dst []Sample, b []byte, maxSamples int) (clientID string,
 // samples are read two at a time, each against the one before, with their
 // strings views of b.
 func ValidReportBinary(b []byte) (n int, ok bool) {
-	r := binReader{b: b, view: true}
+	r := BinReader{B: b, view: true}
 	client, n, err := r.reportHead(math.MaxInt)
 	if err != nil {
 		return 0, false
 	}
 	var pair [2]Sample
 	pair[1].ClientID = r.text(client)
-	for i := 0; i < n && !r.bad; i++ {
+	for i := 0; i < n && !r.Bad; i++ {
 		r.reportSample(&pair[i%2], &pair[(i+1)%2])
 	}
-	return n, !r.bad && len(r.b) == 0
+	return n, !r.Bad && len(r.B) == 0
 }
 
 // ReportCount reads the sample count off the head of b, a report's binary
 // form, checking it as ParseReportBinary does — not zero, and no more than the
 // bytes behind it can spell — and nothing after it.
 func ReportCount(b []byte) (n int, ok bool) {
-	r := binReader{b: b}
+	r := BinReader{B: b}
 	_, n, err := r.reportHead(math.MaxInt)
 	return n, err == nil
 }
 
 // reportHead reads a report's client id and sample count off the head of
-// r.b, refusing a count over maxSamples with ErrTooManySamples and one of zero
+// r.B, refusing a count over maxSamples with ErrTooManySamples and one of zero
 // or past what the bytes left can spell as malformed.
-func (r *binReader) reportHead(maxSamples int) (client []byte, n int, err error) {
-	client = r.str()
-	count := r.uvarint()
+func (r *BinReader) reportHead(maxSamples int) (client []byte, n int, err error) {
+	client = r.Str()
+	count := r.Uvarint()
 	switch {
-	case r.bad:
+	case r.Bad:
 		return nil, 0, errBinaryReport
 	case count > uint64(maxSamples):
 		return nil, 0, ErrTooManySamples
-	case count == 0 || count > uint64(len(r.b)/minReportSample):
+	case count == 0 || count > uint64(len(r.B)/minReportSample):
 		return nil, 0, errBinaryReport
 	}
 	return client, int(count), nil
@@ -432,38 +459,38 @@ func (r *binReader) reportHead(maxSamples int) (client []byte, n int, err error)
 
 // reportSample reads one of a report's samples into *s, overwriting every
 // field.
-func (r *binReader) reportSample(s, prev *Sample) {
+func (r *BinReader) reportSample(s, prev *Sample) {
 	flags := r.u8()
 	if flags&^reportFlags != 0 {
-		r.bad = true
+		r.Bad = true
 	}
 	s.Time = prev.Time
 	if flags&sameTime == 0 {
 		prevSec := prev.Time.Unix()
-		delta, nsec := r.varint(), r.uvarint()
+		delta, nsec := r.Varint(), r.Uvarint()
 		if delta < minBinarySec-prevSec || delta > maxBinarySec-prevSec || nsec >= 1e9 ||
 			(delta == 0 && int(nsec) == prev.Time.Nanosecond()) {
-			r.bad = true
+			r.Bad = true
 			return
 		}
 		s.Time = time.Unix(prevSec+delta, int64(nsec)).UTC()
 	}
 	s.Loc = prev.Loc
 	if flags&sameLoc == 0 {
-		s.Loc = geo.Point{Lat: r.float(), Lon: r.float()}
+		s.Loc = geo.Point{Lat: r.Float(), Lon: r.Float()}
 		if sameBits(s.Loc.Lat, prev.Loc.Lat) && sameBits(s.Loc.Lon, prev.Loc.Lon) {
-			r.bad = true
+			r.Bad = true
 		}
 	}
-	s.Network = readName(r, radio.AllNetworks, prev.Network)
-	s.Metric = readName(r, AllMetrics, prev.Metric)
-	s.Value = r.float()
+	s.Network = ReadName(r, radio.AllNetworks, prev.Network)
+	s.Metric = ReadName(r, AllMetrics, prev.Metric)
+	s.Value = r.Float()
 	s.ClientID = r.changed(flags&sameClient != 0, prev.ClientID)
 	s.Device = r.changed(flags&sameDevice != 0, prev.Device)
 	s.SpeedKmh = prev.SpeedKmh
 	if flags&sameSpeed == 0 {
-		if s.SpeedKmh = r.float(); sameBits(s.SpeedKmh, prev.SpeedKmh) {
-			r.bad = true
+		if s.SpeedKmh = r.Float(); sameBits(s.SpeedKmh, prev.SpeedKmh) {
+			r.Bad = true
 		}
 	}
 	s.Failed = flags&reportFailed != 0
@@ -471,37 +498,38 @@ func (r *binReader) reportSample(s, prev *Sample) {
 
 // changed returns prev when same is set, and otherwise reads a string that
 // must differ from it, copied.
-func (r *binReader) changed(same bool, prev string) string {
+func (r *BinReader) changed(same bool, prev string) string {
 	if same {
 		return prev
 	}
-	b := r.str()
-	if r.bad || string(b) == prev {
-		r.bad = true
+	b := r.Str()
+	if r.Bad || string(b) == prev {
+		r.Bad = true
 		return ""
 	}
 	return r.text(b)
 }
 
-// readName reads what appendName writes. A name spelled out that equals
-// prev shares prev's string.
-func readName[T ~string](r *binReader, names []T, prev T) T {
-	k := r.uvarint()
+// ReadName reads what AppendName writes, refusing an index past names and a
+// name of names spelled out. One of names comes back as its constant, and a
+// name spelled out that equals prev shares prev's string.
+func ReadName[T ~string](r *BinReader, names []T, prev T) T {
+	k := r.Uvarint()
 	if k > uint64(len(names)) {
-		r.bad = true
+		r.Bad = true
 	}
-	if r.bad {
+	if r.Bad {
 		return ""
 	}
 	if k > 0 {
 		return names[k-1]
 	}
-	b := r.str()
+	b := r.Str()
 	switch {
-	case r.bad:
+	case r.Bad:
 		return ""
 	case nameIndex(b, names) >= 0:
-		r.bad = true // appendName writes its index
+		r.Bad = true // AppendName writes its index
 		return ""
 	case string(b) == string(prev):
 		return prev
@@ -510,7 +538,7 @@ func readName[T ~string](r *binReader, names []T, prev T) T {
 }
 
 // Every binary line in the tree — a WAL record and a checkpoint
-// (internal/store), a sample report on the wire (internal/wire) — is a lead
+// (internal/store), a client's frames on the wire (internal/wire) — is a lead
 // byte no UTF-8 text opens with, a body and '\n'. The body is stuffed by RFC
 // 1055 SLIP's rule, so that it holds no raw newline and every line is framed
 // by its newline alone: 0x0A is written SlipEsc SlipEscNL, and SlipEsc is

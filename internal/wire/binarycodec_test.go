@@ -34,13 +34,28 @@ import (
 // offset check or the client id's or the via's UTF-8 check; Send skipping the
 // ceiling.
 
+// appendBinaryReport and parseBinaryReport are the sample report's binary
+// line, out and in.
+func appendBinaryReport(b []byte, e *Envelope) ([]byte, bool) {
+	return appendBinaryLine(b, codecOf(TypeSampleReport), e)
+}
+
+func parseBinaryReport(stuffed []byte) (Envelope, error) {
+	return parseBinaryLine(codecOf(TypeSampleReport), stuffed)
+}
+
 // Pieces of a binary report body, as its layout reads.
 func uv(v uint64) []byte    { return binary.AppendUvarint(nil, v) }
 func sv(v int64) []byte     { return binary.AppendVarint(nil, v) }
 func bstr(s string) []byte  { return append(uv(uint64(len(s))), s...) }
 func bf64(f float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)) }
-func binaryLine(parts ...[]byte) []byte {
-	return append(trace.Stuff(append([]byte{binaryReportLead}, slices.Concat(parts...)...), 1), '\n')
+
+// binaryLine is a sample report's line around a body, binaryLineOf any
+// binary line's.
+func binaryLine(parts ...[]byte) []byte { return binaryLineOf(binaryReportLead, parts...) }
+
+func binaryLineOf(lead byte, parts ...[]byte) []byte {
+	return append(trace.Stuff(append([]byte{lead}, slices.Concat(parts...)...), 1), '\n')
 }
 
 // The flag bits, as the layout names them.
@@ -63,9 +78,6 @@ func TestBinaryReportLayout(t *testing.T) {
 	head := [][]byte{{0}, bstr("c"), uv(2)}
 	spell := func(head, first, second [][]byte, tail ...[]byte) []byte {
 		return binaryLine(slices.Concat(head, first, second, tail)...)
-	}
-	with := func(parts [][]byte, i int, b ...[]byte) [][]byte {
-		return slices.Concat(parts[:i], b, parts[i+1:])
 	}
 
 	want := spell(head, first, second)
@@ -180,18 +192,19 @@ func TestBinaryReportLayout(t *testing.T) {
 	}
 }
 
-// checkBinaryReport holds one binary line to the decoder's contract: Recv
-// does not panic, and a line it accepts decodes to what json.Unmarshal makes
-// of json.Marshal of the envelope, holds no byte of the line, and re-encodes
-// to the line byte for byte.
-func checkBinaryReport(t *testing.T, line []byte) {
+// checkBinaryLine holds one binary line to the decoder's contract: Recv does
+// not panic, and a line it accepts decodes to what json.Unmarshal makes of
+// json.Marshal of the envelope, holds no byte of the line, and re-encodes —
+// to a peer that reads binary replies — to the line byte for byte. It reports
+// whether Recv accepted the line.
+func checkBinaryLine(t testing.TB, line []byte) bool {
 	t.Helper()
 	got, err := fuzzConn(line).Recv()
 	if err != nil {
-		return
+		return false
 	}
 	scratch := bytes.Clone(line)
-	direct, err := parseBinaryReport(scratch[1 : len(scratch)-1])
+	direct, err := parseBinaryLine(codecByLead(line[0]), scratch[1:len(scratch)-1])
 	for i := range scratch {
 		scratch[i] = 'x'
 	}
@@ -202,15 +215,16 @@ func checkBinaryReport(t *testing.T, line []byte) {
 	if err := json.Unmarshal(jsonFrame(t, got), &want); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("line %q:\nRecv   %+v\noracle %+v, %v", line, got, want, err)
 	}
-	if again := encodeFrames(t, got); !bytes.Equal(again, line) {
+	if again := encodeBinaryFrames(t, got); !bytes.Equal(again, line) {
 		t.Fatalf("line %q decodes to %+v, which re-encodes to %q", line, got, again)
 	}
+	return true
 }
 
 // FuzzBinarySampleReportDecode feeds arbitrary bytes to the binary report
 // decoder, two ways: as they stand between the lead byte and the newline,
 // and — so that the fuzzer need not find the stuffing — as a body the
-// harness stuffs. Either way checkBinaryReport holds.
+// harness stuffs. Either way checkBinaryLine holds.
 func FuzzBinarySampleReportDecode(f *testing.F) {
 	r := rng.NewNamed(35, "binary-report-seeds")
 	for i := 0; i < 16; i++ {
@@ -235,10 +249,10 @@ func FuzzBinarySampleReportDecode(f *testing.F) {
 	f.Add(slices.Concat([]byte{0}, bstr("c"), uv(1), []byte{fLoc | fClient | fDevice | fSpeed}, sv(1), uv(0), uv(0), bstr("NetZ"), uv(7), bf64(1)), true)
 	f.Fuzz(func(t *testing.T, b []byte, stuff bool) {
 		if stuff {
-			checkBinaryReport(t, append(trace.Stuff(append([]byte{binaryReportLead}, b...), 1), '\n'))
+			checkBinaryLine(t, append(trace.Stuff(append([]byte{binaryReportLead}, b...), 1), '\n'))
 			return
 		}
 		b, _, _ = bytes.Cut(b, []byte("\n"))
-		checkBinaryReport(t, append(append([]byte{binaryReportLead}, b...), '\n'))
+		checkBinaryLine(t, append(append([]byte{binaryReportLead}, b...), '\n'))
 	})
 }

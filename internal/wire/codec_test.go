@@ -33,6 +33,27 @@ func encodeFrames(t testing.TB, envs ...Envelope) []byte {
 	return buf.Bytes()
 }
 
+// toBinaryPeer marks c's peer as one that reads binary replies, as Recv of
+// a binary zone report, task list or ack does, and returns c.
+func toBinaryPeer(c *Conn) *Conn {
+	c.peerReadsBinary.Store(true)
+	return c
+}
+
+// encodeBinaryFrames is encodeFrames to a peer that reads binary replies:
+// each frame the binary form carries goes as a binary line.
+func encodeBinaryFrames(t testing.TB, envs ...Envelope) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	c := toBinaryPeer(NewConn(byteConn{w: &buf}))
+	for _, e := range envs {
+		if err := c.Send(e); err != nil {
+			t.Fatalf("send %s: %v", e.Type, err)
+		}
+	}
+	return buf.Bytes()
+}
+
 // jsonFrame is e's JSON frame, json.Marshal's bytes and a '\n': the frame Send
 // writes for every envelope but a sample report the binary form carries
 // (TestSendBytesMatchJSON), and the spelling of a report that agents before
@@ -288,5 +309,34 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 	})
 	if b := bytesPerOp(runs, recvOf(frame)); b-perUnmarshal >= len(frame)/2 {
 		t.Errorf("Recv of a %d-byte frame allocates %d B/op, json.Unmarshal of its line alone %d: Recv should not copy the line", len(frame), b, perUnmarshal)
+	}
+}
+
+// TestSendReservesByForm: Send reserves a frame's buffer by the form it
+// writes, so the longest binary report — a line of about 2.7 MB — costs one
+// buffer of about its own size, not the 24 MB a JSON-sized reserve took, and
+// a binary small frame stays inside the pooled buffer a JSON one would.
+func TestSendReservesByForm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector bytes.Buffer.Grow allocates its new buffer twice")
+	}
+	report := benchReport(maxReportSamples)
+	line := encodeFrames(t, report)
+	if line[0] != binaryReportLead {
+		t.Fatalf("the report went as a line opening %#x, want a binary line", line[0])
+	}
+	discard := NewConn(byteConn{w: io.Discard})
+	if b := bytesPerOp(3, func() {
+		if err := discard.Send(report); err != nil {
+			t.Fatal(err)
+		}
+	}); b >= 2*len(line) {
+		t.Errorf("Send of a %d-byte binary report line allocates %d B/op, want under twice the line", len(line), b)
+	}
+	for _, e := range []Envelope{smallFrames()[0], smallFrames()[1], smallFrames()[2]} {
+		binaryHint, jsonHint := frameSizeHint(&e, true), frameSizeHint(&e, false)
+		if n := len(encodeBinaryFrames(t, e)); n > binaryHint || binaryHint > jsonHint {
+			t.Errorf("a %s: a %d-byte binary line reserved %d bytes, JSON %d", e.Type, n, binaryHint, jsonHint)
+		}
 	}
 }

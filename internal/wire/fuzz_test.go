@@ -28,7 +28,7 @@ func fuzzConn(data []byte) *Conn {
 // report of more than maxReportSamples samples, and always for the latter —
 // the reader always terminates (the stream is finite), and — once the
 // whole stream has been read — every envelope still equals a decode of its
-// own line's copy (json.Unmarshal's, or a binary sample report's own): Recv
+// own line's copy (json.Unmarshal's, or a binary line's own): Recv
 // decodes short lines in place, and nothing it returns may alias bytes a
 // later read overwrites.
 func FuzzDecode(f *testing.F) {
@@ -80,6 +80,13 @@ func FuzzDecode(f *testing.F) {
 	relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
 	f.Add(slices.Concat(encodeFrames(f, benchReport(3)), short, encodeFrames(f, relayed), long, encodeFrames(f, benchReport(1))))
 	f.Add(slices.Concat(jsonFrame(f, benchReport(3)), short, jsonFrame(f, relayed), long, jsonFrame(f, benchReport(1))))
+	// A client's round trip in binary lines, direct and relayed, between
+	// frames that overwrite the buffer they were read from.
+	for _, e := range smallFrames()[:3] {
+		relayed := e
+		relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
+		f.Add(slices.Concat(encodeBinaryFrames(f, e), short, encodeBinaryFrames(f, relayed), long))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := fuzzConn(data)
@@ -112,8 +119,8 @@ func FuzzDecode(f *testing.F) {
 		for i, e := range got {
 			var want Envelope
 			var err error
-			if line := bytes.Clone(lines[i]); line[0] == binaryReportLead {
-				want, err = fuzzConn(line).Recv() // json.Unmarshal cannot read it; FuzzBinarySampleReportDecode holds it to JSON
+			if line := bytes.Clone(lines[i]); codecByLead(line[0]) != nil {
+				want, err = fuzzConn(line).Recv() // json.Unmarshal cannot read it; checkBinaryLine holds it to JSON
 			} else {
 				err = json.Unmarshal(line, &want)
 			}
@@ -135,17 +142,14 @@ func reportOverCeiling(line []byte) bool {
 		if !ok || len(body) == 0 || body[0] > 1 {
 			return false
 		}
-		hasVia := body[0] == 1
-		body = body[1:]
-		for _, field := range []bool{hasVia, hasVia, true} { // gateway, shard, client id
-			if field {
-				if _, body, ok = trace.ReadStringBinary(body); !ok {
-					return false
-				}
-			}
+		r := trace.BinReader{B: body[1:]}
+		if body[0] == 1 {
+			r.Str() // gateway
+			r.Str() // shard
 		}
-		n, k := trace.Uvarint(body)
-		return k > 0 && n > maxReportSamples
+		r.Str() // client id
+		n := r.Uvarint()
+		return !r.Bad && n > maxReportSamples
 	}
 	var probe struct {
 		SampleReport *struct {

@@ -288,11 +288,14 @@ func TestDecodeFallbacksByType(t *testing.T) {
 }
 
 // FuzzReplyDecodeMatchesJSON feeds raw bytes to the hand-spelled frames'
-// decoder, as a wire line to Recv, and to the record codec alone, as one
+// decoders, as a wire line to Recv, and to the record codec alone, as one
 // record object, and holds each to json.Unmarshal of the same bytes: the same
-// value or the same refusal, never a third thing. Named for the reply frames
-// it first covered, it is seeded with the replies, records and the five small
-// frames (a sample report's seeds are FuzzSampleDecodeMatchesJSON's).
+// value or the same refusal, never a third thing — or for a binary line, to
+// json.Unmarshal of its JSON frame (checkBinaryLine). Named for the reply
+// frames it first covered, it is seeded with the replies, records and the
+// five small frames as JSON, and a client's three as binary lines too (a
+// sample report's seeds are FuzzSampleDecodeMatchesJSON's and
+// FuzzBinarySampleReportDecode's).
 func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 	r := rng.NewNamed(26, "fuzz-seeds")
 	for i := 0; i < 12; i++ {
@@ -313,8 +316,11 @@ func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 		drawn := drawSmall(r, i%2 == 0)
 		for _, e := range []Envelope{e, relayed, drawn} {
-			frame := encodeFrames(f, e)
+			frame := jsonFrame(f, e)
 			f.Add(frame[:len(frame)-1])
+			if line := encodeBinaryFrames(f, e); codecByLead(line[0]) != nil {
+				f.Add(line[:len(line)-1])
+			}
 		}
 	}
 

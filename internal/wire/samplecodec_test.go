@@ -76,7 +76,8 @@ func plainRecv(line []byte) (Envelope, error) {
 }
 
 // checkRecv holds Recv of one line to the oracle and reports whether the
-// canonical parser took the line. It parses the line directly too and
+// canonical parser took the line — or for a binary line, whether Recv did
+// (checkBinaryLine). It parses the line directly too and
 // overwrites it before looking at the result: an accepted envelope may hold
 // no pointer into the line. It holds the oracle to plainRecv: the same
 // envelope or a refusal too, but for a line long enough to hold a report over
@@ -85,6 +86,9 @@ func plainRecv(line []byte) (Envelope, error) {
 // hand-spelled kind of frame encoding/json decoded, none otherwise.
 func checkRecv(t testing.TB, line []byte) (took bool) {
 	t.Helper()
+	if len(line) > 0 && codecByLead(line[0]) != nil {
+		return checkBinaryLine(t, append(bytes.Clone(line), '\n'))
+	}
 	want, werr := oracleRecv(bytes.Clone(line))
 	plain, perr := plainRecv(bytes.Clone(line))
 	switch {

@@ -8,14 +8,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
 )
@@ -134,7 +137,7 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 	canonical := 0
 	for i := 0; i < corpusSize(); i++ {
 		plain := r.Bool(0.6)
-		frame := encodeFrames(t, drawSmall(r, plain))
+		frame := jsonFrame(t, drawSmall(r, plain))
 		if took := checkRecv(t, frame[:len(frame)-1]); plain && !took {
 			t.Fatalf("a canonical frame was left to encoding/json: %q", frame)
 		}
@@ -223,7 +226,7 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 		for _, e := range []Envelope{e, relayed} {
-			frame := encodeFrames(t, e)
+			frame := jsonFrame(t, e)
 			base := frame[:len(frame)-1]
 			if !checkRecv(t, base) {
 				t.Fatalf("the base frame is not canonical: %q", base)
@@ -257,23 +260,64 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestSmallSendBytesMatchJSON: the small frames Send spells are
-// json.Marshal's bytes and a newline, and what encoding/json refuses Send
-// refuses in the same words with nothing written.
+// TestSmallSendBytesMatchJSON: Send writes a small frame as one binary line
+// exactly when carriedSmall says so — a zone report to any peer, a task list
+// or ack to a peer that reads binary replies — and Recv reads that line back
+// to what json.Unmarshal makes of json.Marshal's bytes, and it re-encodes to
+// itself; every other small frame is json.Marshal's bytes and a newline, and
+// what encoding/json refuses Send refuses in the same words with nothing
+// written. A frame with a binary line that went as JSON to a peer that reads
+// the line is counted once under wiscape_wire_encode_fallbacks_total, and no
+// other frame is. Each frame is sent to a peer that reads binary replies and
+// to one that does not.
 func TestSmallSendBytesMatchJSON(t *testing.T) {
+	binaries := 0
 	check := func(e Envelope) {
 		t.Helper()
 		want, werr := json.Marshal(&e)
-		var out bytes.Buffer
-		gerr := NewConn(byteConn{w: &out}).Send(e)
-		if werr != nil {
-			if text := fmt.Sprintf("wire: encoding %s: %v", e.Type, werr); gerr == nil || gerr.Error() != text || out.Len() != 0 {
-				t.Fatalf("%+v: Send err %v with %d bytes written, want %q and none", e, gerr, out.Len(), text)
+		for _, binaryPeer := range []bool{false, true} {
+			var out bytes.Buffer
+			reg := telemetry.NewRegistry()
+			c := NewConn(byteConn{w: &out}).Instrument(NewMetrics(reg))
+			if binaryPeer {
+				toBinaryPeer(c)
 			}
-			return
-		}
-		if gerr != nil || !bytes.Equal(out.Bytes(), append(want, '\n')) {
-			t.Fatalf("%+v:\nSend   %q, %v\noracle %q", e, out.Bytes(), gerr, want)
+			gerr := c.Send(e)
+			declined := reg.Counter("wiscape_wire_encode_fallbacks_total", "", "type").With(string(e.Type)).Value()
+			if werr != nil {
+				if text := fmt.Sprintf("wire: encoding %s: %v", e.Type, werr); gerr == nil || gerr.Error() != text || out.Len() != 0 || declined != 0 {
+					t.Fatalf("%+v: Send err %v with %d bytes written and %v declines, want %q and none", e, gerr, out.Len(), declined, text)
+				}
+				continue
+			}
+			if gerr != nil {
+				t.Fatalf("%+v: Send err %v", e, gerr)
+			}
+			sent := out.Bytes()
+			if !carriedSmall(e, binaryPeer) {
+				wantDeclined := 0.0
+				if h := codecOf(e.Type); h != nil && h.lead != 0 && (binaryPeer || !h.reply) {
+					wantDeclined = 1 // the peer reads the type's line
+				}
+				if !bytes.Equal(sent, append(want, '\n')) || declined != wantDeclined {
+					t.Fatalf("%+v (binary peer %v):\nSend   %q, %v declines\noracle %q", e, binaryPeer, sent, declined, want)
+				}
+				continue
+			}
+			binaries++
+			if codecByLead(sent[0]) == nil || bytes.IndexByte(sent, '\n') != len(sent)-1 || declined != 0 {
+				t.Fatalf("%+v (binary peer %v): Send wrote %q with %v declines, want one binary line", e, binaryPeer, sent, declined)
+			}
+			if !checkBinaryLine(t, sent) {
+				t.Fatalf("%+v: Recv refused the binary line %q", e, sent)
+			}
+			var oracle Envelope
+			if err := json.Unmarshal(want, &oracle); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := fuzzConn(sent).Recv(); err != nil || !reflect.DeepEqual(got, oracle) {
+				t.Fatalf("binary line %q:\nRecv   %+v, %v\noracle %+v", sent, got, err, oracle)
+			}
 		}
 	}
 	r := rng.NewNamed(29, "small")
@@ -302,6 +346,11 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 		"offset -3:30":      zoneReport(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", -(3*3600 + 1800))) }),
 		"zero time":         zoneReport(func(r *ZoneReport) { r.At = time.Time{} }),
 		"int32 zone":        zoneReport(func(r *ZoneReport) { r.Zone = geo.ZoneID{X: math.MinInt32, Y: math.MaxInt32} }),
+		"invalid client id": zoneReport(func(r *ZoneReport) { r.ClientID = "bus\xff17" }),
+		"unknown network":   zoneReport(func(r *ZoneReport) { r.Networks[0] = "NetZ" }),
+		"UTC by offset":     zoneReport(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", 0)) }),
+		"invalid metric":    taskList(func(l *TaskList) { l.Tasks[1].Metric = "tcp\xc3" }),
+		"negative count":    taskList(func(l *TaskList) { l.Tasks[0].UDPPackets = -1 }),
 		"nil tasks":         taskList(func(l *TaskList) { l.Tasks = nil }),
 		"no tasks":          taskList(func(l *TaskList) { l.Tasks = []Task{} }),
 		"no counts":         taskList(func(l *TaskList) { l.Tasks[0] = Task{Network: radio.NetA} }),
@@ -322,6 +371,7 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 			"no payload":       func(e *Envelope) { *e = Envelope{Type: e.Type} },
 			"via, empty":       func(e *Envelope) { e.Via = &Via{} },
 			"via, escaped":     func(e *Envelope) { e.Via = &Via{Gateway: "g<w>", Shard: "m\"adison\u2028"} },
+			"via, invalid":     func(e *Envelope) { e.Via = &Via{Gateway: "gw", Shard: "m\xff"} },
 			"another type":     func(e *Envelope) { e.Type = TypeHello },
 		} {
 			edited := e
@@ -332,14 +382,62 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) { check(e) })
 	}
+	if binaries < corpusSize()/4 {
+		t.Fatalf("only %d of the frames sent went binary", binaries)
+	}
+}
+
+// carriedSmall is the small frames' binary rule, spelled out apart from the
+// code that applies it: a zone report to any peer, or a task list or ack to a
+// peer that reads binary replies, with no other payload, every string valid
+// UTF-8, its time at zone offset 0 and no count negative (a frame JSON refuses
+// — json.Marshal's error — never reaches the question).
+func carriedSmall(e Envelope, binaryPeer bool) bool {
+	var strs []string
+	if e.Via != nil {
+		strs = append(strs, e.Via.Gateway, e.Via.Shard)
+	}
+	switch {
+	case e.Type == TypeZoneReport && e.ZoneReport != nil && e == (Envelope{Type: e.Type, Via: e.Via, ZoneReport: e.ZoneReport}):
+		if _, off := e.ZoneReport.At.Zone(); off != 0 {
+			return false
+		}
+		strs = append(strs, e.ZoneReport.ClientID)
+		for _, n := range e.ZoneReport.Networks {
+			strs = append(strs, string(n))
+		}
+	case !binaryPeer:
+		return false
+	case e.Type == TypeTaskList && e.TaskList != nil && e == (Envelope{Type: e.Type, Via: e.Via, TaskList: e.TaskList}):
+		for _, task := range e.TaskList.Tasks {
+			if task.UDPPackets < 0 || task.UDPSizeBytes < 0 || task.TCPBytes < 0 {
+				return false
+			}
+			strs = append(strs, string(task.Network), string(task.Metric))
+		}
+	case e.Type == TypeSampleAck && e.SampleAck != nil && e == (Envelope{Type: e.Type, Via: e.Via, SampleAck: e.SampleAck}):
+		if e.SampleAck.Accepted < 0 {
+			return false
+		}
+	default:
+		return false
+	}
+	for _, str := range strs {
+		if !utf8.ValidString(str) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestHandSpelledFramesAllocate: Send spells every hand-spelled frame, direct
-// and relayed — and a sample report's binary line — into a pooled buffer
-// without one allocation, and Recv of a small frame in canonical form
-// allocates no more than its payload: the struct, plus for a zone report its
-// client id and network list and for a task list its tasks. Known networks
-// and metrics share the constants' strings.
+// and relayed — and a binary line, of a sample report or a client's small
+// frame — into a pooled buffer without one allocation, and Recv of a small
+// frame, as canonical JSON or as a binary line, allocates no more than its
+// payload: the struct, plus for a zone report its client id and network list
+// and for a task list its tasks. Known networks and metrics share the
+// constants' strings. (A task list or ack to a peer that reads only JSON is
+// encoding/json's to write.)
 func TestHandSpelledFramesAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -349,7 +447,8 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 	list := zoneListOf(3)
 	frames := append(smallFrames(), benchReport(5), list,
 		Envelope{Type: TypeEstimateReply, EstimateReply: &EstimateReply{Found: true, Record: list.ZoneListReply.Records[1]}})
-	discard := NewConn(byteConn{w: io.Discard})
+	toJSONPeer := NewConn(byteConn{w: io.Discard})
+	toBinary := toBinaryPeer(NewConn(byteConn{w: io.Discard}))
 	for _, e := range frames {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
@@ -357,12 +456,17 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 			if e.Type != TypeSampleReport && !handSpelled(&e) {
 				t.Fatalf("%s is not hand-spelled", e.Type)
 			}
-			if n := testing.AllocsPerRun(runs, func() {
-				if err := discard.Send(e); err != nil {
-					t.Fatal(err)
+			for _, c := range []*Conn{toJSONPeer, toBinary} {
+				if c == toJSONPeer && (e.Type == TypeTaskList || e.Type == TypeSampleAck) {
+					continue
 				}
-			}); n != 0 {
-				t.Errorf("Send of a %s (via %v) allocates %v times, want 0", e.Type, e.Via != nil, n)
+				if n := testing.AllocsPerRun(runs, func() {
+					if err := c.Send(e); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Errorf("Send of a %s (via %v, binary peer %v) allocates %v times, want 0", e.Type, e.Via != nil, c == toBinary, n)
+				}
 			}
 		}
 	}
@@ -375,8 +479,14 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 		})
 	}
 	for _, e := range smallFrames() {
-		if n := recvAllocs(encodeFrames(t, e)); n > 3 {
-			t.Errorf("Recv of a canonical %s allocates %v times, want at most 3", e.Type, n)
+		asJSON := recvAllocs(jsonFrame(t, e))
+		if asJSON > 3 {
+			t.Errorf("Recv of a canonical %s allocates %v times, want at most 3", e.Type, asJSON)
+		}
+		if frame := encodeBinaryFrames(t, e); codecByLead(frame[0]) != nil {
+			if n := recvAllocs(frame); n > asJSON {
+				t.Errorf("Recv of a binary %s allocates %v times, its canonical JSON %v", e.Type, n, asJSON)
+			}
 		}
 	}
 	// A sample report's binary line costs 4 allocations: the report, its
@@ -444,6 +554,34 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 	}
 	if _, err := NewConn(byteConn{r: bytes.NewReader(append(frame, '\n'))}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("a %d-byte line: Recv err %v, want ErrMessageTooLarge", len(frame), err)
+	}
+
+	// And a binary line of each small frame, at the cap by a long gateway
+	// name: sent and received; one byte more is refused by both.
+	for _, e := range smallFrames()[:3] {
+		e.Via = &Via{}
+		short := len(encodeBinaryFrames(t, e))
+		e.Via.Gateway = strings.Repeat("g", MaxMessageBytes+1-short-3) // its length takes 3 bytes more
+		line := encodeBinaryFrames(t, e)
+		if len(line) != MaxMessageBytes+1 || codecByLead(line[0]) == nil {
+			t.Fatalf("a %s: built a %d-byte line opening %#x, want a %d-byte binary line", e.Type, len(line), line[0], MaxMessageBytes+1)
+		}
+		got, err := NewConn(byteConn{r: bytes.NewReader(line)}).Recv()
+		if err != nil || got.Via == nil || got.Via.Gateway != e.Via.Gateway {
+			t.Fatalf("a %d-byte %s line: Recv err %v", MaxMessageBytes, e.Type, err)
+		}
+		e.Via.Gateway += "g"
+		out.Reset()
+		if err := toBinaryPeer(NewConn(byteConn{w: &out})).Send(e); !errors.Is(err, ErrMessageTooLarge) || out.Len() != 0 {
+			t.Fatalf("a %d-byte %s line: Send err %v with %d bytes written, want ErrMessageTooLarge and none", MaxMessageBytes+1, e.Type, err, out.Len())
+		}
+		over, ok := appendBinaryLine(nil, codecOf(e.Type), &e) // the line Send refused to write
+		if !ok || len(over) != MaxMessageBytes+2 {
+			t.Fatalf("a %s: the binary form does not carry it in %d bytes", e.Type, MaxMessageBytes+2)
+		}
+		if _, err := NewConn(byteConn{r: bytes.NewReader(over)}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
+			t.Fatalf("a %d-byte %s line: Recv err %v, want ErrMessageTooLarge", MaxMessageBytes+1, e.Type, err)
+		}
 	}
 
 	// And at the sample ceiling: a binary report of maxReportSamples samples,

@@ -1,0 +1,127 @@
+package coordinator
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/geo"
+	"repro/internal/radio"
+	"repro/internal/rng"
+	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// journalSamples is every sample a data directory's WAL holds, in LSN order,
+// with the record lines that hold them.
+func journalSamples(t *testing.T, dir string) (samples []trace.Sample, lines [][]byte) {
+	t.Helper()
+	byLSN, _ := journal(t, dir)
+	lsns := make([]uint64, 0, len(byLSN))
+	for lsn := range byLSN {
+		lsns = append(lsns, lsn)
+	}
+	slices.Sort(lsns)
+	for _, lsn := range lsns {
+		var ok bool
+		if _, samples, ok = store.ParseRecordLine(samples, byLSN[lsn]); !ok {
+			t.Fatalf("%s: line %d does not parse", dir, lsn)
+		}
+		lines = append(lines, byLSN[lsn])
+	}
+	return samples, lines
+}
+
+// TestBackToBackReportsJournalWhatWasSent: the coordinator decodes each of a
+// connection's binary reports over the one before, so one connection sends
+// reports of different sizes, clients, devices and values back to back, with
+// zone reports between them, to a durable primary with a semi-sync replica.
+// The primary's WAL, its controller and the replica's journal must each hold
+// exactly what an oracle built from the sent requests holds.
+func TestBackToBackReportsJournalWhatWasSent(t *testing.T) {
+	node := func(id, from string) (*Server, string) {
+		opts := persistOpts(t.TempDir())
+		opts.ServerID, opts.ReplicationAddr, opts.ReplicateFrom = id, "127.0.0.1:0", from
+		opts.SyncReplication, opts.SyncTimeout = true, 5*time.Second
+		return newServer(t, opts), opts.DataDir
+	}
+	primary, pdir := node("primary", "")
+	replica, rdir := node("replica", primary.ReplicationAddr())
+	waitFor(t, 5*time.Second, "the replica to attach", func() bool {
+		return primary.source().ConnectedReplicas() == 1
+	})
+
+	// The oracle is a coordinator with no data dir that is handed each
+	// request as sent, in memory: a zone report's task draw reads the
+	// controller's budgets, and a read may refresh them.
+	oopts := persistOpts("")
+	oopts.Seed = seed
+	oracle := newServer(t, oopts)
+	c := dial(t, primary)
+	send := func(req wire.Envelope, want wire.MsgType) {
+		t.Helper()
+		if _, err := c.Call(req, want); err != nil {
+			t.Fatalf("%s: %v", req.Type, err)
+		}
+		if reply, _ := oracle.dispatch(req); reply.Type != want {
+			t.Fatalf("the oracle answered a %s with %+v", req.Type, reply)
+		}
+	}
+
+	r := rng.New(seed)
+	sites := geo.MadisonStaticSites()
+	var want []trace.Sample
+	at := start
+	for i, n := range []int{1, 40, 40, 7, 120, 3, 40, 65, 65} {
+		client := fmt.Sprintf("bus-%d", i%3)
+		send(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+			ClientID: client, Loc: sites[i%len(sites)], At: at, Networks: [][]radio.NetworkID{nil, {}, {radio.NetB}}[i%3],
+		}}, wire.TypeTaskList)
+		smps := make([]trace.Sample, n)
+		for j := range smps {
+			at = at.Add(time.Duration(1+r.Intn(20)) * time.Second)
+			smps[j] = trace.Sample{
+				Time: at, Loc: sites[(i+j/8)%len(sites)], Network: radio.NetB, Metric: trace.MetricUDPKbps,
+				Value: 300 + 900*r.Float64(), ClientID: client, Device: []string{"phone", "", "laptop-usb-modem"}[(i+j/16)%3],
+				SpeedKmh: float64(i), Failed: r.Intn(25) == 0,
+			}
+			if j%5 == 2 {
+				smps[j].ClientID = "" // the coordinator files it under the report's id
+			}
+		}
+		send(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+			ClientID: client, Samples: slices.Clone(smps),
+		}}, wire.TypeSampleAck)
+		for _, s := range smps {
+			if s.ClientID == "" {
+				s.ClientID = client
+			}
+			want = append(want, s)
+		}
+	}
+
+	got, lines := journalSamples(t, pdir)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the WAL holds %d samples that differ from the %d sent", len(got), len(want))
+	}
+	snapAt := at.Add(time.Hour)
+	if !reflect.DeepEqual(primary.Controller().Snapshot(snapAt), oracle.Controller().Snapshot(snapAt)) {
+		t.Fatal("the controller differs from one fed the sent samples")
+	}
+	// Every ack waited on the replica's, so its journal is already whole.
+	replicaSamples, replicaLines := journalSamples(t, rdir)
+	if !reflect.DeepEqual(replicaLines, lines) || !reflect.DeepEqual(replicaSamples, want) {
+		t.Fatalf("the replica journaled %d lines and %d samples; the primary %d and %d", len(replicaLines), len(replicaSamples), len(lines), len(want))
+	}
+	// The replica's controller sees no zone report: it is a controller fed
+	// the sent samples.
+	fed := core.NewController(core.DefaultConfig(), geo.Madison().Center())
+	fed.Ingest(want...)
+	waitFor(t, 5*time.Second, "the replica's controller to apply the journal", func() bool {
+		return reflect.DeepEqual(replica.Controller().Snapshot(snapAt), fed.Snapshot(snapAt))
+	})
+}

@@ -12,8 +12,9 @@
 package sketch
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DefaultCompression is the digest compression δ used for trailing-window
@@ -186,7 +187,9 @@ func (d *Digest) compress() {
 	if len(d.store) == d.nc {
 		return
 	}
-	sort.Slice(d.store, func(i, j int) bool { return d.store[i].Mean < d.store[j].Mean })
+	// slices.SortFunc, not sort.Slice: the same pdqsort, so the same order,
+	// without the reflect-built swapper sort.Slice allocates on every call.
+	slices.SortFunc(d.store, func(a, b Centroid) int { return cmp.Compare(a.Mean, b.Mean) })
 	for limit := 1.0; ; limit *= 1.5 {
 		if n := d.mergePass(limit); n <= d.maxStored {
 			d.store = d.store[:n]

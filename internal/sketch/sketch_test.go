@@ -280,3 +280,23 @@ func TestEpochSketchFootprintWithinBudget(t *testing.T) {
 		t.Fatalf("default window+cur footprint %dB leaves no room in the 4 KiB zone budget", total)
 	}
 }
+
+// TestObserveAllocatesNothing holds Add to its zero steady-state
+// allocations, compactions included. It counts over 1,000 observes in one
+// run: testing.AllocsPerRun truncates its per-run average, so a check of one
+// observe a run reads 0 for an allocation every few dozen observes.
+func TestObserveAllocatesNothing(t *testing.T) {
+	es := NewEpochSketch(EpochCompression)
+	es.EnableTrend(DefaultTrendSlots, time.Minute)
+	r := rng.New(3)
+	at := time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
+	observe := func() {
+		for i := 0; i < 1000; i++ {
+			at = at.Add(time.Second)
+			es.Observe(at, r.NormFloat64()*100+900)
+		}
+	}
+	if n := testing.AllocsPerRun(1, observe); n != 0 {
+		t.Fatalf("1,000 observes allocate %v times, want 0", n)
+	}
+}

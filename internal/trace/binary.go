@@ -192,6 +192,15 @@ func (r *BinReader) text(b []byte) string {
 	return string(b)
 }
 
+// TextLike returns b as a string: like itself when b spells it, else a copy.
+// A decoder that keeps the strings it decoded last shares them this way.
+func TextLike(b []byte, like string) string {
+	if string(b) == like {
+		return like
+	}
+	return string(b)
+}
+
 // Uvarint reads a uvarint, refusing an overlong one (see Uvarint).
 func (r *BinReader) Uvarint() uint64 {
 	if r.Bad {
@@ -393,15 +402,19 @@ func AppendName[T ~string](buf []byte, name T, names []T) []byte {
 // that keeps dst decodes report after report into one slice. A string equal
 // to the same field of the sample before, or to the client id, shares its
 // string, and a network or metric this tree defines is its constant; no
-// sample shares memory with b.
+// sample shares memory with b. The slots past len(dst) that the samples land
+// in are read before they are written: a client or device equal to the one
+// its slot held shares that string, and the client id shares the first
+// slot's client, so a caller that decodes a client's reports one after
+// another into dst[:0] copies a string only when it changes.
 func ParseReportBinary(dst []Sample, b []byte, maxSamples int) (clientID string, samples []Sample, err error) {
 	r := BinReader{B: b}
 	client, n, err := r.reportHead(maxSamples)
 	if err != nil {
 		return "", nil, err
 	}
-	clientID = string(client)
 	samples = slices.Grow(dst, n)[:len(dst)+n]
+	clientID = TextLike(client, samples[len(dst)].ClientID)
 	prev := &Sample{ClientID: clientID}
 	for i := len(dst); i < len(samples); i++ {
 		r.reportSample(&samples[i], prev)
@@ -485,8 +498,8 @@ func (r *BinReader) reportSample(s, prev *Sample) {
 	s.Network = ReadName(r, radio.AllNetworks, prev.Network)
 	s.Metric = ReadName(r, AllMetrics, prev.Metric)
 	s.Value = r.Float()
-	s.ClientID = r.changed(flags&sameClient != 0, prev.ClientID)
-	s.Device = r.changed(flags&sameDevice != 0, prev.Device)
+	s.ClientID = r.changed(flags&sameClient != 0, prev.ClientID, s.ClientID)
+	s.Device = r.changed(flags&sameDevice != 0, prev.Device, s.Device)
 	s.SpeedKmh = prev.SpeedKmh
 	if flags&sameSpeed == 0 {
 		if s.SpeedKmh = r.Float(); sameBits(s.SpeedKmh, prev.SpeedKmh) {
@@ -497,8 +510,8 @@ func (r *BinReader) reportSample(s, prev *Sample) {
 }
 
 // changed returns prev when same is set, and otherwise reads a string that
-// must differ from it, copied.
-func (r *BinReader) changed(same bool, prev string) string {
+// must differ from it: a view for a view reader, else as TextLike returns it.
+func (r *BinReader) changed(same bool, prev, like string) string {
 	if same {
 		return prev
 	}
@@ -507,7 +520,10 @@ func (r *BinReader) changed(same bool, prev string) string {
 		r.Bad = true
 		return ""
 	}
-	return r.text(b)
+	if r.view {
+		return r.text(b)
+	}
+	return TextLike(b, like)
 }
 
 // ReadName reads what AppendName writes, refusing an index past names and a

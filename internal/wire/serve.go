@@ -31,15 +31,25 @@ func ErrorReply(msg string) Envelope {
 // than idle (zero disables) is dropped, an oversized message is answered
 // with "message too large" before the connection closes, and anything else
 // unreadable closes it silently.
+//
+// Unlike an envelope from Recv, a request is valid only until dispatch
+// returns: a binary sample or zone report and a via are decoded into storage
+// that belongs to the connection, and the next request is decoded over them
+// (see requestStore). So dispatch may keep a request's strings, which are
+// copies, but neither keep nor hand to another goroutine any of its pointers
+// or slices — its SampleReport and Samples, its ZoneReport and Networks, its
+// Via — past its return. What it must keep it copies, as the gateway copies a
+// hello; what it forwards, it forwards before it returns.
 func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(Envelope) (reply Envelope, fatal bool)) {
 	m.Connections.Inc()
 	c := NewConn(nc).Instrument(m.Codec)
 	defer c.Close()
+	reqs := new(requestStore)
 	for {
 		if idle > 0 {
 			_ = nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		req, err := c.Recv()
+		req, err := c.recv(reqs)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrMessageTooLarge):

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unicode/utf8"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -411,8 +412,13 @@ func encodeJSON(buf *bytes.Buffer, e Envelope) error {
 	return json.NewEncoder(buf).Encode(&e)
 }
 
-// Recv reads the next envelope, enforcing the size cap.
-func (c *Conn) Recv() (Envelope, error) {
+// Recv reads the next envelope, enforcing the size cap. The envelope owns
+// its memory: nothing in it is shared with another Recv's.
+func (c *Conn) Recv() (Envelope, error) { return c.recv(nil) }
+
+// recv is Recv decoding a binary request into dst (see requestStore); a nil
+// dst is Recv's.
+func (c *Conn) recv(dst *requestStore) (Envelope, error) {
 	line, spill, err := ReadLine(c.br, MaxMessageBytes)
 	if err != nil {
 		if errors.Is(err, ErrMessageTooLarge) {
@@ -421,7 +427,7 @@ func (c *Conn) Recv() (Envelope, error) {
 		return Envelope{}, err
 	}
 	frameBytes := len(line)
-	e, err := c.decode(line[:len(line)-1])
+	e, err := c.decode(line[:len(line)-1], dst)
 	if spill != nil {
 		putFrameBuf(spill) // line is spill's; the envelope holds none of it
 	}
@@ -440,11 +446,14 @@ func (c *Conn) Recv() (Envelope, error) {
 // binary and the canonical parsers copy every string they keep (or share one
 // they already copied), encoding/json copies every string and []byte it
 // decodes (Samples, the one custom unmarshaler, hands it its bytes), and no
-// envelope type has a json.RawMessage field; one added later must copy.
-func (c *Conn) decode(line []byte) (Envelope, error) {
+// envelope type has a json.RawMessage field; one added later must copy. A
+// binary sample or zone report and the via of a binary line decode into dst
+// when it is not nil, and then share its slices with the request before;
+// every string is still a copy, if perhaps one the request before made.
+func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 	if len(line) > 0 {
 		if h := codecByLead(line[0]); h != nil {
-			e, err := parseBinaryLine(h, line[1:])
+			e, err := parseBinaryLineInto(dst, h, line[1:])
 			if err == nil && h.marksPeer {
 				c.peerReadsBinary.Store(true)
 			}
@@ -550,10 +559,16 @@ func appendBinaryLine(b []byte, h *handCodec, e *Envelope) ([]byte, bool) {
 	return append(trace.Stuff(b, start+1), '\n'), true
 }
 
-// parseBinaryLine decodes the stuffed body of one of h's binary lines. A body
-// with an escape in it is unstuffed into a pooled buffer; the envelope holds
-// none of it.
+// parseBinaryLine decodes the stuffed body of one of h's binary lines into an
+// envelope that owns its memory, as Recv does.
 func parseBinaryLine(h *handCodec, stuffed []byte) (Envelope, error) {
+	return parseBinaryLineInto(nil, h, stuffed)
+}
+
+// parseBinaryLineInto decodes the stuffed body of one of h's binary lines,
+// into dst if it is not nil. A body with an escape in it is unstuffed into a
+// pooled buffer; the envelope holds none of it.
+func parseBinaryLineInto(dst *requestStore, h *handCodec, stuffed []byte) (Envelope, error) {
 	body := stuffed
 	if bytes.IndexByte(stuffed, trace.SlipEsc) >= 0 {
 		buf := frameBufs.Get().(*bytes.Buffer)
@@ -573,15 +588,93 @@ func parseBinaryLine(h *handCodec, stuffed []byte) (Envelope, error) {
 	if r.Bad || hasVia > 1 {
 		return Envelope{}, errBinaryLine
 	}
-	e, err := h.parseBinary(r.B)
+	e, err := h.parseBinary(r.B, dst)
 	if err != nil {
 		return Envelope{}, err
 	}
 	e.Type = h.typ
 	if hasVia == 1 {
-		e.Via = &Via{Gateway: string(gateway), Shard: string(shard)}
+		e.Via = dst.via(gateway, shard)
 	}
 	return e, nil
+}
+
+// A requestStore is the storage ServeConn decodes one connection's requests
+// into, so that a request does not cost the server a fresh slice of samples:
+// the binary sample report and its samples, the binary zone report and its
+// networks, and a binary line's via. Each request overwrites the one before,
+// which is why only ServeConn, whose dispatcher is done with a request before
+// the next is read, decodes into one. A string is never overwritten: one
+// equal to the same field of the request before is that request's string
+// (the client id, a sample's client and device, the via's gateway and
+// shard), and otherwise a new copy. A slice stays with the connection only
+// while it is at most maxPooledFrameBytes; a longer one is the request's
+// alone, so one huge report does not pin its samples on an idle connection.
+// A nil *requestStore allocates every request afresh, as Recv does.
+type requestStore struct {
+	report   SampleReport
+	samples  []trace.Sample // the backing array of report.Samples
+	zone     ZoneReport
+	networks []radio.NetworkID // the backing array of zone.Networks
+	relay    Via
+}
+
+// retainable reports whether a connection may keep s's backing array.
+func retainable[T any](s []T) bool {
+	var item T
+	return uintptr(cap(s))*unsafe.Sizeof(item) <= maxPooledFrameBytes
+}
+
+// via returns the via a line names.
+func (d *requestStore) via(gateway, shard []byte) *Via {
+	if d == nil {
+		return &Via{Gateway: string(gateway), Shard: string(shard)}
+	}
+	d.relay = Via{Gateway: trace.TextLike(gateway, d.relay.Gateway), Shard: trace.TextLike(shard, d.relay.Shard)}
+	return &d.relay
+}
+
+// sampleBuf is the slice a sample report decodes into: d's, emptied, or nil.
+func (d *requestStore) sampleBuf() []trace.Sample {
+	if d == nil {
+		return nil
+	}
+	return d.samples[:0]
+}
+
+// sampleReport returns a report of clientID and samples, which were decoded
+// into sampleBuf: d's, if samples may stay with it.
+func (d *requestStore) sampleReport(clientID string, samples []trace.Sample) *SampleReport {
+	if d == nil || !retainable(samples) {
+		return &SampleReport{ClientID: clientID, Samples: samples}
+	}
+	d.samples, d.report = samples, SampleReport{ClientID: clientID, Samples: samples}
+	return &d.report
+}
+
+// networkBuf is the slice a zone report's networks decode into: d's, or nil.
+func (d *requestStore) networkBuf() []radio.NetworkID {
+	if d == nil {
+		return nil
+	}
+	return d.networks
+}
+
+// zoneReport returns zr, its networks decoded into networkBuf, with the
+// client id client spells: d's, if its networks may stay with it.
+func (d *requestStore) zoneReport(client []byte, zr ZoneReport) *ZoneReport {
+	if d == nil || !retainable(zr.Networks) {
+		zr.ClientID = string(client)
+		p := new(ZoneReport) // not &zr, which would put zr on the heap on every call
+		*p = zr
+		return p
+	}
+	zr.ClientID = trace.TextLike(client, d.zone.ClientID)
+	if zr.Networks != nil {
+		d.networks = zr.Networks
+	}
+	d.zone = zr
+	return &d.zone
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0
@@ -601,9 +694,11 @@ func appendBinaryList[T any](b []byte, items []T, item func([]byte, T) ([]byte, 
 }
 
 // readBinaryList reads a list off r: nil for a count of 0, and otherwise a
-// slice allocated once, at its length, after that length is checked against
-// the bytes left, each item taking at least min of them.
-func readBinaryList[T any](r *trace.BinReader, min int, item func(trace.BinReader) (T, trace.BinReader)) []T {
+// non-nil slice of the count less one, empty for a count of 1, once that
+// length is checked against the bytes left, each item taking at least min of
+// them. The slice is dst's array, if dst is not nil and has the room, and
+// otherwise one allocated at its length.
+func readBinaryList[T any](r *trace.BinReader, dst []T, min int, item func(trace.BinReader) (T, trace.BinReader)) []T {
 	n := r.Uvarint()
 	if r.Bad || n == 0 {
 		return nil
@@ -612,7 +707,10 @@ func readBinaryList[T any](r *trace.BinReader, min int, item func(trace.BinReade
 		r.Bad = true
 		return nil
 	}
-	items := make([]T, n-1)
+	if dst == nil || uint64(cap(dst)) < n-1 {
+		dst = make([]T, n-1)
+	}
+	items := dst[:n-1]
 	for i := range items {
 		items[i], *r = item(*r)
 	}
@@ -730,8 +828,9 @@ type handCodec struct {
 	// appendBinary reports false for a payload the form does not carry
 	// exactly.
 	appendBinary func(b []byte, e Envelope) ([]byte, bool)
-	// parseBinary reads a whole payload into an envelope holding only it.
-	parseBinary func(b []byte) (Envelope, error)
+	// parseBinary reads a whole payload into an envelope holding only it,
+	// decoded into dst's storage for the row, if dst has some and is not nil.
+	parseBinary func(b []byte, dst *requestStore) (Envelope, error)
 }
 
 // only reports whether e holds p's one payload, which is set, and nothing
@@ -818,19 +917,19 @@ var handCodecs = [...]handCodec{{
 		}
 		return appendBinaryList(b, r.Networks, appendNetworkBinary)
 	},
-	parseBinary: func(b []byte) (Envelope, error) {
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
 		client := r.Str()
 		zone := geo.ZoneID{X: readInt32Binary(&r), Y: readInt32Binary(&r)}
 		loc := geo.Point{Lat: r.Float(), Lon: r.Float()}
 		speed, at := r.Float(), r.Time()
-		networks := readBinaryList(&r, minNetworkBinary, readNetworkBinary)
+		networks := readBinaryList(&r, dst.networkBuf(), minNetworkBinary, readNetworkBinary)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{ZoneReport: &ZoneReport{
-			ClientID: string(client), Zone: zone, Loc: loc, SpeedKmh: speed, At: at, Networks: networks,
-		}}, nil
+		return Envelope{ZoneReport: dst.zoneReport(client, ZoneReport{
+			Zone: zone, Loc: loc, SpeedKmh: speed, At: at, Networks: networks,
+		})}, nil
 	},
 }, {
 	typ:   TypeTaskList,
@@ -846,9 +945,9 @@ var handCodecs = [...]handCodec{{
 	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
 		return appendBinaryList(b, e.TaskList.Tasks, appendTaskBinary)
 	},
-	parseBinary: func(b []byte) (Envelope, error) {
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
-		tasks := readBinaryList(&r, minTaskBinary, readTaskBinary)
+		tasks := readBinaryList(&r, nil, minTaskBinary, readTaskBinary)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
@@ -868,7 +967,7 @@ var handCodecs = [...]handCodec{{
 	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
 		return binary.AppendUvarint(b, uint64(e.SampleAck.Accepted)), e.SampleAck.Accepted >= 0
 	},
-	parseBinary: func(b []byte) (Envelope, error) {
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
 		accepted := readIntBinary(&r)
 		if r.Bad || len(r.B) != 0 {
@@ -915,15 +1014,15 @@ var handCodecs = [...]handCodec{{
 	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
 		return trace.AppendReportBinary(b, e.SampleReport.ClientID, e.SampleReport.Samples)
 	},
-	parseBinary: func(b []byte) (Envelope, error) {
-		clientID, samples, err := trace.ParseReportBinary(nil, b, maxReportSamples)
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
+		clientID, samples, err := trace.ParseReportBinary(dst.sampleBuf(), b, maxReportSamples)
 		switch {
 		case errors.Is(err, trace.ErrTooManySamples):
 			return Envelope{}, ErrMessageTooLarge
 		case err != nil:
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{SampleReport: &SampleReport{ClientID: clientID, Samples: samples}}, nil
+		return Envelope{SampleReport: dst.sampleReport(clientID, samples)}, nil
 	},
 }}
 

@@ -50,13 +50,13 @@ ci: vet lint build race
 #   FuzzDecode: any wire byte stream, JSON and binary lines; no panic, each envelope a decode of its own line.
 #   FuzzSketchRoundTrip: the sketch serializer; exact round trip, raw bytes never panic.
 #   FuzzFrameRoundTrip: the replication line stream; a replica applies only whole lines the store accepts, report lines too.
-#   FuzzRecordEncodeMatchesJSON: the WAL record encoder; JSON lines are json.Marshal's bytes.
+#   FuzzRecordEncodeMatchesJSON: the WAL record writer; a sample JSON carries is one report line that reads back as json.Unmarshal(json.Marshal) of it, times in UTC; any other both refuse.
 #   FuzzBinaryRecordDecode: the binary WAL line decoders, report and sample; no panic, accepted lines re-encode.
 #   FuzzBinarySampleReportDecode: the binary sample report decoder; accepted lines re-encode.
 #   FuzzSampleDecodeMatchesJSON: a JSON sample on the wire and in the WAL, held to json.Unmarshal.
-#   FuzzReplyDecodeMatchesJSON: the seven hand-parsed JSON frames and the binary zone report, task list and ack lines, held to json.Unmarshal; accepted binary lines re-encode.
-# Corpora under */testdata/fuzz seed the first two and the last two; the rest
-# seed themselves in code.
+#   FuzzReplyDecodeMatchesJSON: the four hand-parsed JSON frames (two replies, two requests) and the binary zone report, task list and ack lines, held to json.Unmarshal; accepted binary lines re-encode.
+# Corpora under */testdata/fuzz seed the first two, FuzzRecordEncodeMatchesJSON
+# and the last two; the rest seed themselves in code.
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzSketchRoundTrip -fuzztime=30s ./internal/sketch

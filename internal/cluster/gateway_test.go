@@ -905,20 +905,17 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		}
 	}
 
-	// The same report as JSON, spelled with a space after every colon and
-	// comma. Its first time, the same instant an hour east of UTC, keeps Send
-	// off the binary form, which has no other spelling.
+	// The same report as a client that types JSON spells it: a space after
+	// every colon and comma, and its first time the same instant an hour east
+	// of UTC.
 	asJSON := *report.SampleReport
 	asJSON.Samples = slices.Clone(straddling)
 	asJSON.Samples[0].Time = asJSON.Samples[0].Time.In(time.FixedZone("", 3600))
-	var frame captureConn
-	if err := wire.NewConn(&frame).Send(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &asJSON}); err != nil {
+	frame, err := json.Marshal(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &asJSON})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if frame.buf.Bytes()[0] != '{' {
-		t.Fatalf("the report went as %q, want JSON", frame.buf.Bytes())
-	}
-	spaced := strings.NewReplacer(`":`, `": `, `,"`, `, "`).Replace(frame.buf.String())
+	spaced := strings.NewReplacer(`":`, `": `, `,"`, `, "`).Replace(string(frame) + "\n")
 	before = ingested()
 	if _, err := nc.Write([]byte(spaced)); err != nil {
 		t.Fatal(err)
@@ -953,10 +950,10 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 // TestAgentRoundTripNeverFallsBack: on every tier that decodes a frame — a
 // real agent, the gateway, both shards, and a client querying through the
 // gateway — each frame of a client's round trip (zone report, task list,
-// sample report, sample ack) and of a query (estimate and zone-list requests
-// and their replies) is one the canonical-form parser takes:
-// wiscape_wire_decode_fallbacks_total reads 0 under all eight hand-spelled
-// types everywhere, while every tier decodes frames.
+// sample report, sample ack) is a binary line, and each of a query (estimate
+// and zone-list requests and their replies) one the canonical-form parser
+// takes: wiscape_wire_decode_fallbacks_total reads 0 under all eight types
+// everywhere, while every tier decodes frames.
 func TestAgentRoundTripNeverFallsBack(t *testing.T) {
 	tiers := map[string]*telemetry.Registry{}
 	var shards []ShardConfig

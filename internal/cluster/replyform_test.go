@@ -24,18 +24,19 @@ const (
 )
 
 // startReplyFormCluster runs the Madison and New Brunswick shards behind a
-// gateway, each tier on its own registry, and returns the addresses to talk
-// to: a shard directly, and the gateway.
-func startReplyFormCluster(t *testing.T) (regs map[string]*telemetry.Registry, addrs map[string]string) {
+// gateway, each tier on its own registry and each shard with its WAL in a
+// directory of its own, and returns the addresses to talk to — a shard
+// directly, and the gateway — and the shards' data directories.
+func startReplyFormCluster(t *testing.T) (regs map[string]*telemetry.Registry, addrs, dirs map[string]string) {
 	t.Helper()
 	regs = map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
-	addrs = map[string]string{}
+	addrs, dirs = map[string]string{}, map[string]string{}
 	var shards []ShardConfig
 	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
-		regs[name] = telemetry.NewRegistry()
+		regs[name], dirs[name] = telemetry.NewRegistry(), t.TempDir()
 		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", coordinator.Options{
 			Networks: radio.AllNetworks, Metrics: []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: regs[name],
+			TaskInterval: time.Minute, Seed: seed, Telemetry: regs[name], DataDir: dirs[name], CheckpointInterval: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +55,7 @@ func startReplyFormCluster(t *testing.T) (regs map[string]*telemetry.Registry, a
 	}
 	t.Cleanup(func() { _ = gw.Close() })
 	addrs["gateway"] = gw.Addr()
-	return regs, addrs
+	return regs, addrs, dirs
 }
 
 // benchCycle is one cycle the way the benchmark's clients send it: a zone
@@ -89,7 +90,7 @@ func lineOf(t *testing.T, e wire.Envelope) []byte {
 // binary zone report, its task lists and acks come back as binary lines,
 // which decode to the same replies.
 func TestRepliesTakeTheClientsForm(t *testing.T) {
-	_, addrs := startReplyFormCluster(t)
+	_, addrs, _ := startReplyFormCluster(t)
 	for _, target := range []string{"madison", "gateway"} {
 		nc, err := net.Dial("tcp", addrs[target])
 		if err != nil {
@@ -159,11 +160,11 @@ func TestRepliesTakeTheClientsForm(t *testing.T) {
 
 // TestBenchShapedRoundTripsNeverDecline: the benchmark's exchange — hello,
 // zone report, 5-sample report, directly to a shard and through the gateway
-// — goes binary on every hop, both ways: no tier counts a frame under
-// wiscape_wire_encode_fallbacks_total, nor any under
-// wiscape_wire_decode_fallbacks_total, while every tier encodes frames.
+// — goes binary on every hop, both ways: no tier counts a round trip's frame
+// under wiscape_wire_decode_fallbacks_total while every tier encodes frames,
+// and every line in the shards' WALs is a report line.
 func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
-	regs, addrs := startReplyFormCluster(t)
+	regs, addrs, dirs := startReplyFormCluster(t)
 	regs["client"] = telemetry.NewRegistry()
 	codec := wire.NewMetrics(regs["client"])
 	for i, target := range []string{"madison", "gateway"} {
@@ -193,10 +194,19 @@ func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
 			t.Errorf("%s encoded no frames", tier)
 		}
 		for _, typ := range []wire.MsgType{wire.TypeZoneReport, wire.TypeTaskList, wire.TypeSampleReport, wire.TypeSampleAck} {
-			for _, name := range []string{"wiscape_wire_encode_fallbacks_total", "wiscape_wire_decode_fallbacks_total"} {
-				if n := reg.Counter(name, "", "type").With(string(typ)).Value(); n != 0 {
-					t.Errorf("%s: %s{type=%q} reads %v, want 0", tier, name, typ, n)
-				}
+			if n := reg.Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(string(typ)).Value(); n != 0 {
+				t.Errorf("%s: wiscape_wire_decode_fallbacks_total{type=%q} reads %v, want 0", tier, typ, n)
+			}
+		}
+	}
+	for shard, dir := range dirs {
+		samples, lines := walSamples(t, dir)
+		if shard == "madison" && (len(lines) != 8 || len(samples) != 40) {
+			t.Errorf("madison journaled %d samples in %d lines, want the 40 acked in 8", len(samples), len(lines))
+		}
+		for _, line := range lines {
+			if line[0] != 0xB3 {
+				t.Errorf("%s journaled %q, want report lines only", shard, line)
 			}
 		}
 	}

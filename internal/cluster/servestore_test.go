@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -201,4 +203,90 @@ func dialConn(t *testing.T, addr string) *wire.Conn {
 	c := wire.NewConn(nc)
 	t.Cleanup(func() { _ = c.Close() })
 	return c
+}
+
+// TestOffsetTimesJournalAsReportLines: a client that types its sample report
+// as JSON, its times at +02:00, is acked, and the report is journaled as one
+// report line (lead 0xB3) whose recovered times Equal the ones sent — sent
+// directly to a durable primary and through a gateway, which forwards it as
+// a binary line. The primary's semi-sync replica journals the same bytes at
+// the same LSNs. And a report whose times are in a fixed zone goes out of an
+// in-process Send as one binary line (lead 0xB2).
+func TestOffsetTimesJournalAsReportLines(t *testing.T) {
+	box := geo.Madison()
+	dirs := map[string]string{"primary": t.TempDir(), "replica": t.TempDir()}
+	primary := startDurableShard(t, box, dirs["primary"], "", true)
+	startDurableShard(t, box, dirs["replica"], primary.ReplicationAddr(), false)
+	registry, err := NewRegistry([]ShardConfig{{Name: "madison", Addr: primary.Addr(), Box: box}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, RecheckInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	waitUntil(t, 5*time.Second, "the replica to attach", func() bool {
+		status, err := dialConn(t, primary.Addr()).Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
+		return err == nil && len(status.StatusReply.Replicas) == 1 && status.StatusReply.Replicas[0].Connected
+	})
+
+	plus2 := time.FixedZone("", 2*3600)
+	var sent []trace.Sample
+	for i, addr := range []string{primary.Addr(), gw.Addr()} {
+		report := &wire.SampleReport{ClientID: "typist", Samples: make([]trace.Sample, 3)}
+		for j := range report.Samples {
+			report.Samples[j] = trace.Sample{
+				Time: start.Add(time.Duration(10*i+j) * time.Second).In(plus2), Loc: box.Center(), Network: radio.NetB,
+				Metric: trace.MetricUDPKbps, Value: 900 + float64(j), ClientID: "typist", Device: "phone",
+			}
+		}
+		sent = append(sent, report.Samples...)
+		frame, err := json.Marshal(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: report})
+		if err != nil || !bytes.Contains(frame, []byte(`+02:00"`)) {
+			t.Fatalf("the typed report %s, err %v, spells no +02:00 time", frame, err)
+		}
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := nc.Write(append(frame, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		reply, _, err := wire.ReadLine(bufio.NewReader(nc), wire.MaxMessageBytes)
+		if err != nil || string(reply) != `{"type":"sample_ack","sample_ack":{"accepted":3}}`+"\n" {
+			t.Fatalf("report %d: answered %q, %v", i, reply, err)
+		}
+		_ = nc.Close()
+	}
+
+	got, lines := walSamples(t, dirs["primary"])
+	if len(lines) != 2 || len(got) != len(sent) {
+		t.Fatalf("the primary journaled %d samples in %d lines; want %d in 2", len(got), len(lines), len(sent))
+	}
+	for i, line := range lines {
+		if line[0] != 0xB3 {
+			t.Errorf("line %d opens %#x, want a report line: %q", i, line[0], line)
+		}
+	}
+	for i, s := range got {
+		want := sent[i]
+		if !s.Time.Equal(want.Time) {
+			t.Errorf("sample %d: recovered at %v, sent at %v", i, s.Time, want.Time)
+		}
+		s.Time = want.Time
+		if s != want {
+			t.Errorf("sample %d: recovered %+v, sent %+v", i, s, want)
+		}
+	}
+	// Every ack waited on the replica's, so its journal is whole.
+	if _, replicaLines := walSamples(t, dirs["replica"]); !reflect.DeepEqual(replicaLines, lines) {
+		t.Errorf("the replica journaled\n%q\nits primary\n%q", replicaLines, lines)
+	}
+
+	report := wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "typist", Samples: sent}}
+	if line := lineOf(t, report); line[0] != 0xB2 {
+		t.Errorf("a report of times at +02:00 went as %q, want a binary line", line)
+	}
 }

@@ -71,7 +71,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 		opts.ServerID, opts.ReplicationAddr = id, "127.0.0.1:0"
 		opts.ReplicateFrom, opts.ForceResync = from, forceResync
 		opts.SyncReplication, opts.SyncTimeout = true, 5*time.Second
-		opts.SegmentMaxBytes = 2 << 10 // about eight records a segment
+		opts.SegmentMaxBytes = 1 << 9 // about a report a segment
 		return newServer(t, opts), opts.DataDir
 	}
 	attached := func(s *Server, n int) {
@@ -84,6 +84,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 	tail, tdir := node("tail", primary.ReplicationAddr(), false)
 	attached(primary, 1)
 
+	const perReport = 12 // samples a report, and LSNs a line
 	sent := 0
 	report := func(reports int) {
 		t.Helper()
@@ -94,7 +95,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 		c := wire.NewConn(nc)
 		defer c.Close()
 		for ; reports > 0; reports-- {
-			smps := make([]trace.Sample, 12)
+			smps := make([]trace.Sample, perReport)
 			for i := range smps {
 				sent++
 				smps[i] = trace.Sample{
@@ -114,7 +115,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 		}
 	}
 
-	report(8) // through a dozen rotations, every ack a replica's
+	report(8) // through several rotations, every ack a replica's
 
 	// The stream is severed and redialed; the records that arrive meanwhile
 	// reach the replica as one catch-up batch across segment boundaries.
@@ -138,34 +139,40 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 		t.Fatalf("primary journaled %d records of %d acked", last, sent)
 	}
 	for _, s := range []*Server{tail, boot, chain} {
-		waitFor(t, 5*time.Second, s.opts.ServerID+" caught up", func() bool { return s.store.LastLSN() == last })
+		// Under ingestMu, which Apply holds from journaling a line to
+		// ingesting its samples: a caught-up log is then an applied one.
+		waitFor(t, 5*time.Second, s.opts.ServerID+" caught up", func() bool {
+			s.ingestMu.Lock()
+			defer s.ingestMu.Unlock()
+			return s.store.LastLSN() == last
+		})
 	}
 
 	want, segments := journal(t, pdir)
-	if len(want) != sent || segments < 8 {
-		t.Fatalf("primary's log: %d records in %d segments, want %d records and several rotations", len(want), segments, sent)
+	if len(want) != sent/perReport || segments < 8 {
+		t.Fatalf("primary's log: %d lines in %d segments, want %d lines and several rotations", len(want), segments, sent/perReport)
 	}
 	for _, r := range []struct {
 		s    *Server
 		dir  string
 		from uint64 // the first LSN its log must hold
-	}{{tail, tdir, 1}, {chain, cdir, 1}, {boot, bdir, uint64(sent) - 4*12 + 1}} {
+	}{{tail, tdir, 1}, {chain, cdir, 1}, {boot, bdir, uint64(sent) - 4*perReport + 1}} {
 		got, _ := journal(t, r.dir)
 		if r.s == boot {
-			if len(got) < 4*12 || len(got) >= sent {
-				t.Fatalf("boot journaled %d records; a snapshot bootstrap leaves it the tail only", len(got))
+			if len(got) < 4 || len(got) >= sent/perReport {
+				t.Fatalf("boot journaled %d lines; a snapshot bootstrap leaves it the tail only", len(got))
 			}
-		} else if len(got) != sent {
-			t.Fatalf("%s journaled %d records of %d", r.s.opts.ServerID, len(got), sent)
+		} else if len(got) != sent/perReport {
+			t.Fatalf("%s journaled %d lines of %d", r.s.opts.ServerID, len(got), sent/perReport)
 		}
 		for lsn, line := range got {
 			if !bytes.Equal(line, want[lsn]) {
 				t.Fatalf("%s and the primary differ at LSN %d:\n%q\n%q", r.s.opts.ServerID, lsn, line, want[lsn])
 			}
 		}
-		for lsn := r.from; lsn <= last; lsn++ {
+		for lsn := r.from; lsn <= last; lsn += perReport {
 			if got[lsn] == nil {
-				t.Fatalf("%s's log has no LSN %d", r.s.opts.ServerID, lsn)
+				t.Fatalf("%s's log has no line from LSN %d", r.s.opts.ServerID, lsn)
 			}
 		}
 		keys := primary.Controller().Keys()

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -31,18 +32,30 @@ func frameLead(lead byte, body []byte) []byte {
 	return append(trace.Stuff(buf, 1), '\n')
 }
 
-// carried reports whether the binary forms carry smp.
-func carried(smp trace.Sample) bool {
-	_, ok := trace.AppendReportBinary(nil, "", []trace.Sample{smp})
-	return ok
+// sampleLineCarries is the rule the stores that wrote sample lines chose
+// one by: a time at zone offset 0 in years 0–9999, finite floats and strings
+// of valid UTF-8. They wrote the rest as JSON.
+func sampleLineCarries(smp trace.Sample) bool {
+	_, off := smp.Time.Zone()
+	for _, f := range []float64{smp.Loc.Lat, smp.Loc.Lon, smp.Value, smp.SpeedKmh} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	for _, s := range []string{string(smp.Network), string(smp.Metric), smp.ClientID, smp.Device} {
+		if !utf8.ValidString(s) {
+			return false
+		}
+	}
+	return off == 0 && smp.Time.Year() >= 0 && smp.Time.Year() <= 9999
 }
 
-// sampleBody is the body of the sample line of (lsn, smp), which the binary
-// form must carry.
+// sampleBody is the body of the sample line of (lsn, smp), which the sample
+// line must carry.
 func sampleBody(tb testing.TB, lsn uint64, smp trace.Sample) []byte {
 	tb.Helper()
-	if !carried(smp) {
-		tb.Fatalf("the binary form does not carry %+v", smp)
+	if !sampleLineCarries(smp) {
+		tb.Fatalf("the sample line does not carry %+v", smp)
 	}
 	return tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp)
 }
@@ -51,8 +64,8 @@ func sampleBody(tb testing.TB, lsn uint64, smp trace.Sample) []byte {
 // lines: a sample line where the binary form carries the sample, JSON
 // otherwise. Old segments are made of its lines.
 func appendSampleLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
-	if !carried(smp) {
-		return appendRecordJSON(buf, lsn, smp)
+	if !sampleLineCarries(smp) {
+		return appendJSONLine(buf, lsn, smp)
 	}
 	return append(buf, frameBinary(tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp))...), nil
 }
@@ -324,11 +337,11 @@ func linesOf(t *testing.T, buf []byte) []Entry {
 // report's line holds read back, LSN for LSN and field for field, as the
 // lines the store wrote for the same samples one at a time before report
 // lines — sample lines, and JSON for what that form does not carry — read
-// back, over reports drawn from the corpus every codec is tested on. A report
-// the binary form declines is one JSON line a sample, written together.
+// back with their times in UTC, over reports drawn from the corpus every
+// codec is tested on. Every report JSON carries is one report line.
 func TestReportLineMatchesSampleLines(t *testing.T) {
 	r := rng.NewNamed(37, "report-oracle")
-	forms := map[byte]int{}
+	oldForms := map[bool]int{}
 	for i := 0; i < 3000; i++ {
 		samples := make([]trace.Sample, 1+r.Intn(12))
 		clientID := tracetest.PlainSample(r).ClientID
@@ -366,31 +379,38 @@ func TestReportLineMatchesSampleLines(t *testing.T) {
 			continue
 		}
 		line = line[len("kept"):]
-		forms[line[0]]++
-		if line[0] == reportLead && bytes.Count(line, []byte("\n")) != 1 {
-			t.Fatalf("report %d: a report line of %d lines", i, bytes.Count(line, []byte("\n")))
+		if line[0] != reportLead || bytes.Count(line, []byte("\n")) != 1 {
+			t.Fatalf("report %d: wrote %q, want one report line", i, line)
 		}
+		samplesOnly := true // the old lines were all sample lines, no JSON
+		for _, l := range bytes.SplitAfter(old, []byte("\n")) {
+			samplesOnly = samplesOnly && (len(l) == 0 || l[0] == sampleLead)
+		}
+		oldForms[samplesOnly]++
 		got, want := linesOf(t, line), linesOf(t, old)
+		for j := range want {
+			want[j].Sample = inUTC(want[j].Sample)
+		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("report %d of %d samples at LSN %d:\nreport line %+v\nsample lines %+v", i, len(samples), first, got, want)
 		}
-		if line[0] == reportLead {
-			checkBinaryDecode(t, line)
-		}
+		checkBinaryDecode(t, line)
 	}
-	if forms[reportLead] < 500 || forms[reportLead] == 3000 {
-		t.Fatalf("lines by lead byte: %v; want report lines and the JSON fallback both", forms)
+	if oldForms[true] < 300 || oldForms[false] < 300 {
+		t.Fatalf("reports once all sample lines: %d, once with JSON lines: %d; want 300 of each at least", oldForms[true], oldForms[false])
 	}
 }
 
 // TestUpgradeAcrossFormats: a data directory written when every line was
-// JSON, reopened by a store that wrote sample lines, then by one that writes
-// report lines, and appended to at each step — some samples still in JSON,
-// the ones only it carries, and some JSON lines taken through AppendAt, as a
-// replica of an older primary does — reads the same through every reader:
-// recovery, Cursor.Next, and NextLines with ParseRecordLine, each giving
-// every LSN the sample the oracle's JSON line of it decodes to, with cursors
-// opened at every LSN, inside report lines too.
+// JSON, reopened by a store that wrote sample lines (and JSON for what they
+// did not carry), then by one that writes report lines, and appended to at
+// each step — some JSON and sample lines taken through AppendAt, as a replica
+// of an older primary does — reads the same through every reader: recovery,
+// Cursor.Next, and NextLines with ParseRecordLine, each giving every LSN the
+// sample the oracle's JSON line of it decodes to (with its time in UTC, for a
+// sample journaled in a report line), with cursors opened at every LSN,
+// inside report lines too. The JSON lines come from a test fixture: the store
+// no longer writes them.
 func TestUpgradeAcrossFormats(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{SegmentMaxBytes: 2000}
@@ -408,7 +428,7 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 		}
 		want[lsn] = got
 	}
-	// draw draws a sample JSON can carry; most of them the binary form can.
+	// draw draws a sample JSON can carry; most of them a sample line can.
 	draw := func() trace.Sample {
 		for {
 			smp := tracetest.Sample(r)
@@ -418,7 +438,7 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 			if r.Bool(0.8) {
 				smp.Time = smp.Time.UTC()
 			}
-			if _, err := appendRecordJSON(nil, 1, smp); err == nil {
+			if _, err := appendJSONLine(nil, 1, smp); err == nil {
 				return smp
 			}
 		}
@@ -454,12 +474,11 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 
 	// The oldest store's log: JSON lines only, over several segments. Then
 	// the sample lines' store, JSON among them.
-	session(40, appendAt(appendRecordJSON))
+	session(40, appendAt(appendJSONLine))
 	session(40, appendAt(appendSampleLine))
 
-	// Reopened and appended to in reports: report lines where the form
-	// carries the report, JSON lines where it does not, and JSON and sample
-	// lines taken as they are.
+	// Reopened and appended to in reports, each one report line, and JSON and
+	// sample lines taken as they are.
 	st, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +487,7 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 		lsn := st.LastLSN() + 1
 		if i%6 == 2 || i%6 == 5 { // a replica of an older primary takes its lines as they are
 			smp := draw()
-			encode := appendRecordJSON
+			encode := appendJSONLine
 			if i%6 == 2 {
 				encode = appendSampleLine
 			}
@@ -480,12 +499,9 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 		}
 		report := make([]trace.Sample, 1+r.Intn(8))
 		for j := range report {
-			// Mostly samples the binary form carries, so that most reports
-			// are report lines; one it does not makes its report JSON.
-			for report[j] = draw(); r.Bool(0.9) && !carried(report[j]); {
-				report[j] = draw()
-			}
+			report[j] = draw()
 			expect(lsn+uint64(j), report[j])
+			want[lsn+uint64(j)] = inUTC(want[lsn+uint64(j)])
 		}
 		if last, err := st.AppendReport("upgrade-client", report); err != nil || last != lsn+uint64(len(report))-1 {
 			t.Fatalf("AppendReport: last LSN %d, err %v; want %d", last, err, lsn+uint64(len(report))-1)
@@ -514,8 +530,10 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 			mixedSegs++
 		}
 	}
-	if forms['0'] < 45 || forms[sampleLead] < 20 || forms[reportLead] < 15 || mixedSegs == 0 {
-		t.Fatalf("the log's lines by form: %v, %d segments of all three; want all three forms, in one segment too", forms, mixedSegs)
+	// Every AppendReport — 32 of the 48 appends, over samples at offsets and
+	// of invalid UTF-8 among them — is one report line.
+	if forms['0'] < 45 || forms[sampleLead] < 20 || forms[reportLead] != 32 || mixedSegs == 0 {
+		t.Fatalf("the log's lines by form: %v, %d segments of all three; want all three forms, in one segment too, and 32 report lines", forms, mixedSegs)
 	}
 
 	check := func(reader string, lsn uint64, got trace.Sample) {

@@ -3,9 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"sync"
 
@@ -22,26 +20,22 @@ import (
 //	0xB3 · stuffed( uvarint first LSN · trace.AppendReportBinary's report ·
 //	                CRC32-IEEE, little-endian, of both ) · '\n'
 //
-// The JSON line, "crc32hex payload\n", opens with a hex digit. Its payload is
-// json.Marshal(walRecord{LSN: lsn, Sample: smp}), and ParseRecordLine reads
-// it back with json.Unmarshal. Every segment written before the binary forms
-// holds it, and appendReportLine still writes it, one line a sample, for a
-// report the binary form declines (a time off UTC, a string that is not
-// UTF-8): the lines of one report are written together, and cut back
-// together if the write fails.
-//
-// The sample line, 0xB1 · stuffed( uvarint LSN · a sample's binary form (see
-// trace.ParseSampleBinary) · CRC32-IEEE ) · '\n', is no longer written; the
-// segments written before report lines hold it, and it is read as it always
-// was.
+// The other two forms are no longer written, and are read as they always
+// were. The JSON line, "crc32hex payload\n", opens with a hex digit; its
+// payload is json.Marshal(walRecord{LSN: lsn, Sample: smp}), and
+// ParseRecordLine reads it back with json.Unmarshal. Every segment written
+// before the binary forms holds it, and so may one a replica of an older
+// primary took lines into. The sample line, 0xB1 · stuffed( uvarint LSN · a
+// sample's binary form (see trace.ParseSampleBinary) · CRC32-IEEE ) · '\n',
+// is held by the segments written before report lines.
 //
 // Stuffing is trace.Stuff's RFC 1055 SLIP escaping of the newline — 0x0A is
 // written DB DC, 0xDB is written DB DD — so a body never holds a raw '\n' and
-// every form is framed by its newline alone. JSON stays the specification: a
-// report line is written only for a report whose every sample the binary form
-// carries to exactly what its JSON line decodes to
-// (TestReportLineMatchesSampleLines holds the two to each other). The binary
-// decoders are canonical: an accepted line re-encodes to itself
+// every form is framed by its newline alone. JSON stays the specification and
+// an accepted input: a report line carries every report JSON carries, to
+// exactly what its JSON lines decode to with their times in UTC
+// (TestReportLineMatchesSampleLines, FuzzRecordEncodeMatchesJSON), and the
+// binary decoders are canonical: an accepted line re-encodes to itself
 // (FuzzBinaryRecordDecode).
 
 const (
@@ -81,48 +75,25 @@ func LineCap(lead byte) int {
 // errLineTooLong refuses a line its readers would refuse for its length.
 var errLineTooLong = errors.New("line longer than a WAL line may be")
 
-// appendReportLine appends the WAL lines of a report whose samples take LSNs
-// first, first+1, … to buf: one report line where the binary form carries the
-// report, and one JSON line a sample otherwise. It allocates nothing for a
-// report line when buf has the room. It refuses what json.Marshal refuses and
-// a line past its cap, and on an error buf comes back unextended.
+// appendReportLine appends the report line of a report whose samples take
+// LSNs first, first+1, … to buf, allocating nothing when buf has the room. It
+// refuses what trace.AppendReportBinary refuses and a line past its cap, and
+// on an error buf comes back unextended.
 func appendReportLine(buf []byte, first uint64, clientID string, samples []trace.Sample) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, reportLead)
 	body := len(buf)
 	buf = binary.AppendUvarint(buf, first)
-	buf, ok := trace.AppendReportBinary(buf, clientID, samples)
-	if ok {
-		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
-		buf = append(trace.Stuff(buf, body), '\n')
-		if len(buf)-start > MaxReportLineBytes {
-			return buf[:start], errLineTooLong
-		}
-		return buf, nil
+	buf, err := trace.AppendReportBinary(buf, clientID, samples)
+	if err != nil {
+		return buf[:start], err
 	}
-	buf = buf[:start]
-	for i := range samples {
-		line := len(buf)
-		var err error
-		if buf, err = appendRecordJSON(buf, first+uint64(i), samples[i]); err != nil {
-			return buf[:start], err
-		}
-		if len(buf)-line > MaxLineBytes {
-			return buf[:start], errLineTooLong
-		}
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[body:]))
+	buf = append(trace.Stuff(buf, body), '\n')
+	if len(buf)-start > MaxReportLineBytes {
+		return buf[:start], errLineTooLong
 	}
 	return buf, nil
-}
-
-// appendRecordJSON appends the JSON form of one record's line —
-// "crc32hex payload\n" — to buf. On an error, json.Marshal's, buf comes back
-// unextended.
-func appendRecordJSON(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
-	payload, err := json.Marshal(walRecord{LSN: lsn, Sample: smp})
-	if err != nil {
-		return buf, err
-	}
-	return fmt.Appendf(buf, "%08x %s\n", crc32.ChecksumIEEE(payload), payload), nil
 }
 
 // binaryLine checks a binary line — a lead byte of its own, stuffing, no

@@ -11,7 +11,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -21,9 +20,8 @@ import (
 )
 
 // oracleLine is the WAL line as it was built before the encoder existed:
-// json.Marshal of the record, framed. It is what appendRecordJSON is held to
-// byte for byte, and what every line appendRecordLine writes must read back
-// as.
+// json.Marshal of the record, framed. Every report line appendRecordLine
+// writes must read back as it does, its time in UTC.
 func oracleLine(lsn uint64, smp trace.Sample) ([]byte, error) {
 	payload, err := json.Marshal(walRecord{LSN: lsn, Sample: smp})
 	if err != nil {
@@ -31,6 +29,14 @@ func oracleLine(lsn uint64, smp trace.Sample) ([]byte, error) {
 	}
 	line := fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(payload))
 	return append(append(line, payload...), '\n'), nil
+}
+
+// appendJSONLine appends the oracle's line to buf: the JSON line the stores
+// before the binary forms wrote, and that a replica of such a primary takes
+// as it is. Old segments are made of its lines.
+func appendJSONLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
+	line, err := oracleLine(lsn, smp)
+	return append(buf, line...), err
 }
 
 // appendRecordLine is the line the store writes for one sample: Append's, a
@@ -48,66 +54,38 @@ func parseOne(line []byte) (trace.Sample, uint64, bool) {
 	return smps[0], lsn, true
 }
 
-// checkEncoder holds both encoders to the oracle on one record.
-// appendRecordJSON writes the oracle's bytes or makes the same refusal, and a
-// line the validating parser reads back as the sample. appendRecordLine, what
-// the store writes, refuses the same records, writes a report line exactly
-// when the binary form carries the sample, and its line reads back through
-// ParseRecordLine as the oracle's does; a report line is what the record it
-// decodes to re-encodes to.
+// inUTC is smp with its time moved to UTC, where a binary line puts it.
+func inUTC(smp trace.Sample) trace.Sample {
+	smp.Time = smp.Time.UTC()
+	return smp
+}
+
+// checkEncoder holds appendRecordLine, what the store writes, to the oracle
+// on one record. A record JSON carries is one report line, which reads back
+// through ParseRecordLine as the oracle's line does with its time in UTC, and
+// which is what the record it decodes to re-encodes to. Any other record both
+// refuse, leaving the buffer as it was — and so does the encoder one JSON
+// carries to a time whose instant is outside years 0–9999 in UTC, which no
+// binary line spells (RFC 3339 spells one within a day of those years'
+// edges).
 func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	t.Helper()
 	want, werr := oracleLine(lsn, smp)
-	checkLineEncoder(t, lsn, smp, want, werr)
-	prefix := []byte("in front ")
-	got, gerr := appendRecordJSON(append([]byte(nil), prefix...), lsn, smp)
-	if (werr != nil) != (gerr != nil) {
-		t.Fatalf("record %d %+v: encoder err %v, json.Marshal err %v", lsn, smp, gerr, werr)
-	}
-	if werr != nil {
-		if !bytes.Equal(got, prefix) {
-			t.Fatalf("record %d %+v: a refused record left %q in the buffer", lsn, smp, got)
-		}
-		return
-	}
-	if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
-		t.Fatalf("record %d %+v:\nencoder %q\n oracle %q", lsn, smp, got[len(prefix):], want)
-	}
-	back, backLSN, ok := parseOne(got[len(prefix):])
-	if !ok || backLSN != lsn {
-		t.Fatalf("record %d: ParseRecordLine(%q) = LSN %d, ok %v", lsn, want, backLSN, ok)
+	wantSmp, wantLSN, wok := parseOne(want)
+	if werr == nil && !wok {
+		t.Fatalf("record %d %+v: the oracle's line %q does not parse", lsn, smp, want)
 	}
 	// peekJSON reads at most 19 digits, which is every LSN a log will reach.
-	if peeked, ok := peekJSON(want); lsn < 1e19 && (!ok || peeked != lsn) {
+	if peeked, ok := peekJSON(want); werr == nil && lsn < 1e19 && (!ok || peeked != lsn) {
 		t.Fatalf("record %d: peekJSON(%q) = %d, ok %v", lsn, want, peeked, ok)
 	}
-	// What JSON cannot carry comes back changed, by the decoder's rule: each
-	// byte of invalid UTF-8 as U+FFFD, a time as its RFC 3339 reading (the
-	// wall clock and the zone's offset to the minute).
-	utf8d := func(s string) string { return string([]rune(s)) }
-	wantTime, err := time.Parse(time.RFC3339Nano, smp.Time.Format(time.RFC3339Nano))
-	_, wantOff := wantTime.Zone()
-	_, backOff := back.Time.Zone()
-	same := err == nil && back.Time.Equal(wantTime) && backOff == wantOff &&
-		sameFloat(back.Loc.Lat, smp.Loc.Lat) && sameFloat(back.Loc.Lon, smp.Loc.Lon) &&
-		sameFloat(back.Value, smp.Value) && sameFloat(back.SpeedKmh, smp.SpeedKmh) &&
-		string(back.Network) == utf8d(string(smp.Network)) && string(back.Metric) == utf8d(string(smp.Metric)) &&
-		back.ClientID == utf8d(smp.ClientID) && back.Device == utf8d(smp.Device) && back.Failed == smp.Failed
-	if !same {
-		t.Fatalf("record %d: journaled %+v, read back %+v", lsn, smp, back)
-	}
-}
-
-// checkLineEncoder is checkEncoder's half for appendRecordLine: want and werr
-// are the oracle's line for (lsn, smp) and its refusal.
-func checkLineEncoder(t *testing.T, lsn uint64, smp trace.Sample, want []byte, werr error) {
-	t.Helper()
+	refused := werr != nil || wantSmp.Time.UTC().Year() < 0 || wantSmp.Time.UTC().Year() > 9999
 	prefix := []byte("in front ")
 	got, gerr := appendRecordLine(append([]byte(nil), prefix...), lsn, smp)
-	if (werr != nil) != (gerr != nil) {
+	if refused != (gerr != nil) {
 		t.Fatalf("record %d %+v: line encoder err %v, json.Marshal err %v", lsn, smp, gerr, werr)
 	}
-	if werr != nil {
+	if refused {
 		if !bytes.Equal(got, prefix) {
 			t.Fatalf("record %d %+v: a refused record left %q in the buffer", lsn, smp, got)
 		}
@@ -117,31 +95,37 @@ func checkLineEncoder(t *testing.T, lsn uint64, smp trace.Sample, want []byte, w
 		t.Fatalf("record %d %+v: the line encoder overwrote the buffer: %q", lsn, smp, got)
 	}
 	line := got[len(prefix):]
-	_, off := smp.Time.Zone()
-	wantBinary := off == 0 && utf8.ValidString(string(smp.Network)) && utf8.ValidString(string(smp.Metric)) &&
-		utf8.ValidString(smp.ClientID) && utf8.ValidString(smp.Device)
-	if isBinary := line[0] == reportLead; isBinary != wantBinary {
-		t.Fatalf("record %d %+v: written binary %v, want %v: %q", lsn, smp, isBinary, wantBinary, line)
+	if line[0] != reportLead || bytes.IndexByte(line, '\n') != len(line)-1 {
+		t.Fatalf("record %d %+v: wrote %q, want one report line", lsn, smp, line)
 	}
 	back, backLSN, ok := parseOne(line)
-	wantSmp, wantLSN, wok := parseOne(want)
-	if !ok || !wok || backLSN != wantLSN || !reflect.DeepEqual(back, wantSmp) {
-		t.Fatalf("record %d %+v:\n   line %q reads %d %+v, ok %v\n oracle %q reads %d %+v, ok %v",
-			lsn, smp, line, backLSN, back, ok, want, wantLSN, wantSmp, wok)
+	if !ok || backLSN != wantLSN || !reflect.DeepEqual(back, inUTC(wantSmp)) {
+		t.Fatalf("record %d %+v:\n   line %q reads %d %+v, ok %v\n oracle %q reads %d %+v, in UTC",
+			lsn, smp, line, backLSN, back, ok, want, wantLSN, wantSmp)
 	}
-	// peekJSON reads at most 19 digits off a JSON line, which is every LSN a
-	// log will reach.
-	if wantBinary || lsn < 1e19 {
-		var scratch []byte
-		if first, last, ok := peekLSNs(&scratch, line); !ok || first != lsn || last != lsn {
-			t.Fatalf("record %d: peekLSNs(%q) = %d-%d, ok %v", lsn, line, first, last, ok)
-		}
-		if last, ok := lineHolds(lsn, line); !ok || last != lsn {
-			t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
-		}
+	var scratch []byte
+	if first, last, ok := peekLSNs(&scratch, line); !ok || first != lsn || last != lsn {
+		t.Fatalf("record %d: peekLSNs(%q) = %d-%d, ok %v", lsn, line, first, last, ok)
 	}
-	if again, err := appendRecordLine(nil, backLSN, back); wantBinary && (err != nil || !bytes.Equal(again, line)) {
+	if last, ok := lineHolds(lsn, line); !ok || last != lsn {
+		t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
+	}
+	if again, err := appendRecordLine(nil, backLSN, back); err != nil || !bytes.Equal(again, line) {
 		t.Fatalf("record %d: the report line does not re-encode to itself (err %v):\n got %q\nwant %q", lsn, err, again, line)
+	}
+	// What JSON does not carry as it is comes back changed, by the decoder's
+	// rule, spelled out here apart from the codecs: each byte of invalid
+	// UTF-8 as U+FFFD, a time as the instant its RFC 3339 reading names (the
+	// wall clock and the zone's offset to the minute).
+	utf8d := func(s string) string { return string([]rune(s)) }
+	wantTime, err := time.Parse(time.RFC3339Nano, smp.Time.Format(time.RFC3339Nano))
+	same := err == nil && back.Time.Equal(wantTime) && back.Time.Location() == time.UTC &&
+		sameFloat(back.Loc.Lat, smp.Loc.Lat) && sameFloat(back.Loc.Lon, smp.Loc.Lon) &&
+		sameFloat(back.Value, smp.Value) && sameFloat(back.SpeedKmh, smp.SpeedKmh) &&
+		string(back.Network) == utf8d(string(smp.Network)) && string(back.Metric) == utf8d(string(smp.Metric)) &&
+		back.ClientID == utf8d(smp.ClientID) && back.Device == utf8d(smp.Device) && back.Failed == smp.Failed
+	if !same {
+		t.Fatalf("record %d: journaled %+v, read back %+v", lsn, smp, back)
 	}
 }
 
@@ -169,9 +153,9 @@ var (
 )
 
 func TestRecordEncoderMatchesJSON(t *testing.T) {
-	// The encoder names every field by hand. One added to the record would be
-	// journaled by the oracle and dropped by the encoder with nothing below
-	// knowing to set it, so the shape is pinned too.
+	// The encoders name every field by hand. One added to the record would be
+	// journaled by the oracle and dropped by the binary form with nothing
+	// below knowing to set it, so the shape is pinned too.
 	const want = "{lsn:uint64 sample:{t:struct loc:{lat:float64 lon:float64 } net:string metric:string value:float64 " +
 		"client:string device,omitempty:string speed_kmh:float64 failed,omitempty:bool } }"
 	if got := shape(reflect.TypeOf(walRecord{})); got != want {
@@ -199,6 +183,14 @@ func TestRecordEncoderMatchesJSON(t *testing.T) {
 		}
 		checkEncoder(t, 1, smp)
 	}
+	// What JSON spells and the binary form does not: an instant before year 0
+	// in UTC, spelled in year 0 at an offset east of it.
+	early := base
+	early.Time = time.Date(0, 1, 1, 0, 30, 0, 0, time.FixedZone("", 3600))
+	if _, err := appendRecordLine(nil, 1, early); err == nil {
+		t.Error("an instant in year -1: encoded, want a refusal")
+	}
+	checkEncoder(t, 1, early)
 	// And the edges it accepts.
 	for _, at := range []time.Time{
 		{}, time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
@@ -399,7 +391,7 @@ func BenchmarkParseRecordLine(b *testing.B) {
 		{"report50", report},
 		{"report1", mustLine(b, appendRecordLine)},
 		{"sample", mustLine(b, appendSampleLine)},
-		{"json", mustLine(b, appendRecordJSON)},
+		{"json", mustLine(b, appendJSONLine)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var dst []trace.Sample

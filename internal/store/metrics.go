@@ -32,7 +32,7 @@ func newMetrics(reg *telemetry.Registry, lastCkptUnixNano *atomic.Int64) metrics
 		})
 	return metrics{
 		walAppends: reg.Counter("wiscape_store_wal_appends_total",
-			"Lines appended to the write-ahead log: one per journaled report, however many samples it holds (one per sample for a report written as JSON lines).").With(),
+			"Lines appended to the write-ahead log: one per journaled report, however many samples it holds.").With(),
 		walBytes: reg.Counter("wiscape_store_wal_append_bytes_total",
 			"Framed bytes appended to the write-ahead log.").With(),
 		walFsyncs: reg.Counter("wiscape_store_wal_fsyncs_total",

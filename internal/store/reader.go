@@ -466,7 +466,7 @@ func (st *Store) AppendAt(lsn uint64, line []byte) error {
 	if lsn < st.nextLSN {
 		return fmt.Errorf("store: AppendAt %d behind next LSN %d", lsn, st.nextLSN)
 	}
-	if err := st.writeLocked(lsn, last, 1, line); err != nil {
+	if err := st.writeLocked(lsn, last, line); err != nil {
 		st.met.appendErrors.Inc()
 		return err
 	}

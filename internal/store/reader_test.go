@@ -282,7 +282,7 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 		name   string
 		encode func([]byte, uint64, trace.Sample) ([]byte, error)
 	}{
-		{"JSON", appendRecordJSON}, {"sample", appendSampleLine}, {"report of one", appendRecordLine},
+		{"JSON", appendJSONLine}, {"sample", appendSampleLine}, {"report of one", appendRecordLine},
 		{"report", func(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) {
 			return appendReportLine(buf, lsn, "c", []trace.Sample{smp, smp, smp})
 		}},

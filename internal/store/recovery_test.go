@@ -200,7 +200,7 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 	encode := func(lsn uint64, smp trace.Sample) ([]byte, error) {
 		switch {
 		case mixed && r.Bool(0.3):
-			return appendRecordJSON(nil, lsn, smp)
+			return appendJSONLine(nil, lsn, smp)
 		case mixed && r.Bool(0.5):
 			return appendSampleLine(nil, lsn, smp)
 		}

@@ -16,12 +16,12 @@
 // apart (see encode.go). A report line — 0xB3, then the uvarint LSN of the
 // report's first sample, the report's binary form and a CRC32 (IEEE) of
 // both, SLIP-stuffed so no raw newline is inside — is what AppendReport
-// writes, and it holds one LSN a sample. A JSON line — an 8-hex-digit CRC32
-// of the payload, a space, and the payload {"lsn":N,"sample":{...}} — is what
-// every segment written before the binary forms holds, and what AppendReport
-// still writes, one a sample, for a report only JSON carries as it decodes. A
-// sample line — 0xB1, the LSN, one sample's binary form and the CRC — is
-// what segments written between the two hold. A segment may hold all three.
+// writes, and it holds one LSN a sample. The other two are read, no longer
+// written: a JSON line — an 8-hex-digit CRC32 of the payload, a space, and the
+// payload {"lsn":N,"sample":{...}} — is what every segment written before the
+// binary forms holds, and a sample line — 0xB1, the LSN, one sample's binary
+// form and the CRC — what segments written between the two hold. A segment
+// may hold all three.
 // Line framing means one corrupt record never hides its successors, and a
 // torn tail (a crash mid-write) is detected and truncated on recovery
 // instead of refusing to start. Segments rotate by size;
@@ -54,9 +54,7 @@ import (
 //
 // EveryRecords counts lines, not samples: a report is one line, so
 // EveryRecords 1 ("always") is one fsync per journaled report — per acked
-// sample report on a coordinator — however many samples it holds. (A report
-// only JSON carries is one line a sample, written and counted together, so it
-// too is one fsync under "always".)
+// sample report on a coordinator — however many samples it holds.
 type FsyncPolicy struct {
 	EveryRecords int           // fsync after every N appended WAL lines (0 = disabled)
 	Interval     time.Duration // background fsync at least every T (0 = disabled)
@@ -274,10 +272,8 @@ func (st *Store) Append(smp trace.Sample) (uint64, error) {
 
 // AppendReport journals the samples of one report, in order, as the log's
 // next LSNs — one a sample — and returns the last of them. The report is one
-// WAL line, written with one write, one CRC and one tick of the fsync policy;
-// a report the binary form does not carry is one JSON line a sample, written
-// together. Either way the report is journaled whole or, if the write fails,
-// not at all. The write reaches the OS before AppendReport returns; it
+// WAL line, written with one write, one CRC and one tick of the fsync policy,
+// so it is journaled whole or, if the write fails, not at all. The write reaches the OS before AppendReport returns; it
 // reaches the disk per the configured FsyncPolicy. clientID is the report's,
 // against which the first sample's client is spelled.
 func (st *Store) AppendReport(clientID string, samples []trace.Sample) (uint64, error) {
@@ -302,12 +298,8 @@ func (st *Store) appendReportLocked(clientID string, samples []trace.Sample) (ui
 	if st.buf, err = appendReportLine(st.buf[:0], first, clientID, samples); err != nil {
 		return 0, fmt.Errorf("store: encoding report: %w", err)
 	}
-	lines := 1
-	if st.buf[0] != reportLead {
-		lines = len(samples)
-	}
 	last := first + uint64(len(samples)) - 1
-	err = st.writeLocked(first, last, lines, st.buf)
+	err = st.writeLocked(first, last, st.buf)
 	if cap(st.buf) > scratchKeep {
 		st.buf = nil // one outsized report does not pin its buffer
 	}
@@ -317,8 +309,8 @@ func (st *Store) appendReportLocked(clientID string, samples []trace.Sample) (ui
 	return last, nil
 }
 
-// writeLocked journals data — whole WAL lines, n of them, holding LSNs first
-// through last — as the log's next records: rotation, one write, the books
+// writeLocked journals data — one whole WAL line, holding LSNs first through
+// last — as the log's next record: rotation, one write, the books
 // and the fsync policy.
 //
 // A write that fails part way (ENOSPC, EFBIG) has still put the start of data
@@ -328,7 +320,7 @@ func (st *Store) appendReportLocked(clientID string, samples []trace.Sample) (ui
 // line ends, taking all of data with it; if that fails too, every later
 // append is refused until the store is reopened and recovery truncates the
 // partial line.
-func (st *Store) writeLocked(first, last uint64, n int, data []byte) error {
+func (st *Store) writeLocked(first, last uint64, data []byte) error {
 	if st.wedged != nil {
 		return fmt.Errorf("store: appending record %d: %w", first, st.wedged)
 	}
@@ -346,8 +338,8 @@ func (st *Store) writeLocked(first, last uint64, n int, data []byte) error {
 	}
 	st.segSize += int64(len(data))
 	st.nextLSN = last + 1
-	st.unsynced += n
-	st.met.walAppends.Add(float64(n))
+	st.unsynced++
+	st.met.walAppends.Inc()
 	st.met.walBytes.Add(float64(len(data)))
 	if every := st.opts.Fsync.EveryRecords; every > 0 && st.unsynced >= every {
 		if err := st.syncLocked(); err != nil {

@@ -41,32 +41,49 @@ const (
 	maxBinarySec = 253402300799
 )
 
-// carriesBinary reports whether the report's binary form carries s to exactly
-// what json.Unmarshal makes of its JSON: a time whose zone offset is 0 (JSON
-// keeps the offset, and decodes a zone) and in years 0–9999, finite floats
-// (JSON refuses NaN and ±Inf) and strings of valid UTF-8 (JSON turns each
-// bad byte into U+FFFD). A field added to Sample has to be added here and to
-// the report's form.
-func carriesBinary(s *Sample) bool {
-	if !carriesTime(s.Time) {
-		return false
-	}
-	for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return false
+// Every binary form carries every value JSON carries, as JSON carries it, so
+// that a binary line decodes to exactly what json.Unmarshal makes of the JSON
+// of what was written, times in UTC: a time as the instant its JSON names
+// (jsonInstant), and a string as JSON writes it (jsonText). What JSON refuses
+// — NaN, ±Inf, a time at a zone offset of a day or more or in a year outside
+// 0–9999 — the binary writers refuse with ErrNoJSONForm, and so a time whose
+// instant lies outside years 0–9999 in UTC, which JSON spells only within a
+// day of those years' edges. A field added to Sample has to be added to the
+// report's form and to these rules.
+
+// ErrNoJSONForm is a binary writer's refusal of a value no JSON spells.
+var ErrNoJSONForm = errors.New("trace: NaN, ±Inf or a time outside years 0–9999, which JSON does not spell")
+
+// jsonInstant returns the instant t's JSON names, and false for a time JSON
+// refuses or whose instant lies outside years 0–9999. JSON writes the wall
+// clock and the zone offset to the minute, so an offset's seconds move the
+// instant it names.
+func jsonInstant(t time.Time) (time.Time, bool) {
+	if _, off := t.Zone(); off != 0 {
+		if y := t.Year(); off <= -24*3600 || off >= 24*3600 || y < 0 || y > 9999 {
+			return time.Time{}, false
 		}
+		t = t.Add(time.Duration(off%60) * time.Second)
 	}
-	for _, str := range [...]string{string(s.Network), string(s.Metric), s.ClientID, s.Device} {
-		if !utf8.ValidString(str) {
-			return false
-		}
-	}
-	return true
+	return t, t.Unix() >= minBinarySec && t.Unix() <= maxBinarySec
 }
 
+// jsonText returns s as JSON carries it: each byte that is not part of valid
+// UTF-8 as U+FFFD, which is what encoding/json writes for it.
+func jsonText(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
+// sameText reports whether JSON carries a and b as one string.
+func sameText(a, b string) bool { return a == b || jsonText(a) == jsonText(b) }
+
 // AppendStringBinary appends s the way every binary form spells a string: a
-// uvarint length, then the bytes.
+// uvarint length, then the bytes of s as JSON carries it.
 func AppendStringBinary(buf []byte, s string) []byte {
+	s = jsonText(s)
 	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
@@ -76,24 +93,16 @@ func AppendFloatBinary(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// AppendTimeBinary appends t the way every binary form spells an instant: its
-// Unix seconds as a varint, then its nanoseconds as a uvarint. It reports
-// false, with buf unextended, for a time the form does not carry to what
-// json.Unmarshal makes of its JSON: one at a zone offset other than 0 (JSON
-// keeps the offset, and decodes a zone) or outside years 0–9999 (JSON has no
-// spelling for it).
+// AppendTimeBinary appends t the way every binary form spells a time: the
+// instant its JSON names, its Unix seconds as a varint, then its nanoseconds
+// as a uvarint. It reports false, with buf unextended, for a time the forms
+// do not carry.
 func AppendTimeBinary(buf []byte, t time.Time) ([]byte, bool) {
-	if !carriesTime(t) {
+	at, ok := jsonInstant(t)
+	if !ok {
 		return buf, false
 	}
-	return binary.AppendUvarint(binary.AppendVarint(buf, t.Unix()), uint64(t.Nanosecond())), true
-}
-
-// carriesTime is AppendTimeBinary's rule.
-func carriesTime(t time.Time) bool {
-	sec := t.Unix()
-	_, off := t.Zone()
-	return off == 0 && sec >= minBinarySec && sec <= maxBinarySec
+	return binary.AppendUvarint(binary.AppendVarint(buf, at.Unix()), uint64(at.Nanosecond())), true
 }
 
 // ParseSampleBinary decodes b, the whole binary form of one sample. The
@@ -280,21 +289,22 @@ func (r *BinReader) Time() time.Time {
 // A string is AppendStringBinary's. A flag names a field equal to the same
 // field of the sample before, which is then left out: the time, the loc, the
 // client, the device, speed_kmh; one more flag is failed. The first sample's
-// "sample before" is Sample{ClientID: client id}. A time is its Unix seconds
-// less the sample before's as a varint, then its nanoseconds as a uvarint;
-// lat, lon, value and speed_kmh are little-endian float64 bits, and equal
-// means the same bits. A network or metric is 1 + its index in
+// "sample before" is Sample{ClientID: client id}. A time is its instant's Unix
+// seconds less the sample before's as a varint, then its nanoseconds as a
+// uvarint; lat, lon, value and speed_kmh are little-endian float64 bits, and
+// equal means the same bits. A network or metric is 1 + its index in
 // radio.AllNetworks or AllMetrics, or 0 and the name for one the tree does
 // not define, so the order of those lists is part of the form.
 //
-// AppendReportBinary writes it for a report whose client id is valid UTF-8
-// and whose every sample carriesBinary passes — so the report decodes to
-// exactly what json.Unmarshal makes of its JSON — and declines the rest, and
-// a report with no samples, for the caller to write as JSON.
-// ParseReportBinary is its canonical, fail-closed inverse: besides what
-// ParseSampleBinary refuses, it refuses a field spelled out that equals the
-// sample before's, a name spelled out that has an index, an index past its
-// list and a count of zero, so what it accepts re-encodes to the same bytes.
+// AppendReportBinary writes it for every report with samples whose values
+// JSON carries, as JSON carries them, and refuses the rest. Its flags compare
+// the values as written: two times JSON names as one instant are the same
+// time, and two strings it carries as one — "\xff" and "\xfe", both U+FFFD —
+// the same string. ParseReportBinary is its canonical, fail-closed inverse:
+// besides what ParseSampleBinary refuses, it refuses a field spelled out that
+// equals the sample before's, a name spelled out that has an index, an index
+// past its list and a count of zero, so what it accepts re-encodes to the
+// same bytes.
 
 const (
 	sameTime = 1 << iota
@@ -314,43 +324,53 @@ const minReportSample = 1 + 1 + 1 + 8
 // more samples than its caller allows.
 var ErrTooManySamples = errors.New("trace: binary sample report holds too many samples")
 
-var errBinaryReport = errors.New("trace: malformed binary sample report")
+var (
+	errBinaryReport = errors.New("trace: malformed binary sample report")
+	errEmptyReport  = errors.New("trace: a sample report with no samples")
+)
 
 // AppendReportBinary appends the binary form of a report to buf, allocating
-// nothing when buf has the room. It reports false, with buf unextended, for a
-// report the form does not carry.
-func AppendReportBinary(buf []byte, clientID string, samples []Sample) ([]byte, bool) {
-	if len(samples) == 0 || !utf8.ValidString(clientID) {
-		return buf, false
+// nothing when buf has the room and every string is valid UTF-8. On an
+// error — ErrNoJSONForm, or a report with no samples — buf comes back
+// unextended.
+func AppendReportBinary(buf []byte, clientID string, samples []Sample) ([]byte, error) {
+	if len(samples) == 0 {
+		return buf, errEmptyReport
 	}
 	start := len(buf)
 	buf = AppendStringBinary(buf, clientID)
 	buf = binary.AppendUvarint(buf, uint64(len(samples)))
 	prev := &Sample{ClientID: clientID}
+	prevAt, _ := jsonInstant(prev.Time)
 	for i := range samples {
 		s := &samples[i]
-		if !carriesBinary(s) {
-			return buf[:start], false
+		at, ok := jsonInstant(s.Time)
+		for _, f := range [...]float64{s.Loc.Lat, s.Loc.Lon, s.Value, s.SpeedKmh} {
+			ok = ok && !math.IsNaN(f) && !math.IsInf(f, 0)
 		}
-		buf = appendReportSample(buf, s, prev)
-		prev = s
+		if !ok {
+			return buf[:start], ErrNoJSONForm
+		}
+		buf = appendReportSample(buf, s, prev, at, prevAt)
+		prev, prevAt = s, at
 	}
-	return buf, true
+	return buf, nil
 }
 
-func appendReportSample(buf []byte, s, prev *Sample) []byte {
-	sec, nsec := s.Time.Unix(), s.Time.Nanosecond()
+// appendReportSample appends s, at instant at, as a report spells it after
+// prev, at prevAt.
+func appendReportSample(buf []byte, s, prev *Sample, at, prevAt time.Time) []byte {
 	var flags byte
-	if sec == prev.Time.Unix() && nsec == prev.Time.Nanosecond() {
+	if at.Equal(prevAt) {
 		flags |= sameTime
 	}
 	if sameBits(s.Loc.Lat, prev.Loc.Lat) && sameBits(s.Loc.Lon, prev.Loc.Lon) {
 		flags |= sameLoc
 	}
-	if s.ClientID == prev.ClientID {
+	if sameText(s.ClientID, prev.ClientID) {
 		flags |= sameClient
 	}
-	if s.Device == prev.Device {
+	if sameText(s.Device, prev.Device) {
 		flags |= sameDevice
 	}
 	if sameBits(s.SpeedKmh, prev.SpeedKmh) {
@@ -361,8 +381,8 @@ func appendReportSample(buf []byte, s, prev *Sample) []byte {
 	}
 	buf = append(buf, flags)
 	if flags&sameTime == 0 {
-		buf = binary.AppendVarint(buf, sec-prev.Time.Unix())
-		buf = binary.AppendUvarint(buf, uint64(nsec))
+		buf = binary.AppendVarint(buf, at.Unix()-prevAt.Unix())
+		buf = binary.AppendUvarint(buf, uint64(at.Nanosecond()))
 	}
 	if flags&sameLoc == 0 {
 		buf = AppendFloatBinary(AppendFloatBinary(buf, s.Loc.Lat), s.Loc.Lon)
@@ -384,8 +404,8 @@ func appendReportSample(buf []byte, s, prev *Sample) []byte {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// AppendName appends 1 + name's index in names, or 0 and name if it is none
-// of them.
+// AppendName appends 1 + name's index in names, or 0 and name, as JSON
+// carries it, if it is none of them.
 func AppendName[T ~string](buf []byte, name T, names []T) []byte {
 	for i, n := range names {
 		if n == name {

@@ -69,7 +69,7 @@ func benchReport(n int) Envelope {
 }
 
 // jsonReport is benchReport(n) with its last sample's time an hour east of
-// UTC: a report the binary form does not carry, which Send writes as JSON.
+// UTC, as a client that sends JSON may spell it.
 func jsonReport(n int) Envelope {
 	e := benchReport(n)
 	last := &e.SampleReport.Samples[n-1]
@@ -91,17 +91,13 @@ func benchmarkEncode(b *testing.B, e Envelope, m *Metrics) {
 
 // BenchmarkEncode measures envelope marshal + framing throughput — the
 // per-message codec cost next to which BenchmarkIngest* sits. A report goes
-// as its binary line; samples=50/json is the same report with one time off
-// UTC, which goes as JSON.
+// as its binary line.
 func BenchmarkEncode(b *testing.B) {
 	for _, n := range []int{1, 32, 50, 1024} {
 		b.Run(fmt.Sprintf("samples=%d", n), func(b *testing.B) {
 			benchmarkEncode(b, benchReport(n), nil)
 		})
 	}
-	b.Run("samples=50/json", func(b *testing.B) {
-		benchmarkEncode(b, jsonReport(50), nil)
-	})
 	// The instrumented variant prices the telemetry hook on the codec
 	// path: two nil-safe atomic adds per message.
 	b.Run("samples=32/instrumented", func(b *testing.B) {

@@ -21,8 +21,9 @@ import (
 // trace.AppendReportBinary, trace.ParseReportBinary) is held here to its
 // layout, spelled out by hand, and to its decoder's contract: a line the
 // encoder would not write is refused, and one it would is read back to what
-// json.Unmarshal makes of the report's JSON. TestSendBytesMatchJSON holds
-// Send's lines to the JSON oracle over the drawn corpus.
+// json.Unmarshal makes of the report's JSON, times in UTC.
+// TestSendBytesMatchJSON holds Send's lines to the JSON oracle over the drawn
+// corpus.
 //
 // Mutants that must fail this package's tests (each did, by hand, in a
 // copy): the decoder accepting a time, loc, client, device or speed spelled
@@ -30,13 +31,14 @@ import (
 // past its list, bytes after the last sample, an unknown flag bit, a count of
 // zero, a via tag of 2, or a count left unchecked against the bytes behind it
 // or against the ceiling; the decoder leaving a flagged time unset; a line
-// with escapes decoded without unstuffing; the encoder skipping the zone
-// offset check or the client id's or the via's UTF-8 check; Send skipping the
-// ceiling.
+// with escapes decoded without unstuffing; the encoder writing a time at its
+// offset's wall clock, a string of invalid UTF-8 as it stands, or comparing
+// the strings it flags as the sample before's raw (TestReportFlagsCompareAsWritten);
+// Send skipping the ceiling.
 
 // appendBinaryReport and parseBinaryReport are the sample report's binary
 // line, out and in.
-func appendBinaryReport(b []byte, e *Envelope) ([]byte, bool) {
+func appendBinaryReport(b []byte, e *Envelope) ([]byte, error) {
 	return appendBinaryLine(b, codecOf(TypeSampleReport), e)
 }
 
@@ -89,6 +91,18 @@ func TestBinaryReportLayout(t *testing.T) {
 	if got, want := encodeFrames(t, relayed), spell(with(head, 0, []byte{1}, bstr("gw"), bstr("madison")), first, second); !bytes.Equal(got, want) {
 		t.Fatalf("Send wrote\n%q\nthe layout spells\n%q", got, want)
 	}
+	// A string is written as JSON carries it: each byte of invalid UTF-8 as
+	// U+FFFD. So is a time: the instant its JSON names.
+	invalid := report
+	invalid.Via = &Via{Gateway: "g\xff", Shard: "m\xfe\xfd"}
+	invalid.SampleReport = &SampleReport{ClientID: "c\xc3", Samples: slices.Clone(report.SampleReport.Samples)}
+	invalid.SampleReport.Samples[0].Time = t0.In(time.FixedZone("", 2*3600))
+	invalidHead := [][]byte{{1}, bstr("g\ufffd"), bstr("m\ufffd\ufffd"), bstr("c\ufffd"), uv(2)}
+	// The first sample's client, "c", is not the report's any more: spelled.
+	invalidFirst := slices.Concat(with(first, 0, []byte{fSpeed})[:8], [][]byte{bstr("c")}, first[8:])
+	if got, want := encodeFrames(t, invalid), spell(invalidHead, invalidFirst, second); !bytes.Equal(got, want) {
+		t.Fatalf("Send wrote\n%q\nthe layout spells\n%q", got, want)
+	}
 	oracle := func(e Envelope) Envelope {
 		var o Envelope
 		if err := json.Unmarshal(jsonFrame(t, e), &o); err != nil {
@@ -100,8 +114,9 @@ func TestBinaryReportLayout(t *testing.T) {
 		line []byte
 		want Envelope
 	}{
-		"as sent": {want, oracle(report)},
-		"relayed": {encodeFrames(t, relayed), oracle(relayed)},
+		"as sent":                 {want, oracle(report)},
+		"relayed":                 {encodeFrames(t, relayed), oracle(relayed)},
+		"strings JSON carries so": {encodeFrames(t, invalid), inUTC(oracle(invalid))},
 		"a speed of -0": {spell(head, first, with(second, 6, bf64(math.Copysign(0, -1)))), func() Envelope {
 			e := oracle(report)
 			e.SampleReport.Samples[1].SpeedKmh = math.Copysign(0, -1)
@@ -192,6 +207,56 @@ func TestBinaryReportLayout(t *testing.T) {
 	}
 }
 
+// TestReportFlagsCompareAsWritten: two samples in a row whose devices, "\xff"
+// and "\xfe", JSON carries as one string, U+FFFD, hold the same device as the
+// report spells it, so the encoder flags the second's as the sample before's:
+// it compares the strings as it writes them. The line passes
+// trace.ParseReportBinary and trace.ValidReportBinary, and re-encodes to
+// itself. mutantRawCompare is the line of an encoder that compares the raw
+// strings, spelling the second device out; the canonical decoder refuses it,
+// as it refuses any field spelled out that equals the sample before's.
+func TestReportFlagsCompareAsWritten(t *testing.T) {
+	t0 := time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
+	loc := geo.Point{Lat: 43.07, Lon: -89.4}
+	samples := []trace.Sample{
+		{Time: t0, Loc: loc, Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 1, ClientID: "c", Device: "\xff"},
+		{Time: t0, Loc: loc, Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 2, ClientID: "c", Device: "\xfe"},
+	}
+	netB, udp := uv(2), uv(2)
+	head := [][]byte{bstr("c"), uv(2)}
+	first := [][]byte{{fClient | fSpeed}, sv(t0.Unix() - time.Time{}.Unix()), uv(0), bf64(loc.Lat), bf64(loc.Lon), netB, udp, bf64(1), bstr("\ufffd")}
+	second := [][]byte{{fTime | fLoc | fClient | fDevice | fSpeed}, netB, udp, bf64(2)}
+	body, err := trace.AppendReportBinary(nil, "c", samples)
+	if want := slices.Concat(slices.Concat(head, first, second)...); err != nil || !bytes.Equal(body, want) {
+		t.Fatalf("the encoder wrote %q, err %v; the layout spells %q", body, err, want)
+	}
+	clientID, got, err := trace.ParseReportBinary(nil, body, maxReportSamples)
+	if err != nil || clientID != "c" || len(got) != 2 || got[0].Device != "\ufffd" || got[1].Device != "\ufffd" {
+		t.Fatalf("ParseReportBinary: %q, %+v, %v", clientID, got, err)
+	}
+	if n, ok := trace.ValidReportBinary(body); !ok || n != 2 {
+		t.Fatalf("ValidReportBinary: %d, %v", n, ok)
+	}
+	if again, err := trace.AppendReportBinary(nil, clientID, got); err != nil || !bytes.Equal(again, body) {
+		t.Fatalf("the report re-encodes to %q, err %v; want %q", again, err, body)
+	}
+	if e, err := NewConn(byteConn{r: bytes.NewReader(binaryLine(append([]byte{0}, body...)))}).Recv(); err != nil ||
+		!reflect.DeepEqual(e, inUTC(cloneFrame(t, Envelope{Type: TypeSampleReport, SampleReport: &SampleReport{ClientID: "c", Samples: samples}}))) {
+		t.Fatalf("Recv of the line: %+v, %v", e, err)
+	}
+
+	mutantRawCompare := slices.Concat(slices.Concat(head, first, [][]byte{{fTime | fLoc | fClient | fSpeed}, netB, udp, bf64(2), bstr("\ufffd")})...)
+	if _, _, err := trace.ParseReportBinary(nil, mutantRawCompare, maxReportSamples); err == nil {
+		t.Error("ParseReportBinary took the raw-comparing encoder's line")
+	}
+	if _, ok := trace.ValidReportBinary(mutantRawCompare); ok {
+		t.Error("ValidReportBinary took the raw-comparing encoder's line")
+	}
+	if _, err := NewConn(byteConn{r: bytes.NewReader(binaryLine(append([]byte{0}, mutantRawCompare...)))}).Recv(); err == nil {
+		t.Error("Recv took the raw-comparing encoder's line")
+	}
+}
+
 // checkBinaryLine holds one binary line to the decoder's contract: Recv does
 // not panic, and a line it accepts decodes to what json.Unmarshal makes of
 // json.Marshal of the envelope, holds no byte of the line, and re-encodes —
@@ -235,8 +300,8 @@ func FuzzBinarySampleReportDecode(f *testing.F) {
 			samples[j].Time = samples[j].Time.UTC()
 		}
 		e.SampleReport = &SampleReport{ClientID: e.SampleReport.ClientID, Samples: samples}
-		line, ok := appendBinaryReport(nil, &e)
-		if !ok {
+		line, err := appendBinaryReport(nil, &e)
+		if err != nil {
 			continue
 		}
 		f.Add(line[1:len(line)-1], false)

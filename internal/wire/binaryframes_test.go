@@ -19,17 +19,18 @@ import (
 // a sample ack — are held here to their layouts, spelled out by hand, direct
 // and relayed, and to their decoders' contract: a line the encoder would not
 // write is refused, and one it would is read back to what json.Unmarshal
-// makes of the frame's JSON. TestSmallSendBytesMatchJSON holds Send's lines
-// to the JSON oracle over the drawn corpus.
+// makes of the frame's JSON, times in UTC. TestSmallSendBytesMatchJSON holds
+// Send's lines to the JSON oracle over the drawn corpus.
 //
 // Mutants that must fail this package's tests (each did, in a copy): a nil
 // list and an empty one spelled alike; a zone coordinate read at 64 bits; a
 // count of 2^63 taken as a negative int; a known name spelled out accepted;
 // bytes after the payload accepted; a via tag of 2 accepted; a task list sent
 // binary to any peer; a peer marked as reading binary replies by a sample
-// report, or by any line that decodes; a negative ack or a zone report's time
-// at its offset written binary; a decline left uncounted; a binary frame's
-// buffer reserved at JSON's size.
+// report, or by any line that decodes; a negative ack written binary; a zone
+// report's time written at its offset's wall clock, or its client id or the
+// via as they stand when they are not valid UTF-8; a binary frame's buffer
+// reserved at JSON's size.
 
 // layoutCase is one frame's binary layout: the envelope, the payload its line
 // holds after the via, and edits of that payload, each either a line the
@@ -50,13 +51,14 @@ type layoutEdit struct {
 
 // checkLayout holds Send's line for the case's envelope to its layout —
 // direct and through a gateway, to a peer that reads binary replies — and
-// Recv of it to the JSON oracle; and each edit to its verdict.
+// Recv of it to the JSON oracle; and each edit to its verdict. The third
+// gateway's name is not valid UTF-8: the line spells it as JSON carries it.
 func checkLayout(t *testing.T, tc layoutCase) {
 	t.Helper()
-	for _, via := range []*Via{nil, {Gateway: "gw", Shard: "madison"}} {
+	for _, via := range []*Via{nil, {Gateway: "gw", Shard: "madison"}, {Gateway: "gw\xff\xfe"}} {
 		head := [][]byte{{0}}
 		if via != nil {
-			head = [][]byte{{1}, bstr(via.Gateway), bstr(via.Shard)}
+			head = [][]byte{{1}, bstr(string([]rune(via.Gateway))), bstr(via.Shard)}
 		}
 		line := func(payload [][]byte) []byte { return binaryLineOf(tc.lead, slices.Concat(head, payload)...) }
 		e := tc.e
@@ -91,7 +93,7 @@ func checkLayout(t *testing.T, tc layoutCase) {
 			if err := json.Unmarshal(jsonFrame(t, w), &oracle); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := fuzzConn(edited).Recv(); err != nil || !reflect.DeepEqual(got, oracle) {
+			if got, err := fuzzConn(edited).Recv(); err != nil || !reflect.DeepEqual(got, inUTC(oracle)) {
 				t.Errorf("%s (via %v), %s: Recv %+v, %v\noracle %+v", e.Type, via != nil, ed.name, got, err, oracle)
 			}
 		}
@@ -130,6 +132,13 @@ func TestBinaryZoneReportLayout(t *testing.T) {
 		{"year 9999", with(payload, 6, sv(maxSec)), zr(func(r *ZoneReport) { r.At = time.Unix(maxSec, 0).UTC() })},
 		{"a speed of -0", with(payload, 5, bf64(math.Copysign(0, -1))), zr(func(r *ZoneReport) { r.SpeedKmh = math.Copysign(0, -1) })},
 		{"an empty client id", with(payload, 0, bstr("")), zr(func(r *ZoneReport) { r.ClientID = "" })},
+		{"a client id of invalid UTF-8, as JSON carries it", with(payload, 0, bstr("bus\ufffd\ufffd")),
+			zr(func(r *ZoneReport) { r.ClientID = "bus\xff\xc3" })},
+		{"a network of invalid UTF-8, as JSON carries it", with(payload, 10, uv(0), bstr("N\ufffd")),
+			zr(func(r *ZoneReport) { r.Networks[1] = "N\xc3" })},
+		{"a time at an offset, as its instant", payload, zr(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", -5*3600)) })},
+		{"an offset with seconds, as the instant JSON names", with(payload, 6, sv(at.Unix()-25)),
+			zr(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", -(5*3600 + 25))) })},
 
 		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
 		{"a client id of invalid UTF-8", with(payload, 0, bstr("bus\xff")), nil},
@@ -161,6 +170,8 @@ func TestBinaryTaskListLayout(t *testing.T) {
 		{"an unknown metric", with(payload, 7, uv(0), bstr("m")), tl(func(l *TaskList) { l.Tasks[1].Metric = "m" })},
 		{"an unknown network", with(payload, 1, uv(0), bstr("NetZ")), tl(func(l *TaskList) { l.Tasks[0].Network = "NetZ" })},
 		{"the largest size", with(payload, 10, uv(math.MaxInt64)), tl(func(l *TaskList) { l.Tasks[1].TCPBytes = math.MaxInt64 })},
+		{"a metric of invalid UTF-8, as JSON carries it", with(payload, 7, uv(0), bstr("m\ufffd")),
+			tl(func(l *TaskList) { l.Tasks[1].Metric = "m\xff" })},
 
 		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
 		{"a size of 2^63", with(payload, 3, uv(1<<63)), nil},

@@ -55,9 +55,10 @@ func encodeBinaryFrames(t testing.TB, envs ...Envelope) []byte {
 }
 
 // jsonFrame is e's JSON frame, json.Marshal's bytes and a '\n': the frame Send
-// writes for every envelope but a sample report the binary form carries
-// (TestSendBytesMatchJSON), and the spelling of a report that agents before
-// the binary form send and hand-typed drills still do.
+// writes for every envelope but one of a client's round trip to a peer that
+// reads its binary line (TestSendBytesMatchJSON, TestSmallSendBytesMatchJSON),
+// and the spelling of those that agents before the binary lines send and
+// hand-typed drills still do.
 func jsonFrame(t testing.TB, e Envelope) []byte {
 	t.Helper()
 	frame, err := json.Marshal(&e)
@@ -65,6 +66,21 @@ func jsonFrame(t testing.TB, e Envelope) []byte {
 		t.Fatalf("marshal %s: %v", e.Type, err)
 	}
 	return append(frame, '\n')
+}
+
+// inUTC moves e's sample times and zone report time to UTC, where Recv puts
+// them from either form: it makes what json.Unmarshal decodes a frame to what
+// Recv should. It edits e's payloads in place.
+func inUTC(e Envelope) Envelope {
+	if r := e.SampleReport; r != nil {
+		for i := range r.Samples {
+			r.Samples[i].Time = r.Samples[i].Time.UTC()
+		}
+	}
+	if e.ZoneReport != nil {
+		e.ZoneReport.At = e.ZoneReport.At.UTC()
+	}
+	return e
 }
 
 // errorFrameOf returns an error envelope whose frame, '\n' included, is

@@ -28,9 +28,9 @@ func fuzzConn(data []byte) *Conn {
 // report of more than maxReportSamples samples, and always for the latter —
 // the reader always terminates (the stream is finite), and — once the
 // whole stream has been read — every envelope still equals a decode of its
-// own line's copy (json.Unmarshal's, or a binary line's own): Recv
-// decodes short lines in place, and nothing it returns may alias bytes a
-// later read overwrites.
+// own line's copy (json.Unmarshal's with its times in UTC, or a binary
+// line's own): Recv decodes short lines in place, and nothing it returns may
+// alias bytes a later read overwrites.
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: every message type round-tripped through the real
 	// encoder, plus hand-picked malformed frames.
@@ -123,6 +123,7 @@ func FuzzDecode(f *testing.F) {
 				want, err = fuzzConn(line).Recv() // json.Unmarshal cannot read it; checkBinaryLine holds it to JSON
 			} else {
 				err = json.Unmarshal(line, &want)
+				want = inUTC(want)
 			}
 			if err != nil || !reflect.DeepEqual(e, want) {
 				t.Fatalf("envelope %d differs from a decode of its own line after the stream was read (err %v):\n got  %+v\n want %+v", i, err, e, want)

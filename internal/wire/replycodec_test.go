@@ -292,9 +292,11 @@ func TestDecodeFallbacksByType(t *testing.T) {
 // record object, and holds each to json.Unmarshal of the same bytes: the same
 // value or the same refusal, never a third thing — or for a binary line, to
 // json.Unmarshal of its JSON frame (checkBinaryLine). Named for the reply
-// frames it first covered, it is seeded with the replies, records and the
-// five small frames as JSON, and a client's three as binary lines too (a
-// sample report's seeds are FuzzSampleDecodeMatchesJSON's and
+// frames it first covered, it covers the four frames with a hand-spelled JSON
+// parser — the two replies and the two requests — and the binary lines of a
+// client's round trip. It is seeded with the replies, records and the five
+// small frames as JSON, and a client's three as binary lines too (a sample
+// report's seeds are FuzzSampleDecodeMatchesJSON's and
 // FuzzBinarySampleReportDecode's).
 func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 	r := rng.NewNamed(26, "fuzz-seeds")
@@ -318,8 +320,9 @@ func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 		for _, e := range []Envelope{e, relayed, drawn} {
 			frame := jsonFrame(f, e)
 			f.Add(frame[:len(frame)-1])
-			if line := encodeBinaryFrames(f, e); codecByLead(line[0]) != nil {
-				f.Add(line[:len(line)-1])
+			var line bytes.Buffer // a frame with a negative count has no binary line
+			if toBinaryPeer(NewConn(byteConn{w: &line})).Send(e) == nil && codecByLead(line.Bytes()[0]) != nil {
+				f.Add(line.Bytes()[:line.Len()-1])
 			}
 		}
 	}

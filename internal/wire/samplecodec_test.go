@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/rng"
 	"repro/internal/store"
@@ -22,12 +21,13 @@ import (
 )
 
 // The sample report has two spellings: a binary line (appendBinaryReport,
-// parseBinaryReport) for every report that form carries, and JSON, which
-// encoding/json writes and reads, for the rest and for peers that send JSON.
-// Both are held to encoding/json here: Send's JSON bytes are json.Marshal's,
-// Recv of its binary line is what json.Unmarshal makes of them, and Recv of a
-// JSON line returns what json.Unmarshal makes of it into envelope types whose
-// samples are a plain []trace.Sample — Samples adds only the report ceiling.
+// parseBinaryReport), which Send writes for every report with samples, and
+// JSON, which encoding/json writes for a report with none and reads from
+// peers that send JSON. Both are held to encoding/json here: Recv of a binary
+// line is what json.Unmarshal makes of the report's JSON, and Recv of a JSON
+// line returns what json.Unmarshal makes of it into envelope types whose
+// samples are a plain []trace.Sample — Samples adds only the report ceiling —
+// with, either way, its times in UTC.
 //
 // Mutants of Samples.UnmarshalJSON that must fail here (each did, by hand):
 // `null` decoded to an empty slice, or `[]` to nil; a type error in a sample
@@ -36,7 +36,7 @@ import (
 // string; an escaped quote taken as a string's end; one sample over let by.
 
 // oracleRecv is Recv past the framing as it was when encoding/json decoded
-// every line.
+// every line, with the times of a frame it decodes moved to UTC.
 func oracleRecv(line []byte) (Envelope, error) {
 	var e Envelope
 	if err := json.Unmarshal(line, &e); err != nil {
@@ -45,7 +45,7 @@ func oracleRecv(line []byte) (Envelope, error) {
 	if e.Type == "" {
 		return e, errors.New("wire: message missing type")
 	}
-	return e, nil
+	return inUTC(e), nil
 }
 
 // plainEnvelope is an Envelope whose report's samples are a plain
@@ -72,7 +72,7 @@ func plainRecv(line []byte) (Envelope, error) {
 	if e.Type == "" {
 		return Envelope{}, errors.New("wire: message missing type")
 	}
-	return e, nil
+	return inUTC(e), nil
 }
 
 // checkRecv holds Recv of one line to the oracle and reports whether the
@@ -263,13 +263,15 @@ func TestRecvCapacityIsPaidFor(t *testing.T) {
 	}
 }
 
-// TestSendBytesMatchJSON: Send writes a sample report the binary form
-// carries as one binary line, which Recv reads back to exactly what
-// json.Unmarshal makes of json.Marshal's bytes, and which re-encodes to
-// itself; every other frame — a report with a time off UTC or a string of
-// invalid UTF-8 among them — is json.Marshal's bytes and a newline, whether
-// Send spelled it itself or left it to encoding/json; and what encoding/json
-// refuses Send refuses in the same words with nothing written.
+// TestSendBytesMatchJSON: Send writes every sample report with samples and
+// no other payload as one binary line — its times off UTC, its strings of
+// invalid UTF-8 and its unknown names among them — which Recv reads back to
+// exactly what json.Unmarshal makes of json.Marshal's bytes, times in UTC, and
+// to what Recv makes of that JSON frame, and which re-encodes to itself.
+// Every other frame is json.Marshal's bytes and a newline, whether Send
+// spelled it itself or left it to encoding/json. What encoding/json refuses
+// Send refuses with nothing written: in encoding/json's words for a JSON
+// frame, and with trace.ErrNoJSONForm for a binary line.
 func TestSendBytesMatchJSON(t *testing.T) {
 	binaries := 0
 	check := func(e Envelope) {
@@ -277,9 +279,13 @@ func TestSendBytesMatchJSON(t *testing.T) {
 		want, werr := json.Marshal(&e)
 		var out bytes.Buffer
 		gerr := NewConn(byteConn{w: &out}).Send(e)
+		toBinary := goesBinary(e, false)
 		if werr != nil {
-			if text := fmt.Sprintf("wire: encoding %s: %v", e.Type, werr); gerr == nil || gerr.Error() != text || out.Len() != 0 {
-				t.Fatalf("%+v: Send err %v with %d bytes written, want %q and none", e, gerr, out.Len(), text)
+			prefix := fmt.Sprintf("wire: encoding %s: ", e.Type)
+			text := prefix + werr.Error()
+			if toBinary && (!errors.Is(gerr, trace.ErrNoJSONForm) || !strings.HasPrefix(gerr.Error(), prefix)) ||
+				!toBinary && (gerr == nil || gerr.Error() != text) || out.Len() != 0 {
+				t.Fatalf("%+v: Send err %v with %d bytes written, want json.Marshal's refusal (%q) and none", e, gerr, out.Len(), text)
 			}
 			return
 		}
@@ -287,7 +293,7 @@ func TestSendBytesMatchJSON(t *testing.T) {
 			t.Fatalf("%+v: Send err %v", e, gerr)
 		}
 		sent := out.Bytes()
-		if !carriedBinary(e) {
+		if !toBinary {
 			if !bytes.Equal(sent, append(want, '\n')) {
 				t.Fatalf("%+v:\nSend   %q\noracle %q", e, sent, want)
 			}
@@ -302,15 +308,18 @@ func TestSendBytesMatchJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := NewConn(byteConn{r: bytes.NewReader(sent)}).Recv()
-		if err != nil || !reflect.DeepEqual(got, oracle) {
+		if err != nil || !reflect.DeepEqual(got, inUTC(oracle)) {
 			t.Fatalf("binary line %q:\nRecv   %+v, %v\noracle %+v", sent, got, err, oracle)
+		}
+		if asJSON, err := NewConn(byteConn{r: bytes.NewReader(append(want, '\n'))}).Recv(); err != nil || !reflect.DeepEqual(got, asJSON) {
+			t.Fatalf("binary line %q:\nRecv          %+v\nof its JSON   %+v, %v", sent, got, asJSON, err)
 		}
 		if again := encodeFrames(t, got); !bytes.Equal(again, sent) {
 			t.Fatalf("binary line %q re-encodes to %q", sent, again)
 		}
 	}
 	// Each drawn report twice: as drawn, its times mostly off UTC, and with
-	// every time moved to UTC, so that most go binary.
+	// every time moved to UTC.
 	r := rng.NewNamed(24, "sample-report")
 	for i := 0; i < corpusSize(); i++ {
 		e := drawReport(r, r.Bool(0.6))
@@ -323,8 +332,8 @@ func TestSendBytesMatchJSON(t *testing.T) {
 		e.SampleReport = &utc
 		check(e)
 	}
-	if binaries < corpusSize()/2 {
-		t.Fatalf("only %d of %d drawn reports went binary", binaries, 2*corpusSize())
+	if binaries != 2*corpusSize() {
+		t.Fatalf("%d of %d drawn reports went binary, want every one", binaries, 2*corpusSize())
 	}
 
 	good := benchReport(3)
@@ -369,6 +378,16 @@ func TestSendBytesMatchJSON(t *testing.T) {
 		"offset 5:30": func(e *Envelope) {
 			e.SampleReport.Samples[2].Time = e.SampleReport.Samples[2].Time.In(time.FixedZone("IST", 5*3600+1800))
 		},
+		"offset with seconds": func(e *Envelope) {
+			e.SampleReport.Samples[1].Time = e.SampleReport.Samples[1].Time.In(time.FixedZone("", -(5*3600 + 50*60 + 36)))
+		},
+		"one instant at two offsets": func(e *Envelope) {
+			s := e.SampleReport.Samples
+			s[1].Time, s[2].Time = s[0].Time.In(time.FixedZone("", 2*3600)), s[0].Time.In(time.FixedZone("", -7*3600))
+		},
+		"devices JSON carries as one": func(e *Envelope) {
+			e.SampleReport.Samples[1].Device, e.SampleReport.Samples[2].Device = "\xff", "\xfe"
+		},
 	} {
 		e := benchReport(3)
 		edit(&e)
@@ -376,31 +395,22 @@ func TestSendBytesMatchJSON(t *testing.T) {
 	}
 }
 
-// carriedBinary is the binary form's rule, spelled out apart from the code
-// that applies it: a sample report with samples and no other payload, whose
-// strings are all valid UTF-8 and whose times are all at offset 0 (a report
-// JSON refuses — json.Marshal's error — never reaches the question).
-func carriedBinary(e Envelope) bool {
-	if e.Type != TypeSampleReport || e.SampleReport == nil || len(e.SampleReport.Samples) == 0 ||
-		e != (Envelope{Type: e.Type, Via: e.Via, SampleReport: e.SampleReport}) {
-		return false
+// goesBinary is the round trip's binary rule, spelled out apart from the
+// code that applies it: a zone report or a sample report with samples to any
+// peer, or a task list or ack to a peer that reads binary replies, with no
+// other payload set.
+func goesBinary(e Envelope, binaryPeer bool) bool {
+	switch {
+	case e.Type == TypeSampleReport && e.SampleReport != nil && len(e.SampleReport.Samples) > 0:
+		return e == Envelope{Type: e.Type, Via: e.Via, SampleReport: e.SampleReport}
+	case e.Type == TypeZoneReport && e.ZoneReport != nil:
+		return e == Envelope{Type: e.Type, Via: e.Via, ZoneReport: e.ZoneReport}
+	case e.Type == TypeTaskList && e.TaskList != nil:
+		return binaryPeer && e == Envelope{Type: e.Type, Via: e.Via, TaskList: e.TaskList}
+	case e.Type == TypeSampleAck && e.SampleAck != nil:
+		return binaryPeer && e == Envelope{Type: e.Type, Via: e.Via, SampleAck: e.SampleAck}
 	}
-	strs := []string{e.SampleReport.ClientID}
-	if e.Via != nil {
-		strs = append(strs, e.Via.Gateway, e.Via.Shard)
-	}
-	for _, s := range e.SampleReport.Samples {
-		if _, off := s.Time.Zone(); off != 0 {
-			return false
-		}
-		strs = append(strs, string(s.Network), string(s.Metric), s.ClientID, s.Device)
-	}
-	for _, str := range strs {
-		if !utf8.ValidString(str) {
-			return false
-		}
-	}
-	return true
+	return false
 }
 
 // walRecord is the shape of a WAL line's payload (store keeps its own

@@ -13,32 +13,31 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/trace/tracetest"
 )
 
 // The small frames of a client's round trip — a zone report, a task list, a
-// sample ack — and the two query requests are spelled and parsed by hand
-// too, and held to encoding/json here the way the sample report and the
-// replies are in samplecodec_test.go and replycodec_test.go: Send's bytes are
-// json.Marshal's, and Recv returns what json.Unmarshal of the line returns,
-// error text included (checkRecv).
+// sample ack — go as binary lines, and their JSON is encoding/json's both
+// ways; the two query requests are spelled and parsed as JSON by hand. All
+// are held to encoding/json here the way the sample report and the replies
+// are in samplecodec_test.go and replycodec_test.go: Send's JSON bytes are
+// json.Marshal's, a binary line reads back as its JSON does, and Recv returns
+// what json.Unmarshal of a JSON line returns, times in UTC, error text
+// included (checkRecv).
 //
 // Mutants of the small codecs that must fail TestSmallRecvMatchesJSON,
 // TestSmallSendBytesMatchJSON or FuzzReplyDecodeMatchesJSON (each did, by
-// hand): `"networks":[]` or `"tasks":[]` taken as nil; a nil network list
-// written `[]`; a task count of 0 accepted, or written; a zone coordinate
-// read at 64 bits, a sample ack at 32; `"with_sketch":false` accepted; a zone
-// report with a NaN or an unsayable time spelled anyway; a task list beside a
-// second payload spelled; a name returned as a view of the line. And
-// TestLineCapAgreesBothWays killed the line cap counting the '\n' on either
-// of Recv's paths.
+// hand): a nil network or task list written as an empty one; a zone
+// coordinate read at 64 bits, a sample ack at 32; `"with_sketch":false`
+// accepted; a zone report with a NaN or an unsayable time sent anyway; a
+// task list beside a second payload sent binary; a name returned as a view of
+// the line. And TestLineCapAgreesBothWays killed the line cap counting the
+// '\n' on either of Recv's paths.
 
 // smallInts are the integers an int field's spelling turns on.
 var smallInts = []int{0, 1, -1, 7, 100, 1200, 256 << 10, math.MaxInt64, math.MinInt64, math.MaxInt32 + 1}
@@ -137,22 +136,26 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 	canonical := 0
 	for i := 0; i < corpusSize(); i++ {
 		plain := r.Bool(0.6)
-		frame := jsonFrame(t, drawSmall(r, plain))
-		if took := checkRecv(t, frame[:len(frame)-1]); plain && !took {
+		e := drawSmall(r, plain)
+		frame := jsonFrame(t, e)
+		parsed := plain && handSpelled(&e)
+		if took := checkRecv(t, frame[:len(frame)-1]); parsed && !took {
 			t.Fatalf("a canonical frame was left to encoding/json: %q", frame)
 		}
-		if plain {
+		if parsed {
 			canonical++
 		}
 	}
-	if canonical < corpusSize()/3 {
-		t.Fatalf("only %d of %d frames were canonical", canonical, corpusSize())
+	if canonical < corpusSize()/5 {
+		t.Fatalf("only %d of %d frames were canonical requests", canonical, corpusSize())
 	}
 
 	// The mutation table: each small frame, direct and relayed, edited one
 	// way at a time. Whatever Recv then returns is the oracle's (checkRecv),
-	// and the parser takes an edited frame only if the edit left it in
-	// canonical form, even where taking it would decode to the right value.
+	// and the parser takes an edited request only if the edit left it in
+	// canonical form, even where taking it would decode to the right value. A
+	// round trip's frame it takes never: encoding/json decodes each, and the
+	// edits to those hold that to the oracle.
 	type edit struct {
 		from, to  string
 		canonical bool
@@ -225,11 +228,12 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 	for _, e := range smallFrames() {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
+		parsed := handSpelled(&e)
 		for _, e := range []Envelope{e, relayed} {
 			frame := jsonFrame(t, e)
 			base := frame[:len(frame)-1]
-			if !checkRecv(t, base) {
-				t.Fatalf("the base frame is not canonical: %q", base)
+			if checkRecv(t, base) != parsed {
+				t.Fatalf("the base frame is taken by the parser: %v, want %v: %q", !parsed, parsed, base)
 			}
 			for i := range base {
 				if checkRecv(t, base[:i]) {
@@ -246,8 +250,8 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 				}
 				used[i] = true
 				once := append(append(bytes.Clone(base[:at]), m.to...), base[at+len(m.from):]...)
-				if took := checkRecv(t, once); took != m.canonical {
-					t.Fatalf("edit %q -> %q of %q: the parser took the frame: %v, want %v", m.from, m.to, base, took, m.canonical)
+				if took := checkRecv(t, once); took != (m.canonical && parsed) {
+					t.Fatalf("edit %q -> %q of %q: the parser took the frame: %v, want %v", m.from, m.to, base, took, m.canonical && parsed)
 				}
 				checkRecv(t, bytes.ReplaceAll(base, []byte(m.from), []byte(m.to)))
 			}
@@ -261,15 +265,15 @@ func TestSmallRecvMatchesJSON(t *testing.T) {
 }
 
 // TestSmallSendBytesMatchJSON: Send writes a small frame as one binary line
-// exactly when carriedSmall says so — a zone report to any peer, a task list
-// or ack to a peer that reads binary replies — and Recv reads that line back
-// to what json.Unmarshal makes of json.Marshal's bytes, and it re-encodes to
-// itself; every other small frame is json.Marshal's bytes and a newline, and
-// what encoding/json refuses Send refuses in the same words with nothing
-// written. A frame with a binary line that went as JSON to a peer that reads
-// the line is counted once under wiscape_wire_encode_fallbacks_total, and no
-// other frame is. Each frame is sent to a peer that reads binary replies and
-// to one that does not.
+// exactly when goesBinary says so — a zone report to any peer, a task list
+// or ack to a peer that reads binary replies, with its payload alone, whatever
+// values JSON carries in it — and Recv reads that line back to what
+// json.Unmarshal makes of json.Marshal's bytes, times in UTC, and to what
+// Recv makes of that JSON frame, and it re-encodes to itself; every other
+// small frame is json.Marshal's bytes and a newline. What encoding/json
+// refuses Send refuses with nothing written, in encoding/json's words for a
+// JSON frame; and a line refuses a negative task size or ack count too. Each
+// frame is sent to a peer that reads binary replies and to one that does not.
 func TestSmallSendBytesMatchJSON(t *testing.T) {
 	binaries := 0
 	check := func(e Envelope) {
@@ -277,16 +281,24 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 		want, werr := json.Marshal(&e)
 		for _, binaryPeer := range []bool{false, true} {
 			var out bytes.Buffer
-			reg := telemetry.NewRegistry()
-			c := NewConn(byteConn{w: &out}).Instrument(NewMetrics(reg))
+			c := NewConn(byteConn{w: &out})
 			if binaryPeer {
 				toBinaryPeer(c)
 			}
 			gerr := c.Send(e)
-			declined := reg.Counter("wiscape_wire_encode_fallbacks_total", "", "type").With(string(e.Type)).Value()
+			toBinary := goesBinary(e, binaryPeer)
+			prefix := fmt.Sprintf("wire: encoding %s: ", e.Type)
+			if toBinary && werr == nil && negativeCount(e) {
+				if !errors.Is(gerr, errNegative) || !strings.HasPrefix(gerr.Error(), prefix) || out.Len() != 0 {
+					t.Fatalf("%+v: Send err %v with %d bytes written, want a refused negative count and none", e, gerr, out.Len())
+				}
+				continue
+			}
 			if werr != nil {
-				if text := fmt.Sprintf("wire: encoding %s: %v", e.Type, werr); gerr == nil || gerr.Error() != text || out.Len() != 0 || declined != 0 {
-					t.Fatalf("%+v: Send err %v with %d bytes written and %v declines, want %q and none", e, gerr, out.Len(), declined, text)
+				text := prefix + werr.Error()
+				if toBinary && (!errors.Is(gerr, trace.ErrNoJSONForm) || !strings.HasPrefix(gerr.Error(), prefix)) ||
+					!toBinary && (gerr == nil || gerr.Error() != text) || out.Len() != 0 {
+					t.Fatalf("%+v: Send err %v with %d bytes written, want json.Marshal's refusal (%q) and none", e, gerr, out.Len(), text)
 				}
 				continue
 			}
@@ -294,19 +306,15 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 				t.Fatalf("%+v: Send err %v", e, gerr)
 			}
 			sent := out.Bytes()
-			if !carriedSmall(e, binaryPeer) {
-				wantDeclined := 0.0
-				if h := codecOf(e.Type); h != nil && h.lead != 0 && (binaryPeer || !h.reply) {
-					wantDeclined = 1 // the peer reads the type's line
-				}
-				if !bytes.Equal(sent, append(want, '\n')) || declined != wantDeclined {
-					t.Fatalf("%+v (binary peer %v):\nSend   %q, %v declines\noracle %q", e, binaryPeer, sent, declined, want)
+			if !toBinary {
+				if !bytes.Equal(sent, append(want, '\n')) {
+					t.Fatalf("%+v (binary peer %v):\nSend   %q\noracle %q", e, binaryPeer, sent, want)
 				}
 				continue
 			}
 			binaries++
-			if codecByLead(sent[0]) == nil || bytes.IndexByte(sent, '\n') != len(sent)-1 || declined != 0 {
-				t.Fatalf("%+v (binary peer %v): Send wrote %q with %v declines, want one binary line", e, binaryPeer, sent, declined)
+			if h := codecByLead(sent[0]); h == nil || h.typ != e.Type || bytes.IndexByte(sent, '\n') != len(sent)-1 {
+				t.Fatalf("%+v (binary peer %v): Send wrote %q, want one binary line", e, binaryPeer, sent)
 			}
 			if !checkBinaryLine(t, sent) {
 				t.Fatalf("%+v: Recv refused the binary line %q", e, sent)
@@ -315,8 +323,12 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 			if err := json.Unmarshal(want, &oracle); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := fuzzConn(sent).Recv(); err != nil || !reflect.DeepEqual(got, oracle) {
+			got, err := fuzzConn(sent).Recv()
+			if err != nil || !reflect.DeepEqual(got, inUTC(oracle)) {
 				t.Fatalf("binary line %q:\nRecv   %+v, %v\noracle %+v", sent, got, err, oracle)
+			}
+			if asJSON, err := fuzzConn(append(want, '\n')).Recv(); err != nil || !reflect.DeepEqual(got, asJSON) {
+				t.Fatalf("binary line %q:\nRecv          %+v\nof its JSON   %+v, %v", sent, got, asJSON, err)
 			}
 		}
 	}
@@ -344,6 +356,9 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 		"year 10000":        zoneReport(func(r *ZoneReport) { r.At = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC) }),
 		"offset 24h":        zoneReport(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", 24*3600)) }),
 		"offset -3:30":      zoneReport(func(r *ZoneReport) { r.At = r.At.In(time.FixedZone("", -(3*3600 + 1800))) }),
+		"offset with seconds": zoneReport(func(r *ZoneReport) {
+			r.At = r.At.In(time.FixedZone("", 5*3600+1800+15))
+		}),
 		"zero time":         zoneReport(func(r *ZoneReport) { r.At = time.Time{} }),
 		"int32 zone":        zoneReport(func(r *ZoneReport) { r.Zone = geo.ZoneID{X: math.MinInt32, Y: math.MaxInt32} }),
 		"invalid client id": zoneReport(func(r *ZoneReport) { r.ClientID = "bus\xff17" }),
@@ -387,57 +402,30 @@ func TestSmallSendBytesMatchJSON(t *testing.T) {
 	}
 }
 
-// carriedSmall is the small frames' binary rule, spelled out apart from the
-// code that applies it: a zone report to any peer, or a task list or ack to a
-// peer that reads binary replies, with no other payload, every string valid
-// UTF-8, its time at zone offset 0 and no count negative (a frame JSON refuses
-// — json.Marshal's error — never reaches the question).
-func carriedSmall(e Envelope, binaryPeer bool) bool {
-	var strs []string
-	if e.Via != nil {
-		strs = append(strs, e.Via.Gateway, e.Via.Shard)
+// negativeCount reports whether e holds a task size or an ack count below
+// zero, which no binary line carries.
+func negativeCount(e Envelope) bool {
+	if e.SampleAck != nil && e.SampleAck.Accepted < 0 {
+		return true
 	}
-	switch {
-	case e.Type == TypeZoneReport && e.ZoneReport != nil && e == (Envelope{Type: e.Type, Via: e.Via, ZoneReport: e.ZoneReport}):
-		if _, off := e.ZoneReport.At.Zone(); off != 0 {
-			return false
-		}
-		strs = append(strs, e.ZoneReport.ClientID)
-		for _, n := range e.ZoneReport.Networks {
-			strs = append(strs, string(n))
-		}
-	case !binaryPeer:
-		return false
-	case e.Type == TypeTaskList && e.TaskList != nil && e == (Envelope{Type: e.Type, Via: e.Via, TaskList: e.TaskList}):
-		for _, task := range e.TaskList.Tasks {
-			if task.UDPPackets < 0 || task.UDPSizeBytes < 0 || task.TCPBytes < 0 {
-				return false
+	if e.TaskList != nil {
+		for _, t := range e.TaskList.Tasks {
+			if t.UDPPackets < 0 || t.UDPSizeBytes < 0 || t.TCPBytes < 0 {
+				return true
 			}
-			strs = append(strs, string(task.Network), string(task.Metric))
-		}
-	case e.Type == TypeSampleAck && e.SampleAck != nil && e == (Envelope{Type: e.Type, Via: e.Via, SampleAck: e.SampleAck}):
-		if e.SampleAck.Accepted < 0 {
-			return false
-		}
-	default:
-		return false
-	}
-	for _, str := range strs {
-		if !utf8.ValidString(str) {
-			return false
 		}
 	}
-	return true
+	return false
 }
 
 // TestHandSpelledFramesAllocate: Send spells every hand-spelled frame, direct
 // and relayed — and a binary line, of a sample report or a client's small
-// frame — into a pooled buffer without one allocation, and Recv of a small
-// frame, as canonical JSON or as a binary line, allocates no more than its
-// payload: the struct, plus for a zone report its client id and network list
-// and for a task list its tasks. Known networks and metrics share the
-// constants' strings. (A task list or ack to a peer that reads only JSON is
-// encoding/json's to write.)
+// frame — into a pooled buffer without one allocation, and Recv of a
+// request as canonical JSON, or of a client's small frame as a binary line,
+// allocates no more than its payload: the struct, plus for a zone report its
+// client id and network list and for a task list its tasks. Known networks
+// and metrics share the constants' strings. (A task list or ack to a peer
+// that reads only JSON is encoding/json's to write.)
 func TestHandSpelledFramesAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -453,7 +441,7 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw-1", Shard: "madison"}
 		for _, e := range []Envelope{e, relayed} {
-			if e.Type != TypeSampleReport && !handSpelled(&e) {
+			if h := codecOf(e.Type); h == nil || h.appendJSON == nil && h.lead == 0 {
 				t.Fatalf("%s is not hand-spelled", e.Type)
 			}
 			for _, c := range []*Conn{toJSONPeer, toBinary} {
@@ -479,14 +467,12 @@ func TestHandSpelledFramesAllocate(t *testing.T) {
 		})
 	}
 	for _, e := range smallFrames() {
-		asJSON := recvAllocs(jsonFrame(t, e))
-		if asJSON > 3 {
-			t.Errorf("Recv of a canonical %s allocates %v times, want at most 3", e.Type, asJSON)
+		frame := jsonFrame(t, e)
+		if codecOf(e.Type).lead != 0 {
+			frame = encodeBinaryFrames(t, e)
 		}
-		if frame := encodeBinaryFrames(t, e); codecByLead(frame[0]) != nil {
-			if n := recvAllocs(frame); n > asJSON {
-				t.Errorf("Recv of a binary %s allocates %v times, its canonical JSON %v", e.Type, n, asJSON)
-			}
+		if n := recvAllocs(frame); n > 3 {
+			t.Errorf("Recv of a %s as %q allocates %v times, want at most 3", e.Type, frame, n)
 		}
 	}
 	// A sample report's binary line costs 4 allocations: the report, its
@@ -575,8 +561,8 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 		if err := toBinaryPeer(NewConn(byteConn{w: &out})).Send(e); !errors.Is(err, ErrMessageTooLarge) || out.Len() != 0 {
 			t.Fatalf("a %d-byte %s line: Send err %v with %d bytes written, want ErrMessageTooLarge and none", MaxMessageBytes+1, e.Type, err, out.Len())
 		}
-		over, ok := appendBinaryLine(nil, codecOf(e.Type), &e) // the line Send refused to write
-		if !ok || len(over) != MaxMessageBytes+2 {
+		over, err := appendBinaryLine(nil, codecOf(e.Type), &e) // the line Send refused to write
+		if err != nil || len(over) != MaxMessageBytes+2 {
 			t.Fatalf("a %s: the binary form does not carry it in %d bytes", e.Type, MaxMessageBytes+2)
 		}
 		if _, err := NewConn(byteConn{r: bytes.NewReader(over)}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
@@ -601,9 +587,9 @@ func TestLineCapAgreesBothWays(t *testing.T) {
 	if err := NewConn(byteConn{w: &out}).Send(report); !errors.Is(err, ErrMessageTooLarge) || out.Len() != 0 {
 		t.Fatalf("a %d-sample report: Send err %v with %d bytes written, want ErrMessageTooLarge and none", maxReportSamples+1, err, out.Len())
 	}
-	over, ok := appendBinaryReport(nil, &report) // the line Send refused to write
-	if !ok {
-		t.Fatal("the binary form does not carry the report")
+	over, err := appendBinaryReport(nil, &report) // the line Send refused to write
+	if err != nil {
+		t.Fatalf("the binary form does not carry the report: %v", err)
 	}
 	if _, err := NewConn(byteConn{r: bytes.NewReader(over)}).Recv(); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("a %d-sample binary report: Recv err %v, want ErrMessageTooLarge", maxReportSamples+1, err)

@@ -9,9 +9,9 @@
 // debuggability (every message is a greppable line, typed by hand in a
 // drill), except the four a client pays for on every round — its zone
 // report, the task list that answers it, its sample report and the ack: each
-// goes as one binary line whenever that form carries it exactly and the peer
-// reads it, and JSON stays its specification and a spelling Recv still reads.
-// A line's first byte says which it is.
+// goes as one binary line to a peer that reads it, and JSON stays its
+// specification and a spelling Recv still reads. A line's first byte says
+// which it is.
 //
 // The package also holds the one serving skeleton every endpoint runs on:
 // Listener (accept loop, tracked connections, Suspend/Resume/Close),
@@ -32,7 +32,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 	"unsafe"
 
 	"repro/internal/core"
@@ -362,30 +361,28 @@ func putFrameBuf(buf *bytes.Buffer) {
 
 // Send writes one envelope. The frame is encoded whole before any of it
 // reaches the transport, so an oversized one is refused with nothing sent.
-// A frame with a binary line goes as one when the form carries it and the
-// peer reads it (see peerReadsBinary), and as JSON otherwise.
+// A frame with a binary line goes as one to a peer that reads it (see
+// peerReadsBinary), and as JSON otherwise.
 func (c *Conn) Send(e Envelope) error {
 	if e.SampleReport != nil && len(e.SampleReport.Samples) > maxReportSamples {
 		c.m.oversizedRejects.Inc()
 		return ErrMessageTooLarge
 	}
 	h := codecOf(e.Type)
-	toBinary := h != nil && h.lead != 0 && (!h.reply || c.peerReadsBinary.Load())
+	toBinary := h != nil && h.lead != 0 && h.holds(e) && (!h.reply || c.peerReadsBinary.Load())
 	buf := frameBufs.Get().(*bytes.Buffer)
 	defer putFrameBuf(buf)
 	buf.Grow(frameSizeHint(&e, toBinary))
-	inBinary := false
 	if toBinary {
-		var frame []byte
-		frame, inBinary = appendBinaryLine(buf.AvailableBuffer(), h, &e)
-		buf.Write(frame) // in place when the buffer had the room
-	}
-	if !inBinary {
-		if frame, ok := appendHandSpelled(buf.AvailableBuffer(), h, &e); ok {
-			buf.Write(frame)
-		} else if err := encodeJSON(buf, e); err != nil {
+		frame, err := appendBinaryLine(buf.AvailableBuffer(), h, &e)
+		if err != nil {
 			return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 		}
+		buf.Write(frame) // in place when the buffer had the room
+	} else if frame, ok := appendHandSpelled(buf.AvailableBuffer(), h, &e); ok {
+		buf.Write(frame)
+	} else if err := encodeJSON(buf, e); err != nil {
+		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
 	if buf.Len()-1 > MaxMessageBytes { // the line, as Recv measures it: without its '\n'
 		c.m.oversizedRejects.Inc()
@@ -399,9 +396,6 @@ func (c *Conn) Send(e Envelope) error {
 	}
 	c.m.messagesEncoded.Inc()
 	c.m.bytesEncoded.Add(float64(buf.Len()))
-	if toBinary && !inBinary {
-		c.m.encodeFallbacks[e.Type].Inc()
-	}
 	return nil
 }
 
@@ -449,7 +443,8 @@ func (c *Conn) recv(dst *requestStore) (Envelope, error) {
 // envelope type has a json.RawMessage field; one added later must copy. A
 // binary sample or zone report and the via of a binary line decode into dst
 // when it is not nil, and then share its slices with the request before;
-// every string is still a copy, if perhaps one the request before made.
+// every string is still a copy, if perhaps one the request before made. The
+// times a binary line carries decode in UTC either way.
 func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 	if len(line) > 0 {
 		if h := codecByLead(line[0]); h != nil {
@@ -473,6 +468,14 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 	if handSpelled(&e) {
 		c.m.decodeFallbacks[e.Type].Inc()
 	}
+	if r := e.SampleReport; r != nil {
+		for i := range r.Samples {
+			r.Samples[i].Time = r.Samples[i].Time.UTC()
+		}
+	}
+	if e.ZoneReport != nil {
+		e.ZoneReport.At = e.ZoneReport.At.UTC()
+	}
 	return e, nil
 }
 
@@ -491,7 +494,8 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 //	        | accepted                                                 lead 0xB6, sample_ack
 //
 // A string is trace.AppendStringBinary's, a float trace.AppendFloatBinary's,
-// a time trace.AppendTimeBinary's and the stuffing trace.Stuff's; a zone
+// a time trace.AppendTimeBinary's and the stuffing trace.Stuff's, so a string
+// and a time are written as JSON carries them; a zone
 // coordinate is a zig-zag varint, a task's sizes and an ack's count are
 // uvarints, and a network or metric is trace.AppendName's index into
 // radio.AllNetworks or trace.AllMetrics (0 and the name for one the tree does
@@ -507,9 +511,11 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 // encoding/json cannot read it either (the TestBinary*Layout tests,
 // TestSendBytesMatchJSON, TestSmallSendBytesMatchJSON,
 // FuzzBinarySampleReportDecode, FuzzReplyDecodeMatchesJSON). Send writes the
-// binary line whenever the form carries the frame exactly — no other payload
-// set, valid UTF-8 in every string, finite floats, times at zone offset 0 in
-// years 0–9999, counts that are not negative — and JSON otherwise.
+// binary line for every frame of the four that holds its payload alone (and a
+// sample report at least one sample) to a peer that reads it, and refuses
+// one holding a value no line carries: what JSON refuses too (NaN, ±Inf, a
+// time outside years 0–9999, see trace.ErrNoJSONForm), and a negative task
+// size or ack count, which no server writes.
 //
 // A request — a sample or zone report — goes binary to any peer. A reply goes
 // binary only to a peer that has sent a binary zone report, task list or ack
@@ -535,28 +541,25 @@ const (
 	minTaskBinary    = 5
 )
 
-var errBinaryLine = errors.New("wire: decoding message: malformed binary line")
+var (
+	errBinaryLine = errors.New("wire: decoding message: malformed binary line")
+	errNegative   = errors.New("wire: a negative count, which no binary line carries")
+)
 
-// appendBinaryLine appends e's binary line to b if h holds e and the binary
-// form carries it.
-func appendBinaryLine(b []byte, h *handCodec, e *Envelope) ([]byte, bool) {
-	if !h.holds(*e) {
-		return b, false
-	}
+// appendBinaryLine appends e's binary line to b; h holds e. On an error b
+// comes back unextended.
+func appendBinaryLine(b []byte, h *handCodec, e *Envelope) ([]byte, error) {
 	start := len(b)
 	b = append(b, h.lead, 0)
 	if v := e.Via; v != nil {
-		if !utf8.ValidString(v.Gateway) || !utf8.ValidString(v.Shard) {
-			return b[:start], false
-		}
 		b[start+1] = 1
 		b = trace.AppendStringBinary(trace.AppendStringBinary(b, v.Gateway), v.Shard)
 	}
-	b, ok := h.appendBinary(b, *e)
-	if !ok {
-		return b[:start], false
+	b, err := h.appendBinary(b, *e)
+	if err != nil {
+		return b[:start], err
 	}
-	return append(trace.Stuff(b, start+1), '\n'), true
+	return append(trace.Stuff(b, start+1), '\n'), nil
 }
 
 // parseBinaryLine decodes the stuffed body of one of h's binary lines into an
@@ -678,19 +681,16 @@ func (d *requestStore) zoneReport(client []byte, zr ZoneReport) *ZoneReport {
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0
-// for a nil slice, and the items. It reports false if item does for one.
-func appendBinaryList[T any](b []byte, items []T, item func([]byte, T) ([]byte, bool)) ([]byte, bool) {
+// for a nil slice, and the items.
+func appendBinaryList[T any](b []byte, items []T, item func([]byte, T) []byte) []byte {
 	if items == nil {
-		return append(b, 0), true
+		return append(b, 0)
 	}
 	b = binary.AppendUvarint(b, uint64(len(items))+1)
 	for _, it := range items {
-		var ok bool
-		if b, ok = item(b, it); !ok {
-			return b, false
-		}
+		b = item(b, it)
 	}
-	return b, true
+	return b
 }
 
 // readBinaryList reads a list off r: nil for a count of 0, and otherwise a
@@ -717,14 +717,8 @@ func readBinaryList[T any](r *trace.BinReader, dst []T, min int, item func(trace
 	return items
 }
 
-// appendNameBinary appends a network or metric name as trace.AppendName does,
-// or reports false for one that is not valid UTF-8.
-func appendNameBinary[T ~string](b []byte, name T, names []T) ([]byte, bool) {
-	return trace.AppendName(b, name, names), utf8.ValidString(string(name))
-}
-
-func appendNetworkBinary(b []byte, n radio.NetworkID) ([]byte, bool) {
-	return appendNameBinary(b, n, radio.AllNetworks)
+func appendNetworkBinary(b []byte, n radio.NetworkID) []byte {
+	return trace.AppendName(b, n, radio.AllNetworks)
 }
 
 func readNetworkBinary(r trace.BinReader) (radio.NetworkID, trace.BinReader) {
@@ -732,16 +726,13 @@ func readNetworkBinary(r trace.BinReader) (radio.NetworkID, trace.BinReader) {
 	return n, r
 }
 
-func appendTaskBinary(b []byte, t Task) ([]byte, bool) {
-	b, nok := appendNameBinary(b, t.Network, radio.AllNetworks)
-	b, mok := appendNameBinary(b, t.Metric, trace.AllMetrics)
-	if !nok || !mok || t.UDPPackets < 0 || t.UDPSizeBytes < 0 || t.TCPBytes < 0 {
-		return b, false
-	}
+// appendTaskBinary appends t, whose sizes are not negative.
+func appendTaskBinary(b []byte, t Task) []byte {
+	b = trace.AppendName(trace.AppendName(b, t.Network, radio.AllNetworks), t.Metric, trace.AllMetrics)
 	for _, v := range [...]int{t.UDPPackets, t.UDPSizeBytes, t.TCPBytes} {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
-	return b, true
+	return b
 }
 
 func readTaskBinary(r trace.BinReader) (Task, trace.BinReader) {
@@ -770,37 +761,29 @@ func readInt32Binary(r *trace.BinReader) int32 {
 	return int32(v)
 }
 
-// Eight frames are spelled by one row each of handCodecs: a frame type's
-// JSON, hand-spelled because the frames are nearly all the system moves, and
-// its binary line if it has one (above). The JSON rows are a client's round
-// trip (a zone report and its task list, a sample's ack), a query (an
-// estimate or zone-list request) and its reply — a zone list, or an estimate
-// without a sketch. Records go through core's record codec; the rest is
-// spelled here with trace's Canon readers and JSON writers. Send spells a
-// query and its reply itself, and leaves a round trip's frame that does not
-// go binary to encoding/json, which writes the same bytes; Recv parses all
-// seven. All of it is held to encoding/json, which still does everything
-// else: appendHandSpelled writes exactly what the encoder would and leaves
-// what it would refuse to it, and parseHandSpelled reads only a frame in that
-// canonical spelling, to what json.Unmarshal would have made of it, and
-// declines any other, which json.Unmarshal then decodes as it always has
-// (the *MatchesJSON tests and fuzzers).
+// Eight frames are spelled by one row each of handCodecs: the four a
+// client's round trip takes, as binary lines (above), and four with a JSON
+// spelling of their own, hand-spelled because the read path moves little
+// else — a query (an estimate or zone-list request) and its reply, a zone
+// list or an estimate without a sketch. The round trip's JSON, which only a
+// peer that types it or predates its binary lines sends or reads, is
+// encoding/json's both ways. Records go through core's record codec; the rest
+// is spelled here with trace's Canon readers and JSON writers. All of it is
+// held to encoding/json, which still does everything else: appendHandSpelled
+// writes exactly what the encoder would and leaves what it would refuse to
+// it, and parseHandSpelled reads only a frame in that canonical spelling, to
+// what json.Unmarshal would have made of it, and declines any other, which
+// json.Unmarshal then decodes as it always has (the *MatchesJSON tests and
+// fuzzers).
 //
 //	frame   = `{"type":"` T `",` [ via `,` ] `"` T `":` payload `}`
 //	via     = `"via":{"gateway":` string [ `,"shard":` nonempty-string ] `}`
 //	payload = `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
 //	        | `{"found":` ( `true` | `false` ) `,"record":` record `}`         T = estimate_reply
-//	        | `{"client_id":` string `,"zone":` zone `,"loc":{"lat":` number `,"lon":` number
-//	          `},"speed_kmh":` number `,"at":` time `,"networks":` list(string) `}` T = zone_report
-//	        | `{"tasks":` list(task) `}`                                         T = task_list
-//	        | `{"accepted":` int `}`                                             T = sample_ack
 //	        | `{"zone":` zone `,"network":` string `,"metric":` string
 //	          [ `,"with_sketch":true` ] `}`                                     T = estimate_request
 //	        | `{"network":` string `,"metric":` string `}`                       T = zone_list_request
-//	task    = `{"network":` string `,"metric":` string [ `,"udp_packets":` nonzero-int ]
-//	          [ `,"udp_size_bytes":` nonzero-int ] [ `,"tcp_bytes":` nonzero-int ] `}`
 //	zone    = `{"x":` int `,"y":` int `}`
-//	list(x) = `null` | `[]` | `[` x { `,` x } `]`
 
 // A handCodec spells one frame type: its payload as JSON, less its closing
 // brace, which appendHandSpelled and parseHandSpelled write and read with the
@@ -825,9 +808,8 @@ type handCodec struct {
 	reply bool
 	// marksPeer: a peer that sends the line reads every binary reply.
 	marksPeer bool
-	// appendBinary reports false for a payload the form does not carry
-	// exactly.
-	appendBinary func(b []byte, e Envelope) ([]byte, bool)
+	// appendBinary refuses a payload holding a value no line carries.
+	appendBinary func(b []byte, e Envelope) ([]byte, error)
 	// parseBinary reads a whole payload into an envelope holding only it,
 	// decoded into dst's storage for the row, if dst has some and is not nil.
 	parseBinary func(b []byte, dst *requestStore) (Envelope, error)
@@ -877,45 +859,25 @@ var handCodecs = [...]handCodec{{
 		return Envelope{EstimateReply: r}, c
 	},
 }, {
-	typ:   TypeZoneReport,
-	holds: func(e Envelope) bool { return only(e, Envelope{ZoneReport: e.ZoneReport}) },
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		c.Lit(`{"client_id":`)
-		r := &ZoneReport{ClientID: c.String("")}
-		c.Lit(`,"zone":`)
-		r.Zone = core.ParseZoneJSON(&c)
-		c.Lit(`,"loc":{"lat":`)
-		r.Loc.Lat = c.Number()
-		c.Lit(`,"lon":`)
-		r.Loc.Lon = c.Number()
-		c.Lit(`},"speed_kmh":`)
-		r.SpeedKmh = c.Number()
-		c.Lit(`,"at":`)
-		r.At = c.Time()
-		c.Lit(`,"networks":`)
-		r.Networks = parseList(&c, parseNetwork)
-		return Envelope{ZoneReport: r}, c
-	},
+	typ:       TypeZoneReport,
+	holds:     func(e Envelope) bool { return only(e, Envelope{ZoneReport: e.ZoneReport}) },
 	lead:      binaryZoneReportLead,
 	marksPeer: true,
-	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
 		r := e.ZoneReport
-		if !utf8.ValidString(r.ClientID) {
-			return b, false
-		}
 		b = trace.AppendStringBinary(b, r.ClientID)
 		b = binary.AppendVarint(binary.AppendVarint(b, int64(r.Zone.X)), int64(r.Zone.Y))
 		for _, f := range [...]float64{r.Loc.Lat, r.Loc.Lon, r.SpeedKmh} {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return b, false
+				return b, trace.ErrNoJSONForm
 			}
 			b = trace.AppendFloatBinary(b, f)
 		}
 		b, ok := trace.AppendTimeBinary(b, r.At)
 		if !ok {
-			return b, false
+			return b, trace.ErrNoJSONForm
 		}
-		return appendBinaryList(b, r.Networks, appendNetworkBinary)
+		return appendBinaryList(b, r.Networks, appendNetworkBinary), nil
 	},
 	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
@@ -932,18 +894,18 @@ var handCodecs = [...]handCodec{{
 		})}, nil
 	},
 }, {
-	typ:   TypeTaskList,
-	holds: func(e Envelope) bool { return only(e, Envelope{TaskList: e.TaskList}) },
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		c.Lit(`{"tasks":`)
-		l := &TaskList{Tasks: parseList(&c, parseTask)}
-		return Envelope{TaskList: l}, c
-	},
+	typ:       TypeTaskList,
+	holds:     func(e Envelope) bool { return only(e, Envelope{TaskList: e.TaskList}) },
 	lead:      binaryTaskListLead,
 	reply:     true,
 	marksPeer: true,
-	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
-		return appendBinaryList(b, e.TaskList.Tasks, appendTaskBinary)
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		for _, t := range e.TaskList.Tasks {
+			if t.UDPPackets < 0 || t.UDPSizeBytes < 0 || t.TCPBytes < 0 {
+				return b, errNegative
+			}
+		}
+		return appendBinaryList(b, e.TaskList.Tasks, appendTaskBinary), nil
 	},
 	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
@@ -954,18 +916,16 @@ var handCodecs = [...]handCodec{{
 		return Envelope{TaskList: &TaskList{Tasks: tasks}}, nil
 	},
 }, {
-	typ:   TypeSampleAck,
-	holds: func(e Envelope) bool { return only(e, Envelope{SampleAck: e.SampleAck}) },
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		c.Lit(`{"accepted":`)
-		a := &SampleAck{Accepted: int(c.Int(strconv.IntSize))}
-		return Envelope{SampleAck: a}, c
-	},
+	typ:       TypeSampleAck,
+	holds:     func(e Envelope) bool { return only(e, Envelope{SampleAck: e.SampleAck}) },
 	lead:      binarySampleAckLead,
 	reply:     true,
 	marksPeer: true,
-	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
-		return binary.AppendUvarint(b, uint64(e.SampleAck.Accepted)), e.SampleAck.Accepted >= 0
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		if e.SampleAck.Accepted < 0 {
+			return b, errNegative
+		}
+		return binary.AppendUvarint(b, uint64(e.SampleAck.Accepted)), nil
 	},
 	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
@@ -1007,11 +967,14 @@ var handCodecs = [...]handCodec{{
 	},
 }, {
 	// A sample report's JSON is encoding/json's both ways (Samples holds
-	// the ceiling there).
-	typ:   TypeSampleReport,
-	holds: func(e Envelope) bool { return only(e, Envelope{SampleReport: e.SampleReport}) },
-	lead:  binaryReportLead,
-	appendBinary: func(b []byte, e Envelope) ([]byte, bool) {
+	// the ceiling there), and so is a report with no samples, which the
+	// binary form does not spell.
+	typ: TypeSampleReport,
+	holds: func(e Envelope) bool {
+		return only(e, Envelope{SampleReport: e.SampleReport}) && len(e.SampleReport.Samples) > 0
+	},
+	lead: binaryReportLead,
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
 		return trace.AppendReportBinary(b, e.SampleReport.ClientID, e.SampleReport.Samples)
 	},
 	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
@@ -1123,51 +1086,6 @@ func parseNetMetric(c *trace.Canon, before string) (radio.NetworkID, trace.Metri
 	n := radio.NetworkID(parseName(c))
 	c.Lit(`,"metric":`)
 	return n, trace.Metric(parseName(c))
-}
-
-func parseTask(c trace.Canon) (Task, trace.Canon) {
-	var t Task
-	t.Network, t.Metric = parseNetMetric(&c, "{")
-	for _, f := range [...]struct {
-		key string
-		v   *int
-	}{{`,"udp_packets":`, &t.UDPPackets}, {`,"udp_size_bytes":`, &t.UDPSizeBytes}, {`,"tcp_bytes":`, &t.TCPBytes}} {
-		if c.TryLit(f.key) {
-			if *f.v = int(c.Int(strconv.IntSize)); *f.v == 0 {
-				c.Declined = true // omitempty never writes it
-			}
-		}
-	}
-	c.Lit(`}`)
-	return t, c
-}
-
-// parseList reads a JSON list: nil for `null`, and otherwise a slice
-// allocated once, at its length, once its items are read (up to eight of
-// them into an array on the stack).
-func parseList[T any](c *trace.Canon, item func(trace.Canon) (T, trace.Canon)) []T {
-	if c.TryLit("null") {
-		return nil
-	}
-	var small [8]T
-	items := small[:0]
-	if c.Lit("["); !c.TryLit("]") {
-		for more := true; more; more = c.TryLit(",") {
-			var it T
-			it, *c = item(*c)
-			items = append(items, it)
-		}
-		c.Lit("]")
-	}
-	if c.Declined {
-		return nil
-	}
-	return append(make([]T, 0, len(items)), items...)
-}
-
-func parseNetwork(c trace.Canon) (radio.NetworkID, trace.Canon) {
-	n := radio.NetworkID(parseName(&c))
-	return n, c
 }
 
 // knownNames are the network and metric names this tree defines.

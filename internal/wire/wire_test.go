@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -161,18 +162,19 @@ func TestSendOversizedRejected(t *testing.T) {
 		t.Fatalf("refused Send wrote %d bytes to the transport", out.Len())
 	}
 	// The same on the paths Send spells itself: a report of more samples
-	// than any line may carry, one in JSON (a time off UTC keeps it out of
-	// the binary form) whose line is over the cap, and two encoding/json
-	// would refuse part-way through.
+	// than any line may carry, one whose binary line is over the cap (each
+	// sample spells a long device of its own), and two the binary form
+	// refuses part-way through.
 	huge := benchReport(maxReportSamples + 1)
 	if err := c.Send(huge); !errors.Is(err, ErrMessageTooLarge) {
 		t.Fatalf("%d-sample report: want ErrMessageTooLarge, got %v", len(huge.SampleReport.Samples), err)
 	}
 	long := benchReport(MaxMessageBytes / 150)
-	last := &long.SampleReport.Samples[len(long.SampleReport.Samples)-1]
-	last.Time = last.Time.In(time.FixedZone("", 3600))
+	for i := range long.SampleReport.Samples {
+		long.SampleReport.Samples[i].Device = fmt.Sprintf("%0150d", i)
+	}
 	if err := c.Send(long); !errors.Is(err, ErrMessageTooLarge) {
-		t.Fatalf("%d-sample JSON report: want ErrMessageTooLarge, got %v", len(long.SampleReport.Samples), err)
+		t.Fatalf("%d-sample report: want ErrMessageTooLarge, got %v", len(long.SampleReport.Samples), err)
 	}
 	for name, edit := range map[string]func(*trace.Sample){
 		"NaN":        func(s *trace.Sample) { s.Value = math.NaN() },

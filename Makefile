@@ -3,7 +3,7 @@
 # detector (the store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc
+.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
 
 all: vet lint build test
 
@@ -116,3 +116,17 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); by[d] += $$1; t += $$1 } \
 			END { for (d in by) printf "%7d %s\n", by[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# Settable values: per package, the exported fields of each ...Options and
+# ...Config struct (as `go doc -all` lists them), then each command's flag
+# count — the figures a simplification PR that turns a one-value setting
+# into a constant shrinks.
+knobs:
+	@for p in $$($(GO) list ./...); do $(GO) doc -all $$p 2>/dev/null | awk -v pkg=$$p ' \
+		/^type [A-Za-z0-9_]*(Options|Config) struct \{$$/ { name = $$2; n = 0; inside = 1; next } \
+		inside && /^}/ { printf "%7d %s.%s\n", n, pkg, name; inside = 0; next } \
+		inside && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Za-z_][A-Za-z0-9_]*)* /) { s = substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1 }'; \
+	done | awk '{ print; t += $$1 } END { printf "%7d fields\n", t }'
+	@for f in cmd/*/main.go; do \
+		printf "%7d %s\n" $$(grep -Eo '\b(flag|fs)\.(Bool|BoolFunc|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var)\(' $$f | wc -l) $$(dirname $$f); \
+	done | awk '{ print; t += $$1 } END { printf "%7d flags\n", t }'

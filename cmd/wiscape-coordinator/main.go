@@ -87,7 +87,13 @@ func main() {
 	if err != nil {
 		logger.Fatalf("start: %v", err)
 	}
-	logger.Printf("listening on %s (zone radius %.0f m)", srv.Addr(), *zoneRadius)
+	// A recovered checkpoint's controller replaces the one built here, and
+	// its zone radius is the one in force.
+	radius := srv.Controller().Config().ZoneRadiusM
+	logger.Printf("listening on %s (zone radius %.0f m)", srv.Addr(), radius)
+	if radius != *zoneRadius {
+		logger.Printf("zone radius %.0f m is the checkpoint's; -zone-radius %.0f is ignored", radius, *zoneRadius)
+	}
 	if *dataDir != "" {
 		logger.Printf("durable store at %s (checkpoint every %s, fsync %s)", *dataDir, *ckptInterval, fsync)
 	}

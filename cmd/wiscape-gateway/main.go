@@ -24,12 +24,15 @@
 // freshest caught-up replica and rewrites its live route table; a rejoined
 // old primary is demoted and resynced from a fresh snapshot.
 //
+// The gateway answers an agent's hello itself, with its -name; the task
+// cadence is each shard coordinator's own -task-interval.
+//
 // With -ops-addr the gateway serves /metrics (per-shard routed, forwarded
 // and failed counters, promotion/demotion counters, routing-epoch gauge,
 // route-latency histogram, healthy-shard gauge), /healthz, /readyz
-// (reflecting shard quorum, degrading — not failing — when a region is
-// primary-less but replica-served), pprof, the live route table at
-// /api/v1/shards, and the planned-failover lever at
+// (ready while a majority of shards serve, degrading — not failing — when
+// a region is primary-less but replica-served), pprof, the live route
+// table at /api/v1/shards, and the planned-failover lever at
 // POST /api/v1/shards/{name}/promote?endpoint=ADDR.
 package main
 
@@ -74,13 +77,11 @@ func parseShard(v string) (cluster.ShardConfig, error) {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7410", "agent-facing listen address")
 	name := flag.String("name", "wiscape-gateway", "gateway name (hello_ack server id, Via metadata)")
-	taskInterval := flag.Duration("task-interval", 5*time.Minute, "task cadence advertised to agents (match the shards)")
 	requestTimeout := flag.Duration("request-timeout", 5*time.Second, "per-shard round-trip bound")
 	dialTimeout := flag.Duration("dial-timeout", 2*time.Second, "per-shard dial bound")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "drop agent connections idle this long (0 disables)")
 	failThreshold := flag.Int("fail-threshold", 3, "consecutive failures that trip a shard's breaker")
 	recheck := flag.Duration("recheck-interval", 2*time.Second, "cadence of each shard's reconcile pass: status polls that revive, promote and demote; an open breaker admits nothing until one is answered (<= 0 means 2s)")
-	quorum := flag.Int("ready-quorum", 0, "healthy shards required for /readyz (0 = majority; at most the shard count)")
 	seed := flag.Uint64("seed", 1, "retry-jitter seed")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/shards); empty disables")
 
@@ -103,13 +104,11 @@ func main() {
 
 	g, err := cluster.ServeGateway(reg, *addr, cluster.GatewayOptions{
 		Name:             *name,
-		TaskInterval:     *taskInterval,
 		DialTimeout:      *dialTimeout,
 		RequestTimeout:   *requestTimeout,
 		IdleTimeout:      *idleTimeout,
 		FailureThreshold: *failThreshold,
 		RecheckInterval:  *recheck,
-		ReadyQuorum:      *quorum,
 		Seed:             *seed,
 		OpsAddr:          *opsAddr,
 		Logf:             logger.Printf,

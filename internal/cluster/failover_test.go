@@ -150,7 +150,6 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
-		TaskInterval:     time.Minute,
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
@@ -309,7 +308,6 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
-		TaskInterval:     time.Minute,
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,

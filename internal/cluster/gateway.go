@@ -27,10 +27,6 @@ type GatewayOptions struct {
 	// metadata stamped on forwarded envelopes. Default "wiscape-gateway".
 	Name string
 
-	// TaskInterval is the cadence advertised to agents in hello_ack; it
-	// should match the shard coordinators'. Default 5 minutes.
-	TaskInterval time.Duration
-
 	// DialTimeout bounds one upstream dial. Default 2s.
 	DialTimeout time.Duration
 
@@ -52,11 +48,6 @@ type GatewayOptions struct {
 	// IdleTimeout drops agent connections with no traffic for this long,
 	// so dead clients cannot pin gateway goroutines. Zero disables.
 	IdleTimeout time.Duration
-
-	// ReadyQuorum is the healthy-shard count required for /readyz to
-	// report ready. Zero means majority (len(shards)/2 + 1); more than the
-	// shard count is refused.
-	ReadyQuorum int
 
 	// Seed drives the deterministic retry jitter.
 	Seed uint64
@@ -84,9 +75,6 @@ var retryBackoff = rng.Backoff{Base: 25 * time.Millisecond, Max: 500 * time.Mill
 func (o *GatewayOptions) fill() {
 	if o.Name == "" {
 		o.Name = "wiscape-gateway"
-	}
-	if o.TaskInterval <= 0 {
-		o.TaskInterval = 5 * time.Minute
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
@@ -130,13 +118,6 @@ type Gateway struct {
 // ServeGateway starts a gateway on addr routing to the shards in reg.
 func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, error) {
 	opts.fill()
-	if opts.ReadyQuorum <= 0 {
-		opts.ReadyQuorum = len(reg.Shards())/2 + 1
-	}
-	if opts.ReadyQuorum > len(reg.Shards()) {
-		return nil, fmt.Errorf("cluster: ready quorum %d exceeds the %d registered shards; /readyz could never pass",
-			opts.ReadyQuorum, len(reg.Shards()))
-	}
 	g := &Gateway{
 		reg:  reg,
 		opts: opts,
@@ -182,8 +163,11 @@ func (g *Gateway) OpsAddr() string { return g.ops.Addr() }
 // Registry returns the gateway's shard registry.
 func (g *Gateway) Registry() *Registry { return g.reg }
 
-// readyStatus backs /readyz: listening, not closing, and at least
-// ReadyQuorum shards serving. A shard counts toward quorum when its breaker
+// quorum is the serving-shard count /readyz requires: a majority.
+func (g *Gateway) quorum() int { return len(g.reg.Shards())/2 + 1 }
+
+// readyStatus backs /readyz: listening, not closing, and a quorum of
+// shards serving. A shard counts toward quorum when its breaker
 // is closed, or — degraded — when its primary is down but a standby
 // answered the last status poll and promotion is imminent; the detail names
 // those regions so probes can tell "ok" from "degraded but serving".
@@ -201,14 +185,14 @@ func (g *Gateway) readyStatus() (bool, string) {
 			degraded = append(degraded, s.Name())
 		}
 	}
-	if healthy >= g.opts.ReadyQuorum {
+	if healthy >= g.quorum() {
 		return true, "ok"
 	}
-	if healthy+len(degraded) >= g.opts.ReadyQuorum {
+	if healthy+len(degraded) >= g.quorum() {
 		return true, fmt.Sprintf("degraded: primary-less but replica-served: %s", strings.Join(degraded, ", "))
 	}
 	return false, fmt.Sprintf("not ready: %d/%d shards serving (quorum %d)",
-		healthy+len(degraded), len(g.reg.Shards()), g.opts.ReadyQuorum)
+		healthy+len(degraded), len(g.reg.Shards()), g.quorum())
 }
 
 // serveShards backs GET /api/v1/shards: the live per-shard route table,
@@ -271,7 +255,7 @@ func (g *Gateway) serveShards(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"gateway": g.opts.Name,
-		"quorum":  g.opts.ReadyQuorum,
+		"quorum":  g.quorum(),
 		"shards":  rows,
 	})
 }
@@ -368,8 +352,7 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 		h := *req.Hello
 		sess.hello = &h
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
-			ServerID:        g.opts.Name,
-			TaskIntervalSec: g.opts.TaskInterval.Seconds(),
+			ServerID: g.opts.Name,
 		}}, false
 
 	case wire.TypeZoneReport:

@@ -107,7 +107,6 @@ func startCluster(t *testing.T, opts GatewayOptions) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.TaskInterval = time.Minute
 	opts.Telemetry = tc.reg
 	opts.OpsAddr = "127.0.0.1:0"
 	opts.Seed = seed
@@ -772,34 +771,6 @@ func TestGatewayShardsEndpoint(t *testing.T) {
 	}
 }
 
-// TestGatewayRefusesUnreachableQuorum: a ready quorum above the shard count
-// would hold /readyz at 503 for good, so ServeGateway refuses it and names
-// both numbers; a quorum of every shard is accepted.
-func TestGatewayRefusesUnreachableQuorum(t *testing.T) {
-	reg, err := NewRegistry([]ShardConfig{
-		{Name: "a", Addr: "127.0.0.1:1", Box: boxA()},
-		{Name: "b", Addr: "127.0.0.1:1", Box: boxB()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{ReadyQuorum: 3})
-	if err == nil {
-		_ = gw.Close()
-		t.Fatal("a ready quorum of 3 on 2 shards was accepted")
-	}
-	if !strings.Contains(err.Error(), "quorum 3") || !strings.Contains(err.Error(), "2 registered shards") {
-		t.Fatalf("refusal %q must name the quorum (3) and the shard count (2)", err)
-	}
-	gw, err = ServeGateway(reg, "127.0.0.1:0", GatewayOptions{ReadyQuorum: 2})
-	if err != nil {
-		t.Fatalf("a ready quorum of every shard: %v", err)
-	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAgentReportsTakeTheCanonicalPath verifies the traffic instead of
 // guessing it: a real agent's session and a report the gateway splits, and
 // the replies to the queries beside them, leave no hand-spelled frame to
@@ -828,7 +799,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, Telemetry: regs["gateway"]})
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -974,7 +945,7 @@ func TestAgentRoundTripNeverFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	tiers["gateway"] = telemetry.NewRegistry()
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, Telemetry: tiers["gateway"]})
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: tiers["gateway"]})
 	if err != nil {
 		t.Fatal(err)
 	}

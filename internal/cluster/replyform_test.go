@@ -49,7 +49,7 @@ func startReplyFormCluster(t *testing.T) (regs map[string]*telemetry.Registry, a
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, Telemetry: regs["gateway"]})
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
 	if err != nil {
 		t.Fatal(err)
 	}

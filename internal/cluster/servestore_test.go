@@ -101,7 +101,7 @@ func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, RecheckInterval: time.Hour})
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestOffsetTimesJournalAsReportLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{TaskInterval: time.Minute, Seed: seed, RecheckInterval: time.Hour})
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}

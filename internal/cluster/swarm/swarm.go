@@ -4,7 +4,9 @@
 // reports ingest throughput and request-latency tails. It deliberately
 // bypasses the full internal/agent measurement stack — samples are
 // synthesized, not simulated — so the benchmark measures the serving tier,
-// not the radio model.
+// not the radio model. The workload's shape is fixed: udp_kbps samples on
+// NetB, in virtual time from 2010-09-06T09:00Z at one round per five
+// minutes; Options sets its size, its regions and its timing.
 package swarm
 
 import (
@@ -25,6 +27,18 @@ import (
 	"repro/internal/wire"
 )
 
+// The synthetic workload's fixed shape (see the package doc). Samples are
+// stamped with virtual campaign time, so wall time never enters the
+// workload; dialTimeout bounds each connection attempt.
+const (
+	network     = radio.NetB
+	metric      = trace.MetricUDPKbps
+	interval    = 5 * time.Minute
+	dialTimeout = 5 * time.Second
+)
+
+var start = time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
+
 // Options configures one swarm run.
 type Options struct {
 	// Agents is the number of concurrent simulated agents. Default 100.
@@ -43,24 +57,11 @@ type Options struct {
 	// swarm exercises every shard. Default: the Madison box.
 	Regions []geo.BoundingBox
 
-	// Network and Metric tag the synthetic samples. Defaults: NetB,
-	// udp_kbps.
-	Network radio.NetworkID
-	Metric  trace.Metric
-
 	// Seed makes the synthetic workload reproducible.
 	Seed uint64
 
-	// DialTimeout and RequestTimeout bound each connection attempt and
-	// round trip. Defaults: 5s and 10s.
-	DialTimeout    time.Duration
+	// RequestTimeout bounds each round trip. Default 10s.
 	RequestTimeout time.Duration
-
-	// Start is the virtual campaign time stamped on samples (wall time
-	// never enters the workload). Interval is the virtual advance per
-	// round. Defaults: 2010-09-06T09:00Z, 5 minutes.
-	Start    time.Time
-	Interval time.Duration
 
 	// RoundDelay is a real-time pause each agent takes between rounds.
 	// Zero (the default) runs rounds back to back — right for throughput
@@ -93,23 +94,8 @@ func (o *Options) fill() {
 	if len(o.Regions) == 0 {
 		o.Regions = []geo.BoundingBox{geo.Madison()}
 	}
-	if o.Network == "" {
-		o.Network = radio.NetB
-	}
-	if o.Metric == "" {
-		o.Metric = trace.MetricUDPKbps
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
-	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 10 * time.Second
-	}
-	if o.Start.IsZero() {
-		o.Start = time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
-	}
-	if o.Interval <= 0 {
-		o.Interval = 5 * time.Minute
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -339,7 +325,7 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 	r := rng.NewNamed(opts.Seed, fmt.Sprintf("swarm-agent-%d", idx))
 	id := fmt.Sprintf("swarm-%04d", idx)
 
-	nc, err := net.DialTimeout("tcp", addr, opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		tally.failures++
 		return
@@ -377,7 +363,7 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 		if round > 0 && opts.RoundDelay > 0 {
 			time.Sleep(opts.RoundDelay)
 		}
-		at := opts.Start.Add(time.Duration(round) * opts.Interval)
+		at := start.Add(time.Duration(round) * interval)
 		loc := geo.Point{
 			Lat: r.Range(region.MinLat, region.MaxLat),
 			Lon: r.Range(region.MinLon, region.MaxLon),
@@ -386,7 +372,7 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 			ClientID: id,
 			Loc:      loc,
 			At:       at,
-			Networks: []radio.NetworkID{opts.Network},
+			Networks: []radio.NetworkID{network},
 		}}, wire.TypeTaskList); !alive {
 			return
 		}
@@ -396,8 +382,8 @@ func runAgent(addr string, opts Options, idx int, t0 time.Time, region geo.Bound
 			samples[j] = trace.Sample{
 				Time:     at,
 				Loc:      loc,
-				Network:  opts.Network,
-				Metric:   opts.Metric,
+				Network:  network,
+				Metric:   metric,
 				Value:    r.Range(100, 2000),
 				ClientID: id,
 				Device:   "swarm",

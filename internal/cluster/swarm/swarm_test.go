@@ -74,7 +74,7 @@ func TestSwarmRequiresAddress(t *testing.T) {
 // TestSwarmReportsDialFailures points the swarm at a dead port: nothing
 // completes, everything is a failure, and Run still returns cleanly.
 func TestSwarmReportsDialFailures(t *testing.T) {
-	res, err := Run("127.0.0.1:1", Options{Agents: 3, Rounds: 1, DialTimeout: 200 * time.Millisecond})
+	res, err := Run("127.0.0.1:1", Options{Agents: 3, Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

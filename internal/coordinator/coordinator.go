@@ -433,8 +433,7 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 		s.mu.Unlock()
 		s.opts.Logf("coordinator: client %s (%s) registered", req.Hello.ClientID, req.Hello.DeviceClass)
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
-			ServerID:        s.opts.ServerID,
-			TaskIntervalSec: s.opts.TaskInterval.Seconds(),
+			ServerID: s.opts.ServerID,
 		}}, false
 
 	case wire.TypeZoneReport:

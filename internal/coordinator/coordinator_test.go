@@ -46,7 +46,7 @@ func TestHelloRegistersClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Type != wire.TypeHelloAck || reply.HelloAck.TaskIntervalSec <= 0 {
+	if reply.Type != wire.TypeHelloAck || reply.HelloAck.ServerID != "wiscape-coordinator" {
 		t.Fatalf("reply %+v", reply)
 	}
 	if s.ClientCount() != 1 {

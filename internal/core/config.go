@@ -16,16 +16,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Config carries the framework's design parameters, defaulting to the
-// values the paper selects and justifies.
+// Config carries the framework's design parameters that callers set,
+// defaulting to the values the paper selects and justifies. The rest are
+// the constants below: a checkpoint persists a Config, and a parameter
+// that is not in it cannot be overridden by an old one.
 type Config struct {
 	// ZoneRadiusM is the zone radius; §3.1 picks 250 m (97% of such zones
 	// show <= 8% relative standard deviation).
 	ZoneRadiusM float64
-
-	// MinZoneSamples is the minimum sample count before a zone's statistics
-	// are trusted (the paper only analyses zones with >= 200 samples).
-	MinZoneSamples int
 
 	// NKLDThreshold is the divergence below which a sample distribution is
 	// considered to match the long-term truth (§3.3: 0.1).
@@ -33,11 +31,6 @@ type Config struct {
 
 	// NKLDBins is the histogram resolution for NKLD computations.
 	NKLDBins int
-
-	// EpochSweepMin/EpochSweepMax bound the Allan-deviation sweep in
-	// minutes (Fig. 6 sweeps 1 to 1000).
-	EpochSweepMin int
-	EpochSweepMax int
 
 	// DefaultEpoch is used until a zone has enough history for the Allan
 	// analysis.
@@ -48,23 +41,6 @@ type Config struct {
 	// deployments that want fixed reporting windows.
 	DisableEpochAdaptation bool
 
-	// MinEpoch floors the Allan-derived epoch: sparse opportunistic traces
-	// can make the sweep bottom out at one minute, which would close an
-	// epoch on nearly every sample.
-	MinEpoch time.Duration
-
-	// MinAlertSamples is the minimum number of samples an epoch estimate
-	// needs before it may replace the published record with an alert;
-	// thinner epochs blend in silently. Prevents alert storms from
-	// single-drive-by epochs on sparsely visited zones.
-	MinAlertSamples int
-
-	// AlertFloors are per-metric absolute minimum deltas for alerting:
-	// sigma-relative thresholds break down for metrics whose records sit
-	// near zero (a loss-free zone would otherwise alert on a single lost
-	// packet).
-	AlertFloors map[trace.Metric]float64
-
 	// DefaultSamplesPerEpoch is the sample budget before NKLD convergence
 	// has been measured (the paper's headline "around 100 samples").
 	DefaultSamplesPerEpoch int
@@ -73,66 +49,68 @@ type Config struct {
 	// replaces the published record when it differs from it by more than
 	// this many standard deviations (§3.4: two).
 	ChangeSigmas float64
-
-	// HistoryLimit bounds the per-(zone, network, metric) retained window
-	// weight: when the trailing-window sketch reaches this many samples'
-	// worth of mass, it is decayed by half (the sketch analogue of
-	// dropping the oldest half of a sample buffer).
-	HistoryLimit int
-
-	// WindowCompression is the t-digest compression δ of the per-key
-	// trailing-window sketch. Zero selects sketch.DefaultCompression.
-	WindowCompression float64
-
-	// EpochCompression is the digest compression of the current-epoch
-	// sketch (smaller: an epoch sees at most one epoch's samples). Zero
-	// selects sketch.EpochCompression.
-	EpochCompression float64
-
-	// TrendSlots is the slot budget of the telescoping trend ring backing
-	// the Allan epoch derivation. Zero selects sketch.DefaultTrendSlots.
-	TrendSlots int
-
-	// AlertBuffer caps the pending (undrained) alert queue; beyond it the
-	// oldest alerts are overwritten and counted as dropped. Zero selects
-	// DefaultAlertBuffer.
-	AlertBuffer int
-
-	// FailureRetentionDays bounds the per-(zone, network) ping-failure
-	// day map; the oldest observed days are evicted beyond it. Zero
-	// selects DefaultFailureRetentionDays.
-	FailureRetentionDays int
 }
 
-// DefaultAlertBuffer is the pending-alert ring capacity.
+// epochSweepMin and epochSweepMax bound the Allan-deviation sweep in
+// minutes (Fig. 6 sweeps 1 to 1000).
+const (
+	epochSweepMin = 1
+	epochSweepMax = 1000
+)
+
+// minEpoch floors the Allan-derived epoch: sparse opportunistic traces can
+// make the sweep bottom out at one minute, which would close an epoch on
+// nearly every sample.
+const minEpoch = 5 * time.Minute
+
+// minAlertSamples is the minimum number of samples an epoch estimate needs
+// before it may replace the published record with an alert; thinner epochs
+// blend in silently. Prevents alert storms from single-drive-by epochs on
+// sparsely visited zones.
+const minAlertSamples = 10
+
+// historyLimit bounds the per-(zone, network, metric) retained window
+// weight: when the trailing-window sketch reaches this many samples' worth
+// of mass, it is decayed by half (the sketch analogue of dropping the
+// oldest half of a sample buffer).
+const historyLimit = 20000
+
+// DefaultAlertBuffer caps the pending (undrained) alert queue; beyond it
+// the oldest alerts are overwritten and counted as dropped.
 const DefaultAlertBuffer = 1024
 
-// DefaultFailureRetentionDays keeps well over a year of per-day ping
-// failure observations (Fig. 9 analyses span months).
+// DefaultFailureRetentionDays bounds the per-(zone, network) ping-failure
+// day map: it keeps well over a year of per-day observations (Fig. 9
+// analyses span months), and the oldest observed days are evicted beyond
+// it.
 const DefaultFailureRetentionDays = 400
+
+// alertFloor is a metric's absolute minimum delta for alerting:
+// sigma-relative thresholds break down for metrics whose records sit near
+// zero (a loss-free zone would otherwise alert on a single lost packet).
+func alertFloor(m trace.Metric) float64 {
+	switch m {
+	case trace.MetricLossRate:
+		return 0.01 // a percent of loss is the paper's "low loss" boundary
+	case trace.MetricJitterMs:
+		return 1
+	case trace.MetricRTTMs:
+		return 15
+	case trace.MetricTCPKbps, trace.MetricUDPKbps:
+		return 25
+	}
+	return 0
+}
 
 // DefaultConfig returns the paper's parameter choices.
 func DefaultConfig() Config {
 	return Config{
-		ZoneRadiusM:     250,
-		MinZoneSamples:  200,
-		NKLDThreshold:   0.1,
-		NKLDBins:        20,
-		EpochSweepMin:   1,
-		EpochSweepMax:   1000,
-		DefaultEpoch:    30 * time.Minute,
-		MinEpoch:        5 * time.Minute,
-		MinAlertSamples: 10,
-		AlertFloors: map[trace.Metric]float64{
-			trace.MetricLossRate: 0.01, // a percent of loss is the paper's "low loss" boundary
-			trace.MetricJitterMs: 1,
-			trace.MetricRTTMs:    15,
-			trace.MetricTCPKbps:  25,
-			trace.MetricUDPKbps:  25,
-		},
+		ZoneRadiusM:            250,
+		NKLDThreshold:          0.1,
+		NKLDBins:               20,
+		DefaultEpoch:           30 * time.Minute,
 		DefaultSamplesPerEpoch: 100,
 		ChangeSigmas:           2,
-		HistoryLimit:           20000,
 	}
 }
 

@@ -100,43 +100,25 @@ func NewController(cfg Config, origin geo.Point) *Controller {
 	if cfg.ZoneRadiusM <= 0 {
 		cfg = DefaultConfig()
 	}
-	// Default the sketch-era knobs individually: configs persisted before
-	// they existed (old snapshots) deserialize with zeros.
-	if cfg.WindowCompression <= 0 {
-		cfg.WindowCompression = sketch.DefaultCompression
-	}
-	if cfg.EpochCompression <= 0 {
-		cfg.EpochCompression = sketch.EpochCompression
-	}
-	if cfg.TrendSlots <= 0 {
-		cfg.TrendSlots = sketch.DefaultTrendSlots
-	}
-	if cfg.AlertBuffer <= 0 {
-		cfg.AlertBuffer = DefaultAlertBuffer
-	}
-	if cfg.FailureRetentionDays <= 0 {
-		cfg.FailureRetentionDays = DefaultFailureRetentionDays
-	}
 	return &Controller{
 		cfg:      cfg,
 		grid:     geo.GridForZoneRadius(origin, cfg.ZoneRadiusM),
 		zones:    make(map[Key]*zoneState),
 		failures: make(map[failKey]map[int64]int),
 		views:    make(map[view][]*zoneState),
-		alerts:   make([]Alert, cfg.AlertBuffer),
+		alerts:   make([]Alert, DefaultAlertBuffer),
 	}
 }
 
-// newZoneState builds an empty per-key state with the configured sketch
-// shapes.
+// newZoneState builds an empty per-key state.
 func (c *Controller) newZoneState() *zoneState {
 	st := &zoneState{
-		window:      sketch.NewEpochSketch(c.cfg.WindowCompression),
-		cur:         sketch.NewEpochSketch(c.cfg.EpochCompression),
+		window:      sketch.NewEpochSketch(sketch.DefaultCompression),
+		cur:         sketch.NewEpochSketch(sketch.EpochCompression),
 		epoch:       c.cfg.DefaultEpoch,
 		curEpochIdx: -1,
 	}
-	st.window.EnableTrend(c.cfg.TrendSlots, time.Minute)
+	st.window.EnableTrend(sketch.DefaultTrendSlots, time.Minute)
 	return st
 }
 
@@ -199,7 +181,7 @@ func (c *Controller) ingestLocked(s trace.Sample) {
 	// history limit, halve it. Decay stands in for the old "drop the
 	// oldest half of the buffer" — recent epochs dominate the window while
 	// memory stays fixed.
-	if st.window.Weight() >= float64(c.cfg.HistoryLimit) {
+	if st.window.Weight() >= historyLimit {
 		st.window.Decay(0.5)
 		// The counts remembered at the last epoch and budget analyses
 		// shrink with the window: a saturated window's count stays between
@@ -245,7 +227,7 @@ func (c *Controller) trackFailureLocked(fk failKey, s trace.Sample) {
 	} else if _, seen := days[day]; !seen {
 		days[day] = 0 // mark the day as observed
 	}
-	for len(days) > c.cfg.FailureRetentionDays {
+	for len(days) > DefaultFailureRetentionDays {
 		oldest := int64(math.MaxInt64)
 		for d := range days {
 			if d < oldest {
@@ -306,14 +288,14 @@ func (c *Controller) finalizeEpochLocked(key Key, st *zoneState, at time.Time) {
 		}
 		threshold = c.cfg.ChangeSigmas * 0.05 * m // degenerate record: 10% move
 	}
-	if floor := c.cfg.AlertFloors[key.Metric]; threshold < floor {
+	if floor := alertFloor(key.Metric); threshold < floor {
 		threshold = floor
 	}
 	// Only statistically meaningful epochs may flip the record and page an
 	// operator; drive-by epochs with a handful of samples blend in below,
 	// as do metrics whose record is degenerate at zero (threshold 0 would
 	// alert on any noise — e.g. a single lost packet in a loss-free zone).
-	if threshold > 0 && delta > threshold && candidate.Samples >= int64(c.cfg.MinAlertSamples) && prev.Samples >= int64(c.cfg.MinAlertSamples) {
+	if threshold > 0 && delta > threshold && candidate.Samples >= minAlertSamples && prev.Samples >= minAlertSamples {
 		st.published = candidate
 		c.pushAlertLocked(Alert{Key: key, Previous: prev, Current: candidate, At: at})
 		return
@@ -344,10 +326,6 @@ func (c *Controller) publishLocked(st *zoneState) {
 // pushAlertLocked appends to the alert ring, overwriting (and counting)
 // the oldest pending alert when full.
 func (c *Controller) pushAlertLocked(a Alert) {
-	if len(c.alerts) == 0 {
-		c.alertsDropped++
-		return
-	}
 	if c.alertLen == len(c.alerts) {
 		c.alerts[c.alertHead] = a
 		c.alertHead = (c.alertHead + 1) % len(c.alerts)
@@ -360,7 +338,7 @@ func (c *Controller) pushAlertLocked(a Alert) {
 
 // epochFromWindow derives a zone epoch as the Allan-deviation minimum of
 // the window's regularized trend series (§3.2.2). The trend ring's slot
-// width adapts to the observed span, so the sweep bounds (configured in
+// width adapts to the observed span, so the sweep bounds (given in
 // minutes) are converted to slot counts.
 func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool) {
 	// Require enough coverage for at least two windows at the sweep floor
@@ -374,11 +352,11 @@ func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool
 	if period <= 0 {
 		return 0, false
 	}
-	minWindow := int(time.Duration(c.cfg.EpochSweepMin) * time.Minute / period)
+	minWindow := int(epochSweepMin * time.Minute / period)
 	if minWindow < 1 {
 		minWindow = 1
 	}
-	maxWindow := int(time.Duration(c.cfg.EpochSweepMax) * time.Minute / period)
+	maxWindow := int(epochSweepMax * time.Minute / period)
 	// Keep at least ten windows per sweep point: Allan estimates from fewer
 	// are unreliable and yield spurious right-edge minima.
 	if limit := len(series) / 10; limit < maxWindow {
@@ -390,8 +368,8 @@ func (c *Controller) epochFromWindow(w *sketch.EpochSketch) (time.Duration, bool
 		return 0, false
 	}
 	epoch := time.Duration(best) * period
-	if epoch < c.cfg.MinEpoch {
-		epoch = c.cfg.MinEpoch
+	if epoch < minEpoch {
+		epoch = minEpoch
 	}
 	return epoch, true
 }

@@ -33,16 +33,13 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	if cfg.ZoneRadiusM != 250 {
 		t.Fatal("zone radius must default to 250 m (§3.1)")
 	}
-	if cfg.MinZoneSamples != 200 {
-		t.Fatal("zones need 200 samples (§3.4)")
-	}
 	if cfg.NKLDThreshold != 0.1 {
 		t.Fatal("NKLD threshold is 0.1 (§3.3)")
 	}
 	if cfg.ChangeSigmas != 2 {
 		t.Fatal("update rule is 2 sigma (§3.4)")
 	}
-	if cfg.EpochSweepMax != 1000 {
+	if epochSweepMin != 1 || epochSweepMax != 1000 {
 		t.Fatal("Allan sweep spans 1-1000 minutes (Fig. 6)")
 	}
 }
@@ -186,33 +183,43 @@ func TestEpochSweepAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	fill := func(cfg Config) (*Controller, *zoneState, time.Time) {
-		c := NewController(cfg, origin)
+	fill := func(ats []time.Time) (*Controller, *zoneState) {
+		c := NewController(DefaultConfig(), origin)
 		r := rng.New(24)
-		at := start
-		for i := 0; i < 80; i++ {
+		for _, at := range ats {
 			c.Ingest(mkSample(at, origin, 900+20*r.NormFloat64()))
-			at = at.Add(time.Minute)
 		}
 		st := c.zones[Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}]
 		if st == nil || st.window.TrendLen() < 60 {
 			t.Fatalf("the key's trend is too short to be swept: %+v", st)
 		}
-		return c, st, at
+		return c, st
 	}
 
-	// No sweep point fits a floor of 600 one-minute slots in an 80-slot
-	// trend, so the epoch never becomes valid.
-	cfg := DefaultConfig()
-	cfg.EpochSweepMin = 600
-	c, st, at := fill(cfg)
-	smp := mkSample(at, origin, 900)
+	// A key whose first two samples are 100 days apart, and whose next 78
+	// fall between them, has a trend of day-and-a-half slots: above the
+	// 1000-minute ceiling, so no sweep point fits and the epoch never
+	// becomes valid.
+	span := 100 * 24 * time.Hour
+	ats := []time.Time{start, start.Add(span)}
+	for i := 1; i <= 78; i++ {
+		ats = append(ats, start.Add(span*time.Duration(i)/79))
+	}
+	c, st := fill(ats)
+	if _, period := st.window.AppendTrendSeries(nil); period <= epochSweepMax*time.Minute {
+		t.Fatalf("trend period %v is within the sweep's %d-minute ceiling", period, epochSweepMax)
+	}
+	smp := mkSample(ats[len(ats)-1], origin, 900)
 	if allocs := testing.AllocsPerRun(200, func() { c.Ingest(smp) }); allocs != 0 || st.epochValid {
 		t.Errorf("Ingest of a key with a %d-slot trend and no valid epoch (valid: %v) allocates %v times, want 0",
 			st.window.TrendLen(), st.epochValid, allocs)
 	}
 
-	c, st, _ = fill(DefaultConfig())
+	ats = ats[:0]
+	for i := 0; i < 80; i++ {
+		ats = append(ats, start.Add(time.Duration(i)*time.Minute))
+	}
+	c, st = fill(ats)
 	want, ok := c.epochFromWindow(st.window)
 	if !ok {
 		t.Fatal("the default sweep found no epoch")
@@ -227,22 +234,21 @@ func TestEpochSweepAllocatesNothing(t *testing.T) {
 }
 
 func TestHistoryBounded(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HistoryLimit = 100
-	c := NewController(cfg, origin)
+	c := NewController(DefaultConfig(), origin)
 	at := start
 	key := Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
 	var after100 int
-	for i := 0; i < 1000; i++ {
+	n := 2*historyLimit + 1000 // the window halves twice
+	for i := 0; i < n; i++ {
 		c.Ingest(mkSample(at, origin, 900))
 		at = at.Add(time.Second)
 		if i == 99 {
 			after100 = c.RetainedBytes(key)
 		}
 	}
-	// The sketch substrate keeps per-key state constant: the footprint at
-	// 1000 samples equals the footprint at 100 and stays under the 4 KiB
-	// acceptance budget.
+	// The sketch substrate keeps per-key state constant: the footprint
+	// after two window decays equals the footprint at 100 samples and stays
+	// under the 4 KiB acceptance budget.
 	got := c.RetainedBytes(key)
 	if got != after100 {
 		t.Fatalf("retained state grew from %dB to %dB with sample count", after100, got)
@@ -250,7 +256,7 @@ func TestHistoryBounded(t *testing.T) {
 	if got <= 0 || got > 4096 {
 		t.Fatalf("retained state %dB outside (0, 4096]", got)
 	}
-	if got := c.SampleCount(key); got != 1000 {
+	if got := c.SampleCount(key); got != int64(n) {
 		t.Fatalf("total count %d should survive window decay", got)
 	}
 }
@@ -657,34 +663,34 @@ func TestRequiredSamplesForOneClaimant(t *testing.T) {
 	}
 }
 
-// TestRefreshRulesSurviveSaturation: once a window reaches HistoryLimit its
+// TestRefreshRulesSurviveSaturation: once a window reaches historyLimit its
 // count lives between half the limit and the limit for ever, and the
 // "count has doubled / grown by half since the last analysis" rules must
 // keep firing there. A zone that is constant for two limits' worth of
 // samples (budget 10, epoch at the floor) and then turns noisy for two more
 // must end with the noisy zone's budget and epoch, not its first ones.
 func TestRefreshRulesSurviveSaturation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HistoryLimit = 400
-	c := NewController(cfg, origin)
+	c := NewController(DefaultConfig(), origin)
 	key := Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
 	r := rng.New(23)
 	at := start
 	feed := func(n int, value func() float64) {
 		for i := 0; i < n; i++ {
 			c.Ingest(mkSample(at, origin, value()))
-			at = at.Add(30 * time.Second)
+			// Dense enough that a limit's worth of samples spans hours,
+			// not days: the quiet zone's sweep then reaches the floor.
+			at = at.Add(250 * time.Millisecond)
 			if i%10 == 9 { // the scheduler asks as it goes
 				c.RequiredSamplesFor(key)
 			}
 		}
 	}
-	feed(2*cfg.HistoryLimit, func() float64 { return 900 })
+	feed(2*historyLimit, func() float64 { return 900 })
 	quietBudget, quietEpoch, quietRefreshes := c.RequiredSamplesFor(key), c.EpochOf(key), c.BudgetRefreshes()
-	if quietBudget != 10 || quietEpoch != cfg.MinEpoch {
-		t.Fatalf("constant zone: budget %d epoch %v, want 10 and the %v floor", quietBudget, quietEpoch, cfg.MinEpoch)
+	if quietBudget != 10 || quietEpoch != minEpoch {
+		t.Fatalf("constant zone: budget %d epoch %v, want 10 and the %v floor", quietBudget, quietEpoch, minEpoch)
 	}
-	feed(2*cfg.HistoryLimit, func() float64 { return r.Normal(900, 150) })
+	feed(2*historyLimit, func() float64 { return r.Normal(900, 150) })
 	if got := c.RequiredSamplesFor(key); got < 100 {
 		t.Errorf("budget %d after the zone turned noisy: still the constant zone's", got)
 	}
@@ -725,23 +731,21 @@ func BenchmarkZoneStateFootprint(b *testing.B) {
 }
 
 func TestAlertRingCapsAndCountsDrops(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AlertBuffer = 4
-	c := NewController(cfg, origin)
+	c := NewController(DefaultConfig(), origin)
 
 	// Drive the ring directly: the overflow mechanics are independent of
 	// how hard the 2σ detector is to trip.
 	c.mu.Lock()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < DefaultAlertBuffer+6; i++ {
 		c.pushAlertLocked(Alert{At: start.Add(time.Duration(i) * time.Minute)})
 	}
 	c.mu.Unlock()
 
 	got := c.Alerts()
-	if len(got) != 4 {
-		t.Fatalf("ring returned %d alerts, want capacity 4", len(got))
+	if len(got) != DefaultAlertBuffer {
+		t.Fatalf("ring returned %d alerts, want capacity %d", len(got), DefaultAlertBuffer)
 	}
-	// Oldest-first drain of the newest 4 (alerts 6..9).
+	// Oldest-first drain of the newest DefaultAlertBuffer (alerts 6 on).
 	for i, a := range got {
 		if want := start.Add(time.Duration(6+i) * time.Minute); !a.At.Equal(want) {
 			t.Fatalf("alert %d at %v, want %v (overwrite-oldest order)", i, a.At, want)
@@ -760,9 +764,7 @@ func TestAlertRingCapsAndCountsDrops(t *testing.T) {
 }
 
 func TestFailureDayRetention(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FailureRetentionDays = 30
-	c := NewController(cfg, origin)
+	c := NewController(DefaultConfig(), origin)
 	mkPing := func(day int, failed bool) trace.Sample {
 		return trace.Sample{
 			Time: radio.Epoch.Add(time.Duration(day)*24*time.Hour + 12*time.Hour),
@@ -770,17 +772,17 @@ func TestFailureDayRetention(t *testing.T) {
 			Value: 120, Failed: failed,
 		}
 	}
-	// A year of daily pings, all failing: only the trailing 30 days may
+	// 500 days of daily pings, all failing: only the trailing 400 days may
 	// survive, so both the observed-day count and the longest run cap at
 	// the retention horizon instead of growing without bound.
-	for d := 0; d < 365; d++ {
+	for d := 0; d < 500; d++ {
 		c.Ingest(mkPing(d, true))
 	}
 	observed, run := c.DaysWithPingFailures(c.ZoneOf(origin), radio.NetB)
-	if observed != 30 {
-		t.Fatalf("observed %d days, want the 30-day retention horizon", observed)
+	if observed != DefaultFailureRetentionDays {
+		t.Fatalf("observed %d days, want the %d-day retention horizon", observed, DefaultFailureRetentionDays)
 	}
-	if run != 30 {
-		t.Fatalf("longest run %d, want 30", run)
+	if run != DefaultFailureRetentionDays {
+		t.Fatalf("longest run %d, want %d", run, DefaultFailureRetentionDays)
 	}
 }

@@ -208,3 +208,48 @@ func origin2Zone() geo.ZoneID {
 	c := NewController(DefaultConfig(), origin)
 	return c.ZoneOf(origin)
 }
+
+// TestRestoreKeepsTheBinarysParameters: a checkpoint persists only the
+// Config, so one written before a parameter became a constant, or by a
+// binary that had it set otherwise, cannot change it. Its window must weigh
+// what a fresh controller's does after the same stream, its sweep must
+// derive an epoch, and its alert ring must hold DefaultAlertBuffer.
+func TestRestoreKeepsTheBinarysParameters(t *testing.T) {
+	const kept = `"ZoneRadiusM":250,"NKLDThreshold":0.1,"NKLDBins":20,"DefaultEpoch":1800000000000,` +
+		`"DisableEpochAdaptation":false,"DefaultSamplesPerEpoch":100,"ChangeSigmas":2`
+	for _, tc := range []struct{ name, config string }{
+		{"without the removed keys", `{` + kept + `}`},
+		{"with other values for them", `{` + kept + `,"MinZoneSamples":1,"EpochSweepMin":600,"EpochSweepMax":700,` +
+			`"MinEpoch":60000000000,"MinAlertSamples":1,"AlertFloors":{"udp_kbps":1000},"HistoryLimit":100,` +
+			`"WindowCompression":5,"EpochCompression":5,"TrendSlots":8,"AlertBuffer":4,"FailureRetentionDays":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, err := ReadSnapshot(strings.NewReader(fmt.Sprintf(
+				`{"taken_at":"2010-09-06T00:00:00Z","config":%s,"origin":{"lat":%v,"lon":%v},"entries":null}`,
+				tc.config, origin.Lat, origin.Lon)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, fresh := Restore(snap), NewController(DefaultConfig(), origin)
+			r := rng.New(31)
+			at := start
+			for i := 0; i < 5000; i++ {
+				s := mkSample(at, origin, 900+20*r.NormFloat64())
+				restored.Ingest(s)
+				fresh.Ingest(s)
+				at = at.Add(time.Minute)
+			}
+			key := Key{Zone: fresh.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+			got, want := restored.zones[key], fresh.zones[key]
+			if got.window.Weight() != want.window.Weight() {
+				t.Errorf("window weight %v after 5000 samples, a fresh controller's is %v", got.window.Weight(), want.window.Weight())
+			}
+			if !got.epochValid || got.epoch != want.epoch {
+				t.Errorf("epoch %v (valid %v), a fresh controller derives %v", got.epoch, got.epochValid, want.epoch)
+			}
+			if len(restored.alerts) != DefaultAlertBuffer {
+				t.Errorf("alert ring of %d, want %d", len(restored.alerts), DefaultAlertBuffer)
+			}
+		})
+	}
+}

@@ -104,7 +104,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		join(stored, report, report, positionLine(56)),      // a replayed report line
 		join(snapshotLine(f, 30), report, positionLine(56)), // a snapshot inside a report line
 		join(stored, report[:len(report)/2], []byte("\n")),  // a report line cut short
-		[]byte("reject replication: peer speaks version 5, want 6\n"),
+		[]byte("reject replication: peer speaks version 6, want 7\n"),
 		[]byte("lsn 12\nlsn x\nlsn 18446744073709551616\n"),
 		[]byte("lsn " + strings.Repeat("9", maxTextLineBytes) + "\n"),
 		join(appendHello(nil, hello{from: 3, id: "r"}), ackLine(3)), // lines only a source takes

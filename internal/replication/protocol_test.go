@@ -428,7 +428,7 @@ func TestHelloRoundTrips(t *testing.T) {
 			t.Errorf("id %q: hello %q reads back as %+v, err %v", id, line, h, err)
 		}
 	}
-	for _, line := range []string{"hello\n", "hello 6\n", "hello 6 x \"r\"\n", "hello 6 1 r\n", "hello 6 1 \"r\" more\n", "ok 5\n"} {
+	for _, line := range []string{"hello\n", "hello 7\n", "hello 7 x \"r\"\n", "hello 7 1 r\n", "hello 7 1 \"r\" more\n", "ok 5\n"} {
 		if _, err := parseHello([]byte(line)); !errors.Is(err, errBadLine) {
 			t.Errorf("%q: err %v, want a malformed hello", line, err)
 		}
@@ -439,7 +439,8 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 	// Each version changed what a line or frame holds, so a peer of another
 	// version is turned away at the handshake rather than fed lines it would
 	// misread: by name from version 5 on — a version 5 replica would end its
-	// session on the first report line and redial for ever — and version 4's
+	// session on the first report line and redial for ever, a version 6 one
+	// on the first snapshot line — and version 4's
 	// binary hello, which opens with a length no line kind starts with, by
 	// hanging up.
 	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
@@ -450,10 +451,10 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 		}
 		return newPeer(t, nc)
 	}
-	for _, v := range []uint16{4, 5, 7} {
+	for _, v := range []uint16{4, 5, 6, 8} {
 		p := dial()
 		p.send(fmt.Appendf(nil, "hello %d 0 \"old-replica\"\n", v))
-		if got, want := string(p.recv()), fmt.Sprintf("reject replication: peer speaks version %d, want 6\n", v); got != want {
+		if got, want := string(p.recv()), fmt.Sprintf("reject replication: peer speaks version %d, want 7\n", v); got != want {
 			t.Fatalf("got %q, want %q", got, want)
 		}
 		p.wantClosed()

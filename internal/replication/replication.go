@@ -63,10 +63,12 @@ import (
 // triples, 2 shipped WAL lines as they are but a snapshot as a u64 LSN and
 // unchecked JSON, 3 a snapshot as a checkpoint, 4 binary WAL lines beside
 // JSON ones, all in length-prefixed "WREP" frames — so a version 4 hello
-// opens with no line kind and is hung up on — 5 sends lines, and 6 report
+// opens with no line kind and is hung up on — 5 sends lines, 6 report
 // lines (0xB3), which a version 5 replica would refuse as malformed and
-// redial on for ever.
-const Version uint16 = 6
+// redial on for ever, and 7 a snapshot whose config has only the
+// parameters core.Config still carries, which a version 6 replica would
+// refuse mid-stream, as a checkpoint line not as it spells one.
+const Version uint16 = 7
 
 // The text lines' words. Each opens with a byte that is none of a WAL
 // line's leads (0xB3, 0xB1, a lowercase hex digit) nor store.CheckpointLead.

@@ -36,7 +36,7 @@ func FuzzDecode(f *testing.F) {
 	// encoder, plus hand-picked malformed frames.
 	valid := []Envelope{
 		{Type: TypeHello, Hello: &Hello{ClientID: "c1", DeviceClass: "laptop"}},
-		{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: "s", TaskIntervalSec: 300}},
+		{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: "s"}},
 		{Type: TypeZoneReport, ZoneReport: &ZoneReport{ClientID: "c1", At: time.Unix(0, 0).UTC()}},
 		{Type: TypeTaskList, TaskList: &TaskList{}},
 		{Type: TypeSampleReport, SampleReport: &SampleReport{ClientID: "c1"}},

@@ -77,8 +77,7 @@ type Hello struct {
 
 // HelloAck acknowledges registration.
 type HelloAck struct {
-	ServerID        string  `json:"server_id"`
-	TaskIntervalSec float64 `json:"task_interval_sec"`
+	ServerID string `json:"server_id"`
 }
 
 // ZoneReport is the client's periodic coarse position report (real cellular

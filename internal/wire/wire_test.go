@@ -28,7 +28,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 
 	msgs := []Envelope{
 		{Type: TypeHello, Hello: &Hello{ClientID: "c1", DeviceClass: "laptop-usb-modem"}},
-		{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: "coord", TaskIntervalSec: 300}},
+		{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: "coord"}},
 		{Type: TypeZoneReport, ZoneReport: &ZoneReport{
 			ClientID: "c1", Zone: geo.ZoneID{X: 3, Y: -2},
 			Loc: geo.Point{Lat: 43.07, Lon: -89.4}, SpeedKmh: 23,

@@ -6,6 +6,7 @@
 package agent
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -335,15 +336,33 @@ func orDefault(v, d int) int {
 	return v
 }
 
-// queryOnce makes one application-side query over a fresh connection.
-func queryOnce(addr string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
-	nc, err := net.Dial("tcp", addr)
+// A query's dial and its round trip are bounded, so a server that accepts
+// and never answers fails the query instead of hanging its caller: as long
+// as swarm's dial and the gateway's default request timeout.
+const (
+	queryDialTimeout = 5 * time.Second
+	queryTimeout     = 10 * time.Second
+)
+
+// queryOnce makes one application-side query over a fresh connection, its
+// dial bounded by dialTimeout and its round trip by timeout: a round trip
+// that outlasts it has its connection closed under it, and fails with
+// context.DeadlineExceeded.
+func queryOnce(addr string, req wire.Envelope, want wire.MsgType, dialTimeout, timeout time.Duration) (wire.Envelope, error) {
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return wire.Envelope{}, fmt.Errorf("dial: %w", err)
 	}
 	conn := wire.NewConn(nc)
 	defer conn.Close()
-	return conn.Call(req, want)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	defer context.AfterFunc(ctx, func() { _ = conn.Close() })()
+	reply, err := conn.Call(req, want)
+	if ctx.Err() != nil {
+		return wire.Envelope{}, ctx.Err()
+	}
+	return reply, err
 }
 
 // QueryZoneList fetches every published record for a network/metric from a
@@ -351,7 +370,7 @@ func queryOnce(addr string, req wire.Envelope, want wire.MsgType) (wire.Envelope
 func QueryZoneList(addr string, net_ radio.NetworkID, metric trace.Metric) ([]core.Record, error) {
 	reply, err := queryOnce(addr, wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
 		Network: net_, Metric: metric,
-	}}, wire.TypeZoneListReply)
+	}}, wire.TypeZoneListReply, queryDialTimeout, queryTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("agent: zone list: %w", err)
 	}
@@ -363,7 +382,7 @@ func QueryZoneList(addr string, net_ radio.NetworkID, metric trace.Metric) ([]co
 func QueryEstimate(addr string, zone geo.ZoneID, net_ radio.NetworkID, metric trace.Metric) (*wire.EstimateReply, error) {
 	reply, err := queryOnce(addr, wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
 		Zone: zone, Network: net_, Metric: metric,
-	}}, wire.TypeEstimateReply)
+	}}, wire.TypeEstimateReply, queryDialTimeout, queryTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("agent: query: %w", err)
 	}

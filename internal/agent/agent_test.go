@@ -1,6 +1,8 @@
 package agent
 
 import (
+	"context"
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -282,5 +284,37 @@ func TestRunResilientBackoffIsDeterministic(t *testing.T) {
 func TestOrDefault(t *testing.T) {
 	if orDefault(0, 7) != 7 || orDefault(-1, 7) != 7 || orDefault(3, 7) != 3 {
 		t.Fatal("orDefault broken")
+	}
+}
+
+// TestQueryOnceGivesUpOnASilentServer: a server that accepts the query's
+// connection and never answers fails the query once its bound runs out; it
+// does not hang the caller.
+func TestQueryOnceGivesUpOnASilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c // held open, never answered
+		}
+	}()
+	defer func() {
+		if c := <-accepted; c != nil {
+			_ = c.Close()
+		}
+	}()
+	const bound = 100 * time.Millisecond
+	req := wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}}
+	began := time.Now()
+	_, err = queryOnce(ln.Addr().String(), req, wire.TypeZoneListReply, bound, bound)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(began); took > 10*bound {
+		t.Fatalf("the query gave up after %v, want about %v", took, bound)
 	}
 }

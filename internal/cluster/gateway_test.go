@@ -773,11 +773,9 @@ func TestGatewayShardsEndpoint(t *testing.T) {
 
 // TestAgentReportsTakeTheCanonicalPath verifies the traffic instead of
 // guessing it: a real agent's session and a report the gateway splits, and
-// the replies to the queries beside them, leave no hand-spelled frame to
-// encoding/json at the gateway or at a shard
-// (wiscape_wire_decode_fallbacks_total stays 0 while decodes are counted).
-// A sample report is not hand-spelled as JSON — encoding/json reads every
-// JSON one, and no fallback series counts it — and one spelled by hand,
+// the replies to the queries beside them, reach the gateway and the shards
+// as binary lines (wiscape_wire_decode_fallbacks_total stays 0 under the
+// reply types while decodes are counted). A report a client types as JSON,
 // through the gateway or straight to a shard, is still ingested.
 func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
@@ -854,9 +852,9 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	}
 	perReport := ingested() - before
 
-	// The read path: the shards' zone lists reach the gateway in canonical
-	// form too (their estimate replies carry sketches, which encoding/json
-	// decodes and the counter does not count).
+	// The read path: the shards' zone lists reach the gateway as binary
+	// lines too (their estimate replies carry sketches, which no line
+	// carries: those are JSON, and the counter does not count them).
 	for _, req := range []wire.Envelope{
 		{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}},
 		{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}},
@@ -872,7 +870,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 
 	for who := range regs {
 		if decodes(who) == 0 || fallbacks(who) != 0 {
-			t.Errorf("%s decoded %v messages and left %v hand-spelled frames to encoding/json, want some and none", who, decodes(who), fallbacks(who))
+			t.Errorf("%s decoded %v messages and %v replies as JSON a binary line carries, want some and none", who, decodes(who), fallbacks(who))
 		}
 	}
 
@@ -913,7 +911,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	}
 	for who := range regs {
 		if f := fallbacks(who); f != 0 {
-			t.Errorf("%s counted %v fallbacks after the hand-spaced reports, want none", who, f)
+			t.Errorf("%s counted %v reply fallbacks after the hand-spaced reports, want none", who, f)
 		}
 	}
 }
@@ -921,10 +919,10 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 // TestAgentRoundTripNeverFallsBack: on every tier that decodes a frame — a
 // real agent, the gateway, both shards, and a client querying through the
 // gateway — each frame of a client's round trip (zone report, task list,
-// sample report, sample ack) is a binary line, and each of a query (estimate
-// and zone-list requests and their replies) one the canonical-form parser
-// takes: wiscape_wire_decode_fallbacks_total reads 0 under all eight types
-// everywhere, while every tier decodes frames.
+// sample report, sample ack) is a binary line, and so is each of a query
+// (estimate and zone-list requests and their replies, but a shard's
+// sketch-carrying estimate): wiscape_wire_decode_fallbacks_total reads 0
+// under all eight types everywhere, while every tier decodes frames.
 func TestAgentRoundTripNeverFallsBack(t *testing.T) {
 	tiers := map[string]*telemetry.Registry{}
 	var shards []ShardConfig

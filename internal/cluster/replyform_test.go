@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"net"
 	"testing"
 	"time"
@@ -16,12 +17,34 @@ import (
 	"repro/internal/wire"
 )
 
-// Lead bytes of the binary lines a client's round trip takes (see package
-// wire): the task list and the ack.
+// Lead bytes of the binary replies a client reads (see package wire): the
+// task list, the ack, the estimate and the zone list.
 const (
-	taskListLead  = 0xB5
-	sampleAckLead = 0xB6
+	taskListLead      = 0xB5
+	sampleAckLead     = 0xB6
+	estimateReplyLead = 0xB8
+	zoneListReplyLead = 0xBA
 )
+
+// binaryTypes are the frame types with a binary line, which the fallback
+// counter watches.
+var binaryTypes = []wire.MsgType{
+	wire.TypeZoneReport, wire.TypeTaskList, wire.TypeSampleReport, wire.TypeSampleAck,
+	wire.TypeEstimateRequest, wire.TypeEstimateReply, wire.TypeZoneListRequest, wire.TypeZoneListReply,
+}
+
+// zoneListRequest asks for the records of the network and metric every
+// cycle's first sample measures.
+var zoneListRequest = wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
+	Network: radio.AllNetworks[0], Metric: trace.MetricUDPKbps,
+}}
+
+// estimateRequest asks for zone's record of the zone list's key.
+func estimateRequest(zone geo.ZoneID) wire.Envelope {
+	return wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+		Zone: zone, Network: zoneListRequest.ZoneListRequest.Network, Metric: zoneListRequest.ZoneListRequest.Metric,
+	}}
+}
 
 // startReplyFormCluster runs the Madison and New Brunswick shards behind a
 // gateway, each tier on its own registry and each shard with its WAL in a
@@ -84,11 +107,12 @@ func lineOf(t *testing.T, e wire.Envelope) []byte {
 }
 
 // TestRepliesTakeTheClientsForm: directly to a shard and through the
-// gateway, a client that types JSON gets JSON task lists and acks; one that
-// has sent only a binary sample report — what clients sent before the rest
-// of the round trip went binary — gets a JSON ack; and once it sends a
-// binary zone report, its task lists and acks come back as binary lines,
-// which decode to the same replies.
+// gateway, a client that types JSON gets JSON task lists, acks, zone lists
+// and estimates, json.Marshal's bytes; one that has sent only a binary
+// sample report — what clients sent before the rest of the round trip went
+// binary — gets a JSON ack; and once it sends a binary zone report, or on a
+// session of queries alone its first binary query, its replies come back as
+// binary lines, which decode to the same replies.
 func TestRepliesTakeTheClientsForm(t *testing.T) {
 	_, addrs, _ := startReplyFormCluster(t)
 	for _, target := range []string{"madison", "gateway"} {
@@ -131,6 +155,17 @@ func TestRepliesTakeTheClientsForm(t *testing.T) {
 		if reply := roundTrip(lineOf(t, sr)); string(reply) != `{"type":"sample_ack","sample_ack":{"accepted":5}}`+"\n" {
 			t.Errorf("%s: a binary report from a client that typed its zone report was answered %q, want a JSON ack", target, reply)
 		}
+		// Typed queries get JSON replies, json.Marshal's bytes.
+		for _, typed := range []string{
+			`{"type":"zone_list_request","zone_list_request":{"network":"NetA","metric":"udp_kbps"}}`,
+			`{"type":"estimate_request","estimate_request":{"zone":{"x":0,"y":0},"network":"NetA","metric":"udp_kbps"}}`,
+		} {
+			reply := roundTrip([]byte(typed + "\n"))
+			want, err := json.Marshal(decode(reply))
+			if err != nil || string(reply) != string(want)+"\n" || reply[0] != '{' {
+				t.Errorf("%s: a typed query was answered %q, want json.Marshal's %q", target, reply, want)
+			}
+		}
 
 		// A second session: binary reports only.
 		if err := nc.Close(); err != nil {
@@ -155,18 +190,42 @@ func TestRepliesTakeTheClientsForm(t *testing.T) {
 		if ack := decode(reply); reply[0] != sampleAckLead || ack.SampleAck == nil || ack.SampleAck.Accepted != 5 {
 			t.Errorf("%s: a binary report after a binary zone report was answered %q, want a binary ack of 5", target, reply)
 		}
+		if reply := roundTrip(lineOf(t, zoneListRequest)); reply[0] != zoneListReplyLead || decode(reply).ZoneListReply == nil {
+			t.Errorf("%s: a zone list request was answered %q, want a binary zone list", target, reply)
+		}
+		if reply := roundTrip(lineOf(t, estimateRequest(geo.ZoneID{}))); reply[0] != estimateReplyLead || decode(reply).EstimateReply == nil {
+			t.Errorf("%s: an estimate request was answered %q, want a binary estimate", target, reply)
+		}
+
+		// A third session, queries only: its first request marks it.
+		if err := nc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if nc, err = net.Dial("tcp", addrs[target]); err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+		br = bufio.NewReader(nc)
+		if reply := roundTrip(lineOf(t, estimateRequest(geo.ZoneID{}))); reply[0] != estimateReplyLead || decode(reply).EstimateReply == nil {
+			t.Errorf("%s: a query-only session's estimate request was answered %q, want a binary estimate", target, reply)
+		}
 	}
 }
 
 // TestBenchShapedRoundTripsNeverDecline: the benchmark's exchange — hello,
-// zone report, 5-sample report, directly to a shard and through the gateway
-// — goes binary on every hop, both ways: no tier counts a round trip's frame
-// under wiscape_wire_decode_fallbacks_total while every tier encodes frames,
-// and every line in the shards' WALs is a report line.
+// zone report, 5-sample report, then a mixed client's zone list and
+// estimates, directly to a shard and through the gateway — goes binary on
+// every hop, both ways: no tier counts a frame of any of the eight types
+// with a binary line under wiscape_wire_decode_fallbacks_total while every
+// tier encodes frames (a shard's sketch-carrying estimate for the gateway to
+// merge is the one JSON line, and no line carries it), and every line in the
+// shards' WALs is a report line.
 func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
 	regs, addrs, dirs := startReplyFormCluster(t)
 	regs["client"] = telemetry.NewRegistry()
 	codec := wire.NewMetrics(regs["client"])
+	records := 0
 	for i, target := range []string{"madison", "gateway"} {
 		nc, err := net.Dial("tcp", addrs[target])
 		if err != nil {
@@ -178,7 +237,8 @@ func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cycle := 0; cycle < 4; cycle++ {
-			zr, sr := benchCycle("bench-0000", start.Add(time.Duration(10*i+cycle)*time.Minute))
+			// 20 minutes apart, so the cycles close an epoch and publish records.
+			zr, sr := benchCycle("bench-0000", start.Add(time.Duration(10*i+cycle)*20*time.Minute))
 			if _, err := c.Call(zr, wire.TypeTaskList); err != nil {
 				t.Fatalf("%s: zone report: %v", target, err)
 			}
@@ -186,14 +246,33 @@ func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
 				t.Fatalf("%s: sample report: %+v, %v", target, ack, err)
 			}
 		}
+		// The mixed workload's queries: a zone list, then an estimate of
+		// each zone it names and of one no sample reached.
+		list, err := c.Call(zoneListRequest, wire.TypeZoneListReply)
+		if err != nil {
+			t.Fatalf("%s: zone list: %v", target, err)
+		}
+		records = len(list.ZoneListReply.Records)
+		zones := []geo.ZoneID{{X: 9999, Y: 9999}}
+		for _, rec := range list.ZoneListReply.Records {
+			zones = append(zones, rec.Key.Zone)
+		}
+		for _, zone := range zones {
+			if _, err := c.Call(estimateRequest(zone), wire.TypeEstimateReply); err != nil {
+				t.Fatalf("%s: estimate of %v: %v", target, zone, err)
+			}
+		}
 		_ = c.Close()
+	}
+	if records == 0 {
+		t.Fatal("the zone list named no zone: no estimate of a found record was asked")
 	}
 	delete(regs, "new-jersey") // every fix is in Madison
 	for tier, reg := range regs {
 		if n := reg.Counter("wiscape_wire_messages_total", "", "dir").With("encode").Value(); n == 0 {
 			t.Errorf("%s encoded no frames", tier)
 		}
-		for _, typ := range []wire.MsgType{wire.TypeZoneReport, wire.TypeTaskList, wire.TypeSampleReport, wire.TypeSampleAck} {
+		for _, typ := range binaryTypes {
 			if n := reg.Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(string(typ)).Value(); n != 0 {
 				t.Errorf("%s: wiscape_wire_decode_fallbacks_total{type=%q} reads %v, want 0", tier, typ, n)
 			}

@@ -230,6 +230,16 @@ func (r *BinReader) Varint() int64 {
 	return int64(u>>1) ^ -int64(u&1) // binary.Varint's zig-zag
 }
 
+// Int32 reads a zig-zag varint that fits an int32, as a zone coordinate does.
+func (r *BinReader) Int32() int32 {
+	v := r.Varint()
+	if v != int64(int32(v)) {
+		r.Bad = true
+		return 0
+	}
+	return int32(v)
+}
+
 func (r *BinReader) u8() byte {
 	if r.Bad || len(r.B) == 0 {
 		r.Bad = true

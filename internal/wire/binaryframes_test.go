@@ -10,17 +10,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
 )
 
 // The binary lines of a client's round trip — a zone report, a task list and
-// a sample ack — are held here to their layouts, spelled out by hand, direct
-// and relayed, and to their decoders' contract: a line the encoder would not
+// a sample ack — and of the read plane — an estimate or zone-list request and
+// its reply — are held here to their layouts, spelled out by hand, direct and
+// relayed, and to their decoders' contract: a line the encoder would not
 // write is refused, and one it would is read back to what json.Unmarshal
-// makes of the frame's JSON, times in UTC. TestSmallSendBytesMatchJSON holds
-// Send's lines to the JSON oracle over the drawn corpus.
+// makes of the frame's JSON, times in UTC. TestSmallSendBytesMatchJSON and
+// TestReplySendBytesMatchJSON hold Send's lines to the JSON oracle over the
+// drawn corpus.
 //
 // Mutants that must fail this package's tests (each did, in a copy): a nil
 // list and an empty one spelled alike; a zone coordinate read at 64 bits; a
@@ -30,7 +33,8 @@ import (
 // report, or by any line that decodes; a negative ack written binary; a zone
 // report's time written at its offset's wall clock, or its client id or the
 // via as they stand when they are not valid UTF-8; a binary frame's buffer
-// reserved at JSON's size.
+// reserved at JSON's size; an estimate request's flag bits past with_sketch
+// accepted; a found of 2 read as true; a reply with a sketch written binary.
 
 // layoutCase is one frame's binary layout: the envelope, the payload its line
 // holds after the via, and edits of that payload, each either a line the
@@ -204,15 +208,162 @@ func TestBinarySampleAckLayout(t *testing.T) {
 	}
 }
 
+func TestBinaryEstimateRequestLayout(t *testing.T) {
+	e := smallFrames()[3]
+	netB, udp := uv(2), uv(2) // 1 + index: radio.AllNetworks[1], trace.AllMetrics[1]
+	// zone x, y · network · metric · flags (bit 0: with_sketch)
+	payload := [][]byte{sv(-3), sv(7), netB, udp, uv(1)}
+	er := func(edit func(q *EstimateRequest)) func(e *Envelope) {
+		return func(e *Envelope) { edit(e.EstimateRequest) }
+	}
+	checkLayout(t, layoutCase{e: e, lead: binaryEstimateRequestLead, payload: payload, edits: []layoutEdit{
+		{"no sketch", with(payload, 4, uv(0)), er(func(q *EstimateRequest) { q.WithSketch = false })},
+		{"the int32 zones", with(with(payload, 0, sv(math.MinInt32)), 1, sv(math.MaxInt32)),
+			er(func(q *EstimateRequest) { q.Zone = geo.ZoneID{X: math.MinInt32, Y: math.MaxInt32} })},
+		{"an unknown network", with(payload, 2, uv(0), bstr("NetZ")), er(func(q *EstimateRequest) { q.Network = "NetZ" })},
+		{"a metric of invalid UTF-8, as JSON carries it", with(payload, 3, uv(0), bstr("m\ufffd")),
+			er(func(q *EstimateRequest) { q.Metric = "m\xff" })},
+
+		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
+		{"a flag past with_sketch", with(payload, 4, uv(2)), nil},
+		{"every flag", with(payload, 4, uv(3)), nil},
+		{"overlong flags", with(payload, 4, []byte{0x81, 0x00}), nil},
+		{"no flags", payload[:4], nil},
+		{"a zone x of 2^31", with(payload, 0, sv(1<<31)), nil},
+		{"a known network spelled out", with(payload, 2, uv(0), bstr(string(radio.NetB))), nil},
+		{"a metric index past the list", with(payload, 3, uv(uint64(len(trace.AllMetrics)+1))), nil},
+	}})
+	// A request goes binary to any peer: it marks the peer as one that reads
+	// binary replies.
+	if got := encodeFrames(t, e); !bytes.Equal(got, encodeBinaryFrames(t, e)) {
+		t.Errorf("to a JSON peer: Send wrote %q, want the binary line", got)
+	}
+}
+
+func TestBinaryZoneListRequestLayout(t *testing.T) {
+	e := smallFrames()[4]
+	payload := [][]byte{uv(2), uv(1)} // 1 + index: radio.AllNetworks[1], trace.AllMetrics[0]
+	zl := func(edit func(q *ZoneListRequest)) func(e *Envelope) {
+		return func(e *Envelope) { edit(e.ZoneListRequest) }
+	}
+	checkLayout(t, layoutCase{e: e, lead: binaryZoneListRequestLead, payload: payload, edits: []layoutEdit{
+		{"an unknown network", with(payload, 0, uv(0), bstr("NetZ")), zl(func(q *ZoneListRequest) { q.Network = "NetZ" })},
+		{"an empty metric", with(payload, 1, uv(0), bstr("")), zl(func(q *ZoneListRequest) { q.Metric = "" })},
+
+		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
+		{"no metric", payload[:1], nil},
+		{"a known metric spelled out", with(payload, 1, uv(0), bstr(string(trace.MetricTCPKbps))), nil},
+		{"a network index past the list", with(payload, 0, uv(uint64(len(radio.AllNetworks)+1))), nil},
+		{"an overlong network index", with(payload, 0, []byte{0x82, 0x00}), nil},
+	}})
+	if got := encodeFrames(t, e); !bytes.Equal(got, encodeBinaryFrames(t, e)) {
+		t.Errorf("to a JSON peer: Send wrote %q, want the binary line", got)
+	}
+}
+
+// recordLayout spells out a record as the reply lines carry it: zone x, y ·
+// network · metric · mean, stddev, p50, p90, p99 · samples · seconds, ns.
+func recordLayout(x, y int64, net, metric []byte, floats [5]float64, samples uint64, at time.Time) [][]byte {
+	parts := [][]byte{sv(x), sv(y), net, metric}
+	for _, f := range floats {
+		parts = append(parts, bf64(f))
+	}
+	return append(parts, uv(samples), sv(at.Unix()), uv(uint64(at.Nanosecond())))
+}
+
+func TestBinaryEstimateReplyLayout(t *testing.T) {
+	e := replyFrames()[0]
+	at := e.EstimateReply.Record.UpdatedAt
+	maxSec := time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC).Unix()
+	// found · the record: zone x, y · network · metric · mean, stddev, p50,
+	// p90, p99 · samples · seconds, ns
+	payload := slices.Concat([][]byte{uv(1)}, recordLayout(-3, 7, uv(2), uv(2), [5]float64{912.5, 12.25, 900, 950.5, 990}, 120, at))
+	rec := func(edit func(r *core.Record)) func(e *Envelope) {
+		return func(e *Envelope) { edit(&e.EstimateReply.Record) }
+	}
+	checkLayout(t, layoutCase{e: e, lead: binaryEstimateReplyLead, payload: payload, edits: []layoutEdit{
+		{"not found", with(payload, 0, uv(0)), func(e *Envelope) { e.EstimateReply.Found = false }},
+		{"the zero reply a coordinator sends for an unknown zone",
+			slices.Concat([][]byte{uv(0)}, recordLayout(0, 0, slices.Concat(uv(0), bstr("")), slices.Concat(uv(0), bstr("")), [5]float64{}, 0, time.Time{})),
+			func(e *Envelope) { *e.EstimateReply = EstimateReply{} }},
+		{"an empty sketch, which JSON leaves out", payload, func(e *Envelope) { e.EstimateReply.Sketch = []byte{} }},
+		{"the most samples", with(payload, 10, uv(math.MaxInt64)), rec(func(r *core.Record) { r.Samples = math.MaxInt64 })},
+		{"a P99 of -0", with(payload, 9, bf64(math.Copysign(0, -1))), rec(func(r *core.Record) { r.P99 = math.Copysign(0, -1) })},
+		{"the int32 zones", with(with(payload, 1, sv(math.MinInt32)), 2, sv(math.MaxInt32)),
+			rec(func(r *core.Record) { r.Key.Zone = geo.ZoneID{X: math.MinInt32, Y: math.MaxInt32} })},
+		{"an unknown metric", with(payload, 4, uv(0), bstr("m")), rec(func(r *core.Record) { r.Key.Metric = "m" })},
+		{"a network of invalid UTF-8, as JSON carries it", with(payload, 3, uv(0), bstr("N\ufffd")),
+			rec(func(r *core.Record) { r.Key.Net = "N\xc3" })},
+		{"a time at an offset, as its instant", payload, rec(func(r *core.Record) { r.UpdatedAt = r.UpdatedAt.In(time.FixedZone("", -5*3600)) })},
+		{"a last nanosecond", with(payload, 12, uv(999999999)), rec(func(r *core.Record) { r.UpdatedAt = r.UpdatedAt.Add(999999999) })},
+
+		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
+		{"a found of 2", with(payload, 0, uv(2)), nil},
+		{"an overlong found", with(payload, 0, []byte{0x81, 0x00}), nil},
+		{"a sample count of 2^63", with(payload, 10, uv(1<<63)), nil},
+		{"a NaN mean", with(payload, 5, bf64(math.NaN())), nil},
+		{"an infinite P90", with(payload, 8, bf64(math.Inf(-1))), nil},
+		{"year 10000", with(payload, 11, sv(maxSec+1)), nil},
+		{"a second of 1e9 ns", with(payload, 12, uv(1e9)), nil},
+		{"a zone y under int32", with(payload, 2, sv(math.MinInt32-1)), nil},
+		{"a known metric spelled out", with(payload, 4, uv(0), bstr(string(trace.MetricUDPKbps))), nil},
+		{"a network index past the list", with(payload, 3, uv(uint64(len(radio.AllNetworks)+1))), nil},
+	}})
+	// To a client that never sent a binary line the reply goes as JSON, and
+	// one with a sketch — a shard's answer to a gateway that merges — goes as
+	// JSON to any peer.
+	if got := encodeFrames(t, e); !bytes.Equal(got, jsonFrame(t, e)) {
+		t.Errorf("to a JSON peer: Send wrote %q, want the JSON frame", got)
+	}
+	e.EstimateReply.Sketch = []byte{1, 2, 3}
+	if got := encodeBinaryFrames(t, e); !bytes.Equal(got, jsonFrame(t, e)) {
+		t.Errorf("with a sketch: Send wrote %q, want the JSON frame", got)
+	}
+}
+
+func TestBinaryZoneListReplyLayout(t *testing.T) {
+	e := replyFrames()[1]
+	recs := e.ZoneListReply.Records
+	first := recordLayout(-3, 7, uv(2), uv(2), [5]float64{912.5, 12.25, 900, 950.5, 990}, 120, recs[0].UpdatedAt)
+	// The second record's time is 09:00:00.123456789 at +05:30: its instant.
+	second := recordLayout(math.MaxInt32, math.MinInt32, uv(2), uv(5), [5]float64{1e21, 1e-7, 9.999999999999999e20, 1e-6, math.MaxInt64}, 0,
+		time.Date(2010, 9, 6, 3, 30, 0, 123456789, time.UTC))
+	// count+1 · records
+	payload := slices.Concat([][]byte{uv(3)}, first, second)
+	zl := func(edit func(l *ZoneListReply)) func(e *Envelope) {
+		return func(e *Envelope) { edit(e.ZoneListReply) }
+	}
+	checkLayout(t, layoutCase{e: e, lead: binaryZoneListReplyLead, payload: payload, edits: []layoutEdit{
+		{"nil records", [][]byte{uv(0)}, zl(func(l *ZoneListReply) { l.Records = nil })},
+		{"no records", [][]byte{uv(1)}, zl(func(l *ZoneListReply) { l.Records = []core.Record{} })},
+		{"one record", slices.Concat([][]byte{uv(2)}, first), zl(func(l *ZoneListReply) { l.Records = l.Records[:1] })},
+		{"an unknown network", with(payload, len(first)+3, uv(0), bstr("NetZ")), zl(func(l *ZoneListReply) { l.Records[1].Key.Net = "NetZ" })},
+
+		{"a byte behind", slices.Concat(payload, [][]byte{{0}}), nil},
+		{"one record too many", with(payload, 0, uv(4)), nil},
+		{"one record too few", with(payload, 0, uv(2)), nil},
+		{"a count past the bytes", with(payload, 0, uv(1<<40)), nil},
+		{"an overlong count", with(payload, 0, []byte{0x83, 0x00}), nil},
+		{"a record cut short", payload[:len(payload)-1], nil},
+		{"a sample count of 2^63", with(payload, len(first)+10, uv(1<<63)), nil},
+		{"a NaN P50", with(payload, 7, bf64(math.NaN())), nil},
+	}})
+	if got := encodeFrames(t, e); !bytes.Equal(got, jsonFrame(t, e)) {
+		t.Errorf("to a JSON peer: Send wrote %q, want the JSON frame", got)
+	}
+}
+
 // TestRepliesFollowThePeer: a Conn answers in binary only once it has
-// received a binary zone report, task list or ack. A binary sample report
-// alone proves nothing — clients sent those before they read binary replies
-// — nor does any JSON frame, nor a binary line that fails to decode.
+// received a binary zone report, task list, ack, query or query reply. A
+// binary sample report alone proves nothing — clients sent those before they
+// read binary replies — nor does any JSON frame, nor a binary line that fails
+// to decode.
 func TestRepliesFollowThePeer(t *testing.T) {
 	ack := smallFrames()[2]
 	zoneReport := encodeFrames(t, smallFrames()[0])
 	taskList := encodeBinaryFrames(t, smallFrames()[1])
 	binaryAck := encodeBinaryFrames(t, ack)
+	zoneListRequest := encodeFrames(t, smallFrames()[4])
 	for name, tc := range map[string]struct {
 		received []byte
 		binary   bool
@@ -223,9 +374,17 @@ func TestRepliesFollowThePeer(t *testing.T) {
 		"a JSON task list":       {jsonFrame(t, smallFrames()[1]), false},
 		"a malformed zone report": {
 			append(zoneReport[:len(zoneReport)-1:len(zoneReport)-1], 0, '\n'), false},
-		"a binary zone report": {zoneReport, true},
-		"a binary task list":   {taskList, true},
-		"a binary ack":         {binaryAck, true},
+		"a JSON estimate request": {jsonFrame(t, smallFrames()[3]), false},
+		"a JSON zone list":        {jsonFrame(t, replyFrames()[1]), false},
+		"a malformed zone list request": {
+			append(zoneListRequest[:len(zoneListRequest)-1:len(zoneListRequest)-1], 0, '\n'), false},
+		"a binary zone report":       {zoneReport, true},
+		"a binary task list":         {taskList, true},
+		"a binary ack":               {binaryAck, true},
+		"a binary estimate request":  {encodeFrames(t, smallFrames()[3]), true},
+		"a binary zone list request": {zoneListRequest, true},
+		"a binary estimate reply":    {encodeBinaryFrames(t, replyFrames()[0]), true},
+		"a binary zone list":         {encodeBinaryFrames(t, replyFrames()[1]), true},
 	} {
 		var out bytes.Buffer
 		c := NewConn(byteConn{r: bytes.NewReader(tc.received), w: &out})

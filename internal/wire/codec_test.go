@@ -68,9 +68,9 @@ func jsonFrame(t testing.TB, e Envelope) []byte {
 	return append(frame, '\n')
 }
 
-// inUTC moves e's sample times and zone report time to UTC, where Recv puts
-// them from either form: it makes what json.Unmarshal decodes a frame to what
-// Recv should. It edits e's payloads in place.
+// inUTC moves e's sample times, zone report time and record times to UTC,
+// where Recv puts them from either form: it makes what json.Unmarshal decodes
+// a frame to what Recv should. It edits e's payloads in place.
 func inUTC(e Envelope) Envelope {
 	if r := e.SampleReport; r != nil {
 		for i := range r.Samples {
@@ -79,6 +79,14 @@ func inUTC(e Envelope) Envelope {
 	}
 	if e.ZoneReport != nil {
 		e.ZoneReport.At = e.ZoneReport.At.UTC()
+	}
+	if e.EstimateReply != nil {
+		e.EstimateReply.Record.UpdatedAt = e.EstimateReply.Record.UpdatedAt.UTC()
+	}
+	if e.ZoneListReply != nil {
+		for i := range e.ZoneListReply.Records {
+			e.ZoneListReply.Records[i].UpdatedAt = e.ZoneListReply.Records[i].UpdatedAt.UTC()
+		}
 	}
 	return e
 }
@@ -231,15 +239,14 @@ func allocSize(n int) int {
 }
 
 // TestCodecCopiesNoFrame guards what the codec may allocate. A sample
-// report's binary line, or a zone list in canonical form, costs what it
-// keeps: Send encodes it into a pooled buffer and allocates nothing, Recv
-// parses it into one slice sized for its samples or records plus the few
-// strings they share — in place, or for a zone list longer than the reader or
-// a binary line with escapes to undo, in a pooled buffer, so no line is
-// copied. A frame encoding/json decodes — here a zone list whose network
-// needs an escape — costs no more than encoding/json itself does: no frame is
-// allocated to send it and no line copied to decode it. Bytes and counts
-// repeat; times do not.
+// report's or a zone list's binary line costs what it keeps: Send encodes it
+// into a pooled buffer and allocates nothing, Recv parses it into one slice
+// sized for its samples or records plus the few strings they share — in
+// place, or for a line longer than the reader or with escapes to undo, in a
+// pooled buffer, so no line is copied. A frame encoding/json decodes — here a
+// zone list to a peer that reads JSON — costs no more than encoding/json
+// itself does: no frame is allocated to send it and no line copied to decode
+// it. Bytes and counts repeat; times do not.
 func TestCodecCopiesNoFrame(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under the race detector")
@@ -289,26 +296,28 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 		t.Errorf("Recv of a binary line with escapes allocates %v times, want at most 7: another device string, and no buffer", n)
 	}
 
-	list := zoneListOf(600)
-	frame = encodeFrames(t, list)
-	if len(frame) <= connBufBytes {
-		t.Fatalf("the zone list frame is %d bytes; it must not fit the %d-byte read buffer", len(frame), connBufBytes)
+	list := zoneListOf(1400)
+	frame = encodeBinaryFrames(t, list)
+	if len(frame) <= connBufBytes || frame[0] != binaryZoneListReplyLead {
+		t.Fatalf("the zone list went as a %d-byte line opening %#x; it must be a binary line that does not fit the %d-byte read buffer", len(frame), frame[0], connBufBytes)
 	}
-	if n := testing.AllocsPerRun(runs, send(list)); n != 0 {
-		t.Errorf("Send of a canonical %d-byte zone list allocates %v times, want 0", len(frame), n)
+	toBinary := toBinaryPeer(NewConn(byteConn{w: io.Discard}))
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := toBinary.Send(list); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Send of a %d-byte binary zone list allocates %v times, want 0", len(frame), n)
 	}
-	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 4 {
-		t.Errorf("Recv of a canonical zone list allocates %v times, want at most 4: the reply, one slice, the records' network and metric", n)
+	if n := testing.AllocsPerRun(runs, recvOf(frame)); n > 2 {
+		t.Errorf("Recv of a binary zone list allocates %v times, want at most 2: the reply and one slice", n)
 	}
-	slice = allocSize(600 * int(unsafe.Sizeof(core.Record{})))
+	slice = allocSize(1400 * int(unsafe.Sizeof(core.Record{})))
 	if b := bytesPerOp(runs, recvOf(frame)); b > slice+1024 {
-		t.Errorf("Recv of a canonical %d-byte zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
+		t.Errorf("Recv of a %d-byte binary zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
 	}
 
 	list = zoneListOf(100)
-	for i := range list.ZoneListReply.Records {
-		list.ZoneListReply.Records[i].Key.Net = "Net<B>"
-	}
 	frame = encodeFrames(t, list)
 	if len(frame) >= connBufBytes {
 		t.Fatalf("the zone list frame is %d bytes; it must fit the %d-byte read buffer", len(frame), connBufBytes)
@@ -330,8 +339,10 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 
 // TestSendReservesByForm: Send reserves a frame's buffer by the form it
 // writes, so the longest binary report — a line of about 2.7 MB — costs one
-// buffer of about its own size, not the 24 MB a JSON-sized reserve took, and
-// a binary small frame stays inside the pooled buffer a JSON one would.
+// buffer of about its own size, not the 24 MB a JSON-sized reserve took; a
+// binary small frame stays inside the pooled buffer a JSON one would; and a
+// zone list of the benchmark's 512 records fits what is reserved for it in
+// either form, so its buffer is not regrown on the way.
 func TestSendReservesByForm(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector bytes.Buffer.Grow allocates its new buffer twice")
@@ -349,10 +360,21 @@ func TestSendReservesByForm(t *testing.T) {
 	}); b >= 2*len(line) {
 		t.Errorf("Send of a %d-byte binary report line allocates %d B/op, want under twice the line", len(line), b)
 	}
-	for _, e := range []Envelope{smallFrames()[0], smallFrames()[1], smallFrames()[2]} {
-		binaryHint, jsonHint := frameSizeHint(&e, true), frameSizeHint(&e, false)
+	for _, e := range append(smallFrames(), replyFrames()...) {
+		binaryHint, jsonHint := frameSizeHint(&e, codecOf(e.Type)), frameSizeHint(&e, nil)
 		if n := len(encodeBinaryFrames(t, e)); n > binaryHint || binaryHint > jsonHint {
 			t.Errorf("a %s: a %d-byte binary line reserved %d bytes, JSON %d", e.Type, n, binaryHint, jsonHint)
+		}
+	}
+	list := zoneListOf(512)
+	list.Via = &Via{Gateway: "gw-1", Shard: "madison"}
+	for name, frame := range map[string][]byte{"binary": encodeBinaryFrames(t, list), "JSON": encodeFrames(t, list)} {
+		row := codecOf(TypeZoneListReply)
+		if name == "JSON" {
+			row = nil
+		}
+		if hint := frameSizeHint(&list, row); len(frame) > hint {
+			t.Errorf("a 512-record zone list as %s: a %d-byte frame, %d bytes reserved", name, len(frame), hint)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func fuzzConn(data []byte) *Conn {
 	return &Conn{br: bufio.NewReaderSize(bytes.NewReader(data), connBufBytes)}
 }
 
-// FuzzDecode throws arbitrary byte streams at the JSON-line decoder. The
+// FuzzDecode throws arbitrary byte streams at the line decoder. The
 // invariants: Recv never panics, a nil-error result always carries a
 // non-empty message type, truncated/garbage/oversized input surfaces as an
 // error — ErrMessageTooLarge only for a line over MaxMessageBytes or a sample
@@ -80,9 +80,10 @@ func FuzzDecode(f *testing.F) {
 	relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
 	f.Add(slices.Concat(encodeFrames(f, benchReport(3)), short, encodeFrames(f, relayed), long, encodeFrames(f, benchReport(1))))
 	f.Add(slices.Concat(jsonFrame(f, benchReport(3)), short, jsonFrame(f, relayed), long, jsonFrame(f, benchReport(1))))
-	// A client's round trip in binary lines, direct and relayed, between
-	// frames that overwrite the buffer they were read from.
-	for _, e := range smallFrames()[:3] {
+	// A client's round trip and queries in binary lines, one of each lead,
+	// direct and relayed, between frames that overwrite the buffer they were
+	// read from.
+	for _, e := range append(smallFrames(), replyFrames()...) {
 		relayed := e
 		relayed.Via = &Via{Gateway: "gw", Shard: "madison"}
 		f.Add(slices.Concat(encodeBinaryFrames(f, e), short, encodeBinaryFrames(f, relayed), long))

@@ -11,12 +11,10 @@ type Metrics struct {
 	messagesDecoded  *telemetry.Counter
 	bytesDecoded     *telemetry.Counter
 	oversizedRejects *telemetry.Counter
-	// decodeFallbacks counts, by frame type, the frames of a kind Recv
-	// parses as JSON itself (handSpelled) that it left to encoding/json
-	// because they were not in the canonical spelling it parses directly: a
-	// peer that writes JSON another way pays the slower decode, it does not
-	// fail. Its four types: zone_list_reply, estimate_reply,
-	// estimate_request, zone_list_request.
+	// decodeFallbacks counts, by frame type, the frames of a type with a
+	// binary line that arrived as JSON although the line carries them: a
+	// peer that types JSON, or one not yet upgraded to the line, which pays
+	// the slower decode and does not fail. Its eight types are handCodecs'.
 	decodeFallbacks map[MsgType]*telemetry.Counter
 }
 
@@ -37,12 +35,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Messages dropped for exceeding MaxMessageBytes (either direction).").With(),
 	}
 	decodeFallbacks := reg.Counter("wiscape_wire_decode_fallbacks_total",
-		"Hand-spelled frame kinds decoded by encoding/json instead of the canonical-form parser, by type.", "type")
+		"Frames of a type with a binary line that arrived as JSON although the line carries them, by type.", "type")
 	m.decodeFallbacks = make(map[MsgType]*telemetry.Counter)
 	for _, h := range handCodecs {
-		if h.parseJSON != nil {
-			m.decodeFallbacks[h.typ] = decodeFallbacks.With(string(h.typ))
-		}
+		m.decodeFallbacks[h.typ] = decodeFallbacks.With(string(h.typ))
 	}
 	return m
 }

@@ -7,10 +7,11 @@
 // each, with an explicit per-line size cap so a misbehaving peer cannot
 // exhaust server memory. Every envelope is a JSON line, which favours
 // debuggability (every message is a greppable line, typed by hand in a
-// drill), except the four a client pays for on every round — its zone
-// report, the task list that answers it, its sample report and the ack: each
-// goes as one binary line to a peer that reads it, and JSON stays its
-// specification and a spelling Recv still reads. A line's first byte says
+// drill), except the eight a client pays for: the four of its round trip —
+// its zone report, the task list that answers it, its sample report and the
+// ack — and the four of a query — an estimate or zone-list request and its
+// reply. Each goes as one binary line to a peer that reads it, and JSON stays
+// its specification and a spelling Recv still reads. A line's first byte says
 // which it is.
 //
 // The package also holds the one serving skeleton every endpoint runs on:
@@ -28,7 +29,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,18 +368,18 @@ func (c *Conn) Send(e Envelope) error {
 		return ErrMessageTooLarge
 	}
 	h := codecOf(e.Type)
-	toBinary := h != nil && h.lead != 0 && h.holds(e) && (!h.reply || c.peerReadsBinary.Load())
+	if h != nil && (!h.holds(e) || h.reply && !c.peerReadsBinary.Load()) {
+		h = nil // JSON
+	}
 	buf := frameBufs.Get().(*bytes.Buffer)
 	defer putFrameBuf(buf)
-	buf.Grow(frameSizeHint(&e, toBinary))
-	if toBinary {
+	buf.Grow(frameSizeHint(&e, h))
+	if h != nil {
 		frame, err := appendBinaryLine(buf.AvailableBuffer(), h, &e)
 		if err != nil {
 			return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 		}
 		buf.Write(frame) // in place when the buffer had the room
-	} else if frame, ok := appendHandSpelled(buf.AvailableBuffer(), h, &e); ok {
-		buf.Write(frame)
 	} else if err := encodeJSON(buf, e); err != nil {
 		return fmt.Errorf("wire: encoding %s: %w", e.Type, err)
 	}
@@ -400,7 +400,7 @@ func (c *Conn) Send(e Envelope) error {
 
 // encodeJSON writes exactly json.Marshal's bytes plus the frame's '\n'. The
 // envelope escapes into the encoder here, in a copy, so that a frame Send
-// spells itself does not pay for one on the heap.
+// writes as a binary line does not pay for one on the heap.
 func encodeJSON(buf *bytes.Buffer, e Envelope) error {
 	return json.NewEncoder(buf).Encode(&e)
 }
@@ -436,14 +436,14 @@ func (c *Conn) recv(dst *requestStore) (Envelope, error) {
 
 // decode decodes one line, binary or JSON as its first byte says. The line
 // may alias the read buffer or a pooled one. The envelope must not: the
-// binary and the canonical parsers copy every string they keep (or share one
-// they already copied), encoding/json copies every string and []byte it
-// decodes (Samples, the one custom unmarshaler, hands it its bytes), and no
-// envelope type has a json.RawMessage field; one added later must copy. A
-// binary sample or zone report and the via of a binary line decode into dst
-// when it is not nil, and then share its slices with the request before;
-// every string is still a copy, if perhaps one the request before made. The
-// times a binary line carries decode in UTC either way.
+// binary parsers copy every string they keep (or share one they already
+// copied), encoding/json copies every string and []byte it decodes (Samples,
+// the one custom unmarshaler, hands it its bytes), and no envelope type has a
+// json.RawMessage field; one added later must copy. A binary sample or zone
+// report and the via of a binary line decode into dst when it is not nil, and
+// then share its slices with the request before; every string is still a
+// copy, if perhaps one the request before made. Every time decodes in UTC
+// either way: a binary line carries it so, and the JSON branch moves it.
 func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 	if len(line) > 0 {
 		if h := codecByLead(line[0]); h != nil {
@@ -454,18 +454,12 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 			return e, err
 		}
 	}
-	if e, ok := parseHandSpelled(line); ok {
-		return e, nil
-	}
 	var e Envelope // escapes into the decoder: declared past the path that does not need it
 	if err := json.Unmarshal(line, &e); err != nil {
 		return e, fmt.Errorf("wire: decoding message: %w", err)
 	}
 	if e.Type == "" {
 		return e, errors.New("wire: message missing type")
-	}
-	if handSpelled(&e) {
-		c.m.decodeFallbacks[e.Type].Inc()
 	}
 	if r := e.SampleReport; r != nil {
 		for i := range r.Samples {
@@ -475,13 +469,38 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 	if e.ZoneReport != nil {
 		e.ZoneReport.At = e.ZoneReport.At.UTC()
 	}
+	if e.EstimateReply != nil {
+		e.EstimateReply.Record.UpdatedAt = e.EstimateReply.Record.UpdatedAt.UTC()
+	}
+	if r := e.ZoneListReply; r != nil {
+		for i := range r.Records {
+			r.Records[i].UpdatedAt = r.Records[i].UpdatedAt.UTC()
+		}
+	}
+	if h := codecOf(e.Type); h != nil && lineCarries(h, &e) {
+		c.m.decodeFallbacks[e.Type].Inc()
+	}
 	return e, nil
 }
 
-// Four frames have a second spelling, one binary line: the sample report,
-// which carries nearly every byte a client pays for, and the rest of a
-// client's round trip — its zone report, the task list that answers it, and
-// a sample report's ack.
+// lineCarries reports whether h's binary line carries e: whether e, which
+// arrived as JSON, could have come as a line.
+func lineCarries(h *handCodec, e *Envelope) bool {
+	if !h.holds(*e) {
+		return false
+	}
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer putFrameBuf(buf)
+	buf.Grow(frameSizeHint(e, h))
+	_, err := h.appendBinary(buf.AvailableBuffer(), *e)
+	return err == nil
+}
+
+// Eight frames have a second spelling, one binary line: the sample report,
+// which carries nearly every byte an agent pays for, the rest of a client's
+// round trip — its zone report, the task list that answers it, and a sample
+// report's ack — and the read plane's four — an estimate or zone-list request
+// and its reply.
 //
 //	line    = lead · stuffed( via · payload ) · '\n'
 //	via     = 0 | 1 · gateway · shard
@@ -491,12 +510,18 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 //	        | count · { network · metric · udp_packets · udp_size_bytes
 //	          · tcp_bytes }                                            lead 0xB5, task_list
 //	        | accepted                                                 lead 0xB6, sample_ack
+//	        | zone.x · zone.y · network · metric · flags               lead 0xB7, estimate_request
+//	        | found · record                                           lead 0xB8, estimate_reply
+//	        | network · metric                                         lead 0xB9, zone_list_request
+//	        | count · { record }                                       lead 0xBA, zone_list_reply
+//	record  = core.AppendRecordBinary's record
 //
 // A string is trace.AppendStringBinary's, a float trace.AppendFloatBinary's,
 // a time trace.AppendTimeBinary's and the stuffing trace.Stuff's, so a string
-// and a time are written as JSON carries them; a zone
-// coordinate is a zig-zag varint, a task's sizes and an ack's count are
-// uvarints, and a network or metric is trace.AppendName's index into
+// and a time are written as JSON carries them; a zone coordinate is a zig-zag
+// varint, a task's sizes and an ack's count are uvarints, found is 0 or 1, an
+// estimate request's flags a uvarint whose bit 0 is with_sketch, and a
+// network or metric is trace.AppendName's index into
 // radio.AllNetworks or trace.AllMetrics (0 and the name for one the tree does
 // not define). A list's count is its length plus one, 0 standing for a nil
 // list, which JSON spells null. (0xB3 is the WAL's report line.)
@@ -504,29 +529,35 @@ func (c *Conn) decode(line []byte, dst *requestStore) (Envelope, error) {
 // A JSON line opens with '{' and no UTF-8 text opens with a byte of 0x80 or
 // more, so Recv tells the forms apart by the first byte, with no negotiation,
 // and reads JSON from any peer as before. JSON stays the specification: Recv
-// of a binary line is what json.Unmarshal makes of the JSON frame, and the
-// binary parsers are canonical and fail closed: each accepts only a line the
-// encoder writes, and a line it refuses is a decode error, since
-// encoding/json cannot read it either (the TestBinary*Layout tests,
+// of a binary line is what json.Unmarshal makes of the JSON frame, times in
+// UTC, and the binary parsers are canonical and fail closed: each accepts
+// only a line the encoder writes, and a line it refuses is a decode error,
+// since encoding/json cannot read it either (the TestBinary*Layout tests,
 // TestSendBytesMatchJSON, TestSmallSendBytesMatchJSON,
 // FuzzBinarySampleReportDecode, FuzzReplyDecodeMatchesJSON). Send writes the
-// binary line for every frame of the four that holds its payload alone (and a
-// sample report at least one sample) to a peer that reads it, and refuses
-// one holding a value no line carries: what JSON refuses too (NaN, ±Inf, a
-// time outside years 0–9999, see trace.ErrNoJSONForm), and a negative task
-// size or ack count, which no server writes.
+// binary line for every frame of the eight that holds its payload alone (a
+// sample report at least one sample, an estimate reply no sketch) to a peer
+// that reads it, and refuses one holding a value no line carries: what JSON
+// refuses too (NaN, ±Inf, a time outside years 0–9999, see
+// trace.ErrNoJSONForm), and a negative task size, ack count or record sample
+// count, which no server writes. An estimate reply with a sketch — the
+// shards' answer to a gateway that may merge — stays encoding/json's.
 //
-// A request — a sample or zone report — goes binary to any peer. A reply goes
-// binary only to a peer that has sent a binary zone report, task list or ack
-// on the connection, which proves it reads them: a client typing JSON, or one
-// built before the small frames had binary lines, gets JSON replies. A binary
-// sample report proves nothing, since clients sent those before they read
-// binary replies.
+// A request — a sample or zone report, an estimate or zone-list request —
+// goes binary to any peer. A reply goes binary only to a peer that has sent a
+// binary zone report, task list, ack or query on the connection, which proves
+// it reads them: a client typing JSON, or one built before its frames had
+// binary lines, gets JSON replies. A binary sample report proves nothing,
+// since clients sent those before they read binary replies.
 const (
-	binaryReportLead     = 0xB2
-	binaryZoneReportLead = 0xB4
-	binaryTaskListLead   = 0xB5
-	binarySampleAckLead  = 0xB6
+	binaryReportLead          = 0xB2
+	binaryZoneReportLead      = 0xB4
+	binaryTaskListLead        = 0xB5
+	binarySampleAckLead       = 0xB6
+	binaryEstimateRequestLead = 0xB7
+	binaryEstimateReplyLead   = 0xB8
+	binaryZoneListRequestLead = 0xB9
+	binaryZoneListReplyLead   = 0xBA
 )
 
 // maxReportSamples caps a report's samples either way: one for each 89 bytes
@@ -534,11 +565,15 @@ const (
 const maxReportSamples = MaxMessageBytes / 89 // 94,254
 
 // The fewest bytes a list item takes in a binary line: a network is an index,
-// a task two indexes and three sizes.
+// a task two indexes and three sizes (a record's is core.MinRecordBinary).
 const (
 	minNetworkBinary = 1
 	minTaskBinary    = 5
 )
+
+// estimateWithSketch is an estimate request's with_sketch flag, the one bit
+// of its flags a line may set.
+const estimateWithSketch = 1 << 0
 
 var (
 	errBinaryLine = errors.New("wire: decoding message: malformed binary line")
@@ -727,7 +762,7 @@ func readNetworkBinary(r trace.BinReader) (radio.NetworkID, trace.BinReader) {
 
 // appendTaskBinary appends t, whose sizes are not negative.
 func appendTaskBinary(b []byte, t Task) []byte {
-	b = trace.AppendName(trace.AppendName(b, t.Network, radio.AllNetworks), t.Metric, trace.AllMetrics)
+	b = appendNamesBinary(b, t.Network, t.Metric)
 	for _, v := range [...]int{t.UDPPackets, t.UDPSizeBytes, t.TCPBytes} {
 		b = binary.AppendUvarint(b, uint64(v))
 	}
@@ -735,7 +770,8 @@ func appendTaskBinary(b []byte, t Task) []byte {
 }
 
 func readTaskBinary(r trace.BinReader) (Task, trace.BinReader) {
-	t := Task{Network: trace.ReadName(&r, radio.AllNetworks, ""), Metric: trace.ReadName(&r, trace.AllMetrics, "")}
+	var t Task
+	t.Network, t.Metric = readNamesBinary(&r)
 	t.UDPPackets, t.UDPSizeBytes, t.TCPBytes = readIntBinary(&r), readIntBinary(&r), readIntBinary(&r)
 	return t, r
 }
@@ -750,56 +786,40 @@ func readIntBinary(r *trace.BinReader) int {
 	return int(v)
 }
 
-// readInt32Binary reads a zig-zag varint that fits an int32.
-func readInt32Binary(r *trace.BinReader) int32 {
-	v := r.Varint()
-	if v != int64(int32(v)) {
-		r.Bad = true
-		return 0
-	}
-	return int32(v)
+// appendZoneBinary appends a zone's coordinates, each a zig-zag varint.
+func appendZoneBinary(b []byte, z geo.ZoneID) []byte {
+	return binary.AppendVarint(binary.AppendVarint(b, int64(z.X)), int64(z.Y))
 }
 
-// Eight frames are spelled by one row each of handCodecs: the four a
-// client's round trip takes, as binary lines (above), and four with a JSON
-// spelling of their own, hand-spelled because the read path moves little
-// else — a query (an estimate or zone-list request) and its reply, a zone
-// list or an estimate without a sketch. The round trip's JSON, which only a
-// peer that types it or predates its binary lines sends or reads, is
-// encoding/json's both ways. Records go through core's record codec; the rest
-// is spelled here with trace's Canon readers and JSON writers. All of it is
-// held to encoding/json, which still does everything else: appendHandSpelled
-// writes exactly what the encoder would and leaves what it would refuse to
-// it, and parseHandSpelled reads only a frame in that canonical spelling, to
-// what json.Unmarshal would have made of it, and declines any other, which
-// json.Unmarshal then decodes as it always has (the *MatchesJSON tests and
-// fuzzers).
-//
-//	frame   = `{"type":"` T `",` [ via `,` ] `"` T `":` payload `}`
-//	via     = `"via":{"gateway":` string [ `,"shard":` nonempty-string ] `}`
-//	payload = `{"records":` ( `null` | `[]` | `[` record { `,` record } `]` ) `}` T = zone_list_reply
-//	        | `{"found":` ( `true` | `false` ) `,"record":` record `}`         T = estimate_reply
-//	        | `{"zone":` zone `,"network":` string `,"metric":` string
-//	          [ `,"with_sketch":true` ] `}`                                     T = estimate_request
-//	        | `{"network":` string `,"metric":` string `}`                       T = zone_list_request
-//	zone    = `{"x":` int `,"y":` int `}`
+func readZoneBinary(r *trace.BinReader) geo.ZoneID {
+	return geo.ZoneID{X: r.Int32(), Y: r.Int32()}
+}
 
-// A handCodec spells one frame type: its payload as JSON, less its closing
-// brace, which appendHandSpelled and parseHandSpelled write and read with the
-// rest of the frame, and as the payload of a binary line. A nil function
-// leaves that spelling to encoding/json, or the type without a binary line.
-// Its functions take envelopes and cursors by value: they are called through
-// the table, and a pointer given to an indirect call escapes, which would
-// cost Send or Recv an allocation a frame.
+// appendNamesBinary appends a network and a metric, as a task, a query and a
+// record name them.
+func appendNamesBinary(b []byte, n radio.NetworkID, m trace.Metric) []byte {
+	return trace.AppendName(trace.AppendName(b, n, radio.AllNetworks), m, trace.AllMetrics)
+}
+
+func readNamesBinary(r *trace.BinReader) (radio.NetworkID, trace.Metric) {
+	return trace.ReadName(r, radio.AllNetworks, ""), trace.ReadName(r, trace.AllMetrics, "")
+}
+
+// Every binary line is spelled by one row of handCodecs, an entry a type: its
+// lead, which peers it goes to, and its payload's appender and parser. JSON
+// is encoding/json's both ways, for every frame: one of the eight a peer that
+// types JSON, or one built before the frame had a binary line, sends or is
+// sent, and the twelve other types.
+
+// A handCodec spells one frame type's binary line. Its functions take
+// envelopes and cursors by value: they are called through the table, and a
+// pointer given to an indirect call escapes, which would cost Send or Recv an
+// allocation a frame.
 type handCodec struct {
 	typ MsgType
-	// holds: e's payload is set, in the shape the codec spells, and nothing
+	// holds: e's payload is set, in the shape the line spells, and nothing
 	// else is, Via aside.
 	holds func(e Envelope) bool
-	// appendJSON's error is for a value encoding/json refuses too.
-	appendJSON func(b []byte, e Envelope) ([]byte, error)
-	// parseJSON returns an envelope holding only the payload.
-	parseJSON func(c trace.Canon) (Envelope, trace.Canon)
 
 	// lead opens the type's binary line.
 	lead byte
@@ -807,6 +827,9 @@ type handCodec struct {
 	reply bool
 	// marksPeer: a peer that sends the line reads every binary reply.
 	marksPeer bool
+	// itemBytes is what Send reserves for each sample, task or record of a
+	// line's payload (see frameSizeHint).
+	itemBytes int
 	// appendBinary refuses a payload holding a value no line carries.
 	appendBinary func(b []byte, e Envelope) ([]byte, error)
 	// parseBinary reads a whole payload into an envelope holding only it,
@@ -824,38 +847,29 @@ func only(e, p Envelope) bool {
 	return e == p
 }
 
-// handCodecs is the one list of the frames Send spells and Recv parses, an
-// entry a type. parseHandSpelled takes the first type a frame opens with, so
-// none with a JSON parser may be a prefix of another.
+// handCodecs is the one list of the frames with a binary line, an entry a
+// type, the busiest first.
 var handCodecs = [...]handCodec{{
-	typ:   TypeZoneListReply,
-	holds: func(e Envelope) bool { return only(e, Envelope{ZoneListReply: e.ZoneListReply}) },
-	appendJSON: func(b []byte, e Envelope) ([]byte, error) {
-		return core.AppendRecordsJSON(append(b, `{"records":`...), e.ZoneListReply.Records)
-	},
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		c.Lit(`{"records":`)
-		r := &ZoneListReply{Records: core.ParseRecordsJSON(&c)}
-		return Envelope{ZoneListReply: r}, c
-	},
-}, {
-	typ: TypeEstimateReply,
+	// A report with no samples is encoding/json's both ways: the binary form
+	// does not spell it.
+	typ: TypeSampleReport,
 	holds: func(e Envelope) bool {
-		return only(e, Envelope{EstimateReply: e.EstimateReply}) && len(e.EstimateReply.Sketch) == 0
+		return only(e, Envelope{SampleReport: e.SampleReport}) && len(e.SampleReport.Samples) > 0
 	},
-	appendJSON: func(b []byte, e Envelope) ([]byte, error) {
-		b = strconv.AppendBool(append(b, `{"found":`...), e.EstimateReply.Found)
-		return core.AppendRecordJSON(append(b, `,"record":`...), e.EstimateReply.Record)
+	lead:      binaryReportLead,
+	itemBytes: 32, // 11 when a sample's loc repeats the one before's, 29 when it does not
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		return trace.AppendReportBinary(b, e.SampleReport.ClientID, e.SampleReport.Samples)
 	},
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		r := &EstimateReply{}
-		c.Lit(`{"found":`)
-		if r.Found = c.TryLit("true"); !r.Found {
-			c.Lit("false")
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
+		clientID, samples, err := trace.ParseReportBinary(dst.sampleBuf(), b, maxReportSamples)
+		switch {
+		case errors.Is(err, trace.ErrTooManySamples):
+			return Envelope{}, ErrMessageTooLarge
+		case err != nil:
+			return Envelope{}, errBinaryLine
 		}
-		c.Lit(`,"record":`)
-		core.ParseRecordJSON(&c, &r.Record, &core.Record{})
-		return Envelope{EstimateReply: r}, c
+		return Envelope{SampleReport: dst.sampleReport(clientID, samples)}, nil
 	},
 }, {
 	typ:       TypeZoneReport,
@@ -864,8 +878,7 @@ var handCodecs = [...]handCodec{{
 	marksPeer: true,
 	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
 		r := e.ZoneReport
-		b = trace.AppendStringBinary(b, r.ClientID)
-		b = binary.AppendVarint(binary.AppendVarint(b, int64(r.Zone.X)), int64(r.Zone.Y))
+		b = appendZoneBinary(trace.AppendStringBinary(b, r.ClientID), r.Zone)
 		for _, f := range [...]float64{r.Loc.Lat, r.Loc.Lon, r.SpeedKmh} {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
 				return b, trace.ErrNoJSONForm
@@ -881,7 +894,7 @@ var handCodecs = [...]handCodec{{
 	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
 		client := r.Str()
-		zone := geo.ZoneID{X: readInt32Binary(&r), Y: readInt32Binary(&r)}
+		zone := readZoneBinary(&r)
 		loc := geo.Point{Lat: r.Float(), Lon: r.Float()}
 		speed, at := r.Float(), r.Time()
 		networks := readBinaryList(&r, dst.networkBuf(), minNetworkBinary, readNetworkBinary)
@@ -898,6 +911,7 @@ var handCodecs = [...]handCodec{{
 	lead:      binaryTaskListLead,
 	reply:     true,
 	marksPeer: true,
+	itemBytes: 32,
 	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
 		for _, t := range e.TaskList.Tasks {
 			if t.UDPPackets < 0 || t.UDPSizeBytes < 0 || t.TCPBytes < 0 {
@@ -935,56 +949,101 @@ var handCodecs = [...]handCodec{{
 		return Envelope{SampleAck: &SampleAck{Accepted: accepted}}, nil
 	},
 }, {
-	typ:   TypeEstimateRequest,
-	holds: func(e Envelope) bool { return only(e, Envelope{EstimateRequest: e.EstimateRequest}) },
-	appendJSON: func(b []byte, e Envelope) ([]byte, error) {
-		r := e.EstimateRequest
-		b = appendNetMetric(core.AppendZoneJSON(append(b, `{"zone":`...), r.Zone), ',', r.Network, r.Metric)
-		if r.WithSketch {
-			b = append(b, `,"with_sketch":true`...)
+	typ:       TypeEstimateRequest,
+	holds:     func(e Envelope) bool { return only(e, Envelope{EstimateRequest: e.EstimateRequest}) },
+	lead:      binaryEstimateRequestLead,
+	marksPeer: true,
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		q := e.EstimateRequest
+		var flags uint64
+		if q.WithSketch {
+			flags = estimateWithSketch
+		}
+		return binary.AppendUvarint(appendNamesBinary(appendZoneBinary(b, q.Zone), q.Network, q.Metric), flags), nil
+	},
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+		r := trace.BinReader{B: b}
+		q := &EstimateRequest{Zone: readZoneBinary(&r)}
+		q.Network, q.Metric = readNamesBinary(&r)
+		flags := r.Uvarint()
+		if r.Bad || len(r.B) != 0 || flags&^estimateWithSketch != 0 {
+			return Envelope{}, errBinaryLine
+		}
+		q.WithSketch = flags == estimateWithSketch
+		return Envelope{EstimateRequest: q}, nil
+	},
+}, {
+	// An estimate reply with a sketch is encoding/json's both ways: the
+	// sketch goes from a shard to the gateway that merges it, and no line
+	// spells it.
+	typ: TypeEstimateReply,
+	holds: func(e Envelope) bool {
+		return only(e, Envelope{EstimateReply: e.EstimateReply}) && len(e.EstimateReply.Sketch) == 0
+	},
+	lead:      binaryEstimateReplyLead,
+	reply:     true,
+	marksPeer: true,
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		var found byte
+		if e.EstimateReply.Found {
+			found = 1
+		}
+		return core.AppendRecordBinary(append(b, found), e.EstimateReply.Record)
+	},
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+		r := trace.BinReader{B: b}
+		found := r.Uvarint()
+		rec, r := core.ReadRecordBinary(r)
+		if r.Bad || len(r.B) != 0 || found > 1 {
+			return Envelope{}, errBinaryLine
+		}
+		return Envelope{EstimateReply: &EstimateReply{Found: found == 1, Record: rec}}, nil
+	},
+}, {
+	typ:       TypeZoneListRequest,
+	holds:     func(e Envelope) bool { return only(e, Envelope{ZoneListRequest: e.ZoneListRequest}) },
+	lead:      binaryZoneListRequestLead,
+	marksPeer: true,
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		return appendNamesBinary(b, e.ZoneListRequest.Network, e.ZoneListRequest.Metric), nil
+	},
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+		r := trace.BinReader{B: b}
+		q := &ZoneListRequest{}
+		q.Network, q.Metric = readNamesBinary(&r)
+		if r.Bad || len(r.B) != 0 {
+			return Envelope{}, errBinaryLine
+		}
+		return Envelope{ZoneListRequest: q}, nil
+	},
+}, {
+	typ:       TypeZoneListReply,
+	holds:     func(e Envelope) bool { return only(e, Envelope{ZoneListReply: e.ZoneListReply}) },
+	lead:      binaryZoneListReplyLead,
+	reply:     true,
+	marksPeer: true,
+	itemBytes: 64, // 54 for a record of the benchmark's
+	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
+		records := e.ZoneListReply.Records
+		if records == nil {
+			return append(b, 0), nil
+		}
+		b = binary.AppendUvarint(b, uint64(len(records))+1)
+		for _, rec := range records {
+			var err error
+			if b, err = core.AppendRecordBinary(b, rec); err != nil {
+				return b, err
+			}
 		}
 		return b, nil
 	},
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		r := &EstimateRequest{}
-		c.Lit(`{"zone":`)
-		r.Zone = core.ParseZoneJSON(&c)
-		r.Network, r.Metric = parseNetMetric(&c, ",")
-		r.WithSketch = c.TryLit(`,"with_sketch":true`)
-		return Envelope{EstimateRequest: r}, c
-	},
-}, {
-	typ:   TypeZoneListRequest,
-	holds: func(e Envelope) bool { return only(e, Envelope{ZoneListRequest: e.ZoneListRequest}) },
-	appendJSON: func(b []byte, e Envelope) ([]byte, error) {
-		return appendNetMetric(b, '{', e.ZoneListRequest.Network, e.ZoneListRequest.Metric), nil
-	},
-	parseJSON: func(c trace.Canon) (Envelope, trace.Canon) {
-		r := &ZoneListRequest{}
-		r.Network, r.Metric = parseNetMetric(&c, "{")
-		return Envelope{ZoneListRequest: r}, c
-	},
-}, {
-	// A sample report's JSON is encoding/json's both ways (Samples holds
-	// the ceiling there), and so is a report with no samples, which the
-	// binary form does not spell.
-	typ: TypeSampleReport,
-	holds: func(e Envelope) bool {
-		return only(e, Envelope{SampleReport: e.SampleReport}) && len(e.SampleReport.Samples) > 0
-	},
-	lead: binaryReportLead,
-	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
-		return trace.AppendReportBinary(b, e.SampleReport.ClientID, e.SampleReport.Samples)
-	},
-	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
-		clientID, samples, err := trace.ParseReportBinary(dst.sampleBuf(), b, maxReportSamples)
-		switch {
-		case errors.Is(err, trace.ErrTooManySamples):
-			return Envelope{}, ErrMessageTooLarge
-		case err != nil:
+	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+		r := trace.BinReader{B: b}
+		records := readBinaryList(&r, nil, core.MinRecordBinary, core.ReadRecordBinary)
+		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{SampleReport: dst.sampleReport(clientID, samples)}, nil
+		return Envelope{ZoneListReply: &ZoneListReply{Records: records}}, nil
 	},
 }}
 
@@ -1001,123 +1060,19 @@ func codecOf(typ MsgType) *handCodec {
 // codecByLead returns the row whose binary line opens with lead, or nil.
 func codecByLead(lead byte) *handCodec {
 	for i := range handCodecs {
-		if handCodecs[i].lead == lead && lead != 0 {
+		if handCodecs[i].lead == lead {
 			return &handCodecs[i]
 		}
 	}
 	return nil
 }
 
-// handSpelled reports whether e is a frame Recv parses as JSON itself. Recv
-// counts a decoded one that reached encoding/json as a fallback.
-func handSpelled(e *Envelope) bool {
-	h := codecOf(e.Type)
-	return h != nil && h.parseJSON != nil && h.holds(*e)
-}
-
-// appendHandSpelled appends e's frame, '\n' included, to b if h spells e's
-// JSON by hand and e holds no value encoding/json refuses.
-func appendHandSpelled(b []byte, h *handCodec, e *Envelope) ([]byte, bool) {
-	if h == nil || h.appendJSON == nil || !h.holds(*e) {
-		return b, false
-	}
-	b = append(append(append(b, `{"type":"`...), e.Type...), `",`...)
-	if e.Via != nil {
-		b = trace.AppendStringJSON(append(b, `"via":{"gateway":`...), e.Via.Gateway)
-		if e.Via.Shard != "" {
-			b = trace.AppendStringJSON(append(b, `,"shard":`...), e.Via.Shard)
-		}
-		b = append(b, "},"...)
-	}
-	b, err := h.appendJSON(append(append(append(b, '"'), e.Type...), `":`...), *e)
-	if err != nil {
-		return b, false // encoding/json refuses it too, and says why
-	}
-	return append(b, "}}\n"...), true
-}
-
-// parseHandSpelled decodes line if it is a hand-spelled frame in canonical
-// form.
-func parseHandSpelled(line []byte) (Envelope, bool) {
-	c := trace.Canon{B: line}
-	c.Lit(`{"type":"`)
-	var h *handCodec
-	for i := range handCodecs {
-		if handCodecs[i].parseJSON != nil && c.TryLit(string(handCodecs[i].typ)) {
-			h = &handCodecs[i]
-			break
-		}
-	}
-	c.Lit(`",`)
-	var via *Via
-	if c.TryLit(`"via":{"gateway":`) {
-		via = &Via{Gateway: c.String("")}
-		if c.TryLit(`,"shard":`) {
-			if via.Shard = c.String(""); via.Shard == "" {
-				return Envelope{}, false // omitempty never writes it
-			}
-		}
-		c.Lit("},")
-	}
-	if c.Lit(`"`); c.Declined || h == nil {
-		return Envelope{}, false
-	}
-	c.Lit(string(h.typ))
-	c.Lit(`":`)
-	e, c := h.parseJSON(c) // past a mismatch it reads nothing, only allocates the payload
-	if c.Lit("}}"); c.Declined || len(c.B) != 0 {
-		return Envelope{}, false
-	}
-	e.Type, e.Via = h.typ, via
-	return e, true
-}
-
-// appendNetMetric appends the `"network":…,"metric":…` pair a request holds,
-// after the byte before it.
-func appendNetMetric(b []byte, before byte, n radio.NetworkID, m trace.Metric) []byte {
-	b = trace.AppendStringJSON(append(append(b, before), `"network":`...), string(n))
-	return trace.AppendStringJSON(append(b, `,"metric":`...), string(m))
-}
-
-func parseNetMetric(c *trace.Canon, before string) (radio.NetworkID, trace.Metric) {
-	c.Lit(before)
-	c.Lit(`"network":`)
-	n := radio.NetworkID(parseName(c))
-	c.Lit(`,"metric":`)
-	return n, trace.Metric(parseName(c))
-}
-
-// knownNames are the network and metric names this tree defines.
-var knownNames = map[string]string{}
-
-func init() {
-	for _, n := range radio.AllNetworks {
-		knownNames[string(n)] = string(n)
-	}
-	for _, m := range trace.AllMetrics {
-		knownNames[string(m)] = string(m)
-	}
-}
-
-// parseName reads a network or metric name off c. One this tree defines
-// comes back as its constant's string, not a copy.
-func parseName(c *trace.Canon) string {
-	like := ""
-	if len(c.B) > 0 {
-		if n := bytes.IndexByte(c.B[1:], '"'); n >= 0 {
-			like = knownNames[string(c.B[1:n+1])]
-		}
-	}
-	return c.String(like)
-}
-
 // frameSizeHint is about what e's frame takes, counting the samples, records
 // or tasks it carries: as JSON, 256 bytes each and as much again for the
-// rest; as a binary line, 32 bytes each (a report's sample takes 11 when its
-// loc repeats the one before's, 29 when it does not) and 64 for the rest.
-// Send reserves it before encoding, so a long frame does not regrow its
-// buffer on the way.
-func frameSizeHint(e *Envelope, toBinary bool) int {
+// rest; as row's binary line, if row is not nil, its itemBytes each and 64
+// for the rest. Send reserves it before encoding, so a long frame does not
+// regrow its buffer on the way.
+func frameSizeHint(e *Envelope, row *handCodec) int {
 	items := 0
 	switch {
 	case e.SampleReport != nil:
@@ -1127,8 +1082,8 @@ func frameSizeHint(e *Envelope, toBinary bool) int {
 	case e.TaskList != nil:
 		items = len(e.TaskList.Tasks)
 	}
-	if toBinary {
-		return 64 + 32*items
+	if row != nil {
+		return 64 + row.itemBytes*items
 	}
 	return 256 * (1 + items)
 }

@@ -1,6 +1,8 @@
 # WiScape build/test entry points. `make ci` is what every change must
-# pass: vet + wiscape-lint + build + the full test suite under the race
-# detector (the store/coordinator shutdown paths are race-sensitive).
+# pass: vet + wiscape-lint + build + the full test suite twice, once plain
+# (the allocation guards, which skip themselves or drop their count under
+# the race detector, run only here) and once under the race detector (the
+# store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
 .PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
@@ -44,7 +46,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-ci: vet lint build race
+ci: vet lint build test race
 
 # Short-burst coverage-guided fuzzing, 30 s a fuzzer:
 #   FuzzDecode: any wire byte stream, JSON and binary lines (seeded with one of each lead); no panic, each envelope a decode of its own line.

@@ -196,15 +196,22 @@ func (a *Agent) runOnce(addr string, cursor, end time.Time, interval time.Durati
 }
 
 // RunConn is Run over an existing wire connection (used with net.Pipe in
-// tests).
+// tests). Each round trip is bounded by queryTimeout: a server that accepts
+// and never answers has conn closed under the agent, and the run ends with
+// context.DeadlineExceeded instead of hanging.
 func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval time.Duration) (Stats, error) {
+	return a.runConn(conn, start, duration, interval, queryTimeout)
+}
+
+// runConn is RunConn with each round trip bounded by timeout.
+func (a *Agent) runConn(conn *wire.Conn, start time.Time, duration, interval, timeout time.Duration) (Stats, error) {
 	var st Stats
 	if interval <= 0 {
 		return st, fmt.Errorf("agent %s: non-positive interval", a.ID)
 	}
 	m := a.Telemetry.orNoop()
 
-	if _, err := a.call(conn, m, "hello", wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
+	if _, err := a.call(conn, m, timeout, "hello", wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{
 		ClientID:    a.ID,
 		DeviceClass: a.DeviceClass,
 	}}, wire.TypeHelloAck); err != nil {
@@ -226,7 +233,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 			continue
 		}
 		st.Rounds++
-		reply, err := a.call(conn, m, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		reply, err := a.call(conn, m, timeout, "zone report", wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: a.ID,
 			Loc:      pose.Loc,
 			SpeedKmh: pose.SpeedKmh,
@@ -249,7 +256,7 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 		if len(samples) == 0 {
 			continue
 		}
-		ack, err := a.call(conn, m, "sample report", wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+		ack, err := a.call(conn, m, timeout, "sample report", wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
 			ClientID: a.ID,
 			Samples:  samples,
 		}}, wire.TypeSampleAck)
@@ -262,12 +269,13 @@ func (a *Agent) RunConn(conn *wire.Conn, start time.Time, duration, interval tim
 	return st, nil
 }
 
-// call makes one protocol round trip that must yield a want reply, counting
-// a failure in m and naming the step in the error: "<step>: ..." when the
-// transport failed, "unexpected <step> reply: ..." when the server answered
-// with anything else.
-func (a *Agent) call(conn *wire.Conn, m *Metrics, step string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
-	reply, err := conn.Call(req, want)
+// call makes one protocol round trip, bounded by timeout (see callWithin),
+// that must yield a want reply, counting a failure in m and naming the step
+// in the error: "<step>: ..." when the transport failed or the bound ran
+// out, "unexpected <step> reply: ..." when the server answered with anything
+// else. The reply is Call's: valid until the next call on conn.
+func (a *Agent) call(conn *wire.Conn, m *Metrics, timeout time.Duration, step string, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
+	reply, err := callWithin(conn, req, want, timeout)
 	if err == nil {
 		return reply, nil
 	}
@@ -336,18 +344,18 @@ func orDefault(v, d int) int {
 	return v
 }
 
-// A query's dial and its round trip are bounded, so a server that accepts
-// and never answers fails the query instead of hanging its caller: as long
-// as swarm's dial and the gateway's default request timeout.
+// A query's dial and its round trip, and each round trip of a running
+// agent, are bounded, so a server that accepts and never answers fails the
+// caller instead of hanging it: as long as swarm's dial and the gateway's
+// default request timeout.
 const (
 	queryDialTimeout = 5 * time.Second
 	queryTimeout     = 10 * time.Second
 )
 
 // queryOnce makes one application-side query over a fresh connection, its
-// dial bounded by dialTimeout and its round trip by timeout: a round trip
-// that outlasts it has its connection closed under it, and fails with
-// context.DeadlineExceeded.
+// dial bounded by dialTimeout and its round trip by timeout (see
+// callWithin).
 func queryOnce(addr string, req wire.Envelope, want wire.MsgType, dialTimeout, timeout time.Duration) (wire.Envelope, error) {
 	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
@@ -355,6 +363,14 @@ func queryOnce(addr string, req wire.Envelope, want wire.MsgType, dialTimeout, t
 	}
 	conn := wire.NewConn(nc)
 	defer conn.Close()
+	return callWithin(conn, req, want, timeout)
+}
+
+// callWithin makes one Call on conn bounded by timeout: a round trip that
+// outlasts it has conn closed under it, and fails with
+// context.DeadlineExceeded. The bound is a context's, not a deadline on
+// conn, so the agent reads no clock of its own.
+func callWithin(conn *wire.Conn, req wire.Envelope, want wire.MsgType, timeout time.Duration) (wire.Envelope, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	defer context.AfterFunc(ctx, func() { _ = conn.Close() })()

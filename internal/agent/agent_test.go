@@ -318,3 +318,46 @@ func TestQueryOnceGivesUpOnASilentServer(t *testing.T) {
 		t.Fatalf("the query gave up after %v, want about %v", took, bound)
 	}
 }
+
+// TestRunConnGivesUpOnASilentServer: a coordinator that accepts the agent's
+// connection and never answers ends the run once a round trip's bound runs
+// out, counted as a failure; it does not freeze the agent.
+func TestRunConnGivesUpOnASilentServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c // held open, never answered
+		}
+	}()
+	defer func() {
+		if c := <-accepted; c != nil {
+			_ = c.Close()
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := wire.NewConn(nc)
+	defer conn.Close()
+	a := testAgent()
+	reg := telemetry.NewRegistry()
+	a.Telemetry = NewMetrics(reg)
+	const bound = 100 * time.Millisecond
+	began := time.Now()
+	st, err := a.runConn(conn, start, time.Hour, 5*time.Minute, bound)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "hello") {
+		t.Fatalf("err = %v, want the hello's context.DeadlineExceeded", err)
+	}
+	if took := time.Since(began); took > 10*bound {
+		t.Fatalf("the agent gave up after %v, want about %v", took, bound)
+	}
+	if st.Rounds != 0 || a.Telemetry.reportFailures.Value() != 1 {
+		t.Fatalf("stats %+v and %v failures counted, want no round and one failure", st, a.Telemetry.reportFailures.Value())
+	}
+}

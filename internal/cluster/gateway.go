@@ -304,10 +304,20 @@ func (g *Gateway) Close() error {
 // address, not shard name, so a promotion that rewrites the route table
 // invalidates the cache naturally: the next forward resolves the shard's
 // new active address, misses, and dials the new primary.
+//
+// via and report are the storage of what the session forwards: the via
+// forward stamps on a request and the report routeSamples hands it. Each
+// forward overwrites them, which holds because a forward is done with its
+// request when it returns and the session forwards one at a time. ack is the
+// storage of routeSamples' reply, which ServeConn sends before the session's
+// next request.
 type session struct {
 	hello    *wire.Hello
 	upstream map[string]*wire.Conn
 	r        *rng.Rand
+	via      wire.Via
+	report   wire.SampleReport
+	ack      wire.SampleAck
 }
 
 func (g *Gateway) newSession() *session {
@@ -442,10 +452,8 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	var lastErr error
 	for _, gr := range groups {
 		g.met.shard(gr.sh.Name()).routed.Inc()
-		up, err := g.forward(sess, gr.sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
-			ClientID: sr.ClientID,
-			Samples:  gr.smps,
-		}}, wire.TypeSampleAck)
+		sess.report = wire.SampleReport{ClientID: sr.ClientID, Samples: gr.smps}
+		up, err := g.forward(sess, gr.sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &sess.report}, wire.TypeSampleAck)
 		if err != nil {
 			lastErr = fmt.Errorf("shard %s: %w", gr.sh.Name(), err)
 			failed += len(gr.smps)
@@ -457,7 +465,8 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	if accepted == 0 && failed > 0 {
 		return wire.ErrorReply(fmt.Sprintf("all shards unavailable for report: %v", lastErr))
 	}
-	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}
+	sess.ack = wire.SampleAck{Accepted: accepted}
+	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &sess.ack}
 }
 
 // soleShard reports the one shard that owns every sample of smps, if there
@@ -645,7 +654,8 @@ func answered(err error) bool { return errors.As(err, new(*wire.ReplyError)) }
 // else (see answered) is alive: the breaker counts a success and the answer
 // comes back as the error.
 func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
-	req.Via = &wire.Via{Gateway: g.opts.Name, Shard: sh.Name()}
+	sess.via = wire.Via{Gateway: g.opts.Name, Shard: sh.Name()}
+	req.Via = &sess.via
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !sh.Healthy() {

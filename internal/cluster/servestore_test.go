@@ -193,6 +193,71 @@ func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 	})
 }
 
+// TestGatewayRelaysEachShardsReply: the gateway relays a shard's task list
+// and ack as its upstream Call decoded them, into that upstream connection's
+// storage, and sends each before the session's next forward. One agent
+// connection sends zone and sample reports that alternate between two shards,
+// one tasking only NetB and the other only NetA, each sample report of its
+// own size: every task list must name only its own shard's network, and every
+// ack its own report's count.
+func TestGatewayRelaysEachShardsReply(t *testing.T) {
+	boxes := map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()}
+	offers := map[string]radio.NetworkID{"madison": radio.NetB, "new-jersey": radio.NetA}
+	var shards []ShardConfig
+	for _, name := range []string{"madison", "new-jersey"} {
+		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), boxes[name].Center()), "127.0.0.1:0",
+			coordinator.Options{Networks: []radio.NetworkID{offers[name]}, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: boxes[name]})
+	}
+	registry, err := NewRegistry(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+
+	c := dialConn(t, gw.Addr())
+	for round := 0; round < 40; round++ {
+		name := []string{"madison", "new-jersey"}[round%2]
+		loc := boxes[name].Center()
+		at := start.Add(time.Duration(round) * time.Minute)
+		client := fmt.Sprintf("bus-%d", round%3)
+		reply, err := c.Call(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+			ClientID: client, Loc: loc, At: at,
+		}}, wire.TypeTaskList)
+		if err != nil {
+			t.Fatalf("round %d (%s): %v", round, name, err)
+		}
+		// A handful of clients and the default budget: both of the shard's
+		// keys are tasked every round.
+		tasks := reply.TaskList.Tasks
+		if len(tasks) != 2 {
+			t.Fatalf("round %d (%s): %d tasks, want 2: %+v", round, name, len(tasks), tasks)
+		}
+		for _, task := range tasks {
+			if task.Network != offers[name] {
+				t.Fatalf("round %d: %s answered with a task on %s: %+v", round, name, task.Network, tasks)
+			}
+		}
+		// Sampled on a metric no task names, so no budget moves.
+		smps := make([]trace.Sample, 1+round)
+		for j := range smps {
+			smps[j] = trace.Sample{Time: at, Loc: loc, Network: offers[name], Metric: trace.MetricTCPKbps, Value: 900, ClientID: client}
+		}
+		ack, err := c.Call(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: client, Samples: smps}}, wire.TypeSampleAck)
+		if err != nil || ack.SampleAck.Accepted != len(smps) {
+			t.Fatalf("round %d (%s): ack %+v, %v, sent %d samples", round, name, ack.SampleAck, err, len(smps))
+		}
+	}
+}
+
 // dialConn is a wire connection to addr, closed with the test.
 func dialConn(t *testing.T, addr string) *wire.Conn {
 	t.Helper()

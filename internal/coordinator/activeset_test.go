@@ -187,7 +187,7 @@ func schedule(r *rng.Rand, horizon time.Duration, grid *geo.Grid, at func(clock 
 }
 
 func sayHello(s *Server, id string) {
-	s.dispatch(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: id, DeviceClass: "laptop"}})
+	s.dispatch(nil, wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: id, DeviceClass: "laptop"}})
 }
 
 // TestAssignTasksMatchesFullScan drives the per-zone active set and the
@@ -218,7 +218,7 @@ func TestAssignTasksMatchesFullScan(t *testing.T) {
 				t.Fatalf("schedule %d (seed %d) op %d: %s in zone %v at %v: active %d, full scan %d",
 					n, sd, i, op.zr.ClientID, op.zr.Zone, op.zr.At.Sub(start), got, want)
 			}
-			gotTasks, wantTasks := real.drawTasks(&op.zr, zone, got), drawer.drawTasks(&op.zr, op.zr.Zone, want)
+			gotTasks, wantTasks := real.drawTasks(nil, &op.zr, zone, got), drawer.drawTasks(nil, &op.zr, op.zr.Zone, want)
 			if !reflect.DeepEqual(gotTasks, wantTasks) {
 				t.Fatalf("schedule %d (seed %d) op %d: tasks %v, full scan %v", n, sd, i, gotTasks, wantTasks)
 			}
@@ -249,7 +249,7 @@ func TestDrawnTaskListsAreExact(t *testing.T) {
 		if op.hello {
 			continue
 		}
-		switch tasks := s.assignTasks(&op.zr); {
+		switch tasks := s.assignTasks(nil, &op.zr); {
 		case tasks == nil:
 			empty++
 		case len(tasks) == 0 || cap(tasks) != len(tasks):
@@ -335,7 +335,7 @@ func TestZoneReportFiledByItsFix(t *testing.T) {
 	lying.Controller().RequiredSamplesFor(key) // the same budget sweep, so the two stay in step
 
 	report := func(s *Server, id string, z geo.ZoneID, at time.Time) []wire.Task {
-		reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		reply, _ := s.dispatch(nil, wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: id, Zone: z, Loc: loc, At: at, Networks: []radio.NetworkID{radio.NetB},
 		}})
 		if reply.TaskList == nil {

@@ -261,7 +261,10 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	// comes up only after the role state and instruments dispatch reads.
 	var err error
 	s.lis, err = wire.Listen(addr, func(nc net.Conn) {
-		wire.ServeConn(nc, s.opts.IdleTimeout, s.met.serve, s.dispatch)
+		out := new(replyStore)
+		wire.ServeConn(nc, s.opts.IdleTimeout, s.met.serve, func(req wire.Envelope) (wire.Envelope, bool) {
+			return s.dispatch(out, req)
+		})
 	})
 	if err != nil {
 		return fail(fmt.Errorf("coordinator: listen %s: %w", addr, err))
@@ -414,9 +417,51 @@ func (s *Server) ClientCount() int {
 	return len(s.clients)
 }
 
+// A replyStore is the storage one connection's replies are built in, so
+// that a zone report's task list and a sample report's ack cost the server
+// nothing: each reply overwrites the one before. ServeConn sends a reply
+// before it reads the next request, so a reply built here is valid until it
+// is sent; only a dispatch behind ServeConn builds into one. A nil
+// *replyStore allocates every reply afresh.
+type replyStore struct {
+	list  wire.TaskList
+	tasks []wire.Task // the backing array of list.Tasks
+	ack   wire.SampleAck
+}
+
+// taskBuf is the slice a task list is drawn into: o's, emptied, or nil.
+func (o *replyStore) taskBuf() []wire.Task {
+	if o == nil {
+		return nil
+	}
+	return o.tasks[:0]
+}
+
+// taskList returns a task list of tasks, which were drawn into taskBuf.
+func (o *replyStore) taskList(tasks []wire.Task) *wire.TaskList {
+	if o == nil {
+		return &wire.TaskList{Tasks: tasks}
+	}
+	if tasks != nil {
+		o.tasks = tasks
+	}
+	o.list = wire.TaskList{Tasks: tasks}
+	return &o.list
+}
+
+// sampleAck returns an ack of accepted samples.
+func (o *replyStore) sampleAck(accepted int) *wire.SampleAck {
+	if o == nil {
+		return &wire.SampleAck{Accepted: accepted}
+	}
+	o.ack = wire.SampleAck{Accepted: accepted}
+	return &o.ack
+}
+
 // dispatch maps one request to its reply — every request gets exactly one;
-// fatal=true (protocol errors) closes the connection after replying.
-func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
+// fatal=true (protocol errors) closes the connection after replying. A task
+// list or an ack is built in out (see replyStore).
+func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelope, fatal bool) {
 	s.met.request(req.Type).Inc()
 	if req.Via != nil {
 		s.met.forwarded.Inc()
@@ -442,9 +487,9 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 			return wire.ErrorReply("zone report requires a client id"), true
 		}
 		s.met.zoneReports.Inc()
-		tasks := s.assignTasks(zr)
+		tasks := s.assignTasks(out.taskBuf(), zr)
 		s.met.tasksAssigned.Add(float64(len(tasks)))
-		return wire.Envelope{Type: wire.TypeTaskList, TaskList: &wire.TaskList{Tasks: tasks}}, false
+		return wire.Envelope{Type: wire.TypeTaskList, TaskList: out.taskList(tasks)}, false
 
 	case wire.TypeSampleReport:
 		sr := req.SampleReport
@@ -491,7 +536,7 @@ func (s *Server) dispatch(req wire.Envelope) (reply wire.Envelope, fatal bool) {
 			// against this primary's death.
 			return wire.ErrorReply("replication ack timeout: samples journaled but not yet replicated"), false
 		}
-		return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &wire.SampleAck{Accepted: accepted}}, false
+		return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: out.sampleAck(accepted)}, false
 
 	case wire.TypeZoneListRequest:
 		zl := req.ZoneListRequest
@@ -607,10 +652,11 @@ func (s *Server) activeHorizon() time.Duration { return 3 * s.opts.TaskInterval 
 // epoch per zone, each active client is tasked with a probability chosen so
 // the expected sample count meets the zone's NKLD-derived requirement. The
 // zone is the one the controller files the report's samples under, found
-// from its GPS fix; the client's own zone id is not read.
-func (s *Server) assignTasks(zr *wire.ZoneReport) []wire.Task {
+// from its GPS fix; the client's own zone id is not read. The list is
+// appended to dst (see drawTasks).
+func (s *Server) assignTasks(dst []wire.Task, zr *wire.ZoneReport) []wire.Task {
 	zone := s.Controller().ZoneOf(zr.Loc)
-	return s.drawTasks(zr, zone, s.noteReport(zr, zone))
+	return s.drawTasks(dst, zr, zone, s.noteReport(zr, zone))
 }
 
 // noteReport records that the client reported from zone at zr.At and
@@ -643,10 +689,13 @@ func (s *Server) noteReport(zr *wire.ZoneReport, zone geo.ZoneID) (active int) {
 }
 
 // drawTasks draws the report's task list given its zone and the zone's
-// active count. The list is drawn on the stack (up to eight tasks; the
-// default options offer six) and allocated once, at its length; one with no
-// task stays nil, which the frame spells `"tasks":null`.
-func (s *Server) drawTasks(zr *wire.ZoneReport, zone geo.ZoneID, active int) []wire.Task {
+// active count, and appends it to dst. The list is drawn on the stack (up to
+// eight tasks; the default options offer six) and appended whole, so dst
+// with the room costs nothing — dispatch hands in its connection's reply
+// storage (see replyStore) — and a nil dst is allocated once, at the list's
+// length. A list with no task is nil whatever dst is, which the frame spells
+// `"tasks":null`.
+func (s *Server) drawTasks(dst []wire.Task, zr *wire.ZoneReport, zone geo.ZoneID, active int) []wire.Task {
 	if active < 1 {
 		active = 1
 	}
@@ -690,5 +739,5 @@ func (s *Server) drawTasks(zr *wire.ZoneReport, zone geo.ZoneID, active int) []w
 	if len(tasks) == 0 {
 		return nil
 	}
-	return append(make([]wire.Task, 0, len(tasks)), tasks...)
+	return append(dst, tasks...)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,7 +68,7 @@ func TestBackToBackReportsJournalWhatWasSent(t *testing.T) {
 		if _, err := c.Call(req, want); err != nil {
 			t.Fatalf("%s: %v", req.Type, err)
 		}
-		if reply, _ := oracle.dispatch(req); reply.Type != want {
+		if reply, _ := oracle.dispatch(nil, req); reply.Type != want {
 			t.Fatalf("the oracle answered a %s with %+v", req.Type, reply)
 		}
 	}
@@ -124,4 +125,75 @@ func TestBackToBackReportsJournalWhatWasSent(t *testing.T) {
 	waitFor(t, 5*time.Second, "the replica's controller to apply the journal", func() bool {
 		return reflect.DeepEqual(replica.Controller().Snapshot(snapAt), fed.Snapshot(snapAt))
 	})
+}
+
+// TestConnectionsBuildTheirOwnReplies: a connection's task lists and acks
+// are built in its own storage, which the next reply overwrites. Two
+// connections report from one zone at once, one offering only NetB and the
+// other every network but NetB, and acks of different counts: a reply built
+// in storage the other connection also writes would carry a network its
+// client never offered or the other's count — and, under -race, a write
+// racing the other's send.
+func TestConnectionsBuildTheirOwnReplies(t *testing.T) {
+	s := newServer(t, Options{Seed: seed})
+	loc := geo.MadisonStaticSites()[0]
+	offers := [][]radio.NetworkID{{radio.NetB}, {radio.NetA, radio.NetC}}
+	conns := make([]*wire.Conn, len(offers))
+	for i := range conns {
+		conns[i] = dial(t, s)
+	}
+	const rounds = 300
+	errs := make(chan error, len(offers))
+	var wg sync.WaitGroup
+	for i, nets := range offers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- func() error {
+				c, size := conns[i], 3+2*i
+				// Sampled on a metric no task names, so no budget moves.
+				smps := make([]trace.Sample, size)
+				for j := range smps {
+					smps[j] = trace.Sample{Time: start, Loc: loc, Network: radio.NetB, Metric: trace.MetricTCPKbps, Value: 900}
+				}
+				for round := 0; round < rounds; round++ {
+					at := start.Add(time.Duration(round) * time.Second)
+					reply, err := c.Call(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+						ClientID: fmt.Sprintf("conn-%d-%d", i, round%3), Loc: loc, At: at, Networks: nets,
+					}}, wire.TypeTaskList)
+					if err != nil {
+						return err
+					}
+					// Six clients in the zone and the default budget: every
+					// key the client offers is tasked, every round.
+					tasks := reply.TaskList.Tasks
+					if len(tasks) != 2*len(nets) {
+						return fmt.Errorf("connection %d round %d: %d tasks for %d networks: %+v", i, round, len(tasks), len(nets), tasks)
+					}
+					for _, task := range tasks {
+						if !slices.Contains(nets, task.Network) {
+							return fmt.Errorf("connection %d round %d: a task on %s, which it never offered", i, round, task.Network)
+						}
+					}
+					ack, err := c.Call(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+						ClientID: fmt.Sprintf("conn-%d", i), Samples: smps,
+					}}, wire.TypeSampleAck)
+					if err != nil {
+						return err
+					}
+					if ack.SampleAck.Accepted != size {
+						return fmt.Errorf("connection %d round %d: ack of %d, sent %d", i, round, ack.SampleAck.Accepted, size)
+					}
+				}
+				return nil
+			}()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
 }

@@ -75,6 +75,12 @@ type Controller struct {
 
 	budgetRefreshes int64 // NKLD resampling sweeps run by RequiredSamplesFor
 
+	// spare holds the storage of budget refreshes no caller is running: a
+	// refresh takes one under mu before it lets go, sweeps in it outside,
+	// and puts it back with the budget. There are never more than the
+	// refreshes that ran at once, and at most maxSpareRefreshes stay.
+	spare []*refreshScratch
+
 	// The series and window sizes epochFromWindow sweeps. A key asks again
 	// each time its window has grown by half, and on every Ingest while it
 	// has a trend but no valid epoch, so the space is kept; like everything
@@ -88,6 +94,18 @@ type failKey struct {
 	Zone geo.ZoneID
 	Net  radio.NetworkID
 }
+
+// refreshScratch is one budget refresh's storage: the values reconstructed
+// from a window and the NKLD reference prepared from them.
+type refreshScratch struct {
+	vals []float64
+	ref  stats.NKLDReference
+}
+
+// maxSpareRefreshes bounds Controller.spare: refreshes run one per caller,
+// and a server has a caller per connection, so a burst of more than this
+// many at once gives the excess back to the collector.
+const maxSpareRefreshes = 8
 
 // view names one published list: a network and a metric, every zone.
 type view struct {
@@ -409,7 +427,8 @@ const nkldReconstructed = 512
 // task round. The caller that finds the cache stale claims the refresh
 // before it lets go of mu: callers arriving while it resamples read the
 // budget already cached (the default, during a key's first refresh)
-// instead of each repeating the sweep.
+// instead of each repeating the sweep. The refresh runs in spare storage
+// (see Controller.spare), so once warm it allocates nothing.
 func (c *Controller) RequiredSamplesFor(key Key) int {
 	c.mu.Lock()
 	cfg := c.cfg // copied under mu; the resampling below runs outside it
@@ -435,16 +454,27 @@ func (c *Controller) RequiredSamplesFor(key Key) int {
 	if m > nkldReconstructed {
 		m = nkldReconstructed
 	}
-	vals := st.window.Samples(m)
+	var sc *refreshScratch
+	if last := len(c.spare) - 1; last >= 0 {
+		sc = c.spare[last]
+		c.spare[last] = nil
+		c.spare = c.spare[:last]
+	} else {
+		sc = new(refreshScratch)
+	}
+	sc.vals = st.window.AppendSamples(sc.vals[:0], m)
 	c.mu.Unlock()
 
-	n, ok := RequiredSamples(vals, cfg, uint64(count))
+	n, ok := RequiredSamples(&sc.ref, sc.vals, cfg, uint64(count))
 	if !ok {
 		n = cfg.DefaultSamplesPerEpoch
 	}
 
 	c.mu.Lock()
 	st.required = n
+	if len(c.spare) < maxSpareRefreshes {
+		c.spare = append(c.spare, sc)
+	}
 	c.mu.Unlock()
 	return n
 }

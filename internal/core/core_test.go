@@ -333,7 +333,7 @@ func TestRequiredSamplesConverges(t *testing.T) {
 	for i := range stable {
 		stable[i] = 900 * (1 + 0.05*r.NormFloat64())
 	}
-	n, ok := RequiredSamples(stable, cfg, seed)
+	n, ok := RequiredSamples(new(stats.NKLDReference), stable, cfg, seed)
 	if !ok {
 		t.Fatal("stable history should converge")
 	}
@@ -345,7 +345,7 @@ func TestRequiredSamplesConverges(t *testing.T) {
 	for i := range variable {
 		variable[i] = 900 * (1 + 0.20*r.NormFloat64())
 	}
-	nVar, _ := RequiredSamples(variable, cfg, seed)
+	nVar, _ := RequiredSamples(new(stats.NKLDReference), variable, cfg, seed)
 	if nVar < n {
 		t.Fatalf("noisier history should need >= samples: stable %d vs variable %d", n, nVar)
 	}
@@ -353,7 +353,7 @@ func TestRequiredSamplesConverges(t *testing.T) {
 
 func TestRequiredSamplesShortHistory(t *testing.T) {
 	cfg := DefaultConfig()
-	n, ok := RequiredSamples([]float64{1, 2, 3}, cfg, seed)
+	n, ok := RequiredSamples(new(stats.NKLDReference), []float64{1, 2, 3}, cfg, seed)
 	if ok {
 		t.Fatal("3 samples cannot converge")
 	}
@@ -660,6 +660,41 @@ func TestRequiredSamplesForOneClaimant(t *testing.T) {
 		if n := c.RequiredSamplesFor(key); n <= 0 || c.BudgetRefreshes()-before != 1 {
 			t.Fatalf("round %d: budget %d not served from the cache after the refresh", round, n)
 		}
+	}
+}
+
+// TestBudgetRefreshAllocatesNothing: once a refresh has run, the next one,
+// of another key, runs in the storage the one before gave back — the
+// reconstructed values and the NKLD reference — and allocates nothing.
+func TestBudgetRefreshAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	c := NewController(DefaultConfig(), origin)
+	r := rng.New(25)
+	const keys = 12
+	var ks []Key
+	at := start
+	for k := 0; k < keys; k++ {
+		loc := geo.Point{Lat: origin.Lat + 0.02*float64(k), Lon: origin.Lon}
+		for i := 0; i < 600; i++ {
+			c.Ingest(mkSample(at, loc, 900*(1+0.05*r.NormFloat64())))
+			at = at.Add(30 * time.Second)
+		}
+		ks = append(ks, Key{Zone: c.ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricUDPKbps})
+	}
+	c.RequiredSamplesFor(ks[0]) // the first refresh allocates the storage
+	before, next := c.BudgetRefreshes(), 1
+	// AllocsPerRun calls once more than it counts: keys-1 refreshes in all.
+	allocs := testing.AllocsPerRun(keys-2, func() {
+		c.RequiredSamplesFor(ks[next])
+		next++
+	})
+	if got := c.BudgetRefreshes() - before; got != keys-1 {
+		t.Fatalf("%d calls on fresh keys ran %d refreshes, want one each", keys-1, got)
+	}
+	if allocs != 0 {
+		t.Errorf("a budget refresh on warm storage allocates %v times, want 0", allocs)
 	}
 }
 

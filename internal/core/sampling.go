@@ -12,8 +12,10 @@ import (
 // which the distribution of n randomly chosen samples matches the long-term
 // distribution (mean NKLD over iterations <= threshold). It returns
 // (n, true) on convergence, or (fallback, false) when the history is too
-// small or never converges within it.
-func RequiredSamples(history []float64, cfg Config, seed uint64) (int, bool) {
+// small or never converges within it. The history is prepared into ref,
+// whose storage a caller may hand in again: a warm ref makes the call
+// allocate nothing.
+func RequiredSamples(ref *stats.NKLDReference, history []float64, cfg Config, seed uint64) (int, bool) {
 	const iterations = 100 // the paper's repetition count
 	if len(history) < 40 {
 		return cfg.DefaultSamplesPerEpoch, false
@@ -23,7 +25,7 @@ func RequiredSamples(history []float64, cfg Config, seed uint64) (int, bool) {
 		bins = stats.DefaultNKLDBins
 	}
 	r := rng.NewNamed(seed, "required-samples")
-	ref := stats.NewNKLDReference(history, bins)
+	ref.Prepare(history, bins)
 	// Sweep n in steps of 10 like Fig. 7's x axis.
 	maxN := len(history) / 2
 	if maxN > 200 {

@@ -109,14 +109,20 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // — to the oracle's bits over seeded histories, 1–30 bins, and n on both
 // sides of the history length.
 //
+// One reference serves all the cases, prepared afresh by each: the storage
+// the case before left dirty, of another length and resolution, must not
+// move a bit.
+//
 // Mutants this must fail (each was applied by hand, and it and the stats
 // differential both did): the reference's range taken from part of the
 // history instead of all of it (what a range "from the subsample" comes to
 // once nothing materialises one), the bin scratch not cleared between
-// iterations, and the reference binning a value equal to the maximum by
-// itself, one short of the last bin, instead of through Histogram's clamp.
+// iterations, the reference binning a value equal to the maximum by
+// itself, one short of the last bin, instead of through Histogram's clamp,
+// and a Prepare that does not clear the counts the case before left.
 func TestResamplingMatchesOracle(t *testing.T) {
 	r := rng.New(31)
+	ref := new(stats.NKLDReference)
 	const cases = 320
 	for c := 0; c < cases; c++ {
 		history := differentialHistory(c, r)
@@ -129,7 +135,8 @@ func TestResamplingMatchesOracle(t *testing.T) {
 		n := 1 + r.Intn(len(history)+len(history)/2+1)
 		iterations := 1 + r.Intn(40)
 		a, b := rng.New(seed), rng.New(seed)
-		got := meanNKLDSubsample(stats.NewNKLDReference(history, bins), n, iterations, a)
+		ref.Prepare(history, bins)
+		got := meanNKLDSubsample(ref, n, iterations, a)
 		want := meanNKLDSubsampleOracle(history, n, bins, iterations, b)
 		if !sameBits(got, want) {
 			t.Fatalf("%s: mean NKLD at n=%d over %d iterations: %v, oracle %v", name, n, iterations, got, want)
@@ -144,7 +151,7 @@ func TestResamplingMatchesOracle(t *testing.T) {
 			cfg.NKLDBins = 0 // the default resolution
 		}
 		cfg.NKLDThreshold = []float64{0.1, 0.1, 0.03, 0.3, 0}[r.Intn(5)]
-		gotN, gotOK := RequiredSamples(history, cfg, seed)
+		gotN, gotOK := RequiredSamples(ref, history, cfg, seed)
 		wantN, wantOK := requiredSamplesOracle(history, cfg, seed)
 		if gotN != wantN || gotOK != wantOK {
 			t.Fatalf("%s threshold %v: RequiredSamples (%d, %v), oracle (%d, %v)",
@@ -169,10 +176,9 @@ func TestResamplingMatchesOracle(t *testing.T) {
 }
 
 // TestRequiredSamplesCostIndependentOfIterations is the cost guard: a call
-// allocates the reference (bins of the history, two distributions) and its
-// generator, and nothing per iteration — a sweep that converges at its
-// first n (100 iterations) and one that never converges (20 × 100)
-// allocate the same handful.
+// on a warm reference allocates nothing, neither per call nor per
+// iteration — a sweep that converges at its first n (100 iterations) and
+// one that never converges (20 × 100) allocate the same nothing.
 func TestRequiredSamplesCostIndependentOfIterations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -182,19 +188,16 @@ func TestRequiredSamplesCostIndependentOfIterations(t *testing.T) {
 	for i := range history {
 		history[i] = r.Normal(870, 60)
 	}
+	ref := stats.NewNKLDReference(history, 20)
 	allocs := func(threshold float64) float64 {
 		cfg := DefaultConfig()
 		cfg.NKLDThreshold = threshold
-		return testing.AllocsPerRun(5, func() { RequiredSamples(history, cfg, 7) })
+		return testing.AllocsPerRun(5, func() { RequiredSamples(ref, history, cfg, 7) })
 	}
 	first, never := allocs(1e9), allocs(0)
-	if first != never {
-		t.Errorf("RequiredSamples allocates %v times when it converges at once and %v when it never does: something is allocated per iteration", first, never)
+	if first != 0 || never != 0 {
+		t.Errorf("RequiredSamples on a warm reference allocates %v times when it converges at once and %v when it never does, want 0", first, never)
 	}
-	if never > 8 {
-		t.Errorf("RequiredSamples allocates %v times per call, want at most 8", never)
-	}
-	ref := stats.NewNKLDReference(history, 20)
 	for _, iterations := range []int{1, 1000} {
 		if a := testing.AllocsPerRun(3, func() { meanNKLDSubsample(ref, 50, iterations, r) }); a != 0 {
 			t.Errorf("one resampling of %d iterations allocates %v times, want 0", iterations, a)
@@ -217,10 +220,11 @@ func BenchmarkRequiredSamples(b *testing.B) {
 				history[i] = r.Range(800, 2400)
 			}
 			cfg := DefaultConfig()
+			ref := new(stats.NKLDReference)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkRequired, _ = RequiredSamples(history, cfg, uint64(size))
+				sinkRequired, _ = RequiredSamples(ref, history, cfg, uint64(size))
 			}
 		})
 	}

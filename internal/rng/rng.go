@@ -70,9 +70,15 @@ func New(seed uint64) *Rand {
 
 // NewNamed returns a generator whose stream is derived from a base seed and a
 // name, so independent subsystems get independent streams from one campaign
-// seed.
+// seed. It is small enough to inline, so a generator its caller keeps to
+// itself lives on the caller's stack.
 func NewNamed(seed uint64, name string) *Rand {
-	return New(Hash64(seed, HashString(name)))
+	return New(namedSeed(seed, name))
+}
+
+// namedSeed is the seed NewNamed derives from seed and name.
+func namedSeed(seed uint64, name string) uint64 {
+	return Hash64(seed, HashString(name))
 }
 
 // Split derives a new independent generator from r without perturbing r's

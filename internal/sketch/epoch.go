@@ -109,8 +109,10 @@ func (e *EpochSketch) Quantile(q float64) float64 { return e.dig.Quantile(q) }
 // Rank returns the approximate CDF at x.
 func (e *EpochSketch) Rank(x float64) float64 { return e.dig.Rank(x) }
 
-// Samples reconstructs m quantile-spaced representative values.
-func (e *EpochSketch) Samples(m int) []float64 { return e.dig.Samples(m) }
+// AppendSamples appends m quantile-spaced representative values to dst.
+func (e *EpochSketch) AppendSamples(dst []float64, m int) []float64 {
+	return e.dig.AppendSamples(dst, m)
+}
 
 // Digest exposes the underlying digest (read-only use expected).
 func (e *EpochSketch) Digest() *Digest { return e.dig }

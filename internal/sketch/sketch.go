@@ -309,18 +309,17 @@ func (d *Digest) Rank(x float64) float64 {
 	return (prevMid + frac*(d.count-prevMid)) / d.count
 }
 
-// Samples reconstructs m representative values at evenly spaced quantiles
-// (i+½)/m — the regularized view of the CDF that the NKLD machinery
-// consumes in place of a raw sample buffer.
-func (d *Digest) Samples(m int) []float64 {
-	if m <= 0 || d.count == 0 {
-		return nil
+// AppendSamples appends m representative values at evenly spaced quantiles
+// (i+½)/m to dst — the regularized view of the CDF that the NKLD machinery
+// consumes in place of a raw sample buffer. An empty digest appends none.
+func (d *Digest) AppendSamples(dst []float64, m int) []float64 {
+	if d.count == 0 {
+		return dst
 	}
-	out := make([]float64, m)
-	for i := range out {
-		out[i] = d.Quantile((float64(i) + 0.5) / float64(m))
+	for i := 0; i < m; i++ {
+		dst = append(dst, d.Quantile((float64(i)+0.5)/float64(m)))
 	}
-	return out
+	return dst
 }
 
 // FootprintBytes returns the digest's fixed memory footprint: the backing

@@ -300,3 +300,32 @@ func TestObserveAllocatesNothing(t *testing.T) {
 		t.Fatalf("1,000 observes allocate %v times, want 0", n)
 	}
 }
+
+// TestAppendSamples: the values are the digest's quantiles at (i+½)/m,
+// appended after what dst holds, in dst's array when it has the room; an
+// empty digest appends none.
+func TestAppendSamples(t *testing.T) {
+	d := NewDigest(DefaultCompression)
+	head := []float64{-1, -2}
+	if got := d.AppendSamples(head, 8); !slices.Equal(got, head) {
+		t.Fatalf("an empty digest appended %v", got[len(head):])
+	}
+	for _, v := range workloads(5000)["bimodal"] {
+		d.Add(v)
+	}
+	const m = 64
+	dst := make([]float64, len(head), len(head)+m)
+	copy(dst, head)
+	got := d.AppendSamples(dst, m)
+	if len(got) != len(head)+m || &got[0] != &dst[0] || !slices.Equal(got[:len(head)], head) {
+		t.Fatalf("appended %d values to a %d-value prefix, in its array: %v", len(got)-len(head), len(head), &got[0] == &dst[0])
+	}
+	for i, v := range got[len(head):] {
+		if want := d.Quantile((float64(i) + 0.5) / m); v != want {
+			t.Fatalf("value %d is %v, the digest's quantile there is %v", i, v, want)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { d.AppendSamples(dst[:0], m) }); n != 0 {
+		t.Fatalf("AppendSamples into room allocates %v times, want 0", n)
+	}
+}

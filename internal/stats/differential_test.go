@@ -40,20 +40,27 @@ func differentialHistories(r *rng.Rand) [][]float64 {
 // sides — once into a materialised subsample compared by the two-sample
 // NKLDFromSamples, once through the reference — and requires equal bits and
 // a generator left in the same state. Each reference is used many times in
-// a row, so a scratch that is not cleared between comparisons shows.
+// a row, so a scratch that is not cleared between comparisons shows. A
+// second reference is prepared over every history and resolution in turn,
+// so it must give the same bits from storage the one before left dirty.
 func TestSubsampleNKLDMatchesNKLDFromSamples(t *testing.T) {
 	seeds := rng.New(41)
 	cases := 0
+	reused := new(NKLDReference)
 	for hi, hist := range differentialHistories(rng.New(40)) {
 		for _, bins := range []int{0, 1, 2, 7, 20, 30} {
 			ref := NewNKLDReference(hist, bins)
+			reused.Prepare(hist, bins)
+			if reused.Len() != len(hist) {
+				t.Fatalf("history %d: prepared Len %d, want %d", hi, reused.Len(), len(hist))
+			}
 			if ref.Len() != len(hist) {
 				t.Fatalf("history %d: Len %d, want %d", hi, ref.Len(), len(hist))
 			}
 			for _, n := range []int{1, 3, 10, len(hist), 2 * len(hist)} {
 				for rep := 0; rep < 4; rep++ {
 					seed := seeds.Uint64()
-					a, b := rng.New(seed), rng.New(seed)
+					a, b, c := rng.New(seed), rng.New(seed), rng.New(seed)
 					sub := make([]float64, n)
 					for i := range sub {
 						sub[i] = hist[a.Intn(len(hist))]
@@ -66,6 +73,9 @@ func TestSubsampleNKLDMatchesNKLDFromSamples(t *testing.T) {
 					}
 					if a.Uint64() != b.Uint64() {
 						t.Fatalf("history %d bins %d n %d: reference drew a different number of indices", hi, bins, n)
+					}
+					if again := reused.SubsampleNKLD(n, c.Intn); math.Float64bits(again) != math.Float64bits(want) {
+						t.Fatalf("history %d bins %d n %d seed %d: prepared reference %v, two-sample %v", hi, bins, n, seed, again, want)
 					}
 					cases++
 				}
@@ -168,8 +178,9 @@ func TestAllanDeviationMatchesSliceVersion(t *testing.T) {
 }
 
 // TestKernelsAllocateNothing is the cost guard: what runs once per
-// resampling iteration, and once per window of an Allan sweep, may not
-// allocate, whatever the input size.
+// resampling iteration, once per window of an Allan sweep, and once per
+// budget refresh on a warm reference may not allocate, whatever the input
+// size.
 func TestKernelsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -180,6 +191,10 @@ func TestKernelsAllocateNothing(t *testing.T) {
 		hist[i] = r.Normal(870, 60)
 	}
 	ref := NewNKLDReference(hist, DefaultNKLDBins)
+	if a := testing.AllocsPerRun(100, func() { ref.Prepare(hist[:1+r.Intn(len(hist))], 1+r.Intn(DefaultNKLDBins)) }); a != 0 {
+		t.Errorf("Prepare of a warm reference allocates %v times per call, want 0", a)
+	}
+	ref.Prepare(hist, DefaultNKLDBins)
 	for _, n := range []int{10, 200} {
 		if a := testing.AllocsPerRun(100, func() { ref.SubsampleNKLD(n, r.Intn) }); a != 0 {
 			t.Errorf("SubsampleNKLD(n=%d) allocates %v times per call, want 0", n, a)

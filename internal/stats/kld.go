@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
 // clamp into the first/last bin so that no probability mass is lost when two
@@ -56,9 +59,15 @@ func (h *Histogram) Prob(eps float64) []float64 {
 	if eps < 0 {
 		eps = 0
 	}
+	return h.probInto(make([]float64, len(h.Counts)), eps)
+}
+
+// probInto is Prob writing into p, of length len(h.Counts), whatever p held;
+// eps is not negative.
+func (h *Histogram) probInto(p []float64, eps float64) []float64 {
 	total := h.Total() + eps*float64(len(h.Counts))
-	p := make([]float64, len(h.Counts))
 	if total == 0 {
+		clear(p)
 		return p
 	}
 	for i, c := range h.Counts {
@@ -162,35 +171,47 @@ func NKLDFromSamples(a, b []float64, bins int) float64 {
 // set's own: each value's bin, the set's smoothed distribution and its
 // entropy are fixed once, and a comparison only counts bins. SubsampleNKLD
 // returns bit for bit what NKLDFromSamples(subsample, set, bins) would.
-// Not safe for concurrent use (the counting scratch is shared).
+// Prepare makes the same reference ready for another set in the storage of
+// the one before. Not safe for concurrent use (the counting scratch is
+// shared).
 type NKLDReference struct {
 	bin []int     // bin index of each value of the set
-	q   []float64 // the set's smoothed distribution; nil when all values are equal
+	q   []float64 // the set's smoothed distribution; empty when all values are equal
 	hq  float64   // Entropy(q)
-	p   []float64 // scratch: the subsample's bin counts, then its distribution
+	p   []float64 // scratch: the set's bin counts, then a subsample's, then its distribution
 }
 
 // NewNKLDReference prepares set for subsample comparisons at the given
 // histogram resolution; bins < 1 selects DefaultNKLDBins, as in
 // NKLDFromSamples.
 func NewNKLDReference(set []float64, bins int) *NKLDReference {
+	r := new(NKLDReference)
+	r.Prepare(set, bins)
+	return r
+}
+
+// Prepare makes r the reference NewNKLDReference(set, bins) returns, reusing
+// the slices r holds, so a warm reference prepares without allocating. The
+// arithmetic is NewNKLDReference's, in the same order, whatever r held.
+func (r *NKLDReference) Prepare(set []float64, bins int) {
 	if bins < 1 {
 		bins = DefaultNKLDBins
 	}
-	r := &NKLDReference{bin: make([]int, len(set))}
+	r.bin = slices.Grow(r.bin[:0], len(set))[:len(set)]
+	r.q, r.hq = r.q[:0], 0
 	lo, hi := Min(set), Max(set)
 	if hi <= lo {
-		return r
+		return
 	}
-	h := NewHistogram(lo, hi, bins)
+	r.p = slices.Grow(r.p[:0], bins)[:bins]
+	clear(r.p)
+	h := Histogram{Lo: lo, Hi: hi, Counts: r.p}
 	for i, x := range set {
 		r.bin[i] = h.binOf(x)
 		h.Counts[r.bin[i]]++
 	}
-	r.q = h.Prob(nkldSmoothing)
+	r.q = h.probInto(slices.Grow(r.q[:0], bins)[:bins], nkldSmoothing)
 	r.hq = Entropy(r.q)
-	r.p = h.Counts // the histogram is finished with them
-	return r
 }
 
 // Len returns the size of the prepared set.
@@ -203,7 +224,7 @@ func (r *NKLDReference) SubsampleNKLD(n int, intn func(int) int) float64 {
 	if n < 1 {
 		return math.Inf(1)
 	}
-	if r.q == nil {
+	if len(r.q) == 0 {
 		// Identical point distributions; the draws keep intn's stream
 		// where a caller sharing it across calls expects it.
 		for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -183,7 +184,9 @@ func TestServeConnKeepsNoLongRequest(t *testing.T) {
 // slice, and a string only when it changes. The bench-shaped 50-sample report
 // Recv decodes in 4 allocations, direct, or 7, relayed, takes none once the
 // connection has decoded one like it, and at most its client id and device
-// when two clients' reports alternate.
+// when two clients' reports alternate. A round trip's Calls — a zone report
+// answered by a binary task list, a sample report by a binary ack — take
+// none once the Conn has decoded one of each.
 func TestServePathDecodeAllocations(t *testing.T) {
 	const runs = 200
 	via := &Via{Gateway: "gw-1", Shard: "madison"}
@@ -194,25 +197,114 @@ func TestServePathDecodeAllocations(t *testing.T) {
 	}
 	relayed, otherRelayed := benchReport(50), other
 	relayed.Via, otherRelayed.Via = via, via
+	tasks := Envelope{Type: TypeTaskList, TaskList: &TaskList{Tasks: []Task{
+		{Network: radio.NetB, Metric: trace.MetricUDPKbps, UDPPackets: 100, UDPSizeBytes: 1200},
+		{Network: radio.NetB, Metric: trace.MetricRTTMs},
+	}}}
+	ack := Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: 5}}
 	for _, tc := range []struct {
 		name   string
-		frames []Envelope
+		frames []Envelope // what the Conn reads
+		calls  []Envelope // if set, a Call of each, wanting its frame's type
 		most   float64
 	}{
-		{"direct", []Envelope{benchReport(50)}, 0},
-		{"relayed", []Envelope{relayed}, 0},
-		{"direct, two clients", []Envelope{benchReport(50), other}, 2},
-		{"relayed, two clients", []Envelope{relayed, otherRelayed}, 2},
+		{"direct", []Envelope{benchReport(50)}, nil, 0},
+		{"relayed", []Envelope{relayed}, nil, 0},
+		{"direct, two clients", []Envelope{benchReport(50), other}, nil, 2},
+		{"relayed, two clients", []Envelope{relayed, otherRelayed}, nil, 2},
+		{"call", []Envelope{tasks, ack}, []Envelope{zoneReportOf("bus-1", radio.AllNetworks, via), benchReport(5)}, 0},
 	} {
-		c := NewConn(byteConn{r: &repeatReader{data: encodeFrames(t, tc.frames...)}})
+		if tc.calls != nil && raceEnabled {
+			continue // Call's Send encodes into a pooled buffer
+		}
+		frames := encodeFrames(t, tc.frames...)
+		if tc.calls != nil {
+			frames = encodeBinaryFrames(t, tc.frames...)
+		}
+		c := NewConn(byteConn{r: &repeatReader{data: frames}, w: io.Discard})
 		var st requestStore
 		n := testing.AllocsPerRun(runs, func() {
-			if _, err := c.recv(&st); err != nil {
-				t.Fatal(err)
+			if tc.calls == nil {
+				if _, err := c.recv(&st); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			for i, req := range tc.calls {
+				if _, err := c.Call(req, tc.frames[i].Type); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 		if n > tc.most {
-			t.Errorf("%s: the serve path decodes a 50-sample binary report in %v allocations, want at most %v", tc.name, n, tc.most)
+			t.Errorf("%s: the serve path decodes in %v allocations, want at most %v", tc.name, n, tc.most)
 		}
+	}
+}
+
+// TestCallDecodesIntoItsStorage: Call decodes a binary task list and ack
+// into the Conn's storage, so two Calls share the tasks' backing array and
+// the ack, and the second overwrites the first; a Request's reply owns its
+// own. A task list over maxPooledFrameBytes is the reply's alone: the Conn
+// keeps the array it had, and the next short list is decoded into that.
+func TestCallDecodesIntoItsStorage(t *testing.T) {
+	list := func(n int, m trace.Metric) Envelope {
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = Task{Network: radio.NetB, Metric: m, UDPPackets: i}
+		}
+		return Envelope{Type: TypeTaskList, TaskList: &TaskList{Tasks: tasks}}
+	}
+	ack := func(n int) Envelope { return Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: n}} }
+	long := maxPooledFrameBytes/int(unsafe.Sizeof(Task{})) + 1
+	sent := []Envelope{
+		list(6, trace.MetricUDPKbps), ack(5),
+		list(4, trace.MetricRTTMs), ack(7),
+		list(6, trace.MetricTCPKbps), // Request's
+		list(long, trace.MetricUDPKbps),
+		list(3, trace.MetricRTTMs),
+	}
+	c := NewConn(byteConn{r: bytes.NewReader(encodeBinaryFrames(t, sent...)), w: io.Discard})
+	zr, report := zoneReportOf("bus-1", radio.AllNetworks, nil), benchReport(5)
+	next := 0
+	call := func(req Envelope) Envelope {
+		t.Helper()
+		want := sent[next]
+		next++
+		reply, err := c.Call(req, want.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(reply, want) {
+			t.Fatalf("reply %d:\n got  %+v\n sent %+v", next-1, reply, want)
+		}
+		return reply
+	}
+
+	first, firstAck := call(zr), call(report)
+	kept := &first.TaskList.Tasks[0]
+	second, secondAck := call(zr), call(report)
+	if &second.TaskList.Tasks[0] != kept || second.TaskList != first.TaskList {
+		t.Error("the second Call's task list did not land in the first's storage")
+	}
+	if secondAck.SampleAck != firstAck.SampleAck || firstAck.SampleAck.Accepted != 7 {
+		t.Error("the second Call's ack did not land in the first's storage")
+	}
+
+	next++
+	owned, err := c.Request(zr)
+	if err != nil || !reflect.DeepEqual(owned, sent[next-1]) {
+		t.Fatalf("Request: %+v, %v", owned, err)
+	}
+	if &owned.TaskList.Tasks[0] == kept || owned.TaskList == second.TaskList {
+		t.Error("a Request's reply was decoded into the Conn's storage")
+	}
+
+	longReply := call(zr)
+	if longReply.TaskList == &c.store.list || &c.store.tasks[0] != kept || cap(c.store.tasks) >= long {
+		t.Errorf("the Conn kept the task list of %d tasks", long)
+	}
+	if again := call(zr); &again.TaskList.Tasks[0] != kept {
+		t.Error("a short task list after the long one was not decoded into the Conn's array")
 	}
 }

@@ -40,16 +40,21 @@ func ErrorReply(msg string) Envelope {
 // or slices — its SampleReport and Samples, its ZoneReport and Networks, its
 // Via — past its return. What it must keep it copies, as the gateway copies a
 // hello; what it forwards, it forwards before it returns.
+//
+// A reply need only be valid until ServeConn has sent it, which it does
+// before it reads the next request: dispatch may build it in storage of its
+// own that the next reply overwrites, as the coordinator builds task lists
+// and acks, or return one that a Call on an upstream Conn decoded, as the
+// gateway relays a shard's.
 func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(Envelope) (reply Envelope, fatal bool)) {
 	m.Connections.Inc()
 	c := NewConn(nc).Instrument(m.Codec)
 	defer c.Close()
-	reqs := new(requestStore)
 	for {
 		if idle > 0 {
 			_ = nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		req, err := c.recv(reqs)
+		req, err := c.recv(&c.store)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrMessageTooLarge):

@@ -316,6 +316,10 @@ type Conn struct {
 	// peer reading binary replies sends; from then on Send answers in binary
 	// too. Recv sets it and Send reads it, from their two goroutines.
 	peerReadsBinary atomic.Bool
+
+	// store is what ServeConn decodes requests and Call decodes replies into
+	// (see requestStore); a Conn does one or the other.
+	store requestStore
 }
 
 // connBufBytes sizes a Conn's reader and writer. A line shorter than this is
@@ -636,24 +640,29 @@ func parseBinaryLineInto(dst *requestStore, h *handCodec, stuffed []byte) (Envel
 	return e, nil
 }
 
-// A requestStore is the storage ServeConn decodes one connection's requests
-// into, so that a request does not cost the server a fresh slice of samples:
-// the binary sample report and its samples, the binary zone report and its
-// networks, and a binary line's via. Each request overwrites the one before,
-// which is why only ServeConn, whose dispatcher is done with a request before
-// the next is read, decodes into one. A string is never overwritten: one
-// equal to the same field of the request before is that request's string
-// (the client id, a sample's client and device, the via's gateway and
-// shard), and otherwise a new copy. A slice stays with the connection only
-// while it is at most maxPooledFrameBytes; a longer one is the request's
-// alone, so one huge report does not pin its samples on an idle connection.
-// A nil *requestStore allocates every request afresh, as Recv does.
+// A requestStore is the storage a Conn decodes into, so that a frame does
+// not cost a fresh slice: ServeConn's requests — the binary sample report and
+// its samples, the binary zone report and its networks, and a binary line's
+// via — and Call's replies — a binary task list and its tasks, and a binary
+// ack. Each frame overwrites the one before, which is why only ServeConn,
+// whose dispatcher is done with a request before the next is read, and Call,
+// whose reply is valid until the next Call, decode into one. A string is
+// never overwritten: one equal to the same field of the frame before is that
+// frame's string (the client id, a sample's client and device, the via's
+// gateway and shard), and otherwise a new copy. A slice stays with the
+// connection only while it is at most maxPooledFrameBytes; a longer one is
+// the frame's alone, so one huge report does not pin its samples on an idle
+// connection. A nil *requestStore allocates every frame afresh, as Recv does.
 type requestStore struct {
 	report   SampleReport
 	samples  []trace.Sample // the backing array of report.Samples
 	zone     ZoneReport
 	networks []radio.NetworkID // the backing array of zone.Networks
 	relay    Via
+
+	list  TaskList
+	tasks []Task // the backing array of list.Tasks
+	ack   SampleAck
 }
 
 // retainable reports whether a connection may keep s's backing array.
@@ -712,6 +721,36 @@ func (d *requestStore) zoneReport(client []byte, zr ZoneReport) *ZoneReport {
 	}
 	d.zone = zr
 	return &d.zone
+}
+
+// taskBuf is the slice a task list decodes into: d's, or nil.
+func (d *requestStore) taskBuf() []Task {
+	if d == nil {
+		return nil
+	}
+	return d.tasks
+}
+
+// taskList returns a task list of tasks, which were decoded into taskBuf:
+// d's, if tasks may stay with it.
+func (d *requestStore) taskList(tasks []Task) *TaskList {
+	if d == nil || !retainable(tasks) {
+		return &TaskList{Tasks: tasks}
+	}
+	if tasks != nil {
+		d.tasks = tasks
+	}
+	d.list = TaskList{Tasks: tasks}
+	return &d.list
+}
+
+// sampleAck returns an ack of accepted samples.
+func (d *requestStore) sampleAck(accepted int) *SampleAck {
+	if d == nil {
+		return &SampleAck{Accepted: accepted}
+	}
+	d.ack = SampleAck{Accepted: accepted}
+	return &d.ack
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0
@@ -920,13 +959,13 @@ var handCodecs = [...]handCodec{{
 		}
 		return appendBinaryList(b, e.TaskList.Tasks, appendTaskBinary), nil
 	},
-	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
-		tasks := readBinaryList(&r, nil, minTaskBinary, readTaskBinary)
+		tasks := readBinaryList(&r, dst.taskBuf(), minTaskBinary, readTaskBinary)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{TaskList: &TaskList{Tasks: tasks}}, nil
+		return Envelope{TaskList: dst.taskList(tasks)}, nil
 	},
 }, {
 	typ:       TypeSampleAck,
@@ -940,13 +979,13 @@ var handCodecs = [...]handCodec{{
 		}
 		return binary.AppendUvarint(b, uint64(e.SampleAck.Accepted)), nil
 	},
-	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
 		accepted := readIntBinary(&r)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{SampleAck: &SampleAck{Accepted: accepted}}, nil
+		return Envelope{SampleAck: dst.sampleAck(accepted)}, nil
 	},
 }, {
 	typ:       TypeEstimateRequest,
@@ -1168,8 +1207,19 @@ func (e *ReplyError) Error() string { return e.Message }
 // Call is Request for a caller that knows the reply type it wants: the
 // envelope it returns has that Type and a non-nil payload for it, safe to
 // dereference unchecked. Any other answer comes back as a *ReplyError.
+//
+// Unlike Request's, a reply is valid only until the next Call on c: a binary
+// task list and its tasks, and a binary ack, are decoded into storage that
+// belongs to the Conn, and the next reply is decoded over them (see
+// requestStore). So a caller may keep a reply's strings, but neither keep
+// nor hand to another goroutine its TaskList, Tasks or SampleAck past its
+// next Call; what it must keep, it copies. Every other reply owns its
+// memory, as Request's does.
 func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
-	reply, err := c.Request(req)
+	if err := c.Send(req); err != nil {
+		return Envelope{}, err
+	}
+	reply, err := c.recv(&c.store)
 	switch {
 	case err != nil:
 		return Envelope{}, err

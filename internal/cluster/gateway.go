@@ -106,7 +106,8 @@ type Gateway struct {
 	lis  *wire.Listener // agent-facing listener: accept loop and conn set
 	met  *gatewayMetrics
 	ops  *telemetry.OpsServer
-	ctls map[*Shard]*control // one failover owner per shard; fixed at start
+	ctls map[*Shard]*control  // one failover owner per shard; fixed at start
+	vias map[*Shard]*wire.Via // the via stamped on each request to a shard; fixed at start
 
 	sessionSeq atomic.Uint64
 
@@ -123,9 +124,11 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		opts: opts,
 		stop: make(chan struct{}),
 		ctls: make(map[*Shard]*control, len(reg.Shards())),
+		vias: make(map[*Shard]*wire.Via, len(reg.Shards())),
 	}
 	for _, s := range reg.Shards() {
 		g.ctls[s] = &control{sh: s, kick: make(chan struct{}, 1), orders: make(chan order)}
+		g.vias[s] = &wire.Via{Gateway: opts.Name, Shard: s.Name()}
 	}
 	g.met = newGatewayMetrics(opts.Telemetry, reg.Shards(), reg.HealthyCount)
 	var err error
@@ -299,25 +302,15 @@ func (g *Gateway) Close() error {
 }
 
 // session is the routing state of one inbound agent connection: the
-// remembered hello (replayed to each shard on first contact) and one lazy
-// upstream connection per shard endpoint. The cache is keyed by endpoint
-// address, not shard name, so a promotion that rewrites the route table
-// invalidates the cache naturally: the next forward resolves the shard's
-// new active address, misses, and dials the new primary.
-//
-// via and report are the storage of what the session forwards: the via
-// forward stamps on a request and the report routeSamples hands it. Each
-// forward overwrites them, which holds because a forward is done with its
-// request when it returns and the session forwards one at a time. ack is the
-// storage of routeSamples' reply, which ServeConn sends before the session's
-// next request.
+// remembered hello (replayed to each shard on first contact), one lazy
+// upstream connection per shard endpoint and the retry jitter. The cache is
+// keyed by endpoint address, not shard name, so a promotion that rewrites the
+// route table invalidates the cache naturally: the next forward resolves the
+// shard's new active address, misses, and dials the new primary.
 type session struct {
 	hello    *wire.Hello
 	upstream map[string]*wire.Conn
 	r        *rng.Rand
-	via      wire.Via
-	report   wire.SampleReport
-	ack      wire.SampleAck
 }
 
 func (g *Gateway) newSession() *session {
@@ -341,20 +334,17 @@ func (sess *session) closeUpstream() {
 func (g *Gateway) serveConn(nc net.Conn) {
 	sess := g.newSession()
 	defer sess.closeUpstream()
-	wire.ServeConn(nc, g.opts.IdleTimeout, g.met.serve, func(req wire.Envelope) (wire.Envelope, bool) {
-		return g.dispatch(sess, req)
+	wire.ServeConn(nc, g.opts.IdleTimeout, g.met.serve, func(req wire.Envelope, out *wire.Replies) (wire.Envelope, bool) {
+		return g.dispatch(sess, req, out)
 	})
 }
 
-// dispatch routes one request. fatal=true closes the agent connection
-// after replying (malformed traffic only — degraded shards are not the
-// agent's fault).
-func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelope, fatal bool) {
+// dispatch routes one request, which wire.ServeConn has vetted. fatal=true
+// closes the agent connection after replying (a type the gateway does not
+// serve — degraded shards are not the agent's fault). An ack is built in out.
+func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	switch req.Type {
 	case wire.TypeHello:
-		if req.Hello == nil || req.Hello.ClientID == "" {
-			return wire.ErrorReply("hello requires a client id"), true
-		}
 		// Remember the hello; it is replayed to each shard the session
 		// first touches, so shards see the same registration they would on
 		// a direct connection. The ack is answered locally — agents must
@@ -367,9 +357,6 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 
 	case wire.TypeZoneReport:
 		zr := req.ZoneReport
-		if zr == nil || zr.ClientID == "" {
-			return wire.ErrorReply("zone report requires a client id"), true
-		}
 		sh, ok := g.reg.ShardFor(zr.Loc)
 		if !ok {
 			g.met.unroutable.Inc()
@@ -387,22 +374,12 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 		}
 
 	case wire.TypeSampleReport:
-		sr := req.SampleReport
-		if sr == nil {
-			return wire.ErrorReply("empty sample report"), true
-		}
-		return g.routeSamples(sess, sr), false
+		return g.routeSamples(sess, req.SampleReport, out), false
 
 	case wire.TypeEstimateRequest:
-		if req.EstimateRequest == nil {
-			return wire.ErrorReply("empty estimate request"), true
-		}
 		return g.fanoutEstimate(sess, req), false
 
 	case wire.TypeZoneListRequest:
-		if req.ZoneListRequest == nil {
-			return wire.ErrorReply("empty zone list request"), true
-		}
 		return g.fanoutZoneList(sess, req), false
 
 	default:
@@ -411,20 +388,21 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope) (reply wire.Envelop
 }
 
 // routeSamples forwards one sample report to the shards that own its
-// samples. A report is one client's drive, so nearly always one shard owns
-// all of it and it is forwarded whole; one that straddles a boundary, or
-// holds a sample no shard covers, is split by owning shard and each group
-// forwarded. Samples whose shard is down (or that no shard covers) are
-// dropped and counted; the agent still gets an ack for what landed, so one
-// dead region never poisons a whole upload.
-func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelope {
+// samples and builds the agent's ack in out. A report is one client's drive,
+// so nearly always one shard owns all of it and the agent's own report is
+// forwarded; one that straddles a boundary, or holds a sample no shard
+// covers, is split into a report per owning shard. Samples whose shard is
+// down (or that no shard covers) are dropped and counted; the agent still
+// gets an ack for what landed, so one dead region never poisons a whole
+// upload.
+func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport, out *wire.Replies) wire.Envelope {
 	type group struct {
-		sh   *Shard
-		smps []trace.Sample
+		sh     *Shard
+		report *wire.SampleReport
 	}
 	var groups []group // in forwarding order: first appearance in the report
 	if sh, ok := g.soleShard(sr.Samples); ok {
-		groups = []group{{sh, sr.Samples}}
+		groups = []group{{sh, sr}}
 	} else {
 		index := make(map[*Shard]int)
 		unroutable := 0
@@ -438,9 +416,9 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 			if !seen {
 				i = len(groups)
 				index[sh] = i
-				groups = append(groups, group{sh: sh})
+				groups = append(groups, group{sh, &wire.SampleReport{ClientID: sr.ClientID}})
 			}
-			groups[i].smps = append(groups[i].smps, smp)
+			groups[i].report.Samples = append(groups[i].report.Samples, smp)
 		}
 		if unroutable > 0 {
 			g.met.unroutable.Add(float64(unroutable))
@@ -452,12 +430,11 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	var lastErr error
 	for _, gr := range groups {
 		g.met.shard(gr.sh.Name()).routed.Inc()
-		sess.report = wire.SampleReport{ClientID: sr.ClientID, Samples: gr.smps}
-		up, err := g.forward(sess, gr.sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &sess.report}, wire.TypeSampleAck)
+		up, err := g.forward(sess, gr.sh, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: gr.report}, wire.TypeSampleAck)
 		if err != nil {
 			lastErr = fmt.Errorf("shard %s: %w", gr.sh.Name(), err)
-			failed += len(gr.smps)
-			g.met.droppedSmps.Add(float64(len(gr.smps)))
+			failed += len(gr.report.Samples)
+			g.met.droppedSmps.Add(float64(len(gr.report.Samples)))
 			continue
 		}
 		accepted += up.SampleAck.Accepted
@@ -465,8 +442,7 @@ func (g *Gateway) routeSamples(sess *session, sr *wire.SampleReport) wire.Envelo
 	if accepted == 0 && failed > 0 {
 		return wire.ErrorReply(fmt.Sprintf("all shards unavailable for report: %v", lastErr))
 	}
-	sess.ack = wire.SampleAck{Accepted: accepted}
-	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: &sess.ack}
+	return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: out.SampleAck(accepted)}
 }
 
 // soleShard reports the one shard that owns every sample of smps, if there
@@ -654,8 +630,7 @@ func answered(err error) bool { return errors.As(err, new(*wire.ReplyError)) }
 // else (see answered) is alive: the breaker counts a success and the answer
 // comes back as the error.
 func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
-	sess.via = wire.Via{Gateway: g.opts.Name, Shard: sh.Name()}
-	req.Via = &sess.via
+	req.Via = g.vias[sh]
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !sh.Healthy() {
@@ -725,7 +700,7 @@ func (g *Gateway) upstream(sess *session, sh *Shard, addr string) (*wire.Conn, e
 		_ = c.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
 		_, err := c.Call(wire.Envelope{
 			Type:  wire.TypeHello,
-			Via:   &wire.Via{Gateway: g.opts.Name, Shard: sh.Name()},
+			Via:   g.vias[sh],
 			Hello: sess.hello,
 		}, wire.TypeHelloAck)
 		if err != nil {

@@ -420,18 +420,11 @@ func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsUnroutableAndMalformed covers the protocol edges: a
-// location outside every shard gets a non-fatal error; a malformed request
-// terminates the connection like the coordinator would.
-func TestGatewayRejectsUnroutableAndMalformed(t *testing.T) {
+// TestGatewayRejectsUnroutable: a location outside every shard gets a
+// non-fatal error, and the connection goes on serving.
+func TestGatewayRejectsUnroutable(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{})
-	nc, err := net.Dial("tcp", tc.gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := wire.NewConn(nc)
-	defer c.Close()
-
+	c := dialConn(t, tc.gw.Addr())
 	reply, err := c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 		ClientID: "lost", Loc: geo.Point{Lat: 0, Lon: 0}, At: start,
 	}})
@@ -441,20 +434,65 @@ func TestGatewayRejectsUnroutableAndMalformed(t *testing.T) {
 	if u := tc.counter("wiscape_gateway_unroutable_total"); u != 1 {
 		t.Fatalf("unroutable counter %v", u)
 	}
-	// The connection survived the unroutable report...
 	reply, err = c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 		ClientID: "lost", Loc: geo.MadisonStaticSites()[0], At: start,
 	}})
 	if err != nil || reply.Type != wire.TypeTaskList {
 		t.Fatalf("routable report after unroutable: %v %v", reply.Type, err)
 	}
-	// ...but a malformed one is fatal.
-	reply, err = c.Request(wire.Envelope{Type: wire.TypeZoneReport})
-	if err != nil || reply.Type != wire.TypeError {
-		t.Fatalf("malformed report: %v %v", reply.Type, err)
+}
+
+// TestMalformedRequestsAreRefused: a request without the payload its type
+// needs — which only a JSON line can leave out — and a hello or zone report
+// naming no client each get exactly one error reply and then a closed
+// connection, sent to a coordinator directly and through a gateway alike. A
+// status request, whose payload is empty, is answered by the coordinator,
+// which serves it, and refused by the gateway, which does not.
+func TestMalformedRequestsAreRefused(t *testing.T) {
+	tc := startCluster(t, GatewayOptions{})
+	malformed := []string{
+		`{"type":"hello"}`,
+		`{"type":"hello","hello":{"client_id":"","device_class":"phone"}}`,
+		`{"type":"zone_report"}`,
+		`{"type":"zone_report","zone_report":{"client_id":"","loc":{"lat":43.07,"lon":-89.4}}}`,
+		`{"type":"sample_report"}`,
+		`{"type":"estimate_request"}`,
+		`{"type":"zone_list_request"}`,
+		`{"type":"promote"}`,
+		`{"type":"demote"}`,
+		`{"type":"demote","demote":{"epoch":2}}`,
 	}
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("connection must close after a malformed request")
+	for _, target := range []struct{ name, addr string }{{"coordinator", tc.madison.Addr()}, {"gateway", tc.gw.Addr()}} {
+		send := func(line string) *wire.Conn {
+			t.Helper()
+			nc, err := net.Dial("tcp", target.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := nc.Write([]byte(line + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			c := wire.NewConn(nc)
+			t.Cleanup(func() { _ = c.Close() })
+			return c
+		}
+		for _, line := range malformed {
+			c := send(line)
+			reply, err := c.Recv()
+			if err != nil || reply.Type != wire.TypeError || reply.Error == nil {
+				t.Errorf("%s, %s: answered %+v, %v; want an error reply", target.name, line, reply, err)
+				continue
+			}
+			if extra, err := c.Recv(); err == nil {
+				t.Errorf("%s, %s: a second reply %+v, or the connection left open", target.name, line, extra)
+			}
+		}
+		reply, err := send(`{"type":"status_request"}`).Recv()
+		want := map[string]wire.MsgType{"coordinator": wire.TypeStatusReply, "gateway": wire.TypeError}[target.name]
+		if err != nil || reply.Type != want {
+			t.Errorf("%s, a status request: answered %+v, %v; want %s", target.name, reply, err, want)
+		}
 	}
 }
 
@@ -472,7 +510,7 @@ func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
 		wire.TypeZoneListRequest: wire.TypeZoneListReply,
 	}
 	hollow, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
-		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope, _ *wire.Replies) (wire.Envelope, bool) {
 			return wire.Envelope{Type: replyType[req.Type]}, false
 		})
 	})

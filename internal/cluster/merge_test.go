@@ -246,7 +246,7 @@ func startEstimateShard(t *testing.T, answer func(*wire.EstimateRequest) *wire.E
 	t.Helper()
 	es := &estimateShard{}
 	lis, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
-		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope, _ *wire.Replies) (wire.Envelope, bool) {
 			if req.EstimateRequest == nil {
 				return wire.ErrorReply("estimates only"), true
 			}
@@ -362,7 +362,7 @@ func TestGatewayCountsMergeFallback(t *testing.T) {
 func startZoneListShard(t *testing.T, records []core.Record) string {
 	t.Helper()
 	lis, err := wire.Listen("127.0.0.1:0", func(nc net.Conn) {
-		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope) (wire.Envelope, bool) {
+		wire.ServeConn(nc, 0, wire.ServeMetrics{}, func(req wire.Envelope, _ *wire.Replies) (wire.Envelope, bool) {
 			if req.ZoneListRequest == nil {
 				return wire.ErrorReply("zone lists only"), true
 			}

@@ -187,7 +187,7 @@ func schedule(r *rng.Rand, horizon time.Duration, grid *geo.Grid, at func(clock 
 }
 
 func sayHello(s *Server, id string) {
-	s.dispatch(nil, wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: id, DeviceClass: "laptop"}})
+	s.dispatch(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: id, DeviceClass: "laptop"}}, nil)
 }
 
 // TestAssignTasksMatchesFullScan drives the per-zone active set and the
@@ -335,9 +335,9 @@ func TestZoneReportFiledByItsFix(t *testing.T) {
 	lying.Controller().RequiredSamplesFor(key) // the same budget sweep, so the two stay in step
 
 	report := func(s *Server, id string, z geo.ZoneID, at time.Time) []wire.Task {
-		reply, _ := s.dispatch(nil, wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: id, Zone: z, Loc: loc, At: at, Networks: []radio.NetworkID{radio.NetB},
-		}})
+		}}, nil)
 		if reply.TaskList == nil {
 			t.Fatalf("zone report from %s answered %+v", id, reply)
 		}

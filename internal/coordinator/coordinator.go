@@ -261,10 +261,7 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	// comes up only after the role state and instruments dispatch reads.
 	var err error
 	s.lis, err = wire.Listen(addr, func(nc net.Conn) {
-		out := new(replyStore)
-		wire.ServeConn(nc, s.opts.IdleTimeout, s.met.serve, func(req wire.Envelope) (wire.Envelope, bool) {
-			return s.dispatch(out, req)
-		})
+		wire.ServeConn(nc, s.opts.IdleTimeout, s.met.serve, s.dispatch)
 	})
 	if err != nil {
 		return fail(fmt.Errorf("coordinator: listen %s: %w", addr, err))
@@ -417,60 +414,16 @@ func (s *Server) ClientCount() int {
 	return len(s.clients)
 }
 
-// A replyStore is the storage one connection's replies are built in, so
-// that a zone report's task list and a sample report's ack cost the server
-// nothing: each reply overwrites the one before. ServeConn sends a reply
-// before it reads the next request, so a reply built here is valid until it
-// is sent; only a dispatch behind ServeConn builds into one. A nil
-// *replyStore allocates every reply afresh.
-type replyStore struct {
-	list  wire.TaskList
-	tasks []wire.Task // the backing array of list.Tasks
-	ack   wire.SampleAck
-}
-
-// taskBuf is the slice a task list is drawn into: o's, emptied, or nil.
-func (o *replyStore) taskBuf() []wire.Task {
-	if o == nil {
-		return nil
-	}
-	return o.tasks[:0]
-}
-
-// taskList returns a task list of tasks, which were drawn into taskBuf.
-func (o *replyStore) taskList(tasks []wire.Task) *wire.TaskList {
-	if o == nil {
-		return &wire.TaskList{Tasks: tasks}
-	}
-	if tasks != nil {
-		o.tasks = tasks
-	}
-	o.list = wire.TaskList{Tasks: tasks}
-	return &o.list
-}
-
-// sampleAck returns an ack of accepted samples.
-func (o *replyStore) sampleAck(accepted int) *wire.SampleAck {
-	if o == nil {
-		return &wire.SampleAck{Accepted: accepted}
-	}
-	o.ack = wire.SampleAck{Accepted: accepted}
-	return &o.ack
-}
-
-// dispatch maps one request to its reply — every request gets exactly one;
-// fatal=true (protocol errors) closes the connection after replying. A task
-// list or an ack is built in out (see replyStore).
-func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelope, fatal bool) {
+// dispatch maps one request, which wire.ServeConn has vetted, to its reply —
+// every request gets exactly one; fatal=true (protocol errors) closes the
+// connection after replying. A task list or an ack is built in out.
+func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	s.met.request(req.Type).Inc()
 	if req.Via != nil {
 		s.met.forwarded.Inc()
 	}
 	switch req.Type {
 	case wire.TypeHello:
-		if req.Hello == nil || req.Hello.ClientID == "" {
-			return wire.ErrorReply("hello requires a client id"), true
-		}
 		s.mu.Lock()
 		// A hello starts the client over: it is in no zone until it reports.
 		st := s.heardFromLocked(req.Hello.ClientID)
@@ -482,20 +435,12 @@ func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelo
 		}}, false
 
 	case wire.TypeZoneReport:
-		zr := req.ZoneReport
-		if zr == nil || zr.ClientID == "" {
-			return wire.ErrorReply("zone report requires a client id"), true
-		}
 		s.met.zoneReports.Inc()
-		tasks := s.assignTasks(out.taskBuf(), zr)
+		tasks := s.assignTasks(out.TaskBuf(), req.ZoneReport)
 		s.met.tasksAssigned.Add(float64(len(tasks)))
-		return wire.Envelope{Type: wire.TypeTaskList, TaskList: out.taskList(tasks)}, false
+		return wire.Envelope{Type: wire.TypeTaskList, TaskList: out.TaskList(tasks)}, false
 
 	case wire.TypeSampleReport:
-		sr := req.SampleReport
-		if sr == nil {
-			return wire.ErrorReply("empty sample report"), true
-		}
 		if s.Role() == wire.RoleReplica {
 			// Replicas serve reads; writes belong to the primary. The
 			// gateway's route table normally prevents this — answer
@@ -503,6 +448,7 @@ func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelo
 			// the routing epoch catches up.
 			return wire.ErrorReply("replica is read-only"), false
 		}
+		sr := req.SampleReport
 		for i := range sr.Samples {
 			if sr.Samples[i].ClientID == "" {
 				sr.Samples[i].ClientID = sr.ClientID
@@ -536,22 +482,16 @@ func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelo
 			// against this primary's death.
 			return wire.ErrorReply("replication ack timeout: samples journaled but not yet replicated"), false
 		}
-		return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: out.sampleAck(accepted)}, false
+		return wire.Envelope{Type: wire.TypeSampleAck, SampleAck: out.SampleAck(accepted)}, false
 
 	case wire.TypeZoneListRequest:
 		zl := req.ZoneListRequest
-		if zl == nil {
-			return wire.ErrorReply("empty zone list request"), true
-		}
 		return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{
 			Records: s.Controller().Records(zl.Network, zl.Metric),
 		}}, false
 
 	case wire.TypeEstimateRequest:
 		er := req.EstimateRequest
-		if er == nil {
-			return wire.ErrorReply("empty estimate request"), true
-		}
 		key := core.Key{Zone: er.Zone, Net: er.Network, Metric: er.Metric}
 		rec, ok := s.Controller().Estimate(key)
 		reply := &wire.EstimateReply{Found: ok, Record: rec}
@@ -566,9 +506,6 @@ func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelo
 		return wire.Envelope{Type: wire.TypeStatusReply, StatusReply: s.statusReply()}, false
 
 	case wire.TypePromote:
-		if req.Promote == nil {
-			return wire.ErrorReply("empty promote request"), true
-		}
 		replAddr, err := s.changeRole(req.Promote.Epoch, "")
 		if err != nil {
 			return wire.ErrorReply(fmt.Sprintf("promote failed: %v", err)), true
@@ -581,7 +518,7 @@ func (s *Server) dispatch(out *replyStore, req wire.Envelope) (reply wire.Envelo
 		}}, false
 
 	case wire.TypeDemote:
-		if req.Demote == nil || req.Demote.PrimaryReplAddr == "" {
+		if req.Demote.PrimaryReplAddr == "" {
 			return wire.ErrorReply("demote requires the new primary's replication address"), true
 		}
 		if _, err := s.changeRole(req.Demote.Epoch, req.Demote.PrimaryReplAddr); err != nil {
@@ -692,7 +629,7 @@ func (s *Server) noteReport(zr *wire.ZoneReport, zone geo.ZoneID) (active int) {
 // active count, and appends it to dst. The list is drawn on the stack (up to
 // eight tasks; the default options offer six) and appended whole, so dst
 // with the room costs nothing — dispatch hands in its connection's reply
-// storage (see replyStore) — and a nil dst is allocated once, at the list's
+// storage (see wire.Replies) — and a nil dst is allocated once, at the list's
 // length. A list with no task is nil whatever dst is, which the frame spells
 // `"tasks":null`.
 func (s *Server) drawTasks(dst []wire.Task, zr *wire.ZoneReport, zone geo.ZoneID, active int) []wire.Task {

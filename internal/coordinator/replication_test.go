@@ -224,7 +224,7 @@ func TestRoleOrdersKeepTailWithRole(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				node.dispatch(nil, o)
+				node.dispatch(o, nil)
 			}()
 		}
 		wg.Wait()
@@ -253,8 +253,8 @@ func TestReplicaGaugesFollowPromotion(t *testing.T) {
 
 	report := func(s *Server, value float64) {
 		t.Helper()
-		reply, _ := s.dispatch(nil, wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
-			ClientID: "c", Samples: minuteSamples(geo.Madison().Center(), start, 3, value)}})
+		reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+			ClientID: "c", Samples: minuteSamples(geo.Madison().Center(), start, 3, value)}}, nil)
 		if reply.Type != wire.TypeSampleAck {
 			t.Fatalf("%s refused the report: %+v", s.opts.ServerID, reply)
 		}
@@ -292,7 +292,7 @@ func TestReplicaGaugesFollowPromotion(t *testing.T) {
 		applied, lag := gauges()
 		return applied == float64(primary.store.LastLSN()) && lag == 0
 	})
-	if reply, _ := node.dispatch(nil, wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: 1}}); reply.Type == wire.TypeError {
+	if reply, _ := node.dispatch(wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: 1}}, nil); reply.Type == wire.TypeError {
 		t.Fatalf("promote refused: %+v", reply.Error)
 	}
 	report(node, 950)

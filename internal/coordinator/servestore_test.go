@@ -68,7 +68,7 @@ func TestBackToBackReportsJournalWhatWasSent(t *testing.T) {
 		if _, err := c.Call(req, want); err != nil {
 			t.Fatalf("%s: %v", req.Type, err)
 		}
-		if reply, _ := oracle.dispatch(nil, req); reply.Type != want {
+		if reply, _ := oracle.dispatch(req, nil); reply.Type != want {
 			t.Fatalf("the oracle answered a %s with %+v", req.Type, reply)
 		}
 	}

@@ -77,7 +77,7 @@ func shortWriteChild(dir string) error {
 	if err != nil {
 		return err
 	}
-	if reply, _ := s.dispatch(nil, report(5, time.UTC)); reply.Type != wire.TypeSampleAck {
+	if reply, _ := s.dispatch(report(5, time.UTC), nil); reply.Type != wire.TypeSampleAck {
 		return fmt.Errorf("the first report was answered %+v", reply)
 	}
 	var lim syscall.Rlimit
@@ -99,7 +99,7 @@ func shortWriteChild(dir string) error {
 		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &cut); err != nil {
 			return err
 		}
-		cutReply, _ := s.dispatch(nil, report(50, zone))
+		cutReply, _ := s.dispatch(report(50, zone), nil)
 		if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lim); err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func shortWriteChild(dir string) error {
 		if n := held(s); n != want {
 			return fmt.Errorf("%s: after the failed report the controller holds %d samples, want %d", zone, n, want)
 		}
-		if reply, _ := s.dispatch(nil, report(50, zone)); reply.Type != wire.TypeSampleAck || reply.SampleAck.Accepted != 50 {
+		if reply, _ := s.dispatch(report(50, zone), nil); reply.Type != wire.TypeSampleAck || reply.SampleAck.Accepted != 50 {
 			return fmt.Errorf("%s: the resent report was answered %+v", zone, reply)
 		}
 		if want += 50; held(s) != want {

@@ -9,6 +9,9 @@ import (
 	"os/signal"
 	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/telemetry"
 )
 
 // shortWriteDirEnv names the data directory of the child process
@@ -94,4 +97,71 @@ func shortWriteChild(dir string) error {
 		}
 	}
 	return nil
+}
+
+// swapSegment makes w the active segment's handle and returns the one it
+// replaced.
+func swapSegment(st *Store, w *os.File) *os.File {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	seg := st.f
+	st.f = w
+	return seg
+}
+
+// TestFailedPolicyFsyncRefusesTheRecord: under "always", a report whose write
+// goes through but whose fsync fails is refused, and so must not stay in the
+// log, where the replication source would ship it and recovery replay it, nor
+// count in LastLSN. The segment's handle is swapped for a pipe's write end,
+// which takes the write and fails fsync and truncate alike (EINVAL): the
+// record cannot be cut back out either, so every later append is refused,
+// even once the segment is back.
+func TestFailedPolicyFsyncRefusesTheRecord(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{Fsync: FsyncPolicy{EveryRecords: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, st, 0, 3)
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	seg := swapSegment(st, w)
+	if _, err := st.Append(testSample(3)); err == nil {
+		t.Fatal("an append whose fsync failed was acked")
+	}
+	if last := st.LastLSN(); last != 3 {
+		t.Errorf("LastLSN %d after a refused append, want 3", last)
+	}
+	swapSegment(st, seg)
+	if _, err := st.Append(testSample(3)); err == nil {
+		t.Error("an append behind a record that could not be cut back was taken")
+	}
+	_ = st.Close()
+}
+
+// TestFailedIntervalFsyncIsRetried: an interval fsync that fails leaves its
+// lines counted as unsynced, so the next tick tries again.
+func TestFailedIntervalFsyncIsRetried(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{Fsync: FsyncPolicy{Interval: time.Millisecond}, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer w.Close()
+	seg := swapSegment(st, w)
+	appendN(t, st, 0, 1)
+	for deadline := time.Now().Add(5 * time.Second); st.met.walFsyncs.Value() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("an interval fsync that failed was not tried again")
+		}
+	}
+	swapSegment(st, seg)
+	_ = st.Close()
 }

@@ -319,7 +319,9 @@ func (st *Store) appendReportLocked(clientID string, samples []trace.Sample) (ui
 // acked record with it. So the segment is cut back to where the last whole
 // line ends, taking all of data with it; if that fails too, every later
 // append is refused until the store is reopened and recovery truncates the
-// partial line.
+// partial line. A failed fsync the policy asks for is a failed write too: the
+// caller refuses the record, so it must not stay in the log for replication
+// to ship or recovery to replay.
 func (st *Store) writeLocked(first, last uint64, data []byte) error {
 	if st.wedged != nil {
 		return fmt.Errorf("store: appending record %d: %w", first, st.wedged)
@@ -329,7 +331,15 @@ func (st *Store) writeLocked(first, last uint64, data []byte) error {
 			return err
 		}
 	}
-	if _, err := st.f.Write(data); err != nil {
+	_, err := st.f.Write(data)
+	every := st.opts.Fsync.EveryRecords
+	syncs := every > 0 && st.unsynced+1 >= every
+	if err == nil && syncs {
+		if err = st.syncLocked(); err != nil {
+			err = fmt.Errorf("fsync: %w", err)
+		}
+	}
+	if err != nil {
 		if uerr := st.undoWriteLocked(); uerr != nil {
 			st.wedged = fmt.Errorf("a partial record could not be cut from the WAL (%w); reopen the store", uerr)
 			return fmt.Errorf("store: appending record %d: %w; %w", first, err, st.wedged)
@@ -339,14 +349,11 @@ func (st *Store) writeLocked(first, last uint64, data []byte) error {
 	st.segSize += int64(len(data))
 	st.nextLSN = last + 1
 	st.unsynced++
-	st.met.walAppends.Inc()
-	st.met.walBytes.Add(float64(len(data)))
-	if every := st.opts.Fsync.EveryRecords; every > 0 && st.unsynced >= every {
-		if err := st.syncLocked(); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
-		}
+	if syncs {
 		st.unsynced = 0
 	}
+	st.met.walAppends.Inc()
+	st.met.walBytes.Add(float64(len(data)))
 	return nil
 }
 
@@ -456,9 +463,11 @@ func (st *Store) syncLoop() {
 			st.mu.Lock()
 			if !st.closed && st.unsynced > 0 {
 				if err := st.syncLocked(); err != nil {
+					// Left set, so the next tick retries.
 					st.opts.Logf("store: interval fsync: %v", err)
+				} else {
+					st.unsynced = 0
 				}
-				st.unsynced = 0
 			}
 			st.mu.Unlock()
 		case <-st.stop:

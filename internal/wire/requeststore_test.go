@@ -73,7 +73,7 @@ func TestServeConnDecodesIntoItsStorage(t *testing.T) {
 	next := 0
 	var kept *trace.Sample // the first slot of the connection's slice
 	keptCap := 0
-	dispatch := func(req Envelope) (Envelope, bool) {
+	dispatch := func(req Envelope, _ *Replies) (Envelope, bool) {
 		defer func() { next++ }()
 		if next >= len(sent) {
 			t.Errorf("request %d: only %d were sent", next, len(sent))
@@ -301,7 +301,7 @@ func TestCallDecodesIntoItsStorage(t *testing.T) {
 	}
 
 	longReply := call(zr)
-	if longReply.TaskList == &c.store.list || &c.store.tasks[0] != kept || cap(c.store.tasks) >= long {
+	if longReply.TaskList == &c.store.replies.list || &c.store.replies.tasks[0] != kept || cap(c.store.replies.tasks) >= long {
 		t.Errorf("the Conn kept the task list of %d tasks", long)
 	}
 	if again := call(zr); &again.TaskList.Tasks[0] != kept {

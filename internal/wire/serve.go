@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"time"
@@ -26,11 +27,16 @@ func ErrorReply(msg string) Envelope {
 }
 
 // ServeConn runs one connection's request/response loop and closes nc when
-// it ends. Every request gets exactly one reply from dispatch; fatal=true
-// closes the connection after the reply is sent. A peer silent for longer
-// than idle (zero disables) is dropped, an oversized message is answered
-// with "message too large" before the connection closes, and anything else
-// unreadable closes it silently.
+// it ends. It owns the request/reply contract, so that no dispatcher repeats
+// it. Every request gets exactly one reply; fatal=true closes the connection
+// after the reply is sent. A request lacking the payload its type needs, or a
+// hello or zone report naming no client, is refused here, with an error reply
+// and a close, and dispatch never sees it: dispatch may dereference the
+// payload its request's type selects unchecked. A peer silent for longer than
+// idle (zero disables) is dropped, and so is one that does not read a reply
+// within idle of its sending; an oversized message is answered with "message
+// too large" before the connection closes, and anything else unreadable
+// closes it silently.
 //
 // Unlike an envelope from Recv, a request is valid only until dispatch
 // returns: a binary sample or zone report and a via are decoded into storage
@@ -42,11 +48,11 @@ func ErrorReply(msg string) Envelope {
 // hello; what it forwards, it forwards before it returns.
 //
 // A reply need only be valid until ServeConn has sent it, which it does
-// before it reads the next request: dispatch may build it in storage of its
-// own that the next reply overwrites, as the coordinator builds task lists
-// and acks, or return one that a Call on an upstream Conn decoded, as the
-// gateway relays a shard's.
-func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(Envelope) (reply Envelope, fatal bool)) {
+// before it reads the next request: dispatch builds a task list or an ack in
+// out, the connection's own Replies, which the next reply overwrites, or
+// returns one that a Call on an upstream Conn decoded, as the gateway relays
+// a shard's.
+func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(req Envelope, out *Replies) (reply Envelope, fatal bool)) {
 	m.Connections.Inc()
 	c := NewConn(nc).Instrument(m.Codec)
 	defer c.Close()
@@ -55,25 +61,50 @@ func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(En
 			_ = nc.SetReadDeadline(time.Now().Add(idle))
 		}
 		req, err := c.recv(&c.store)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrMessageTooLarge):
-				m.ProtocolErrors.Inc()
-				//lint:ignore errdrop best-effort reply on a connection already failing
-				_ = c.Send(ErrorReply("message too large"))
-			case errors.Is(err, os.ErrDeadlineExceeded):
+		if err != nil && !errors.Is(err, ErrMessageTooLarge) {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
 				m.IdleDisconnects.Inc()
 			}
 			return
 		}
-		t0 := time.Now()
-		reply, fatal := dispatch(req)
-		m.Latency.Observe(time.Since(t0).Seconds())
+		var reply Envelope
+		fatal := true
+		switch msg := refusal(&req); {
+		case err != nil:
+			reply = ErrorReply("message too large")
+		case msg != "":
+			reply = ErrorReply(msg)
+		default:
+			t0 := time.Now()
+			reply, fatal = dispatch(req, &c.store.replies)
+			m.Latency.Observe(time.Since(t0).Seconds())
+		}
 		if reply.Type == TypeError {
 			m.ProtocolErrors.Inc()
 		}
-		if err := c.Send(reply); err != nil || fatal {
+		if idle > 0 {
+			_ = nc.SetWriteDeadline(time.Now().Add(idle))
+		}
+		err = c.Send(reply)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			m.IdleDisconnects.Inc()
+		}
+		if err != nil || fatal {
 			return
 		}
 	}
+}
+
+// refusal is why ServeConn refuses req before any dispatcher sees it, or "":
+// the payload its type needs is missing, or it is a hello or zone report that
+// names no client.
+func refusal(req *Envelope) string {
+	switch {
+	case !req.hasPayload():
+		return fmt.Sprintf("%s request has no payload", req.Type)
+	case req.Type == TypeHello && req.Hello.ClientID == "",
+		req.Type == TypeZoneReport && req.ZoneReport.ClientID == "":
+		return fmt.Sprintf("%s requires a client id", req.Type)
+	}
+	return ""
 }

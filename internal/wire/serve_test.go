@@ -26,7 +26,7 @@ func serveMetrics() ServeMetrics {
 
 // startServeConn runs ServeConn on one end of a pipe and returns the other
 // end plus a channel closed when ServeConn returns.
-func startServeConn(idle time.Duration, m ServeMetrics, dispatch func(Envelope) (Envelope, bool)) (net.Conn, <-chan struct{}) {
+func startServeConn(idle time.Duration, m ServeMetrics, dispatch func(Envelope, *Replies) (Envelope, bool)) (net.Conn, <-chan struct{}) {
 	client, server := net.Pipe()
 	done := make(chan struct{})
 	go func() {
@@ -36,7 +36,7 @@ func startServeConn(idle time.Duration, m ServeMetrics, dispatch func(Envelope) 
 	return client, done
 }
 
-func echoHello(req Envelope) (Envelope, bool) {
+func echoHello(req Envelope, _ *Replies) (Envelope, bool) {
 	return Envelope{Type: TypeHelloAck, HelloAck: &HelloAck{ServerID: req.Hello.ClientID}}, false
 }
 
@@ -95,9 +95,76 @@ func TestServeConnIdleExpiry(t *testing.T) {
 	}
 }
 
+// TestServeConnBoundsEachWrite: a client that sends a request and never
+// reads its reply is dropped once the reply has waited idle to be written,
+// as a silent one is; a net.Pipe has no buffer, so the reply's write blocks
+// at once.
+func TestServeConnBoundsEachWrite(t *testing.T) {
+	m := serveMetrics()
+	client, done := startServeConn(50*time.Millisecond, m, echoHello)
+	defer client.Close()
+	if _, err := client.Write([]byte(`{"type":"hello","hello":{"client_id":"deaf"}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a client that never reads its reply pins its handler")
+	}
+	if got := m.IdleDisconnects.Value(); got != 1 {
+		t.Fatalf("idle disconnects %v, want 1", got)
+	}
+}
+
+// TestServeConnRefusesBeforeDispatch: ServeConn answers a request lacking
+// the payload its type needs, or a hello or zone report naming no client,
+// with one error reply and a close, and dispatch never sees it; a status
+// request, whose payload is empty, and a type ServeConn does not know are
+// dispatched.
+func TestServeConnRefusesBeforeDispatch(t *testing.T) {
+	for _, tc := range []struct {
+		line       string
+		dispatched bool
+	}{
+		{`{"type":"hello"}`, false},
+		{`{"type":"hello","hello":{"client_id":""}}`, false},
+		{`{"type":"zone_report"}`, false},
+		{`{"type":"zone_report","zone_report":{"client_id":""}}`, false},
+		{`{"type":"sample_report"}`, false},
+		{`{"type":"estimate_request"}`, false},
+		{`{"type":"zone_list_request"}`, false},
+		{`{"type":"promote"}`, false},
+		{`{"type":"demote"}`, false},
+		{`{"type":"task_list"}`, false},
+		{`{"type":"status_request"}`, true},
+		{`{"type":"gossip"}`, true},
+	} {
+		m := serveMetrics()
+		dispatched := false
+		client, done := startServeConn(0, m, func(Envelope, *Replies) (Envelope, bool) {
+			dispatched = true
+			return ErrorReply("dispatched"), true
+		})
+		go func() { _, _ = client.Write([]byte(tc.line + "\n")) }()
+		c := NewConn(client)
+		reply, err := c.Recv()
+		<-done
+		if err != nil || reply.Type != TypeError || dispatched != tc.dispatched {
+			t.Errorf("%s: answered %+v, %v, dispatched %v; want an error reply, dispatched %v", tc.line, reply, err, dispatched, tc.dispatched)
+		}
+		if _, err := c.Recv(); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: read after the error reply: %v, want EOF", tc.line, err)
+		}
+		if got := m.ProtocolErrors.Value(); got != 1 {
+			t.Errorf("%s: protocol errors %v, want 1", tc.line, got)
+		}
+		client.Close()
+	}
+}
+
 func TestServeConnFatalClosesAfterReply(t *testing.T) {
 	m := serveMetrics()
-	client, done := startServeConn(0, m, func(Envelope) (Envelope, bool) {
+	client, done := startServeConn(0, m, func(Envelope, *Replies) (Envelope, bool) {
 		return ErrorReply("bad request"), true
 	})
 	defer client.Close()

@@ -659,7 +659,17 @@ type requestStore struct {
 	zone     ZoneReport
 	networks []radio.NetworkID // the backing array of zone.Networks
 	relay    Via
+	replies  Replies
+}
 
+// Replies are the slots a Conn holds a task list and an ack in: the ones Call
+// decodes its binary replies into, and on a served Conn the ones ServeConn
+// hands its dispatcher to build those replies in, so that answering a zone or
+// sample report costs the server nothing. Each reply overwrites the one
+// before; ServeConn sends a reply before it reads the next request, and a
+// Call's reply is valid until the next Call. A nil *Replies allocates every
+// reply afresh.
+type Replies struct {
 	list  TaskList
 	tasks []Task // the backing array of list.Tasks
 	ack   SampleAck
@@ -669,6 +679,14 @@ type requestStore struct {
 func retainable[T any](s []T) bool {
 	var item T
 	return uintptr(cap(s))*unsafe.Sizeof(item) <= maxPooledFrameBytes
+}
+
+// out is d's reply slots, or nil.
+func (d *requestStore) out() *Replies {
+	if d == nil {
+		return nil
+	}
+	return &d.replies
 }
 
 // via returns the via a line names.
@@ -723,34 +741,35 @@ func (d *requestStore) zoneReport(client []byte, zr ZoneReport) *ZoneReport {
 	return &d.zone
 }
 
-// taskBuf is the slice a task list decodes into: d's, or nil.
-func (d *requestStore) taskBuf() []Task {
-	if d == nil {
+// TaskBuf is the slice a task list is drawn or decoded into: r's, emptied,
+// or nil.
+func (r *Replies) TaskBuf() []Task {
+	if r == nil {
 		return nil
 	}
-	return d.tasks
+	return r.tasks[:0]
 }
 
-// taskList returns a task list of tasks, which were decoded into taskBuf:
-// d's, if tasks may stay with it.
-func (d *requestStore) taskList(tasks []Task) *TaskList {
-	if d == nil || !retainable(tasks) {
+// TaskList returns a task list of tasks, which were drawn or decoded into
+// TaskBuf: r's, if tasks may stay with it.
+func (r *Replies) TaskList(tasks []Task) *TaskList {
+	if r == nil || !retainable(tasks) {
 		return &TaskList{Tasks: tasks}
 	}
 	if tasks != nil {
-		d.tasks = tasks
+		r.tasks = tasks
 	}
-	d.list = TaskList{Tasks: tasks}
-	return &d.list
+	r.list = TaskList{Tasks: tasks}
+	return &r.list
 }
 
-// sampleAck returns an ack of accepted samples.
-func (d *requestStore) sampleAck(accepted int) *SampleAck {
-	if d == nil {
+// SampleAck returns an ack of accepted samples.
+func (r *Replies) SampleAck(accepted int) *SampleAck {
+	if r == nil {
 		return &SampleAck{Accepted: accepted}
 	}
-	d.ack = SampleAck{Accepted: accepted}
-	return &d.ack
+	r.ack = SampleAck{Accepted: accepted}
+	return &r.ack
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0
@@ -961,11 +980,11 @@ var handCodecs = [...]handCodec{{
 	},
 	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
-		tasks := readBinaryList(&r, dst.taskBuf(), minTaskBinary, readTaskBinary)
+		tasks := readBinaryList(&r, dst.out().TaskBuf(), minTaskBinary, readTaskBinary)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{TaskList: dst.taskList(tasks)}, nil
+		return Envelope{TaskList: dst.out().TaskList(tasks)}, nil
 	},
 }, {
 	typ:       TypeSampleAck,
@@ -985,7 +1004,7 @@ var handCodecs = [...]handCodec{{
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{SampleAck: dst.sampleAck(accepted)}, nil
+		return Envelope{SampleAck: dst.out().SampleAck(accepted)}, nil
 	},
 }, {
 	typ:       TypeEstimateRequest,
@@ -1209,12 +1228,13 @@ func (e *ReplyError) Error() string { return e.Message }
 // dereference unchecked. Any other answer comes back as a *ReplyError.
 //
 // Unlike Request's, a reply is valid only until the next Call on c: a binary
-// task list and its tasks, and a binary ack, are decoded into storage that
-// belongs to the Conn, and the next reply is decoded over them (see
-// requestStore). So a caller may keep a reply's strings, but neither keep
-// nor hand to another goroutine its TaskList, Tasks or SampleAck past its
-// next Call; what it must keep, it copies. Every other reply owns its
-// memory, as Request's does.
+// task list and its tasks, and a binary ack, are decoded into the Conn's
+// Replies, the same slots a served Conn builds its replies in, and the next
+// reply is decoded over them. So a caller may keep a reply's strings, but
+// neither keep nor hand to another goroutine its TaskList, Tasks or SampleAck
+// past its next Call; what it must keep, it copies. Every other reply owns
+// its memory, as Request's does. A reply lacking its payload is checked here
+// and not in decode, so that it comes back as a *ReplyError.
 func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
 	if err := c.Send(req); err != nil {
 		return Envelope{}, err
@@ -1223,7 +1243,7 @@ func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
 	switch {
 	case err != nil:
 		return Envelope{}, err
-	case reply.Type == want && reply.replyPayloadSet():
+	case reply.Type == want && reply.hasPayload():
 		return reply, nil
 	case reply.Type == TypeError && reply.Error != nil:
 		return Envelope{}, &ReplyError{Message: reply.Error.Message}
@@ -1234,26 +1254,44 @@ func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
 	}
 }
 
-// replyPayloadSet reports whether the payload field e.Type selects is set,
-// for the reply types a Call can want.
-func (e *Envelope) replyPayloadSet() bool {
+// hasPayload reports whether e holds the payload its type needs: whether the
+// payload field e.Type selects is set. A status request needs none, its
+// payload being empty, and neither does a type this package does not define,
+// which selects no field. Call holds a reply to it, and ServeConn a request.
+func (e *Envelope) hasPayload() bool {
 	switch e.Type {
+	case TypeHello:
+		return e.Hello != nil
 	case TypeHelloAck:
 		return e.HelloAck != nil
+	case TypeZoneReport:
+		return e.ZoneReport != nil
 	case TypeTaskList:
 		return e.TaskList != nil
+	case TypeSampleReport:
+		return e.SampleReport != nil
 	case TypeSampleAck:
 		return e.SampleAck != nil
+	case TypeEstimateRequest:
+		return e.EstimateRequest != nil
 	case TypeEstimateReply:
 		return e.EstimateReply != nil
+	case TypeZoneListRequest:
+		return e.ZoneListRequest != nil
 	case TypeZoneListReply:
 		return e.ZoneListReply != nil
+	case TypeError:
+		return e.Error != nil
 	case TypeStatusReply:
 		return e.StatusReply != nil
+	case TypePromote:
+		return e.Promote != nil
 	case TypePromoteAck:
 		return e.PromoteAck != nil
+	case TypeDemote:
+		return e.Demote != nil
 	case TypeDemoteAck:
 		return e.DemoteAck != nil
 	}
-	return false
+	return true
 }

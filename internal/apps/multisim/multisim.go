@@ -125,18 +125,6 @@ type Result struct {
 	NetworkUse map[radio.NetworkID]int
 }
 
-// MeanPage returns the mean per-page latency.
-func (r Result) MeanPage() time.Duration {
-	if len(r.PerPage) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, d := range r.PerPage {
-		sum += d
-	}
-	return sum / time.Duration(len(r.PerPage))
-}
-
 // RunDownloads plays the Table 6 experiment: the client moves along track
 // issuing requests for the given pages, choosing the network per request
 // with sel. Requests are issued at least issueGap apart (the paper's client

@@ -269,17 +269,6 @@ func (e *WBestEstimator) EstimateKbps(loc geo.Point, at time.Time) float64 {
 	return ab
 }
 
-// RelativeError evaluates an estimator against ground truth as the paper
-// does: E = (X - G)/G where G is the mean of long UDP downloads
-// (10 iterations of 100-second transfers approximated by large bursts).
-func RelativeError(e Estimator, p *simnet.Prober, loc geo.Point, at time.Time) float64 {
-	truth := GroundTruthKbps(p, loc, at)
-	if truth == 0 {
-		return 0
-	}
-	return (e.EstimateKbps(loc, at) - truth) / truth
-}
-
 // GroundTruthKbps measures the reference UDP throughput: the mean of 10
 // long downloads (§3.3.1's ground-truth procedure).
 func GroundTruthKbps(p *simnet.Prober, loc geo.Point, at time.Time) float64 {

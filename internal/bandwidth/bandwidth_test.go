@@ -104,7 +104,8 @@ func TestEstimatorNames(t *testing.T) {
 func TestRelativeError(t *testing.T) {
 	_, p, loc, at := setup()
 	e := &UDPDownloadEstimator{Prober: p}
-	re := RelativeError(e, p, loc, at)
+	truth := GroundTruthKbps(p, loc, at)
+	re := (e.EstimateKbps(loc, at) - truth) / truth
 	if re < -0.3 || re > 0.3 {
 		t.Fatalf("relative error %.3f implausible for the UDP estimator", re)
 	}

@@ -246,7 +246,7 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 	assertStateEquivalent(t, replica.Controller().Snapshot(at), primary.Controller().Snapshot(at))
 
 	// The live route table reports the new topology.
-	resp, err := http.Get("http://" + gw.OpsAddr() + "/api/v1/shards")
+	resp, err := http.Get("http://" + gw.ops.Addr() + "/api/v1/shards")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 		}
 	}
 	readyz := func() (int, string) {
-		resp, err := http.Get("http://" + gw.OpsAddr() + "/readyz")
+		resp, err := http.Get("http://" + gw.ops.Addr() + "/readyz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +500,7 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 		ClientID: "revival-probe", Loc: loc, At: start,
 	}}
 	zoneReports := func() float64 {
-		return restarted.Telemetry().Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeZoneReport)).Value()
+		return restarted.Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeZoneReport)).Value()
 	}
 	for i := 0; i < 3; i++ {
 		_, err := c.Call(report, wire.TypeTaskList)
@@ -686,7 +686,7 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 			ClientID: "probe", Samples: hourOfSamples(start.Add(time.Hour), 5)}})
 		tripped <- err
 	}()
-	resp, err := http.Post("http://"+gw.OpsAddr()+"/api/v1/shards/madison/promote?endpoint="+c.Addr(), "", nil)
+	resp, err := http.Post("http://"+gw.ops.Addr()+"/api/v1/shards/madison/promote?endpoint="+c.Addr(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -706,18 +706,19 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 	waitUntil(t, 10*time.Second, "one primary at the routing epoch and two replicas", func() bool {
 		primaries, replicas := 0, 0
 		for _, n := range nodes {
+			st, err := gw.queryStatus(n.Addr())
+			if err != nil {
+				return false
+			}
 			switch {
-			case n.Role() == wire.RolePrimary && n.Epoch() == sh.Epoch() && n.Addr() == sh.Addr():
+			case st.Role == wire.RolePrimary && st.Epoch == sh.Epoch() && n.Addr() == sh.Addr():
 				primaries++
-			case n.Role() == wire.RoleReplica:
+			case st.Role == wire.RoleReplica:
 				replicas++
 			}
 		}
 		return primaries == 1 && replicas == 2
 	})
-	for _, n := range nodes {
-		t.Logf("%s: %s at epoch %d (routing epoch %d, route %s)", n.Addr(), n.Role(), n.Epoch(), sh.Epoch(), sh.Addr())
-	}
 }
 
 // TestReconcilePollsEachEndpointOncePerTick pins the control traffic of a

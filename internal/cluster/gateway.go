@@ -160,12 +160,6 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 // Addr returns the agent-facing listen address.
 func (g *Gateway) Addr() string { return g.lis.Addr() }
 
-// OpsAddr returns the ops HTTP plane's bound address, "" when disabled.
-func (g *Gateway) OpsAddr() string { return g.ops.Addr() }
-
-// Registry returns the gateway's shard registry.
-func (g *Gateway) Registry() *Registry { return g.reg }
-
 // quorum is the serving-shard count /readyz requires: a majority.
 func (g *Gateway) quorum() int { return len(g.reg.Shards())/2 + 1 }
 

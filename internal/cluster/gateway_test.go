@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"slices"
@@ -47,19 +48,20 @@ func startShard(t *testing.T, box geo.BoundingBox, addr string) (*coordinator.Se
 }
 
 // restartShard starts a shard coordinator on the address of one that was
-// closed, retrying while the port lingers. Its Telemetry counts the requests
-// that reach it.
-func restartShard(t *testing.T, box geo.BoundingBox, addr string) *coordinator.Server {
+// closed, retrying while the port lingers. The registry it returns counts
+// the requests that reach it.
+func restartShard(t *testing.T, box geo.BoundingBox, addr string) *telemetry.Registry {
 	t.Helper()
 	var err error
 	for i := 0; i < 100; i++ {
 		var s *coordinator.Server
+		reg := telemetry.NewRegistry()
 		if s, err = coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), addr, coordinator.Options{
 			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: telemetry.NewRegistry(),
+			TaskInterval: time.Minute, Seed: seed, Telemetry: reg,
 		}); err == nil {
 			t.Cleanup(func() { _ = s.Close() })
-			return s
+			return reg
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -271,7 +273,7 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	if r := zoneReport(njLoc, start); r.Type != wire.TypeTaskList {
 		t.Fatalf("nj report before failure: %v", r.Type)
 	}
-	if got := httpStatus(t, "http://"+tc.gw.OpsAddr()+"/readyz"); got != http.StatusOK {
+	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
 		t.Fatalf("/readyz with both shards up = %d", got)
 	}
 
@@ -320,7 +322,7 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	if tc.registry.HealthyCount() != 1 {
 		t.Fatalf("healthy count %d, want 1", tc.registry.HealthyCount())
 	}
-	if got := httpStatus(t, "http://"+tc.gw.OpsAddr()+"/readyz"); got != http.StatusServiceUnavailable {
+	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with a dead shard = %d, want 503 (quorum is majority of 2 = 2)", got)
 	}
 
@@ -335,7 +337,7 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := httpStatus(t, "http://"+tc.gw.OpsAddr()+"/readyz"); got != http.StatusOK {
+	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
 		t.Fatalf("/readyz after revival = %d", got)
 	}
 	if r := zoneReport(njLoc, start.Add(3*time.Minute)); r.Type != wire.TypeTaskList {
@@ -443,13 +445,51 @@ func TestGatewayRejectsUnroutable(t *testing.T) {
 }
 
 // TestMalformedRequestsAreRefused: a request without the payload its type
-// needs — which only a JSON line can leave out — and a hello or zone report
-// naming no client each get exactly one error reply and then a closed
-// connection, sent to a coordinator directly and through a gateway alike. A
+// needs — which only a JSON line can leave out —, a hello or zone report
+// naming no client, and a sample or zone report naming a network or metric
+// the tree does not define, in JSON and in binary, each get exactly one error
+// reply and then a closed connection, sent to a coordinator directly and
+// through a gateway alike. None is journaled, and none makes a zone key. A
 // status request, whose payload is empty, is answered by the coordinator,
 // which serves it, and refused by the gateway, which does not.
 func TestMalformedRequestsAreRefused(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{})
+	madison := startDurableShard(t, geo.Madison(), t.TempDir(), "", false)
+	reg, err := NewRegistry([]ShardConfig{{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = gw.Close() })
+	lastLSN := func() uint64 {
+		t.Helper()
+		status, err := dialConn(t, madison.Addr()).Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status.StatusReply.LastLSN
+	}
+	loc := geo.Madison().Center()
+	report := func(samples ...trace.Sample) wire.Envelope {
+		return wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "probe", Samples: samples}}
+	}
+	sample := func(net radio.NetworkID, m trace.Metric) trace.Sample {
+		return trace.Sample{Time: start, Loc: loc, Network: net, Metric: m, Value: 900, ClientID: "probe"}
+	}
+	var inventedNets []trace.Sample
+	for i := 0; i < 500; i++ {
+		inventedNets = append(inventedNets, sample(radio.NetworkID(fmt.Sprintf("Net%03d", i)), trace.MetricUDPKbps))
+	}
+	invented := map[string]wire.Envelope{
+		"a report of 500 invented networks": report(inventedNets...),
+		"a report with one invented metric": report(sample(radio.NetB, trace.MetricUDPKbps), sample(radio.NetB, "bogus_kbps"), sample(radio.NetB, trace.MetricUDPKbps)),
+		"a zone report naming an invented network": {Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+			ClientID: "probe", Loc: loc, At: start, Networks: []radio.NetworkID{radio.NetB, "Net<Z>"},
+		}},
+	}
+	before := lastLSN()
 	malformed := []string{
 		`{"type":"hello"}`,
 		`{"type":"hello","hello":{"client_id":"","device_class":"phone"}}`,
@@ -462,7 +502,7 @@ func TestMalformedRequestsAreRefused(t *testing.T) {
 		`{"type":"demote"}`,
 		`{"type":"demote","demote":{"epoch":2}}`,
 	}
-	for _, target := range []struct{ name, addr string }{{"coordinator", tc.madison.Addr()}, {"gateway", tc.gw.Addr()}} {
+	for _, target := range []struct{ name, addr string }{{"coordinator", madison.Addr()}, {"gateway", gw.Addr()}} {
 		send := func(line string) *wire.Conn {
 			t.Helper()
 			nc, err := net.Dial("tcp", target.addr)
@@ -477,16 +517,38 @@ func TestMalformedRequestsAreRefused(t *testing.T) {
 			t.Cleanup(func() { _ = c.Close() })
 			return c
 		}
-		for _, line := range malformed {
-			c := send(line)
+		refused := func(what string, c *wire.Conn) {
+			t.Helper()
 			reply, err := c.Recv()
 			if err != nil || reply.Type != wire.TypeError || reply.Error == nil {
-				t.Errorf("%s, %s: answered %+v, %v; want an error reply", target.name, line, reply, err)
-				continue
+				t.Errorf("%s, %s: answered %+v, %v; want an error reply", target.name, what, reply, err)
+				return
 			}
 			if extra, err := c.Recv(); err == nil {
-				t.Errorf("%s, %s: a second reply %+v, or the connection left open", target.name, line, extra)
+				t.Errorf("%s, %s: a second reply %+v, or the connection left open", target.name, what, extra)
 			}
+		}
+		for _, line := range malformed {
+			refused(line, send(line))
+		}
+		for what, req := range invented {
+			frame, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused(what+" in JSON", send(string(frame)))
+			c := dialConn(t, target.addr)
+			_ = c.SetDeadline(time.Now().Add(10 * time.Second))
+			if err := c.Send(req); err != nil {
+				t.Fatal(err)
+			}
+			refused(what+" in binary", c)
+		}
+		if after := lastLSN(); after != before {
+			t.Errorf("%s: the refused reports moved the journal from LSN %d to %d", target.name, before, after)
+		}
+		if keys := madison.Controller().Keys(); len(keys) != 0 {
+			t.Errorf("%s: the refused reports made %d zone keys", target.name, len(keys))
 		}
 		reply, err := send(`{"type":"status_request"}`).Recv()
 		want := map[string]wire.MsgType{"coordinator": wire.TypeStatusReply, "gateway": wire.TypeError}[target.name]
@@ -788,7 +850,7 @@ func TestSwarmThroughGateway(t *testing.T) {
 // TestGatewayShardsEndpoint smoke-tests the live route table.
 func TestGatewayShardsEndpoint(t *testing.T) {
 	tc := startCluster(t, GatewayOptions{})
-	resp, err := http.Get("http://" + tc.gw.OpsAddr() + "/api/v1/shards")
+	resp, err := http.Get("http://" + tc.gw.ops.Addr() + "/api/v1/shards")
 	if err != nil {
 		t.Fatal(err)
 	}

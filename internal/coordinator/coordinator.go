@@ -307,10 +307,6 @@ func (s *Server) Addr() string { return s.lis.Addr() }
 // OpsAddr returns the ops HTTP plane's bound address, "" when disabled.
 func (s *Server) OpsAddr() string { return s.ops.Addr() }
 
-// Telemetry returns the metrics registry backing this server (nil when the
-// server is uninstrumented).
-func (s *Server) Telemetry() *telemetry.Registry { return s.opts.Telemetry }
-
 // Controller exposes the underlying estimator state. On a replica the
 // controller is replaced wholesale by a snapshot bootstrap, so callers must
 // not cache the returned pointer across requests.

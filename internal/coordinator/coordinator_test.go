@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"bytes"
 	"net"
 	"reflect"
 	"sync"
@@ -158,15 +159,12 @@ func TestEstimateSketchOnlyOnRequest(t *testing.T) {
 	if len(plain.Sketch) != 0 {
 		t.Fatalf("unasked reply carries a %d-byte sketch", len(plain.Sketch))
 	}
-	es, err := sketch.UnmarshalEpochSketch(asked.Sketch)
-	if err != nil {
+	if _, err := sketch.UnmarshalEpochSketch(asked.Sketch); err != nil {
 		t.Fatalf("asked-for sketch: %v", err)
 	}
 	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		if want, _ := ctrl.WindowQuantile(key, q); es.Quantile(q) != want {
-			t.Errorf("shipped sketch q%.1f = %v, the controller's window says %v", q, es.Quantile(q), want)
-		}
+	if want, _ := ctrl.SketchFor(key); !bytes.Equal(asked.Sketch, want) {
+		t.Errorf("shipped sketch is not the controller's window for %v", key)
 	}
 	if miss := ask(geo.ZoneID{X: 99, Y: 99}, true); miss.Found || len(miss.Sketch) != 0 {
 		t.Fatalf("unknown zone asked with a sketch: %+v, want a bare not-found", miss)

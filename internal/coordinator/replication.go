@@ -88,13 +88,6 @@ func (s *Server) Role() string {
 	return s.role
 }
 
-// Epoch returns the routing epoch of the node's last role change.
-func (s *Server) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
 // ReplicationAddr returns the replication listener's bound address, ""
 // when replication is off.
 func (s *Server) ReplicationAddr() string {

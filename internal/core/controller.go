@@ -535,18 +535,6 @@ func (c *Controller) SketchFor(key Key) ([]byte, bool) {
 	return st.window.MarshalBinary(), true
 }
 
-// WindowQuantile returns the trailing-window quantile for a key (not the
-// published epoch record — the whole retained distribution).
-func (c *Controller) WindowQuantile(key Key, q float64) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.zones[key]
-	if st == nil || st.window.Count() == 0 {
-		return 0, false
-	}
-	return st.window.Quantile(q), true
-}
-
 // Records returns every published record for a network and metric, in
 // deterministic zone order — the bulk query behind operator dashboards and
 // map renderers. It copies the published list into a slice of its exact

@@ -447,22 +447,6 @@ func TestDominantNetwork(t *testing.T) {
 	}
 }
 
-func TestBestNetwork(t *testing.T) {
-	byNet := map[radio.NetworkID][]float64{
-		radio.NetA: {100, 110},
-		radio.NetB: {200, 210},
-	}
-	if net, ok := BestNetwork(byNet, false); !ok || net != radio.NetB {
-		t.Fatalf("higher-better best = %v", net)
-	}
-	if net, ok := BestNetwork(byNet, true); !ok || net != radio.NetA {
-		t.Fatalf("lower-better best = %v", net)
-	}
-	if _, ok := BestNetwork(nil, false); ok {
-		t.Fatal("empty map has no best")
-	}
-}
-
 func TestZoneRelStdDevs(t *testing.T) {
 	r := rng.New(8)
 	var samples []trace.Sample
@@ -725,7 +709,7 @@ func TestRefreshRulesSurviveSaturation(t *testing.T) {
 	if quietBudget != 10 || quietEpoch != minEpoch {
 		t.Fatalf("constant zone: budget %d epoch %v, want 10 and the %v floor", quietBudget, quietEpoch, minEpoch)
 	}
-	feed(2*historyLimit, func() float64 { return r.Normal(900, 150) })
+	feed(2*historyLimit, func() float64 { return 900 + 150*r.NormFloat64() })
 	if got := c.RequiredSamplesFor(key); got < 100 {
 		t.Errorf("budget %d after the zone turned noisy: still the constant zone's", got)
 	}

@@ -63,24 +63,3 @@ func DominantNetwork(byNet map[radio.NetworkID][]float64, lowerIsBetter bool, mi
 	}
 	return best.net, true
 }
-
-// BestNetwork returns the network with the best mean regardless of
-// persistence — the selection rule the multi-sim and MAR applications use
-// once WiScape data identifies per-zone winners.
-func BestNetwork(byNet map[radio.NetworkID][]float64, lowerIsBetter bool) (radio.NetworkID, bool) {
-	var best radio.NetworkID
-	bestMean := 0.0
-	found := false
-	// Iterate in canonical order for determinism.
-	for _, net := range radio.AllNetworks {
-		vals, ok := byNet[net]
-		if !ok || len(vals) == 0 {
-			continue
-		}
-		m := stats.Mean(vals)
-		if !found || (lowerIsBetter && m < bestMean) || (!lowerIsBetter && m > bestMean) {
-			best, bestMean, found = net, m, true
-		}
-	}
-	return best, found
-}

@@ -96,7 +96,7 @@ func differentialHistory(c int, r *rng.Rand) []float64 {
 		case 3:
 			out[i] = lo
 		default:
-			out[i] = math.Min(r.Normal(lo, 80), lo+40)
+			out[i] = math.Min(lo+80*r.NormFloat64(), lo+40)
 		}
 	}
 	return out
@@ -186,7 +186,7 @@ func TestRequiredSamplesCostIndependentOfIterations(t *testing.T) {
 	r := rng.New(32)
 	history := make([]float64, 512)
 	for i := range history {
-		history[i] = r.Normal(870, 60)
+		history[i] = 870 + 60*r.NormFloat64()
 	}
 	ref := stats.NewNKLDReference(history, 20)
 	allocs := func(threshold float64) float64 {

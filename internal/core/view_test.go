@@ -66,7 +66,7 @@ func TestRecordsMatchesScan(t *testing.T) {
 			case op < 85:
 				at = at.Add(time.Duration(r.Intn(180)) * time.Second)
 				loc := spots[r.Intn(len(spots))]
-				c.Ingest(trace.Sample{Time: at, Loc: loc, Network: net, Metric: m, Value: r.Normal(900, 50), ClientID: "c"})
+				c.Ingest(trace.Sample{Time: at, Loc: loc, Network: net, Metric: m, Value: 900 + 50*r.NormFloat64(), ClientID: "c"})
 			case op < 93:
 				check(seed, step, c, net, m)
 			case op < 96:

@@ -1,5 +1,5 @@
 // Package dashboard renders operator views of WiScape state: the zone
-// record table, a Figure-1-style ASCII coverage map, and the alert log —
+// record table, a Figure-1-style ASCII coverage map and a summary line —
 // the "broad performance characteristics of the network" the paper says
 // operators and users need, in a form a terminal can show.
 package dashboard
@@ -17,6 +17,15 @@ import (
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
+
+// highVarRelStd is the relative standard deviation (StdDev/MeanValue) above
+// which the table, the map and the summary call a zone high-variance.
+const highVarRelStd = 0.2
+
+// highVar reports whether rec's zone is high-variance.
+func highVar(rec core.Record) bool {
+	return rec.MeanValue > 0 && rec.StdDev/rec.MeanValue > highVarRelStd
+}
 
 // Source is the slice of controller state the dashboard needs. Both
 // *core.Controller (local) and a network client wrapper satisfy it.
@@ -51,7 +60,7 @@ func RenderTable(w io.Writer, src Source, opts TableOptions) error {
 	}
 	for _, rec := range records[:n] {
 		flags := ""
-		if rec.MeanValue > 0 && rec.StdDev/rec.MeanValue > 0.2 {
+		if highVar(rec) {
 			flags += "HIGH-VAR "
 		}
 		if opts.Stale > 0 && !opts.Now.IsZero() && opts.Now.Sub(rec.UpdatedAt) > opts.Stale {
@@ -75,8 +84,6 @@ type MapOptions struct {
 	Metric  trace.Metric
 	// Grid must match the controller's zone grid to place records.
 	Grid *geo.Grid
-	// HighVarThreshold marks zones whose rel.std exceeds it (default 0.2).
-	HighVarThreshold float64
 }
 
 // RenderMap writes a Figure-1-style ASCII map: digits 0-9 scale the metric
@@ -85,9 +92,6 @@ type MapOptions struct {
 func RenderMap(w io.Writer, src Source, opts MapOptions) error {
 	if opts.Grid == nil {
 		return fmt.Errorf("dashboard: RenderMap requires a grid")
-	}
-	if opts.HighVarThreshold <= 0 {
-		opts.HighVarThreshold = 0.2
 	}
 	records := src.Records(opts.Network, opts.Metric)
 	if len(records) == 0 {
@@ -122,7 +126,7 @@ func RenderMap(w io.Writer, src Source, opts MapOptions) error {
 	minV, maxV := stats.Min(vals), stats.Max(vals)
 
 	if _, err := fmt.Fprintf(w, "%s/%s: %d zones (0=%.0f .. 9=%.0f, !=rel.std>%.0f%%)\n",
-		opts.Network, opts.Metric, len(records), minV, maxV, opts.HighVarThreshold*100); err != nil {
+		opts.Network, opts.Metric, len(records), minV, maxV, highVarRelStd*100); err != nil {
 		return err
 	}
 	for y := hi.Y; y >= lo.Y; y-- {
@@ -132,7 +136,7 @@ func RenderMap(w io.Writer, src Source, opts MapOptions) error {
 			switch {
 			case !ok:
 				line.WriteByte('.')
-			case rec.MeanValue > 0 && rec.StdDev/rec.MeanValue > opts.HighVarThreshold:
+			case highVar(rec):
 				line.WriteByte('!')
 			default:
 				level := 0
@@ -143,22 +147,6 @@ func RenderMap(w io.Writer, src Source, opts MapOptions) error {
 			}
 		}
 		if _, err := fmt.Fprintln(w, line.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RenderAlerts writes the alert log, most recent last.
-func RenderAlerts(w io.Writer, alerts []core.Alert) error {
-	if len(alerts) == 0 {
-		_, err := fmt.Fprintln(w, "no alerts")
-		return err
-	}
-	for _, a := range alerts {
-		if _, err := fmt.Fprintf(w, "%s  zone %-9s %-5s %-10s %10.1f -> %-10.1f (%.1f sigma)\n",
-			a.At.Format("2006-01-02 15:04"), a.Key.Zone, a.Key.Net, a.Key.Metric,
-			a.Previous.MeanValue, a.Current.MeanValue, a.SigmasMoved()); err != nil {
 			return err
 		}
 	}
@@ -182,7 +170,7 @@ func Summarize(src Source, net radio.NetworkID, m trace.Metric) Summary {
 		s.Zones++
 		s.TotalSamples += rec.Samples
 		vals = append(vals, rec.MeanValue)
-		if rec.MeanValue > 0 && rec.StdDev/rec.MeanValue > 0.2 {
+		if highVar(rec) {
 			s.HighVarZones++
 		}
 	}

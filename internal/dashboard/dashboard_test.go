@@ -108,30 +108,6 @@ func TestRenderMap(t *testing.T) {
 	}
 }
 
-func TestRenderAlerts(t *testing.T) {
-	var b strings.Builder
-	if err := RenderAlerts(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "no alerts") {
-		t.Fatal("empty alert log should say so")
-	}
-	b.Reset()
-	alerts := []core.Alert{{
-		Key:      core.Key{Net: radio.NetB, Metric: trace.MetricRTTMs},
-		Previous: core.Record{MeanValue: 113, StdDev: 5},
-		Current:  core.Record{MeanValue: 420},
-		At:       start,
-	}}
-	if err := RenderAlerts(&b, alerts); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "113.0 -> 420.0") {
-		t.Fatalf("alert line wrong: %q", out)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	c := filled(t)
 	s := Summarize(c, radio.NetB, trace.MetricUDPKbps)

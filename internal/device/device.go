@@ -71,32 +71,6 @@ func Phone() Profile {
 	}
 }
 
-// SBC returns a vehicle single-board-computer profile with an external
-// antenna: marginally better than the reference laptop modem.
-func SBC() Profile {
-	return Profile{
-		Class:          ClassSBC,
-		CapacityFactor: 1.05,
-		RTTOffsetMs:    -3,
-		JitterFactor:   0.95,
-	}
-}
-
-// ByClass returns the built-in profile for a class (Reference for unknown
-// classes, which is the safe default).
-func ByClass(c Class) Profile {
-	switch c {
-	case ClassPhone:
-		return Phone()
-	case ClassSBC:
-		return SBC()
-	default:
-		p := Reference()
-		p.Class = c
-		return p
-	}
-}
-
 // Apply transforms ground-truth conditions into what this device class
 // experiences.
 func (p Profile) Apply(c radio.Conditions) radio.Conditions {

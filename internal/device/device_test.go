@@ -50,36 +50,12 @@ func TestPhoneProfileDegrades(t *testing.T) {
 	}
 }
 
-func TestSBCProfileSlightlyBetter(t *testing.T) {
-	c := baseConditions()
-	got := SBC().Apply(c)
-	if got.CapacityKbps <= c.CapacityKbps {
-		t.Fatal("external antenna should help")
-	}
-	if got.RTTMs >= c.RTTMs {
-		t.Fatal("SBC latency should be marginally lower")
-	}
-}
-
 func TestRTTFloor(t *testing.T) {
 	c := baseConditions()
 	c.RTTMs = 2
-	got := SBC().Apply(c) // -3 ms offset would go negative
+	got := Profile{CapacityFactor: 1, JitterFactor: 1, RTTOffsetMs: -3}.Apply(c) // would go negative
 	if got.RTTMs < 1 {
 		t.Fatalf("RTT must be floored at 1 ms, got %v", got.RTTMs)
-	}
-}
-
-func TestByClass(t *testing.T) {
-	if ByClass(ClassPhone).Class != ClassPhone {
-		t.Fatal("phone lookup")
-	}
-	if ByClass(ClassSBC).Class != ClassSBC {
-		t.Fatal("sbc lookup")
-	}
-	unk := ByClass("tablet")
-	if unk.Class != "tablet" || unk.CapacityFactor != 1 {
-		t.Fatalf("unknown class should get identity scaling: %+v", unk)
 	}
 }
 

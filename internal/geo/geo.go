@@ -144,11 +144,3 @@ func (b BoundingBox) Contains(p Point) bool {
 func (b BoundingBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
 }
-
-// AreaSqKm returns the approximate area in square kilometers.
-func (b BoundingBox) AreaSqKm() float64 {
-	sw := Point{Lat: b.MinLat, Lon: b.MinLon}
-	se := Point{Lat: b.MinLat, Lon: b.MaxLon}
-	nw := Point{Lat: b.MaxLat, Lon: b.MinLon}
-	return sw.DistanceTo(se) * sw.DistanceTo(nw) / 1e6
-}

@@ -39,9 +39,6 @@ func GridForZoneRadius(origin Point, radiusM float64) *Grid {
 	return NewGrid(origin, radiusM*math.Sqrt(math.Pi))
 }
 
-// CellM returns the cell side length in meters.
-func (g *Grid) CellM() float64 { return g.cellM }
-
 // Origin returns the grid origin.
 func (g *Grid) Origin() Point { return g.proj.Origin }
 
@@ -54,44 +51,4 @@ func (g *Grid) Zone(p Point) ZoneID {
 // Center returns the geographic center of zone z.
 func (g *Grid) Center(z ZoneID) Point {
 	return g.proj.FromXY((float64(z.X)+0.5)*g.cellM, (float64(z.Y)+0.5)*g.cellM)
-}
-
-// EquivalentRadiusM returns the radius of the circle with the same area as
-// one grid cell.
-func (g *Grid) EquivalentRadiusM() float64 {
-	return g.cellM / math.Sqrt(math.Pi)
-}
-
-// ZonesInBox returns the ids of all cells whose centers fall inside box.
-func (g *Grid) ZonesInBox(box BoundingBox) []ZoneID {
-	sw := g.Zone(Point{Lat: box.MinLat, Lon: box.MinLon})
-	ne := g.Zone(Point{Lat: box.MaxLat, Lon: box.MaxLon})
-	var out []ZoneID
-	for x := sw.X; x <= ne.X; x++ {
-		for y := sw.Y; y <= ne.Y; y++ {
-			id := ZoneID{X: x, Y: y}
-			if box.Contains(g.Center(id)) {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
-// CircularZone is an explicit circle used when analysing zones centered at
-// chosen sites (the Spot/Proximate datasets measure within 250 m of a static
-// location).
-type CircularZone struct {
-	Center  Point
-	RadiusM float64
-}
-
-// Contains reports whether p lies within the circle.
-func (c CircularZone) Contains(p Point) bool {
-	return c.Center.DistanceTo(p) <= c.RadiusM
-}
-
-// AreaSqKm returns the circle area in km².
-func (c CircularZone) AreaSqKm() float64 {
-	return math.Pi * c.RadiusM * c.RadiusM / 1e6
 }

@@ -36,29 +36,3 @@ func (pl Polyline) At(distM float64) Point {
 	}
 	return pl[len(pl)-1]
 }
-
-// Sample returns n points evenly spaced along the polyline (including both
-// endpoints when n >= 2).
-func (pl Polyline) Sample(n int) []Point {
-	if n <= 0 || len(pl) == 0 {
-		return nil
-	}
-	if n == 1 {
-		return []Point{pl[0]}
-	}
-	length := pl.Length()
-	out := make([]Point, n)
-	for i := 0; i < n; i++ {
-		out[i] = pl.At(length * float64(i) / float64(n-1))
-	}
-	return out
-}
-
-// Reverse returns a copy of the polyline with waypoint order reversed.
-func (pl Polyline) Reverse() Polyline {
-	out := make(Polyline, len(pl))
-	for i, p := range pl {
-		out[len(pl)-1-i] = p
-	}
-	return out
-}

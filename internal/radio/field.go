@@ -54,9 +54,6 @@ func NewPresetField(net NetworkID, kind RegionKind, seed uint64, origin geo.Poin
 	return f
 }
 
-// Network returns the label set by NewPresetField (empty for NewField).
-func (f *Field) Network() NetworkID { return f.net }
-
 // AddEvent overlays an event on the field. Not safe to call concurrently
 // with At; add events during setup.
 func (f *Field) AddEvent(e Event) { f.events = append(f.events, e) }
@@ -274,17 +271,6 @@ func NewEnvironment(nets []NetworkID, kind RegionKind, seed uint64, origin geo.P
 // is not part of this environment.
 func (e *Environment) Field(n NetworkID) *Field {
 	return e.fields[n]
-}
-
-// Networks lists the environment's networks in canonical order.
-func (e *Environment) Networks() []NetworkID {
-	var out []NetworkID
-	for _, n := range AllNetworks {
-		if _, ok := e.fields[n]; ok {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // AddEvent overlays an event on every network in the environment (a stadium

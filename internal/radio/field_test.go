@@ -176,7 +176,7 @@ func TestTroubledZonesExistButRare(t *testing.T) {
 	f := wiField(NetB)
 	box := geo.Madison()
 	grid := geo.GridForZoneRadius(box.Center(), 250)
-	zones := grid.ZonesInBox(box)
+	zones := zonesIn(grid, box)
 	troubled := 0
 	for _, z := range zones {
 		if f.Troubled(grid.Center(z)) {
@@ -198,7 +198,7 @@ func TestTroubledZoneBehaviour(t *testing.T) {
 	grid := geo.GridForZoneRadius(box.Center(), 250)
 	var troubled, clean *Conditions
 	at := Epoch.Add(24 * time.Hour)
-	for _, z := range grid.ZonesInBox(box) {
+	for _, z := range zonesIn(grid, box) {
 		c := f.At(grid.Center(z), at)
 		if c.Troubled && troubled == nil {
 			cc := c
@@ -230,7 +230,7 @@ func TestTroubledZoneHighVariance(t *testing.T) {
 	box := geo.Madison()
 	grid := geo.GridForZoneRadius(box.Center(), 250)
 	var troubledPt, cleanPt *geo.Point
-	for _, z := range grid.ZonesInBox(box) {
+	for _, z := range zonesIn(grid, box) {
 		c := grid.Center(z)
 		if f.Troubled(c) && troubledPt == nil {
 			cc := c
@@ -270,7 +270,7 @@ func TestFootballGameEvent(t *testing.T) {
 	if during.RTTMs < 3*before.RTTMs {
 		t.Fatalf("game should raise RTT ~3.7x: before %.0f, during %.0f", before.RTTMs, during.RTTMs)
 	}
-	if !during.InEvent() || before.InEvent() || after.InEvent() {
+	if !during.inEvent || before.inEvent || after.inEvent {
 		t.Fatal("event activity window wrong")
 	}
 	if during.CapacityKbps >= before.CapacityKbps {
@@ -279,7 +279,7 @@ func TestFootballGameEvent(t *testing.T) {
 	// Far away, the game is invisible.
 	farPoint := geo.CampRandallStadium.Offset(90, 5000)
 	far := f.At(farPoint, gameStart.Add(90*time.Minute))
-	if far.InEvent() {
+	if far.inEvent {
 		t.Fatal("event should be local to the stadium")
 	}
 }
@@ -316,8 +316,8 @@ func TestPresetTable1Shapes(t *testing.T) {
 
 func TestEnvironment(t *testing.T) {
 	env := NewEnvironment(AllNetworks, RegionWI, testSeed, geo.Madison().Center())
-	if len(env.Networks()) != 3 {
-		t.Fatalf("networks: %v", env.Networks())
+	if len(env.fields) != 3 {
+		t.Fatalf("networks: %v", env.fields)
 	}
 	if env.Field(NetA) == nil || env.Field(NetB) == nil || env.Field(NetC) == nil {
 		t.Fatal("missing fields")
@@ -330,7 +330,7 @@ func TestEnvironment(t *testing.T) {
 	env.AddEvent(FootballGame(start))
 	for _, n := range AllNetworks {
 		c := env.Field(n).At(geo.CampRandallStadium, start.Add(time.Hour))
-		if !c.InEvent() {
+		if !c.inEvent {
 			t.Fatalf("event not applied to %s", n)
 		}
 	}
@@ -372,4 +372,19 @@ func BenchmarkFieldAt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = f.At(p, at.Add(time.Duration(i)*time.Second))
 	}
+}
+
+// zonesIn lists the grid's zones whose centers fall inside box.
+func zonesIn(grid *geo.Grid, box geo.BoundingBox) []geo.ZoneID {
+	sw := grid.Zone(geo.Point{Lat: box.MinLat, Lon: box.MinLon})
+	ne := grid.Zone(geo.Point{Lat: box.MaxLat, Lon: box.MaxLon})
+	var out []geo.ZoneID
+	for x := sw.X; x <= ne.X; x++ {
+		for y := sw.Y; y <= ne.Y; y++ {
+			if id := (geo.ZoneID{X: x, Y: y}); box.Contains(grid.Center(id)) {
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }

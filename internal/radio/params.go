@@ -216,12 +216,8 @@ type Conditions struct {
 	FastSigmaRel float64 // relative sigma of per-sample fading around the means
 	Troubled     bool    // inside a trouble spot (Fig. 9 population)
 
-	inEvent bool
+	inEvent bool // an event overlay (e.g. the stadium surge) is active here and now
 }
-
-// InEvent reports whether an event overlay (e.g. the stadium surge) is
-// active at this location and time.
-func (c Conditions) InEvent() bool { return c.inEvent }
 
 // Event is a localized, time-bounded disturbance overlaid on a field — the
 // football game of Fig. 10 raises latency ~3.7x for ~3 hours around the

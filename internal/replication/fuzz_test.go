@@ -52,7 +52,8 @@ func walLines(from uint64, n int) []byte {
 func FuzzFrameRoundTrip(f *testing.F) {
 	// Lines the store writes — one-sample report lines and JSON, LSNs 1..6,
 	// then a report line shaped like the benchmark's, LSNs 7..56.
-	st, err := store.Open(f.TempDir(), store.Options{})
+	dir := f.TempDir()
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	if err := st.Close(); err != nil {
 		f.Fatal(err)
 	}
-	journal := bytes.SplitAfter(journalOf(f, st.Dir()), []byte("\n"))
+	journal := bytes.SplitAfter(journalOf(f, dir), []byte("\n"))
 	stored := bytes.Join(journal[:6], nil)
 	report := journal[6]
 

@@ -235,7 +235,7 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 			if _, boots, applied := ap.snapshot(); boots != 1 || fmt.Sprint(applied) != "[11 12 13 14]" {
 				t.Fatalf("%d bootstraps, applied %v; want one and 11..14, each once", boots, applied)
 			}
-			if got, want := journalOf(t, ap.st.Dir()), bytes.Join([][]byte{good(11), good(12), good(13), good(14)}, nil); !bytes.Equal(got, want) {
+			if got, want := journalOf(t, dirOf(ap.st)), bytes.Join([][]byte{good(11), good(12), good(13), good(14)}, nil); !bytes.Equal(got, want) {
 				t.Fatalf("the replica's journal is not the lines it was sent:\n%s\nwant\n%s", got, want)
 			}
 		})
@@ -539,7 +539,7 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 	if lines, last := p.recvFlush(); len(lines) != 0 || last != 5 {
 		t.Fatalf("the hello's answer holds %d bytes and LSN %d; want where the log ends, 5, alone", len(lines), last)
 	}
-	if lines, last := p.recvFlush(); !bytes.Equal(lines, bytes.SplitAfterN(journalOf(t, st.Dir()), []byte("\n"), 3)[2]) || last != 5 {
+	if lines, last := p.recvFlush(); !bytes.Equal(lines, bytes.SplitAfterN(journalOf(t, dirOf(st)), []byte("\n"), 3)[2]) || last != 5 {
 		t.Fatalf("got %d bytes and LSN %d; want LSNs 3..5 as journaled, then 5", len(lines), last)
 	}
 	p.send(ackLine(5)) // honest
@@ -588,7 +588,7 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 		if _, boots, applied := ap.snapshot(); boots != 1 || len(applied) != 15 || applied[0] != 1 || r.Status().Resyncs != 1 {
 			t.Fatalf("%d bootstraps, %d resyncs, applied %v; want one of each and 1..15", boots, r.Status().Resyncs, applied)
 		}
-		if got, want := journalOf(t, ap.st.Dir()), journalOf(t, st.Dir()); !bytes.Equal(got, want) {
+		if got, want := journalOf(t, dirOf(ap.st)), journalOf(t, dirOf(st)); !bytes.Equal(got, want) {
 			t.Fatalf("the replica's log (%d bytes) differs from its primary's (%d bytes)", len(got), len(want))
 		}
 	})
@@ -597,7 +597,7 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 		if _, err := primary.AppendReport("bus-17", report(6)); err != nil { // LSNs 1..6, one line
 			t.Fatal(err)
 		}
-		line := journalOf(t, primary.Dir())
+		line := journalOf(t, dirOf(primary))
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

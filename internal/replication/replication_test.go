@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -89,14 +90,25 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// storeDirs maps each store openStore opened to its data directory.
+var storeDirs sync.Map
+
 func openStore(t *testing.T, opts store.Options) *store.Store {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), opts)
+	dir := t.TempDir()
+	st, err := store.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeDirs.Store(st, dir)
 	t.Cleanup(func() { _ = st.Close() })
 	return st
+}
+
+// dirOf returns the data directory of a store openStore opened.
+func dirOf(st *store.Store) string {
+	dir, _ := storeDirs.Load(st)
+	return dir.(string)
 }
 
 // startSource serves st's log. Its bootstraps ship the store's newest
@@ -104,14 +116,22 @@ func openStore(t *testing.T, opts store.Options) *store.Store {
 func startSource(t *testing.T, st *store.Store, opts SourceOptions) *Source {
 	t.Helper()
 	latest := func() (core.Snapshot, uint64) {
-		snap, lsn, err := st.LatestCheckpoint()
+		names, err := filepath.Glob(filepath.Join(dirOf(st), "checkpoint-*.ckpt"))
 		if err != nil {
-			t.Errorf("LatestCheckpoint: %v", err)
+			t.Error(err)
 		}
-		if snap == nil {
-			return core.Snapshot{}, 0
+		var snap core.Snapshot
+		var lsn uint64
+		for _, name := range names {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				continue // retention deleted it: a newer one exists
+			}
+			if s, l, err := store.ParseCheckpoint(data); err == nil && l >= lsn {
+				snap, lsn = s, l
+			}
 		}
-		return *snap, lsn
+		return snap, lsn
 	}
 	src, err := NewSource(st, "127.0.0.1:0", latest, opts)
 	if err != nil {
@@ -229,8 +249,8 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 	defer r.Close()
 	waitFor(t, 5*time.Second, "every record applied", func() bool { return r.Status().AppliedLSN == last })
 
-	want := journalOf(t, primary.Dir())
-	if got := journalOf(t, ap.st.Dir()); !bytes.Equal(got, want) {
+	want := journalOf(t, dirOf(primary))
+	if got := journalOf(t, dirOf(ap.st)); !bytes.Equal(got, want) {
 		t.Fatalf("the replica's log (%d bytes) differs from its primary's (%d bytes)", len(got), len(want))
 	}
 	forms := map[byte]int{} // lines by lead byte, every JSON line under '0'
@@ -456,7 +476,7 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 	// segments returns the first LSN of every segment, oldest first.
 	segments := func() []uint64 {
 		t.Helper()
-		names, err := filepath.Glob(filepath.Join(st.Dir(), "wal-*.seg"))
+		names, err := filepath.Glob(filepath.Join(dirOf(st), "wal-*.seg"))
 		if err != nil {
 			t.Fatal(err)
 		}

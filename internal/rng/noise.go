@@ -75,20 +75,3 @@ func (n *Noise2D) At(x, y float64) float64 {
 func (n *Noise2D) At01(x, y float64) float64 {
 	return (n.At(x, y) + 1) / 2
 }
-
-// Noise1D is the 1-D analogue of Noise2D, used for slowly varying temporal
-// processes (e.g. per-zone load drift).
-type Noise1D struct {
-	inner *Noise2D
-}
-
-// NewNoise1D returns a fractal 1-D value-noise process.
-func NewNoise1D(seed uint64, octaves int, persistence, lacunarity float64) *Noise1D {
-	return &Noise1D{inner: NewNoise2D(seed, octaves, persistence, lacunarity)}
-}
-
-// At evaluates the process at time t (in caller-chosen units). Output in
-// [-1, 1].
-func (n *Noise1D) At(t float64) float64 {
-	return n.inner.At(t, 0.5)
-}

@@ -57,8 +57,8 @@ func HashString(s string) uint64 {
 // Rand is a small, fast, deterministic PRNG (SplitMix64 stream). The zero
 // value is a valid generator with seed 0, but callers normally use New.
 //
-// Rand is not safe for concurrent use; create one per goroutine (Split makes
-// this cheap and collision-free).
+// Rand is not safe for concurrent use; create one per goroutine (NewNamed
+// gives each its own stream).
 type Rand struct {
 	state uint64
 }
@@ -81,12 +81,6 @@ func namedSeed(seed uint64, name string) uint64 {
 	return Hash64(seed, HashString(name))
 }
 
-// Split derives a new independent generator from r without perturbing r's
-// own future outputs in a correlated way.
-func (r *Rand) Split(label uint64) *Rand {
-	return New(Hash64(r.Uint64(), label))
-}
-
 // Uint64 returns the next 64 uniformly random bits.
 func (r *Rand) Uint64() uint64 {
 	return splitmix64(&r.state)
@@ -104,11 +98,6 @@ func (r *Rand) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
 }
 
 // Range returns a uniform value in [lo, hi).
@@ -140,22 +129,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// Normal returns a normal deviate with the given mean and standard
-// deviation.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	return mean + stddev*r.NormFloat64()
-}
-
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Pareto returns a bounded Pareto deviate with shape alpha on [lo, hi].
 // SURGE-style heavy-tailed web object sizes use this.
 func (r *Rand) Pareto(alpha, lo, hi float64) float64 {
@@ -169,11 +142,6 @@ func (r *Rand) Pareto(alpha, lo, hi float64) float64 {
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -185,14 +153,6 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Backoff is a deterministic jittered exponential backoff schedule: the

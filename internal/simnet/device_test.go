@@ -25,8 +25,8 @@ func TestPhoneProberSeesDegradedChannel(t *testing.T) {
 		t.Fatalf("phone/laptop throughput ratio %.3f, want ~0.72", ratio)
 	}
 
-	lp, _ := MeanRTT(laptop.PingTrain(loc, at, 200, time.Second))
-	pp, _ := MeanRTT(phone.PingTrain(loc, at, 200, time.Second))
+	lp, _ := meanRTT(laptop.PingTrain(loc, at, 200, time.Second))
+	pp, _ := meanRTT(phone.PingTrain(loc, at, 200, time.Second))
 	if pp <= lp {
 		t.Fatalf("phone RTT %.1f should exceed laptop %.1f", pp, lp)
 	}
@@ -40,7 +40,7 @@ func TestDeviceProberDeterministicPerClass(t *testing.T) {
 	if a.ThroughputKbps() != b.ThroughputKbps() {
 		t.Fatal("same class+seed must reproduce")
 	}
-	c := NewProberForDevice(f, device.SBC(), 5).UDPDownload(loc, at, 50, 1200)
+	c := NewProberForDevice(f, device.Reference(), 5).UDPDownload(loc, at, 50, 1200)
 	if a.ThroughputKbps() == c.ThroughputKbps() {
 		t.Fatal("different classes must have independent noise streams")
 	}
@@ -48,7 +48,7 @@ func TestDeviceProberDeterministicPerClass(t *testing.T) {
 
 func TestDefaultProberIsReference(t *testing.T) {
 	f := testField()
-	if NewProber(f, 1).Device().Class != device.ClassLaptop {
+	if NewProber(f, 1).profile.Class != device.ClassLaptop {
 		t.Fatal("NewProber must use the reference class")
 	}
 }
@@ -59,7 +59,7 @@ func TestWarmTransferSkipsHandshake(t *testing.T) {
 	loc := cleanSpot(f)
 	var cold, warm time.Duration
 	for i := 0; i < 50; i++ {
-		cold += p.HTTPGet(loc, at, 20<<10)
+		cold += p.httpFetch(loc, at, 20<<10, false)
 		warm += p.HTTPGetPersistent(loc, at, 20<<10)
 	}
 	if warm >= cold {
@@ -76,7 +76,7 @@ func TestWarmTransferSameBytes(t *testing.T) {
 	f := testField()
 	p := NewProber(f, 23)
 	loc := cleanSpot(f)
-	fr := p.TCPTransferWarm(loc, at, 100000)
+	fr := p.tcpTransfer(loc, at, 100000, true)
 	got := 0
 	for _, pk := range fr.Packets {
 		got += pk.SizeBytes

@@ -36,8 +36,8 @@ func NewProber(field *radio.Field, seed uint64) *Prober {
 }
 
 // NewProberForDevice returns a prober whose measurements pass through a
-// device profile — what a phone (constrained antenna) or an
-// external-antenna SBC would observe on the same channel (§3.3).
+// device profile — what, say, a phone with its constrained antenna would
+// observe on the same channel (§3.3).
 func NewProberForDevice(field *radio.Field, profile device.Profile, seed uint64) *Prober {
 	return &Prober{
 		field:   field,
@@ -45,12 +45,6 @@ func NewProberForDevice(field *radio.Field, profile device.Profile, seed uint64)
 		r:       rng.New(rng.Hash64(seed, rng.HashString("prober"), rng.HashString(string(profile.Class)))),
 	}
 }
-
-// Field returns the ground-truth field this prober measures.
-func (p *Prober) Field() *radio.Field { return p.field }
-
-// Device returns the prober's device profile.
-func (p *Prober) Device() device.Profile { return p.profile }
 
 // conditions returns the channel as experienced by this prober's device
 // class.
@@ -263,13 +257,6 @@ func (p *Prober) TCPDownload(loc geo.Point, at time.Time, totalBytes int) FlowRe
 	return p.tcpTransfer(loc, at, totalBytes, false)
 }
 
-// TCPTransferWarm simulates downloading totalBytes over an established
-// (persistent HTTP/1.1) connection: no handshake, and the congestion window
-// resumes from half the achievable rate.
-func (p *Prober) TCPTransferWarm(loc geo.Point, at time.Time, totalBytes int) FlowResult {
-	return p.tcpTransfer(loc, at, totalBytes, true)
-}
-
 func (p *Prober) tcpTransfer(loc geo.Point, at time.Time, totalBytes int, warm bool) FlowResult {
 	c := p.conditions(loc, at)
 	rate := p.flowRate(c.TCPKbps, c.FastSigmaRel*1.3, float64(totalBytes*8))
@@ -350,13 +337,6 @@ func (p *Prober) Ping(loc geo.Point, at time.Time) PingResult {
 	return p.PingTrain(loc, at, 1, 0)[0]
 }
 
-// HTTPGet simulates fetching one HTTP object of sizeBytes over a fresh
-// connection and returns the total completion time (connection setup +
-// transfer).
-func (p *Prober) HTTPGet(loc geo.Point, at time.Time, sizeBytes int) time.Duration {
-	return p.httpFetch(loc, at, sizeBytes, false)
-}
-
 // HTTPGetPersistent simulates fetching one HTTP object over an established
 // persistent connection — how the multi-sim client and the MAR gateway
 // issue their back-to-back requests (§4.2.2).
@@ -373,24 +353,6 @@ func (p *Prober) httpFetch(loc geo.Point, at time.Time, sizeBytes int, warm bool
 		d = time.Duration(2*c.RTTMs) * time.Millisecond
 	}
 	return d
-}
-
-// MeanRTT returns the mean RTT over successful pings and the count of
-// failures.
-func MeanRTT(pings []PingResult) (meanMs float64, failed int) {
-	sum, n := 0.0, 0
-	for _, pr := range pings {
-		if pr.Failed {
-			failed++
-			continue
-		}
-		sum += pr.RTTMs
-		n++
-	}
-	if n == 0 {
-		return 0, failed
-	}
-	return sum / float64(n), failed
 }
 
 func secs(s float64) time.Duration {

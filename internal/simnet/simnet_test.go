@@ -173,7 +173,7 @@ func TestPingTrain(t *testing.T) {
 	if len(pings) != 500 {
 		t.Fatalf("got %d pings", len(pings))
 	}
-	mean, failed := MeanRTT(pings)
+	mean, failed := meanRTT(pings)
 	if math.Abs(mean-want)/want > 0.15 {
 		t.Fatalf("mean RTT %v vs field %v", mean, want)
 	}
@@ -206,7 +206,7 @@ func TestPingFailuresInTroubledZone(t *testing.T) {
 		t.Skip("no troubled zone found near center")
 	}
 	pings := p.PingTrain(*spot, at, 500, 5*time.Second)
-	_, failed := MeanRTT(pings)
+	_, failed := meanRTT(pings)
 	if failed < 10 {
 		t.Fatalf("troubled zone failed only %d/500 pings", failed)
 	}
@@ -216,8 +216,8 @@ func TestHTTPGetScalesWithSize(t *testing.T) {
 	f := testField()
 	p := NewProber(f, 10)
 	loc := cleanSpot(f)
-	small := p.HTTPGet(loc, at, 2800)
-	big := p.HTTPGet(loc, at, 3200000)
+	small := p.httpFetch(loc, at, 2800, false)
+	big := p.httpFetch(loc, at, 3200000, false)
 	if small <= 0 || big <= 0 {
 		t.Fatal("non-positive fetch times")
 	}
@@ -257,7 +257,7 @@ func TestFlowResultEdgeCases(t *testing.T) {
 }
 
 func TestMeanRTTEdge(t *testing.T) {
-	m, failed := MeanRTT([]PingResult{{Failed: true}, {Failed: true}})
+	m, failed := meanRTT([]PingResult{{Failed: true}, {Failed: true}})
 	if m != 0 || failed != 2 {
 		t.Fatalf("all-failed train: mean %v failed %d", m, failed)
 	}
@@ -268,8 +268,8 @@ func TestStadiumLatencyVisibleInPings(t *testing.T) {
 	game := radio.FootballGame(radio.Epoch.Add(40*24*time.Hour + 13*time.Hour))
 	f.AddEvent(game)
 	p := NewProber(f, 11)
-	before, _ := MeanRTT(p.PingTrain(geo.CampRandallStadium, game.Start.Add(-2*time.Hour), 100, time.Second))
-	during, _ := MeanRTT(p.PingTrain(geo.CampRandallStadium, game.Start.Add(time.Hour), 100, time.Second))
+	before, _ := meanRTT(p.PingTrain(geo.CampRandallStadium, game.Start.Add(-2*time.Hour), 100, time.Second))
+	during, _ := meanRTT(p.PingTrain(geo.CampRandallStadium, game.Start.Add(time.Hour), 100, time.Second))
 	if during < 3*before {
 		t.Fatalf("game RTT %v should be ~3.7x baseline %v", during, before)
 	}
@@ -319,4 +319,22 @@ func TestUDPUpload(t *testing.T) {
 	if m >= f.At(loc, at).CapacityKbps {
 		t.Fatal("uplink should not exceed downlink")
 	}
+}
+
+// meanRTT returns the mean RTT over successful pings and the count of
+// failures.
+func meanRTT(pings []PingResult) (meanMs float64, failed int) {
+	sum, n := 0.0, 0
+	for _, pr := range pings {
+		if pr.Failed {
+			failed++
+			continue
+		}
+		sum += pr.RTTMs
+		n++
+	}
+	if n == 0 {
+		return 0, failed
+	}
+	return sum / float64(n), failed
 }

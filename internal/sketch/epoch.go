@@ -31,9 +31,6 @@ func (e *EpochSketch) EnableTrend(nslots int, base time.Duration) {
 	e.trend = NewTrend(nslots, base)
 }
 
-// HasTrend reports whether a trend ring is attached.
-func (e *EpochSketch) HasTrend() bool { return e.trend != nil }
-
 // Observe folds one timestamped sample into the digest, the moments and
 // (when attached) the trend ring.
 func (e *EpochSketch) Observe(at time.Time, v float64) {
@@ -94,30 +91,15 @@ func (e *EpochSketch) Mean() float64 { return e.acc.Mean() }
 // StdDev returns the exact sample standard deviation.
 func (e *EpochSketch) StdDev() float64 { return e.acc.StdDev() }
 
-// Min returns the smallest sample seen.
-func (e *EpochSketch) Min() float64 { return e.acc.Min() }
-
-// Max returns the largest sample seen.
-func (e *EpochSketch) Max() float64 { return e.acc.Max() }
-
-// Accum returns a copy of the moment accumulator.
-func (e *EpochSketch) Accum() stats.Accum { return e.acc }
-
 // Quantile returns the approximate value at quantile q.
 func (e *EpochSketch) Quantile(q float64) float64 { return e.dig.Quantile(q) }
-
-// Rank returns the approximate CDF at x.
-func (e *EpochSketch) Rank(x float64) float64 { return e.dig.Rank(x) }
 
 // AppendSamples appends m quantile-spaced representative values to dst.
 func (e *EpochSketch) AppendSamples(dst []float64, m int) []float64 {
 	return e.dig.AppendSamples(dst, m)
 }
 
-// Digest exposes the underlying digest (read-only use expected).
-func (e *EpochSketch) Digest() *Digest { return e.dig }
-
-// TrendLen returns the length of the series TrendSeries would build,
+// TrendLen returns the length of the series AppendTrendSeries would append,
 // without building it.
 func (e *EpochSketch) TrendLen() int {
 	if e.trend == nil {
@@ -126,14 +108,9 @@ func (e *EpochSketch) TrendLen() int {
 	return e.trend.Len()
 }
 
-// TrendSeries returns the regularized temporal mean series and its period,
-// or (nil, 0) when no trend ring is attached or it is empty.
-func (e *EpochSketch) TrendSeries() ([]float64, time.Duration) {
-	return e.AppendTrendSeries(nil)
-}
-
-// AppendTrendSeries is TrendSeries appending to dst; with no trend to append
-// it returns dst as it came and a zero period.
+// AppendTrendSeries appends the regularized temporal mean series to dst and
+// returns it with its period; with no trend to append it returns dst as it
+// came and a zero period.
 func (e *EpochSketch) AppendTrendSeries(dst []float64) ([]float64, time.Duration) {
 	if e.trend == nil || e.trend.Len() == 0 {
 		return dst, 0

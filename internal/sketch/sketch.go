@@ -89,9 +89,6 @@ func NewDigest(compression float64) *Digest {
 	}
 }
 
-// Compression returns the digest's compression parameter δ.
-func (d *Digest) Compression() float64 { return d.compression }
-
 // Count returns the total absorbed weight (samples, scaled by any Scale
 // calls).
 func (d *Digest) Count() float64 { return d.count }
@@ -272,41 +269,6 @@ func (d *Digest) Quantile(q float64) float64 {
 	}
 	frac := (target - prevMid) / (d.count - prevMid)
 	return prevMean + frac*(d.max-prevMean)
-}
-
-// Rank returns the approximate fraction of absorbed weight at or below x
-// (the empirical CDF), the inverse of Quantile under the same piecewise
-// interpolation.
-func (d *Digest) Rank(x float64) float64 {
-	cs := d.Centroids()
-	if len(cs) == 0 {
-		return 0
-	}
-	if x < d.min {
-		return 0
-	}
-	if x >= d.max {
-		return 1
-	}
-	wSoFar := 0.0
-	prevMid, prevMean := 0.0, d.min
-	for _, c := range cs {
-		mid := wSoFar + c.Weight/2
-		if x < c.Mean {
-			if c.Mean == prevMean {
-				return mid / d.count
-			}
-			frac := (x - prevMean) / (c.Mean - prevMean)
-			return (prevMid + frac*(mid-prevMid)) / d.count
-		}
-		prevMid, prevMean = mid, c.Mean
-		wSoFar += c.Weight
-	}
-	if d.max == prevMean {
-		return 1
-	}
-	frac := (x - prevMean) / (d.max - prevMean)
-	return (prevMid + frac*(d.count-prevMid)) / d.count
 }
 
 // AppendSamples appends m representative values at evenly spaced quantiles

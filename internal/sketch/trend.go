@@ -44,9 +44,6 @@ func NewTrend(nslots int, base time.Duration) *Trend {
 // Period returns the current slot width.
 func (t *Trend) Period() time.Duration { return t.base }
 
-// Slots returns the ring's slot budget.
-func (t *Trend) Slots() int { return len(t.slots) }
-
 // Observe folds one timestamped sample into the ring.
 func (t *Trend) Observe(at time.Time, v float64) { t.observeWeighted(at, v, 1) }
 
@@ -102,18 +99,14 @@ func (t *Trend) coalesce() {
 	t.last /= 2
 }
 
-// Len returns the length Series would have: slot 0 through the last filled
-// slot.
+// Len returns the length of the series AppendSeries appends: slot 0 through
+// the last filled slot.
 func (t *Trend) Len() int { return t.last + 1 }
 
-// Series returns the regularized mean series from slot 0 through the last
-// filled slot, carrying the previous mean forward across empty bins (the
-// same gap treatment stats.RegularSeries applied to raw histories). Empty
-// trend → nil.
-func (t *Trend) Series() []float64 { return t.AppendSeries(nil) }
-
-// AppendSeries appends Series to dst, for a caller that asks often and keeps
-// the space between calls.
+// AppendSeries appends the regularized mean series from slot 0 through the
+// last filled slot to dst, carrying the previous mean forward across empty
+// bins (the same gap treatment stats.RegularSeries applied to raw
+// histories). An empty trend appends nothing.
 func (t *Trend) AppendSeries(dst []float64) []float64 {
 	if t.last < 0 {
 		return dst

@@ -34,13 +34,6 @@ func (a *Accum) Add(x float64) {
 	}
 }
 
-// AddAll folds every value of xs into the accumulator.
-func (a *Accum) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // Count returns the number of samples seen.
 func (a *Accum) Count() int64 { return a.n }
 
@@ -57,30 +50,6 @@ func (a *Accum) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (a *Accum) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// RelStdDev returns StdDev/Mean (0 when the mean is 0).
-func (a *Accum) RelStdDev() float64 {
-	if a.mean == 0 {
-		return 0
-	}
-	return math.Abs(a.StdDev() / a.mean)
-}
-
-// Min returns the smallest sample seen (0 when empty).
-func (a *Accum) Min() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.min
-}
-
-// Max returns the largest sample seen (0 when empty).
-func (a *Accum) Max() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.max
-}
 
 // Merge folds another accumulator into a (parallel merge of Welford states).
 func (a *Accum) Merge(b *Accum) {

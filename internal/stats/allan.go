@@ -39,14 +39,9 @@ func AllanDeviation(series []float64, m int) float64 {
 	return math.Sqrt(ss / (2 * float64(nWindows-1)))
 }
 
-// NormalizedAllanDeviation returns AllanDeviation divided by the series
-// mean, giving the dimensionless 0–1 values plotted in paper Fig. 6. It
-// returns 0 when the mean is 0.
-func NormalizedAllanDeviation(series []float64, m int) float64 {
-	return normalizedAllan(series, m, Mean(series))
-}
-
-// normalizedAllan is NormalizedAllanDeviation given the series mean.
+// normalizedAllan returns AllanDeviation divided by the series mean, giving
+// the dimensionless 0–1 values plotted in paper Fig. 6. It returns 0 when
+// the mean is 0.
 func normalizedAllan(series []float64, m int, mean float64) float64 {
 	if mean == 0 {
 		return 0

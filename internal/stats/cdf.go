@@ -16,9 +16,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// Len returns the number of underlying samples.
-func (c *CDF) Len() int { return len(c.sorted) }
-
 // At returns P(X <= x), the fraction of samples at or below x.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -38,25 +35,6 @@ func (c *CDF) Quantile(p float64) float64 {
 type CDFPoint struct {
 	X float64
 	P float64
-}
-
-// Points renders the CDF as n evenly spaced points across the sample range,
-// suitable for printing figure series.
-func (c *CDF) Points(n int) []CDFPoint {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo := c.sorted[0]
-	hi := c.sorted[len(c.sorted)-1]
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		x := lo
-		if n > 1 {
-			x = lo + (hi-lo)*float64(i)/float64(n-1)
-		}
-		out[i] = CDFPoint{X: x, P: c.At(x)}
-	}
-	return out
 }
 
 // FractionBelow is shorthand for At: the fraction of samples <= x. Paper

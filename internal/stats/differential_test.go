@@ -29,8 +29,8 @@ func differentialHistories(r *rng.Rand) [][]float64 {
 		fill(200, func() float64 { return r.Pareto(1.2, 40, 4000) }),
 		fill(120, func() float64 { return 100 + 50*float64(r.Intn(2)) }),
 		fill(64, func() float64 { return 7 }),
-		fill(90, func() float64 { return math.Min(r.Normal(900, 80), 950) }),
-		fill(40, func() float64 { return -r.ExpFloat64() }),
+		fill(90, func() float64 { return math.Min(900+80*r.NormFloat64(), 950) }),
+		fill(40, func() float64 { return math.Log(r.Float64()) }),
 		{3, 1, 2},
 		{5},
 	}
@@ -125,7 +125,7 @@ func TestAllanDeviationMatchesSliceVersion(t *testing.T) {
 		for i := range series {
 			switch trial % 3 {
 			case 0: // white noise
-				series[i] = r.Normal(850, 50)
+				series[i] = 850 + 50*r.NormFloat64()
 			case 1: // random walk: the differences never cancel
 				walk += r.NormFloat64()
 				series[i] = walk
@@ -188,7 +188,7 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	r := rng.New(43)
 	hist := make([]float64, 512)
 	for i := range hist {
-		hist[i] = r.Normal(870, 60)
+		hist[i] = 870 + 60*r.NormFloat64()
 	}
 	ref := NewNKLDReference(hist, DefaultNKLDBins)
 	if a := testing.AllocsPerRun(100, func() { ref.Prepare(hist[:1+r.Intn(len(hist))], 1+r.Intn(DefaultNKLDBins)) }); a != 0 {

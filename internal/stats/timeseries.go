@@ -60,15 +60,6 @@ func BinMeans(vs []TimedValue, width time.Duration) []float64 {
 	return out
 }
 
-// Values extracts the raw metric values from vs.
-func Values(vs []TimedValue) []float64 {
-	out := make([]float64, len(vs))
-	for i, v := range vs {
-		out[i] = v.V
-	}
-	return out
-}
-
 // RegularSeries resamples vs onto a regular grid of the given period: each
 // grid slot takes the mean of the observations in it; empty slots carry the
 // previous value forward (and the first non-empty value backward). Allan

@@ -22,8 +22,8 @@ type Entry struct {
 
 // ErrCompacted is returned by log readers when the requested LSN predates the
 // oldest retained WAL record — compaction has deleted the segments that held
-// it. A reader that needs that history must re-bootstrap from a checkpoint
-// (LatestCheckpoint) instead of the log.
+// it. A reader that needs that history must re-bootstrap from a snapshot
+// instead of the log.
 var ErrCompacted = errors.New("store: requested records compacted away")
 
 // ErrInsideLine is returned by NextLines when its position is an LSN inside a
@@ -42,7 +42,7 @@ var ErrInsideLine = errors.New("store: position inside a report line")
 //   - An empty batch with a nil error means the reader is caught up (from is
 //     past the newest record); poll again after more appends.
 //   - ErrCompacted means from predates the oldest retained record; the
-//     caller must restart from LatestCheckpoint.
+//     caller must restart from a snapshot.
 func (st *Store) ReadBatch(from uint64, max int) ([]Entry, error) {
 	c := st.OpenCursor(from)
 	defer c.Close()
@@ -113,7 +113,7 @@ func (c *Cursor) Close() {
 // Next returns up to max (default 1024) records past the last one returned,
 // in LSN order. An empty batch with a nil error means caught up; call again
 // after more appends. ErrCompacted means the next LSN predates the oldest
-// retained record: restart from LatestCheckpoint with a new cursor.
+// retained record: restart from a snapshot with a new cursor.
 //
 // Complete lines that fail validation are skipped (recovery's rule). An
 // unterminated tail in the active segment is an append in flight and is never
@@ -428,14 +428,6 @@ func peekJSON(line []byte) (uint64, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// LatestCheckpoint returns the newest checkpoint that validates, with the
-// LSN it covers. A nil snapshot with a nil error means no valid checkpoint
-// exists yet (a fresh store).
-func (st *Store) LatestCheckpoint() (*core.Snapshot, uint64, error) {
-	snap, lsn, _, err := st.latestCheckpoint()
-	return snap, lsn, err
 }
 
 // AppendAt journals line — the whole WAL line whose first LSN is lsn, as

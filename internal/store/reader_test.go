@@ -117,9 +117,9 @@ func TestReadBatchCompactedHistory(t *testing.T) {
 		t.Fatalf("tail after compaction: %d records starting %d, want 5 from 41", len(got), got[0].LSN)
 	}
 	// Bootstrapping from the checkpoint + tailing covers everything.
-	snap, lsn, err := st.LatestCheckpoint()
+	snap, lsn, _, err := st.latestCheckpoint()
 	if err != nil || snap == nil {
-		t.Fatalf("LatestCheckpoint: %v %v", snap, err)
+		t.Fatalf("latestCheckpoint: %v %v", snap, err)
 	}
 	if lsn != 40 {
 		t.Fatalf("checkpoint covers LSN %d, want 40", lsn)
@@ -191,9 +191,9 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 					}
 					// Re-bootstrap exactly as a replica would: the checkpoint's
 					// covered LSN becomes the new floor.
-					_, lsn, cerr := st.LatestCheckpoint()
+					_, lsn, _, cerr := st.latestCheckpoint()
 					if cerr != nil {
-						t.Fatalf("LatestCheckpoint during race: %v", cerr)
+						t.Fatalf("latestCheckpoint during race: %v", cerr)
 					}
 					if lsn+1 < from {
 						t.Fatalf("checkpoint regressed below reader position: ckpt %d, reader %d", lsn, from)
@@ -558,7 +558,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 		if gerr != nil {
 			// All compacted, or standing inside a line a stream cannot ship
 			// from: restart from the checkpoint, as a stream does.
-			_, lsn, err := st.LatestCheckpoint()
+			_, lsn, _, err := st.latestCheckpoint()
 			if err != nil {
 				return false, err
 			}

@@ -115,8 +115,8 @@ func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error
 }
 
 // ParseCheckpoint validates one checkpoint — header, CRC, snapshot JSON — and
-// returns the snapshot and the LSN it covers: recovery, LatestCheckpoint and
-// a replica taking a bootstrap off the wire all decide through it.
+// returns the snapshot and the LSN it covers: recovery and a replica taking a
+// bootstrap off the wire both decide through it.
 func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
@@ -221,8 +221,8 @@ func readCheckpoint(path string) (core.Snapshot, uint64, error) {
 }
 
 // latestCheckpoint is the one chooser of "the newest valid checkpoint", for
-// Open and LatestCheckpoint alike: it returns that checkpoint (nil when none
-// validates) and how many newer ones did not. A checkpoint that vanishes
+// Open: it returns that checkpoint (nil when none validates) and how many
+// newer ones did not. A checkpoint that vanishes
 // between listing and reading was deleted by retention, so a newer one has
 // been written since and the listing is taken again — but only if it changed:
 // a name that points nowhere (a dangling link) is corrupt like any other.

@@ -490,9 +490,9 @@ func TestDanglingCheckpointLinkCountsCorrupt(t *testing.T) {
 
 	var snap *core.Snapshot
 	var lsn uint64
-	within("LatestCheckpoint", func() { snap, lsn, err = st.LatestCheckpoint() })
+	within("latestCheckpoint", func() { snap, lsn, _, err = st.latestCheckpoint() })
 	if err != nil || snap == nil || lsn != 5 {
-		t.Fatalf("LatestCheckpoint: LSN %d (snapshot %v), err %v; want the checkpoint at 5", lsn, snap != nil, err)
+		t.Fatalf("latestCheckpoint: LSN %d (snapshot %v), err %v; want the checkpoint at 5", lsn, snap != nil, err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -208,9 +208,6 @@ func Open(dir string, opts Options) (*Store, error) {
 // Recovery returns what Open found in the data directory.
 func (st *Store) Recovery() Recovery { return st.recovery }
 
-// Dir returns the data directory.
-func (st *Store) Dir() string { return st.dir }
-
 // LastLSN returns the sequence number of the most recently appended
 // sample (0 if none yet).
 func (st *Store) LastLSN() uint64 {

@@ -46,7 +46,7 @@ type OpsServer struct {
 
 // NewOpsServer binds addr (e.g. "127.0.0.1:0"), installs the standard
 // endpoints, and starts serving in the background. Additional endpoints
-// (like the coordinator's zone query API) can be added with Handle before
+// (like the coordinator's zone query API) can be added with HandleFunc before
 // the first request arrives.
 func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
 	if opts.Logf == nil {
@@ -116,16 +116,8 @@ func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
 	return s, nil
 }
 
-// Handle installs an additional endpoint. Patterns use net/http.ServeMux
+// HandleFunc installs an additional endpoint. Patterns use net/http.ServeMux
 // syntax (method prefixes and {wildcards} included).
-func (s *OpsServer) Handle(pattern string, h http.Handler) {
-	if s == nil {
-		return
-	}
-	s.mux.Handle(pattern, h)
-}
-
-// HandleFunc is Handle for plain functions.
 func (s *OpsServer) HandleFunc(pattern string, h func(http.ResponseWriter, *http.Request)) {
 	if s == nil {
 		return
@@ -139,14 +131,6 @@ func (s *OpsServer) Addr() string {
 		return ""
 	}
 	return s.ln.Addr().String()
-}
-
-// URL returns "http://<addr>" for the bound listener.
-func (s *OpsServer) URL() string {
-	if s == nil {
-		return ""
-	}
-	return "http://" + s.Addr()
 }
 
 // Close gracefully drains in-flight requests (bounded at 2s, long enough

@@ -41,23 +41,23 @@ func TestOpsServerEndpoints(t *testing.T) {
 	}
 	defer s.Close()
 
-	if code, body := get(t, s.URL()+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
+	if code, body := get(t, "http://"+s.Addr()+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
-	if code, body := get(t, s.URL()+"/readyz"); code != http.StatusServiceUnavailable || body != "not ready\n" {
+	if code, body := get(t, "http://"+s.Addr()+"/readyz"); code != http.StatusServiceUnavailable || body != "not ready\n" {
 		t.Errorf("/readyz before ready = %d %q, want 503 \"not ready\\n\"", code, body)
 	}
 	ready.Store(true)
-	if code, body := get(t, s.URL()+"/readyz"); code != 200 || body != "ok\n" {
+	if code, body := get(t, "http://"+s.Addr()+"/readyz"); code != 200 || body != "ok\n" {
 		t.Errorf("/readyz after ready = %d %q, want 200 \"ok\\n\"", code, body)
 	}
-	if code, body := get(t, s.URL()+"/metrics"); code != 200 || !strings.Contains(body, "demo_total 9") {
+	if code, body := get(t, "http://"+s.Addr()+"/metrics"); code != 200 || !strings.Contains(body, "demo_total 9") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
-	if code, body := get(t, s.URL()+"/metrics.json"); code != 200 || !strings.Contains(body, `"demo_total"`) {
+	if code, body := get(t, "http://"+s.Addr()+"/metrics.json"); code != 200 || !strings.Contains(body, `"demo_total"`) {
 		t.Errorf("/metrics.json = %d %q", code, body)
 	}
-	if code, body := get(t, s.URL()+"/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
+	if code, body := get(t, "http://"+s.Addr()+"/debug/pprof/"); code != 200 || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ = %d (len %d)", code, len(body))
 	}
 
@@ -65,7 +65,7 @@ func TestOpsServerEndpoints(t *testing.T) {
 	s.HandleFunc("GET /api/v1/ping", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "pong")
 	})
-	if code, body := get(t, s.URL()+"/api/v1/ping"); code != 200 || body != "pong" {
+	if code, body := get(t, "http://"+s.Addr()+"/api/v1/ping"); code != 200 || body != "pong" {
 		t.Errorf("extra handler = %d %q", code, body)
 	}
 
@@ -77,8 +77,8 @@ func TestOpsServerEndpoints(t *testing.T) {
 	}
 	// Nil ops server: every method is a safe no-op.
 	var nilSrv *OpsServer
-	nilSrv.Handle("/x", nil)
-	if nilSrv.Addr() != "" || nilSrv.URL() != "" || nilSrv.Close() != nil {
+	nilSrv.HandleFunc("/x", nil)
+	if nilSrv.Addr() != "" || nilSrv.Close() != nil {
 		t.Fatal("nil OpsServer not inert")
 	}
 }

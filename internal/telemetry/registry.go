@@ -295,14 +295,6 @@ func (g *Gauge) Set(v float64) {
 	g.s.val.Store(v)
 }
 
-// Add adjusts the gauge by d (may be negative).
-func (g *Gauge) Add(d float64) {
-	if g == nil || g.s == nil {
-		return
-	}
-	g.s.val.Add(d)
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil || g.s == nil {

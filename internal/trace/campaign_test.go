@@ -157,7 +157,10 @@ func TestShortSegmentCampaign(t *testing.T) {
 	}
 	// Samples should lie along the segment.
 	seg := geo.ShortSegment()
-	pts := seg.Sample(200)
+	var pts []geo.Point
+	for i := 0; i < 200; i++ {
+		pts = append(pts, seg.At(seg.Length()*float64(i)/199))
+	}
 	for _, s := range d.Samples[:50] {
 		minD := 1e18
 		for _, p := range pts {

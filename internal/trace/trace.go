@@ -64,18 +64,6 @@ func (d *Dataset) Add(s ...Sample) {
 // Len returns the sample count.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Filter returns the samples matching keep, as a new dataset sharing no
-// backing storage obligations with d.
-func (d *Dataset) Filter(keep func(Sample) bool) *Dataset {
-	out := &Dataset{Name: d.Name}
-	for _, s := range d.Samples {
-		if keep(s) {
-			out.Samples = append(out.Samples, s)
-		}
-	}
-	return out
-}
-
 // ByMetric returns the samples of one metric and network, excluding failed
 // probes.
 func (d *Dataset) ByMetric(net radio.NetworkID, m Metric) []Sample {

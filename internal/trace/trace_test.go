@@ -26,10 +26,6 @@ func TestFilterAndByMetric(t *testing.T) {
 	if d.Len() != 3 {
 		t.Fatalf("len %d", d.Len())
 	}
-	f := d.Filter(func(s Sample) bool { return s.ClientID == "c1" })
-	if f.Len() != 2 {
-		t.Fatalf("filtered len %d", f.Len())
-	}
 	rtts := d.ByMetric(radio.NetB, MetricRTTMs)
 	if len(rtts) != 0 {
 		t.Fatalf("failed sample should be excluded from ByMetric, got %d", len(rtts))

@@ -144,7 +144,7 @@ func (d draw) float() float64 {
 	case 0:
 		return math.Float64frombits(d.r.Uint64()) // any bit pattern, NaN and ±Inf among them
 	case 1:
-		return d.r.Normal(0, 1e3)
+		return 1e3 * d.r.NormFloat64()
 	case 2:
 		return math.Pow(10, d.r.Range(-330, 310))
 	}
@@ -163,7 +163,7 @@ func (d draw) str() string {
 }
 
 func (d draw) time() time.Time {
-	at := base.Add(time.Duration(d.r.Int63() % int64(400*24*time.Hour)))
+	at := base.Add(time.Duration(int64(d.r.Uint64()>>1) % int64(400*24*time.Hour)))
 	switch d.r.Intn(4) {
 	case 0:
 		at = at.Truncate(time.Second)

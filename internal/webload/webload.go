@@ -43,45 +43,14 @@ func NewSURGEPool(n int, seed uint64) *Pool {
 	return &Pool{pages: pages}
 }
 
-// Len returns the number of pages.
-func (p *Pool) Len() int { return len(p.pages) }
-
-// Page returns page i (panics if out of range, like a slice).
-func (p *Pool) Page(i int) Page { return p.pages[i] }
-
 // Pages returns all pages in ID order. Callers must not modify the result.
 func (p *Pool) Pages() []Page { return p.pages }
-
-// TotalBytes returns the pool's total size.
-func (p *Pool) TotalBytes() int {
-	t := 0
-	for _, pg := range p.pages {
-		t += pg.SizeBytes
-	}
-	return t
-}
-
-// RequestOrder returns a deterministic pseudo-random permutation of page
-// ids, the back-to-back request sequence of the Table 6 experiment.
-func (p *Pool) RequestOrder(seed uint64) []int {
-	r := rng.NewNamed(seed, "request-order")
-	return r.Perm(len(p.pages))
-}
 
 // Site models a popular web page fetched to depth 1: a base HTML document
 // plus embedded objects (Fig. 14).
 type Site struct {
 	Name    string
 	Objects []Page // object 0 is the base document
-}
-
-// TotalBytes returns the site's full transfer size.
-func (s Site) TotalBytes() int {
-	t := 0
-	for _, o := range s.Objects {
-		t += o.SizeBytes
-	}
-	return t
 }
 
 // PopularSites returns deterministic depth-1 models of the four sites in

@@ -1,18 +1,15 @@
 package webload
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestSURGEPoolProperties(t *testing.T) {
 	p := NewSURGEPool(SURGEPoolSize, 1)
-	if p.Len() != 1000 {
-		t.Fatalf("pool size %d", p.Len())
+	if len(p.pages) != 1000 {
+		t.Fatalf("pool size %d", len(p.pages))
 	}
 	small, large := 0, 0
-	for i := 0; i < p.Len(); i++ {
-		pg := p.Page(i)
+	for i := 0; i < len(p.pages); i++ {
+		pg := p.pages[i]
 		if pg.ID != i {
 			t.Fatalf("page id %d at index %d", pg.ID, i)
 		}
@@ -39,14 +36,14 @@ func TestSURGEPoolDeterministic(t *testing.T) {
 	a := NewSURGEPool(100, 7)
 	b := NewSURGEPool(100, 7)
 	for i := 0; i < 100; i++ {
-		if a.Page(i) != b.Page(i) {
+		if a.pages[i] != b.pages[i] {
 			t.Fatal("pool not deterministic")
 		}
 	}
 	c := NewSURGEPool(100, 8)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Page(i) == c.Page(i) {
+		if a.pages[i] == c.pages[i] {
 			same++
 		}
 	}
@@ -57,35 +54,14 @@ func TestSURGEPoolDeterministic(t *testing.T) {
 
 func TestSURGEPoolDefaultSize(t *testing.T) {
 	p := NewSURGEPool(0, 1)
-	if p.Len() != SURGEPoolSize {
-		t.Fatalf("default pool size %d", p.Len())
-	}
-}
-
-func TestRequestOrderIsPermutation(t *testing.T) {
-	p := NewSURGEPool(200, 1)
-	f := func(seed uint64) bool {
-		order := p.RequestOrder(seed)
-		if len(order) != 200 {
-			return false
-		}
-		seen := make([]bool, 200)
-		for _, id := range order {
-			if id < 0 || id >= 200 || seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+	if len(p.pages) != SURGEPoolSize {
+		t.Fatalf("default pool size %d", len(p.pages))
 	}
 }
 
 func TestTotalBytes(t *testing.T) {
 	p := NewSURGEPool(1000, 1)
-	total := p.TotalBytes()
+	total := totalBytes(p.pages)
 	// Bounded Pareto alpha=1.1 on [2.8K, 3.2M]: mean is ~25-60 KB, so 1000
 	// pages land in the tens of MB.
 	if total < 10<<20 || total > 200<<20 {
@@ -104,8 +80,8 @@ func TestPopularSites(t *testing.T) {
 		if len(s.Objects) < 10 {
 			t.Fatalf("%s has only %d objects", s.Name, len(s.Objects))
 		}
-		if s.TotalBytes() < 100<<10 || s.TotalBytes() > 20<<20 {
-			t.Fatalf("%s total %d bytes implausible", s.Name, s.TotalBytes())
+		if totalBytes(s.Objects) < 100<<10 || totalBytes(s.Objects) > 20<<20 {
+			t.Fatalf("%s total %d bytes implausible", s.Name, totalBytes(s.Objects))
 		}
 	}
 	for _, want := range []string{"cnn", "microsoft", "youtube", "amazon"} {
@@ -115,14 +91,23 @@ func TestPopularSites(t *testing.T) {
 	}
 	// Microsoft should be the lightest (Fig. 14 shows it completing
 	// fastest).
-	if names["microsoft"].TotalBytes() >= names["amazon"].TotalBytes() {
+	if totalBytes(names["microsoft"].Objects) >= totalBytes(names["amazon"].Objects) {
 		t.Fatal("microsoft should be lighter than amazon")
 	}
 	// Determinism.
 	again := PopularSites(1)
 	for i := range sites {
-		if sites[i].TotalBytes() != again[i].TotalBytes() {
+		if totalBytes(sites[i].Objects) != totalBytes(again[i].Objects) {
 			t.Fatal("sites not deterministic")
 		}
 	}
+}
+
+// totalBytes is the transfer size of pages.
+func totalBytes(pages []Page) int {
+	t := 0
+	for _, pg := range pages {
+		t += pg.SizeBytes
+	}
+	return t
 }

@@ -58,7 +58,7 @@ func TestServeConnDecodesIntoItsStorage(t *testing.T) {
 		sent = append(sent, servedReport(r, n, client, device, via))
 		switch i % 4 {
 		case 0:
-			sent = append(sent, zoneReportOf(client, []radio.NetworkID{radio.NetB, "Net<Z>"}, via))
+			sent = append(sent, zoneReportOf(client, []radio.NetworkID{radio.NetB, radio.NetC}, via))
 		case 1:
 			sent = append(sent, zoneReportOf(client, nil, via), Envelope{Type: TypeHello, Hello: &Hello{ClientID: client, DeviceClass: device}})
 		case 2:
@@ -131,6 +131,30 @@ func TestServeConnDecodesIntoItsStorage(t *testing.T) {
 	<-done
 	if next != len(sent) {
 		t.Fatalf("%d requests dispatched, %d sent", next, len(sent))
+	}
+}
+
+// TestRecvDecodesUnknownNames: a binary sample or zone report carries a
+// network or metric the tree does not define spelled out, and Recv, or recv
+// into a connection's storage, decodes it as sent. So it is ServeConn, not
+// the decoder, that refuses such a report.
+func TestRecvDecodesUnknownNames(t *testing.T) {
+	report := servedReport(rng.New(42), 3, "bus-1", "phone", &Via{Gateway: "gw-1", Shard: "madison"})
+	report.SampleReport.Samples[1].Network = "Net<Z>"
+	report.SampleReport.Samples[2].Metric = "m<Z>"
+	sent := []Envelope{report, zoneReportOf("bus-1", []radio.NetworkID{radio.NetB, "Net<Z>"}, nil)}
+	frames := encodeFrames(t, sent...)
+	for _, st := range []*requestStore{nil, {}} {
+		c := NewConn(byteConn{r: bytes.NewReader(frames)})
+		for i, want := range sent {
+			got, err := c.recv(st)
+			if err != nil {
+				t.Fatalf("request %d (%s): %v", i, want.Type, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("request %d (%s), into storage %v:\n got  %+v\n sent %+v", i, want.Type, st != nil, got, want)
+			}
+		}
 	}
 }
 

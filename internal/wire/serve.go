@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"time"
 
+	"repro/internal/radio"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // ServeMetrics are the instruments of one request/response endpoint. The
@@ -29,10 +32,12 @@ func ErrorReply(msg string) Envelope {
 // ServeConn runs one connection's request/response loop and closes nc when
 // it ends. It owns the request/reply contract, so that no dispatcher repeats
 // it. Every request gets exactly one reply; fatal=true closes the connection
-// after the reply is sent. A request lacking the payload its type needs, or a
-// hello or zone report naming no client, is refused here, with an error reply
-// and a close, and dispatch never sees it: dispatch may dereference the
-// payload its request's type selects unchecked. A peer silent for longer than
+// after the reply is sent. A request lacking the payload its type needs, a
+// hello or zone report naming no client, or a sample or zone report naming a
+// network or metric the tree does not define (radio.AllNetworks,
+// trace.AllMetrics) is refused here, with an error reply and a close, and
+// dispatch never sees it: dispatch may dereference the payload its request's
+// type selects unchecked, and never files a sample under an invented name. A peer silent for longer than
 // idle (zero disables) is dropped, and so is one that does not read a reply
 // within idle of its sending; an oversized message is answered with "message
 // too large" before the connection closes, and anything else unreadable
@@ -96,8 +101,9 @@ func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(re
 }
 
 // refusal is why ServeConn refuses req before any dispatcher sees it, or "":
-// the payload its type needs is missing, or it is a hello or zone report that
-// names no client.
+// the payload its type needs is missing, it is a hello or zone report that
+// names no client, or a sample or zone report that names a network or metric
+// the tree does not define.
 func refusal(req *Envelope) string {
 	switch {
 	case !req.hasPayload():
@@ -105,6 +111,33 @@ func refusal(req *Envelope) string {
 	case req.Type == TypeHello && req.Hello.ClientID == "",
 		req.Type == TypeZoneReport && req.ZoneReport.ClientID == "":
 		return fmt.Sprintf("%s requires a client id", req.Type)
+	}
+	if name := unknownName(req); name != "" {
+		return fmt.Sprintf("%s names unknown network or metric %.32q", req.Type, name)
+	}
+	return ""
+}
+
+// unknownName returns the first network or metric of a sample or zone report
+// outside radio.AllNetworks and trace.AllMetrics, or "".
+func unknownName(req *Envelope) string {
+	switch req.Type {
+	case TypeSampleReport:
+		for i := range req.SampleReport.Samples {
+			s := &req.SampleReport.Samples[i]
+			if !slices.Contains(radio.AllNetworks, s.Network) {
+				return string(s.Network)
+			}
+			if !slices.Contains(trace.AllMetrics, s.Metric) {
+				return string(s.Metric)
+			}
+		}
+	case TypeZoneReport:
+		for _, n := range req.ZoneReport.Networks {
+			if !slices.Contains(radio.AllNetworks, n) {
+				return string(n)
+			}
+		}
 	}
 	return ""
 }

@@ -117,10 +117,11 @@ func TestServeConnBoundsEachWrite(t *testing.T) {
 }
 
 // TestServeConnRefusesBeforeDispatch: ServeConn answers a request lacking
-// the payload its type needs, or a hello or zone report naming no client,
+// the payload its type needs, a hello or zone report naming no client, or a
+// sample or zone report naming a network or metric the tree does not define,
 // with one error reply and a close, and dispatch never sees it; a status
-// request, whose payload is empty, and a type ServeConn does not know are
-// dispatched.
+// request, whose payload is empty, a type ServeConn does not know and reports
+// of known names are dispatched.
 func TestServeConnRefusesBeforeDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		line       string
@@ -136,6 +137,11 @@ func TestServeConnRefusesBeforeDispatch(t *testing.T) {
 		{`{"type":"promote"}`, false},
 		{`{"type":"demote"}`, false},
 		{`{"type":"task_list"}`, false},
+		{`{"type":"zone_report","zone_report":{"client_id":"c","networks":["NetB","NetZ"]}}`, false},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetZ","metric":"tcp_kbps","value":1}]}}`, false},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbpz","value":1}]}}`, false},
+		{`{"type":"zone_report","zone_report":{"client_id":"c","networks":["NetA","NetB","NetC"]}}`, true},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbps","value":1}]}}`, true},
 		{`{"type":"status_request"}`, true},
 		{`{"type":"gossip"}`, true},
 	} {

@@ -253,10 +253,12 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		}
 		return nil, err
 	}
+	// The instruments come first: the replication source's snapshot hook
+	// times its hold with them.
+	s.met = newCoordMetrics(opts.Telemetry, s.ClientCount, s.Controller)
 	if err := s.startReplication(); err != nil {
 		return fail(err)
 	}
-	s.met = newCoordMetrics(opts.Telemetry, s.ClientCount, s.Controller)
 	// Connections are served from the moment the listener binds, so it
 	// comes up only after the role state and instruments dispatch reads.
 	var err error
@@ -391,15 +393,20 @@ func (s *Server) CheckpointNow() error {
 
 // captureSnapshot returns a controller snapshot consistent with the WAL
 // position it reports: nothing can append between the LSN read and the
-// state capture. This is also the replication source's bootstrap hook.
+// state capture. This is also the replication source's bootstrap hook. No
+// sample is journaled while it holds ingestMu, and the snapshot-hold
+// histogram times that hold.
 func (s *Server) captureSnapshot() (core.Snapshot, uint64) {
 	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
+	held := time.Now()
 	var lsn uint64
 	if s.store != nil {
 		lsn = s.store.LastLSN()
 	}
-	return s.Controller().Snapshot(time.Now()), lsn
+	snap := s.Controller().Snapshot(held)
+	s.ingestMu.Unlock()
+	s.met.snapshotHold.Observe(time.Since(held).Seconds())
+	return snap, lsn
 }
 
 // ClientCount returns the number of clients heard from (hello or zone
@@ -412,7 +419,8 @@ func (s *Server) ClientCount() int {
 
 // dispatch maps one request, which wire.ServeConn has vetted, to its reply —
 // every request gets exactly one; fatal=true (protocol errors) closes the
-// connection after replying. A task list or an ack is built in out.
+// connection after replying. A task list, an ack or an estimate reply is
+// built in out.
 func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	s.met.request(req.Type).Inc()
 	if req.Via != nil {
@@ -490,13 +498,13 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 		er := req.EstimateRequest
 		key := core.Key{Zone: er.Zone, Net: er.Network, Metric: er.Metric}
 		rec, ok := s.Controller().Estimate(key)
-		reply := &wire.EstimateReply{Found: ok, Record: rec}
+		var sketch []byte
 		if ok && er.WithSketch {
 			// The asker merges or inspects the distribution (a gateway in
 			// front of several shards); nobody else pays for the sketch.
-			reply.Sketch, _ = s.Controller().SketchFor(key)
+			sketch, _ = s.Controller().AppendSketch(out.SketchBuf(), key)
 		}
-		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: reply}, false
+		return wire.Envelope{Type: wire.TypeEstimateReply, EstimateReply: out.EstimateReply(ok, rec, sketch)}, false
 
 	case wire.TypeStatusRequest:
 		return wire.Envelope{Type: wire.TypeStatusReply, StatusReply: s.statusReply()}, false

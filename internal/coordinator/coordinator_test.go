@@ -123,17 +123,21 @@ func TestSampleIngestion(t *testing.T) {
 
 // TestEstimateSketchOnlyOnRequest: a bare coordinator attaches the window
 // sketch to an estimate reply only when the request set with_sketch; the
-// record is the same either way.
+// record is the same either way. The connection builds each reply over the
+// one before, so replies for zones of different sketch sizes, and a bare
+// reply after a sketch-carrying one, each carry exactly their own.
 func TestEstimateSketchOnlyOnRequest(t *testing.T) {
 	s := newServer(t, Options{Seed: seed})
 	ctrl := s.Controller()
-	loc := geo.Madison().Center()
+	loc, other := geo.Madison().Center(), geo.Madison().Center().Offset(90, 3000)
 	r := rng.New(seed)
 	for i := 0; i < 200; i++ {
-		ctrl.Ingest(trace.Sample{
-			Time: start.Add(time.Duration(i) * time.Minute), Loc: loc,
-			Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(),
-		})
+		for _, p := range []geo.Point{loc, other}[:1+i%2] {
+			ctrl.Ingest(trace.Sample{
+				Time: start.Add(time.Duration(i) * time.Minute), Loc: p,
+				Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(),
+			})
+		}
 	}
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -165,6 +169,17 @@ func TestEstimateSketchOnlyOnRequest(t *testing.T) {
 	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
 	if want, _ := ctrl.SketchFor(key); !bytes.Equal(asked.Sketch, want) {
 		t.Errorf("shipped sketch is not the controller's window for %v", key)
+	}
+	otherKey := core.Key{Zone: ctrl.ZoneOf(other), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	want, _ := ctrl.SketchFor(otherKey)
+	if len(want) == len(asked.Sketch) {
+		t.Fatal("the two zones' sketches are the same size")
+	}
+	if got := ask(otherKey.Zone, true); !bytes.Equal(got.Sketch, want) {
+		t.Errorf("the second zone's shipped sketch is not its window")
+	}
+	if again := ask(zone, false); len(again.Sketch) != 0 || !reflect.DeepEqual(again.Record, plain.Record) {
+		t.Fatalf("a bare reply after a sketch-carrying one: %+v", again)
 	}
 	if miss := ask(geo.ZoneID{X: 99, Y: 99}, true); miss.Found || len(miss.Sketch) != 0 {
 		t.Fatalf("unknown zone asked with a sketch: %+v, want a bare not-found", miss)

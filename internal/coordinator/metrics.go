@@ -14,6 +14,7 @@ type coordMetrics struct {
 	zoneReports     *telemetry.Counter
 	tasksAssigned   *telemetry.Counter
 	forwarded       *telemetry.Counter
+	snapshotHold    *telemetry.Histogram // ingestMu held to capture a checkpoint or bootstrap snapshot
 
 	// serve is what the shared request loop (wire.ServeConn) updates.
 	serve wire.ServeMetrics
@@ -57,6 +58,8 @@ func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func(
 			"Measurement tasks handed out by the probabilistic scheduler.").With(),
 		forwarded: reg.Counter("wiscape_coordinator_forwarded_requests_total",
 			"Requests relayed by a cluster gateway (wire Via metadata set).").With(),
+		snapshotHold: reg.Histogram("wiscape_coordinator_snapshot_hold_seconds",
+			"Time ingest is held to capture a checkpoint or replica-bootstrap snapshot: no sample report is journaled meanwhile.", nil).With(),
 		serve: wire.ServeMetrics{
 			Connections: reg.Counter("wiscape_coordinator_connections_total",
 				"Client connections accepted.").With(),

@@ -16,7 +16,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
+	"repro/internal/rng"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -385,5 +387,89 @@ func TestHandTypedJSONReportJournaled(t *testing.T) {
 	}
 	if !bytes.Equal(segments["typed"], segments["sent"]) {
 		t.Fatalf("the typed report left the WAL\n%q\nthe sent one\n%q", segments["typed"], segments["sent"])
+	}
+}
+
+// TestIngestDuringCheckpointCompletes: with 10,000 keys, sample reports sent
+// while CheckpointNow runs are all acked, the snapshot-hold histogram records
+// the checkpoint's one hold, and a coordinator recovered from the data dir
+// counts each reported sample exactly once — in the checkpoint or past its
+// LSN. The hold and the first report's wait are logged, not bounded: they
+// depend on the machine.
+func TestIngestDuringCheckpointCompletes(t *testing.T) {
+	dir := t.TempDir()
+	opts := persistOpts(dir)
+	opts.Telemetry = telemetry.NewRegistry()
+	s, err := Serve(core.NewController(core.DefaultConfig(), geo.Madison().Center()), "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctrl, grid := s.Controller(), s.Controller().Grid()
+	r := rng.New(seed)
+	const side, perKey = 100, 10
+	for j := 0; j < perKey; j++ {
+		for i := 0; i < side*side; i++ {
+			ctrl.Ingest(trace.Sample{
+				Time: start.Add(time.Duration(j) * time.Minute), Loc: grid.Center(geo.ZoneID{X: int32(i % side), Y: int32(i / side)}),
+				Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(),
+			})
+		}
+	}
+	if n := len(ctrl.Keys()); n != side*side {
+		t.Fatalf("%d keys, want %d", n, side*side)
+	}
+
+	// The reports go under a metric the keys above do not use.
+	loc := grid.Center(geo.ZoneID{X: -5, Y: -5})
+	report := func(i int) []trace.Sample {
+		smps := minuteSamples(loc, start.Add(time.Duration(i)*time.Hour), 5, 900)
+		for j := range smps {
+			smps[j].Metric = trace.MetricRTTMs
+		}
+		return smps
+	}
+	c := dial(t, s)
+	done := make(chan error, 1)
+	go func() { done <- s.CheckpointNow() }()
+	sent, during := 0, 0
+	var firstWait time.Duration
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+			during++
+		}
+		sentAt := time.Now()
+		reportSamples(t, c, "mid-checkpoint", report(sent))
+		if sent == 0 {
+			firstWait = time.Since(sentAt)
+		}
+		sent++
+	}
+	if during == 0 {
+		t.Fatal("no report was sent while the checkpoint ran")
+	}
+	hold := s.met.snapshotHold
+	if hold.Count() != 1 {
+		t.Fatalf("snapshot-hold histogram has %d observations, want 1", hold.Count())
+	}
+	t.Logf("%d keys: ingest held %.1f ms; %d reports sent while the checkpoint ran, the first acked after %v",
+		side*side, hold.Sum()*1e3, during, firstWait.Round(time.Millisecond))
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recovered := newServer(t, persistOpts(dir))
+	key := core.Key{Zone: recovered.Controller().ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricRTTMs}
+	if got, want := recovered.Controller().SampleCount(key), int64(5*sent); got != want {
+		t.Fatalf("recovered %d reported samples, want %d", got, want)
+	}
+	if n := len(recovered.Controller().Keys()); n != side*side+1 {
+		t.Fatalf("recovered %d keys, want %d", n, side*side+1)
 	}
 }

@@ -197,3 +197,31 @@ func TestConnectionsBuildTheirOwnReplies(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateDispatchAllocatesNothing: with a warm *wire.Replies, a
+// with_sketch estimate is answered without allocating — the record is
+// copied into the reply slot and the sketch appended to its buffer — and
+// the reply is the one a nil *Replies builds.
+func TestEstimateDispatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := newServer(t, Options{Seed: seed})
+	loc := geo.Madison().Center()
+	for i, smp := range minuteSamples(loc, start, 200, 0) {
+		smp.Value = float64(800 + i%97)
+		s.Controller().Ingest(smp)
+	}
+	req := wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
+		Zone: s.Controller().ZoneOf(loc), Network: radio.NetB, Metric: trace.MetricUDPKbps, WithSketch: true,
+	}}
+	var out wire.Replies
+	reply, _ := s.dispatch(req, &out)
+	fresh, _ := s.dispatch(req, nil)
+	if !reply.EstimateReply.Found || len(reply.EstimateReply.Sketch) == 0 || !reflect.DeepEqual(reply, fresh) {
+		t.Fatalf("estimate built in the slots %+v, afresh %+v", reply.EstimateReply, fresh.EstimateReply)
+	}
+	if n := testing.AllocsPerRun(100, func() { reply, _ = s.dispatch(req, &out) }); n != 0 {
+		t.Fatalf("a with_sketch estimate into warm reply slots: %v allocations, want 0", n)
+	}
+}

@@ -525,14 +525,19 @@ func (c *Controller) RetainedBytes(key Key) int {
 // SketchFor serializes a key's trailing-window sketch — the unit shards
 // ship to the cluster gateway for distribution-preserving merges, and the
 // distribution payload of checkpoints. ok is false for untracked keys.
-func (c *Controller) SketchFor(key Key) ([]byte, bool) {
+func (c *Controller) SketchFor(key Key) ([]byte, bool) { return c.AppendSketch(nil, key) }
+
+// AppendSketch appends the bytes SketchFor returns to dst, so a caller that
+// keeps its buffer serializes without allocating. For an untracked key it
+// returns dst unchanged and ok false.
+func (c *Controller) AppendSketch(dst []byte, key Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.zones[key]
 	if st == nil {
-		return nil, false
+		return dst, false
 	}
-	return st.window.MarshalBinary(), true
+	return st.window.AppendBinary(dst), true
 }
 
 // Records returns every published record for a network and metric, in

@@ -51,31 +51,48 @@ func (c *Controller) View(at time.Time) Snapshot {
 	return c.snapshot(at, false)
 }
 
+// snapshot takes a fixed number of allocations whatever the number of keys:
+// a first pass sorts the keys and sizes the records and the sketch bytes, and
+// the entries, the records and the sketches then each fill one slice, every
+// entry's sketch a capacity-capped window of the one arena.
 func (c *Controller) snapshot(at time.Time, withSketches bool) Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Snapshot{
-		TakenAt: at,
-		Config:  c.cfg,
-		Origin:  c.grid.Origin(),
-		// Sized once; still nil for a controller with no zones, whose
-		// checkpoint has always said "entries": null.
-		Entries: slices.Grow([]SnapshotEntry(nil), len(c.zones)),
+	s := Snapshot{TakenAt: at, Config: c.cfg, Origin: c.grid.Origin()}
+	if len(c.zones) == 0 {
+		return s // a controller with no zones has always checkpointed "entries": null
 	}
-	// Keys() locks too; inline the iteration under the held lock.
+	keys := make([]Key, 0, len(c.zones))
+	nrec, nbytes := 0, 0
+	var sizer [4096]byte // one window sketch's bytes, on the stack
 	for k, st := range c.zones {
-		e := SnapshotEntry{Key: k, EpochSeconds: st.epoch.Seconds(), TotalCount: st.totalCount}
+		keys = append(keys, k)
 		if st.hasRecord {
-			rec := st.published
-			e.Record = &rec
+			nrec++
 		}
 		if withSketches && st.window.Count() > 0 {
-			e.Sketch = st.window.MarshalBinary()
+			nbytes += len(st.window.AppendBinary(sizer[:0]))
 		}
-		s.Entries = append(s.Entries, e)
 	}
 	// Keys are unique, so the order is total and the sort need not be stable.
-	slices.SortFunc(s.Entries, func(a, b SnapshotEntry) int { return a.Key.Compare(b.Key) })
+	slices.SortFunc(keys, Key.Compare)
+	s.Entries = make([]SnapshotEntry, len(keys))
+	records := make([]Record, 0, nrec)
+	arena := make([]byte, 0, nbytes)
+	for i, k := range keys {
+		st := c.zones[k]
+		e := &s.Entries[i]
+		*e = SnapshotEntry{Key: k, EpochSeconds: st.epoch.Seconds(), TotalCount: st.totalCount}
+		if st.hasRecord {
+			records = append(records, st.published)
+			e.Record = &records[len(records)-1]
+		}
+		if withSketches && st.window.Count() > 0 {
+			start := len(arena)
+			arena = st.window.AppendBinary(arena)
+			e.Sketch = arena[start:len(arena):len(arena)]
+		}
+	}
 	return s
 }
 

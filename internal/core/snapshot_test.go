@@ -97,19 +97,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// wideController holds one sample under each of n keys: zones on both
-// sides of the grid origin, each with three networks and two metrics.
-func wideController(n int) *Controller {
+// wideController holds samples samples, a minute apart, under each of n
+// keys: zones on both sides of the grid origin, each with three networks and
+// two metrics.
+func wideController(n, samples int) *Controller {
 	c := NewController(DefaultConfig(), origin)
 	nets := []radio.NetworkID{radio.NetA, radio.NetB, radio.NetC}
 	metrics := []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs}
 	per := len(nets) * len(metrics)
 	side := int32(math.Ceil(math.Sqrt(float64(n/per + 1))))
-	for i := 0; i < n; i++ {
-		z := int32(i / per)
-		s := mkSample(start, c.grid.Center(geo.ZoneID{X: z%side - side/2, Y: z/side - side/2}), 900)
-		s.Network, s.Metric = nets[i%len(nets)], metrics[i/len(nets)%len(metrics)]
-		c.Ingest(s)
+	r := rng.New(9)
+	for j := 0; j < samples; j++ {
+		for i := 0; i < n; i++ {
+			z := int32(i / per)
+			s := mkSample(start.Add(time.Duration(j)*time.Minute), c.grid.Center(geo.ZoneID{X: z%side - side/2, Y: z/side - side/2}), 900+80*r.NormFloat64())
+			s.Network, s.Metric = nets[i%len(nets)], metrics[i/len(nets)%len(metrics)]
+			c.Ingest(s)
+		}
 	}
 	return c
 }
@@ -126,7 +130,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 
 	// At scale, across negative zones and several networks and metrics,
 	// the entries come out in Key.Compare order.
-	snap := wideController(5000).Snapshot(start)
+	snap := wideController(5000, 1).Snapshot(start)
 	if len(snap.Entries) != 5000 || snap.Entries[0].Key.Zone.X >= 0 || snap.Entries[0].Key.Zone.Y >= 0 {
 		t.Fatalf("%d entries, first %v: want 5000 from a zone left of and below the origin", len(snap.Entries), snap.Entries[0].Key)
 	}
@@ -138,17 +142,93 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 var sinkSnapshot Snapshot
 
 // BenchmarkControllerSnapshot times the checkpoint form of a snapshot, taken
-// under the controller's lock, at two key counts.
+// under the controller's lock: one sample a key at two key counts, and a
+// checkpoint-sized 10,000 keys of 200 samples each.
 func BenchmarkControllerSnapshot(b *testing.B) {
-	for _, n := range []int{1_000, 20_000} {
-		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			c := wideController(n)
+	for _, tc := range []struct{ keys, samples int }{{1_000, 1}, {20_000, 1}, {10_000, 200}} {
+		b.Run(fmt.Sprintf("keys=%d/samples=%d", tc.keys, tc.samples), func(b *testing.B) {
+			c := wideController(tc.keys, tc.samples)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sinkSnapshot = c.Snapshot(start)
 			}
 		})
+	}
+}
+
+// TestSnapshotIsPerKeyReads: a snapshot's entries are, in key order, what
+// the per-key reads return — record, epoch, count and SketchFor's bytes (the
+// sketch package holds those to the reference encoder) — and its JSON is
+// that of the snapshot built from those reads, the form checkpoints have
+// always had. Each sketch is capacity-capped, so appending to one entry's
+// cannot write over the next one's.
+func TestSnapshotIsPerKeyReads(t *testing.T) {
+	c := wideController(300, 40)
+	c.Ingest(mkSample(start, origin.Offset(45, 9000), 5)) // a key with no record yet
+	for _, withSketches := range []bool{true, false} {
+		got := c.snapshot(start, withSketches)
+		want := Snapshot{TakenAt: start, Config: c.cfg, Origin: c.grid.Origin()}
+		keys := c.Keys()
+		slices.SortFunc(keys, Key.Compare)
+		for _, k := range keys {
+			e := SnapshotEntry{Key: k, EpochSeconds: c.EpochOf(k).Seconds(), TotalCount: c.SampleCount(k)}
+			if rec, ok := c.Estimate(k); ok && !rec.UpdatedAt.IsZero() { // zero: the running epoch's, not a published record
+				e.Record = &rec
+			}
+			if withSketches {
+				e.Sketch, _ = c.SketchFor(k)
+			}
+			want.Entries = append(want.Entries, e)
+		}
+		var gotJSON, wantJSON bytes.Buffer
+		if err := WriteSnapshot(&gotJSON, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteSnapshot(&wantJSON, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON.Bytes(), wantJSON.Bytes()) {
+			t.Fatalf("withSketches=%v: snapshot JSON differs from the per-key reads'", withSketches)
+		}
+		recordless := 0
+		for i, e := range got.Entries {
+			if e.Record == nil {
+				recordless++
+			}
+			if cap(e.Sketch) != len(e.Sketch) {
+				t.Fatalf("entry %d's sketch has %d bytes of spare capacity", i, cap(e.Sketch)-len(e.Sketch))
+			}
+		}
+		if recordless != 1 {
+			t.Fatalf("%d entries without a record, want the one key still in its first epoch", recordless)
+		}
+	}
+	if s := NewController(DefaultConfig(), origin).Snapshot(start); s.Entries != nil {
+		t.Fatal("an empty controller's snapshot must keep \"entries\": null")
+	}
+}
+
+// TestSnapshotAllocationsDoNotGrowWithKeys: a snapshot takes a fixed number
+// of allocations however many keys it holds (it took two a key), and
+// AppendSketch into a warm buffer takes none.
+func TestSnapshotAllocationsDoNotGrowWithKeys(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	small, large := wideController(60, 40), wideController(3000, 40)
+	a := testing.AllocsPerRun(5, func() { sinkSnapshot = small.Snapshot(start) })
+	b := testing.AllocsPerRun(5, func() { sinkSnapshot = large.Snapshot(start) })
+	if e := sinkSnapshot.Entries[0]; e.Record == nil || len(e.Sketch) == 0 {
+		t.Fatal("the keys hold no record or no sketch, so the guard counts neither")
+	}
+	if a != b || b > 4 {
+		t.Fatalf("Snapshot took %v allocations at 60 keys and %v at 3,000: want the same, at most 4", a, b)
+	}
+	key := large.Keys()[0]
+	buf, _ := large.AppendSketch(nil, key)
+	if n := testing.AllocsPerRun(100, func() { buf, _ = large.AppendSketch(buf[:0], key) }); n != 0 {
+		t.Fatalf("AppendSketch into a warm buffer: %v allocations, want 0", n)
 	}
 }
 

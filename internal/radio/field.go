@@ -215,7 +215,6 @@ func (f *Field) At(p geo.Point, t time.Time) Conditions {
 
 	for _, e := range f.events {
 		if e.Active(p, t) {
-			c.inEvent = true
 			if e.RTTFactor > 0 {
 				c.RTTMs *= e.RTTFactor
 			}

@@ -265,22 +265,32 @@ func TestFootballGameEvent(t *testing.T) {
 
 	before := f.At(geo.CampRandallStadium, gameStart.Add(-2*time.Hour))
 	during := f.At(geo.CampRandallStadium, gameStart.Add(90*time.Minute))
-	after := f.At(geo.CampRandallStadium, gameStart.Add(5*time.Hour))
 
 	if during.RTTMs < 3*before.RTTMs {
 		t.Fatalf("game should raise RTT ~3.7x: before %.0f, during %.0f", before.RTTMs, during.RTTMs)
 	}
-	if !during.inEvent || before.inEvent || after.inEvent {
-		t.Fatal("event activity window wrong")
-	}
 	if during.CapacityKbps >= before.CapacityKbps {
 		t.Fatal("game should depress capacity")
 	}
-	// Far away, the game is invisible.
+	// Outside its window, and far away during it, the game is invisible: the
+	// conditions are exactly those of the same field without it.
+	quiet := wiField(NetB)
 	farPoint := geo.CampRandallStadium.Offset(90, 5000)
-	far := f.At(farPoint, gameStart.Add(90*time.Minute))
-	if far.inEvent {
-		t.Fatal("event should be local to the stadium")
+	for _, probe := range []struct {
+		what string
+		p    geo.Point
+		at   time.Time
+	}{
+		{"before", geo.CampRandallStadium, gameStart.Add(-2 * time.Hour)},
+		{"after", geo.CampRandallStadium, gameStart.Add(5 * time.Hour)},
+		{"far away", farPoint, gameStart.Add(90 * time.Minute)},
+	} {
+		if got, want := f.At(probe.p, probe.at), quiet.At(probe.p, probe.at); got != want {
+			t.Fatalf("%s the game: %+v, want the quiet field's %+v", probe.what, got, want)
+		}
+	}
+	if quiet.At(geo.CampRandallStadium, gameStart.Add(90*time.Minute)) == during {
+		t.Fatal("during the game the stadium is as it is without one")
 	}
 }
 
@@ -325,13 +335,15 @@ func TestEnvironment(t *testing.T) {
 	if env.Field("NetX") != nil {
 		t.Fatal("unknown network should be nil")
 	}
-	// Event propagation.
+	// Event propagation: every network's stadium RTT rises.
 	start := Epoch.Add(10 * 24 * time.Hour)
+	quiet := NewEnvironment(AllNetworks, RegionWI, testSeed, geo.Madison().Center())
 	env.AddEvent(FootballGame(start))
 	for _, n := range AllNetworks {
 		c := env.Field(n).At(geo.CampRandallStadium, start.Add(time.Hour))
-		if !c.inEvent {
-			t.Fatalf("event not applied to %s", n)
+		q := quiet.Field(n).At(geo.CampRandallStadium, start.Add(time.Hour))
+		if c.RTTMs < 3*q.RTTMs || c.CapacityKbps >= q.CapacityKbps {
+			t.Fatalf("event not applied to %s: RTT %.0f ms, capacity %.0f kbps; %.0f and %.0f without it", n, c.RTTMs, c.CapacityKbps, q.RTTMs, q.CapacityKbps)
 		}
 	}
 }

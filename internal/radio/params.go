@@ -215,8 +215,6 @@ type Conditions struct {
 	PingFailProb float64 // probability a ping probe fails entirely
 	FastSigmaRel float64 // relative sigma of per-sample fading around the means
 	Troubled     bool    // inside a trouble spot (Fig. 9 population)
-
-	inEvent bool // an event overlay (e.g. the stadium surge) is active here and now
 }
 
 // Event is a localized, time-bounded disturbance overlaid on a field — the

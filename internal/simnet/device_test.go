@@ -59,7 +59,7 @@ func TestWarmTransferSkipsHandshake(t *testing.T) {
 	loc := cleanSpot(f)
 	var cold, warm time.Duration
 	for i := 0; i < 50; i++ {
-		cold += p.httpFetch(loc, at, 20<<10, false)
+		cold += p.tcpTransfer(loc, at, 20<<10, false).Duration()
 		warm += p.HTTPGetPersistent(loc, at, 20<<10)
 	}
 	if warm >= cold {

@@ -341,11 +341,7 @@ func (p *Prober) Ping(loc geo.Point, at time.Time) PingResult {
 // persistent connection — how the multi-sim client and the MAR gateway
 // issue their back-to-back requests (§4.2.2).
 func (p *Prober) HTTPGetPersistent(loc geo.Point, at time.Time, sizeBytes int) time.Duration {
-	return p.httpFetch(loc, at, sizeBytes, true)
-}
-
-func (p *Prober) httpFetch(loc geo.Point, at time.Time, sizeBytes int, warm bool) time.Duration {
-	fr := p.tcpTransfer(loc, at, sizeBytes, warm)
+	fr := p.tcpTransfer(loc, at, sizeBytes, true)
 	d := fr.Duration()
 	if d <= 0 {
 		// Degenerate single-packet page: fall back to 2 RTTs.

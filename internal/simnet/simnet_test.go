@@ -216,8 +216,8 @@ func TestHTTPGetScalesWithSize(t *testing.T) {
 	f := testField()
 	p := NewProber(f, 10)
 	loc := cleanSpot(f)
-	small := p.httpFetch(loc, at, 2800, false)
-	big := p.httpFetch(loc, at, 3200000, false)
+	small := p.tcpTransfer(loc, at, 2800, false).Duration()
+	big := p.tcpTransfer(loc, at, 3200000, false).Duration()
 	if small <= 0 || big <= 0 {
 		t.Fatal("non-positive fetch times")
 	}

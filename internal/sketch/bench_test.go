@@ -74,7 +74,7 @@ func BenchmarkDigestMarshal(b *testing.B) {
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n = len(d.MarshalBinary())
+		n = len(d.appendBinary(nil))
 	}
 	b.ReportMetric(float64(n), "bytes/payload")
 }
@@ -91,4 +91,24 @@ func BenchmarkEpochSketchObserve(b *testing.B) {
 		at = at.Add(30 * time.Second)
 	}
 	b.ReportMetric(float64(es.FootprintBytes()), "bytes/sketch")
+}
+
+// BenchmarkEpochSketchAppend encodes a window-shaped sketch (digest plus
+// trend ring) into one reused buffer, as a shard's estimate reply and a
+// checkpoint do: nothing is allocated once the buffer is warm.
+func BenchmarkEpochSketchAppend(b *testing.B) {
+	es := NewEpochSketch(DefaultCompression)
+	es.EnableTrend(DefaultTrendSlots, time.Minute)
+	at := time.Unix(1283763600, 0)
+	for _, v := range benchValues(50000) {
+		es.Observe(at, v)
+		at = at.Add(30 * time.Second)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = es.AppendBinary(buf[:0])
+	}
+	b.ReportMetric(float64(len(buf)), "bytes/payload")
 }

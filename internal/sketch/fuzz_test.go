@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+	"time"
 )
 
 // valuesFrom reinterprets fuzz input as a float64 sample stream (8 bytes
@@ -22,11 +23,25 @@ func valuesFrom(data []byte) []float64 {
 	return out
 }
 
+// trendSketchFrom builds a sketch with a small trend ring from data's
+// values, a minute apart, so a long stream coalesces the ring.
+func trendSketchFrom(data []byte) *EpochSketch {
+	es := NewEpochSketch(DefaultCompression)
+	es.EnableTrend(8, time.Minute)
+	t0 := time.Unix(1_700_000_000, 0)
+	for i, v := range valuesFrom(data) {
+		es.Observe(t0.Add(time.Duration(i)*time.Minute), v)
+	}
+	return es
+}
+
 // FuzzSketchRoundTrip drives the digest with arbitrary sample streams and
-// pins the serialization invariants: MarshalBinary → UnmarshalDigest never
+// pins the serialization invariants: appendBinary → UnmarshalDigest never
 // fails on self-produced bytes, every quantile survives the round-trip
 // exactly, the reconstruction re-serializes byte-identically (canonical
-// form), and feeding the raw fuzz input to the deserializers never panics.
+// form), appended after a prefix of the input too, a sketch with a trend
+// ring appends the reference encoder's bytes after that prefix, and
+// feeding the raw fuzz input to the deserializers never panics.
 func FuzzSketchRoundTrip(f *testing.F) {
 	// Seed corpus: value streams covering the shapes that matter (uniform
 	// ramp, constant, tiny, huge spread, non-finite poison) plus one
@@ -50,13 +65,13 @@ func FuzzSketchRoundTrip(f *testing.F) {
 	for i := 0; i < 100; i++ {
 		seedDigest.Add(float64(i * i))
 	}
-	f.Add(seedDigest.MarshalBinary())
+	f.Add(seedDigest.appendBinary(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes through the deserializers: errors fine, panics not.
 		if d, err := UnmarshalDigest(data); err == nil {
 			// Accepted bytes must round-trip to the same canonical form.
-			if !bytes.Equal(d.MarshalBinary(), data) {
+			if !bytes.Equal(d.appendBinary(nil), data) {
 				t.Fatal("accepted digest bytes are not canonical")
 			}
 		}
@@ -68,7 +83,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		for _, v := range valuesFrom(data) {
 			d.Add(v)
 		}
-		b1 := d.MarshalBinary()
+		b1 := d.appendBinary(nil)
 		got, err := UnmarshalDigest(b1)
 		if err != nil {
 			t.Fatalf("self-produced digest bytes rejected: %v", err)
@@ -81,8 +96,19 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		if got.Count() != d.Count() {
 			t.Fatalf("count changed across round-trip: %v vs %v", got.Count(), d.Count())
 		}
-		if b2 := got.MarshalBinary(); !bytes.Equal(b1, b2) {
+		if b2 := got.appendBinary(nil); !bytes.Equal(b1, b2) {
 			t.Fatal("round-tripped digest serializes to different bytes")
+		}
+
+		// Appended after a copy of a prefix of the input (the input itself
+		// must not be written), the prefix survives and the rest is exactly
+		// the encoding.
+		prefix := append([]byte(nil), data[:len(data)%23]...)
+		if b3 := got.appendBinary(prefix); !bytes.Equal(b3[:len(prefix)], data[:len(prefix)]) || !bytes.Equal(b3[len(prefix):], b1) {
+			t.Fatal("digest appended after a prefix differs")
+		}
+		if b4 := trendSketchFrom(data).AppendBinary(prefix); !bytes.Equal(b4[:len(prefix)], data[:len(prefix)]) || !bytes.Equal(b4[len(prefix):], referenceMarshal(trendSketchFrom(data))) {
+			t.Fatal("sketch appended after a prefix differs from the reference encoder")
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -20,7 +21,7 @@ import (
 //	            accum (n i64, mean f64, m2 f64, min f64, max f64) |
 //	            dlen u32 | digest | [tlen u32 | trend]
 //
-// Marshal compresses first, so the bytes are a canonical function of the
+// The encoder compresses first, so the bytes are a canonical function of the
 // absorbed sample sequence: same samples, same order → same bytes.
 
 const (
@@ -51,10 +52,10 @@ func getF64(b []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// MarshalBinary serializes the digest in its canonical compressed form.
-func (d *Digest) MarshalBinary() []byte {
+// appendBinary appends the digest in its canonical compressed form to b:
+// digestHeaderLen + 16 bytes a centroid.
+func (d *Digest) appendBinary(b []byte) []byte {
 	cs := d.Centroids()
-	b := make([]byte, 0, digestHeaderLen+16*len(cs))
 	b = binary.LittleEndian.AppendUint32(b, digestMagic)
 	b = append(b, digestV1)
 	b = appendF64(b, d.compression)
@@ -136,9 +137,8 @@ func UnmarshalDigest(b []byte) (*Digest, error) {
 	return d, nil
 }
 
-// marshalTrend serializes the ring.
-func (t *Trend) marshalTrend() []byte {
-	b := make([]byte, 0, trendHeaderLen+8*len(t.slots))
+// appendBinary appends the ring to b: trendHeaderLen + 8 bytes a slot.
+func (t *Trend) appendBinary(b []byte) []byte {
 	b = append(b, trendV1)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(t.slots)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(t.base))
@@ -201,16 +201,19 @@ func unmarshalTrend(b []byte) (*Trend, error) {
 
 // MarshalBinary serializes the full estimator state — digest, moments and
 // (when attached) trend — as the checkpoint and fan-out payload.
-func (e *EpochSketch) MarshalBinary() []byte {
-	dig := e.dig.MarshalBinary()
-	var tr []byte
-	flags := byte(0)
+func (e *EpochSketch) MarshalBinary() []byte { return e.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to b, growing it at most
+// once: the digest is compressed first, after which both segments' lengths
+// are known. Like every read of the digest, it compresses e in place.
+func (e *EpochSketch) AppendBinary(b []byte) []byte {
+	dlen := digestHeaderLen + 16*len(e.dig.Centroids())
+	tlen, flags := 0, byte(0)
 	if e.trend != nil {
-		flags |= flagHasTrend
-		tr = e.trend.marshalTrend()
+		tlen, flags = trendHeaderLen+8*len(e.trend.slots), flagHasTrend
 	}
+	b = slices.Grow(b, sketchHeaderLen+4+dlen+4+tlen)
 	st := e.acc.State()
-	b := make([]byte, 0, sketchHeaderLen+4+len(dig)+4+len(tr))
 	b = binary.LittleEndian.AppendUint32(b, sketchMagic)
 	b = append(b, sketchV1, flags)
 	b = binary.LittleEndian.AppendUint64(b, uint64(st.N))
@@ -218,10 +221,12 @@ func (e *EpochSketch) MarshalBinary() []byte {
 	b = appendF64(b, st.M2)
 	b = appendF64(b, st.Min)
 	b = appendF64(b, st.Max)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(dig)))
-	b = append(b, dig...)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(tr)))
-	b = append(b, tr...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(dlen))
+	b = e.dig.appendBinary(b)
+	b = binary.LittleEndian.AppendUint32(b, uint32(tlen))
+	if e.trend != nil {
+		b = e.trend.appendBinary(b)
+	}
 	return b
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -330,5 +331,42 @@ func TestCallDecodesIntoItsStorage(t *testing.T) {
 	}
 	if again := call(zr); &again.TaskList.Tasks[0] != kept {
 		t.Error("a short task list after the long one was not decoded into the Conn's array")
+	}
+}
+
+// TestEstimateReplySlot: an estimate reply is built in its connection's slot
+// and its sketch appended to the slot's buffer, which the next reply's
+// sketch reuses; a sketch over maxPooledFrameBytes is the reply's alone, a
+// reply without one carries none, and a nil *Replies builds every reply
+// afresh.
+func TestEstimateReplySlot(t *testing.T) {
+	var nilOut *Replies
+	if nilOut.SketchBuf() != nil {
+		t.Fatal("a nil *Replies lends a sketch buffer")
+	}
+	rec := core.Record{MeanValue: 900, Samples: 12}
+	if a, b := nilOut.EstimateReply(true, rec, []byte{1}), nilOut.EstimateReply(true, rec, []byte{1}); a == b {
+		t.Fatal("a nil *Replies reused its estimate reply")
+	}
+
+	var r Replies
+	first := r.EstimateReply(true, rec, append(r.SketchBuf(), "sketch-one"...))
+	if first != &r.estimate || string(first.Sketch) != "sketch-one" || !first.Found || first.Record != rec {
+		t.Fatalf("first reply %+v, not built in the slot", first)
+	}
+	kept := &r.sketch[0]
+	second := r.EstimateReply(true, rec, append(r.SketchBuf(), "two"...))
+	if second != first || string(second.Sketch) != "two" || &second.Sketch[0] != kept {
+		t.Fatalf("second reply %+v was not built over the first in the same buffer", second)
+	}
+	if bare := r.EstimateReply(false, core.Record{}, nil); bare.Sketch != nil || bare.Found || &r.sketch[0] != kept {
+		t.Fatalf("a reply without a sketch carries %q, or the slot dropped its buffer", bare.Sketch)
+	}
+	long := append(r.SketchBuf(), make([]byte, maxPooledFrameBytes+1)...)
+	if got := r.EstimateReply(true, rec, long); got == &r.estimate || &r.sketch[0] != kept || cap(r.sketch) > maxPooledFrameBytes {
+		t.Fatal("the slot kept a sketch over maxPooledFrameBytes")
+	}
+	if again := append(r.SketchBuf(), "three"...); &again[0] != kept {
+		t.Fatal("a sketch after the long one was not appended to the slot's buffer")
 	}
 }

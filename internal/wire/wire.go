@@ -662,17 +662,20 @@ type requestStore struct {
 	replies  Replies
 }
 
-// Replies are the slots a Conn holds a task list and an ack in: the ones Call
-// decodes its binary replies into, and on a served Conn the ones ServeConn
-// hands its dispatcher to build those replies in, so that answering a zone or
-// sample report costs the server nothing. Each reply overwrites the one
-// before; ServeConn sends a reply before it reads the next request, and a
+// Replies are the slots a Conn holds a task list, an ack and an estimate reply
+// in: the first two are the ones Call decodes its binary replies into, and on
+// a served Conn all three are the ones ServeConn hands its dispatcher to build
+// those replies in, so that answering a zone or sample report or an estimate
+// request, sketch and all, costs the server nothing. Each reply overwrites the
+// one before; ServeConn sends a reply before it reads the next request, and a
 // Call's reply is valid until the next Call. A nil *Replies allocates every
 // reply afresh.
 type Replies struct {
-	list  TaskList
-	tasks []Task // the backing array of list.Tasks
-	ack   SampleAck
+	list     TaskList
+	tasks    []Task // the backing array of list.Tasks
+	ack      SampleAck
+	estimate EstimateReply
+	sketch   []byte // the backing array of estimate.Sketch
 }
 
 // retainable reports whether a connection may keep s's backing array.
@@ -770,6 +773,28 @@ func (r *Replies) SampleAck(accepted int) *SampleAck {
 	}
 	r.ack = SampleAck{Accepted: accepted}
 	return &r.ack
+}
+
+// SketchBuf is the slice an estimate reply's sketch is appended to: r's,
+// emptied, or nil.
+func (r *Replies) SketchBuf() []byte {
+	if r == nil {
+		return nil
+	}
+	return r.sketch[:0]
+}
+
+// EstimateReply returns an estimate reply of found, rec and sketch, which was
+// appended to SketchBuf (nil for none): r's, if sketch may stay with it.
+func (r *Replies) EstimateReply(found bool, rec core.Record, sketch []byte) *EstimateReply {
+	if r == nil || !retainable(sketch) {
+		return &EstimateReply{Found: found, Record: rec, Sketch: sketch}
+	}
+	if sketch != nil {
+		r.sketch = sketch
+	}
+	r.estimate = EstimateReply{Found: found, Record: rec, Sketch: sketch}
+	return &r.estimate
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0

@@ -56,7 +56,7 @@ ci: vet lint build test race
 #   FuzzBinaryRecordDecode: the binary WAL line decoders, report and sample; no panic, accepted lines re-encode.
 #   FuzzBinarySampleReportDecode: the binary sample report decoder; accepted lines re-encode.
 #   FuzzSampleDecodeMatchesJSON: a JSON sample on the wire and in the WAL, held to json.Unmarshal.
-#   FuzzReplyDecodeMatchesJSON: any wire line; a JSON one held to json.Unmarshal, the binary lines of all eight rows (round trip and queries) to json.Unmarshal of their JSON frames; accepted binary lines re-encode.
+#   FuzzReplyDecodeMatchesJSON: any wire line; a JSON one held to json.Unmarshal, the binary lines of all eight rows (round trip and queries) to json.Unmarshal of their JSON frames; accepted binary lines re-encode, and decode into storage other lines left values in as into fresh memory.
 # Corpora under */testdata/fuzz seed the first two, FuzzRecordEncodeMatchesJSON
 # and the last two; the rest seed themselves in code.
 fuzz:
@@ -72,7 +72,9 @@ fuzz:
 # All benchmarks, repo-wide, without re-running unit tests alongside them.
 # The codec's are BenchmarkEncode/BenchmarkDecode (internal/wire: a sample
 # report out and in, binary and JSON) and BenchmarkAppend/BenchmarkParseRecordLine
-# (internal/store: a WAL line out and in, binary and JSON).
+# (internal/store: a WAL line out and in, binary and JSON);
+# BenchmarkZoneListRoundTrip (internal/cluster) is a zone list through a
+# gateway in front of two in-process shards, reporting allocs/op.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 

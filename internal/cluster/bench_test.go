@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // benchSwarm drives one fixed swarm per iteration and reports sustained
@@ -79,4 +81,67 @@ func BenchmarkSwarmGateway(b *testing.B) {
 	}
 	b.Cleanup(func() { _ = gw.Close() })
 	benchSwarm(b, gw.Addr())
+}
+
+// startZoneListCluster runs the Madison and New Brunswick shards behind a
+// gateway, each publishing a record of zoneListRequest's key in each of the
+// first zones zones of one row of its own grid, so the two lists tie on
+// every zone id.
+func startZoneListCluster(tb testing.TB, zones int) *Gateway {
+	tb.Helper()
+	key := zoneListRequest.ZoneListRequest
+	var shards []ShardConfig
+	for _, sc := range []ShardConfig{{Name: "madison", Box: geo.Madison()}, {Name: "new-jersey", Box: geo.NewBrunswickArea()}} {
+		ctrl := core.NewController(core.DefaultConfig(), sc.Box.Center())
+		for i := 0; i < 4*zones; i++ {
+			ctrl.Ingest(trace.Sample{
+				Time: start.Add(time.Duration(i) * time.Minute), Loc: ctrl.Grid().Center(geo.ZoneID{X: int32(i % zones), Y: 1}),
+				Network: key.Network, Metric: key.Metric, Value: float64(800 + i%97),
+			})
+		}
+		s, err := coordinator.Serve(ctrl, "127.0.0.1:0", coordinator.Options{Networks: []radio.NetworkID{key.Network}, Seed: seed})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { _ = s.Close() })
+		sc.Addr = s.Addr()
+		shards = append(shards, sc)
+	}
+	reg, err := NewRegistry(shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = gw.Close() })
+	return gw
+}
+
+// BenchmarkZoneListRoundTrip is one client's zone list through a gateway in
+// front of two in-process shards, 150 records from each, in binary lines all
+// the way. Its allocations are the whole process's: the client's Call, the
+// gateway's and the shards'.
+func BenchmarkZoneListRoundTrip(b *testing.B) {
+	gw := startZoneListCluster(b, 150)
+	nc, err := net.Dial("tcp", gw.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	reply, err := c.Call(zoneListRequest, wire.TypeZoneListReply)
+	if err != nil {
+		b.Fatal(err)
+	}
+	records := len(reply.ZoneListReply.Records)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call(zoneListRequest, wire.TypeZoneListReply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(records), "records/op")
 }

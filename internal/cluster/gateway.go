@@ -335,7 +335,8 @@ func (g *Gateway) serveConn(nc net.Conn) {
 
 // dispatch routes one request, which wire.ServeConn has vetted. fatal=true
 // closes the agent connection after replying (a type the gateway does not
-// serve — degraded shards are not the agent's fault). An ack is built in out.
+// serve — degraded shards are not the agent's fault). An ack or a zone list
+// is built in out.
 func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	switch req.Type {
 	case wire.TypeHello:
@@ -374,7 +375,7 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) 
 		return g.fanoutEstimate(sess, req), false
 
 	case wire.TypeZoneListRequest:
-		return g.fanoutZoneList(sess, req), false
+		return g.fanoutZoneList(sess, req, out), false
 
 	default:
 		return wire.ErrorReply(fmt.Sprintf("unexpected message type %q", req.Type)), true
@@ -567,48 +568,28 @@ func mergeEstimates(found []*wire.EstimateReply, withSketch bool) *wire.Estimate
 }
 
 // fanoutZoneList merges every reachable shard's records into one reply,
-// ordered deterministically by (zone, network, metric).
-func (g *Gateway) fanoutZoneList(sess *session, req wire.Envelope) wire.Envelope {
-	var lists [][]core.Record
+// built in out and ordered deterministically by (zone, network, metric). Each
+// shard's list is copied out of its upstream connection's storage as it
+// arrives, so the reply holds nothing a later Call on that connection
+// overwrites, even when two shards share one.
+func (g *Gateway) fanoutZoneList(sess *session, req wire.Envelope, out *wire.Replies) wire.Envelope {
+	records := out.RecordBuf()
 	err := g.fanout(sess, req, wire.TypeZoneListReply, func(up wire.Envelope) {
-		lists = append(lists, up.ZoneListReply.Records)
+		records = append(records, up.ZoneListReply.Records...)
 	})
 	if err != nil {
 		return wire.ErrorReply(err.Error())
 	}
-	return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{Records: mergeRecords(lists)}}
+	mergeRecords(records)
+	return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: out.ZoneListReply(records)}
 }
 
-// mergeRecords merges lists, each in key order as Controller.Records returns
-// it, into one list in key order, allocated once; nil when there is no
-// record. Equal keys — two shards may publish the same zone ID — keep the
-// order of their lists, shard registration order: what a stable sort of the
-// lists laid end to end gives. A list that holds every record is the answer
-// as it stands.
-func mergeRecords(lists [][]core.Record) []core.Record {
-	lists = slices.DeleteFunc(lists, func(l []core.Record) bool { return len(l) == 0 })
-	switch len(lists) {
-	case 0:
-		return nil
-	case 1:
-		return lists[0]
-	}
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	out := make([]core.Record, 0, n)
-	for len(out) < n {
-		next := -1
-		for i, l := range lists {
-			if len(l) > 0 && (next < 0 || l[0].Key.Compare(lists[next][0].Key) < 0) {
-				next = i
-			}
-		}
-		out = append(out, lists[next][0])
-		lists[next] = lists[next][1:]
-	}
-	return out
+// mergeRecords puts records, the shards' lists laid end to end in
+// registration order, each in key order as Controller.Records returns it, in
+// key order. Equal keys — two shards may publish the same zone ID — keep the
+// order of their lists: the sort is stable.
+func mergeRecords(records []core.Record) {
+	slices.SortStableFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
 }
 
 // answered reports whether err is the shard's own answer — an error reply,

@@ -446,8 +446,9 @@ func TestGatewayRejectsUnroutable(t *testing.T) {
 
 // TestMalformedRequestsAreRefused: a request without the payload its type
 // needs — which only a JSON line can leave out —, a hello or zone report
-// naming no client, and a sample or zone report naming a network or metric
-// the tree does not define, in JSON and in binary, each get exactly one error
+// naming no client, a sample or zone report naming a network or metric the
+// tree does not define, and a sample report holding a value beyond ±1e18, in
+// JSON and in binary, each get exactly one error
 // reply and then a closed connection, sent to a coordinator directly and
 // through a gateway alike. None is journaled, and none makes a zone key. A
 // status request, whose payload is empty, is answered by the coordinator,
@@ -478,16 +479,23 @@ func TestMalformedRequestsAreRefused(t *testing.T) {
 	sample := func(net radio.NetworkID, m trace.Metric) trace.Sample {
 		return trace.Sample{Time: start, Loc: loc, Network: net, Metric: m, Value: 900, ClientID: "probe"}
 	}
+	valued := func(v float64) trace.Sample {
+		smp := sample(radio.NetB, trace.MetricUDPKbps)
+		smp.Value = v
+		return smp
+	}
 	var inventedNets []trace.Sample
 	for i := 0; i < 500; i++ {
 		inventedNets = append(inventedNets, sample(radio.NetworkID(fmt.Sprintf("Net%03d", i)), trace.MetricUDPKbps))
 	}
-	invented := map[string]wire.Envelope{
+	refusedReports := map[string]wire.Envelope{
 		"a report of 500 invented networks": report(inventedNets...),
 		"a report with one invented metric": report(sample(radio.NetB, trace.MetricUDPKbps), sample(radio.NetB, "bogus_kbps"), sample(radio.NetB, trace.MetricUDPKbps)),
 		"a zone report naming an invented network": {Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 			ClientID: "probe", Loc: loc, At: start, Networks: []radio.NetworkID{radio.NetB, "Net<Z>"},
 		}},
+		"a report holding a value of 1e39":  report(sample(radio.NetB, trace.MetricUDPKbps), valued(1e39)),
+		"a report holding a value of -2e18": report(valued(-2e18), sample(radio.NetB, trace.MetricUDPKbps)),
 	}
 	before := lastLSN()
 	malformed := []string{
@@ -531,7 +539,7 @@ func TestMalformedRequestsAreRefused(t *testing.T) {
 		for _, line := range malformed {
 			refused(line, send(line))
 		}
-		for what, req := range invented {
+		for what, req := range refusedReports {
 			frame, err := json.Marshal(req)
 			if err != nil {
 				t.Fatal(err)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
 	"net"
 	"reflect"
@@ -406,41 +407,45 @@ func TestGatewayZoneListKeepsRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestMergeRecordsMatchesStableSort holds the gateway's merge to what it
-// replaced, a stable sort of the shards' lists laid end to end, on seeded
-// lists of few distinct keys (so ties are common), and checks that a merged
-// result is allocated once, at its size, and a lone list is not copied.
+// TestMergeRecordsMatchesStableSort holds the gateway's merge to what a
+// stable sort of the shards' lists laid end to end gives, on seeded lists of
+// few distinct keys (so ties are common): key order, and equal keys in the
+// order of their lists, which the oracle spells out as a total order of key,
+// list and place in the list. The merge is done in place.
 func TestMergeRecordsMatchesStableSort(t *testing.T) {
+	type placed struct {
+		rec        core.Record
+		list, item int
+	}
 	r := rng.NewNamed(26, "merge-records")
 	for i := 0; i < 500; i++ {
-		lists := make([][]core.Record, 1+r.Intn(4))
-		var all []core.Record
-		for j := range lists {
-			for n := r.Intn(12); len(lists[j]) < n; {
-				lists[j] = append(lists[j], core.Record{
+		var laid []core.Record
+		var oracle []placed
+		for list := range 1 + r.Intn(4) {
+			var l []core.Record
+			for n := r.Intn(12); len(l) < n; {
+				l = append(l, core.Record{
 					Key:       core.Key{Zone: geo.ZoneID{X: int32(r.Intn(5) - 2)}, Net: radio.NetB, Metric: []trace.Metric{"a", "b"}[r.Intn(2)]},
-					MeanValue: float64(100*j + len(lists[j])),
+					MeanValue: float64(100*list + len(l)),
 				})
 			}
-			slices.SortStableFunc(lists[j], func(a, b core.Record) int { return a.Key.Compare(b.Key) })
-			all = append(all, lists[j]...)
-		}
-		slices.SortStableFunc(all, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
-		got := mergeRecords(slices.Clone(lists))
-		if !reflect.DeepEqual(got, all) {
-			t.Fatalf("case %d: merge of %d lists\n got  %+v\n want %+v", i, len(lists), got, all)
-		}
-		var full [][]core.Record
-		for _, l := range lists {
-			if len(l) > 0 {
-				full = append(full, l)
+			slices.SortStableFunc(l, func(a, b core.Record) int { return a.Key.Compare(b.Key) })
+			for item, rec := range l {
+				oracle = append(oracle, placed{rec, list, item})
 			}
+			laid = append(laid, l...)
 		}
-		switch {
-		case len(full) == 1 && &got[0] != &full[0][0]:
-			t.Fatalf("case %d: the one list with records was copied", i)
-		case len(full) > 1 && cap(got) != len(got):
-			t.Fatalf("case %d: %d records in a slice of capacity %d", i, len(got), cap(got))
+		slices.SortFunc(oracle, func(a, b placed) int {
+			return cmp.Or(a.rec.Key.Compare(b.rec.Key), cmp.Compare(a.list, b.list), cmp.Compare(a.item, b.item))
+		})
+		var want []core.Record
+		for _, p := range oracle {
+			want = append(want, p.rec)
+		}
+		got := slices.Clone(laid)
+		mergeRecords(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: merge of %v\n got  %+v\n want %+v", i, laid, got, want)
 		}
 	}
 }

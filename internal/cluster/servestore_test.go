@@ -355,3 +355,31 @@ func TestOffsetTimesJournalAsReportLines(t *testing.T) {
 		t.Errorf("a report of times at +02:00 went as %q, want a binary line", line)
 	}
 }
+
+// TestGatewayZoneListAllocatesNothing: a warm zone list through a gateway in
+// front of two shards allocates nothing, on the gateway or the shards: each
+// shard decodes the relayed request into its connection's storage and
+// appends its published records into a slot its reply borrows, and the
+// gateway decodes each shard's list into a slot its upstream connection
+// borrows and merges them into the slot its own reply borrows. The reply is
+// the two shards' records in key order.
+func TestGatewayZoneListAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	gw := startZoneListCluster(t, 40)
+	sess := gw.newSession()
+	defer sess.closeUpstream()
+	var out wire.Replies
+	reply, _ := gw.dispatch(sess, zoneListRequest, &out)
+	records := reply.ZoneListReply.Records
+	if len(records) != 2*40 || !slices.IsSortedFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) }) {
+		t.Fatalf("a list of %d records, want %d in key order", len(records), 2*40)
+	}
+	if n := testing.AllocsPerRun(50, func() { reply, _ = gw.dispatch(sess, zoneListRequest, &out) }); n != 0 {
+		t.Fatalf("a warm two-shard zone list: %v allocations, want 0", n)
+	}
+	if reply.Type != wire.TypeZoneListReply || len(reply.ZoneListReply.Records) != len(records) {
+		t.Fatalf("the last list: %+v", reply)
+	}
+}

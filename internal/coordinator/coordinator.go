@@ -419,8 +419,8 @@ func (s *Server) ClientCount() int {
 
 // dispatch maps one request, which wire.ServeConn has vetted, to its reply —
 // every request gets exactly one; fatal=true (protocol errors) closes the
-// connection after replying. A task list, an ack or an estimate reply is
-// built in out.
+// connection after replying. A task list, an ack, an estimate reply or a
+// zone list is built in out.
 func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	s.met.request(req.Type).Inc()
 	if req.Via != nil {
@@ -490,9 +490,8 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 
 	case wire.TypeZoneListRequest:
 		zl := req.ZoneListRequest
-		return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: &wire.ZoneListReply{
-			Records: s.Controller().Records(zl.Network, zl.Metric),
-		}}, false
+		records := s.Controller().AppendRecords(out.RecordBuf(), zl.Network, zl.Metric)
+		return wire.Envelope{Type: wire.TypeZoneListReply, ZoneListReply: out.ZoneListReply(records)}, false
 
 	case wire.TypeEstimateRequest:
 		er := req.EstimateRequest

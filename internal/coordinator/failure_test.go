@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
+	"repro/internal/sketch"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -56,6 +57,46 @@ func TestNaNSamplesDoNotPoisonEstimates(t *testing.T) {
 	r2, err := c2.Request(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: "ok", DeviceClass: "l"}})
 	if err != nil || r2.Type != wire.TypeHelloAck {
 		t.Fatalf("server unhealthy after NaN report: %v %v", r2.Type, err)
+	}
+}
+
+// TestOutsizedValueLeavesTheWindowWhole: a finite value no kbps, ms or %
+// reading comes near, such as 1e39 (past float32's range), is refused with
+// its report, before the journal, so it cannot make a zone's trend slot mean
+// infinite — which had left the key's window sketch undecodable, and a
+// checkpoint of it restoring the window empty. Three reports of one sample
+// into one key, 900, 1e39 and 900, leave a window of the two 900s that
+// decodes, and a durable server recovers it whole.
+func TestOutsizedValueLeavesTheWindowWhole(t *testing.T) {
+	dir := t.TempDir()
+	s := newServer(t, persistOpts(dir))
+	loc := geo.Madison().Center()
+	key := core.Key{Zone: s.Controller().ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	for i, v := range []float64{900, 1e39, 900} {
+		smp := trace.Sample{Time: start.Add(time.Duration(i) * time.Minute), Loc: loc, Network: radio.NetB, Metric: trace.MetricUDPKbps, Value: v}
+		reply, err := dial(t, s).Request(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{ClientID: "probe", Samples: []trace.Sample{smp}}})
+		if refused := err == nil && reply.Type == wire.TypeError; refused != (v != 900) {
+			t.Fatalf("a report of %g: answered %+v, %v", v, reply, err)
+		}
+	}
+	if got := s.Controller().SampleCount(key); got != 2 {
+		t.Fatalf("the key holds %d samples, want the two of 900", got)
+	}
+	raw, ok := s.Controller().SketchFor(key)
+	if !ok {
+		t.Fatal("the key has no window sketch")
+	}
+	if es, err := sketch.UnmarshalEpochSketch(raw); err != nil || es.Count() != 2 {
+		t.Fatalf("the window sketch does not decode to the two samples: %v", err)
+	}
+	if err := s.CheckpointNow(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := newServer(t, persistOpts(dir)).Controller().SampleCount(key); got != 2 {
+		t.Fatalf("recovered %d samples of the key's window, want 2", got)
 	}
 }
 

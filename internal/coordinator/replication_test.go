@@ -103,7 +103,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 					Loc:      geo.MadisonStaticSites()[sent%2],
 					Network:  radio.NetB,
 					Metric:   trace.MetricUDPKbps,
-					Value:    []float64{900 + float64(sent), 1e-7, 1e21, 0}[sent%4],
+					Value:    []float64{900 + float64(sent), 1e-7, 1e18, 0}[sent%4],
 					SpeedKmh: float64(sent) / 3,
 					Failed:   sent%7 == 0,
 				}

@@ -225,3 +225,33 @@ func TestEstimateDispatchAllocatesNothing(t *testing.T) {
 		t.Fatalf("a with_sketch estimate into warm reply slots: %v allocations, want 0", n)
 	}
 }
+
+// TestZoneListDispatchAllocatesNothing: with a warm *wire.Replies, a zone
+// list is answered without allocating — the published records are appended
+// into the array the slot borrowed — and the reply is the one a nil *Replies
+// builds. A list of a key nothing has published is no list, as before.
+func TestZoneListDispatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := newServer(t, Options{Seed: seed})
+	grid := s.Controller().Grid()
+	for i, smp := range minuteSamples(geo.Madison().Center(), start, 600, 0) {
+		smp.Loc, smp.Value = grid.Center(geo.ZoneID{X: int32(i % 30), Y: int32(i % 7)}), float64(800+i%97)
+		s.Controller().Ingest(smp)
+	}
+	req := wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{Network: radio.NetB, Metric: trace.MetricUDPKbps}}
+	var out wire.Replies
+	reply, _ := s.dispatch(req, &out)
+	fresh, _ := s.dispatch(req, nil)
+	if n := len(reply.ZoneListReply.Records); n < 30 || !reflect.DeepEqual(reply, fresh) {
+		t.Fatalf("a list of %d records built in the slots, afresh %d", n, len(fresh.ZoneListReply.Records))
+	}
+	if n := testing.AllocsPerRun(100, func() { reply, _ = s.dispatch(req, &out) }); n != 0 {
+		t.Fatalf("a zone list into warm reply slots: %v allocations, want 0", n)
+	}
+	req.ZoneListRequest.Metric = trace.MetricRTTMs
+	if reply, _ := s.dispatch(req, &out); reply.ZoneListReply.Records != nil {
+		t.Fatalf("a key nothing published answered %+v, want no list", reply.ZoneListReply)
+	}
+}

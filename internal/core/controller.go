@@ -542,21 +542,31 @@ func (c *Controller) AppendSketch(dst []byte, key Key) ([]byte, bool) {
 
 // Records returns every published record for a network and metric, in
 // deterministic zone order — the bulk query behind operator dashboards and
-// map renderers. It copies the published list into a slice of its exact
-// size (nil when there is no record): no other key is looked at and nothing
-// is sorted under mu.
+// map renderers — in a slice of its exact size, nil when there is no record.
 func (c *Controller) Records(net radio.NetworkID, m trace.Metric) []Record {
+	return c.AppendRecords(nil, net, m)
+}
+
+// AppendRecords appends the records Records returns to dst, so a caller that
+// keeps its buffer lists a network and metric without allocating; dst grows
+// at most once. It copies the published list: no other key is looked at and
+// nothing is sorted under mu.
+func (c *Controller) AppendRecords(dst []Record, net radio.NetworkID, m trace.Metric) []Record {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	list := c.views[view{Net: net, Metric: m}]
 	if len(list) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Record, len(list))
-	for i, st := range list {
-		out[i] = st.published
+	if dst == nil {
+		dst = make([]Record, 0, len(list)) // Records' slice is of its exact size
+	} else {
+		dst = slices.Grow(dst, len(list))
 	}
-	return out
+	for _, st := range list {
+		dst = append(dst, st.published)
+	}
+	return dst
 }
 
 // Alerts drains the pending alert queue (oldest first).

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/trace"
@@ -490,22 +491,36 @@ func lineHolds(lsn uint64, line []byte) (last uint64, ok bool) {
 // to and including lsn, then compacts. Unlike Checkpoint, the caller names
 // the covered LSN — required whenever the snapshot was captured at a known
 // log position (the coordinator's consistent-capture path) rather than
-// "whatever has been appended by now".
+// "whatever has been appended by now". The snapshot is encoded before the
+// store's mutex is taken, so a report appended meanwhile waits only for the
+// file's write, fsync and rename and the compaction.
 func (st *Store) CheckpointAt(lsn uint64, snap core.Snapshot) error {
+	t0 := time.Now()
+	data, err := encodeCheckpoint(lsn, snap)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
 		return ErrClosed
 	}
-	return st.checkpointLocked(lsn, snap)
+	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
 }
 
 // ResetTo wipes the store — every WAL segment and checkpoint — and
 // re-seeds it with snap as a checkpoint covering lsn, with the log
 // positioned to accept lsn+1 next. This is the snapshot-bootstrap path: a
 // replica (or a demoted ex-primary resyncing) replaces its entire local
-// history with the primary's checkpoint and tails the log from there.
+// history with the primary's checkpoint and tails the log from there. The
+// snapshot is encoded first, so one that cannot be leaves the store as it
+// was.
 func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
+	t0 := time.Now()
+	data, err := encodeCheckpoint(lsn, snap)
+	if err != nil {
+		return err
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -534,5 +549,5 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 		return err
 	}
 	st.wedged = nil // the partial line it stood for went with its segment
-	return st.checkpointLocked(lsn, snap)
+	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
 }

@@ -181,13 +181,9 @@ func ParseCheckpointLine(line []byte) (core.Snapshot, uint64, error) {
 	return snap, lsn, nil
 }
 
-// writeCheckpoint atomically persists the checkpoint of snap covering lsn:
+// writeCheckpoint atomically persists data, the checkpoint covering lsn:
 // written to a temp file, fsynced, and renamed into place.
-func writeCheckpoint(dir string, lsn uint64, snap core.Snapshot) error {
-	data, err := AppendCheckpoint(nil, lsn, snap)
-	if err != nil {
-		return fmt.Errorf("store: checkpoint: %w", err)
-	}
+func writeCheckpoint(dir string, lsn uint64, data []byte) error {
 	final := filepath.Join(dir, fmt.Sprintf("%s%016d%s", ckptPrefix, lsn, ckptSuffix))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)

@@ -388,21 +388,36 @@ func (st *Store) Checkpoint(snap core.Snapshot) error {
 	if st.closed {
 		return ErrClosed
 	}
-	return st.checkpointLocked(st.nextLSN-1, snap)
+	t0 := time.Now()
+	lsn := st.nextLSN - 1
+	data, err := encodeCheckpoint(lsn, snap)
+	if err != nil {
+		return err
+	}
+	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
 }
 
-// checkpointLocked persists snap covering lsn and compacts; the caller
-// holds st.mu.
-func (st *Store) checkpointLocked(lsn uint64, snap core.Snapshot) error {
-	t0 := time.Now()
-	if err := writeCheckpoint(st.dir, lsn, snap); err != nil {
+// encodeCheckpoint is AppendCheckpoint's checkpoint of snap covering lsn.
+func encodeCheckpoint(lsn uint64, snap core.Snapshot) ([]byte, error) {
+	data, err := AppendCheckpoint(nil, lsn, snap)
+	if err != nil {
+		return nil, fmt.Errorf("store: checkpoint: %w", err)
+	}
+	return data, nil
+}
+
+// checkpointLocked persists data, the checkpoint covering lsn of a snapshot
+// taken at takenAt, and compacts; the caller holds st.mu, and began the
+// checkpoint, encoding included, at t0.
+func (st *Store) checkpointLocked(t0 time.Time, lsn uint64, takenAt time.Time, data []byte) error {
+	if err := writeCheckpoint(st.dir, lsn, data); err != nil {
 		return err
 	}
 	st.compactLocked()
 	st.met.checkpoints.Inc()
 	st.met.checkpointSec.Observe(time.Since(t0).Seconds())
-	if !snap.TakenAt.IsZero() {
-		st.lastCkpt.Store(snap.TakenAt.UnixNano())
+	if !takenAt.IsZero() {
+		st.lastCkpt.Store(takenAt.UnixNano())
 	} else {
 		st.lastCkpt.Store(t0.UnixNano())
 	}

@@ -303,10 +303,12 @@ func TestDecodeFallbacksByType(t *testing.T) {
 // it to json.Unmarshal: a JSON line to json.Unmarshal of the same bytes, the
 // same value or the same refusal, never a third thing (checkRecv); a binary
 // line of any of handCodecs' eight rows, once accepted, to json.Unmarshal of
-// its JSON frame, and to the line it re-encodes to (checkBinaryLine). Named
-// for the reply frames it first covered, it is seeded with the replies and
-// the five small frames as JSON and as binary lines, and with records alone
-// (a sample report's seeds are FuzzSampleDecodeMatchesJSON's and
+// its JSON frame, and to the line it re-encodes to (checkBinaryLine), and its
+// decode into a connection's storage, which other lines have left their
+// values in, to its decode into fresh memory (checkDecodeInto). Named for the
+// reply frames it first covered, it is seeded with the replies and the five
+// small frames as JSON and as binary lines, and with records alone (a sample
+// report's seeds are FuzzSampleDecodeMatchesJSON's and
 // FuzzBinarySampleReportDecode's).
 func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 	r := rng.NewNamed(26, "fuzz-seeds")
@@ -343,6 +345,35 @@ func FuzzReplyDecodeMatchesJSON(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		line, _, _ := bytes.Cut(data, []byte("\n"))
-		checkRecv(t, line)
+		if checkRecv(t, line) && codecByLead(line[0]) != nil {
+			checkDecodeInto(t, line)
+		}
 	})
+}
+
+// checkDecodeInto holds line, a binary line Recv accepts without its '\n', to
+// decode-into-storage is decode: parsed into a requestStore that has decoded
+// a relayed line of every row, each longer than a short line and with values
+// of its own, it is the envelope a nil store parses.
+func checkDecodeInto(t *testing.T, line []byte) {
+	t.Helper()
+	var st requestStore
+	dirty := []Envelope{benchReport(40), zoneListOf(40), {Type: TypeTaskList, TaskList: &TaskList{Tasks: make([]Task, 12)}}}
+	for _, e := range append(dirty, append(smallFrames(), replyFrames()...)...) {
+		e.Via = &Via{Gateway: "gw-dirty", Shard: "shard-dirty"}
+		for _, l := range bytes.SplitAfter(encodeBinaryFrames(t, e), []byte("\n")) {
+			if len(l) == 0 {
+				continue
+			}
+			if _, err := parseBinaryLineInto(&st, codecByLead(l[0]), l[1:len(l)-1]); err != nil {
+				t.Fatalf("dirtying the store with %s: %v", e.Type, err)
+			}
+		}
+	}
+	h := codecByLead(line[0])
+	fresh, err := parseBinaryLineInto(nil, h, bytes.Clone(line[1:]))
+	into, intoErr := parseBinaryLineInto(&st, h, bytes.Clone(line[1:]))
+	if err != nil || intoErr != nil || !reflect.DeepEqual(into, fresh) {
+		t.Fatalf("line %q decoded into storage other lines left values in:\n got  %+v, %v\n want %+v, %v", line, into, intoErr, fresh, err)
+	}
 }

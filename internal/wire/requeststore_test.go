@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -369,4 +370,112 @@ func TestEstimateReplySlot(t *testing.T) {
 	if again := append(r.SketchBuf(), "three"...); &again[0] != kept {
 		t.Fatal("a sketch after the long one was not appended to the slot's buffer")
 	}
+}
+
+// TestZoneListReplySlot: a zone list is built in a slot its Replies borrows
+// from zoneLists, the next over the one before; an empty list is no list,
+// which goes out as JSON's null and the binary line's count 0; a list over
+// maxPooledFrameBytes is the reply's alone, the slot keeping the array it
+// had; and giving the slot back empties it.
+func TestZoneListReplySlot(t *testing.T) {
+	var nilOut *Replies
+	if nilOut.RecordBuf() != nil {
+		t.Fatal("a nil *Replies lends a records array")
+	}
+	recs := twoRecords()
+	if a, b := nilOut.ZoneListReply(recs), nilOut.ZoneListReply(recs); a == b {
+		t.Fatal("a nil *Replies reused its zone list")
+	}
+
+	var r Replies
+	first := r.ZoneListReply(append(r.RecordBuf(), recs...))
+	slot := r.zoneList
+	if first != &slot.reply || !reflect.DeepEqual(first.Records, recs) {
+		t.Fatalf("first list %+v, not built in the slot", first)
+	}
+	kept := &slot.records[0]
+	second := r.ZoneListReply(append(r.RecordBuf(), recs[1]))
+	if second != first || len(second.Records) != 1 || &second.Records[0] != kept || second.Records[0] != recs[1] {
+		t.Fatalf("second list %+v was not built over the first in the same array", second)
+	}
+	for _, empty := range [][]core.Record{r.RecordBuf(), {}, nil} {
+		list := r.ZoneListReply(empty)
+		e := Envelope{Type: TypeZoneListReply, ZoneListReply: list}
+		if list.Records != nil || !bytes.Contains(jsonFrame(t, e), []byte(`"records":null`)) ||
+			!bytes.Equal(encodeBinaryFrames(t, e), []byte{binaryZoneListReplyLead, 0, 0, '\n'}) {
+			t.Fatalf("an empty list (nil: %v) went out as %+v: %q, %q", empty == nil, list, jsonFrame(t, e), encodeBinaryFrames(t, e))
+		}
+	}
+	if &slot.records[0] != kept {
+		t.Fatal("an empty list dropped the slot's array")
+	}
+	long := append(r.RecordBuf(), make([]core.Record, maxPooledFrameBytes/int(unsafe.Sizeof(core.Record{}))+1)...)
+	if got := r.ZoneListReply(long); got == &slot.reply || &slot.records[0] != kept || !retainable(slot.records) {
+		t.Fatal("the slot kept a list over maxPooledFrameBytes")
+	}
+	if again := append(r.RecordBuf(), recs[0]); &again[0] != kept {
+		t.Fatal("a list after the long one was not appended to the slot's array")
+	}
+	r.ZoneListReply(append(r.RecordBuf(), recs...))
+	if r.putZoneList(); r.zoneList != nil || slot.reply.Records != nil {
+		t.Fatalf("after giving its slot back, r holds %p and the slot a list of %d", r.zoneList, len(slot.reply.Records))
+	}
+}
+
+// TestZoneListStorageGoesBackToThePool: ServeConn gives a zone list's slot
+// back once it has sent the reply, so the next request finds none borrowed,
+// and a Conn that Calls gives back the slot its binary zone list was decoded
+// into at its next Call, once that Call's request is sent. Each list arrives
+// whole.
+func TestZoneListStorageGoesBackToThePool(t *testing.T) {
+	recs := twoRecords()
+	for i := range recs {
+		recs[i].UpdatedAt = recs[i].UpdatedAt.UTC() // as a binary line carries it
+	}
+	held := make(chan bool, 8)
+	client, done := startServeConn(0, ServeMetrics{}, func(req Envelope, out *Replies) (Envelope, bool) {
+		held <- out.zoneList != nil
+		if req.Type == TypeSampleReport {
+			return Envelope{Type: TypeSampleAck, SampleAck: out.SampleAck(len(req.SampleReport.Samples))}, false
+		}
+		n := len(req.ZoneListRequest.Network) // the test asks for a list of its network name's length
+		return Envelope{Type: TypeZoneListReply, ZoneListReply: out.ZoneListReply(append(out.RecordBuf(), recs[:n%3]...))}, false
+	})
+	c := NewConn(client)
+	list := func(n int) Envelope {
+		return Envelope{Type: TypeZoneListRequest, ZoneListRequest: &ZoneListRequest{Network: radio.NetworkID(strings.Repeat("N", n)), Metric: trace.MetricUDPKbps}}
+	}
+	for i, tc := range []struct {
+		req  Envelope
+		want MsgType
+		n    int
+	}{
+		{list(2), TypeZoneListReply, 2},
+		{list(1), TypeZoneListReply, 1},
+		{benchReport(3), TypeSampleAck, 0},
+		{list(0), TypeZoneListReply, 0},
+		{list(2), TypeZoneListReply, 2},
+	} {
+		reply, err := c.Call(tc.req, tc.want)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if <-held {
+			t.Fatalf("call %d: the served connection still held the last reply's slot when the request came", i)
+		}
+		if tc.want == TypeSampleAck {
+			if c.store.replies.zoneList != nil {
+				t.Fatalf("call %d: the calling Conn still holds its last zone list's slot after the next Call", i)
+			}
+			continue
+		}
+		if got := reply.ZoneListReply.Records; len(got) != tc.n || tc.n > 0 && !reflect.DeepEqual(got, recs[:tc.n]) {
+			t.Fatalf("call %d: %d records %+v, want %d", i, len(got), got, tc.n)
+		}
+		if tc.n > 0 && &reply.ZoneListReply.Records[0] != &c.store.replies.zoneList.records[0] {
+			t.Fatalf("call %d: a binary zone list was not decoded into the Conn's borrowed slot", i)
+		}
+	}
+	client.Close()
+	<-done
 }

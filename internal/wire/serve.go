@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"slices"
@@ -33,12 +34,14 @@ func ErrorReply(msg string) Envelope {
 // it ends. It owns the request/reply contract, so that no dispatcher repeats
 // it. Every request gets exactly one reply; fatal=true closes the connection
 // after the reply is sent. A request lacking the payload its type needs, a
-// hello or zone report naming no client, or a sample or zone report naming a
+// hello or zone report naming no client, a sample or zone report naming a
 // network or metric the tree does not define (radio.AllNetworks,
-// trace.AllMetrics) is refused here, with an error reply and a close, and
+// trace.AllMetrics), or a sample report holding a value beyond
+// ±maxSampleMagnitude is refused here, with an error reply and a close, and
 // dispatch never sees it: dispatch may dereference the payload its request's
-// type selects unchecked, and never files a sample under an invented name. A peer silent for longer than
-// idle (zero disables) is dropped, and so is one that does not read a reply
+// type selects unchecked, and never files a sample under an invented name or
+// of a value a zone's sketch cannot hold. A peer silent for longer than idle
+// (zero disables) is dropped, and so is one that does not read a reply
 // within idle of its sending; an oversized message is answered with "message
 // too large" before the connection closes, and anything else unreadable
 // closes it silently.
@@ -53,10 +56,13 @@ func ErrorReply(msg string) Envelope {
 // hello; what it forwards, it forwards before it returns.
 //
 // A reply need only be valid until ServeConn has sent it, which it does
-// before it reads the next request: dispatch builds a task list or an ack in
-// out, the connection's own Replies, which the next reply overwrites, or
-// returns one that a Call on an upstream Conn decoded, as the gateway relays
-// a shard's.
+// before it reads the next request: dispatch builds a task list, an ack, an
+// estimate reply or a zone list in out, the connection's own Replies, which
+// the next reply overwrites, or returns one that a Call on an upstream Conn
+// decoded, as the gateway relays a shard's task list. A zone list and its
+// records are in a slot out borrows from a package pool (Replies.RecordBuf),
+// and ServeConn gives it back once the reply is sent, so an idle connection
+// holds no list.
 func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(req Envelope, out *Replies) (reply Envelope, fatal bool)) {
 	m.Connections.Inc()
 	c := NewConn(nc).Instrument(m.Codec)
@@ -91,6 +97,7 @@ func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(re
 			_ = nc.SetWriteDeadline(time.Now().Add(idle))
 		}
 		err = c.Send(reply)
+		c.store.replies.putZoneList()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			m.IdleDisconnects.Inc()
 		}
@@ -102,8 +109,9 @@ func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(re
 
 // refusal is why ServeConn refuses req before any dispatcher sees it, or "":
 // the payload its type needs is missing, it is a hello or zone report that
-// names no client, or a sample or zone report that names a network or metric
-// the tree does not define.
+// names no client, a sample or zone report that names a network or metric
+// the tree does not define, or a sample report holding a value beyond
+// ±maxSampleMagnitude.
 func refusal(req *Envelope) string {
 	switch {
 	case !req.hasPayload():
@@ -115,7 +123,32 @@ func refusal(req *Envelope) string {
 	if name := unknownName(req); name != "" {
 		return fmt.Sprintf("%s names unknown network or metric %.32q", req.Type, name)
 	}
+	if v, ok := outsizedValue(req); ok {
+		return fmt.Sprintf("%s holds a value of %g, beyond ±%g", req.Type, v, maxSampleMagnitude)
+	}
 	return ""
+}
+
+// maxSampleMagnitude bounds a sample's value on the way in. It is far above
+// any kbps, ms or % reading, and far enough below float32's range that a
+// zone's trend ring, which keeps its slot means as float32 and scales a
+// value's distance from one by a uint32 weight, stays finite: one sample of
+// 1e39, which every decoder reads, would make a slot mean infinite, and the
+// window's sketch would then not decode.
+const maxSampleMagnitude = 1e18
+
+// outsizedValue returns the first value of a sample report whose magnitude
+// is over maxSampleMagnitude, or is not a number.
+func outsizedValue(req *Envelope) (float64, bool) {
+	if req.Type != TypeSampleReport {
+		return 0, false
+	}
+	for i := range req.SampleReport.Samples {
+		if v := req.SampleReport.Samples[i].Value; !(math.Abs(v) <= maxSampleMagnitude) {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 // unknownName returns the first network or metric of a sample or zone report

@@ -140,6 +140,9 @@ func TestServeConnRefusesBeforeDispatch(t *testing.T) {
 		{`{"type":"zone_report","zone_report":{"client_id":"c","networks":["NetB","NetZ"]}}`, false},
 		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetZ","metric":"tcp_kbps","value":1}]}}`, false},
 		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbpz","value":1}]}}`, false},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbps","value":1},{"t":"2010-09-16T00:10:01Z","net":"NetB","metric":"tcp_kbps","value":1e39}]}}`, false},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbps","value":-1.000001e18}]}}`, false},
+		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbps","value":-1e18}]}}`, true},
 		{`{"type":"zone_report","zone_report":{"client_id":"c","networks":["NetA","NetB","NetC"]}}`, true},
 		{`{"type":"sample_report","sample_report":{"client_id":"c","samples":[{"t":"2010-09-16T00:10:00Z","net":"NetB","metric":"tcp_kbps","value":1}]}}`, true},
 		{`{"type":"status_request"}`, true},

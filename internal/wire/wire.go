@@ -642,9 +642,10 @@ func parseBinaryLineInto(dst *requestStore, h *handCodec, stuffed []byte) (Envel
 
 // A requestStore is the storage a Conn decodes into, so that a frame does
 // not cost a fresh slice: ServeConn's requests — the binary sample report and
-// its samples, the binary zone report and its networks, and a binary line's
-// via — and Call's replies — a binary task list and its tasks, and a binary
-// ack. Each frame overwrites the one before, which is why only ServeConn,
+// its samples, the binary zone report and its networks, the binary zone-list
+// request, and a binary line's via — and Call's replies — a binary task list
+// and its tasks, a binary ack, and a binary zone list and its records (see
+// Replies). Each frame overwrites the one before, which is why only ServeConn,
 // whose dispatcher is done with a request before the next is read, and Call,
 // whose reply is valid until the next Call, decode into one. A string is
 // never overwritten: one equal to the same field of the frame before is that
@@ -658,25 +659,41 @@ type requestStore struct {
 	samples  []trace.Sample // the backing array of report.Samples
 	zone     ZoneReport
 	networks []radio.NetworkID // the backing array of zone.Networks
+	query    ZoneListRequest
 	relay    Via
 	replies  Replies
 }
 
-// Replies are the slots a Conn holds a task list, an ack and an estimate reply
-// in: the first two are the ones Call decodes its binary replies into, and on
-// a served Conn all three are the ones ServeConn hands its dispatcher to build
-// those replies in, so that answering a zone or sample report or an estimate
-// request, sketch and all, costs the server nothing. Each reply overwrites the
-// one before; ServeConn sends a reply before it reads the next request, and a
-// Call's reply is valid until the next Call. A nil *Replies allocates every
-// reply afresh.
+// Replies are the slots a Conn holds a task list, an ack, an estimate reply
+// and a zone list in: Call decodes its binary task lists, acks and zone lists
+// into them, and on a served Conn they are the ones ServeConn hands its
+// dispatcher to build its replies in, so that answering a zone or sample
+// report, an estimate request, sketch and all, or a zone-list request costs
+// the server nothing. Each reply overwrites the one before; ServeConn sends a
+// reply before it reads the next request, and a Call's reply is valid until
+// the next Call. A zone list and its records are in a slot the Replies
+// borrows from zoneLists, and gives back once ServeConn has sent the reply or
+// at the Conn's next Call. A nil *Replies allocates every reply afresh.
 type Replies struct {
 	list     TaskList
 	tasks    []Task // the backing array of list.Tasks
 	ack      SampleAck
 	estimate EstimateReply
-	sketch   []byte // the backing array of estimate.Sketch
+	sketch   []byte        // the backing array of estimate.Sketch
+	zoneList *zoneListSlot // borrowed from zoneLists, or nil
 }
+
+// A zoneListSlot is a zone list and the array its records are in.
+type zoneListSlot struct {
+	reply   ZoneListReply
+	records []core.Record // the backing array of reply.Records
+}
+
+// zoneLists lends the slots zone lists are built and decoded in. A list
+// grows with the service area, so its slot is pooled, as frame buffers are,
+// not kept per connection: an idle connection pins none, and the pool lets
+// go of what it holds within two garbage collections.
+var zoneLists = sync.Pool{New: func() any { return new(zoneListSlot) }}
 
 // retainable reports whether a connection may keep s's backing array.
 func retainable[T any](s []T) bool {
@@ -744,6 +761,17 @@ func (d *requestStore) zoneReport(client []byte, zr ZoneReport) *ZoneReport {
 	return &d.zone
 }
 
+// zoneListRequest returns q: d's, if d is not nil.
+func (d *requestStore) zoneListRequest(q ZoneListRequest) *ZoneListRequest {
+	if d == nil {
+		p := new(ZoneListRequest) // not &q, which would put q on the heap on every call
+		*p = q
+		return p
+	}
+	d.query = q
+	return &d.query
+}
+
 // TaskBuf is the slice a task list is drawn or decoded into: r's, emptied,
 // or nil.
 func (r *Replies) TaskBuf() []Task {
@@ -795,6 +823,52 @@ func (r *Replies) EstimateReply(found bool, rec core.Record, sketch []byte) *Est
 	}
 	r.estimate = EstimateReply{Found: found, Record: rec, Sketch: sketch}
 	return &r.estimate
+}
+
+// RecordBuf is the slice a zone list's records are appended or decoded into:
+// the array of a slot r borrows from zoneLists, emptied, or nil.
+func (r *Replies) RecordBuf() []core.Record {
+	if r == nil {
+		return nil
+	}
+	if r.zoneList == nil {
+		r.zoneList = zoneLists.Get().(*zoneListSlot)
+	}
+	return r.zoneList.records[:0]
+}
+
+// ZoneListReply returns a zone list of records, which were appended to
+// RecordBuf: r's, if records may stay with it. An empty list goes out as
+// none, nil, as Controller.Records gives it.
+func (r *Replies) ZoneListReply(records []core.Record) *ZoneListReply {
+	if len(records) == 0 {
+		records = nil
+	}
+	return r.zoneListReply(records)
+}
+
+// zoneListReply is ZoneListReply keeping an empty list empty: a decoded
+// count of 1 is an empty list, not none, as json.Unmarshal reads [].
+func (r *Replies) zoneListReply(records []core.Record) *ZoneListReply {
+	if r == nil || r.zoneList == nil || !retainable(records) {
+		return &ZoneListReply{Records: records}
+	}
+	slot := r.zoneList
+	if records != nil {
+		slot.records = records
+	}
+	slot.reply = ZoneListReply{Records: records}
+	return &slot.reply
+}
+
+// putZoneList gives the slot r borrowed for a zone list back to zoneLists.
+// The list built in it is no longer r's to send.
+func (r *Replies) putZoneList() {
+	if r.zoneList != nil {
+		r.zoneList.reply = ZoneListReply{}
+		zoneLists.Put(r.zoneList)
+		r.zoneList = nil
+	}
 }
 
 // appendBinaryList appends what readBinaryList reads: the count plus one, 0
@@ -1090,14 +1164,14 @@ var handCodecs = [...]handCodec{{
 	appendBinary: func(b []byte, e Envelope) ([]byte, error) {
 		return appendNamesBinary(b, e.ZoneListRequest.Network, e.ZoneListRequest.Metric), nil
 	},
-	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
-		q := &ZoneListRequest{}
+		var q ZoneListRequest
 		q.Network, q.Metric = readNamesBinary(&r)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{ZoneListRequest: q}, nil
+		return Envelope{ZoneListRequest: dst.zoneListRequest(q)}, nil
 	},
 }, {
 	typ:       TypeZoneListReply,
@@ -1120,13 +1194,13 @@ var handCodecs = [...]handCodec{{
 		}
 		return b, nil
 	},
-	parseBinary: func(b []byte, _ *requestStore) (Envelope, error) {
+	parseBinary: func(b []byte, dst *requestStore) (Envelope, error) {
 		r := trace.BinReader{B: b}
-		records := readBinaryList(&r, nil, core.MinRecordBinary, core.ReadRecordBinary)
+		records := readBinaryList(&r, dst.out().RecordBuf(), core.MinRecordBinary, core.ReadRecordBinary)
 		if r.Bad || len(r.B) != 0 {
 			return Envelope{}, errBinaryLine
 		}
-		return Envelope{ZoneListReply: &ZoneListReply{Records: records}}, nil
+		return Envelope{ZoneListReply: dst.out().zoneListReply(records)}, nil
 	},
 }}
 
@@ -1253,17 +1327,23 @@ func (e *ReplyError) Error() string { return e.Message }
 // dereference unchecked. Any other answer comes back as a *ReplyError.
 //
 // Unlike Request's, a reply is valid only until the next Call on c: a binary
-// task list and its tasks, and a binary ack, are decoded into the Conn's
-// Replies, the same slots a served Conn builds its replies in, and the next
-// reply is decoded over them. So a caller may keep a reply's strings, but
-// neither keep nor hand to another goroutine its TaskList, Tasks or SampleAck
-// past its next Call; what it must keep, it copies. Every other reply owns
-// its memory, as Request's does. A reply lacking its payload is checked here
-// and not in decode, so that it comes back as a *ReplyError.
+// task list and its tasks, a binary ack, and a binary zone list and its
+// records are decoded into the Conn's Replies, the same slots a served Conn
+// builds its replies in, and the next reply is decoded over them. A zone
+// list and its records are in a slot the Conn borrows from a package pool;
+// the next Call gives it back once its request is sent. Close does not, since a
+// Close may cut a Call short from another goroutine, so after Close a reply
+// stays the caller's. So a caller may keep a reply's strings, but neither
+// keep nor hand to another goroutine its TaskList, Tasks, SampleAck,
+// ZoneListReply or Records past its next Call; what it must keep, it copies.
+// Every other reply owns its memory, as Request's does. A reply lacking its
+// payload is checked here and not in decode, so that it comes back as a
+// *ReplyError.
 func (c *Conn) Call(req Envelope, want MsgType) (Envelope, error) {
 	if err := c.Send(req); err != nil {
 		return Envelope{}, err
 	}
+	c.store.replies.putZoneList() // the last reply's, which req may have been built from until Send
 	reply, err := c.recv(&c.store)
 	switch {
 	case err != nil:

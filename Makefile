@@ -50,7 +50,7 @@ ci: vet lint build test race
 
 # Short-burst coverage-guided fuzzing, 30 s a fuzzer:
 #   FuzzDecode: any wire byte stream, JSON and binary lines (seeded with one of each lead); no panic, each envelope a decode of its own line.
-#   FuzzSketchRoundTrip: the sketch serializer; exact round trip, appended after a prefix of the input (the reference encoder's bytes), raw bytes never panic.
+#   FuzzSketchRoundTrip: the sketch serializer; exact round trip, appended after a prefix of the input (the reference encoder's bytes), raw bytes never panic, and decoded into a used sketch as decoded fresh (same bytes, same footprint).
 #   FuzzFrameRoundTrip: the replication line stream; a replica applies only whole lines the store accepts, report lines too.
 #   FuzzRecordEncodeMatchesJSON: the WAL record writer; a sample JSON carries is one report line that reads back as json.Unmarshal(json.Marshal) of it, times in UTC; any other both refuse.
 #   FuzzBinaryRecordDecode: the binary WAL line decoders, report and sample; no panic, accepted lines re-encode.
@@ -74,7 +74,9 @@ fuzz:
 # report out and in, binary and JSON) and BenchmarkAppend/BenchmarkParseRecordLine
 # (internal/store: a WAL line out and in, binary and JSON);
 # BenchmarkZoneListRoundTrip (internal/cluster) is a zone list through a
-# gateway in front of two in-process shards, reporting allocs/op.
+# gateway in front of two in-process shards, reporting allocs/op, and
+# BenchmarkEstimateMerge (internal/cluster) the gateway's merge of two
+# shards' window sketches into one estimate reply.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 

@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
+	"repro/internal/rng"
+	"repro/internal/sketch"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -144,4 +146,26 @@ func BenchmarkZoneListRoundTrip(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records), "records/op")
+}
+
+// BenchmarkEstimateMerge is the gateway's merge of two shards' window
+// sketches (δ = 100, 64 centroids each, with 88-slot trend rings)
+// into the estimate reply an agent asks for, without the sketch, decoded
+// into one session's scratch.
+func BenchmarkEstimateMerge(b *testing.B) {
+	r := rng.NewNamed(seed, "estimate-merge-bench")
+	key := core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	found := []*wire.EstimateReply{
+		sketchReply(r, key, sketch.DefaultCompression, sketch.DefaultTrendSlots, 3000, start),
+		sketchReply(r, key, sketch.DefaultCompression, sketch.DefaultTrendSlots, 2000, start.Add(time.Hour)),
+	}
+	var sess session
+	var out wire.Replies
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if mergeEstimates(&sess.acc, &sess.part, found, false, &out) == nil {
+			b.Fatal("the merge refused its sketches")
+		}
+	}
 }

@@ -300,11 +300,19 @@ func (g *Gateway) Close() error {
 // upstream connection per shard endpoint and the retry jitter. The cache is
 // keyed by endpoint address, not shard name, so a promotion that rewrites the
 // route table invalidates the cache naturally: the next forward resolves the
-// shard's new active address, misses, and dials the new primary.
+// shard's new active address, misses, and dials the new primary. The rest
+// is an estimate fan-out's scratch, reused from request to request: the
+// request sent upstream, the replies that found the zone, and the sketches
+// a merge decodes their sketches into. It starts empty, so a session that
+// only reports allocates none of it.
 type session struct {
 	hello    *wire.Hello
 	upstream map[string]*wire.Conn
 	r        *rng.Rand
+
+	query     wire.EstimateRequest
+	found     []*wire.EstimateReply
+	acc, part sketch.EpochSketch
 }
 
 func (g *Gateway) newSession() *session {
@@ -335,8 +343,9 @@ func (g *Gateway) serveConn(nc net.Conn) {
 
 // dispatch routes one request, which wire.ServeConn has vetted. fatal=true
 // closes the agent connection after replying (a type the gateway does not
-// serve — degraded shards are not the agent's fault). An ack or a zone list
-// is built in out.
+// serve — degraded shards are not the agent's fault). An ack, an estimate
+// reply the gateway makes (a merged one, or none found) and a zone list are
+// built in out.
 func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	switch req.Type {
 	case wire.TypeHello:
@@ -372,7 +381,7 @@ func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) 
 		return g.routeSamples(sess, req.SampleReport, out), false
 
 	case wire.TypeEstimateRequest:
-		return g.fanoutEstimate(sess, req), false
+		return g.fanoutEstimate(sess, req, out), false
 
 	case wire.TypeZoneListRequest:
 		return g.fanoutZoneList(sess, req, out), false
@@ -492,33 +501,39 @@ func (g *Gateway) fanout(sess *session, req wire.Envelope, want wire.MsgType, us
 // asked, and the client's reply carries one only if the client asked. A
 // found reply without a usable sketch falls back to the old rule — first
 // found (registration order) wins — which is a different statistic, so it
-// is counted and logged.
-func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope {
-	er := *req.EstimateRequest
-	asked := er.WithSketch
-	er.WithSketch = asked || len(g.reg.Shards()) > 1
-	req.EstimateRequest = &er
-	var found []*wire.EstimateReply
+// is counted and logged. A merged reply, or one that nothing found, is built
+// in out; one shard's found reply is served as it came.
+func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope, out *wire.Replies) wire.Envelope {
+	q := &sess.query
+	*q = *req.EstimateRequest
+	asked := q.WithSketch
+	q.WithSketch = asked || len(g.reg.Shards()) > 1
+	req.EstimateRequest = q
+	found := sess.found[:0]
 	err := g.fanout(sess, req, wire.TypeEstimateReply, func(up wire.Envelope) {
 		if up.EstimateReply.Found {
 			found = append(found, up.EstimateReply)
 		}
 	})
+	sess.found = found
+	defer clear(found) // the session keeps no shard's reply past this request
 	if err != nil {
 		return wire.ErrorReply(err.Error())
 	}
-	reply := &wire.EstimateReply{}
-	if len(found) > 0 {
+	var reply *wire.EstimateReply
+	switch {
+	case len(found) == 0:
+		reply = out.EstimateReply(false, core.Record{}, nil)
+	case len(found) == 1:
 		reply = found[0]
-	}
-	if len(found) > 1 {
-		if merged := mergeEstimates(found, asked); merged != nil {
+	default:
+		if reply = mergeEstimates(&sess.acc, &sess.part, found, asked, out); reply != nil {
 			g.met.estimateMerges.Inc()
-			reply = merged
 		} else {
 			g.met.mergeFallbacks.Inc()
 			g.opts.Logf("gateway: estimate %s/%s/%s: %d shards found it but not every reply carries a decodable sketch; serving the first (is a shard older than with_sketch?)",
-				er.Zone, er.Network, er.Metric, len(found))
+				q.Zone, q.Network, q.Metric, len(found))
+			reply = found[0]
 		}
 	}
 	if !asked {
@@ -528,22 +543,23 @@ func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope) wire.Envelope
 }
 
 // mergeEstimates folds multi-shard estimate replies into one via their
-// window sketches, re-serializing the merged sketch only for a caller that
-// wants it. Returns nil unless every reply carries a valid sketch.
-func mergeEstimates(found []*wire.EstimateReply, withSketch bool) *wire.EstimateReply {
-	var acc *sketch.EpochSketch
-	for _, r := range found {
-		if len(r.Sketch) == 0 {
+// window sketches: the first decodes into acc, each later one into part,
+// which is merged into acc. acc and part are a session's, reused from merge
+// to merge, so once they have held sketches like these a merge allocates
+// nothing. The reply is built in out, with the merged sketch appended to
+// out's sketch buffer only for a caller that wants it. Returns nil unless
+// every reply carries a valid sketch.
+func mergeEstimates(acc, part *sketch.EpochSketch, found []*wire.EstimateReply, withSketch bool, out *wire.Replies) *wire.EstimateReply {
+	for i, r := range found {
+		into := acc
+		if i > 0 {
+			into = part
+		}
+		if into.UnmarshalBinary(r.Sketch) != nil {
 			return nil
 		}
-		es, err := sketch.UnmarshalEpochSketch(r.Sketch)
-		if err != nil {
-			return nil
-		}
-		if acc == nil {
-			acc = es
-		} else {
-			acc.Merge(es)
+		if i > 0 {
+			acc.Merge(part)
 		}
 	}
 	rec := core.Record{
@@ -560,11 +576,11 @@ func mergeEstimates(found []*wire.EstimateReply, withSketch bool) *wire.Estimate
 			rec.UpdatedAt = r.Record.UpdatedAt
 		}
 	}
-	merged := &wire.EstimateReply{Found: true, Record: rec}
+	var merged []byte
 	if withSketch {
-		merged.Sketch = acc.MarshalBinary()
+		merged = acc.AppendBinary(out.SketchBuf())
 	}
-	return merged
+	return out.EstimateReply(true, rec, merged)
 }
 
 // fanoutZoneList merges every reachable shard's records into one reply,

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"cmp"
+	"encoding/binary"
 	"math"
 	"net"
 	"reflect"
@@ -446,6 +448,144 @@ func TestMergeRecordsMatchesStableSort(t *testing.T) {
 		mergeRecords(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: merge of %v\n got  %+v\n want %+v", i, laid, got, want)
+		}
+	}
+}
+
+// sketchReply is a found estimate reply of key carrying a sketch of n
+// values drawn from r, a minute apart from at, of compression δ and with a
+// trend ring of slots slots, or none when slots is 0.
+func sketchReply(r *rng.Rand, key core.Key, compression float64, slots, n int, at time.Time) *wire.EstimateReply {
+	es := sketch.NewEpochSketch(compression)
+	if slots > 0 {
+		es.EnableTrend(slots, time.Minute)
+	}
+	scale := 500 + 1000*r.Float64()
+	for i := 0; i < n; i++ {
+		es.Observe(at.Add(time.Duration(i)*time.Minute), scale*math.Exp(0.3*r.NormFloat64()))
+	}
+	return &wire.EstimateReply{
+		Found:  true,
+		Record: core.Record{Key: key, Samples: int64(n), UpdatedAt: at.Add(time.Duration(n) * time.Minute)},
+		Sketch: es.MarshalBinary(),
+	}
+}
+
+// referenceMerge is the merge into fresh sketches: each reply's sketch
+// decoded by UnmarshalEpochSketch and merged into the first, the reply built
+// anew.
+func referenceMerge(found []*wire.EstimateReply, withSketch bool) *wire.EstimateReply {
+	var acc *sketch.EpochSketch
+	for _, r := range found {
+		es, err := sketch.UnmarshalEpochSketch(r.Sketch)
+		if err != nil {
+			return nil
+		}
+		if acc == nil {
+			acc = es
+		} else {
+			acc.Merge(es)
+		}
+	}
+	rec := core.Record{
+		Key:       found[0].Record.Key,
+		MeanValue: acc.Mean(),
+		StdDev:    acc.StdDev(),
+		Samples:   acc.Count(),
+		P50:       acc.Quantile(0.50),
+		P90:       acc.Quantile(0.90),
+		P99:       acc.Quantile(0.99),
+	}
+	for _, r := range found {
+		if r.Record.UpdatedAt.After(rec.UpdatedAt) {
+			rec.UpdatedAt = r.Record.UpdatedAt
+		}
+	}
+	merged := &wire.EstimateReply{Found: true, Record: rec}
+	if withSketch {
+		merged.Sketch = acc.MarshalBinary()
+	}
+	return merged
+}
+
+// TestEstimateMergeIsBitIdentical: a merge decoded into a session's scratch
+// gives the reply a merge into fresh sketches gives, bit for bit, over a
+// seeded run of merges of two or three shards' sketches that mixes window
+// (δ = 100) and epoch (δ = 50) digests, with no trend ring or one of 88 or
+// 8 slots, so the scratch is decoded into again and again from a sketch of
+// another shape. Two corrupt replies in the middle are refused, each after
+// it has written part of the scratch, and the merges after them are exact
+// too.
+func TestEstimateMergeIsBitIdentical(t *testing.T) {
+	r := rng.NewNamed(seed, "estimate-merge")
+	key := core.Key{Zone: geo.ZoneID{X: 3, Y: -1}, Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	const merges = 80
+	corrupt := map[int]bool{merges / 2: true, merges/2 + 1: true}
+	var sess session
+	var out wire.Replies
+	for i := 0; i < merges; i++ {
+		found := make([]*wire.EstimateReply, 2+r.Intn(2))
+		for j := range found {
+			compression := []float64{sketch.DefaultCompression, sketch.EpochCompression}[r.Intn(2)]
+			slots := []int{0, sketch.DefaultTrendSlots, 8}[r.Intn(3)]
+			found[j] = sketchReply(r, key, compression, slots, 1+r.Intn(1500), start.Add(time.Duration(r.Intn(600))*time.Minute))
+		}
+		switch i {
+		case merges / 2:
+			// One byte short: refused once the digest is decoded into part.
+			found[1].Sketch = found[1].Sketch[:len(found[1].Sketch)-1]
+		case merges/2 + 1:
+			// The last centroid's weight NaN: refused in the middle of
+			// decoding the digest into acc. The offsets are serial.go's
+			// layout: the sketch header and digest length (50 bytes), then
+			// the digest header (39), its count of centroids at 37.
+			b := found[0].Sketch
+			n := int(binary.LittleEndian.Uint16(b[50+37:]))
+			binary.LittleEndian.PutUint64(b[50+39+16*(n-1)+8:], math.Float64bits(math.NaN()))
+		}
+		withSketch := r.Intn(2) == 0
+		want := referenceMerge(found, withSketch)
+		got := mergeEstimates(&sess.acc, &sess.part, found, withSketch, &out)
+		switch {
+		case (want == nil) != corrupt[i]:
+			t.Fatalf("merge %d: the reference merge refused: %v, want %v", i, want == nil, corrupt[i])
+		case want == nil:
+			if got != nil {
+				t.Fatalf("merge %d of a corrupt sketch: %+v, want a refusal", i, got.Record)
+			}
+		case got == nil:
+			t.Fatalf("merge %d: refused", i)
+		case !got.Found || got.Record != want.Record:
+			t.Fatalf("merge %d (found %v):\n got  %+v\n want %+v", i, got.Found, got.Record, want.Record)
+		case !bytes.Equal(got.Sketch, want.Sketch):
+			t.Fatalf("merge %d (with sketch %v): the merged sketch is %d bytes, not the reference's %d, or differs", i, withSketch, len(got.Sketch), len(want.Sketch))
+		}
+	}
+}
+
+// TestEstimateMergeAllocatesNothing: once a session's scratch has held two
+// shards' window sketches, merging them again allocates nothing, with the
+// merged sketch or without it, and gives the same record.
+func TestEstimateMergeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	r := rng.NewNamed(seed, "estimate-merge-allocs")
+	key := core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	found := []*wire.EstimateReply{
+		sketchReply(r, key, sketch.DefaultCompression, sketch.DefaultTrendSlots, 3000, start),
+		sketchReply(r, key, sketch.DefaultCompression, sketch.DefaultTrendSlots, 2000, start.Add(time.Hour)),
+	}
+	var sess session
+	var out wire.Replies
+	for _, withSketch := range []bool{false, true} {
+		want := mergeEstimates(&sess.acc, &sess.part, found, withSketch, &out).Record
+		var got *wire.EstimateReply
+		if n := testing.AllocsPerRun(50, func() { got = mergeEstimates(&sess.acc, &sess.part, found, withSketch, &out) }); n != 0 {
+			t.Errorf("a warm merge (with sketch %v): %v allocations, want 0", withSketch, n)
+		}
+		if got.Record != want || (len(got.Sketch) != 0) != withSketch {
+			t.Errorf("a warm merge (with sketch %v): %+v and a %d-byte sketch, want %+v", withSketch, got.Record, len(got.Sketch), want)
 		}
 	}
 }

@@ -75,6 +75,15 @@ const minAlertSamples = 10
 // oldest half of a sample buffer).
 const historyLimit = 20000
 
+// MaxSampleMagnitude bounds a sample's value: Ingest drops one beyond ±it,
+// and the wire refuses a report holding one. It is far above any kbps, ms
+// or % reading, and far enough below float32's range that a zone's trend
+// ring, which keeps its slot means as float32 and scales a value's distance
+// from one by a uint32 weight, stays finite: one sample of 1e39 would make a
+// slot mean infinite, and the window's sketch would then not decode, so a
+// checkpoint of it would restore the window empty.
+const MaxSampleMagnitude = 1e18
+
 // DefaultAlertBuffer caps the pending (undrained) alert queue; beyond it
 // the oldest alerts are overwritten and counted as dropped.
 const DefaultAlertBuffer = 1024

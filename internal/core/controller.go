@@ -172,8 +172,8 @@ func (c *Controller) Ingest(samples ...trace.Sample) {
 // ingestLocked folds one sample into the zone state.
 func (c *Controller) ingestLocked(s trace.Sample) {
 	// Reject unusable values outright: one NaN would poison a zone's
-	// accumulator forever.
-	if math.IsNaN(s.Value) || math.IsInf(s.Value, 0) {
+	// accumulator forever, and one beyond MaxSampleMagnitude its trend ring.
+	if !(math.Abs(s.Value) <= MaxSampleMagnitude) {
 		return
 	}
 	if c.normalizer != nil && s.Device != "" && !s.Failed {

@@ -332,3 +332,28 @@ func TestRestoreKeepsTheBinarysParameters(t *testing.T) {
 		})
 	}
 }
+
+// TestOutsizedValueIsDroppedOnIngest: Ingest drops a value beyond
+// MaxSampleMagnitude, as the wire refuses one, so a caller that ingests
+// directly (the replay tool) cannot make a zone's trend slot mean infinite.
+// That had left the window's sketch undecodable, and a checkpoint of it
+// restored the window empty. 900, 1e39 and 900 into one key restore as a
+// window of the two 900s.
+func TestOutsizedValueIsDroppedOnIngest(t *testing.T) {
+	c := NewController(DefaultConfig(), origin)
+	for i, v := range []float64{900, 1e39, 900} {
+		c.Ingest(mkSample(start.Add(time.Duration(i)*time.Minute), origin, v))
+	}
+	key := Key{Zone: c.ZoneOf(origin), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+	restored := Restore(c.Snapshot(start.Add(time.Hour)))
+	st := restored.zones[key]
+	if st == nil {
+		t.Fatal("the key was not restored")
+	}
+	if n, mean := st.window.Count(), st.window.Mean(); n != 2 || mean != 900 {
+		t.Fatalf("the restored window holds %d samples of mean %v, want the two of 900", n, mean)
+	}
+	if got := c.SampleCount(key); got != 2 {
+		t.Fatalf("the key counts %d samples, want the two of 900", got)
+	}
+}

@@ -23,10 +23,10 @@ func valuesFrom(data []byte) []float64 {
 	return out
 }
 
-// trendSketchFrom builds a sketch with a small trend ring from data's
-// values, a minute apart, so a long stream coalesces the ring.
-func trendSketchFrom(data []byte) *EpochSketch {
-	es := NewEpochSketch(DefaultCompression)
+// trendSketchFrom builds a sketch of compression δ with a small trend ring
+// from data's values, a minute apart, so a long stream coalesces the ring.
+func trendSketchFrom(data []byte, compression float64) *EpochSketch {
+	es := NewEpochSketch(compression)
 	es.EnableTrend(8, time.Minute)
 	t0 := time.Unix(1_700_000_000, 0)
 	for i, v := range valuesFrom(data) {
@@ -36,12 +36,16 @@ func trendSketchFrom(data []byte) *EpochSketch {
 }
 
 // FuzzSketchRoundTrip drives the digest with arbitrary sample streams and
-// pins the serialization invariants: appendBinary → UnmarshalDigest never
+// pins the serialization invariants: appendBinary → Digest.unmarshal never
 // fails on self-produced bytes, every quantile survives the round-trip
 // exactly, the reconstruction re-serializes byte-identically (canonical
 // form), appended after a prefix of the input too, a sketch with a trend
 // ring appends the reference encoder's bytes after that prefix, and
-// feeding the raw fuzz input to the deserializers never panics.
+// feeding the raw fuzz input to the deserializers never panics. The raw
+// input decoded into a sketch another decode has used (δ = 50, with a
+// trend) is the same as decoded fresh: both accept or both refuse, and
+// accepted, both re-encode to the same bytes and have the same footprint,
+// so no reused array keeps a capacity the fresh decode would not give it.
 func FuzzSketchRoundTrip(f *testing.F) {
 	// Seed corpus: value streams covering the shapes that matter (uniform
 	// ramp, constant, tiny, huge spread, non-finite poison) plus one
@@ -66,16 +70,34 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		seedDigest.Add(float64(i * i))
 	}
 	f.Add(seedDigest.appendBinary(nil))
+	f.Add(trendSketchFrom(ramp, DefaultCompression).MarshalBinary())
+	f.Add(trendSketchFrom(constant, EpochCompression).MarshalBinary())
 
+	prior := trendSketchFrom(ramp, EpochCompression).MarshalBinary()
+	var used EpochSketch
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Arbitrary bytes through the deserializers: errors fine, panics not.
-		if d, err := UnmarshalDigest(data); err == nil {
+		if d, err := unmarshalDigest(data); err == nil {
 			// Accepted bytes must round-trip to the same canonical form.
 			if !bytes.Equal(d.appendBinary(nil), data) {
 				t.Fatal("accepted digest bytes are not canonical")
 			}
 		}
-		_, _ = UnmarshalEpochSketch(data)
+		fresh, err := UnmarshalEpochSketch(data)
+		if perr := used.UnmarshalBinary(prior); perr != nil {
+			t.Fatalf("the prior sketch: %v", perr)
+		}
+		if uerr := used.UnmarshalBinary(data); (uerr == nil) != (err == nil) {
+			t.Fatalf("decoded fresh: %v; into a used sketch: %v", err, uerr)
+		}
+		if err == nil {
+			if a, b := fresh.MarshalBinary(), used.MarshalBinary(); !bytes.Equal(a, b) {
+				t.Fatal("decoded into a used sketch, the bytes re-encode differently")
+			}
+			if a, b := fresh.FootprintBytes(), used.FootprintBytes(); a != b {
+				t.Fatalf("footprint %d decoded fresh, %d into a used sketch", a, b)
+			}
+		}
 
 		// Same bytes as a sample stream: build → serialize → deserialize →
 		// quantiles equal.
@@ -84,7 +106,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 			d.Add(v)
 		}
 		b1 := d.appendBinary(nil)
-		got, err := UnmarshalDigest(b1)
+		got, err := unmarshalDigest(b1)
 		if err != nil {
 			t.Fatalf("self-produced digest bytes rejected: %v", err)
 		}
@@ -107,7 +129,7 @@ func FuzzSketchRoundTrip(f *testing.F) {
 		if b3 := got.appendBinary(prefix); !bytes.Equal(b3[:len(prefix)], data[:len(prefix)]) || !bytes.Equal(b3[len(prefix):], b1) {
 			t.Fatal("digest appended after a prefix differs")
 		}
-		if b4 := trendSketchFrom(data).AppendBinary(prefix); !bytes.Equal(b4[:len(prefix)], data[:len(prefix)]) || !bytes.Equal(b4[len(prefix):], referenceMarshal(trendSketchFrom(data))) {
+		if b4 := trendSketchFrom(data, DefaultCompression).AppendBinary(prefix); !bytes.Equal(b4[:len(prefix)], data[:len(prefix)]) || !bytes.Equal(b4[len(prefix):], referenceMarshal(trendSketchFrom(data, DefaultCompression))) {
 			t.Fatal("sketch appended after a prefix differs from the reference encoder")
 		}
 	})

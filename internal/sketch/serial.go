@@ -70,17 +70,22 @@ func (d *Digest) appendBinary(b []byte) []byte {
 	return b
 }
 
-// UnmarshalDigest reconstructs a digest, validating structure so corrupt
-// or adversarial bytes yield an error, never a poisoned digest.
-func UnmarshalDigest(b []byte) (*Digest, error) {
+// unmarshal decodes a digest into d, validating structure so corrupt or
+// adversarial bytes yield an error, never a poisoned digest. It reuses d's
+// backing array when its capacity is the one NewDigest gives the decoded
+// compression, and otherwise makes that array: AddWeighted compresses when
+// the array is full, so its capacity is part of the digest's state, and a
+// reused array of another capacity would move every later compression. On
+// error d is left unspecified.
+func (d *Digest) unmarshal(b []byte) error {
 	if len(b) < digestHeaderLen {
-		return nil, badf("digest truncated: %d bytes", len(b))
+		return badf("digest truncated: %d bytes", len(b))
 	}
 	if binary.LittleEndian.Uint32(b) != digestMagic {
-		return nil, badf("digest magic mismatch")
+		return badf("digest magic mismatch")
 	}
 	if b[4] != digestV1 {
-		return nil, badf("unsupported digest version %d", b[4])
+		return badf("unsupported digest version %d", b[4])
 	}
 	compression := getF64(b[5:])
 	min := getF64(b[13:])
@@ -88,26 +93,31 @@ func UnmarshalDigest(b []byte) (*Digest, error) {
 	count := getF64(b[29:])
 	n := int(binary.LittleEndian.Uint16(b[37:]))
 	if math.IsNaN(compression) || compression < minCompression || compression > 1e6 {
-		return nil, badf("compression %v out of range", compression)
+		return badf("compression %v out of range", compression)
 	}
 	if math.IsNaN(min) || math.IsInf(min, 0) || math.IsNaN(max) || math.IsInf(max, 0) || min > max {
-		return nil, badf("min/max invalid")
+		return badf("min/max invalid")
 	}
 	if math.IsNaN(count) || math.IsInf(count, 0) || count < 0 {
-		return nil, badf("count invalid")
+		return badf("count invalid")
 	}
-	d := NewDigest(compression)
-	if n > d.maxStored {
-		return nil, badf("%d centroids exceeds capacity %d", n, d.maxStored)
+	maxStored := maxStoredFor(compression)
+	if n > maxStored {
+		return badf("%d centroids exceeds capacity %d", n, maxStored)
 	}
 	if len(b) != digestHeaderLen+16*n {
-		return nil, badf("digest length %d != expected %d", len(b), digestHeaderLen+16*n)
+		return badf("digest length %d != expected %d", len(b), digestHeaderLen+16*n)
 	}
+	if c := maxStored + tailCapFor(compression); cap(d.store) != c {
+		d.store = make([]Centroid, 0, c)
+	}
+	d.compression, d.maxStored = compression, maxStored
+	d.Reset()
 	if n == 0 {
 		if count != 0 {
-			return nil, badf("empty digest with nonzero count")
+			return badf("empty digest with nonzero count")
 		}
-		return d, nil
+		return nil
 	}
 	sum := 0.0
 	prev := math.Inf(-1)
@@ -116,25 +126,25 @@ func UnmarshalDigest(b []byte) (*Digest, error) {
 		mean := getF64(b[off:])
 		weight := getF64(b[off+8:])
 		if math.IsNaN(mean) || math.IsInf(mean, 0) || mean < prev {
-			return nil, badf("centroid %d mean invalid or unsorted", i)
+			return badf("centroid %d mean invalid or unsorted", i)
 		}
 		if math.IsNaN(weight) || math.IsInf(weight, 0) || weight <= 0 {
-			return nil, badf("centroid %d weight invalid", i)
+			return badf("centroid %d weight invalid", i)
 		}
 		if mean < min || mean > max {
-			return nil, badf("centroid %d mean outside [min, max]", i)
+			return badf("centroid %d mean outside [min, max]", i)
 		}
 		d.store = append(d.store, Centroid{Mean: mean, Weight: weight})
 		sum += weight
 		prev = mean
 	}
 	if diff := math.Abs(sum - count); diff > 1e-6*(1+math.Abs(count)) {
-		return nil, badf("count %v inconsistent with centroid weights %v", count, sum)
+		return badf("count %v inconsistent with centroid weights %v", count, sum)
 	}
 	d.nc = n
 	d.count = count
 	d.min, d.max = min, max
-	return d, nil
+	return nil
 }
 
 // appendBinary appends the ring to b: trendHeaderLen + 8 bytes a slot.
@@ -155,32 +165,36 @@ func (t *Trend) appendBinary(b []byte) []byte {
 	return b
 }
 
-// unmarshalTrend reconstructs a ring.
-func unmarshalTrend(b []byte) (*Trend, error) {
+// unmarshal decodes a ring into t, reusing its slots when there are as many
+// as the decoded ring's. Every slot is written, so none keeps a value from
+// before. On error t is left unspecified.
+func (t *Trend) unmarshal(b []byte) error {
 	if len(b) < trendHeaderLen {
-		return nil, badf("trend truncated: %d bytes", len(b))
+		return badf("trend truncated: %d bytes", len(b))
 	}
 	if b[0] != trendV1 {
-		return nil, badf("unsupported trend version %d", b[0])
+		return badf("unsupported trend version %d", b[0])
 	}
 	nslots := int(binary.LittleEndian.Uint16(b[1:]))
 	base := time.Duration(binary.LittleEndian.Uint64(b[3:]))
 	t0ns := int64(binary.LittleEndian.Uint64(b[11:]))
 	last := int(int32(binary.LittleEndian.Uint32(b[19:])))
 	if nslots < 2 || nslots > 1<<14 {
-		return nil, badf("trend slot count %d out of range", nslots)
+		return badf("trend slot count %d out of range", nslots)
 	}
 	if base <= 0 {
-		return nil, badf("trend base %v invalid", base)
+		return badf("trend base %v invalid", base)
 	}
 	if last < -1 || last >= nslots {
-		return nil, badf("trend last index %d out of range", last)
+		return badf("trend last index %d out of range", last)
 	}
 	if len(b) != trendHeaderLen+8*nslots {
-		return nil, badf("trend length %d != expected %d", len(b), trendHeaderLen+8*nslots)
+		return badf("trend length %d != expected %d", len(b), trendHeaderLen+8*nslots)
 	}
-	t := NewTrend(nslots, base)
-	t.last = last
+	if len(t.slots) != nslots {
+		t.slots = make([]trendSlot, nslots)
+	}
+	t.base, t.last, t.t0 = base, last, time.Time{}
 	if last >= 0 {
 		t.t0 = time.Unix(0, t0ns)
 	}
@@ -189,14 +203,14 @@ func unmarshalTrend(b []byte) (*Trend, error) {
 		mean := math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))
 		n := binary.LittleEndian.Uint32(b[off+4:])
 		if n > 0 && (math.IsNaN(float64(mean)) || math.IsInf(float64(mean), 0)) {
-			return nil, badf("trend slot %d mean invalid", i)
+			return badf("trend slot %d mean invalid", i)
 		}
 		if n > 0 && i > last {
-			return nil, badf("trend slot %d filled past last=%d", i, last)
+			return badf("trend slot %d filled past last=%d", i, last)
 		}
 		t.slots[i] = trendSlot{mean: mean, n: n}
 	}
-	return t, nil
+	return nil
 }
 
 // MarshalBinary serializes the full estimator state — digest, moments and
@@ -233,14 +247,28 @@ func (e *EpochSketch) AppendBinary(b []byte) []byte {
 // UnmarshalEpochSketch reconstructs an estimator sketch, validating every
 // layer.
 func UnmarshalEpochSketch(b []byte) (*EpochSketch, error) {
+	e := new(EpochSketch)
+	if err := e.UnmarshalBinary(b); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// UnmarshalBinary decodes a sketch into e, validating every layer as
+// UnmarshalEpochSketch does. It reuses e's digest array and trend slots
+// where they fit the decoded sketch (see Digest.unmarshal), so decoding
+// again and again into one sketch allocates nothing once the sketches it
+// has held match the ones it reads. e keeps nothing of b. On error e is
+// left unspecified: a caller discards it, or decodes into it again.
+func (e *EpochSketch) UnmarshalBinary(b []byte) error {
 	if len(b) < sketchHeaderLen+8 {
-		return nil, badf("sketch truncated: %d bytes", len(b))
+		return badf("sketch truncated: %d bytes", len(b))
 	}
 	if binary.LittleEndian.Uint32(b) != sketchMagic {
-		return nil, badf("sketch magic mismatch")
+		return badf("sketch magic mismatch")
 	}
 	if b[4] != sketchV1 {
-		return nil, badf("unsupported sketch version %d", b[4])
+		return badf("unsupported sketch version %d", b[4])
 	}
 	flags := b[5]
 	st := stats.AccumState{
@@ -251,36 +279,39 @@ func UnmarshalEpochSketch(b []byte) (*EpochSketch, error) {
 		Max:  getF64(b[38:]),
 	}
 	if st.N < 0 {
-		return nil, badf("accum count negative")
+		return badf("accum count negative")
 	}
 	off := sketchHeaderLen
 	dlen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if dlen < 0 || off+dlen > len(b) {
-		return nil, badf("digest segment overruns buffer")
+		return badf("digest segment overruns buffer")
 	}
-	dig, err := UnmarshalDigest(b[off : off+dlen])
-	if err != nil {
-		return nil, err
+	if e.dig == nil {
+		e.dig = new(Digest)
+	}
+	if err := e.dig.unmarshal(b[off : off+dlen]); err != nil {
+		return err
 	}
 	off += dlen
 	if off+4 > len(b) {
-		return nil, badf("trend segment header missing")
+		return badf("trend segment header missing")
 	}
 	tlen := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
 	if tlen < 0 || off+tlen != len(b) {
-		return nil, badf("trend segment length %d != remaining %d", tlen, len(b)-off)
+		return badf("trend segment length %d != remaining %d", tlen, len(b)-off)
 	}
-	e := &EpochSketch{dig: dig, acc: stats.AccumFromState(st)}
+	e.acc = stats.AccumFromState(st)
 	if flags&flagHasTrend != 0 {
-		tr, err := unmarshalTrend(b[off:])
-		if err != nil {
-			return nil, err
+		if e.trend == nil {
+			e.trend = new(Trend)
 		}
-		e.trend = tr
-	} else if tlen != 0 {
-		return nil, badf("trend bytes present without flag")
+		return e.trend.unmarshal(b[off:])
 	}
-	return e, nil
+	if tlen != 0 {
+		return badf("trend bytes present without flag")
+	}
+	e.trend = nil
+	return nil
 }

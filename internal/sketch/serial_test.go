@@ -14,6 +14,15 @@ import (
 	"repro/internal/rng"
 )
 
+// unmarshalDigest decodes a digest into fresh storage.
+func unmarshalDigest(b []byte) (*Digest, error) {
+	d := new(Digest)
+	if err := d.unmarshal(b); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 func TestDigestSerializeRoundTrip(t *testing.T) {
 	d := NewDigest(DefaultCompression)
 	r := rng.New(17)
@@ -21,7 +30,7 @@ func TestDigestSerializeRoundTrip(t *testing.T) {
 		d.Add(math.Exp(4 + 0.6*r.NormFloat64()))
 	}
 	b1 := d.appendBinary(nil)
-	got, err := UnmarshalDigest(b1)
+	got, err := unmarshalDigest(b1)
 	if err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
@@ -41,7 +50,7 @@ func TestDigestSerializeRoundTrip(t *testing.T) {
 
 func TestDigestSerializeEmpty(t *testing.T) {
 	d := NewDigest(DefaultCompression)
-	got, err := UnmarshalDigest(d.appendBinary(nil))
+	got, err := unmarshalDigest(d.appendBinary(nil))
 	if err != nil {
 		t.Fatalf("unmarshal empty: %v", err)
 	}
@@ -85,7 +94,7 @@ func TestUnmarshalDigestRejectsCorrupt(t *testing.T) {
 	cases["nan-weight"] = neg
 
 	for name, b := range cases {
-		if _, err := UnmarshalDigest(b); err == nil {
+		if _, err := unmarshalDigest(b); err == nil {
 			t.Errorf("%s: corrupt digest accepted", name)
 		}
 	}
@@ -168,7 +177,7 @@ func TestUnmarshalDigestNoPanicOnArbitrary(t *testing.T) {
 		for j := range b {
 			b[j] = byte(r.Uint64())
 		}
-		_, _ = UnmarshalDigest(b)      // must not panic
+		_, _ = unmarshalDigest(b)      // must not panic
 		_, _ = UnmarshalEpochSketch(b) // must not panic
 	}
 }
@@ -331,13 +340,13 @@ func TestFuzzCorpusReencodes(t *testing.T) {
 	digests := 0
 	for _, name := range files {
 		data := readCorpusBytes(t, name)
-		if d, err := UnmarshalDigest(data); err == nil {
+		if d, err := unmarshalDigest(data); err == nil {
 			digests++
 			if got := d.appendBinary([]byte{0xAA}); got[0] != 0xAA || !bytes.Equal(got[1:], data) {
 				t.Errorf("%s: digest does not re-encode to itself", name)
 			}
 		}
-		if !bytes.Equal(trendSketchFrom(data).AppendBinary(nil), referenceMarshal(trendSketchFrom(data))) {
+		if !bytes.Equal(trendSketchFrom(data, DefaultCompression).AppendBinary(nil), referenceMarshal(trendSketchFrom(data, DefaultCompression))) {
 			t.Errorf("%s: sketch bytes differ from the reference encoder", name)
 		}
 	}

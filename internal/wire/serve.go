@@ -9,6 +9,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -37,10 +38,10 @@ func ErrorReply(msg string) Envelope {
 // hello or zone report naming no client, a sample or zone report naming a
 // network or metric the tree does not define (radio.AllNetworks,
 // trace.AllMetrics), or a sample report holding a value beyond
-// ±maxSampleMagnitude is refused here, with an error reply and a close, and
-// dispatch never sees it: dispatch may dereference the payload its request's
-// type selects unchecked, and never files a sample under an invented name or
-// of a value a zone's sketch cannot hold. A peer silent for longer than idle
+// ±core.MaxSampleMagnitude is refused here, with an error reply and a close,
+// and dispatch never sees it: dispatch may dereference the payload its
+// request's type selects unchecked, and never files a sample under an
+// invented name or of a value a zone's sketch cannot hold. A peer silent for longer than idle
 // (zero disables) is dropped, and so is one that does not read a reply
 // within idle of its sending; an oversized message is answered with "message
 // too large" before the connection closes, and anything else unreadable
@@ -111,7 +112,7 @@ func ServeConn(nc net.Conn, idle time.Duration, m ServeMetrics, dispatch func(re
 // the payload its type needs is missing, it is a hello or zone report that
 // names no client, a sample or zone report that names a network or metric
 // the tree does not define, or a sample report holding a value beyond
-// ±maxSampleMagnitude.
+// ±core.MaxSampleMagnitude.
 func refusal(req *Envelope) string {
 	switch {
 	case !req.hasPayload():
@@ -124,27 +125,19 @@ func refusal(req *Envelope) string {
 		return fmt.Sprintf("%s names unknown network or metric %.32q", req.Type, name)
 	}
 	if v, ok := outsizedValue(req); ok {
-		return fmt.Sprintf("%s holds a value of %g, beyond ±%g", req.Type, v, maxSampleMagnitude)
+		return fmt.Sprintf("%s holds a value of %g, beyond ±%g", req.Type, v, core.MaxSampleMagnitude)
 	}
 	return ""
 }
 
-// maxSampleMagnitude bounds a sample's value on the way in. It is far above
-// any kbps, ms or % reading, and far enough below float32's range that a
-// zone's trend ring, which keeps its slot means as float32 and scales a
-// value's distance from one by a uint32 weight, stays finite: one sample of
-// 1e39, which every decoder reads, would make a slot mean infinite, and the
-// window's sketch would then not decode.
-const maxSampleMagnitude = 1e18
-
 // outsizedValue returns the first value of a sample report whose magnitude
-// is over maxSampleMagnitude, or is not a number.
+// is over core.MaxSampleMagnitude, or is not a number.
 func outsizedValue(req *Envelope) (float64, bool) {
 	if req.Type != TypeSampleReport {
 		return 0, false
 	}
 	for i := range req.SampleReport.Samples {
-		if v := req.SampleReport.Samples[i].Value; !(math.Abs(v) <= maxSampleMagnitude) {
+		if v := req.SampleReport.Samples[i].Value; !(math.Abs(v) <= core.MaxSampleMagnitude) {
 			return v, true
 		}
 	}

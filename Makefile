@@ -5,7 +5,7 @@
 # store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
+.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci leftovers bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
 
 all: vet lint build test
 
@@ -48,6 +48,15 @@ race:
 
 ci: vet lint build test race
 
+# Fails, listing them, while any bench, wiscape-* or *.test process is still
+# running: a benchmark, drill or test run must stop what it started. It
+# matches process names (`ps -eo comm=`), not command lines, so the check
+# does not find itself. The kernel cuts a name to 15 characters, so a
+# 16-character test binary such as coordinator.test shows as coordinator.tes.
+leftovers:
+	@ps -eo pid=,comm= | awk '$$2 == "bench" || $$2 ~ /^wiscape-/ || $$2 ~ /\.test$$/ || (length($$2) == 15 && $$2 ~ /\.(t|te|tes)$$/) { print; n++ } \
+		END { if (n) { print n " leftover process(es)"; exit 1 } }'
+
 # Short-burst coverage-guided fuzzing, 30 s a fuzzer:
 #   FuzzDecode: any wire byte stream, JSON and binary lines (seeded with one of each lead); no panic, each envelope a decode of its own line.
 #   FuzzSketchRoundTrip: the sketch serializer; exact round trip, appended after a prefix of the input (the reference encoder's bytes), raw bytes never panic, and decoded into a used sketch as decoded fresh (same bytes, same footprint).
@@ -76,7 +85,9 @@ fuzz:
 # BenchmarkZoneListRoundTrip (internal/cluster) is a zone list through a
 # gateway in front of two in-process shards, reporting allocs/op, and
 # BenchmarkEstimateMerge (internal/cluster) the gateway's merge of two
-# shards' window sketches into one estimate reply.
+# shards' window sketches into one estimate reply; BenchmarkNoteReportSparse
+# (internal/coordinator) is the client registry's cost of a zone report from
+# one of 4,000 clients each heard from every four activity horizons.
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,26 +76,47 @@ func (o *fullScan) heardWithinHorizon() int {
 }
 
 // checkActiveSet verifies the three views of the registry agree: every
-// record is in the expiry order exactly once, and the zone lists hold
-// exactly the records that say they are in that zone — a record replaced or
-// dropped while still listed would be an orphan counted for ever.
+// record is in the expiry order exactly once, oldest first, and the zone
+// lists hold exactly the records that say they are in that zone — a record
+// replaced or dropped while still listed would be an orphan counted for
+// ever. The spares are apart from all three: a spare record is cleared and
+// neither registered, listed nor in the expiry order, a spare member slice
+// is empty and keeps no record, and neither spare list outgrows maxSpares.
 func checkActiveSet(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.byHeard.Len() != len(s.clients) {
-		t.Fatalf("expiry order holds %d records, registry %d", s.byHeard.Len(), len(s.clients))
+	spare := map[*clientState]bool{}
+	for _, st := range s.spareStates {
+		if spare[st] || *st != (clientState{}) {
+			t.Fatalf("spare record %p is kept twice or not cleared: %+v", st, *st)
+		}
+		spare[st] = true
 	}
+	if len(s.spareStates) > maxSpares || len(s.spareMembers) > maxSpares {
+		t.Fatalf("%d spare records and %d spare member slices kept, at most %d each", len(s.spareStates), len(s.spareMembers), maxSpares)
+	}
+	for _, members := range s.spareMembers {
+		if len(members) != 0 || slices.ContainsFunc(members[:cap(members)], func(m *clientState) bool { return m != nil }) {
+			t.Fatalf("a spare member slice of length %d still holds a record", len(members))
+		}
+	}
+	ordered := 0
 	var prev time.Time
-	for e := s.byHeard.Front(); e != nil; e = e.Next() {
-		st := e.Value.(*clientState)
-		if s.clients[st.id] != st || st.elem != e {
-			t.Fatalf("expiry order holds a record of %q the registry does not", st.id)
+	for st := s.byHeard.next; st != &s.byHeard; st = st.next {
+		if ordered++; ordered > len(s.clients) {
+			t.Fatalf("expiry order holds more than the registry's %d records", len(s.clients))
+		}
+		if s.clients[st.id] != st || st.next.prev != st || spare[st] {
+			t.Fatalf("expiry order holds a record of %q the registry does not (spare: %v)", st.id, spare[st])
 		}
 		if st.heard.Before(prev) {
 			t.Fatalf("expiry order not oldest-first at %q", st.id)
 		}
 		prev = st.heard
+	}
+	if ordered != len(s.clients) {
+		t.Fatalf("expiry order holds %d records, registry %d", ordered, len(s.clients))
 	}
 	listed := 0
 	for zone, members := range s.zones {
@@ -102,15 +124,18 @@ func checkActiveSet(t *testing.T, s *Server) {
 			t.Fatalf("zone %v keeps an empty member list", zone)
 		}
 		for _, m := range members {
-			if s.clients[m.id] != m || !m.hasZone || m.lastZone != zone {
-				t.Fatalf("zone %v lists %q, whose record says hasZone=%v zone=%v (registered: %v)",
-					zone, m.id, m.hasZone, m.lastZone, s.clients[m.id] == m)
+			if s.clients[m.id] != m || !m.hasZone || m.lastZone != zone || spare[m] {
+				t.Fatalf("zone %v lists %q, whose record says hasZone=%v zone=%v (registered: %v, spare: %v)",
+					zone, m.id, m.hasZone, m.lastZone, s.clients[m.id] == m, spare[m])
 			}
 			listed++
 		}
 	}
 	inZone := 0
-	for _, st := range s.clients {
+	for id, st := range s.clients {
+		if st.id != id || spare[st] {
+			t.Fatalf("the registry maps %q to a record of %q (spare: %v)", id, st.id, spare[st])
+		}
 		if st.hasZone {
 			inZone++
 		}
@@ -124,15 +149,15 @@ func checkActiveSet(t *testing.T, s *Server) {
 // same seed draw the same task lists from the same active counts; the
 // default budget is small, so the task probability is below 1 and moves
 // with the count.
-func scheduleServer(t *testing.T, seed uint64) *Server {
-	t.Helper()
+func scheduleServer(tb testing.TB, seed uint64) *Server {
+	tb.Helper()
 	cfg := core.DefaultConfig()
 	cfg.DefaultSamplesPerEpoch = 4
 	s, err := Serve(core.NewController(cfg, geo.Madison().Center()), "127.0.0.1:0", Options{Seed: seed})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { _ = s.Close() })
+	tb.Cleanup(func() { _ = s.Close() })
 	return s
 }
 
@@ -371,5 +396,114 @@ func TestZoneReportFiledByItsFix(t *testing.T) {
 	}
 	if _, ok := lying.zones[elsewhere]; ok {
 		t.Fatalf("zone %v, named by a client but holding none of its fixes, has a member list", elsewhere)
+	}
+}
+
+// sparseClients is a population of 4,000 clients, each heard from every four
+// activity horizons, two to a zone: every report comes from a client whose
+// record has expired, into a zone its last member left a horizon ago.
+type sparseClients struct {
+	reports []wire.ZoneReport
+	step    time.Duration
+	clock   time.Time
+	next    int
+}
+
+func newSparseClients(s *Server) *sparseClients {
+	const n = 4000
+	p := &sparseClients{reports: make([]wire.ZoneReport, n), step: 4 * s.activeHorizon() / n, clock: start}
+	for i := range p.reports {
+		p.reports[i] = wire.ZoneReport{ClientID: fmt.Sprintf("sparse-%04d", i), Zone: geo.ZoneID{X: int32(i % (n / 2))}}
+	}
+	return p
+}
+
+// report sends the next client's zone report, a step after the last one.
+func (p *sparseClients) report(s *Server) {
+	zr := &p.reports[p.next]
+	p.next = (p.next + 1) % len(p.reports)
+	p.clock = p.clock.Add(p.step)
+	zr.At = p.clock
+	s.noteReport(zr, zr.Zone)
+}
+
+// TestSparseReportAllocatesNothing: once the registry has seen its clients
+// come and go, a report from a client whose record has expired reuses a
+// forgotten record and, in a zone that emptied, a forgotten member list.
+func TestSparseReportAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := scheduleServer(t, seed)
+	clients := newSparseClients(s)
+	for range 2 * len(clients.reports) {
+		clients.report(s)
+	}
+	if n := testing.AllocsPerRun(1000, func() { clients.report(s) }); n != 0 {
+		t.Fatalf("a sparse client's zone report: %v allocations, want 0", n)
+	}
+	checkActiveSet(t, s)
+	// A step is a thousandth of the horizon: the last thousand clients are
+	// the ones heard from within it, each alone in its zone.
+	if got := s.ClientCount(); got != 1000 {
+		t.Fatalf("%d records kept, want the 1000 heard from within the last horizon", got)
+	}
+	// A report a horizon later forgets all of them and empties their zones
+	// at once; of the records and member lists it frees, at most maxSpares
+	// each are kept.
+	clients.clock = clients.clock.Add(s.activeHorizon())
+	clients.report(s)
+	checkActiveSet(t, s)
+	if got := s.ClientCount(); got != 1 {
+		t.Fatalf("%d records kept a horizon after the rest, want the reporter's", got)
+	}
+}
+
+// TestFarFutureReportKeepsExpiry: one zone report stamped in year 9000 is
+// served, but moves the registry's clock no further than a horizon past the
+// server's own, so the records of clients heard from since still expire. The
+// server's clock follows the reports; a probe of 2,000 clients over 200
+// horizons keeps the same 10 records with the stray report as without it.
+// Before the bound it kept all 2,001.
+func TestFarFutureReportKeepsExpiry(t *testing.T) {
+	kept := map[bool]int{}
+	for _, stray := range []bool{false, true} {
+		s := scheduleServer(t, seed)
+		horizon := s.activeHorizon()
+		wall := start
+		s.mu.Lock()
+		s.wallClock = func() time.Time { return wall }
+		s.mu.Unlock()
+		zone := geo.ZoneID{}
+		if stray {
+			zr := wire.ZoneReport{ClientID: "skewed", At: time.Date(9000, 1, 1, 0, 0, 0, 0, time.UTC)}
+			if active := s.noteReport(&zr, zone); active != 1 {
+				t.Fatalf("the far-future report counted %d active clients, want itself", active)
+			}
+		}
+		for i := range 2000 {
+			wall = start.Add(time.Duration(i) * horizon / 10)
+			s.noteReport(&wire.ZoneReport{ClientID: fmt.Sprintf("probe-%04d", i), At: wall}, zone)
+		}
+		checkActiveSet(t, s)
+		kept[stray] = s.ClientCount()
+	}
+	if kept[false] != 10 || kept[true] != kept[false] {
+		t.Fatalf("%d records kept after a far-future report, %d without one; want 10 both times", kept[true], kept[false])
+	}
+}
+
+// BenchmarkNoteReportSparse: the registry's cost of one zone report from a
+// sparse client (see sparseClients), its record long expired.
+func BenchmarkNoteReportSparse(b *testing.B) {
+	s := scheduleServer(b, seed)
+	clients := newSparseClients(s)
+	for range 2 * len(clients.reports) {
+		clients.report(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		clients.report(s)
 	}
 }

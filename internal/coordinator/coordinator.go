@@ -6,7 +6,6 @@
 package coordinator
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"net"
@@ -154,10 +153,16 @@ type clientState struct {
 
 	// heard is Server.newest as of the client's last hello or zone report:
 	// a record ages on the server's clock, not the client's, so Server.byHeard
-	// stays ordered however skewed a reported At is. elem is its place there.
-	heard time.Time
-	elem  *list.Element
+	// stays ordered however skewed a reported At is. prev and next are its
+	// neighbours there.
+	heard      time.Time
+	prev, next *clientState
 }
+
+// maxSpares bounds each of the registry's spare lists, of forgotten records
+// and of emptied member slices. Steady churn reuses about one of each a
+// report, since noteReport expires right after it registers.
+const maxSpares = 64
 
 // Server is a running coordinator.
 type Server struct {
@@ -177,14 +182,20 @@ type Server struct {
 	clients map[string]*clientState
 	// zones lists, per zone, the clients whose last report came from it, so
 	// a zone report counts its own zone's members and no one else's.
-	// byHeard holds every record, least recently heard from first, and
-	// newest is the latest report time seen: records the horizon behind it
-	// are forgotten from the front (expireLocked), wherever they were last.
-	zones   map[geo.ZoneID][]*clientState
-	byHeard *list.List
-	newest  time.Time
-	r       *rng.Rand
-	closed  bool
+	// byHeard is the sentinel of a ring through every record, least recently
+	// heard from first, and newest is the latest report time seen, held to
+	// at most a horizon past wallClock: records the horizon behind it are
+	// forgotten from the front (expireLocked), wherever they were last.
+	// Forgotten records and emptied member slices wait in spareStates and
+	// spareMembers for the next client or zone that needs one.
+	zones        map[geo.ZoneID][]*clientState
+	byHeard      clientState
+	newest       time.Time
+	wallClock    func() time.Time
+	spareStates  []*clientState
+	spareMembers [][]*clientState
+	r            *rng.Rand
+	closed       bool
 
 	// Replication role state, guarded by mu. A replica has a tail (rep) and
 	// every replicated node a source; both nil means replication is off.
@@ -236,14 +247,15 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opts:    opts,
-		store:   st,
-		clients: make(map[string]*clientState),
-		zones:   make(map[geo.ZoneID][]*clientState),
-		byHeard: list.New(),
-		r:       rng.NewNamed(opts.Seed, "coordinator-tasks"),
-		stop:    make(chan struct{}),
+		opts:      opts,
+		store:     st,
+		clients:   make(map[string]*clientState),
+		zones:     make(map[geo.ZoneID][]*clientState),
+		wallClock: time.Now,
+		r:         rng.NewNamed(opts.Seed, "coordinator-tasks"),
+		stop:      make(chan struct{}),
 	}
+	s.byHeard.prev, s.byHeard.next = &s.byHeard, &s.byHeard
 	s.ctrl.Store(ctrl)
 	// fail unwinds a partly started server: Close tolerates every piece
 	// that never came up.
@@ -537,22 +549,60 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 	}
 }
 
-// heardFromLocked returns id's record, creating it if the server has none,
-// and moves it to the young end of the expiry order.
+// heardFromLocked returns id's record, taking a spare one or making one if
+// the server has none, and moves it to the young end of the expiry order.
 func (s *Server) heardFromLocked(id string) *clientState {
 	st := s.clients[id]
-	if st == nil {
-		st = &clientState{id: id}
-		st.elem = s.byHeard.PushBack(st)
-		s.clients[id] = st
+	if st != nil {
+		st.unlink()
 	} else {
-		s.byHeard.MoveToBack(st.elem)
+		if st = takeSpare(&s.spareStates); st == nil {
+			st = new(clientState)
+		}
+		st.id = id
+		s.clients[id] = st
 	}
+	st.prev, st.next = s.byHeard.prev, &s.byHeard
+	st.prev.next, s.byHeard.prev = st, st
 	st.heard = s.newest
 	return st
 }
 
+// unlink takes st out of the expiry order.
+func (st *clientState) unlink() {
+	st.prev.next, st.next.prev = st.next, st.prev
+}
+
+// joinZoneLocked appends st to zone's member list, starting the list on a
+// spare slice if the zone has none.
+func (s *Server) joinZoneLocked(st *clientState, zone geo.ZoneID) {
+	st.lastZone, st.hasZone = zone, true
+	members, ok := s.zones[zone]
+	if !ok {
+		members = takeSpare(&s.spareMembers)
+	}
+	s.zones[zone] = append(members, st)
+}
+
+// takeSpare takes the last spare off spares, or returns nil if there is none.
+func takeSpare[T *clientState | []*clientState](spares *[]T) T {
+	var v T
+	if n := len(*spares); n > 0 {
+		v, (*spares)[n-1] = (*spares)[n-1], nil
+		*spares = (*spares)[:n-1]
+	}
+	return v
+}
+
+// keepSpare adds v to spares, unless maxSpares are kept already.
+func keepSpare[T *clientState | []*clientState](spares *[]T, v T) {
+	if len(*spares) < maxSpares {
+		*spares = append(*spares, v)
+	}
+}
+
 // leaveZoneLocked takes st out of its zone's member list, if it is in one.
+// A list it empties is kept as a spare.
 func (s *Server) leaveZoneLocked(st *clientState) {
 	if !st.hasZone {
 		return
@@ -564,23 +614,23 @@ func (s *Server) leaveZoneLocked(st *clientState) {
 	members[last] = nil
 	if last == 0 {
 		delete(s.zones, st.lastZone)
+		keepSpare(&s.spareMembers, members[:0])
 		return
 	}
 	s.zones[st.lastZone] = members[:last]
 }
 
 // expireLocked forgets every record last heard from a whole activity
-// horizon before the newest report: no report from now on can count it.
+// horizon before the newest report: no report from now on can count it. A
+// forgotten record is cleared and kept as a spare.
 func (s *Server) expireLocked() {
 	horizon := s.activeHorizon()
-	for e := s.byHeard.Front(); e != nil; e = s.byHeard.Front() {
-		st := e.Value.(*clientState)
-		if s.newest.Sub(st.heard) < horizon {
-			return
-		}
+	for st := s.byHeard.next; st != &s.byHeard && s.newest.Sub(st.heard) >= horizon; st = s.byHeard.next {
 		s.leaveZoneLocked(st)
-		s.byHeard.Remove(e)
+		st.unlink()
 		delete(s.clients, st.id)
+		*st = clientState{}
+		keepSpare(&s.spareStates, st)
 	}
 }
 
@@ -606,20 +656,25 @@ func (s *Server) assignTasks(dst []wire.Task, zr *wire.ZoneReport) []wire.Task {
 func (s *Server) noteReport(zr *wire.ZoneReport, zone geo.ZoneID) (active int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	horizon := s.activeHorizon()
 	if zr.At.After(s.newest) {
+		// A client clock far ahead is served, but it moves the registry
+		// clock no further than a horizon past the server's: stamped in year
+		// 9000, it would otherwise keep every later record from expiring.
 		s.newest = zr.At
+		if limit := s.wallClock().Add(horizon); s.newest.After(limit) {
+			s.newest = limit
+		}
 	}
 	// Zone reports from clients whose hello we lost (reconnects) or whose
 	// record has expired register them implicitly.
 	st := s.heardFromLocked(zr.ClientID)
 	if !st.hasZone || st.lastZone != zone {
 		s.leaveZoneLocked(st)
-		st.lastZone, st.hasZone = zone, true
-		s.zones[zone] = append(s.zones[zone], st)
+		s.joinZoneLocked(st, zone)
 	}
 	st.lastSeen = zr.At
 	s.expireLocked()
-	horizon := s.activeHorizon()
 	for _, m := range s.zones[zone] {
 		if zr.At.Sub(m.lastSeen) < horizon {
 			active++

@@ -92,7 +92,7 @@ func (d *Digest) unmarshal(b []byte) error {
 	max := getF64(b[21:])
 	count := getF64(b[29:])
 	n := int(binary.LittleEndian.Uint16(b[37:]))
-	if math.IsNaN(compression) || compression < minCompression || compression > 1e6 {
+	if math.IsNaN(compression) || compression < minCompression || compression > maxCompression {
 		return badf("compression %v out of range", compression)
 	}
 	if math.IsNaN(min) || math.IsInf(min, 0) || math.IsNaN(max) || math.IsInf(max, 0) || min > max {

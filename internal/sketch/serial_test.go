@@ -169,6 +169,30 @@ func TestUnmarshalEpochSketchRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRefusesOutsizedCompression: a digest's array is sized by its
+// compression, so a frame naming one above maxCompression is refused. The
+// 93-byte frame of an empty δ = 1e6 sketch used to decode into a 16 MB
+// digest; δ = maxCompression, the largest accepted, decodes.
+func TestUnmarshalRefusesOutsizedCompression(t *testing.T) {
+	withCompression := func(compression float64) []byte {
+		b := NewEpochSketch(DefaultCompression).MarshalBinary()
+		binary.LittleEndian.PutUint64(b[sketchHeaderLen+4+5:], math.Float64bits(compression))
+		return b
+	}
+	for _, compression := range []float64{maxCompression + 1, 1e6} {
+		b := withCompression(compression)
+		if e, err := UnmarshalEpochSketch(b); err == nil {
+			t.Errorf("a %d-byte frame of δ = %v accepted, footprint %d bytes", len(b), compression, e.FootprintBytes())
+		}
+		if _, err := unmarshalDigest(b[sketchHeaderLen+4:]); err == nil {
+			t.Errorf("a digest of δ = %v accepted", compression)
+		}
+	}
+	if e, err := UnmarshalEpochSketch(withCompression(maxCompression)); err != nil || e.dig.compression != maxCompression {
+		t.Fatalf("a sketch of δ = %v: %v", float64(maxCompression), err)
+	}
+}
+
 func TestUnmarshalDigestNoPanicOnArbitrary(t *testing.T) {
 	r := rng.New(31)
 	for i := 0; i < 2000; i++ {

@@ -29,6 +29,11 @@ const EpochCompression = 50
 // interpolate.
 const minCompression = 20
 
+// maxCompression is the largest δ a serialized digest may name, twice the
+// largest the tree writes: a digest's array is sized by its δ, so a decoder
+// that took any δ would let a short frame claim megabytes.
+const maxCompression = 2 * DefaultCompression
+
 // Centroid is one cluster of nearby samples: its weighted mean and total
 // weight. Weights are float64 so decayed (scaled) sketches stay exact.
 type Centroid struct {

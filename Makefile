@@ -5,17 +5,17 @@
 # store/coordinator shutdown paths are race-sensitive).
 GO ?= go
 
-.PHONY: all vet lint lint-stats lint-sarif bench-lint build test race ci leftovers bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
+.PHONY: all vet lint lint-stats bench-lint build test race ci leftovers bench bench-e2e bench-sketch swarm-smoke failover-smoke fuzz loc knobs
 
 all: vet lint build test
 
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant gate: nodeterm, lockio, nilsafemetric,
-# wirebound, goleak, errdrop, lockorder and lockguard over every module
-# package (see DESIGN.md "Static analysis"). Any finding not silenced by an
-# audited //lint:ignore fails the build.
+# The repo's own invariant gate: the seven analyzers `wiscape-lint -list`
+# prints (nodeterm, lockio, nilsafemetric, wirebound, goleak, errdrop and
+# lockorder) over every module package (see DESIGN.md "Static analysis").
+# Any finding not silenced by an audited //lint:ignore fails the build.
 lint:
 	$(GO) run ./cmd/wiscape-lint ./...
 
@@ -23,19 +23,13 @@ lint:
 lint-stats:
 	$(GO) run ./cmd/wiscape-lint -stats ./...
 
-# The same gate, with the findings as a SARIF 2.1.0 log for code-scanning
-# upload. The log is written before wiscape-lint's exit status is returned,
-# so a failing run still leaves it to upload.
-lint-sarif:
-	$(GO) run ./cmd/wiscape-lint -sarif ./... > wiscape-lint.sarif
-
 # Refresh the checked-in timing ledger: re-records the current suite's
-# load/facts/analyze split under the "never-nil-bundles" label (eight
-# analyzers, one walk per body, one ascending fixed point, nilsafemetric
-# down to its Registry-construction rule), leaving the earlier snapshots in
-# place for comparison.
+# load/facts/analyze split under the "census-seven-analyzers" label (seven
+# analyzers after the planted-bug census retired lockguard and its
+# field-access fact domain; one walk per body, one ascending fixed point),
+# leaving the earlier snapshots in place for comparison.
 bench-lint:
-	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label never-nil-bundles ./...
+	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label census-seven-analyzers ./...
 
 build:
 	$(GO) build ./...

@@ -1,11 +1,11 @@
 // wiscape-lint is the repository's invariant gate: it runs the
 // internal/analysis suite (nodeterm, lockio, nilsafemetric, wirebound,
-// goleak, errdrop, lockorder, lockguard) over module packages and exits
-// non-zero on any finding.
+// goleak, errdrop, lockorder) over module packages and exits non-zero on
+// any finding.
 //
 // Usage:
 //
-//	wiscape-lint [-only a,b] [-list] [-sarif] [-stats] [-stats-json FILE [-stats-label NAME]] [packages]
+//	wiscape-lint [-only a,b] [-list] [-stats] [-stats-json FILE [-stats-label NAME]] [packages]
 //
 // Packages are import paths, ./dir (the package in that directory of the
 // enclosing module), ./dir/... (every package at or below it) or ./... (the
@@ -23,7 +23,7 @@
 // otherwise), which is how BENCH_lint.json tracks the suite's cost
 // across growth.
 //
-// Findings print one per line, or as a SARIF 2.1.0 log with -sarif. The
+// Findings print one per line, "file:line:col: message (analyzer)". The
 // only way to silence one is a "//lint:ignore <analyzer> <reason>"
 // comment on the offending line or the line above; the reason is
 // mandatory.
@@ -34,6 +34,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -41,12 +42,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/lintout"
 	"repro/internal/analysis/load"
 )
 
@@ -59,7 +59,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
-	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log on stdout")
 	stats := fs.Bool("stats", false, "print load/facts/analyze wall time and per-analyzer cost to stderr")
 	statsJSON := fs.String("stats-json", "", "record the timing split as a labeled snapshot in this JSON file")
 	statsLabel := fs.String("stats-label", "current", "snapshot label for -stats-json (same label replaces, new label appends)")
@@ -154,7 +153,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	factsDur := time.Since(factsStart)
 
 	analyzeStart := time.Now()
-	var findings []lintout.Finding
+	var findings []finding
 	analyzerDur := make([]time.Duration, len(analyzers))
 	for _, p := range targets {
 		for ai, a := range analyzers {
@@ -174,7 +173,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 					if err != nil {
 						file = pos.Filename
 					}
-					findings = append(findings, lintout.Finding{
+					findings = append(findings, finding{
 						Analyzer: a.Name,
 						File:     filepath.ToSlash(file),
 						Line:     pos.Line,
@@ -193,7 +192,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	analyzeDur := time.Since(analyzeStart)
-	lintout.Sort(findings)
+	sortFindings(findings)
 
 	if *stats {
 		fmt.Fprintf(stderr, "wiscape-lint: load %s, facts %s, analyze %s (%d packages)\n",
@@ -222,23 +221,33 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *sarifOut {
-		rules := make([]lintout.Rule, 0, len(analyzers))
-		for _, a := range analyzers {
-			rules = append(rules, lintout.Rule{ID: a.Name, Doc: a.Doc})
-		}
-		if err := lintout.WriteSARIF(stdout, rules, findings); err != nil {
-			fmt.Fprintf(stderr, "wiscape-lint: %v\n", err)
-			return 2
-		}
-	} else {
-		lintout.WriteText(stdout, findings)
+	for _, f := range findings {
+		fmt.Fprintf(stdout, "%s:%d:%d: %s (%s)\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 	}
 
 	if len(findings) > 0 && exit == 0 {
 		exit = 1
 	}
 	return exit
+}
+
+// finding is one diagnostic from one analyzer, positioned module-relative
+// with slash-separated paths (stable across machines).
+type finding struct {
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
+}
+
+// sortFindings orders findings by file, line, column, analyzer and message:
+// the order they print in.
+func sortFindings(fs []finding) {
+	slices.SortFunc(fs, func(a, b finding) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line), cmp.Compare(a.Col, b.Col),
+			strings.Compare(a.Analyzer, b.Analyzer), strings.Compare(a.Message, b.Message))
+	})
 }
 
 // statsSnapshot is one labeled timing record in a -stats-json file.
@@ -367,7 +376,7 @@ func expand(patterns []string, modDir, modPath string) ([]string, error) {
 			return nil, fmt.Errorf("pattern %q: %w", pat, err)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,20 +121,21 @@ func TestRunParseErrorsExitTwo(t *testing.T) {
 	}
 }
 
-// TestRunUnknownAnalyzerExitsTwo: a typo in -only must fail loudly with
-// the valid names, not silently run nothing.
+// TestRunUnknownAnalyzerExitsTwo: a typo in -only, or the name of a retired
+// analyzer, must fail loudly with the valid names, not silently run nothing.
 func TestRunUnknownAnalyzerExitsTwo(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-only", "lockgaurd"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr.String())
+	var valid []string
+	for _, a := range analysis.All() {
+		valid = append(valid, a.Name)
 	}
-	out := stderr.String()
-	if !strings.Contains(out, `unknown analyzer "lockgaurd"`) {
-		t.Fatalf("stderr should name the bad analyzer, got: %s", out)
-	}
-	for _, name := range []string{"nodeterm", "lockorder", "lockguard", "errdrop"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("stderr should list valid analyzer %s, got: %s", name, out)
+	for _, name := range []string{"lockgaurd", "taintalloc", "atomicmix", "lockguard"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-only", name}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit = %d, want 2; stderr: %s", name, code, stderr.String())
+		}
+		want := fmt.Sprintf("wiscape-lint: unknown analyzer %q; valid analyzers: %s\n", name, strings.Join(valid, ", "))
+		if got := stderr.String(); got != want {
+			t.Fatalf("%s: stderr %q, want %q", name, got, want)
 		}
 	}
 }
@@ -253,7 +255,7 @@ func TestRunDirectoryPatterns(t *testing.T) {
 
 // TestRunEndToEnd drives both passes over a two-package module carrying
 // one finding of each whole-load kind plus both suppression outcomes, and
-// runs it twice: the same findings, byte for byte, in text and in SARIF.
+// runs it twice: the same findings, byte for byte.
 func TestRunEndToEnd(t *testing.T) {
 	dir := writeTree(t, map[string]string{
 		"go.mod": "module example\n\ngo 1.22\n",
@@ -263,18 +265,13 @@ import "sync"
 
 type Table struct {
 	Mu sync.Mutex
-	//wiscape:guardedby Mu
-	n int
+	n  int
 }
 
 func (t *Table) Bump() {
 	t.Mu.Lock()
 	t.n++
 	t.Mu.Unlock()
-}
-
-func (t *Table) Peek() int {
-	return t.n
 }
 `,
 		"a/a.go": `package a
@@ -338,21 +335,20 @@ func Drop(f, g *os.File) {
 		}
 		return stdout.String()
 	}
-	text, sarif := lint("./..."), lint("-sarif", "./...")
+	text := lint("./...")
 	for _, want := range []string{
 		"a/a.go:18:2: lock ordering cycle (potential deadlock): (a.Server).mu acquired before (b.Table).Mu in (Server).Publish via call to (Table).Bump; (b.Table).Mu acquired before (a.Server).mu in (Server).Sweep",
 		"a/a.go:34:6: s.rw held across (net.Conn).Close: release the lock before blocking network I/O (lockio)",
 		"a/a.go:41:2: error from (os.File).Close silently dropped",
-		"b/b.go:18:9: field (b.Table).n is annotated //wiscape:guardedby Mu but this read in (Table).Peek does not hold (b.Table).Mu",
 	} {
 		if strings.Count(text, want) != 1 {
 			t.Errorf("want exactly one finding %q, got:\n%s", want, text)
 		}
 	}
-	if n := strings.Count(text, "\n"); n != 4 {
-		t.Errorf("want 4 findings, got %d:\n%s", n, text)
+	if n := strings.Count(text, "\n"); n != 3 {
+		t.Errorf("want 3 findings, got %d:\n%s", n, text)
 	}
-	if text2, sarif2 := lint("./..."), lint("-sarif", "./..."); text2 != text || sarif2 != sarif {
+	if text2 := lint("./..."); text2 != text {
 		t.Errorf("second run differs:\n%s\nvs\n%s", text2, text)
 	}
 }

@@ -11,17 +11,13 @@
 //     never from a composite literal or new(), so every one is wired to
 //     exposition;
 //   - wirebound: every wire envelope crosses the network through
-//     wire.Conn's MaxMessageBytes cap, and line-oriented reads of external
-//     input must be bounded;
+//     wire.Conn's MaxMessageBytes cap;
 //   - goleak: server-side goroutines must carry evidence of a bounded
 //     lifetime (shutdown-signal receive or WaitGroup accounting);
 //   - errdrop: errors from I/O-shaped calls must not be dropped on
 //     durability paths, with file/net kinds derived transitively;
 //   - lockorder: lock acquisition order must be globally consistent —
-//     any cycle in the whole-load ordering graph is a potential deadlock;
-//   - lockguard: a struct field guarded by a lock on a supermajority of
-//     its accesses (inferred, or declared by //wiscape:guardedby) must
-//     hold that lock on every access outside constructors and teardown.
+//     any cycle in the whole-load ordering graph is a potential deadlock.
 //
 // The Analyzer/Pass contract deliberately mirrors golang.org/x/tools'
 // go/analysis (Name, Doc, Run(*Pass), Pass.Reportf) so each analyzer can
@@ -82,10 +78,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// reportFindings is the Run of every whole-load analyzer (lockio,
-// lockorder, lockguard): ComputeFacts has already
-// produced its verdicts, and each pass reports the ones anchored in its
-// own files, so a multi-package run emits each exactly once.
+// reportFindings is the Run of both whole-load analyzers (lockio,
+// lockorder): ComputeFacts has already produced their verdicts, and each
+// pass reports the ones anchored in its own files, so a multi-package run
+// emits each exactly once.
 func reportFindings(pass *Pass) error {
 	for _, d := range pass.Facts.Findings(pass.Analyzer.Name) {
 		for _, f := range pass.Files {
@@ -100,7 +96,7 @@ func reportFindings(pass *Pass) error {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Lockio, Nilsafemetric, Wirebound, Goleak, Errdrop, Lockorder, Lockguard}
+	return []*Analyzer{Nodeterm, Lockio, Nilsafemetric, Wirebound, Goleak, Errdrop, Lockorder}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -13,21 +13,17 @@ import (
 // mirroring golang.org/x/tools' go/analysis Facts. Every function body in
 // the load is walked once (lockfacts.go's lock walk), and that one walk
 // records everything the engine knows about the body: the held locks at
-// each call and send, the field accesses, and the local evidence for the
-// boolean facts (may-block, has-shutdown-signal, does-WaitGroup-accounting,
+// each call and send, and the local evidence for the boolean facts
+// (may-block, has-shutdown-signal, does-WaitGroup-accounting,
 // returns-error-that-must-be-checked) and the call edges, keyed by the
 // function's types.Object. One ascending fixed point then closes the
 // boolean facts and the lock acquisitions over the static call graph, so
 // the analyzers can ask "does anything this call reaches block?" instead of
 // going blind one function deep.
 //
-// Two whole-load verdicts are derived from the closed facts: the lock
-// ordering graph, whose cycles lockorder reports, and the field-access
-// domain (fieldfacts.go), whose guard violations lockguard reports. The
-// latter needs what every caller holds, a descending meet over incoming
-// call edges with its own loop (computeCallerHeld). Together with lockio,
-// those analyzers' verdicts are computed here, once per load, and only
-// reported by their passes (reportFindings).
+// The lock ordering graph, whose cycles lockorder reports, is derived from
+// the closed facts. Its verdicts and lockio's are computed here, once per
+// load, and only reported by the analyzers' passes (reportFindings).
 //
 // The call graph is deliberately the cheap one: direct calls to named
 // functions and methods resolved through types.Info. Calls through
@@ -74,12 +70,9 @@ type FuncFacts struct {
 	callees []types.Object
 
 	// lockEdges/heldCalls are the lock walk's scan-time evidence
-	// (lockfacts.go); fieldAccesses are the field-access domain's
-	// per-function records (fieldfacts.go). Both are consumed by
-	// ComputeFacts.
-	lockEdges     []lockEdge
-	heldCalls     []heldCall
-	fieldAccesses []fieldAccess
+	// (lockfacts.go), consumed by ComputeFacts.
+	lockEdges []lockEdge
+	heldCalls []heldCall
 }
 
 // Facts indexes FuncFacts by function object. The zero/nil Facts is
@@ -134,16 +127,14 @@ func (f *Facts) literal(body *ast.BlockStmt) *FuncFacts {
 // their intraprocedural selves).
 func ComputeFacts(pkgs []*load.Package) *Facts {
 	facts := &Facts{funcs: make(map[types.Object]*FuncFacts), literals: make(map[*ast.BlockStmt]*FuncFacts)}
-	guardDecls := make(map[string]string)
 	for _, p := range pkgs {
 		if p == nil || p.Info == nil {
 			continue
 		}
 		for _, f := range p.Files {
-			scanGuardDecls(p.Info, f, guardDecls)
 			funcScopes(f, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
 				ff := &FuncFacts{}
-				scanLockFacts(p.Info, fd, body, ff)
+				scanLockFacts(p.Info, body, ff)
 				if fd == nil {
 					facts.literals[body] = ff
 					facts.literalCalls = append(facts.literalCalls, ff.heldCalls...)
@@ -184,7 +175,6 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 	facts.findings = map[string][]Diagnostic{
 		Lockio.Name:    computeLockioFindings(facts),
 		Lockorder.Name: computeLockCycles(facts),
-		Lockguard.Name: computeFieldFindings(facts, guardDecls),
 	}
 	return facts
 }

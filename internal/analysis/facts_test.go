@@ -245,3 +245,10 @@ func TestFactsWalkDistinctions(t *testing.T) {
 		}
 	}
 }
+
+func TestFactsNilSafe(t *testing.T) {
+	var facts *analysis.Facts
+	if facts.Findings("lockorder") != nil || facts.Of(nil) != nil {
+		t.Fatal("nil Facts must know nothing")
+	}
+}

@@ -46,46 +46,32 @@ type lockEdge struct {
 
 // heldCall is a call made while locks were held; joined with the
 // callee's transitive Acquires it yields cross-function ordering edges.
-// The same records double as the call-context edges of the field-access
-// domain (fieldfacts.go), which is why calls with an empty held set are
-// recorded too: a single unlocked call site is what breaks a "callers
-// always hold mu" guarantee. lockio reads them as well, through lock; a
-// channel send under a lock is recorded for it with a nil callee and no
-// held identities, so the other domains pass over it.
+// lockio reads the same records, through lock; a channel send under a lock
+// is recorded for it with a nil callee and no held identities, so the
+// ordering graph passes over it.
 type heldCall struct {
 	held   []string // identity keys held at the call site, deduplicated
 	callee types.Object
 	pos    token.Pos
 	// lock spells the innermost lock held at the site (local mutexes
-	// included) — what lockio names. It is empty when nothing is held and
-	// for deferred and go'd calls and their arguments, which lockio does
+	// included) — what lockio names. It is empty for calls in the
+	// receiver and arguments of a deferred or go'd call, which lockio does
 	// not check.
 	lock string
-	// orderExempt excludes this edge from the lock-ordering graph:
-	// deferred and go'd calls run outside the statement's lock context
-	// (PR 9 deliberately contributes no ordering edges for them), but the
-	// field-access domain still needs the call edge for its must-hold
-	// caller intersection.
-	orderExempt bool
 }
 
 // scanLockFacts is the one walk of a function body. It extracts into ff
 // the locks the body acquires, the direct ordering edges, the calls and
-// sends it makes (with the held set at each site), every struct-field
-// read/write with its flow-sensitive held set, and the local evidence for
-// the boolean facts with the call edges the fixed point follows (see
-// noteCall). fd is nil for a function literal, which is its own scope,
-// entered with nothing held; nested literals are not entered.
+// sends it makes under a lock (with the held set at each site), and the
+// local evidence for the boolean facts with the call edges the fixed point
+// follows (see noteCall). A function literal is its own scope, entered
+// with nothing held; nested literals are not entered.
 //
 // The boolean evidence keeps three distinctions: a send in a select with
 // a default case does not block, a go'd call is not a callee (its
 // arguments are still evaluated here), and a deferred call is one.
-func scanLockFacts(info *types.Info, fd *ast.FuncDecl, body *ast.BlockStmt, ff *FuncFacts) {
+func scanLockFacts(info *types.Info, body *ast.BlockStmt, ff *FuncFacts) {
 	w := &lockFactsWalker{info: info, ff: ff}
-	if fd != nil {
-		w.fresh = freshLocals(info, body)
-		w.teardown = teardownFuncName(fd.Name.Name)
-	}
 	w.walkBlock(body, nil)
 }
 
@@ -98,15 +84,6 @@ type heldLock struct {
 type lockFactsWalker struct {
 	info *types.Info
 	ff   *FuncFacts
-	// fresh holds the local variables born from a composite literal or
-	// new() in this body: accesses through them are constructor-time and
-	// escape the lockguard rule (fieldfacts.go).
-	fresh map[*types.Var]bool
-	// teardown marks the whole body as teardown (Close/Stop/Shutdown
-	// methods); afterWait flips once a (*sync.WaitGroup).Wait call has
-	// been seen, marking everything after it as post-Wait teardown.
-	teardown  bool
-	afterWait bool
 	// detached is set while a defer or go statement's call is scanned:
 	// none of the calls found there is lockio's to check.
 	detached bool
@@ -144,34 +121,24 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 				return release(held, text)
 			}
 		}
-		if w.isWaitCall(s.X) {
-			// Everything from here on runs after the WaitGroup drained:
-			// plain reads of worker-written state are the documented
-			// teardown idiom, not a race.
-			w.afterWait = true
-		}
 		w.scanExpr(s.X, held)
 	case *ast.DeferStmt:
 		// A deferred Unlock keeps the lock held to the end of the body
 		// (no state change); other deferred calls run at function exit,
-		// outside this statement's lock context — they contribute no
-		// ordering edge, but the field domain records the call (with the
-		// held set at the defer statement approximating the exit-time
-		// set) and the argument/receiver reads evaluated here and now.
+		// outside this statement's lock context, so they contribute no
+		// ordering edge — but their receiver and arguments are evaluated
+		// here and now.
 		if id, _, _, ok := w.lockMethodCall(s.Call); !ok || id == "" {
 			if fn := calleeFunc(w.info, s.Call); fn != nil {
 				w.ff.noteCall(fn)
 			}
-			w.scanDetachedCall(s.Call, held, held)
+			w.scanDetachedCall(s.Call, held)
 		}
 	case *ast.GoStmt:
 		// The spawned goroutine acquires its locks later, on its own
-		// stack; they do not order against locks held here — and it runs
-		// without them, so its call edge carries an empty held set (which
-		// is exactly what stops the field domain from believing a
-		// goroutine body inherits its spawner's locks). Arguments are
+		// stack; they do not order against locks held here. Arguments are
 		// still evaluated here, under the current set.
-		w.scanDetachedCall(s.Call, nil, held)
+		w.scanDetachedCall(s.Call, held)
 	case *ast.IfStmt:
 		if s.Init != nil {
 			held = w.walkStmt(s.Init, held)
@@ -248,7 +215,7 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.scanExpr(e, held)
 		}
 		for _, e := range s.Lhs {
-			w.writeTarget(e, held)
+			w.scanExpr(e, held)
 		}
 	case *ast.SendStmt:
 		w.walkSend(s, held, true)
@@ -257,7 +224,7 @@ func (w *lockFactsWalker) walkStmt(s ast.Stmt, held []heldLock) []heldLock {
 			w.scanExpr(e, held)
 		}
 	case *ast.IncDecStmt:
-		w.writeTarget(s.X, held)
+		w.scanExpr(s.X, held)
 	case *ast.DeclStmt:
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
@@ -320,11 +287,9 @@ func release(held []heldLock, text string) []heldLock {
 	return held
 }
 
-// scanExpr records every resolvable call inside e (with the held set at
-// the site — empty sets included, for the field domain's caller
-// intersection), every shutdown-signal receive, and every struct-field
-// read, distinguishing typed-atomic accesses from plain ones. Function
-// literals are their own scope and not descended into.
+// scanExpr records every resolvable call inside e, with the held set at
+// the site when a lock is held, and every shutdown-signal receive.
+// Function literals are their own scope and not descended into.
 func (w *lockFactsWalker) scanExpr(e ast.Expr, held []heldLock) {
 	if e == nil {
 		return
@@ -334,106 +299,47 @@ func (w *lockFactsWalker) scanExpr(e ast.Expr, held []heldLock) {
 		case *ast.FuncLit:
 			return false
 		case *ast.CallExpr:
-			return w.scanCall(n, held)
+			w.scanCall(n, held)
 		case *ast.UnaryExpr:
 			if isShutdownRecv(n) {
 				w.ff.ShutdownSignal = true
-			}
-			if n.Op == token.AND {
-				// &x.f of a sync/atomic-typed field is the by-pointer
-				// handoff the atomic API works through, not a plain read.
-				if key, atomicTyped, ok := w.fieldSel(n.X); ok && atomicTyped {
-					w.recordAccess(n.X, key, held, accessAtomic)
-					w.scanExpr(selBase(n.X), held)
-					return false
-				}
-			}
-		case *ast.SelectorExpr:
-			if key, _, ok := w.fieldSel(n); ok {
-				// Record the read and keep descending: x in x.f may be a
-				// field itself.
-				w.recordAccess(n, key, held, 0)
 			}
 		}
 		return true
 	})
 }
 
-// scanCall handles one call discovered during scanExpr's walk. It
-// returns false when it has walked the interesting children itself.
-func (w *lockFactsWalker) scanCall(call *ast.CallExpr, held []heldLock) bool {
+// scanCall handles one call discovered during scanExpr's walk: the
+// call-graph edge, and, under a lock, the held-call record. Calls into
+// sync and sync/atomic get no record (Lock/Unlock are consumed by
+// walkStmt; cond.Wait, once.Do and the atomics are no edge).
+func (w *lockFactsWalker) scanCall(call *ast.CallExpr, held []heldLock) {
 	fn := calleeFunc(w.info, call)
 	if fn == nil {
-		return true
+		return
 	}
 	w.ff.noteCall(fn)
-	if fn.Pkg() == nil {
-		return true
-	}
-	switch fn.Pkg().Path() {
-	case "sync/atomic":
-		w.scanAtomicCall(call, fn, held)
-		return false
-	case "sync":
-		// Lock/Unlock are consumed by walkStmt; other sync methods
-		// (cond.Wait, once.Do arguments…) contribute no call edge.
-		return true
-	}
-	w.recordCallEdge(call, held, false)
-	return true
-}
-
-// scanAtomicCall records a typed atomic's method call, s.n.Load(), as an
-// atomic access of the receiver field, which lockguard leaves alone: the
-// type makes every access atomic. Any other sync/atomic call is just its
-// arguments.
-func (w *lockFactsWalker) scanAtomicCall(call *ast.CallExpr, fn *types.Func, held []heldLock) {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if sig, okSig := fn.Type().(*types.Signature); okSig && sig.Recv() != nil {
-			if key, _, okF := w.fieldSel(sel.X); okF {
-				w.recordAccess(sel.X, key, held, accessAtomic)
-			}
-			w.scanExpr(selBase(sel.X), held)
-		}
-	}
-	for _, a := range call.Args {
-		w.scanExpr(a, held)
-	}
-}
-
-// scanDetachedCall handles a call whose execution is detached from the
-// statement that names it (defer/go): the call edge carries edgeHeld —
-// the held set approximating the callee's eventual run context — while
-// receiver and argument expressions are evaluated here and now, under
-// readHeld. Both edges are order-exempt (PR 9's lockorder graph ignores
-// them), and a deferred/spawned sync/atomic call still records its
-// atomic field access rather than a plain receiver read.
-func (w *lockFactsWalker) scanDetachedCall(call *ast.CallExpr, edgeHeld, readHeld []heldLock) {
-	w.detached = true
-	defer func() { w.detached = false }()
-	if fn := calleeFunc(w.info, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
-		w.scanAtomicCall(call, fn, readHeld)
+	if len(held) == 0 || fn.Pkg() == nil || fn.Pkg().Path() == "sync" || fn.Pkg().Path() == "sync/atomic" {
 		return
 	}
-	w.recordCallEdge(call, edgeHeld, true)
-	w.scanExpr(call.Fun, readHeld)
-	for _, a := range call.Args {
-		w.scanExpr(a, readHeld)
-	}
-}
-
-// recordCallEdge appends the resolvable callee of call to heldCalls with
-// the (deduplicated) held set and, outside defer/go, the innermost lock.
-func (w *lockFactsWalker) recordCallEdge(call *ast.CallExpr, held []heldLock, orderExempt bool) {
-	fn := calleeFunc(w.info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == "sync" || fn.Pkg().Path() == "sync/atomic" {
-		return
-	}
-	hc := heldCall{held: dedupHeldIDs(held), callee: fn, pos: call.Pos(), orderExempt: orderExempt}
-	if len(held) > 0 && !w.detached {
+	hc := heldCall{held: dedupHeldIDs(held), callee: fn, pos: call.Pos()}
+	if !w.detached {
 		hc.lock = held[len(held)-1].text
 	}
 	w.ff.heldCalls = append(w.ff.heldCalls, hc)
+}
+
+// scanDetachedCall handles a call whose execution is detached from the
+// statement that names it (defer/go): the call itself gets no held-call
+// record, while its receiver and argument expressions are evaluated here
+// and now, under held.
+func (w *lockFactsWalker) scanDetachedCall(call *ast.CallExpr, held []heldLock) {
+	w.detached = true
+	defer func() { w.detached = false }()
+	w.scanExpr(call.Fun, held)
+	for _, a := range call.Args {
+		w.scanExpr(a, held)
+	}
 }
 
 // dedupHeldIDs flattens the ordered held list to its distinct identity
@@ -451,44 +357,6 @@ func dedupHeldIDs(held []heldLock) []string {
 		}
 	}
 	return ids
-}
-
-// writeTarget records the assignment target e as a field write when it
-// resolves to one — including writes through a field-held container
-// (s.m[k] = v mutates what s.m guards) — and scans the rest for reads.
-func (w *lockFactsWalker) writeTarget(e ast.Expr, held []heldLock) {
-	switch t := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if key, _, ok := w.fieldSel(t); ok {
-			w.recordAccess(t, key, held, accessWrite)
-			w.scanExpr(selBase(t), held)
-			return
-		}
-	case *ast.IndexExpr:
-		w.scanExpr(t.Index, held)
-		if key, _, ok := w.fieldSel(t.X); ok {
-			w.recordAccess(t.X, key, held, accessWrite)
-			w.scanExpr(selBase(t.X), held)
-			return
-		}
-		w.scanExpr(t.X, held)
-		return
-	case *ast.StarExpr:
-		// *s.p = v writes through the pointer: the field itself is read.
-		w.scanExpr(t.X, held)
-		return
-	}
-	w.scanExpr(e, held)
-}
-
-// isWaitCall reports whether e is a (*sync.WaitGroup).Wait call.
-func (w *lockFactsWalker) isWaitCall(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	fn := calleeFunc(w.info, call)
-	return fn != nil && isWaitGroupMethod(fn, "Wait")
 }
 
 // lockMethodCall recognizes e as a call to a sync package lock method
@@ -625,12 +493,8 @@ func computeLockCycles(facts *Facts) []Diagnostic {
 			add(e.from, e.to, e.pos, "in "+shortFuncName(obj))
 		}
 		for _, hc := range ff.heldCalls {
-			// Empty-held and defer/go edges exist for the field-access
-			// domain's caller intersection only; they contribute no
-			// ordering edge (nothing is ordered, or the callee runs
-			// outside this statement's lock context).
-			if len(hc.held) == 0 || hc.orderExempt {
-				continue
+			if len(hc.held) == 0 {
+				continue // only local mutexes held, or a send: no ordering edge
 			}
 			cf := facts.funcs[hc.callee]
 			if cf == nil || len(cf.Acquires) == 0 {

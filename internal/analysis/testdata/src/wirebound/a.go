@@ -1,5 +1,5 @@
 // Package wirebound is a fixture for the wirebound analyzer: envelope
-// codec bypasses and unbounded delimiter reads.
+// codec bypasses.
 package wirebound
 
 import (
@@ -30,14 +30,6 @@ func decodeBypass(r io.Reader) (wire.Envelope, error) {
 	return e, err
 }
 
-func unboundedLine(br *bufio.Reader) ([]byte, error) {
-	return br.ReadBytes('\n') // want `unbounded \(\*bufio\.Reader\)\.ReadBytes`
-}
-
-func unboundedString(br *bufio.Reader) (string, error) {
-	return br.ReadString('\n') // want `unbounded \(\*bufio\.Reader\)\.ReadString`
-}
-
 // Negative cases: the capped codec, non-envelope JSON, and bounded
 // line readers are all fine.
 
@@ -57,7 +49,7 @@ func boundedSlice(br *bufio.Reader) ([]byte, error) {
 	return br.ReadSlice('\n')
 }
 
-func suppressed(br *bufio.Reader) ([]byte, error) {
+func suppressed(e wire.Envelope) ([]byte, error) {
 	//lint:ignore wirebound fixture demonstrates the audited escape hatch
-	return br.ReadBytes('\n')
+	return json.Marshal(e)
 }

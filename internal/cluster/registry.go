@@ -82,9 +82,8 @@ func (s *Shard) Addr() string {
 }
 
 // Endpoints returns every configured endpoint (primary first, then
-// replicas, in configuration order).
-//
-//lint:ignore lockguard endpoints is write-once at construction; mu guards active, not the slice
+// replicas, in configuration order). NewRegistry sets the slice once, so
+// it is read without mu.
 func (s *Shard) Endpoints() []string { return s.endpoints }
 
 // Epoch returns the shard's routing epoch: 0 at startup, bumped by every

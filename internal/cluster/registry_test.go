@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/geo"
@@ -100,5 +101,45 @@ func TestSuccessResetsConsecutiveFailures(t *testing.T) {
 	s.recordFailure(3)
 	if !s.Healthy() {
 		t.Fatal("interleaved successes must keep the breaker closed")
+	}
+}
+
+// TestShardStateUnderConcurrentUse runs each of a shard's writers (the
+// control goroutine's promotion, breaker and standby updates) and readers
+// (request routing, readiness, the shards endpoint) in a goroutine of its
+// own, all at once. A goroutine that touches only its own method shares no
+// lock with the others unless that method takes mu, so under the race
+// detector the test fails if any of them reads or writes the shard's state
+// without it.
+func TestShardStateUnderConcurrentUse(t *testing.T) {
+	reg, err := NewRegistry([]ShardConfig{{Name: "a", Addr: "x:1", Replicas: []string{"x:2"}, Box: boxA()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := reg.Shards()[0]
+	eps := sh.Endpoints()
+	ops := []func(i int){
+		func(i int) { sh.setStandbyUp(i%2 == 0) },
+		func(int) { sh.recordFailure(2) },
+		func(int) { sh.recordSuccess() },
+		func(i int) { sh.setActive(eps[i%2], uint64(i+1)) },
+		func(int) { sh.StandbyUp() },
+		func(int) { sh.Healthy() },
+		func(int) { sh.Addr() },
+		func(int) { sh.Epoch() },
+	}
+	var wg sync.WaitGroup
+	for _, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				op(i)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := sh.Epoch(); got != 200 {
+		t.Fatalf("epoch %d after 200 promotions, want 200", got)
 	}
 }

@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,33 +216,22 @@ func readCheckpoint(path string) (core.Snapshot, uint64, error) {
 
 // latestCheckpoint is the one chooser of "the newest valid checkpoint", for
 // Open: it returns that checkpoint (nil when none validates) and how many
-// newer ones did not. A checkpoint that vanishes
-// between listing and reading was deleted by retention, so a newer one has
-// been written since and the listing is taken again — but only if it changed:
-// a name that points nowhere (a dangling link) is corrupt like any other.
+// newer ones did not. Open runs it before this store writes or retires any
+// checkpoint, so one listing holds throughout: a checkpoint that cannot be
+// read, a name that points nowhere (a dangling link) included, is corrupt.
 func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
 	cks, err := listCheckpoints(st.dir)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	corrupt := 0
-	for i := 0; i < len(cks); i++ {
-		snap, lsn, err := readCheckpoint(cks[i].path)
+	for _, ck := range cks {
+		snap, lsn, err := readCheckpoint(ck.path)
 		if err == nil {
 			return &snap, lsn, corrupt, nil
 		}
-		if errors.Is(err, fs.ErrNotExist) {
-			now, lerr := listCheckpoints(st.dir)
-			if lerr != nil {
-				return nil, 0, 0, lerr
-			}
-			if !slices.Equal(now, cks) {
-				cks, corrupt, i = now, 0, -1
-				continue
-			}
-		}
 		corrupt++
-		st.opts.Logf("store: skipping corrupt checkpoint %s: %v", cks[i].path, err)
+		st.opts.Logf("store: skipping corrupt checkpoint %s: %v", ck.path, err)
 	}
 	return nil, 0, corrupt, nil
 }

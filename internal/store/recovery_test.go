@@ -459,10 +459,8 @@ func fileSizes(dir string) (map[string]int64, error) {
 }
 
 func TestDanglingCheckpointLinkCountsCorrupt(t *testing.T) {
-	// A checkpoint name that points nowhere reads as not-exist, which is also
-	// how a checkpoint retention deleted after the listing reads. It must be
-	// taken for corrupt — the listing has not changed — not looked at again
-	// and again for ever.
+	// A checkpoint name that points nowhere reads as not-exist. It must be
+	// taken for corrupt, not looked at again and again for ever.
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})
 	if err != nil {

@@ -190,8 +190,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	st.met = newMetrics(opts.Telemetry, &st.lastCkpt)
 	recordRecovery(opts.Telemetry, st.recovery)
 	// Nothing else can hold a *Store yet, but taking mu here keeps the
-	// "*Locked helpers run under mu" convention true at every call site —
-	// which is what lets lockguard check it.
+	// "*Locked helpers run under mu" convention true at every call site,
+	// so a reader need not ask which callers are exempt.
 	st.mu.Lock()
 	err := st.openSegmentLocked(st.nextLSN)
 	st.mu.Unlock()
@@ -466,7 +466,6 @@ func (st *Store) compactLocked() {
 // syncLoop is the interval-fsync policy's background flusher.
 func (st *Store) syncLoop() {
 	defer st.wg.Done()
-	//lint:ignore lockguard opts is write-once in Open, before this goroutine starts
 	t := time.NewTicker(st.opts.Fsync.Interval)
 	defer t.Stop()
 	for {

@@ -1,11 +1,11 @@
 // Command wiscape-replay feeds a recorded trace (CSV or JSONL, as written
 // by wiscape-sim) through a fresh WiScape controller and reports what the
 // framework would have concluded: per-zone records, epochs, and the alerts
-// the 2-sigma rule would have raised. Optionally persists the resulting
-// controller state as a snapshot for a coordinator restart, or — with
-// -data — replays the whole campaign into a durable store directory (WAL +
-// final checkpoint) so a coordinator can cold-start from a prepared
-// dataset.
+// the 2-sigma rule would have raised. Optionally writes the resulting
+// controller state as a snapshot JSON file for inspection (no command
+// reads it back), or — with -data — replays the whole campaign into a
+// durable store directory (WAL + final checkpoint), the path a coordinator
+// cold-starts from a prepared dataset with.
 //
 // Usage:
 //

@@ -16,13 +16,15 @@ import (
 // What is flagged, by discard form:
 //
 //   - a bare call statement (`f.Close()`, `st.Sync()`) discarding a
-//     must-check error of either kind — the silent drop is never OK;
+//     must-check error of either kind — the silent drop is never OK, in a
+//     deferred func literal's body too;
 //   - an explicit blank discard (`_ = f.Sync()`, `x, _ := w.Write(b)`)
 //     or a deferred bare call (`defer f.Close()`) on a *durability*
 //     ("file"-kind) path — fsync/flush/WAL errors are the product;
 //   - explicit blank discards on "net"-kind paths (connection teardown,
 //     best-effort error replies) are accepted: `_ = nc.Close()` is the
-//     repo's documented best-effort idiom and stays legal.
+//     repo's documented best-effort idiom and stays legal. So is any
+//     explicit discard in a deferred func literal: a cleanup's choice.
 //
 // Suppression: //lint:ignore errdrop <reason>.
 var Errdrop = &Analyzer{
@@ -37,17 +39,20 @@ func runErrdrop(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					if _, desc, ok := pass.mustCheckIOCall(call); ok {
-						pass.Reportf(call.Pos(),
-							"error from %s silently dropped: handle it, assign it, or //lint:ignore errdrop <reason>", desc)
-					}
-					return false
-				}
+				return !pass.checkBareCall(n)
 			case *ast.DeferStmt:
 				if kind, desc, ok := pass.mustCheckIOCall(n.Call); ok && kind == "file" {
 					pass.Reportf(n.Call.Pos(),
 						"error from deferred %s dropped on a durability path: close explicitly and check, or //lint:ignore errdrop <reason>", desc)
+				}
+				// A deferred func literal's body is checked for bare calls:
+				// an explicit `_ =` there is a cleanup's written-down choice,
+				// typically on a path that is already failing.
+				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+					ast.Inspect(lit.Body, func(n ast.Node) bool {
+						es, ok := n.(*ast.ExprStmt)
+						return !ok || !pass.checkBareCall(es)
+					})
 				}
 				return false
 			case *ast.AssignStmt:
@@ -57,6 +62,20 @@ func runErrdrop(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// checkBareCall flags a call statement that drops a must-check error, and
+// reports whether the statement is a call (whose operands need no walk).
+func (p *Pass) checkBareCall(es *ast.ExprStmt) bool {
+	call, ok := es.X.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	if _, desc, ok := p.mustCheckIOCall(call); ok {
+		p.Reportf(call.Pos(),
+			"error from %s silently dropped: handle it, assign it, or //lint:ignore errdrop <reason>", desc)
+	}
+	return true
 }
 
 // checkBlankDiscard flags `_ = call` / `x, _ := call()` where the blank

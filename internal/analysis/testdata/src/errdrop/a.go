@@ -5,6 +5,7 @@ package errdrop
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"os"
 )
@@ -26,6 +27,16 @@ func blankWriteCount(f *os.File, b []byte) {
 
 func deferredFileClose(f *os.File) {
 	defer f.Close() // want `error from deferred \(os\.File\)\.Close dropped on a durability path`
+}
+
+// deferredClosureClose: a bare drop in a deferred func literal is as
+// silent as anywhere else.
+func deferredClosureClose(f *os.File, dir string) (err error) {
+	defer func() {
+		f.Close() // want `error from \(os\.File\)\.Close silently dropped`
+		err = errors.Join(err, os.RemoveAll(dir))
+	}()
+	return nil
 }
 
 func bareFlush(bw *bufio.Writer) {
@@ -88,6 +99,26 @@ func blankConnClose(nc net.Conn) {
 // deferredConnClose: deferred teardown of a connection is likewise fine.
 func deferredConnClose(nc net.Conn) {
 	defer nc.Close()
+}
+
+// deferredClosureJoined: the deferred func literal joins the close error
+// into the function's result.
+func deferredClosureJoined(f *os.File, dir string) (err error) {
+	defer func() {
+		err = errors.Join(err, f.Close(), os.RemoveAll(dir))
+	}()
+	return nil
+}
+
+// deferredClosureCleanup: an explicit discard in a deferred func literal,
+// on a path that already returns an error, is the cleanup's choice.
+func deferredClosureCleanup(f *os.File) (err error) {
+	defer func() {
+		if err != nil {
+			_ = f.Close()
+		}
+	}()
+	return os.ErrInvalid
 }
 
 // pureWrapper returns an error with no I/O under it: no obligation.

@@ -295,8 +295,7 @@ func (g *Gateway) Close() error {
 	return errors.Join(err, g.ops.Close())
 }
 
-// session is the routing state of one inbound agent connection: the
-// remembered hello (replayed to each shard on first contact), one lazy
+// session is the routing state of one inbound agent connection: one lazy
 // upstream connection per shard endpoint and the retry jitter. The cache is
 // keyed by endpoint address, not shard name, so a promotion that rewrites the
 // route table invalidates the cache naturally: the next forward resolves the
@@ -306,7 +305,6 @@ func (g *Gateway) Close() error {
 // a merge decodes their sketches into. It starts empty, so a session that
 // only reports allocates none of it.
 type session struct {
-	hello    *wire.Hello
 	upstream map[string]*wire.Conn
 	r        *rng.Rand
 
@@ -349,12 +347,9 @@ func (g *Gateway) serveConn(nc net.Conn) {
 func (g *Gateway) dispatch(sess *session, req wire.Envelope, out *wire.Replies) (reply wire.Envelope, fatal bool) {
 	switch req.Type {
 	case wire.TypeHello:
-		// Remember the hello; it is replayed to each shard the session
-		// first touches, so shards see the same registration they would on
-		// a direct connection. The ack is answered locally — agents must
-		// not block on any shard just to say hello.
-		h := *req.Hello
-		sess.hello = &h
+		// Answered here and sent nowhere: a shard registers a client from
+		// its zone reports, and agents must not block on any shard just to
+		// say hello.
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
 			ServerID: g.opts.Name,
 		}}, false
@@ -613,12 +608,12 @@ func mergeRecords(records []core.Record) {
 func answered(err error) bool { return errors.As(err, new(*wire.ReplyError)) }
 
 // forward sends one request to sh over the session's cached upstream
-// connection (dialing and replaying the hello if needed), bounded by the
-// request timeout and retried on a fresh connection with jittered backoff.
-// The reply has type want and a non-nil payload for it. Transport failures
-// feed the shard's circuit breaker; an open breaker fails fast until the
-// shard's control pass hears from it. A shard that answers with anything
-// else (see answered) is alive: the breaker counts a success and the answer
+// connection (dialing it if needed), bounded by the request timeout and
+// retried on a fresh connection with jittered backoff. The reply has type
+// want and a non-nil payload for it. Transport failures feed the shard's
+// circuit breaker; an open breaker fails fast until the shard's control
+// pass hears from it. A shard that answers with anything else (see
+// answered) is alive: the breaker counts a success and the answer
 // comes back as the error.
 func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	req.Via = g.vias[sh]
@@ -661,7 +656,7 @@ func (g *Gateway) forward(sess *session, sh *Shard, req wire.Envelope, want wire
 // promotion).
 func (g *Gateway) tryForward(sess *session, sh *Shard, req wire.Envelope, want wire.MsgType) (wire.Envelope, error) {
 	addr := sh.Addr()
-	up, err := g.upstream(sess, sh, addr)
+	up, err := g.upstream(sess, addr)
 	if err != nil {
 		return wire.Envelope{}, err
 	}
@@ -674,11 +669,9 @@ func (g *Gateway) tryForward(sess *session, sh *Shard, req wire.Envelope, want w
 	return reply, err
 }
 
-// upstream returns the session's connection to addr (sh's active endpoint
-// as resolved by the caller), dialing — and replaying the session hello, so
-// the shard registers the client exactly as a direct connection would — on
-// first use.
-func (g *Gateway) upstream(sess *session, sh *Shard, addr string) (*wire.Conn, error) {
+// upstream returns the session's connection to addr (a shard's active
+// endpoint as resolved by the caller), dialing it on first use.
+func (g *Gateway) upstream(sess *session, addr string) (*wire.Conn, error) {
 	if c, ok := sess.upstream[addr]; ok {
 		return c, nil
 	}
@@ -687,18 +680,6 @@ func (g *Gateway) upstream(sess *session, sh *Shard, addr string) (*wire.Conn, e
 		return nil, fmt.Errorf("dial: %w", err)
 	}
 	c := wire.NewConn(nc).Instrument(g.met.serve.Codec)
-	if sess.hello != nil {
-		_ = c.SetDeadline(time.Now().Add(g.opts.RequestTimeout))
-		_, err := c.Call(wire.Envelope{
-			Type:  wire.TypeHello,
-			Via:   g.vias[sh],
-			Hello: sess.hello,
-		}, wire.TypeHelloAck)
-		if err != nil {
-			_ = c.Close()
-			return nil, fmt.Errorf("hello replay: %w", err)
-		}
-	}
 	sess.upstream[addr] = c
 	return c, nil
 }

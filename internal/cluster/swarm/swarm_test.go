@@ -65,6 +65,48 @@ func TestSwarmAgainstCoordinator(t *testing.T) {
 	}
 }
 
+// TestSwarmChaosOutlivesLoad: the chaos hook suspends the coordinator
+// early in the run and would resume it an hour later, long after the last
+// round. When the load ends the hook's goroutine is still waiting; Run must
+// end it and wait for it before reading what it recorded, so under the race
+// detector its write of KillAt is ordered before Run's read.
+func TestSwarmChaosOutlivesLoad(t *testing.T) {
+	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
+	srv, err := coordinator.Serve(ctrl, "127.0.0.1:0", coordinator.Options{
+		Networks:     []radio.NetworkID{radio.NetB},
+		Metrics:      []trace.Metric{trace.MetricUDPKbps},
+		TaskInterval: time.Minute,
+		Seed:         77,
+		OpsAddr:      "127.0.0.1:0",
+		EnableAdmin:  true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const restartAfter = time.Hour
+	res, err := Run(srv.Addr(), Options{
+		Agents:         4,
+		Rounds:         40,
+		RoundDelay:     10 * time.Millisecond,
+		Seed:           77,
+		RequestTimeout: 2 * time.Second,
+		KillTarget:     "http://" + srv.OpsAddr(),
+		KillAfter:      50 * time.Millisecond,
+		RestartAfter:   restartAfter,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.KillAt == 0 || res.ResumeAt != 0 {
+		t.Fatalf("killed at +%v, resumed at +%v: want a kill and no resume", res.KillAt, res.ResumeAt)
+	}
+	if res.Elapsed >= restartAfter || res.AgentsCompleted == res.Agents {
+		t.Fatalf("run took %v with %d/%d agents completing: the kill must end the load first", res.Elapsed, res.AgentsCompleted, res.Agents)
+	}
+}
+
 func TestSwarmRequiresAddress(t *testing.T) {
 	if _, err := Run("", Options{}); err == nil {
 		t.Fatal("empty address must error")

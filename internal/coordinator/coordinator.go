@@ -143,15 +143,14 @@ func (o *Options) fill() {
 	}
 }
 
-// clientState is the registry entry for one client the server has heard
-// from within the activity horizon.
+// clientState is the registry entry for one client that has sent a zone
+// report within the activity horizon.
 type clientState struct {
 	id       string
-	lastZone geo.ZoneID // with hasZone: the zone whose member list holds it
+	lastZone geo.ZoneID // the zone whose member list holds it
 	lastSeen time.Time  // At of its last zone report
-	hasZone  bool
 
-	// heard is Server.newest as of the client's last hello or zone report:
+	// heard is Server.newest as of the client's last zone report:
 	// a record ages on the server's clock, not the client's, so Server.byHeard
 	// stays ordered however skewed a reported At is. prev and next are its
 	// neighbours there.
@@ -183,13 +182,15 @@ type Server struct {
 	// zones lists, per zone, the clients whose last report came from it, so
 	// a zone report counts its own zone's members and no one else's.
 	// byHeard is the sentinel of a ring through every record, least recently
-	// heard from first, and newest is the latest report time seen, held to
-	// at most a horizon past wallClock: records the horizon behind it are
-	// forgotten from the front (expireLocked), wherever they were last.
-	// Forgotten records and emptied member slices wait in spareStates and
-	// spareMembers for the next client or zone that needs one.
+	// heard from first. latest is the latest report time seen and newest
+	// the registry clock: latest held to at most a horizon past wallClock.
+	// Records the horizon behind newest are forgotten from the front
+	// (expireLocked), wherever they were last. Forgotten records and emptied
+	// member slices wait in spareStates and spareMembers for the next client
+	// or zone that needs one.
 	zones        map[geo.ZoneID][]*clientState
 	byHeard      clientState
+	latest       time.Time
 	newest       time.Time
 	wallClock    func() time.Time
 	spareStates  []*clientState
@@ -421,8 +422,8 @@ func (s *Server) captureSnapshot() (core.Snapshot, uint64) {
 	return snap, lsn
 }
 
-// ClientCount returns the number of clients heard from (hello or zone
-// report) within three task intervals of the newest zone report.
+// ClientCount returns the number of clients with a zone report within three
+// task intervals of the newest one. A hello registers no one.
 func (s *Server) ClientCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -440,12 +441,9 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 	}
 	switch req.Type {
 	case wire.TypeHello:
-		s.mu.Lock()
-		// A hello starts the client over: it is in no zone until it reports.
-		st := s.heardFromLocked(req.Hello.ClientID)
-		s.leaveZoneLocked(st)
-		s.mu.Unlock()
-		s.opts.Logf("coordinator: client %s (%s) registered", req.Hello.ClientID, req.Hello.DeviceClass)
+		// A hello carries no location, so it leaves the registry alone: a
+		// client enters it, in its zone, with its first zone report.
+		s.opts.Logf("coordinator: client %s (%s) said hello", req.Hello.ClientID, req.Hello.DeviceClass)
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
 			ServerID: s.opts.ServerID,
 		}}, false
@@ -549,18 +547,24 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 	}
 }
 
-// heardFromLocked returns id's record, taking a spare one or making one if
-// the server has none, and moves it to the young end of the expiry order.
-func (s *Server) heardFromLocked(id string) *clientState {
+// heardFromLocked returns id's record, filed under zone, taking a spare one
+// or making one if the server has none, and moves it to the young end of the
+// expiry order.
+func (s *Server) heardFromLocked(id string, zone geo.ZoneID) *clientState {
 	st := s.clients[id]
 	if st != nil {
 		st.unlink()
+		if st.lastZone != zone {
+			s.leaveZoneLocked(st)
+			s.joinZoneLocked(st, zone)
+		}
 	} else {
 		if st = takeSpare(&s.spareStates); st == nil {
 			st = new(clientState)
 		}
 		st.id = id
 		s.clients[id] = st
+		s.joinZoneLocked(st, zone)
 	}
 	st.prev, st.next = s.byHeard.prev, &s.byHeard
 	st.prev.next, s.byHeard.prev = st, st
@@ -576,7 +580,7 @@ func (st *clientState) unlink() {
 // joinZoneLocked appends st to zone's member list, starting the list on a
 // spare slice if the zone has none.
 func (s *Server) joinZoneLocked(st *clientState, zone geo.ZoneID) {
-	st.lastZone, st.hasZone = zone, true
+	st.lastZone = zone
 	members, ok := s.zones[zone]
 	if !ok {
 		members = takeSpare(&s.spareMembers)
@@ -601,13 +605,9 @@ func keepSpare[T *clientState | []*clientState](spares *[]T, v T) {
 	}
 }
 
-// leaveZoneLocked takes st out of its zone's member list, if it is in one.
-// A list it empties is kept as a spare.
+// leaveZoneLocked takes st out of its zone's member list. A list it empties
+// is kept as a spare.
 func (s *Server) leaveZoneLocked(st *clientState) {
-	if !st.hasZone {
-		return
-	}
-	st.hasZone = false
 	members := s.zones[st.lastZone]
 	last := len(members) - 1
 	members[slices.Index(members, st)] = members[last]
@@ -651,28 +651,28 @@ func (s *Server) assignTasks(dst []wire.Task, zr *wire.ZoneReport) []wire.Task {
 
 // noteReport records that the client reported from zone at zr.At and
 // returns the number of clients active in that zone (seen there within the
-// horizon of this report), the reporter included. It costs the zone's
-// population plus the records it expires, not the server's.
+// horizon of this report), the reporter included. It is the one place a
+// client enters the registry. It costs the zone's population plus the
+// records it expires, not the server's.
 func (s *Server) noteReport(zr *wire.ZoneReport, zone geo.ZoneID) (active int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	horizon := s.activeHorizon()
-	if zr.At.After(s.newest) {
-		// A client clock far ahead is served, but it moves the registry
-		// clock no further than a horizon past the server's: stamped in year
-		// 9000, it would otherwise keep every later record from expiring.
-		s.newest = zr.At
-		if limit := s.wallClock().Add(horizon); s.newest.After(limit) {
-			s.newest = limit
-		}
+	if zr.At.After(s.latest) {
+		s.latest = zr.At
 	}
-	// Zone reports from clients whose hello we lost (reconnects) or whose
-	// record has expired register them implicitly.
-	st := s.heardFromLocked(zr.ClientID)
-	if !st.hasZone || st.lastZone != zone {
-		s.leaveZoneLocked(st)
-		s.joinZoneLocked(st, zone)
+	// A client clock far ahead is served, but it moves the registry clock no
+	// further than a horizon past the server's: stamped in year 9000, it
+	// would otherwise keep every later record from expiring. Held there, the
+	// registry clock follows the server's.
+	next := s.latest
+	if limit := s.wallClock().Add(horizon); next.After(limit) {
+		next = limit
 	}
+	if next.After(s.newest) {
+		s.newest = next
+	}
+	st := s.heardFromLocked(zr.ClientID, zone)
 	st.lastSeen = zr.At
 	s.expireLocked()
 	for _, m := range s.zones[zone] {

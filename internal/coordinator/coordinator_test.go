@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,10 @@ func newServer(t *testing.T, opts Options) *Server {
 	return s
 }
 
-func TestHelloRegistersClient(t *testing.T) {
+// TestHelloRegistersNothing: a hello is answered but carries no location,
+// so it leaves the registry alone; the client's first zone report registers
+// it, in the zone of its fix, and a second hello takes it out of nothing.
+func TestHelloRegistersNothing(t *testing.T) {
 	s := newServer(t, Options{Seed: seed})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -43,15 +47,33 @@ func TestHelloRegistersClient(t *testing.T) {
 	}
 	c := wire.NewConn(nc)
 	defer c.Close()
-	reply, err := c.Request(wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: "x", DeviceClass: "laptop"}})
+	hello := wire.Envelope{Type: wire.TypeHello, Hello: &wire.Hello{ClientID: "x", DeviceClass: "laptop"}}
+	reply, err := c.Request(hello)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Type != wire.TypeHelloAck || reply.HelloAck.ServerID != "wiscape-coordinator" {
 		t.Fatalf("reply %+v", reply)
 	}
-	if s.ClientCount() != 1 {
-		t.Fatalf("client count %d", s.ClientCount())
+	if n := s.ClientCount(); n != 0 {
+		t.Fatalf("a hello registered %d clients, want none", n)
+	}
+
+	loc := geo.Madison().Center()
+	zone := s.Controller().ZoneOf(loc)
+	if reply, err = c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
+		ClientID: "x", Zone: zone, Loc: loc, At: start,
+	}}); err != nil || reply.Type != wire.TypeTaskList {
+		t.Fatalf("zone report: %+v, %v", reply, err)
+	}
+	if _, err := c.Request(hello); err != nil {
+		t.Fatal(err)
+	}
+	checkActiveSet(t, s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.clients["x"]; len(s.clients) != 1 || st == nil || st.lastZone != zone || !slices.Contains(s.zones[zone], st) {
+		t.Fatalf("after a zone report from %v and a hello: %d records, x's %+v, zone lists %v", zone, len(s.clients), st, s.zones)
 	}
 }
 

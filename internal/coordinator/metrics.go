@@ -31,7 +31,7 @@ type coordMetrics struct {
 // same way, so there is no update site to forget.
 func newCoordMetrics(reg *telemetry.Registry, clientCount func() int, ctrl func() *core.Controller) coordMetrics {
 	reg.GaugeFunc("wiscape_coordinator_active_clients",
-		"Clients heard from (hello or zone report) within three task intervals of the newest zone report. Versions that never forgot a client reported every client ever registered here.",
+		"Clients with a zone report within three task intervals of the newest zone report; a hello counts no one. Versions that never forgot a client reported every client ever registered here.",
 		func() float64 { return float64(clientCount()) })
 	reg.GaugeFunc("wiscape_coordinator_alerts_dropped_total",
 		"Alerts overwritten unread because the controller's alert ring was full.",

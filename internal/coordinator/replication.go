@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replication"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -277,7 +278,7 @@ func (s *Server) Resume() error {
 //
 //	POST /api/v1/admin/suspend   sever all traffic, keep the process
 //	POST /api/v1/admin/resume    come back on the same addresses
-func (s *Server) installAdminEndpoints(ops opsHandler) {
+func (s *Server) installAdminEndpoints(ops *telemetry.OpsServer) {
 	ops.HandleFunc("POST /api/v1/admin/suspend", func(w http.ResponseWriter, r *http.Request) {
 		s.Suspend()
 		writeJSON(w, http.StatusOK, map[string]string{"state": "suspended"})
@@ -289,9 +290,4 @@ func (s *Server) installAdminEndpoints(ops opsHandler) {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"state": "running"})
 	})
-}
-
-// opsHandler is the slice of telemetry.OpsServer the admin surface needs.
-type opsHandler interface {
-	HandleFunc(pattern string, handler func(http.ResponseWriter, *http.Request))
 }

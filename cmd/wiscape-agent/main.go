@@ -23,7 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"time"
 
@@ -49,21 +49,19 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "agent ops HTTP plane address (/metrics, /healthz, pprof); empty disables")
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "agent: ", log.LstdFlags)
-
 	var met *agent.Metrics
 	if *opsAddr != "" {
 		reg := telemetry.NewRegistry()
 		met = agent.NewMetrics(reg)
 		ops, err := telemetry.NewOpsServer(*opsAddr, telemetry.OpsOptions{
 			Registry: reg,
-			Logf:     logger.Printf,
 		})
 		if err != nil {
-			logger.Fatalf("ops plane: %v", err)
+			slog.Error("agent: ops plane failed", "err", err)
+			os.Exit(1)
 		}
 		defer ops.Close()
-		logger.Printf("ops plane at http://%s", ops.Addr())
+		slog.Info("agent: ops plane", "url", "http://"+ops.Addr())
 	}
 
 	var track mobility.Track
@@ -77,7 +75,8 @@ func main() {
 	case "static":
 		track = mobility.Static{P: geo.MadisonStaticSites()[0]}
 	default:
-		logger.Fatalf("unknown track %q", *trackKind)
+		slog.Error("agent: unknown track", "track", *trackKind)
+		os.Exit(1)
 	}
 
 	env := radio.NewEnvironment(radio.AllNetworks, radio.RegionWI, *seed, geo.Madison().Center())
@@ -93,10 +92,11 @@ func main() {
 
 	start := radio.Epoch.Add(14 * 24 * time.Hour)
 	dur := time.Duration(*days * 24 * float64(time.Hour))
-	logger.Printf("running %s over %v of simulated time against %s", *trackKind, dur, *addr)
+	slog.Info("agent: running", "track", *trackKind, "simulated", dur, "addr", *addr)
 	st, err := a.RunResilient(*addr, start, dur, *interval, maxRetries)
 	if err != nil {
-		logger.Fatalf("run: %v", err)
+		slog.Error("agent: run failed", "err", err)
+		os.Exit(1)
 	}
 	fmt.Printf("agent %s: %d rounds, %d tasks executed, %d samples sent, %d inactive rounds\n",
 		*id, st.Rounds, st.TasksExecuted, st.SamplesSent, st.Skipped)

@@ -27,10 +27,12 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
 	"repro/internal/coordinator"
@@ -58,11 +60,10 @@ func main() {
 	admin := flag.Bool("admin", false, "expose chaos admin endpoints (POST /api/v1/admin/{suspend,resume}) on the ops plane")
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "coordinator: ", log.LstdFlags)
-
 	fsync, err := store.ParseFsyncPolicy(*fsyncMode)
 	if err != nil {
-		logger.Fatalf("-fsync: %v", err)
+		slog.Error("coordinator: bad -fsync", "err", err)
+		os.Exit(1)
 	}
 
 	cfg := core.DefaultConfig()
@@ -82,31 +83,29 @@ func main() {
 		SyncReplication:    *syncRepl,
 		SyncTimeout:        *syncTimeout,
 		EnableAdmin:        *admin,
-		Logf:               logger.Printf,
 	})
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		slog.Error("coordinator: start failed", "err", err)
+		os.Exit(1)
 	}
 	// A recovered checkpoint's controller replaces the one built here, and
 	// its zone radius is the one in force.
 	radius := srv.Controller().Config().ZoneRadiusM
-	logger.Printf("listening on %s (zone radius %.0f m)", srv.Addr(), radius)
+	slog.Info("coordinator: listening", "addr", srv.Addr(), "zone_radius_m", radius)
 	if radius != *zoneRadius {
-		logger.Printf("zone radius %.0f m is the checkpoint's; -zone-radius %.0f is ignored", radius, *zoneRadius)
+		slog.Info("coordinator: the checkpoint's zone radius is in force; -zone-radius is ignored", "zone_radius_m", radius, "flag", *zoneRadius)
 	}
 	if *dataDir != "" {
-		logger.Printf("durable store at %s (checkpoint every %s, fsync %s)", *dataDir, *ckptInterval, fsync)
+		slog.Info("coordinator: durable store", "path", *dataDir, "checkpoint_every", *ckptInterval, "fsync", fsync)
 	}
 	if *opsAddr != "" {
-		logger.Printf("ops plane at http://%s (/metrics, /healthz, /readyz, /debug/pprof/, /api/v1/zones)", srv.OpsAddr())
-	}
-	if ra := srv.ReplicationAddr(); ra != "" {
-		logger.Printf("replication listener at %s (role %s)", ra, srv.Role())
+		slog.Info("coordinator: ops plane (/metrics, /healthz, /readyz, /debug/pprof/, /api/v1/zones)", "url", "http://"+srv.OpsAddr())
 	}
 
-	// Drain alerts periodically until interrupted.
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	// Drain alerts periodically until SIGINT or SIGTERM (what systemd,
+	// docker and k8s send); either closes the server, which flushes the WAL.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ticker := time.NewTicker(2 * time.Second)
 	defer ticker.Stop()
 	for {
@@ -115,14 +114,13 @@ func main() {
 			// Ask for the controller every tick: recovery replaces it at
 			// start, and a replica swaps it on every snapshot bootstrap.
 			for _, a := range srv.Controller().Alerts() {
-				logger.Printf("ALERT zone %s %s %s: %.1f -> %.1f (%.1f sigma) at %s",
-					a.Key.Zone, a.Key.Net, a.Key.Metric,
-					a.Previous.MeanValue, a.Current.MeanValue, a.SigmasMoved(), a.At.Format(time.RFC3339))
+				slog.Warn("coordinator: ALERT", "zone", a.Key.Zone, "net", a.Key.Net, "metric", a.Key.Metric,
+					"from", a.Previous.MeanValue, "to", a.Current.MeanValue, "sigmas", a.SigmasMoved(), "at", a.At.Format(time.RFC3339))
 			}
-		case <-stop:
-			logger.Printf("shutting down")
+		case <-ctx.Done():
+			slog.Info("coordinator: shutting down")
 			if err := srv.Close(); err != nil {
-				logger.Printf("close: %v", err)
+				slog.Warn("coordinator: close failed", "err", err)
 			}
 			return
 		}

@@ -37,12 +37,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -96,10 +98,10 @@ func main() {
 	})
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "gateway: ", log.LstdFlags)
 	reg, err := cluster.NewRegistry(shardCfgs)
 	if err != nil {
-		logger.Fatalf("%v (declare shards with -shard)", err)
+		slog.Error("gateway: no shard registry (declare shards with -shard)", "err", err)
+		os.Exit(1)
 	}
 
 	g, err := cluster.ServeGateway(reg, *addr, cluster.GatewayOptions{
@@ -111,26 +113,25 @@ func main() {
 		RecheckInterval:  *recheck,
 		Seed:             *seed,
 		OpsAddr:          *opsAddr,
-		Logf:             logger.Printf,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		slog.Error("gateway: start failed", "err", err)
+		os.Exit(1)
 	}
 	for _, s := range reg.Shards() {
-		extra := ""
-		if n := len(s.Endpoints()) - 1; n > 0 {
-			extra = fmt.Sprintf(" (+%d replicas)", n)
-		}
-		logger.Printf("shard %s -> %s%s box [%.2f,%.2f]..[%.2f,%.2f]",
-			s.Name(), s.Addr(), extra, s.Box().MinLat, s.Box().MinLon, s.Box().MaxLat, s.Box().MaxLon)
+		b := s.Box()
+		slog.Info("gateway: shard", "shard", s.Name(), "addr", s.Addr(), "replicas", len(s.Endpoints())-1,
+			"box", fmt.Sprintf("[%.2f,%.2f]..[%.2f,%.2f]", b.MinLat, b.MinLon, b.MaxLat, b.MaxLon))
 	}
-	logger.Printf("routing for %d shards on %s", len(reg.Shards()), g.Addr())
+	slog.Info("gateway: routing", "shards", len(reg.Shards()), "addr", g.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	logger.Printf("shutting down")
+	// SIGINT or SIGTERM (what systemd, docker and k8s send) closes the
+	// gateway the same way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	<-ctx.Done()
+	slog.Info("gateway: shutting down")
 	if err := g.Close(); err != nil {
-		logger.Printf("close: %v", err)
+		slog.Warn("gateway: close failed", "err", err)
 	}
 }

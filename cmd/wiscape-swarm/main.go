@@ -36,7 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"os"
 	"time"
 
@@ -67,8 +67,7 @@ func main() {
 	})
 	flag.Parse()
 
-	logger := log.New(os.Stderr, "swarm: ", log.LstdFlags)
-	logger.Printf("driving %d agents x %d rounds at %s", *agents, *rounds, *addr)
+	slog.Info("swarm: driving", "agents", *agents, "rounds", *rounds, "addr", *addr)
 	res, err := swarm.Run(*addr, swarm.Options{
 		Agents:          *agents,
 		Rounds:          *rounds,
@@ -80,10 +79,10 @@ func main() {
 		KillTarget:      *killShard,
 		KillAfter:       *killAfter,
 		RestartAfter:    *restartAfter,
-		Logf:            func(format string, args ...any) { logger.Printf(format, args...) },
 	})
 	if err != nil {
-		logger.Fatal(err)
+		slog.Error("swarm: run failed", "err", err)
+		os.Exit(1)
 	}
 	fmt.Println(res)
 	if res.AgentsCompleted == 0 {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"slices"
 	"time"
@@ -82,7 +83,7 @@ func (g *Gateway) control(c *control) {
 			return
 		}
 		if err != nil {
-			g.opts.Logf("gateway: shard %s: %v", c.sh.Name(), err)
+			slog.Warn("gateway: shard reconcile failed", "shard", c.sh.Name(), "err", err)
 		}
 		g.met.shard(c.sh.Name()).setHealth(c.sh.Healthy())
 	}
@@ -177,8 +178,8 @@ func (g *Gateway) reconcile(sh *Shard, kicked bool, target string) error {
 		active, replAddr = target, ack.ReplAddr
 		sh.setActive(active, epoch)
 		g.met.shard(sh.Name()).markPromotion(epoch)
-		g.opts.Logf("gateway: shard %s: promoted %s (%s) to primary at epoch %d, LSN %d",
-			sh.Name(), ack.ServerID, active, epoch, ack.LastLSN)
+		slog.Info("gateway: promoted replica to primary", "shard", sh.Name(), "server", ack.ServerID,
+			"addr", active, "epoch", epoch, "lsn", ack.LastLSN)
 	}
 	g.demoteStale(sh, replies, active, epoch, replAddr)
 	return nil
@@ -203,12 +204,12 @@ func (g *Gateway) demoteStale(sh *Shard, replies map[string]*wire.StatusReply, a
 			PrimaryReplAddr: primaryReplAddr,
 		}}, wire.TypeDemoteAck)
 		if err != nil {
-			g.opts.Logf("gateway: shard %s: demoting stale primary %s failed: %v", sh.Name(), ep, err)
+			slog.Warn("gateway: demoting stale primary failed", "shard", sh.Name(), "addr", ep, "err", err)
 			continue
 		}
 		g.met.shard(sh.Name()).demotions.Inc()
-		g.opts.Logf("gateway: shard %s: demoted stale primary %s (resync from %s at epoch %d)",
-			sh.Name(), ep, primaryReplAddr, epoch)
+		slog.Info("gateway: demoted stale primary", "shard", sh.Name(), "addr", ep,
+			"resync_from", primaryReplAddr, "epoch", epoch)
 	}
 }
 

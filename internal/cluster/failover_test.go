@@ -157,7 +157,6 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 		Telemetry:        reg,
 		OpsAddr:          "127.0.0.1:0",
 		Seed:             seed,
-		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +312,6 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 		FailureThreshold: 1,
 		RecheckInterval:  50 * time.Millisecond,
 		Seed:             seed,
-		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +327,6 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 		RequestTimeout:  2 * time.Second,
 		KillTarget:      "http://" + primary.OpsAddr(),
 		KillAfter:       300 * time.Millisecond,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -576,7 +573,6 @@ func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
 	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
 		RecheckInterval: time.Hour, // first tick an hour away: the test drives the pass
 		Seed:            seed,
-		Logf:            t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -660,7 +656,6 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 		RecheckInterval:  50 * time.Millisecond,
 		OpsAddr:          "127.0.0.1:0",
 		Seed:             seed,
-		Logf:             t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"slices"
@@ -59,9 +60,6 @@ type GatewayOptions struct {
 	// OpsAddr, when non-empty, serves the ops HTTP plane (/metrics,
 	// /healthz, /readyz reflecting shard quorum, pprof, /api/v1/shards).
 	OpsAddr string
-
-	// Logf receives diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 // retryAttempts is how many times one upstream request is retried on a
@@ -90,9 +88,6 @@ func (o *GatewayOptions) fill() {
 	}
 	if o.Telemetry == nil && o.OpsAddr != "" {
 		o.Telemetry = telemetry.NewRegistry()
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -139,7 +134,6 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		ops, err := telemetry.NewOpsServer(opts.OpsAddr, telemetry.OpsOptions{
 			Registry: opts.Telemetry,
 			Status:   g.readyStatus,
-			Logf:     opts.Logf,
 		})
 		if err != nil {
 			_ = g.Close()
@@ -148,7 +142,7 @@ func ServeGateway(reg *Registry, addr string, opts GatewayOptions) (*Gateway, er
 		g.ops = ops
 		ops.HandleFunc("GET /api/v1/shards", g.serveShards)
 		ops.HandleFunc("POST /api/v1/shards/{shard}/promote", g.servePromote)
-		opts.Logf("gateway: ops plane listening on %s", ops.Addr())
+		slog.Info("gateway: ops plane listening", "addr", ops.Addr())
 	}
 	for _, s := range reg.Shards() {
 		g.wg.Add(1)
@@ -526,8 +520,8 @@ func (g *Gateway) fanoutEstimate(sess *session, req wire.Envelope, out *wire.Rep
 			g.met.estimateMerges.Inc()
 		} else {
 			g.met.mergeFallbacks.Inc()
-			g.opts.Logf("gateway: estimate %s/%s/%s: %d shards found it but not every reply carries a decodable sketch; serving the first (is a shard older than with_sketch?)",
-				q.Zone, q.Network, q.Metric, len(found))
+			slog.Warn("gateway: estimate found on several shards but not every reply carries a decodable sketch; serving the first (is a shard older than with_sketch?)",
+				"zone", q.Zone, "net", q.Network, "metric", q.Metric, "shards", len(found))
 			reply = found[0]
 		}
 	}

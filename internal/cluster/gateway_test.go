@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,6 +70,42 @@ func restartShard(t *testing.T, box geo.BoundingBox, addr string) *telemetry.Reg
 	}
 	t.Fatalf("restart shard on %s: %v", addr, err)
 	return nil
+}
+
+// logSink keeps the text records of the process default logger. Servers log
+// from their own goroutines, so it is race-safe.
+type logSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+// lines returns the records written so far, one per line.
+func (s *logSink) lines() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lines := strings.Split(s.buf.String(), "\n")
+	return lines[:len(lines)-1]
+}
+
+// captureLogs sends the default logger's Info and higher records to the
+// returned sink until the test ends. slog.SetDefault also reroutes the log
+// package, so that is restored too.
+func captureLogs(t *testing.T) *logSink {
+	sink := &logSink{}
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(sink, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	return sink
 }
 
 // crossTrack parks the client at a until mid, then teleports it to b —

@@ -47,13 +47,13 @@ func askEstimate(t *testing.T, addr string, key core.Key, withSketch bool) *wire
 
 // startGateway fronts the given shards with a gateway that has no recheck
 // loop and reports into tel.
-func startGateway(t *testing.T, tel *telemetry.Registry, logf func(string, ...any), cfgs ...ShardConfig) *Gateway {
+func startGateway(t *testing.T, tel *telemetry.Registry, cfgs ...ShardConfig) *Gateway {
 	t.Helper()
 	reg, err := NewRegistry(cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour, Telemetry: tel, Logf: logf})
+	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestGatewaySketchOnlyOnRequest(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			tel := telemetry.NewRegistry()
-			gw := startGateway(t, tel, nil, cfgs...)
+			gw := startGateway(t, tel, cfgs...)
 			plain := askEstimate(t, gw.Addr(), key, false)
 			asked := askEstimate(t, gw.Addr(), key, true)
 			if !plain.Found || !asked.Found {
@@ -287,14 +287,14 @@ func TestGatewayAsksShardsForSketchOnlyToMerge(t *testing.T) {
 	cfgB := ShardConfig{Name: "b", Addr: bAddr, Box: geo.NewBrunswickArea()}
 	key := core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}
 
-	single := startGateway(t, nil, nil, cfgA)
+	single := startGateway(t, nil, cfgA)
 	askEstimate(t, single.Addr(), key, false)
 	askEstimate(t, single.Addr(), key, true)
 	if got := a.drain(); !reflect.DeepEqual(got, []bool{false, true}) {
 		t.Errorf("lone shard saw with_sketch %v, want [false true]: nothing to merge, so only the client's wish counts", got)
 	}
 
-	pair := startGateway(t, nil, nil, cfgA, cfgB)
+	pair := startGateway(t, nil, cfgA, cfgB)
 	askEstimate(t, pair.Addr(), key, false)
 	askEstimate(t, pair.Addr(), key, true)
 	for name, es := range map[string]*estimateShard{"a": a, "b": b} {
@@ -323,13 +323,8 @@ func TestGatewayCountsMergeFallback(t *testing.T) {
 				return &wire.EstimateReply{Found: true, Record: core.Record{MeanValue: 222, Samples: 10}, Sketch: bad}
 			})
 			tel := telemetry.NewRegistry()
-			var mu sync.Mutex
-			var logged []string
-			gw := startGateway(t, tel, func(format string, _ ...any) {
-				mu.Lock()
-				logged = append(logged, format)
-				mu.Unlock()
-			},
+			logs := captureLogs(t)
+			gw := startGateway(t, tel,
 				ShardConfig{Name: "first", Addr: firstAddr, Box: geo.Madison()},
 				ShardConfig{Name: "second", Addr: secondAddr, Box: geo.NewBrunswickArea()})
 			est := askEstimate(t, gw.Addr(), core.Key{Net: radio.NetB, Metric: trace.MetricUDPKbps}, false)
@@ -345,16 +340,14 @@ func TestGatewayCountsMergeFallback(t *testing.T) {
 			if got := tel.Counter("wiscape_gateway_estimate_merges_total", "").With().Value(); got != 0 {
 				t.Errorf("merge counter %v on a fallback, want 0", got)
 			}
-			mu.Lock()
-			defer mu.Unlock()
 			n := 0
-			for _, line := range logged {
-				if strings.Contains(line, "decodable sketch") {
+			for _, line := range logs.lines() {
+				if strings.Contains(line, "level=WARN") && strings.Contains(line, "decodable sketch") {
 					n++
 				}
 			}
 			if n != 1 {
-				t.Errorf("%d fallback log lines in %q, want 1", n, logged)
+				t.Errorf("%d fallback Warn records in %q, want 1", n, logs.lines())
 			}
 		})
 	}
@@ -400,7 +393,7 @@ func TestGatewayZoneListKeepsRegistrationOrder(t *testing.T) {
 		"b only": {[]ShardConfig{b}, []core.Record{rec(-2, 2), rec(1, 2), rec(3, 2), rec(4, 2)}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			gw := startGateway(t, nil, nil, tc.shards...)
+			gw := startGateway(t, nil, tc.shards...)
 			got, err := agent.QueryZoneList(gw.Addr(), radio.NetB, trace.MetricUDPKbps)
 			if err != nil || !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("zone list through %s: err %v\n got  %+v\n want %+v", name, err, got, tc.want)

@@ -50,16 +50,20 @@ func call(t *testing.T, c *wire.Conn, req wire.Envelope, want wire.MsgType) wire
 
 // TestGatewayHelloReachesNoShard: a session through a two-shard gateway
 // says hello, reports its zone and samples in Madison and asks for an
-// estimate, which the gateway asks both shards. Only Madison, which had the
-// zone report, holds a record of the client; New Jersey, which only answered
-// a query, holds none, and neither shard ever sees the hello.
+// estimate and a zone list, which the gateway asks both shards. Only
+// Madison, which had the zone report, holds a record of the client; New
+// Jersey, which only answered queries, holds none, and neither shard ever
+// sees the hello. The healthy session logs nothing at Info or above on the
+// gateway or either shard: a per-request line would flood an operator's log
+// at many-agent scale.
 func TestGatewayHelloReachesNoShard(t *testing.T) {
 	madison, madReg := startCountedShard(t, geo.Madison())
 	nj, njReg := startCountedShard(t, geo.NewBrunswickArea())
-	gw := startGateway(t, nil, t.Logf,
+	gw := startGateway(t, nil,
 		ShardConfig{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()},
 		ShardConfig{Name: "new-jersey", Addr: nj.Addr(), Box: geo.NewBrunswickArea()})
 
+	logs := captureLogs(t)
 	c := dialConn(t, gw.Addr())
 	loc := geo.Madison().Center()
 	zone := madison.Controller().ZoneOf(loc)
@@ -73,6 +77,12 @@ func TestGatewayHelloReachesNoShard(t *testing.T) {
 	call(t, c, wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
 		Zone: zone, Network: radio.NetB, Metric: trace.MetricUDPKbps,
 	}}, wire.TypeEstimateReply)
+	call(t, c, wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
+		Network: radio.NetB, Metric: trace.MetricUDPKbps,
+	}}, wire.TypeZoneListReply)
+	if lines := logs.lines(); len(lines) != 0 {
+		t.Fatalf("a healthy session logged %d records, want none: %q", len(lines), lines)
+	}
 
 	if n := requestsOf(njReg, wire.TypeEstimateRequest); n != 1 {
 		t.Fatalf("New Jersey answered %v estimate requests, want the fan-out's one", n)
@@ -95,7 +105,7 @@ func TestGatewayHelloReachesNoShard(t *testing.T) {
 func TestGatewayRegistersAsDirect(t *testing.T) {
 	direct, _ := startCountedShard(t, geo.Madison())
 	shard, _ := startCountedShard(t, geo.Madison())
-	gw := startGateway(t, nil, t.Logf, ShardConfig{Name: "madison", Addr: shard.Addr(), Box: geo.Madison()})
+	gw := startGateway(t, nil, ShardConfig{Name: "madison", Addr: shard.Addr(), Box: geo.Madison()})
 
 	conns := []*wire.Conn{dialConn(t, direct.Addr()), dialConn(t, gw.Addr())}
 	sites := geo.MadisonStaticSites()

@@ -12,6 +12,7 @@ package swarm
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"sort"
@@ -76,9 +77,6 @@ type Options struct {
 	KillTarget   string
 	KillAfter    time.Duration
 	RestartAfter time.Duration
-
-	// Logf receives chaos-hook diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) fill() {
@@ -96,9 +94,6 @@ func (o *Options) fill() {
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 10 * time.Second
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -202,11 +197,11 @@ func Run(addr string, opts Options) (Result, error) {
 				return
 			}
 			if err := chaosPost(opts.KillTarget + "/api/v1/admin/suspend"); err != nil {
-				opts.Logf("swarm: chaos suspend: %v", err)
+				slog.Warn("swarm: chaos suspend failed", "target", opts.KillTarget, "err", err)
 				return
 			}
 			killAt = time.Since(t0)
-			opts.Logf("swarm: chaos: suspended %s at +%v", opts.KillTarget, killAt.Round(time.Millisecond))
+			slog.Info("swarm: chaos: suspended", "target", opts.KillTarget, "at", killAt.Round(time.Millisecond))
 			if opts.RestartAfter <= 0 {
 				return
 			}
@@ -214,11 +209,11 @@ func Run(addr string, opts Options) (Result, error) {
 				return
 			}
 			if err := chaosPost(opts.KillTarget + "/api/v1/admin/resume"); err != nil {
-				opts.Logf("swarm: chaos resume: %v", err)
+				slog.Warn("swarm: chaos resume failed", "target", opts.KillTarget, "err", err)
 				return
 			}
 			resumeAt = time.Since(t0)
-			opts.Logf("swarm: chaos: resumed %s at +%v", opts.KillTarget, resumeAt.Round(time.Millisecond))
+			slog.Info("swarm: chaos: resumed", "target", opts.KillTarget, "at", resumeAt.Round(time.Millisecond))
 		}()
 	}
 

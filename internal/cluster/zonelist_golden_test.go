@@ -41,7 +41,7 @@ func TestZoneListFramesAreUnchanged(t *testing.T) {
 		for i, addr := range addrs {
 			shards = append(shards, ShardConfig{Name: fmt.Sprintf("shard-%d", i), Addr: addr, Box: []geo.BoundingBox{geo.Madison(), geo.NewBrunswickArea()}[i]})
 		}
-		return startGateway(t, nil, nil, shards...).Addr()
+		return startGateway(t, nil, shards...).Addr()
 	}
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	for i := 0; i < 60; i++ {

@@ -8,6 +8,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"slices"
 	"sync"
@@ -111,9 +112,6 @@ type Options struct {
 	// /api/v1/admin/suspend and /resume) the chaos harness uses to
 	// simulate shard death without killing the process.
 	EnableAdmin bool
-
-	// Logf receives server diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) fill() {
@@ -137,9 +135,6 @@ func (o *Options) fill() {
 	}
 	if o.SyncTimeout <= 0 {
 		o.SyncTimeout = 2 * time.Second
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -226,7 +221,6 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 			SegmentMaxBytes: opts.SegmentMaxBytes,
 			Fsync:           opts.Fsync,
 			Telemetry:       opts.Telemetry,
-			Logf:            opts.Logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: open store: %w", err)
@@ -239,12 +233,12 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 			ctrl.Ingest(smp)
 		}
 		if rec.Snapshot != nil || len(rec.Tail) > 0 {
-			opts.Logf("coordinator: recovered from %s: checkpoint lsn %d (%d entries) + %d WAL tail samples",
-				opts.DataDir, rec.CheckpointLSN, recoveredEntries(rec.Snapshot), len(rec.Tail))
+			slog.Info("coordinator: recovered", "path", opts.DataDir, "checkpoint_lsn", rec.CheckpointLSN,
+				"entries", recoveredEntries(rec.Snapshot), "tail_samples", len(rec.Tail))
 		}
 		if rec.CorruptCheckpoints > 0 || rec.CorruptRecords > 0 || rec.TruncatedBytes > 0 {
-			opts.Logf("coordinator: recovery tolerated damage: %d corrupt checkpoints, %d corrupt WAL records, %d torn bytes truncated",
-				rec.CorruptCheckpoints, rec.CorruptRecords, rec.TruncatedBytes)
+			slog.Warn("coordinator: recovery tolerated damage", "corrupt_checkpoints", rec.CorruptCheckpoints,
+				"corrupt_records", rec.CorruptRecords, "truncated_bytes", rec.TruncatedBytes)
 		}
 	}
 	s := &Server{
@@ -262,7 +256,7 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	// that never came up.
 	fail := func(err error) (*Server, error) {
 		if cerr := s.Close(); cerr != nil {
-			opts.Logf("coordinator: closing after failed start: %v", cerr)
+			slog.Warn("coordinator: closing after failed start", "err", cerr)
 		}
 		return nil, err
 	}
@@ -290,7 +284,6 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 				}
 				return false, "not ready"
 			},
-			Logf: opts.Logf,
 		})
 		if err != nil {
 			return fail(fmt.Errorf("coordinator: %w", err))
@@ -300,7 +293,7 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 		if opts.EnableAdmin {
 			s.installAdminEndpoints(ops)
 		}
-		opts.Logf("coordinator: ops plane listening on %s", ops.Addr())
+		slog.Info("coordinator: ops plane listening", "addr", ops.Addr())
 	}
 	if st != nil && opts.CheckpointInterval > 0 {
 		s.wg.Add(1)
@@ -381,7 +374,7 @@ func (s *Server) checkpointLoop() {
 		select {
 		case <-t.C:
 			if err := s.CheckpointNow(); err != nil && !errors.Is(err, store.ErrClosed) {
-				s.opts.Logf("coordinator: checkpoint: %v", err)
+				slog.Warn("coordinator: checkpoint failed", "err", err)
 			}
 		case <-s.stop:
 			return
@@ -443,7 +436,6 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 	case wire.TypeHello:
 		// A hello carries no location, so it leaves the registry alone: a
 		// client enters it, in its zone, with its first zone report.
-		s.opts.Logf("coordinator: client %s (%s) said hello", req.Hello.ClientID, req.Hello.DeviceClass)
 		return wire.Envelope{Type: wire.TypeHelloAck, HelloAck: &wire.HelloAck{
 			ServerID: s.opts.ServerID,
 		}}, false

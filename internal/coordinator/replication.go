@@ -3,6 +3,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 
 	"repro/internal/core"
@@ -28,7 +29,6 @@ func (s *Server) startReplication() error {
 	}
 	src, err := replication.NewSource(s.store, s.opts.ReplicationAddr, s.captureSnapshot, replication.SourceOptions{
 		Telemetry: s.opts.Telemetry,
-		Logf:      s.opts.Logf,
 	})
 	if err != nil {
 		return err
@@ -44,8 +44,7 @@ func (s *Server) startReplication() error {
 	role := s.role
 	s.mu.Unlock()
 	registerReplicaGauges(s.opts.Telemetry, s.replicaPosition)
-	s.opts.Logf("coordinator: %s: replication listener on %s, role %s",
-		s.opts.ServerID, src.Addr(), role)
+	slog.Info("coordinator: replication listener up", "server", s.opts.ServerID, "addr", src.Addr(), "role", role)
 	return nil
 }
 
@@ -76,7 +75,6 @@ func (s *Server) startReplicaLocked(primaryAddr string, forceResync bool) *repli
 		From:      from,
 		Seed:      s.opts.Seed,
 		Telemetry: s.opts.Telemetry,
-		Logf:      s.opts.Logf,
 	})
 }
 
@@ -224,7 +222,7 @@ func (s *Server) changeRole(epoch uint64, primaryReplAddr string) (string, error
 	s.mu.Unlock()
 	if old != nil {
 		if err := old.Close(); err != nil {
-			s.opts.Logf("coordinator: %s: closing replica tail on %s: %v", s.opts.ServerID, verb, err)
+			slog.Warn("coordinator: closing replica tail", "server", s.opts.ServerID, "on", verb, "err", err)
 		}
 	}
 	switch {
@@ -237,11 +235,9 @@ func (s *Server) changeRole(epoch uint64, primaryReplAddr string) (string, error
 			s.rep = s.startReplicaLocked(primaryReplAddr, true)
 		}
 		s.mu.Unlock()
-		s.opts.Logf("coordinator: %s: demoted to replica of %s at epoch %d",
-			s.opts.ServerID, primaryReplAddr, epoch)
+		slog.Info("coordinator: demoted to replica", "server", s.opts.ServerID, "primary", primaryReplAddr, "epoch", epoch)
 	case was == wire.RoleReplica:
-		s.opts.Logf("coordinator: %s: promoted to primary at epoch %d (LSN %d)",
-			s.opts.ServerID, epoch, s.store.LastLSN())
+		slog.Info("coordinator: promoted to primary", "server", s.opts.ServerID, "epoch", epoch, "lsn", s.store.LastLSN())
 	}
 	return src.Addr(), nil
 }
@@ -255,7 +251,7 @@ func (s *Server) Suspend() {
 	if src := s.source(); src != nil {
 		src.Suspend()
 	}
-	s.opts.Logf("coordinator: %s: suspended (chaos)", s.opts.ServerID)
+	slog.Info("coordinator: suspended (chaos)", "server", s.opts.ServerID)
 }
 
 // Resume undoes Suspend: the protocol listener and replication source come
@@ -269,7 +265,7 @@ func (s *Server) Resume() error {
 			return err
 		}
 	}
-	s.opts.Logf("coordinator: %s: resumed", s.opts.ServerID)
+	slog.Info("coordinator: resumed", "server", s.opts.ServerID)
 	return nil
 }
 

@@ -118,7 +118,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ap := &fuzzApplier{t: t, data: data}
-		r := &Replica{ap: ap, opts: ReplicaOptions{ID: "fuzz", Logf: func(string, ...any) {}}}
+		r := &Replica{ap: ap, opts: ReplicaOptions{ID: "fuzz"}}
 		if err := r.consume(bufio.NewReaderSize(bytes.NewReader(data), 4096), bufio.NewWriter(io.Discard)); err == nil {
 			t.Fatal("the session outlived its stream")
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -59,17 +60,11 @@ type ReplicaOptions struct {
 	// Telemetry receives replication metrics (catch-up lag gauge
 	// included); nil disables instrumentation.
 	Telemetry *telemetry.Registry
-
-	// Logf receives diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 func (o *ReplicaOptions) fill() {
 	if o.ID == "" {
 		o.ID = "replica"
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -188,7 +183,7 @@ func (r *Replica) run() {
 		}
 		r.reconnects.Add(1)
 		r.met.reconnects.Inc()
-		r.opts.Logf("replication: %s: stream to %s lost (%v), redialing", r.opts.ID, r.primary, err)
+		slog.Warn("replication: stream to primary lost, redialing", "replica", r.opts.ID, "primary", r.primary, "err", err)
 		t := time.NewTimer(redialBackoff.Delay(attempt, jitter))
 		select {
 		case <-t.C:
@@ -271,7 +266,7 @@ func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
 			r.setApplied(lsn)
 			r.resyncs.Add(1)
 			r.met.resyncs.Inc()
-			r.opts.Logf("replication: %s: bootstrapped from snapshot at LSN %d (%d zones)", r.opts.ID, lsn, len(snap.Entries))
+			slog.Info("replication: bootstrapped from snapshot", "replica", r.opts.ID, "lsn", lsn, "zones", len(snap.Entries))
 
 		case positionWord[0]:
 			lsn, err := parseNumberLine(line, positionWord)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"slices"
 	"strings"
@@ -21,9 +22,6 @@ import (
 type SourceOptions struct {
 	// Telemetry receives replication metrics; nil disables instrumentation.
 	Telemetry *telemetry.Registry
-
-	// Logf receives diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 const (
@@ -36,12 +34,6 @@ const (
 	// replica hears the log's end, and acks, at least this often.
 	maxLinesPerRun = 256
 )
-
-func (o *SourceOptions) fill() {
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
-	}
-}
 
 // replicaConn is one attached replica stream.
 type replicaConn struct {
@@ -68,7 +60,6 @@ type commitWaiter struct {
 type Source struct {
 	st       *store.Store
 	snapshot func() (core.Snapshot, uint64) // a consistent live capture and the LSN it covers
-	opts     SourceOptions
 	met      sourceMetrics
 	lis      *wire.Listener // accept loop, conn set, Suspend/Resume
 
@@ -85,11 +76,9 @@ type Source struct {
 // captures the state a bootstrap ships and the LSN it covers, consistently —
 // the coordinator's capture under its ingest lock.
 func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uint64), opts SourceOptions) (*Source, error) {
-	opts.fill()
 	s := &Source{
 		st:       st,
 		snapshot: snapshot,
-		opts:     opts,
 		streams:  make(map[*replicaConn]struct{}),
 		acked:    make(map[string]uint64),
 		stop:     make(chan struct{}),
@@ -257,7 +246,7 @@ func (s *Source) serve(nc net.Conn) {
 	}
 	s.mu.Unlock()
 	s.met.attaches.Inc()
-	s.opts.Logf("replication: replica %s attached (from LSN %d)", h.id, h.from)
+	slog.Info("replication: replica attached", "replica", h.id, "from_lsn", h.from)
 
 	// Ack reader: one goroutine per stream, bounded by the conn itself —
 	// severing the conn (Suspend/Close/stream error) ends it, and serve
@@ -281,8 +270,8 @@ func (s *Source) serve(nc net.Conn) {
 				// Nothing this stream sent can have put the replica there: it
 				// holds another history's records (an ex-primary's, say), and
 				// its ack must not release a waiter on this log's.
-				s.opts.Logf("replication: replica %s acked LSN %d, past the %d this stream has shipped: dropping it",
-					h.id, lsn, rc.shipped.Load())
+				slog.Warn("replication: replica acked past what this stream shipped; dropping it",
+					"replica", h.id, "lsn", lsn, "shipped", rc.shipped.Load())
 				return
 			}
 			s.recordAck(h.id, lsn)
@@ -297,7 +286,7 @@ func (s *Source) serve(nc net.Conn) {
 	}()
 
 	if err := s.stream(rc, bw, h.from); err != nil {
-		s.opts.Logf("replication: replica %s stream ended: %v", h.id, err)
+		slog.Warn("replication: replica stream ended", "replica", h.id, "err", err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -231,7 +232,7 @@ func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
 			return &snap, lsn, corrupt, nil
 		}
 		corrupt++
-		st.opts.Logf("store: skipping corrupt checkpoint %s: %v", ck.path, err)
+		slog.Warn("store: skipping corrupt checkpoint", "path", ck.path, "err", err)
 	}
 	return nil, 0, corrupt, nil
 }
@@ -279,7 +280,7 @@ func (st *Store) recover() error {
 	rec.CorruptRecords = c.bad
 	if size := c.off + int64(c.w-c.r); c.end < size {
 		rec.TruncatedBytes = size - c.end
-		st.opts.Logf("store: truncating torn WAL tail of %s: %d bytes", c.f.Name(), rec.TruncatedBytes)
+		slog.Warn("store: truncating torn WAL tail", "path", c.f.Name(), "bytes", rec.TruncatedBytes)
 		if err := os.Truncate(c.f.Name(), c.end); err != nil {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}

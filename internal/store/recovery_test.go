@@ -25,7 +25,7 @@ import (
 // checkpoint. Corrupt records followed by valid ones are skipped; a corrupt or
 // partial run extending to the end of the newest segment is a torn tail and is
 // truncated away. Returns the recovery outcome and the next LSN to assign.
-func recoverDir(dir string, opts Options) (Recovery, uint64, error) {
+func recoverDir(dir string) (Recovery, uint64, error) {
 	var rec Recovery
 	nextLSN := uint64(1)
 
@@ -37,7 +37,6 @@ func recoverDir(dir string, opts Options) (Recovery, uint64, error) {
 		snap, lsn, err := readCheckpoint(ck.path)
 		if err != nil {
 			rec.CorruptCheckpoints++
-			opts.Logf("store: skipping corrupt checkpoint %s: %v", ck.path, err)
 			continue
 		}
 		rec.Snapshot = &snap
@@ -54,7 +53,7 @@ func recoverDir(dir string, opts Options) (Recovery, uint64, error) {
 	}
 	for i, sg := range segs {
 		last := i == len(segs)-1
-		if err := scanSegment(sg.path, last, &rec, &nextLSN, opts); err != nil {
+		if err := scanSegment(sg.path, last, &rec, &nextLSN); err != nil {
 			return rec, 0, err
 		}
 	}
@@ -64,7 +63,7 @@ func recoverDir(dir string, opts Options) (Recovery, uint64, error) {
 // scanSegment replays one WAL segment into rec. For the last (active at
 // crash time) segment, invalid data extending to EOF is truncated so the
 // next crash-free run starts from a clean journal.
-func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Options) error {
+func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: opening segment: %w", err)
@@ -108,7 +107,6 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64, opts Op
 	if last && goodEnd < size {
 		// Torn tail: drop everything past the last valid record.
 		rec.TruncatedBytes += size - goodEnd
-		opts.Logf("store: truncating torn WAL tail of %s: %d bytes", path, size-goodEnd)
 		if err := os.Truncate(path, goodEnd); err != nil {
 			return errors.Join(fmt.Errorf("store: truncating torn tail: %w", err), cerr)
 		}
@@ -348,9 +346,8 @@ func compareRecovery(dir, oracleDir string) error {
 	if err := copyDir(dir, oracleDir); err != nil {
 		return err
 	}
-	quiet := Options{Logf: func(string, ...any) {}}
-	want, wantNext, werr := recoverDir(oracleDir, quiet)
-	st, gerr := Open(dir, quiet)
+	want, wantNext, werr := recoverDir(oracleDir)
+	st, gerr := Open(dir, Options{})
 	if werr != nil || gerr != nil {
 		if werr == nil || gerr == nil {
 			return fmt.Errorf("Open err %v, oracle err %v", gerr, werr)

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -117,9 +118,6 @@ type Options struct {
 	// Telemetry receives WAL/checkpoint/recovery metrics. Nil disables
 	// instrumentation at zero cost (see internal/telemetry's nil contract).
 	Telemetry *telemetry.Registry
-
-	// Logf receives store diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 func (o *Options) fill() {
@@ -128,9 +126,6 @@ func (o *Options) fill() {
 	}
 	if o.CheckpointKeep <= 0 {
 		o.CheckpointKeep = 3
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...any) {}
 	}
 }
 
@@ -439,7 +434,7 @@ func (st *Store) compactLocked() {
 	}
 	for _, ck := range cks[keep:] {
 		if err := os.Remove(ck.path); err != nil {
-			st.opts.Logf("store: removing old checkpoint %s: %v", ck.path, err)
+			slog.Warn("store: removing old checkpoint failed", "path", ck.path, "err", err)
 		}
 	}
 	covered := cks[keep-1].lsn // oldest retained checkpoint
@@ -455,7 +450,7 @@ func (st *Store) compactLocked() {
 		// LSN; it is disposable once the checkpoint covers them all.
 		if segs[i+1].first <= covered+1 {
 			if err := os.Remove(segs[i].path); err != nil {
-				st.opts.Logf("store: compacting segment %s: %v", segs[i].path, err)
+				slog.Warn("store: compacting segment failed", "path", segs[i].path, "err", err)
 				continue
 			}
 			st.segGen++
@@ -475,7 +470,7 @@ func (st *Store) syncLoop() {
 			if !st.closed && st.unsynced > 0 {
 				if err := st.syncLocked(); err != nil {
 					// Left set, so the next tick retries.
-					st.opts.Logf("store: interval fsync: %v", err)
+					slog.Warn("store: interval fsync failed", "err", err)
 				} else {
 					st.unsynced = 0
 				}

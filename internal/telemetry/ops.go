@@ -3,6 +3,7 @@ package telemetry
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -25,9 +26,6 @@ type OpsOptions struct {
 	// the server is up". /healthz is pure liveness and always returns 200
 	// while serving.
 	Status func() (ok bool, detail string)
-
-	// Logf receives server diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 // OpsServer is the operations HTTP plane: /metrics, /metrics.json,
@@ -39,7 +37,6 @@ type OpsServer struct {
 	ln     net.Listener
 	srv    *http.Server
 	mux    *http.ServeMux
-	logf   func(string, ...any)
 	closed atomic.Bool
 	wg     sync.WaitGroup
 }
@@ -49,18 +46,14 @@ type OpsServer struct {
 // (like the coordinator's zone query API) can be added with HandleFunc before
 // the first request arrives.
 func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: ops listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
 	s := &OpsServer{
-		ln:   ln,
-		mux:  mux,
-		logf: opts.Logf,
+		ln:  ln,
+		mux: mux,
 		srv: &http.Server{
 			Handler:           mux,
 			ReadHeaderTimeout: 5 * time.Second,
@@ -70,13 +63,13 @@ func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if err := opts.Registry.WritePrometheus(w); err != nil {
-			s.logf("telemetry: /metrics: %v", err)
+			slog.Warn("telemetry: writing /metrics failed", "err", err)
 		}
 	})
 	mux.HandleFunc("GET /metrics.json", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := opts.Registry.WriteJSON(w); err != nil {
-			s.logf("telemetry: /metrics.json: %v", err)
+			slog.Warn("telemetry: writing /metrics.json failed", "err", err)
 		}
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -110,7 +103,7 @@ func NewOpsServer(addr string, opts OpsOptions) (*OpsServer, error) {
 	go func() {
 		defer s.wg.Done()
 		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			s.logf("telemetry: ops server: %v", err)
+			slog.Warn("telemetry: ops server stopped", "err", err)
 		}
 	}()
 	return s, nil

@@ -8,6 +8,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -96,6 +97,7 @@ func (l *Listener) acceptLoop(ln net.Listener) {
 			// (Resume starts a fresh one).
 			return
 		}
+		slog.Warn("wire: accept failed; pausing", "addr", l.addr, "err", err, "pause", pause)
 		select {
 		case <-time.After(pause):
 		case <-l.done:

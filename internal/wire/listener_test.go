@@ -1,9 +1,14 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"log"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +71,42 @@ func (l *scriptListener) Addr() net.Addr {
 	return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 7411}
 }
 
+// logSink keeps the text records of the process default logger. Servers log
+// from their own goroutines, so it is race-safe.
+type logSink struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (s *logSink) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.buf.Write(p)
+}
+
+// lines returns the records written so far, one per line.
+func (s *logSink) lines() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	lines := strings.Split(s.buf.String(), "\n")
+	return lines[:len(lines)-1]
+}
+
+// captureLogs sends the default logger's Info and higher records to the
+// returned sink until the test ends. slog.SetDefault also reroutes the log
+// package, so that is restored too.
+func captureLogs(t *testing.T) *logSink {
+	sink := &logSink{}
+	prev, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(sink, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+	return sink
+}
+
 // A connection the loop accepted just before Suspend took its snapshot must
 // not be served by the suspended endpoint: it is closed, and its handler
 // never runs.
@@ -94,8 +135,10 @@ func TestListenerRefusesConnAcceptedAcrossSuspend(t *testing.T) {
 }
 
 // Accept errors that are not a shutdown neither end the loop nor spin it:
-// the loop pauses (doubling from acceptPauseMin) and keeps serving.
+// the loop pauses (doubling from acceptPauseMin), logs one Warn record per
+// failure with the error and the pause, and keeps serving.
 func TestListenerSurvivesAcceptErrors(t *testing.T) {
+	logs := captureLogs(t)
 	client, server := net.Pipe()
 	defer client.Close()
 	emfile := errors.New("accept: too many open files")
@@ -117,6 +160,18 @@ func TestListenerSurvivesAcceptErrors(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+	lines := logs.lines()
+	if len(lines) != 3 {
+		t.Fatalf("%d log records for three failed accepts, want 3: %q", len(lines), lines)
+	}
+	for i, line := range lines {
+		pause := acceptPauseMin << i
+		for _, want := range []string{"level=WARN", fmt.Sprintf("err=%q", emfile.Error()), "pause=" + pause.String()} {
+			if !strings.Contains(line, want) {
+				t.Errorf("record %d %q lacks %s", i, line, want)
+			}
+		}
 	}
 }
 

@@ -12,9 +12,9 @@ all: vet lint build test
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariant gate: the seven analyzers `wiscape-lint -list`
-# prints (nodeterm, lockio, nilsafemetric, wirebound, goleak, errdrop and
-# lockorder) over every module package (see DESIGN.md "Static analysis").
+# The repo's own invariant gate: the six analyzers `wiscape-lint -list`
+# prints (nodeterm, lockio, wirebound, goleak, errdrop and lockorder) over
+# every module package (see DESIGN.md "Static analysis").
 # Any finding not silenced by an audited //lint:ignore fails the build.
 lint:
 	$(GO) run ./cmd/wiscape-lint ./...
@@ -24,12 +24,12 @@ lint-stats:
 	$(GO) run ./cmd/wiscape-lint -stats ./...
 
 # Refresh the checked-in timing ledger: re-records the current suite's
-# load/facts/analyze split under the "census-seven-analyzers" label (seven
-# analyzers after the planted-bug census retired lockguard and its
-# field-access fact domain; one walk per body, one ascending fixed point),
-# leaving the earlier snapshots in place for comparison.
+# load/facts/analyze split under the "census-six-analyzers" label (six
+# analyzers after the second planted-bug census retired nilsafemetric and
+# nodeterm's global-rand rule; one walk per body, one ascending fixed
+# point), leaving the earlier snapshots in place for comparison.
 bench-lint:
-	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label census-seven-analyzers ./...
+	$(GO) run ./cmd/wiscape-lint -stats -stats-json BENCH_lint.json -stats-label census-six-analyzers ./...
 
 build:
 	$(GO) build ./...

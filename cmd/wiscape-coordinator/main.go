@@ -98,9 +98,6 @@ func main() {
 	if *dataDir != "" {
 		slog.Info("coordinator: durable store", "path", *dataDir, "checkpoint_every", *ckptInterval, "fsync", fsync)
 	}
-	if *opsAddr != "" {
-		slog.Info("coordinator: ops plane (/metrics, /healthz, /readyz, /debug/pprof/, /api/v1/zones)", "url", "http://"+srv.OpsAddr())
-	}
 
 	// Drain alerts periodically until SIGINT or SIGTERM (what systemd,
 	// docker and k8s send); either closes the server, which flushes the WAL.

@@ -1,7 +1,6 @@
 // wiscape-lint is the repository's invariant gate: it runs the
-// internal/analysis suite (nodeterm, lockio, nilsafemetric, wirebound,
-// goleak, errdrop, lockorder) over module packages and exits non-zero on
-// any finding.
+// internal/analysis suite (nodeterm, lockio, wirebound, goleak, errdrop,
+// lockorder) over module packages and exits non-zero on any finding.
 //
 // Usage:
 //

@@ -128,7 +128,7 @@ func TestRunUnknownAnalyzerExitsTwo(t *testing.T) {
 	for _, a := range analysis.All() {
 		valid = append(valid, a.Name)
 	}
-	for _, name := range []string{"lockgaurd", "taintalloc", "atomicmix", "lockguard"} {
+	for _, name := range []string{"lockgaurd", "taintalloc", "atomicmix", "lockguard", "nilsafemetric"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-only", name}, &stdout, &stderr); code != 2 {
 			t.Fatalf("%s: exit = %d, want 2; stderr: %s", name, code, stderr.String())

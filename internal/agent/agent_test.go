@@ -226,11 +226,16 @@ func deadAddr(t *testing.T) string {
 
 func TestRunResilientGivesUpWhenUnreachable(t *testing.T) {
 	a := testAgent()
+	a.Telemetry = NewMetrics(telemetry.NewRegistry())
 	var delays []time.Duration
 	a.sleep = func(d time.Duration) { delays = append(delays, d) }
 	_, err := a.RunResilient(deadAddr(t), start, time.Hour, 5*time.Minute, 2)
 	if err == nil || !strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("err = %v", err)
+	}
+	// Each of the two retries redials once; the first dial is no reconnect.
+	if got := a.Telemetry.reconnects.Value(); got != 2 {
+		t.Fatalf("reconnects = %v, want 2", got)
 	}
 	// maxRetries=2: two failed attempts back off (escalating), the third
 	// gives up before sleeping.

@@ -2,14 +2,11 @@
 // machine-enforce the invariants this repository's correctness rests on
 // but the Go compiler cannot check —
 //
-//   - nodeterm: deterministic packages must not read wall-clock time or
-//     global randomness (the paper's zone/epoch estimates are reproducible
-//     only if every sample path is seeded through internal/rng);
+//   - nodeterm: deterministic packages must not read wall-clock time
+//     (the paper's zone/epoch estimates are reproducible only if every
+//     sample path runs on an injected, virtual clock);
 //   - lockio: the coordinator/gateway hot paths must never hold a mutex
 //     across network I/O or a channel send;
-//   - nilsafemetric: telemetry instruments must come from a Registry,
-//     never from a composite literal or new(), so every one is wired to
-//     exposition;
 //   - wirebound: every wire envelope crosses the network through
 //     wire.Conn's MaxMessageBytes cap;
 //   - goleak: server-side goroutines must carry evidence of a bounded
@@ -96,7 +93,7 @@ func reportFindings(pass *Pass) error {
 
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Lockio, Nilsafemetric, Wirebound, Goleak, Errdrop, Lockorder}
+	return []*Analyzer{Nodeterm, Lockio, Wirebound, Goleak, Errdrop, Lockorder}
 }
 
 // ByName returns the analyzer with the given name, or nil.

@@ -17,14 +17,16 @@ import (
 //
 //   - a bare call statement (`f.Close()`, `st.Sync()`) discarding a
 //     must-check error of either kind — the silent drop is never OK, in a
-//     deferred func literal's body too;
+//     deferred func literal's body or one passed to a call statement
+//     (`once.Do(func() { f.Close() })`) too;
 //   - an explicit blank discard (`_ = f.Sync()`, `x, _ := w.Write(b)`)
 //     or a deferred bare call (`defer f.Close()`) on a *durability*
 //     ("file"-kind) path — fsync/flush/WAL errors are the product;
 //   - explicit blank discards on "net"-kind paths (connection teardown,
 //     best-effort error replies) are accepted: `_ = nc.Close()` is the
 //     repo's documented best-effort idiom and stays legal. So is any
-//     explicit discard in a deferred func literal: a cleanup's choice.
+//     explicit discard in a deferred or passed func literal: a cleanup's
+//     choice.
 //
 // Suppression: //lint:ignore errdrop <reason>.
 var Errdrop = &Analyzer{
@@ -39,21 +41,17 @@ func runErrdrop(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				return !pass.checkBareCall(n)
+				if call, ok := n.X.(*ast.CallExpr); ok {
+					pass.checkBareCall(call)
+					pass.checkCallbacks(call)
+					return false
+				}
 			case *ast.DeferStmt:
 				if kind, desc, ok := pass.mustCheckIOCall(n.Call); ok && kind == "file" {
 					pass.Reportf(n.Call.Pos(),
 						"error from deferred %s dropped on a durability path: close explicitly and check, or //lint:ignore errdrop <reason>", desc)
 				}
-				// A deferred func literal's body is checked for bare calls:
-				// an explicit `_ =` there is a cleanup's written-down choice,
-				// typically on a path that is already failing.
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					ast.Inspect(lit.Body, func(n ast.Node) bool {
-						es, ok := n.(*ast.ExprStmt)
-						return !ok || !pass.checkBareCall(es)
-					})
-				}
+				pass.checkCallbacks(n.Call)
 				return false
 			case *ast.AssignStmt:
 				pass.checkBlankDiscard(n)
@@ -64,18 +62,29 @@ func runErrdrop(pass *Pass) error {
 	return nil
 }
 
-// checkBareCall flags a call statement that drops a must-check error, and
-// reports whether the statement is a call (whose operands need no walk).
-func (p *Pass) checkBareCall(es *ast.ExprStmt) bool {
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
+// checkBareCall flags a call statement that drops a must-check error.
+func (p *Pass) checkBareCall(call *ast.CallExpr) {
 	if _, desc, ok := p.mustCheckIOCall(call); ok {
 		p.Reportf(call.Pos(),
 			"error from %s silently dropped: handle it, assign it, or //lint:ignore errdrop <reason>", desc)
 	}
-	return true
+}
+
+// checkCallbacks reads the func literals inside call, a deferred literal
+// or one a call statement hands its callee (`once.Do(func() { ... })`, a
+// handler passed to HandleFunc), for call statements that drop a
+// must-check error, nested literals included. An explicit `_ =` there is
+// the literal's written-down choice, typically a cleanup's on a path that
+// is already failing.
+func (p *Pass) checkCallbacks(call *ast.CallExpr) {
+	ast.Inspect(call, func(n ast.Node) bool {
+		if es, ok := n.(*ast.ExprStmt); ok {
+			if inner, ok := es.X.(*ast.CallExpr); ok {
+				p.checkBareCall(inner)
+			}
+		}
+		return true
+	})
 }
 
 // checkBlankDiscard flags `_ = call` / `x, _ := call()` where the blank

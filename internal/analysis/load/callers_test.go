@@ -15,13 +15,14 @@ import (
 // keep names the functions the caller rule lets stand without a caller,
 // each with its reason, keyed as funcKey spells them.
 var keep = map[string]string{
-	"repro/internal/telemetry.Counter.Value":   "other packages' tests read a counter through it",
-	"repro/internal/telemetry.Gauge.Value":     "other packages' tests read a gauge through it",
-	"repro/internal/telemetry.Histogram.Count": "other packages' tests read a histogram through it",
-	"repro/internal/telemetry.Histogram.Sum":   "other packages' tests read a histogram through it",
-	"repro/internal/core.ZoneRelStdDevs":       "the exact side of the estimator ledger (ROADMAP item 5)",
-	"repro/internal/core.Controller.Grid":      "the grid a StatusReply will carry (ROADMAP item 1(b))",
-	"repro/internal/store.Store.Sync":          "a durability flush: safety code a caller may need at any time",
+	"repro/internal/telemetry.Counter.Value":    "other packages' tests read a counter through it",
+	"repro/internal/telemetry.Gauge.Value":      "other packages' tests read a gauge through it",
+	"repro/internal/telemetry.Histogram.Count":  "other packages' tests read a histogram through it",
+	"repro/internal/telemetry.Histogram.Sum":    "other packages' tests read a histogram through it",
+	"repro/internal/core.ZoneRelStdDevs":        "the exact side of the estimator ledger (ROADMAP item 5)",
+	"repro/internal/core.Controller.Grid":       "the grid a StatusReply will carry (ROADMAP item 1(b))",
+	"repro/internal/store.Store.Sync":           "a durability flush: safety code a caller may need at any time",
+	"repro/internal/coordinator.Server.OpsAddr": "tests bind the ops plane to :0 and read the address back",
 }
 
 // testCode reports whether a package is test support: its functions need

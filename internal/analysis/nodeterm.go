@@ -4,30 +4,29 @@ import (
 	"go/ast"
 )
 
-// Nodeterm enforces the simulator's reproducibility contract: the
-// packages that produce the paper's numbers (the simulated substrate, the
-// statistics and epoch/NKLD machinery, the experiment harness) must be
-// pure functions of their seeds. Wall-clock reads and global randomness
-// make a campaign unrepeatable, so inside deterministic packages every
-// clock must be injected (virtual campaign time, or a clock function
-// passed by the caller) and every random draw must come from an explicit
-// repro/internal/rng stream.
+// Nodeterm enforces the simulator's reproducibility contract on its
+// clocks: the packages that produce the paper's numbers (the simulated
+// substrate, the statistics and epoch/NKLD machinery, the experiment
+// harness) must read time only from an injected clock (virtual campaign
+// time, or a clock function passed by the caller). Unseeded randomness
+// needs no rule: it changes a report from one run to the next, which
+// TestReportsReproduceFromSeed sees. A wall-clock read can move a report
+// by less than it prints across the seconds between two runs, so it needs
+// this one.
 //
 // Flagged: calls to time.Now, time.Since, time.Until, time.Sleep,
-// time.Tick, time.After, time.AfterFunc, time.NewTimer, time.NewTicker,
-// and any package-level call into math/rand or math/rand/v2. Referencing
-// time.Sleep as a value (the injected-sleeper default idiom) is allowed:
-// the rule targets where wall time is consumed, not where the injection
-// point is wired.
+// time.Tick, time.After, time.AfterFunc, time.NewTimer and time.NewTicker.
+// Referencing time.Sleep as a value (the injected-sleeper default idiom)
+// is allowed: the rule targets where wall time is consumed, not where the
+// injection point is wired.
 //
 // Scope: the packages listed in deterministicPkgs, plus any package with a
 // file carrying the lone comment directive "//wiscape:deterministic"
 // (which is also how new packages opt in without touching the linter).
 var Nodeterm = &Analyzer{
 	Name: "nodeterm",
-	Doc: "forbid wall-clock time and global randomness in deterministic packages; " +
-		"inject clocks and draw from repro/internal/rng instead",
-	Run: runNodeterm,
+	Doc:  "forbid wall-clock time in deterministic packages; inject clocks instead",
+	Run:  runNodeterm,
 }
 
 // deterministicPkgs is the seed-stable core: every package here feeds the
@@ -80,21 +79,10 @@ func runNodeterm(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			pkgPath, name, ok := pass.pkgFunc(call)
-			if !ok {
-				return true
-			}
-			switch pkgPath {
-			case "time":
-				if nondetTimeFuncs[name] {
-					pass.Reportf(call.Pos(),
-						"call to time.%s in deterministic package %s: inject a clock (or virtual campaign time) instead",
-						name, pass.Pkg.Path())
-				}
-			case "math/rand", "math/rand/v2":
+			if pkgPath, name, ok := pass.pkgFunc(call); ok && pkgPath == "time" && nondetTimeFuncs[name] {
 				pass.Reportf(call.Pos(),
-					"call to %s.%s in deterministic package %s: draw from a seeded repro/internal/rng stream instead",
-					pkgPath, name, pass.Pkg.Path())
+					"call to time.%s in deterministic package %s: inject a clock (or virtual campaign time) instead",
+					name, pass.Pkg.Path())
 			}
 			return true
 		})

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"sync"
 )
 
 // ---- direct (intrinsic) positives ----
@@ -37,6 +38,14 @@ func deferredClosureClose(f *os.File, dir string) (err error) {
 		err = errors.Join(err, os.RemoveAll(dir))
 	}()
 	return nil
+}
+
+// onceClose: a func literal handed to a call statement is read like a
+// deferred one.
+func onceClose(once *sync.Once, f *os.File) {
+	once.Do(func() {
+		f.Close() // want `error from \(os\.File\)\.Close silently dropped`
+	})
 }
 
 func bareFlush(bw *bufio.Writer) {
@@ -119,6 +128,15 @@ func deferredClosureCleanup(f *os.File) (err error) {
 		}
 	}()
 	return os.ErrInvalid
+}
+
+// onceCloseJoined: the literal handed to once.Do joins the close error
+// into the function's result.
+func onceCloseJoined(once *sync.Once, f *os.File) (err error) {
+	once.Do(func() {
+		err = errors.Join(err, f.Close())
+	})
+	return err
 }
 
 // pureWrapper returns an error with no I/O under it: no obligation.

@@ -4,10 +4,7 @@
 // above opts the whole package into the deterministic set.
 package nodeterm
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 func wallClock() time.Duration {
 	t0 := time.Now()             // want `call to time\.Now in deterministic package`
@@ -18,15 +15,6 @@ func wallClock() time.Duration {
 func timers() {
 	_ = time.After(time.Second)     // want `call to time\.After in deterministic package`
 	_ = time.NewTicker(time.Second) // want `call to time\.NewTicker in deterministic package`
-}
-
-func globalRand() int {
-	return rand.Intn(6) // want `call to math/rand\.Intn in deterministic package`
-}
-
-func seededButStillGlobal() {
-	r := rand.New(rand.NewSource(1)) // want `call to math/rand\.New in deterministic package` `call to math/rand\.NewSource in deterministic package`
-	_ = r
 }
 
 // Negative cases: pure time constructors, type and constant uses, and

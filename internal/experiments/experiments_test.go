@@ -2,12 +2,20 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 // tinyOpts keeps campaign durations at their floors so the whole suite
 // smoke-tests in tens of seconds.
 var tinyOpts = Options{Seed: 424242, Scale: 0.01}
+
+// firstRun is the one run of All and Extensions that the report-shape tests
+// check and TestReportsReproduceFromSeed holds a second run against, so the
+// package's tests build the whole suite twice, not once per test.
+var firstRun = sync.OnceValues(func() (paper, ext []Report) {
+	return All(tinyOpts), Extensions(tinyOpts)
+})
 
 // checkReport asserts the structural invariants every experiment must hold:
 // an id, a title, at least one paper-vs-measured row, and no empty measured
@@ -37,7 +45,7 @@ func TestAllExperimentsProduceReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite")
 	}
-	reports := All(tinyOpts)
+	reports, _ := firstRun()
 	if len(reports) != 18 {
 		t.Fatalf("expected 18 paper experiments, got %d", len(reports))
 	}
@@ -64,7 +72,7 @@ func TestExtensionsProduceReports(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extension suite")
 	}
-	reports := Extensions(tinyOpts)
+	_, reports := firstRun()
 	if len(reports) != 6 {
 		t.Fatalf("expected 6 extension reports, got %d", len(reports))
 	}
@@ -73,14 +81,33 @@ func TestExtensionsProduceReports(t *testing.T) {
 	}
 }
 
-func TestExperimentsDeterministic(t *testing.T) {
+// TestReportsReproduceFromSeed holds the estimator contract's determinism
+// on every report the suite delivers: a second run of all 24 from the same
+// options renders byte-identical to the first. The dataset memo is cleared
+// between the runs, so a campaign build that draws from an unseeded random
+// stream shows as a differing report rather than hiding behind the first
+// run's cached dataset. A wall-clock read can move a report by less than it
+// prints in the seconds between the runs; nodeterm flags those.
+func TestReportsReproduceFromSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism check")
 	}
-	a := Fig10Stadium(tinyOpts)
-	b := Fig10Stadium(tinyOpts)
-	if a.String() != b.String() {
-		t.Fatal("same options must reproduce the same report")
+	if raceEnabled {
+		t.Skip("second suite run")
+	}
+	paper, ext := firstRun()
+	first := append(append([]Report(nil), paper...), ext...)
+	dsMu.Lock()
+	clear(dsCache)
+	dsMu.Unlock()
+	second := append(All(tinyOpts), Extensions(tinyOpts)...)
+	if len(second) != len(first) {
+		t.Fatalf("second run gave %d reports, first %d", len(second), len(first))
+	}
+	for i := range first {
+		if a, b := first[i].String(), second[i].String(); a != b {
+			t.Errorf("%s: same seed, different report:\n--- first\n%s--- second\n%s", first[i].ID, a, b)
+		}
 	}
 }
 

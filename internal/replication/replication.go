@@ -22,9 +22,9 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 6): newline-terminated lines both ways, read by
+// Protocol (version 7): newline-terminated lines both ways, read by
 // wire.ReadLine, each line's kind — and so its cap — picked by its first
-// byte before any of it is buffered. The replica opens with "hello 6 <from>
+// byte before any of it is buffered. The replica opens with "hello 7 <from>
 // <quoted id>" (from is the first LSN wanted; 0 forces a snapshot). The
 // source answers with WAL lines verbatim, exactly the bytes the primary
 // journaled — a report (0xB3, one line holding one LSN per sample), a sample

@@ -184,7 +184,7 @@ func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
 		}
 	}
 	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
-	if err := st.Checkpoint(snap); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 50; i++ {
@@ -310,7 +310,7 @@ func TestCompactedOffsetForcesResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Checkpoint(core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 45; i++ {

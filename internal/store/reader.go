@@ -487,13 +487,15 @@ func lineHolds(lsn uint64, line []byte) (last uint64, ok bool) {
 	return lsn, ok && peeked && got == lsn && json.Valid(payload)
 }
 
-// CheckpointAt atomically persists snap as a checkpoint covering records up
-// to and including lsn, then compacts. Unlike Checkpoint, the caller names
-// the covered LSN — required whenever the snapshot was captured at a known
-// log position (the coordinator's consistent-capture path) rather than
-// "whatever has been appended by now". The snapshot is encoded before the
-// store's mutex is taken, so a report appended meanwhile waits only for the
-// file's write, fsync and rename and the compaction.
+// CheckpointAt atomically persists snap as the newest checkpoint, covering
+// records up to and including lsn, then compacts: WAL segments wholly
+// covered by the oldest retained checkpoint and checkpoints beyond
+// CheckpointKeep are deleted. The caller names the log position the
+// snapshot was captured at: the coordinator's consistent-capture LSN, or
+// LastLSN for a single writer with nothing appending meanwhile. The
+// snapshot is encoded before the store's mutex is taken, so a report
+// appended meanwhile waits only for the file's write, fsync and rename and
+// the compaction.
 func (st *Store) CheckpointAt(lsn uint64, snap core.Snapshot) error {
 	t0 := time.Now()
 	data, err := encodeCheckpoint(lsn, snap)

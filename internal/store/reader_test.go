@@ -104,7 +104,7 @@ func TestReadBatchCompactedHistory(t *testing.T) {
 	}
 	defer st.Close()
 	appendN(t, st, 0, 40)
-	if err := st.Checkpoint(core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 40, 5) // live tail past the checkpoint
@@ -173,7 +173,7 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 					}
 					if tc.checkpointEvery > 0 && i%tc.checkpointEvery == tc.checkpointEvery-1 {
 						ckptLSN.Store(lsn)
-						if err := st.Checkpoint(core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
+						if err := st.CheckpointAt(lsn, core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
 							t.Errorf("checkpoint: %v", err)
 							return
 						}
@@ -596,7 +596,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 				err = st.AppendAt(lsn, line)
 			}
 		case op < 15:
-			err = st.Checkpoint(snap)
+			err = st.CheckpointAt(st.LastLSN(), snap)
 		case op == 15:
 			// Behind the cursor, at it, or ahead of everything written.
 			err = st.ResetTo(uint64(r.Intn(int(st.LastLSN())+10)), snap)

@@ -151,7 +151,7 @@ func readLineCapped(br *bufio.Reader) (line []byte, consumed int64, complete boo
 
 // TestRecoveryMatchesScan builds seeded data directories with the store's own
 // operations — Append, AppendAt with forward gaps, rotation at a tiny segment
-// size, Checkpoint with compaction, ResetTo, over one to three sessions —
+// size, CheckpointAt with compaction, ResetTo, over one to three sessions —
 // damages each the ways a crash or a disk does, and requires Open to recover
 // exactly what the segment-by-segment scan it replaced recovers from a copy:
 // the same snapshot, checkpoint LSN, tail and damage counters, the same next
@@ -239,7 +239,7 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 				}
 				n++
 			case op < 19:
-				err = st.Checkpoint(snap)
+				err = st.CheckpointAt(st.LastLSN(), snap)
 			default:
 				err = st.ResetTo(uint64(r.Intn(int(st.LastLSN())+10)), snap)
 			}
@@ -464,7 +464,7 @@ func TestDanglingCheckpointLinkCountsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, st, 0, 5)
-	if err := st.Checkpoint(core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 5, 2)

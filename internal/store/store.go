@@ -373,25 +373,6 @@ func (st *Store) Sync() error {
 	return nil
 }
 
-// Checkpoint atomically persists snap as the newest checkpoint, covering
-// every record appended so far, then compacts: WAL segments wholly covered
-// by the oldest retained checkpoint and checkpoints beyond CheckpointKeep
-// are deleted.
-func (st *Store) Checkpoint(snap core.Snapshot) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	t0 := time.Now()
-	lsn := st.nextLSN - 1
-	data, err := encodeCheckpoint(lsn, snap)
-	if err != nil {
-		return err
-	}
-	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
-}
-
 // encodeCheckpoint is AppendCheckpoint's checkpoint of snap covering lsn.
 func encodeCheckpoint(lsn uint64, snap core.Snapshot) ([]byte, error) {
 	data, err := AppendCheckpoint(nil, lsn, snap)

@@ -105,7 +105,7 @@ func TestCheckpointSplitsCoveredFromTail(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 10, 5)
@@ -146,7 +146,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
-	if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	segs, err = listSegments(dir)
@@ -186,7 +186,7 @@ func TestCheckpointRetention(t *testing.T) {
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	for round := 0; round < 4; round++ {
 		appendN(t, st, round*5, 5)
-		if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil {
+		if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if _, err := st.Append(testSample(0)); err != ErrClosed {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
-	if err := st.Checkpoint(core.Snapshot{}); err != ErrClosed {
+	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{}); err != ErrClosed {
 		t.Fatalf("checkpoint after close: %v, want ErrClosed", err)
 	}
 }
@@ -424,7 +424,7 @@ func TestTruncatedCheckpointFallsBackToOlder(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil { // covers 1..5
+	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil { // covers 1..5
 		t.Fatal(err)
 	}
 	for i := 5; i < 10; i++ {
@@ -434,7 +434,7 @@ func TestTruncatedCheckpointFallsBackToOlder(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil { // covers 1..10
+	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil { // covers 1..10
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -485,7 +485,7 @@ func TestAllCheckpointsCorruptFallsBackToFullWAL(t *testing.T) {
 	}
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	appendN(t, st, 0, 8)
-	if err := st.Checkpoint(ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -119,7 +119,7 @@ failover-smoke:
 	$(GO) test -race -count=1 ./internal/replication/
 	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint' ./internal/store
 	$(GO) test -race -count=3 -run 'TestFailover|TestSwarmChaos|TestReadyz|TestManualPromote|TestReconcile' ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole' ./internal/coordinator/
+	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole|TestChainedReplicaResyncsWhenItsSourceIsDemoted' ./internal/coordinator/
 
 # Non-test Go lines per package and in total, leaving out bench/ and
 # testdata/ — the figure ROADMAP item 2 asks simplification PRs to shrink.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/core"
 	"repro/internal/dashboard"
-	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
 )
@@ -42,22 +41,18 @@ func main() {
 	metric := flag.String("metric", "udp_kbps", "metric to display")
 	top := flag.Int("top", 20, "zone rows to show")
 	interval := flag.Duration("interval", 5*time.Second, "refresh interval")
-	zoneRadius := flag.Float64("zone-radius", 250, "zone radius (must match coordinator)")
 	once := flag.Bool("once", false, "render once and exit")
 	flag.Parse()
 
 	src := remoteSource{addr: *addr}
 	net_ := radio.NetworkID(*network)
 	m := trace.Metric(*metric)
-	grid := geo.GridForZoneRadius(geo.Madison().Center(), *zoneRadius)
 
 	render := func() {
 		now := time.Now()
 		fmt.Printf("== WiScape operator console — %s — %s/%s ==\n", now.Format(time.RFC3339), net_, m)
 		fmt.Printf("summary: %s\n\n", dashboard.Summarize(src, net_, m))
-		if err := dashboard.RenderMap(os.Stdout, src, dashboard.MapOptions{
-			Network: net_, Metric: m, Grid: grid,
-		}); err != nil {
+		if err := dashboard.RenderMap(os.Stdout, src, dashboard.MapOptions{Network: net_, Metric: m}); err != nil {
 			log.Printf("map: %v", err)
 		}
 		fmt.Println()

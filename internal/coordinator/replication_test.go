@@ -300,3 +300,58 @@ func TestReplicaGaugesFollowPromotion(t *testing.T) {
 		t.Fatalf("promoted node reports applied LSN %v and lag %v; its log ends at %d", applied, lag, node.store.LastLSN())
 	}
 }
+
+// TestChainedReplicaResyncsWhenItsSourceIsDemoted: a demote order resyncs a
+// primary from its new primary's shorter, different history, and the replica
+// tailing it resyncs with it, so the two logs stay the same at every LSN both
+// hold, rather than the tail keeping the records its source gave up.
+func TestChainedReplicaResyncsWhenItsSourceIsDemoted(t *testing.T) {
+	node := func(id, from string) (*Server, string) {
+		opts := persistOpts(t.TempDir())
+		opts.ServerID, opts.ReplicationAddr, opts.ReplicateFrom = id, "127.0.0.1:0", from
+		return newServer(t, opts), opts.DataDir
+	}
+	report := func(s *Server, reports int, value float64) {
+		t.Helper()
+		for i := 0; i < reports; i++ {
+			reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+				ClientID: s.opts.ServerID, Samples: minuteSamples(geo.Madison().Center(), start, 12, value+float64(i))}}, nil)
+			if reply.Type != wire.TypeSampleAck {
+				t.Fatalf("%s refused the report: %+v", s.opts.ServerID, reply)
+			}
+		}
+	}
+	at := func(s *Server, lsn uint64) func() bool {
+		return func() bool {
+			s.ingestMu.Lock()
+			defer s.ingestMu.Unlock()
+			return s.store.LastLSN() == lsn
+		}
+	}
+	x, xdir := node("x", "")
+	z, zdir := node("z", x.ReplicationAddr())
+	y, _ := node("y", "")
+	report(x, 4, 900) // LSNs 1..48 of x's history
+	report(y, 2, 100) // 1..24 of y's
+	waitFor(t, 5*time.Second, "z to hold x's history", at(z, 48))
+
+	if _, err := x.changeRole(1, y.ReplicationAddr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "x to resync from y", at(x, 24))
+	waitFor(t, 5*time.Second, "z to resync with x", at(z, 24))
+	report(y, 4, 500) // 25..72 of y's
+	waitFor(t, 5*time.Second, "x to tail y", at(x, 72))
+	waitFor(t, 5*time.Second, "z to tail x", at(z, 72))
+
+	xlog, _ := journal(t, xdir)
+	zlog, _ := journal(t, zdir)
+	if len(xlog) != 4 || len(zlog) != len(xlog) {
+		t.Fatalf("x's log holds %d lines and z's %d; want y's four past the resync in each", len(xlog), len(zlog))
+	}
+	for lsn, line := range xlog {
+		if !bytes.Equal(line, zlog[lsn]) {
+			t.Fatalf("x and z differ at LSN %d:\n%q\n%q", lsn, line, zlog[lsn])
+		}
+	}
+}

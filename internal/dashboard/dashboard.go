@@ -82,17 +82,12 @@ func RenderTable(w io.Writer, src Source, opts TableOptions) error {
 type MapOptions struct {
 	Network radio.NetworkID
 	Metric  trace.Metric
-	// Grid must match the controller's zone grid to place records.
-	Grid *geo.Grid
 }
 
 // RenderMap writes a Figure-1-style ASCII map: digits 0-9 scale the metric
 // between the observed min and max, '!' marks high-variance zones, '.' is
-// no data.
+// no data. Records are laid out by their zones' grid coordinates.
 func RenderMap(w io.Writer, src Source, opts MapOptions) error {
-	if opts.Grid == nil {
-		return fmt.Errorf("dashboard: RenderMap requires a grid")
-	}
 	records := src.Records(opts.Network, opts.Metric)
 	if len(records) == 0 {
 		_, err := fmt.Fprintf(w, "no records for %s/%s\n", opts.Network, opts.Metric)

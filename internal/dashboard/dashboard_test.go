@@ -86,9 +86,7 @@ func TestRenderTableTopAndEmpty(t *testing.T) {
 func TestRenderMap(t *testing.T) {
 	c := filled(t)
 	var b strings.Builder
-	err := RenderMap(&b, c, MapOptions{
-		Network: radio.NetB, Metric: trace.MetricUDPKbps, Grid: c.Grid(),
-	})
+	err := RenderMap(&b, c, MapOptions{Network: radio.NetB, Metric: trace.MetricUDPKbps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +99,6 @@ func TestRenderMap(t *testing.T) {
 	}
 	if !strings.ContainsAny(out, "0123456789") {
 		t.Fatalf("no level digits rendered:\n%s", out)
-	}
-	// Requires a grid.
-	if err := RenderMap(&b, c, MapOptions{Network: radio.NetB, Metric: trace.MetricUDPKbps}); err == nil {
-		t.Fatal("missing grid must error")
 	}
 }
 

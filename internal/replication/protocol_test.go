@@ -552,10 +552,163 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 	if src.WaitCommitted(6, 50*time.Millisecond) {
 		t.Fatal("LSN 6 reads as committed on the strength of an ack for records never shipped")
 	}
-	for _, ri := range src.Replicas() {
-		if ri.ID == "liar" && ri.AckedLSN != 5 {
-			t.Fatalf("replica state %+v, want the honest ack of 5 only", ri)
-		}
+	waitFor(t, 5*time.Second, "the liar's stream to end", func() bool { return src.ConnectedReplicas() == 0 })
+	if got := src.Replicas(); len(got) != 0 {
+		t.Fatalf("replicas %+v after the liar's stream ended; want the liar not listed", got)
+	}
+}
+
+// dialAs attaches a scripted replica named id to src, saying hello from from.
+func dialAs(t *testing.T, src *Source, id string, from uint64) *peer {
+	t.Helper()
+	nc, err := net.Dial("tcp", src.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPeer(t, nc)
+	p.send(appendHello(nil, hello{from: from, id: id}))
+	return p
+}
+
+// wantSnapshotFlush reads a flush that must be a snapshot covering lsn and
+// nothing else.
+func (p *peer) wantSnapshotFlush(lsn uint64) {
+	p.t.Helper()
+	lines, _ := p.recvFlush()
+	if _, got, err := store.ParseCheckpointLine(lines); err != nil || got != lsn {
+		p.t.Fatalf("got %d bytes (snapshot LSN %d, %v); want a snapshot of LSN %d alone", len(lines), got, err, lsn)
+	}
+}
+
+// recvThrough reads flushes until one ends at lsn: appends the source ships
+// as they land can reach the peer over several.
+func (p *peer) recvThrough(lsn uint64) {
+	p.t.Helper()
+	for last := uint64(0); last != lsn; {
+		_, last = p.recvFlush()
+	}
+}
+
+func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
+	// An ack says the replica holds the log's records through an LSN, and
+	// ResetTo gives the LSNs past its own other records. So what a replica
+	// acked before a reset commits nothing after it: not when the replica
+	// attaches anew, nor on a stream attached across the reset, before the
+	// stream has woken to it or after it has resynced. Nor does an ack after
+	// the reset commit a record the reset replaced.
+	st := openStore(t, store.Options{})
+	appendThrough(t, st, 20)
+	src := startSource(t, st, SourceOptions{})
+	snap := core.Snapshot{TakenAt: start}
+
+	p := dialAs(t, src, "z", 1)
+	p.recvFlush()
+	if _, last := p.recvFlush(); last != 20 {
+		t.Fatalf("the log ends at %d, want 20", last)
+	}
+	p.send(ackLine(20))
+	if !src.WaitCommitted(20, 5*time.Second) {
+		t.Fatal("the ack of 20 did not commit it")
+	}
+	_ = p.nc.Close()
+	waitFor(t, 5*time.Second, "z's stream to end", func() bool { return src.ConnectedReplicas() == 0 })
+	if err := st.ResetTo(10, snap); err != nil {
+		t.Fatal(err)
+	}
+	appendThrough(t, st, 11)
+
+	// z comes back holding the old 1..20: bootstrapped, and it holds back 11.
+	p = dialAs(t, src, "z", 21)
+	p.wantSnapshotFlush(10)
+	p.recvThrough(11)
+	p.send(ackLine(10))
+	if src.WaitCommitted(11, 50*time.Millisecond) {
+		t.Fatal("LSN 11 committed on an ack of 20 given before the reset")
+	}
+	if got := src.Replicas(); len(got) != 1 || got[0] != (wire.ReplicaState{ID: "z", AckedLSN: 10, Connected: true}) {
+		t.Fatalf("replicas %+v, want z alone, having acked 10", got)
+	}
+	p.send(ackLine(11))
+	if !src.WaitCommitted(11, 5*time.Second) {
+		t.Fatal("the ack of 11 did not commit it")
+	}
+
+	// The same on a stream that stays attached across a second reset, with
+	// a commit of LSN 21 of the replaced history left waiting: no ack of
+	// the new one gives it.
+	appendThrough(t, st, 20)
+	src.Notify()
+	p.recvThrough(20)
+	p.send(ackLine(20))
+	if !src.WaitCommitted(20, 5*time.Second) {
+		t.Fatal("the ack of 20 did not commit it")
+	}
+	appendThrough(t, st, 21)
+	src.Notify()
+	p.recvThrough(21)
+	replaced := make(chan bool, 1)
+	go func() { replaced <- src.WaitCommitted(21, 5*time.Second) }()
+	waitFor(t, 5*time.Second, "the commit of 21 to wait", func() bool {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		return len(src.waiters) == 1
+	})
+	if err := st.ResetTo(10, snap); err != nil {
+		t.Fatal(err)
+	}
+	appendThrough(t, st, 11)
+	if src.WaitCommitted(11, 10*time.Millisecond) {
+		t.Fatal("LSN 11 committed, before the stream resynced, on an ack given before the reset")
+	}
+	src.Notify()
+	p.wantSnapshotFlush(10)
+	if src.WaitCommitted(11, 50*time.Millisecond) {
+		t.Fatal("LSN 11 committed, after the stream resynced, on an ack given before the reset")
+	}
+	if got := src.Replicas(); len(got) != 1 || got[0].AckedLSN != 0 {
+		t.Fatalf("replicas %+v, want z alone, having acked nothing since the resync", got)
+	}
+	appendThrough(t, st, 21)
+	src.Notify()
+	p.recvThrough(21)
+	p.send(ackLine(21))
+	if !src.WaitCommitted(21, 5*time.Second) {
+		t.Fatal("the ack of 21 did not commit it")
+	}
+	select {
+	case <-replaced:
+		t.Fatal("an ack of the new history ended the wait for LSN 21 of the replaced one")
+	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+func TestAnEndedStreamLeavesNothingBehind(t *testing.T) {
+	// All a source knows of a replica lives on the replica's stream: hundreds
+	// of replicas that said hello under fresh ids, acked and left are not
+	// listed, and a real replica's ack still commits.
+	st := openStore(t, store.Options{})
+	appendThrough(t, st, 5)
+	src := startSource(t, st, SourceOptions{})
+	for i := 0; i < 300; i++ {
+		p := dialAs(t, src, fmt.Sprintf("gone-%d", i), 6)
+		p.recvFlush()
+		p.send(ackLine(5))
+		_ = p.nc.Close()
+	}
+	waitFor(t, 5*time.Second, "every stream to end", func() bool { return src.ConnectedReplicas() == 0 })
+	if got := src.Replicas(); len(got) != 0 {
+		t.Fatalf("%d replicas listed with none attached, the first %+v", len(got), got[0])
+	}
+	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1", From: 6})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "r1 to attach", func() bool { return src.ConnectedReplicas() == 1 })
+	appendThrough(t, st, 6)
+	src.Notify()
+	if !src.WaitCommitted(6, 5*time.Second) {
+		t.Fatal("r1's ack of 6 did not commit it")
+	}
+	if got := src.Replicas(); len(got) != 1 || got[0] != (wire.ReplicaState{ID: "r1", AckedLSN: 6, Connected: true}) {
+		t.Fatalf("replicas %+v, want r1 alone, having acked 6", got)
 	}
 }
 

@@ -43,8 +43,8 @@ var redialBackoff = rng.Backoff{Base: 50 * time.Millisecond, Max: 2 * time.Secon
 
 // ReplicaOptions configures the consumer side of a replicated shard.
 type ReplicaOptions struct {
-	// ID names this replica to the primary (acked offsets are tracked per
-	// ID across reconnects). Default "replica".
+	// ID names this replica to the primary, which lists its stream by it.
+	// Default "replica".
 	ID string
 
 	// From is the first LSN to request: a warm restart passes its local

@@ -10,9 +10,10 @@
 //   - Source is the primary side: it serves a replication listener off the
 //     shard's durable store, answers each replica's handshake with either a
 //     snapshot (when the requested offset was compacted away, or when a
-//     resync is forced) or a log stream from the requested LSN, and tracks
-//     per-replica acknowledged offsets — the substrate for semi-synchronous
-//     acks (WaitCommitted) and for the gateway's freshest-replica choice.
+//     resync is forced) or a log stream from the requested LSN, resyncs
+//     every stream when the store's history is reset, and holds each
+//     stream's acknowledged offset — the substrate for semi-synchronous
+//     acks (WaitCommitted) — only as long as the stream lives.
 //
 //   - Replica is the consumer side: it dials the primary, applies the
 //     bootstrap snapshot and then every streamed record through an Applier

@@ -410,6 +410,40 @@ func TestReplicasReportsAckedOffsets(t *testing.T) {
 	}
 }
 
+func TestStreamAcrossAResetResyncs(t *testing.T) {
+	// ResetTo gives the LSNs past its own other records, so a stream attached
+	// across it cannot go on from where it stood: its replica would hold the
+	// replaced records under LSNs the new history reuses. It resyncs, and the
+	// replica's log is the source's at every LSN.
+	st := openStore(t, store.Options{})
+	appendThrough(t, st, 20)
+	src := startSource(t, st, SourceOptions{})
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "the first history applied", func() bool { return r.Status().AppliedLSN == 20 })
+
+	if err := st.ResetTo(10, core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 15; i++ { // LSNs 11..25, none the record it was
+		if _, err := st.Append(testSample(100 + i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.Notify()
+	waitFor(t, 5*time.Second, "the second history applied", func() bool { return r.Status().AppliedLSN == 25 })
+	if bootLSN, boots, applied := ap.snapshot(); boots != 1 || bootLSN != 10 || len(applied) != 15 || applied[0] != 11 {
+		t.Fatalf("%d bootstraps (the last at LSN %d), then applied %v; want one at 10, then 11..25", boots, bootLSN, applied)
+	}
+	if got, want := journalOf(t, dirOf(ap.st)), journalOf(t, dirOf(st)); !bytes.Equal(got, want) {
+		t.Fatalf("the replica's log (%d bytes) differs from its source's (%d bytes)", len(got), len(want))
+	}
+	if got := r.Status(); got.Lag != 0 || got.Resyncs != 1 {
+		t.Fatalf("replica status %+v, want no lag after one resync", got)
+	}
+}
+
 // heldApplier applies nothing past LSN hold until release is closed, and
 // closes held when it first waits.
 type heldApplier struct {

@@ -35,7 +35,7 @@ const (
 	maxLinesPerRun = 256
 )
 
-// replicaConn is one attached replica stream.
+// replicaConn is one attached replica stream: all the source knows of a replica.
 type replicaConn struct {
 	id   string
 	wake chan struct{} // collapsed append notifications
@@ -46,12 +46,17 @@ type replicaConn struct {
 	// line sent. The writer advances it before the bytes leave; the ack
 	// reader refuses an ack above it.
 	shipped atomic.Uint64
+
+	// Under Source.mu, set as the stream starts or resyncs: the reset count
+	// of the history it ships (its cursor's), and the highest LSN acked since.
+	resets, acked uint64
 }
 
-// commitWaiter parks one WaitCommitted call until some replica acks lsn.
+// commitWaiter parks one WaitCommitted call until some replica acks lsn of
+// the history with store reset count resets.
 type commitWaiter struct {
-	lsn uint64
-	ch  chan struct{}
+	lsn, resets uint64
+	ch          chan struct{}
 }
 
 // Source serves a shard's WAL to replicas. It reads the store directly —
@@ -65,7 +70,6 @@ type Source struct {
 
 	mu      sync.Mutex
 	streams map[*replicaConn]struct{} // handshaken replicas; Notify wakes them
-	acked   map[string]uint64         // per replica id, survives reconnects
 	waiters []commitWaiter
 
 	stop     chan struct{}
@@ -80,7 +84,6 @@ func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uin
 		st:       st,
 		snapshot: snapshot,
 		streams:  make(map[*replicaConn]struct{}),
-		acked:    make(map[string]uint64),
 		stop:     make(chan struct{}),
 	}
 	s.met = newSourceMetrics(opts.Telemetry, s.ConnectedReplicas)
@@ -121,39 +124,38 @@ func (s *Source) ConnectedReplicas() int {
 	return len(s.streams)
 }
 
-// Replicas returns per-replica replication state, in ID order: every
-// replica ever acked (offsets survive reconnects) plus its current
-// connection state.
+// Replicas returns the attached replica streams, in ID order, each with what
+// its replica has acked since the stream started or last resynced.
 func (s *Source) Replicas() []wire.ReplicaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	connected := make(map[string]bool, len(s.streams))
+	out := make([]wire.ReplicaState, 0, len(s.streams))
 	for rc := range s.streams {
-		connected[rc.id] = true
-	}
-	out := make([]wire.ReplicaState, 0, len(s.acked))
-	for id, lsn := range s.acked {
-		out = append(out, wire.ReplicaState{ID: id, AckedLSN: lsn, Connected: connected[id]})
+		out = append(out, wire.ReplicaState{ID: rc.id, AckedLSN: rc.acked, Connected: true})
 	}
 	slices.SortFunc(out, func(a, b wire.ReplicaState) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
-// WaitCommitted blocks until some replica has acknowledged lsn (or a later
-// record), reporting false on timeout or source shutdown. This is the
-// semi-synchronous ack primitive: a primary that waits here before acking
-// an agent guarantees the sample survives its own death.
+// WaitCommitted blocks until some attached replica has acknowledged lsn (or a
+// later record) of the log's current history, reporting false on timeout or
+// source shutdown. This is the semi-synchronous ack primitive: a primary that
+// waits here before acking an agent guarantees the sample survives its own
+// death.
 func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
 	t0 := time.Now()
 	released := s.met.commitAcked // the series this wait lands in; timeout and stop re-point it
 	defer func() { released.Observe(time.Since(t0).Seconds()) }()
 
 	s.mu.Lock()
-	if s.maxAckedLocked() >= lsn {
-		s.mu.Unlock()
-		return true
+	resets := s.st.Resets()
+	for rc := range s.streams {
+		if rc.resets == resets && rc.acked >= lsn {
+			s.mu.Unlock()
+			return true
+		}
 	}
-	w := commitWaiter{lsn: lsn, ch: make(chan struct{})}
+	w := commitWaiter{lsn: lsn, resets: resets, ch: make(chan struct{})}
 	s.waiters = append(s.waiters, w)
 	s.mu.Unlock()
 
@@ -171,35 +173,36 @@ func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
 	}
 }
 
-func (s *Source) maxAckedLocked() uint64 {
-	var mx uint64
-	for _, lsn := range s.acked {
-		if lsn > mx {
-			mx = lsn
-		}
-	}
-	return mx
-}
-
-// recordAck stores a replica's applied offset and releases satisfied
-// commit waiters.
-func (s *Source) recordAck(id string, lsn uint64) {
+// recordAck stores an ack on rc's stream and releases the commit waiters it
+// satisfies: a parked waiter's lsn is above every earlier ack of its history.
+// An ack on a stream still shipping a replaced history counts for nothing,
+// and a waiter whose record a reset replaced is dropped, to time out.
+func (s *Source) recordAck(rc *replicaConn, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if lsn <= s.acked[id] {
+	resets := s.st.Resets()
+	if rc.resets != resets || lsn <= rc.acked {
 		return
 	}
-	s.acked[id] = lsn
-	mx := s.maxAckedLocked()
+	rc.acked = lsn
 	kept := s.waiters[:0]
 	for _, w := range s.waiters {
-		if w.lsn <= mx {
+		switch {
+		case w.resets != resets: // its record went with a reset: dropped, to time out
+		case w.lsn <= lsn:
 			close(w.ch)
-		} else {
+		default:
 			kept = append(kept, w)
 		}
 	}
 	s.waiters = kept
+}
+
+// follow starts rc on the history cur reads, with nothing acked of it.
+func (s *Source) follow(rc *replicaConn, cur *store.Cursor) {
+	s.mu.Lock()
+	rc.resets, rc.acked = cur.Resets(), 0
+	s.mu.Unlock()
 }
 
 // Suspend severs every replica stream and stops accepting new ones,
@@ -241,9 +244,6 @@ func (s *Source) serve(nc net.Conn) {
 	rc := &replicaConn{id: h.id, wake: make(chan struct{}, 1), gone: make(chan struct{})}
 	s.mu.Lock()
 	s.streams[rc] = struct{}{}
-	if _, seen := s.acked[h.id]; !seen {
-		s.acked[h.id] = 0
-	}
 	s.mu.Unlock()
 	s.met.attaches.Inc()
 	slog.Info("replication: replica attached", "replica", h.id, "from_lsn", h.from)
@@ -274,7 +274,7 @@ func (s *Source) serve(nc net.Conn) {
 					"replica", h.id, "lsn", lsn, "shipped", rc.shipped.Load())
 				return
 			}
-			s.recordAck(h.id, lsn)
+			s.recordAck(rc, lsn)
 		}
 	}()
 	defer func() {
@@ -299,21 +299,21 @@ func (s *Source) serve(nc net.Conn) {
 // The first flush answers the hello, with or without a snapshot, so the
 // replica learns where the log ends even with nothing to catch up on.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
+	// One cursor per stream: a run costs the lines it ships, and a caught-up
+	// look at the log one empty read. Opened first, it fails on a later reset.
+	cur := s.st.OpenCursor(from)
+	defer func() { cur.Close() }()
 	if from == 0 || from > s.st.LastLSN()+1 {
-		var err error
-		if from, err = s.writeSnapshot(rc, bw); err != nil {
+		if err := s.writeSnapshot(rc, bw, cur); err != nil {
 			return err
 		}
 	} else {
+		s.follow(rc, cur)
 		rc.shipped.Store(from - 1)
 	}
 	if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
 		return err
 	}
-	// One cursor per stream: a run costs the lines it ships, and a
-	// caught-up look at the log one empty read.
-	cur := s.st.OpenCursor(from)
-	defer func() { cur.Close() }()
 	poll := time.NewTicker(pollInterval)
 	defer poll.Stop()
 	for {
@@ -323,14 +323,15 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 		lines, n, err := cur.NextLines(maxLinesPerRun)
 		switch {
 		case errors.Is(err, store.ErrCompacted), errors.Is(err, store.ErrInsideLine):
-			// The replica's position predates retained history, or falls
-			// inside a report line, where no replica of this log stands;
-			// restart it from a fresh snapshot (the resync path).
-			if from, err = s.writeSnapshot(rc, bw); err != nil {
+			// The replica's position predates retained history, falls
+			// inside a report line, where no replica of this log stands, or
+			// lies in a history ResetTo has replaced; restart it from a
+			// fresh snapshot (the resync path).
+			cur.Close()
+			cur = s.st.OpenCursor(0)
+			if err := s.writeSnapshot(rc, bw, cur); err != nil {
 				return err
 			}
-			cur.Close()
-			cur = s.st.OpenCursor(from)
 		case err != nil:
 			return err
 		case n > 0:
@@ -357,19 +358,22 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	}
 }
 
-// writeSnapshot writes a bootstrap snapshot, as the checkpoint line of a live
-// capture — from then on what the replica holds, so rc.shipped is set to it
-// before it leaves — and returns the next LSN to stream.
-func (s *Source) writeSnapshot(rc *replicaConn, bw *bufio.Writer) (next uint64, err error) {
+// writeSnapshot starts rc afresh on the history cur reads and writes a
+// bootstrap snapshot, as the checkpoint line of a live capture taken after
+// cur opened — from then on what the replica holds, so rc.shipped is set to
+// it before it leaves — and moves cur past it.
+func (s *Source) writeSnapshot(rc *replicaConn, bw *bufio.Writer, cur *store.Cursor) error {
+	s.follow(rc, cur)
 	snap, lsn := s.snapshot()
 	line, err := store.AppendCheckpointLine(nil, lsn, snap)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	rc.shipped.Store(lsn)
 	if _, err := bw.Write(line); err != nil {
-		return 0, err
+		return err
 	}
 	s.met.snapshotsSent.Inc()
-	return lsn + 1, nil
+	cur.Seek(lsn + 1)
+	return nil
 }

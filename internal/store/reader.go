@@ -23,8 +23,8 @@ type Entry struct {
 
 // ErrCompacted is returned by log readers when the requested LSN predates the
 // oldest retained WAL record — compaction has deleted the segments that held
-// it. A reader that needs that history must re-bootstrap from a snapshot
-// instead of the log.
+// it — and by a Cursor whose history ResetTo has replaced. A reader that needs
+// that history must re-bootstrap from a snapshot instead of the log.
 var ErrCompacted = errors.New("store: requested records compacted away")
 
 // ErrInsideLine is returned by NextLines when its position is an LSN inside a
@@ -62,14 +62,17 @@ func (st *Store) ReadBatch(from uint64, max int) ([]Entry, error) {
 // tail — never a phantom record. Next may stop part way through a report
 // line; the cursor then stands at the line's start, and its next call reads
 // the line again and hands on from the first sample not yet returned.
-// Whenever segments are deleted (compaction, ResetTo) the cursor drops its
-// handle and positions afresh by LSN, which is where a range that went away
-// surfaces as ErrCompacted; a deleted segment's inode is therefore pinned
-// only until the cursor's next call.
+// Whenever compaction deletes segments the cursor drops its handle and
+// positions afresh by LSN, which is where a range that went away surfaces as
+// ErrCompacted; a deleted segment's inode is therefore pinned only until the
+// cursor's next call. A cursor reads the history the log held when it was
+// opened: once ResetTo has replaced it, deleting every segment, each call
+// returns ErrCompacted, wherever the cursor stands.
 type Cursor struct {
-	st   *Store
-	next uint64 // lowest LSN not yet returned
-	gen  uint64 // st.segGen the position was taken under
+	st     *Store
+	next   uint64 // lowest LSN not yet returned
+	gen    uint64 // st.segGen the position was taken under
+	resets uint64 // st.Resets() when opened: the history read
 
 	f        *os.File // segment being read; nil when not positioned
 	first    uint64   // its first LSN
@@ -92,15 +95,24 @@ type Cursor struct {
 // cap of the line's kind, see LineCap) only for a line that does not fit.
 const cursorBufBytes = 64 << 10
 
-// OpenCursor returns a cursor whose first Next yields the records with
-// LSN >= from (0 means 1). It does no I/O; Close releases the segment handle
-// a later Next acquires.
+// OpenCursor returns a cursor on the log's current history whose first Next
+// yields the records with LSN >= from (0 means 1). It does no I/O; Close
+// releases the segment handle a later Next acquires.
 func (st *Store) OpenCursor(from uint64) *Cursor {
-	if from == 0 {
-		from = 1
-	}
-	return &Cursor{st: st, next: from}
+	c := &Cursor{st: st, resets: st.Resets()}
+	c.Seek(from)
+	return c
 }
+
+// Seek moves the cursor to from (0 means 1) in the history it was opened on,
+// so a reader can open it before capturing the state it will read on from.
+func (c *Cursor) Seek(from uint64) {
+	c.Close()
+	c.next = max(from, 1)
+}
+
+// Resets returns the store's Resets() when the cursor was opened.
+func (c *Cursor) Resets() uint64 { return c.resets }
 
 // Close releases the cursor's segment handle. Idempotent.
 func (c *Cursor) Close() {
@@ -114,7 +126,8 @@ func (c *Cursor) Close() {
 // Next returns up to max (default 1024) records past the last one returned,
 // in LSN order. An empty batch with a nil error means caught up; call again
 // after more appends. ErrCompacted means the next LSN predates the oldest
-// retained record: restart from a snapshot with a new cursor.
+// retained record, or ResetTo has replaced the history the cursor reads:
+// restart from a snapshot with a new cursor.
 //
 // Complete lines that fail validation are skipped (recovery's rule). An
 // unterminated tail in the active segment is an append in flight and is never
@@ -192,8 +205,11 @@ func (c *Cursor) walk(scan func() (done bool, err error)) error {
 		// for the next call, rotation or not. While Open recovers there is
 		// no active segment, and every one is sealed.
 		c.st.mu.Lock()
-		active, gen, open := c.st.segFirst, c.st.segGen, c.st.f != nil
+		active, gen, open, reset := c.st.segFirst, c.st.segGen, c.st.f != nil, c.st.Resets() != c.resets
 		c.st.mu.Unlock()
+		if reset {
+			return ErrCompacted
+		}
 		if gen != c.gen {
 			c.Close()
 			c.gen = gen
@@ -531,7 +547,7 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 	if err := st.f.Close(); err != nil {
 		return fmt.Errorf("store: reset: sealing active segment: %w", err)
 	}
-	st.segGen++
+	st.resets.Add(1)
 	segs, err := listSegments(st.dir)
 	if err != nil {
 		return err

@@ -460,7 +460,8 @@ func oracleReadBatch(dir string, from uint64, max int, wholeLines bool) ([]Entry
 // directions, cursors reopened at any LSN, inside report lines too, and by
 // hand a torn tail and a corrupt line — and requires the same batches (the
 // raw lines decoded) and the same ErrCompacted and ErrInsideLine verdicts at
-// every read. Next reads at most max samples, so it often stops part way
+// every read, with ErrCompacted for every read of a cursor opened before the
+// last ResetTo. Next reads at most max samples, so it often stops part way
 // through a report line and picks up there; NextLines reads whole lines.
 //
 // Mutants of the raw read this must catch, each tried by hand: no CRC check
@@ -540,6 +541,10 @@ func runCursorSchedule(dir string, seed uint64) error {
 	compare := func(rd *reader, max int) (moved bool, err error) {
 		reads++
 		want, werr := oracleReadBatch(dir, rd.pos, max, rd.lines)
+		if rd.cur.Resets() != st.Resets() {
+			// A reset since the cursor opened: the log it reads is gone.
+			want, werr = nil, ErrCompacted
+		}
 		var got []Entry
 		var gerr error
 		if rd.lines {

@@ -145,12 +145,13 @@ type Store struct {
 	opts     Options
 	recovery Recovery
 	met      metrics
-	lastCkpt atomic.Int64 // unix nanos of the newest checkpoint (age gauge)
+	lastCkpt atomic.Int64  // unix nanos of the newest checkpoint (age gauge)
+	resets   atomic.Uint64 // ResetTo calls, each under mu (see Resets)
 
 	mu       sync.Mutex
 	f        *os.File // active WAL segment
 	segFirst uint64   // first LSN of the active segment
-	segGen   uint64   // bumped when segments are deleted; open cursors then re-position
+	segGen   uint64   // bumped when compaction deletes segments; open cursors then re-position
 	segSize  int64
 	nextLSN  uint64
 	unsynced int // WAL lines appended since the last fsync
@@ -210,6 +211,10 @@ func (st *Store) LastLSN() uint64 {
 	defer st.mu.Unlock()
 	return st.nextLSN - 1
 }
+
+// Resets returns how many times ResetTo has replaced the log's history: an
+// LSN names one record only within one history.
+func (st *Store) Resets() uint64 { return st.resets.Load() }
 
 // segName returns the path of the segment whose first record is lsn.
 func (st *Store) segName(lsn uint64) string {

@@ -203,7 +203,8 @@ const (
 // to detect stale primaries that must be demoted.
 type StatusRequest struct{}
 
-// ReplicaState is one attached replica as its primary sees it.
+// ReplicaState is one attached replica stream as its primary sees it. A
+// primary lists only attached streams, so Connected always reads true.
 type ReplicaState struct {
 	ID        string `json:"id"`
 	AckedLSN  uint64 `json:"acked_lsn"`

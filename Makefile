@@ -107,7 +107,9 @@ swarm-smoke:
 # Failover smoke: the replication subsystem's unit suite, the log reader it
 # tails the WAL with and that recovery drains (cursor and recovery vs the
 # scans they replaced, torn and corrupt segments, checkpoint choice, racing a
-# live appender — repeated, since a race shows only some of the time), the
+# live appender — repeated, since a race shows only some of the time) and the
+# store's wake-ups its streams wait on in place of a poll (every write and
+# reset wakes a watcher), the
 # gateway's per-shard control passes (kill/promote/rejoin with acked-sample
 # preservation, swarm chaos hook, degraded readiness, a manual promote racing
 # a breaker-driven one, poll counts, demotion, and revival: a restarted shard
@@ -117,7 +119,7 @@ swarm-smoke:
 failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm
 	$(GO) test -race -count=1 ./internal/replication/
-	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint' ./internal/store
+	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint|Watch' ./internal/store
 	$(GO) test -race -count=3 -run 'TestFailover|TestSwarmChaos|TestReadyz|TestManualPromote|TestReconcile' ./internal/cluster/
 	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole|TestChainedReplicaResyncsWhenItsSourceIsDemoted' ./internal/coordinator/
 

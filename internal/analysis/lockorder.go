@@ -8,13 +8,12 @@ package analysis
 // globally consistent.
 //
 // The invariant it guards is the coordinator's lock hierarchy:
-// (coordinator.Server).ingestMu before (coordinator.Server).mu, and both
-// before the leaf locks they reach through calls — the store's, the
-// controller's, the replication source's, the device normalizer's and the
-// telemetry registry's — which never call back up. Neither the tests nor
-// the race detector see an inversion of it: taking ingestMu under mu in
-// (Server).statusReply passes `go test -race ./internal/coordinator` and
-// is reported here.
+// (coordinator.Server).ingestMu and (coordinator.Server).mu, which no path
+// holds together, each before the leaf locks they reach through calls —
+// the store's, the controller's, the device normalizer's and the telemetry
+// registry's — which never call back up. The race detector does not track
+// lock order; an inversion is reported here once both of its orders are in
+// the code.
 //
 // The graph is whole-load: an edge A→B means some function held A while
 // acquiring B, either directly in its body or through any chain of

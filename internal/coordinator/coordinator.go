@@ -480,7 +480,6 @@ func (s *Server) dispatch(req wire.Envelope, out *wire.Replies) (reply wire.Enve
 		s.Controller().Ingest(sr.Samples...)
 		s.ingestMu.Unlock()
 		s.met.samplesIngested.Add(float64(accepted))
-		s.notifyReplicas()
 		if !s.waitReplicated(lastLSN) {
 			// The samples are journaled and ingested locally, but the
 			// configured durability bar (a replica ack) was not met in time;

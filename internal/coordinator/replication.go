@@ -27,9 +27,7 @@ func (s *Server) startReplication() error {
 	if s.store == nil {
 		return errNeedsStore
 	}
-	src, err := replication.NewSource(s.store, s.opts.ReplicationAddr, s.captureSnapshot, replication.SourceOptions{
-		Telemetry: s.opts.Telemetry,
-	})
+	src, err := replication.NewSource(s.store, s.opts.ReplicationAddr, s.captureSnapshot, s.opts.Telemetry)
 	if err != nil {
 		return err
 	}
@@ -104,15 +102,6 @@ func (s *Server) source() *replication.Source {
 	return s.src
 }
 
-// notifyReplicas wakes attached replica streams after an append. Chained
-// consumers (a replica's own replicas, live after promotion) ride the same
-// wake path as primary ingest.
-func (s *Server) notifyReplicas() {
-	if src := s.source(); src != nil {
-		src.Notify()
-	}
-}
-
 // waitReplicated implements the semi-synchronous ack bar: with
 // SyncReplication on and at least one replica attached, the sample ack
 // waits until some replica acknowledges lsn. Reports true when the bar is
@@ -156,7 +145,6 @@ func (a *replicaApplier) Apply(first uint64, samples []trace.Sample, line []byte
 		return err
 	}
 	s.Controller().Ingest(samples...)
-	s.notifyReplicas()
 	return nil
 }
 

@@ -387,7 +387,7 @@ func TestLineCapGoesByLeadByte(t *testing.T) {
 	p.send([]byte("lsn " + strings.Repeat("9", maxTextLineBytes)))
 	p.wantClosed()
 
-	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
+	src := startSource(t, openStore(t, store.Options{}), nil)
 	nc, err := net.Dial("tcp", src.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +443,7 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 	// on the first snapshot line — and version 4's
 	// binary hello, which opens with a length no line kind starts with, by
 	// hanging up.
-	src := startSource(t, openStore(t, store.Options{}), SourceOptions{})
+	src := startSource(t, openStore(t, store.Options{}), nil)
 	dial := func() *peer {
 		nc, err := net.Dial("tcp", src.Addr())
 		if err != nil {
@@ -483,13 +483,12 @@ func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
 	t.Run("ahead", func(t *testing.T) {
 		st := openStore(t, store.Options{})
 		appendThrough(t, st, 5)
-		src := startSource(t, st, SourceOptions{})
+		src := startSource(t, st, nil)
 		ap := &memApplier{}
 		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary", From: 21})
 		defer r.Close()
 		waitFor(t, 5*time.Second, "bootstrap and the log behind it", func() bool { return r.Status().AppliedLSN == 5 })
 		appendThrough(t, st, 6)
-		src.Notify()
 		if !src.WaitCommitted(6, 5*time.Second) {
 			t.Fatal("LSN 6 never committed")
 		}
@@ -507,13 +506,12 @@ func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
 		// still tails without a snapshot.
 		st := openStore(t, store.Options{})
 		appendThrough(t, st, 5)
-		src := startSource(t, st, SourceOptions{})
+		src := startSource(t, st, nil)
 		ap := &memApplier{}
 		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 6})
 		defer r.Close()
 		waitFor(t, 5*time.Second, "attach", func() bool { return src.ConnectedReplicas() == 1 })
 		appendThrough(t, st, 7)
-		src.Notify()
 		if !src.WaitCommitted(7, 5*time.Second) {
 			t.Fatal("LSN 7 never committed")
 		}
@@ -529,7 +527,7 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 	// ends the stream, never a commit.
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 5)
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	nc, err := net.Dial("tcp", src.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -598,7 +596,7 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 	// the reset commit a record the reset replaced.
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 20)
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	snap := core.Snapshot{TakenAt: start}
 
 	p := dialAs(t, src, "z", 1)
@@ -637,21 +635,19 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 	// a commit of LSN 21 of the replaced history left waiting: no ack of
 	// the new one gives it.
 	appendThrough(t, st, 20)
-	src.Notify()
 	p.recvThrough(20)
 	p.send(ackLine(20))
 	if !src.WaitCommitted(20, 5*time.Second) {
 		t.Fatal("the ack of 20 did not commit it")
 	}
 	appendThrough(t, st, 21)
-	src.Notify()
 	p.recvThrough(21)
 	replaced := make(chan bool, 1)
 	go func() { replaced <- src.WaitCommitted(21, 5*time.Second) }()
 	waitFor(t, 5*time.Second, "the commit of 21 to wait", func() bool {
 		src.mu.Lock()
 		defer src.mu.Unlock()
-		return len(src.waiters) == 1
+		return src.acks != nil
 	})
 	if err := st.ResetTo(10, snap); err != nil {
 		t.Fatal(err)
@@ -660,7 +656,6 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 	if src.WaitCommitted(11, 10*time.Millisecond) {
 		t.Fatal("LSN 11 committed, before the stream resynced, on an ack given before the reset")
 	}
-	src.Notify()
 	p.wantSnapshotFlush(10)
 	if src.WaitCommitted(11, 50*time.Millisecond) {
 		t.Fatal("LSN 11 committed, after the stream resynced, on an ack given before the reset")
@@ -669,7 +664,6 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 		t.Fatalf("replicas %+v, want z alone, having acked nothing since the resync", got)
 	}
 	appendThrough(t, st, 21)
-	src.Notify()
 	p.recvThrough(21)
 	p.send(ackLine(21))
 	if !src.WaitCommitted(21, 5*time.Second) {
@@ -688,7 +682,7 @@ func TestAnEndedStreamLeavesNothingBehind(t *testing.T) {
 	// listed, and a real replica's ack still commits.
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 5)
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	for i := 0; i < 300; i++ {
 		p := dialAs(t, src, fmt.Sprintf("gone-%d", i), 6)
 		p.recvFlush()
@@ -703,12 +697,69 @@ func TestAnEndedStreamLeavesNothingBehind(t *testing.T) {
 	defer r.Close()
 	waitFor(t, 5*time.Second, "r1 to attach", func() bool { return src.ConnectedReplicas() == 1 })
 	appendThrough(t, st, 6)
-	src.Notify()
 	if !src.WaitCommitted(6, 5*time.Second) {
 		t.Fatal("r1's ack of 6 did not commit it")
 	}
 	if got := src.Replicas(); len(got) != 1 || got[0] != (wire.ReplicaState{ID: "r1", AckedLSN: 6, Connected: true}) {
 		t.Fatalf("replicas %+v, want r1 alone, having acked 6", got)
+	}
+}
+
+func TestTimedOutCommitWaitsLeaveNothingBehind(t *testing.T) {
+	// A semi-sync primary whose replica stalls times out a commit wait a
+	// report. Until the next ack every wait takes the one channel that ack
+	// closes, so 500 timed-out waits leave nothing of their own. An ack wakes
+	// a wait to look again: one below its LSN does not release it, and the
+	// ack of its LSN does, at once.
+	st := openStore(t, store.Options{})
+	appendThrough(t, st, 1)
+	src := startSource(t, st, nil)
+	p := dialAs(t, src, "stalled", 2)
+	p.recvFlush()
+	shared := func() chan struct{} {
+		src.mu.Lock()
+		defer src.mu.Unlock()
+		return src.acks
+	}
+	var first chan struct{}
+	for lsn := uint64(2); lsn <= 501; lsn++ {
+		appendThrough(t, st, lsn)
+		if src.WaitCommitted(lsn, time.Microsecond) {
+			t.Fatalf("LSN %d committed with nothing acked", lsn)
+		}
+		if lsn == 2 {
+			first = shared()
+		}
+	}
+	if first == nil || shared() != first {
+		t.Fatal("500 timed-out waits with no ack between them left more than the one channel the next ack closes")
+	}
+
+	p.recvThrough(501)
+	p.send(ackLine(250))
+	if !src.WaitCommitted(250, 5*time.Second) {
+		t.Fatal("the ack of 250 did not commit it")
+	}
+	released := make(chan bool, 1)
+	go func() { released <- src.WaitCommitted(501, time.Minute) }()
+	waitFor(t, 5*time.Second, "the commit of 501 to wait", func() bool { return shared() != nil })
+	p.send(ackLine(300))
+	if !src.WaitCommitted(300, 5*time.Second) {
+		t.Fatal("the ack of 300 did not commit it")
+	}
+	select {
+	case <-released:
+		t.Fatal("an ack of 300 ended the wait for 501")
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.send(ackLine(501))
+	select {
+	case ok := <-released:
+		if !ok {
+			t.Fatal("the wait for 501 failed after its ack")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the ack of 501 did not release the wait for it")
 	}
 }
 
@@ -732,7 +783,7 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 			t.Fatal(err)
 		}
 		appendThrough(t, st, 15)
-		src := startSource(t, st, SourceOptions{})
+		src := startSource(t, st, nil)
 		ap := &memApplier{st: openStore(t, store.Options{})}
 		appendThrough(t, ap.st, 4) // a history of its own, ending inside the primary's first line
 		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary", From: 5})

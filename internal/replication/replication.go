@@ -13,7 +13,10 @@
 //     resync is forced) or a log stream from the requested LSN, resyncs
 //     every stream when the store's history is reset, and holds each
 //     stream's acknowledged offset — the substrate for semi-synchronous
-//     acks (WaitCommitted) — only as long as the stream lives.
+//     acks (WaitCommitted) — only as long as the stream lives. Each wait
+//     blocks on its event: a caught-up stream on the store's own wake-up
+//     (store.Watch), after every append and every reset, and a commit wait
+//     on the one channel the source's next ack closes.
 //
 //   - Replica is the consumer side: it dials the primary, applies the
 //     bootstrap snapshot and then every streamed record through an Applier

@@ -113,7 +113,7 @@ func dirOf(st *store.Store) string {
 
 // startSource serves st's log. Its bootstraps ship the store's newest
 // checkpoint, or an empty snapshot at LSN 0 before the first one.
-func startSource(t *testing.T, st *store.Store, opts SourceOptions) *Source {
+func startSource(t *testing.T, st *store.Store, reg *telemetry.Registry) *Source {
 	t.Helper()
 	latest := func() (core.Snapshot, uint64) {
 		names, err := filepath.Glob(filepath.Join(dirOf(st), "checkpoint-*.ckpt"))
@@ -133,7 +133,7 @@ func startSource(t *testing.T, st *store.Store, opts SourceOptions) *Source {
 		}
 		return snap, lsn
 	}
-	src, err := NewSource(st, "127.0.0.1:0", latest, opts)
+	src, err := NewSource(st, "127.0.0.1:0", latest, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func startSource(t *testing.T, st *store.Store, opts SourceOptions) *Source {
 
 func TestStreamFromEmptyAndTail(t *testing.T) {
 	st := openStore(t, store.Options{})
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	ap := &memApplier{}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
@@ -159,7 +159,6 @@ func TestStreamFromEmptyAndTail(t *testing.T) {
 		if _, err := st.Append(testSample(i)); err != nil {
 			t.Fatal(err)
 		}
-		src.Notify()
 	}
 	waitFor(t, 5*time.Second, "25 applied records", func() bool {
 		_, _, applied := ap.snapshot()
@@ -174,6 +173,30 @@ func TestStreamFromEmptyAndTail(t *testing.T) {
 	waitFor(t, 5*time.Second, "ack at 25", func() bool {
 		return r.Status().AppliedLSN == 25 && src.WaitCommitted(25, time.Second)
 	})
+}
+
+func TestCaughtUpStreamShipsALineAppendedAt(t *testing.T) {
+	// A chained replica's log grows by AppendAt alone, with nothing to say
+	// so but the store itself: the streams tailing it still ship each line.
+	upstream := openStore(t, store.Options{})
+	appendThrough(t, upstream, 6)
+	lines := bytes.SplitAfter(journalOf(t, dirOf(upstream)), []byte("\n"))
+	st := openStore(t, store.Options{})
+	appendAt := func(lsn uint64) {
+		t.Helper()
+		if err := st.AppendAt(lsn, lines[lsn-1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lsn := uint64(1); lsn <= 5; lsn++ {
+		appendAt(lsn)
+	}
+	src := startSource(t, st, nil)
+	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1", From: 1})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "caught up at LSN 5", func() bool { return r.Status().AppliedLSN == 5 })
+	appendAt(6)
+	waitFor(t, 5*time.Second, "LSN 6 shipped", func() bool { return r.Status().AppliedLSN == 6 })
 }
 
 func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
@@ -192,7 +215,7 @@ func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	ap := &memApplier{}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
@@ -243,7 +266,7 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 		lsn = last + 1
 	}
 	last := primary.LastLSN()
-	src := startSource(t, primary, SourceOptions{})
+	src := startSource(t, primary, nil)
 	ap := &memApplier{st: openStore(t, store.Options{SegmentMaxBytes: 1500})}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
@@ -283,7 +306,7 @@ func TestWarmRestartResumesFromOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	// A replica that already holds LSNs 1..20 asks for 21 and gets no
 	// snapshot, only the missing tail.
@@ -318,7 +341,7 @@ func TestCompactedOffsetForcesResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	ap := &memApplier{}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 2})
@@ -335,7 +358,7 @@ func TestCompactedOffsetForcesResync(t *testing.T) {
 
 func TestSuspendResumeReconnects(t *testing.T) {
 	st := openStore(t, store.Options{})
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	ap := &memApplier{}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
@@ -371,7 +394,7 @@ func TestSuspendResumeReconnects(t *testing.T) {
 
 func TestWaitCommittedTimesOutWithoutReplicas(t *testing.T) {
 	st := openStore(t, store.Options{})
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	if _, err := st.Append(testSample(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +410,7 @@ func TestReplicasReportsAckedOffsets(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	for _, id := range []string{"r-west", "r-east"} {
 		r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: id})
 		defer r.Close()
@@ -417,7 +440,7 @@ func TestStreamAcrossAResetResyncs(t *testing.T) {
 	// replica's log is the source's at every LSN.
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 20)
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 	ap := &memApplier{st: openStore(t, store.Options{})}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
 	defer r.Close()
@@ -431,7 +454,6 @@ func TestStreamAcrossAResetResyncs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src.Notify()
 	waitFor(t, 5*time.Second, "the second history applied", func() bool { return r.Status().AppliedLSN == 25 })
 	if bootLSN, boots, applied := ap.snapshot(); boots != 1 || bootLSN != 10 || len(applied) != 15 || applied[0] != 11 {
 		t.Fatalf("%d bootstraps (the last at LSN %d), then applied %v; want one at 10, then 11..25", boots, bootLSN, applied)
@@ -473,7 +495,7 @@ func TestCatchingUpReplicaReportsItsLag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := startSource(t, st, SourceOptions{Telemetry: reg})
+	src := startSource(t, st, reg)
 	ap := &heldApplier{hold: 600, held: make(chan struct{}), release: make(chan struct{})}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
 	defer r.Close()
@@ -528,7 +550,7 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 		t.Fatalf("segments start at %v: want at least four, of three records or more", firsts)
 	}
 	from := firsts[2] + 1 // second record of the third segment
-	src := startSource(t, st, SourceOptions{})
+	src := startSource(t, st, nil)
 
 	ap := &memApplier{}
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: from})
@@ -538,7 +560,6 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 	// The stream dies wherever LSN 32 falls, and the log moves on by
 	// several segments before the replica gets back in.
 	appendTo(32)
-	src.Notify()
 	waitFor(t, 5*time.Second, "LSN 32 applied", func() bool { return r.Status().AppliedLSN == 32 })
 	src.Suspend()
 	waitFor(t, 5*time.Second, "stream severed", func() bool { return src.ConnectedReplicas() == 0 })
@@ -556,7 +577,6 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 
 	// And it is still a live tail afterwards.
 	appendTo(70)
-	src.Notify()
 	waitFor(t, 5*time.Second, "live tail after reconnect", func() bool {
 		return r.Status().AppliedLSN == st.LastLSN()
 	})
@@ -581,7 +601,7 @@ func TestCommitWaitHistogramLabelsTheWayOut(t *testing.T) {
 	// WaitCommitted call, filed under how the call was released.
 	reg := telemetry.NewRegistry()
 	st := openStore(t, store.Options{})
-	src := startSource(t, st, SourceOptions{Telemetry: reg})
+	src := startSource(t, st, reg)
 	waits := func(result string) uint64 {
 		return reg.Histogram("wiscape_replication_commit_wait_seconds", "", nil, "result").With(result).Count()
 	}
@@ -613,7 +633,7 @@ func TestCommitWaitHistogramLabelsTheWayOut(t *testing.T) {
 	waitFor(t, 5*time.Second, "waiter parked", func() bool {
 		src.mu.Lock()
 		defer src.mu.Unlock()
-		return len(src.waiters) == 1
+		return src.acks != nil
 	})
 	if err := src.Close(); err != nil {
 		t.Fatal(err)

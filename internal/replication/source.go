@@ -18,27 +18,14 @@ import (
 	"repro/internal/wire"
 )
 
-// SourceOptions configures the primary side of a replicated shard.
-type SourceOptions struct {
-	// Telemetry receives replication metrics; nil disables instrumentation.
-	Telemetry *telemetry.Registry
-}
-
-const (
-	// pollInterval bounds how stale a stream can go when a Notify is missed:
-	// a caught-up stream looks at the log again this often, which costs its
-	// cursor one empty read.
-	pollInterval = 25 * time.Millisecond
-
-	// maxLinesPerRun bounds the WAL lines one flush ships, so a catching-up
-	// replica hears the log's end, and acks, at least this often.
-	maxLinesPerRun = 256
-)
+// maxLinesPerRun bounds the WAL lines one flush ships, so a catching-up
+// replica hears the log's end, and acks, at least this often.
+const maxLinesPerRun = 256
 
 // replicaConn is one attached replica stream: all the source knows of a replica.
 type replicaConn struct {
 	id   string
-	wake chan struct{} // collapsed append notifications
+	wake chan struct{} // the store's collapsed append and reset wake-ups (store.Watch)
 	gone chan struct{} // closed when the ack reader ends: the conn is dead
 
 	// shipped is the highest LSN this stream has given its replica cause to
@@ -52,13 +39,6 @@ type replicaConn struct {
 	resets, acked uint64
 }
 
-// commitWaiter parks one WaitCommitted call until some replica acks lsn of
-// the history with store reset count resets.
-type commitWaiter struct {
-	lsn, resets uint64
-	ch          chan struct{}
-}
-
 // Source serves a shard's WAL to replicas. It reads the store directly —
 // appends, rotations and compactions proceed concurrently — so attaching a
 // replica never stalls the ingest path.
@@ -69,8 +49,8 @@ type Source struct {
 	lis      *wire.Listener // accept loop, conn set, Suspend/Resume
 
 	mu      sync.Mutex
-	streams map[*replicaConn]struct{} // handshaken replicas; Notify wakes them
-	waiters []commitWaiter
+	streams map[*replicaConn]struct{} // handshaken replicas
+	acks    chan struct{}             // made by a commit wait that finds nothing committed; the next ack closes and clears it
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -78,15 +58,16 @@ type Source struct {
 
 // NewSource starts a replication listener on addr serving st's log. snapshot
 // captures the state a bootstrap ships and the LSN it covers, consistently —
-// the coordinator's capture under its ingest lock.
-func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uint64), opts SourceOptions) (*Source, error) {
+// the coordinator's capture under its ingest lock. reg receives the
+// replication metrics; nil disables them.
+func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uint64), reg *telemetry.Registry) (*Source, error) {
 	s := &Source{
 		st:       st,
 		snapshot: snapshot,
 		streams:  make(map[*replicaConn]struct{}),
 		stop:     make(chan struct{}),
 	}
-	s.met = newSourceMetrics(opts.Telemetry, s.ConnectedReplicas)
+	s.met = newSourceMetrics(reg, s.ConnectedReplicas)
 	var err error
 	if s.lis, err = wire.Listen(addr, s.serve); err != nil {
 		return nil, fmt.Errorf("replication: source listen %s: %w", addr, err)
@@ -97,25 +78,6 @@ func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uin
 // Addr returns the replication listener's bound address (stable across
 // Suspend/Resume).
 func (s *Source) Addr() string { return s.lis.Addr() }
-
-// Notify wakes every attached stream: call it after appending to the store
-// so replication latency is bounded by the network, not the poll interval.
-// The wake channels are buffered and sent to outside the lock, so a slow
-// stream can never stall the appender.
-func (s *Source) Notify() {
-	s.mu.Lock()
-	wakes := make([]chan struct{}, 0, len(s.streams))
-	for rc := range s.streams {
-		wakes = append(wakes, rc.wake)
-	}
-	s.mu.Unlock()
-	for _, w := range wakes {
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-}
 
 // ConnectedReplicas returns the number of attached replica streams.
 func (s *Source) ConnectedReplicas() int {
@@ -147,55 +109,63 @@ func (s *Source) WaitCommitted(lsn uint64, timeout time.Duration) bool {
 	released := s.met.commitAcked // the series this wait lands in; timeout and stop re-point it
 	defer func() { released.Observe(time.Since(t0).Seconds()) }()
 
-	s.mu.Lock()
 	resets := s.st.Resets()
-	for rc := range s.streams {
-		if rc.resets == resets && rc.acked >= lsn {
-			s.mu.Unlock()
+	acks, ok := s.committed(lsn, resets)
+	if ok {
+		return true
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for {
+		select {
+		case <-acks:
+		case <-t.C:
+			released = s.met.commitTimeout
+			return false
+		case <-s.stop:
+			released = s.met.commitStopped
+			return false
+		}
+		// Some stream took an ack, of this LSN or not, of this history or
+		// not: look again.
+		if acks, ok = s.committed(lsn, resets); ok {
 			return true
 		}
 	}
-	w := commitWaiter{lsn: lsn, resets: resets, ch: make(chan struct{})}
-	s.waiters = append(s.waiters, w)
-	s.mu.Unlock()
-
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case <-w.ch:
-		return true
-	case <-t.C:
-		released = s.met.commitTimeout
-		return false
-	case <-s.stop:
-		released = s.met.commitStopped
-		return false
-	}
 }
 
-// recordAck stores an ack on rc's stream and releases the commit waiters it
-// satisfies: a parked waiter's lsn is above every earlier ack of its history.
-// An ack on a stream still shipping a replaced history counts for nothing,
-// and a waiter whose record a reset replaced is dropped, to time out.
+// committed reports whether an attached stream of the history with reset
+// count resets has acked lsn; if none has, it returns the channel the next
+// ack closes. A record a reset replaced is never committed, so its wait times
+// out.
+func (s *Source) committed(lsn, resets uint64) (<-chan struct{}, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for rc := range s.streams {
+		if rc.resets == resets && rc.acked >= lsn {
+			return nil, true
+		}
+	}
+	if s.acks == nil {
+		s.acks = make(chan struct{})
+	}
+	return s.acks, false
+}
+
+// recordAck stores an ack on rc's stream and wakes every commit wait to look
+// again. An ack on a stream still shipping a replaced history counts for
+// nothing.
 func (s *Source) recordAck(rc *replicaConn, lsn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resets := s.st.Resets()
-	if rc.resets != resets || lsn <= rc.acked {
+	if rc.resets != s.st.Resets() || lsn <= rc.acked {
 		return
 	}
 	rc.acked = lsn
-	kept := s.waiters[:0]
-	for _, w := range s.waiters {
-		switch {
-		case w.resets != resets: // its record went with a reset: dropped, to time out
-		case w.lsn <= lsn:
-			close(w.ch)
-		default:
-			kept = append(kept, w)
-		}
+	if s.acks != nil {
+		close(s.acks)
+		s.acks = nil
 	}
-	s.waiters = kept
 }
 
 // follow starts rc on the history cur reads, with nothing acked of it.
@@ -269,7 +239,7 @@ func (s *Source) serve(nc net.Conn) {
 			if lsn > rc.shipped.Load() {
 				// Nothing this stream sent can have put the replica there: it
 				// holds another history's records (an ex-primary's, say), and
-				// its ack must not release a waiter on this log's.
+				// its ack must not commit any of this log's.
 				slog.Warn("replication: replica acked past what this stream shipped; dropping it",
 					"replica", h.id, "lsn", lsn, "shipped", rc.shipped.Load())
 				return
@@ -300,7 +270,10 @@ func (s *Source) serve(nc net.Conn) {
 // replica learns where the log ends even with nothing to catch up on.
 func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	// One cursor per stream: a run costs the lines it ships, and a caught-up
-	// look at the log one empty read. Opened first, it fails on a later reset.
+	// look at the log one empty read. Opened first, it fails on a later reset;
+	// watched before it opens, every later append or reset wakes the stream.
+	s.st.Watch(rc.wake)
+	defer s.st.Unwatch(rc.wake)
 	cur := s.st.OpenCursor(from)
 	defer func() { cur.Close() }()
 	if from == 0 || from > s.st.LastLSN()+1 {
@@ -314,8 +287,6 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
 		return err
 	}
-	poll := time.NewTicker(pollInterval)
-	defer poll.Stop()
 	for {
 		// The lines go out as the cursor found them in the log — a view of
 		// its buffer, written before its next call: journaled bytes are the
@@ -341,10 +312,9 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 			}
 			s.met.recordsShipped.Add(float64(n))
 		default:
-			// Caught up: wait for an append, or the poll fallback.
+			// Caught up: wait for the store to take a record or reset.
 			select {
 			case <-rc.wake:
-			case <-poll.C:
 			case <-rc.gone:
 				return errors.New("replica connection lost")
 			case <-s.stop:

@@ -548,6 +548,7 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 		return fmt.Errorf("store: reset: sealing active segment: %w", err)
 	}
 	st.resets.Add(1)
+	st.wakeLocked() // each watcher's cursor reads ErrCompacted once this returns
 	segs, err := listSegments(st.dir)
 	if err != nil {
 		return err

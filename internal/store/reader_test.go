@@ -226,6 +226,79 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 	}
 }
 
+func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
+	// A tailing reader reads only when woken, so every record the log takes,
+	// by any of its three writers, and every reset must wake it, and it then
+	// reads on; a refused write and an ended watch wake nothing.
+	st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 1}) // each append past a segment's first rotates
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	wake := make(chan struct{}, 1)
+	st.Watch(wake)
+	cur := st.OpenCursor(1)
+	defer cur.Close()
+	woken := func(after string, want bool) {
+		t.Helper()
+		select {
+		case <-wake:
+			if !want {
+				t.Fatalf("woken after %s", after)
+			}
+		default:
+			if want {
+				t.Fatalf("not woken after %s", after)
+			}
+		}
+	}
+	readsThrough := func(after string, want uint64) {
+		t.Helper()
+		es, err := cur.Next(0)
+		if err != nil || len(es) == 0 || es[len(es)-1].LSN != want {
+			t.Fatalf("after %s the cursor read %v (%v), want through LSN %d", after, lsns(es), err, want)
+		}
+	}
+
+	if _, err := st.Append(testSample(0)); err != nil {
+		t.Fatal(err)
+	}
+	woken("Append", true)
+	readsThrough("Append", 1)
+	if _, err := st.AppendReport("c", []trace.Sample{testSample(1), testSample(2)}); err != nil {
+		t.Fatal(err)
+	}
+	woken("AppendReport", true)
+	readsThrough("AppendReport", 3)
+	if err := st.AppendAt(4, recordLine(t, 4, testSample(3))); err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	active := st.segFirst
+	st.mu.Unlock()
+	if active != 4 {
+		t.Fatalf("the active segment starts at LSN %d, want 4: AppendAt did not rotate", active)
+	}
+	woken("a rotating AppendAt", true)
+	readsThrough("a rotating AppendAt", 4)
+	if err := st.AppendAt(3, recordLine(t, 3, testSample(9))); err == nil {
+		t.Fatal("AppendAt behind the log's end journaled its line")
+	}
+	woken("a refused AppendAt", false)
+	if err := st.ResetTo(10, core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
+	woken("ResetTo", true)
+	if _, err := cur.Next(0); !errors.Is(err, ErrCompacted) {
+		t.Fatalf("after ResetTo the cursor read %v, want ErrCompacted", err)
+	}
+	st.Unwatch(wake)
+	if _, err := st.Append(testSample(4)); err != nil {
+		t.Fatal(err)
+	}
+	woken("Unwatch", false)
+}
+
 func TestAppendAtAndResetTo(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{})

@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -156,8 +157,9 @@ type Store struct {
 	nextLSN  uint64
 	unsynced int // WAL lines appended since the last fsync
 	closed   bool
-	wedged   error  // set when a failed write could not be undone; appends refuse until reopen
-	buf      []byte // line assembly scratch, reused across appends
+	wedged   error             // set when a failed write could not be undone; appends refuse until reopen
+	buf      []byte            // line assembly scratch, reused across appends
+	watchers []chan<- struct{} // woken after every write and reset (see Watch)
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -215,6 +217,35 @@ func (st *Store) LastLSN() uint64 {
 // Resets returns how many times ResetTo has replaced the log's history: an
 // LSN names one record only within one history.
 func (st *Store) Resets() uint64 { return st.resets.Load() }
+
+// Watch has wake receive, without blocking the writer, after every record the
+// log takes — from Append, AppendReport or AppendAt, a rotating one included —
+// and every ResetTo, until Unwatch. A buffered wake of capacity 1 collapses
+// what lands while its reader is busy into one wake-up, so a reader that
+// registers before it opens its cursor, and reads again after each wake-up
+// until caught up, misses nothing.
+func (st *Store) Watch(wake chan<- struct{}) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.watchers = append(st.watchers, wake)
+}
+
+// Unwatch ends what Watch(wake) started.
+func (st *Store) Unwatch(wake chan<- struct{}) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.watchers = slices.DeleteFunc(st.watchers, func(w chan<- struct{}) bool { return w == wake })
+}
+
+// wakeLocked wakes every watcher whose wake is not already pending.
+func (st *Store) wakeLocked() {
+	for _, w := range st.watchers {
+		select {
+		case w <- struct{}{}:
+		default:
+		}
+	}
+}
 
 // segName returns the path of the segment whose first record is lsn.
 func (st *Store) segName(lsn uint64) string {
@@ -351,6 +382,7 @@ func (st *Store) writeLocked(first, last uint64, data []byte) error {
 	}
 	st.met.walAppends.Inc()
 	st.met.walBytes.Add(float64(len(data)))
+	st.wakeLocked()
 	return nil
 }
 

@@ -85,7 +85,8 @@ const historyLimit = 20000
 const MaxSampleMagnitude = 1e18
 
 // DefaultAlertBuffer caps the pending (undrained) alert queue; beyond it
-// the oldest alerts are overwritten and counted as dropped.
+// the oldest alerts are overwritten and counted as dropped. The queue's
+// ring is allocated by the first alert and grows to this size as needed.
 const DefaultAlertBuffer = 1024
 
 // DefaultFailureRetentionDays bounds the per-(zone, network) ping-failure

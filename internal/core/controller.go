@@ -64,10 +64,11 @@ type Controller struct {
 	// is published, and never leaves it (Restore rebuilds the lists).
 	views map[view][]*zoneState
 
-	// alerts is a fixed-capacity ring: alertHead indexes the oldest
-	// pending alert, alertLen counts pending ones. When full, the oldest
-	// is overwritten and alertsDropped incremented — an unread backlog
-	// must not grow without bound.
+	// alerts is a ring: alertHead indexes the oldest pending alert,
+	// alertLen counts pending ones. It is allocated by the first alert and
+	// grows, when full, up to DefaultAlertBuffer; full at that size, the
+	// oldest is overwritten and alertsDropped incremented — an unread
+	// backlog must not grow without bound.
 	alerts        []Alert
 	alertHead     int
 	alertLen      int
@@ -124,7 +125,6 @@ func NewController(cfg Config, origin geo.Point) *Controller {
 		zones:    make(map[Key]*zoneState),
 		failures: make(map[failKey]map[int64]int),
 		views:    make(map[view][]*zoneState),
-		alerts:   make([]Alert, DefaultAlertBuffer),
 	}
 }
 
@@ -341,9 +341,15 @@ func (c *Controller) publishLocked(st *zoneState) {
 	c.views[v] = slices.Insert(list, i, st)
 }
 
-// pushAlertLocked appends to the alert ring, overwriting (and counting)
-// the oldest pending alert when full.
+// pushAlertLocked appends to the alert ring, growing it when full, or at
+// DefaultAlertBuffer overwriting (and counting) the oldest pending alert.
 func (c *Controller) pushAlertLocked(a Alert) {
+	if c.alertLen == len(c.alerts) && len(c.alerts) < DefaultAlertBuffer {
+		// Only a full ring at the cap wraps, so here the oldest is at 0.
+		grown := make([]Alert, min(max(2*len(c.alerts), 16), DefaultAlertBuffer)) // 16 at first, then doubling
+		copy(grown, c.alerts)
+		c.alerts = grown
+	}
 	if c.alertLen == len(c.alerts) {
 		c.alerts[c.alertHead] = a
 		c.alertHead = (c.alertHead + 1) % len(c.alerts)

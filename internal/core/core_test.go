@@ -782,6 +782,24 @@ func TestAlertRingCapsAndCountsDrops(t *testing.T) {
 	}
 }
 
+// TestSteadyStreamHoldsNoAlertStorage: the alert ring is allocated by the
+// first alert, so a controller whose zones never change holds none of it.
+func TestSteadyStreamHoldsNoAlertStorage(t *testing.T) {
+	c := NewController(DefaultConfig(), origin)
+	r := rng.New(7)
+	at := start
+	for i := 0; i < 5000; i++ {
+		c.Ingest(mkSample(at, origin, 900+20*r.NormFloat64()))
+		at = at.Add(time.Minute)
+	}
+	if got := c.Alerts(); got != nil || c.DroppedAlerts() != 0 {
+		t.Fatalf("%d alerts from a steady stream, %d dropped; want none", len(got), c.DroppedAlerts())
+	}
+	if cap(c.alerts) != 0 {
+		t.Fatalf("alert ring of %d slots with no alert raised, want none", cap(c.alerts))
+	}
+}
+
 func TestFailureDayRetention(t *testing.T) {
 	c := NewController(DefaultConfig(), origin)
 	mkPing := func(day int, failed bool) trace.Sample {

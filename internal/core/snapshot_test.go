@@ -292,7 +292,8 @@ func origin2Zone() geo.ZoneID {
 // Config, so one written before a parameter became a constant, or by a
 // binary that had it set otherwise, cannot change it. Its window must weigh
 // what a fresh controller's does after the same stream, its sweep must
-// derive an epoch, and its alert ring must hold DefaultAlertBuffer.
+// derive an epoch, and its alert queue must hold DefaultAlertBuffer pending
+// alerts, oldest first, before it drops one.
 func TestRestoreKeepsTheBinarysParameters(t *testing.T) {
 	const kept = `"ZoneRadiusM":250,"NKLDThreshold":0.1,"NKLDBins":20,"DefaultEpoch":1800000000000,` +
 		`"DisableEpochAdaptation":false,"DefaultSamplesPerEpoch":100,"ChangeSigmas":2`
@@ -326,8 +327,18 @@ func TestRestoreKeepsTheBinarysParameters(t *testing.T) {
 			if !got.epochValid || got.epoch != want.epoch {
 				t.Errorf("epoch %v (valid %v), a fresh controller derives %v", got.epoch, got.epochValid, want.epoch)
 			}
-			if len(restored.alerts) != DefaultAlertBuffer {
-				t.Errorf("alert ring of %d, want %d", len(restored.alerts), DefaultAlertBuffer)
+			restored.mu.Lock()
+			for i := 0; i <= DefaultAlertBuffer; i++ {
+				restored.pushAlertLocked(Alert{At: start.Add(time.Duration(i) * time.Minute)})
+			}
+			restored.mu.Unlock()
+			pending := restored.Alerts()
+			if len(pending) != DefaultAlertBuffer || !pending[0].At.Equal(start.Add(time.Minute)) ||
+				!pending[len(pending)-1].At.Equal(start.Add(DefaultAlertBuffer*time.Minute)) {
+				t.Errorf("%d alerts pending after %d raised, want the newest %d oldest first", len(pending), DefaultAlertBuffer+1, DefaultAlertBuffer)
+			}
+			if d := restored.DroppedAlerts(); d != 1 {
+				t.Errorf("%d alerts dropped, want 1", d)
 			}
 		})
 	}

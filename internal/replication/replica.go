@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"sync"
@@ -219,33 +220,33 @@ func (r *Replica) session(forceSnapshot bool) error {
 		_ = nc.Close()
 	}()
 
-	br := bufio.NewReaderSize(nc, 256<<10)
-	bw := bufio.NewWriterSize(nc, 16<<10)
+	// The source ships runs out of a cursor's 64 KiB buffer, so every line
+	// is read in place here but one longer than that on its own (a
+	// snapshot, a large report), which wire.ReadLine gathers.
+	br := bufio.NewReaderSize(nc, 64<<10)
 
 	from := uint64(0)
 	if !forceSnapshot {
 		from = r.applied.Load() + 1
 	}
-	if _, err := bw.Write(appendHello(bw.AvailableBuffer(), hello{from: from, id: r.opts.ID})); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := nc.Write(appendHello(nil, hello{from: from, id: r.opts.ID})); err != nil {
 		return err
 	}
 	r.connected.Store(true)
 	defer r.connected.Store(false)
 
-	err = r.consume(br, bw)
+	err = r.consume(br, nc)
 	if r.isClosed() {
 		return nil
 	}
 	return err
 }
 
-// consume applies the source's lines from br, acking on bw, until a line
+// consume applies the source's lines from br, acking on w, until a line
 // fails or the stream ends.
-func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
-	var samples []trace.Sample // each record line's, decoded into one slice
+func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
+	var samples []trace.Sample              // each record line's, decoded into one slice
+	ack := make([]byte, 0, len(ackWord)+21) // each ack line's bytes: the word, a uint64, '\n'
 	for {
 		// line may be a view of br's buffer: every case is done with it
 		// before the next read.
@@ -274,7 +275,8 @@ func (r *Replica) consume(br *bufio.Reader, bw *bufio.Writer) error {
 				return err
 			}
 			r.primaryLSN.Store(lsn)
-			if err := sendNumberLine(bw, ackWord, r.applied.Load()); err != nil {
+			ack = appendNumberLine(ack[:0], ackWord, r.applied.Load())
+			if _, err := w.Write(ack); err != nil {
 				return err
 			}
 

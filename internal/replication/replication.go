@@ -132,16 +132,12 @@ func readLine(br *bufio.Reader, capOf func(lead byte) int) ([]byte, error) {
 	return line, err
 }
 
-// sendNumberLine sends word and n as one text line, allocating nothing.
-func sendNumberLine(bw *bufio.Writer, word string, n uint64) error {
-	b := strconv.AppendUint(append(bw.AvailableBuffer(), word...), n, 10)
-	if _, err := bw.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return bw.Flush()
+// appendNumberLine appends word and n as one text line to b.
+func appendNumberLine(b []byte, word string, n uint64) []byte {
+	return append(strconv.AppendUint(append(b, word...), n, 10), '\n')
 }
 
-// parseNumberLine reads the number off a line sendNumberLine sent with word.
+// parseNumberLine reads the number off a line appendNumberLine made with word.
 func parseNumberLine(line []byte, word string) (uint64, error) {
 	digits, ok := bytes.CutPrefix(bytes.TrimSuffix(line, []byte{'\n'}), []byte(word))
 	n, err := strconv.ParseUint(string(digits), 10, 64)

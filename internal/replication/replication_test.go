@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -288,6 +289,115 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 	}
 	if len(forms) != 3 {
 		t.Fatalf("the log's lines by form: %v; want JSON, sample and report lines", forms)
+	}
+}
+
+// controllerApplier is a replica's controller: it restores a bootstrap
+// snapshot and ingests every record applied after it, as the coordinator's
+// applier does.
+type controllerApplier struct {
+	mu sync.Mutex
+	c  *core.Controller
+}
+
+func (a *controllerApplier) Bootstrap(_ uint64, snap core.Snapshot) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.c = core.Restore(snap)
+	return nil
+}
+
+func (a *controllerApplier) Apply(_ uint64, samples []trace.Sample, _ []byte) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.c.Ingest(samples...)
+	return nil
+}
+
+func TestLinesLongerThanTheReplicasReaderArriveWhole(t *testing.T) {
+	// A replica reads through a 64 KiB buffer, the most a cursor ships in
+	// one run; a single line longer than that — a checkpoint of several
+	// hundred zones, a report of thousands of samples — is gathered by
+	// wire.ReadLine, and the replica ends up holding what its primary's
+	// checkpoint and log do.
+	const readerBytes = 64 << 10
+	st := openStore(t, store.Options{})
+	primary := core.NewController(core.DefaultConfig(), geo.Madison().Center())
+	origin := geo.Madison().Center()
+	at := start
+	sample := func(zone, i int) trace.Sample {
+		smp := testSample(i)
+		smp.Time = at
+		smp.Loc = geo.Point{Lat: origin.Lat + float64(zone/20)*0.01, Lon: origin.Lon + float64(zone%20)*0.01}
+		smp.Value = 500 + float64((zone*7919+i*104729)%1000)
+		at = at.Add(time.Second)
+		return smp
+	}
+	journal := func(report []trace.Sample) {
+		t.Helper()
+		if _, err := st.AppendReport("bus-17", report); err != nil {
+			t.Fatal(err)
+		}
+		primary.Ingest(report...)
+	}
+	for round := 0; round < 4; round++ { // 400 zones, 4 samples each
+		for z := 0; z < 400; z += 100 {
+			report := make([]trace.Sample, 100)
+			for i := range report {
+				report[i] = sample(z+i, round)
+			}
+			journal(report)
+		}
+	}
+	snap := primary.Snapshot(at)
+	ckpt, err := store.AppendCheckpointLine(nil, st.LastLSN(), snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ckpt) <= 2*readerBytes {
+		t.Fatalf("checkpoint line of %d bytes, want one well over the replica's %d-byte reader", len(ckpt), readerBytes)
+	}
+	if err := st.CheckpointAt(st.LastLSN(), snap); err != nil {
+		t.Fatal(err)
+	}
+	big := make([]trace.Sample, 6000)
+	for i := range big {
+		big[i] = sample(i%400, 4+i/400)
+	}
+	journal(big)
+	lines := bytes.SplitAfter(journalOf(t, dirOf(st)), []byte("\n"))
+	if n := len(lines[len(lines)-2]); n <= readerBytes { // the last is empty, after the final '\n'
+		t.Fatalf("report line of %d bytes, want one over the replica's %d-byte reader", n, readerBytes)
+	}
+
+	src := startSource(t, st, nil)
+	ap := &controllerApplier{}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
+	defer r.Close()
+	last := st.LastLSN()
+	waitFor(t, 5*time.Second, "the long report applied", func() bool { return r.Status().AppliedLSN == last })
+	if got := r.Status(); got.Resyncs != 1 || got.Reconnects != 0 {
+		t.Fatalf("replica status %+v, want one bootstrap and no redial", got)
+	}
+
+	ap.mu.Lock()
+	defer ap.mu.Unlock()
+	keys := primary.Keys()
+	if got := ap.c.Keys(); !reflect.DeepEqual(got, keys) {
+		t.Fatalf("the replica holds %d keys, its primary %d", len(got), len(keys))
+	}
+	for _, key := range keys {
+		if got, want := ap.c.SampleCount(key), primary.SampleCount(key); got != want {
+			t.Fatalf("%v: %d samples on the replica, %d on its primary", key, got, want)
+		}
+	}
+	// A restored zone starts a fresh epoch, so the records to match are the
+	// ones the primary recovers to: its checkpoint, then the log behind it.
+	recovered := core.Restore(snap)
+	recovered.Ingest(big...)
+	net, metric := radio.NetworkID("evdo-a"), trace.MetricTCPKbps
+	if got, want := ap.c.Records(net, metric), recovered.Records(net, metric); len(got) != len(keys) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the replica publishes %d records, its recovered primary %d, and they differ", len(got), len(want))
 	}
 }
 

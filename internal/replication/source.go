@@ -196,8 +196,7 @@ func (s *Source) Close() error {
 // then the record loop, with acks drained concurrently. The listener severs
 // nc on Suspend/Close and closes it when serve returns.
 func (s *Source) serve(nc net.Conn) {
-	br := bufio.NewReaderSize(nc, 64<<10)
-	bw := bufio.NewWriterSize(nc, 256<<10)
+	br := bufio.NewReader(nc) // a hello and acks, short lines; wire.ReadLine gathers a longer one
 
 	line, err := readLine(br, sourceCap)
 	if err != nil {
@@ -205,9 +204,8 @@ func (s *Source) serve(nc net.Conn) {
 	}
 	h, err := parseHello(line)
 	if err != nil {
-		_, _ = fmt.Fprintf(bw, "%s%s\n", rejectWord, err)
 		//lint:ignore errdrop best-effort refusal on a handshake already failing
-		_ = bw.Flush()
+		_, _ = nc.Write(fmt.Appendf(nil, "%s%s\n", rejectWord, err))
 		return
 	}
 
@@ -255,7 +253,7 @@ func (s *Source) serve(nc net.Conn) {
 		<-rc.gone
 	}()
 
-	if err := s.stream(rc, bw, h.from); err != nil {
+	if err := s.stream(rc, nc, h.from); err != nil {
 		slog.Warn("replication: replica stream ended", "replica", h.id, "err", err)
 	}
 }
@@ -266,9 +264,9 @@ func (s *Source) serve(nc net.Conn) {
 // past the log's end — a replica that claims records this log never held (an
 // ex-primary restarted without a forced resync) would otherwise sit parked
 // there, acking them, or be sent part of a line it cannot journal.
-// The first flush answers the hello, with or without a snapshot, so the
+// The first write answers the hello, with or without a snapshot, so the
 // replica learns where the log ends even with nothing to catch up on.
-func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
+func (s *Source) stream(rc *replicaConn, nc net.Conn, from uint64) error {
 	// One cursor per stream: a run costs the lines it ships, and a caught-up
 	// look at the log one empty read. Opened first, it fails on a later reset;
 	// watched before it opens, every later append or reset wakes the stream.
@@ -276,15 +274,18 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 	defer s.st.Unwatch(rc.wake)
 	cur := s.st.OpenCursor(from)
 	defer func() { cur.Close() }()
+	w := &runWriter{nc: nc}
+	var run []byte
 	if from == 0 || from > s.st.LastLSN()+1 {
-		if err := s.writeSnapshot(rc, bw, cur); err != nil {
+		var err error
+		if run, err = s.snapshotLine(rc, cur); err != nil {
 			return err
 		}
 	} else {
 		s.follow(rc, cur)
 		rc.shipped.Store(from - 1)
 	}
-	if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
+	if err := w.write(run, s.st.LastLSN()); err != nil {
 		return err
 	}
 	for {
@@ -300,16 +301,14 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 			// fresh snapshot (the resync path).
 			cur.Close()
 			cur = s.st.OpenCursor(0)
-			if err := s.writeSnapshot(rc, bw, cur); err != nil {
+			if run, err = s.snapshotLine(rc, cur); err != nil {
 				return err
 			}
 		case err != nil:
 			return err
 		case n > 0:
 			rc.shipped.Store(cur.Position() - 1)
-			if _, err := bw.Write(lines); err != nil {
-				return err
-			}
+			run = lines
 			s.met.recordsShipped.Add(float64(n))
 		default:
 			// Caught up: wait for the store to take a record or reset.
@@ -322,28 +321,49 @@ func (s *Source) stream(rc *replicaConn, bw *bufio.Writer, from uint64) error {
 			}
 			continue
 		}
-		if err := sendNumberLine(bw, positionWord, s.st.LastLSN()); err != nil {
+		if err := w.write(run, s.st.LastLSN()); err != nil {
 			return err
 		}
 	}
 }
 
-// writeSnapshot starts rc afresh on the history cur reads and writes a
+// snapshotLine starts rc afresh on the history cur reads and returns a
 // bootstrap snapshot, as the checkpoint line of a live capture taken after
 // cur opened — from then on what the replica holds, so rc.shipped is set to
 // it before it leaves — and moves cur past it.
-func (s *Source) writeSnapshot(rc *replicaConn, bw *bufio.Writer, cur *store.Cursor) error {
+func (s *Source) snapshotLine(rc *replicaConn, cur *store.Cursor) ([]byte, error) {
 	s.follow(rc, cur)
 	snap, lsn := s.snapshot()
 	line, err := store.AppendCheckpointLine(nil, lsn, snap)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rc.shipped.Store(lsn)
-	if _, err := bw.Write(line); err != nil {
-		return err
-	}
 	s.met.snapshotsSent.Inc()
 	cur.Seek(lsn + 1)
-	return nil
+	return line, nil
+}
+
+// runWriter writes one replica's stream straight to its conn: each run of
+// lines, a run of the cursor's or a snapshot line, and the position line that
+// ends it go out in one writev, with nothing copied and, past the first run,
+// nothing allocated.
+type runWriter struct {
+	nc   net.Conn
+	pos  []byte    // the position line's bytes
+	vec  [2][]byte // what bufs writes: the run, then pos
+	bufs net.Buffers
+}
+
+// write sends run, which may be empty, and the position line of last.
+func (w *runWriter) write(run []byte, last uint64) error {
+	w.pos = appendNumberLine(w.pos[:0], positionWord, last)
+	if len(run) == 0 {
+		_, err := w.nc.Write(w.pos)
+		return err
+	}
+	w.vec = [2][]byte{run, w.pos}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(w.nc)
+	return err
 }

@@ -310,8 +310,11 @@ var ErrMessageTooLarge = errors.New("wire: message exceeds size limit")
 type Conn struct {
 	nc net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 	m  Metrics // the zero bundle, which counts nothing, until Instrument
+
+	// werr is the write that failed: a frame may have gone out in part, so
+	// the stream is broken, and every later Send returns werr unsent.
+	werr error
 
 	// peerReadsBinary is set once Recv has decoded a binary line that only a
 	// peer reading binary replies sends; from then on Send answers in binary
@@ -323,18 +326,14 @@ type Conn struct {
 	store requestStore
 }
 
-// connBufBytes sizes a Conn's reader and writer. A line shorter than this is
-// decoded in place (see ReadLine); a longer one is gathered in a
-// pooled frame buffer.
+// connBufBytes sizes a Conn's reader, the one buffer it keeps. A line
+// shorter than this is decoded in place (see ReadLine); a longer one is
+// gathered in a pooled frame buffer.
 const connBufBytes = 64 << 10
 
 // NewConn wraps a transport connection.
 func NewConn(nc net.Conn) *Conn {
-	return &Conn{
-		nc: nc,
-		br: bufio.NewReaderSize(nc, connBufBytes),
-		bw: bufio.NewWriterSize(nc, connBufBytes),
-	}
+	return &Conn{nc: nc, br: bufio.NewReaderSize(nc, connBufBytes)}
 }
 
 // Instrument attaches codec metrics (shared across any number of Conns)
@@ -363,11 +362,15 @@ func putFrameBuf(buf *bytes.Buffer) {
 	}
 }
 
-// Send writes one envelope. The frame is encoded whole before any of it
-// reaches the transport, so an oversized one is refused with nothing sent.
-// A frame with a binary line goes as one to a peer that reads it (see
-// peerReadsBinary), and as JSON otherwise.
+// Send writes one envelope. The frame is encoded whole into a pooled buffer
+// and goes to the transport from there in one write, so an oversized one is
+// refused with nothing sent. A frame with a binary line goes as one to a
+// peer that reads it (see peerReadsBinary), and as JSON otherwise. Once a
+// write has failed, every later Send returns its error and writes nothing.
 func (c *Conn) Send(e Envelope) error {
+	if c.werr != nil {
+		return c.werr
+	}
 	if e.SampleReport != nil && len(e.SampleReport.Samples) > maxReportSamples {
 		c.m.oversizedRejects.Inc()
 		return ErrMessageTooLarge
@@ -392,11 +395,9 @@ func (c *Conn) Send(e Envelope) error {
 		c.m.oversizedRejects.Inc()
 		return ErrMessageTooLarge
 	}
-	if _, err := c.bw.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("wire: writing %s: %w", e.Type, err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
+	if _, err := c.nc.Write(buf.Bytes()); err != nil {
+		c.werr = fmt.Errorf("wire: writing %s: %w", e.Type, err)
+		return c.werr
 	}
 	c.m.messagesEncoded.Inc()
 	c.m.bytesEncoded.Add(float64(buf.Len()))

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -256,6 +257,83 @@ func TestOverTCP(t *testing.T) {
 		if reply.SampleAck.Accepted != i {
 			t.Fatalf("echo mismatch: %d", reply.SampleAck.Accepted)
 		}
+	}
+}
+
+// failingWriter takes the first room bytes written to it and then fails,
+// counting every Write call and every byte taken.
+type failingWriter struct {
+	room, calls, taken int
+}
+
+var errTransportBroken = errors.New("transport broken")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
+	n := min(len(p), w.room-w.taken)
+	w.taken += n
+	if n < len(p) {
+		return n, errTransportBroken
+	}
+	return n, nil
+}
+
+// TestFailedWriteIsSticky: a frame goes to the transport in one write, and
+// once a write fails part-way the stream is broken, so every later Send
+// returns that failure and writes nothing. Mutant: drop Send's sticky check,
+// and the Sends after the failure write again.
+func TestFailedWriteIsSticky(t *testing.T) {
+	w := &failingWriter{room: 200}
+	c := NewConn(byteConn{w: w})
+	ack := Envelope{Type: TypeSampleAck, SampleAck: &SampleAck{Accepted: 3}}
+	if err := c.Send(ack); err != nil {
+		t.Fatal(err)
+	}
+	if w.calls != 1 {
+		t.Fatalf("one frame took %d writes, want 1", w.calls)
+	}
+	first := c.Send(benchReport(100))
+	if !errors.Is(first, errTransportBroken) {
+		t.Fatalf("Send over a failing transport returned %v, want its error", first)
+	}
+	calls, taken := w.calls, w.taken
+	w.room = math.MaxInt // the transport would take more now; the stream is still broken
+	for _, e := range []Envelope{ack, benchReport(1), ErrorReply("late")} {
+		if err := c.Send(e); err != first {
+			t.Fatalf("Send after a failed write returned %v, want the failure %v", err, first)
+		}
+	}
+	if w.calls != calls || w.taken != taken {
+		t.Fatalf("Sends after a failed write made %d writes of %d bytes, want none", w.calls-calls, w.taken-taken)
+	}
+}
+
+// TestIdleConnHoldsOnlyItsReader: a Conn keeps its 64 KiB read buffer and
+// nothing of the kind for writing, since Send writes from a pooled frame.
+func TestIdleConnHoldsOnlyItsReader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds its own heap to every allocation")
+	}
+	const conns = 64
+	pipes := make([]net.Conn, conns)
+	for i := range pipes {
+		a, b := net.Pipe()
+		defer a.Close()
+		defer b.Close()
+		pipes[i] = a
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	held := make([]*Conn, conns)
+	for i, nc := range pipes {
+		held[i] = NewConn(nc)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	if grew, most := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(conns*(connBufBytes+1<<10)); grew > most {
+		t.Fatalf("%d idle Conns hold %d bytes, want at most %d (%d each)", conns, grew, most, most/conns)
 	}
 }
 

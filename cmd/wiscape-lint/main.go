@@ -1,6 +1,6 @@
 // wiscape-lint is the repository's invariant gate: it runs the
-// internal/analysis suite (nodeterm, lockio, wirebound, goleak, errdrop,
-// lockorder) over module packages and exits non-zero on any finding.
+// internal/analysis suite (nodeterm, lockio, wirebound, goleak, errdrop)
+// over module packages and exits non-zero on any finding.
 //
 // Usage:
 //
@@ -11,8 +11,8 @@
 // default: the whole module). The run is two-pass:
 // every requested package is loaded and type-checked first, a facts
 // table (may-block, returns-IO-error, shutdown-signal, WaitGroup
-// accounting, lock-acquisition order) is computed over the whole load to
-// a fixed point, and only then do the analyzers run —
+// accounting, and the calls and sends made under a lock) is computed over
+// the whole load to a fixed point, and only then do the analyzers run —
 // so the facts-aware analyzers see through calls into other functions
 // and other packages. Both passes run sequentially and findings are
 // sorted, so output stays byte-identical run to run. -stats prints the

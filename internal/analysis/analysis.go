@@ -12,9 +12,7 @@
 //   - goleak: server-side goroutines must carry evidence of a bounded
 //     lifetime (shutdown-signal receive or WaitGroup accounting);
 //   - errdrop: errors from I/O-shaped calls must not be dropped on
-//     durability paths, with file/net kinds derived transitively;
-//   - lockorder: lock acquisition order must be globally consistent —
-//     any cycle in the whole-load ordering graph is a potential deadlock.
+//     durability paths, with file/net kinds derived transitively.
 //
 // The Analyzer/Pass contract deliberately mirrors golang.org/x/tools'
 // go/analysis (Name, Doc, Run(*Pass), Pass.Reportf) so each analyzer can
@@ -56,10 +54,10 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Facts holds the interprocedural facts and whole-load findings
-	// computed over every loaded package before analyzers run (see
-	// facts.go). Nil is legal: errdrop degrades to intraprocedural
-	// behavior, and goleak and the whole-load analyzers report nothing.
+	// Facts holds the interprocedural facts computed over every loaded
+	// package before analyzers run (see facts.go). Nil is legal: errdrop
+	// degrades to intraprocedural behavior, and goleak and lockio report
+	// nothing.
 	Facts  *Facts
 	Report func(Diagnostic)
 }
@@ -75,25 +73,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// reportFindings is the Run of both whole-load analyzers (lockio,
-// lockorder): ComputeFacts has already produced their verdicts, and each
-// pass reports the ones anchored in its own files, so a multi-package run
-// emits each exactly once.
-func reportFindings(pass *Pass) error {
-	for _, d := range pass.Facts.Findings(pass.Analyzer.Name) {
-		for _, f := range pass.Files {
-			if f.FileStart <= d.Pos && d.Pos < f.FileEnd {
-				pass.Report(d)
-				break
-			}
-		}
-	}
-	return nil
-}
-
 // All returns the full suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Nodeterm, Lockio, Wirebound, Goleak, Errdrop, Lockorder}
+	return []*Analyzer{Nodeterm, Lockio, Wirebound, Goleak, Errdrop}
 }
 
 // ByName returns the analyzer with the given name, or nil.

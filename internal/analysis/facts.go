@@ -12,18 +12,14 @@ import (
 // This file is the interprocedural half of the suite: a facts engine
 // mirroring golang.org/x/tools' go/analysis Facts. Every function body in
 // the load is walked once (lockfacts.go's lock walk), and that one walk
-// records everything the engine knows about the body: the held locks at
-// each call and send, and the local evidence for the boolean facts
+// records everything the engine knows about the body: the innermost held
+// lock at each call and send, and the local evidence for the boolean facts
 // (may-block, has-shutdown-signal, does-WaitGroup-accounting,
 // returns-error-that-must-be-checked) and the call edges, keyed by the
 // function's types.Object. One ascending fixed point then closes the
-// boolean facts and the lock acquisitions over the static call graph, so
-// the analyzers can ask "does anything this call reaches block?" instead of
-// going blind one function deep.
-//
-// The lock ordering graph, whose cycles lockorder reports, is derived from
-// the closed facts. Its verdicts and lockio's are computed here, once per
-// load, and only reported by the analyzers' passes (reportFindings).
+// boolean facts over the static call graph, so the analyzers can ask "does
+// anything this call reaches block?" instead of going blind one function
+// deep.
 //
 // The call graph is deliberately the cheap one: direct calls to named
 // functions and methods resolved through types.Info. Calls through
@@ -62,17 +58,8 @@ type FuncFacts struct {
 	// the other accepted goroutine-lifecycle evidence.
 	WGDone bool
 
-	// Acquires: identity keys of the locks this function may take,
-	// directly or through its static call chain (see lockfacts.go).
-	Acquires map[string]LockAcquire
-
 	// callees are the static call edges used by the fixed point.
 	callees []types.Object
-
-	// lockEdges/heldCalls are the lock walk's scan-time evidence
-	// (lockfacts.go), consumed by ComputeFacts.
-	lockEdges []lockEdge
-	heldCalls []heldCall
 }
 
 // Facts indexes FuncFacts by function object. The zero/nil Facts is
@@ -86,20 +73,11 @@ type Facts struct {
 	order []types.Object
 	// literals are the lock walk's records of function literal bodies,
 	// which take no part in the fixed point: goleak reads a spawned
-	// literal's evidence here, and lockio its calls through literalCalls.
-	literals     map[*ast.BlockStmt]*FuncFacts
-	literalCalls []heldCall
-	// findings holds the whole-load analyzers' verdicts by analyzer name.
-	findings map[string][]Diagnostic
-}
-
-// Findings returns the named analyzer's whole-load verdicts, before
-// suppression, across every loaded package. Nil-safe.
-func (f *Facts) Findings(analyzer string) []Diagnostic {
-	if f == nil {
-		return nil
-	}
-	return f.findings[analyzer]
+	// literal's evidence here.
+	literals map[*ast.BlockStmt]*FuncFacts
+	// heldCalls are the calls and sends the lock walk found under a lock,
+	// in every body of the load, declared or literal: what lockio checks.
+	heldCalls []heldCall
 }
 
 // Of returns the facts for fn, or nil when unknown. Nil-safe.
@@ -120,9 +98,8 @@ func (f *Facts) literal(body *ast.BlockStmt) *FuncFacts {
 }
 
 // ComputeFacts runs fact extraction over every function body in pkgs
-// (a loader's Packages: the whole load), propagates the facts over the
-// static call graph to a fixed point, and computes the whole-load
-// analyzers' findings. Packages without type information are skipped
+// (a loader's Packages: the whole load) and propagates the facts over the
+// static call graph to a fixed point. Packages without type information are skipped
 // (their functions simply have no facts, and the analyzers degrade to
 // their intraprocedural selves).
 func ComputeFacts(pkgs []*load.Package) *Facts {
@@ -134,10 +111,9 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 		for _, f := range p.Files {
 			funcScopes(f, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
 				ff := &FuncFacts{}
-				scanLockFacts(p.Info, body, ff)
+				scanLockFacts(p.Info, body, ff, &facts.heldCalls)
 				if fd == nil {
 					facts.literals[body] = ff
-					facts.literalCalls = append(facts.literalCalls, ff.heldCalls...)
 					return
 				}
 				fn, ok := p.Info.Defs[fd.Name].(*types.Func)
@@ -157,7 +133,7 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 		}
 	}
 	// One ascending fixed point: every fact only grows (booleans turn
-	// true, a net kind upgrades to file, acquisitions are added), so
+	// true, a net kind upgrades to file), so
 	// iterating until quiescent terminates. Iteration follows declaration
 	// order so the Via evidence chains are stable run to run.
 	for changed := true; changed; {
@@ -171,10 +147,6 @@ func ComputeFacts(pkgs []*load.Package) *Facts {
 				}
 			}
 		}
-	}
-	facts.findings = map[string][]Diagnostic{
-		Lockio.Name:    computeLockioFindings(facts),
-		Lockorder.Name: computeLockCycles(facts),
 	}
 	return facts
 }
@@ -202,16 +174,6 @@ func (ff *FuncFacts) absorb(callee types.Object, cf *FuncFacts, returnsError boo
 		changed = true
 	}
 	if cf.ReturnsIOError && returnsError && ff.ioError(cf.IOErrorKind, via(cf.IOErrorVia)) {
-		changed = true
-	}
-	for k, acq := range cf.Acquires {
-		if _, ok := ff.Acquires[k]; ok {
-			continue
-		}
-		if ff.Acquires == nil {
-			ff.Acquires = make(map[string]LockAcquire)
-		}
-		ff.Acquires[k] = LockAcquire{Pos: acq.Pos, Via: via(acq.Via)}
 		changed = true
 	}
 	return changed

@@ -157,71 +157,10 @@ func TestFactsCrossPackageMayBlock(t *testing.T) {
 	if notify == nil || !notify.MayBlock || notify.BlockVia != "channel send" {
 		t.Fatalf("(server).notify: want MayBlock via channel send, got %+v", notify)
 	}
-}
-
-func TestLockFactsAcquiresAndCycles(t *testing.T) {
-	_, facts, pkgs := loadFixtureFacts(t, "lockorder", "lockorder/pair")
-	p := pkgs["lockorder"]
-
-	// Direct acquisition, keyed by struct-field identity.
-	mark := facts.Of(method(t, p, "gateway", "markDirty"))
-	if mark == nil {
-		t.Fatal("markDirty: no facts")
-	}
-	if acq, ok := mark.Acquires["(lockorder.gateway).mu"]; !ok || acq.Via != "" {
-		t.Fatalf("markDirty: want direct acquire of (lockorder.gateway).mu, got %+v", mark.Acquires)
-	}
-
-	// Transitive acquisition with the call chain named.
-	evict := facts.Of(method(t, p, "registry", "evict"))
-	if evict == nil {
-		t.Fatal("evict: no facts")
-	}
-	if _, ok := evict.Acquires["(lockorder.registry).mu"]; !ok {
-		t.Fatalf("evict: want direct acquire of its own mu, got %+v", evict.Acquires)
-	}
-	if acq, ok := evict.Acquires["(lockorder.gateway).mu"]; !ok || !strings.Contains(acq.Via, "markDirty") {
-		t.Fatalf("evict: want transitive acquire via markDirty, got %+v", evict.Acquires)
-	}
-
-	// Cross-package: publish acquires (pair.Table).Mu through Bump.
-	publish := facts.Of(method(t, p, "store", "publish"))
-	if publish == nil {
-		t.Fatal("publish: no facts")
-	}
-	if acq, ok := publish.Acquires["(pair.Table).Mu"]; !ok || !strings.Contains(acq.Via, "Bump") {
-		t.Fatalf("publish: want cross-package acquire via Bump, got %+v", publish.Acquires)
-	}
-
-	// Three cycles in the fixture graph: gateway/registry, store/pair,
-	// and the suppressed alpha/beta pair (suppression is the analyzer's
-	// job; the facts still see the cycle).
-	cycles := facts.Findings("lockorder")
-	if len(cycles) != 3 {
-		for _, c := range cycles {
-			t.Logf("cycle: %s", c.Message)
-		}
-		t.Fatalf("want 3 lock cycles, got %d", len(cycles))
-	}
-	var sawCross bool
-	for _, c := range cycles {
-		if !c.Pos.IsValid() {
-			t.Errorf("cycle without a position: %s", c.Message)
-		}
-		if strings.Contains(c.Message, "(pair.Table).Mu") &&
-			strings.Contains(c.Message, "via call to (Table).Bump") {
-			sawCross = true
-		}
-	}
-	if !sawCross {
-		t.Error("no cycle names the cross-package edge via (Table).Bump")
-	}
-
-	// The consistent-order pair contributes edges but no cycle.
-	for _, c := range cycles {
-		if strings.Contains(c.Message, "(lockorder.outer).mu") {
-			t.Errorf("outer/inner is consistently ordered, must not cycle: %s", c.Message)
-		}
+	// One call up, the chain names the callee ahead of its evidence.
+	helper := facts.Of(method(t, lp, "server", "helperBad"))
+	if helper == nil || !helper.MayBlock || helper.BlockVia != "(server).notify → channel send" {
+		t.Fatalf("(server).helperBad: want MayBlock via (server).notify → channel send, got %+v", helper)
 	}
 }
 
@@ -248,7 +187,13 @@ func TestFactsWalkDistinctions(t *testing.T) {
 
 func TestFactsNilSafe(t *testing.T) {
 	var facts *analysis.Facts
-	if facts.Findings("lockorder") != nil || facts.Of(nil) != nil {
+	if facts.Of(nil) != nil {
 		t.Fatal("nil Facts must know nothing")
+	}
+	pass := &analysis.Pass{Analyzer: analysis.Lockio, Report: func(d analysis.Diagnostic) {
+		t.Errorf("lockio without facts reported %q", d.Message)
+	}}
+	if err := analysis.Lockio.Run(pass); err != nil {
+		t.Fatal(err)
 	}
 }

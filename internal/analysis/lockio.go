@@ -1,6 +1,10 @@
 package analysis
 
-import "go/types"
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+)
 
 // Lockio enforces the hot-path scaling rule from the cluster tier: never
 // hold a mutex across network I/O or a channel send. A lock held across a
@@ -10,11 +14,11 @@ import "go/types"
 // probabilistically and load tests catch too late.
 //
 // The analyzer reads the shared lock walk (lockfacts.go), which tracks
-// sync.Mutex/RWMutex Lock/RLock state through each function body (a
-// deferred Unlock keeps the lock held to the end of the body, matching
-// Go's runtime behavior) and records every call and channel send made
-// under a lock. It reports, naming the innermost held lock, a lock held
-// at:
+// sync.Mutex/RWMutex Lock/RLock state through each function body by the
+// lock's spelling (a deferred Unlock keeps the lock held to the end of the
+// body, matching Go's runtime behavior) and records every call and channel
+// send made under a lock. It reports, naming the innermost held lock, a
+// lock held at:
 //
 //   - a net.Conn / net.Listener / net.Dialer I/O method (Read, Write,
 //     Close, Accept, Dial, DialContext),
@@ -24,9 +28,9 @@ import "go/types"
 //
 // Function literals are separate scopes: a closure that runs later (go,
 // callbacks) does not execute under the lock held at its creation site,
-// and deferred or go'd calls (arguments included) are not checked. Unlike
-// the identity-keyed domains, lockio also tracks local mutexes, by
-// spelling. The lock tracking is intraprocedural and over-approximates
+// and deferred or go'd calls (arguments included) are not checked. A
+// field, an embedded, a package-level and a local mutex are all tracked
+// alike. The lock tracking is intraprocedural and over-approximates
 // reachability (both branches of an if are assumed reachable), which is
 // the right bias for a gate: a narrowed critical section is always
 // available as the fix.
@@ -41,7 +45,7 @@ var Lockio = &Analyzer{
 	Name: "lockio",
 	Doc: "forbid holding a sync.Mutex/RWMutex across network I/O, wire protocol calls, " +
 		"or channel sends",
-	Run: reportFindings,
+	Run: runLockio,
 }
 
 // netIOMethods are the blocking I/O entry points on net package types.
@@ -57,32 +61,36 @@ var wireIOMethods = map[string]bool{
 
 const wirePkgPath = "repro/internal/wire"
 
-// computeLockioFindings classifies every call and send the lock walk
-// recorded under a held lock, in declared functions and function
-// literals alike.
-func computeLockioFindings(facts *Facts) []Diagnostic {
-	var out []Diagnostic
-	check := func(calls []heldCall) {
-		for _, hc := range calls {
-			if hc.lock == "" {
-				continue
-			}
-			fn, _ := hc.callee.(*types.Func)
-			if fn == nil {
-				out = append(out, Diagnostic{Pos: hc.pos, Message: hc.lock +
-					" held across channel send: release the lock (or buffer outside the critical section) before sending"})
-			} else if desc, ok := intrinsicMayBlock(fn); ok {
-				out = append(out, Diagnostic{Pos: hc.pos, Message: hc.lock + " held across " + desc +
-					": release the lock before blocking network I/O"})
-			} else if cf := facts.funcs[fn]; cf != nil && cf.MayBlock {
-				out = append(out, Diagnostic{Pos: hc.pos, Message: hc.lock + " held across call to " + shortFuncName(fn) +
-					" (may block: " + cf.BlockVia + "): release the lock before calling into blocking code"})
-			}
+// runLockio classifies every call and send the lock walk recorded under a
+// held lock in the pass's files, in declared functions and function
+// literals alike. Without facts it reports nothing.
+func runLockio(pass *Pass) error {
+	if pass.Facts == nil {
+		return nil
+	}
+	for _, hc := range pass.Facts.heldCalls {
+		if !inFiles(pass.Files, hc.pos) {
+			continue
+		}
+		fn, _ := hc.callee.(*types.Func)
+		if fn == nil {
+			pass.Reportf(hc.pos, "%s held across channel send: release the lock (or buffer outside the critical section) before sending", hc.lock)
+		} else if desc, ok := intrinsicMayBlock(fn); ok {
+			pass.Reportf(hc.pos, "%s held across %s: release the lock before blocking network I/O", hc.lock, desc)
+		} else if cf := pass.Facts.funcs[fn]; cf != nil && cf.MayBlock {
+			pass.Reportf(hc.pos, "%s held across call to %s (may block: %s): release the lock before calling into blocking code",
+				hc.lock, shortFuncName(fn), cf.BlockVia)
 		}
 	}
-	for _, obj := range facts.order {
-		check(facts.funcs[obj].heldCalls)
+	return nil
+}
+
+// inFiles reports whether pos lies in one of files.
+func inFiles(files []*ast.File, pos token.Pos) bool {
+	for _, f := range files {
+		if f.FileStart <= pos && pos < f.FileEnd {
+			return true
+		}
 	}
-	check(facts.literalCalls)
-	return out
+	return false
 }

@@ -75,6 +75,34 @@ func (s *server) twoLocksBad(nc net.Conn) {
 	_ = nc.Close() // want `s\.rw held across \(net\.Conn\)\.Close`
 }
 
+// localMutexBad: a mutex declared in the body is held by its spelling.
+func localMutexBad(nc net.Conn) {
+	var mu sync.Mutex
+	mu.Lock()
+	defer mu.Unlock()
+	_ = nc.Close() // want `^mu held across \(net\.Conn\)\.Close`
+}
+
+// guarded embeds its mutex, so the lock is spelled by the receiver alone.
+type guarded struct {
+	sync.Mutex
+	nc net.Conn
+}
+
+func (g *guarded) embeddedBad(buf []byte) {
+	g.Lock()
+	defer g.Unlock()
+	_, _ = g.nc.Write(buf) // want `^g held across \(net\.Conn\)\.Write`
+}
+
+var registryMu sync.Mutex
+
+func pkgMutexBad(nc net.Conn, buf []byte) {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	_, _ = nc.Read(buf) // want `^registryMu held across \(net\.Conn\)\.Read`
+}
+
 // Negative cases.
 
 // closeAllGood snapshots under the lock and does I/O after releasing it —

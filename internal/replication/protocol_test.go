@@ -345,7 +345,7 @@ func TestLineCapGoesByLeadByte(t *testing.T) {
 			continue
 		}
 		if tc.cap == 0 {
-			if _, err := readLine(stream(tc.lead, 2), tc.capOf); !errors.Is(err, errBadLine) {
+			if _, _, err := readLine(stream(tc.lead, 2), tc.capOf); !errors.Is(err, errBadLine) {
 				t.Errorf("%s: err %v, want the line refused off its first byte", name, err)
 			}
 			continue
@@ -360,14 +360,14 @@ func TestLineCapGoesByLeadByte(t *testing.T) {
 		if big {
 			at = 2 * store.MaxLineBytes
 		}
-		if line, err := readLine(stream(tc.lead, at), tc.capOf); err != nil || len(line) != at+1 {
+		if line, _, err := readLine(stream(tc.lead, at), tc.capOf); err != nil || len(line) != at+1 {
 			t.Errorf("%s: a %d-byte line read as %d bytes, err %v", name, at, len(line), err)
 		}
 		if big {
 			continue
 		}
 		for _, n := range []int{tc.cap + 1, -(tc.cap + 4*bufSize)} {
-			_, err := readLine(stream(tc.lead, n), tc.capOf)
+			_, _, err := readLine(stream(tc.lead, n), tc.capOf)
 			if !errors.Is(err, wire.ErrMessageTooLarge) || counted > int64(tc.cap+2*bufSize) {
 				t.Errorf("%s: stream(%d): err %v after %d bytes read, want the line refused within %d", name, n, err, counted, tc.cap+2*bufSize)
 			}
@@ -395,6 +395,57 @@ func TestLineCapGoesByLeadByte(t *testing.T) {
 	p = newPeer(t, nc)
 	p.send([]byte("hello 6 0 " + strings.Repeat("r", maxTextLineBytes)))
 	p.wantClosed()
+}
+
+func TestLongLinesGiveTheirGatherBufferBack(t *testing.T) {
+	// A line longer than the reader it comes through is gathered into one of
+	// wire's pooled buffers. Given back once the line is done with, it serves
+	// the next such line, so a stream of them costs no allocation a line once
+	// warm. Mutant: drop consume's wire.PutFrameBuf and each line allocates
+	// its gather buffer anew (the second half fails).
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const lines = 20
+	perLine := func(line []byte, bufSize int, read func(*bufio.Reader)) float64 {
+		stream := bytes.Repeat(line, lines)
+		rd := bytes.NewReader(stream)
+		br := bufio.NewReaderSize(rd, bufSize)
+		return testing.AllocsPerRun(5, func() {
+			rd.Reset(stream)
+			br.Reset(rd)
+			read(br)
+		}) / lines
+	}
+
+	// A 100 KiB line, a report line's lead byte first, through the
+	// replica's 64 KiB reader.
+	report := append([]byte{0xB3}, bytes.Repeat([]byte{'x'}, 100<<10)...)
+	report = append(report, '\n')
+	if n := perLine(report, 64<<10, func(br *bufio.Reader) {
+		for i := 0; i < lines; i++ {
+			line, spill, err := readLine(br, replicaCap)
+			if err != nil || len(line) != len(report) {
+				t.Fatalf("read %d bytes, err %v; want the %d-byte line", len(line), err, len(report))
+			}
+			wire.PutFrameBuf(spill)
+		}
+	}); n > 0.1 {
+		t.Errorf("reading a %d-byte line: %.2f allocations, want about 0", len(report), n)
+	}
+
+	// consume gives each line's buffer back itself: position lines, each
+	// longer than the smallest reader bufio makes (leading zeros are still
+	// its LSN), each answered by an ack.
+	position := []byte(positionWord + strings.Repeat("0", 24) + "42\n")
+	r := &Replica{}
+	if n := perLine(position, 16, func(br *bufio.Reader) {
+		if err := r.consume(br, io.Discard); err != io.EOF {
+			t.Fatalf("consume ended with %v, want io.EOF", err)
+		}
+	}); n > 0.2 {
+		t.Errorf("consuming a %d-byte position line: %.2f allocations, want about 0", len(position), n)
+	}
 }
 
 // fillReader is an endless run of 'x'; the tests take a limited length.

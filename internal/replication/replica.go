@@ -16,6 +16,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Applier receives the replicated state on the consumer side. The
@@ -247,13 +248,16 @@ func (r *Replica) session(forceSnapshot bool) error {
 func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 	var samples []trace.Sample              // each record line's, decoded into one slice
 	ack := make([]byte, 0, len(ackWord)+21) // each ack line's bytes: the word, a uint64, '\n'
+	var spill *bytes.Buffer                 // the last line's, when it was longer than br's buffer
 	for {
-		// line may be a view of br's buffer: every case is done with it
-		// before the next read.
-		line, err := readLine(br, replicaCap)
+		// line may be a view of br's buffer or in spill: every case is done
+		// with it before the next read, which gives spill back first.
+		wire.PutFrameBuf(spill)
+		line, next, err := readLine(br, replicaCap)
 		if err != nil {
 			return err
 		}
+		spill = next
 		switch line[0] {
 		case store.CheckpointLead:
 			// Nothing is reset before the checkpoint checks out in full.

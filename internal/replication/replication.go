@@ -118,18 +118,19 @@ func replicaCap(lead byte) int {
 
 // readLine reads the next line, '\n' included, held to the cap its first
 // byte picks before any more of it is read. A line that fits br's buffer is
-// a view into it, valid until the next read from br.
-func readLine(br *bufio.Reader, capOf func(lead byte) int) ([]byte, error) {
+// a view into it, valid until the next read from br; a longer one is in
+// spill, wire.ReadLine's pooled buffer, for wire.PutFrameBuf once the
+// caller is done with it.
+func readLine(br *bufio.Reader, capOf func(lead byte) int) (line []byte, spill *bytes.Buffer, err error) {
 	lead, err := br.Peek(1)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	limit := capOf(lead[0])
 	if limit == 0 {
-		return nil, fmt.Errorf("%w: no line of this side opens with %#x", errBadLine, lead[0])
+		return nil, nil, fmt.Errorf("%w: no line of this side opens with %#x", errBadLine, lead[0])
 	}
-	line, _, err := wire.ReadLine(br, limit)
-	return line, err
+	return wire.ReadLine(br, limit)
 }
 
 // appendNumberLine appends word and n as one text line to b.

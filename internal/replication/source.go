@@ -196,9 +196,9 @@ func (s *Source) Close() error {
 // then the record loop, with acks drained concurrently. The listener severs
 // nc on Suspend/Close and closes it when serve returns.
 func (s *Source) serve(nc net.Conn) {
-	br := bufio.NewReader(nc) // a hello and acks, short lines; wire.ReadLine gathers a longer one
+	br := bufio.NewReader(nc) // a hello and acks: lines within maxTextLineBytes, so none spills
 
-	line, err := readLine(br, sourceCap)
+	line, _, err := readLine(br, sourceCap)
 	if err != nil {
 		return
 	}
@@ -226,7 +226,7 @@ func (s *Source) serve(nc net.Conn) {
 			close(rc.gone)
 		}()
 		for {
-			line, err := readLine(br, sourceCap)
+			line, _, err := readLine(br, sourceCap)
 			if err != nil {
 				return
 			}

@@ -355,8 +355,11 @@ var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // few thousand records goes back to the pool, one huge report does not.
 const maxPooledFrameBytes = 1 << 20
 
-func putFrameBuf(buf *bytes.Buffer) {
-	if buf.Cap() <= maxPooledFrameBytes {
+// PutFrameBuf gives a frame buffer back to the pool: one a frame was
+// encoded into, or one ReadLine gathered a line into, once its caller is
+// done with the line. A nil buf is ignored.
+func PutFrameBuf(buf *bytes.Buffer) {
+	if buf != nil && buf.Cap() <= maxPooledFrameBytes {
 		buf.Reset()
 		frameBufs.Put(buf)
 	}
@@ -380,7 +383,7 @@ func (c *Conn) Send(e Envelope) error {
 		h = nil // JSON
 	}
 	buf := frameBufs.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
+	defer PutFrameBuf(buf)
 	buf.Grow(frameSizeHint(&e, h))
 	if h != nil {
 		frame, err := appendBinaryLine(buf.AvailableBuffer(), h, &e)
@@ -427,9 +430,7 @@ func (c *Conn) recv(dst *requestStore) (Envelope, error) {
 	}
 	frameBytes := len(line)
 	e, err := c.decode(line[:len(line)-1], dst)
-	if spill != nil {
-		putFrameBuf(spill) // line is spill's; the envelope holds none of it
-	}
+	PutFrameBuf(spill) // line is spill's; the envelope holds none of it
 	switch {
 	case err == nil:
 		c.m.messagesDecoded.Inc()
@@ -496,7 +497,7 @@ func lineCarries(h *handCodec, e *Envelope) bool {
 		return false
 	}
 	buf := frameBufs.Get().(*bytes.Buffer)
-	defer putFrameBuf(buf)
+	defer PutFrameBuf(buf)
 	buf.Grow(frameSizeHint(e, h))
 	_, err := h.appendBinary(buf.AvailableBuffer(), *e)
 	return err == nil
@@ -615,7 +616,7 @@ func parseBinaryLineInto(dst *requestStore, h *handCodec, stuffed []byte) (Envel
 	body := stuffed
 	if bytes.IndexByte(stuffed, trace.SlipEsc) >= 0 {
 		buf := frameBufs.Get().(*bytes.Buffer)
-		defer putFrameBuf(buf)
+		defer PutFrameBuf(buf)
 		buf.Grow(len(stuffed))
 		var ok bool
 		if body, ok = trace.Unstuff(buf.AvailableBuffer(), stuffed); !ok {
@@ -1254,7 +1255,8 @@ func frameSizeHint(e *Envelope, row *handCodec) int {
 // envelopes and for the replication stream's lines. A line that fits br's
 // buffer comes back as a view into it, valid until the next read from br, and
 // no buffer; a longer one is gathered into a pooled buffer, which comes back
-// with it for Recv to put back (other callers let it go).
+// with it for the caller to give back with PutFrameBuf once done with the
+// line.
 func ReadLine(br *bufio.Reader, limit int) (line []byte, spill *bytes.Buffer, err error) {
 	held, scanned := 0, 0 // the line's bytes in spill; those br holds with no '\n'
 	for {
@@ -1295,9 +1297,7 @@ func ReadLine(br *bufio.Reader, limit int) (line []byte, spill *bytes.Buffer, er
 			held, scanned = held+scanned, 0
 		}
 	}
-	if spill != nil {
-		putFrameBuf(spill)
-	}
+	PutFrameBuf(spill)
 	return nil, nil, err
 }
 

@@ -53,7 +53,7 @@ leftovers:
 		END { if (n) { print n " leftover process(es)"; exit 1 } }'
 
 # Short-burst coverage-guided fuzzing, 30 s a fuzzer:
-#   FuzzDecode: any wire byte stream, JSON and binary lines (seeded with one of each lead); no panic, each envelope a decode of its own line.
+#   FuzzDecode: any wire byte stream, JSON and binary lines (seeded with one of each lead, and with a JSON and a binary line of 4 KiB, the reader's size, and a byte either side, where Recv stops decoding in place and gathers); no panic, each envelope a decode of its own line.
 #   FuzzSketchRoundTrip: the sketch serializer; exact round trip, appended after a prefix of the input (the reference encoder's bytes), raw bytes never panic, and decoded into a used sketch as decoded fresh (same bytes, same footprint).
 #   FuzzFrameRoundTrip: the replication line stream; a replica applies only whole lines the store accepts, report lines too.
 #   FuzzRecordEncodeMatchesJSON: the WAL record writer; a sample JSON carries is one report line that reads back as json.Unmarshal(json.Marshal) of it, times in UTC; any other both refuse.

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -1158,5 +1159,48 @@ func TestAgentRoundTripNeverFallsBack(t *testing.T) {
 				t.Errorf("%s left %v %s frames to encoding/json, want none", tier, n, typ)
 			}
 		}
+	}
+}
+
+// TestIdleAgentsCostTheClusterLittleHeap: an agent connected through a
+// gateway holds a wire.Conn open on each hop of its path — its own, the
+// gateway's, the gateway's upstream to the shard its zone is in and that
+// shard's — and their read buffers are most of what it costs the heap.
+// Agents that each sent one zone report and one sample report and stay
+// connected grow the heap by at most 32 KiB each; with 64 KiB readers they
+// grew it by about 262 KiB each.
+func TestIdleAgentsCostTheClusterLittleHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds its own heap to every allocation")
+	}
+	tc := startCluster(t, GatewayOptions{})
+	connect := func(id string) *wire.Conn {
+		nc, err := net.Dial("tcp", tc.gw.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := wire.NewConn(nc)
+		t.Cleanup(func() { _ = c.Close() })
+		zr, sr := benchCycle(id, start)
+		call(t, c, zr, wire.TypeTaskList)
+		call(t, c, sr, wire.TypeSampleAck)
+		return c
+	}
+	connect("warm-up") // the zone's state on the shard, and what a first session sets up once
+	const agents = 100
+	held := make([]*wire.Conn, agents)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		held[i] = connect(fmt.Sprintf("agent-%d", i))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / agents; per > 32<<10 {
+		t.Errorf("%d connected agents grew the heap by %d bytes each, want at most %d", agents, per, 32<<10)
+	} else {
+		t.Logf("%d connected agents: %.1f KiB of heap each", agents, float64(per)/1024)
 	}
 }

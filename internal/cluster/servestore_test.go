@@ -66,7 +66,7 @@ func walSamples(t *testing.T, dir string) (samples []trace.Sample, lines [][]byt
 				continue
 			}
 			var ok bool
-			if _, samples, ok = store.ParseRecordLine(samples, line); !ok {
+			if _, samples, ok = store.ParseRecordLine(samples, line, nil); !ok {
 				t.Fatalf("%s holds a line that does not parse: %q", name, line)
 			}
 			lines = append(lines, line)
@@ -362,24 +362,65 @@ func TestOffsetTimesJournalAsReportLines(t *testing.T) {
 // appends its published records into a slot its reply borrows, and the
 // gateway decodes each shard's list into a slot its upstream connection
 // borrows and merges them into the slot its own reply borrows. The reply is
-// the two shards' records in key order.
+// the two shards' records in key order. With 40 records a shard every line
+// fits a connection's 4 KiB reader; with 150 each shard's list and the merged
+// reply are longer, so the gateway's upstream Call gathers each list into a
+// pooled buffer and must give it back. Mutant: recv keeping spill, and each
+// list gathers into a buffer allocated anew.
 func TestGatewayZoneListAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	gw := startZoneListCluster(t, 40)
-	sess := gw.newSession()
-	defer sess.closeUpstream()
-	var out wire.Replies
-	reply, _ := gw.dispatch(sess, zoneListRequest, &out)
-	records := reply.ZoneListReply.Records
-	if len(records) != 2*40 || !slices.IsSortedFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) }) {
-		t.Fatalf("a list of %d records, want %d in key order", len(records), 2*40)
+	for _, zones := range []int{40, 150} {
+		gw := startZoneListCluster(t, zones)
+		if zones > 40 {
+			for _, sh := range gw.reg.Shards() {
+				if n := zoneListLineBytes(t, sh.Addr()); n <= readerBytes {
+					t.Fatalf("shard %s sends a %d-byte list, want one longer than the %d-byte reader", sh.Name(), n, readerBytes)
+				}
+			}
+			if n := zoneListLineBytes(t, gw.Addr()); n <= readerBytes {
+				t.Fatalf("the gateway sends a %d-byte list, want one longer than the %d-byte reader", n, readerBytes)
+			}
+		}
+		sess := gw.newSession()
+		defer sess.closeUpstream()
+		var out wire.Replies
+		reply, _ := gw.dispatch(sess, zoneListRequest, &out)
+		records := reply.ZoneListReply.Records
+		if len(records) != 2*zones || !slices.IsSortedFunc(records, func(a, b core.Record) int { return a.Key.Compare(b.Key) }) {
+			t.Fatalf("a list of %d records, want %d in key order", len(records), 2*zones)
+		}
+		if n := testing.AllocsPerRun(50, func() { reply, _ = gw.dispatch(sess, zoneListRequest, &out) }); n != 0 {
+			t.Errorf("a warm two-shard zone list of %d records a shard: %v allocations, want 0", zones, n)
+		}
+		if reply.Type != wire.TypeZoneListReply || len(reply.ZoneListReply.Records) != len(records) {
+			t.Fatalf("the last list: %+v", reply)
+		}
 	}
-	if n := testing.AllocsPerRun(50, func() { reply, _ = gw.dispatch(sess, zoneListRequest, &out) }); n != 0 {
-		t.Fatalf("a warm two-shard zone list: %v allocations, want 0", n)
+}
+
+// readerBytes is a wire.Conn's read buffer (TestIdleConnHoldsOnlyItsReader
+// holds it there): a line longer than this is gathered in a pooled buffer.
+const readerBytes = 4 << 10
+
+// zoneListLineBytes is the length of the binary line addr answers a binary
+// zone list request with.
+func zoneListLineBytes(t *testing.T, addr string) int {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reply.Type != wire.TypeZoneListReply || len(reply.ZoneListReply.Records) != len(records) {
-		t.Fatalf("the last list: %+v", reply)
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Write(lineOf(t, zoneListRequest)); err != nil {
+		t.Fatal(err)
 	}
+	line, spill, err := wire.ReadLine(bufio.NewReader(nc), wire.MaxMessageBytes)
+	if err != nil || line[0] != zoneListReplyLead {
+		t.Fatalf("%s answered a zone list request with %d bytes, err %v; want a binary list", addr, len(line), err)
+	}
+	defer wire.PutFrameBuf(spill)
+	return len(line)
 }

@@ -370,7 +370,7 @@ func TestHandTypedJSONReportJournaled(t *testing.T) {
 			t.Fatal(err)
 		}
 		lines, _ := journal(t, dir)
-		if _, got, ok := store.ParseRecordLine(nil, lines[1]); len(lines) != 1 || !ok || len(got) != 1 || got[0] != smp {
+		if _, got, ok := store.ParseRecordLine(nil, lines[1], nil); len(lines) != 1 || !ok || len(got) != 1 || got[0] != smp {
 			t.Fatalf("%s: the journal holds %d lines, LSN 1 %+v; want the one sample %+v", how, len(lines), got, smp)
 		}
 		names, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/replication"
+	"repro/internal/store"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -134,14 +135,14 @@ func (a *replicaApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (a *replicaApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
+func (a *replicaApplier) Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error {
 	s := a.s
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
 	// The primary's bytes, not a re-encoding of samples: the two logs then
 	// hold the same line at the same LSNs, down any chain of promoted
 	// replicas.
-	if err := s.store.AppendAt(first, line); err != nil {
+	if err := s.store.AppendAt(first, line, scratch); err != nil {
 		return err
 	}
 	s.Controller().Ingest(samples...)

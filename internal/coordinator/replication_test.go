@@ -49,7 +49,7 @@ func journal(t *testing.T, dir string) (lines map[uint64][]byte, segments int) {
 			if len(line) == 0 {
 				continue
 			}
-			lsn, _, ok := store.ParseRecordLine(nil, line)
+			lsn, _, ok := store.ParseRecordLine(nil, line, nil)
 			if !ok {
 				t.Fatalf("%s holds a line that does not validate: %q", name, line)
 			}

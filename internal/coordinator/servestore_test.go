@@ -29,7 +29,7 @@ func journalSamples(t *testing.T, dir string) (samples []trace.Sample, lines [][
 	slices.Sort(lsns)
 	for _, lsn := range lsns {
 		var ok bool
-		if _, samples, ok = store.ParseRecordLine(samples, byLSN[lsn]); !ok {
+		if _, samples, ok = store.ParseRecordLine(samples, byLSN[lsn], nil); !ok {
 			t.Fatalf("%s: line %d does not parse", dir, lsn)
 		}
 		lines = append(lines, byLSN[lsn])

@@ -150,9 +150,9 @@ func (a *fuzzApplier) Bootstrap(lsn uint64, _ core.Snapshot) error {
 	return nil
 }
 
-func (a *fuzzApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
+func (a *fuzzApplier) Apply(first uint64, samples []trace.Sample, line []byte, _ *store.Scratch) error {
 	a.t.Helper()
-	at, again, ok := store.ParseRecordLine(nil, line)
+	at, again, ok := store.ParseRecordLine(nil, line, nil)
 	if !ok || at != first || !reflect.DeepEqual(again, samples) || first <= a.last {
 		a.t.Fatalf("applied LSN %d after %d from %q, which parses to LSN %d (ok %v)", first, a.last, line, at, ok)
 	}

@@ -11,11 +11,13 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/radio"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -445,6 +447,53 @@ func TestLongLinesGiveTheirGatherBufferBack(t *testing.T) {
 		}
 	}); n > 0.2 {
 		t.Errorf("consuming a %d-byte position line: %.2f allocations, want about 0", len(position), n)
+	}
+}
+
+func TestLongReportLinesReuseTheSessionsScratch(t *testing.T) {
+	// A binary record line is unstuffed into a scratch buffer to be parsed
+	// and again to be journaled. consume keeps one store.Scratch for its
+	// session, so report lines longer than the replica's reader cost no
+	// allocation a line once warm: here one already applied, repeated, as
+	// across a reconnect seam. Mutant: parse with a nil scratch, and each
+	// line allocates one anew.
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	st := openStore(t, store.Options{})
+	report := make([]trace.Sample, 3600)
+	for i := range report {
+		report[i] = testSample(i)
+		report[i].Network = radio.NetB // a network the tree defines decodes to its constant
+	}
+	if _, err := st.AppendReport("bus-17", report); err != nil {
+		t.Fatal(err)
+	}
+	line := journalOf(t, dirOf(st))
+	if len(line) <= 64<<10 || line[0] != 0xB3 || bytes.IndexByte(line, '\n') != len(line)-1 {
+		t.Fatalf("the journal is %d bytes opening %#x; want one report line longer than 64 KiB", len(line), line[0])
+	}
+	r := &Replica{}
+	r.applied.Store(st.LastLSN())
+	// A collection empties wire's pool of gather buffers, whose reuse
+	// TestLongLinesGiveTheirGatherBufferBack checks; here it would only blur
+	// the count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	consume := func(lines int) float64 {
+		stream := bytes.Repeat(line, lines)
+		rd := bytes.NewReader(stream)
+		br := bufio.NewReaderSize(rd, 64<<10) // the replica's
+		return testing.AllocsPerRun(5, func() {
+			rd.Reset(stream)
+			br.Reset(rd)
+			if err := r.consume(br, io.Discard); err != io.EOF {
+				t.Fatalf("consume ended with %v, want io.EOF", err)
+			}
+		})
+	}
+	const more = 20
+	if one, many := consume(1), consume(1+more); many > one {
+		t.Errorf("%d more %d-byte report lines: %.1f allocations a line, want 0", more, len(line), (many-one)/more)
 	}
 }
 

@@ -30,11 +30,12 @@ type Applier interface {
 	Bootstrap(lsn uint64, snap core.Snapshot) error
 
 	// Apply applies one record, a whole WAL line as the primary journaled
-	// it: samples are what line decodes to (store.ParseRecordLine has passed
-	// it), at LSNs first, first+1, …. Neither is valid past the call.
-	// Records arrive in LSN order, each exactly once per session (reconnect
-	// replays are filtered before Apply).
-	Apply(first uint64, samples []trace.Sample, line []byte) error
+	// it: samples are what line decodes to (store.ParseRecordLine has
+	// passed it), at LSNs first, first+1, …. scratch is the session's, for
+	// the store's check of the line (store.Store.AppendAt). None of them is
+	// valid past the call. Records arrive in LSN order, each exactly once per
+	// session (reconnect replays are filtered before Apply).
+	Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error
 }
 
 // dialTimeout bounds one connection attempt to the primary, and
@@ -247,6 +248,7 @@ func (r *Replica) session(forceSnapshot bool) error {
 // fails or the stream ends.
 func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 	var samples []trace.Sample              // each record line's, decoded into one slice
+	var scratch store.Scratch               // each binary record line's, unstuffed to parse and to journal it
 	ack := make([]byte, 0, len(ackWord)+21) // each ack line's bytes: the word, a uint64, '\n'
 	var spill *bytes.Buffer                 // the last line's, when it was longer than br's buffer
 	for {
@@ -293,7 +295,7 @@ func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 			// the lines ahead of it applied; the redial asks for it again.
 			var first uint64
 			var ok bool
-			first, samples, ok = store.ParseRecordLine(samples[:0], line)
+			first, samples, ok = store.ParseRecordLine(samples[:0], line, &scratch)
 			if !ok {
 				return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadLine, r.applied.Load())
 			}
@@ -308,7 +310,7 @@ func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 				// with a snapshot (see Source.stream).
 				return fmt.Errorf("%w: the record line of LSNs %d-%d straddles applied LSN %d", errBadLine, first, last, applied)
 			}
-			if err := r.ap.Apply(first, samples, line); err != nil {
+			if err := r.ap.Apply(first, samples, line, &scratch); err != nil {
 				return fmt.Errorf("applying records %d-%d: %w", first, last, err)
 			}
 			r.setApplied(last)

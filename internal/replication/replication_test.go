@@ -58,11 +58,11 @@ func (m *memApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (m *memApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
+func (m *memApplier) Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.st != nil {
-		if err := m.st.AppendAt(first, line); err != nil {
+		if err := m.st.AppendAt(first, line, scratch); err != nil {
 			return err
 		}
 	}
@@ -185,7 +185,7 @@ func TestCaughtUpStreamShipsALineAppendedAt(t *testing.T) {
 	st := openStore(t, store.Options{})
 	appendAt := func(lsn uint64) {
 		t.Helper()
-		if err := st.AppendAt(lsn, lines[lsn-1]); err != nil {
+		if err := st.AppendAt(lsn, lines[lsn-1], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 		if lsn > 20 && lsn%7 != 0 { // the sample lines of the store before report lines
 			line = sampleLine(lsn, smp)
 		}
-		if err := primary.AppendAt(lsn, line); err != nil {
+		if err := primary.AppendAt(lsn, line, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func (a *controllerApplier) Bootstrap(_ uint64, snap core.Snapshot) error {
 	return nil
 }
 
-func (a *controllerApplier) Apply(_ uint64, samples []trace.Sample, _ []byte) error {
+func (a *controllerApplier) Apply(_ uint64, samples []trace.Sample, _ []byte, _ *store.Scratch) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.c.Ingest(samples...)
@@ -584,14 +584,14 @@ type heldApplier struct {
 	held, release chan struct{}
 }
 
-func (h *heldApplier) Apply(first uint64, samples []trace.Sample, line []byte) error {
+func (h *heldApplier) Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error {
 	if first > h.hold {
 		if first == h.hold+1 {
 			close(h.held)
 		}
 		<-h.release
 	}
-	return h.memApplier.Apply(first, samples, line)
+	return h.memApplier.Apply(first, samples, line, scratch)
 }
 
 func TestCatchingUpReplicaReportsItsLag(t *testing.T) {

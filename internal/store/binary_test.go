@@ -111,6 +111,7 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		return append(append(append(b[:i:i], 1), client...), b[i+2:]...)
 	}
 	flagAt := floatAt + 32
+	var scratch Scratch // the refusals below are told to allocate nothing
 	for _, tc := range []struct {
 		name string
 		line []byte
@@ -148,18 +149,18 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		{"invalid UTF-8", frameBinary(withClient("\xff"))},
 		{"a line past the cap", frameBinary(sampleBody(t, 4, trace.Sample{ClientID: strings.Repeat("x", MaxLineBytes)}))},
 	} {
-		if _, _, ok := ParseRecordLine(nil, tc.line); ok {
+		if _, _, ok := ParseRecordLine(nil, tc.line, nil); ok {
 			t.Errorf("%s: ParseRecordLine took %q", tc.name, tc.line)
 		}
-		if _, ok := lineHolds(4, tc.line); ok {
+		if _, ok := lineHolds(&scratch.body, 4, tc.line); ok {
 			t.Errorf("%s: AppendAt would journal %q", tc.name, tc.line)
 		}
 		if raceEnabled {
 			continue // the race detector allocates on its own
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
-			ParseRecordLine(nil, tc.line)
-			lineHolds(4, tc.line)
+			ParseRecordLine(nil, tc.line, &scratch)
+			lineHolds(&scratch.body, 4, tc.line)
 		}); allocs != 0 {
 			t.Errorf("%s: refusing the line allocates %v times", tc.name, allocs)
 		}
@@ -172,8 +173,8 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		"clients": frameBinary(withClient("x")),
 		"flags":   frameBinary(body(func(b []byte) []byte { b[flagAt] |= 1; return b })),
 	} {
-		_, holds := lineHolds(4, line)
-		if _, _, ok := ParseRecordLine(nil, line); !ok || !holds {
+		_, holds := lineHolds(&scratch.body, 4, line)
+		if _, _, ok := ParseRecordLine(nil, line, nil); !ok || !holds {
 			t.Errorf("the %s helper builds a line that is refused: %q", name, line)
 		}
 	}
@@ -185,15 +186,15 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 // it decodes to re-encodes to, byte for byte.
 func checkBinaryDecode(t *testing.T, line []byte) {
 	t.Helper()
-	first, smps, ok := ParseRecordLine(nil, line)
-	last, holds := lineHolds(first, line)
+	first, smps, ok := ParseRecordLine(nil, line, nil)
+	var scratch []byte
+	last, holds := lineHolds(&scratch, first, line)
 	if holds != ok {
 		t.Fatalf("line %q: ParseRecordLine ok %v, AppendAt's check %v", line, ok, holds)
 	}
 	if !ok {
 		return
 	}
-	var scratch []byte
 	pfirst, plast, pok := peekLSNs(&scratch, line)
 	if wantLast := first + uint64(len(smps)) - 1; !pok || pfirst != first || plast != wantLast || last != wantLast {
 		t.Fatalf("line %q: read as LSNs %d-%d, peeked as %d-%d (ok %v), AppendAt's check ends at %d", line, first, wantLast, pfirst, plast, pok, last)
@@ -322,7 +323,7 @@ func linesOf(t *testing.T, buf []byte) []Entry {
 		if len(line) == 0 {
 			continue
 		}
-		first, smps, ok := ParseRecordLine(nil, line)
+		first, smps, ok := ParseRecordLine(nil, line, nil)
 		if !ok {
 			t.Fatalf("line %q does not parse", line)
 		}
@@ -468,7 +469,7 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			return st.AppendAt(lsn, line)
+			return st.AppendAt(lsn, line, nil)
 		}
 	}
 

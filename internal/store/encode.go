@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -136,18 +135,13 @@ func binaryLine(scratch *[]byte, line []byte) (first, last uint64, rest []byte, 
 	return first, last, rest, true
 }
 
-// scratchBufs holds the unstuffing scratch of the readers that keep none of
-// their own (ParseRecordLine, AppendAt's check), so they too read a binary
-// line without allocating. A buffer grown past scratchKeep is dropped rather
-// than pooled.
-var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
+// Scratch is the buffer a reader of WAL lines unstuffs binary ones into,
+// kept across lines as a Cursor keeps its own, so that a reader of line after
+// line allocates none for them: a replica parses each line its primary ships
+// through one, and checks it through the same one again as AppendAt journals
+// it. The zero value is ready to use.
+type Scratch struct{ body []byte }
 
+// scratchKeep bounds the report buffer a Store keeps between appends: one
+// outsized report does not pin its buffer.
 const scratchKeep = 64 << 10
-
-func getScratch() *[]byte { return scratchBufs.Get().(*[]byte) }
-
-func putScratch(b *[]byte) {
-	if cap(*b) <= scratchKeep {
-		scratchBufs.Put(b)
-	}
-}

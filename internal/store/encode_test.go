@@ -47,7 +47,7 @@ func appendRecordLine(buf []byte, lsn uint64, smp trace.Sample) ([]byte, error) 
 
 // parseOne is ParseRecordLine of a line that holds one sample.
 func parseOne(line []byte) (trace.Sample, uint64, bool) {
-	lsn, smps, ok := ParseRecordLine(nil, line)
+	lsn, smps, ok := ParseRecordLine(nil, line, nil)
 	if !ok || len(smps) != 1 {
 		return trace.Sample{}, 0, false
 	}
@@ -107,7 +107,7 @@ func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	if first, last, ok := peekLSNs(&scratch, line); !ok || first != lsn || last != lsn {
 		t.Fatalf("record %d: peekLSNs(%q) = %d-%d, ok %v", lsn, line, first, last, ok)
 	}
-	if last, ok := lineHolds(lsn, line); !ok || last != lsn {
+	if last, ok := lineHolds(&scratch, lsn, line); !ok || last != lsn {
 		t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
 	}
 	if again, err := appendRecordLine(nil, backLSN, back); err != nil || !bytes.Equal(again, line) {
@@ -347,8 +347,9 @@ func TestParseRecordLineAllocations(t *testing.T) {
 	}
 	// The client and device: the network and metric are constants.
 	dst := make([]trace.Sample, 0, 100)
+	var scratch Scratch
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, _, ok := ParseRecordLine(dst[:0], line); !ok {
+		if _, _, ok := ParseRecordLine(dst[:0], line, &scratch); !ok {
 			t.Fatal("the line did not parse")
 		}
 	}); allocs > 2 {
@@ -359,18 +360,57 @@ func TestParseRecordLineAllocations(t *testing.T) {
 		t.Fatalf("a bench-shaped report: %q, err %v", report, err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, smps, ok := ParseRecordLine(dst[:0], report); !ok || len(smps) != 100 || &smps[0] != &dst[:1][0] {
+		if _, smps, ok := ParseRecordLine(dst[:0], report, &scratch); !ok || len(smps) != 100 || &smps[0] != &dst[:1][0] {
 			t.Fatal("the report line did not parse into dst")
 		}
 	}); allocs > 2 {
 		t.Errorf("ParseRecordLine into a kept slice allocates %v times a 100-sample report line, want at most 2", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := lineHolds(7, report); !ok {
+		if _, ok := lineHolds(&scratch.body, 7, report); !ok {
 			t.Fatal("AppendAt would refuse the report line")
 		}
 	}); allocs != 0 {
 		t.Errorf("checking a 100-sample report line allocates %v times, want 0", allocs)
+	}
+}
+
+func TestLongLinesThroughAScratchAllocateNothing(t *testing.T) {
+	// A reader that keeps a Scratch — a replica's session — parses each line
+	// and journals it through AppendAt unstuffing into that, so once warm
+	// neither allocates, however long the line: here reports of 8,000
+	// samples, about 88 KB. Mutant: AppendAt checking through a fresh
+	// scratch whatever it is given allocates a line-sized one a line.
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const n = 8000
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const runs = 10
+	lines := make([][]byte, runs+1) // AllocsPerRun calls once more, to warm up
+	for i := range lines {
+		if lines[i], err = appendReportLine(nil, uint64(1+i*n), "bench-client-0042", benchSamples(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var scratch Scratch
+	dst := make([]trace.Sample, 0, n)
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		first, smps, ok := ParseRecordLine(dst[:0], lines[i], &scratch)
+		if !ok || len(smps) != n {
+			t.Fatal("the report line did not parse")
+		}
+		if err := st.AppendAt(first, lines[i], &scratch); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("parsing and journaling a %d-byte report line through a kept Scratch: %v allocations, want 0", len(lines[0]), allocs)
 	}
 }
 
@@ -395,11 +435,12 @@ func BenchmarkParseRecordLine(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var dst []trace.Sample
+			var scratch Scratch
 			b.SetBytes(int64(len(c.line)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ok bool
-				if _, dst, ok = ParseRecordLine(dst[:0], c.line); !ok {
+				if _, dst, ok = ParseRecordLine(dst[:0], c.line, &scratch); !ok {
 					b.Fatal("the line did not parse")
 				}
 			}

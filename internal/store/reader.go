@@ -461,9 +461,14 @@ func peekJSON(line []byte) (uint64, bool) {
 // second time — frame, cap, CRC, that it opens with lsn, and well-formed JSON
 // or a well-formed binary sample or report — so a view that went stale
 // between the caller's parse and this call is refused, not journaled. A
-// refused line leaves the log untouched.
-func (st *Store) AppendAt(lsn uint64, line []byte) error {
-	last, ok := lineHolds(lsn, line) // the line is checked outside the lock: it is the caller's alone
+// refused line leaves the log untouched. A binary line is unstuffed for the
+// check into scratch, the one the caller parsed it through (a nil scratch: a
+// buffer of its own).
+func (st *Store) AppendAt(lsn uint64, line []byte, scratch *Scratch) error {
+	if scratch == nil {
+		scratch = new(Scratch)
+	}
+	last, ok := lineHolds(&scratch.body, lsn, line) // the line is checked outside the lock: it is the caller's alone
 	if !ok {
 		return fmt.Errorf("store: AppendAt %d: not a valid WAL line for that LSN", lsn)
 	}
@@ -483,11 +488,10 @@ func (st *Store) AppendAt(lsn uint64, line []byte) error {
 }
 
 // lineHolds reports whether line is a well-formed WAL line whose first LSN
-// is lsn, and returns its last, allocating nothing for a binary line.
-func lineHolds(lsn uint64, line []byte) (last uint64, ok bool) {
+// is lsn, and returns its last. A binary line is unstuffed into *scratch, and
+// costs no allocation once that has grown to hold it.
+func lineHolds(scratch *[]byte, lsn uint64, line []byte) (last uint64, ok bool) {
 	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
-		scratch := getScratch()
-		defer putScratch(scratch)
 		first, last, rest, ok := binaryLine(scratch, line)
 		if !ok || first != lsn {
 			return 0, false

@@ -270,7 +270,7 @@ func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
 	}
 	woken("AppendReport", true)
 	readsThrough("AppendReport", 3)
-	if err := st.AppendAt(4, recordLine(t, 4, testSample(3))); err != nil {
+	if err := st.AppendAt(4, recordLine(t, 4, testSample(3)), nil); err != nil {
 		t.Fatal(err)
 	}
 	st.mu.Lock()
@@ -281,7 +281,7 @@ func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
 	}
 	woken("a rotating AppendAt", true)
 	readsThrough("a rotating AppendAt", 4)
-	if err := st.AppendAt(3, recordLine(t, 3, testSample(9))); err == nil {
+	if err := st.AppendAt(3, recordLine(t, 3, testSample(9)), nil); err == nil {
 		t.Fatal("AppendAt behind the log's end journaled its line")
 	}
 	woken("a refused AppendAt", false)
@@ -315,11 +315,11 @@ func TestAppendAtAndResetTo(t *testing.T) {
 		t.Fatalf("LastLSN after reset: %d, want 100", got)
 	}
 	for i := 0; i < 5; i++ {
-		if err := st.AppendAt(uint64(101+i), recordLine(t, uint64(101+i), testSample(i))); err != nil {
+		if err := st.AppendAt(uint64(101+i), recordLine(t, uint64(101+i), testSample(i)), nil); err != nil {
 			t.Fatalf("AppendAt %d: %v", 101+i, err)
 		}
 	}
-	if err := st.AppendAt(50, recordLine(t, 50, testSample(9))); err == nil {
+	if err := st.AppendAt(50, recordLine(t, 50, testSample(9)), nil); err == nil {
 		t.Fatal("AppendAt must reject a regressing LSN")
 	}
 	// Old history is gone: the reader reports it compacted.
@@ -431,7 +431,7 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := st.AppendAt(tc.lsn, tc.line); err == nil {
+			if err := st.AppendAt(tc.lsn, tc.line, nil); err == nil {
 				t.Errorf("%s line, %s: AppendAt(%d) journaled it", form.name, tc.name, tc.lsn)
 			}
 			after, err := os.ReadFile(st.segName(1))
@@ -442,7 +442,7 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 				t.Fatalf("%s line, %s: the refusal changed the log: %d -> %d bytes, last LSN %d", form.name, tc.name, len(before), len(after), st.LastLSN())
 			}
 		}
-		if err := st.AppendAt(4, good); err != nil {
+		if err := st.AppendAt(4, good, nil); err != nil {
 			t.Fatalf("a good %s line after the refusals: %v", form.name, err)
 		}
 		held := 1
@@ -494,7 +494,7 @@ func oracleReadBatch(dir string, from uint64, max int, wholeLines bool) ([]Entry
 			if !complete {
 				break // a torn tail, or an append in flight
 			}
-			first, smps, ok := ParseRecordLine(nil, line)
+			first, smps, ok := ParseRecordLine(nil, line, nil)
 			if !ok || first+uint64(len(smps))-1 < from {
 				continue
 			}
@@ -671,7 +671,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 			lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
 			var line []byte
 			if line, err = appendReportLine(nil, lsn, "c", report()); err == nil {
-				err = st.AppendAt(lsn, line)
+				err = st.AppendAt(lsn, line, nil)
 			}
 		case op < 15:
 			err = st.CheckpointAt(st.LastLSN(), snap)
@@ -743,7 +743,7 @@ func readLines(c *Cursor, max int) ([]Entry, error) {
 			return nil, fmt.Errorf("NextLines: run of %d bytes said to hold %d lines splits into %d", len(run), n, len(split)-1)
 		}
 		for _, line := range split[:n] {
-			first, smps, ok := ParseRecordLine(nil, line)
+			first, smps, ok := ParseRecordLine(nil, line, nil)
 			if !ok {
 				return nil, fmt.Errorf("NextLines returned a line that does not validate: %q", line)
 			}
@@ -991,7 +991,7 @@ func TestReportLineCap(t *testing.T) {
 	defer func() { st.Close() }()
 	appendN(t, st, 0, 1)
 	atCap := reportLineOf(t, 2, MaxReportLineBytes)
-	_, smps, ok := ParseRecordLine(nil, atCap)
+	_, smps, ok := ParseRecordLine(nil, atCap, nil)
 	if !ok {
 		t.Fatal("a report line at the cap does not parse")
 	}
@@ -999,7 +999,7 @@ func TestReportLineCap(t *testing.T) {
 		t.Fatalf("a report line at the cap: %v", err)
 	}
 	over := reportLineOf(t, 3, MaxReportLineBytes+1)
-	_, big, _ := ParseRecordLine(nil, append(bytes.Clone(over[:len(over)-1]), '\n'))
+	_, big, _ := ParseRecordLine(nil, append(bytes.Clone(over[:len(over)-1]), '\n'), nil)
 	if len(big) != 0 {
 		t.Fatal("a report line over the cap parses")
 	}

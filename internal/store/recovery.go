@@ -315,11 +315,14 @@ func linePayload(line []byte) ([]byte, bool) {
 // decoder: recovery, Cursor.Next and a replica taking lines off the
 // replication stream all decide through it what a record is. A caller that
 // keeps dst decodes line after line into one slice; the samples share no
-// memory with line. On a refusal dst comes back as it was.
-func ParseRecordLine(dst []trace.Sample, line []byte) (first uint64, samples []trace.Sample, ok bool) {
-	scratch := getScratch()
-	defer putScratch(scratch)
-	return parseRecord(scratch, dst, line)
+// memory with line, or with scratch, which a binary line is unstuffed into
+// (a nil scratch: a buffer of its own). On a refusal dst comes back as it
+// was.
+func ParseRecordLine(dst []trace.Sample, line []byte, scratch *Scratch) (first uint64, samples []trace.Sample, ok bool) {
+	if scratch == nil {
+		scratch = new(Scratch)
+	}
+	return parseRecord(&scratch.body, dst, line)
 }
 
 // parseRecord is ParseRecordLine unstuffing into the caller's scratch.

@@ -75,7 +75,7 @@ func scanSegment(path string, last bool, rec *Recovery, nextLSN *uint64) error {
 		line, consumed, complete := readLineCapped(br)
 		offset += consumed
 		if complete {
-			if first, smps, ok := ParseRecordLine(nil, line); ok {
+			if first, smps, ok := ParseRecordLine(nil, line, nil); ok {
 				rec.CorruptRecords += pendingBad
 				pendingBad = 0
 				goodEnd = offset
@@ -235,7 +235,7 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 				lsn := st.LastLSN() + 1 + uint64(r.Intn(5))
 				var line []byte
 				if line, err = encode(lsn, sample(n)); err == nil {
-					err = st.AppendAt(lsn, line)
+					err = st.AppendAt(lsn, line, nil)
 				}
 				n++
 			case op < 19:

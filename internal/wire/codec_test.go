@@ -103,6 +103,25 @@ func errorFrameOf(t testing.TB, size int) Envelope {
 	return e
 }
 
+// binaryFrameOf returns a zone report whose binary frame is exactly size
+// bytes, its client id the padding. A request goes binary to any peer.
+func binaryFrameOf(t testing.TB, size int) Envelope {
+	t.Helper()
+	e := smallFrames()[0]
+	zr := *e.ZoneReport
+	e.ZoneReport = &zr
+	pad := size
+	for range 3 { // the id's length prefix may take a byte more than guessed
+		zr.ClientID = strings.Repeat("x", pad)
+		pad -= len(encodeFrames(t, e)) - size
+	}
+	zr.ClientID = strings.Repeat("x", pad)
+	if frame := encodeFrames(t, e); len(frame) != size || frame[0] != binaryZoneReportLead {
+		t.Fatalf("built a %d-byte frame opening %#x, want a %d-byte binary line", len(frame), frame[0], size)
+	}
+	return e
+}
+
 // zoneListOf returns a zone-list reply of n distinct records.
 func zoneListOf(n int) Envelope {
 	recs := make([]core.Record, n)
@@ -156,7 +175,7 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 			ErrorReply(strings.Repeat(string(rune('a'+i%26)), 1+r.Intn(300))),
 		)
 		if i%10 == 9 {
-			sent = append(sent, zoneListOf(600)) // > 64 KiB: gathered in a pooled buffer the next long line reuses
+			sent = append(sent, zoneListOf(600)) // longer than the reader: gathered in a pooled buffer the next long line reuses
 		}
 	}
 	stream := encodeFrames(t, sent...)
@@ -183,28 +202,38 @@ func TestRecvDoesNotAliasReadBuffer(t *testing.T) {
 
 // TestRecvAtReadBufferBoundary walks a frame's size across the reader
 // buffer's, where Recv switches from decoding in place to gathering the line
-// in a pooled buffer, alone and behind a short frame that shifts it across a
-// refill.
+// in a pooled buffer, and across sixteen of them, where a gathered line ends
+// exactly at a refill; alone and behind a short frame that shifts it across
+// a refill, as a JSON line and as a binary one.
 func TestRecvAtReadBufferBoundary(t *testing.T) {
 	short := Envelope{Type: TypeHello, Hello: &Hello{ClientID: "c1"}}
-	for _, size := range []int{connBufBytes - 1, connBufBytes, connBufBytes + 1} {
-		big := errorFrameOf(t, size)
-		for name, envs := range map[string][]Envelope{
-			"alone":          {big, short},
-			"behind a frame": {short, big, short, big},
-		} {
-			t.Run(fmt.Sprintf("%d bytes %s", size, name), func(t *testing.T) {
-				c := NewConn(byteConn{r: bytes.NewReader(encodeFrames(t, envs...))})
-				for i, want := range envs {
-					got, err := c.Recv()
-					if err != nil {
-						t.Fatalf("frame %d: %v", i, err)
+	var sizes []int
+	for _, fills := range []int{1, 16} {
+		sizes = append(sizes, fills*connBufBytes-1, fills*connBufBytes, fills*connBufBytes+1)
+	}
+	for _, form := range []struct {
+		suffix  string
+		frameOf func(testing.TB, int) Envelope
+	}{{"", errorFrameOf}, {" binary", binaryFrameOf}} {
+		for _, size := range sizes {
+			big := form.frameOf(t, size)
+			for name, envs := range map[string][]Envelope{
+				"alone":          {big, short},
+				"behind a frame": {short, big, short, big},
+			} {
+				t.Run(fmt.Sprintf("%d bytes %s%s", size, name, form.suffix), func(t *testing.T) {
+					c := NewConn(byteConn{r: bytes.NewReader(encodeFrames(t, envs...))})
+					for i, want := range envs {
+						got, err := c.Recv()
+						if err != nil {
+							t.Fatalf("frame %d: %v", i, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("frame %d: a %s, want a %s of %d bytes", i, got.Type, want.Type, size)
+						}
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("frame %d: type %s with %d payload bytes, want %s", i, got.Type, len(got.Error.Message), want.Type)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 
@@ -317,7 +346,7 @@ func TestCodecCopiesNoFrame(t *testing.T) {
 		t.Errorf("Recv of a %d-byte binary zone list allocates %d B/op, want the %d its records take and under 1 KiB more", len(frame), b, slice)
 	}
 
-	list = zoneListOf(100)
+	list = zoneListOf(12)
 	frame = encodeFrames(t, list)
 	if len(frame) >= connBufBytes {
 		t.Fatalf("the zone list frame is %d bytes; it must fit the %d-byte read buffer", len(frame), connBufBytes)

@@ -73,6 +73,13 @@ func FuzzDecode(f *testing.F) {
 	long := encodeFrames(f, zoneListOf(600))
 	f.Add(slices.Concat(short, long, short))
 	f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, connBufBytes-10)), short))
+	// A JSON and a binary line a byte either side of the reader's size, and
+	// at it, before a short one: where Recv stops decoding in place and
+	// gathers.
+	for _, size := range []int{connBufBytes - 1, connBufBytes, connBufBytes + 1} {
+		f.Add(slices.Concat(encodeFrames(f, errorFrameOf(f, size)), short))
+		f.Add(slices.Concat(encodeFrames(f, binaryFrameOf(f, size)), short))
+	}
 	// Sample reports, binary and JSON: their samples' strings are copied out
 	// of a buffer the frames behind them overwrite (a binary line's shared
 	// between samples).

@@ -459,7 +459,7 @@ func FuzzSampleDecodeMatchesJSON(f *testing.F) {
 		var want walRecord
 		framed := walLine(line)
 		wantOK := len(framed) <= 1<<20 && json.Unmarshal(bytes.Clone(line), &want) == nil
-		lsn, got, ok := store.ParseRecordLine(nil, framed)
+		lsn, got, ok := store.ParseRecordLine(nil, framed, nil)
 		for i := range framed {
 			framed[i] = 'x'
 		}

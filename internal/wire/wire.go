@@ -326,10 +326,16 @@ type Conn struct {
 	store requestStore
 }
 
-// connBufBytes sizes a Conn's reader, the one buffer it keeps. A line
-// shorter than this is decoded in place (see ReadLine); a longer one is
-// gathered in a pooled frame buffer.
-const connBufBytes = 64 << 10
+// connBufBytes sizes a Conn's reader, the one buffer it keeps: bufio's
+// default, the size net/http keeps per connection. A line shorter than this
+// is decoded in place (see ReadLine); a longer one is gathered in a pooled
+// frame buffer. Every agent holds such a Conn open on each hop of its path
+// (its own, the gateway's, the gateway's upstream, the shard's), so the
+// reader is most of what an idle agent costs the cluster, and it is sized
+// for the lines that carry the traffic: a sample report, a zone report, a
+// task list, an ack and an estimate reply all fit it, and only a zone list
+// of more than a few dozen records, a read-plane reply, is gathered.
+const connBufBytes = 4 << 10
 
 // NewConn wraps a transport connection.
 func NewConn(nc net.Conn) *Conn {

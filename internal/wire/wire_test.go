@@ -308,8 +308,10 @@ func TestFailedWriteIsSticky(t *testing.T) {
 	}
 }
 
-// TestIdleConnHoldsOnlyItsReader: a Conn keeps its 64 KiB read buffer and
-// nothing of the kind for writing, since Send writes from a pooled frame.
+// TestIdleConnHoldsOnlyItsReader: a Conn keeps its 4 KiB read buffer and
+// nothing of the kind for writing, since Send writes from a pooled frame. The
+// bound is absolute, not connBufBytes', so a reader grown again fails here:
+// an agent holds one Conn open on each hop of its path.
 func TestIdleConnHoldsOnlyItsReader(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds its own heap to every allocation")
@@ -332,7 +334,7 @@ func TestIdleConnHoldsOnlyItsReader(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(held)
-	if grew, most := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(conns*(connBufBytes+1<<10)); grew > most {
+	if grew, most := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(conns*(5<<10)); grew > most {
 		t.Fatalf("%d idle Conns hold %d bytes, want at most %d (%d each)", conns, grew, most, most/conns)
 	}
 }

@@ -68,7 +68,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.ZoneRadiusM = *zoneRadius
-	srv, err := coordinator.Serve(core.NewController(cfg, geo.Madison().Center()), *addr, coordinator.Options{
+	srv, err := coordinator.Serve(core.NewController(cfg, geo.GridOrigin()), *addr, coordinator.Options{
 		TaskInterval:       *taskInterval,
 		IdleTimeout:        *idleTimeout,
 		Seed:               *seed,

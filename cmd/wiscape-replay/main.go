@@ -79,7 +79,7 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.ZoneRadiusM = *zoneRadius
-	ctrl := core.NewController(cfg, geo.Madison().Center())
+	ctrl := core.NewController(cfg, geo.GridOrigin())
 	t0 := time.Now()
 	if *dataDir != "" {
 		// Mirror the live coordinator's ingest path: journal each sample to

@@ -4,7 +4,8 @@
 // New Jersey campaigns upload through the gateway, which routes every
 // sample to the shard whose box covers it; applications query the gateway
 // like a single coordinator, and the operator reads every shard's alerts
-// tagged by region while each region keeps its own zone grid and epochs.
+// tagged by region. The shards cut one zone grid, so a zone ID names the
+// same place whichever shard answers for it; each keeps its own epochs.
 //
 //	go run ./examples/nationwide
 package main
@@ -18,7 +19,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/cluster"
 	"repro/internal/coordinator"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/trace"
@@ -32,40 +32,25 @@ func main() {
 	const seed = 17
 	start := radio.Epoch.Add(14 * 24 * time.Hour)
 
-	// One in-process coordinator per region, each on its own zone grid,
-	// behind one gateway.
+	// One in-process coordinator per region, all on one zone grid, behind
+	// one gateway.
 	shards := []cluster.ShardConfig{
 		{Name: "madison", Box: geo.Madison()},
 		{Name: "new-jersey", Box: geo.BoundingBox{MinLat: 40.30, MaxLat: 40.55, MinLon: -74.75, MaxLon: -74.35}},
 	}
-	origins := []geo.Point{geo.Madison().Center(), geo.NJStaticSites()[0]}
-	servers := make(map[string]*coordinator.Server, len(shards))
-	for i := range shards {
-		srv, err := coordinator.Serve(core.NewController(core.DefaultConfig(), origins[i]), "127.0.0.1:0",
-			coordinator.Options{ServerID: shards[i].Name, Seed: seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		//lint:ignore errdrop no DataDir: Close has nothing durable to flush
-		defer srv.Close()
-		servers[shards[i].Name], shards[i].Addr = srv, srv.Addr()
-	}
-	reg, err := cluster.NewRegistry(shards)
+	lc, err := cluster.StartLocal(shards, 0, "", coordinator.Options{Seed: seed}, cluster.GatewayOptions{Seed: seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw, err := cluster.ServeGateway(reg, "127.0.0.1:0", cluster.GatewayOptions{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer gw.Close()
+	//lint:ignore errdrop no data dir: Close has nothing durable to flush
+	defer lc.Close()
 
 	// Two regional campaigns collected independently (as the paper's WI and
 	// NJ deployments were), uploaded through the one gateway.
 	fmt.Println("running the Madison and New Jersey campaigns...")
 	wi := trace.SpotCampaign(radio.RegionWI, seed, start, 12*time.Hour, time.Minute)
 	nj := trace.SpotCampaign(radio.RegionNJ, seed, start, 12*time.Hour, time.Minute)
-	nc, err := net.Dial("tcp", gw.Addr())
+	nc, err := net.Dial("tcp", lc.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,8 +74,10 @@ func main() {
 	}
 	fmt.Printf("routed %d samples into %d shards (%d outside every shard)\n\n", routed, len(shards), sent-routed)
 
-	// Location-keyed queries: the registry names the owning shard, whose
-	// grid turns the location into the zone ID the gateway is asked for.
+	// Location-keyed queries: the shards cut one grid, so any shard's
+	// controller turns a location into the zone ID the gateway is asked for,
+	// and the gateway routes the query to the shard whose box covers it.
+	grid := lc.Controller(shards[0].Name)
 	for _, q := range []struct {
 		label string
 		loc   geo.Point
@@ -100,27 +87,22 @@ func main() {
 		{"New Brunswick", geo.NJStaticSites()[0], radio.NetB},
 		{"Princeton", geo.NJStaticSites()[1], radio.NetC},
 	} {
-		sh, ok := reg.ShardFor(q.loc)
-		if !ok {
-			log.Fatalf("no shard covers %s", q.label)
-		}
-		zone := servers[sh.Name()].Controller().ZoneOf(q.loc)
-		reply, err := agent.QueryEstimate(gw.Addr(), zone, q.net, trace.MetricUDPKbps)
+		reply, err := agent.QueryEstimate(lc.Addr(), grid.ZoneOf(q.loc), q.net, trace.MetricUDPKbps)
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
 		if !reply.Found {
-			fmt.Printf("%-16s (%s): no estimate yet\n", q.label, sh.Name())
+			fmt.Printf("%-16s: no estimate yet\n", q.label)
 			continue
 		}
-		fmt.Printf("%-16s (%-10s): %s UDP %6.0f Kbps (±%.0f) from %d samples\n", q.label, sh.Name(),
+		fmt.Printf("%-16s: %s UDP %6.0f Kbps (±%.0f) from %d samples\n", q.label,
 			q.net, reply.Record.MeanValue, reply.Record.StdDev, reply.Record.Samples)
 	}
 
 	// Region-tagged alerts for the national operator, shard by shard.
 	alerts := 0
 	for _, sh := range shards {
-		for _, a := range servers[sh.Name].Controller().Alerts() {
+		for _, a := range lc.Controller(sh.Name).Alerts() {
 			if alerts++; alerts <= 5 {
 				fmt.Printf("  [%s] zone %s %s %s: %.0f -> %.0f\n",
 					sh.Name, a.Key.Zone, a.Key.Net, a.Key.Metric, a.Previous.MeanValue, a.Current.MeanValue)

@@ -47,78 +47,42 @@ func benchSwarm(b *testing.B, addr string) {
 	}
 }
 
-func benchCoordinator(b *testing.B) *coordinator.Server {
-	b.Helper()
-	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
-	srv, err := coordinator.Serve(ctrl, "127.0.0.1:0", coordinator.Options{
-		Networks:     []radio.NetworkID{radio.NetB},
-		Metrics:      []trace.Metric{trace.MetricUDPKbps},
-		TaskInterval: time.Minute,
-		Seed:         1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = srv.Close() })
-	return srv
+// swarmCluster is one Madison shard behind a gateway, for the swarm
+// benchmarks to push through or around.
+func swarmCluster(b *testing.B) *Local {
+	opts := nodeOpts
+	opts.Seed = 1
+	return buildCluster(b, regions[:1], 0, "", opts, GatewayOptions{Seed: 1})
 }
 
 // BenchmarkSwarmDirect is the baseline: the swarm hits one coordinator.
 func BenchmarkSwarmDirect(b *testing.B) {
-	srv := benchCoordinator(b)
-	benchSwarm(b, srv.Addr())
+	benchSwarm(b, swarmCluster(b).nodes[0][0].srv.Addr())
 }
 
 // BenchmarkSwarmGateway measures the routing tier's overhead: the same
 // swarm, behind a single-shard gateway fronting the same coordinator.
 func BenchmarkSwarmGateway(b *testing.B) {
-	srv := benchCoordinator(b)
-	reg, err := NewRegistry([]ShardConfig{{Name: "madison", Addr: srv.Addr(), Box: geo.Madison()}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = gw.Close() })
-	benchSwarm(b, gw.Addr())
+	benchSwarm(b, swarmCluster(b).Addr())
 }
 
-// startZoneListCluster runs the Madison and New Brunswick shards behind a
-// gateway, each publishing a record of zoneListRequest's key in each of the
-// first zones zones of one row of its own grid, so the two lists tie on
-// every zone id.
-func startZoneListCluster(tb testing.TB, zones int) *Gateway {
-	tb.Helper()
+// zoneListCluster is the Madison and New Brunswick shards behind a gateway,
+// each publishing a record of zoneListRequest's key in each of the first
+// zones zones of one grid row, so the two lists tie on every zone id.
+func zoneListCluster(tb testing.TB, zones int) *Local {
 	key := zoneListRequest.ZoneListRequest
-	var shards []ShardConfig
-	for _, sc := range []ShardConfig{{Name: "madison", Box: geo.Madison()}, {Name: "new-jersey", Box: geo.NewBrunswickArea()}} {
-		ctrl := core.NewController(core.DefaultConfig(), sc.Box.Center())
+	lc := buildCluster(tb, regions, 0, "", coordinator.Options{Networks: []radio.NetworkID{key.Network}, Seed: seed},
+		GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	for _, sc := range regions {
+		ctrl := lc.Controller(sc.Name)
 		for i := 0; i < 4*zones; i++ {
 			ctrl.Ingest(trace.Sample{
 				Time: start.Add(time.Duration(i) * time.Minute), Loc: ctrl.Grid().Center(geo.ZoneID{X: int32(i % zones), Y: 1}),
 				Network: key.Network, Metric: key.Metric, Value: float64(800 + i%97),
 			})
 		}
-		s, err := coordinator.Serve(ctrl, "127.0.0.1:0", coordinator.Options{Networks: []radio.NetworkID{key.Network}, Seed: seed})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		tb.Cleanup(func() { _ = s.Close() })
-		sc.Addr = s.Addr()
-		shards = append(shards, sc)
 	}
-	reg, err := NewRegistry(shards)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { _ = gw.Close() })
-	return gw
+	return lc
 }
 
 // BenchmarkZoneListRoundTrip is one client's zone list through a gateway in
@@ -126,8 +90,7 @@ func startZoneListCluster(tb testing.TB, zones int) *Gateway {
 // the way. Its allocations are the whole process's: the client's Call, the
 // gateway's and the shards'.
 func BenchmarkZoneListRoundTrip(b *testing.B) {
-	gw := startZoneListCluster(b, 150)
-	nc, err := net.Dial("tcp", gw.Addr())
+	nc, err := net.Dial("tcp", zoneListCluster(b, 150).Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,37 +23,6 @@ import (
 	"repro/internal/wire"
 )
 
-// startReplicatedShard runs one durable coordinator with a replication
-// listener; a non-empty replicateFrom starts it as a replica of that
-// primary's replication address. admin additionally exposes the ops plane
-// with the chaos admin endpoints the swarm kill hook drives.
-func startReplicatedShard(t *testing.T, box geo.BoundingBox, serverID, replicateFrom string, admin bool) *coordinator.Server {
-	t.Helper()
-	ctrl := core.NewController(core.DefaultConfig(), box.Center())
-	opts := coordinator.Options{
-		Networks:        []radio.NetworkID{radio.NetB},
-		Metrics:         []trace.Metric{trace.MetricUDPKbps},
-		TaskInterval:    time.Minute,
-		Seed:            seed,
-		DataDir:         t.TempDir(),
-		ServerID:        serverID,
-		ReplicationAddr: "127.0.0.1:0",
-		ReplicateFrom:   replicateFrom,
-		SyncReplication: true,
-		SyncTimeout:     5 * time.Second,
-	}
-	if admin {
-		opts.OpsAddr = "127.0.0.1:0"
-		opts.EnableAdmin = true
-	}
-	s, err := coordinator.Serve(ctrl, "127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s
-}
-
 // totalSamples sums a controller's ingested sample counts across zones.
 func totalSamples(ctrl *core.Controller) int64 {
 	var n int64
@@ -136,20 +105,8 @@ func assertStateEquivalent(t *testing.T, want, got core.Snapshot) {
 // once — then the old primary rejoins, is demoted by the reconcile sweep,
 // and resyncs to the same state from a fresh snapshot.
 func TestFailoverPreservesAckedSamples(t *testing.T) {
-	primary := startReplicatedShard(t, geo.Madison(), "mad-a", "", false)
-	replica := startReplicatedShard(t, geo.Madison(), "mad-b", primary.ReplicationAddr(), false)
-
-	registry, err := NewRegistry([]ShardConfig{{
-		Name:     "madison",
-		Addr:     primary.Addr(),
-		Replicas: []string{replica.Addr()},
-		Box:      geo.Madison(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	lc := buildCluster(t, regions[:1], 1, t.TempDir(), nodeOpts, GatewayOptions{
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
@@ -158,11 +115,8 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 		OpsAddr:          "127.0.0.1:0",
 		Seed:             seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	sh := registry.Shards()[0]
+	gw, primary, replica := lc.gw, lc.nodes[0][0].srv, lc.nodes[0][1].srv
+	sh := lc.gw.reg.Shards()[0]
 
 	env := radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center())
 	newAgent := func() *agent.Agent {
@@ -282,7 +236,7 @@ func TestFailoverPreservesAckedSamples(t *testing.T) {
 	}
 }
 
-// counterValue reads a per-shard counter from reg without a testCluster.
+// counterValue reads a per-shard counter from reg.
 func counterValue(reg *telemetry.Registry, name, shard string) float64 {
 	return reg.Counter(name, "", "shard").With(shard).Value()
 }
@@ -294,29 +248,16 @@ func counterValue(reg *telemetry.Registry, name, shard string) float64 {
 // error replies, not transport failures), and the report carries the
 // observed ingest gap.
 func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
-	primary := startReplicatedShard(t, geo.Madison(), "mad-a", "", true)
-	replica := startReplicatedShard(t, geo.Madison(), "mad-b", primary.ReplicationAddr(), false)
-
-	registry, err := NewRegistry([]ShardConfig{{
-		Name:     "madison",
-		Addr:     primary.Addr(),
-		Replicas: []string{replica.Addr()},
-		Box:      geo.Madison(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	opts := nodeOpts
+	opts.OpsAddr, opts.EnableAdmin = "127.0.0.1:0", true // the chaos admin endpoints the swarm kill hook drives
+	lc := buildCluster(t, regions[:1], 1, t.TempDir(), opts, GatewayOptions{
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
 		RecheckInterval:  50 * time.Millisecond,
 		Seed:             seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
+	gw, primary, replica := lc.gw, lc.nodes[0][0].srv, lc.nodes[0][1].srv
 
 	res, err := swarm.Run(gw.Addr(), swarm.Options{
 		Agents:          8,
@@ -351,7 +292,7 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 	waitUntil(t, 5*time.Second, "replica promotion", func() bool {
 		return replica.Role() == wire.RolePrimary
 	})
-	if sh := registry.Shards()[0]; sh.Addr() != replica.Addr() || sh.Epoch() == 0 {
+	if sh := lc.gw.reg.Shards()[0]; sh.Addr() != replica.Addr() || sh.Epoch() == 0 {
 		t.Fatalf("route not rewritten: addr %s epoch %d", sh.Addr(), sh.Epoch())
 	}
 }
@@ -362,26 +303,12 @@ func TestSwarmChaosKillReportsIngestGap(t *testing.T) {
 // detail; once a pass finds no standby answering, a dead primary makes the
 // gateway unready.
 func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
-	primary, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
-	standby, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
-	registry, err := NewRegistry([]ShardConfig{{
-		Name:     "madison",
-		Addr:     primary.Addr(),
-		Replicas: []string{standby.Addr()},
-		Box:      geo.Madison(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	lc := buildCluster(t, regions[:1], 1, t.TempDir(), nodeOpts, GatewayOptions{
 		RecheckInterval: time.Hour, // first tick an hour away: the test drives the passes
 		OpsAddr:         "127.0.0.1:0",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	sh := registry.Shards()[0]
+	gw, primary, standby := lc.gw, lc.nodes[0][0].srv, lc.nodes[0][1].srv
+	sh := lc.gw.reg.Shards()[0]
 	pass := func() {
 		t.Helper()
 		if err := gw.order(sh, ""); err != nil {
@@ -443,24 +370,15 @@ func TestReadyzDegradesWhenReplicaServed(t *testing.T) {
 // restarted on its port fails fast and never reaches it; after the pass it
 // lands. The breaker of a port nothing listens on stays open.
 func TestReconcileRevivesRestartedShard(t *testing.T) {
-	up, _ := startShard(t, boxA(), "127.0.0.1:0")
-	addr := up.Addr()
-	registry, err := NewRegistry([]ShardConfig{
-		{Name: "up", Addr: addr, Box: boxA()},
+	lc := buildCluster(t, []ShardConfig{
+		{Name: "up", Box: boxA()},
 		{Name: "down", Addr: "127.0.0.1:1", Box: boxB()}, // nothing listens on port 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	}, 0, "", nodeOpts, GatewayOptions{
 		DialTimeout:     500 * time.Millisecond,
 		RecheckInterval: time.Hour, // first tick an hour away: the test drives the passes
 		Seed:            seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
+	gw, registry, up := lc.gw, lc.gw.reg, lc.nodes[0][0]
 	passes := func() {
 		t.Helper()
 		for _, s := range registry.Shards() {
@@ -470,7 +388,7 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 		}
 	}
 
-	if err := up.Close(); err != nil {
+	if err := up.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range registry.Shards() {
@@ -481,7 +399,10 @@ func TestReconcileRevivesRestartedShard(t *testing.T) {
 		t.Fatalf("%d healthy shards after a pass with both down, want 0", n)
 	}
 
-	restarted := restartShard(t, boxA(), addr)
+	if err := up.restart(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := up.opts.Telemetry
 	nc, err := net.Dial("tcp", gw.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -559,26 +480,12 @@ func hourOfSamples(at time.Time, n int) []trace.Sample {
 // pass must demote it, and it must come back as a replica of the active
 // primary holding the primary's state.
 func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
-	a := startReplicatedShard(t, geo.Madison(), "mad-a", "", false)
-	b := startReplicatedShard(t, geo.Madison(), "mad-b", a.ReplicationAddr(), false)
-	registry, err := NewRegistry([]ShardConfig{{
-		Name:     "madison",
-		Addr:     a.Addr(),
-		Replicas: []string{b.Addr()},
-		Box:      geo.Madison(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	lc := buildCluster(t, regions[:1], 1, t.TempDir(), nodeOpts, GatewayOptions{
 		RecheckInterval: time.Hour, // first tick an hour away: the test drives the pass
 		Seed:            seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	sh := registry.Shards()[0]
+	gw, a, b := lc.gw, lc.nodes[0][0].srv, lc.nodes[0][1].srv
+	sh := lc.gw.reg.Shards()[0]
 
 	sendSamples(t, a.Addr(), hourOfSamples(start, 40))
 	nc, err := net.Dial("tcp", b.Addr())
@@ -637,19 +544,7 @@ func TestReconcileDemotesSecondPrimaryAtRoutingEpoch(t *testing.T) {
 // at the routing epoch — the routed endpoint — and the other two are
 // replicas.
 func TestManualPromoteDuringFailover(t *testing.T) {
-	a := startReplicatedShard(t, geo.Madison(), "mad-a", "", false)
-	b := startReplicatedShard(t, geo.Madison(), "mad-b", a.ReplicationAddr(), false)
-	c := startReplicatedShard(t, geo.Madison(), "mad-c", a.ReplicationAddr(), false)
-	registry, err := NewRegistry([]ShardConfig{{
-		Name:     "madison",
-		Addr:     a.Addr(),
-		Replicas: []string{b.Addr(), c.Addr()},
-		Box:      geo.Madison(),
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{
+	lc := buildCluster(t, regions[:1], 2, t.TempDir(), nodeOpts, GatewayOptions{
 		DialTimeout:      500 * time.Millisecond,
 		RequestTimeout:   2 * time.Second,
 		FailureThreshold: 1,
@@ -657,11 +552,8 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 		OpsAddr:          "127.0.0.1:0",
 		Seed:             seed,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	sh := registry.Shards()[0]
+	gw, a, b, c := lc.gw, lc.nodes[0][0].srv, lc.nodes[0][1].srv, lc.nodes[0][2].srv
+	sh := lc.gw.reg.Shards()[0]
 	sendSamples(t, gw.Addr(), hourOfSamples(start, 20))
 
 	a.Suspend()
@@ -722,45 +614,29 @@ func TestManualPromoteDuringFailover(t *testing.T) {
 // comes a whole interval after start.
 func TestReconcilePollsEachEndpointOncePerTick(t *testing.T) {
 	const interval = 200 * time.Millisecond
-	regs := map[string]*telemetry.Registry{}
-	// serve starts a coordinator; a replicated one journals and has a
-	// replication listener, and tails replicateFrom when that is set.
-	serve := func(box geo.BoundingBox, replicated bool, replicateFrom string) *coordinator.Server {
-		opts := coordinator.Options{
-			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: telemetry.NewRegistry(),
-		}
-		if replicated {
-			opts.DataDir, opts.ReplicationAddr, opts.ReplicateFrom = t.TempDir(), "127.0.0.1:0", replicateFrom
-		}
-		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		regs[s.Addr()] = opts.Telemetry
-		return s
-	}
-	primary := serve(geo.Madison(), true, "")
-	mad := []string{primary.Addr(), serve(geo.Madison(), true, primary.ReplicationAddr()).Addr(),
-		serve(geo.Madison(), true, primary.ReplicationAddr()).Addr()}
-	nj := serve(geo.NewBrunswickArea(), false, "").Addr()
-	registry, err := NewRegistry([]ShardConfig{
-		{Name: "madison", Addr: mad[0], Replicas: mad[1:], Box: geo.Madison()},
-		{Name: "new-jersey", Addr: nj, Box: geo.NewBrunswickArea()},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Madison's primary and two replicas come up first, behind a gateway of
+	// their own whose first tick is an hour away; New Jersey, the shard
+	// without standbys, is a lone node. The gateway under test fronts both
+	// as shards it does not serve, so begin is taken just before it starts.
+	idle := buildCluster(t, regions[:1], 2, t.TempDir(), nodeOpts, GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	njOpts := nodeOpts
+	njOpts.Telemetry = telemetry.NewRegistry()
+	nj := serveNode(t, njOpts).Addr()
+	regs := map[string]*telemetry.Registry{nj: njOpts.Telemetry}
+	var mad []string
+	for _, n := range idle.nodes[0] {
+		mad = append(mad, n.srv.Addr())
+		regs[n.srv.Addr()] = n.opts.Telemetry
 	}
 	polls := func(ep string) float64 {
 		return regs[ep].Counter("wiscape_coordinator_requests_total", "", "type").With(string(wire.TypeStatusRequest)).Value()
 	}
 
 	begin := time.Now()
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{RecheckInterval: interval, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw := buildCluster(t, []ShardConfig{
+		{Name: "madison", Addr: mad[0], Replicas: mad[1:], Box: geo.Madison()},
+		{Name: "new-jersey", Addr: nj, Box: geo.NewBrunswickArea()},
+	}, 0, "", nodeOpts, GatewayOptions{RecheckInterval: interval, Seed: seed}).gw
 	time.Sleep(interval / 4)
 	if time.Since(begin) < interval {
 		for ep := range regs {

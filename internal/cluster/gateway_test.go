@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/cluster/swarm"
-	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/mobility"
@@ -32,46 +31,6 @@ import (
 const seed = 4242
 
 var start = time.Date(2010, 9, 6, 9, 0, 0, 0, time.UTC)
-
-// startShard runs one regional coordinator whose controller grid is
-// centered on its box, like a real deployment would.
-func startShard(t *testing.T, box geo.BoundingBox, addr string) (*coordinator.Server, *core.Controller) {
-	t.Helper()
-	ctrl := core.NewController(core.DefaultConfig(), box.Center())
-	s, err := coordinator.Serve(ctrl, addr, coordinator.Options{
-		Networks:     []radio.NetworkID{radio.NetB},
-		Metrics:      []trace.Metric{trace.MetricUDPKbps},
-		TaskInterval: time.Minute,
-		Seed:         seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s, ctrl
-}
-
-// restartShard starts a shard coordinator on the address of one that was
-// closed, retrying while the port lingers. The registry it returns counts
-// the requests that reach it.
-func restartShard(t *testing.T, box geo.BoundingBox, addr string) *telemetry.Registry {
-	t.Helper()
-	var err error
-	for i := 0; i < 100; i++ {
-		var s *coordinator.Server
-		reg := telemetry.NewRegistry()
-		if s, err = coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), addr, coordinator.Options{
-			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: reg,
-		}); err == nil {
-			t.Cleanup(func() { _ = s.Close() })
-			return reg
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("restart shard on %s: %v", addr, err)
-	return nil
-}
 
 // logSink keeps the text records of the process default logger. Servers log
 // from their own goroutines, so it is race-safe.
@@ -124,51 +83,9 @@ func (tr crossTrack) Pose(t time.Time) mobility.Pose {
 	return mobility.Pose{Loc: p, Active: true}
 }
 
-// testCluster is two regional shards (Madison + New Brunswick) behind one
-// gateway with an ops plane and a shared telemetry registry.
-type testCluster struct {
-	gw       *Gateway
-	reg      *telemetry.Registry
-	madison  *coordinator.Server
-	nj       *coordinator.Server
-	madCtrl  *core.Controller
-	njCtrl   *core.Controller
-	registry *Registry
-}
-
-func startCluster(t *testing.T, opts GatewayOptions) *testCluster {
-	t.Helper()
-	tc := &testCluster{reg: telemetry.NewRegistry()}
-	tc.madison, tc.madCtrl = startShard(t, geo.Madison(), "127.0.0.1:0")
-	tc.nj, tc.njCtrl = startShard(t, geo.NewBrunswickArea(), "127.0.0.1:0")
-	var err error
-	tc.registry, err = NewRegistry([]ShardConfig{
-		{Name: "madison", Addr: tc.madison.Addr(), Box: geo.Madison()},
-		{Name: "new-jersey", Addr: tc.nj.Addr(), Box: geo.NewBrunswickArea()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Telemetry = tc.reg
-	opts.OpsAddr = "127.0.0.1:0"
-	opts.Seed = seed
-	tc.gw, err = ServeGateway(tc.registry, "127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = tc.gw.Close() })
-	return tc
-}
-
-// shardCounter reads a per-shard counter from the cluster's registry
-// (re-registration with an identical schema fetches the existing family).
-func (tc *testCluster) shardCounter(name, shard string) float64 {
-	return tc.reg.Counter(name, "", "shard").With(shard).Value()
-}
-
-// counter reads an unlabeled gateway counter.
-func (tc *testCluster) counter(name string) float64 {
-	return tc.reg.Counter(name, "").With().Value()
+// counterOf reads an unlabeled counter from reg.
+func counterOf(reg *telemetry.Registry, name string) float64 {
+	return reg.Counter(name, "").With().Value()
 }
 
 func httpStatus(t *testing.T, url string) int {
@@ -202,7 +119,9 @@ func regionSamples(t *testing.T, ctrl *core.Controller, box geo.BoundingBox, nam
 // crosses from Wisconsin to New Jersey, and every sample lands in the
 // controller of the shard owning its location.
 func TestAgentCampaignSpansTwoShards(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{})
+	reg := telemetry.NewRegistry()
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, Telemetry: reg, OpsAddr: "127.0.0.1:0"})
+	madCtrl, njCtrl := lc.Controller("madison"), lc.Controller("new-jersey")
 
 	env := radio.NewEnvironment([]radio.NetworkID{radio.NetB}, radio.RegionWI, seed, geo.Madison().Center())
 	a := &agent.Agent{
@@ -218,7 +137,7 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 		Seed:     seed,
 	}
 
-	st, err := a.Run(tc.gw.Addr(), start, 2*time.Hour, time.Minute)
+	st, err := a.Run(lc.Addr(), start, 2*time.Hour, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +148,8 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 		t.Fatal("campaign produced no samples")
 	}
 
-	madison := regionSamples(t, tc.madCtrl, geo.Madison(), "madison")
-	nj := regionSamples(t, tc.njCtrl, geo.NewBrunswickArea(), "new-jersey")
+	madison := regionSamples(t, madCtrl, geo.Madison(), "madison")
+	nj := regionSamples(t, njCtrl, geo.NewBrunswickArea(), "new-jersey")
 	if madison == 0 || nj == 0 {
 		t.Fatalf("samples per shard: madison=%d nj=%d, want both > 0", madison, nj)
 	}
@@ -238,21 +157,21 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 		t.Fatalf("shards hold %d samples, agent sent %d", madison+nj, st.SamplesSent)
 	}
 
-	if r := tc.shardCounter("wiscape_gateway_routed_total", "madison"); r == 0 {
+	if r := counterValue(reg, "wiscape_gateway_routed_total", "madison"); r == 0 {
 		t.Fatal("no requests routed to madison")
 	}
-	if r := tc.shardCounter("wiscape_gateway_routed_total", "new-jersey"); r == 0 {
+	if r := counterValue(reg, "wiscape_gateway_routed_total", "new-jersey"); r == 0 {
 		t.Fatal("no requests routed to new-jersey")
 	}
-	if f := tc.shardCounter("wiscape_gateway_failed_total", "madison") +
-		tc.shardCounter("wiscape_gateway_failed_total", "new-jersey"); f != 0 {
+	if f := counterValue(reg, "wiscape_gateway_failed_total", "madison") +
+		counterValue(reg, "wiscape_gateway_failed_total", "new-jersey"); f != 0 {
 		t.Fatalf("healthy cluster recorded %v upstream failures", f)
 	}
 
 	// Query fan-out: the bulk zone list merges both shards' published
 	// records (each region saw >30 virtual minutes of samples, enough to
 	// roll an epoch and publish).
-	records, err := agent.QueryZoneList(tc.gw.Addr(), radio.NetB, trace.MetricUDPKbps)
+	records, err := agent.QueryZoneList(lc.Addr(), radio.NetB, trace.MetricUDPKbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,8 +180,8 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 	}
 
 	// Point estimate through the gateway answers from the owning shard.
-	zone := tc.madCtrl.ZoneOf(geo.MadisonStaticSites()[0])
-	est, err := agent.QueryEstimate(tc.gw.Addr(), zone, radio.NetB, trace.MetricUDPKbps)
+	zone := madCtrl.ZoneOf(geo.MadisonStaticSites()[0])
+	est, err := agent.QueryEstimate(lc.Addr(), zone, radio.NetB, trace.MetricUDPKbps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,15 +196,13 @@ func TestAgentCampaignSpansTwoShards(t *testing.T) {
 // per-shard metrics reflect the loss, and a restarted shard is revived by
 // the reconcile pass's status poll.
 func TestGatewayDegradesWhenShardDies(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{
-		FailureThreshold: 1,
-		RecheckInterval:  50 * time.Millisecond,
-		RequestTimeout:   2 * time.Second,
-	})
+	reg := telemetry.NewRegistry()
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, Telemetry: reg, OpsAddr: "127.0.0.1:0",
+		FailureThreshold: 1, RecheckInterval: 50 * time.Millisecond, RequestTimeout: 2 * time.Second})
 	madisonLoc := geo.MadisonStaticSites()[0]
 	njLoc := geo.NJStaticSites()[0]
 
-	nc, err := net.Dial("tcp", tc.gw.Addr())
+	nc, err := net.Dial("tcp", lc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,12 +230,12 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	if r := zoneReport(njLoc, start); r.Type != wire.TypeTaskList {
 		t.Fatalf("nj report before failure: %v", r.Type)
 	}
-	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
+	if got := httpStatus(t, "http://"+lc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
 		t.Fatalf("/readyz with both shards up = %d", got)
 	}
 
-	njAddr := tc.nj.Addr()
-	if err := tc.nj.Close(); err != nil {
+	nj := lc.nodes[1][0]
+	if err := nj.srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -348,36 +265,38 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 	if ack.Type != wire.TypeSampleAck || ack.SampleAck.Accepted != 2 {
 		t.Fatalf("mixed upload ack: %+v", ack)
 	}
-	if d := tc.counter("wiscape_gateway_samples_dropped_total"); d != 1 {
+	if d := counterOf(reg, "wiscape_gateway_samples_dropped_total"); d != 1 {
 		t.Fatalf("dropped samples %v, want 1", d)
 	}
 
 	// Health surfaces everywhere it should.
-	if f := tc.shardCounter("wiscape_gateway_failed_total", "new-jersey"); f == 0 {
+	if f := counterValue(reg, "wiscape_gateway_failed_total", "new-jersey"); f == 0 {
 		t.Fatal("per-shard failure counter did not move")
 	}
-	if h := tc.reg.Gauge("wiscape_gateway_shard_healthy", "", "shard").With("new-jersey").Value(); h != 0 {
+	if h := reg.Gauge("wiscape_gateway_shard_healthy", "", "shard").With("new-jersey").Value(); h != 0 {
 		t.Fatalf("shard_healthy{new-jersey} = %v, want 0", h)
 	}
-	if tc.registry.HealthyCount() != 1 {
-		t.Fatalf("healthy count %d, want 1", tc.registry.HealthyCount())
+	if lc.gw.reg.HealthyCount() != 1 {
+		t.Fatalf("healthy count %d, want 1", lc.gw.reg.HealthyCount())
 	}
-	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusServiceUnavailable {
+	if got := httpStatus(t, "http://"+lc.gw.ops.Addr()+"/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with a dead shard = %d, want 503 (quorum is majority of 2 = 2)", got)
 	}
 
 	// Restart the region on the same address: the reconcile tick's status
 	// poll must revive it without any agent traffic.
-	restartShard(t, geo.NewBrunswickArea(), njAddr)
+	if err := nj.restart(); err != nil {
+		t.Fatal(err)
+	}
 
 	deadline := time.Now().Add(10 * time.Second)
-	for tc.registry.HealthyCount() != 2 {
+	for lc.gw.reg.HealthyCount() != 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("the reconcile pass never revived the restarted shard")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := httpStatus(t, "http://"+tc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
+	if got := httpStatus(t, "http://"+lc.gw.ops.Addr()+"/readyz"); got != http.StatusOK {
 		t.Fatalf("/readyz after revival = %d", got)
 	}
 	if r := zoneReport(njLoc, start.Add(3*time.Minute)); r.Type != wire.TypeTaskList {
@@ -392,21 +311,22 @@ func TestGatewayDegradesWhenShardDies(t *testing.T) {
 // connection, which stays open, whether the forwards fail in transport or
 // on an open breaker.
 func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed,
 		FailureThreshold: 2, // a forward and its retry open the breaker: the first pass fails in transport, later ones on it
 		RecheckInterval:  time.Hour,
 		RequestTimeout:   2 * time.Second,
 	})
+	madCtrl := lc.Controller("madison")
 	loc := geo.Madison().Center()
 	for i := 0; i < 3; i++ { // one epoch rolls, so the zone list has a record
-		tc.madCtrl.Ingest(trace.Sample{Time: start.Add(time.Duration(i) * time.Hour), Loc: loc, Network: radio.NetB,
+		madCtrl.Ingest(trace.Sample{Time: start.Add(time.Duration(i) * time.Hour), Loc: loc, Network: radio.NetB,
 			Metric: trace.MetricUDPKbps, Value: 900, ClientID: "fail-closed"})
 	}
-	if n := len(tc.madCtrl.Records(radio.NetB, trace.MetricUDPKbps)); n == 0 {
+	if n := len(madCtrl.Records(radio.NetB, trace.MetricUDPKbps)); n == 0 {
 		t.Fatal("madison published no record; the zone-list half of this test needs one")
 	}
 
-	nc, err := net.Dial("tcp", tc.gw.Addr())
+	nc, err := net.Dial("tcp", lc.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +334,7 @@ func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 	defer c.Close()
 	_ = c.SetDeadline(time.Now().Add(20 * time.Second))
 	estimate := wire.Envelope{Type: wire.TypeEstimateRequest, EstimateRequest: &wire.EstimateRequest{
-		Zone: tc.madCtrl.ZoneOf(loc), Network: radio.NetB, Metric: trace.MetricUDPKbps,
+		Zone: madCtrl.ZoneOf(loc), Network: radio.NetB, Metric: trace.MetricUDPKbps,
 	}}
 	zoneList := wire.Envelope{Type: wire.TypeZoneListRequest, ZoneListRequest: &wire.ZoneListRequest{
 		Network: radio.NetB, Metric: trace.MetricUDPKbps,
@@ -432,13 +352,13 @@ func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 	}
 	answers("with both shards up")
 
-	if err := tc.nj.Close(); err != nil {
+	if err := lc.nodes[1][0].srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	answers("with new-jersey down")
 	answers("with new-jersey's breaker open")
 
-	if err := tc.madison.Close(); err != nil {
+	if err := lc.nodes[0][0].srv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	var refused *wire.ReplyError
@@ -453,7 +373,7 @@ func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 			}
 		}
 	}
-	if n := tc.registry.HealthyCount(); n != 0 {
+	if n := lc.gw.reg.HealthyCount(); n != 0 {
 		t.Fatalf("%d healthy shards after both died, want 0 (the last pass should have hit open breakers)", n)
 	}
 	// Still the same, open connection: the gateway answers a hello itself.
@@ -465,15 +385,16 @@ func TestGatewayQueriesFailClosedWhenNoShardAnswers(t *testing.T) {
 // TestGatewayRejectsUnroutable: a location outside every shard gets a
 // non-fatal error, and the connection goes on serving.
 func TestGatewayRejectsUnroutable(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{})
-	c := dialConn(t, tc.gw.Addr())
+	reg := telemetry.NewRegistry()
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, Telemetry: reg, OpsAddr: "127.0.0.1:0"})
+	c := dialConn(t, lc.Addr())
 	reply, err := c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
 		ClientID: "lost", Loc: geo.Point{Lat: 0, Lon: 0}, At: start,
 	}})
 	if err != nil || reply.Type != wire.TypeError {
 		t.Fatalf("unroutable report: %v %v", reply.Type, err)
 	}
-	if u := tc.counter("wiscape_gateway_unroutable_total"); u != 1 {
+	if u := counterOf(reg, "wiscape_gateway_unroutable_total"); u != 1 {
 		t.Fatalf("unroutable counter %v", u)
 	}
 	reply, err = c.Request(wire.Envelope{Type: wire.TypeZoneReport, ZoneReport: &wire.ZoneReport{
@@ -494,16 +415,8 @@ func TestGatewayRejectsUnroutable(t *testing.T) {
 // status request, whose payload is empty, is answered by the coordinator,
 // which serves it, and refused by the gateway, which does not.
 func TestMalformedRequestsAreRefused(t *testing.T) {
-	madison := startDurableShard(t, geo.Madison(), t.TempDir(), "", false)
-	reg, err := NewRegistry([]ShardConfig{{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
+	lc := buildCluster(t, regions[:1], 0, t.TempDir(), journalOpts(), GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	madison, gw := lc.nodes[0][0].srv, lc.gw
 	lastLSN := func() uint64 {
 		t.Helper()
 		status, err := dialConn(t, madison.Addr()).Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
@@ -612,7 +525,6 @@ func TestMalformedRequestsAreRefused(t *testing.T) {
 // into error or partial replies — never dereference the missing payload —
 // and keep serving the healthy shard on the same connection.
 func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
-	madison, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
 	replyType := map[wire.MsgType]wire.MsgType{
 		wire.TypeZoneReport:      wire.TypeTaskList,
 		wire.TypeSampleReport:    wire.TypeSampleAck,
@@ -628,18 +540,9 @@ func TestGatewaySurvivesPayloadlessShardReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = hollow.Close() })
-	reg, err := NewRegistry([]ShardConfig{
-		{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()},
-		{Name: "new-jersey", Addr: hollow.Addr(), Box: geo.NewBrunswickArea()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(reg, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
+	lc := buildCluster(t, []ShardConfig{regions[0], {Name: "new-jersey", Addr: hollow.Addr(), Box: geo.NewBrunswickArea()}},
+		0, "", nodeOpts, GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	gw, reg := lc.gw, lc.gw.reg
 
 	nc, err := net.Dial("tcp", gw.Addr())
 	if err != nil {
@@ -866,8 +769,9 @@ func TestSwarmThroughGateway(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200-agent swarm in -short mode")
 	}
-	tc := startCluster(t, GatewayOptions{})
-	res, err := swarm.Run(tc.gw.Addr(), swarm.Options{
+	reg := telemetry.NewRegistry()
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, Telemetry: reg, OpsAddr: "127.0.0.1:0"})
+	res, err := swarm.Run(lc.Addr(), swarm.Options{
 		Agents:          200,
 		Rounds:          3,
 		SamplesPerRound: 3,
@@ -887,18 +791,18 @@ func TestSwarmThroughGateway(t *testing.T) {
 		t.Fatalf("throughput/latency not measured: %+v", res)
 	}
 	t.Logf("swarm through gateway: %s", res)
-	if r := tc.shardCounter("wiscape_gateway_routed_total", "madison"); r == 0 {
+	if r := counterValue(reg, "wiscape_gateway_routed_total", "madison"); r == 0 {
 		t.Fatal("madison took no swarm traffic")
 	}
-	if r := tc.shardCounter("wiscape_gateway_routed_total", "new-jersey"); r == 0 {
+	if r := counterValue(reg, "wiscape_gateway_routed_total", "new-jersey"); r == 0 {
 		t.Fatal("new-jersey took no swarm traffic")
 	}
 }
 
 // TestGatewayShardsEndpoint smoke-tests the live route table.
 func TestGatewayShardsEndpoint(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{})
-	resp, err := http.Get("http://" + tc.gw.ops.Addr() + "/api/v1/shards")
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, OpsAddr: "127.0.0.1:0"})
+	resp, err := http.Get("http://" + lc.gw.ops.Addr() + "/api/v1/shards")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -927,29 +831,13 @@ func TestGatewayShardsEndpoint(t *testing.T) {
 // through the gateway or straight to a shard, is still ingested.
 func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
-	ctrls := map[string]*core.Controller{}
-	var shards []ShardConfig
-	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
-		regs[name], ctrls[name] = telemetry.NewRegistry(), core.NewController(core.DefaultConfig(), box.Center())
-		s, err := coordinator.Serve(ctrls[name], "127.0.0.1:0", coordinator.Options{
-			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: regs[name],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: box})
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
+	gw := lc.gw
+	var ctrls []*core.Controller
+	for i, sc := range regions {
+		regs[sc.Name] = lc.nodes[i][0].opts.Telemetry
+		ctrls = append(ctrls, lc.nodes[i][0].srv.Controller())
 	}
-	registry, err := NewRegistry(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
 	fallbacks := func(who string) (n float64) {
 		for _, typ := range []string{"zone_list_reply", "estimate_reply"} {
 			n += regs[who].Counter("wiscape_wire_decode_fallbacks_total", "", "type").With(typ).Value()
@@ -1044,7 +932,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		t.Errorf("the hand-spaced report ingested %d samples, the canonical one %d", got, perReport)
 	}
 	// And straight to a coordinator, as a foreign agent without a gateway would.
-	direct, err := net.Dial("tcp", shards[0].Addr)
+	direct, err := net.Dial("tcp", lc.nodes[0][0].srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1055,7 +943,7 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ack, err := dc.Recv(); err != nil || ack.SampleAck == nil || ack.SampleAck.Accepted != len(straddling) {
-		t.Fatalf("hand-spaced report to %s: reply %+v, err %v", shards[0].Name, ack, err)
+		t.Fatalf("hand-spaced report to %s: reply %+v, err %v", regions[0].Name, ack, err)
 	}
 	for who := range regs {
 		if f := fallbacks(who); f != 0 {
@@ -1072,30 +960,14 @@ func TestAgentReportsTakeTheCanonicalPath(t *testing.T) {
 // sketch-carrying estimate): wiscape_wire_decode_fallbacks_total reads 0
 // under all eight types everywhere, while every tier decodes frames.
 func TestAgentRoundTripNeverFallsBack(t *testing.T) {
-	tiers := map[string]*telemetry.Registry{}
-	var shards []ShardConfig
-	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
-		tiers[name] = telemetry.NewRegistry()
-		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", coordinator.Options{
-			Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps, trace.MetricTCPKbps},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: tiers[name],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: box})
+	tiers := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
+	opts := nodeOpts
+	opts.Metrics = []trace.Metric{trace.MetricUDPKbps, trace.MetricTCPKbps}
+	lc := buildCluster(t, regions, 0, "", opts, GatewayOptions{Seed: seed, Telemetry: tiers["gateway"]})
+	gw := lc.gw
+	for i, sc := range regions {
+		tiers[sc.Name] = lc.nodes[i][0].opts.Telemetry
 	}
-	registry, err := NewRegistry(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiers["gateway"] = telemetry.NewRegistry()
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: tiers["gateway"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
 
 	// The agent's rounds, crossing from one shard to the other.
 	tiers["agent"] = telemetry.NewRegistry()
@@ -1173,9 +1045,9 @@ func TestIdleAgentsCostTheClusterLittleHeap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds its own heap to every allocation")
 	}
-	tc := startCluster(t, GatewayOptions{})
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed})
 	connect := func(id string) *wire.Conn {
-		nc, err := net.Dial("tcp", tc.gw.Addr())
+		nc, err := net.Dial("tcp", lc.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/coordinator"
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
@@ -70,19 +71,35 @@ func startGateway(t *testing.T, tel *telemetry.Registry, cfgs ...ShardConfig) *G
 // only a client that asks for it, so the test asks; the same key asked
 // without with_sketch must get the same record and no sketch.
 func TestGatewayEstimateMergesShardSketches(t *testing.T) {
-	tc := startCluster(t, GatewayOptions{})
+	// Each shard cuts a grid on its own box's center, so both call their
+	// center 0:0: the two-origin shape a built cluster cannot have, served by
+	// hand until the merge goes.
+	ctrls := map[string]*core.Controller{}
+	var shards []ShardConfig
+	for _, sc := range regions {
+		ctrls[sc.Name] = core.NewController(core.DefaultConfig(), sc.Box.Center())
+		s, err := coordinator.Serve(ctrls[sc.Name], "127.0.0.1:0", nodeOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		sc.Addr = s.Addr()
+		shards = append(shards, sc)
+	}
+	reg := telemetry.NewRegistry()
+	gw := startGateway(t, reg, shards...)
+	madCtrl, njCtrl := ctrls["madison"], ctrls["new-jersey"]
 
 	madLoc := geo.Madison().Center()
 	njLoc := geo.NewBrunswickArea().Center()
-	zone := tc.madCtrl.ZoneOf(madLoc)
-	if njZone := tc.njCtrl.ZoneOf(njLoc); njZone != zone {
+	zone := madCtrl.ZoneOf(madLoc)
+	if njZone := njCtrl.ZoneOf(njLoc); njZone != zone {
 		t.Fatalf("grid centers map to different relative zone IDs (%s vs %s); the merge path needs both shards to publish the same ID", zone, njZone)
 	}
 
 	// The single-coordinator reference shares the madison shard's config
 	// and grid but sees the whole stream.
-	ref, _ := startShard(t, geo.Madison(), "127.0.0.1:0")
-	refCtrl := ref.Controller()
+	refCtrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 
 	r := rng.New(77)
 	at := start
@@ -92,10 +109,10 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 		v := 900 + 80*r.NormFloat64()
 		vals = append(vals, v)
 		loc := madLoc
-		ctrl := tc.madCtrl
+		ctrl := madCtrl
 		if i%2 == 1 {
 			loc = njLoc
-			ctrl = tc.njCtrl
+			ctrl = njCtrl
 		}
 		s := trace.Sample{
 			Time: at, Loc: loc, Network: radio.NetB,
@@ -108,7 +125,7 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 	}
 
 	key := core.Key{Zone: zone, Net: radio.NetB, Metric: trace.MetricUDPKbps}
-	est := askEstimate(t, tc.gw.Addr(), key, true)
+	est := askEstimate(t, gw.Addr(), key, true)
 	if !est.Found {
 		t.Fatal("merged estimate not found")
 	}
@@ -161,22 +178,22 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 		}
 	}
 
-	if got := tc.counter("wiscape_gateway_estimate_merges_total"); got != 1 {
+	if got := counterOf(reg, "wiscape_gateway_estimate_merges_total"); got != 1 {
 		t.Fatalf("estimate merge counter %v, want 1", got)
 	}
 
 	// Unasked, the merge still happens; only its output stops travelling.
-	plain := askEstimate(t, tc.gw.Addr(), key, false)
+	plain := askEstimate(t, gw.Addr(), key, false)
 	if len(plain.Sketch) != 0 {
 		t.Fatalf("reply to a request without with_sketch carries a %d-byte sketch", len(plain.Sketch))
 	}
 	if plain.Found != est.Found || !reflect.DeepEqual(plain.Record, est.Record) {
 		t.Fatalf("record differs by with_sketch:\n without %+v\n with    %+v", plain.Record, est.Record)
 	}
-	if got := tc.counter("wiscape_gateway_estimate_merges_total"); got != 2 {
+	if got := counterOf(reg, "wiscape_gateway_estimate_merges_total"); got != 2 {
 		t.Fatalf("estimate merge counter %v after two merged estimates, want 2", got)
 	}
-	if got := tc.counter("wiscape_gateway_estimate_merge_fallbacks_total"); got != 0 {
+	if got := counterOf(reg, "wiscape_gateway_estimate_merge_fallbacks_total"); got != 0 {
 		t.Fatalf("merge fallback counter %v, want 0", got)
 	}
 }
@@ -187,30 +204,27 @@ func TestGatewayEstimateMergesShardSketches(t *testing.T) {
 // path): the records are identical and a reply carries a sketch only when
 // its request asked.
 func TestGatewaySketchOnlyOnRequest(t *testing.T) {
-	shard, ctrl := startShard(t, geo.Madison(), "127.0.0.1:0")
-	empty, _ := startShard(t, geo.NewBrunswickArea(), "127.0.0.1:0")
 	loc := geo.Madison().Center()
-	r := rng.New(5)
-	for i := 0; i < 300; i++ {
-		ctrl.Ingest(trace.Sample{
-			Time: start.Add(time.Duration(i) * 30 * time.Second), Loc: loc, Network: radio.NetB,
-			Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(), ClientID: "sketch-test",
-		})
-	}
-	key := core.Key{Zone: ctrl.ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricUDPKbps}
-	want, ok := ctrl.Estimate(key)
-	if !ok {
-		t.Fatal("shard has no estimate for the ingested key")
-	}
-	madison := ShardConfig{Name: "madison", Addr: shard.Addr(), Box: geo.Madison()}
-	nj := ShardConfig{Name: "new-jersey", Addr: empty.Addr(), Box: geo.NewBrunswickArea()}
-	for name, cfgs := range map[string][]ShardConfig{
-		"one shard":             {madison},
-		"two shards, one found": {nj, madison},
+	for name, shards := range map[string][]ShardConfig{
+		"one shard":             regions[:1],
+		"two shards, one found": {regions[1], regions[0]},
 	} {
 		t.Run(name, func(t *testing.T) {
 			tel := telemetry.NewRegistry()
-			gw := startGateway(t, tel, cfgs...)
+			lc := buildCluster(t, shards, 0, "", nodeOpts, GatewayOptions{Seed: seed, RecheckInterval: time.Hour, Telemetry: tel})
+			gw, ctrl := lc.gw, lc.Controller("madison")
+			r := rng.New(5)
+			for i := 0; i < 300; i++ {
+				ctrl.Ingest(trace.Sample{
+					Time: start.Add(time.Duration(i) * 30 * time.Second), Loc: loc, Network: radio.NetB,
+					Metric: trace.MetricUDPKbps, Value: 900 + 80*r.NormFloat64(), ClientID: "sketch-test",
+				})
+			}
+			key := core.Key{Zone: ctrl.ZoneOf(loc), Net: radio.NetB, Metric: trace.MetricUDPKbps}
+			want, ok := ctrl.Estimate(key)
+			if !ok {
+				t.Fatal("shard has no estimate for the ingested key")
+			}
 			plain := askEstimate(t, gw.Addr(), key, false)
 			asked := askEstimate(t, gw.Addr(), key, true)
 			if !plain.Found || !asked.Found {

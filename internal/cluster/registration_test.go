@@ -5,30 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/coordinator"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
-
-// startCountedShard runs a shard coordinator like startShard's whose
-// registry counts the requests that reach it.
-func startCountedShard(t *testing.T, box geo.BoundingBox) (*coordinator.Server, *telemetry.Registry) {
-	t.Helper()
-	reg := telemetry.NewRegistry()
-	s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", coordinator.Options{
-		Networks: []radio.NetworkID{radio.NetB}, Metrics: []trace.Metric{trace.MetricUDPKbps},
-		TaskInterval: time.Minute, Seed: seed, Telemetry: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s, reg
-}
 
 // requestsOf reads a shard's wiscape_coordinator_requests_total for one
 // message type.
@@ -57,11 +39,9 @@ func call(t *testing.T, c *wire.Conn, req wire.Envelope, want wire.MsgType) wire
 // gateway or either shard: a per-request line would flood an operator's log
 // at many-agent scale.
 func TestGatewayHelloReachesNoShard(t *testing.T) {
-	madison, madReg := startCountedShard(t, geo.Madison())
-	nj, njReg := startCountedShard(t, geo.NewBrunswickArea())
-	gw := startGateway(t, nil,
-		ShardConfig{Name: "madison", Addr: madison.Addr(), Box: geo.Madison()},
-		ShardConfig{Name: "new-jersey", Addr: nj.Addr(), Box: geo.NewBrunswickArea()})
+	lc := buildCluster(t, regions, 0, "", nodeOpts, GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	gw, madison, nj := lc.gw, lc.nodes[0][0].srv, lc.nodes[1][0].srv
+	madReg, njReg := lc.nodes[0][0].opts.Telemetry, lc.nodes[1][0].opts.Telemetry
 
 	logs := captureLogs(t)
 	c := dialConn(t, gw.Addr())
@@ -103,9 +83,10 @@ func TestGatewayHelloReachesNoShard(t *testing.T) {
 // the same number of clients, and on the same seed both draw the same task
 // lists: a client is known by its zone reports, whichever way they come.
 func TestGatewayRegistersAsDirect(t *testing.T) {
-	direct, _ := startCountedShard(t, geo.Madison())
-	shard, _ := startCountedShard(t, geo.Madison())
-	gw := startGateway(t, nil, ShardConfig{Name: "madison", Addr: shard.Addr(), Box: geo.Madison()})
+	gwOpts := GatewayOptions{Seed: seed, RecheckInterval: time.Hour}
+	direct := serveNode(t, nodeOpts)
+	lc := buildCluster(t, regions[:1], 0, "", nodeOpts, gwOpts)
+	gw, shard := lc.gw, lc.nodes[0][0].srv
 
 	conns := []*wire.Conn{dialConn(t, direct.Addr()), dialConn(t, gw.Addr())}
 	sites := geo.MadisonStaticSites()

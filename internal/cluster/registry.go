@@ -1,16 +1,17 @@
 // Package cluster scales the WiScape coordinator horizontally — the §6
 // goal of growing beyond one metro area, realised as a networked tier
 // (the Registry is the tree's one bounding-box router). A deployment runs
-// one coordinator per region ("shard"), each owning its own controller, grid
-// origin and durable store, and puts a thin routing gateway in front: agents
-// keep speaking the unmodified internal/wire protocol to one address while
-// their reports land on the shard whose bounding box covers the reported
-// location, and operator queries fan out across shards and merge.
+// one coordinator per region ("shard"), each owning its own controller and
+// durable store on one zone grid, and puts a thin routing gateway in front:
+// agents keep speaking the unmodified internal/wire protocol to one address
+// while their reports land on the shard whose bounding box covers the
+// reported location, and operator queries fan out across shards and merge.
 //
-// The package has three parts: the shard Registry (static shard set plus
+// The package has four parts: the shard Registry (static shard set plus
 // per-shard health and circuit breaking), the Gateway (protocol router),
-// and the swarm load generator (subpackage swarm) that proves the tier
-// under hundreds-to-thousands of concurrent agents.
+// Local (a whole cluster started in process, for tests and examples), and
+// the swarm load generator (subpackage swarm) that proves the tier under
+// hundreds-to-thousands of concurrent agents.
 package cluster
 
 import (

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/coordinator"
-	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/telemetry"
@@ -46,39 +45,12 @@ func estimateRequest(zone geo.ZoneID) wire.Envelope {
 	}}
 }
 
-// startReplyFormCluster runs the Madison and New Brunswick shards behind a
-// gateway, each tier on its own registry and each shard with its WAL in a
-// directory of its own, and returns the addresses to talk to — a shard
-// directly, and the gateway — and the shards' data directories.
-func startReplyFormCluster(t *testing.T) (regs map[string]*telemetry.Registry, addrs, dirs map[string]string) {
-	t.Helper()
-	regs = map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry()}
-	addrs, dirs = map[string]string{}, map[string]string{}
-	var shards []ShardConfig
-	for name, box := range map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()} {
-		regs[name], dirs[name] = telemetry.NewRegistry(), t.TempDir()
-		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", coordinator.Options{
-			Networks: radio.AllNetworks, Metrics: []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs},
-			TaskInterval: time.Minute, Seed: seed, Telemetry: regs[name], DataDir: dirs[name], CheckpointInterval: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: box})
-		addrs[name] = s.Addr()
-	}
-	registry, err := NewRegistry(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	addrs["gateway"] = gw.Addr()
-	return regs, addrs, dirs
+// replyFormOpts serves the shards of the reply-form tests: every network,
+// UDP throughput and RTT, and a WAL no checkpoint timer compacts.
+func replyFormOpts() coordinator.Options {
+	opts := journalOpts()
+	opts.Networks, opts.Metrics = radio.AllNetworks, []trace.Metric{trace.MetricUDPKbps, trace.MetricRTTMs}
+	return opts
 }
 
 // benchCycle is one cycle the way the benchmark's clients send it: a zone
@@ -114,7 +86,8 @@ func lineOf(t *testing.T, e wire.Envelope) []byte {
 // session of queries alone its first binary query, its replies come back as
 // binary lines, which decode to the same replies.
 func TestRepliesTakeTheClientsForm(t *testing.T) {
-	_, addrs, _ := startReplyFormCluster(t)
+	lc := buildCluster(t, regions, 0, t.TempDir(), replyFormOpts(), GatewayOptions{Seed: seed})
+	addrs := map[string]string{"madison": lc.nodes[0][0].srv.Addr(), "gateway": lc.Addr()}
 	for _, target := range []string{"madison", "gateway"} {
 		nc, err := net.Dial("tcp", addrs[target])
 		if err != nil {
@@ -222,8 +195,13 @@ func TestRepliesTakeTheClientsForm(t *testing.T) {
 // merge is the one JSON line, and no line carries it), and every line in the
 // shards' WALs is a report line.
 func TestBenchShapedRoundTripsNeverDecline(t *testing.T) {
-	regs, addrs, dirs := startReplyFormCluster(t)
-	regs["client"] = telemetry.NewRegistry()
+	regs := map[string]*telemetry.Registry{"gateway": telemetry.NewRegistry(), "client": telemetry.NewRegistry()}
+	lc := buildCluster(t, regions, 0, t.TempDir(), replyFormOpts(), GatewayOptions{Seed: seed, Telemetry: regs["gateway"]})
+	addrs := map[string]string{"madison": lc.nodes[0][0].srv.Addr(), "gateway": lc.Addr()}
+	dirs := map[string]string{}
+	for i, sc := range regions {
+		regs[sc.Name], dirs[sc.Name] = lc.nodes[i][0].opts.Telemetry, lc.nodes[i][0].opts.DataDir
+	}
 	codec := wire.NewMetrics(regs["client"])
 	records := 0
 	for i, target := range []string{"madison", "gateway"} {

@@ -23,29 +23,12 @@ import (
 	"repro/internal/wire"
 )
 
-// startDurableShard runs a coordinator on box with its WAL in dir, serving
-// NetB's UDP throughput; a non-empty replicateFrom makes it a replica of that
-// replication address, and replicate a semi-sync primary.
-func startDurableShard(t *testing.T, box geo.BoundingBox, dir, replicateFrom string, replicate bool) *coordinator.Server {
-	t.Helper()
-	opts := coordinator.Options{
-		Networks:           []radio.NetworkID{radio.NetB},
-		Metrics:            []trace.Metric{trace.MetricUDPKbps},
-		TaskInterval:       time.Minute,
-		Seed:               seed,
-		DataDir:            dir,
-		CheckpointInterval: -1,
-		ReplicateFrom:      replicateFrom,
-	}
-	if replicate || replicateFrom != "" {
-		opts.ReplicationAddr, opts.SyncReplication, opts.SyncTimeout = "127.0.0.1:0", true, 5*time.Second
-	}
-	s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), box.Center()), "127.0.0.1:0", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	return s
+// journalOpts serves a node whose WAL a test reads: no checkpoint timer
+// compacts it.
+func journalOpts() coordinator.Options {
+	opts := nodeOpts
+	opts.CheckpointInterval = -1
+	return opts
 }
 
 // walSamples is every sample in dir's WAL, in LSN order, and its record lines.
@@ -81,35 +64,17 @@ func walSamples(t *testing.T, dir string) (samples []trace.Sample, lines [][]byt
 // connection. One agent connection sends reports of different sizes,
 // clients, devices and values back to back, with zone reports between them:
 // some wholly in one shard's box (forwarded whole, the sole-shard path), some
-// straddling both (split by shard). Madison is a durable primary with a
-// semi-sync replica, New Jersey a durable shard alone. Each shard's WAL and
-// controller, and the replica's journal, must hold exactly what the shard was
-// sent. The zone reports name a network no shard serves, so their task draws
-// read no controller state.
+// straddling both (split by shard). Each shard is a durable primary with a
+// semi-sync replica. Each shard's WAL and controller, and Madison's replica's
+// journal, must hold exactly what the shard was sent. The zone reports name a
+// network no shard serves, so their task draws read no controller state.
 func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 	boxes := map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()}
-	dirs := map[string]string{"madison": t.TempDir(), "new-jersey": t.TempDir(), "replica": t.TempDir()}
-	shards := map[string]*coordinator.Server{
-		"madison":    startDurableShard(t, boxes["madison"], dirs["madison"], "", true),
-		"new-jersey": startDurableShard(t, boxes["new-jersey"], dirs["new-jersey"], "", false),
-	}
-	replica := startDurableShard(t, boxes["madison"], dirs["replica"], shards["madison"].ReplicationAddr(), false)
-	registry, err := NewRegistry([]ShardConfig{
-		{Name: "madison", Addr: shards["madison"].Addr(), Box: boxes["madison"]},
-		{Name: "new-jersey", Addr: shards["new-jersey"].Addr(), Box: boxes["new-jersey"]},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	waitUntil(t, 5*time.Second, "the replica to attach", func() bool {
-		status, err := dialConn(t, shards["madison"].Addr()).Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
-		return err == nil && len(status.StatusReply.Replicas) == 1 && status.StatusReply.Replicas[0].Connected
-	})
+	lc := buildCluster(t, regions, 1, t.TempDir(), journalOpts(), GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	gw := lc.gw
+	shards := map[string]*coordinator.Server{"madison": lc.nodes[0][0].srv, "new-jersey": lc.nodes[1][0].srv}
+	dirs := map[string]string{"madison": lc.nodes[0][0].opts.DataDir, "new-jersey": lc.nodes[1][0].opts.DataDir}
+	replica, replicaDir := lc.nodes[0][1].srv, lc.nodes[0][1].opts.DataDir
 
 	r := rng.New(seed)
 	inside := func(box geo.BoundingBox) geo.Point {
@@ -174,7 +139,7 @@ func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 		if !reflect.DeepEqual(got, want[name]) {
 			t.Fatalf("%s's WAL holds %d samples that differ from the %d it was sent", name, len(got), len(want[name]))
 		}
-		fed := core.NewController(core.DefaultConfig(), boxes[name].Center())
+		fed := core.NewController(core.DefaultConfig(), geo.GridOrigin())
 		fed.Ingest(want[name]...)
 		if name == "madison" {
 			madisonLines, madisonFed = lines, fed
@@ -184,7 +149,7 @@ func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 		}
 	}
 	// Every Madison ack waited on the replica's, so its journal is whole.
-	got, lines := walSamples(t, dirs["replica"])
+	got, lines := walSamples(t, replicaDir)
 	if !reflect.DeepEqual(lines, madisonLines) || !reflect.DeepEqual(got, want["madison"]) {
 		t.Fatalf("the replica journaled %d lines and %d samples; its primary %d and %d", len(lines), len(got), len(madisonLines), len(want["madison"]))
 	}
@@ -203,25 +168,12 @@ func TestBackToBackReportsThroughGatewayJournalWhatWasSent(t *testing.T) {
 func TestGatewayRelaysEachShardsReply(t *testing.T) {
 	boxes := map[string]geo.BoundingBox{"madison": geo.Madison(), "new-jersey": geo.NewBrunswickArea()}
 	offers := map[string]radio.NetworkID{"madison": radio.NetB, "new-jersey": radio.NetA}
-	var shards []ShardConfig
-	for _, name := range []string{"madison", "new-jersey"} {
-		s, err := coordinator.Serve(core.NewController(core.DefaultConfig(), boxes[name].Center()), "127.0.0.1:0",
-			coordinator.Options{Networks: []radio.NetworkID{offers[name]}, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		shards = append(shards, ShardConfig{Name: name, Addr: s.Addr(), Box: boxes[name]})
-	}
-	registry, err := NewRegistry(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
+	// A built cluster serves every shard alike, so New Jersey, tasking NetA
+	// alone, is a shard this test serves.
+	nj := serveNode(t, coordinator.Options{Networks: []radio.NetworkID{offers["new-jersey"]}, Seed: seed})
+	gw := buildCluster(t, []ShardConfig{regions[0], {Name: "new-jersey", Addr: nj.Addr(), Box: boxes["new-jersey"]}}, 0, "",
+		coordinator.Options{Networks: []radio.NetworkID{offers["madison"]}, Seed: seed},
+		GatewayOptions{Seed: seed, RecheckInterval: time.Hour}).gw
 
 	c := dialConn(t, gw.Addr())
 	for round := 0; round < 40; round++ {
@@ -279,22 +231,9 @@ func dialConn(t *testing.T, addr string) *wire.Conn {
 // in-process Send as one binary line (lead 0xB2).
 func TestOffsetTimesJournalAsReportLines(t *testing.T) {
 	box := geo.Madison()
-	dirs := map[string]string{"primary": t.TempDir(), "replica": t.TempDir()}
-	primary := startDurableShard(t, box, dirs["primary"], "", true)
-	startDurableShard(t, box, dirs["replica"], primary.ReplicationAddr(), false)
-	registry, err := NewRegistry([]ShardConfig{{Name: "madison", Addr: primary.Addr(), Box: box}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := ServeGateway(registry, "127.0.0.1:0", GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = gw.Close() })
-	waitUntil(t, 5*time.Second, "the replica to attach", func() bool {
-		status, err := dialConn(t, primary.Addr()).Call(wire.Envelope{Type: wire.TypeStatusRequest, StatusRequest: &wire.StatusRequest{}}, wire.TypeStatusReply)
-		return err == nil && len(status.StatusReply.Replicas) == 1 && status.StatusReply.Replicas[0].Connected
-	})
+	lc := buildCluster(t, regions[:1], 1, t.TempDir(), journalOpts(), GatewayOptions{Seed: seed, RecheckInterval: time.Hour})
+	gw, primary := lc.gw, lc.nodes[0][0].srv
+	dirs := map[string]string{"primary": lc.nodes[0][0].opts.DataDir, "replica": lc.nodes[0][1].opts.DataDir}
 
 	plus2 := time.FixedZone("", 2*3600)
 	var sent []trace.Sample
@@ -372,7 +311,7 @@ func TestGatewayZoneListAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	for _, zones := range []int{40, 150} {
-		gw := startZoneListCluster(t, zones)
+		gw := zoneListCluster(t, zones).gw
 		if zones > 40 {
 			for _, sh := range gw.reg.Shards() {
 				if n := zoneListLineBytes(t, sh.Addr()); n <= readerBytes {

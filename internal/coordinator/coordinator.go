@@ -59,10 +59,8 @@ type Options struct {
 	// the timer (checkpoints then only happen via CheckpointNow).
 	CheckpointInterval time.Duration
 
-	// Fsync and SegmentMaxBytes tune the store; zero values take the
-	// store's defaults.
-	Fsync           store.FsyncPolicy
-	SegmentMaxBytes int64
+	// Fsync is the store's fsync policy; zero takes the store's default.
+	Fsync store.FsyncPolicy
 
 	// Telemetry receives coordinator, store and wire metrics. Nil (the
 	// default) disables instrumentation entirely — existing library users
@@ -112,6 +110,10 @@ type Options struct {
 	// /api/v1/admin/suspend and /resume) the chaos harness uses to
 	// simulate shard death without killing the process.
 	EnableAdmin bool
+
+	// segmentMaxBytes is the store's segment size, zero for its default.
+	// Only this package's tests set it, to rotate a log in a few reports.
+	segmentMaxBytes int64
 }
 
 func (o *Options) fill() {
@@ -218,7 +220,7 @@ func Serve(ctrl *core.Controller, addr string, opts Options) (*Server, error) {
 	if opts.DataDir != "" {
 		var err error
 		st, err = store.Open(opts.DataDir, store.Options{
-			SegmentMaxBytes: opts.SegmentMaxBytes,
+			SegmentMaxBytes: opts.segmentMaxBytes,
 			Fsync:           opts.Fsync,
 			Telemetry:       opts.Telemetry,
 		})

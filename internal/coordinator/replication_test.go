@@ -71,7 +71,7 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 		opts.ServerID, opts.ReplicationAddr = id, "127.0.0.1:0"
 		opts.ReplicateFrom, opts.ForceResync = from, forceResync
 		opts.SyncReplication, opts.SyncTimeout = true, 5*time.Second
-		opts.SegmentMaxBytes = 1 << 9 // about a report a segment
+		opts.segmentMaxBytes = 1 << 9 // about a report a segment
 		return newServer(t, opts), opts.DataDir
 	}
 	attached := func(s *Server, n int) {

@@ -17,6 +17,12 @@ func Madison() BoundingBox {
 	}
 }
 
+// GridOrigin is the origin of the one zone grid served controllers cut: a
+// coordinator's, the data-dir image wiscape-replay writes for one, and every
+// shard of a cluster built in process. Shards on one origin agree on what a
+// zone ID names. It is the Madison study area's center.
+func GridOrigin() Point { return Madison().Center() }
+
 // CampRandallStadium is the UW–Madison football stadium (80,000 seats), the
 // site of the Fig. 10 latency-surge event.
 var CampRandallStadium = Point{Lat: 43.0699, Lon: -89.4124}

@@ -41,8 +41,10 @@
 // answered "reject <why>". The versions do not interoperate (see Version),
 // so a primary and its replica upgrade as a pair.
 //
-// Who checks what: the source ships a line once its frame and CRC check out
-// (store.Cursor.NextLines) and never decodes it; the replica puts every line
+// Who checks what: the source ships a line once the store's record check
+// takes it (store.Cursor.NextLines: frame, CRC, LSNs, and a record
+// store.ParseRecordLine would take), so it never ships a line its own
+// recovery counts corrupt, and it decodes none; the replica puts every line
 // through store.ParseRecordLine — frame, CRC, record, LSN — and a snapshot
 // through store.ParseCheckpointLine — stuffing, header, CRC, JSON — before
 // anything is journaled, ingested or bootstrapped, and journals the line it

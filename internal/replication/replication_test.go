@@ -292,6 +292,109 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 	}
 }
 
+// openPrimaryOn opens a store on dir, whose first segment holds seg.
+func openPrimaryOn(t *testing.T, seg []byte) *store.Store {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeDirs.Store(st, dir)
+	t.Cleanup(func() { _ = st.Close() })
+	return st
+}
+
+func TestReplicaOfAJSONSegmentTakesEveryLine(t *testing.T) {
+	// The four JSON lines of store's TestJSONSegmentRecovers, as a writer
+	// before the binary form or some other writer of the format spelled them:
+	// the third opens with its sample, not its LSN, the fourth with a space.
+	// Recovery replays all four, so the source ships all four and the
+	// replica journals all four: a replica attached from LSN 1 ends at LSN 4
+	// with its primary's log, byte for byte.
+	var seg []byte
+	for _, payload := range []string{
+		`{"lsn":1,"sample":{"t":"2010-09-06T09:00:00Z","loc":{"lat":43.07,"lon":-89.4},"net":"NetB","metric":"udp_kbps","value":900,"client":"store-test","speed_kmh":0}}`,
+		`{"lsn":2,"sample":{"t":"2010-09-06T09:01:00Z","loc":{"lat":43.07,"lon":-89.4},"net":"Net\u0042","metric":"udp_kbps","value":901,"client":"store \"test\"","speed_kmh":0}}`,
+		`{"sample":{"client":"store-test","value":902,"metric":"udp_kbps","net":"NetB","loc":{"lon":-89.4,"lat":43.07},"t":"2010-09-06T09:02:00+05:30"},"lsn":3}`,
+		` { "lsn" : 4 , "sample" : { "t" : "2010-09-06T09:03:00.5Z" , "value" : 9.03e2 , "failed" : true } } `,
+	} {
+		seg = fmt.Appendf(seg, "%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	}
+	primary := openPrimaryOn(t, seg)
+	if rec := primary.Recovery(); len(rec.Tail) != 4 || primary.LastLSN() != 4 {
+		t.Fatalf("the primary recovered %d samples to LSN %d, want 4 to 4", len(rec.Tail), primary.LastLSN())
+	}
+	src := startSource(t, primary, nil)
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "the replica to apply through LSN 4", func() bool { return r.Status().AppliedLSN == 4 })
+	if got := journalOf(t, dirOf(ap.st)); !bytes.Equal(got, seg) {
+		t.Fatalf("the replica's log differs from its primary's:\n%s\nwant\n%s", got, seg)
+	}
+}
+
+func TestEveryReaderStepsOverALineThatDoesNotDecode(t *testing.T) {
+	// A line whose CRC holds over a record that does not decode — a sample
+	// line with one byte too many — between good lines. Recovery counts it
+	// corrupt and steps over it, and so must every other reader of the log:
+	// ReadBatch, NextLines and so the source, or the replica, which refuses
+	// it, redials into the same line for ever.
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := st.Append(testSample(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := journalOf(t, dir)
+	lines := bytes.SplitAfter(good, []byte("\n"))
+	bad := frameSampleLine(append(tracetest.AppendSampleBinary(binary.AppendUvarint(nil, 2), testSample(1)), 0))
+	primary := openPrimaryOn(t, bytes.Join([][]byte{lines[0], bad, lines[1], lines[2]}, nil))
+
+	if rec := primary.Recovery(); len(rec.Tail) != 3 || rec.CorruptRecords != 1 || rec.TruncatedBytes != 0 {
+		t.Errorf("recovered %d samples, %d corrupt lines, %d bytes truncated; want 3, 1, 0", len(rec.Tail), rec.CorruptRecords, rec.TruncatedBytes)
+	}
+	if es, err := primary.ReadBatch(1, 10); err != nil || len(es) != 3 || es[0].LSN != 1 || es[2].LSN != 3 {
+		t.Errorf("ReadBatch(1) read %d records, err %v; want LSNs 1-3", len(es), err)
+	}
+	cur := primary.OpenCursor(1)
+	var shipped []byte
+	for {
+		run, n, err := cur.NextLines(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		shipped = append(shipped, run...)
+	}
+	cur.Close()
+	if !bytes.Equal(shipped, good) {
+		t.Errorf("NextLines shipped\n%q\nwant the good lines\n%q", shipped, good)
+	}
+
+	src := startSource(t, primary, nil)
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "the replica to apply through LSN 3", func() bool { return r.Status().AppliedLSN == 3 })
+	if got := journalOf(t, dirOf(ap.st)); !bytes.Equal(got, good) {
+		t.Fatalf("the replica's log is not its primary's good lines:\n%q\nwant\n%q", got, good)
+	}
+}
+
 // controllerApplier is a replica's controller: it restores a bootstrap
 // snapshot and ingests every record applied after it, as the coordinator's
 // applier does.
@@ -404,7 +507,12 @@ func TestLinesLongerThanTheReplicasReaderArriveWhole(t *testing.T) {
 // sampleLine is the sample line (lead 0xB1) of (lsn, smp), as the stores
 // before report lines wrote it.
 func sampleLine(lsn uint64, smp trace.Sample) []byte {
-	body := tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp)
+	return frameSampleLine(tracetest.AppendSampleBinary(binary.AppendUvarint(nil, lsn), smp))
+}
+
+// frameSampleLine frames body as a sample line frames it: lead byte, body
+// and its CRC stuffed, newline.
+func frameSampleLine(body []byte) []byte {
 	line := binary.LittleEndian.AppendUint32(append([]byte{0xB1}, body...), crc32.ChecksumIEEE(body))
 	return append(trace.Stuff(line, 1), '\n')
 }
@@ -437,7 +545,7 @@ func TestWarmRestartResumesFromOffset(t *testing.T) {
 func TestCompactedOffsetForcesResync(t *testing.T) {
 	// The replica asks for history the primary already compacted away; the
 	// source must answer with a snapshot, not an error or silence.
-	st := openStore(t, store.Options{SegmentMaxBytes: 512, CheckpointKeep: 1})
+	st := openStore(t, store.Options{SegmentMaxBytes: 512})
 	for i := 0; i < 40; i++ {
 		if _, err := st.Append(testSample(i)); err != nil {
 			t.Fatal(err)

@@ -152,15 +152,15 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		if _, _, ok := ParseRecordLine(nil, tc.line, nil); ok {
 			t.Errorf("%s: ParseRecordLine took %q", tc.name, tc.line)
 		}
-		if _, ok := lineHolds(&scratch.body, 4, tc.line); ok {
-			t.Errorf("%s: AppendAt would journal %q", tc.name, tc.line)
+		if _, _, ok := checkLine(&scratch.body, tc.line); ok {
+			t.Errorf("%s: the record check took %q", tc.name, tc.line)
 		}
 		if raceEnabled {
 			continue // the race detector allocates on its own
 		}
 		if allocs := testing.AllocsPerRun(10, func() {
 			ParseRecordLine(nil, tc.line, &scratch)
-			lineHolds(&scratch.body, 4, tc.line)
+			checkLine(&scratch.body, tc.line)
 		}); allocs != 0 {
 			t.Errorf("%s: refusing the line allocates %v times", tc.name, allocs)
 		}
@@ -173,33 +173,41 @@ func TestBinaryRecordRefusesMalformed(t *testing.T) {
 		"clients": frameBinary(withClient("x")),
 		"flags":   frameBinary(body(func(b []byte) []byte { b[flagAt] |= 1; return b })),
 	} {
-		_, holds := lineHolds(&scratch.body, 4, line)
+		_, _, holds := checkLine(&scratch.body, line)
 		if _, _, ok := ParseRecordLine(nil, line, nil); !ok || !holds {
 			t.Errorf("the %s helper builds a line that is refused: %q", name, line)
 		}
 	}
 }
 
+// checkLineAgrees holds the record check to the decoder on one line of any
+// form: checkLine takes exactly what ParseRecordLine takes, and reads off it
+// the LSNs it decodes to. It returns the decode.
+func checkLineAgrees(t *testing.T, line []byte) (first uint64, smps []trace.Sample, ok bool) {
+	t.Helper()
+	first, smps, ok = ParseRecordLine(nil, line, nil)
+	var scratch []byte
+	cfirst, clast, cok := checkLine(&scratch, line)
+	if cok != ok {
+		t.Fatalf("line %q: ParseRecordLine ok %v, checkLine ok %v", line, ok, cok)
+	}
+	if last := first + uint64(len(smps)) - 1; ok && (cfirst != first || clast != last) {
+		t.Fatalf("line %q: decoded as LSNs %d-%d, checked as %d-%d", line, first, last, cfirst, clast)
+	}
+	return first, smps, ok
+}
+
 // checkBinaryDecode holds one binary line to the decoder's contract: it does
-// not panic, AppendAt's check takes exactly what ParseRecordLine takes,
-// peekLSNs reads the LSNs it holds, and an accepted line is what the record
-// it decodes to re-encodes to, byte for byte.
+// not panic, the record check agrees with it (checkLineAgrees), and an
+// accepted line is what the record it decodes to re-encodes to, byte for
+// byte.
 func checkBinaryDecode(t *testing.T, line []byte) {
 	t.Helper()
-	first, smps, ok := ParseRecordLine(nil, line, nil)
-	var scratch []byte
-	last, holds := lineHolds(&scratch, first, line)
-	if holds != ok {
-		t.Fatalf("line %q: ParseRecordLine ok %v, AppendAt's check %v", line, ok, holds)
-	}
+	first, smps, ok := checkLineAgrees(t, line)
 	if !ok {
 		return
 	}
-	pfirst, plast, pok := peekLSNs(&scratch, line)
-	if wantLast := first + uint64(len(smps)) - 1; !pok || pfirst != first || plast != wantLast || last != wantLast {
-		t.Fatalf("line %q: read as LSNs %d-%d, peeked as %d-%d (ok %v), AppendAt's check ends at %d", line, first, wantLast, pfirst, plast, pok, last)
-	}
-	var again []byte
+	var scratch, again []byte
 	var err error
 	if line[0] == sampleLead {
 		again, err = appendSampleLine(nil, first, smps[0])
@@ -407,7 +415,7 @@ func TestReportLineMatchesSampleLines(t *testing.T) {
 // did not carry), then by one that writes report lines, and appended to at
 // each step — some JSON and sample lines taken through AppendAt, as a replica
 // of an older primary does — reads the same through every reader: recovery,
-// Cursor.Next, and NextLines with ParseRecordLine, each giving every LSN the
+// ReadBatch, and NextLines with ParseRecordLine, each giving every LSN the
 // sample the oracle's JSON line of it decodes to (with its time in UTC, for a
 // sample journaled in a report line), with cursors opened at every LSN,
 // inside report lines too. The JSON lines come from a test fixture: the store
@@ -545,17 +553,15 @@ func TestUpgradeAcrossFormats(t *testing.T) {
 	}
 	total := uint64(len(want))
 	for from := uint64(1); from <= total; from++ {
-		c := st.OpenCursor(from)
-		es, err := c.Next(1000)
-		c.Close()
+		es, err := st.ReadBatch(from, 1000)
 		if err != nil || uint64(len(es)) != total-from+1 {
-			t.Fatalf("Cursor.Next from %d: %d records, err %v; want %d", from, len(es), err, total-from+1)
+			t.Fatalf("ReadBatch from %d: %d records, err %v; want %d", from, len(es), err, total-from+1)
 		}
 		for i, e := range es {
 			if e.LSN != from+uint64(i) {
-				t.Fatalf("Cursor.Next from %d: LSNs %v", from, lsns(es))
+				t.Fatalf("ReadBatch from %d: LSNs %v", from, lsns(es))
 			}
-			check("Cursor.Next", e.LSN, e.Sample)
+			check("ReadBatch", e.LSN, e.Sample)
 		}
 	}
 	c := st.OpenCursor(1)

@@ -38,8 +38,6 @@ import (
 // (FuzzBinaryRecordDecode).
 
 const (
-	lsnKey = `{"lsn":` // how json.Marshal opens every JSON record (peekLSNs)
-
 	sampleLead = 0xB1 // opens a sample line; a JSON line opens with a hex digit
 	reportLead = 0xB3 // opens a report line
 	crcBytes   = 4    // the CRC closing a binary line's body
@@ -101,7 +99,7 @@ func appendReportLine(buf []byte, first uint64, clientID string, samples []trace
 // head: first, and last — first again for a sample line, first+n−1 for a
 // report of n samples. rest is the sample's or the report's bytes behind the
 // LSN. The report itself is not checked beyond its count: parseRecord and
-// lineHolds do that.
+// checkLine do that.
 func binaryLine(scratch *[]byte, line []byte) (first, last uint64, rest []byte, ok bool) {
 	if len(line) < 2 || (line[0] != sampleLead && line[0] != reportLead) ||
 		len(line) > LineCap(line[0]) || line[len(line)-1] != '\n' {

@@ -75,9 +75,8 @@ func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 	if werr == nil && !wok {
 		t.Fatalf("record %d %+v: the oracle's line %q does not parse", lsn, smp, want)
 	}
-	// peekJSON reads at most 19 digits, which is every LSN a log will reach.
-	if peeked, ok := peekJSON(want); werr == nil && lsn < 1e19 && (!ok || peeked != lsn) {
-		t.Fatalf("record %d: peekJSON(%q) = %d, ok %v", lsn, want, peeked, ok)
+	if werr == nil {
+		checkLineAgrees(t, want)
 	}
 	refused := werr != nil || wantSmp.Time.UTC().Year() < 0 || wantSmp.Time.UTC().Year() > 9999
 	prefix := []byte("in front ")
@@ -103,12 +102,8 @@ func checkEncoder(t *testing.T, lsn uint64, smp trace.Sample) {
 		t.Fatalf("record %d %+v:\n   line %q reads %d %+v, ok %v\n oracle %q reads %d %+v, in UTC",
 			lsn, smp, line, backLSN, back, ok, want, wantLSN, wantSmp)
 	}
-	var scratch []byte
-	if first, last, ok := peekLSNs(&scratch, line); !ok || first != lsn || last != lsn {
-		t.Fatalf("record %d: peekLSNs(%q) = %d-%d, ok %v", lsn, line, first, last, ok)
-	}
-	if last, ok := lineHolds(&scratch, lsn, line); !ok || last != lsn {
-		t.Fatalf("record %d: AppendAt would refuse the line %q", lsn, line)
+	if first, smps, ok := checkLineAgrees(t, line); !ok || first != lsn || len(smps) != 1 {
+		t.Fatalf("record %d: the record check reads %q as LSN %d, %d samples, ok %v", lsn, line, first, len(smps), ok)
 	}
 	if again, err := appendRecordLine(nil, backLSN, back); err != nil || !bytes.Equal(again, line) {
 		t.Fatalf("record %d: the report line does not re-encode to itself (err %v):\n got %q\nwant %q", lsn, err, again, line)
@@ -309,7 +304,11 @@ func TestJSONSegmentRecovers(t *testing.T) {
 		if err := json.Unmarshal([]byte(p), &want[i]); err != nil {
 			t.Fatalf("payload %d: %v", i, err)
 		}
-		seg = append(seg, frameLine([]byte(p))...)
+		line := frameLine([]byte(p))
+		if first, _, ok := checkLineAgrees(t, line); !ok || first != want[i].LSN {
+			t.Fatalf("payload %d: read as LSN %d, ok %v", i, first, ok)
+		}
+		seg = append(seg, line...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
 		t.Fatal(err)
@@ -367,8 +366,8 @@ func TestParseRecordLineAllocations(t *testing.T) {
 		t.Errorf("ParseRecordLine into a kept slice allocates %v times a 100-sample report line, want at most 2", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := lineHolds(&scratch.body, 7, report); !ok {
-			t.Fatal("AppendAt would refuse the report line")
+		if _, _, ok := checkLine(&scratch.body, report); !ok {
+			t.Fatal("the record check refused the report line")
 		}
 	}); allocs != 0 {
 		t.Errorf("checking a 100-sample report line allocates %v times, want 0", allocs)
@@ -414,7 +413,7 @@ func TestLongLinesThroughAScratchAllocateNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkParseRecordLine is what recovery, Cursor.Next and a replica's
+// BenchmarkParseRecordLine is what recovery, ReadBatch and a replica's
 // apply pay per line: a bench-shaped report line of 50 samples decoded into
 // a kept slice, the line the store writes for one sample, the sample line
 // stores wrote before report lines, and the JSON line of the same sample,

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,43 +30,58 @@ var ErrCompacted = errors.New("store: requested records compacted away")
 // report line, past the line's first: the line cannot be shipped whole from
 // there. A reader that applies whole lines only ever stands between them, so
 // one that asks for such a position holds another log's history, and must
-// re-bootstrap from a checkpoint as after ErrCompacted. Next has no such
+// re-bootstrap from a checkpoint as after ErrCompacted. ReadBatch has no such
 // case: it hands the line's samples from the position on.
 var ErrInsideLine = errors.New("store: position inside a report line")
 
-// ReadBatch returns up to max journaled records with LSN >= from, in LSN
-// order: a one-shot cursor. A caller that keeps reading — the replication
-// source — holds a Cursor instead, so each call costs the records it
-// returns rather than a rescan of the segment holding from.
+// ReadBatch returns up to max (default 1024) journaled records with LSN >=
+// from, in LSN order: a one-shot cursor. A caller that keeps reading — the
+// replication source — holds a Cursor instead, and reads whole lines with
+// NextLines, so each call costs the lines it returns rather than a rescan of
+// the segment holding from.
 //
 //   - An empty batch with a nil error means the reader is caught up (from is
 //     past the newest record); poll again after more appends.
 //   - ErrCompacted means from predates the oldest retained record; the
 //     caller must restart from a snapshot.
+//
+// A failure met after some records were read is held back: the partial
+// batch is returned.
 func (st *Store) ReadBatch(from uint64, max int) ([]Entry, error) {
+	if max <= 0 {
+		max = 1024
+	}
 	c := st.OpenCursor(from)
 	defer c.Close()
-	return c.Next(max)
+	var out []Entry
+	err := c.read(max, func(lsn uint64, smp *trace.Sample) {
+		if out == nil {
+			out = make([]Entry, 0, max) // sized once, at the first record: a caught-up call allocates nothing
+		}
+		out = append(out, Entry{LSN: lsn, Sample: *smp})
+	})
+	if len(out) > 0 {
+		return out, nil
+	}
+	return nil, err
 }
 
 // Cursor is a positioned log reader: it keeps the segment it is reading
-// open, with the byte offset of the first unread line, so Next touches only
-// what was journaled since the previous call. It is safe to use while
+// open, with the byte offset of the first unread line, so NextLines touches
+// only what was journaled since the previous call. It is safe to use while
 // appends, rotations, compactions and ResetTo are in flight, but a Cursor
 // itself belongs to one goroutine.
 //
-// Consistency under concurrency: a record is one line whose CRC is validated
+// Consistency under concurrency: a record is one line that passes checkLine
 // before any of it is returned, and only whole lines are consumed, so a read
 // racing an in-flight append sees the whole record or waits at the torn
-// tail — never a phantom record. Next may stop part way through a report
-// line; the cursor then stands at the line's start, and its next call reads
-// the line again and hands on from the first sample not yet returned.
-// Whenever compaction deletes segments the cursor drops its handle and
-// positions afresh by LSN, which is where a range that went away surfaces as
-// ErrCompacted; a deleted segment's inode is therefore pinned only until the
-// cursor's next call. A cursor reads the history the log held when it was
-// opened: once ResetTo has replaced it, deleting every segment, each call
-// returns ErrCompacted, wherever the cursor stands.
+// tail — never a phantom record. Whenever compaction deletes segments the
+// cursor drops its handle and positions afresh by LSN, which is where a range
+// that went away surfaces as ErrCompacted; a deleted segment's inode is
+// therefore pinned only until the cursor's next call. A cursor reads the
+// history the log held when it was opened: once ResetTo has replaced it,
+// deleting every segment, each call returns ErrCompacted, wherever the cursor
+// stands.
 type Cursor struct {
 	st     *Store
 	next   uint64 // lowest LSN not yet returned
@@ -77,17 +91,16 @@ type Cursor struct {
 	f        *os.File // segment being read; nil when not positioned
 	first    uint64   // its first LSN
 	off      int64    // file offset of buf[r], the first unread byte
-	end      int64    // file offset just past the last record Next returned from f
+	end      int64    // file offset just past the last record read from f
 	buf      []byte   // buf[r:w] holds unread file bytes, whole lines or not
 	r, w     int
 	skipping bool // inside a line over its cap, discarding through its newline
 
-	body []byte         // a binary line's body, unstuffed; kept across lines
-	smps []trace.Sample // a line's samples, decoded; kept across lines
+	body []byte // a binary line's body, unstuffed; kept across lines
 
-	// Invalid lines Next has stepped over: bad counts those a record or the
-	// end of a sealed segment has since followed; run, those since f's last
-	// record, which a record or leaving f adds to bad.
+	// Invalid lines the cursor has stepped over: bad counts those a record
+	// or the end of a sealed segment has since followed; run, those since
+	// f's last record, which a record or leaving f adds to bad.
 	bad, run int
 }
 
@@ -95,9 +108,9 @@ type Cursor struct {
 // cap of the line's kind, see LineCap) only for a line that does not fit.
 const cursorBufBytes = 64 << 10
 
-// OpenCursor returns a cursor on the log's current history whose first Next
+// OpenCursor returns a cursor on the log's current history whose first read
 // yields the records with LSN >= from (0 means 1). It does no I/O; Close
-// releases the segment handle a later Next acquires.
+// releases the segment handle a later read acquires.
 func (st *Store) OpenCursor(from uint64) *Cursor {
 	c := &Cursor{st: st, resets: st.Resets()}
 	c.Seek(from)
@@ -123,69 +136,48 @@ func (c *Cursor) Close() {
 	}
 }
 
-// Next returns up to max (default 1024) records past the last one returned,
-// in LSN order. An empty batch with a nil error means caught up; call again
-// after more appends. ErrCompacted means the next LSN predates the oldest
-// retained record, or ResetTo has replaced the history the cursor reads:
-// restart from a snapshot with a new cursor.
+// NextLines returns up to max whole lines past the last record returned, in
+// LSN order and exactly as journaled, n of them end to end in run: a reader
+// that ships records instead of reading them. Each is a record by checkLine,
+// and is decoded wherever it ends up, by ParseRecordLine, which takes exactly
+// the lines checkLine takes.
 //
-// Complete lines that fail validation are skipped (recovery's rule). An
+// Complete lines that fail the check are skipped (recovery's rule). An
 // unterminated tail in the active segment is an append in flight and is never
 // stepped over; in a sealed segment it is a torn write nothing will complete,
-// counted invalid when the cursor moves on. A failure met after some records
-// were read is held back: the partial batch is returned and the next call
-// meets the failure again.
-func (c *Cursor) Next(max int) ([]Entry, error) {
-	if max <= 0 {
-		max = 1024
-	}
-	var out []Entry
-	_, err := c.each(max, func(lsn uint64, smp *trace.Sample) {
-		if out == nil {
-			out = make([]Entry, 0, max) // sized once, at the first record: a caught-up call allocates nothing
-		}
-		out = append(out, Entry{LSN: lsn, Sample: *smp})
-	})
-	if len(out) > 0 {
-		return out, nil
-	}
-	return nil, err
-}
-
-// each is Next handing its records to emit instead, and reporting how many it
-// handed: *smp is the cursor's, valid until emit returns.
-func (c *Cursor) each(max int, emit func(lsn uint64, smp *trace.Sample)) (n int, err error) {
-	err = c.walk(func() (bool, error) {
-		k, err := c.scan(max-n, emit)
-		n += k
-		return n >= max, err
-	})
-	return n, err
-}
-
-// NextLines is Next for a reader that ships records instead of reading
-// them: up to max whole lines past the last record returned, in LSN order
-// and exactly as journaled, n of them end to end in run. Each has had its
-// frame and CRC checked and its LSNs read off the head of its record — the
-// varint behind a binary line's lead byte, and a report line's sample count
-// behind its client id; the `{"lsn":N,` a JSON one opens with — and the
-// samples behind that are not looked at: ParseRecordLine does that, wherever
-// the line ends up being decoded. What Next skips, NextLines skips, and it
-// waits and fails where Next does, and with ErrInsideLine where Next would
-// hand on part of a report line. (The one other difference is a line no
-// version of this package wrote: a good CRC over a JSON record that does not
-// open with its LSN is skipped here and decoded by Next; one over samples
-// that do not decode is returned here and skipped by Next, for the decoding
-// end to refuse.)
+// counted invalid when the cursor moves on. ErrCompacted means the next LSN
+// predates the oldest retained record, or ResetTo has replaced the history
+// the cursor reads, and ErrInsideLine that it falls inside a report line:
+// restart from a snapshot with a new cursor.
 //
 // run is a view of the cursor's buffer, valid until the cursor's next call.
 // It therefore ends where the buffered bytes do, or at a line to be skipped,
 // if that comes before max: only an empty run means caught up.
 func (c *Cursor) NextLines(max int) (run []byte, n int, err error) {
 	err = c.walk(func() (bool, error) {
-		var err error
-		run, n, err = c.scanLines(max)
-		return n > 0, err
+		var start, end int
+		for n < max {
+			// Past the run's first line nothing is read in, because fill
+			// moves what is in buf.
+			line, first, last, ok, err := c.step(n == 0)
+			if err != nil {
+				return false, err // only fill fails, and a run in hand rules fill out
+			}
+			if !ok || n > 0 && (c.r != end || first < c.next) {
+				break // a line stepped over, or one the position falls inside, ends the run
+			}
+			if first < c.next {
+				return false, ErrInsideLine
+			}
+			if n == 0 {
+				start = c.r
+			}
+			c.take(line, last)
+			n++
+			end = c.r
+		}
+		run = c.buf[start:end]
+		return n > 0, nil
 	})
 	return run, n, err
 }
@@ -193,6 +185,37 @@ func (c *Cursor) NextLines(max int) (run []byte, n int, err error) {
 // Position returns the lowest LSN the cursor has not yet returned: one past
 // the last record read, or where it was opened.
 func (c *Cursor) Position() uint64 { return c.next }
+
+// read is the decoding read ReadBatch and recovery share: it hands emit, in
+// LSN order, up to max of the samples with LSN >= c.next, decoding each
+// record the scan steps to, and stops early where NextLines would. *smp is
+// valid until emit returns. Stopping inside a report line leaves the line
+// unread and the position inside it, where the next read picks up.
+func (c *Cursor) read(max int, emit func(lsn uint64, smp *trace.Sample)) error {
+	var smps []trace.Sample // a line's samples, decoded; kept across lines
+	n := 0
+	return c.walk(func() (bool, error) {
+		for n < max {
+			line, first, last, ok, err := c.step(true)
+			if err != nil || !ok {
+				return false, err
+			}
+			_, smps, _ = parseRecord(&c.body, smps[:0], line) // checkLine took it: it decodes
+			skip := int(c.next - min(first, c.next))
+			take := min(len(smps)-skip, max-n)
+			for i := skip; i < skip+take; i++ {
+				emit(first+uint64(i), &smps[i])
+			}
+			n += take
+			if skip+take < len(smps) {
+				c.next = first + uint64(skip+take)
+				break
+			}
+			c.take(line, last)
+		}
+		return true, nil
+	})
+}
 
 // walk runs scan over the segment the cursor is in and then each later one,
 // until scan is done, the active segment has no more to give, or there is
@@ -269,102 +292,44 @@ func (c *Cursor) seek() (moved bool, err error) {
 	return true, nil
 }
 
-// scan hands emit, in LSN order, up to max of the samples with LSN >= c.next
-// from the lines of the segment, and reports how many it handed. It stops
-// early when the segment has no further complete line, and part way through a
-// report line when max is reached, stepping back to the line's start.
-func (c *Cursor) scan(max int, emit func(lsn uint64, smp *trace.Sample)) (int, error) {
-	n := 0
-	for n < max {
-		line, ok, err := c.line(true)
-		if err != nil || !ok {
-			return n, err
+// step is the cursor's one scan step: it moves to the next record to hand
+// on — a whole line checkLine takes, holding an LSN >= c.next — and returns
+// it with its LSNs, unread, at buf[c.r:], for take to consume. The lines
+// before it are consumed: one checkLine refuses is counted invalid, a record
+// wholly before c.next is passed over. ok is false when no further whole line
+// is to be had: the segment has none (it may end in a partial one), or buf has
+// none and refill is false.
+func (c *Cursor) step(refill bool) (line []byte, first, last uint64, ok bool, err error) {
+	for {
+		if line, ok, err = c.line(refill); err != nil || !ok {
+			return nil, 0, 0, false, err
 		}
-		// Positioning on a mid-segment LSN walks every earlier line, so those
-		// are told by their LSNs alone (see peekLSNs); what is returned
-		// always takes the validating path.
-		if _, last, ok := peekLSNs(&c.body, line); ok && last < c.next {
-			continue
+		if first, last, ok = checkLine(&c.body, line); ok && last >= c.next {
+			return line, first, last, true, nil
 		}
-		first, smps, ok := parseRecord(&c.body, c.smps[:0], line)
-		c.smps = smps
+		c.consume(len(line))
 		if !ok {
 			c.run++
-			continue
 		}
-		last := first + uint64(len(smps)) - 1
-		if last < c.next {
-			continue
-		}
-		skip := 0
-		if first < c.next {
-			skip = int(c.next - first)
-		}
-		take := min(len(smps)-skip, max-n)
-		for i := skip; i < skip+take; i++ {
-			emit(first+uint64(i), &smps[i])
-		}
-		n += take
-		c.bad, c.run = c.bad+c.run, 0
-		if skip+take < len(smps) {
-			c.next = first + uint64(skip+take)
-			c.r -= len(line)
-			c.off -= int64(len(line))
-			return n, nil
-		}
-		c.next, c.end = last+1, c.off
 	}
-	return n, nil
 }
 
-// scanLines consumes up to max consecutive lines with a good frame, CRC and
-// LSNs >= c.next, and returns them where they lie in buf. Lines to be
-// skipped are stepped over ahead of the run; the first one after it has
-// begun ends it, and so does running out of buffered bytes, because fill
-// moves what is in buf. A line c.next falls inside of ends the run unread,
-// and is ErrInsideLine if the run holds nothing.
-func (c *Cursor) scanLines(max int) (run []byte, n int, err error) {
-	var start, end int
-	for n < max {
-		line, ok, err := c.line(n == 0)
-		if err != nil {
-			return nil, 0, err // only fill fails, and a run in hand rules fill out
-		}
-		if !ok {
-			break
-		}
-		first, last, ok := peekLSNs(&c.body, line)
-		if ok && last >= c.next && line[0] != sampleLead && line[0] != reportLead { // a binary line's peek checked its CRC
-			_, ok = linePayload(line)
-		}
-		if ok && first < c.next && c.next <= last {
-			c.r -= len(line)
-			c.off -= int64(len(line))
-			if n == 0 {
-				return nil, 0, ErrInsideLine
-			}
-			break
-		}
-		if !ok || last < c.next {
-			if n > 0 {
-				break
-			}
-			continue
-		}
-		if n == 0 {
-			start = c.r - len(line)
-		}
-		n++
-		end = c.r
-		c.next = last + 1
-	}
-	return c.buf[start:end], n, nil
+// take consumes line, the record step returned, read through last.
+func (c *Cursor) take(line []byte, last uint64) {
+	c.consume(len(line))
+	c.next, c.end = last+1, c.off
+	c.bad, c.run = c.bad+c.run, 0
 }
 
-// line consumes and returns the next whole line within its cap. With
-// none buffered it reads more of the segment in, if refill allows. ok is
-// false when no further whole line is to be had: the segment has none (it
-// may end in a partial one), or buf has none and refill is false.
+// consume steps over the next n buffered bytes.
+func (c *Cursor) consume(n int) {
+	c.r += n
+	c.off += int64(n)
+}
+
+// line returns the next whole line within its cap, unread. With none
+// buffered it reads more of the segment in, if refill allows. ok is false
+// when no further whole line is to be had.
 func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
 	for {
 		i := bytes.IndexByte(c.buf[c.r:c.w], '\n')
@@ -382,15 +347,13 @@ func (c *Cursor) line(refill bool) (line []byte, ok bool, err error) {
 			}
 			continue
 		}
-		line = c.buf[c.r : c.r+i+1]
-		c.r += i + 1
-		c.off += int64(i + 1)
 		if c.skipping {
 			c.skipping = false
+			c.consume(i + 1)
 			c.run++
 			continue
 		}
-		return line, true, nil
+		return c.buf[c.r : c.r+i+1], true, nil
 	}
 }
 
@@ -413,40 +376,6 @@ func (c *Cursor) fill() (bool, error) {
 	return false, err
 }
 
-// peekLSNs reads a line's LSNs off it — first, and last, first+n−1 for a
-// report of n samples — without decoding its samples. A binary line's LSNs
-// are read once its frame and CRC check out: a damaged varint is another
-// varint, where a damaged JSON digit is no digit, and a damaged LSN read as
-// an earlier one would have the cursor pass over a corrupt line uncounted. A
-// JSON line's is read by peekJSON, with nothing else about it validated.
-func peekLSNs(scratch *[]byte, line []byte) (first, last uint64, ok bool) {
-	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
-		first, last, _, ok = binaryLine(scratch, line)
-		return first, last, ok
-	}
-	first, ok = peekJSON(line)
-	return first, first, ok
-}
-
-// peekJSON reads the LSN off a JSON line as `crc32hex {"lsn":N,` — how the
-// JSON encoder starts every record.
-func peekJSON(line []byte) (uint64, bool) {
-	const head = 9 + len(lsnKey) // CRC, space, key
-	if len(line) < head || line[8] != ' ' || string(line[9:head]) != lsnKey {
-		return 0, false
-	}
-	var n uint64
-	i := head
-	for ; i < len(line) && line[i] >= '0' && line[i] <= '9'; i++ {
-		n = n*10 + uint64(line[i]-'0')
-	}
-	// At most 19 digits: no uint64 overflow to reason about.
-	if i == head || i-head > 19 || i == len(line) || line[i] != ',' {
-		return 0, false
-	}
-	return n, true
-}
-
 // AppendAt journals line — the whole WAL line whose first LSN is lsn, as
 // another store wrote it and ParseRecordLine passed it — as this log's next
 // record: the replica-side write path. A report line takes the LSNs of all
@@ -457,19 +386,18 @@ func peekJSON(line []byte) (uint64, bool) {
 // forward gaps are allowed and survive recovery, which keys off per-record
 // LSNs).
 //
-// The line is checked again for what can be checked without decoding it a
-// second time — frame, cap, CRC, that it opens with lsn, and well-formed JSON
-// or a well-formed binary sample or report — so a view that went stale
-// between the caller's parse and this call is refused, not journaled. A
-// refused line leaves the log untouched. A binary line is unstuffed for the
-// check into scratch, the one the caller parsed it through (a nil scratch: a
-// buffer of its own).
+// The line is checked again, by the record check the log's readers go by
+// (checkLine: frame, cap, CRC, a record ParseRecordLine would take) and for
+// lsn as its first LSN, so a view that went stale between the caller's parse
+// and this call is refused, not journaled. A refused line leaves the log
+// untouched. A binary line is unstuffed for the check into scratch, the one
+// the caller parsed it through (a nil scratch: a buffer of its own).
 func (st *Store) AppendAt(lsn uint64, line []byte, scratch *Scratch) error {
 	if scratch == nil {
 		scratch = new(Scratch)
 	}
-	last, ok := lineHolds(&scratch.body, lsn, line) // the line is checked outside the lock: it is the caller's alone
-	if !ok {
+	first, last, ok := checkLine(&scratch.body, line) // the line is checked outside the lock: it is the caller's alone
+	if !ok || first != lsn {
 		return fmt.Errorf("store: AppendAt %d: not a valid WAL line for that LSN", lsn)
 	}
 	st.mu.Lock()
@@ -487,30 +415,10 @@ func (st *Store) AppendAt(lsn uint64, line []byte, scratch *Scratch) error {
 	return nil
 }
 
-// lineHolds reports whether line is a well-formed WAL line whose first LSN
-// is lsn, and returns its last. A binary line is unstuffed into *scratch, and
-// costs no allocation once that has grown to hold it.
-func lineHolds(scratch *[]byte, lsn uint64, line []byte) (last uint64, ok bool) {
-	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
-		first, last, rest, ok := binaryLine(scratch, line)
-		if !ok || first != lsn {
-			return 0, false
-		}
-		if line[0] == sampleLead {
-			return last, trace.ValidSampleBinary(rest)
-		}
-		_, ok = trace.ValidReportBinary(rest)
-		return last, ok
-	}
-	payload, ok := linePayload(line)
-	got, peeked := peekJSON(line)
-	return lsn, ok && peeked && got == lsn && json.Valid(payload)
-}
-
 // CheckpointAt atomically persists snap as the newest checkpoint, covering
 // records up to and including lsn, then compacts: WAL segments wholly
 // covered by the oldest retained checkpoint and checkpoints beyond
-// CheckpointKeep are deleted. The caller names the log position the
+// the three newest are deleted. The caller names the log position the
 // snapshot was captured at: the coordinator's consistent-capture LSN, or
 // LastLSN for a single writer with nothing appending meanwhile. The
 // snapshot is encoded before the store's mutex is taken, so a report

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -95,10 +96,10 @@ func TestReadBatchFromMidSegmentOffset(t *testing.T) {
 }
 
 func TestReadBatchCompactedHistory(t *testing.T) {
-	// Small segments + CheckpointKeep 1 makes compaction aggressive: after
+	// Small segments + checkpointKeep 1 makes compaction aggressive: after
 	// a checkpoint covering everything, early segments are deleted and a
 	// reader asking for LSN 1 must get ErrCompacted — not silence.
-	st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 512, CheckpointKeep: 1})
+	st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 512, checkpointKeep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 	// The reader must see every LSN exactly once and in order; the only
 	// legal way past a record is ErrCompacted and a restart from the
 	// checkpoint. Each reader runs stateless (ReadBatch) and as the
-	// long-lived cursor a replica stream holds.
+	// long-lived cursor a replica stream holds (NextLines).
 	for _, tc := range []struct {
 		name            string
 		cursor          bool
@@ -148,7 +149,7 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 		{"CursorTailsLiveAppender", true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 256, CheckpointKeep: 1})
+			st, err := Open(t.TempDir(), Options{SegmentMaxBytes: 256, checkpointKeep: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 			defer func() { cur.Close() }()
 			read := func() ([]Entry, error) {
 				if tc.cursor {
-					return cur.Next(16)
+					return readLines(cur, 16)
 				}
 				return st.ReadBatch(from, 16)
 			}
@@ -254,7 +255,7 @@ func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
 	}
 	readsThrough := func(after string, want uint64) {
 		t.Helper()
-		es, err := cur.Next(0)
+		es, err := readLines(cur, 1024)
 		if err != nil || len(es) == 0 || es[len(es)-1].LSN != want {
 			t.Fatalf("after %s the cursor read %v (%v), want through LSN %d", after, lsns(es), err, want)
 		}
@@ -289,7 +290,7 @@ func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	woken("ResetTo", true)
-	if _, err := cur.Next(0); !errors.Is(err, ErrCompacted) {
+	if _, _, err := cur.NextLines(1); !errors.Is(err, ErrCompacted) {
 		t.Fatalf("after ResetTo the cursor read %v, want ErrCompacted", err)
 	}
 	st.Unwatch(wake)
@@ -410,10 +411,10 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 				line []byte
 			}{"a report line filed under its second LSN", 5, good})
 		}
+		reframe := func(payload string) []byte { // a good frame and CRC around any payload
+			return append(fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE([]byte(payload))), payload+"\n"...)
+		}
 		if form.name == "JSON" {
-			reframe := func(payload string) []byte { // a good frame and CRC around any payload
-				return append(fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE([]byte(payload))), payload+"\n"...)
-			}
 			payload := string(good[9 : len(good)-1])
 			cases = append(cases, []struct {
 				name string
@@ -422,11 +423,12 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 			}{
 				{"a good CRC over truncated JSON", 4, reframe(payload[:len(payload)-1])},
 				{"a good CRC over no JSON at all", 4, reframe("not a record")},
-				{"an LSN key that is not the first", 4, reframe(`{"sample":{},"lsn":4}`)},
+				{"a good CRC over a record of the wrong LSN", 4, reframe(`{"sample":{},"lsn":5}`)},
 				{"a line past the cap", 4, reframe(`{"lsn":4,"sample":{"client":"` + strings.Repeat("x", MaxLineBytes) + `"}}`)},
 			}...)
 		} // the binary form's malformed lines: TestBinaryRecordRefusesMalformed
 		for _, tc := range cases {
+			checkLineAgrees(t, tc.line)
 			before, err := os.ReadFile(st.segName(1))
 			if err != nil {
 				t.Fatal(err)
@@ -449,9 +451,24 @@ func TestAppendAtRefusesWhatItCannotVouchFor(t *testing.T) {
 		if form.name == "report" {
 			held = 3
 		}
+		if form.name == "JSON" {
+			// A record whose LSN key is not the first: json.Unmarshal takes
+			// it, and so recovery replays it.
+			smp, err := json.Marshal(testSample(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.AppendAt(5, reframe(`{"sample":`+string(smp)+`,"lsn":5}`), nil); err != nil {
+				t.Fatalf("a JSON line whose LSN key is not the first: %v", err)
+			}
+			held++
+		}
 		got := readAll(t, st, 1, 10)
 		if len(got) != 3+held || got[3].LSN != 4 || !sampleEqual(got[3].Sample, testSample(3)) || st.LastLSN() != uint64(3+held) {
 			t.Fatalf("%s: log after the refusals: %v, last LSN %d", form.name, lsns(got), st.LastLSN())
+		}
+		if form.name == "JSON" && (got[4].LSN != 5 || !sampleEqual(got[4].Sample, testSample(4))) {
+			t.Fatalf("JSON: the line whose LSN key is not the first reads as %d %+v", got[4].LSN, got[4].Sample)
 		}
 	}
 }
@@ -525,25 +542,28 @@ func oracleReadBatch(dir string, from uint64, max int, wholeLines bool) ([]Entry
 	return out, nil
 }
 
-// TestCursorMatchesStatelessScan drives two long-lived cursors — one read
-// with Next, one with NextLines — and the stateless oracle through seeded
-// schedules of everything that can happen to a log — appends of reports of
-// one sample or several, AppendAt of report lines with forward gaps,
-// rotation at a tiny segment size, checkpoints that compact, ResetTo in both
-// directions, cursors reopened at any LSN, inside report lines too, and by
-// hand a torn tail and a corrupt line — and requires the same batches (the
-// raw lines decoded) and the same ErrCompacted and ErrInsideLine verdicts at
-// every read, with ErrCompacted for every read of a cursor opened before the
-// last ResetTo. Next reads at most max samples, so it often stops part way
-// through a report line and picks up there; NextLines reads whole lines.
+// TestCursorMatchesStatelessScan drives two readers — ReadBatch at the
+// reader's position, and a long-lived cursor read with NextLines — and the
+// stateless oracle through seeded schedules of everything that can happen to
+// a log — appends of reports of one sample or several, AppendAt of report
+// lines with forward gaps, rotation at a tiny segment size, checkpoints that
+// compact, ResetTo in both directions, readers reopened at any LSN, inside
+// report lines too, and by hand a torn tail and a corrupt line — and requires
+// the same batches (the raw lines decoded) and the same ErrCompacted and
+// ErrInsideLine verdicts at every read, with ErrCompacted for every read of a
+// cursor opened before the last ResetTo. ReadBatch reads at most max
+// samples, so it often stops part way through a report line, and is often
+// asked to start inside one; NextLines reads whole lines.
 //
-// Mutants of the raw read this must catch, each tried by hand: no CRC check
-// in scanLines; a run carried across a fill (line(true) throughout); line
-// dropping a partial tail at EOF instead of waiting for the rest of it.
-// Mutants of the report line's reading: scan not stepping back to the line's
-// start when it stops part way through (the rest of the line is lost), or
-// stepping back without moving next (the line's first samples repeat);
-// scanLines shipping a line its position falls inside.
+// Mutants of the scan this must catch, each tried by hand: a run carried
+// across a fill (step(true) throughout); line dropping a partial tail at EOF
+// instead of waiting for the rest of it; NextLines shipping a line its
+// position falls inside; the decoding read handing a line's samples before
+// the position. (A check that takes a CRC-good line whose record does not
+// decode is caught by TestBinaryRecordRefusesMalformed and, across a
+// replica, by the replication package's
+// TestEveryReaderStepsOverALineThatDoesNotDecode: the schedule writes no
+// such line.)
 func TestCursorMatchesStatelessScan(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		if err := runCursorSchedule(t.TempDir(), seed); err != nil {
@@ -567,7 +587,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 	r := rng.NewNamed(seed, "cursor-schedule")
 	st, err := Open(dir, Options{
 		SegmentMaxBytes: int64(200 + r.Intn(1200)), // 1 to ~6 records a segment
-		CheckpointKeep:  1 + r.Intn(2),
+		checkpointKeep:  1 + r.Intn(2),
 	})
 	if err != nil {
 		return err
@@ -591,39 +611,34 @@ func runCursorSchedule(dir string, seed uint64) error {
 
 	// The two readers and the LSN each wants next.
 	type reader struct {
-		name  string
-		lines bool // NextLines, whole lines; else Next, samples
-		cur   *Cursor
-		pos   uint64
+		name string
+		cur  *Cursor // NextLines', whole lines; nil for ReadBatch, samples
+		pos  uint64
 	}
-	readers := []*reader{{name: "Next"}, {name: "NextLines", lines: true}}
-	for _, rd := range readers {
-		rd.pos = 1
-		rd.cur = st.OpenCursor(1)
-	}
-	defer func() {
-		for _, rd := range readers {
-			rd.cur.Close()
-		}
-	}()
+	readers := []*reader{{name: "ReadBatch", pos: 1}, {name: "NextLines", cur: st.OpenCursor(1), pos: 1}}
+	lines := readers[1]
+	defer func() { lines.cur.Close() }()
 	reopen := func(rd *reader, pos uint64) {
-		rd.cur.Close()
-		rd.cur, rd.pos = st.OpenCursor(pos), pos
+		if rd.cur != nil {
+			rd.cur.Close()
+			rd.cur = st.OpenCursor(pos)
+		}
+		rd.pos = pos
 	}
 	reads := 0
 	compare := func(rd *reader, max int) (moved bool, err error) {
 		reads++
-		want, werr := oracleReadBatch(dir, rd.pos, max, rd.lines)
-		if rd.cur.Resets() != st.Resets() {
+		want, werr := oracleReadBatch(dir, rd.pos, max, rd.cur != nil)
+		if rd.cur != nil && rd.cur.Resets() != st.Resets() {
 			// A reset since the cursor opened: the log it reads is gone.
 			want, werr = nil, ErrCompacted
 		}
 		var got []Entry
 		var gerr error
-		if rd.lines {
+		if rd.cur != nil {
 			got, gerr = readLines(rd.cur, max)
 		} else {
-			got, gerr = rd.cur.Next(max)
+			got, gerr = st.ReadBatch(rd.pos, max)
 		}
 		if (gerr != nil || werr != nil) && !(errors.Is(gerr, ErrCompacted) && errors.Is(werr, ErrCompacted)) &&
 			!(errors.Is(gerr, ErrInsideLine) && errors.Is(werr, ErrInsideLine)) {
@@ -649,7 +664,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 		} else if len(got) > 0 {
 			rd.pos = got[len(got)-1].LSN + 1
 		}
-		if rd.cur.Position() != rd.pos {
+		if rd.cur != nil && rd.cur.Position() != rd.pos {
 			return false, fmt.Errorf("read %d: %s position %d, want %d", reads, rd.name, rd.cur.Position(), rd.pos)
 		}
 		return rd.pos != before, nil
@@ -726,8 +741,8 @@ func runCursorSchedule(dir string, seed uint64) error {
 
 // readLines reads up to max lines through NextLines, as entries: runs until
 // max lines or an empty one, every line put through the validating parser
-// while its run is still valid, a failure after some lines held back as Next
-// holds it.
+// while its run is still valid, a failure after some lines held back as
+// ReadBatch holds it.
 func readLines(c *Cursor, max int) ([]Entry, error) {
 	var out []Entry
 	for lines := 0; lines < max; {
@@ -788,21 +803,27 @@ func tailStore(tb testing.TB, n int) *Store {
 }
 
 func TestCursorNextCostIndependentOfLogSize(t *testing.T) {
-	// The point of the cursor: Next pays for the records it returns, not for
-	// the log behind them. Allocations are the measure that repeats exactly.
+	// The point of the cursor: NextLines pays for the lines it returns, not
+	// for the log behind them. Allocations are the measure that repeats
+	// exactly.
 	const runs = 5 // AllocsPerRun calls once more, to warm up
 	measure := func(n int) (caughtUp, batch float64) {
 		st := tailStore(t, n+100*(runs+1))
 		c := st.OpenCursor(uint64(n + 1))
 		defer c.Close()
 		batch = testing.AllocsPerRun(runs, func() {
-			if es, err := c.Next(100); err != nil || len(es) != 100 {
-				t.Fatalf("Next(100) %d records deep: %d records, err %v", n, len(es), err)
+			// A run ends where the buffered bytes do: 100 lines can take two.
+			for got := 0; got < 100; {
+				_, k, err := c.NextLines(100 - got)
+				if err != nil || k == 0 {
+					t.Fatalf("NextLines %d records deep: %d of 100 lines, err %v", n, got, err)
+				}
+				got += k
 			}
 		})
 		caughtUp = testing.AllocsPerRun(runs, func() {
-			if es, err := c.Next(100); err != nil || len(es) != 0 {
-				t.Fatalf("caught-up Next: %d records, err %v", len(es), err)
+			if _, k, err := c.NextLines(100); err != nil || k != 0 {
+				t.Fatalf("caught-up NextLines: %d lines, err %v", k, err)
 			}
 		})
 		return caughtUp, batch
@@ -810,10 +831,10 @@ func TestCursorNextCostIndependentOfLogSize(t *testing.T) {
 	idleSmall, batchSmall := measure(1000)
 	idleLarge, batchLarge := measure(20000)
 	if idleSmall != 0 || idleLarge != 0 {
-		t.Errorf("caught-up Next allocates: %v at 1000 records, %v at 20000; want 0", idleSmall, idleLarge)
+		t.Errorf("caught-up NextLines allocates: %v at 1000 records, %v at 20000; want 0", idleSmall, idleLarge)
 	}
 	if batchSmall != batchLarge {
-		t.Errorf("Next(100) allocations grow with the log: %v at 1000 records, %v at 20000", batchSmall, batchLarge)
+		t.Errorf("100 lines' allocations grow with the log: %v at 1000 records, %v at 20000", batchSmall, batchLarge)
 	}
 }
 
@@ -877,7 +898,7 @@ func TestCursorSkipsOversizedLine(t *testing.T) {
 	st := tailStore(t, 3)
 	c := st.OpenCursor(1)
 	defer c.Close()
-	if es, err := c.Next(10); err != nil || len(es) != 3 {
+	if es, err := readLines(c, 10); err != nil || len(es) != 3 {
 		t.Fatalf("before the damage: %d records, err %v", len(es), err)
 	}
 	huge := make([]byte, MaxLineBytes+4096)
@@ -891,7 +912,7 @@ func TestCursorSkipsOversizedLine(t *testing.T) {
 		}
 	}
 	write(huge)
-	if es, err := c.Next(10); err != nil || len(es) != 0 {
+	if es, err := readLines(c, 10); err != nil || len(es) != 0 {
 		t.Fatalf("unterminated oversized tail: %d records, err %v; want to wait", len(es), err)
 	}
 	if len(c.buf) > MaxLineBytes {
@@ -899,7 +920,7 @@ func TestCursorSkipsOversizedLine(t *testing.T) {
 	}
 	write([]byte("\n"))
 	appendN(t, st, 3, 2)
-	es, err := c.Next(10)
+	es, err := readLines(c, 10)
 	if err != nil || len(es) != 2 || es[0].LSN != 4 || es[1].LSN != 5 {
 		t.Fatalf("past the oversized line: %v, err %v; want LSNs 4 5", lsns(es), err)
 	}
@@ -917,42 +938,33 @@ func BenchmarkCursorTail(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if es, err := c.Next(256); err != nil || len(es) != 0 {
-				b.Fatalf("%d records, err %v", len(es), err)
+			if _, n, err := c.NextLines(256); err != nil || n != 0 {
+				b.Fatalf("%d lines, err %v", n, err)
 			}
 		}
 	})
-	// The same 100 records decoded (Next) and as journaled (NextLines, what
-	// the replication source ships).
-	for _, read := range []struct {
-		name string
-		do   func(c *Cursor) (int, error)
-	}{
-		{"next-100", func(c *Cursor) (int, error) { es, err := c.Next(100); return len(es), err }},
-		{"lines-100", func(c *Cursor) (int, error) { _, n, err := c.NextLines(100); return n, err }},
-	} {
-		b.Run(read.name, func(b *testing.B) {
-			st := tailStore(b, depth+100)
-			c := st.OpenCursor(depth)
-			defer c.Close()
-			if es, err := c.Next(1); err != nil || len(es) != 1 {
-				b.Fatalf("positioning on the last 100: %d records, err %v", len(es), err)
+	// The last 100 records as journaled: what the replication source ships.
+	b.Run("lines-100", func(b *testing.B) {
+		st := tailStore(b, depth+100)
+		c := st.OpenCursor(depth)
+		defer c.Close()
+		if _, n, err := c.NextLines(1); err != nil || n != 1 {
+			b.Fatalf("positioning on the last 100: %d lines, err %v", n, err)
+		}
+		// Every iteration re-reads the same 100 records: winding the
+		// position back by hand keeps the log, and the temp dir, from
+		// growing with b.N. Dropping the buffered bytes is sound — off is
+		// the file offset of the first unread byte either way.
+		off, next := c.off, c.next
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.off, c.next, c.r, c.w = off, next, 0, 0
+			if _, n, err := c.NextLines(100); err != nil || n != 100 {
+				b.Fatalf("%d lines, err %v", n, err)
 			}
-			// Every iteration re-reads the same 100 records: winding the
-			// position back by hand keeps the log, and the temp dir, from
-			// growing with b.N. Dropping the buffered bytes is sound — off is
-			// the file offset of the first unread byte either way.
-			off, next := c.off, c.next
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.off, c.next, c.r, c.w = off, next, 0, 0
-				if n, err := read.do(c); err != nil || n != 100 {
-					b.Fatalf("%d records, err %v", n, err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // reportLineOf returns a well-formed report line of exactly size bytes: one
@@ -1014,7 +1026,7 @@ func TestReportLineCap(t *testing.T) {
 	appendN(t, st, 3, 1) // LSN 3, behind the line over the cap
 
 	c := st.OpenCursor(1)
-	es, err := c.Next(10)
+	es, err := readLines(c, 10)
 	buffered := len(c.buf)
 	c.Close()
 	if err != nil || len(es) != 3 || es[1].LSN != 2 || es[1].Sample.Device != smps[0].Device || es[2].LSN != 3 {

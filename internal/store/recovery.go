@@ -239,13 +239,14 @@ func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
 
 // recover reads the data directory back into st.recovery and st.nextLSN: the
 // checkpoint latestCheckpoint picks, then every retained WAL record, through
-// a cursor opened at the oldest segment's first LSN and drained. No segment is
-// active yet, so the cursor reads each one as sealed, and the rules are its
-// own (see Cursor): an invalid line it steps over is a corrupt record, and so
-// is a partial line ending a sealed segment — except for the invalid or
-// partial run that ends the newest segment, a torn append, which is truncated
-// away instead. Records above the checkpoint become the tail, and the next LSN
-// is one past the last record read or the checkpoint, whichever is later.
+// the decoding read ReadBatch makes, on a cursor opened at the oldest
+// segment's first LSN. No segment is active yet, so the cursor reads each one
+// as sealed, and the rules are its own (see Cursor.NextLines): an invalid line
+// it steps over is a corrupt record, and so is a partial line ending a sealed
+// segment — except for the invalid or partial run that ends the newest
+// segment, a torn append, which is truncated away instead. Records above the
+// checkpoint become the tail, and the next LSN is one past the last record
+// read or the checkpoint, whichever is later.
 func (st *Store) recover() error {
 	rec := &st.recovery
 	var err error
@@ -261,21 +262,16 @@ func (st *Store) recover() error {
 	c := st.OpenCursor(segs[0].first)
 	defer c.Close()
 	var last uint64
-	for {
-		n, err := c.each(math.MaxInt, func(lsn uint64, smp *trace.Sample) {
-			if lsn > rec.CheckpointLSN {
-				rec.Tail = append(rec.Tail, *smp)
-			}
-			last = lsn
-		})
-		if err != nil {
-			return fmt.Errorf("store: recovering: %w", err)
+	err = c.read(math.MaxInt, func(lsn uint64, smp *trace.Sample) {
+		if lsn > rec.CheckpointLSN {
+			rec.Tail = append(rec.Tail, *smp)
 		}
-		if n == 0 {
-			break
-		}
-		st.nextLSN = max(st.nextLSN, last+1)
+		last = lsn
+	})
+	if err != nil {
+		return fmt.Errorf("store: recovering: %w", err)
 	}
+	st.nextLSN = max(st.nextLSN, last+1)
 	// The cursor stands in the newest segment, at its end.
 	rec.CorruptRecords = c.bad
 	if size := c.off + int64(c.w-c.r); c.end < size {
@@ -312,12 +308,12 @@ func linePayload(line []byte) ([]byte, bool) {
 // and the record behind them — and appends the samples it journals to dst,
 // returning them with the LSN of the first; the line holds LSNs first …
 // first+len−1 of what was appended. It is the format's one validating
-// decoder: recovery, Cursor.Next and a replica taking lines off the
-// replication stream all decide through it what a record is. A caller that
-// keeps dst decodes line after line into one slice; the samples share no
-// memory with line, or with scratch, which a binary line is unstuffed into
-// (a nil scratch: a buffer of its own). On a refusal dst comes back as it
-// was.
+// decoder: recovery, ReadBatch and a replica taking lines off the replication
+// stream decode through it, and checkLine, the log's record check, takes
+// exactly the lines it takes. A caller that keeps dst decodes line after line
+// into one slice; the samples share no memory with line, or with scratch,
+// which a binary line is unstuffed into (a nil scratch: a buffer of its own).
+// On a refusal dst comes back as it was.
 func ParseRecordLine(dst []trace.Sample, line []byte, scratch *Scratch) (first uint64, samples []trace.Sample, ok bool) {
 	if scratch == nil {
 		scratch = new(Scratch)
@@ -350,4 +346,27 @@ func parseRecord(scratch *[]byte, dst []trace.Sample, line []byte) (uint64, []tr
 		return 0, dst, false
 	}
 	return wr.LSN, append(dst, wr.Sample), true
+}
+
+// checkLine is the one record check: it reports whether ParseRecordLine
+// takes line, and the LSNs the line holds, first through last. A binary
+// line's frame, CRC and LSNs are binaryLine's, and its sample or report is
+// validated in place, without decoding it: no allocation, once *scratch holds
+// the body. A JSON line, which only older segments hold, is decoded, as
+// ParseRecordLine decodes it. The cursor's scan and AppendAt go by it.
+func checkLine(scratch *[]byte, line []byte) (first, last uint64, ok bool) {
+	if len(line) > 0 && (line[0] == sampleLead || line[0] == reportLead) {
+		first, last, rest, ok := binaryLine(scratch, line)
+		if ok && line[0] == sampleLead {
+			ok = trace.ValidSampleBinary(rest)
+		} else if ok {
+			_, ok = trace.ValidReportBinary(rest)
+		}
+		return first, last, ok
+	}
+	var wr walRecord
+	if payload, ok := linePayload(line); !ok || json.Unmarshal(payload, &wr) != nil {
+		return 0, 0, false
+	}
+	return wr.LSN, wr.LSN, true
 }

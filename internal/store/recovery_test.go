@@ -209,7 +209,7 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 	for session := 1 + r.Intn(3); session > 0; session-- {
 		st, err := Open(dir, Options{
 			SegmentMaxBytes: int64(200 + r.Intn(1200)), // 1 to ~6 records a segment
-			CheckpointKeep:  1 + r.Intn(3),
+			checkpointKeep:  1 + r.Intn(3),
 		})
 		if err != nil {
 			return err

@@ -111,22 +111,23 @@ type Options struct {
 	// Fsync is the WAL durability policy. Default: off.
 	Fsync FsyncPolicy
 
-	// CheckpointKeep is how many checkpoints to retain. Default 3: the
-	// newest can be torn by a crash mid-rename-window or corrupted by the
-	// disk, and recovery falls back to an older one.
-	CheckpointKeep int
-
 	// Telemetry receives WAL/checkpoint/recovery metrics. Nil disables
 	// instrumentation at zero cost (see internal/telemetry's nil contract).
 	Telemetry *telemetry.Registry
+
+	// checkpointKeep is how many checkpoints to retain, 3 unless a test of
+	// this package sets fewer to force compaction: the newest can be torn by
+	// a crash mid-rename-window or corrupted by the disk, and recovery falls
+	// back to an older one.
+	checkpointKeep int
 }
 
 func (o *Options) fill() {
 	if o.SegmentMaxBytes <= 0 {
 		o.SegmentMaxBytes = 4 << 20
 	}
-	if o.CheckpointKeep <= 0 {
-		o.CheckpointKeep = 3
+	if o.checkpointKeep <= 0 {
+		o.checkpointKeep = 3
 	}
 }
 
@@ -437,7 +438,7 @@ func (st *Store) checkpointLocked(t0 time.Time, lsn uint64, takenAt time.Time, d
 	return nil
 }
 
-// compactLocked deletes checkpoints beyond CheckpointKeep and WAL segments
+// compactLocked deletes checkpoints beyond checkpointKeep and WAL segments
 // wholly covered by the oldest retained checkpoint. Coverage is judged
 // against the oldest retained checkpoint — not the newest — so recovery's
 // fallback chain never points at deleted records.
@@ -446,7 +447,7 @@ func (st *Store) compactLocked() {
 	if err != nil || len(cks) == 0 {
 		return
 	}
-	keep := st.opts.CheckpointKeep
+	keep := st.opts.checkpointKeep
 	if keep > len(cks) {
 		keep = len(cks)
 	}

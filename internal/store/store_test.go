@@ -132,7 +132,7 @@ func TestCheckpointSplitsCoveredFromTail(t *testing.T) {
 
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentMaxBytes: 512, CheckpointKeep: 1})
+	st, err := Open(dir, Options{SegmentMaxBytes: 512, checkpointKeep: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRotationAndCompaction(t *testing.T) {
 
 func TestCheckpointRetention(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{CheckpointKeep: 2})
+	st, err := Open(dir, Options{checkpointKeep: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func splitLines(data []byte) []lineSpan {
 
 func TestTruncatedCheckpointFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{CheckpointKeep: 3})
+	st, err := Open(dir, Options{checkpointKeep: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/zones); empty disables")
 	serverID := flag.String("server-id", "wiscape-coordinator", "node name in status replies and replication handshakes")
 	replAddr := flag.String("replication-addr", "", "WAL replication listener address (requires -data); empty disables replication")
-	replFrom := flag.String("replicate-from", "", "start as a replica tailing this primary replication address")
+	replFrom := flag.String("replicate-from", "", "start as a replica tailing this primary replication address (requires -replication-addr)")
 	forceResync := flag.Bool("force-resync", false, "with -replicate-from: discard local state and bootstrap from a fresh primary snapshot")
 	syncRepl := flag.Bool("sync-replication", false, "withhold sample acks until a replica confirms the write (semi-synchronous)")
 	syncTimeout := flag.Duration("sync-timeout", 2*time.Second, "bound on the -sync-replication wait")

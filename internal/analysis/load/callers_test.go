@@ -19,7 +19,6 @@ var keep = map[string]string{
 	"repro/internal/telemetry.Gauge.Value":      "other packages' tests read a gauge through it",
 	"repro/internal/telemetry.Histogram.Count":  "other packages' tests read a histogram through it",
 	"repro/internal/telemetry.Histogram.Sum":    "other packages' tests read a histogram through it",
-	"repro/internal/core.ZoneRelStdDevs":        "the exact side of the estimator ledger (ROADMAP item 5)",
 	"repro/internal/core.Controller.Grid":       "the grid a StatusReply will carry (ROADMAP item 1(b))",
 	"repro/internal/store.Store.Sync":           "a durability flush: safety code a caller may need at any time",
 	"repro/internal/coordinator.Server.OpsAddr": "tests bind the ops plane to :0 and read the address back",

@@ -87,7 +87,8 @@ type Options struct {
 
 	// ReplicateFrom, when non-empty, starts this coordinator as a replica
 	// of the given primary replication address: it serves reads, rejects
-	// sample reports, and tails the primary's log until promoted.
+	// sample reports, and tails the primary's log until promoted. It
+	// requires ReplicationAddr.
 	ReplicateFrom string
 
 	// ForceResync makes a starting replica discard local state and

@@ -18,11 +18,18 @@ import (
 // and a replica journals at the primary's offsets, so both need a store.
 var errNeedsStore = errors.New("coordinator: replication requires Options.DataDir")
 
+// errReplicaNeedsAddr refuses a replica with no listener address of its
+// own: it would serve its log on an ephemeral port of every interface.
+var errReplicaNeedsAddr = errors.New("coordinator: Options.ReplicateFrom requires Options.ReplicationAddr")
+
 // startReplication brings up the node's replication role from Options:
 // a source listener when ReplicationAddr is set, and the replica tail when
-// ReplicateFrom is set. Called once from Serve, before traffic.
+// ReplicateFrom is set too. Called once from Serve, before traffic.
 func (s *Server) startReplication() error {
-	if s.opts.ReplicationAddr == "" && s.opts.ReplicateFrom == "" {
+	if s.opts.ReplicationAddr == "" {
+		if s.opts.ReplicateFrom != "" {
+			return errReplicaNeedsAddr
+		}
 		return nil
 	}
 	if s.store == nil {

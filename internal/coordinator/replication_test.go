@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -193,6 +194,70 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 	boot.mu.Unlock()
 	if resyncs != 1 {
 		t.Fatalf("boot bootstrapped %d times, want once", resyncs)
+	}
+}
+
+// listeningSockets counts this process's TCP sockets in the LISTEN state:
+// the socket inodes among its open files that /proc/self/net/tcp and tcp6
+// list as listening. ok is false where /proc cannot say.
+func listeningSockets() (n int, ok bool) {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0, false
+	}
+	mine := make(map[string]bool)
+	for _, fd := range fds {
+		link, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if inode, found := strings.CutPrefix(link, "socket:["); err == nil && found {
+			mine[strings.TrimSuffix(inode, "]")] = true
+		}
+	}
+	for _, table := range []string{"/proc/self/net/tcp", "/proc/self/net/tcp6"} {
+		data, err := os.ReadFile(table)
+		if err != nil {
+			continue
+		}
+		for _, line := range strings.Split(string(data), "\n") {
+			// sl local rem st tx:rx tr:when retrnsmt uid timeout inode
+			if f := strings.Fields(line); len(f) > 9 && f[3] == "0A" && mine[f[9]] {
+				n++
+			}
+		}
+	}
+	return n, true
+}
+
+// TestReplicaWithoutReplicationAddrIsRefused: a replica serves its mirrored
+// log from its own replication listener, so one started with ReplicateFrom
+// and no ReplicationAddr would serve its whole WAL on an ephemeral port of
+// every interface. Serve refuses it, naming both options, and leaves
+// nothing listening.
+func TestReplicaWithoutReplicationAddrIsRefused(t *testing.T) {
+	before, ok := listeningSockets()
+	popts := persistOpts(t.TempDir())
+	popts.ReplicationAddr = "127.0.0.1:0"
+	primary := newServer(t, popts)
+	if n, _ := listeningSockets(); ok && n != before+2 {
+		t.Fatalf("%d listening sockets with a primary up, want %d: its agent and replication listeners", n, before+2)
+	}
+
+	opts := persistOpts(t.TempDir())
+	opts.ReplicateFrom = primary.ReplicationAddr()
+	before, _ = listeningSockets()
+	srv, err := Serve(core.NewController(core.DefaultConfig(), geo.Madison().Center()), "127.0.0.1:0", opts)
+	if err == nil {
+		after, _ := listeningSockets()
+		_ = srv.Close()
+		t.Fatalf("a replica with no ReplicationAddr started, with %d listening sockets more", after-before)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "ReplicateFrom") || !strings.Contains(msg, "ReplicationAddr") {
+		t.Fatalf("refusal %q does not name ReplicateFrom and ReplicationAddr", msg)
+	}
+	if after, _ := listeningSockets(); after != before {
+		t.Fatalf("%d listening sockets after the refusal, want %d", after, before)
+	}
+	if n := primary.source().ConnectedReplicas(); n != 0 {
+		t.Fatalf("the refused replica attached to its primary: %d replicas", n)
 	}
 }
 

@@ -89,12 +89,6 @@ const MaxSampleMagnitude = 1e18
 // ring is allocated by the first alert and grows to this size as needed.
 const DefaultAlertBuffer = 1024
 
-// DefaultFailureRetentionDays bounds the per-(zone, network) ping-failure
-// day map: it keeps well over a year of per-day observations (Fig. 9
-// analyses span months), and the oldest observed days are evicted beyond
-// it.
-const DefaultFailureRetentionDays = 400
-
 // alertFloor is a metric's absolute minimum delta for alerting:
 // sigma-relative thresholds break down for metrics whose records sit near
 // zero (a loss-free zone would otherwise alert on a single lost packet).

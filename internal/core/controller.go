@@ -3,11 +3,9 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/device"
 	"repro/internal/geo"
 	"repro/internal/radio"
 	"repro/internal/sketch"
@@ -52,11 +50,8 @@ type Controller struct {
 	cfg  Config
 	grid *geo.Grid
 
-	normalizer *device.Normalizer // optional cross-class normalization (§3.3)
-
-	mu       sync.Mutex
-	zones    map[Key]*zoneState
-	failures map[failKey]map[int64]int // ping failures per zone per day (Fig. 9)
+	mu    sync.Mutex
+	zones map[Key]*zoneState
 
 	// views holds, per network and metric, the states of the keys that
 	// have a record, in key order: what Records serves, without a scan of
@@ -90,12 +85,6 @@ type Controller struct {
 	windowScratch []int
 }
 
-// failKey tracks ping failures per zone and network.
-type failKey struct {
-	Zone geo.ZoneID
-	Net  radio.NetworkID
-}
-
 // refreshScratch is one budget refresh's storage: the values reconstructed
 // from a window and the NKLD reference prepared from them.
 type refreshScratch struct {
@@ -120,11 +109,10 @@ func NewController(cfg Config, origin geo.Point) *Controller {
 		cfg = DefaultConfig()
 	}
 	return &Controller{
-		cfg:      cfg,
-		grid:     geo.GridForZoneRadius(origin, cfg.ZoneRadiusM),
-		zones:    make(map[Key]*zoneState),
-		failures: make(map[failKey]map[int64]int),
-		views:    make(map[view][]*zoneState),
+		cfg:   cfg,
+		grid:  geo.GridForZoneRadius(origin, cfg.ZoneRadiusM),
+		zones: make(map[Key]*zoneState),
+		views: make(map[view][]*zoneState),
 	}
 }
 
@@ -147,20 +135,16 @@ func (c *Controller) Config() Config {
 	return c.cfg
 }
 
-// SetNormalizer installs a device normalizer: samples tagged with a device
-// class are mapped into reference-class units before aggregation, making
-// cross-class composition sound (§3.3). Call during setup, before Ingest.
-func (c *Controller) SetNormalizer(n *device.Normalizer) { c.normalizer = n }
-
 // Grid returns the zone grid.
 func (c *Controller) Grid() *geo.Grid { return c.grid }
 
 // ZoneOf maps a location to its zone.
 func (c *Controller) ZoneOf(p geo.Point) geo.ZoneID { return c.grid.Zone(p) }
 
-// Ingest folds client samples into the zone state, in order, handling epoch
-// rollover, record publication and ping-failure tracking. It takes the
-// controller's lock once per call, so a report's samples go in together.
+// Ingest folds client samples into their keys' sketches, in order, handling
+// epoch rollover and record publication. A failed sample carries no value
+// and is dropped. It takes the controller's lock once per call, so a
+// report's samples go in together.
 func (c *Controller) Ingest(samples ...trace.Sample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,22 +157,11 @@ func (c *Controller) Ingest(samples ...trace.Sample) {
 func (c *Controller) ingestLocked(s trace.Sample) {
 	// Reject unusable values outright: one NaN would poison a zone's
 	// accumulator forever, and one beyond MaxSampleMagnitude its trend ring.
-	if !(math.Abs(s.Value) <= MaxSampleMagnitude) {
-		return
-	}
-	if c.normalizer != nil && s.Device != "" && !s.Failed {
-		s.Value = c.normalizer.Normalize(s.Value, device.Class(s.Device), string(s.Metric))
-	}
-	zone := c.grid.Zone(s.Loc)
-
-	if s.Metric == trace.MetricRTTMs {
-		c.trackFailureLocked(failKey{Zone: zone, Net: s.Network}, s)
-	}
-	if s.Failed {
+	if s.Failed || !(math.Abs(s.Value) <= MaxSampleMagnitude) {
 		return
 	}
 
-	key := Key{Zone: zone, Net: s.Network, Metric: s.Metric}
+	key := Key{Zone: c.grid.Zone(s.Loc), Net: s.Network, Metric: s.Metric}
 	st := c.zones[key]
 	if st == nil {
 		st = c.newZoneState()
@@ -228,32 +201,6 @@ func (c *Controller) ingestLocked(s trace.Sample) {
 	}
 	st.curEpochIdx = idx
 	st.cur.Add(s.Value)
-}
-
-// trackFailureLocked records a ping observation (failed or not) for the
-// Fig. 9 per-day failure analysis, evicting the oldest day beyond the
-// retention horizon so the map cannot grow without bound.
-func (c *Controller) trackFailureLocked(fk failKey, s trace.Sample) {
-	day := int64(s.Time.Sub(radio.Epoch) / (24 * time.Hour))
-	days := c.failures[fk]
-	if days == nil {
-		days = make(map[int64]int)
-		c.failures[fk] = days
-	}
-	if s.Failed {
-		days[day]++
-	} else if _, seen := days[day]; !seen {
-		days[day] = 0 // mark the day as observed
-	}
-	for len(days) > DefaultFailureRetentionDays {
-		oldest := int64(math.MaxInt64)
-		for d := range days {
-			if d < oldest {
-				oldest = d
-			}
-		}
-		delete(days, oldest)
-	}
 }
 
 // IngestDataset folds a whole dataset in time order.
@@ -610,35 +557,4 @@ func (c *Controller) Keys() []Key {
 	}
 	slices.SortFunc(out, Key.Compare)
 	return out
-}
-
-// DaysWithPingFailures returns, for a zone and network, the number of
-// observed days and the longest run of consecutive *observed* days having
-// at least one failed ping — the Fig. 9 trouble signal. Days on which the
-// zone was not visited at all do not break a run (opportunistic coverage
-// is inherently gappy); a visited day without failures does.
-func (c *Controller) DaysWithPingFailures(zone geo.ZoneID, net radio.NetworkID) (observedDays, longestFailRun int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	days := c.failures[failKey{Zone: zone, Net: net}]
-	if len(days) == 0 {
-		return 0, 0
-	}
-	idxs := make([]int64, 0, len(days))
-	for d := range days {
-		idxs = append(idxs, d)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	run, best := 0, 0
-	for _, d := range idxs {
-		if days[d] > 0 {
-			run++
-			if run > best {
-				best = run
-			}
-		} else {
-			run = 0
-		}
-	}
-	return len(idxs), best
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -298,8 +299,7 @@ func TestKeyCompareOrder(t *testing.T) {
 	}
 }
 
-func TestDaysWithPingFailures(t *testing.T) {
-	c := NewController(DefaultConfig(), origin)
+func TestPingFailureRuns(t *testing.T) {
 	mkPing := func(day int, failed bool) trace.Sample {
 		return trace.Sample{
 			Time: radio.Epoch.Add(time.Duration(day)*24*time.Hour + 12*time.Hour),
@@ -307,22 +307,70 @@ func TestDaysWithPingFailures(t *testing.T) {
 			Value: 120, Failed: failed,
 		}
 	}
-	// Days 0-24: failures on days 0-19 (a 20-day run), clean 20-24.
+	zone := geo.GridForZoneRadius(origin, 250).Zone(origin)
+	runOf := func(samples []trace.Sample) PingFailureRun {
+		t.Helper()
+		runs := PingFailureRuns(samples, radio.NetB, origin, 250)
+		if len(runs) > 1 {
+			t.Fatalf("runs for %d zones, want the one zone pinged", len(runs))
+		}
+		return runs[zone]
+	}
+
+	// Days 0-24: a failed and a clean ping, in either order, on each of
+	// days 0-19 (a 20-day run: a day with any failure is a failure day),
+	// clean pings on 20-24.
+	var base []trace.Sample
 	for d := 0; d < 25; d++ {
-		c.Ingest(mkPing(d, d < 20))
-		c.Ingest(mkPing(d, false))
+		p, q := mkPing(d, d < 20), mkPing(d, false)
+		if d%2 == 1 {
+			p, q = q, p
+		}
+		base = append(base, p, q)
 	}
-	observed, run := c.DaysWithPingFailures(c.ZoneOf(origin), radio.NetB)
-	if observed != 25 {
-		t.Fatalf("observed %d days, want 25", observed)
+	if got, want := runOf(base), (PingFailureRun{ObservedDays: 25, LongestRun: 20}); got != want {
+		t.Fatalf("25 observed days, failures on 0-19: %+v, want %+v", got, want)
 	}
-	if run != 20 {
-		t.Fatalf("longest failure run %d, want 20", run)
+
+	// Failures on days 0-9 and 20-29 with days 10-19 never pinged: the
+	// unvisited days do not break the run.
+	var gappy []trace.Sample
+	for d := 0; d < 30; d++ {
+		if d < 10 || d >= 20 {
+			gappy = append(gappy, mkPing(d, true))
+		}
 	}
+	if got, want := runOf(gappy), (PingFailureRun{ObservedDays: 20, LongestRun: 20}); got != want {
+		t.Fatalf("a 10-day gap inside a run: %+v, want %+v", got, want)
+	}
+
+	// The same with one clean ping on day 15: a visited clean day breaks it.
+	broken := append(append([]trace.Sample(nil), gappy...), mkPing(15, false))
+	if got, want := runOf(broken), (PingFailureRun{ObservedDays: 21, LongestRun: 10}); got != want {
+		t.Fatalf("a clean day inside a run: %+v, want %+v", got, want)
+	}
+
+	// Another network's pings and another metric's samples are ignored,
+	// failed or not, and so are values Ingest drops.
+	noise := append([]trace.Sample(nil), broken...)
+	for d := 0; d < 30; d++ {
+		other := mkPing(d, d == 15)
+		other.Network = radio.NetC
+		tcp := mkPing(d, true)
+		tcp.Metric = trace.MetricTCPKbps
+		nan := mkPing(d, true)
+		nan.Value = math.NaN()
+		huge := mkPing(d, true)
+		huge.Value = 2 * MaxSampleMagnitude
+		noise = append(noise, other, tcp, nan, huge)
+	}
+	if got, want := runOf(noise), (PingFailureRun{ObservedDays: 21, LongestRun: 10}); got != want {
+		t.Fatalf("other networks, metrics and dropped values counted: %+v, want %+v", got, want)
+	}
+
 	// Unknown zone.
-	o, r := c.DaysWithPingFailures(geo.ZoneID{X: 999, Y: 999}, radio.NetB)
-	if o != 0 || r != 0 {
-		t.Fatal("unknown zone should have no failure stats")
+	if got := PingFailureRuns(base, radio.NetB, origin, 250)[geo.ZoneID{X: 999, Y: 999}]; got != (PingFailureRun{}) {
+		t.Fatalf("unknown zone has failure stats %+v", got)
 	}
 }
 
@@ -460,19 +508,22 @@ func TestZoneRelStdDevs(t *testing.T) {
 			mkSample(at, loose, 900*(1+0.30*r.NormFloat64())))
 		at = at.Add(time.Minute)
 	}
-	rels := ZoneRelStdDevs(samples, origin, 250, 200)
-	if len(rels) != 2 {
-		t.Fatalf("zones found: %d", len(rels))
+	spreads := ZoneSpreads(samples, origin, 250, 200)
+	if len(spreads) != 2 {
+		t.Fatalf("zones found: %d", len(spreads))
 	}
-	lo, hi := rels[0], rels[1]
-	if lo > hi {
-		lo, hi = hi, lo
+	grid := geo.GridForZoneRadius(origin, 250)
+	lo, hi := spreads[grid.Zone(tight)], spreads[grid.Zone(loose)]
+	if lo.RelStdDev > 0.05 || hi.RelStdDev < 0.2 {
+		t.Fatalf("rel devs %v/%v don't separate tight and loose zones", lo.RelStdDev, hi.RelStdDev)
 	}
-	if lo > 0.05 || hi < 0.2 {
-		t.Fatalf("rel devs %v/%v don't separate tight and loose zones", lo, hi)
+	for _, sp := range []ZoneSpread{lo, hi} {
+		if sp.N != 300 || math.Abs(sp.Mean-900) > 900*0.05 {
+			t.Fatalf("zone spread %+v, want 300 samples around 900", sp)
+		}
 	}
 	// minSamples filter.
-	if got := ZoneRelStdDevs(samples, origin, 250, 500); len(got) != 0 {
+	if got := ZoneSpreads(samples, origin, 250, 500); len(got) != 0 {
 		t.Fatalf("threshold 500 should remove both zones, got %d", len(got))
 	}
 }
@@ -797,29 +848,5 @@ func TestSteadyStreamHoldsNoAlertStorage(t *testing.T) {
 	}
 	if cap(c.alerts) != 0 {
 		t.Fatalf("alert ring of %d slots with no alert raised, want none", cap(c.alerts))
-	}
-}
-
-func TestFailureDayRetention(t *testing.T) {
-	c := NewController(DefaultConfig(), origin)
-	mkPing := func(day int, failed bool) trace.Sample {
-		return trace.Sample{
-			Time: radio.Epoch.Add(time.Duration(day)*24*time.Hour + 12*time.Hour),
-			Loc:  origin, Network: radio.NetB, Metric: trace.MetricRTTMs,
-			Value: 120, Failed: failed,
-		}
-	}
-	// 500 days of daily pings, all failing: only the trailing 400 days may
-	// survive, so both the observed-day count and the longest run cap at
-	// the retention horizon instead of growing without bound.
-	for d := 0; d < 500; d++ {
-		c.Ingest(mkPing(d, true))
-	}
-	observed, run := c.DaysWithPingFailures(c.ZoneOf(origin), radio.NetB)
-	if observed != DefaultFailureRetentionDays {
-		t.Fatalf("observed %d days, want the %d-day retention horizon", observed, DefaultFailureRetentionDays)
-	}
-	if run != DefaultFailureRetentionDays {
-		t.Fatalf("longest run %d, want %d", run, DefaultFailureRetentionDays)
 	}
 }

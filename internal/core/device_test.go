@@ -26,53 +26,14 @@ func TestIngestRejectsNaNAndInf(t *testing.T) {
 	}
 }
 
-func TestNormalizerAppliedOnIngest(t *testing.T) {
-	c := NewController(DefaultConfig(), origin)
-	n := device.NewNormalizer()
-	n.SetFactor(device.ClassPhone, string(trace.MetricUDPKbps), 1.0/0.72)
-	c.SetNormalizer(n)
-
-	r := rng.New(1)
-	at := start
-	for i := 0; i < 100; i++ {
-		s := mkSample(at, origin, 0.72*900*(1+0.02*r.NormFloat64())) // phone-observed values
-		s.Device = string(device.ClassPhone)
-		c.Ingest(s)
-		at = at.Add(time.Minute)
-	}
-	rec, ok := c.EstimateAt(origin, radio.NetB, trace.MetricUDPKbps)
-	if !ok {
-		t.Fatal("no estimate")
-	}
-	if rec.MeanValue < 860 || rec.MeanValue > 940 {
-		t.Fatalf("normalized estimate %v, want ~900 (reference units)", rec.MeanValue)
-	}
-}
-
-func TestNormalizerIgnoresUntaggedAndFailed(t *testing.T) {
-	c := NewController(DefaultConfig(), origin)
-	n := device.NewNormalizer()
-	n.SetFactor(device.ClassPhone, string(trace.MetricUDPKbps), 2.0)
-	c.SetNormalizer(n)
-
-	s := mkSample(start, origin, 500) // no device tag
-	c.Ingest(s)
-	rec, _ := c.EstimateAt(origin, radio.NetB, trace.MetricUDPKbps)
-	if rec.MeanValue != 500 {
-		t.Fatalf("untagged sample scaled: %v", rec.MeanValue)
-	}
-}
-
 func TestMixedFleetConvergesWithNormalization(t *testing.T) {
 	// Half the fleet are phones. Without normalization the zone estimate is
-	// biased low; with it, the estimate lands at the reference truth.
+	// biased low; with it, done by the caller before Ingest, the estimate
+	// lands at the reference truth.
+	n := device.NewNormalizer()
+	n.SetFactor(device.ClassPhone, string(trace.MetricUDPKbps), 1.0/0.72)
 	run := func(normalize bool) float64 {
 		c := NewController(DefaultConfig(), origin)
-		if normalize {
-			n := device.NewNormalizer()
-			n.SetFactor(device.ClassPhone, string(trace.MetricUDPKbps), 1.0/0.72)
-			c.SetNormalizer(n)
-		}
 		r := rng.New(2)
 		at := start
 		for i := 0; i < 400; i++ {
@@ -81,6 +42,9 @@ func TestMixedFleetConvergesWithNormalization(t *testing.T) {
 			if i%2 == 0 {
 				s.Value = truth * 0.72
 				s.Device = string(device.ClassPhone)
+			}
+			if normalize {
+				s.Value = n.Normalize(s.Value, device.Class(s.Device), string(s.Metric))
 			}
 			c.Ingest(s)
 			at = at.Add(30 * time.Second)

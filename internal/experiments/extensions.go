@@ -68,9 +68,6 @@ func Ext01DeviceHeterogeneity(o Options) Report {
 	// End-to-end: a mixed fleet through the controller.
 	mixedErr := func(normalize bool) float64 {
 		ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
-		if normalize {
-			ctrl.SetNormalizer(norm)
-		}
 		for i := 0; i < n/2; i++ {
 			ts := at.Add(time.Duration(n+i) * 30 * time.Second)
 			s := trace.Sample{Time: ts, Loc: site, Network: radio.NetB, Metric: trace.MetricUDPKbps, ClientID: "mix"}
@@ -80,6 +77,9 @@ func Ext01DeviceHeterogeneity(o Options) Report {
 			} else {
 				s.Value = laptop.UDPDownload(site, ts, 100, 1200).ThroughputKbps()
 				s.Device = string(device.ClassLaptop)
+			}
+			if normalize {
+				s.Value = norm.Normalize(s.Value, device.Class(s.Device), string(s.Metric))
 			}
 			ctrl.Ingest(s)
 		}

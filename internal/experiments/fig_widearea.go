@@ -12,45 +12,22 @@ import (
 	"repro/internal/trace"
 )
 
-// zoneStat is one zone's throughput statistics.
-type zoneStat struct {
-	Mean float64
-	Rel  float64
-	N    int
-}
-
-// zoneSampleStats computes, for every zone with at least minSamples
-// samples, the mean and relative standard deviation of the raw throughput
-// samples — the Fig. 1 / Fig. 4 quantity. The 1 MB downloads behind these
-// samples average the fast fading, so the statistic reflects the zone's
-// intrinsic spatial and epoch-scale variability.
-func zoneSampleStats(samples []trace.Sample, origin geo.Point, radiusM float64, minSamples int) map[geo.ZoneID]zoneStat {
-	grid := geo.GridForZoneRadius(origin, radiusM)
-	byZone := trace.ByZone(samples, grid)
-	out := make(map[geo.ZoneID]zoneStat)
-	for z, ss := range byZone {
-		if len(ss) < minSamples {
-			continue
-		}
-		vals := trace.Values(ss)
-		out[z] = zoneStat{Mean: stats.Mean(vals), Rel: stats.RelStdDev(vals), N: len(ss)}
-	}
-	return out
-}
-
 // Fig01CityMap regenerates Figure 1: the city-wide TCP throughput map from
 // the Standalone dataset — per-zone mean and variance dots over the 155 km²
 // Madison area.
 func Fig01CityMap(o Options) Report {
 	o = o.fill()
 	r := Report{ID: "fig01", Title: "City-wide TCP throughput map (Standalone, NetB, 0.2 km² zones)"}
+	// The 1 MB downloads behind these samples average the fast fading, so a
+	// zone's spread reflects its intrinsic spatial and epoch-scale
+	// variability.
 	ds := standaloneTCP(o)
-	zs := zoneSampleStats(ds.ByMetric(radio.NetB, trace.MetricTCPKbps), geo.Madison().Center(), 250, 100)
+	zs := core.ZoneSpreads(ds.ByMetric(radio.NetB, trace.MetricTCPKbps), geo.Madison().Center(), 250, 100)
 
 	var means, rels []float64
 	for _, st := range zs {
 		means = append(means, st.Mean)
-		rels = append(rels, st.Rel)
+		rels = append(rels, st.RelStdDev)
 	}
 	r.AddRow("zones mapped", "~400 zones with >=200 samples",
 		fmt.Sprintf("%d zones with >=100 samples", len(zs)))
@@ -75,7 +52,7 @@ func Fig01CityMap(o Options) Report {
 	for i := 0; i < len(ids); i += step {
 		st := zs[ids[i]]
 		r.AddSeries("dot %-9s at %s  mean=%6.0f Kbps  relstd=%4.1f%%  n=%d",
-			ids[i], grid.Center(ids[i]), st.Mean, st.Rel*100, st.N)
+			ids[i], grid.Center(ids[i]), st.Mean, st.RelStdDev*100, st.N)
 	}
 	return r
 }
@@ -169,10 +146,9 @@ func Fig04ZoneRadius(o Options) Report {
 		if radius <= 100 {
 			minSamples = 30 // tiny zones see few bus passes; the paper filtered similarly
 		}
-		zs := zoneSampleStats(samples, geo.Madison().Center(), radius, minSamples)
 		var rels []float64
-		for _, st := range zs {
-			rels = append(rels, st.Rel)
+		for _, st := range core.ZoneSpreads(samples, geo.Madison().Center(), radius, minSamples) {
+			rels = append(rels, st.RelStdDev)
 		}
 		if len(rels) == 0 {
 			continue
@@ -250,13 +226,10 @@ func Fig09PingFailures(o Options) Report {
 
 	// TCP variability per zone.
 	tcp := standaloneTCP(o)
-	zs := zoneSampleStats(tcp.ByMetric(radio.NetB, trace.MetricTCPKbps), geo.Madison().Center(), 250, 100)
+	zs := core.ZoneSpreads(tcp.ByMetric(radio.NetB, trace.MetricTCPKbps), geo.Madison().Center(), 250, 100)
 
-	// Ping failure runs per zone: feed the ping dataset through a
-	// controller, which tracks per-day failures.
-	pings := standalonePing(o)
-	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
-	ctrl.IngestDataset(pings)
+	// Ping failure runs per zone, over the ping dataset.
+	runs := core.PingFailureRuns(standalonePing(o).Samples, radio.NetB, geo.Madison().Center(), 250)
 
 	// The paper's criterion is >= 20 consecutive days with at least one
 	// failed ping out of daily observation; our buses are randomly
@@ -270,23 +243,23 @@ func Fig09PingFailures(o Options) Report {
 	}
 
 	qualifies := func(z geo.ZoneID) bool {
-		observed, run := ctrl.DaysWithPingFailures(z, radio.NetB)
-		if observed < floorRun {
+		run := runs[z]
+		if run.ObservedDays < floorRun {
 			return false
 		}
-		need := observed * 8 / 10
+		need := run.ObservedDays * 8 / 10
 		if need < floorRun {
 			need = floorRun
 		}
-		return run >= need
+		return run.LongestRun >= need
 	}
 	minRun := floorRun // reported in the row below
 
 	var all, failed []float64
 	for z, st := range zs {
-		all = append(all, st.Rel)
+		all = append(all, st.RelStdDev)
 		if qualifies(z) {
-			failed = append(failed, st.Rel)
+			failed = append(failed, st.RelStdDev)
 		}
 	}
 	allCDF := stats.NewCDF(all)
@@ -311,10 +284,10 @@ func Fig09PingFailures(o Options) Report {
 
 // coverageLine computes what fraction of high-variance zones (rel.std >
 // 20%) show persistent ping failures.
-func coverageLine(zs map[geo.ZoneID]zoneStat, qualifies func(geo.ZoneID) bool) string {
+func coverageLine(zs map[geo.ZoneID]core.ZoneSpread, qualifies func(geo.ZoneID) bool) string {
 	high, covered := 0, 0
 	for z, st := range zs {
-		if st.Rel <= 0.20 {
+		if st.RelStdDev <= 0.20 {
 			continue
 		}
 		high++

@@ -349,30 +349,38 @@ func TestEnvironment(t *testing.T) {
 }
 
 func TestAllanStructure(t *testing.T) {
-	// The core calibration: *measured* every minute at a fixed WI location
+	// The core calibration: *measured* every minute at a fixed location
 	// (field mean plus the per-sample fading simnet applies), the series
 	// must have a U-shaped normalized Allan curve with its minimum at tens
-	// of minutes — not at the smallest or largest window.
-	f := wiField(NetB)
+	// of minutes in WI — not at the smallest or largest window — and, as
+	// Fig. 6 has it, at a shorter scale in NJ, whose load drifts harder.
 	windows := stats.LogSpacedWindows(1, 1000, 25) // the paper's Fig. 6 x-range
-	var minima []float64
-	for loc := 0; loc < 12; loc++ {
-		r := rng.New(uint64(77 + loc))
-		p := geo.Madison().Center().Offset(float64(loc)*30, 500+float64(loc)*950)
-		series := make([]float64, 14*24*60) // two weeks at 1-minute sampling
-		for i := range series {
-			c := f.At(p, Epoch.Add(time.Duration(i)*time.Minute))
-			// A 100-packet UDP sample lasts ~1 s, so its fading deviation is
-			// FastSigmaRel scaled by sqrt(tau/(tau+T)) ~ 0.76 (see simnet).
-			eff := c.FastSigmaRel * 0.76
-			series[i] = c.CapacityKbps * (1 + eff*r.NormFloat64())
+	medianMinimum := func(kind RegionKind) (float64, []float64) {
+		f := NewPresetField(NetB, kind, testSeed, geo.Madison().Center())
+		var minima []float64
+		for loc := 0; loc < 12; loc++ {
+			r := rng.New(uint64(77 + loc))
+			p := geo.Madison().Center().Offset(float64(loc)*30, 500+float64(loc)*950)
+			series := make([]float64, 14*24*60) // two weeks at 1-minute sampling
+			for i := range series {
+				c := f.At(p, Epoch.Add(time.Duration(i)*time.Minute))
+				// A 100-packet UDP sample lasts ~1 s, so its fading deviation is
+				// FastSigmaRel scaled by sqrt(tau/(tau+T)) ~ 0.76 (see simnet).
+				eff := c.FastSigmaRel * 0.76
+				series[i] = c.CapacityKbps * (1 + eff*r.NormFloat64())
+			}
+			best, _ := stats.MinAllanWindow(series, windows)
+			minima = append(minima, float64(best))
 		}
-		best, _ := stats.MinAllanWindow(series, windows)
-		minima = append(minima, float64(best))
+		return stats.Median(minima), minima
 	}
-	med := stats.Median(minima)
-	if med < 20 || med > 300 {
-		t.Fatalf("WI median Allan minimum at %v minutes (%v); want tens-of-minutes scale", med, minima)
+	wi, wiMinima := medianMinimum(RegionWI)
+	if wi < 20 || wi > 300 {
+		t.Fatalf("WI median Allan minimum at %v minutes (%v); want tens-of-minutes scale", wi, wiMinima)
+	}
+	nj, njMinima := medianMinimum(RegionNJ)
+	if nj >= wi {
+		t.Fatalf("NJ median Allan minimum at %v minutes (%v), WI's at %v (%v); want NJ's shorter", nj, njMinima, wi, wiMinima)
 	}
 }
 

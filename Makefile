@@ -116,13 +116,16 @@ swarm-smoke:
 # a breaker-driven one, poll counts, demotion, and revival: a restarted shard
 # without standbys fails agent reports fast until a pass's status poll closes
 # its breaker, all matched by the TestReconcile prefix) and the
-# coordinator's interleaved role orders, all under the race detector.
+# coordinator's interleaved role orders and its hello-rule probes (a replica
+# saying hello after its source's reset, an ex-primary restarted on a
+# divergent suffix, a deposed primary whose log ends on the line its
+# successor also ends on), all under the race detector.
 failover-smoke:
 	$(GO) build ./cmd/wiscape-coordinator ./cmd/wiscape-gateway ./cmd/wiscape-swarm
 	$(GO) test -race -count=1 ./internal/replication/
 	$(GO) test -race -count=5 -run 'Cursor|ReadBatch|Recover|Torn|Corrupt|Checkpoint|Watch' ./internal/store
 	$(GO) test -race -count=3 -run 'TestFailover|TestSwarmChaos|TestReadyz|TestManualPromote|TestReconcile' ./internal/cluster/
-	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole|TestChainedReplicaResyncsWhenItsSourceIsDemoted' ./internal/coordinator/
+	$(GO) test -race -count=5 -run 'TestRoleOrdersKeepTailWithRole|TestChainedReplicaResyncsWhenItsSourceIsDemoted|TestReplicaSayingHelloAfterItsSourceResetIsBootstrapped|TestRestartedExPrimaryWithADivergentSuffixIsBootstrapped|TestDeposedPrimaryEndingOnARetriedReportIsBootstrapped' ./internal/coordinator/
 
 # Non-test Go lines per package and in total, leaving out bench/ and
 # testdata/ — the figure ROADMAP item 2 asks simplification PRs to shrink.

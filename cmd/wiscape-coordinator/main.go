@@ -19,7 +19,7 @@
 //	                    [-fsync off|always|every=N|interval=DUR]
 //	                    [-ops-addr 127.0.0.1:9090] [-idle-timeout 2m]
 //	                    [-replication-addr HOST:PORT] [-replicate-from HOST:PORT]
-//	                    [-sync-replication] [-force-resync] [-admin]
+//	                    [-sync-replication] [-admin]
 //
 // With -replication-addr the coordinator streams its WAL to attached
 // replicas; with -replicate-from it starts as a read-only replica tailing
@@ -53,8 +53,7 @@ func main() {
 	opsAddr := flag.String("ops-addr", "", "ops HTTP plane address (/metrics, /healthz, /readyz, pprof, /api/v1/zones); empty disables")
 	serverID := flag.String("server-id", "wiscape-coordinator", "node name in status replies and replication handshakes")
 	replAddr := flag.String("replication-addr", "", "WAL replication listener address (requires -data); empty disables replication")
-	replFrom := flag.String("replicate-from", "", "start as a replica tailing this primary replication address (requires -replication-addr)")
-	forceResync := flag.Bool("force-resync", false, "with -replicate-from: discard local state and bootstrap from a fresh primary snapshot")
+	replFrom := flag.String("replicate-from", "", "start as a replica tailing this primary replication address (requires -replication-addr); a local log the primary's does not hold is replaced by its snapshot")
 	syncRepl := flag.Bool("sync-replication", false, "withhold sample acks until a replica confirms the write (semi-synchronous)")
 	syncTimeout := flag.Duration("sync-timeout", 2*time.Second, "bound on the -sync-replication wait")
 	admin := flag.Bool("admin", false, "expose chaos admin endpoints (POST /api/v1/admin/{suspend,resume}) on the ops plane")
@@ -79,7 +78,6 @@ func main() {
 		ServerID:           *serverID,
 		ReplicationAddr:    *replAddr,
 		ReplicateFrom:      *replFrom,
-		ForceResync:        *forceResync,
 		SyncReplication:    *syncRepl,
 		SyncTimeout:        *syncTimeout,
 		EnableAdmin:        *admin,

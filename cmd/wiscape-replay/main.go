@@ -102,7 +102,7 @@ func main() {
 			if sorted.Len() > 0 {
 				last = sorted.Samples[sorted.Len()-1].Time
 			}
-			if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(last)); err != nil {
+			if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(last)); err != nil {
 				log.Fatalf("checkpoint: %v", err)
 			}
 		}

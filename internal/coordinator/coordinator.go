@@ -91,12 +91,6 @@ type Options struct {
 	// requires ReplicationAddr.
 	ReplicateFrom string
 
-	// ForceResync makes a starting replica discard local state and
-	// bootstrap from a fresh primary snapshot even when its own WAL could
-	// resume — the demote/rejoin path, where local history may have
-	// diverged.
-	ForceResync bool
-
 	// SyncReplication withholds sample acks until a replica has
 	// acknowledged the report's last LSN (semi-synchronous replication):
 	// an acked sample then survives the primary's death. Only enforced
@@ -396,26 +390,26 @@ func (s *Server) CheckpointNow() error {
 	if s.store == nil {
 		return nil
 	}
-	snap, lsn := s.captureSnapshot()
-	return s.store.CheckpointAt(lsn, snap)
+	snap, at := s.captureSnapshot()
+	return s.store.CheckpointAt(at, snap)
 }
 
 // captureSnapshot returns a controller snapshot consistent with the WAL
-// position it reports: nothing can append between the LSN read and the
+// position it reports: nothing can append between the Tip read and the
 // state capture. This is also the replication source's bootstrap hook. No
 // sample is journaled while it holds ingestMu, and the snapshot-hold
 // histogram times that hold.
-func (s *Server) captureSnapshot() (core.Snapshot, uint64) {
+func (s *Server) captureSnapshot() (core.Snapshot, store.Mark) {
 	s.ingestMu.Lock()
 	held := time.Now()
-	var lsn uint64
+	var at store.Mark
 	if s.store != nil {
-		lsn = s.store.LastLSN()
+		at = s.store.Tip()
 	}
 	snap := s.Controller().Snapshot(held)
 	s.ingestMu.Unlock()
 	s.met.snapshotHold.Observe(time.Since(held).Seconds())
-	return snap, lsn
+	return snap, at
 }
 
 // ClientCount returns the number of clients with a zone report within three

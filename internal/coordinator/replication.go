@@ -43,7 +43,7 @@ func (s *Server) startReplication() error {
 	s.src = src
 	if s.opts.ReplicateFrom != "" {
 		s.role = wire.RoleReplica
-		s.rep = s.startReplicaLocked(s.opts.ReplicateFrom, s.opts.ForceResync)
+		s.rep = s.startReplicaLocked(s.opts.ReplicateFrom)
 	} else {
 		s.role = wire.RolePrimary
 	}
@@ -69,16 +69,10 @@ func (s *Server) replicaPosition() (applied, lag uint64) {
 }
 
 // startReplicaLocked builds the tail client for one primary. Caller holds
-// s.mu and stores the result in s.rep. A forced resync asks from LSN 0,
-// which the primary answers with a snapshot.
-func (s *Server) startReplicaLocked(primaryAddr string, forceResync bool) *replication.Replica {
-	var from uint64
-	if !forceResync {
-		from = s.store.LastLSN() + 1
-	}
+// s.mu and stores the result in s.rep.
+func (s *Server) startReplicaLocked(primaryAddr string) *replication.Replica {
 	return replication.StartReplica(primaryAddr, &replicaApplier{s: s}, replication.ReplicaOptions{
 		ID:        s.opts.ServerID,
-		From:      from,
 		Seed:      s.opts.Seed,
 		Telemetry: s.opts.Telemetry,
 	})
@@ -131,16 +125,18 @@ func (s *Server) waitReplicated(lsn uint64) bool {
 // at any instant with full durability and query state.
 type replicaApplier struct{ s *Server }
 
-func (a *replicaApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
+func (a *replicaApplier) Bootstrap(at store.Mark, snap core.Snapshot) error {
 	s := a.s
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()
-	if err := s.store.ResetTo(lsn, snap); err != nil {
+	if err := s.store.ResetTo(at, snap); err != nil {
 		return err
 	}
 	s.ctrl.Store(core.Restore(snap))
 	return nil
 }
+
+func (a *replicaApplier) Tip() store.Mark { return a.s.store.Tip() }
 
 func (a *replicaApplier) Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error {
 	s := a.s
@@ -179,13 +175,16 @@ func (s *Server) statusReply() *wire.StatusReply {
 	return reply
 }
 
+// maxEpochJump bounds an order's epoch past the node's: none leaves all later ones stale.
+const maxEpochJump = 1 << 20
+
 // changeRole is the one path for the gateway's role orders. An empty
 // primaryReplAddr promotes: the node stops tailing and accepts writes as the
 // shard's primary at epoch (promoting a primary only advances its epoch).
-// Otherwise it demotes: the node becomes a replica of primaryReplAddr and
-// discards divergent local state through a forced snapshot bootstrap — the
-// rejoin path for a deposed primary. It returns the node's replication
-// address, which peers resync from once it is primary.
+// Otherwise it demotes: the node becomes a replica of primaryReplAddr, the
+// rejoin path for a deposed primary, whose log a snapshot replaces if it
+// diverged. It returns the node's replication address, which peers resync
+// from once it is primary.
 //
 // The preconditions and the switch are one critical section. The old tail
 // closes outside the lock (Close blocks on its stream goroutine), and a
@@ -206,6 +205,8 @@ func (s *Server) changeRole(epoch uint64, primaryReplAddr string) (string, error
 		err = errors.New("coordinator: replication not enabled")
 	case epoch < s.epoch:
 		err = fmt.Errorf("coordinator: stale %s epoch %d (current %d)", verb, epoch, s.epoch)
+	case epoch-s.epoch > maxEpochJump:
+		err = fmt.Errorf("coordinator: %s epoch %d jumps too far past %d", verb, epoch, s.epoch)
 	}
 	if err != nil {
 		s.mu.Unlock()
@@ -225,10 +226,7 @@ func (s *Server) changeRole(epoch uint64, primaryReplAddr string) (string, error
 	case role == wire.RoleReplica:
 		s.mu.Lock()
 		if !s.closed && s.roleOrders == order {
-			// Forced resync: this node's unreplicated suffix (writes acked
-			// after the new primary's view) is deliberately discarded; with
-			// SyncReplication those writes were never acked to agents.
-			s.rep = s.startReplicaLocked(primaryReplAddr, true)
+			s.rep = s.startReplicaLocked(primaryReplAddr)
 		}
 		s.mu.Unlock()
 		slog.Info("coordinator: demoted to replica", "server", s.opts.ServerID, "primary", primaryReplAddr, "epoch", epoch)

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -67,10 +68,9 @@ func journal(t *testing.T, dir string) (lines map[uint64][]byte, segments int) {
 // redialed stream, after a snapshot bootstrap, and down a chain (a replica
 // of a replica). The controllers fed from those lines agree to the byte too.
 func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
-	node := func(id, from string, forceResync bool) (*Server, string) {
-		opts := persistOpts(t.TempDir())
-		opts.ServerID, opts.ReplicationAddr = id, "127.0.0.1:0"
-		opts.ReplicateFrom, opts.ForceResync = from, forceResync
+	node := func(id, from, dir string) (*Server, string) {
+		opts := persistOpts(dir)
+		opts.ServerID, opts.ReplicationAddr, opts.ReplicateFrom = id, "127.0.0.1:0", from
 		opts.SyncReplication, opts.SyncTimeout = true, 5*time.Second
 		opts.segmentMaxBytes = 1 << 9 // about a report a segment
 		return newServer(t, opts), opts.DataDir
@@ -81,8 +81,8 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 			return s.source().ConnectedReplicas() == n
 		})
 	}
-	primary, pdir := node("primary", "", false)
-	tail, tdir := node("tail", primary.ReplicationAddr(), false)
+	primary, pdir := node("primary", "", t.TempDir())
+	tail, tdir := node("tail", primary.ReplicationAddr(), t.TempDir())
 	attached(primary, 1)
 
 	const perReport = 12 // samples a report, and LSNs a line
@@ -127,10 +127,12 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 	report(4)
 	attached(primary, 1)
 
-	// A second replica bootstraps from a snapshot, so its log starts where
-	// the snapshot ends; a third tails the first replica, not the primary.
-	boot, bdir := node("boot", primary.ReplicationAddr(), true)
-	chain, cdir := node("chain", tail.ReplicationAddr(), false)
+	// A second replica starts on a log of another history, which ends with a
+	// line the primary does not hold, so it bootstraps from a snapshot and its
+	// log starts where the snapshot ends; a third, fresh, tails the first
+	// replica, not the primary.
+	boot, bdir := node("boot", primary.ReplicationAddr(), divergedDir(t))
+	chain, cdir := node("chain", tail.ReplicationAddr(), t.TempDir())
 	attached(primary, 2)
 	attached(tail, 1)
 	report(4)
@@ -195,6 +197,24 @@ func TestReplicaJournalIsPrimaryBytes(t *testing.T) {
 	if resyncs != 1 {
 		t.Fatalf("boot bootstrapped %d times, want once", resyncs)
 	}
+}
+
+// divergedDir returns a data dir whose log holds one report of a history no
+// other node holds.
+func divergedDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendReport("elsewhere", minuteSamples(geo.Madison().Center(), start, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 // listeningSockets counts this process's TCP sockets in the LISTEN state:
@@ -371,52 +391,267 @@ func TestReplicaGaugesFollowPromotion(t *testing.T) {
 // tailing it resyncs with it, so the two logs stay the same at every LSN both
 // hold, rather than the tail keeping the records its source gave up.
 func TestChainedReplicaResyncsWhenItsSourceIsDemoted(t *testing.T) {
-	node := func(id, from string) (*Server, string) {
-		opts := persistOpts(t.TempDir())
-		opts.ServerID, opts.ReplicationAddr, opts.ReplicateFrom = id, "127.0.0.1:0", from
-		return newServer(t, opts), opts.DataDir
-	}
-	report := func(s *Server, reports int, value float64) {
-		t.Helper()
-		for i := 0; i < reports; i++ {
-			reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
-				ClientID: s.opts.ServerID, Samples: minuteSamples(geo.Madison().Center(), start, 12, value+float64(i))}}, nil)
-			if reply.Type != wire.TypeSampleAck {
-				t.Fatalf("%s refused the report: %+v", s.opts.ServerID, reply)
-			}
-		}
-	}
-	at := func(s *Server, lsn uint64) func() bool {
-		return func() bool {
-			s.ingestMu.Lock()
-			defer s.ingestMu.Unlock()
-			return s.store.LastLSN() == lsn
-		}
-	}
-	x, xdir := node("x", "")
-	z, zdir := node("z", x.ReplicationAddr())
-	y, _ := node("y", "")
-	report(x, 4, 900) // LSNs 1..48 of x's history
-	report(y, 2, 100) // 1..24 of y's
-	waitFor(t, 5*time.Second, "z to hold x's history", at(z, 48))
+	x := replNode(t, "x", "", t.TempDir())
+	z := replNode(t, "z", x.ReplicationAddr(), t.TempDir())
+	y := replNode(t, "y", "", t.TempDir())
+	reportAs(t, x, 4, 900) // LSNs 1..48 of x's history
+	reportAs(t, y, 2, 100) // 1..24 of y's
+	waitAt(t, z, 48)
 
 	if _, err := x.changeRole(1, y.ReplicationAddr()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "x to resync from y", at(x, 24))
-	waitFor(t, 5*time.Second, "z to resync with x", at(z, 24))
-	report(y, 4, 500) // 25..72 of y's
-	waitFor(t, 5*time.Second, "x to tail y", at(x, 72))
-	waitFor(t, 5*time.Second, "z to tail x", at(z, 72))
+	waitAt(t, x, 24)       // x resyncs from y
+	waitAt(t, z, 24)       // and z with x
+	reportAs(t, y, 4, 500) // 25..72 of y's
+	waitAt(t, x, 72)
+	waitAt(t, z, 72)
 
-	xlog, _ := journal(t, xdir)
-	zlog, _ := journal(t, zdir)
+	xlog, _ := journal(t, x.opts.DataDir)
+	zlog, _ := journal(t, z.opts.DataDir)
 	if len(xlog) != 4 || len(zlog) != len(xlog) {
 		t.Fatalf("x's log holds %d lines and z's %d; want y's four past the resync in each", len(xlog), len(zlog))
 	}
-	for lsn, line := range xlog {
-		if !bytes.Equal(line, zlog[lsn]) {
-			t.Fatalf("x and z differ at LSN %d:\n%q\n%q", lsn, line, zlog[lsn])
+	sameAtCommonLSNs(t, x, z)
+}
+
+// replNode starts a replicated node on dir, a replica of from unless from
+// is empty.
+func replNode(t *testing.T, id, from, dir string) *Server {
+	t.Helper()
+	opts := persistOpts(dir)
+	opts.ServerID, opts.ReplicationAddr, opts.ReplicateFrom = id, "127.0.0.1:0", from
+	return newServer(t, opts)
+}
+
+// reportAs has s journal reports of 12 samples each as client s's own id:
+// one line a report, its bytes the node's own.
+func reportAs(t *testing.T, s *Server, reports int, value float64) {
+	t.Helper()
+	for i := 0; i < reports; i++ {
+		reportFrom(t, s, s.opts.ServerID, value+float64(i))
+	}
+}
+
+// reportFrom has s journal one report of 12 samples from client: one line,
+// whose bytes are the same on every node that journals it at one LSN.
+func reportFrom(t *testing.T, s *Server, client string, value float64) {
+	t.Helper()
+	reply, _ := s.dispatch(wire.Envelope{Type: wire.TypeSampleReport, SampleReport: &wire.SampleReport{
+		ClientID: client, Samples: minuteSamples(geo.Madison().Center(), start, 12, value)}}, nil)
+	if reply.Type != wire.TypeSampleAck {
+		t.Fatalf("%s refused the report: %+v", s.opts.ServerID, reply)
+	}
+}
+
+// waitAt waits until s has journaled and applied through lsn.
+func waitAt(t *testing.T, s *Server, lsn uint64) {
+	t.Helper()
+	waitFor(t, 10*time.Second, fmt.Sprintf("%s at LSN %d", s.opts.ServerID, lsn), func() bool {
+		s.ingestMu.Lock()
+		defer s.ingestMu.Unlock()
+		return s.store.LastLSN() == lsn
+	})
+}
+
+// sameAtCommonLSNs fails unless a's and b's logs hold the same line at every
+// LSN both hold, and returns how many they share.
+func sameAtCommonLSNs(t *testing.T, a, b *Server) int {
+	t.Helper()
+	alog, _ := journal(t, a.opts.DataDir)
+	blog, _ := journal(t, b.opts.DataDir)
+	n := 0
+	for lsn, line := range alog {
+		if other, ok := blog[lsn]; ok {
+			if !bytes.Equal(line, other) {
+				t.Fatalf("%s and %s differ at LSN %d:\n%q\n%q", a.opts.ServerID, b.opts.ServerID, lsn, line, other)
+			}
+			n++
 		}
+	}
+	return n
+}
+
+// resyncs is how many snapshots s's replica tail has bootstrapped from.
+func resyncs(s *Server) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rep.Status().Resyncs
+}
+
+// TestReplicaSayingHelloAfterItsSourceResetIsBootstrapped: z tails x, and
+// while z is away x is demoted and resynced from y, whose history differs
+// past LSN 24, and grows on y's lines. z comes back naming the Mark its log
+// ends at, of x's replaced history, which x no longer holds: it is
+// bootstrapped, and z and x hold the same line at every LSN both hold.
+func TestReplicaSayingHelloAfterItsSourceResetIsBootstrapped(t *testing.T) {
+	x := replNode(t, "x", "", t.TempDir())
+	z := replNode(t, "z", x.ReplicationAddr(), t.TempDir())
+	y := replNode(t, "y", "", t.TempDir())
+	reportAs(t, x, 4, 900) // 1..48 of x's history
+	reportAs(t, y, 2, 100) // 1..24 of y's
+	waitAt(t, z, 48)
+
+	x.Suspend()
+	if _, err := x.changeRole(1, y.ReplicationAddr()); err != nil {
+		t.Fatal(err)
+	}
+	waitAt(t, x, 24)
+	reportAs(t, y, 4, 500) // 25..72 of y's
+	waitAt(t, x, 72)
+	if err := x.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	waitAt(t, z, 72)
+	reportAs(t, y, 1, 700) // 73..84, down the chain
+	waitAt(t, z, 84)
+	if n := sameAtCommonLSNs(t, x, z); n == 0 {
+		t.Fatal("x and z share no line")
+	}
+	if got := resyncs(z); got != 1 {
+		t.Fatalf("z bootstrapped %d times, want once", got)
+	}
+}
+
+// TestRestartedExPrimaryWithADivergentSuffixIsBootstrapped: p journals
+// 25..36 alone while its replica r is cut off, r is promoted and journals its
+// own 25..48, and p restarts on its data dir as r's replica. p's Mark is one
+// r's log does not hold, though it runs past its LSN: p is bootstrapped, and
+// the two logs hold the same line at every LSN both hold.
+func TestRestartedExPrimaryWithADivergentSuffixIsBootstrapped(t *testing.T) {
+	pdir := t.TempDir()
+	p := replNode(t, "p", "", pdir)
+	r := replNode(t, "r", p.ReplicationAddr(), t.TempDir())
+	reportAs(t, p, 2, 900) // 1..24, on both
+	waitAt(t, r, 24)
+
+	p.source().Suspend()
+	reportAs(t, p, 1, 300) // 25..36, p's alone
+	if _, err := r.changeRole(1, ""); err != nil {
+		t.Fatal(err)
+	}
+	reportAs(t, r, 2, 100) // 25..48 of r's
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p = replNode(t, "p", r.ReplicationAddr(), pdir)
+	waitAt(t, p, 48)
+	reportAs(t, r, 1, 700) // 49..60
+	waitAt(t, p, 60)
+	if n := sameAtCommonLSNs(t, p, r); n == 0 {
+		t.Fatal("p and r share no line")
+	}
+	if got := resyncs(p); got != 1 {
+		t.Fatalf("p bootstrapped %d times, want once", got)
+	}
+}
+
+// TestDeposedPrimaryEndingOnARetriedReportIsBootstrapped: p journals B at
+// 25..36 and A at 37..48 while its replica r is cut off, and dies before A is
+// acked. r is promoted, journals C at 25..36, then A's retry at 37..48, the
+// very line p holds there. Both logs end on one line at one LSN, so a hello
+// naming only its last line would have p tailed with B where r holds C. The
+// hello's Mark chains every line, so p, demoted or restarted as r's replica,
+// is bootstrapped, and the two logs hold the same line at every LSN both hold.
+func TestDeposedPrimaryEndingOnARetriedReportIsBootstrapped(t *testing.T) {
+	for _, rejoin := range []string{"demoted", "restarted"} {
+		t.Run(rejoin, func(t *testing.T) {
+			pdir := t.TempDir()
+			p := replNode(t, "p", "", pdir)
+			r := replNode(t, "r", p.ReplicationAddr(), t.TempDir())
+			reportAs(t, p, 2, 900) // 1..24, on both
+			waitAt(t, r, 24)
+
+			p.source().Suspend()
+			reportFrom(t, p, "b", 300) // B: 25..36, p's alone
+			reportFrom(t, p, "a", 600) // A: 37..48, unacked
+			if _, err := r.changeRole(1, ""); err != nil {
+				t.Fatal(err)
+			}
+			reportFrom(t, r, "c", 100) // C: 25..36 of r's
+			reportFrom(t, r, "a", 600) // A's retry: 37..48
+			plog, _ := journal(t, pdir)
+			rlog, _ := journal(t, r.opts.DataDir)
+			if !bytes.Equal(plog[37], rlog[37]) || bytes.Equal(plog[25], rlog[25]) {
+				t.Fatal("the two logs do not end on one line over different ones at 25")
+			}
+			if rejoin == "demoted" {
+				if _, err := p.changeRole(1, r.ReplicationAddr()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				p = replNode(t, "p", r.ReplicationAddr(), pdir)
+			}
+			waitFor(t, 10*time.Second, "p to bootstrap", func() bool { return resyncs(p) == 1 })
+			reportAs(t, r, 1, 700) // 49..60
+			waitAt(t, p, 60)
+			if n := sameAtCommonLSNs(t, p, r); n == 0 {
+				t.Fatal("p and r share no line")
+			}
+			if got := resyncs(p); got != 1 {
+				t.Fatalf("p bootstrapped %d times, want once", got)
+			}
+		})
+	}
+}
+
+// TestDemotedPrimaryWhoseLogIsAPrefixRejoinsWithoutASnapshot: a demote order
+// starts an ordinary replica. A deposed primary whose log its new primary's
+// holds, line for line, is tailed on from its Mark, with no snapshot.
+func TestDemotedPrimaryWhoseLogIsAPrefixRejoinsWithoutASnapshot(t *testing.T) {
+	p := replNode(t, "p", "", t.TempDir())
+	r := replNode(t, "r", p.ReplicationAddr(), t.TempDir())
+	reportAs(t, p, 2, 900)
+	waitAt(t, r, 24)
+	if _, err := r.changeRole(1, ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.changeRole(1, r.ReplicationAddr()); err != nil {
+		t.Fatal(err)
+	}
+	reportAs(t, r, 1, 100)
+	waitAt(t, p, 36)
+	if n := sameAtCommonLSNs(t, p, r); n != 3 {
+		t.Fatalf("p and r share %d lines, want all 3", n)
+	}
+	if got := resyncs(p); got != 0 {
+		t.Fatalf("p bootstrapped %d times, want none", got)
+	}
+}
+
+// TestRoleOrderCannotJumpTheEpoch: an order more than maxEpochJump past the
+// node's epoch would leave every later one from the real gateway stale. The
+// demote at the largest epoch, typed into a replicated primary's agent port,
+// is refused, and the node's role and epoch are as they were; an order at the
+// next epoch is still taken.
+func TestRoleOrderCannotJumpTheEpoch(t *testing.T) {
+	p := replNode(t, "p", "", t.TempDir())
+	replNode(t, "r", p.ReplicationAddr(), t.TempDir())
+	nc, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewConn(nc)
+	defer c.Close()
+	if _, err := nc.Write([]byte(`{"type":"demote","demote":{"epoch":18446744073709551615,"primary_repl_addr":"127.0.0.1:1"}}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := c.Recv(); err != nil || reply.Type != wire.TypeError {
+		t.Fatalf("the demote at the largest epoch got %+v (err %v), want an error", reply, err)
+	}
+	p.mu.Lock()
+	role, epoch, tail := p.role, p.epoch, p.rep != nil
+	p.mu.Unlock()
+	if role != wire.RolePrimary || epoch != 0 || tail {
+		t.Fatalf("after the refused order p is %q at epoch %d, tailing: %v; want the primary at 0", role, epoch, tail)
+	}
+	if reply, _ := p.dispatch(wire.Envelope{Type: wire.TypePromote, Promote: &wire.Promote{Epoch: 1}}, nil); reply.Type != wire.TypePromoteAck {
+		t.Fatalf("the promote at epoch 1 got %+v", reply)
+	}
+	if _, err := p.changeRole(1+maxEpochJump, ""); err != nil {
+		t.Fatalf("an order at the bound refused: %v", err)
 	}
 }

@@ -84,7 +84,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	long := testSample(0)
 	long.ClientID = strings.Repeat("x", 1<<20)
 	snap := snapshotLine(f, 7)
-	ckpt, err := store.AppendCheckpoint(nil, 7, core.Snapshot{TakenAt: start})
+	ckpt, err := store.AppendCheckpoint(nil, store.Mark{LSN: 7}, core.Snapshot{TakenAt: start})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		join(snap, positionLine(7)),
 		join(snap, walLines(8, 3), positionLine(10)),
 		join(stored, positionLine(6)),
-		join(journal[0], journal[1], journal[0], journal[2], positionLine(3)), // a replay seam
+		join(journal[0], journal[1], journal[0], journal[2], positionLine(3)), // a replayed line, refused
 		join(snapshotLine(f, 2), stored, positionLine(6)),                     // records the snapshot covers
 		join(one, flipped, positionLine(7)),
 		join(one, fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(junk), junk)),
@@ -102,13 +102,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		join(walLines(1, 2), []byte("0badc0de {")),
 		join(stored[:len(stored)-5], positionLine(6)), // a binary line cut short
 		join(stored, report, positionLine(56)),
-		join(stored, report, report, positionLine(56)),      // a replayed report line
+		join(stored, report, report, positionLine(56)),      // a replayed report line, refused
 		join(snapshotLine(f, 30), report, positionLine(56)), // a snapshot inside a report line
 		join(stored, report[:len(report)/2], []byte("\n")),  // a report line cut short
-		[]byte("reject replication: peer speaks version 6, want 7\n"),
+		[]byte("reject replication: peer speaks version 7, want 8\n"),
 		[]byte("lsn 12\nlsn x\nlsn 18446744073709551616\n"),
 		[]byte("lsn " + strings.Repeat("9", maxTextLineBytes) + "\n"),
-		join(appendHello(nil, hello{from: 3, id: "r"}), ackLine(3)), // lines only a source takes
+		join(appendHello(nil, hello{at: store.Mark{LSN: 3, Sum: 1}, id: "r"}), ackLine(3)), // lines only a source takes
 		respelled,
 		join(snap[:len(snap)-1], []byte{0xDB, 'x', '\n'}),
 		{0x19, 0, 0, 0, 1, 'P', 'E', 'R', 'W', 4, 0}, // a version 4 hello frame
@@ -126,11 +126,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if len(line) == 0 || line[0] != store.CheckpointLead {
 				continue
 			}
-			snap, lsn, err := store.ParseCheckpointLine(line)
+			snap, at, err := store.ParseCheckpointLine(line)
 			if err != nil {
 				continue
 			}
-			if again, err := store.AppendCheckpointLine(nil, lsn, snap); err != nil || !bytes.Equal(again, line) {
+			if again, err := store.AppendCheckpointLine(nil, at, snap); err != nil || !bytes.Equal(again, line) {
 				t.Fatalf("an accepted snapshot line re-encodes otherwise (err %v):\n got %q\nwant %q", err, again, line)
 			}
 		}
@@ -145,10 +145,12 @@ type fuzzApplier struct {
 	last uint64
 }
 
-func (a *fuzzApplier) Bootstrap(lsn uint64, _ core.Snapshot) error {
-	a.last = lsn
+func (a *fuzzApplier) Bootstrap(at store.Mark, _ core.Snapshot) error {
+	a.last = at.LSN
 	return nil
 }
+
+func (a *fuzzApplier) Tip() store.Mark { return store.Mark{LSN: a.last} }
 
 func (a *fuzzApplier) Apply(first uint64, samples []trace.Sample, line []byte, _ *store.Scratch) error {
 	a.t.Helper()

@@ -32,7 +32,7 @@ func newSourceMetrics(reg *telemetry.Registry, connected func() int) sourceMetri
 		recordsShipped: reg.Counter("wiscape_replication_records_shipped_total",
 			"WAL lines streamed to replicas, counted per replica stream: one per journaled report, however many samples it holds.").With(),
 		snapshotsSent: reg.Counter("wiscape_replication_snapshots_sent_total",
-			"Snapshot bootstraps shipped to replicas (first attach or resync).").With(),
+			"Snapshot bootstraps shipped to replicas (a hello naming a log position this log does not hold or asking for one, or a resync).").With(),
 	}
 }
 
@@ -51,7 +51,7 @@ func newReplicaMetrics(reg *telemetry.Registry) replicaMetrics {
 		recordsApplied: reg.Counter("wiscape_replication_records_applied_total",
 			"WAL lines applied from the primary's stream: one per journaled report, however many samples it holds.").With(),
 		resyncs: reg.Counter("wiscape_replication_resyncs_total",
-			"Snapshot bootstraps applied (first attach or forced resync).").With(),
+			"Snapshot bootstraps applied (the source did not hold the local log's position, the replica asked after refusing a line, or the source resynced the stream).").With(),
 		reconnects: reg.Counter("wiscape_replication_reconnects_total",
 			"Stream drops followed by a redial.").With(),
 	}

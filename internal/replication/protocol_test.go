@@ -116,10 +116,11 @@ func (p *peer) wantClosed() {
 	}
 }
 
-// snapshotLine is the snapshot line of an empty snapshot covering lsn.
+// snapshotLine is the snapshot line of an empty snapshot covering lsn, with
+// sum 0 there.
 func snapshotLine(t testing.TB, lsn uint64) []byte {
 	t.Helper()
-	line, err := store.AppendCheckpointLine(nil, lsn, core.Snapshot{TakenAt: start})
+	line, err := store.AppendCheckpointLine(nil, store.Mark{LSN: lsn}, core.Snapshot{TakenAt: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +185,13 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 		body    []byte
 		applied int  // lines of body applied before the session ends
 		hangup  bool // the source hangs up after body, mid-line
+		refused bool // the session ends on a line the replica refused, so the redial asks for a snapshot
 	}{
-		{"a flipped CRC digit", bytes.Join([][]byte{good(11), good(12), flipped, good(14)}, nil), 2, false},
+		{"a flipped CRC digit", bytes.Join([][]byte{good(11), good(12), flipped, good(14)}, nil), 2, false, true},
 		{"a good CRC over a record that is not one", bytes.Join([][]byte{good(11), good(12),
-			fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(junk), junk), good(14)}, nil), 2, false},
-		{"a line past the store's cap", append(good(11), walLine(12, long)...), 1, false},
-		{"bytes after the last newline", append(append(good(11), good(12)...), "0badc0de {"...), 2, true},
+			fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(junk), junk), good(14)}, nil), 2, false, true},
+		{"a line past the store's cap", append(good(11), walLine(12, long)...), 1, false, false},
+		{"bytes after the last newline", append(append(good(11), good(12)...), "0badc0de {"...), 2, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -202,8 +204,8 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 			defer r.Close()
 
 			p, h := acceptPeer(t, lis)
-			if h.from != 0 {
-				t.Fatalf("a fresh replica asked for LSN %d, want a snapshot", h.from)
+			if h != (hello{id: "r1"}) {
+				t.Fatalf("a fresh replica said %+v, want the empty log's Mark", h)
 			}
 			p.send(snapshotLine(t, 10), positionLine(10))
 			p.wantAck(10)
@@ -218,18 +220,24 @@ func TestReplicaEndsSessionAtARecordsFrameItCannotVouchFor(t *testing.T) {
 				p.wantClosed()
 			}
 
-			// The redial comes once the session is over, and resumes after the
-			// last record applied.
+			// The redial comes once the session is over, and names the Mark
+			// the last line applied ends at — and, after a line the replica
+			// refused, which a source would send again after that Mark, asks
+			// for a snapshot, which covers the refused one.
 			p, h = acceptPeer(t, lis)
 			if _, _, applied := ap.snapshot(); len(applied) != tc.applied || ap.st.LastLSN() != 10+uint64(tc.applied) {
 				t.Fatalf("applied %v and journaled through LSN %d, want the %d lines ahead of the bad one", applied, ap.st.LastLSN(), tc.applied)
 			}
-			if want := 11 + uint64(tc.applied); h.from != want {
-				t.Fatalf("redial asked for LSN %d, want %d", h.from, want)
+			want := hello{at: store.Mark{LSN: 10}, resync: tc.refused, id: "r1"}
+			for lsn := uint64(11); lsn <= 10+uint64(tc.applied); lsn++ {
+				want.at = store.Mark{LSN: lsn, Sum: store.ChainSum(want.at.Sum, good(lsn))}
+			}
+			if h != want {
+				t.Fatalf("redial said %+v, want %+v", h, want)
 			}
 			// And converges.
 			var rest []byte
-			for lsn := h.from; lsn <= 14; lsn++ {
+			for lsn := h.at.LSN + 1; lsn <= 14; lsn++ {
 				rest = append(rest, good(lsn)...)
 			}
 			p.send(rest, positionLine(14))
@@ -250,7 +258,7 @@ func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
 	// one way AppendCheckpointLine spells what it holds: a damaged or
 	// otherwise spelled one ends the session with nothing bootstrapped and
 	// nothing acked.
-	good, err := store.AppendCheckpoint(nil, 10, core.Snapshot{TakenAt: start})
+	good, err := store.AppendCheckpoint(nil, store.Mark{LSN: 10}, core.Snapshot{TakenAt: start})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +268,7 @@ func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
 	nl := bytes.IndexByte(good, '\n')
 	flipped := append([]byte(nil), good...)
 	flipped[nl+1+(len(good)-nl-1)/2] ^= 1
-	respelled := append(fmt.Appendf(nil, "wiscape-checkpoint v1 10  %s", good[nl-8:nl]), good[nl:]...)
+	respelled := append(fmt.Appendf(nil, "wiscape-checkpoint v2 10 0  %s", good[nl-8:nl]), good[nl:]...)
 	badEscape := snapshotLine(t, 10)
 	badEscape = append(append(badEscape[:len(badEscape)-1:len(badEscape)-1], 0xDB, 'x'), '\n')
 	for _, tc := range []struct {
@@ -268,8 +276,9 @@ func TestReplicaRefusesASnapshotThatDoesNotCheckOut(t *testing.T) {
 		line []byte
 	}{
 		{"a flipped body byte", checkpointLine(flipped)},
-		{"another format's header", checkpointLine(bytes.Replace(good, []byte(" v1 "), []byte(" v2 "), 1))},
-		{"a header CRC that is not hex", checkpointLine(append([]byte("wiscape-checkpoint v1 10 zzzzzzzz"), good[nl:]...))},
+		{"another format's header", checkpointLine(bytes.Replace(good, []byte(" v2 "), []byte(" v3 "), 1))},
+		{"a v1 header, which names no sum", checkpointLine(bytes.Replace(good, []byte(" v2 10 0 "), []byte(" v1 10 "), 1))},
+		{"a header CRC that is not hex", checkpointLine(append([]byte("wiscape-checkpoint v2 10 0 zzzzzzzz"), good[nl:]...))},
 		{"version 2's spelling: a u64 LSN and the JSON", checkpointLine(append(binary.LittleEndian.AppendUint64(nil, 10), good[nl+1:]...))},
 		{"a header spelled with two spaces", checkpointLine(respelled)},
 		{"an escape that stands for nothing", badEscape},
@@ -395,7 +404,7 @@ func TestLineCapGoesByLeadByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	p = newPeer(t, nc)
-	p.send([]byte("hello 6 0 " + strings.Repeat("r", maxTextLineBytes)))
+	p.send([]byte("hello 8 0 0 0 " + strings.Repeat("r", maxTextLineBytes)))
 	p.wantClosed()
 }
 
@@ -454,48 +463,62 @@ func TestLongReportLinesReuseTheSessionsScratch(t *testing.T) {
 	// A binary record line is unstuffed into a scratch buffer to be parsed
 	// and again to be journaled. consume keeps one store.Scratch for its
 	// session, so report lines longer than the replica's reader cost no
-	// allocation a line once warm: here one already applied, repeated, as
-	// across a reconnect seam. Mutant: parse with a nil scratch, and each
-	// line allocates one anew.
+	// allocation a line once warm, up to the Applier. Mutant: parse with a
+	// nil scratch, and each line allocates one anew.
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	const more, after = 20, 1 << 14 // past LSN 2^14 every line's LSN takes three bytes, and every line one length
 	st := openStore(t, store.Options{})
+	if err := st.ResetTo(store.Mark{LSN: after}, core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
 	report := make([]trace.Sample, 3600)
 	for i := range report {
 		report[i] = testSample(i)
 		report[i].Network = radio.NetB // a network the tree defines decodes to its constant
 	}
-	if _, err := st.AppendReport("bus-17", report); err != nil {
-		t.Fatal(err)
+	for i := 0; i <= more; i++ {
+		if _, err := st.AppendReport("bus-17", report); err != nil {
+			t.Fatal(err)
+		}
 	}
-	line := journalOf(t, dirOf(st))
-	if len(line) <= 64<<10 || line[0] != 0xB3 || bytes.IndexByte(line, '\n') != len(line)-1 {
-		t.Fatalf("the journal is %d bytes opening %#x; want one report line longer than 64 KiB", len(line), line[0])
+	journal := journalOf(t, dirOf(st))
+	lines := bytes.SplitAfter(journal, []byte{'\n'})
+	line := lines[0]
+	if len(line) <= 64<<10 || line[0] != 0xB3 || len(lines) != 2+more || len(journal) != (1+more)*len(line) {
+		t.Fatalf("the journal is %d bytes in %d lines opening %#x; want %d report lines of one length longer than 64 KiB",
+			len(journal), len(lines)-1, line[0], 1+more)
 	}
-	r := &Replica{}
-	r.applied.Store(st.LastLSN())
+	r := &Replica{ap: discardApplier{}, met: newReplicaMetrics(nil)}
 	// A collection empties wire's pool of gather buffers, whose reuse
 	// TestLongLinesGiveTheirGatherBufferBack checks; here it would only blur
 	// the count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	consume := func(lines int) float64 {
-		stream := bytes.Repeat(line, lines)
+	consume := func(n int) float64 {
+		stream := bytes.Join(lines[:n], nil)
 		rd := bytes.NewReader(stream)
 		br := bufio.NewReaderSize(rd, 64<<10) // the replica's
 		return testing.AllocsPerRun(5, func() {
 			rd.Reset(stream)
 			br.Reset(rd)
+			r.applied.Store(after)
 			if err := r.consume(br, io.Discard); err != io.EOF {
 				t.Fatalf("consume ended with %v, want io.EOF", err)
 			}
 		})
 	}
-	const more = 20
 	if one, many := consume(1), consume(1+more); many > one {
 		t.Errorf("%d more %d-byte report lines: %.1f allocations a line, want 0", more, len(line), (many-one)/more)
 	}
 }
+
+// discardApplier takes every record and keeps nothing.
+type discardApplier struct{}
+
+func (discardApplier) Bootstrap(store.Mark, core.Snapshot) error                  { return nil }
+func (discardApplier) Apply(uint64, []trace.Sample, []byte, *store.Scratch) error { return nil }
+func (discardApplier) Tip() store.Mark                                            { return store.Mark{} }
 
 // fillReader is an endless run of 'x'; the tests take a limited length.
 type fillReader struct{}
@@ -523,12 +546,14 @@ func TestHelloRoundTrips(t *testing.T) {
 	// A hello is one line whatever the replica's id holds, and reads back as
 	// it was written; anything else that opens like one is malformed.
 	for _, id := range []string{"", "r1", "east replica", "two\nlines", `a "quoted" \ id`} {
-		line := appendHello(nil, hello{from: 42, id: id})
-		if h, err := parseHello(line); bytes.IndexByte(line, '\n') != len(line)-1 || err != nil || h != (hello{42, id}) {
+		want := hello{at: store.Mark{LSN: 42, Sum: 0xFFFFFFFF}, resync: true, id: id}
+		line := appendHello(nil, want)
+		if h, err := parseHello(line); bytes.IndexByte(line, '\n') != len(line)-1 || err != nil || h != want {
 			t.Errorf("id %q: hello %q reads back as %+v, err %v", id, line, h, err)
 		}
 	}
-	for _, line := range []string{"hello\n", "hello 7\n", "hello 7 x \"r\"\n", "hello 7 1 r\n", "hello 7 1 \"r\" more\n", "ok 5\n"} {
+	for _, line := range []string{"hello\n", "hello 8\n", "hello 8 x 1 2 \"r\"\n", "hello 8 1 1 2 r\n", "hello 8 1 \"r\"\n",
+		"hello 8 1 1 4294967296 \"r\"\n", "hello 8 1 1 2 \"r\" more\n", "ok 5\n"} {
 		if _, err := parseHello([]byte(line)); !errors.Is(err, errBadLine) {
 			t.Errorf("%q: err %v, want a malformed hello", line, err)
 		}
@@ -540,7 +565,8 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 	// version is turned away at the handshake rather than fed lines it would
 	// misread: by name from version 5 on — a version 5 replica would end its
 	// session on the first report line and redial for ever, a version 6 one
-	// on the first snapshot line — and version 4's
+	// on the first snapshot line, and a version 7 one, naming an LSN and no
+	// line, would be tailed from a position in another history — and version 4's
 	// binary hello, which opens with a length no line kind starts with, by
 	// hanging up.
 	src := startSource(t, openStore(t, store.Options{}), nil)
@@ -551,10 +577,10 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 		}
 		return newPeer(t, nc)
 	}
-	for _, v := range []uint16{4, 5, 6, 8} {
+	for _, v := range []uint16{4, 5, 6, 7, 9} {
 		p := dial()
-		p.send(fmt.Appendf(nil, "hello %d 0 \"old-replica\"\n", v))
-		if got, want := string(p.recv()), fmt.Sprintf("reject replication: peer speaks version %d, want 7\n", v); got != want {
+		p.send(fmt.Appendf(nil, "hello %d 21 \"old-replica\"\n", v))
+		if got, want := string(p.recv()), fmt.Sprintf("reject replication: peer speaks version %d, want 8\n", v); got != want {
 			t.Fatalf("got %q, want %q", got, want)
 		}
 		p.wantClosed()
@@ -574,18 +600,19 @@ func TestSourceRefusesAnotherVersionsHello(t *testing.T) {
 }
 
 func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
-	// An ex-primary restarted as a replica without a forced resync says hello
-	// from its own LastLSN()+1, which can lie beyond the new primary's log.
-	// Parked there it would ack its stale position on the first position line,
-	// release semi-sync waiters for records it never got, and then drop those
-	// records as replays. It is bootstrapped instead, like any position the
-	// log cannot be tailed from.
+	// An ex-primary restarted as a replica names the Mark its own log ends
+	// at, which can lie beyond the new primary's log. Parked there it would
+	// ack its stale position on the first position line, release semi-sync
+	// waiters for records it never got, and then refuse those records. It is
+	// bootstrapped instead, like any replica whose Mark this log does not
+	// hold.
 	t.Run("ahead", func(t *testing.T) {
 		st := openStore(t, store.Options{})
 		appendThrough(t, st, 5)
 		src := startSource(t, st, nil)
-		ap := &memApplier{}
-		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary", From: 21})
+		ap := &memApplier{st: openStore(t, store.Options{})}
+		appendThrough(t, ap.st, 20)
+		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary"})
 		defer r.Close()
 		waitFor(t, 5*time.Second, "bootstrap and the log behind it", func() bool { return r.Status().AppliedLSN == 5 })
 		appendThrough(t, st, 6)
@@ -601,14 +628,40 @@ func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
 			t.Fatalf("replica status %+v, want applied 6 after one resync", got)
 		}
 	})
+	t.Run("another history, level", func(t *testing.T) {
+		// Its Mark at the primary's last LSN, but of its own history:
+		// bootstrapped too, and then its log is the primary's.
+		st := openStore(t, store.Options{})
+		appendThrough(t, st, 5)
+		src := startSource(t, st, nil)
+		ap := &memApplier{st: openStore(t, store.Options{})}
+		for i := 0; i < 5; i++ {
+			smp := testSample(i)
+			smp.ClientID = "bus-18"
+			if _, err := ap.st.Append(smp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary"})
+		defer r.Close()
+		appendThrough(t, st, 6)
+		waitFor(t, 5*time.Second, "the replica to apply through LSN 6", func() bool { return r.Status().AppliedLSN == 6 })
+		if _, boots, _ := ap.snapshot(); boots != 1 {
+			t.Fatalf("%d bootstraps, want one", boots)
+		}
+		if got, want := journalOf(t, dirOf(ap.st)), journalOf(t, dirOf(st)); !bytes.Equal(got, want) {
+			t.Fatalf("the replica's log differs from its primary's:\n%q\nwant\n%q", got, want)
+		}
+	})
 	t.Run("level", func(t *testing.T) {
 		// The honest warm restart — everything the primary has, nothing more —
 		// still tails without a snapshot.
 		st := openStore(t, store.Options{})
 		appendThrough(t, st, 5)
 		src := startSource(t, st, nil)
-		ap := &memApplier{}
-		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 6})
+		ap := &memApplier{st: openStore(t, store.Options{})}
+		appendThrough(t, ap.st, 5)
+		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 		defer r.Close()
 		waitFor(t, 5*time.Second, "attach", func() bool { return src.ConnectedReplicas() == 1 })
 		appendThrough(t, st, 7)
@@ -622,18 +675,13 @@ func TestHelloFromBeyondTheLogIsBootstrapped(t *testing.T) {
 }
 
 func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
-	// Whatever a replica says hello from, it cannot have applied more than
-	// its stream has given it: an ack above that is a protocol violation that
-	// ends the stream, never a commit.
+	// Whatever Mark a replica names in its hello, it cannot have applied more
+	// than that and what its stream has given it: an ack above that is a
+	// protocol violation that ends the stream, never a commit.
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 5)
 	src := startSource(t, st, nil)
-	nc, err := net.Dial("tcp", src.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newPeer(t, nc)
-	p.send(appendHello(nil, hello{from: 3, id: "liar"}))
+	p := dialAs(t, src, tipAt(t, st, 2, "liar"))
 	if lines, last := p.recvFlush(); len(lines) != 0 || last != 5 {
 		t.Fatalf("the hello's answer holds %d bytes and LSN %d; want where the log ends, 5, alone", len(lines), last)
 	}
@@ -656,16 +704,33 @@ func TestAckPastWhatWasShippedEndsTheStream(t *testing.T) {
 	}
 }
 
-// dialAs attaches a scripted replica named id to src, saying hello from from.
-func dialAs(t *testing.T, src *Source, id string, from uint64) *peer {
+// dialAs attaches a scripted replica to src, saying hello h.
+func dialAs(t *testing.T, src *Source, h hello) *peer {
 	t.Helper()
 	nc, err := net.Dial("tcp", src.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := newPeer(t, nc)
-	p.send(appendHello(nil, hello{from: from, id: id}))
+	p.send(appendHello(nil, h))
 	return p
+}
+
+// tipAt is the hello of a replica named id whose log is st's from LSN 1
+// through the line holding lsn.
+func tipAt(t *testing.T, st *store.Store, lsn uint64, id string) hello {
+	t.Helper()
+	cur := st.OpenCursor(1)
+	defer cur.Close()
+	var sum uint32
+	for cur.Position() <= lsn {
+		line, n, err := cur.NextLines(1)
+		if err != nil || n != 1 {
+			t.Fatalf("no line holds LSN %d (%v)", cur.Position(), err)
+		}
+		sum = store.ChainSum(sum, line)
+	}
+	return hello{at: store.Mark{LSN: cur.Position() - 1, Sum: sum}, id: id}
 }
 
 // wantSnapshotFlush reads a flush that must be a snapshot covering lsn and
@@ -673,8 +738,8 @@ func dialAs(t *testing.T, src *Source, id string, from uint64) *peer {
 func (p *peer) wantSnapshotFlush(lsn uint64) {
 	p.t.Helper()
 	lines, _ := p.recvFlush()
-	if _, got, err := store.ParseCheckpointLine(lines); err != nil || got != lsn {
-		p.t.Fatalf("got %d bytes (snapshot LSN %d, %v); want a snapshot of LSN %d alone", len(lines), got, err, lsn)
+	if _, got, err := store.ParseCheckpointLine(lines); err != nil || got.LSN != lsn {
+		p.t.Fatalf("got %d bytes (snapshot LSN %d, %v); want a snapshot of LSN %d alone", len(lines), got.LSN, err, lsn)
 	}
 }
 
@@ -699,7 +764,7 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 	src := startSource(t, st, nil)
 	snap := core.Snapshot{TakenAt: start}
 
-	p := dialAs(t, src, "z", 1)
+	p := dialAs(t, src, hello{id: "z"})
 	p.recvFlush()
 	if _, last := p.recvFlush(); last != 20 {
 		t.Fatalf("the log ends at %d, want 20", last)
@@ -710,13 +775,14 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 	}
 	_ = p.nc.Close()
 	waitFor(t, 5*time.Second, "z's stream to end", func() bool { return src.ConnectedReplicas() == 0 })
-	if err := st.ResetTo(10, snap); err != nil {
+	old := tipAt(t, st, 20, "z")
+	if err := st.ResetTo(store.Mark{LSN: 10}, snap); err != nil {
 		t.Fatal(err)
 	}
 	appendThrough(t, st, 11)
 
 	// z comes back holding the old 1..20: bootstrapped, and it holds back 11.
-	p = dialAs(t, src, "z", 21)
+	p = dialAs(t, src, old)
 	p.wantSnapshotFlush(10)
 	p.recvThrough(11)
 	p.send(ackLine(10))
@@ -749,7 +815,7 @@ func TestAckFromAnEarlierHistoryCommitsNothing(t *testing.T) {
 		defer src.mu.Unlock()
 		return src.acks != nil
 	})
-	if err := st.ResetTo(10, snap); err != nil {
+	if err := st.ResetTo(store.Mark{LSN: 10}, snap); err != nil {
 		t.Fatal(err)
 	}
 	appendThrough(t, st, 11)
@@ -784,7 +850,7 @@ func TestAnEndedStreamLeavesNothingBehind(t *testing.T) {
 	appendThrough(t, st, 5)
 	src := startSource(t, st, nil)
 	for i := 0; i < 300; i++ {
-		p := dialAs(t, src, fmt.Sprintf("gone-%d", i), 6)
+		p := dialAs(t, src, tipAt(t, st, 5, fmt.Sprintf("gone-%d", i)))
 		p.recvFlush()
 		p.send(ackLine(5))
 		_ = p.nc.Close()
@@ -793,7 +859,9 @@ func TestAnEndedStreamLeavesNothingBehind(t *testing.T) {
 	if got := src.Replicas(); len(got) != 0 {
 		t.Fatalf("%d replicas listed with none attached, the first %+v", len(got), got[0])
 	}
-	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1", From: 6})
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	appendThrough(t, ap.st, 5)
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "r1 to attach", func() bool { return src.ConnectedReplicas() == 1 })
 	appendThrough(t, st, 6)
@@ -814,7 +882,7 @@ func TestTimedOutCommitWaitsLeaveNothingBehind(t *testing.T) {
 	st := openStore(t, store.Options{})
 	appendThrough(t, st, 1)
 	src := startSource(t, st, nil)
-	p := dialAs(t, src, "stalled", 2)
+	p := dialAs(t, src, tipAt(t, st, 1, "stalled"))
 	p.recvFlush()
 	shared := func() chan struct{} {
 		src.mu.Lock()
@@ -869,7 +937,7 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 	// another history (an ex-primary's), and the line cannot be journaled
 	// from the middle. The source answers such a hello with a snapshot, as it
 	// does one past its log's end; a replica handed a line it holds part of
-	// refuses it and redials from where it stands.
+	// refuses it and redials asking for a snapshot.
 	report := func(n int) []trace.Sample {
 		samples := make([]trace.Sample, n)
 		for i := range samples {
@@ -886,7 +954,7 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 		src := startSource(t, st, nil)
 		ap := &memApplier{st: openStore(t, store.Options{})}
 		appendThrough(t, ap.st, 4) // a history of its own, ending inside the primary's first line
-		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary", From: 5})
+		r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "ex-primary"})
 		defer r.Close()
 		waitFor(t, 5*time.Second, "bootstrap and the log behind it", func() bool { return r.Status().AppliedLSN == 15 })
 		if _, boots, applied := ap.snapshot(); boots != 1 || len(applied) != 15 || applied[0] != 1 || r.Status().Resyncs != 1 {
@@ -909,19 +977,76 @@ func TestPositionInsideAReportLineIsBootstrapped(t *testing.T) {
 		defer lis.Close()
 		ap := &memApplier{st: openStore(t, store.Options{})}
 		appendThrough(t, ap.st, 3)
-		r := StartReplica(lis.Addr().String(), ap, ReplicaOptions{ID: "r1", From: 4})
+		r := StartReplica(lis.Addr().String(), ap, ReplicaOptions{ID: "r1"})
 		defer r.Close()
 		p, h := acceptPeer(t, lis)
-		if h.from != 4 {
-			t.Fatalf("the replica asked for LSN %d, want 4", h.from)
+		if tip := ap.st.Tip(); h != (hello{at: tip, id: "r1"}) || tip.LSN != 3 {
+			t.Fatalf("the replica said %+v, want its log's Mark at LSN 3, %+v", h, tip)
 		}
 		_, _ = p.nc.Write(append(line, positionLine(6)...))
 		p.wantClosed()
 		if _, _, applied := ap.snapshot(); len(applied) != 0 || ap.st.LastLSN() != 3 {
 			t.Fatalf("applied %v, journaled through LSN %d; want the line refused and the log at 3", applied, ap.st.LastLSN())
 		}
-		if _, h = acceptPeer(t, lis); h.from != 4 {
-			t.Fatalf("the redial asked for LSN %d, want 4 again", h.from)
+		if _, h = acceptPeer(t, lis); h != (hello{at: ap.st.Tip(), resync: true, id: "r1"}) {
+			t.Fatalf("the redial said %+v, want its Mark at LSN 3 and a snapshot asked for", h)
 		}
 	})
+}
+
+func TestHellosAskForASnapshotUntilOneReplacesARefusedLine(t *testing.T) {
+	// After a session that ended on a line the replica refused, its hellos
+	// ask for a snapshot until one has replaced its log: a redial that fails
+	// to connect in between does not go back to being tailed after the Mark
+	// the refused line would be sent after again. Once a snapshot is in,
+	// they ask to be tailed again.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	appendThrough(t, ap.st, 3)
+	r := StartReplica(addr, ap, ReplicaOptions{ID: "r1"})
+	defer r.Close()
+	tip := ap.st.Tip()
+	p, h := acceptPeer(t, lis)
+	if h != (hello{at: tip, id: "r1"}) || tip.LSN != 3 {
+		t.Fatalf("the replica said %+v, want its log's Mark at LSN 3, %+v", h, tip)
+	}
+	// The session ends, and the redial after it fails.
+	_ = p.nc.Close()
+	_ = lis.Close()
+	waitFor(t, 5*time.Second, "a redial to fail", func() bool { return r.Status().Reconnects >= 2 })
+	if lis, err = net.Listen("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	p, h = acceptPeer(t, lis)
+	if h != (hello{at: tip, id: "r1"}) {
+		t.Fatalf("after a plain failed dial the replica said %+v, want its Mark %+v again", h, tip)
+	}
+	reconnects := r.Status().Reconnects
+	bad := walLine(4, testSample(4))
+	bad[5] ^= 1
+	_, _ = p.nc.Write(append(bad, positionLine(4)...))
+	p.wantClosed()
+
+	_ = lis.Close()
+	waitFor(t, 5*time.Second, "a redial to fail", func() bool { return r.Status().Reconnects >= reconnects+2 })
+	if lis, err = net.Listen("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	p, h = acceptPeer(t, lis)
+	if h != (hello{at: tip, resync: true, id: "r1"}) {
+		t.Fatalf("after a refused line and a failed dial the replica said %+v, want its Mark %+v and a snapshot asked for", h, tip)
+	}
+	p.send(snapshotLine(t, 10), walLine(11, testSample(11)), positionLine(11))
+	p.wantAck(11)
+	_ = p.nc.Close()
+	want := hello{at: store.Mark{LSN: 11, Sum: store.ChainSum(0, walLine(11, testSample(11)))}, id: "r1"}
+	if _, h = acceptPeer(t, lis); h != want {
+		t.Fatalf("after the snapshot the replica said %+v, want %+v", h, want)
+	}
 }

@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -26,16 +27,18 @@ import (
 // durable and queryable.
 type Applier interface {
 	// Bootstrap replaces all local state with the snapshot, which covers
-	// records up to and including lsn.
-	Bootstrap(lsn uint64, snap core.Snapshot) error
+	// records up to and including at (store.Store.ResetTo).
+	Bootstrap(at store.Mark, snap core.Snapshot) error
 
 	// Apply applies one record, a whole WAL line as the primary journaled
 	// it: samples are what line decodes to (store.ParseRecordLine has
 	// passed it), at LSNs first, first+1, …. scratch is the session's, for
 	// the store's check of the line (store.Store.AppendAt). None of them is
-	// valid past the call. Records arrive in LSN order, each exactly once per
-	// session (reconnect replays are filtered before Apply).
+	// valid past the call. Records arrive in LSN order, each exactly once.
 	Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error
+
+	// Tip returns the Mark the local log ends at, as store.Store.Tip does.
+	Tip() store.Mark
 }
 
 // dialTimeout bounds one connection attempt to the primary, and
@@ -49,13 +52,6 @@ type ReplicaOptions struct {
 	// ID names this replica to the primary, which lists its stream by it.
 	// Default "replica".
 	ID string
-
-	// From is the first LSN to request: a warm restart passes its local
-	// store's LastLSN()+1 to resume tailing. Zero requests a snapshot
-	// bootstrap: a fresh node, or the demotion/rejoin path, where local
-	// state may have diverged from the new primary and must be discarded
-	// wholesale.
-	From uint64
 
 	// Seed drives the deterministic redial jitter.
 	Seed uint64
@@ -116,9 +112,6 @@ func StartReplica(primaryAddr string, ap Applier, opts ReplicaOptions) *Replica 
 		opts:    opts,
 		stop:    make(chan struct{}),
 	}
-	if opts.From > 0 {
-		r.applied.Store(opts.From - 1)
-	}
 	r.met = newReplicaMetrics(opts.Telemetry)
 	r.wg.Add(1)
 	go r.run()
@@ -162,7 +155,7 @@ func (r *Replica) Close() error {
 func (r *Replica) run() {
 	defer r.wg.Done()
 	jitter := rng.NewNamed(r.opts.Seed, "replication-"+r.opts.ID)
-	forceSnapshot := r.opts.From == 0
+	resync := false
 	attempt := 0
 	for {
 		select {
@@ -170,7 +163,8 @@ func (r *Replica) run() {
 			return
 		default:
 		}
-		err := r.session(forceSnapshot)
+		resyncs := r.resyncs.Load()
+		err := r.session(resync)
 		if err == nil {
 			return // Close severed us cleanly
 		}
@@ -179,11 +173,9 @@ func (r *Replica) run() {
 			return
 		default:
 		}
-		// After a successful bootstrap the session tracks its own offset;
-		// reconnects resume from what was applied.
-		if r.applied.Load() > 0 {
-			forceSnapshot = false
-		}
+		// A refused line would come again after the same tip, so hellos ask
+		// for a snapshot, which covers the line, until one has replaced the log.
+		resync = resync && r.resyncs.Load() == resyncs || errors.Is(err, errBadLine)
 		r.reconnects.Add(1)
 		r.met.reconnects.Inc()
 		slog.Warn("replication: stream to primary lost, redialing", "replica", r.opts.ID, "primary", r.primary, "err", err)
@@ -198,9 +190,12 @@ func (r *Replica) run() {
 	}
 }
 
-// session runs one connected stream until it fails or Close severs it.
-// A nil return means the replica is shutting down.
-func (r *Replica) session(forceSnapshot bool) error {
+// session runs one connected stream until it fails or Close severs it,
+// opening with a hello that names the local log's tip and, if resync is set,
+// asks for a snapshot. A nil return means the replica is shutting down.
+func (r *Replica) session(resync bool) error {
+	tip := r.ap.Tip()
+	r.applied.Store(tip.LSN)
 	nc, err := net.DialTimeout("tcp", r.primary, dialTimeout)
 	if err != nil {
 		return err
@@ -227,11 +222,7 @@ func (r *Replica) session(forceSnapshot bool) error {
 	// snapshot, a large report), which wire.ReadLine gathers.
 	br := bufio.NewReaderSize(nc, 64<<10)
 
-	from := uint64(0)
-	if !forceSnapshot {
-		from = r.applied.Load() + 1
-	}
-	if _, err := nc.Write(appendHello(nil, hello{from: from, id: r.opts.ID})); err != nil {
+	if _, err := nc.Write(appendHello(nil, hello{at: tip, resync: resync, id: r.opts.ID})); err != nil {
 		return err
 	}
 	r.connected.Store(true)
@@ -263,17 +254,17 @@ func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 		switch line[0] {
 		case store.CheckpointLead:
 			// Nothing is reset before the checkpoint checks out in full.
-			snap, lsn, err := store.ParseCheckpointLine(line)
+			snap, at, err := store.ParseCheckpointLine(line)
 			if err != nil {
 				return fmt.Errorf("%w: snapshot: %v", errBadLine, err)
 			}
-			if err := r.ap.Bootstrap(lsn, snap); err != nil {
+			if err := r.ap.Bootstrap(at, snap); err != nil {
 				return fmt.Errorf("applying snapshot: %w", err)
 			}
-			r.setApplied(lsn)
+			r.setApplied(at.LSN)
 			r.resyncs.Add(1)
 			r.met.resyncs.Inc()
-			slog.Info("replication: bootstrapped from snapshot", "replica", r.opts.ID, "lsn", lsn, "zones", len(snap.Entries))
+			slog.Info("replication: bootstrapped from snapshot", "replica", r.opts.ID, "lsn", at.LSN, "zones", len(snap.Entries))
 
 		case positionWord[0]:
 			lsn, err := parseNumberLine(line, positionWord)
@@ -292,7 +283,7 @@ func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 		default:
 			// Every line takes the store's validating parser before it is
 			// journaled or ingested. One that fails ends the session with
-			// the lines ahead of it applied; the redial asks for it again.
+			// the lines ahead of it applied.
 			var first uint64
 			var ok bool
 			first, samples, ok = store.ParseRecordLine(samples[:0], line, &scratch)
@@ -300,18 +291,13 @@ func (r *Replica) consume(br *bufio.Reader, w io.Writer) error {
 				return fmt.Errorf("%w: the record line after LSN %d does not validate", errBadLine, r.applied.Load())
 			}
 			last := first + uint64(len(samples)) - 1
-			switch applied := r.applied.Load(); {
-			case last <= applied:
-				continue // replayed across a reconnect seam
-			case first <= applied:
-				// The line holds what this replica already applied and more:
-				// its log ends inside the line, so it is not this primary's
-				// log. The redial asks from there, and the source answers
-				// with a snapshot (see Source.stream).
-				return fmt.Errorf("%w: the record line of LSNs %d-%d straddles applied LSN %d", errBadLine, first, last, applied)
+			if applied := r.applied.Load(); first <= applied {
+				// The source tails a replica only after the Mark it holds, so
+				// a line at or behind what was applied is not this log's next.
+				return fmt.Errorf("%w: the record line of LSNs %d-%d is not past applied LSN %d", errBadLine, first, last, applied)
 			}
 			if err := r.ap.Apply(first, samples, line, &scratch); err != nil {
-				return fmt.Errorf("applying records %d-%d: %w", first, last, err)
+				return fmt.Errorf("%w: applying records %d-%d: %w", errBadLine, first, last, err)
 			}
 			r.setApplied(last)
 			r.met.recordsApplied.Inc()

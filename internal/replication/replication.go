@@ -8,11 +8,11 @@
 // The package deliberately splits along the wire:
 //
 //   - Source is the primary side: it serves a replication listener off the
-//     shard's durable store, answers each replica's handshake with either a
-//     snapshot (when the requested offset was compacted away, or when a
-//     resync is forced) or a log stream from the requested LSN, resyncs
-//     every stream when the store's history is reset, and holds each
-//     stream's acknowledged offset — the substrate for semi-synchronous
+//     shard's durable store, answers each replica's handshake with a log
+//     stream after the Mark the replica's log ends at, if its own log holds
+//     that Mark, or else with a snapshot, resyncs every stream when
+//     the store's history is reset, and holds each stream's acknowledged
+//     offset — the substrate for semi-synchronous
 //     acks (WaitCommitted) — only as long as the stream lives. Each wait
 //     blocks on its event: a caught-up stream on the store's own wake-up
 //     (store.Watch), after every append and every reset, and a commit wait
@@ -26,31 +26,35 @@
 //     (primary's last LSN minus applied LSN) is exported as the catch-up
 //     gauge the cluster tier promotes by.
 //
-// Protocol (version 7): newline-terminated lines both ways, read by
+// Protocol (version 8): newline-terminated lines both ways, read by
 // wire.ReadLine, each line's kind — and so its cap — picked by its first
-// byte before any of it is buffered. The replica opens with "hello 7 <from>
-// <quoted id>" (from is the first LSN wanted; 0 forces a snapshot). The
-// source answers with WAL lines verbatim, exactly the bytes the primary
-// journaled — a report (0xB3, one line holding one LSN per sample), a sample
-// (0xB1) or JSON ("crc32hex {…}") — and a snapshot as one checkpoint line
-// (store.AppendCheckpointLine), and ends every flush with "lsn <N>", the
-// log's last LSN, which the replica measures its lag by and acks with
-// "ok <applied LSN>". LSNs count samples throughout, so a replica applies a
-// report line whole and acks its last LSN; a from inside a report line is
-// answered with a snapshot. A refused hello is
-// answered "reject <why>". The versions do not interoperate (see Version),
-// so a primary and its replica upgrade as a pair.
+// byte before any of it is buffered. The replica opens with "hello 8 <lsn>
+// <sum> <resync> <quoted id>": the Mark its log ends at (store.Store.Tip),
+// the LSN and the CRC-32C of every line through it, chained, and "true" to
+// ask for a snapshot whatever its log holds. The source tails it after the
+// Mark if its own log holds it, as every log holds the empty log's (0 0),
+// and else sends a snapshot first, carrying the Mark it covers. It ships
+// WAL lines verbatim, exactly the bytes the primary journaled — a report
+// (0xB3, one line holding one LSN per sample), a sample (0xB1) or JSON
+// ("crc32hex {…}") — and a snapshot as one checkpoint line
+// (store.AppendCheckpointLine), and ends every flush with "lsn <N>", the log's last LSN, which the replica
+// measures its lag by and acks with "ok <applied LSN>". LSNs count samples
+// throughout, so a replica applies a report line whole and acks its last
+// LSN. A refused hello is answered "reject <why>". The versions do not
+// interoperate (see Version), so a primary and its replica upgrade as a pair.
 //
-// Who checks what: the source ships a line once the store's record check
-// takes it (store.Cursor.NextLines: frame, CRC, LSNs, and a record
+// Who checks what: the source tails a replica only after a Mark its own log
+// holds (store.Store.OpenCursorAt), and ships a line once the store's record
+// check takes it (store.Cursor.NextLines: frame, CRC, LSNs, and a record
 // store.ParseRecordLine would take), so it never ships a line its own
 // recovery counts corrupt, and it decodes none; the replica puts every line
 // through store.ParseRecordLine — frame, CRC, record, LSN — and a snapshot
 // through store.ParseCheckpointLine — stuffing, header, CRC, JSON — before
 // anything is journaled, ingested or bootstrapped, and journals the line it
 // received, not a re-encoding, so the pair's logs are byte-identical at equal
-// LSN. Either side closes on any line it cannot take, and the replica's
-// redial resumes after the last record it applied.
+// LSN. Either side closes on any line it cannot take. The replica's redial
+// resumes after the last record it applied, unless it refused a line: then
+// its hello asks for a snapshot, which covers that line.
 package replication
 
 import (
@@ -73,13 +77,16 @@ import (
 // lines (0xB3), which a version 5 replica would refuse as malformed and
 // redial on for ever, and 7 a snapshot whose config has only the
 // parameters core.Config still carries, which a version 6 replica would
-// refuse mid-stream, as a checkpoint line not as it spells one.
-const Version uint16 = 7
+// refuse mid-stream, as a checkpoint line not as it spells one, and 8 a
+// hello naming the Mark the replica's log ends at, not an LSN alone, and a
+// snapshot carrying its Mark, in a checkpoint header a version 7 replica
+// refuses.
+const Version uint16 = 8
 
 // The text lines' words. Each opens with a byte that is none of a WAL
 // line's leads (0xB3, 0xB1, a lowercase hex digit) nor store.CheckpointLead.
 const (
-	helloWord    = "hello "  // replica -> source, first: version, from LSN, id
+	helloWord    = "hello "  // replica -> source, first: version, tip, id
 	ackWord      = "ok "     // replica -> source: applied LSN
 	positionWord = "lsn "    // source -> replica, ending every flush: the log's last LSN
 	rejectWord   = "reject " // source -> replica: refusal message, then close
@@ -94,8 +101,8 @@ const (
 	maxSnapshotLineBytes = 256 << 20
 )
 
-// errBadLine covers any line-level protocol violation.
-var errBadLine = errors.New("replication: malformed line")
+// errBadLine marks a refused line: a protocol violation, or a record an Applier refuses.
+var errBadLine = errors.New("replication: line refused")
 
 // sourceCap and replicaCap give the longest line of the kind lead opens that
 // each side takes, 0 for a kind it does not: a source reads a hello and acks,
@@ -150,21 +157,24 @@ func parseNumberLine(line []byte, word string) (uint64, error) {
 	return n, nil
 }
 
-// hello is the replica's opening line.
+// hello is the replica's opening line: its id, the Mark its log ends at
+// (store.Store.Tip), and whether it asks for a snapshot whatever its log
+// holds, as it does after refusing a line the source would send again.
 type hello struct {
-	from uint64 // first LSN wanted; 0 forces a snapshot bootstrap
-	id   string
+	at     store.Mark
+	resync bool
+	id     string
 }
 
 func appendHello(b []byte, h hello) []byte {
-	return fmt.Appendf(b, "%s%d %d %q\n", helloWord, Version, h.from, h.id)
+	return fmt.Appendf(b, "%s%d %d %d %t %q\n", helloWord, Version, h.at.LSN, h.at.Sum, h.resync, h.id)
 }
 
 // parseHello reads a hello, its version first, so one of another version is
 // refused by name whatever follows it.
 func parseHello(line []byte) (h hello, err error) {
 	var v uint16
-	n, err := fmt.Sscanf(string(line), helloWord+"%d %d %q\n", &v, &h.from, &h.id)
+	n, err := fmt.Sscanf(string(line), helloWord+"%d %d %d %t %q\n", &v, &h.at.LSN, &h.at.Sum, &h.resync, &h.id)
 	if n > 0 && v != Version {
 		return hello{}, fmt.Errorf("replication: peer speaks version %d, want %d", v, Version)
 	}

@@ -44,16 +44,18 @@ type memApplier struct {
 	bootLSN uint64
 	boots   int
 	applied []uint64
+	tip     store.Mark // without st: the tip Bootstrap and Apply leave, as store.Store.Tip would
 }
 
-func (m *memApplier) Bootstrap(lsn uint64, snap core.Snapshot) error {
+func (m *memApplier) Bootstrap(at store.Mark, snap core.Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.bootLSN = lsn
+	m.bootLSN = at.LSN
 	m.boots++
 	m.applied = nil
+	m.tip = at
 	if m.st != nil {
-		return m.st.ResetTo(lsn, snap)
+		return m.st.ResetTo(at, snap)
 	}
 	return nil
 }
@@ -69,7 +71,17 @@ func (m *memApplier) Apply(first uint64, samples []trace.Sample, line []byte, sc
 	for i := range samples {
 		m.applied = append(m.applied, first+uint64(i))
 	}
+	m.tip = store.Mark{LSN: first + uint64(len(samples)) - 1, Sum: store.ChainSum(m.tip.Sum, line)}
 	return nil
+}
+
+func (m *memApplier) Tip() store.Mark {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.st != nil {
+		return m.st.Tip()
+	}
+	return m.tip
 }
 
 func (m *memApplier) snapshot() (bootLSN uint64, boots int, applied []uint64) {
@@ -116,23 +128,23 @@ func dirOf(st *store.Store) string {
 // checkpoint, or an empty snapshot at LSN 0 before the first one.
 func startSource(t *testing.T, st *store.Store, reg *telemetry.Registry) *Source {
 	t.Helper()
-	latest := func() (core.Snapshot, uint64) {
+	latest := func() (core.Snapshot, store.Mark) {
 		names, err := filepath.Glob(filepath.Join(dirOf(st), "checkpoint-*.ckpt"))
 		if err != nil {
 			t.Error(err)
 		}
 		var snap core.Snapshot
-		var lsn uint64
+		var at store.Mark
 		for _, name := range names {
 			data, err := os.ReadFile(name)
 			if err != nil {
 				continue // retention deleted it: a newer one exists
 			}
-			if s, l, err := store.ParseCheckpoint(data); err == nil && l >= lsn {
-				snap, lsn = s, l
+			if s, m, err := store.ParseCheckpoint(data); err == nil && m.LSN >= at.LSN {
+				snap, at = s, m
 			}
 		}
-		return snap, lsn
+		return snap, at
 	}
 	src, err := NewSource(st, "127.0.0.1:0", latest, reg)
 	if err != nil {
@@ -150,12 +162,10 @@ func TestStreamFromEmptyAndTail(t *testing.T) {
 	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 
-	// Fresh replica on an empty primary: an empty snapshot at LSN 0, then
+	// Fresh replica on an empty primary: an empty log is a prefix of every
+	// history, so it is tailed from LSN 1, with no snapshot, and gets the
 	// records as they are appended.
-	waitFor(t, 5*time.Second, "bootstrap", func() bool {
-		_, boots, _ := ap.snapshot()
-		return boots == 1
-	})
+	waitFor(t, 5*time.Second, "attach", func() bool { return src.ConnectedReplicas() == 1 })
 	for i := 0; i < 25; i++ {
 		if _, err := st.Append(testSample(i)); err != nil {
 			t.Fatal(err)
@@ -165,11 +175,14 @@ func TestStreamFromEmptyAndTail(t *testing.T) {
 		_, _, applied := ap.snapshot()
 		return len(applied) == 25
 	})
-	_, _, applied := ap.snapshot()
+	_, boots, applied := ap.snapshot()
 	for i, lsn := range applied {
 		if lsn != uint64(i+1) {
 			t.Fatalf("applied[%d] = LSN %d, want %d", i, lsn, i+1)
 		}
+	}
+	if boots != 0 {
+		t.Fatalf("%d snapshot bootstraps of a fresh replica, want none", boots)
 	}
 	waitFor(t, 5*time.Second, "ack at 25", func() bool {
 		return r.Status().AppliedLSN == 25 && src.WaitCommitted(25, time.Second)
@@ -193,7 +206,7 @@ func TestCaughtUpStreamShipsALineAppendedAt(t *testing.T) {
 		appendAt(lsn)
 	}
 	src := startSource(t, st, nil)
-	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1", From: 1})
+	r := StartReplica(src.Addr(), &memApplier{}, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "caught up at LSN 5", func() bool { return r.Status().AppliedLSN == 5 })
 	appendAt(6)
@@ -201,14 +214,16 @@ func TestCaughtUpStreamShipsALineAppendedAt(t *testing.T) {
 }
 
 func TestSnapshotBootstrapSkipsCheckpointedHistory(t *testing.T) {
-	st := openStore(t, store.Options{})
+	// A few records a segment, so the checkpoint compacts LSN 1 away and a
+	// fresh replica, which would be tailed from there, gets a snapshot.
+	st := openStore(t, store.Options{SegmentMaxBytes: 512})
 	for i := 0; i < 40; i++ {
 		if _, err := st.Append(testSample(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
-	if err := st.CheckpointAt(st.LastLSN(), snap); err != nil {
+	if err := st.CheckpointAt(st.Tip(), snap); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 50; i++ {
@@ -292,13 +307,9 @@ func TestReplicaOfAMixedFormatLogMatchesItsPrimary(t *testing.T) {
 	}
 }
 
-// openPrimaryOn opens a store on dir, whose first segment holds seg.
-func openPrimaryOn(t *testing.T, seg []byte) *store.Store {
+// reopen opens the store on dir, as a restart does.
+func reopen(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +317,16 @@ func openPrimaryOn(t *testing.T, seg []byte) *store.Store {
 	storeDirs.Store(st, dir)
 	t.Cleanup(func() { _ = st.Close() })
 	return st
+}
+
+// openPrimaryOn opens a store on dir, whose first segment holds seg.
+func openPrimaryOn(t *testing.T, seg []byte) *store.Store {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return reopen(t, dir)
 }
 
 func TestReplicaOfAJSONSegmentTakesEveryLine(t *testing.T) {
@@ -330,7 +351,7 @@ func TestReplicaOfAJSONSegmentTakesEveryLine(t *testing.T) {
 	}
 	src := startSource(t, primary, nil)
 	ap := &memApplier{st: openStore(t, store.Options{})}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "the replica to apply through LSN 4", func() bool { return r.Status().AppliedLSN == 4 })
 	if got := journalOf(t, dirOf(ap.st)); !bytes.Equal(got, seg) {
@@ -387,7 +408,7 @@ func TestEveryReaderStepsOverALineThatDoesNotDecode(t *testing.T) {
 
 	src := startSource(t, primary, nil)
 	ap := &memApplier{st: openStore(t, store.Options{})}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "the replica to apply through LSN 3", func() bool { return r.Status().AppliedLSN == 3 })
 	if got := journalOf(t, dirOf(ap.st)); !bytes.Equal(got, good) {
@@ -403,7 +424,7 @@ type controllerApplier struct {
 	c  *core.Controller
 }
 
-func (a *controllerApplier) Bootstrap(_ uint64, snap core.Snapshot) error {
+func (a *controllerApplier) Bootstrap(_ store.Mark, snap core.Snapshot) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.c = core.Restore(snap)
@@ -417,6 +438,9 @@ func (a *controllerApplier) Apply(_ uint64, samples []trace.Sample, _ []byte, _ 
 	return nil
 }
 
+// Tip is the empty log's: the applier keeps no log, and a fresh one holds nothing.
+func (a *controllerApplier) Tip() store.Mark { return store.Mark{} }
+
 func TestLinesLongerThanTheReplicasReaderArriveWhole(t *testing.T) {
 	// A replica reads through a 64 KiB buffer, the most a cursor ships in
 	// one run; a single line longer than that — a checkpoint of several
@@ -424,7 +448,9 @@ func TestLinesLongerThanTheReplicasReaderArriveWhole(t *testing.T) {
 	// wire.ReadLine, and the replica ends up holding what its primary's
 	// checkpoint and log do.
 	const readerBytes = 64 << 10
-	st := openStore(t, store.Options{})
+	// A report a segment, so the checkpoint compacts LSN 1 away and the fresh
+	// replica is sent it.
+	st := openStore(t, store.Options{SegmentMaxBytes: 1 << 10})
 	primary := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	origin := geo.Madison().Center()
 	at := start
@@ -453,14 +479,14 @@ func TestLinesLongerThanTheReplicasReaderArriveWhole(t *testing.T) {
 		}
 	}
 	snap := primary.Snapshot(at)
-	ckpt, err := store.AppendCheckpointLine(nil, st.LastLSN(), snap)
+	ckpt, err := store.AppendCheckpointLine(nil, st.Tip(), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ckpt) <= 2*readerBytes {
 		t.Fatalf("checkpoint line of %d bytes, want one well over the replica's %d-byte reader", len(ckpt), readerBytes)
 	}
-	if err := st.CheckpointAt(st.LastLSN(), snap); err != nil {
+	if err := st.CheckpointAt(st.Tip(), snap); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]trace.Sample, 6000)
@@ -526,10 +552,19 @@ func TestWarmRestartResumesFromOffset(t *testing.T) {
 	}
 	src := startSource(t, st, nil)
 
-	// A replica that already holds LSNs 1..20 asks for 21 and gets no
-	// snapshot, only the missing tail.
-	ap := &memApplier{}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 21})
+	// A replica restarted on a log that holds LSNs 1..20, the primary's lines,
+	// names the last of them and gets no snapshot, only the missing tail.
+	dir := t.TempDir()
+	held, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendThrough(t, held, 20)
+	if err := held.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ap := &memApplier{st: reopen(t, dir)}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 
 	waitFor(t, 5*time.Second, "10 tail records", func() bool {
@@ -551,7 +586,7 @@ func TestCompactedOffsetForcesResync(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 45; i++ {
@@ -561,8 +596,9 @@ func TestCompactedOffsetForcesResync(t *testing.T) {
 	}
 	src := startSource(t, st, nil)
 
-	ap := &memApplier{}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 2})
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	appendThrough(t, ap.st, 1) // the primary's first line, which it compacted
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 
 	waitFor(t, 5*time.Second, "resync bootstrap", func() bool {
@@ -660,11 +696,11 @@ func TestStreamAcrossAResetResyncs(t *testing.T) {
 	appendThrough(t, st, 20)
 	src := startSource(t, st, nil)
 	ap := &memApplier{st: openStore(t, store.Options{})}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "the first history applied", func() bool { return r.Status().AppliedLSN == 20 })
 
-	if err := st.ResetTo(10, core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.ResetTo(store.Mark{LSN: 10}, core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 15; i++ { // LSNs 11..25, none the record it was
@@ -715,7 +751,7 @@ func TestCatchingUpReplicaReportsItsLag(t *testing.T) {
 	}
 	src := startSource(t, st, reg)
 	ap := &heldApplier{hold: 600, held: make(chan struct{}), release: make(chan struct{})}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: 1})
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	defer close(ap.release) // before Close, which waits for the held Apply
 
@@ -770,8 +806,9 @@ func TestMidSegmentAttachAndReconnectAcrossRotation(t *testing.T) {
 	from := firsts[2] + 1 // second record of the third segment
 	src := startSource(t, st, nil)
 
-	ap := &memApplier{}
-	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", From: from})
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	appendThrough(t, ap.st, from-1)
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
 	defer r.Close()
 	waitFor(t, 5*time.Second, "tail from mid-segment", func() bool { return r.Status().AppliedLSN == 30 })
 
@@ -861,5 +898,79 @@ func TestCommitWaitHistogramLabelsTheWayOut(t *testing.T) {
 	}
 	if acked, timeout, stopped := waits("acked"), waits("timeout"), waits("stopped"); acked != 2 || timeout != 1 || stopped != 1 {
 		t.Fatalf("observations acked %d timeout %d stopped %d, want 2 1 1", acked, timeout, stopped)
+	}
+}
+
+// refusingApplier refuses every line that holds LSN refuse.
+type refusingApplier struct {
+	memApplier
+	refuse uint64
+}
+
+func (a *refusingApplier) Apply(first uint64, samples []trace.Sample, line []byte, scratch *store.Scratch) error {
+	if first <= a.refuse && a.refuse < first+uint64(len(samples)) {
+		return fmt.Errorf("LSN %d refused", a.refuse)
+	}
+	return a.memApplier.Apply(first, samples, line, scratch)
+}
+
+func TestReplicaResyncsPastALineItRefuses(t *testing.T) {
+	// A line the replica refuses — here its applier's, as a full disk or a
+	// store that refuses the line would — would come again after the same
+	// Mark on every redial. So the redial asks for a snapshot, and the one
+	// the source answers with covers the refused line: one resync, and the
+	// replica tails the log to its end. So too on an empty log, whose hello
+	// otherwise says what a fresh replica's does.
+	for _, refuse := range []uint64{5, 1} {
+		t.Run(fmt.Sprint("LSN ", refuse), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			st := openStore(t, store.Options{})
+			appendThrough(t, st, 10)
+			if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil {
+				t.Fatal(err)
+			}
+			appendThrough(t, st, 12)
+			src := startSource(t, st, nil)
+			ap := &refusingApplier{refuse: refuse}
+			r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1", Telemetry: reg})
+			defer r.Close()
+			waitFor(t, 10*time.Second, "the replica to reach the primary's last LSN", func() bool { return r.Status().AppliedLSN == 12 })
+			appendThrough(t, st, 14)
+			waitFor(t, 5*time.Second, "the replica to tail on", func() bool { return r.Status().AppliedLSN == 14 })
+			resyncs := reg.Counter("wiscape_replication_resyncs_total", "").With().Value()
+			if bootLSN, boots, applied := ap.snapshot(); boots != 1 || bootLSN != 10 || fmt.Sprint(applied) != "[11 12 13 14]" || resyncs != 1 {
+				t.Fatalf("%d bootstraps (the last at LSN %d, resyncs_total %v), then applied %v; want one at 10, then 11..14", boots, bootLSN, resyncs, applied)
+			}
+		})
+	}
+}
+
+func TestBootstrappedReplicaRedialsWithoutASnapshot(t *testing.T) {
+	// A snapshot carries the Mark it covers, and a replica's log takes it as
+	// its tip, so a replica that has bootstrapped and received nothing since
+	// is tailed on a redial, not sent the snapshot again.
+	st := openStore(t, store.Options{})
+	appendThrough(t, st, 10)
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
+	src := startSource(t, st, nil)
+	ap := &memApplier{st: openStore(t, store.Options{})}
+	appendThrough(t, ap.st, 3)
+	if _, err := ap.st.Append(testSample(99)); err != nil { // LSN 4, a line the primary does not hold
+		t.Fatal(err)
+	}
+	r := StartReplica(src.Addr(), ap, ReplicaOptions{ID: "r1"})
+	defer r.Close()
+	waitFor(t, 5*time.Second, "the bootstrap", func() bool { return r.Status().Resyncs == 1 })
+	src.Suspend()
+	waitFor(t, 5*time.Second, "the stream to drop", func() bool { return r.Status().Reconnects > 0 })
+	if err := src.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	appendThrough(t, st, 12)
+	waitFor(t, 5*time.Second, "the replica to tail on", func() bool { return r.Status().AppliedLSN == 12 })
+	if bootLSN, boots, applied := ap.snapshot(); boots != 1 || bootLSN != 10 || fmt.Sprint(applied) != "[11 12]" {
+		t.Fatalf("%d bootstraps (the last at LSN %d), then applied %v; want one at 10, then 11..12", boots, bootLSN, applied)
 	}
 }

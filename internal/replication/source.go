@@ -29,9 +29,9 @@ type replicaConn struct {
 	gone chan struct{} // closed when the ack reader ends: the conn is dead
 
 	// shipped is the highest LSN this stream has given its replica cause to
-	// hold: one short of the hello's position, a snapshot's LSN, the last
-	// line sent. The writer advances it before the bytes leave; the ack
-	// reader refuses an ack above it.
+	// hold: the hello's last LSN, a snapshot's LSN, the last line sent. The
+	// writer advances it before the bytes leave; the ack reader refuses an
+	// ack above it.
 	shipped atomic.Uint64
 
 	// Under Source.mu, set as the stream starts or resyncs: the reset count
@@ -44,7 +44,7 @@ type replicaConn struct {
 // replica never stalls the ingest path.
 type Source struct {
 	st       *store.Store
-	snapshot func() (core.Snapshot, uint64) // a consistent live capture and the LSN it covers
+	snapshot func() (core.Snapshot, store.Mark) // a consistent live capture and the Mark it covers
 	met      sourceMetrics
 	lis      *wire.Listener // accept loop, conn set, Suspend/Resume
 
@@ -60,7 +60,7 @@ type Source struct {
 // captures the state a bootstrap ships and the LSN it covers, consistently —
 // the coordinator's capture under its ingest lock. reg receives the
 // replication metrics; nil disables them.
-func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, uint64), reg *telemetry.Registry) (*Source, error) {
+func NewSource(st *store.Store, addr string, snapshot func() (core.Snapshot, store.Mark), reg *telemetry.Registry) (*Source, error) {
 	s := &Source{
 		st:       st,
 		snapshot: snapshot,
@@ -214,7 +214,7 @@ func (s *Source) serve(nc net.Conn) {
 	s.streams[rc] = struct{}{}
 	s.mu.Unlock()
 	s.met.attaches.Inc()
-	slog.Info("replication: replica attached", "replica", h.id, "from_lsn", h.from)
+	slog.Info("replication: replica attached", "replica", h.id, "last_lsn", h.at.LSN, "resync", h.resync)
 
 	// Ack reader: one goroutine per stream, bounded by the conn itself —
 	// severing the conn (Suspend/Close/stream error) ends it, and serve
@@ -253,37 +253,42 @@ func (s *Source) serve(nc net.Conn) {
 		<-rc.gone
 	}()
 
-	if err := s.stream(rc, nc, h.from); err != nil {
+	if err := s.stream(rc, nc, h); err != nil {
 		slog.Warn("replication: replica stream ended", "replica", h.id, "err", err)
 	}
 }
 
 // stream ships the log to one replica until the conn dies or the source
-// stops. A position the log cannot be tailed from bootstraps via snapshot:
-// from==0 (asked for), one compacted away, one inside a report line, or one
-// past the log's end — a replica that claims records this log never held (an
-// ex-primary restarted without a forced resync) would otherwise sit parked
-// there, acking them, or be sent part of a line it cannot journal.
-// The first write answers the hello, with or without a snapshot, so the
-// replica learns where the log ends even with nothing to catch up on.
-func (s *Source) stream(rc *replicaConn, nc net.Conn, from uint64) error {
+// stops. One rule decides how it starts: the replica is tailed after the Mark
+// its hello names if this log holds it (store.Store.OpenCursorAt: a line
+// ends there, and the sum of every line through it matches), and else
+// bootstrapped via snapshot, as it is when the hello asks for one. An empty
+// log's Mark, LSN 0 and sum 0, every log holds. The first write answers the hello, with or without a snapshot,
+// so the replica learns where the log ends even with nothing to catch up on.
+func (s *Source) stream(rc *replicaConn, nc net.Conn, h hello) error {
 	// One cursor per stream: a run costs the lines it ships, and a caught-up
 	// look at the log one empty read. Opened first, it fails on a later reset;
 	// watched before it opens, every later append or reset wakes the stream.
 	s.st.Watch(rc.wake)
 	defer s.st.Unwatch(rc.wake)
-	cur := s.st.OpenCursor(from)
+	var cur *store.Cursor
+	tail := false
+	if h.resync {
+		cur = s.st.OpenCursor(0)
+	} else {
+		cur, tail = s.st.OpenCursorAt(h.at)
+	}
 	defer func() { cur.Close() }()
 	w := &runWriter{nc: nc}
 	var run []byte
-	if from == 0 || from > s.st.LastLSN()+1 {
+	if tail {
+		s.follow(rc, cur)
+		rc.shipped.Store(h.at.LSN)
+	} else {
 		var err error
 		if run, err = s.snapshotLine(rc, cur); err != nil {
 			return err
 		}
-	} else {
-		s.follow(rc, cur)
-		rc.shipped.Store(from - 1)
 	}
 	if err := w.write(run, s.st.LastLSN()); err != nil {
 		return err
@@ -294,11 +299,12 @@ func (s *Source) stream(rc *replicaConn, nc net.Conn, from uint64) error {
 		// replicated bytes, and the one decode is the replica's.
 		lines, n, err := cur.NextLines(maxLinesPerRun)
 		switch {
-		case errors.Is(err, store.ErrCompacted), errors.Is(err, store.ErrInsideLine):
-			// The replica's position predates retained history, falls
-			// inside a report line, where no replica of this log stands, or
-			// lies in a history ResetTo has replaced; restart it from a
-			// fresh snapshot (the resync path).
+		case errors.Is(err, store.ErrCompacted):
+			// The replica's position predates retained history, or lies in
+			// a history ResetTo has replaced; restart it from a fresh
+			// snapshot (the resync path). It never falls inside a line: the
+			// stream starts past a Mark this log holds or a snapshot's,
+			// both line ends.
 			cur.Close()
 			cur = s.st.OpenCursor(0)
 			if run, err = s.snapshotLine(rc, cur); err != nil {
@@ -333,14 +339,14 @@ func (s *Source) stream(rc *replicaConn, nc net.Conn, from uint64) error {
 // it before it leaves — and moves cur past it.
 func (s *Source) snapshotLine(rc *replicaConn, cur *store.Cursor) ([]byte, error) {
 	s.follow(rc, cur)
-	snap, lsn := s.snapshot()
-	line, err := store.AppendCheckpointLine(nil, lsn, snap)
+	snap, at := s.snapshot()
+	line, err := store.AppendCheckpointLine(nil, at, snap)
 	if err != nil {
 		return nil, err
 	}
-	rc.shipped.Store(lsn)
+	rc.shipped.Store(at.LSN)
 	s.met.snapshotsSent.Inc()
-	cur.Seek(lsn + 1)
+	cur.Seek(at.LSN + 1)
 	return line, nil
 }
 

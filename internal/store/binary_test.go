@@ -602,11 +602,11 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 	snap := core.Snapshot{TakenAt: time.Date(2011, 4, 1, 12, 0, 0, 0, time.UTC), Entries: []core.SnapshotEntry{
 		{Key: core.Key{Net: "netۛ"}, TotalCount: 3}, // U+06DB is DB 9B in UTF-8: an escape byte to stuff
 	}}
-	ckpt, err := AppendCheckpoint(nil, 42, snap)
+	ckpt, err := AppendCheckpoint(nil, Mark{42, 7}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	line, err := AppendCheckpointLine([]byte("kept"), 42, snap)
+	line, err := AppendCheckpointLine([]byte("kept"), Mark{42, 7}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,9 +616,9 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 		!bytes.Contains(line, []byte{trace.SlipEsc, trace.SlipEscEsc}) || !unstuffed || !bytes.Equal(body, ckpt) {
 		t.Fatalf("checkpoint line %q does not hold the checkpoint %q", line, ckpt)
 	}
-	got, lsn, err := ParseCheckpointLine(line)
-	if err != nil || lsn != 42 || !reflect.DeepEqual(got.Entries, snap.Entries) || !got.TakenAt.Equal(snap.TakenAt) {
-		t.Fatalf("read back LSN %d, %+v (err %v); want 42, %+v", lsn, got, err, snap)
+	got, at, err := ParseCheckpointLine(line)
+	if err != nil || at != (Mark{42, 7}) || !reflect.DeepEqual(got.Entries, snap.Entries) || !got.TakenAt.Equal(snap.TakenAt) {
+		t.Fatalf("read back %+v, %+v (err %v); want LSN 42 sum 7, %+v", at, got, err, snap)
 	}
 
 	respell := func(old, new string) []byte {
@@ -636,6 +636,7 @@ func TestCheckpointLineRoundTrips(t *testing.T) {
 		"an escape for nothing":       append(append(line[:len(line)-1:len(line)-1], trace.SlipEsc, 'x'), '\n'),
 		"a flipped byte":              flipped,
 		"a zero-padded LSN":           respell(" 42 ", " 042 "),
+		"a zero-padded sum":           respell(" 7 ", " 07 "),
 		"the JSON indented otherwise": respell("\n  ", "\n   "),
 	} {
 		if _, _, err := ParseCheckpointLine(bad); err == nil {

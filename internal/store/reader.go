@@ -186,6 +186,19 @@ func (c *Cursor) NextLines(max int) (run []byte, n int, err error) {
 // the last record read, or where it was opened.
 func (c *Cursor) Position() uint64 { return c.next }
 
+// chain reads the lines through lsn, chaining each into sum, and reports
+// whether one ended there.
+func (c *Cursor) chain(sum uint32, lsn uint64) (uint32, bool) {
+	for c.next <= lsn {
+		line, n, err := c.NextLines(1)
+		if err != nil || n == 0 {
+			return sum, false
+		}
+		sum = ChainSum(sum, line)
+	}
+	return sum, c.next == lsn+1
+}
+
 // read is the decoding read ReadBatch and recovery share: it hands emit, in
 // LSN order, up to max of the samples with LSN >= c.next, decoding each
 // record the scan steps to, and stops early where NextLines would. *smp is
@@ -416,17 +429,17 @@ func (st *Store) AppendAt(lsn uint64, line []byte, scratch *Scratch) error {
 }
 
 // CheckpointAt atomically persists snap as the newest checkpoint, covering
-// records up to and including lsn, then compacts: WAL segments wholly
+// records up to and including at.LSN, then compacts: WAL segments wholly
 // covered by the oldest retained checkpoint and checkpoints beyond
 // the three newest are deleted. The caller names the log position the
-// snapshot was captured at: the coordinator's consistent-capture LSN, or
-// LastLSN for a single writer with nothing appending meanwhile. The
+// snapshot was captured at: the coordinator's consistent-capture Tip, or
+// Tip for a single writer with nothing appending meanwhile. The
 // snapshot is encoded before the store's mutex is taken, so a report
 // appended meanwhile waits only for the file's write, fsync and rename and
 // the compaction.
-func (st *Store) CheckpointAt(lsn uint64, snap core.Snapshot) error {
+func (st *Store) CheckpointAt(at Mark, snap core.Snapshot) error {
 	t0 := time.Now()
-	data, err := encodeCheckpoint(lsn, snap)
+	data, err := encodeCheckpoint(at, snap)
 	if err != nil {
 		return err
 	}
@@ -435,19 +448,19 @@ func (st *Store) CheckpointAt(lsn uint64, snap core.Snapshot) error {
 	if st.closed {
 		return ErrClosed
 	}
-	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
+	return st.checkpointLocked(t0, at, snap.TakenAt, data)
 }
 
 // ResetTo wipes the store — every WAL segment and checkpoint — and
-// re-seeds it with snap as a checkpoint covering lsn, with the log
-// positioned to accept lsn+1 next. This is the snapshot-bootstrap path: a
-// replica (or a demoted ex-primary resyncing) replaces its entire local
-// history with the primary's checkpoint and tails the log from there. The
-// snapshot is encoded first, so one that cannot be leaves the store as it
-// was.
-func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
+// re-seeds it with snap as a checkpoint covering at, with the log
+// positioned to accept at.LSN+1 next and its Tip at. This is the
+// snapshot-bootstrap path: a replica (or an ex-primary whose log diverged)
+// replaces its entire local history with the primary's checkpoint and tails
+// the log from there. The snapshot is encoded first, so one that cannot be
+// leaves the store as it was.
+func (st *Store) ResetTo(at Mark, snap core.Snapshot) error {
 	t0 := time.Now()
-	data, err := encodeCheckpoint(lsn, snap)
+	data, err := encodeCheckpoint(at, snap)
 	if err != nil {
 		return err
 	}
@@ -474,11 +487,11 @@ func (st *Store) ResetTo(lsn uint64, snap core.Snapshot) error {
 			return fmt.Errorf("store: reset: %w", err)
 		}
 	}
-	st.nextLSN = lsn + 1
+	st.nextLSN, st.sum, st.marks = at.LSN+1, at.Sum, nil
 	st.unsynced = 0
 	if err := st.openSegmentLocked(st.nextLSN); err != nil {
 		return err
 	}
 	st.wedged = nil // the partial line it stood for went with its segment
-	return st.checkpointLocked(t0, lsn, snap.TakenAt, data)
+	return st.checkpointLocked(t0, at, snap.TakenAt, data)
 }

@@ -105,7 +105,7 @@ func TestReadBatchCompactedHistory(t *testing.T) {
 	}
 	defer st.Close()
 	appendN(t, st, 0, 40)
-	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 40, 5) // live tail past the checkpoint
@@ -123,10 +123,10 @@ func TestReadBatchCompactedHistory(t *testing.T) {
 	if err != nil || snap == nil {
 		t.Fatalf("latestCheckpoint: %v %v", snap, err)
 	}
-	if lsn != 40 {
-		t.Fatalf("checkpoint covers LSN %d, want 40", lsn)
+	if lsn.LSN != 40 {
+		t.Fatalf("checkpoint covers LSN %d, want 40", lsn.LSN)
 	}
-	if got := readAll(t, st, lsn+1, 10); len(got) != 5 {
+	if got := readAll(t, st, lsn.LSN+1, 10); len(got) != 5 {
 		t.Fatalf("checkpoint+tail: %d tail records, want 5", len(got))
 	}
 }
@@ -174,7 +174,7 @@ func TestReadBatchRacesCompactionAndCheckpoint(t *testing.T) {
 					}
 					if tc.checkpointEvery > 0 && i%tc.checkpointEvery == tc.checkpointEvery-1 {
 						ckptLSN.Store(lsn)
-						if err := st.CheckpointAt(lsn, core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
+						if err := st.CheckpointAt(Mark{LSN: lsn}, core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}); err != nil {
 							t.Errorf("checkpoint: %v", err)
 							return
 						}
@@ -286,7 +286,7 @@ func TestWatchWakesOnEveryWriteAndReset(t *testing.T) {
 		t.Fatal("AppendAt behind the log's end journaled its line")
 	}
 	woken("a refused AppendAt", false)
-	if err := st.ResetTo(10, core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.ResetTo(Mark{LSN: 10}, core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	woken("ResetTo", true)
@@ -309,7 +309,7 @@ func TestAppendAtAndResetTo(t *testing.T) {
 	appendN(t, st, 0, 3) // local history the reset must wipe
 
 	snap := core.Snapshot{TakenAt: start, Origin: geo.Madison().Center()}
-	if err := st.ResetTo(100, snap); err != nil {
+	if err := st.ResetTo(Mark{LSN: 100}, snap); err != nil {
 		t.Fatalf("ResetTo: %v", err)
 	}
 	if got := st.LastLSN(); got != 100 {
@@ -660,7 +660,7 @@ func runCursorSchedule(dir string, seed uint64) error {
 			if err != nil {
 				return false, err
 			}
-			reopen(rd, lsn+1)
+			reopen(rd, lsn.LSN+1)
 		} else if len(got) > 0 {
 			rd.pos = got[len(got)-1].LSN + 1
 		}
@@ -689,10 +689,10 @@ func runCursorSchedule(dir string, seed uint64) error {
 				err = st.AppendAt(lsn, line, nil)
 			}
 		case op < 15:
-			err = st.CheckpointAt(st.LastLSN(), snap)
+			err = st.CheckpointAt(st.Tip(), snap)
 		case op == 15:
 			// Behind the cursor, at it, or ahead of everything written.
-			err = st.ResetTo(uint64(r.Intn(int(st.LastLSN())+10)), snap)
+			err = st.ResetTo(Mark{LSN: uint64(r.Intn(int(st.LastLSN()) + 10))}, snap)
 		case op == 16:
 			// A torn tail: the start of the next record and no newline. The
 			// next append lands behind it and the pair reads as one bad line.

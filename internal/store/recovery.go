@@ -25,7 +25,7 @@ const (
 	ckptPrefix = "checkpoint-"
 	ckptSuffix = ".ckpt"
 	ckptMagic  = "wiscape-checkpoint"
-	ckptVer    = "v1"
+	ckptVer    = "v2"
 )
 
 // Recovery is the outcome of scanning a data directory on Open: the state
@@ -96,13 +96,13 @@ func listNumbered(dir, prefix, suffix string, asc bool) ([]fileRef, error) {
 }
 
 // AppendCheckpoint appends the checkpoint of snap, covering records through
-// lsn, to buf: the header line "wiscape-checkpoint v1 <lsn> <crc32hex>\n",
+// at, to buf: the header line "wiscape-checkpoint v2 <lsn> <sum> <crc32hex>\n",
 // then the core.WriteSnapshot JSON the CRC covers. It is the one spelling of
-// a snapshot at an LSN — a checkpoint file holds these bytes, and a
+// a snapshot at a Mark — a checkpoint file holds these bytes, and a
 // checkpoint line holds them stuffed. On an error buf comes back unextended.
-func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error) {
+func AppendCheckpoint(buf []byte, at Mark, snap core.Snapshot) ([]byte, error) {
 	start := len(buf)
-	buf = fmt.Appendf(buf, "%s %s %d 00000000\n", ckptMagic, ckptVer, lsn) // the CRC, once the body exists
+	buf = fmt.Appendf(buf, "%s %s %d %d 00000000\n", ckptMagic, ckptVer, at.LSN, at.Sum) // the CRC, once the body exists
 	head := len(buf)
 	body := bytes.NewBuffer(buf)
 	if err := core.WriteSnapshot(body, snap); err != nil {
@@ -114,34 +114,43 @@ func AppendCheckpoint(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error
 }
 
 // ParseCheckpoint validates one checkpoint — header, CRC, snapshot JSON — and
-// returns the snapshot and the LSN it covers: recovery and a replica taking a
-// bootstrap off the wire both decide through it.
-func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
+// returns the snapshot and the Mark it covers: recovery and a replica taking
+// a bootstrap off the wire both decide through it. A v1 header, from before
+// checkpoints carried a sum, reads as sum 0, which the chain through its LSN
+// is not but by chance: replicas of such a log get a snapshot.
+func ParseCheckpoint(data []byte) (core.Snapshot, Mark, error) {
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return core.Snapshot{}, 0, fmt.Errorf("missing header")
+		return core.Snapshot{}, Mark{}, fmt.Errorf("missing header")
 	}
 	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 4 || fields[0] != ckptMagic || fields[1] != ckptVer {
-		return core.Snapshot{}, 0, fmt.Errorf("bad header %q", string(data[:nl]))
+	if len(fields) == 4 && fields[1] == "v1" {
+		fields = []string{fields[0], ckptVer, fields[2], "0", fields[3]}
+	}
+	if len(fields) != 5 || fields[0] != ckptMagic || fields[1] != ckptVer {
+		return core.Snapshot{}, Mark{}, fmt.Errorf("bad header %q", string(data[:nl]))
 	}
 	lsn, err := strconv.ParseUint(fields[2], 10, 64)
 	if err != nil {
-		return core.Snapshot{}, 0, fmt.Errorf("bad lsn: %w", err)
+		return core.Snapshot{}, Mark{}, fmt.Errorf("bad lsn: %w", err)
 	}
-	wantCRC, err := strconv.ParseUint(fields[3], 16, 32)
+	sum, err := strconv.ParseUint(fields[3], 10, 32)
 	if err != nil {
-		return core.Snapshot{}, 0, fmt.Errorf("bad crc: %w", err)
+		return core.Snapshot{}, Mark{}, fmt.Errorf("bad sum: %w", err)
+	}
+	wantCRC, err := strconv.ParseUint(fields[4], 16, 32)
+	if err != nil {
+		return core.Snapshot{}, Mark{}, fmt.Errorf("bad crc: %w", err)
 	}
 	body := data[nl+1:]
 	if got := crc32.ChecksumIEEE(body); got != uint32(wantCRC) {
-		return core.Snapshot{}, 0, fmt.Errorf("crc mismatch: header %08x, body %08x", wantCRC, got)
+		return core.Snapshot{}, Mark{}, fmt.Errorf("crc mismatch: header %08x, body %08x", wantCRC, got)
 	}
 	snap, err := core.ReadSnapshot(bytes.NewReader(body))
 	if err != nil {
-		return core.Snapshot{}, 0, err
+		return core.Snapshot{}, Mark{}, err
 	}
-	return snap, lsn, nil
+	return snap, Mark{lsn, uint32(sum)}, nil
 }
 
 // CheckpointLead opens a checkpoint line. Like reportLead it is a byte no
@@ -149,13 +158,13 @@ func ParseCheckpoint(data []byte) (core.Snapshot, uint64, error) {
 // may carry checkpoint lines among WAL lines.
 const CheckpointLead = 0xC1
 
-// AppendCheckpointLine appends the checkpoint of snap at lsn as one line —
+// AppendCheckpointLine appends the checkpoint of snap at at as one line —
 // CheckpointLead, AppendCheckpoint's bytes stuffed as a binary line's body
 // is, '\n' — a snapshot's spelling on the replication stream. On an error buf
 // comes back unextended.
-func AppendCheckpointLine(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, error) {
+func AppendCheckpointLine(buf []byte, at Mark, snap core.Snapshot) ([]byte, error) {
 	start := len(buf)
-	buf, err := AppendCheckpoint(append(buf, CheckpointLead), lsn, snap)
+	buf, err := AppendCheckpoint(append(buf, CheckpointLead), at, snap)
 	if err != nil {
 		return buf[:start], err
 	}
@@ -165,19 +174,19 @@ func AppendCheckpointLine(buf []byte, lsn uint64, snap core.Snapshot) ([]byte, e
 // ParseCheckpointLine is ParseCheckpoint for a checkpoint line, and takes
 // only the line AppendCheckpointLine writes for what it reads: like the
 // binary record decoder, it is canonical.
-func ParseCheckpointLine(line []byte) (core.Snapshot, uint64, error) {
+func ParseCheckpointLine(line []byte) (core.Snapshot, Mark, error) {
 	if len(line) < 2 {
-		return core.Snapshot{}, 0, errors.New("not a checkpoint line")
+		return core.Snapshot{}, Mark{}, errors.New("not a checkpoint line")
 	}
 	ckpt, _ := trace.Unstuff(nil, line[1:len(line)-1]) // a bad escape is another spelling, refused below
-	snap, lsn, err := ParseCheckpoint(ckpt)
+	snap, at, err := ParseCheckpoint(ckpt)
 	if err != nil {
-		return core.Snapshot{}, 0, err
+		return core.Snapshot{}, Mark{}, err
 	}
-	if again, err := AppendCheckpointLine(nil, lsn, snap); err != nil || !bytes.Equal(again, line) {
-		return core.Snapshot{}, 0, errors.New("a checkpoint line not as AppendCheckpointLine spells it")
+	if again, err := AppendCheckpointLine(nil, at, snap); err != nil || !bytes.Equal(again, line) {
+		return core.Snapshot{}, Mark{}, errors.New("a checkpoint line not as AppendCheckpointLine spells it")
 	}
-	return snap, lsn, nil
+	return snap, at, nil
 }
 
 // writeCheckpoint atomically persists data, the checkpoint covering lsn:
@@ -207,10 +216,10 @@ func writeCheckpoint(dir string, lsn uint64, data []byte) error {
 }
 
 // readCheckpoint reads and parses one checkpoint file.
-func readCheckpoint(path string) (core.Snapshot, uint64, error) {
+func readCheckpoint(path string) (core.Snapshot, Mark, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return core.Snapshot{}, 0, err
+		return core.Snapshot{}, Mark{}, err
 	}
 	return ParseCheckpoint(data)
 }
@@ -220,21 +229,21 @@ func readCheckpoint(path string) (core.Snapshot, uint64, error) {
 // newer ones did not. Open runs it before this store writes or retires any
 // checkpoint, so one listing holds throughout: a checkpoint that cannot be
 // read, a name that points nowhere (a dangling link) included, is corrupt.
-func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
+func (st *Store) latestCheckpoint() (*core.Snapshot, Mark, int, error) {
 	cks, err := listCheckpoints(st.dir)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, Mark{}, 0, err
 	}
 	corrupt := 0
 	for _, ck := range cks {
-		snap, lsn, err := readCheckpoint(ck.path)
+		snap, at, err := readCheckpoint(ck.path)
 		if err == nil {
-			return &snap, lsn, corrupt, nil
+			return &snap, at, corrupt, nil
 		}
 		corrupt++
 		slog.Warn("store: skipping corrupt checkpoint", "path", ck.path, "err", err)
 	}
-	return nil, 0, corrupt, nil
+	return nil, Mark{}, corrupt, nil
 }
 
 // recover reads the data directory back into st.recovery and st.nextLSN: the
@@ -246,15 +255,20 @@ func (st *Store) latestCheckpoint() (*core.Snapshot, uint64, int, error) {
 // segment — except for the invalid or partial run that ends the newest
 // segment, a torn append, which is truncated away instead. Records above the
 // checkpoint become the tail, and the next LSN is one past the last record
-// read or the checkpoint, whichever is later.
+// read or the checkpoint, whichever is later. The sum through it chains from
+// the checkpoint's Mark, over the lines read again past it.
 func (st *Store) recover() error {
 	rec := &st.recovery
 	var err error
-	rec.Snapshot, rec.CheckpointLSN, rec.CorruptCheckpoints, err = st.latestCheckpoint()
+	var ckpt Mark
+	rec.Snapshot, ckpt, rec.CorruptCheckpoints, err = st.latestCheckpoint()
 	if err != nil {
 		return err
 	}
-	st.nextLSN = rec.CheckpointLSN + 1
+	if rec.Snapshot != nil {
+		st.marks = []Mark{ckpt}
+	}
+	rec.CheckpointLSN, st.nextLSN, st.sum = ckpt.LSN, ckpt.LSN+1, ckpt.Sum
 	segs, err := listSegments(st.dir)
 	if err != nil || len(segs) == 0 {
 		return err
@@ -281,6 +295,8 @@ func (st *Store) recover() error {
 			return fmt.Errorf("store: truncating torn tail: %w", err)
 		}
 	}
+	c.Seek(ckpt.LSN + 1)
+	st.sum, _ = c.chain(ckpt.Sum, st.nextLSN-1)
 	return nil
 }
 
@@ -347,6 +363,13 @@ func parseRecord(scratch *[]byte, dst []trace.Sample, line []byte) (uint64, []tr
 	}
 	return wr.LSN, append(dst, wr.Sample), true
 }
+
+// ChainSum chains line into sum, the sum of the lines before it (see Mark):
+// CRC-32C. A line ends with the IEEE CRC of its body, which makes the IEEE CRC
+// of the whole line the same for lines of one length.
+func ChainSum(sum uint32, line []byte) uint32 { return crc32.Update(sum, castagnoli, line) }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // checkLine is the one record check: it reports whether ParseRecordLine
 // takes line, and the LSNs the line holds, first through last. A binary

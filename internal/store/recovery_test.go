@@ -34,7 +34,8 @@ func recoverDir(dir string) (Recovery, uint64, error) {
 		return rec, 0, err
 	}
 	for _, ck := range cks {
-		snap, lsn, err := readCheckpoint(ck.path)
+		snap, at, err := readCheckpoint(ck.path)
+		lsn := at.LSN
 		if err != nil {
 			rec.CorruptCheckpoints++
 			continue
@@ -239,9 +240,9 @@ func runRecoverySchedule(base string, seed uint64, mixed bool) error {
 				}
 				n++
 			case op < 19:
-				err = st.CheckpointAt(st.LastLSN(), snap)
+				err = st.CheckpointAt(st.Tip(), snap)
 			default:
-				err = st.ResetTo(uint64(r.Intn(int(st.LastLSN())+10)), snap)
+				err = st.ResetTo(Mark{LSN: uint64(r.Intn(int(st.LastLSN()) + 10))}, snap)
 			}
 		}
 		if err = errors.Join(err, st.Close()); err != nil {
@@ -464,7 +465,7 @@ func TestDanglingCheckpointLinkCountsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, st, 0, 5)
-	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{TakenAt: start}); err != nil {
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 5, 2)
@@ -484,10 +485,10 @@ func TestDanglingCheckpointLinkCountsCorrupt(t *testing.T) {
 	}
 
 	var snap *core.Snapshot
-	var lsn uint64
-	within("latestCheckpoint", func() { snap, lsn, _, err = st.latestCheckpoint() })
-	if err != nil || snap == nil || lsn != 5 {
-		t.Fatalf("latestCheckpoint: LSN %d (snapshot %v), err %v; want the checkpoint at 5", lsn, snap != nil, err)
+	var at Mark
+	within("latestCheckpoint", func() { snap, at, _, err = st.latestCheckpoint() })
+	if err != nil || snap == nil || at.LSN != 5 {
+		t.Fatalf("latestCheckpoint: LSN %d (snapshot %v), err %v; want the checkpoint at 5", at.LSN, snap != nil, err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -156,7 +156,9 @@ type Store struct {
 	segGen   uint64   // bumped when compaction deletes segments; open cursors then re-position
 	segSize  int64
 	nextLSN  uint64
-	unsynced int // WAL lines appended since the last fsync
+	sum      uint32 // the log's chained sum through nextLSN-1 (see Mark)
+	marks    []Mark // the retained checkpoints', where OpenCursorAt chains from
+	unsynced int    // WAL lines appended since the last fsync
 	closed   bool
 	wedged   error             // set when a failed write could not be undone; appends refuse until reopen
 	buf      []byte            // line assembly scratch, reused across appends
@@ -213,6 +215,46 @@ func (st *Store) LastLSN() uint64 {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.nextLSN - 1
+}
+
+// A Mark names a point in a log's history: an LSN, and the chained sum
+// (ChainSum) of every line of the history through it, taken from 0 at the
+// empty log. A checkpoint carries the Mark it covers, so the chain survives
+// compaction and a snapshot bootstrap. Two logs that share a Mark hold one
+// history through its LSN, up to a CRC-32C collision.
+type Mark struct {
+	LSN uint64
+	Sum uint32
+}
+
+// Tip returns the Mark the log ends at: LastLSN and the sum through it.
+func (st *Store) Tip() Mark {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return Mark{st.nextLSN - 1, st.sum}
+}
+
+// OpenCursorAt opens a cursor after at, and reports whether this log holds
+// at: a line ends at at.LSN, and the sum through it is at.Sum. It chains from
+// the tip or the newest retained checkpoint at or below at.LSN, else from the
+// empty log, so it reads the lines between. Compacted lines, a position
+// inside a line or a reset meanwhile make it report false.
+func (st *Store) OpenCursorAt(at Mark) (*Cursor, bool) {
+	st.mu.Lock()
+	c := &Cursor{st: st, resets: st.Resets()}
+	from := Mark{st.nextLSN - 1, st.sum}
+	if from.LSN > at.LSN {
+		from = Mark{}
+		for _, m := range st.marks {
+			if m.LSN <= at.LSN && m.LSN > from.LSN {
+				from = m
+			}
+		}
+	}
+	st.mu.Unlock()
+	c.Seek(from.LSN + 1)
+	sum, ok := c.chain(from.Sum, at.LSN)
+	return c, ok && sum == at.Sum
 }
 
 // Resets returns how many times ResetTo has replaced the log's history: an
@@ -376,7 +418,7 @@ func (st *Store) writeLocked(first, last uint64, data []byte) error {
 		return fmt.Errorf("store: appending record %d: %w", first, err)
 	}
 	st.segSize += int64(len(data))
-	st.nextLSN = last + 1
+	st.nextLSN, st.sum = last+1, ChainSum(st.sum, data)
 	st.unsynced++
 	if syncs {
 		st.unsynced = 0
@@ -411,22 +453,24 @@ func (st *Store) Sync() error {
 	return nil
 }
 
-// encodeCheckpoint is AppendCheckpoint's checkpoint of snap covering lsn.
-func encodeCheckpoint(lsn uint64, snap core.Snapshot) ([]byte, error) {
-	data, err := AppendCheckpoint(nil, lsn, snap)
+// encodeCheckpoint is AppendCheckpoint's checkpoint of snap covering at.
+func encodeCheckpoint(at Mark, snap core.Snapshot) ([]byte, error) {
+	data, err := AppendCheckpoint(nil, at, snap)
 	if err != nil {
 		return nil, fmt.Errorf("store: checkpoint: %w", err)
 	}
 	return data, nil
 }
 
-// checkpointLocked persists data, the checkpoint covering lsn of a snapshot
+// checkpointLocked persists data, the checkpoint covering at of a snapshot
 // taken at takenAt, and compacts; the caller holds st.mu, and began the
 // checkpoint, encoding included, at t0.
-func (st *Store) checkpointLocked(t0 time.Time, lsn uint64, takenAt time.Time, data []byte) error {
-	if err := writeCheckpoint(st.dir, lsn, data); err != nil {
+func (st *Store) checkpointLocked(t0 time.Time, at Mark, takenAt time.Time, data []byte) error {
+	if err := writeCheckpoint(st.dir, at.LSN, data); err != nil {
 		return err
 	}
+	st.marks = append(st.marks, at)
+	st.marks = st.marks[max(0, len(st.marks)-st.opts.checkpointKeep):]
 	st.compactLocked()
 	st.met.checkpoints.Inc()
 	st.met.checkpointSec.Observe(time.Since(t0).Seconds())

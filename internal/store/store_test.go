@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -105,7 +106,7 @@ func TestCheckpointSplitsCoveredFromTail(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, st, 10, 5)
@@ -146,7 +147,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
-	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	segs, err = listSegments(dir)
@@ -186,7 +187,7 @@ func TestCheckpointRetention(t *testing.T) {
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	for round := 0; round < 4; round++ {
 		appendN(t, st, round*5, 5)
-		if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
+		if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,7 +241,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if _, err := st.Append(testSample(0)); err != ErrClosed {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
 	}
-	if err := st.CheckpointAt(st.LastLSN(), core.Snapshot{}); err != ErrClosed {
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{}); err != ErrClosed {
 		t.Fatalf("checkpoint after close: %v, want ErrClosed", err)
 	}
 }
@@ -424,7 +425,7 @@ func TestTruncatedCheckpointFallsBackToOlder(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil { // covers 1..5
+	if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil { // covers 1..5
 		t.Fatal(err)
 	}
 	for i := 5; i < 10; i++ {
@@ -434,7 +435,7 @@ func TestTruncatedCheckpointFallsBackToOlder(t *testing.T) {
 		}
 		ctrl.Ingest(smp)
 	}
-	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil { // covers 1..10
+	if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil { // covers 1..10
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -485,7 +486,7 @@ func TestAllCheckpointsCorruptFallsBackToFullWAL(t *testing.T) {
 	}
 	ctrl := core.NewController(core.DefaultConfig(), geo.Madison().Center())
 	appendN(t, st, 0, 8)
-	if err := st.CheckpointAt(st.LastLSN(), ctrl.Snapshot(start)); err != nil {
+	if err := st.CheckpointAt(st.Tip(), ctrl.Snapshot(start)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -526,5 +527,115 @@ func TestStrayFilesIgnored(t *testing.T) {
 	defer st.Close()
 	if rec := st.Recovery(); rec.Snapshot != nil || len(rec.Tail) != 0 {
 		t.Fatalf("stray files leaked into recovery: %+v", rec)
+	}
+}
+
+func TestTipChainsEveryLine(t *testing.T) {
+	// The tip is what a replica's hello claims: the log's last LSN and the
+	// chained sum of every line through it. Every write chains its line in,
+	// recovery chains again from the checkpoint it restores — also past the
+	// segments compaction deleted and the empty one a restart leaves — so a
+	// warm restart claims the Mark it stopped at, and a reset takes the Mark
+	// of the snapshot it installs.
+	dir := t.TempDir()
+	st, err := Open(dir, Options{SegmentMaxBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	chained := func(through uint64) Mark { // the lines 1..through, chained, read back through a cursor
+		cur := st.OpenCursor(1)
+		defer cur.Close()
+		var sum uint32
+		for cur.Position() <= through {
+			line, n, err := cur.NextLines(1)
+			if err != nil || n == 0 {
+				t.Fatalf("no line at LSN %d (%v)", cur.Position(), err)
+			}
+			sum = ChainSum(sum, line)
+		}
+		return Mark{through, sum}
+	}
+	wantTip := func(what string, want Mark) {
+		t.Helper()
+		if got := st.Tip(); got != want {
+			t.Fatalf("%s: tip %+v, want %+v", what, got, want)
+		}
+	}
+	wantTip("empty", Mark{})
+	appendN(t, st, 0, 3)
+	wantTip("after appends", chained(3))
+	report := []trace.Sample{testSample(3), testSample(4), testSample(5), testSample(6)}
+	if _, err := st.AppendReport("store-test", report); err != nil {
+		t.Fatal(err)
+	}
+	tip := chained(7)
+	chained7 := tip
+	wantTip("after a report", tip)
+	for what, at := range map[string]Mark{
+		"a line end": chained(3), "the empty log": {}, "the tip": tip,
+		"a position inside a line": {5, chained(3).Sum}, "another sum": {3, chained(3).Sum + 1}, "past the end": {8, tip.Sum},
+	} {
+		cur, ok := st.OpenCursorAt(at)
+		if holds := at.LSN <= 7 && at.LSN != 5 && at.Sum == chained(at.LSN).Sum; ok != holds || ok && cur.Position() != at.LSN+1 {
+			t.Errorf("OpenCursorAt(%s %+v): %v at LSN %d, want %v", what, at, ok, cur.Position(), holds)
+		}
+		cur.Close()
+	}
+	if err := st.CheckpointAt(tip, core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, st, 7, 3)
+	if err := st.CheckpointAt(st.Tip(), core.Snapshot{TakenAt: start}); err != nil { // compacts past LSN 1
+		t.Fatal(err)
+	}
+	ckpt := st.Tip()
+	appendN(t, st, 10, 2)
+	tip = st.Tip()
+	if cur, ok := st.OpenCursorAt(Mark{}); ok {
+		if _, _, err := cur.NextLines(1); err != ErrCompacted {
+			t.Fatalf("LSN 1 still readable after compaction (%v): the restart below chains past nothing", err)
+		}
+		cur.Close()
+	}
+	holds := func(what string, at Mark) { // past compaction, OpenCursorAt chains from a checkpoint's Mark
+		t.Helper()
+		cur, ok := st.OpenCursorAt(at)
+		cur.Close()
+		if !ok {
+			t.Fatalf("%s: the log does not hold its own Mark %+v", what, at)
+		}
+	}
+	holds("the first checkpoint", chained7)
+	for i := 0; i < 2; i++ {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Open(dir, Options{SegmentMaxBytes: 128}); err != nil {
+			t.Fatal(err)
+		}
+		wantTip("after a restart", tip)
+		holds("the recovered checkpoint", ckpt)
+	}
+	if err := st.ResetTo(Mark{20, 0xfeed}, core.Snapshot{TakenAt: start}); err != nil {
+		t.Fatal(err)
+	}
+	wantTip("after a reset", Mark{20, 0xfeed})
+	line, err := appendReportLine(nil, 21, "store-test", []trace.Sample{testSample(21)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendAt(21, line, nil); err != nil {
+		t.Fatal(err)
+	}
+	wantTip("after AppendAt", Mark{21, ChainSum(0xfeed, line)})
+
+	// Lines of one length share their IEEE CRC, which a line ends with over
+	// its body; ChainSum tells them apart.
+	a, _ := appendReportLine(nil, 1, "store-test", []trace.Sample{testSample(1)})
+	b, _ := appendReportLine(nil, 1, "store-test", []trace.Sample{testSample(2)})
+	if len(a) != len(b) || crc32.ChecksumIEEE(a) != crc32.ChecksumIEEE(b) || ChainSum(0, a) == ChainSum(0, b) {
+		t.Fatalf("lines of %d and %d bytes: IEEE CRCs %08x %08x, sums %08x %08x; want one length, one IEEE CRC and two sums",
+			len(a), len(b), crc32.ChecksumIEEE(a), crc32.ChecksumIEEE(b), ChainSum(0, a), ChainSum(0, b))
 	}
 }
